@@ -1,28 +1,29 @@
-// Command burstarchive maintains a time-partitioned archive of burstiness
-// summaries: seal each ingestion period (a day, an hour) as its own
-// partition, then answer historical queries across any range of partitions
-// without the raw data.
+// Command burstarchive keeps a history of burstiness summaries in a segment
+// store directory, one sealed segment per ingestion period (a day, an hour),
+// and answers historical queries across the whole history without the raw
+// data.
 //
-//	burstarchive init   -dir ./arch
-//	burstarchive seal   -dir ./arch -in day1.hbst -start 0 -end 86399
-//	burstarchive seal   -dir ./arch -in day2.hbst -start 86400 -end 172799
+//	burstarchive seal   -dir ./arch -in day1.hbst -k 4096
+//	burstarchive seal   -dir ./arch -in day2.hbst -k 4096
 //	burstarchive stats  -dir ./arch
 //	burstarchive events -dir ./arch -t 120000 -theta 500 -tau 3600
 //	burstarchive point  -dir ./arch -e 3 -t 120000 -tau 3600
 //
-// Every partition must be built with the same sketch configuration; seal
-// derives it from the shared flags (-k, -gamma, -seed), so pass the same
-// values for every seal into one archive.
+// The directory is an ordinary store directory: the first seal creates it,
+// `burstd -snapshots ./arch` serves it and `burstcli segments` lists it.
+// Periods must arrive in time order — a period starting behind the store's
+// frontier is refused — and every seal must name the sketch configuration
+// (-k, -gamma, -seed) the first one pinned.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 
-	"histburst"
-	"histburst/internal/archive"
 	"histburst/internal/metrics"
+	"histburst/internal/segstore"
 	"histburst/internal/stream"
 )
 
@@ -39,44 +40,49 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: burstarchive <init|seal|stats|point|events> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: burstarchive <seal|stats|point|events> [flags]")
 }
 
-func run(cmd string, args []string, out *os.File) error {
-	switch cmd {
-	case "init":
-		fs := flag.NewFlagSet("init", flag.ContinueOnError)
-		dir := fs.String("dir", "", "archive directory (required)")
-		if err := fs.Parse(args); err != nil {
-			return err
-		}
-		if *dir == "" {
-			return fmt.Errorf("init: -dir is required")
-		}
-		if _, err := archive.Create(*dir); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "initialized archive at %s\n", *dir)
-		return nil
+// oneShot is the lifecycle of a store opened for a single command: each
+// period stays the one segment its seal wrote, and no background compactor
+// or scrubber is started for the few milliseconds the process lives.
+var oneShot = segstore.Config{SealEvents: -1, CompactFanout: -1, ScrubInterval: -1}
 
+// openExisting opens the store in dir for a read command; unlike seal it
+// must not create one.
+func openExisting(dir string) (*segstore.Store, error) {
+	if _, err := os.Stat(filepath.Join(dir, segstore.ManifestName)); err != nil {
+		return nil, fmt.Errorf("no store in %s: %w", dir, err)
+	}
+	return segstore.Open(dir, oneShot)
+}
+
+func run(cmd string, args []string, out *os.File) (err error) {
+	var st *segstore.Store
+	// Close seals whatever the command (or a replayed write-ahead log) left
+	// in the head, so its error is part of the command's outcome.
+	defer func() {
+		if st == nil {
+			return
+		}
+		if cerr := st.Close(); err == nil {
+			err = cerr
+		}
+	}()
+
+	switch cmd {
 	case "seal":
 		fs := flag.NewFlagSet("seal", flag.ContinueOnError)
-		dir := fs.String("dir", "", "archive directory (required)")
-		in := fs.String("in", "", "partition dataset file from burstgen (required)")
-		start := fs.Int64("start", 0, "partition span start (inclusive)")
-		end := fs.Int64("end", -1, "partition span end (inclusive; default: data max)")
-		k := fs.Uint64("k", 4096, "event-id space (same for every partition)")
-		gamma := fs.Float64("gamma", 8, "PBE-2 error cap γ (same for every partition)")
-		seed := fs.Int64("seed", 1, "sketch seed (same for every partition)")
+		dir := fs.String("dir", "", "store directory (required; created by the first seal)")
+		in := fs.String("in", "", "period dataset file from burstgen (required)")
+		k := fs.Uint64("k", 4096, "event-id space (same for every period)")
+		gamma := fs.Float64("gamma", 8, "PBE-2 error cap γ (same for every period)")
+		seed := fs.Int64("seed", 1, "sketch seed (same for every period)")
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
 		if *dir == "" || *in == "" {
 			return fmt.Errorf("seal: -dir and -in are required")
-		}
-		a, err := archive.Open(*dir)
-		if err != nil {
-			return err
 		}
 		f, err := os.Open(*in)
 		if err != nil {
@@ -87,48 +93,52 @@ func run(cmd string, args []string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		det, err := histburst.New(*k, histburst.WithPBE2(*gamma), histburst.WithSeed(*seed))
-		if err != nil {
+		if len(data) == 0 {
+			return fmt.Errorf("seal: %s holds no elements", *in)
+		}
+		cfg := oneShot
+		cfg.K, cfg.Gamma, cfg.Seed = *k, *gamma, *seed
+		if st, err = segstore.Open(*dir, cfg); err != nil {
 			return err
 		}
-		for _, el := range data {
-			det.Append(el.Event, el.Time)
+		if first, frontier := data[0].Time, st.Frontier(); first < frontier {
+			return fmt.Errorf("seal: period starts at %d, behind the store frontier %d (it overlaps sealed history)", first, frontier)
 		}
-		det.Finish()
-		e := *end
-		if e < 0 {
-			e = det.MaxTime()
-		}
-		if err := a.Seal(det, *start, e); err != nil {
+		if err := st.AppendStream(data); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "sealed partition [%d, %d]: %d elements, %s\n",
-			*start, e, det.N(), metrics.HumanBytes(det.Bytes()))
+		if err := st.Checkpoint(true); err != nil {
+			return err
+		}
+		sn := st.Snapshot()
+		fmt.Fprintf(out, "sealed period [%d, %d]: %d elements (store: %d segments, %s)\n",
+			data[0].Time, data[len(data)-1].Time, len(data), len(sn.Segments()), metrics.HumanBytes(sn.Bytes()))
 		return nil
 
 	case "stats":
 		fs := flag.NewFlagSet("stats", flag.ContinueOnError)
-		dir := fs.String("dir", "", "archive directory (required)")
+		dir := fs.String("dir", "", "store directory (required)")
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
 		if *dir == "" {
 			return fmt.Errorf("stats: -dir is required")
 		}
-		a, err := archive.Open(*dir)
-		if err != nil {
+		if st, err = openExisting(*dir); err != nil {
 			return err
 		}
-		s, e, ok := a.Span()
-		fmt.Fprintf(out, "partitions: %d\n", a.Partitions())
-		if ok {
-			fmt.Fprintf(out, "span:       [%d, %d]\n", s, e)
+		sn := st.Snapshot()
+		fmt.Fprintf(out, "segments:   %d\n", len(sn.Segments()))
+		fmt.Fprintf(out, "elements:   %d\n", sn.N())
+		if sn.N() > 0 {
+			fmt.Fprintf(out, "span:       [%d, %d]\n", sn.MinTime(), sn.MaxTime())
 		}
+		fmt.Fprintf(out, "generation: %d\n", sn.Generation())
 		return nil
 
 	case "point", "events":
 		fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-		dir := fs.String("dir", "", "archive directory (required)")
+		dir := fs.String("dir", "", "store directory (required)")
 		e := fs.Uint64("e", 0, "event id (point query)")
 		t := fs.Int64("t", 0, "query instant")
 		tau := fs.Int64("tau", 86_400, "burst span τ")
@@ -139,28 +149,19 @@ func run(cmd string, args []string, out *os.File) error {
 		if *dir == "" {
 			return fmt.Errorf("%s: -dir is required", cmd)
 		}
-		a, err := archive.Open(*dir)
-		if err != nil {
+		if st, err = openExisting(*dir); err != nil {
 			return err
 		}
-		// Load only the partitions the query window [t−2τ, t] touches.
-		// Skipping earlier history is sound for burstiness: the missing
-		// prefix shifts all three cumulative-frequency terms of
-		// b = F(t) − 2F(t−τ) + F(t−2τ) by the same constant, which the
-		// second difference cancels.
-		det, err := a.LoadRange(*t-2*(*tau), *t)
-		if err != nil {
-			return err
-		}
+		sn := st.Snapshot()
 		if cmd == "point" {
-			b, err := det.Burstiness(*e, *t, *tau)
+			b, err := sn.Burstiness(*e, *t, *tau)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(out, "b_%d(%d) ≈ %.1f (τ=%d)\n", *e, *t, b, *tau)
 			return nil
 		}
-		ids, err := det.BurstyEvents(*t, *theta, *tau)
+		ids, err := sn.BurstyEvents(*t, *theta, *tau)
 		if err != nil {
 			return err
 		}
@@ -169,7 +170,7 @@ func run(cmd string, args []string, out *os.File) error {
 			return nil
 		}
 		for _, id := range ids {
-			b, err := det.Burstiness(id, *t, *tau)
+			b, err := sn.Burstiness(id, *t, *tau)
 			if err != nil {
 				return fmt.Errorf("burstiness of event %d: %w", id, err)
 			}

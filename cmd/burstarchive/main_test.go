@@ -1,18 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"histburst/internal/segstore"
 	"histburst/internal/stream"
 )
 
-// writePartitionFile writes a dataset covering [start, end) with a burst on
-// event 3 in the middle when burst is set.
-func writePartitionFile(t *testing.T, path string, start, end int64, burst bool) {
-	t.Helper()
+// periodStream covers [start, end) with a burst on event 3 in the middle
+// when burst is set.
+func periodStream(start, end int64, burst bool) stream.Stream {
 	var s stream.Stream
 	for tm := start; tm < end; tm++ {
 		s = append(s, stream.Element{Event: uint64(tm % 8), Time: tm})
@@ -22,6 +23,11 @@ func writePartitionFile(t *testing.T, path string, start, end int64, burst bool)
 			}
 		}
 	}
+	return s
+}
+
+func writePeriodFile(t *testing.T, path string, s stream.Stream) {
+	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -32,46 +38,47 @@ func writePartitionFile(t *testing.T, path string, start, end int64, burst bool)
 	}
 }
 
+// sealTwoPeriods seals [0, 2000) and [2000, 4000) into a fresh directory
+// under tmp and returns it with the two streams.
+func sealTwoPeriods(t *testing.T, tmp string, out *os.File) (dir string, p1, p2 stream.Stream) {
+	t.Helper()
+	dir = filepath.Join(tmp, "arch")
+	p1, p2 = periodStream(0, 2000, false), periodStream(2000, 4000, true)
+	for i, p := range []stream.Stream{p1, p2} {
+		in := filepath.Join(tmp, "p.hbst")
+		writePeriodFile(t, in, p)
+		if err := run("seal", []string{"-dir", dir, "-in", in, "-k", "8", "-gamma", "2", "-seed", "3"}, out); err != nil {
+			t.Fatalf("seal %d: %v", i+1, err)
+		}
+	}
+	return dir, p1, p2
+}
+
 func TestArchiveWorkflow(t *testing.T) {
 	tmp := t.TempDir()
-	dir := filepath.Join(tmp, "arch")
 	out, err := os.CreateTemp(tmp, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
 
-	if err := run("init", []string{"-dir", dir}, out); err != nil {
-		t.Fatalf("init: %v", err)
-	}
-	p1 := filepath.Join(tmp, "p1.hbst")
-	p2 := filepath.Join(tmp, "p2.hbst")
-	writePartitionFile(t, p1, 0, 2000, false)
-	writePartitionFile(t, p2, 2000, 4000, true)
-	shared := []string{"-dir", dir, "-k", "8", "-gamma", "2", "-seed", "3"}
-	if err := run("seal", append([]string{"-in", p1, "-start", "0", "-end", "1999"}, shared...), out); err != nil {
-		t.Fatalf("seal 1: %v", err)
-	}
-	if err := run("seal", append([]string{"-in", p2, "-start", "2000", "-end", "3999"}, shared...), out); err != nil {
-		t.Fatalf("seal 2: %v", err)
-	}
+	dir, _, _ := sealTwoPeriods(t, tmp, out)
 	if err := run("stats", []string{"-dir", dir}, out); err != nil {
 		t.Fatalf("stats: %v", err)
 	}
-	// Query inside the second partition's burst.
+	// Query inside the second period's burst.
 	if err := run("point", []string{"-dir", dir, "-e", "3", "-t", "3049", "-tau", "50"}, out); err != nil {
 		t.Fatalf("point: %v", err)
 	}
 	if err := run("events", []string{"-dir", dir, "-t", "3049", "-theta", "100", "-tau", "50"}, out); err != nil {
 		t.Fatalf("events: %v", err)
 	}
-	// Check the output mentions the bursty event.
 	raw, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(raw)
-	if !strings.Contains(s, "partitions: 2") {
+	if !strings.Contains(s, "segments:   2") || !strings.Contains(s, "span:       [0, 3999]") {
 		t.Fatalf("stats missing:\n%s", s)
 	}
 	if !strings.Contains(s, "event 3") {
@@ -79,16 +86,104 @@ func TestArchiveWorkflow(t *testing.T) {
 	}
 }
 
-func TestArchiveErrors(t *testing.T) {
-	out, err := os.CreateTemp(t.TempDir(), "out")
+// TestArchiveIsAStoreDirectory: what seal writes is an ordinary store
+// directory. Opened the way `burstd -snapshots dir` opens it, it answers
+// bit-identically to a store fed the same stream directly, and an
+// overlapping period is refused without touching it.
+func TestArchiveIsAStoreDirectory(t *testing.T) {
+	tmp := t.TempDir()
+	out, err := os.CreateTemp(tmp, "out")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	if err := run("init", []string{}, out); err == nil {
-		t.Error("init without -dir accepted")
+	dir, p1, p2 := sealTwoPeriods(t, tmp, out)
+
+	direct, err := segstore.Open(filepath.Join(tmp, "direct"), segstore.Config{
+		K: 8, Gamma: 2, Seed: 3, SealEvents: -1, CompactFanout: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := run("seal", []string{"-dir", "/no/such"}, out); err == nil {
+	defer direct.Close() //nolint:errcheck
+	for _, p := range []stream.Stream{p1, p2} {
+		if err := direct.AppendStream(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := direct.Checkpoint(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	served, err := segstore.Open(dir, segstore.Config{})
+	if err != nil {
+		t.Fatalf("plain segstore.Open of the archive directory: %v", err)
+	}
+	got, want := served.Snapshot(), direct.Snapshot()
+	if got.N() != want.N() || len(got.Segments()) != 2 {
+		t.Fatalf("archive holds %d elements in %d segments, want %d in 2", got.N(), len(got.Segments()), want.N())
+	}
+	for tm := int64(0); tm < 4200; tm += 7 {
+		for e := uint64(0); e < 8; e++ {
+			g, err1 := got.Burstiness(e, tm, 50)
+			w, err2 := want.Burstiness(e, tm, 50)
+			if err1 != nil || err2 != nil || g != w {
+				t.Fatalf("POINT e=%d t=%d: archive %v (%v), direct %v (%v)", e, tm, g, err1, w, err2)
+			}
+		}
+		g, err1 := got.BurstyEvents(tm, 100, 50)
+		w, err2 := want.BurstyEvents(tm, 100, 50)
+		if err1 != nil || err2 != nil || len(g) != len(w) {
+			t.Fatalf("BURSTY-EVENT t=%d: archive %v (%v), direct %v (%v)", tm, g, err1, w, err2)
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Fatalf("BURSTY-EVENT t=%d: archive %v, direct %v", tm, g, w)
+			}
+		}
+	}
+	gen, n := served.Generation(), served.N()
+	if err := served.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A third period reaching back into the second is refused whole.
+	manifest := filepath.Join(dir, segstore.ManifestName)
+	before, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := filepath.Join(tmp, "p3.hbst")
+	writePeriodFile(t, in, periodStream(3000, 5000, false))
+	err = run("seal", []string{"-dir", dir, "-in", in, "-k", "8", "-gamma", "2", "-seed", "3"}, out)
+	if err == nil || !strings.Contains(err.Error(), "behind the store frontier") {
+		t.Fatalf("overlapping period: err = %v, want a frontier refusal", err)
+	}
+	after, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused seal rewrote the manifest")
+	}
+	re, err := segstore.Open(dir, segstore.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close() //nolint:errcheck
+	if re.Generation() != gen || re.N() != n {
+		t.Fatalf("refused seal moved the store: generation %d→%d, elements %d→%d", gen, re.Generation(), n, re.N())
+	}
+}
+
+func TestArchiveErrors(t *testing.T) {
+	tmp := t.TempDir()
+	out, err := os.CreateTemp(tmp, "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	if err := run("seal", []string{"-dir", filepath.Join(tmp, "x")}, out); err == nil {
 		t.Error("seal without -in accepted")
 	}
 	if err := run("bogus", nil, out); err == nil {
@@ -97,7 +192,19 @@ func TestArchiveErrors(t *testing.T) {
 	if err := run("point", []string{}, out); err == nil {
 		t.Error("point without -dir accepted")
 	}
-	if err := run("stats", []string{"-dir", t.TempDir()}, out); err == nil {
-		t.Error("stats on non-archive accepted")
+	// Read commands never create a store where there is none.
+	missing := filepath.Join(tmp, "nowhere")
+	if err := run("stats", []string{"-dir", missing}, out); err == nil {
+		t.Error("stats on a directory without a store accepted")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Errorf("stats created %s", missing)
+	}
+	// A later seal must name the sketch configuration the first one pinned.
+	dir, _, _ := sealTwoPeriods(t, tmp, out)
+	in := filepath.Join(tmp, "p3.hbst")
+	writePeriodFile(t, in, periodStream(4000, 4100, false))
+	if err := run("seal", []string{"-dir", dir, "-in", in, "-k", "16", "-gamma", "2", "-seed", "3"}, out); err == nil {
+		t.Error("seal with a conflicting -k accepted")
 	}
 }

@@ -57,7 +57,7 @@ func TestDecayTiersEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := newServer(serverOpts{
-		K: 64, Gamma: 2, Seed: 1, SnapDir: t.TempDir(), Retain: 3,
+		K: 64, Gamma: 2, Seed: 1, SnapDir: t.TempDir(),
 		SealEvents: 8, Fanout: 2, DecayTiers: tiers, Logf: t.Logf,
 	})
 	if err != nil {

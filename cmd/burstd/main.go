@@ -2,8 +2,8 @@
 // repository's analogue of the estorm.org demo the paper references —
 // while continuing to ingest the live stream.
 //
-// It loads (or generates) a dataset, builds a histburst detector, and
-// exposes:
+// It opens a segment store — seeding a new one from a saved sketch, a
+// dataset, or a generated demo stream — and exposes:
 //
 //	GET  /v1/burstiness?e=3&t=1700000&tau=86400
 //	GET  /v1/times?e=3&theta=500&tau=86400
@@ -22,10 +22,10 @@
 // manifest — and every checkpoint seals the in-memory head into it with an
 // atomic manifest rewrite (-checkpoint cadence, plus a final seal on
 // graceful shutdown). Startup recovers the manifest generation the last
-// completed write left behind; crash debris is swept. Directories written
-// by older versions (whole-detector snap-*.hbsk checkpoints) are migrated
-// on first boot: the newest intact legacy snapshot becomes the store's
-// first segment. GET /v1/segments exposes the live segment directory.
+// completed write left behind; crash debris is swept. The directory holds
+// one format (docs/FORMATS.md), the same one burstarchive writes; sketch
+// flags (-k, -gamma, -seed) that contradict an existing store's manifest
+// fail the boot. GET /v1/segments exposes the live segment directory.
 //
 // Between checkpoints, acknowledged appends are protected by a write-ahead
 // log (-wal-sync selects the fsync policy; see the README durability
@@ -67,7 +67,6 @@ func main() {
 
 		snapDir    = flag.String("snapshots", "", "store directory for checkpoints and crash recovery (empty = stateless)")
 		checkpoint = flag.Duration("checkpoint", time.Minute, "checkpoint cadence when -snapshots is set (0 = only on shutdown)")
-		retain     = flag.Int("retain", 5, "legacy snapshots kept during migration")
 		sealEvents = flag.Int64("seal-events", 0, "elements per head segment before sealing (0 = default, negative = seal only at checkpoints)")
 		fanout     = flag.Int("compact-fanout", 0, "segments merged per compaction (0 = default, negative = no compaction)")
 		decayTiers = flag.String("decay-tiers", "", "time-decayed compaction ladder, ascending \"age:gamma:res[:w]\" tiers separated by commas (empty = keep full fidelity forever)")
@@ -95,7 +94,7 @@ func main() {
 
 	opts := serverOpts{
 		Sketch: *sketch, In: *in, N: *n, K: *k, Gamma: *gamma, Seed: *seed,
-		SnapDir: *snapDir, Retain: *retain, MaxInflight: *inflight,
+		SnapDir: *snapDir, MaxInflight: *inflight,
 		MaxSubs: *maxSubs, AlertQueue: *alertQueue,
 		SealEvents: *sealEvents, Fanout: *fanout, DecayTiers: tiers,
 		WALSync: walPolicy, WALSyncEvery: *walSyncEvery, ScrubInterval: *scrubInterval,

@@ -20,7 +20,7 @@ func testServer(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 	return ts
 }

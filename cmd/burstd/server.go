@@ -20,8 +20,8 @@ import (
 	"histburst/internal/workload"
 )
 
-// serverOpts collects everything newServer needs; the zero value plus an
-// Addr is a stateless demo server, matching the old behavior.
+// serverOpts collects everything newServer needs; the zero value is a
+// stateless demo server.
 type serverOpts struct {
 	Sketch string  // saved sketch file (skips building)
 	In     string  // dataset file from burstgen
@@ -31,13 +31,12 @@ type serverOpts struct {
 	Seed   int64   // workload / sketch seed
 
 	SnapDir     string               // store directory ("" = stateless)
-	Retain      int                  // legacy snapshots kept (migration only)
 	SealEvents  int64                // head seal threshold (0 = store default)
 	Fanout      int                  // compaction fanout (0 = store default)
 	DecayTiers  []segstore.DecayTier // time-decayed compaction ladder (nil = full fidelity forever)
-	MaxInflight int    // concurrent /v1 requests before shedding
-	MaxSubs     int    // armed standing queries cap (0 = subscribe default)
-	AlertQueue  int    // per-subscriber alert queue capacity (0 = default)
+	MaxInflight int                  // concurrent /v1 requests before shedding
+	MaxSubs     int                  // armed standing queries cap (0 = subscribe default)
+	AlertQueue  int                  // per-subscriber alert queue capacity (0 = default)
 
 	WALSync       segstore.WALSyncPolicy // when the WAL fsyncs
 	WALSyncEvery  time.Duration          // fsync cadence under the interval policy
@@ -49,11 +48,7 @@ type serverOpts struct {
 // server fronts a segmented timeline store. Query handlers take a snapshot
 // — one atomic pointer load — and run lock-free against it; ingest appends
 // into the store's head, and checkpoints defer to the store's own
-// manifest-backed durability. The whole-detector snapshot path of earlier
-// versions survives only as a read-only migration source: a directory whose
-// newest artifact is a legacy snap-*.hbsk file is loaded once, bootstrapped
-// into the store as its first segment, and served from the manifest from
-// then on.
+// manifest-backed durability.
 type server struct {
 	store  *segstore.Store
 	stager *segstore.Stager // sharded ingest front end for /v1/append
@@ -92,9 +87,11 @@ type server struct {
 	logf      func(format string, args ...any)
 }
 
-// newServer builds the server: recover from a manifest if one exists,
-// otherwise migrate a legacy snapshot or build the initial detector, then
-// bootstrap the store from it.
+// newServer opens the store directory — recovering from its manifest when
+// one exists, creating it otherwise — and seeds a new store from -sketch,
+// -in or the demo stream. An existing store is served as its manifest
+// describes it: the seed flags are not consulted, and sketch flags that
+// contradict the manifest fail the open.
 func newServer(o serverOpts) (*server, error) {
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -109,58 +106,42 @@ func newServer(o serverOpts) (*server, error) {
 	}
 	s.retryHint.Store(int64(time.Second))
 
-	lifecycle := segstore.Config{
+	cfg := segstore.Config{
+		K: o.K, Gamma: o.Gamma, Seed: o.Seed,
 		SealEvents: o.SealEvents, CompactFanout: o.Fanout,
 		DecayTiers: o.DecayTiers,
 		WALSync:    o.WALSync, WALSyncEvery: o.WALSyncEvery,
 		ScrubInterval: o.ScrubInterval, Logf: o.Logf,
 	}
+	exists := false
 	if o.SnapDir != "" {
-		if _, err := os.Stat(filepath.Join(o.SnapDir, segstore.ManifestName)); err == nil {
-			st, err := segstore.Open(o.SnapDir, lifecycle)
-			if err != nil {
-				return nil, fmt.Errorf("store: %w", err)
-			}
-			s.store = st
-			s.stager = segstore.NewStager(st)
-			s.append = s.stager.Append
-			s.initAlerts(o.MaxSubs, o.AlertQueue)
-			if h := st.Health(); h.Quarantined > 0 {
-				s.logf("burstd: %d segments in quarantine (%d elements of history missing)",
-					h.Quarantined, h.QuarantinedElements)
-			}
-			s.logf("burstd: recovered store generation %d (%d elements, %d segments)",
-				st.Generation(), st.N(), len(st.Segments()))
-			s.ready.Store(true)
-			return s, nil
-		} else if !errors.Is(err, os.ErrNotExist) {
+		_, err := os.Stat(filepath.Join(o.SnapDir, segstore.ManifestName))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+		exists = err == nil
+	}
+	var seed *histburst.Detector
+	if !exists {
+		var err error
+		if seed, err = seedDetector(o); err != nil {
 			return nil, err
 		}
 	}
-
-	// No manifest: find the seed detector — a legacy snapshot (migration),
-	// a saved sketch, a dataset/demo stream, or nothing (-k empty start).
-	det, err := seedDetector(o)
-	if err != nil {
-		return nil, err
-	}
-	cfg := lifecycle
-	if det != nil {
-		p, ok := det.Params()
+	if seed != nil {
+		p, ok := seed.Params()
 		if !ok {
 			return nil, fmt.Errorf("burstd: the segment store serves PBE-2 sketches only; rebuild the input with burstcli -pbe2")
 		}
 		cfg.K, cfg.Gamma, cfg.Seed = p.K, p.Gamma, p.Seed
 		cfg.D, cfg.W, cfg.NoIndex = p.D, p.W, p.NoIndex
-	} else {
-		cfg.K, cfg.Gamma, cfg.Seed = o.K, o.Gamma, o.Seed
 	}
 	st, err := segstore.Open(o.SnapDir, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if det != nil && det.N() > 0 {
-		if err := st.Bootstrap(det); err != nil {
+	if seed != nil && seed.N() > 0 {
+		if err := st.Bootstrap(seed); err != nil {
 			return nil, fmt.Errorf("bootstrap: %w", err)
 		}
 	}
@@ -168,29 +149,22 @@ func newServer(o serverOpts) (*server, error) {
 	s.stager = segstore.NewStager(st)
 	s.append = s.stager.Append
 	s.initAlerts(o.MaxSubs, o.AlertQueue)
+	if exists {
+		if h := st.Health(); h.Quarantined > 0 {
+			s.logf("burstd: %d segments in quarantine (%d elements of history missing)",
+				h.Quarantined, h.QuarantinedElements)
+		}
+		s.logf("burstd: recovered store generation %d (%d elements, %d segments)",
+			st.Generation(), st.N(), len(st.Segments()))
+	}
 	s.ready.Store(true)
 	return s, nil
 }
 
-// seedDetector produces the detector the store is bootstrapped from, or nil
-// for an empty (-k) start. Precedence: legacy snapshot (the directory's
-// prior life under the whole-detector checkpoint scheme), saved sketch,
-// dataset file, demo stream.
+// seedDetector produces the detector a new store is bootstrapped from, or
+// nil for an empty (-k) start. Precedence: saved sketch, dataset file, demo
+// stream.
 func seedDetector(o serverOpts) (*histburst.Detector, error) {
-	if o.SnapDir != "" {
-		st, err := openSnapStore(o.SnapDir, o.Retain)
-		if err != nil {
-			return nil, fmt.Errorf("snapshots: %w", err)
-		}
-		det, name, ok, err := st.recover(o.Logf)
-		if err != nil {
-			return nil, fmt.Errorf("snapshots: %w", err)
-		}
-		if ok {
-			o.Logf("burstd: migrating legacy snapshot %s (%d elements) into the segment store", name, det.N())
-			return det, nil
-		}
-	}
 	if o.Sketch != "" {
 		return histburst.LoadFile(o.Sketch)
 	}
@@ -257,10 +231,6 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("GET /{$}", s.handleUI)
 	return s.recoverPanics(mux)
 }
-
-// routes is kept for compatibility with older tests/tools; it returns the
-// fully assembled handler.
-func (s *server) routes() http.Handler { return s.handler() }
 
 // recoverPanics turns a handler panic into a 500 instead of tearing down
 // the whole connection (and, under http.Serve, killing nothing else — but
@@ -520,8 +490,7 @@ func (s *server) enterReadOnly(cause error) {
 }
 
 // checkpoint makes everything ingested so far durable by sealing the head
-// into the manifest-referenced segment directory — the store's replacement
-// for the deprecated whole-detector snapshot write. Periodic calls (force
+// into the manifest-referenced segment directory. Periodic calls (force
 // false) skip when nothing was appended since the last one and leave the
 // frontier timestamp's elements in memory so sealed boundaries stay
 // compactable; force seals the entire head (shutdown). The returned name

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -14,7 +15,7 @@ import (
 // snapshots in a temp dir and returns it plus its test HTTP frontend.
 func liveServer(t *testing.T, snapDir string) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, SnapDir: snapDir, Retain: 3, Logf: t.Logf})
+	srv, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, SnapDir: snapDir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 
 	// A fresh server over the same directory recovers the ingested data
 	// from the store manifest.
-	srv2, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, SnapDir: dir, Retain: 3, Logf: t.Logf})
+	srv2, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, SnapDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,38 +152,36 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	}
 }
 
-// TestSnapshotRetention covers the legacy snapshot layer that survives only
-// as the migration source: retention and newest-first ordering still hold
-// for directories written by older versions.
-func TestSnapshotRetention(t *testing.T) {
+// TestReopenChecksFlagsAgainstManifest: sketch flags that contradict an
+// existing store fail the boot instead of being silently dropped, while unset
+// ones defer to the manifest.
+func TestReopenChecksFlagsAgainstManifest(t *testing.T) {
 	dir := t.TempDir()
-	st, err := openSnapStore(dir, 3)
-	if err != nil {
+	srv, ts := liveServer(t, dir) // K=64
+	if code, _ := postAppend(t, ts.URL, `{"event":5,"time":100}`); code != 200 {
+		t.Fatalf("append failed: %d", code)
+	}
+	if err := srv.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, snap := buildSnapshotBytes(t, 2)
-	for i := 0; i < 7; i++ {
-		if _, err := st.write(snap); err != nil {
-			t.Fatal(err)
-		}
+	if srv, err := newServer(serverOpts{K: 128, Gamma: 2, Seed: 1, SnapDir: dir, Logf: t.Logf}); err == nil {
+		srv.store.Close() //nolint:errcheck
+		t.Fatal("reopening a K=64 store with K=128 succeeded")
+	} else if !strings.Contains(err.Error(), "conflicts with existing store") {
+		t.Fatalf("mismatched K failed for the wrong reason: %v", err)
 	}
-	names, err := st.list()
+	srv2, err := newServer(serverOpts{K: 0, SnapDir: dir, Logf: t.Logf})
 	if err != nil {
+		t.Fatalf("reopening with K unset: %v", err)
+	}
+	if got := srv2.store.Params(); got.K != 64 || got.Gamma != 2 {
+		t.Fatalf("manifest params not adopted: %+v", got)
+	}
+	if srv2.store.N() != 1 {
+		t.Fatalf("recovered N = %d, want 1", srv2.store.N())
+	}
+	if err := srv2.store.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if len(names) != 3 {
-		t.Fatalf("retained %d snapshots, want 3: %v", len(names), names)
-	}
-	// Newest-first ordering, and the sequence survives reopening.
-	if names[0] <= names[1] {
-		t.Fatalf("not newest-first: %v", names)
-	}
-	st2, err := openSnapStore(dir, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.seq != 7 {
-		t.Fatalf("reopened seq = %d, want 7", st2.seq)
 	}
 }
 

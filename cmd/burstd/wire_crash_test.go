@@ -36,7 +36,7 @@ func TestCrashWireChildProcess(t *testing.T) {
 		t.Skip("subprocess helper")
 	}
 	srv, err := newServer(serverOpts{
-		K: 64, Gamma: 2, Seed: 7, Retain: 1,
+		K: 64, Gamma: 2, Seed: 7,
 		SnapDir: os.Getenv(wireDirEnv),
 		WALSync: segstore.WALSyncAlways,
 		Logf:    func(string, ...any) {},
@@ -117,7 +117,7 @@ func TestCrashWireAckContractSurvivesKill(t *testing.T) {
 		cmd.Wait() //histburst:allow errdrop -- the child was killed; a non-zero exit is the expected outcome
 
 		re, err := newServer(serverOpts{
-			K: 64, Gamma: 2, Seed: 7, Retain: 1,
+			K: 64, Gamma: 2, Seed: 7,
 			SnapDir: dir,
 			WALSync: segstore.WALSyncAlways,
 			Logf:    t.Logf,

@@ -38,10 +38,10 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path with both format
-// versions: valid HBD1 and HBD2 blobs, their truncations, and bit flips.
-// Load must never panic, never allocate unboundedly, and anything accepted
-// must survive query and re-save.
+// FuzzDetectorLoad targets the full detector decode path: valid HBD2 blobs,
+// retired-generation HBD1 blobs (must be refused, not decoded), their
+// truncations, and bit flips. Load must never panic, never allocate
+// unboundedly, and anything accepted must survive query and re-save.
 func FuzzDetectorLoad(f *testing.F) {
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(2, 8)},

@@ -9,16 +9,12 @@ import (
 	"histburst/internal/binenc"
 )
 
-// encodeLegacyManifest reproduces the HBM1/HBM2 wire layouts (no per-segment
-// fidelity fields, HBM1 without the quarantine list) so the fuzz corpus and
-// the backward-loading tests exercise genuine old-format bytes.
+// encodeLegacyManifest reproduces the retired HBM1/HBM2 wire layouts (no
+// per-segment fidelity fields, HBM1 without the quarantine list) so the fuzz
+// corpus and the must-reject tests exercise genuine old-generation bytes.
 func encodeLegacyManifest(m *Manifest, version int) []byte {
 	var enc binenc.Writer
-	magic := manifestMagic
-	if version == 2 {
-		magic = manifestMagicV2
-	}
-	enc.BytesBlob(magic)
+	enc.BytesBlob([]byte{'H', 'B', 'M', byte(version)})
 	enc.Uvarint(m.Generation)
 	enc.Uvarint(m.NextID)
 	p := m.Params
@@ -50,14 +46,15 @@ func encodeLegacyManifest(m *Manifest, version int) []byte {
 }
 
 // FuzzManifestLoad targets the manifest decode path the same way
-// FuzzDetectorLoad targets the detector's: valid blobs, their truncations,
-// and bit flips. DecodeManifest must never panic, never allocate
-// unboundedly, and anything it accepts must survive an encode/decode
-// round-trip unchanged.
+// FuzzDetectorLoad targets the detector's: valid blobs, retired-generation
+// blobs (must be refused, not decoded), their truncations, and bit flips.
+// DecodeManifest must never panic, never allocate unboundedly, and anything
+// it accepts must survive an encode/decode round-trip unchanged.
 func FuzzManifestLoad(f *testing.F) {
 	params := histburst.SketchParams{K: 64, Seed: 7, D: 3, W: 32, Gamma: 2}
 	for _, m := range []*Manifest{
 		{NextID: 1, Params: params},
+		{Generation: 1}, // CRC-valid but sketch params unset: must be refused
 		{Generation: 9, NextID: 4, Params: params, Segments: []SegmentMeta{
 			{ID: 0, File: segFileName(0), Start: -10, End: 5, MinT: -10, MaxT: 5, Elements: 12},
 			{ID: 3, File: segFileName(3), Start: 5, End: 40, MinT: 5, MaxT: 40, Elements: 90, Compacted: true},

@@ -26,17 +26,11 @@ import (
 // ManifestName is the manifest's file name within a store directory.
 const ManifestName = "MANIFEST.hbm"
 
-// manifestMagic identifies manifest format v1 ("HBM1"); manifestMagicV2
-// ("HBM2") appends the quarantined-segment list after the live segments;
-// manifestMagicV3 ("HBM3") additionally carries per-segment fidelity
-// metadata (decay tier, effective γ, Count-Min width, time resolution) on
-// every SegmentMeta. Writers emit v3; readers accept all three (a v1/v2
-// manifest simply has every segment at full fidelity).
-var (
-	manifestMagic   = []byte{'H', 'B', 'M', 1}
-	manifestMagicV2 = []byte{'H', 'B', 'M', 2}
-	manifestMagicV3 = []byte{'H', 'B', 'M', 3}
-)
+// manifestMagicV3 identifies the manifest format ("HBM3"): the live and
+// quarantined segment lists, each SegmentMeta carrying its fidelity metadata
+// (decay tier, effective γ, Count-Min width, time resolution). It is the only
+// generation written or read; any other is refused by version.
+var manifestMagicV3 = []byte{'H', 'B', 'M', 3}
 
 // crcTable is the Castagnoli polynomial, matching the detector footer.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -56,9 +50,8 @@ type SegmentMeta struct {
 	// File is the segment's detector file base name within the store
 	// directory (empty for volatile stores).
 	File string
-	// Start and End delimit the semantic time span [Start, End] the segment
-	// is responsible for; the store uses the data bounds, the archive layer
-	// uses caller-declared spans.
+	// Start and End delimit the time span [Start, End] the segment is
+	// responsible for: the bounds of the data it holds.
 	Start, End int64
 	// MinT and MaxT bound the timestamps actually ingested.
 	MinT, MaxT int64
@@ -67,7 +60,7 @@ type SegmentMeta struct {
 	// Compacted marks segments produced by merging smaller ones.
 	Compacted bool
 
-	// Fidelity metadata (HBM3). Zero values mean full fidelity: tier 0 with
+	// Fidelity metadata. Zero values mean full fidelity: tier 0 with
 	// the store's configured γ and width and per-instant time resolution.
 
 	// Tier is the decay tier that produced this segment (0 = never decayed).
@@ -133,8 +126,7 @@ func (g SegmentMeta) validFidelity() error {
 	return nil
 }
 
-// Manifest is the decoded segment directory. It is exported so sibling
-// storage layers (internal/archive) persist the identical format.
+// Manifest is the decoded segment directory.
 type Manifest struct {
 	// Generation counts manifest rewrites; every seal or compaction swap
 	// increments it, so "old generation intact" is checkable after a crash.
@@ -190,13 +182,9 @@ func encodeSegmentMetas(enc *binenc.Writer, metas []SegmentMeta) {
 }
 
 // minSegmentMetaBytes is the least a SegmentMeta can occupy on the wire:
-// one byte each for ID, the File length prefix, the five varints, and the
-// Compacted flag. minSegmentMetaBytesV3 adds the fidelity fields: one byte
-// each for Tier, W and Res plus the fixed eight of Gamma.
-const (
-	minSegmentMetaBytes   = 8
-	minSegmentMetaBytesV3 = minSegmentMetaBytes + 11
-)
+// one byte each for ID, the File length prefix, the five varints, the
+// Compacted flag, Tier, W and Res, plus the fixed eight of Gamma.
+const minSegmentMetaBytes = 19
 
 // DecodeManifest parses a manifest record. Corrupt or truncated input of
 // any shape yields an error, never a panic, and cannot trigger allocations
@@ -214,9 +202,10 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	dec := binenc.NewReader(body)
 	magic := dec.BytesBlob()
-	v3 := bytes.Equal(magic, manifestMagicV3)
-	v2 := v3 || bytes.Equal(magic, manifestMagicV2)
-	if !v2 && !bytes.Equal(magic, manifestMagic) {
+	if !bytes.Equal(magic, manifestMagicV3) {
+		if len(magic) == 4 && bytes.Equal(magic[:3], manifestMagicV3[:3]) {
+			return nil, fmt.Errorf("segstore: unsupported manifest format HBM%d (this build reads HBM3 only)", magic[3])
+		}
 		return nil, fmt.Errorf("segstore: bad magic (not a manifest)")
 	}
 	var m Manifest
@@ -229,13 +218,11 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	m.Params.Gamma = dec.Float64()
 	m.Params.NoIndex = dec.Bool()
 	var err error
-	if m.Segments, err = decodeSegmentMetas(dec, v3); err != nil {
+	if m.Segments, err = decodeSegmentMetas(dec); err != nil {
 		return nil, err
 	}
-	if v2 {
-		if m.Quarantined, err = decodeSegmentMetas(dec, v3); err != nil {
-			return nil, err
-		}
+	if m.Quarantined, err = decodeSegmentMetas(dec); err != nil {
+		return nil, err
 	}
 	if err := dec.Close(); err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
@@ -246,17 +233,11 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// decodeSegmentMetas parses one length-prefixed SegmentMeta list. v3 lists
-// carry the per-segment fidelity fields; older lists leave them zero (full
-// fidelity).
+// decodeSegmentMetas parses one length-prefixed SegmentMeta list.
 //
 //histburst:decoder
-func decodeSegmentMetas(dec *binenc.Reader, v3 bool) ([]SegmentMeta, error) {
-	minBytes := minSegmentMetaBytes
-	if v3 {
-		minBytes = minSegmentMetaBytesV3
-	}
-	n := dec.SliceLen(maxManifestSegments, minBytes)
+func decodeSegmentMetas(dec *binenc.Reader) ([]SegmentMeta, error) {
+	n := dec.SliceLen(maxManifestSegments, minSegmentMetaBytes)
 	metas := make([]SegmentMeta, n)
 	for i := range metas {
 		g := &metas[i]
@@ -272,12 +253,10 @@ func decodeSegmentMetas(dec *binenc.Reader, v3 bool) ([]SegmentMeta, error) {
 		g.MaxT = dec.Varint()
 		g.Elements = dec.Varint()
 		g.Compacted = dec.Bool()
-		if v3 {
-			g.Tier = int(dec.Uvarint())
-			g.Gamma = dec.Float64()
-			g.W = int(dec.Uvarint())
-			g.Res = dec.Varint()
-		}
+		g.Tier = int(dec.Uvarint())
+		g.Gamma = dec.Float64()
+		g.W = int(dec.Uvarint())
+		g.Res = dec.Varint()
 	}
 	return metas, nil
 }
@@ -287,15 +266,11 @@ func decodeSegmentMetas(dec *binenc.Reader, v3 bool) ([]SegmentMeta, error) {
 // names that get joined onto the store directory.
 func (m *Manifest) validate() error {
 	p := m.Params
-	// A manifest with no segments may leave the params unset: the archive
-	// layer creates its directory before the first partition pins them.
-	if p != (histburst.SketchParams{}) || len(m.Segments) > 0 {
-		if p.K == 0 || p.K > maxEventSpace {
-			return fmt.Errorf("segstore: corrupt manifest: implausible id space %d", p.K)
-		}
-		if p.D <= 0 || p.W <= 0 || p.D > maxSketchDim || p.W > maxSketchDim {
-			return fmt.Errorf("segstore: corrupt manifest: implausible sketch dimensions %d×%d", p.D, p.W)
-		}
+	if p.K == 0 || p.K > maxEventSpace {
+		return fmt.Errorf("segstore: corrupt manifest: implausible id space %d", p.K)
+	}
+	if p.D <= 0 || p.W <= 0 || p.D > maxSketchDim || p.W > maxSketchDim {
+		return fmt.Errorf("segstore: corrupt manifest: implausible sketch dimensions %d×%d", p.D, p.W)
 	}
 	for i, g := range m.Segments {
 		if g.File != "" && !validSegmentFileName(g.File) {

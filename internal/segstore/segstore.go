@@ -484,8 +484,8 @@ func (s *Store) loadSegment(meta SegmentMeta) (*Segment, error) {
 // sweepOrphans removes segment and temp files the manifest does not
 // reference — debris of seals or compactions that crashed before (or
 // deletions that crashed after) their manifest write. Only files this
-// package creates are touched; anything else in the directory (legacy
-// snapshots, user files) is left alone.
+// package creates are touched; anything else in the directory is left
+// alone.
 func (s *Store) sweepOrphans(man *Manifest) error {
 	live := make(map[string]bool, len(man.Segments)+len(s.quarantined))
 	for _, g := range man.Segments {
@@ -969,8 +969,7 @@ func (s *Store) writeManifestLocked() error {
 }
 
 // Checkpoint freezes the head and blocks until every frozen head is sealed
-// and the manifest is durable — the store's answer to the old
-// whole-detector snapshot. In the default split mode, elements at the
+// and the manifest is durable. In the default split mode, elements at the
 // frontier timestamp stay in the new head (keeping sealed boundaries
 // strictly increasing and therefore compactable); they are covered by the
 // next checkpoint. With all set, the entire head is sealed — the right mode
@@ -991,9 +990,9 @@ func (s *Store) Checkpoint(all bool) error {
 }
 
 // Bootstrap installs an existing detector as the store's first sealed
-// segment — the migration path from whole-detector snapshots. The store
-// must be empty; the detector must be PBE-2 and, when the store was opened
-// from a manifest, parameter-identical to it. On a fresh store the
+// segment — how a saved sketch or a prebuilt dataset seeds a new store. The
+// store must be empty; the detector must be PBE-2 and, when the store was
+// opened from a manifest, parameter-identical to it. On a fresh store the
 // detector's parameters are checked against the resolved config the same
 // way. An empty detector is a no-op.
 func (s *Store) Bootstrap(det *histburst.Detector) error {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -216,7 +218,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 
 	// Capture expectations from one recovered instance — after recovery the
 	// whole history is sealed, so a second recovery must answer identically.
-	s = mustOpen(t, dir, Config{})
+	// Compaction stays off in both: a background merge landing between the
+	// two captures would legitimately change the estimates.
+	s = mustOpen(t, dir, Config{CompactFanout: -1})
 	wantF := s.CumulativeFrequency(2, last)
 	wantB, err := s.Burstiness(2, last, 30)
 	if err != nil {
@@ -224,7 +228,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	mustClose(t, s)
 
-	s = mustOpen(t, dir, Config{}) // all parameters recovered from the manifest
+	s = mustOpen(t, dir, Config{CompactFanout: -1}) // all parameters recovered from the manifest
 	defer mustClose(t, s)
 	if p := s.Params(); p.K != 64 || p.Seed != 7 || p.Gamma != 2 || p.D != 3 || p.W != 32 {
 		t.Fatalf("recovered params %+v", p)
@@ -552,6 +556,153 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	for cut := 0; cut < len(data); cut++ {
 		if _, err := DecodeManifest(data[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", cut)
+		}
+	}
+}
+
+// TestManifestRejectsImplausibleParams: a manifest whose checksum holds but
+// whose sketch configuration no store could have written is corruption — in
+// particular the all-zero configuration, which must not survive decoding only
+// to fail later in Open as a missing K.
+func TestManifestRejectsImplausibleParams(t *testing.T) {
+	ok := histburst.SketchParams{K: 64, Seed: 1, D: 3, W: 32, Gamma: 2}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*histburst.SketchParams)
+		want   string
+	}{
+		{"unset params", func(p *histburst.SketchParams) { *p = histburst.SketchParams{} }, "implausible id space 0"},
+		{"id space beyond the bound", func(p *histburst.SketchParams) { p.K = maxEventSpace + 1 }, "implausible id space"},
+		{"zero depth", func(p *histburst.SketchParams) { p.D = 0 }, "implausible sketch dimensions"},
+		{"absurd width", func(p *histburst.SketchParams) { p.W = maxSketchDim + 1 }, "implausible sketch dimensions"},
+	} {
+		m := &Manifest{Generation: 1, Params: ok}
+		tc.mutate(&m.Params)
+		_, err := DecodeManifest(m.Encode())
+		if err == nil || !strings.Contains(err.Error(), "corrupt manifest: "+tc.want) {
+			t.Errorf("%s: err = %v, want corrupt manifest: %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// dirContents reads every regular file under dir, keyed by relative path.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOpenRefusesLegacyManifest: a directory whose manifest is of a retired
+// generation (HBM1/HBM2) is refused with an error naming that version, and
+// nothing in it is rewritten or swept.
+func TestOpenRefusesLegacyManifest(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig(8))
+	appendN(t, s, 16, 4, 0, 1)
+	mustClose(t, s)
+	man, err := LoadManifest(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Debris the open-time sweep would remove from a store it accepted.
+	if err := os.WriteFile(filepath.Join(dir, segFileName(999)), []byte("orphan"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, version := range []int{1, 2} {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), encodeLegacyManifest(man, version), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := dirContents(t, dir)
+		re, err := Open(dir, Config{})
+		if err == nil {
+			mustClose(t, re)
+			t.Fatalf("HBM%d manifest accepted", version)
+		}
+		if want := fmt.Sprintf("unsupported manifest format HBM%d", version); !strings.Contains(err.Error(), want) {
+			t.Fatalf("HBM%d manifest refused without naming its version: %v", version, err)
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatalf("refusing an HBM%d manifest modified the directory", version)
+		}
+	}
+}
+
+// TestStoreDirectoryHoldsOneFormat drives every writer the store has — seal,
+// compaction, decay, quarantine, checkpoint — and then checks that each
+// manifest and sketch file in the directory tree carries the one current
+// magic: the store writes, and leaves behind, exactly one format.
+func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, decayConfig(8))
+	ingestWeeks(t, []*Store{s}, 400, 4, 3600) // ~16 days: seals, compactions, decay
+	waitForTier(t, s, 1, 10*time.Second)
+	if err := s.Checkpoint(true); err != nil {
+		t.Fatal(err)
+	}
+	segs := s.Segments()
+	mustClose(t, s)
+
+	// Rot the newest segment; the reopen quarantines it, and one more append
+	// and checkpoint write a fresh segment and manifest on top.
+	victim := filepath.Join(dir, segs[len(segs)-1].File)
+	data, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(victim, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, dir, Config{})
+	if h := s.Health(); h.Quarantined != 1 {
+		t.Fatalf("quarantined %d segments, want 1", h.Quarantined)
+	}
+	if err := s.Append(1, s.Frontier()+1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(true); err != nil {
+		t.Fatal(err)
+	}
+	decayed := false
+	for _, g := range s.Segments() {
+		decayed = decayed || g.Tier > 0
+	}
+	if !decayed {
+		t.Fatal("fixture holds no decayed segment")
+	}
+	mustClose(t, s)
+
+	// Magics are binenc blobs: a length byte, then the four magic bytes.
+	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x02"}
+	seen := make(map[string]int)
+	for name, content := range dirContents(t, dir) {
+		magic, ok := magics[filepath.Ext(name)]
+		if !ok {
+			continue
+		}
+		if !strings.HasPrefix(content, magic) {
+			t.Errorf("%s starts with %q, want %q", name, content[:min(5, len(content))], magic)
+		}
+		seen[filepath.Join(filepath.Dir(name), "*"+filepath.Ext(name))]++
+	}
+	for _, kind := range []string{"*.hbm", "*.hbsk", filepath.Join(quarantineDir, "*.hbsk")} {
+		if seen[kind] == 0 {
+			t.Errorf("directory holds no %s file; saw %v", kind, seen)
 		}
 	}
 }

@@ -18,18 +18,15 @@ import (
 
 // Serialized detector format: a fixed magic, the resolved configuration,
 // the ingest counters, the summary blob (the dyadic tree, or the standalone
-// base level when the event index is disabled), and — since format v2 — a
-// CRC32-C footer over everything before it, so torn writes and bit rot fail
-// loudly at load time instead of decoding into a subtly wrong detector.
-// Load rebuilds the cell factory from the stored configuration, so no
-// options are needed at load time and a detector round-trips exactly.
-// Save always writes v2 ("HBD2"); Load still accepts v1 ("HBD1", no
-// footer) files written by earlier versions.
+// base level when the event index is disabled), and a CRC32-C footer over
+// everything before it, so torn writes and bit rot fail loudly at load time
+// instead of decoding into a subtly wrong detector. Load rebuilds the cell
+// factory from the stored configuration, so no options are needed at load
+// time and a detector round-trips exactly. Save writes, and Load accepts,
+// format v2 ("HBD2") only; a file of any other generation is refused with an
+// error naming its version.
 
-var (
-	detectorMagicV1 = []byte{'H', 'B', 'D', 1}
-	detectorMagicV2 = []byte{'H', 'B', 'D', 2}
-)
+var detectorMagicV2 = []byte{'H', 'B', 'D', 2}
 
 // crcTable is the Castagnoli polynomial, the usual choice for storage
 // footers (hardware-accelerated on amd64/arm64).
@@ -144,25 +141,22 @@ func Load(r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	probe := binenc.NewReader(data)
-	payload := data
-	switch magic := probe.BytesBlob(); {
-	case bytes.Equal(magic, detectorMagicV2):
-		if len(data) < 4 {
-			return nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
+	magic := binenc.NewReader(data).BytesBlob()
+	if !bytes.Equal(magic, detectorMagicV2) {
+		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagicV2[:3]) {
+			return nil, fmt.Errorf("histburst: unsupported detector format HBD%d (this build reads HBD2 only)", magic[3])
 		}
-		body, footer := data[:len(data)-4], data[len(data)-4:]
-		want := binary.LittleEndian.Uint32(footer)
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
-		}
-		payload = body
-	case bytes.Equal(magic, detectorMagicV1):
-		// v1: same layout, no footer.
-	default:
 		return nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
-	dec := binenc.NewReader(payload)
+	if len(data) < 4 {
+		return nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
+	}
+	body, footer := data[:len(data)-4], data[len(data)-4:]
+	want := binary.LittleEndian.Uint32(footer)
+	if got := crc32.Checksum(body, crcTable); got != want {
+		return nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
+	}
+	dec := binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above
 	k := dec.Uvarint()
 	var c config

@@ -3,6 +3,7 @@ package histburst
 import (
 	"bytes"
 	"encoding"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,14 +13,14 @@ import (
 	"histburst/internal/faultio"
 )
 
-// saveHBD1 encodes a detector in the legacy v1 layout (same fields, v1
-// magic, no checksum footer) so back-compat loading stays covered after
-// Save moved to v2.
+// saveHBD1 encodes a detector in the retired v1 layout (same fields, v1
+// magic, no checksum footer): genuine old-generation bytes that Load must
+// refuse by version.
 func saveHBD1(t testing.TB, d *Detector) []byte {
 	t.Helper()
 	d.Finish()
 	var enc binenc.Writer
-	enc.BytesBlob(detectorMagicV1)
+	enc.BytesBlob([]byte{'H', 'B', 'D', 1})
 	enc.Uvarint(d.k)
 	c := d.cfg
 	enc.Int64(c.seed)
@@ -186,36 +187,17 @@ func TestMinTimeTracking(t *testing.T) {
 	}
 }
 
-func TestLoadLegacyHBD1(t *testing.T) {
+func TestLoadRejectsLegacyHBD1(t *testing.T) {
 	det, _ := New(64, WithPBE2(2), WithSketchDims(4, 64))
 	for _, el := range testStream(7, 64, 2000) {
 		det.Append(el.Event, el.Time)
 	}
-	legacy := saveHBD1(t, det)
-	got, err := Load(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("v1 file rejected: %v", err)
+	_, err := Load(bytes.NewReader(saveHBD1(t, det)))
+	if err == nil {
+		t.Fatal("v1 file (no checksum footer) accepted")
 	}
-	if got.N() != det.N() || got.Bytes() != det.Bytes() {
-		t.Fatal("v1 round trip lost state")
-	}
-	for e := uint64(0); e < 64; e += 5 {
-		a, _ := det.Burstiness(e, 997, 60)
-		b, _ := got.Burstiness(e, 997, 60)
-		if a != b {
-			t.Fatalf("burstiness differs at e=%d", e)
-		}
-	}
-	// Re-saving a v1-loaded detector produces v2 with a valid footer.
-	var buf bytes.Buffer
-	if err := got.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes()[1:5], detectorMagicV2) {
-		t.Fatalf("re-save magic = %x", buf.Bytes()[:5])
-	}
-	if _, err := Load(&buf); err != nil {
-		t.Fatalf("re-saved v2 rejected: %v", err)
+	if !strings.Contains(err.Error(), "unsupported detector format HBD1") {
+		t.Fatalf("v1 file refused without naming its version: %v", err)
 	}
 }
 
@@ -381,36 +363,43 @@ func TestMergeAppendErrorPaths(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsImplausibleHeaders patches header fields of a valid file
+// and recomputes the footer, so the corruption passes the checksum and must
+// be caught by the validation behind it.
 func TestLoadRejectsImplausibleHeaders(t *testing.T) {
 	det, _ := New(8, WithPBE2(2), WithSketchDims(2, 8))
 	det.Append(1, 10)
-	legacy := saveHBD1(t, det) // no footer: header corruption reaches the checks
-
-	// Patch the k field (uvarint right after the 5-byte magic blob) to an
-	// absurd id space; v1 k=8 is one byte, so a 10-byte maximal uvarint
-	// needs a rebuild of the record instead. Simplest: flip noIndex off and
-	// rewrite k via re-encoding.
-	var enc binenc.Writer
-	enc.BytesBlob(detectorMagicV1)
-	enc.Uvarint(1 << 60) // k beyond maxEventSpace
-	enc.Int64(det.cfg.seed)
-	enc.Uvarint(uint64(det.cfg.d))
-	enc.Uvarint(uint64(det.cfg.w))
-	rest := legacy[5+1+8+1+1:] // magic, k, seed, d, w — all single-byte varints here
-	out := append(enc.Bytes(), rest...)
-	if _, err := Load(bytes.NewReader(out)); err == nil {
-		t.Fatal("implausible id space accepted")
+	var buf bytes.Buffer
+	if err := det.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
+	// Everything after magic, k, seed, d, w (k, d and w are single-byte
+	// varints here), minus the footer.
+	rest := buf.Bytes()[5+1+8+1+1 : buf.Len()-4]
 
-	// Absurd sketch dimensions.
-	var enc2 binenc.Writer
-	enc2.BytesBlob(detectorMagicV1)
-	enc2.Uvarint(det.k)
-	enc2.Int64(det.cfg.seed)
-	enc2.Uvarint(1 << 30)
-	enc2.Uvarint(uint64(det.cfg.w))
-	if _, err := Load(bytes.NewReader(append(enc2.Bytes(), rest...))); err == nil {
-		t.Fatal("implausible dimensions accepted")
+	for _, tc := range []struct {
+		name    string
+		k, d, w uint64
+		want    string
+	}{
+		{"empty id space", 0, 2, 8, "empty id space"},
+		{"id space beyond the bound", 1 << 60, 2, 8, "implausible id space"},
+		{"absurd depth", 8, 1 << 30, 8, "implausible sketch dimensions"},
+		{"zero width", 8, 2, 0, "implausible sketch dimensions"},
+	} {
+		var enc binenc.Writer
+		enc.BytesBlob(detectorMagicV2)
+		enc.Uvarint(tc.k)
+		enc.Int64(det.cfg.seed)
+		enc.Uvarint(tc.d)
+		enc.Uvarint(tc.w)
+		body := append(enc.Bytes(), rest...)
+		var footer binenc.Writer
+		footer.Uint32(crc32.Checksum(body, crcTable))
+		_, err := Load(bytes.NewReader(append(body, footer.Bytes()...)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
