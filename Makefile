@@ -153,8 +153,10 @@ bench-json:
 experiments:
 	$(GO) run ./cmd/burstbench -all -scale 0.02 -queries 300
 
-# Short fuzzing pass over every decoder. FUZZTIME is overridable so CI can
-# run a quicker smoke (make fuzz FUZZTIME=10s).
+# Short fuzzing pass over every decoder, the detector's append path and the
+# PBE-2 kernel's one-sided contract (at small, Unix-second and
+# Unix-millisecond time origins). FUZZTIME is overridable so CI can run a
+# quicker smoke (make fuzz FUZZTIME=10s).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/stream/
@@ -162,6 +164,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDetectorLoad -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzLoadSingle -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) .
+	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/

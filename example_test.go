@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"math"
 
 	"histburst"
 )
@@ -28,7 +29,9 @@ func ExampleDetector() {
 
 	b7, _ := det.Burstiness(7, 1099, 100)
 	b2, _ := det.Burstiness(2, 1099, 100)
-	fmt.Printf("earthquake b=%.0f, weather b=%.0f\n", b7, b2)
+	// Estimates are floats within the error cap: round before printing
+	// (adding 0 turns a rounded −0 into 0).
+	fmt.Printf("earthquake b=%.0f, weather b=%.0f\n", math.Round(b7)+0, math.Round(b2)+0)
 
 	events, _ := det.BurstyEvents(1099, 400, 100)
 	fmt.Printf("bursting: %v\n", events)

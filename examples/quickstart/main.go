@@ -5,6 +5,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"histburst"
 )
@@ -38,7 +39,8 @@ func main() {
 		log.Fatal(err)
 	}
 	b2, _ := det.Burstiness(2, 1099, tau) //histburst:allow errdrop -- same (t, tau) just validated for event 7 above
-	fmt.Printf("burstiness at t=1099: earthquake ≈ %.0f, weather ≈ %.0f\n", b7, b2)
+	// Round before printing: an estimate a hair below zero would print "-0".
+	fmt.Printf("burstiness at t=1099: earthquake ≈ %.0f, weather ≈ %.0f\n", math.Round(b7)+0, math.Round(b2)+0)
 
 	// BURSTY TIME QUERY: when did the earthquake burst?
 	ranges, err := det.BurstyTimes(7, 400, tau)

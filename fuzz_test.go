@@ -124,6 +124,10 @@ func FuzzLoadSingle(f *testing.F) {
 func FuzzDetectorAppend(f *testing.F) {
 	f.Add(uint64(1), int64(10), uint64(2), int64(5), uint64(3), int64(-7))
 	f.Add(uint64(0), int64(0), uint64(1<<63-1), int64(1<<40), uint64(7), int64(1))
+	// Unix-second and Unix-millisecond clocks (internal/pbe2's
+	// FuzzPBE2OneSided explores these origins against the exact staircase).
+	f.Add(uint64(2), int64(1.7e9), uint64(2), int64(1.7e9)+1, uint64(2), int64(1.7e9)+90)
+	f.Add(uint64(2), int64(1.7e12), uint64(2), int64(1.7e12)+1, uint64(2), int64(1.7e12)+90)
 
 	f.Fuzz(func(t *testing.T, e1 uint64, t1 int64, e2 uint64, t2 int64, e3 uint64, t3 int64) {
 		det, err := New(16, WithPBE2(2), WithSketchDims(2, 8))

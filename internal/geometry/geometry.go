@@ -8,13 +8,22 @@
 // (Sutherland–Hodgman) until it becomes empty, at which point a segment is
 // emitted. This package implements the vectors, half-planes, clipping,
 // centroid and area primitives needed for that.
+//
+// Tolerances here are absolute (Eps), so callers keep their coordinates
+// small: PBE-2 works in a frame local to the open window, where the region
+// sits within a few γ of the origin. Two primitives exist for that caller's
+// hot path and its safety: Inside tells which of a constraint's two
+// half-planes cut the region at all (most do not, and their clips are
+// skipped), and Centroid sums relative to the polygon's first vertex, so a
+// far-away sliver still gets an interior point.
 package geometry
 
 import "math"
 
 // Eps is the absolute tolerance used for half-plane membership tests. The
-// coordinates PBE-2 works with are frequency counts and timestamps, which
-// are exact small-magnitude values, so a fixed absolute epsilon suffices.
+// coordinates PBE-2 works with are window-local time offsets and count
+// differences, exact small-magnitude values, so a fixed absolute epsilon
+// suffices.
 const Eps = 1e-9
 
 // Vec2 is a point (or vector) in the plane.
@@ -194,6 +203,22 @@ func (p Polygon) ClipInto(h HalfPlane, buf *[]Vec2) Polygon {
 	return Polygon{vs: out}
 }
 
+// Inside reports, for each of two half-planes, whether it already contains
+// every vertex of p under the membership test Clip applies. Clipping by such
+// a half-plane removes nothing and re-emits p's (already deduplicated)
+// vertex list unchanged, so a caller may skip it: PBE-2 asks before every
+// double clip, and most constraints of a long window are redundant.
+//
+//histburst:noalloc
+func (p Polygon) Inside(h1, h2 HalfPlane) (in1, in2 bool) {
+	in1, in2 = true, true
+	for _, v := range p.vs {
+		in1 = in1 && h1.eval(v) >= -Eps
+		in2 = in2 && h2.eval(v) >= -Eps
+	}
+	return in1, in2
+}
+
 // dedupe removes consecutive (and wrap-around) vertices closer than Eps,
 // which clipping can produce when the boundary passes through a vertex.
 func dedupe(vs []Vec2) []Vec2 {
@@ -237,6 +262,14 @@ func (p Polygon) Area() float64 {
 // proper polygon, or the vertex average for a degenerate one. PBE-2 uses it
 // as the "randomly chosen point from G" of Algorithm 2 — any feasible point
 // is valid, and the centroid is deterministic and well-centred.
+//
+// The shoelace sums run over vertices taken relative to the first one, so
+// the cross products are as small as the polygon rather than as large as its
+// distance from the origin: a sliver far from the origin would otherwise
+// lose every significant digit to cancellation and the "centroid" land
+// outside the region.
+//
+//histburst:noalloc
 func (p Polygon) Centroid() Vec2 {
 	if len(p.vs) == 0 {
 		return Vec2{}
@@ -244,20 +277,22 @@ func (p Polygon) Centroid() Vec2 {
 	if len(p.vs) < 3 {
 		return vertexMean(p.vs)
 	}
+	o := p.vs[0]
 	var cx, cy, a float64
-	for i := range p.vs {
-		v1 := p.vs[i]
-		v2 := p.vs[(i+1)%len(p.vs)]
+	v1 := p.vs[1].Sub(o)
+	for _, v := range p.vs[2:] {
+		v2 := v.Sub(o)
 		cross := v1.Cross(v2)
 		a += cross
 		cx += (v1.X + v2.X) * cross
 		cy += (v1.Y + v2.Y) * cross
+		v1 = v2
 	}
 	if math.Abs(a) < Eps {
 		// Nearly zero area: fall back to the vertex mean.
 		return vertexMean(p.vs)
 	}
-	return Vec2{X: cx / (3 * a), Y: cy / (3 * a)}
+	return Vec2{X: o.X + cx/(3*a), Y: o.Y + cy/(3*a)}
 }
 
 func vertexMean(vs []Vec2) Vec2 {

@@ -1,9 +1,6 @@
 package pbe2
 
-import (
-	"histburst/internal/geometry"
-	"histburst/internal/pbe"
-)
+import "histburst/internal/pbe"
 
 // Fast-path query support. Estimate has two regimes: a "live head" (the
 // exact count at/past the frontier, the open feasible region's centroid
@@ -21,25 +18,20 @@ var (
 // segStart returns the i-th closed segment's start time.
 func (b *Builder) segStart(i int) int64 { return b.segs[i].Start }
 
-// centroidCache lazily computes the open region's centroid once. Queries
-// must not mutate the Builder (they run concurrently under read locks), so
-// the cache lives in the caller's frame or cursor instead.
+// centroidCache lazily computes the open region's centroid line once.
+// Queries must not mutate the Builder (they run concurrently under read
+// locks), so the cache lives in the caller's frame or cursor instead.
 type centroidCache struct {
 	b    *Builder
-	c    geometry.Vec2
+	a, y float64 // region.line()
 	have bool
 }
 
-func (cc *centroidCache) get() geometry.Vec2 {
-	if !cc.have {
-		cc.c = cc.b.poly.Centroid()
-		cc.have = true
-	}
-	return cc.c
-}
-
 // liveHead answers t from the open (not yet segment-committed) state, if it
-// applies. Mirrors the head cases of Estimate exactly.
+// applies: the exact count at and past the frontier, the open region's line
+// (any of its lines satisfies every constraint of the open window), or a
+// single uncommitted constraint — the staircase is flat at its frequency
+// from that instant to the open corner.
 func (b *Builder) liveHead(t int64, cc *centroidCache) (float64, bool) {
 	if !b.started {
 		return 0, false
@@ -47,12 +39,19 @@ func (b *Builder) liveHead(t int64, cc *centroidCache) (float64, bool) {
 	if t >= b.lastT {
 		return float64(b.count), true
 	}
-	if b.polyOpen && t >= b.winStart {
-		c := cc.get()
-		return clampNonNegative(c.X*float64(t) + c.Y), true
+	w := &b.win
+	if t < w.winStart {
+		return 0, false
 	}
-	if !b.polyOpen && len(b.pending) == 1 && t >= b.winStart {
-		return float64(b.pending[0].f), true
+	if w.open {
+		if !cc.have {
+			cc.a, cc.y = w.line()
+			cc.have = true
+		}
+		return clampNonNegative(w.lineAt(cc.a, cc.y, t)), true
+	}
+	if w.pending {
+		return w.v0, true
 	}
 	return 0, false
 }

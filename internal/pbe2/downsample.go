@@ -5,8 +5,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-
-	"histburst/internal/geometry"
 )
 
 // Downsampling re-summarizes finished PBE-2 summaries at lower fidelity: a
@@ -22,8 +20,9 @@ import (
 // S(t) = base_k + Σ_m est_m(t) for the sum of part k's member estimates on
 // top of the exact count of all earlier parts, every member obeys
 // F_m − γ_m ≤ est_m ≤ F_m at every instant, so S(t) ≤ F(t) ≤ S(t) + Γ_k
-// with Γ_k = Σ_m γ_m. Feeding the feasible-region machinery the float
-// constraint S − (γ − Γ_k) ≤ a·t + b ≤ S at an instant t therefore pins the
+// with Γ_k = Σ_m γ_m. Feeding the output builder's feasible-region engine —
+// the one construction uses, see region — the float range
+// S − (γ − Γ_k) ≤ F̃(t) ≤ S at an instant t therefore pins the
 // output curve inside [F(t) − γ, F(t)] there — the PBE-2 invariant at the
 // new, wider cap. The instants fed are the members' segment breakpoints
 // aligned up to the res grid (deduplicated), each part's boundary pin, and
@@ -36,121 +35,6 @@ import (
 // strictly later than every arrival of part k−1 — the same constraint
 // MergeAppend enforces via the virtual-pin check, and the reason the
 // compactor never downsample-merges across an equal timestamp boundary.
-
-// fpoint is a float-valued constrained instant: the output curve must land
-// in [lo, hi] at t.
-type fpoint struct {
-	t      int64
-	lo, hi float64
-}
-
-// fpointConstraints returns the two half-planes lo ≤ a·t + b ≤ hi in the
-// (a, b) plane, the float-range analogue of pointConstraints.
-//
-//histburst:noalloc
-func fpointConstraints(p fpoint) (geometry.HalfPlane, geometry.HalfPlane) {
-	t := float64(p.t)
-	upper := geometry.HalfPlane{A: t, B: 1, C: p.hi}   // a·t + b ≤ hi
-	lower := geometry.HalfPlane{A: -t, B: -1, C: -p.lo} // a·t + b ≥ lo
-	return upper, lower
-}
-
-// seedFConstraints returns the four half-planes of two float constraints.
-func seedFConstraints(p1, p2 fpoint) [4]geometry.HalfPlane {
-	a1, a2 := fpointConstraints(p1)
-	b1, b2 := fpointConstraints(p2)
-	return [4]geometry.HalfPlane{a1, a2, b1, b2}
-}
-
-// downsampler runs the feasible-region window machinery over float
-// constraints, emitting segments into the output builder. It mirrors
-// Builder.feed exactly, except that each constraint carries its own
-// [lo, hi] admissible range instead of deriving it from an integer
-// frequency and the builder's gamma.
-type downsampler struct {
-	out      *Builder
-	poly     geometry.Polygon
-	polyOpen bool
-	winStart int64
-	winEnd   int64
-	pending  []fpoint
-	pendBuf  [1]fpoint
-}
-
-func (d *downsampler) init(out *Builder) {
-	d.out = out
-	d.pending = d.pendBuf[:0]
-}
-
-// feed adds one float constraint, emitting a segment and restarting the
-// window when the feasible region empties.
-func (d *downsampler) feed(p fpoint) {
-	out := d.out
-	if !d.polyOpen {
-		if len(d.pending) == 0 {
-			d.pending = append(d.pending, p)
-			d.winStart = p.t
-			return
-		}
-		first := d.pending[0]
-		if p.t == first.t {
-			d.pending[0] = p
-			return
-		}
-		scr := out.scratch()
-		poly, ok := geometry.BoundedIntersectionInto(seedFConstraints(first, p), &scr.bufs[scr.cur])
-		if !ok || poly.Empty() {
-			d.emitPointSegment(first)
-			d.pending = d.pending[:0]
-			d.pending = append(d.pending, p)
-			d.winStart = p.t
-			return
-		}
-		d.poly = poly
-		d.polyOpen = true
-		d.pending = d.pending[:0]
-		d.winEnd = p.t
-		return
-	}
-	h1, h2 := fpointConstraints(p)
-	scr := out.scratch()
-	next := d.poly.ClipInto(h1, &scr.tmp).ClipInto(h2, &scr.bufs[1-scr.cur])
-	if next.Empty() {
-		d.closeWindow()
-		d.pending = append(d.pending[:0], p)
-		d.winStart = p.t
-		return
-	}
-	scr.cur = 1 - scr.cur
-	d.poly = next
-	d.winEnd = p.t
-	if out.maxVertices > 0 && d.poly.Len() > out.maxVertices {
-		d.closeWindow()
-		d.pending = append(d.pending[:0], p)
-		d.winStart = p.t
-	}
-}
-
-// closeWindow emits a segment for the open window, if any.
-func (d *downsampler) closeWindow() {
-	if d.polyOpen {
-		c := d.poly.Centroid()
-		d.out.appendSegment(Segment{A: c.X, B: c.Y, Start: d.winStart, End: d.winEnd})
-		d.poly = geometry.Polygon{}
-		d.polyOpen = false
-		return
-	}
-	if len(d.pending) == 1 {
-		d.emitPointSegment(d.pending[0])
-		d.pending = d.pending[:0]
-	}
-}
-
-// emitPointSegment records a single-instant segment pinned to the middle of
-// the constraint's admissible range.
-func (d *downsampler) emitPointSegment(p fpoint) {
-	d.out.appendSegment(Segment{A: 0, B: (p.lo + p.hi) / 2, Start: p.t, End: p.t})
-}
 
 // srcCursor evaluates one finished source summary at ascending instants in
 // amortized O(1) per step, bit-identical to Builder.Estimate.
@@ -297,8 +181,6 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 	scr := dsScratchPool.Get().(*dsScratch)
 	defer dsScratchPool.Put(scr)
 
-	var d downsampler
-	d.init(out)
 	var base, total, globalLast, totalOOO int64
 	anyStarted := false
 	lastFed := int64(math.MinInt64)
@@ -312,7 +194,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 			continue // contributes nothing, exactly as MergeAppend skips it
 		}
 		if anyStarted && pin < prevLast {
-			out.releaseScratch()
+			out.win.release()
 			return fmt.Errorf("pbe2: time ranges overlap (part ends at %d, next starts at %d)", prevLast, pin)
 		}
 		// The part owns constraint instants up to the next part's boundary
@@ -351,7 +233,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 				for i := range members {
 					s += members[i].cur.est(minC)
 				}
-				d.feed(fpoint{t: minC, lo: s - slack, hi: s})
+				out.feedRange(rpoint{t: minC, hi: s, slack: slack})
 				lastFed = minC
 			}
 			for i := range members {
@@ -365,7 +247,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 			for i := range members {
 				s += members[i].cur.est(capT)
 			}
-			d.feed(fpoint{t: capT, lo: s - slack, hi: s})
+			out.feedRange(rpoint{t: capT, hi: s, slack: slack})
 			lastFed = capT
 		}
 
@@ -378,7 +260,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 		anyStarted = true
 	}
 
-	d.closeWindow()
+	out.closeWindow()
 	out.count = total
 	out.outOfOrder = totalOOO
 	if anyStarted {
@@ -388,7 +270,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 		out.done = true
 	}
 	out.updateHeadLow()
-	out.releaseScratch()
+	out.win.release()
 	return nil
 }
 
@@ -411,8 +293,6 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 		return nil, err
 	}
 	out := &Builder{gamma: gamma, maxVertices: parts[0][0].maxVertices, headLow: math.MaxInt64}
-	var d downsampler
-	d.init(out)
 	var base, total, globalLast, totalOOO int64
 	anyStarted := false
 	lastFed := int64(math.MinInt64)
@@ -426,7 +306,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 			continue
 		}
 		if anyStarted && pin < prevLast {
-			out.releaseScratch()
+			out.win.release()
 			return nil, fmt.Errorf("pbe2: time ranges overlap (part ends at %d, next starts at %d)", prevLast, pin)
 		}
 		capT := partLast
@@ -458,7 +338,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 			for _, m := range part {
 				s += m.Estimate(c)
 			}
-			d.feed(fpoint{t: c, lo: s - slack, hi: s})
+			out.feedRange(rpoint{t: c, hi: s, slack: slack})
 			lastFed = c
 		}
 		if capT > lastFed {
@@ -466,7 +346,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 			for _, m := range part {
 				s += m.Estimate(capT)
 			}
-			d.feed(fpoint{t: capT, lo: s - slack, hi: s})
+			out.feedRange(rpoint{t: capT, hi: s, slack: slack})
 			lastFed = capT
 		}
 
@@ -479,7 +359,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 		anyStarted = true
 	}
 
-	d.closeWindow()
+	out.closeWindow()
 	out.count = total
 	out.outOfOrder = totalOOO
 	if anyStarted {
@@ -489,6 +369,6 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 		out.done = true
 	}
 	out.updateHeadLow()
-	out.releaseScratch()
+	out.win.release()
 	return out, nil
 }

@@ -16,15 +16,18 @@
 // constrained, which pins the flat run leading into every jump and bounds
 // the error across wide gaps. Lemma 4 then gives |b̃(t) − b(t)| ≤ 4γ for
 // every t and τ.
+//
+// The window machinery — region seeding, clipping, closing — is one engine
+// (region, in region.go) shared by online construction and by
+// downsampling. It works in coordinates local to the open window, skips
+// constraints the region already satisfies, and converts to the stored
+// global Segment{A, B} only when a window closes; see the region type for
+// why absolute coordinates are not an option.
 package pbe2
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
-
-	"histburst/internal/geometry"
 )
 
 // Segment is one piece of the piecewise-linear approximation: the line
@@ -61,16 +64,9 @@ type Builder struct {
 	// every mutation so the query path dispatches on a single comparison.
 	headLow int64
 
-	// Current feasible region and the constraint window it covers. poly
-	// aliases scr.bufs[scr.cur] while a region is open; the scratch is
-	// pooled and released when Finish seals the summary, so resting
-	// (sealed) builders carry no clip arena.
-	scr      *clipScratch
-	poly     geometry.Polygon
-	polyOpen bool
-	winStart int64   // first constrained time of the open window
-	winEnd   int64   // last constrained time of the open window
-	pending  []point // constraint points not yet absorbed into a polygon (0..1 of them)
+	// win is the feasible region of the open window; closed windows land in
+	// segs.
+	win region
 
 	// Staircase state: the currently open corner.
 	count   int64 // arrivals so far
@@ -80,48 +76,6 @@ type Builder struct {
 	done    bool // Finish sealed the open corner
 
 	outOfOrder int64
-}
-
-// point is a constrained instant: F̃(t) must land in [f−γ, f].
-type point struct {
-	t int64
-	f int64
-}
-
-// clipScratch is the per-builder vertex arena for allocation-free region
-// maintenance: two ping-pong polygon buffers plus the intermediate of the
-// double clip. Holding the region in bufs[cur] while clipping h1 into tmp
-// and h2 into bufs[1−cur] keeps the pre-clip region intact, because an empty
-// result must fall back to it (closeWindow emits from the last feasible
-// region).
-type clipScratch struct {
-	bufs [2][]geometry.Vec2
-	tmp  []geometry.Vec2
-	cur  int
-}
-
-// clipScratchPool recycles arenas across builders: segment builds and
-// compaction runs churn through many short-lived builders, and the buffers
-// reach steady-state capacity after a handful of clips.
-var clipScratchPool = sync.Pool{New: func() any { return new(clipScratch) }}
-
-// scratch returns the builder's clip arena, acquiring one lazily. Acquisition
-// happens only on the mutation path (feed), never on queries.
-func (b *Builder) scratch() *clipScratch {
-	if b.scr == nil {
-		b.scr = clipScratchPool.Get().(*clipScratch)
-	}
-	return b.scr
-}
-
-// releaseScratch returns the arena to the pool once no open region can
-// reference it. Append reacquires lazily if the stream resumes after Finish.
-func (b *Builder) releaseScratch() {
-	if b.scr != nil {
-		s := b.scr
-		b.scr = nil
-		clipScratchPool.Put(s)
-	}
 }
 
 // Option configures a Builder.
@@ -158,8 +112,8 @@ func (b *Builder) updateHeadLow() {
 	switch {
 	case !b.started:
 		b.headLow = math.MaxInt64
-	case b.polyOpen || len(b.pending) == 1:
-		b.headLow = b.winStart
+	case b.win.open || b.win.pending:
+		b.headLow = b.win.winStart
 	default:
 		b.headLow = b.lastT
 	}
@@ -188,7 +142,7 @@ func (b *Builder) Append(t int64) {
 		// Pin the instant just before the first rise: F is 0 there. Only
 		// useful when it doesn't precede time zero's history — it's a
 		// virtual constraint on the same staircase, always valid.
-		b.feed(point{t: t - 1, f: 0})
+		b.feed(t-1, 0)
 		b.updateHeadLow()
 		return
 	}
@@ -207,11 +161,11 @@ func (b *Builder) sealCorner(nextT int64) {
 		return
 	}
 	if !b.done {
-		b.feed(point{t: b.lastT, f: b.count})
+		b.feed(b.lastT, b.count)
 	}
 	if nextT > b.lastT+1 {
 		// Pin the end of the flat run just before the next rise.
-		b.feed(point{t: nextT - 1, f: b.count})
+		b.feed(nextT-1, b.count)
 	}
 	b.prevF = b.count
 }
@@ -222,90 +176,31 @@ func (b *Builder) Finish() {
 	if !b.started || b.done {
 		return
 	}
-	b.feed(point{t: b.lastT, f: b.count})
+	b.feed(b.lastT, b.count)
 	b.closeWindow()
 	b.done = true
 	b.updateHeadLow()
-	b.releaseScratch()
+	b.win.release()
 }
 
-// feed adds one constraint point to the open feasible region, emitting a
-// segment and restarting when the region empties.
-func (b *Builder) feed(p point) {
-	if !b.polyOpen {
-		if len(b.pending) == 0 {
-			b.pending = append(b.pending, p)
-			b.winStart = p.t
-			return
-		}
-		// Two points seed a bounded region (their boundary slopes differ
-		// because timestamps differ).
-		first := b.pending[0]
-		if p.t == first.t {
-			// Same-instant refeed (can happen after clamping); keep the
-			// tighter (later) constraint.
-			b.pending[0] = p
-			return
-		}
-		scr := b.scratch()
-		poly, ok := geometry.BoundedIntersectionInto(seedConstraints(first, p, b.gamma), &scr.bufs[scr.cur])
-		if !ok || poly.Empty() {
-			// The two points alone are infeasible for one line — possible
-			// only when the rise between them exceeds any γ-line's reach;
-			// emit a zero-length segment for the first point and retry
-			// with the second.
-			b.emitPointSegment(first)
-			b.pending = b.pending[:0]
-			b.pending = append(b.pending, p)
-			b.winStart = p.t
-			return
-		}
-		b.poly = poly
-		b.polyOpen = true
-		b.pending = b.pending[:0]
-		b.winEnd = p.t
-		return
-	}
-	h1, h2 := pointConstraints(p, b.gamma)
-	scr := b.scratch()
-	next := b.poly.ClipInto(h1, &scr.tmp).ClipInto(h2, &scr.bufs[1-scr.cur])
-	if next.Empty() {
-		// Close the segment over the window that was still feasible (it is
-		// untouched in bufs[cur]), then start a new window at p.
-		b.closeWindow()
-		b.pending = append(b.pending[:0], p)
-		b.winStart = p.t
-		return
-	}
-	scr.cur = 1 - scr.cur
-	b.poly = next
-	b.winEnd = p.t
-	if b.maxVertices > 0 && b.poly.Len() > b.maxVertices {
-		b.closeWindow()
-		b.pending = append(b.pending[:0], p)
-		b.winStart = p.t
+// feed constrains F̃(t) to [f−γ, f].
+func (b *Builder) feed(t, f int64) {
+	b.feedRange(rpoint{t: t, hi: float64(f), slack: b.gamma})
+}
+
+// feedRange adds one constraint to the open window, recording the segment
+// of the window it closes, if any.
+func (b *Builder) feedRange(p rpoint) {
+	if seg, ok := b.win.feed(p, b.maxVertices); ok {
+		b.appendSegment(seg)
 	}
 }
 
 // closeWindow emits a segment for the open window, if any.
 func (b *Builder) closeWindow() {
-	if b.polyOpen {
-		c := b.poly.Centroid()
-		b.appendSegment(Segment{A: c.X, B: c.Y, Start: b.winStart, End: b.winEnd})
-		b.poly = geometry.Polygon{}
-		b.polyOpen = false
-		return
+	if seg, ok := b.win.close(); ok {
+		b.appendSegment(seg)
 	}
-	if len(b.pending) == 1 {
-		b.emitPointSegment(b.pending[0])
-		b.pending = b.pending[:0]
-	}
-}
-
-// emitPointSegment records a single-instant segment pinned to the middle of
-// the point's admissible range.
-func (b *Builder) emitPointSegment(p point) {
-	b.appendSegment(Segment{A: 0, B: float64(p.f) - b.gamma/2, Start: p.t, End: p.t})
 }
 
 func (b *Builder) appendSegment(s Segment) {
@@ -320,23 +215,6 @@ func (b *Builder) appendSegment(s Segment) {
 	}
 }
 
-// seedConstraints returns the four half-planes of two constraint points.
-func seedConstraints(p1, p2 point, gamma float64) [4]geometry.HalfPlane {
-	a1, a2 := pointConstraints(p1, gamma)
-	b1, b2 := pointConstraints(p2, gamma)
-	return [4]geometry.HalfPlane{a1, a2, b1, b2}
-}
-
-// pointConstraints returns the two half-planes of equation (5):
-// f − γ ≤ a·t + b ≤ f in the (a, b) plane.
-func pointConstraints(p point, gamma float64) (geometry.HalfPlane, geometry.HalfPlane) {
-	t := float64(p.t)
-	f := float64(p.f)
-	upper := geometry.HalfPlane{A: t, B: 1, C: f}           // a·t + b ≤ f
-	lower := geometry.HalfPlane{A: -t, B: -1, C: gamma - f} // a·t + b ≥ f − γ
-	return upper, lower
-}
-
 // Estimate returns F̃(t).
 //
 // Closed segments answer t within their spans; between segments F̃ holds the
@@ -345,19 +223,10 @@ func pointConstraints(p point, gamma float64) (geometry.HalfPlane, geometry.Half
 // live feasible region (any of its lines satisfies every constraint of the
 // open window) or, at and past the frontier, from the exact running count.
 func (b *Builder) Estimate(t int64) float64 {
-	if b.started {
-		if t >= b.lastT {
-			// At or past the frontier the count is exact.
-			return float64(b.count)
-		}
-		if b.polyOpen && t >= b.winStart {
-			c := b.poly.Centroid()
-			return clampNonNegative(c.X*float64(t) + c.Y)
-		}
-		if !b.polyOpen && len(b.pending) == 1 && t >= b.winStart {
-			// Single uncommitted constraint: the staircase is flat at its
-			// frequency from that instant to the open corner.
-			return float64(b.pending[0].f)
+	if t >= b.headLow {
+		cc := centroidCache{b: b}
+		if v, ok := b.liveHead(t, &cc); ok {
+			return v
 		}
 	}
 	return b.segValue(b.searchFull(t), t)
@@ -381,21 +250,30 @@ func (b *Builder) Segments() []Segment {
 func (b *Builder) Breakpoints() []int64 {
 	out := make([]int64, 0, 2*len(b.segs)+1)
 	for _, s := range b.segs {
-		out = append(out, s.Start)
-		out = append(out, s.End+1)
+		out = appendBreakpoint(out, s.Start)
+		out = appendBreakpoint(out, s.End+1)
 	}
 	if b.started {
-		out = append(out, b.lastT)
+		out = appendBreakpoint(out, b.lastT)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// Deduplicate.
-	uniq := out[:0]
-	for i, v := range out {
-		if i == 0 || v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
-		}
+	return out
+}
+
+// appendBreakpoint keeps the list ascending and duplicate-free without a
+// sort. Segments are ascending and a successor (or the frontier) starts no
+// earlier than its predecessor's End, so the one value that can arrive out
+// of order is that very End — it belongs just before the End+1 appended last.
+func appendBreakpoint(out []int64, v int64) []int64 {
+	n := len(out)
+	switch {
+	case n == 0 || v > out[n-1]:
+		return append(out, v)
+	case v == out[n-1] || (n > 1 && v == out[n-2]):
+		return out
 	}
-	return uniq
+	out = append(out, out[n-1])
+	out[n-1] = v
+	return out
 }
 
 // Count returns the number of arrivals ingested.

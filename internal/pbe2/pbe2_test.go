@@ -303,14 +303,43 @@ func TestBytesAccounting(t *testing.T) {
 }
 
 func TestBreakpointsSortedUnique(t *testing.T) {
-	ts := randomTimestamps(29, 800, 3)
-	b := buildPBE2(t, ts, 3)
-	bps := b.Breakpoints()
-	for i := 1; i < len(bps); i++ {
-		if bps[i] <= bps[i-1] {
-			t.Fatalf("breakpoints not sorted/unique at %d: %v %v", i, bps[i-1], bps[i])
+	check := func(what string, b *Builder) {
+		t.Helper()
+		bps := b.Breakpoints()
+		for i := 1; i < len(bps); i++ {
+			if bps[i] <= bps[i-1] {
+				t.Fatalf("%s: breakpoints not sorted/unique at %d: %v %v", what, i, bps[i-1], bps[i])
+			}
+		}
+		want := map[int64]bool{b.lastT: true}
+		for _, s := range b.segs {
+			want[s.Start], want[s.End+1] = true, true
+		}
+		if len(bps) != len(want) {
+			t.Fatalf("%s: %d breakpoints, want %d", what, len(bps), len(want))
 		}
 	}
+	ts := randomTimestamps(29, 800, 3)
+	open, _ := New(3)
+	for _, v := range ts {
+		open.Append(v)
+	}
+	check("open", open)
+	b := buildPBE2(t, ts, 3)
+	check("finished", b) // the frontier equals the last End
+	// Resuming at the sealed frontier re-feeds that instant: the next
+	// segment starts on its predecessor's End.
+	last := ts[len(ts)-1]
+	b.Append(last)
+	b.Finish()
+	check("resumed at the frontier", b)
+	// A merged partition's virtual pin may coincide with the receiver's
+	// frontier, likewise.
+	other := buildPBE2(t, stream.TimestampSeq{last + 1, last + 1, last + 4}, 3)
+	if err := b.MergeAppend(other); err != nil {
+		t.Fatal(err)
+	}
+	check("merged", b)
 }
 
 func TestImplementsPBE(t *testing.T) {

@@ -10,6 +10,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -44,8 +45,54 @@ func (s Stream) Validate() error {
 
 // Sort orders the stream by timestamp (stably, so elements sharing a
 // timestamp keep their relative order).
+//
+// Streams are assembled by concatenating sequences that are each in order
+// already — one per event, one per source — so Sort is a natural merge sort:
+// it finds the ascending runs and merges neighbours pairwise, ties to the
+// left, log₂(runs) passes in all (O(n log n) at worst, when nothing is in
+// order). A stable order by one key is unique, so the result is the one
+// slices.SortStableFunc gives.
 func (s Stream) Sort() {
-	sort.SliceStable(s, func(i, j int) bool { return s[i].Time < s[j].Time })
+	bounds := []int{0} // run starts, then len(s)
+	for i := 1; i < len(s); i++ {
+		if s[i].Time < s[i-1].Time {
+			bounds = append(bounds, i)
+		}
+	}
+	bounds = append(bounds, len(s))
+	if len(bounds) <= 2 {
+		return // empty, or one run: sorted already
+	}
+	src, dst := s, make(Stream, len(s))
+	for len(bounds) > 2 {
+		merged := bounds[:1]
+		for i := 0; i+1 < len(bounds); i += 2 {
+			lo, mid, hi := bounds[i], bounds[i+1], bounds[min(i+2, len(bounds)-1)]
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			merged = append(merged, hi)
+		}
+		bounds = merged
+		src, dst = dst, src
+	}
+	if &src[0] != &s[0] {
+		copy(s, src)
+	}
+}
+
+// mergeRuns merges two sorted runs into dst (len(dst) = len(a)+len(b)),
+// taking from a on equal timestamps.
+func mergeRuns(dst, a, b Stream) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].Time < a[0].Time {
+			dst[k], b = b[0], b[1:]
+		} else {
+			dst[k], a = a[0], a[1:]
+		}
+		k++
+	}
+	copy(dst[k:], a)
+	copy(dst[k+len(a):], b)
 }
 
 // Span returns the smallest and largest timestamps in the stream. It returns
@@ -91,7 +138,7 @@ func (s Stream) Events() []uint64 {
 	for e := range seen {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

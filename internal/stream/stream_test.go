@@ -1,9 +1,11 @@
 package stream
 
 import (
+	"cmp"
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,6 +30,38 @@ func TestSortIsStable(t *testing.T) {
 	want := Stream{{Event: 1, Time: 2}, {Event: 9, Time: 2}, {Event: 3, Time: 5}, {Event: 2, Time: 5}}
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("Sort = %v, want %v", s, want)
+	}
+}
+
+// TestSortMatchesStableSort: the natural merge gives, element for element,
+// the order of the general stable sort — on concatenated sorted runs (its
+// case), on input with no order at all, and on the edges between.
+func TestSortMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		n := r.Intn(400)
+		runs := 1 + r.Intn(12)
+		if trial%3 == 0 {
+			runs = n // no run structure at all
+		}
+		s := make(Stream, 0, n)
+		for len(s) < n {
+			// Event carries the original position, so a lost tie shows.
+			cur := int64(r.Intn(20))
+			for k := 1 + (n-len(s))/runs; k > 0 && len(s) < n; k-- {
+				cur += int64(r.Intn(3))
+				if runs == n {
+					cur = int64(r.Intn(50))
+				}
+				s = append(s, Element{Event: uint64(len(s)), Time: cur})
+			}
+		}
+		want := append(Stream(nil), s...)
+		slices.SortStableFunc(want, func(a, b Element) int { return cmp.Compare(a.Time, b.Time) })
+		s.Sort()
+		if !slices.Equal(s, want) {
+			t.Fatalf("trial %d (n=%d, runs=%d): Sort = %v, want %v", trial, n, runs, s, want)
+		}
 	}
 }
 

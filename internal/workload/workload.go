@@ -15,7 +15,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"histburst/internal/stream"
 )
@@ -135,7 +135,10 @@ func Generate(s Spec) (stream.Stream, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
-	var out stream.Stream
+	// Sized to the expectation (Poisson counts land within a fraction of a
+	// percent of it at any useful volume), so appends rarely regrow; the cap
+	// keeps an absurd spec from failing here rather than where it would.
+	out := make(stream.Stream, 0, int(min(s.Expected()*1.01, 1<<24))+1024)
 	for _, p := range s.Profiles {
 		// Derive a per-event rng so profile order doesn't perturb other
 		// events' streams.
@@ -159,7 +162,7 @@ func GenerateEvent(rng *rand.Rand, p EventProfile, horizon int64) stream.Timesta
 		}
 		ts = append(ts, thinnedProcess(rng, w.rate, w.PeakRate, w.Start, end)...)
 	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	return ts
 }
 
