@@ -162,6 +162,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzDetectorLoad -fuzztime $(FUZZTIME) .
+	$(GO) test -fuzz FuzzInspect -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzLoadSingle -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) ./internal/pbe2/

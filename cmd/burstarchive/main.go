@@ -128,7 +128,7 @@ func run(cmd string, args []string, out *os.File) (err error) {
 			return err
 		}
 		sn := st.Snapshot()
-		fmt.Fprintf(out, "segments:   %d\n", len(sn.Segments()))
+		fmt.Fprintf(out, "segments:   %d (%d resident)\n", len(sn.Segments()), sn.Resident())
 		fmt.Fprintf(out, "elements:   %d\n", sn.N())
 		if sn.N() > 0 {
 			fmt.Fprintf(out, "span:       [%d, %d]\n", sn.MinTime(), sn.MaxTime())

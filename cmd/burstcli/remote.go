@@ -31,8 +31,8 @@ func runRemote(addr string, point, times, evts, stats bool, e uint64, t, tau int
 		fmt.Printf("id space:       %d (γ=%g)\n", st.EventSpace, h.Gamma)
 		fmt.Printf("time span:      [0, %d]\n", st.MaxTime)
 		fmt.Printf("sketch size:    %s\n", metrics.HumanBytes(int(st.Bytes)))
-		fmt.Printf("segments:       %d (%d quarantined, head %d elems)\n",
-			st.Segments, st.Quarantined, st.HeadElems)
+		fmt.Printf("segments:       %d (%d resident, %d quarantined, head %d elems)\n",
+			st.Segments, st.Resident, st.Quarantined, st.HeadElems)
 		if st.ReadOnly {
 			fmt.Printf("mode:           read-only (degraded)\n")
 		}

@@ -50,8 +50,14 @@ func runSegmentsCmd(argv []string) error {
 		return fmt.Errorf("segments: decode: %w", err)
 	}
 
-	fmt.Printf("generation %d, %d segments (%d quarantined)\n",
-		body.Generation, len(body.Segments), len(body.Quarantined))
+	resident := 0
+	for _, g := range body.Segments {
+		if g.Resident {
+			resident++
+		}
+	}
+	fmt.Printf("generation %d, %d segments (%d quarantined), %d resident\n",
+		body.Generation, len(body.Segments), len(body.Quarantined), resident)
 	if body.ReadOnly {
 		fmt.Println("mode: read-only (degraded)")
 	}
@@ -67,8 +73,12 @@ func runSegmentsCmd(argv []string) error {
 	}
 	if *full {
 		for _, g := range body.Segments {
-			fmt.Printf("segment %d: tier %d, [%d, %d], %d elements, %s\n",
-				g.ID, g.Tier, g.Start, g.End, g.Elements, metrics.HumanBytes(g.Bytes))
+			state := "verified, not yet decoded"
+			if g.Resident {
+				state = "resident"
+			}
+			fmt.Printf("segment %d: tier %d, [%d, %d], %d elements, %s (%s)\n",
+				g.ID, g.Tier, g.Start, g.End, g.Elements, metrics.HumanBytes(g.Bytes), state)
 		}
 	}
 	return nil

@@ -285,12 +285,14 @@ func (s *server) retryAfterSeconds() string {
 // flags.
 func (s *server) healthBody(status string) map[string]any {
 	h := s.store.Health()
+	sn := s.store.Snapshot()
 	return map[string]any{
 		"status":   status,
 		"ready":    s.ready.Load(),
 		"readOnly": s.readOnly.Load(),
 		"store":    h,
-		"tiers":    s.store.Snapshot().Tiers(),
+		"segments": map[string]int{"total": len(sn.Segments()), "resident": sn.Resident()},
+		"tiers":    sn.Tiers(),
 		"alerts":   s.alerts.hub.Stats(),
 	}
 }
@@ -621,6 +623,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"outOfOrder":  s.store.Rejected(),
 		"generation":  sn.Generation(),
 		"segments":    len(sn.Segments()),
+		"resident":    sn.Resident(),
 		"quarantined": h.Quarantined,
 		"wal":         h.WAL,
 		"readOnly":    s.readOnly.Load(),

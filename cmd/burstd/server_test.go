@@ -135,7 +135,12 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	}
 
 	// A fresh server over the same directory recovers the ingested data
-	// from the store manifest.
+	// from the store manifest. A directory has one owner: the first store
+	// goes first, or its post-seal WAL rotation deletes a log file between
+	// the second Open's directory listing and its read.
+	if err := srv.store.Close(); err != nil {
+		t.Fatal(err)
+	}
 	srv2, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, SnapDir: dir, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)

@@ -35,6 +35,7 @@ func (s *server) Stats() wire.Stats {
 		Quarantined: h.Quarantined,
 		ReadOnly:    s.readOnly.Load(),
 		HeadElems:   sn.Head().Elements,
+		Resident:    sn.Resident(),
 	}
 }
 

@@ -2,7 +2,11 @@ package histburst
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
+
+	"histburst/internal/binenc"
 )
 
 // FuzzLoad ensures the detector loader never panics on arbitrary bytes and
@@ -88,6 +92,74 @@ func FuzzDetectorLoad(f *testing.F) {
 		}
 		if _, err := Load(&out); err != nil {
 			t.Fatalf("re-saved detector does not load: %v", err)
+		}
+	})
+}
+
+// FuzzInspect holds the header-only verifier to Decode: it never panics; what
+// it refuses Decode refuses; what Decode accepts it accepts, reporting the
+// same parameters and element count; and what it accepts carries the magic
+// and a checksum that holds — so the one thing left for Decode to refuse is a
+// summary malformed under a valid checksum (seeded below).
+func FuzzInspect(f *testing.F) {
+	for _, opts := range [][]Option{
+		{WithPBE2(2), WithSketchDims(2, 8)},
+		{WithPBE1(100, 10), WithSketchDims(2, 4)},
+		{WithPBE2(2), WithoutEventIndex()},
+	} {
+		det, err := New(8, opts...)
+		if err != nil {
+			f.Fatal(err)
+		}
+		det.Append(1, 10)
+		det.Append(3, 25)
+		det.Append(1, 40)
+		var buf bytes.Buffer
+		if err := det.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		data := buf.Bytes()
+		f.Add(data)
+		f.Add(saveHBD1(f, det))
+		for _, cut := range []int{1, 5, 9, len(data) / 2, len(data) - 1} {
+			f.Add(data[:cut])
+		}
+		for _, at := range []int{6, 12, len(data) / 2, len(data) - 2} {
+			flipped := append([]byte(nil), data...)
+			flipped[at] ^= 0x10
+			f.Add(flipped)
+		}
+		// Header intact, summary overwritten, checksum recomputed.
+		garbled := append([]byte(nil), data...)
+		body := garbled[:len(garbled)-4]
+		for i := len(body) - len(body)/3; i < len(body); i++ {
+			body[i] = 0xff
+		}
+		binary.LittleEndian.PutUint32(garbled[len(body):], crc32.Checksum(body, crcTable))
+		f.Add(garbled)
+	}
+	f.Add([]byte{})
+	f.Add([]byte("HBD\x02 nearly"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, ierr := Inspect(data)
+		d, derr := Decode(data)
+		if ierr != nil {
+			if derr == nil {
+				t.Fatalf("Inspect refuses what Decode accepts: %v", ierr)
+			}
+			return
+		}
+		if len(data) < 4 || !bytes.Equal(binenc.NewReader(data).BytesBlob(), detectorMagicV2) ||
+			crc32.Checksum(data[:len(data)-4], crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+			t.Fatalf("Inspect accepts %d bytes without the magic or a checksum that holds", len(data))
+		}
+		if derr != nil {
+			return // the summary's fault; the header and the bytes are sound
+		}
+		p, ok := d.Params()
+		if h.PBE2 != ok || h.Params != p || h.N != d.N() {
+			t.Fatalf("Inspect reports %+v, the decoded detector %+v (pbe2 %v) with %d elements", h, p, ok, d.N())
 		}
 	})
 }

@@ -151,3 +151,113 @@ func BenchmarkSegstoreSingleSegmentPoint(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSegstoreCrossSegmentTimes measures the BURSTY TIME query over the
+// same 16-segment store: the breakpoint merge across every segment's cells,
+// then the cross-segment estimate at each candidate instant.
+func BenchmarkSegstoreCrossSegmentTimes(b *testing.B) {
+	s := benchStore(b, 16, 1024)
+	defer s.Close() //histburst:allow errdrop -- benchmark teardown
+	sn := s.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sn.BurstyTimes(uint64(i)&1023, 2, 64); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSegstoreCrossSegmentBreakpoints isolates the merge half of it.
+func BenchmarkSegstoreCrossSegmentBreakpoints(b *testing.B) {
+	s := benchStore(b, 16, 1024)
+	defer s.Close() //histburst:allow errdrop -- benchmark teardown
+	v := &crossView{sn: s.Snapshot(), e: 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(v.Breakpoints()) == 0 {
+			b.Fatal("no breakpoints")
+		}
+	}
+}
+
+// benchColdDir writes the 13-segment base layout the restart benchmarks
+// open: 13 one-day segments of 4096 elements over 1024 ids.
+func benchColdDir(b *testing.B) (dir string, cfg Config, frontier int64) {
+	b.Helper()
+	cfg = coldConfig()
+	cfg.K = 1 << 10
+	dir = b.TempDir()
+	s, err := Open(dir, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perDay = 4096
+	for d := int64(0); d < 13; d++ {
+		for i := int64(0); i < perDay; i++ {
+			frontier = coldOrigin + d*coldDay + i*(coldDay/perDay)
+			if err := s.Append(uint64(i)&1023, frontier); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return dir, cfg, frontier
+}
+
+// BenchmarkOpen measures a cold start on the 13-segment layout: read and
+// verify every segment file against the manifest, decode none.
+func BenchmarkOpen(b *testing.B) {
+	dir, cfg, _ := benchColdDir(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := s.Snapshot().Resident(); n != 0 {
+			b.Fatalf("%d segments resident after Open", n)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// BenchmarkFirstTouchPoint measures the first POINT after a cold start — a
+// frontier query with τ = one day, which decodes the segments its window
+// overlaps — the latency Open no longer pays up front for every segment.
+func BenchmarkFirstTouchPoint(b *testing.B) {
+	dir, cfg, frontier := benchColdDir(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s, err := Open(dir, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sn := s.Snapshot()
+		b.StartTimer()
+		if _, err := sn.Burstiness(3, frontier, coldDay); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if n := sn.Resident(); n == 0 || n > 3 {
+			b.Fatalf("%d segments resident after one frontier POINT", n)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -44,21 +44,27 @@ func (s *Store) compactLoop() {
 				return
 			default:
 			}
-			progressed, err := s.compactOnce()
-			if err != nil {
-				s.mu.Lock()
-				if s.bgErr == nil {
-					s.bgErr = fmt.Errorf("segstore: compaction: %w", err)
-				}
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return
-			}
+			// Decay goes first: a segment's tier is then decided by its own
+			// age. Merged first, an aged segment takes the age of the
+			// youngest member of its run and keeps full fidelity until that
+			// one ages too — so which tier history ended up in depended on
+			// whether a restart had interrupted the merges (four SIGKILLs
+			// at "ready" left bench's http_mixed at 4.0 or 4.9 B/elem).
 			decayed, err := s.decayOnce()
 			if err != nil {
 				s.mu.Lock()
 				if s.bgErr == nil {
 					s.bgErr = fmt.Errorf("segstore: decay: %w", err)
+				}
+				s.cond.Broadcast()
+				s.mu.Unlock()
+				return
+			}
+			progressed, err := s.compactOnce()
+			if err != nil {
+				s.mu.Lock()
+				if s.bgErr == nil {
+					s.bgErr = fmt.Errorf("segstore: compaction: %w", err)
 				}
 				s.cond.Broadcast()
 				s.mu.Unlock()
@@ -137,7 +143,7 @@ func (s *Store) swapRun(run []*Segment, merged *Segment) error {
 		// manifest that references it, and compaction is rare enough that
 		// stalling other composition changes for one segment write is the
 		// simplicity worth having.
-		if err := merged.det.SaveFile(path); err != nil {
+		if err := merged.det.Load().SaveFile(path); err != nil { // built by mergeRun/decayRun, so resident
 			s.mu.Unlock()
 			return err
 		}
@@ -234,26 +240,43 @@ func (s *Store) findRunLocked(run []*Segment) int {
 //
 //histburst:fastpath mergeRunNaive
 func (s *Store) mergeRun(run []*Segment) (*Segment, error) {
-	dets := make([]*histburst.Detector, len(run))
-	for i, g := range run {
-		dets[i] = g.det
+	dets, err := runDetectors(run)
+	if err != nil {
+		return nil, err
 	}
 	out, err := histburst.MergeDetectors(dets)
 	if err != nil {
 		return nil, err
 	}
-	return &Segment{meta: runMeta(run), det: out}, nil
+	return residentSegment(runMeta(run), out), nil
+}
+
+// runDetectors returns the detectors of a run the compactor picked, decoding
+// the ones nothing has touched yet — picking reads only metadata, so this is
+// where a merge or decay of cold history pays for it.
+func runDetectors(run []*Segment) ([]*histburst.Detector, error) {
+	dets := make([]*histburst.Detector, len(run))
+	for i, g := range run {
+		if dets[i] = g.detector(); dets[i] == nil {
+			return nil, fmt.Errorf("segstore: segment %d does not decode", g.meta.ID)
+		}
+	}
+	return dets, nil
 }
 
 // mergeRunNaive is the retained naive twin: clone every input — MergeAppend
 // mutates both operands — and chain MergeAppend in time order.
 func (s *Store) mergeRunNaive(run []*Segment) (*Segment, error) {
-	out, err := run[0].det.Clone()
+	dets, err := runDetectors(run)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range run[1:] {
-		next, err := g.det.Clone()
+	out, err := dets[0].Clone()
+	if err != nil {
+		return nil, err
+	}
+	for _, det := range dets[1:] {
+		next, err := det.Clone()
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +284,7 @@ func (s *Store) mergeRunNaive(run []*Segment) (*Segment, error) {
 			return nil, err
 		}
 	}
-	return &Segment{meta: runMeta(run), det: out}, nil
+	return residentSegment(runMeta(run), out), nil
 }
 
 // runMeta derives the merged segment's manifest record from the run it

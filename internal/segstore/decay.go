@@ -141,15 +141,15 @@ func sameFidelity(a, b SegmentMeta) bool {
 //histburst:fastpath decayRunNaive
 func (s *Store) decayRun(run []*Segment, target int) (*Segment, error) {
 	tier := s.tiers[target-1]
-	dets := make([]*histburst.Detector, len(run))
-	for i, g := range run {
-		dets[i] = g.det
+	dets, err := runDetectors(run)
+	if err != nil {
+		return nil, err
 	}
 	out, err := histburst.DownsampleDetectors(dets, tier.Gamma, tier.Res, tier.W)
 	if err != nil {
 		return nil, err
 	}
-	return &Segment{meta: decayMeta(run, target, tier), det: out}, nil
+	return residentSegment(decayMeta(run, target, tier), out), nil
 }
 
 // decayRunNaive is the retained naive twin: clone every input and downsample
@@ -157,9 +157,12 @@ func (s *Store) decayRun(run []*Segment, target int) (*Segment, error) {
 // leave the live sources untouched. Output estimates are bit-identical.
 func (s *Store) decayRunNaive(run []*Segment, target int) (*Segment, error) {
 	tier := s.tiers[target-1]
-	dets := make([]*histburst.Detector, len(run))
-	for i, g := range run {
-		c, err := g.det.Clone()
+	dets, err := runDetectors(run)
+	if err != nil {
+		return nil, err
+	}
+	for i, det := range dets {
+		c, err := det.Clone()
 		if err != nil {
 			return nil, err
 		}
@@ -170,7 +173,7 @@ func (s *Store) decayRunNaive(run []*Segment, target int) (*Segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Segment{meta: decayMeta(run, target, tier), det: out}, nil
+	return residentSegment(decayMeta(run, target, tier), out), nil
 }
 
 // decayMeta derives the decayed segment's manifest record: the run's united

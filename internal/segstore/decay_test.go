@@ -281,21 +281,35 @@ func TestDecayLongHorizon(t *testing.T) {
 	// queries answer identically.
 	re := mustOpen(t, dir, Config{})
 	defer mustClose(t, re)
-	reTiers := re.Snapshot().Tiers()
-	if len(reTiers) != len(finalTiers) {
-		t.Fatalf("reopen changed the tier table: %+v vs %+v", reTiers, finalTiers)
-	}
-	for i := range finalTiers {
-		if reTiers[i] != finalTiers[i] {
-			t.Fatalf("reopen changed tier %d: %+v vs %+v", i, reTiers[i], finalTiers[i])
+	// A reopened segment holds its verified file bytes until a query touches
+	// it, and Bytes says so: straight after Open the tier table matches in
+	// everything but Bytes, and once the queries below (CumulativeFrequency
+	// at maxT visits every segment) have made the store resident, in Bytes
+	// too.
+	compareTiers := func(when string, withBytes bool) {
+		t.Helper()
+		reTiers := re.Snapshot().Tiers()
+		if len(reTiers) != len(finalTiers) {
+			t.Fatalf("%s: reopen changed the tier table: %+v vs %+v", when, reTiers, finalTiers)
+		}
+		for i, want := range finalTiers {
+			got := reTiers[i]
+			if !withBytes {
+				got.Bytes, want.Bytes = 0, 0
+			}
+			if got != want {
+				t.Fatalf("%s: reopen changed tier %d: %+v vs %+v", when, i, got, want)
+			}
 		}
 	}
+	compareTiers("cold", false)
 	rsn := re.Snapshot()
 	for k, w := range want {
 		if got := rsn.CumulativeFrequency(k.e, k.t); got != w {
 			t.Fatalf("reopen changed estimate: event %d t=%d: %v vs %v", k.e, k.t, got, w)
 		}
 	}
+	compareTiers("resident", true)
 }
 
 // settleGenerations waits until the store's generation stays unchanged for a
@@ -356,7 +370,7 @@ func TestDecayRunMatchesNaive(t *testing.T) {
 		}
 		for e := uint64(0); e < 8; e++ {
 			for qt := int64(0); qt <= last+32; qt += 7 {
-				if got, want := fast.det.CumulativeFrequency(e, qt), naive.det.CumulativeFrequency(e, qt); got != want {
+				if got, want := fast.detector().CumulativeFrequency(e, qt), naive.detector().CumulativeFrequency(e, qt); got != want {
 					t.Fatalf("twin estimates diverge: event %d t=%d: %v vs %v", e, qt, got, want)
 				}
 			}
@@ -368,7 +382,7 @@ func TestDecayRunMatchesNaive(t *testing.T) {
 			t.Fatal(err)
 		}
 		for e := uint64(0); e < 8; e++ {
-			if got, want := again.det.CumulativeFrequency(e, last), fast.det.CumulativeFrequency(e, last); got != want {
+			if got, want := again.detector().CumulativeFrequency(e, last), fast.detector().CumulativeFrequency(e, last); got != want {
 				t.Fatalf("re-running decayRun changed results: %v vs %v", got, want)
 			}
 		}
@@ -639,5 +653,59 @@ func TestEqualBoundarySegmentsDecayAlone(t *testing.T) {
 	}
 	if got := s.CumulativeFrequency(1, 2000); got < 3 {
 		t.Fatalf("F̃(1) after split decay = %v, want ≥ 3", got)
+	}
+}
+
+// TestDecayBeforeCompaction: a segment's tier is decided by its own age, not
+// by the run the size compactor would have merged it into. The store opens
+// on thirteen one-day full-fidelity segments with both jobs pending; merging
+// first would fold aged days in with younger ones, and the merged segment —
+// as old as its youngest member — would hold them below the tier they are
+// due. Every original day must end at least as deep as its own age demands.
+func TestDecayBeforeCompaction(t *testing.T) {
+	dir, frontier := buildColdDir(t, 13, 48)
+	cfg := coldConfig()
+	cfg.CompactFanout = 4
+	cfg.DecayTiers = []DecayTier{
+		{Age: 3 * coldDay, Gamma: 8, W: 8, Res: 3600},
+		{Age: 8 * coldDay, Gamma: 32, W: 4, Res: 43200},
+	}
+	s := mustOpen(t, dir, cfg)
+	defer mustClose(t, s)
+	// Ages are measured against the frontier the head recovered; the cold
+	// listing below may race the compactor's first swap, so read the days
+	// from the directory's own description of them instead.
+	type day struct {
+		minT, maxT int64
+		due        int
+	}
+	var days []day
+	for d := int64(0); d < 13; d++ {
+		minT := coldOrigin + d*coldDay
+		maxT := minT + 47*(coldDay/48)
+		days = append(days, day{minT, maxT, s.targetTier(frontier - maxT)})
+	}
+	if days[0].due != 2 || days[12].due != 0 {
+		t.Fatalf("fixture: oldest day due tier %d, newest %d, want 2 and 0", days[0].due, days[12].due)
+	}
+	settleGenerations(t, s)
+	segs := s.Segments()
+	if len(segs) >= 13 {
+		t.Fatalf("nothing merged or decayed: %d segments", len(segs))
+	}
+	for i, d := range days {
+		found := false
+		for _, g := range segs {
+			if g.Start <= d.minT && d.maxT <= g.End {
+				found = true
+				if g.Tier < d.due {
+					t.Fatalf("day %d is due tier %d but sits in segment %d [%d, %d] at tier %d",
+						i, d.due, g.ID, g.Start, g.End, g.Tier)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("day %d [%d, %d] is covered by no segment: %+v", i, d.minT, d.maxT, segs)
+		}
 	}
 }

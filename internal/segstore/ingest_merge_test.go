@@ -153,19 +153,19 @@ func TestMergeRunMatchesNaive(t *testing.T) {
 	if fast.meta != naive.meta {
 		t.Fatalf("meta differs: %+v vs %+v", fast.meta, naive.meta)
 	}
-	if fast.det.N() != naive.det.N() || fast.det.MaxTime() != naive.det.MaxTime() {
-		t.Fatalf("counters: N %d/%d", fast.det.N(), naive.det.N())
+	if fast.detector().N() != naive.detector().N() || fast.detector().MaxTime() != naive.detector().MaxTime() {
+		t.Fatalf("counters: N %d/%d", fast.detector().N(), naive.detector().N())
 	}
 	for e := uint64(0); e < 32; e++ {
-		for q := int64(0); q <= fast.det.MaxTime()+5; q += 37 {
-			if a, b := fast.det.CumulativeFrequency(e, q), naive.det.CumulativeFrequency(e, q); a != b {
+		for q := int64(0); q <= fast.detector().MaxTime()+5; q += 37 {
+			if a, b := fast.detector().CumulativeFrequency(e, q), naive.detector().CumulativeFrequency(e, q); a != b {
 				t.Fatalf("F(%d,%d): streaming %v, naive %v", e, q, a, b)
 			}
-			a, err := fast.det.Burstiness(e, q, 25)
+			a, err := fast.detector().Burstiness(e, q, 25)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := naive.det.Burstiness(e, q, 25)
+			b, err := naive.detector().Burstiness(e, q, 25)
 			if err != nil {
 				t.Fatal(err)
 			}

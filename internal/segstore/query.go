@@ -55,77 +55,69 @@ func (sn *Snapshot) heads() []*memHead {
 // maxRows mirrors cmpbe's stack bound for the default sketch layouts.
 const maxRows = 8
 
-// queryScratch is the reusable state behind the zero-alloc point path: the
-// EventCells buffer every segment's cells append into, and the
-// segment-boundary memo. A Snapshot is shared by concurrent readers
-// (burstd's batch handler fans one snapshot across workers), so the scratch
-// cannot hang off the snapshot itself — it is pooled and held for exactly
-// one query.
+// queryScratch is the reusable state behind the zero-alloc point path and
+// the breakpoint merge: the EventCells buffer every segment's cells append
+// into, and the list and merge buffers of crossView.Breakpoints. A Snapshot
+// is shared by concurrent readers (burstd's batch handler fans one snapshot
+// across workers), so the scratch cannot hang off the snapshot itself — it
+// is pooled and held for exactly one query.
 type queryScratch struct {
 	cells []pbe.PBE
 
-	// Boundary memo: queries at one instant against one generation recur
-	// (candidate rescoring, batch workloads), so the binary search for the
-	// first segment past t is cached. memoIdx < 0 means empty.
-	memoGen uint64
-	memoT   int64
-	memoIdx int
+	lists  [][]int64
+	bounds []int64
+	merge  [2][]int64
 }
 
-var queryScratchPool = sync.Pool{New: func() any { return &queryScratch{memoIdx: -1} }}
+var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
 // segsThrough returns the prefix of the snapshot's segments that can
 // contribute at instant t: a segment whose MinT exceeds t holds no element
 // at or before t, so every cell estimate — and therefore every burstiness
 // term — is exactly zero there and the suffix can be skipped bit-identically.
-func (sn *Snapshot) segsThrough(t int64, scr *queryScratch) []*Segment {
+func (sn *Snapshot) segsThrough(t int64) []*Segment {
 	segs := sn.v.segs
 	n := len(segs)
 	if n == 0 || segs[n-1].meta.MinT <= t {
 		return segs // the common case: t at or past the last boundary
 	}
-	if scr.memoIdx >= 0 && scr.memoGen == sn.v.gen && scr.memoT == t {
-		return segs[:scr.memoIdx]
+	return segs[:sort.Search(n, func(i int) bool { return segs[i].meta.MinT > t })]
+}
+
+// segsInWindow returns the segments that can contribute to b(t) with burst
+// span tau — those overlapping (t−2τ, t]. segsThrough drops the suffix; the
+// mirror image drops the prefix: a segment with MaxT ≤ t−2τ lies wholly at
+// or before all three instants of equation (2), where each of its cells
+// holds one value c (the line's value at the cell's last End, which is what
+// Estimate returns from there on), so its term in every row is
+// c − 2c + c = +0.0 exactly and the row sums are unchanged to the bit.
+// MinT and MaxT both ascend along segs, so each end is one binary search.
+func (sn *Snapshot) segsInWindow(t, tau int64) []*Segment {
+	segs := sn.segsThrough(t)
+	from := t - 2*tau
+	if from >= t {
+		return segs // 2τ overflowed: no instant is provably behind the window
 	}
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if segs[mid].meta.MinT <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	scr.memoGen, scr.memoT, scr.memoIdx = sn.v.gen, t, lo
-	return segs[:lo]
+	return segs[sort.Search(len(segs), func(i int) bool { return segs[i].meta.MaxT > from }):]
 }
 
 // rowSums evaluates Σ_s F̃ᵣ,ₛ(t) for every row r into vals, returning the
 // row count (0 when no sealed segment reaches back to t).
 func (sn *Snapshot) rowSums(e uint64, t int64, vals *[maxRows]float64, scr *queryScratch) int {
-	segs := sn.segsThrough(t, scr)
-	if len(segs) == 0 {
-		return 0
-	}
+	*vals = [maxRows]float64{}
 	d := 0
-	for si, g := range segs {
-		scr.cells = g.det.AppendEventCells(e, scr.cells[:0])
-		if si == 0 {
-			d = len(scr.cells)
-			for i := 0; i < d && i < maxRows; i++ {
-				vals[i] = 0
-			}
+	for _, g := range sn.segsThrough(t) {
+		det := g.detector()
+		if det == nil {
+			continue // failed its first decode; quarantined, answered without
 		}
-		for i, c := range scr.cells {
-			if i < maxRows {
-				vals[i] += c.Estimate(t)
-			}
+		scr.cells = det.AppendEventCells(e, scr.cells[:0])
+		d = min(len(scr.cells), maxRows)
+		for i, c := range scr.cells[:d] {
+			vals[i] += c.Estimate(t)
 		}
 	}
 	scr.cells = scr.cells[:0]
-	if d > maxRows {
-		d = maxRows
-	}
 	return d
 }
 
@@ -158,39 +150,31 @@ func (sn *Snapshot) Burstiness(e uint64, t, tau int64) (float64, error) {
 }
 
 // burstiness is the fold-free core shared with the candidate rescoring
-// paths (whose ids are already folded). Row scratch lives on the stack and
-// cell scratch in a pooled buffer, so the cross-segment point query
-// performs no per-query allocation.
+// paths (whose ids are already folded). Only the segments overlapping the
+// query window are visited (segsInWindow) — which is also what keeps a
+// lazily opened store lazy. Row scratch lives on the stack and cell scratch
+// in a pooled buffer, so the cross-segment point query performs no per-query
+// allocation.
 //
 //histburst:fastpath burstinessNaive
 func (sn *Snapshot) burstiness(e uint64, t, tau int64) float64 {
 	scr := queryScratchPool.Get().(*queryScratch)
 	var rows [maxRows]float64
-	b := 0.0
-	segs := sn.segsThrough(t, scr)
-	if len(segs) > 0 {
-		d := 0
-		for si, g := range segs {
-			scr.cells = g.det.AppendEventCells(e, scr.cells[:0])
-			if si == 0 {
-				d = len(scr.cells)
-				if d > maxRows {
-					d = maxRows
-				}
-				for i := 0; i < d; i++ {
-					rows[i] = 0
-				}
-			}
-			for i, c := range scr.cells {
-				if i < d {
-					rows[i] += pbe.Burstiness(c, t, tau)
-				}
-			}
+	d := 0
+	for _, g := range sn.segsInWindow(t, tau) {
+		det := g.detector()
+		if det == nil {
+			continue // failed its first decode; quarantined, answered without
 		}
-		scr.cells = scr.cells[:0]
-		b = medianInPlace(rows[:d])
+		scr.cells = det.AppendEventCells(e, scr.cells[:0])
+		d = min(len(scr.cells), maxRows)
+		for i, c := range scr.cells[:d] {
+			rows[i] += pbe.Burstiness(c, t, tau)
+		}
 	}
+	scr.cells = scr.cells[:0]
 	queryScratchPool.Put(scr)
+	b := medianInPlace(rows[:d])
 	for _, h := range sn.v.frozen {
 		b += h.burstiness(e, t, tau)
 	}
@@ -201,29 +185,19 @@ func (sn *Snapshot) burstiness(e uint64, t, tau int64) float64 {
 // EventCells slices per segment, every segment visited, heads materialized.
 func (sn *Snapshot) burstinessNaive(e uint64, t, tau int64) float64 {
 	var rows [maxRows]float64
-	b := 0.0
-	segs := sn.v.segs
-	if len(segs) > 0 {
-		d := 0
-		for si, g := range segs {
-			cells := g.det.EventCells(e)
-			if si == 0 {
-				d = len(cells)
-				if d > maxRows {
-					d = maxRows
-				}
-				for i := 0; i < d; i++ {
-					rows[i] = 0
-				}
-			}
-			for i, c := range cells {
-				if i < d {
-					rows[i] += pbe.Burstiness(c, t, tau)
-				}
-			}
+	d := 0
+	for _, g := range sn.v.segs {
+		det := g.detector()
+		if det == nil {
+			continue
 		}
-		b = medianInPlace(rows[:d])
+		cells := det.EventCells(e)
+		d = min(len(cells), maxRows)
+		for i, c := range cells[:d] {
+			rows[i] += pbe.Burstiness(c, t, tau)
+		}
 	}
+	b := medianInPlace(rows[:d])
 	for _, h := range sn.heads() {
 		b += h.burstiness(e, t, tau)
 	}
@@ -246,22 +220,34 @@ func (v *crossView) Estimate(t int64) float64 {
 }
 
 func (v *crossView) Breakpoints() []int64 {
-	var lists [][]int64
+	scr := queryScratchPool.Get().(*queryScratch)
+	lists, bounds := scr.lists[:0], scr.bounds[:0]
 	for _, g := range v.sn.v.segs {
-		for _, c := range g.det.EventCells(v.e) {
+		det := g.detector()
+		if det == nil {
+			continue
+		}
+		scr.cells = det.AppendEventCells(v.e, scr.cells[:0])
+		for _, c := range scr.cells {
 			lists = append(lists, c.Breakpoints())
 		}
 		// The segment boundary itself: past MaxT every cell's estimate
 		// holds its exact count, a shape change the cells of *other*
-		// segments do not know about.
-		lists = append(lists, []int64{g.meta.MaxT})
+		// segments do not know about. MaxT ascends along segs, so the
+		// boundaries are one sorted list.
+		bounds = append(bounds, g.meta.MaxT)
 	}
+	lists = append(lists, bounds)
 	for _, h := range v.sn.heads() {
 		if ts := h.arrivals(v.e); len(ts) > 0 {
 			lists = append(lists, ts)
 		}
 	}
-	return mergeSorted(lists)
+	out := mergeSorted(lists, &scr.merge)
+	clear(lists) // the pool must not pin the cells' breakpoint lists
+	scr.lists, scr.bounds, scr.cells = lists[:0], bounds[:0], scr.cells[:0]
+	queryScratchPool.Put(scr)
+	return out
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ): the maximal time
@@ -317,12 +303,7 @@ func (sn *Snapshot) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, e
 // window events.
 func (sn *Snapshot) burstyCandidates(t int64, theta float64, tau int64) ([]uint64, error) {
 	lo, hi := t-2*tau+1, t
-	var active []*Segment
-	for _, g := range sn.v.segs {
-		if g.meta.MinT <= hi && g.meta.MaxT >= lo {
-			active = append(active, g)
-		}
-	}
+	active := sn.segsInWindow(t, tau)
 	var activeHeads []*memHead
 	for _, h := range sn.heads() {
 		if h.activeIn(lo, hi) {
@@ -346,7 +327,9 @@ func (sn *Snapshot) burstyCandidates(t int64, theta float64, tau int64) ([]uint6
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ids[i], errs[i] = g.det.BurstyEvents(t, perComponent, tau)
+			if det := g.detector(); det != nil {
+				ids[i], errs[i] = det.BurstyEvents(t, perComponent, tau)
+			}
 		}(i, g)
 	}
 	wg.Wait()
@@ -394,11 +377,12 @@ func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurst
 	lo, hi := t-2*tau+1, t
 	seen := make(map[uint64]struct{})
 	var candidates []uint64
-	for _, g := range sn.v.segs {
-		if g.meta.MinT > hi || g.meta.MaxT < lo {
+	for _, g := range sn.segsInWindow(t, tau) {
+		det := g.detector()
+		if det == nil {
 			continue
 		}
-		top, err := g.det.TopBursty(t, k, tau)
+		top, err := det.TopBursty(t, k, tau)
 		if err != nil {
 			return nil, err
 		}
@@ -476,17 +460,30 @@ func (sn *Snapshot) MinTime() int64 {
 	return 0
 }
 
-// Bytes returns the approximate summary footprint: sealed sketch bytes plus
-// the head element logs.
+// Bytes returns the approximate footprint held in memory now: per sealed
+// segment the decoded summary once something has touched it and the
+// verified file bytes until then, plus the head element logs.
 func (sn *Snapshot) Bytes() int {
 	total := 0
 	for _, g := range sn.v.segs {
-		total += g.det.Bytes()
+		total += g.bytes()
 	}
 	for _, h := range sn.heads() {
 		total += h.bytes()
 	}
 	return total
+}
+
+// Resident returns how many sealed segments are decoded in memory; the rest
+// hold their verified file bytes until a query first touches them.
+func (sn *Snapshot) Resident() int {
+	n := 0
+	for _, g := range sn.v.segs {
+		if g.resident() {
+			n++
+		}
+	}
+	return n
 }
 
 // Segments returns the sealed segments' introspection records in time
@@ -496,8 +493,8 @@ func (sn *Snapshot) Segments() []SegmentInfo {
 	for i, g := range sn.v.segs {
 		out[i] = SegmentInfo{
 			ID: g.meta.ID, Start: g.meta.Start, End: g.meta.End,
-			Elements: g.meta.Elements, Bytes: g.det.Bytes(),
-			File: g.meta.File, Compacted: g.meta.Compacted,
+			Elements: g.meta.Elements, Bytes: g.bytes(),
+			File: g.meta.File, Compacted: g.meta.Compacted, Resident: g.resident(),
 			Tier: g.meta.Tier, Gamma: g.meta.Gamma, W: g.meta.W, Res: g.meta.Res,
 		}
 	}
@@ -544,7 +541,7 @@ func (sn *Snapshot) Tiers() []TierStats {
 		}
 		ts.Segments++
 		ts.Elements += g.meta.Elements
-		ts.Bytes += g.det.Bytes()
+		ts.Bytes += g.bytes()
 		if g.meta.MinT < ts.MinT {
 			ts.MinT = g.meta.MinT
 		}
@@ -734,38 +731,67 @@ func medianInPlace(vals []float64) float64 {
 	return (vals[n/2-1] + vals[n/2]) / 2
 }
 
-// mergeSorted merges sorted int64 lists into one sorted deduplicated list.
-func mergeSorted(lists [][]int64) []int64 {
-	total := 0
+// mergeSorted merges sorted int64 lists into one sorted deduplicated list by
+// rounds of pairwise merges — O(total · log len(lists)) against the
+// scan-every-list-per-output mergeSortedNaive it replaced. Each round reads
+// the previous round's lists and writes the next into the other of the two
+// scratch buffers; lists is reordered in place. The result is freshly
+// allocated (callers keep it), the buffers are not.
+//
+//histburst:fastpath mergeSortedNaive
+func mergeSorted(lists [][]int64, bufs *[2][]int64) []int64 {
+	total, n := 0, 0
 	for _, l := range lists {
-		total += len(l)
+		if len(l) > 0 {
+			lists[n] = l
+			n++
+			total += len(l)
+		}
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]int64, 0, total)
-	idx := make([]int, len(lists))
-	for {
-		var best int64
-		found := false
-		for i, l := range lists {
-			if idx[i] >= len(l) {
-				continue
-			}
-			if v := l[idx[i]]; !found || v < best {
-				best, found = v, true
-			}
+	lists = lists[:n]
+	for round := 0; len(lists) > 1; round++ {
+		buf := bufs[round&1]
+		if cap(buf) < total {
+			buf = make([]int64, 0, total)
+			bufs[round&1] = buf
 		}
-		if !found {
-			return out
-		}
-		if len(out) == 0 || out[len(out)-1] != best {
-			out = append(out, best)
-		}
-		for i, l := range lists {
-			for idx[i] < len(l) && l[idx[i]] == best {
-				idx[i]++
+		buf = buf[:0]
+		n = 0
+		for i := 0; i < len(lists); i += 2 {
+			var b []int64
+			if i+1 < len(lists) {
+				b = lists[i+1]
 			}
+			start := len(buf)
+			buf = mergeTwo(buf, lists[i], b)
+			lists[n] = buf[start:len(buf):len(buf)]
+			n++
+		}
+		lists = lists[:n]
+	}
+	// The copy out of scratch is also the dedupe a lone list still owes.
+	return mergeTwo(make([]int64, 0, len(lists[0])), lists[0], nil)
+}
+
+// mergeTwo appends the sorted deduplicated union of sorted a and b to dst.
+func mergeTwo(dst, a, b []int64) []int64 {
+	first := len(dst)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var v int64
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			v = a[i]
+			i++
+		} else {
+			v = b[j]
+			j++
+		}
+		if len(dst) == first || dst[len(dst)-1] != v {
+			dst = append(dst, v)
 		}
 	}
+	return dst
 }

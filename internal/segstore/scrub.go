@@ -12,9 +12,12 @@ import (
 
 // The scrubber is the store's background integrity check. Open verifies
 // every segment once; bit rot does not wait for restarts, so the scrubber
-// re-reads each sealed segment file on a jittered interval and compares it
-// against its manifest meta (CRC via the detector loader, parameter pin,
-// element count). A segment that fails is quarantined: removed from the
+// re-reads each sealed segment file on a jittered interval and verifies its
+// bytes exactly as Open does (verifySegment: magic, CRC over the whole
+// file, then the header's parameter pin and element count against the
+// manifest meta). A pass reads and checksums; it decodes nothing, so it
+// neither builds and discards a detector per segment nor makes a cold
+// segment resident. A segment that fails is quarantined: removed from the
 // live set manifest-first, its file moved to quarantine/ for forensics,
 // and a fresh view published so queries keep serving the survivors. The
 // query layer reports the missing span by widening the error envelope
@@ -63,7 +66,7 @@ func (s *Store) scrubOnce() error {
 			return firstErr
 		default:
 		}
-		if _, err := s.loadSegment(g.meta); err != nil {
+		if _, err := s.verifySegment(g.meta); err != nil {
 			if qerr := s.quarantine(g.meta, err); qerr != nil && firstErr == nil {
 				firstErr = qerr
 			}

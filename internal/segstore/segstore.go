@@ -237,7 +237,8 @@ const DefaultScrubInterval = time.Minute
 // Open opens (or creates) a store in dir. An empty dir makes the store
 // volatile: fully functional, nothing persisted. If dir holds a manifest,
 // the segment directory is recovered from it — every referenced segment
-// file is loaded and verified (a damaged one is quarantined, not fatal),
+// file is read and verified (a damaged one is quarantined, not fatal) and
+// its summary left undecoded until a query first touches it,
 // unreferenced segment or temp files (debris of a crashed seal or
 // compaction) are swept, and the write-ahead log is replayed into the head
 // so nothing acked before the crash is missing.
@@ -331,7 +332,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s.quarantined = man.Quarantined //histburst:allow lockguard -- Open constructs the store before it is shared
 		newDamage := false
 		for _, meta := range man.Segments {
-			seg, err := s.loadSegment(meta)
+			data, err := s.verifySegment(meta)
 			if err != nil {
 				// Referenced files were fsynced before the manifest named
 				// them, so this is real damage, not a crash artifact —
@@ -342,7 +343,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 				s.quarantined = append(s.quarantined, meta)
 				newDamage = true
 			} else {
-				s.segs = append(s.segs, seg)
+				s.segs = append(s.segs, &Segment{meta: meta, fileBytes: len(data), owner: s, raw: data})
 			}
 			if meta.MaxT > frontier {
 				frontier = meta.MaxT
@@ -462,23 +463,31 @@ func checkConfigAgainstManifest(cfg, man histburst.SketchParams) error {
 	return nil
 }
 
-// loadSegment loads and verifies one manifest-referenced segment file.
-// Referenced files were fsynced before the manifest named them, so a load
-// failure here is real damage, not a crash artifact — fail loudly.
-func (s *Store) loadSegment(meta SegmentMeta) (*Segment, error) {
-	det, err := histburst.LoadFile(filepath.Join(s.dir, meta.File))
+// verifySegment reads one manifest-referenced segment file and checks it
+// against the manifest as far as its bytes allow: magic and CRC over the
+// whole file, then the sketch parameters and element count its header
+// carries. It returns the verified bytes; the summary inside them is decoded
+// when something first needs it (Segment.detector). Referenced files were
+// fsynced before the manifest named them, so a failure here is real damage,
+// not a crash artifact — fail loudly.
+func (s *Store) verifySegment(meta SegmentMeta) ([]byte, error) {
+	path := filepath.Join(s.dir, meta.File)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: segment %d: %w", meta.ID, err)
 	}
-	p, ok := det.Params()
-	if !ok || p != meta.effectiveParams(s.params) {
+	h, err := histburst.Inspect(data)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: segment %d: %s: %w", meta.ID, path, err)
+	}
+	if !h.PBE2 || h.Params != meta.effectiveParams(s.params) {
 		return nil, fmt.Errorf("segstore: segment %d: sketch parameters do not match manifest", meta.ID)
 	}
-	if det.N() != meta.Elements {
+	if h.N != meta.Elements {
 		return nil, fmt.Errorf("segstore: segment %d: %d elements, manifest says %d",
-			meta.ID, det.N(), meta.Elements)
+			meta.ID, h.N, meta.Elements)
 	}
-	return &Segment{meta: meta, det: det}, nil
+	return data, nil
 }
 
 // sweepOrphans removes segment and temp files the manifest does not
@@ -948,7 +957,7 @@ func (s *Store) buildSegment(h *memHead) (*Segment, error) {
 			return nil, err
 		}
 	}
-	return &Segment{meta: meta, det: det}, nil
+	return residentSegment(meta, det), nil
 }
 
 // writeManifestLocked persists the current segment directory. Volatile
@@ -1044,7 +1053,7 @@ func (s *Store) bootstrapInstall(det *histburst.Detector) error {
 		}
 	}
 	s.nextID++
-	s.segs = append(s.segs, &Segment{meta: meta, det: det})
+	s.segs = append(s.segs, residentSegment(meta, det))
 	s.gen++
 	if err := s.writeManifestLocked(); err != nil {
 		return err

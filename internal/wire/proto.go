@@ -148,6 +148,9 @@ type Stats struct {
 	Quarantined int
 	ReadOnly    bool
 	HeadElems   int64
+	// Resident is how many of Segments are decoded in memory; the rest hold
+	// verified file bytes until a query first touches them.
+	Resident int
 }
 
 // NackError is a refused request surfaced to the client caller.
@@ -501,6 +504,7 @@ func encodeStatsResp(id uint64, st Stats) []byte {
 	w.Uvarint(uint64(st.Quarantined))
 	w.Bool(st.ReadOnly)
 	w.Uvarint(uint64(st.HeadElems))
+	w.Uvarint(uint64(st.Resident))
 	return w.Bytes()
 }
 
@@ -517,6 +521,7 @@ func decodeStatsResp(r *binenc.Reader) (Stats, error) {
 		Quarantined: int(r.Len(1 << 30)),
 		ReadOnly:    r.Bool(),
 		HeadElems:   int64(r.Uvarint()),
+		Resident:    int(r.Len(1 << 30)),
 	}
 	if err := r.Close(); err != nil {
 		return Stats{}, fmt.Errorf("wire: stats response: %w", err)

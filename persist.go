@@ -112,7 +112,7 @@ func (d *Detector) Clone() (*Detector, error) {
 	if err := d.Save(&buf); err != nil {
 		return nil, err
 	}
-	return Load(&buf)
+	return Decode(buf.Bytes())
 }
 
 // LoadFile reads a detector from a file written by SaveFile (or any saved
@@ -134,27 +134,62 @@ func LoadFile(path string) (*Detector, error) {
 // configuration is part of the serialized form. Corrupt or truncated input
 // of any shape yields an error, never a panic, and cannot trigger
 // allocations beyond a small multiple of the input size.
-//
-//histburst:decoder
 func Load(r io.Reader) (*Detector, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return Decode(data)
+}
+
+// Header is what a serialized detector says about itself ahead of its
+// summary blob — what Inspect can vouch for without decoding the summary.
+type Header struct {
+	// Params and PBE2 are what Detector.Params reports for the decoded
+	// detector (PBE2 is its ok result).
+	Params SketchParams
+	PBE2   bool
+	// N is the ingested element count.
+	N int64
+}
+
+// Inspect verifies a serialized detector as far as its bytes can be verified
+// without decoding the summary: the magic, the CRC32-C footer over the whole
+// file, and every header field under the bounds Decode applies. It accepts
+// exactly the inputs whose magic, checksum and header Decode accepts, at the
+// cost of one pass over the bytes — what remains for Decode to reject is a
+// summary blob that is malformed under a valid checksum, which no torn write
+// or bit flip can produce.
+func Inspect(data []byte) (Header, error) {
+	det, _, _, err := decodeHeader(data)
+	if err != nil {
+		return Header{}, err
+	}
+	h := Header{N: det.n}
+	h.Params, h.PBE2 = det.Params()
+	return h, nil
+}
+
+// decodeHeader checks data's magic and checksum and decodes everything ahead
+// of the summary: the detector with its configuration and counters set and
+// no summary yet, the cell factory that configuration selects, and the blob.
+//
+//histburst:decoder
+func decodeHeader(data []byte) (*Detector, cmpbe.Factory, []byte, error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagicV2) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagicV2[:3]) {
-			return nil, fmt.Errorf("histburst: unsupported detector format HBD%d (this build reads HBD2 only)", magic[3])
+			return nil, nil, nil, fmt.Errorf("histburst: unsupported detector format HBD%d (this build reads HBD2 only)", magic[3])
 		}
-		return nil, fmt.Errorf("histburst: bad magic (not a detector file)")
+		return nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
 	if len(data) < 4 {
-		return nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
+		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
 	}
 	body, footer := data[:len(data)-4], data[len(data)-4:]
 	want := binary.LittleEndian.Uint32(footer)
 	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
+		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
 	}
 	dec := binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above
@@ -178,19 +213,20 @@ func Load(r io.Reader) (*Detector, error) {
 	outOfOrder := dec.Varint()
 	blob := dec.BytesBlob()
 	if err := dec.Close(); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
+		return nil, nil, nil, fmt.Errorf("histburst: %w", err)
 	}
 	if k == 0 {
-		return nil, fmt.Errorf("histburst: corrupt detector file: empty id space")
+		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: empty id space")
 	}
 	if k > maxEventSpace {
-		return nil, fmt.Errorf("histburst: corrupt detector file: implausible id space %d", k)
+		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible id space %d", k)
 	}
 	if c.d <= 0 || c.w <= 0 || c.d > maxSketchDim || c.w > maxSketchDim {
-		return nil, fmt.Errorf("histburst: corrupt detector file: implausible sketch dimensions %d×%d", c.d, c.w)
+		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible sketch dimensions %d×%d", c.d, c.w)
 	}
 
 	var factory cmpbe.Factory
+	var err error
 	switch {
 	case c.usePBE1 && c.pbe1CapMode:
 		factory, err = cmpbe.PBE1ErrorCapFactory(c.bufferN, c.pbe1Cap)
@@ -200,14 +236,24 @@ func Load(r io.Reader) (*Detector, error) {
 		factory, err = cmpbe.PBE2Factory(c.gamma)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("histburst: corrupt detector file: %w", err)
+		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: %w", err)
 	}
-
 	det := &Detector{
 		k: k, cfg: c,
 		n: n, minT: minT, maxT: maxT, lastT: lastT, started: started, outOfOrder: outOfOrder,
 	}
-	if c.noIndex {
+	return det, factory, blob, nil
+}
+
+// Decode is Load for bytes already in memory; data is not retained.
+//
+//histburst:decoder
+func Decode(data []byte) (*Detector, error) {
+	det, factory, blob, err := decodeHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	if det.cfg.noIndex {
 		v, err := cmpbe.UnmarshalAny(blob, factory)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
@@ -223,8 +269,8 @@ func Load(r io.Reader) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	if tree.K() != roundPow2(k) {
-		return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", k, tree.K())
+	if tree.K() != roundPow2(det.k) {
+		return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
 	}
 	base, ok := tree.Level(0).(baseLevel)
 	if !ok {
