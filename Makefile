@@ -2,18 +2,18 @@
 
 GO ?= go
 
-.PHONY: all check build vet bench-module test race race-segstore crash decay-smoke load-smoke alert-smoke lint lint-self lint-check bench bench-smoke bench-baseline bench-json bench-figures experiments fuzz clean
+.PHONY: all check build vet bench-module test race race-segstore race-build crash decay-smoke load-smoke alert-smoke lint lint-self lint-check bench bench-smoke bench-baseline bench-json bench-figures experiments fuzz clean
 
 all: build vet test
 
 # Full pre-merge gate: compile, static checks (vet plus the repo's own
 # analyzers, including the linter's own sources), tests, race detector, the
-# crash/fault-injection suite, the time-decayed compaction smoke, a
-# sustained-load smoke over both serving transports, the standing-query
-# alert smoke, and one iteration of every benchmark so a broken benchmark
-# can't rot unnoticed. bench-module covers the one Go module `./...` cannot
-# reach.
-check: build vet bench-module lint-check test race race-segstore crash decay-smoke load-smoke alert-smoke bench-smoke
+# chunked-construction equivalence at several Ps, the crash/fault-injection
+# suite, the time-decayed compaction smoke, a sustained-load smoke over both
+# serving transports, the standing-query alert smoke, and one iteration of
+# every benchmark so a broken benchmark can't rot unnoticed. bench-module
+# covers the one Go module `./...` cannot reach.
+check: build vet bench-module lint-check test race race-segstore race-build crash decay-smoke load-smoke alert-smoke bench-smoke
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,15 @@ race:
 # always exercises them fresh.
 race-segstore:
 	$(GO) test -race -count 1 -run 'TestConcurrent' ./internal/segstore/ ./cmd/burstd/
+
+# Chunked, level-major construction under the race detector at one, two and
+# four Ps, uncached: Detector.Append's fan-out over the dyadic levels must
+# save to the bytes of the per-element Tree.Append twin, every reader must
+# settle the pending chunk first, and 64 goroutines querying one finished
+# detector must not race.
+race-build:
+	$(GO) test -race -count 1 -cpu 1,2,4 -run 'TestAppendBatch|TestFlushBeforeRead|TestBuildParallel' \
+		. ./internal/dyadic/ ./internal/cmpbe/
 
 # Durability gate: crash-at-every-byte sweeps over the WAL, segment, and
 # manifest write paths, bit-flip corruption recovery, the subprocess

@@ -40,6 +40,9 @@ func DownsampleDetectors(parts []*Detector, gamma float64, res int64, w int) (*D
 			return nil, fmt.Errorf("histburst: configuration mismatch; partitions must share all options")
 		}
 	}
+	if err := settledParts(parts); err != nil {
+		return nil, err
+	}
 	if first.cfg.usePBE1 {
 		return nil, fmt.Errorf("histburst: only PBE-2 detectors are downsampleable")
 	}

@@ -71,7 +71,7 @@ func ExampleSingle() {
 }
 
 // ExampleBuildParallel summarizes a bulk load on several goroutines; the
-// result answers queries like a sequentially built detector.
+// result is the detector sequential ingestion builds.
 func ExampleBuildParallel() {
 	var elems []histburst.Element
 	for t := int64(0); t < 3000; t++ {

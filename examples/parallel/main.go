@@ -1,7 +1,6 @@
 // Parallel: build the same summary with 1 worker and with GOMAXPROCS
-// workers over time-disjoint partitions (paper Section III-A: "parallel
-// processing on mutually exclusive time ranges can be leveraged to improve
-// system throughput"), then show both answer queries equivalently.
+// workers sharing the dyadic index's levels, then show both answer queries
+// identically (the two detectors are byte-for-byte the same summary).
 package main
 
 import (
@@ -45,7 +44,7 @@ func main() {
 	fmt.Printf("parallel:   %v (%d workers, %.1fx speedup)\n",
 		parTime, workers, float64(seqTime)/float64(parTime))
 
-	// Both summaries answer the same questions with the same guarantees.
+	// One summary, built two ways: the columns are equal.
 	tau := workload.Day
 	fmt.Println("\nday  b(soccer) sequential  b(soccer) parallel")
 	for day := int64(16); day <= 22; day++ {

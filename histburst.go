@@ -35,6 +35,7 @@ import (
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
+	"histburst/internal/stream"
 )
 
 // TimeRange is a half-open interval [Start, End) of time instants.
@@ -129,12 +130,22 @@ func WithoutEventIndex() Option {
 }
 
 // Detector answers historical burstiness queries over a mixed event stream.
-// It is not safe for concurrent use; wrap it in a mutex or shard by stream.
+//
+// It is not safe for concurrent use while appending — Append, and the first
+// read after one, mutate it — so wrap a detector that is still taking
+// arrivals in a mutex, or shard by stream. After Finish and until the next
+// Append any number of goroutines may query, Save or Clone it.
 type Detector struct {
 	k    uint64
 	cfg  config       // resolved configuration, kept for serialization
 	tree *dyadic.Tree // nil when the event index is disabled
 	base baseLevel    // leaf-level summary (tree level 0, or standalone)
+
+	// pending holds clamped arrivals the index has not taken yet: Append
+	// hands them to the tree pendingCap at a time (dyadic.Tree.AppendBatch),
+	// every reader of the summary settles them first, and Finish releases
+	// the buffer, so finished, loaded and merged detectors carry none.
+	pending []stream.Element
 
 	n          int64
 	minT       int64
@@ -266,10 +277,26 @@ func NewFromParams(p SketchParams) (*Detector, error) {
 	return New(p.K, opts...)
 }
 
+// pendingCap is how many arrivals Append collects before the index takes
+// them in one level-major pass: large enough that a level's cells are reused
+// many times per pass and the fork-join is paid once per few milliseconds of
+// work, small enough (64 KiB) that the chunk itself stays cached across the
+// levels.
+const pendingCap = 4096
+
 // Append ingests one element. Elements must arrive in non-decreasing time
 // order; a timestamp below the frontier is clamped to it and counted in
 // OutOfOrder. Event ids at or above K are folded into the space by modulo.
 func (d *Detector) Append(e uint64, t int64) {
+	if d.stage(e, t) {
+		d.flush(runtime.GOMAXPROCS(0))
+	}
+}
+
+// stage clamps and counts one arrival and either feeds it straight to the
+// standalone base level (no index: one level, nothing to batch) or buffers
+// it for the index, reporting whether the chunk is now full.
+func (d *Detector) stage(e uint64, t int64) (full bool) {
 	if d.started && t < d.lastT {
 		d.outOfOrder++
 		t = d.lastT
@@ -279,14 +306,35 @@ func (d *Detector) Append(e uint64, t int64) {
 	}
 	d.lastT = t
 	d.started = true
-	if d.tree != nil {
-		d.tree.Append(e, t) // feeds every level including the base
-	} else {
-		d.base.Append(e%d.K(), t)
-	}
 	d.n++
 	if t > d.maxT {
 		d.maxT = t
+	}
+	if d.tree == nil {
+		d.base.Append(e%d.K(), t)
+		return false
+	}
+	if d.pending == nil {
+		d.pending = make([]stream.Element, 0, pendingCap)
+	}
+	d.pending = append(d.pending, stream.Element{Event: e, Time: t})
+	return len(d.pending) == pendingCap
+}
+
+// flush feeds the pending chunk to every level of the index on at most
+// workers goroutines.
+func (d *Detector) flush(workers int) {
+	d.tree.AppendBatch(d.pending, workers)
+	d.pending = d.pending[:0]
+}
+
+// settle makes the summary reflect every Append so far. Every method that
+// reads or hands out the summary calls it first; on a finished detector the
+// chunk is empty and nothing is written, which is what keeps concurrent
+// queries of one race-free.
+func (d *Detector) settle() {
+	if len(d.pending) != 0 {
+		d.flush(runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -295,6 +343,10 @@ func (d *Detector) Append(e uint64, t int64) {
 // valid and include all ingested data. Idempotent.
 func (d *Detector) Finish() {
 	if d.tree != nil {
+		if d.pending != nil { // a finished detector is left unwritten: Save and Clone run beside queries
+			d.settle()
+			d.pending = nil
+		}
 		d.tree.Finish()
 		return
 	}
@@ -316,6 +368,7 @@ func (d *Detector) OutOfOrder() int64 { return d.outOfOrder }
 // CumulativeFrequency returns the estimate F̃_e(t) of how many times event e
 // was mentioned up to and including time t.
 func (d *Detector) CumulativeFrequency(e uint64, t int64) float64 {
+	d.settle()
 	return d.base.EstimateF(e%d.K(), t)
 }
 
@@ -326,6 +379,7 @@ func (d *Detector) CumulativeFrequency(e uint64, t int64) float64 {
 // detectors row by row before the median; the cells alias the detector's
 // internal state and must be treated as read-only.
 func (d *Detector) EventCells(e uint64) []pbe.PBE {
+	d.settle()
 	return d.base.EventCells(e % d.K())
 }
 
@@ -335,6 +389,7 @@ func (d *Detector) EventCells(e uint64) []pbe.PBE {
 //
 //histburst:fastpath EventCells
 func (d *Detector) AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE {
+	d.settle()
 	return d.base.AppendEventCells(e%d.K(), buf)
 }
 
@@ -344,6 +399,7 @@ func (d *Detector) Burstiness(e uint64, t, tau int64) (float64, error) {
 	if tau <= 0 {
 		return 0, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
 	}
+	d.settle()
 	return d.base.Burstiness(e%d.K(), t, tau), nil
 }
 
@@ -354,6 +410,7 @@ func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange,
 	if tau <= 0 {
 		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
 	}
+	d.settle()
 	internal := d.base.BurstyTimes(e%d.K(), theta, tau)
 	out := make([]TimeRange, len(internal))
 	for i, r := range internal {
@@ -381,6 +438,7 @@ func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, er
 	if tau <= 0 {
 		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
 	}
+	d.settle()
 	if procs := runtime.GOMAXPROCS(0); procs >= 2 && d.K() >= parallelSearchMinK {
 		return d.tree.BurstyEventsParallel(t, theta, tau, procs, nil)
 	}
@@ -401,6 +459,7 @@ func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, erro
 	if d.tree == nil {
 		return nil, fmt.Errorf("histburst: event index disabled (WithoutEventIndex)")
 	}
+	d.settle()
 	scores, err := d.tree.TopBursty(t, k, tau, nil)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
@@ -414,6 +473,7 @@ func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, erro
 
 // Bytes returns the detector's summary footprint in bytes.
 func (d *Detector) Bytes() int {
+	d.settle()
 	if d.tree != nil {
 		return d.tree.Bytes()
 	}

@@ -23,6 +23,7 @@ import (
 	"histburst/internal/pbe"
 	"histburst/internal/pbe1"
 	"histburst/internal/pbe2"
+	"histburst/internal/stream"
 )
 
 // Factory creates one empty PBE cell. Cells are created eagerly at sketch
@@ -148,6 +149,34 @@ func (s *Sketch) Append(e uint64, t int64) {
 	if s.bytesMemo.Load() != 0 {
 		s.bytesMemo.Store(0)
 	}
+}
+
+// AppendBatch ingests elems in order, each under the id Event>>shift (the
+// dyadic tree's level-ℓ aggregate id), row-major: one row's w cells take the
+// whole batch before the next row starts, so they stay cached, and the
+// counters move once per batch. Every cell receives exactly the Append(t)
+// sequence that calling Append per element would hand it.
+//
+//histburst:fastpath Append
+func (s *Sketch) AppendBatch(elems []stream.Element, shift uint) {
+	for i, row := range s.cells {
+		for _, el := range elems {
+			row[s.hf.Hash(i, el.Event>>shift)].Append(el.Time)
+		}
+	}
+	s.n += int64(len(elems))
+	s.maxT = batchMaxTime(elems, s.maxT)
+	s.bytesMemo.Store(0)
+}
+
+// batchMaxTime returns the largest of cur and the batch's timestamps.
+func batchMaxTime(elems []stream.Element, cur int64) int64 {
+	for _, el := range elems {
+		if el.Time > cur {
+			cur = el.Time
+		}
+	}
+	return cur
 }
 
 // Finish flushes every cell. Idempotent.

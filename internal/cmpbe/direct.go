@@ -2,9 +2,11 @@ package cmpbe
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"histburst/internal/pbe"
+	"histburst/internal/stream"
 )
 
 // Direct is the degenerate sketch for a small id space: one PBE per id,
@@ -17,6 +19,11 @@ type Direct struct {
 	cells []pbe.PBE
 	n     int64
 	maxT  int64
+
+	// AppendBatch's counting-sort scratch, released by Finish: each cell's
+	// run end within the batch, and the batch's timestamps grouped by cell.
+	batchEnd   []int32
+	batchTimes []int64
 
 	// bytesMemo caches Bytes()+1 (0 = invalid); see Sketch.bytesMemo.
 	//
@@ -51,10 +58,66 @@ func (d *Direct) Append(e uint64, t int64) {
 	}
 }
 
+// AppendBatch ingests elems in order, each under the id Event>>shift, with
+// the counters moved once per batch; see Sketch.AppendBatch. A batch with at
+// least one arrival per cell on average is fed cell-major: a stable counting
+// sort groups its timestamps by cell, so each cell's state is loaded once
+// per batch instead of once per arrival, and every cell still receives its
+// arrivals in stream order.
+//
+//histburst:fastpath Append
+func (d *Direct) AppendBatch(elems []stream.Element, shift uint) {
+	ids := uint64(len(d.cells))
+	cell := func(e uint64) uint64 {
+		if e >>= shift; e >= ids {
+			e %= ids
+		}
+		return e
+	}
+	if uint64(len(elems)) < ids {
+		for _, el := range elems {
+			d.cells[cell(el.Event)].Append(el.Time)
+		}
+	} else {
+		if d.batchEnd == nil {
+			d.batchEnd = make([]int32, ids)
+		}
+		end := d.batchEnd
+		clear(end)
+		for _, el := range elems {
+			end[cell(el.Event)]++
+		}
+		sum := int32(0)
+		for c, n := range end {
+			end[c] = sum // where cell c's run starts; the scatter below advances it to the run's end
+			sum += n
+		}
+		d.batchTimes = slices.Grow(d.batchTimes[:0], len(elems))[:len(elems)]
+		for _, el := range elems {
+			c := cell(el.Event)
+			d.batchTimes[end[c]] = el.Time
+			end[c]++
+		}
+		lo := int32(0)
+		for c, hi := range end {
+			for _, t := range d.batchTimes[lo:hi] {
+				d.cells[c].Append(t)
+			}
+			lo = hi
+		}
+	}
+	d.n += int64(len(elems))
+	d.maxT = batchMaxTime(elems, d.maxT)
+	d.bytesMemo.Store(0)
+}
+
 // Finish flushes every cell. Idempotent.
 func (d *Direct) Finish() {
 	for _, c := range d.cells {
 		c.Finish()
+	}
+	if d.batchEnd != nil { // leave a finished summary unwritten: readers may be running
+		d.batchEnd, d.batchTimes = nil, nil
 	}
 	d.bytesMemo.Store(0)
 }

@@ -1,9 +1,12 @@
 package cmpbe
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"histburst/internal/stream"
 )
 
 // The query-path overhaul must be invisible in results: every fast path is
@@ -207,6 +210,82 @@ func TestBurstinessZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: Burstiness allocates %.1f times per op, want 0", name, allocs)
+		}
+	}
+}
+
+// TestAppendBatchMatchesAppend holds both summaries' batched ingest to the
+// per-element twin: same bytes, counters and footprint (a stale Bytes memo
+// would show), for PBE-2 and PBE-1 cells, across batch boundaries, shifted
+// ids, ids beyond a Direct's space, and a second round after Finish.
+func TestAppendBatchMatchesAppend(t *testing.T) {
+	data := mixedStream(5, 3000, 200)
+	for i := range data {
+		if i%7 == 0 {
+			data[i].Event += 1 << 20 // folded by Direct, hashed as is by Sketch
+		}
+	}
+	factories := map[string]func() (Factory, error){
+		"pbe2": func() (Factory, error) { return PBE2Factory(2) },
+		"pbe1": func() (Factory, error) { return PBE1Factory(64, 8) },
+	}
+	type summary interface {
+		Append(e uint64, t int64)
+		AppendBatch(elems []stream.Element, shift uint)
+		Finish()
+		N() int64
+		MaxTime() int64
+		Bytes() int
+		MarshalBinary() ([]byte, error)
+	}
+	for name, mk := range factories {
+		f, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shift := range []uint{0, 3} {
+			build := func() []summary {
+				s, err := New(3, 16, 7, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := NewDirect(32, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return []summary{s, d}
+			}
+			want, got := build(), build()
+			for k := range want {
+				w, g := want[k], got[k]
+				g.Bytes() // fill the memo the batch must invalidate
+				for round, part := range []stream.Stream{data[:2000], data[2000:]} {
+					for _, el := range part {
+						w.Append(el.Event>>shift, el.Time)
+					}
+					g.AppendBatch(nil, shift)
+					for lo := 0; lo < len(part); lo += 701 {
+						g.AppendBatch(part[lo:min(lo+701, len(part))], shift)
+					}
+					if g.Bytes() != w.Bytes() {
+						t.Fatalf("%s %T shift %d round %d: open Bytes %d, per-element %d", name, g, shift, round, g.Bytes(), w.Bytes())
+					}
+					w.Finish()
+					g.Finish()
+					wb, err := w.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					gb, err := g.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(gb, wb) || g.N() != w.N() || g.MaxTime() != w.MaxTime() || g.Bytes() != w.Bytes() {
+						t.Fatalf("%s %T shift %d round %d: batched ingest differs from per-element (N %d/%d, maxT %d/%d, Bytes %d/%d)",
+							name, g, shift, round, g.N(), w.N(), g.MaxTime(), w.MaxTime(), g.Bytes(), w.Bytes())
+					}
+				}
+			}
 		}
 	}
 }

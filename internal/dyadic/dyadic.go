@@ -15,8 +15,11 @@ package dyadic
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"histburst/internal/cmpbe"
+	"histburst/internal/stream"
 )
 
 // Level is one level's summary: a sketch over that level's aggregate-id
@@ -92,7 +95,9 @@ func (t *Tree) Levels() int { return len(t.levels) }
 // point queries against the leaf CM-PBE) may type-assert the result.
 func (t *Tree) Level(i int) Level { return t.levels[i] }
 
-// Append ingests one element into every level.
+// Append ingests one element into every level: the per-element protocol the
+// paper's construction-cost figures time, and the reference AppendBatch is
+// held byte-identical to.
 func (t *Tree) Append(e uint64, ts int64) {
 	if e >= t.k {
 		e %= t.k // defensive: fold out-of-range ids into the space
@@ -103,6 +108,85 @@ func (t *Tree) Append(e uint64, ts int64) {
 	t.n++
 	if ts > t.maxT {
 		t.maxT = ts
+	}
+}
+
+// fanOutMin is the batch size below which AppendBatch stays on the calling
+// goroutine: starting and joining a worker costs a few microseconds, about
+// what one level spends on fifty arrivals. It matters to a caller that
+// queries between appends, whose batches are one arrival long — fanned out,
+// an append-then-query loop on a K = 1024 detector measured 3.5 µs against
+// 1.7 µs inline.
+const fanOutMin = 256
+
+// batchLevel is a Level that takes a whole batch under the aggregate id
+// Event>>shift with its bookkeeping hoisted out of the element loop; both
+// cmpbe summaries do.
+type batchLevel interface {
+	AppendBatch(elems []stream.Element, shift uint)
+}
+
+// AppendBatch ingests elems — non-decreasing in time like Append's arrivals;
+// ids at or above K are folded in place — level-major: each level takes the
+// whole batch before the next one starts, so its cells stay cached for
+// len(elems) appends instead of one, and since no two levels share state the
+// levels are shared out over at most workers goroutines, all joined before
+// it returns. Every cell of every level receives exactly the Append(t)
+// sequence that calling Append per element would hand it, so the summary is
+// byte-identical to Append's.
+//
+// Levels are claimed in ascending order, which is heaviest first: a
+// Count-Min level costs d times a collision-free one, and CMPBELevels puts
+// those at the bottom of the tree.
+//
+//histburst:fastpath Append
+func (t *Tree) AppendBatch(elems []stream.Element, workers int) {
+	if len(elems) == 0 {
+		return
+	}
+	for i := range elems {
+		if elems[i].Event >= t.k {
+			elems[i].Event %= t.k
+		}
+		if elems[i].Time > t.maxT {
+			t.maxT = elems[i].Time
+		}
+	}
+	t.n += int64(len(elems))
+
+	workers = min(workers, len(t.levels))
+	if workers <= 1 || len(elems) < fanOutMin {
+		for lv := range t.levels {
+			t.appendLevel(lv, elems)
+		}
+		return
+	}
+	var next atomic.Int32
+	feed := func() {
+		for lv := int(next.Add(1)) - 1; lv < len(t.levels); lv = int(next.Add(1)) - 1 {
+			t.appendLevel(lv, elems)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := 1; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			feed()
+		}()
+	}
+	feed() // the caller is a worker too
+	wg.Wait()
+}
+
+// appendLevel feeds one level the batch under that level's aggregate ids.
+func (t *Tree) appendLevel(lv int, elems []stream.Element) {
+	if b, ok := t.levels[lv].(batchLevel); ok {
+		b.AppendBatch(elems, uint(lv))
+		return
+	}
+	for _, el := range elems {
+		t.levels[lv].Append(el.Event>>lv, el.Time)
 	}
 }
 

@@ -2,7 +2,6 @@ package histburst
 
 import (
 	"fmt"
-	"sync"
 
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
@@ -79,6 +78,9 @@ func MergeDetectors(parts []*Detector) (*Detector, error) {
 			return nil, fmt.Errorf("histburst: configuration mismatch; partitions must share all options")
 		}
 	}
+	if err := settledParts(parts); err != nil {
+		return nil, err
+	}
 	out := &Detector{
 		k: first.k, cfg: first.cfg,
 		n: first.n, minT: first.minT, maxT: first.maxT, lastT: first.lastT,
@@ -129,6 +131,20 @@ func MergeDetectors(parts []*Detector) (*Detector, error) {
 	return out, nil
 }
 
+// settledParts refuses a part that still buffers arrivals. MergeDetectors
+// and DownsampleDetectors never mutate their sources, so they cannot settle
+// one, and the per-cell "not finished" guard below them cannot see it: a part
+// whose elements all sit in the pending chunk has untouched cells and would
+// pass — counted in N, absent from the summary.
+func settledParts(parts []*Detector) error {
+	for i, p := range parts {
+		if len(p.pending) != 0 {
+			return fmt.Errorf("histburst: merge source %d not finished", i)
+		}
+	}
+	return nil
+}
+
 // mergeBaseMany streams the standalone (index-free) base levels of the
 // detectors into one merged summary.
 func mergeBaseMany(parts []*Detector) (baseLevel, error) {
@@ -158,10 +174,10 @@ func mergeBaseMany(parts []*Detector) (baseLevel, error) {
 	}
 }
 
-// BuildParallel constructs a Detector over a time-sorted bulk load by
-// splitting it into time-disjoint partitions (never splitting a timestamp),
-// summarizing each partition on its own goroutine, and merging the partial
-// detectors in time order. The result is identical to sequential ingestion.
+// BuildParallel constructs a Detector over a time-sorted bulk load, feeding
+// the index's levels on up to workers goroutines (capped at the level count,
+// log₂K + 1; Append itself uses up to GOMAXPROCS). The result is identical
+// to sequential ingestion, byte for byte.
 func BuildParallel(k uint64, elems []Element, workers int, opts ...Option) (*Detector, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("histburst: workers must be at least 1, got %d", workers)
@@ -171,70 +187,20 @@ func BuildParallel(k uint64, elems []Element, workers int, opts ...Option) (*Det
 			return nil, fmt.Errorf("histburst: elements out of order at index %d", i)
 		}
 	}
-	parts := partition(elems, workers)
-	dets := make([]*Detector, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part []Element) {
-			defer wg.Done()
-			det, err := New(k, opts...)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			for _, el := range part {
-				det.Append(el.Event, el.Time)
-			}
-			det.Finish()
-			dets[i] = det
-		}(i, part)
+	det, err := New(k, opts...)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, el := range elems {
+		if det.stage(el.Event, el.Time) {
+			det.flush(workers)
 		}
 	}
-	if len(dets) == 0 {
-		return New(k, opts...)
+	if len(det.pending) != 0 {
+		det.flush(workers)
 	}
-	out := dets[0]
-	for _, det := range dets[1:] {
-		if err := out.MergeAppend(det); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// partition splits a sorted element slice into up to n contiguous parts,
-// moving each cut forward so no timestamp straddles two parts.
-func partition(elems []Element, n int) [][]Element {
-	if len(elems) == 0 {
-		return nil
-	}
-	if n > len(elems) {
-		n = len(elems)
-	}
-	var parts [][]Element
-	start := 0
-	for i := 0; i < n && start < len(elems); i++ {
-		end := start + (len(elems)-start)/(n-i)
-		if end >= len(elems) {
-			end = len(elems)
-		} else {
-			for end < len(elems) && elems[end].Time == elems[end-1].Time {
-				end++
-			}
-		}
-		if end > start {
-			parts = append(parts, elems[start:end])
-		}
-		start = end
-	}
-	return parts
+	det.Finish()
+	return det, nil
 }
 
 // mergeBase merges standalone (index-free) base levels.
