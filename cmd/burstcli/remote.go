@@ -31,6 +31,10 @@ func runRemote(addr string, point, times, evts, stats bool, e uint64, t, tau int
 		fmt.Printf("id space:       %d (γ=%g)\n", st.EventSpace, h.Gamma)
 		fmt.Printf("time span:      [0, %d]\n", st.MaxTime)
 		fmt.Printf("sketch size:    %s\n", metrics.HumanBytes(int(st.Bytes)))
+		if st.Bytes > 0 {
+			fmt.Printf("process heap:   %s (%.2f× the sketch size it counts)\n",
+				metrics.HumanBytes(int(st.HeapAlloc)), float64(st.HeapAlloc)/float64(st.Bytes))
+		}
 		fmt.Printf("segments:       %d (%d resident, %d quarantined, head %d elems)\n",
 			st.Segments, st.Resident, st.Quarantined, st.HeadElems)
 		if st.ReadOnly {

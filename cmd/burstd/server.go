@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"sync/atomic"
 	"syscall"
@@ -291,10 +292,26 @@ func (s *server) healthBody(status string) map[string]any {
 		"ready":    s.ready.Load(),
 		"readOnly": s.readOnly.Load(),
 		"store":    h,
-		"segments": map[string]int{"total": len(sn.Segments()), "resident": sn.Resident()},
+		// Counted against held: bytes is what the resident summaries say
+		// they hold (segment payload; cold segments count their file
+		// bytes), heap_alloc_bytes what the process really keeps alive.
+		"bytes":            sn.Bytes(),
+		"heap_alloc_bytes": heapAllocBytes(),
+		"segments":         map[string]int{"total": len(sn.Segments()), "resident": sn.Resident()},
 		"tiers":    sn.Tiers(),
 		"alerts":   s.alerts.hub.Stats(),
 	}
+}
+
+// heapAllocBytes is the live Go heap (runtime.MemStats.HeapAlloc, without
+// the stop-the-world that reading MemStats costs).
+func heapAllocBytes() uint64 {
+	sample := []rtmetrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindUint64 {
+		return 0
+	}
+	return sample[0].Value.Uint64()
 }
 
 // handleHealthz is the liveness probe: always 200 while the process serves

@@ -36,6 +36,7 @@ func (s *server) Stats() wire.Stats {
 		ReadOnly:    s.readOnly.Load(),
 		HeadElems:   sn.Head().Elements,
 		Resident:    sn.Resident(),
+		HeapAlloc:   int64(heapAllocBytes()),
 	}
 }
 

@@ -174,6 +174,18 @@ func TestWireHTTPQueryEquivalence(t *testing.T) {
 			st.ReadOnly != out["readOnly"].(bool) {
 			t.Fatalf("wire %+v, http %v", st, out)
 		}
+		// Counted beside held, on both transports: the store's bytes agree
+		// to the byte, the heap is a live reading on each.
+		var health map[string]any
+		if code := getJSON(t, ts.URL+"/healthz", &health); code != 200 {
+			t.Fatalf("healthz: HTTP %d", code)
+		}
+		if health["bytes"] != float64(st.Bytes) || health["bytes"] != out["bytes"] {
+			t.Fatalf("bytes: healthz %v, /v1/stats %v, wire %d", health["bytes"], out["bytes"], st.Bytes)
+		}
+		if heap, _ := health["heap_alloc_bytes"].(float64); heap <= 0 || st.HeapAlloc <= 0 {
+			t.Fatalf("heap_alloc_bytes: healthz %v, wire %d, want live readings", health["heap_alloc_bytes"], st.HeapAlloc)
+		}
 	})
 
 	t.Run("errors", func(t *testing.T) {

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"strings"
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
+	"histburst/internal/pbe2/pbe2test"
 )
 
 // FuzzLoad ensures the detector loader never panics on arbitrary bytes and
@@ -45,7 +50,9 @@ func FuzzLoad(f *testing.F) {
 // FuzzDetectorLoad targets the full detector decode path: valid HBD2 blobs,
 // retired-generation HBD1 blobs (must be refused, not decoded), their
 // truncations, and bit flips. Load must never panic, never allocate
-// unboundedly, and anything accepted must survive query and re-save.
+// unboundedly, and anything accepted must survive query and re-save — and
+// every PBE-2 cell it carries must be one the search kernels can trust
+// (checkSearchable).
 func FuzzDetectorLoad(f *testing.F) {
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(2, 8)},
@@ -74,26 +81,119 @@ func FuzzDetectorLoad(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0x10
 		f.Add(flipped)
 	}
+	f.Add(unsortedCellFile(f))
 	f.Add([]byte{})
 	f.Add([]byte("HBD\x02 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
+		// Each input twice: as it is, and under a recomputed checksum — the
+		// only way a mutated summary gets past the CRC to the cell decoders.
+		inputs := [][]byte{data}
+		if len(data) > 4 {
+			resealed := append([]byte(nil), data...)
+			body := resealed[:len(resealed)-4]
+			binary.LittleEndian.PutUint32(resealed[len(body):], crc32.Checksum(body, crcTable))
+			inputs = append(inputs, resealed)
 		}
-		if _, err := d.Burstiness(1, 30, 10); err != nil {
-			t.Fatalf("loaded detector cannot query: %v", err)
-		}
-		var out bytes.Buffer
-		if err := d.Save(&out); err != nil {
-			t.Fatalf("loaded detector cannot re-save: %v", err)
-		}
-		if _, err := Load(&out); err != nil {
-			t.Fatalf("re-saved detector does not load: %v", err)
+		for _, in := range inputs {
+			d, err := Load(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if _, err := d.Burstiness(1, 30, 10); err != nil {
+				t.Fatalf("loaded detector cannot query: %v", err)
+			}
+			checkSearchable(t, d)
+			var out bytes.Buffer
+			if err := d.Save(&out); err != nil {
+				t.Fatalf("loaded detector cannot re-save: %v", err)
+			}
+			if _, err := Load(&out); err != nil {
+				t.Fatalf("re-saved detector does not load: %v", err)
+			}
 		}
 	})
+}
+
+// unsortedCellFile is a detector file, checksum valid, one of whose PBE-2
+// cells carries a segment that starts before its predecessor.
+func unsortedCellFile(t testing.TB) []byte {
+	t.Helper()
+	det, err := New(8, WithPBE2(2), WithSketchDims(2, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for burst := int64(0); burst < 4; burst++ { // rises no single line follows
+		for i := 0; i < 12; i++ {
+			det.Append(1, 10+burst*50)
+		}
+	}
+	var buf bytes.Buffer
+	if err := det.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	if !pbe2test.Unsort(data) {
+		t.Fatal("fixture: no PBE-2 cell with two segments in the file")
+	}
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crcTable))
+	return data
+}
+
+// TestLoadRejectsUnsearchableCell: a checksum only proves the bytes are the
+// ones written. A cell whose segments are out of order is refused by name
+// where the parent decoded it and binary-searched it anyway.
+func TestLoadRejectsUnsearchableCell(t *testing.T) {
+	data := unsortedCellFile(t)
+	if _, err := Inspect(data); err != nil {
+		t.Fatalf("fixture: the verifier rejects the forged file: %v", err)
+	}
+	_, err := Decode(data)
+	if err == nil || !strings.Contains(err.Error(), "pbe2: segment 1 starts before its predecessor") {
+		t.Fatalf("Decode of an unsorted cell: %v, want the pbe2 decoder's refusal", err)
+	}
+}
+
+// checkSearchable asserts the invariants pbe2's decoder promises of every
+// cell it lets through, exactly the ones its queries binary-search and
+// evaluate by: starts ascend, no segment ends before it starts or after its
+// successor starts, coefficients are finite.
+func checkSearchable(t *testing.T, d *Detector) {
+	t.Helper()
+	type celled interface {
+		EventCells(e uint64) []pbe.PBE
+	}
+	levels := []any{d.base}
+	if d.tree != nil {
+		for lv := 1; lv < d.tree.Levels(); lv++ {
+			levels = append(levels, d.tree.Level(lv))
+		}
+	}
+	for lv, l := range levels {
+		for e := uint64(0); e < roundPow2(d.K())>>uint(lv); e++ {
+			for _, c := range l.(celled).EventCells(e) {
+				b, ok := c.(*pbe2.Builder)
+				if !ok {
+					continue
+				}
+				segs := b.Segments()
+				for i, s := range segs {
+					switch {
+					case math.IsNaN(s.A) || math.IsInf(s.A, 0) || math.IsNaN(s.B) || math.IsInf(s.B, 0):
+						t.Fatalf("level %d id %d: segment %d has non-finite coefficients: %+v", lv, e, i, s)
+					case s.End < s.Start:
+						t.Fatalf("level %d id %d: segment %d ends before it starts: %+v", lv, e, i, s)
+					case i > 0 && s.Start < segs[i-1].Start:
+						t.Fatalf("level %d id %d: segment %d starts before its predecessor: %+v then %+v", lv, e, i, segs[i-1], s)
+					case i > 0 && s.Start < segs[i-1].End:
+						t.Fatalf("level %d id %d: segment %d starts before its predecessor ends: %+v then %+v", lv, e, i, segs[i-1], s)
+					}
+				}
+			}
+		}
+	}
 }
 
 // FuzzInspect holds the header-only verifier to Decode: it never panics; what

@@ -49,8 +49,11 @@ type PBE interface {
 	// Count returns the number of arrivals ingested so far.
 	Count() int64
 
-	// Bytes returns the summary's heap footprint in bytes (the space cost
-	// reported by the experiments).
+	// Bytes returns the summary's footprint in bytes: the payload its
+	// arrays hold (curve points for PBE-1, segment columns for PBE-2) — the
+	// space cost the experiments report, and the part that grows with the
+	// history. It does not count the summary's own struct, a fixed cost a
+	// sketch pays once per cell.
 	Bytes() int
 }
 

@@ -1,0 +1,163 @@
+package pbe2
+
+import (
+	"testing"
+	"unsafe"
+
+	"histburst/internal/stream"
+)
+
+// TestBuilderSize pins the per-cell struct: a K-cell sketch pays it K times
+// per level per resident segment, and Bytes() does not count it. The open
+// window's region lives behind a pointer so that a resting summary does not
+// carry it.
+func TestBuilderSize(t *testing.T) {
+	if got := unsafe.Sizeof(Builder{}); got > 176 {
+		t.Fatalf("Sizeof(Builder{}) = %d, want at most 176", got)
+	}
+}
+
+// longRunStream is a nanosecond-clock stream whose bursts sit more than 2³²
+// ticks apart: every burst rises by more than γ in one instant, so the window
+// that follows it opens on the burst's own corner and spans the whole flat
+// run up to the next one, the handful of arrivals before it included: they
+// rise by less than γ. (It does so for γ of a few dozen: the region of a
+// 2³²-tick window is γ/2³² wide in slope, and under geometry.Eps the builder
+// falls back to a point segment and a held gap.)
+func longRunStream(origin int64, bursts int) (ts stream.TimestampSeq, runs [][2]int64) {
+	cur := origin
+	for k := 0; k < bursts; k++ {
+		// A few ordinary arrivals microseconds apart, the burst, then the
+		// long silence.
+		for j := 0; j < 3; j++ {
+			ts = append(ts, cur)
+			cur += 1500
+		}
+		for j := 0; j < 200; j++ {
+			ts = append(ts, cur)
+		}
+		if k > 0 {
+			runs[k-1][1] = cur - 1
+		}
+		if k+1 < bursts {
+			runs = append(runs, [2]int64{cur, 0})
+		}
+		cur += 1<<32 + int64(k+1)*1_000_003
+	}
+	return ts, runs
+}
+
+func countLong(b *Builder) int {
+	if b.long == nil {
+		return 0
+	}
+	return len(*b.long)
+}
+
+// probeSegments checks that the segments too long for a lens slot are exactly
+// the stream's flat runs, and F − γ ≤ F̃ ≤ F across each: both ends, their
+// neighbours, the middle, and either side of the instants where a length
+// truncated to 31 or 32 bits would end it.
+func probeSegments(t *testing.T, what string, b *Builder, ts stream.TimestampSeq, runs [][2]int64, gamma float64) {
+	t.Helper()
+	long := 0
+	for _, s := range b.Segments() {
+		if s.End-s.Start < lenTag {
+			continue
+		}
+		if long == len(runs) || s.Start != runs[long][0] || s.End != runs[long][1] {
+			t.Fatalf("%s: long segment %d spans [%d, %d], want the flat runs %v", what, long, s.Start, s.End, runs)
+		}
+		long++
+		wrap32 := s.Start + int64(uint32(s.End-s.Start))
+		wrap31 := s.Start + (s.End-s.Start)&(lenTag-1)
+		for _, q := range [...]int64{
+			s.Start, s.Start + 1, s.Start + (s.End-s.Start)/2,
+			wrap31 - 1, wrap31, wrap31 + 1, wrap32 - 1, wrap32, wrap32 + 1,
+			s.Start + lenTag - 1, s.Start + lenTag, s.End - 1, s.End, s.End + 1,
+		} {
+			checkInstant(t, what, b.Estimate(q), float64(ts.CountAtOrBefore(q)), gamma, q)
+		}
+	}
+	if long != len(runs) || long != countLong(b) {
+		t.Fatalf("%s: %d segments longer than 31 bits, long table holds %d, the stream has %d flat runs",
+			what, long, countLong(b), len(runs))
+	}
+}
+
+// TestLongSegmentLengths: a segment whose length does not fit a lens slot
+// takes the side table, and nothing downstream can tell.
+func TestLongSegmentLengths(t *testing.T) {
+	const origin, gamma = int64(1.7e18), 64.0
+	ts, runs := longRunStream(origin, 6)
+	b := buildPBE2(t, ts, gamma)
+	probeSegments(t, "built", b, ts, runs, gamma)
+	if got, want := b.Bytes(), 28*b.NumSegments()+8*countLong(b); got != want {
+		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+
+	blob, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Builder
+	if err := back.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	want := b.Segments()
+	got := back.Segments()
+	if len(got) != len(want) {
+		t.Fatalf("round trip: %d segments, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("round trip: segment %d is %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	probeSegments(t, "decoded", &back, ts, runs, gamma)
+	again, err := back.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != string(blob) {
+		t.Fatal("re-marshalled bytes differ")
+	}
+
+	// Append after Finish: the stream goes on, past another long silence.
+	last := ts[len(ts)-1]
+	more, moreRuns := longRunStream(last+1<<33, 3)
+	all := append(append(stream.TimestampSeq(nil), ts...), more...)
+	allRuns := append(append([][2]int64(nil), runs...), moreRuns...)
+	for _, v := range more {
+		back.Append(v)
+	}
+	// The last flat run is still the open window.
+	probeSegments(t, "resumed, open", &back, all, allRuns[:len(allRuns)-1], gamma)
+	back.Finish()
+	probeSegments(t, "resumed", &back, all, allRuns, gamma)
+
+	// MergeAppend onto it: the other partition's long segments land at
+	// shifted indices.
+	tail, tailRuns := longRunStream(all[len(all)-1]+1<<34, 4)
+	other := buildPBE2(t, tail, gamma)
+	before := back.Segments()
+	lift := float64(back.Count())
+	if err := back.MergeAppend(other); err != nil {
+		t.Fatal(err)
+	}
+	all = append(all, tail...)
+	probeSegments(t, "merged", &back, all, append(allRuns, tailRuns...), gamma)
+	merged := back.Segments()
+	for i, s := range other.Segments() {
+		s.B += lift
+		if merged[len(before)+i] != s {
+			t.Fatalf("merged segment %d is %+v, want %+v", len(before)+i, merged[len(before)+i], s)
+		}
+	}
+	fin, err := MergeFinished([]*Builder{b, other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probeSegments(t, "MergeFinished", fin, append(append(stream.TimestampSeq(nil), ts...), tail...),
+		append(append([][2]int64(nil), runs...), tailRuns...), gamma)
+}

@@ -16,7 +16,7 @@ var (
 )
 
 // segStart returns the i-th closed segment's start time.
-func (b *Builder) segStart(i int) int64 { return b.segs[i].Start }
+func (b *Builder) segStart(i int) int64 { return b.starts[i] }
 
 // centroidCache lazily computes the open region's centroid line once.
 // Queries must not mutate the Builder (they run concurrently under read
@@ -39,8 +39,8 @@ func (b *Builder) liveHead(t int64, cc *centroidCache) (float64, bool) {
 	if t >= b.lastT {
 		return float64(b.count), true
 	}
-	w := &b.win
-	if t < w.winStart {
+	w := b.win
+	if w == nil || t < w.winStart {
 		return 0, false
 	}
 	if w.open {
@@ -58,18 +58,20 @@ func (b *Builder) liveHead(t int64, cc *centroidCache) (float64, bool) {
 
 // segValue maps a segment index found for t (-1 = before the first segment)
 // to the estimate: the segment's line inside its span, the held final value
-// in the flat gap after it.
+// in the flat gap after it. It is segVal(b.seg(i), t) spelled out on the
+// columns: assembling the Segment first costs it its place in the inlining
+// budget, and every scan evaluates through here.
 //
 //histburst:noalloc
 func (b *Builder) segValue(i int, t int64) float64 {
 	if i < 0 {
 		return 0
 	}
-	s := b.segs[i]
-	if t <= s.End {
-		return clampNonNegative(s.Eval(t))
+	if end := b.starts[i] + b.segLen(i); t > end {
+		t = end
 	}
-	return clampNonNegative(s.Eval(s.End))
+	ln := b.lines[i]
+	return clampNonNegative(ln.A*float64(t) + ln.B)
 }
 
 // Estimate3 evaluates F̃ at three ascending instants t0 ≤ t1 ≤ t2 in one
@@ -94,8 +96,7 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 	if i2 < 0 {
 		return 0, 0, 0 // t0 ≤ t1 ≤ t2 all precede the first segment
 	}
-	segs := b.segs
-	s2 := segs[i2]
+	s2 := b.seg(i2)
 	f2 = segVal(s2, t2)
 	starts := b.starts
 	i1 := i2
@@ -106,7 +107,7 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 		if i1 < 0 {
 			return 0, 0, f2 // t0 ≤ t1, so both precede the first segment
 		}
-		s2 = segs[i1]
+		s2 = b.seg(i1)
 	}
 	f1 = segVal(s2, t1) // s2 now holds segment i1
 	i0 := i1
@@ -117,7 +118,7 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 		if i0 < 0 {
 			return 0, f1, f2
 		}
-		s2 = segs[i0]
+		s2 = b.seg(i0)
 	}
 	f0 = segVal(s2, t0)
 	return f0, f1, f2
@@ -300,6 +301,6 @@ func (c *Cursor) Estimate(t int64) float64 {
 	if v, ok := b.liveHead(t, &c.cc); ok {
 		return v
 	}
-	c.hint = pbe.AdvanceIndex(c.hint, len(b.segs), t, b.segStart)
+	c.hint = pbe.AdvanceIndex(c.hint, len(b.starts), t, b.segStart)
 	return b.segValue(c.hint, t)
 }

@@ -121,8 +121,8 @@ func TestCursorMatchesEstimate(t *testing.T) {
 // a linear reference over every segment boundary.
 func TestSearchFullMatchesLinear(t *testing.T) {
 	b, horizon := buildRandom(t, 41, 4000, true)
-	if len(b.segs) < 16 {
-		t.Fatalf("want a summary long enough for the interpolation path, got %d segments", len(b.segs))
+	if b.NumSegments() < 16 {
+		t.Fatalf("want a summary long enough for the interpolation path, got %d segments", b.NumSegments())
 	}
 	ref := func(tm int64) int {
 		for i := len(b.starts) - 1; i >= 0; i-- {

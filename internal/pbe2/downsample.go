@@ -49,8 +49,8 @@ func (c *srcCursor) est(t int64) float64 {
 	if b.started && t >= b.lastT {
 		return float64(b.count)
 	}
-	segs := b.segs
-	for c.i+1 < len(segs) && segs[c.i+1].Start <= t {
+	starts := b.starts
+	for c.i+1 < len(starts) && starts[c.i+1] <= t {
 		c.i++
 	}
 	return b.segValue(c.i, t)
@@ -60,25 +60,24 @@ func (c *srcCursor) est(t int64) float64 {
 // segment breakpoints aligned up to the res grid — in non-decreasing order.
 type memberIter struct {
 	cur   srcCursor
-	segs  []Segment
-	lastT int64
-	j     int
+	j     int // next segment of cur.b to yield breakpoints from
 	phase int8
 	next  int64 // next aligned candidate; math.MaxInt64 when exhausted
 }
 
 //histburst:noalloc
 func (m *memberIter) advance(res int64) {
-	for m.j < len(m.segs) {
+	b := m.cur.b
+	for m.j < len(b.starts) {
 		if m.phase == 0 {
 			m.phase = 1
-			m.next = alignUp(m.segs[m.j].Start, res)
+			m.next = alignUp(b.starts[m.j], res)
 			return
 		}
-		raw := m.segs[m.j].End + 1
+		raw := b.starts[m.j] + b.segLen(m.j) + 1
 		m.phase = 0
 		m.j++
-		if raw <= m.lastT {
+		if raw <= b.lastT {
 			m.next = alignUp(raw, res)
 			return
 		}
@@ -151,8 +150,8 @@ func partBounds(part []*Builder) (pin, lastT, count int64, gammaSum float64, out
 			continue
 		}
 		started = true
-		if len(m.segs) > 0 && m.segs[0].Start < pin {
-			pin = m.segs[0].Start
+		if len(m.starts) > 0 && m.firstStart < pin {
+			pin = m.firstStart
 		}
 		if m.lastT > lastT {
 			lastT = m.lastT
@@ -170,7 +169,7 @@ func partBounds(part []*Builder) (pin, lastT, count int64, gammaSum float64, out
 // The kernel streams: member breakpoints merge on the fly (no materialized
 // candidate list), sources are evaluated through amortized-O(1) cursors,
 // and the clip arena comes from the shared scratch pool, so a call does no
-// allocation beyond the output's own segment array.
+// allocation beyond the output's own segment columns.
 //
 //histburst:fastpath downsampleNaive
 func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) error {
@@ -194,7 +193,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 			continue // contributes nothing, exactly as MergeAppend skips it
 		}
 		if anyStarted && pin < prevLast {
-			out.win.release()
+			out.rest()
 			return fmt.Errorf("pbe2: time ranges overlap (part ends at %d, next starts at %d)", prevLast, pin)
 		}
 		// The part owns constraint instants up to the next part's boundary
@@ -211,7 +210,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 
 		members := scr.members[:0]
 		for _, m := range part {
-			it := memberIter{cur: srcCursor{b: m, i: -1}, segs: m.segs, lastT: m.lastT}
+			it := memberIter{cur: srcCursor{b: m, i: -1}}
 			it.advance(res)
 			members = append(members, it)
 		}
@@ -269,8 +268,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 		out.started = true
 		out.done = true
 	}
-	out.updateHeadLow()
-	out.win.release()
+	out.rest()
 	return nil
 }
 
@@ -306,7 +304,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 			continue
 		}
 		if anyStarted && pin < prevLast {
-			out.win.release()
+			out.rest()
 			return nil, fmt.Errorf("pbe2: time ranges overlap (part ends at %d, next starts at %d)", prevLast, pin)
 		}
 		capT := partLast
@@ -321,7 +319,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 
 		var cands []int64
 		for _, m := range part {
-			for _, s := range m.segs {
+			for _, s := range m.Segments() {
 				cands = append(cands, alignUp(s.Start, res))
 				if bp := s.End + 1; bp <= m.lastT {
 					cands = append(cands, alignUp(bp, res))
@@ -368,7 +366,6 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 		out.started = true
 		out.done = true
 	}
-	out.updateHeadLow()
-	out.win.release()
+	out.rest()
 	return out, nil
 }

@@ -84,10 +84,10 @@ func (fx *dsFixture) fedInstants(res int64) []int64 {
 			pin := int64(1<<62 - 1)
 			nextStarted := false
 			for _, m := range fx.parts[j] {
-				if m.started && len(m.segs) > 0 {
+				if m.started && len(m.starts) > 0 {
 					nextStarted = true
-					if m.segs[0].Start < pin {
-						pin = m.segs[0].Start
+					if m.starts[0] < pin {
+						pin = m.starts[0]
 					}
 				}
 			}
@@ -98,7 +98,7 @@ func (fx *dsFixture) fedInstants(res int64) []int64 {
 		}
 		var cands []int64
 		for _, m := range part {
-			for _, s := range m.segs {
+			for _, s := range m.Segments() {
 				cands = append(cands, alignUp(s.Start, res))
 				if bp := s.End + 1; bp <= m.lastT {
 					cands = append(cands, alignUp(bp, res))
@@ -151,13 +151,14 @@ func TestDownsampleMatchesNaive(t *testing.T) {
 			t.Fatalf("seed %d: counters diverge: fast{n=%d lastT=%d} naive{n=%d lastT=%d}",
 				tc.seed, fast.count, fast.lastT, naive.count, naive.lastT)
 		}
-		if len(fast.segs) != len(naive.segs) {
-			t.Fatalf("seed %d: %d vs %d segments", tc.seed, len(fast.segs), len(naive.segs))
+		fs, ns := fast.Segments(), naive.Segments()
+		if len(fs) != len(ns) {
+			t.Fatalf("seed %d: %d vs %d segments", tc.seed, len(fs), len(ns))
 		}
-		for i := range fast.segs {
-			if fast.segs[i] != naive.segs[i] {
+		for i := range fs {
+			if fs[i] != ns[i] {
 				t.Fatalf("seed %d: segment %d diverges: %+v vs %+v",
-					tc.seed, i, fast.segs[i], naive.segs[i])
+					tc.seed, i, fs[i], ns[i])
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package pbe2
 
 import (
 	"fmt"
+	"math"
 
 	"histburst/internal/binenc"
 )
@@ -43,14 +44,15 @@ func (b *Builder) MarshalBinary() ([]byte, error) {
 	w.Bool(b.started)
 	w.Bool(b.done)
 	w.Varint(b.outOfOrder)
-	w.Uvarint(uint64(len(b.segs)))
+	w.Uvarint(uint64(len(b.starts)))
 	var prevStart int64
-	for _, s := range b.segs {
-		w.Float64(s.A)
-		w.Float64(s.B)
-		w.Varint(s.Start - prevStart)
-		w.Varint(s.End - s.Start)
-		prevStart = s.Start
+	for i, start := range b.starts {
+		ln := b.lines[i]
+		w.Float64(ln.A)
+		w.Float64(ln.B)
+		w.Varint(start - prevStart)
+		w.Varint(b.segLen(i))
+		prevStart = start
 	}
 	return w.Bytes(), nil
 }
@@ -73,43 +75,43 @@ func (b *Builder) UnmarshalBinary(data []byte) error {
 	done := r.Bool()
 	outOfOrder := r.Varint()
 	n := r.SliceLen(maxSegments, 18) // two f64 plus two varints per segment
-	segs := make([]Segment, n)
-	var prevStart int64
-	for i := range segs {
-		a := r.Float64()
-		bb := r.Float64()
-		start := prevStart + r.Varint()
-		end := start + r.Varint()
-		segs[i] = Segment{A: a, B: bb, Start: start, End: end}
-		prevStart = start
+	nb := Builder{
+		gamma: gamma, maxVertices: maxVerts,
+		starts: make([]int64, n), lens: make([]uint32, n), lines: make([]line, n),
+		count: count, lastT: lastT, prevF: prevF, started: started, done: done,
+		outOfOrder: outOfOrder,
+	}
+	var prevStart, prevEnd int64
+	for i := range nb.starts {
+		ln := line{A: r.Float64(), B: r.Float64()}
+		dStart, length := r.Varint(), r.Varint()
+		start := prevStart + dStart
+		end := start + length
+		// The search kernels assume what the builder guarantees: starts
+		// ascend, a segment ends no earlier than it starts and no later than
+		// its successor starts, coefficients are numbers. A file that says
+		// otherwise would decode into a summary that answers garbage.
+		switch {
+		case math.IsNaN(ln.A) || math.IsInf(ln.A, 0) || math.IsNaN(ln.B) || math.IsInf(ln.B, 0):
+			return fmt.Errorf("pbe2: segment %d has non-finite coefficients", i)
+		case i > 0 && (dStart < 0 || start < prevStart):
+			return fmt.Errorf("pbe2: segment %d starts before its predecessor", i)
+		case length < 0 || end < start:
+			return fmt.Errorf("pbe2: segment %d has a negative length", i)
+		case i > 0 && start < prevEnd:
+			return fmt.Errorf("pbe2: segment %d starts before its predecessor ends", i)
+		}
+		nb.starts[i], nb.lines[i], nb.lens[i] = start, ln, nb.slot(uint64(length))
+		prevStart, prevEnd = start, end
 	}
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("pbe2: %w", err)
 	}
-	nb, err := New(gamma)
-	if err != nil {
+	if err := checkGamma(gamma); err != nil {
 		return fmt.Errorf("pbe2: unmarshal: %w", err)
 	}
-	nb.maxVertices = maxVerts
-	nb.count = count
-	nb.lastT = lastT
-	nb.prevF = prevF
-	nb.started = started
-	nb.done = done
-	nb.outOfOrder = outOfOrder
-	nb.segs = segs
-	nb.starts = make([]int64, len(segs))
-	for i := range segs {
-		nb.starts[i] = segs[i].Start
-	}
-	if len(segs) > 0 {
-		nb.firstStart = nb.starts[0]
-		nb.lastStart = nb.starts[len(segs)-1]
-		if nb.lastStart > nb.firstStart {
-			nb.invSpan = float64(len(segs)-1) / float64(nb.lastStart-nb.firstStart)
-		}
-	}
-	nb.updateHeadLow()
-	*b = *nb
+	nb.boundStarts()
+	*b = nb
+	b.rest() // sets headLow, clips the long table; the columns are exact already
 	return nil
 }

@@ -29,29 +29,49 @@ func (b *Builder) MergeAppend(other pbe.PBE) error {
 	// arrival, which may legally coincide with the receiver's frontier (the
 	// pinned value, once offset, is exactly the merged F there); only a
 	// strictly earlier start means the partitions overlap.
-	if b.started && len(o.segs) > 0 && o.segs[0].Start < b.lastT {
+	if b.started && len(o.starts) > 0 && o.firstStart < b.lastT {
 		return fmt.Errorf("pbe2: time ranges overlap (receiver ends at %d, other starts at %d)",
-			b.lastT, o.segs[0].Start)
+			b.lastT, o.firstStart)
 	}
-	offset := float64(b.count)
-	for _, s := range o.segs {
-		s.B += offset
-		b.appendSegment(s)
-	}
+	b.reserve(len(o.starts))
+	b.appendLifted(o)
 	b.count += o.count
 	b.lastT = o.lastT
 	b.prevF = b.count
 	b.started = b.started || o.started
 	b.done = true
 	b.outOfOrder += o.outOfOrder
-	b.updateHeadLow()
+	b.rest()
 	return nil
+}
+
+// reserve makes room for n more segments in columns of exactly that size, so
+// a merge leaves its result as tight as Finish would.
+func (b *Builder) reserve(n int) {
+	if cap(b.starts)-len(b.starts) >= n {
+		return
+	}
+	total := len(b.starts) + n
+	b.starts = append(make([]int64, 0, total), b.starts...)
+	b.lens = append(make([]uint32, 0, total), b.lens...)
+	b.lines = append(make([]line, 0, total), b.lines...)
+}
+
+// appendLifted appends o's segments raised by the receiver's count: a later
+// partition counts from zero.
+func (b *Builder) appendLifted(o *Builder) {
+	offset := float64(b.count)
+	for i := range o.starts {
+		s := o.seg(i)
+		s.B += offset
+		b.appendSegment(s)
+	}
 }
 
 // MergeFinished builds a fresh summary equivalent to MergeAppend-ing each of
 // parts[1:] onto a clone of parts[0], in order, without materializing any
-// intermediate clones: the segment and start arrays are allocated once at
-// their final size and filled straight from the sources' packed arrays. The
+// intermediate clones: the segment columns are allocated once at their final
+// size and filled straight from the sources' columns. The
 // per-segment arithmetic (one B += float64(receiver count) lift) is the same
 // single float64 addition MergeAppend performs, so the result is
 // bit-identical to the sequential clone+MergeAppend chain.
@@ -83,14 +103,12 @@ func MergeFinishedInto(out *Builder, parts []*Builder) error {
 		if p.gamma != parts[0].gamma {
 			return fmt.Errorf("pbe2: gamma mismatch (%v vs %v)", parts[0].gamma, p.gamma)
 		}
-		total += len(p.segs)
+		total += len(p.starts)
 	}
 	first := parts[0]
 	*out = Builder{
 		gamma:       first.gamma,
 		maxVertices: first.maxVertices,
-		segs:        make([]Segment, 0, total),
-		starts:      make([]int64, 0, total),
 		count:       first.count,
 		lastT:       first.lastT,
 		prevF:       first.prevF,
@@ -98,22 +116,19 @@ func MergeFinishedInto(out *Builder, parts []*Builder) error {
 		done:        first.done,
 		outOfOrder:  first.outOfOrder,
 	}
-	for _, s := range first.segs {
-		out.appendSegment(s)
+	out.reserve(total)
+	for i := range first.starts {
+		out.appendSegment(first.seg(i))
 	}
 	for _, p := range parts[1:] {
 		if p.count == 0 {
 			continue
 		}
-		if out.started && len(p.segs) > 0 && p.segs[0].Start < out.lastT {
+		if out.started && len(p.starts) > 0 && p.firstStart < out.lastT {
 			return fmt.Errorf("pbe2: time ranges overlap (receiver ends at %d, other starts at %d)",
-				out.lastT, p.segs[0].Start)
+				out.lastT, p.firstStart)
 		}
-		offset := float64(out.count)
-		for _, s := range p.segs {
-			s.B += offset
-			out.appendSegment(s)
-		}
+		out.appendLifted(p)
 		out.count += p.count
 		out.lastT = p.lastT
 		out.prevF = out.count
@@ -121,6 +136,6 @@ func MergeFinishedInto(out *Builder, parts []*Builder) error {
 		out.done = true
 		out.outOfOrder += p.outOfOrder
 	}
-	out.updateHeadLow()
+	out.rest()
 	return nil
 }

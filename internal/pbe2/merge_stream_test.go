@@ -58,9 +58,10 @@ func TestMergeFinishedMatchesMergeAppend(t *testing.T) {
 			fast.Count(), naive.Count(), fast.NumSegments(), naive.NumSegments(),
 			fast.lastT, naive.lastT, fast.headLow, naive.headLow)
 	}
-	for i, s := range fast.segs {
-		if s != naive.segs[i] {
-			t.Fatalf("segment %d: %+v != %+v", i, s, naive.segs[i])
+	ns := naive.Segments()
+	for i, s := range fast.Segments() {
+		if s != ns[i] {
+			t.Fatalf("segment %d: %+v != %+v", i, s, ns[i])
 		}
 	}
 	for q := int64(-5); q <= fast.lastT+5; q++ {

@@ -37,21 +37,65 @@ type Segment struct {
 	Start, End int64
 }
 
-// Eval returns the segment's line value at t.
-func (s Segment) Eval(t int64) float64 { return s.A*float64(t) + s.B }
+// line is a closed segment's coefficients as stored.
+type line struct{ A, B float64 }
+
+// lenTag marks a lens slot that holds, in its low 31 bits, an index into the
+// long table instead of a length: the segment is 2³¹ ticks long or more. A
+// flat run of seconds never gets there; one of nanoseconds does after 2.1 s.
+const lenTag = 1 << 31
+
+// slot returns the lens entry for a segment of length n, moving n to the
+// long table when 31 bits cannot hold it.
+func (b *Builder) slot(n uint64) uint32 {
+	if n < lenTag {
+		return uint32(n)
+	}
+	if b.long == nil {
+		b.long = new([]int64)
+	}
+	*b.long = append(*b.long, int64(n))
+	return lenTag | uint32(len(*b.long)-1)
+}
+
+// segLen returns End − Start of the i-th closed segment.
+//
+//histburst:noalloc
+func (b *Builder) segLen(i int) int64 {
+	n := b.lens[i]
+	if n >= lenTag {
+		return (*b.long)[n-lenTag]
+	}
+	return int64(n)
+}
+
+// seg assembles the i-th closed segment from the columns. It is the one
+// reader of the layout: queries, Segments, merge and downsample go through
+// it (or through starts, the search key, and segLen).
+//
+//histburst:noalloc
+func (b *Builder) seg(i int) Segment {
+	start, ln := b.starts[i], b.lines[i]
+	return Segment{A: ln.A, B: ln.B, Start: start, End: start + b.segLen(i)}
+}
 
 // Builder maintains a PBE-2 summary online.
 type Builder struct {
 	gamma       float64
 	maxVertices int // cap on feasible-polygon vertices (0 = unlimited)
 
-	segs []Segment
-	// starts mirrors segs[i].Start. Queries binary-search starts instead of
-	// segs: packing eight candidates per cache line instead of two makes the
-	// probe sequence markedly cheaper. firstStart/lastStart duplicate its
-	// ends so full-range searches resolve boundary cases without touching
-	// the array.
+	// Closed segments, one column per field, index-aligned and clipped to
+	// length by Finish: 28 bytes a segment, nothing stored twice. starts is
+	// the one search key — eight candidates per cache line — and stays a full
+	// int64 so the search kernels compare timestamps as they arrive. lens
+	// holds End − Start, or for the rare length past 31 bits a tagged index
+	// into *long (see lenTag); long is nil until one occurs.
+	// firstStart/lastStart duplicate the ends of starts so full-range
+	// searches resolve boundary cases without touching the array.
 	starts     []int64
+	lens       []uint32
+	lines      []line
+	long       *[]int64
 	firstStart int64
 	lastStart  int64
 	// invSpan is (len(starts)-1)/(lastStart-firstStart), the slope of the
@@ -65,8 +109,9 @@ type Builder struct {
 	headLow int64
 
 	// win is the feasible region of the open window; closed windows land in
-	// segs.
-	win region
+	// the columns. A resting summary has none: Finish drops it and the next
+	// constraint re-creates it.
+	win *region
 
 	// Staircase state: the currently open corner.
 	count   int64 // arrivals so far
@@ -92,14 +137,21 @@ func WithMaxVertices(n int) Option {
 
 // New creates a PBE-2 builder with error cap gamma ≥ 1.
 func New(gamma float64, opts ...Option) (*Builder, error) {
-	if gamma < 1 || math.IsNaN(gamma) || math.IsInf(gamma, 0) {
-		return nil, fmt.Errorf("pbe2: gamma must be at least 1, got %v", gamma)
+	if err := checkGamma(gamma); err != nil {
+		return nil, err
 	}
 	b := &Builder{gamma: gamma, headLow: math.MaxInt64}
 	for _, o := range opts {
 		o(b)
 	}
 	return b, nil
+}
+
+func checkGamma(gamma float64) error {
+	if gamma < 1 || math.IsNaN(gamma) || math.IsInf(gamma, 0) {
+		return fmt.Errorf("pbe2: gamma must be at least 1, got %v", gamma)
+	}
+	return nil
 }
 
 // updateHeadLow recomputes the head dispatch bound; call after any mutation
@@ -112,7 +164,7 @@ func (b *Builder) updateHeadLow() {
 	switch {
 	case !b.started:
 		b.headLow = math.MaxInt64
-	case b.win.open || b.win.pending:
+	case b.win != nil && (b.win.open || b.win.pending):
 		b.headLow = b.win.winStart
 	default:
 		b.headLow = b.lastT
@@ -170,8 +222,10 @@ func (b *Builder) sealCorner(nextT int64) {
 	b.prevF = b.count
 }
 
-// Finish seals the open corner and closes the final segment. Idempotent;
-// Append may be called afterwards.
+// Finish seals the open corner, closes the final segment and clips the
+// segment columns to their length. Idempotent — a Finish on a finished
+// builder writes nothing, so it is safe beside lock-free readers; Append may
+// be called afterwards.
 func (b *Builder) Finish() {
 	if !b.started || b.done {
 		return
@@ -179,8 +233,35 @@ func (b *Builder) Finish() {
 	b.feed(b.lastT, b.count)
 	b.closeWindow()
 	b.done = true
+	b.rest()
+}
+
+// rest puts a sealed builder in its resting form: head dispatch recomputed,
+// the open-window engine (clip arena included) back in its pool, columns
+// exactly as long as the segments they hold.
+func (b *Builder) rest() {
 	b.updateHeadLow()
-	b.win.release()
+	if b.win != nil {
+		b.win.recycle()
+		b.win = nil
+	}
+	b.starts = clipped(b.starts)
+	b.lens = clipped(b.lens)
+	b.lines = clipped(b.lines)
+	if b.long != nil {
+		*b.long = clipped(*b.long)
+	}
+}
+
+// clipped returns s in a backing array of exactly len(s) elements.
+func clipped[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	if len(s) == 0 {
+		return nil
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // feed constrains F̃(t) to [f−γ, f].
@@ -191,6 +272,9 @@ func (b *Builder) feed(t, f int64) {
 // feedRange adds one constraint to the open window, recording the segment
 // of the window it closes, if any.
 func (b *Builder) feedRange(p rpoint) {
+	if b.win == nil {
+		b.win = regionPool.Get().(*region)
+	}
 	if seg, ok := b.win.feed(p, b.maxVertices); ok {
 		b.appendSegment(seg)
 	}
@@ -198,20 +282,31 @@ func (b *Builder) feedRange(p rpoint) {
 
 // closeWindow emits a segment for the open window, if any.
 func (b *Builder) closeWindow() {
+	if b.win == nil {
+		return
+	}
 	if seg, ok := b.win.close(); ok {
 		b.appendSegment(seg)
 	}
 }
 
 func (b *Builder) appendSegment(s Segment) {
-	b.segs = append(b.segs, s)
+	b.lens = append(b.lens, b.slot(uint64(s.End-s.Start)))
 	b.starts = append(b.starts, s.Start)
-	if len(b.starts) == 1 {
-		b.firstStart = s.Start
+	b.lines = append(b.lines, line{A: s.A, B: s.B})
+	b.boundStarts()
+}
+
+// boundStarts refreshes what searchFull keeps beside the starts column: its
+// two ends and the interpolation slope between them.
+func (b *Builder) boundStarts() {
+	n := len(b.starts)
+	if n == 0 {
+		return
 	}
-	b.lastStart = s.Start
-	if s.Start > b.firstStart {
-		b.invSpan = float64(len(b.starts)-1) / float64(s.Start-b.firstStart)
+	b.firstStart, b.lastStart = b.starts[0], b.starts[n-1]
+	if b.lastStart > b.firstStart {
+		b.invSpan = float64(n-1) / float64(b.lastStart-b.firstStart)
 	}
 }
 
@@ -241,17 +336,24 @@ func clampNonNegative(v float64) float64 {
 
 // Segments returns a copy of the closed segments.
 func (b *Builder) Segments() []Segment {
-	return append([]Segment(nil), b.segs...)
+	if len(b.starts) == 0 {
+		return nil
+	}
+	out := make([]Segment, len(b.starts))
+	for i := range out {
+		out[i] = b.seg(i)
+	}
+	return out
 }
 
 // Breakpoints returns the times where F̃ changes shape: each segment start
 // and the instant just past each segment end (where the flat hold begins),
 // plus the open-corner frontier.
 func (b *Builder) Breakpoints() []int64 {
-	out := make([]int64, 0, 2*len(b.segs)+1)
-	for _, s := range b.segs {
-		out = appendBreakpoint(out, s.Start)
-		out = appendBreakpoint(out, s.End+1)
+	out := make([]int64, 0, 2*len(b.starts)+1)
+	for i, start := range b.starts {
+		out = appendBreakpoint(out, start)
+		out = appendBreakpoint(out, start+b.segLen(i)+1)
 	}
 	if b.started {
 		out = appendBreakpoint(out, b.lastT)
@@ -283,8 +385,19 @@ func (b *Builder) Count() int64 { return b.count }
 func (b *Builder) OutOfOrder() int64 { return b.outOfOrder }
 
 // NumSegments returns the number of closed segments.
-func (b *Builder) NumSegments() int { return len(b.segs) }
+func (b *Builder) NumSegments() int { return len(b.starts) }
 
-// Bytes returns the summary footprint: 32 bytes per segment (two float64
-// coefficients and two int64 endpoints).
-func (b *Builder) Bytes() int { return 32 * len(b.segs) }
+// Bytes returns the summary footprint: what the segment columns hold. That
+// is 28 bytes per closed segment (an int64 start, a uint32 length, two
+// float64 coefficients) plus 8 per length too long for 31 bits. Counted:
+// segment payload only. Not counted: the Builder struct itself and the
+// allocator's per-array rounding, a fixed cost per cell that a sketch of K
+// cells pays K times whatever the history's length — and, while a window is
+// open, its feasible region and clip arena, which Finish releases.
+func (b *Builder) Bytes() int {
+	n := 28 * len(b.starts)
+	if b.long != nil {
+		n += 8 * len(*b.long)
+	}
+	return n
+}

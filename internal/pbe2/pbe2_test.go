@@ -285,8 +285,12 @@ func TestBurstyTimesWithinTolerance(t *testing.T) {
 func TestBytesAccounting(t *testing.T) {
 	ts := randomTimestamps(13, 500, 3)
 	b := buildPBE2(t, ts, 2)
-	if got, want := b.Bytes(), 32*b.NumSegments(); got != want {
+	if got, want := b.Bytes(), 28*b.NumSegments(); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
+	}
+	// What Bytes counts is what the columns hold: Finish left no slack.
+	if held := 8*cap(b.starts) + 4*cap(b.lens) + 16*cap(b.lines); held != b.Bytes() {
+		t.Fatalf("finished columns hold %d bytes, Bytes = %d", held, b.Bytes())
 	}
 	segs := b.Segments()
 	if len(segs) != b.NumSegments() {
@@ -312,7 +316,7 @@ func TestBreakpointsSortedUnique(t *testing.T) {
 			}
 		}
 		want := map[int64]bool{b.lastT: true}
-		for _, s := range b.segs {
+		for _, s := range b.Segments() {
 			want[s.Start], want[s.End+1] = true, true
 		}
 		if len(bps) != len(want) {

@@ -33,10 +33,10 @@ type rpoint struct {
 // centroid cancels catastrophically and the emitted line leaves its own
 // window's constraints (by thousands of counts at Unix-epoch timestamps).
 type region struct {
-	// poly aliases scr.bufs[scr.cur] while a window is open; the scratch is
-	// pooled and released when the owner seals, so resting summaries carry
-	// no clip arena.
-	scr  *clipScratch
+	// poly aliases scr.bufs[scr.cur] while a window is open. The engine is
+	// pooled, arena and all, and recycled when its owner seals, so resting
+	// summaries carry neither.
+	scr  clipScratch
 	poly geometry.Polygon
 	open bool // poly is the region of the window [winStart, winEnd]
 
@@ -60,18 +60,16 @@ type clipScratch struct {
 	cur  int
 }
 
-// clipScratchPool recycles arenas across builders: segment builds and
-// compaction runs churn through many short-lived builders, and the buffers
-// reach steady-state capacity after a handful of clips.
-var clipScratchPool = sync.Pool{New: func() any { return new(clipScratch) }}
+// regionPool recycles engines across builders: segment builds and compaction
+// runs churn through many short-lived builders, and the arena's buffers reach
+// steady-state capacity after a handful of clips.
+var regionPool = sync.Pool{New: func() any { return new(region) }}
 
-// release returns the arena to the pool once no open region can reference
-// it. feed reacquires lazily if constraints resume.
-func (r *region) release() {
-	if r.scr != nil {
-		clipScratchPool.Put(r.scr)
-		r.scr = nil
-	}
+// recycle hands the engine back once its owner rests: no window, the arena's
+// capacity kept. The owner takes a fresh one if constraints resume.
+func (r *region) recycle() {
+	*r = region{scr: r.scr}
+	regionPool.Put(r)
 }
 
 // roll closes the open window, if any, and opens a fresh one holding only p.
@@ -123,9 +121,6 @@ func (r *region) feed(p rpoint, maxVertices int) (seg Segment, emitted bool) {
 		}
 		// Two points seed a bounded region (their boundary slopes differ
 		// because timestamps differ).
-		if r.scr == nil {
-			r.scr = clipScratchPool.Get().(*clipScratch)
-		}
 		u0, l0 := r.constraints(rpoint{t: r.winStart, hi: r.v0, slack: r.slack0})
 		u1, l1 := r.constraints(p)
 		poly, ok := geometry.BoundedIntersectionInto([4]geometry.HalfPlane{u0, l0, u1, l1}, &r.scr.bufs[r.scr.cur])
@@ -143,7 +138,7 @@ func (r *region) feed(p rpoint, maxVertices int) (seg Segment, emitted bool) {
 	}
 	upper, lower := r.constraints(p)
 	if upIn, loIn := r.poly.Inside(upper, lower); !upIn || !loIn {
-		scr := r.scr
+		scr := &r.scr
 		dst := &scr.bufs[1-scr.cur]
 		var next geometry.Polygon
 		switch {

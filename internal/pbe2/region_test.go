@@ -97,7 +97,6 @@ func TestFeedMatchesNaive(t *testing.T) {
 			if s, ok := naive.close(); ok {
 				segsNaive = append(segsNaive, s)
 			}
-			fast.release()
 			if len(segsFast) != len(segsNaive) || len(segsFast) < 20 {
 				t.Fatalf("seed %d: %d vs %d segments", seed, len(segsFast), len(segsNaive))
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"histburst"
+	"histburst/internal/pbe2/pbe2test"
 )
 
 // Residency is a property of what queries touch: Open verifies every segment
@@ -251,6 +252,28 @@ func TestConcurrentFirstTouchDecodesOnce(t *testing.T) {
 // to touch it is answered without it and quarantines it; the envelope then
 // reports the hole.
 func TestQuarantineOnFirstTouch(t *testing.T) {
+	quarantineOnFirstTouch(t, func(body []byte) {
+		for i := len(body) / 2; i < len(body); i++ {
+			body[i] = 0xFF // varint continuation bytes without end
+		}
+	})
+}
+
+// TestQuarantineUnsearchableCell is the same story for damage that parses:
+// one PBE-2 cell whose second segment starts before its first, under a
+// recomputed checksum. The cell decoder refuses it, so the segment is served
+// around and quarantined instead of binary-searched.
+func TestQuarantineUnsearchableCell(t *testing.T) {
+	quarantineOnFirstTouch(t, func(body []byte) {
+		if !pbe2test.Unsort(body) {
+			t.Fatal("fixture: no PBE-2 cell with two segments in the segment file")
+		}
+	})
+}
+
+// quarantineOnFirstTouch plants damage in one segment file's body, reseals
+// its checksum, and follows the store from Open to the durable quarantine.
+func quarantineOnFirstTouch(t *testing.T, damage func(body []byte)) {
 	dir, frontier := buildColdDir(t, 4, 64)
 	ref := mustOpen(t, dir, coldConfig())
 	victim := ref.Segments()[1]
@@ -262,9 +285,7 @@ func TestQuarantineOnFirstTouch(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := data[:len(data)-4]
-	for i := len(body) / 2; i < len(body); i++ {
-		body[i] = 0xFF // varint continuation bytes without end
-	}
+	damage(body)
 	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crcTable))
 	if _, err := histburst.Inspect(data); err != nil {
 		t.Fatalf("fixture: the verifier rejects the planted file: %v", err)

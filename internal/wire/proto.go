@@ -151,6 +151,9 @@ type Stats struct {
 	// Resident is how many of Segments are decoded in memory; the rest hold
 	// verified file bytes until a query first touches them.
 	Resident int
+	// HeapAlloc is the serving process's live heap: what it holds, where
+	// Bytes is what the summaries count.
+	HeapAlloc int64
 }
 
 // NackError is a refused request surfaced to the client caller.
@@ -505,6 +508,7 @@ func encodeStatsResp(id uint64, st Stats) []byte {
 	w.Bool(st.ReadOnly)
 	w.Uvarint(uint64(st.HeadElems))
 	w.Uvarint(uint64(st.Resident))
+	w.Uvarint(uint64(st.HeapAlloc))
 	return w.Bytes()
 }
 
@@ -522,6 +526,7 @@ func decodeStatsResp(r *binenc.Reader) (Stats, error) {
 		ReadOnly:    r.Bool(),
 		HeadElems:   int64(r.Uvarint()),
 		Resident:    int(r.Len(1 << 30)),
+		HeapAlloc:   int64(r.Uvarint()),
 	}
 	if err := r.Close(); err != nil {
 		return Stats{}, fmt.Errorf("wire: stats response: %w", err)
