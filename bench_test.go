@@ -193,10 +193,10 @@ func BenchmarkDetectorAppendNoIndex(b *testing.B) {
 // BenchmarkDetectorBuild is the construction cost the paper's §VI reports
 // and lib_paper's set-up pays: a whole olympicrio stream into a fresh
 // detector, Finish included, in ns per element. K=1024 is the benchmark's
-// shape (all 11 levels collision-free Direct summaries); K=65536 has six
-// Count-Min levels under eleven Direct ones, each costing d=5 times a Direct
-// level — the row where uneven level weights would show as a poor -cpu 2
-// over -cpu 1 ratio.
+// shape (three collision-free Direct levels, heights 0, 4 and 8); K=65536 has
+// six Count-Min levels under three Direct ones, each costing d=5 times a
+// Direct level — the row where uneven level weights would show as a poor
+// -cpu 2 over -cpu 1 ratio.
 func BenchmarkDetectorBuild(b *testing.B) {
 	data, err := workload.Generate(workload.OlympicRioSpec(1, 200_000))
 	if err != nil {
@@ -244,14 +244,50 @@ func BenchmarkBurstyTimeQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkBurstyEventQuery times the pruned index search. uniform is a toy —
+// 1024 equally quiet ids, so nearly every query is pruned at the root — kept
+// for its history; the olympicrio rows sweep the benchmark's 256-instant grid
+// (θ = n/5000, τ = one day) over its 600 k-element stream: K = 1024 is
+// lib_paper's shape, three collision-free levels; at K = 65536 the search
+// descends through six Count-Min levels and BurstyEvents fans out over
+// GOMAXPROCS.
 func BenchmarkBurstyEventQuery(b *testing.B) {
-	det, _ := benchDetector(b, 1024, 100_000, histburst.WithPBE2(8))
-	horizon := det.MaxTime()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := det.BurstyEvents(int64(i)%horizon, 100, 1000); err != nil {
-			b.Fatal(err)
+	b.Run("uniform", func(b *testing.B) {
+		det, _ := benchDetector(b, 1024, 100_000, histburst.WithPBE2(8))
+		horizon := det.MaxTime()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := det.BurstyEvents(int64(i)%horizon, 100, 1000); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	spec := workload.OlympicRioSpec(2016, 600_000)
+	spec.Seed = 1
+	data, err := workload.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []uint64{1 << 10, 1 << 16} {
+		b.Run(fmt.Sprintf("olympicrio/K=%d", k), func(b *testing.B) {
+			det, err := histburst.New(k, histburst.WithPBE2(8))
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, el := range data {
+				det.Append(el.Event, el.Time)
+			}
+			det.Finish()
+			const tau, grid = workload.Day, 256
+			theta := float64(len(data)) / 5000
+			span := det.MaxTime() - 2*tau
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := det.BurstyEvents(2*tau+span*int64(i%grid)/grid, theta, tau); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

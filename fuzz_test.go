@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/cmpbe"
 	"histburst/internal/pbe"
 	"histburst/internal/pbe2"
 	"histburst/internal/pbe2/pbe2test"
@@ -47,11 +48,12 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD2 blobs,
+// FuzzDetectorLoad targets the full detector decode path: valid HBD3 blobs,
 // retired-generation HBD1 blobs (must be refused, not decoded), their
 // truncations, and bit flips. Load must never panic, never allocate
 // unboundedly, and anything accepted must survive query and re-save — and
-// every PBE-2 cell it carries must be one the search kernels can trust
+// every level must be the size and hashing its height and header call for
+// (checkShape), every PBE-2 cell one the search kernels can trust
 // (checkSearchable).
 func FuzzDetectorLoad(f *testing.F) {
 	for _, opts := range [][]Option{
@@ -82,8 +84,9 @@ func FuzzDetectorLoad(f *testing.F) {
 		f.Add(flipped)
 	}
 	f.Add(unsortedCellFile(f))
+	f.Add(wrongLeafFile(f))
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x02 nearly"))
+	f.Add([]byte("HBD\x03 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -104,6 +107,7 @@ func FuzzDetectorLoad(f *testing.F) {
 			if _, err := d.Burstiness(1, 30, 10); err != nil {
 				t.Fatalf("loaded detector cannot query: %v", err)
 			}
+			checkShape(t, d)
 			checkSearchable(t, d)
 			var out bytes.Buffer
 			if err := d.Save(&out); err != nil {
@@ -156,6 +160,45 @@ func TestLoadRejectsUnsearchableCell(t *testing.T) {
 	}
 }
 
+// indexLevels lists a detector's summaries with their heights: the base
+// level alone without an index.
+func indexLevels(d *Detector) (levels []any, heights []int) {
+	if d.tree == nil {
+		return []any{d.base}, []int{0}
+	}
+	for i := 0; i < d.tree.Levels(); i++ {
+		levels = append(levels, d.tree.Level(i))
+	}
+	return levels, d.tree.Heights()
+}
+
+// checkShape asserts what the decoder promises of every level it lets
+// through: a collision-free level has one cell per aggregate id of its
+// height, a Count-Min level the header's dimensions and the seed of its
+// height — so no id is folded onto another's cell by a level of the wrong
+// size.
+func checkShape(t *testing.T, d *Detector) {
+	t.Helper()
+	levels, heights := indexLevels(d)
+	for i, l := range levels {
+		h := heights[i]
+		switch l := l.(type) {
+		case *cmpbe.Direct:
+			if l.IDs() != d.K()>>h {
+				t.Fatalf("level %d (height %d): %d cells for %d aggregate ids", i, h, l.IDs(), d.K()>>h)
+			}
+		case *cmpbe.Sketch:
+			dd, w := l.Dims()
+			if dd != d.cfg.d || w != d.cfg.w || l.Seed() != d.cfg.seed+int64(h)*7919 {
+				t.Fatalf("level %d (height %d): %d×%d sketch seeded %d under configuration %d×%d seeded %d",
+					i, h, dd, w, l.Seed(), d.cfg.d, d.cfg.w, d.cfg.seed)
+			}
+		default:
+			t.Fatalf("level %d (height %d): unexpected type %T", i, h, l)
+		}
+	}
+}
+
 // checkSearchable asserts the invariants pbe2's decoder promises of every
 // cell it lets through, exactly the ones its queries binary-search and
 // evaluate by: starts ascend, no segment ends before it starts or after its
@@ -165,14 +208,9 @@ func checkSearchable(t *testing.T, d *Detector) {
 	type celled interface {
 		EventCells(e uint64) []pbe.PBE
 	}
-	levels := []any{d.base}
-	if d.tree != nil {
-		for lv := 1; lv < d.tree.Levels(); lv++ {
-			levels = append(levels, d.tree.Level(lv))
-		}
-	}
+	levels, heights := indexLevels(d)
 	for lv, l := range levels {
-		for e := uint64(0); e < roundPow2(d.K())>>uint(lv); e++ {
+		for e := uint64(0); e < d.K()>>heights[lv]; e++ {
 			for _, c := range l.(celled).EventCells(e) {
 				b, ok := c.(*pbe2.Builder)
 				if !ok {
@@ -239,7 +277,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(garbled)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x02 nearly"))
+	f.Add([]byte("HBD\x03 nearly"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ierr := Inspect(data)
@@ -250,7 +288,7 @@ func FuzzInspect(f *testing.F) {
 			}
 			return
 		}
-		if len(data) < 4 || !bytes.Equal(binenc.NewReader(data).BytesBlob(), detectorMagicV2) ||
+		if len(data) < 4 || !bytes.Equal(binenc.NewReader(data).BytesBlob(), detectorMagic) ||
 			crc32.Checksum(data[:len(data)-4], crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 			t.Fatalf("Inspect accepts %d bytes without the magic or a checksum that holds", len(data))
 		}

@@ -122,9 +122,12 @@ func WithPBE2(gamma float64) Option {
 	}
 }
 
-// WithoutEventIndex disables the dyadic bursty-event index, saving a factor
-// ~log₂(K) of space and ingest work. BurstyEvents then returns an error;
-// point and bursty-time queries are unaffected.
+// WithoutEventIndex disables the dyadic bursty-event index, saving the space
+// and ingest work of its upper levels, each about as heavy as the leaf level:
+// every fourth collision-free height above the leaves (two at K = 1024, so
+// two thirds of the detector) plus, on id spaces wider than the sketch, one
+// Count-Min level per halving down to d·w ids. BurstyEvents then returns an
+// error; point and bursty-time queries are unaffected.
 func WithoutEventIndex() Option {
 	return func(c *config) { c.noIndex = true }
 }

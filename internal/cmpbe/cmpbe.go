@@ -134,6 +134,9 @@ func NewWithError(epsilon, delta float64, seed int64, f Factory) (*Sketch, error
 // Dims returns the sketch dimensions.
 func (s *Sketch) Dims() (d, w int) { return s.d, s.w }
 
+// Seed returns the seed the sketch's hash family was drawn from.
+func (s *Sketch) Seed() int64 { return s.seed }
+
 // Append ingests one element (e, t). Elements must arrive in non-decreasing
 // time order across the whole mixed stream.
 func (s *Sketch) Append(e uint64, t int64) {

@@ -122,6 +122,9 @@ func (d *Direct) Finish() {
 	d.bytesMemo.Store(0)
 }
 
+// IDs returns the size of the id space: one cell per id.
+func (d *Direct) IDs() uint64 { return uint64(len(d.cells)) }
+
 // N returns the number of elements ingested.
 func (d *Direct) N() int64 { return d.n }
 

@@ -26,9 +26,8 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 		if p == nil {
 			return nil, fmt.Errorf("dyadic: cannot downsample nil tree")
 		}
-		if first.k != p.k || len(first.levels) != len(p.levels) {
-			return nil, fmt.Errorf("dyadic: shape mismatch (k=%d/%d, levels=%d/%d)",
-				first.k, p.k, len(first.levels), len(p.levels))
+		if err := sameShape(first, p); err != nil {
+			return nil, err
 		}
 		n += p.n
 		if p.maxT > maxT {
@@ -43,7 +42,7 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 		}
 		levels[i] = ds
 	}
-	return &Tree{k: first.k, lgK: first.lgK, levels: levels, n: n, maxT: maxT}, nil
+	return &Tree{k: first.k, lgK: first.lgK, heights: first.heights, levels: levels, n: n, maxT: maxT}, nil
 }
 
 // downsampleLevels streams level i of every tree into one lower-fidelity

@@ -1,15 +1,21 @@
 // Package dyadic implements the bursty event query structure of Section V:
-// a dyadic decomposition over the event-id space with one CM-PBE per level
-// and the pruned top-down search of Algorithm 3.
+// a dyadic decomposition over the event-id space with a CM-PBE per kept
+// level and the pruned top-down search of Algorithm 3.
 //
-// Level 0 summarizes the original ids; level ℓ summarizes aggregate ids
-// e >> ℓ (each covering a dyadic range of 2^ℓ ids); the top level holds a
-// single aggregate for the whole space. Because cumulative frequencies are
-// additive across siblings, burstiness is too: b_p = b_l + b_r, hence
-// b_p² − 2·b_l·b_r = b_l² + b_r². If that quantity is below θ² neither child
-// subtree can contain an event with |b| ≥ θ, so the subtree is pruned
+// Height 0 summarizes the original ids; height h summarizes aggregate ids
+// e >> h (each covering a dyadic range of 2^h ids). Because cumulative
+// frequencies are additive across siblings, burstiness is too:
+// b_p = b_l + b_r, hence b_p² − 2·b_l·b_r = b_l² + b_r². If that quantity is
+// below θ² neither child can reach |b| ≥ θ, so the subtree is pruned
 // (equation 6). With few simultaneously bursty events the query touches
 // O(log K) nodes instead of K.
+//
+// The tree keeps a summary only at the heights its LevelFactory returns one
+// for. A collision-free parent is, by that same additivity, exactly the sum
+// of its children — a shortcut, not information — so the production factory
+// (CMPBELevels) keeps every fourth collision-free height and a node there has
+// sixteen children, pruned by the additive form of the bound, Σ b_c² < θ².
+// A factory that keeps every height gives Algorithm 3 as published.
 package dyadic
 
 import (
@@ -32,34 +38,95 @@ type Level interface {
 	Bytes() int
 }
 
-// LevelFactory builds the summary for one level. level is the height
-// (0 = leaves) and ids is the number of distinct aggregate ids at that
-// level — widths can shrink as the id space halves.
+// LevelFactory builds the summary for one height (0 = leaves); ids is the
+// number of distinct aggregate ids there — widths can shrink as the id space
+// halves. A nil Level with a nil error means the tree keeps no summary at
+// that height; height 0 must be kept and a node may span at most
+// indexSpacing heights.
 type LevelFactory func(level int, ids uint64) (Level, error)
 
-// CMPBELevels returns a LevelFactory producing CM-PBE sketches with d rows
-// and w columns. Levels whose id count does not exceed d·w use a
-// collision-free Direct summary instead: it needs no more PBE cells than
-// the sketch it replaces while eliminating the collisions that would
-// otherwise break the additivity (F_parent = ΣF_child) the pruning bound
-// relies on — hashing a few hundred aggregate ids into a few hundred cells
-// collides with constant probability.
+// indexSpacing is the distance between kept collision-free heights: a node
+// there has 2^indexSpacing children. Measured on olympicrio (the abl-fanout
+// experiment), 4 beats 1, 2 and 3 on bytes, build time, recall and query
+// time at K = 1024. At K ≥ 2¹⁴, where Count-Min levels sit below and every
+// probe of a surviving node's sixteen children is a d-row sketch query, it
+// buys a quarter to a third fewer bytes and recall 0.83 → 0.97 for 2–4× the
+// BURSTY-EVENT time (spacing 2: +13–47 % time, recall 0.89–0.91).
+const indexSpacing = 4
+
+// maxFanOut is the most children a node has — New holds every factory to
+// it, so the search evaluates a node's children into a fixed buffer.
+const maxFanOut = 1 << indexSpacing
+
+// levelSeedStride separates the hash seeds of the Count-Min levels.
+const levelSeedStride = 7919
+
+// CMPBELevels returns the production LevelFactory: CM-PBE sketches with d
+// rows and w columns at every height whose id count exceeds d·w, and
+// collision-free Direct summaries — no more PBE cells than the sketch they
+// replace, and none of the collisions that break the additivity
+// (F_parent = ΣF_child) the pruning bound relies on — at the lowest height
+// that fits d·w cells and every indexSpacing-th height above it.
+//
+// The two kinds thin differently. A Direct parent repeats its children, so
+// dropping it loses nothing; each Count-Min level hashes independently and
+// is its own filter against the collisions of the one below, so all stay.
 func CMPBELevels(d, w int, seed int64, f cmpbe.Factory) LevelFactory {
+	return CMPBELevelsEvery(indexSpacing, d, w, seed, f)
+}
+
+// CMPBELevelsEvery is CMPBELevels with the spacing of the collision-free
+// heights given; spacing 1 keeps every height, which is §V as published. A
+// kept level is the same bytes at any spacing. For the reproduction
+// (fig12's published row, abl-fanout) and tests; only the production
+// spacing is serializable.
+func CMPBELevelsEvery(spacing, d, w int, seed int64, f cmpbe.Factory) LevelFactory {
 	return func(level int, ids uint64) (Level, error) {
-		if ids <= uint64(d)*uint64(w) {
+		if spacing < 1 {
+			return nil, fmt.Errorf("dyadic: level spacing must be positive, got %d", spacing)
+		}
+		h0 := directHeight(ids<<level, d, w)
+		switch {
+		case level < h0:
+			return cmpbe.New(d, w, seed+int64(level)*levelSeedStride, f)
+		case (level-h0)%spacing == 0:
 			return cmpbe.NewDirect(ids, f)
 		}
-		return cmpbe.New(d, w, seed+int64(level)*7919, f)
+		return nil, nil
 	}
+}
+
+// directHeight returns the lowest height of a tree over k ids (a power of
+// two) whose aggregate ids fit d·w collision-free cells.
+func directHeight(k uint64, d, w int) int {
+	h := 0
+	for k>>h > uint64(d)*uint64(w) {
+		h++
+	}
+	return h
+}
+
+// keptHeights lists the heights CMPBELevels keeps over 2^lgK ids when h0 is
+// the lowest collision-free one: every height below it, then h0, h0+4, ….
+func keptHeights(lgK, h0 int) []int {
+	hs := make([]int, 0, h0+(lgK-h0)/indexSpacing+1)
+	for h := 0; h < h0; h++ {
+		hs = append(hs, h)
+	}
+	for h := h0; h <= lgK; h += indexSpacing {
+		hs = append(hs, h)
+	}
+	return hs
 }
 
 // Tree is the dyadic bursty-event-query structure.
 type Tree struct {
-	k      uint64 // id-space size, a power of two
-	lgK    int
-	levels []Level // levels[0] = leaves ... levels[lgK] = root
-	maxT   int64
-	n      int64
+	k       uint64 // id-space size, a power of two
+	lgK     int
+	heights []int   // kept heights, ascending; heights[0] = 0
+	levels  []Level // levels[i] summarizes the aggregate ids e >> heights[i]
+	maxT    int64
+	n       int64
 }
 
 // New creates a tree over the id space [0, k). k is rounded up to a power
@@ -72,28 +139,56 @@ func New(k uint64, f LevelFactory) (*Tree, error) {
 		return nil, fmt.Errorf("dyadic: level factory must not be nil")
 	}
 	k = roundPow2(k)
-	lgK := bits.TrailingZeros64(k)
-	levels := make([]Level, lgK+1)
-	for lv := 0; lv <= lgK; lv++ {
-		l, err := f(lv, k>>lv)
+	t := &Tree{k: k, lgK: bits.TrailingZeros64(k)}
+	for h := 0; h <= t.lgK; h++ {
+		l, err := f(h, k>>h)
 		if err != nil {
-			return nil, fmt.Errorf("dyadic: level %d: %w", lv, err)
+			return nil, fmt.Errorf("dyadic: level %d: %w", h, err)
 		}
-		levels[lv] = l
+		if l != nil {
+			t.heights = append(t.heights, h)
+			t.levels = append(t.levels, l)
+		}
 	}
-	return &Tree{k: k, lgK: lgK, levels: levels}, nil
+	if err := checkHeights(t.heights, t.lgK); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// checkHeights holds a height list to what the search indexes by: the leaves
+// are kept, heights ascend, and neither a node nor the virtual root over the
+// top kept level spans more than indexSpacing heights.
+func checkHeights(heights []int, lgK int) error {
+	if len(heights) == 0 || heights[0] != 0 {
+		return fmt.Errorf("dyadic: the leaf level (height 0) must be kept")
+	}
+	for i, h := range heights[1:] {
+		if d := h - heights[i]; d < 1 || d > indexSpacing {
+			return fmt.Errorf("dyadic: level %d at height %d follows height %d; a node spans 1 to %d heights", i+1, h, heights[i], indexSpacing)
+		}
+	}
+	if top := heights[len(heights)-1]; top > lgK || lgK-top > indexSpacing {
+		return fmt.Errorf("dyadic: top level at height %d of %d leaves more than %d nodes without a parent", top, lgK, maxFanOut)
+	}
+	return nil
 }
 
 // K returns the (rounded) id-space size.
 func (t *Tree) K() uint64 { return t.k }
 
-// Levels returns the number of levels (log2 K + 1).
+// Levels returns the number of kept levels.
 func (t *Tree) Levels() int { return len(t.levels) }
 
-// Level returns the summary at the given height (0 = leaves). Callers that
-// need richer queries than the Level interface offers (e.g. the facade's
-// point queries against the leaf CM-PBE) may type-assert the result.
+// Level returns the i-th kept level's summary (0 = leaves); Heights()[i] is
+// its height. Callers that need richer queries than the Level interface
+// offers (e.g. the facade's point queries against the leaf CM-PBE) may
+// type-assert the result.
 func (t *Tree) Level(i int) Level { return t.levels[i] }
+
+// Heights returns the kept heights, ascending from 0. The slice is the
+// tree's own; callers must not modify it.
+func (t *Tree) Heights() []int { return t.heights }
 
 // Append ingests one element into every level: the per-element protocol the
 // paper's construction-cost figures time, and the reference AppendBatch is
@@ -102,8 +197,8 @@ func (t *Tree) Append(e uint64, ts int64) {
 	if e >= t.k {
 		e %= t.k // defensive: fold out-of-range ids into the space
 	}
-	for lv := 0; lv <= t.lgK; lv++ {
-		t.levels[lv].Append(e>>lv, ts)
+	for i, l := range t.levels {
+		l.Append(e>>t.heights[i], ts)
 	}
 	t.n++
 	if ts > t.maxT {
@@ -137,7 +232,8 @@ type batchLevel interface {
 //
 // Levels are claimed in ascending order, which is heaviest first: a
 // Count-Min level costs d times a collision-free one, and CMPBELevels puts
-// those at the bottom of the tree.
+// those at the bottom of the tree. The fan-out is capped by the level count —
+// three at K = 1024.
 //
 //histburst:fastpath Append
 func (t *Tree) AppendBatch(elems []stream.Element, workers int) {
@@ -156,15 +252,15 @@ func (t *Tree) AppendBatch(elems []stream.Element, workers int) {
 
 	workers = min(workers, len(t.levels))
 	if workers <= 1 || len(elems) < fanOutMin {
-		for lv := range t.levels {
-			t.appendLevel(lv, elems)
+		for i := range t.levels {
+			t.appendLevel(i, elems)
 		}
 		return
 	}
 	var next atomic.Int32
 	feed := func() {
-		for lv := int(next.Add(1)) - 1; lv < len(t.levels); lv = int(next.Add(1)) - 1 {
-			t.appendLevel(lv, elems)
+		for i := int(next.Add(1)) - 1; i < len(t.levels); i = int(next.Add(1)) - 1 {
+			t.appendLevel(i, elems)
 		}
 	}
 	var wg sync.WaitGroup
@@ -179,14 +275,15 @@ func (t *Tree) AppendBatch(elems []stream.Element, workers int) {
 	wg.Wait()
 }
 
-// appendLevel feeds one level the batch under that level's aggregate ids.
-func (t *Tree) appendLevel(lv int, elems []stream.Element) {
-	if b, ok := t.levels[lv].(batchLevel); ok {
-		b.AppendBatch(elems, uint(lv))
+// appendLevel feeds the i-th kept level the batch under its aggregate ids.
+func (t *Tree) appendLevel(i int, elems []stream.Element) {
+	shift := uint(t.heights[i])
+	if b, ok := t.levels[i].(batchLevel); ok {
+		b.AppendBatch(elems, shift)
 		return
 	}
 	for _, el := range elems {
-		t.levels[lv].Append(el.Event>>lv, el.Time)
+		t.levels[i].Append(el.Event>>shift, el.Time)
 	}
 }
 
@@ -214,6 +311,8 @@ func (t *Tree) Burstiness(e uint64, ts, tau int64) float64 {
 //
 // Stats, if non-nil, receives the number of point queries issued — the
 // quantity Figure 12's discussion bounds by O(log K) in the typical case.
+//
+//histburst:fastpath burstyEventsBinary
 func (t *Tree) BurstyEvents(ts int64, theta float64, tau int64, stats *QueryStats) ([]uint64, error) {
 	if theta <= 0 {
 		return nil, fmt.Errorf("dyadic: theta must be positive, got %v", theta)
@@ -222,38 +321,91 @@ func (t *Tree) BurstyEvents(ts int64, theta float64, tau int64, stats *QueryStat
 		stats = &QueryStats{}
 	}
 	var out []uint64
-	t.recurse(t.lgK, 0, ts, theta, tau, stats, &out)
+	s := search{t: t, ts: ts, theta: theta, tau: tau}
+	s.visit(len(t.levels), 0, 0, stats, &out)
 	return out, nil
 }
 
 // QueryStats counts the work done by one BurstyEvents call.
 type QueryStats struct {
 	PointQueries int // burstiness estimates issued across all levels
-	NodesVisited int
+	NodesVisited int // the virtual root included
 	Pruned       int // subtrees cut by the equation-6 bound
 }
 
-// recurse implements Algorithm 3. Node (lv, agg) covers leaf ids
-// [agg<<lv, (agg+1)<<lv).
-func (t *Tree) recurse(lv int, agg uint64, ts int64, theta float64, tau int64, stats *QueryStats, out *[]uint64) {
+// search holds the query-invariant state of one bursty-event search.
+type search struct {
+	t     *Tree
+	ts    int64
+	theta float64
+	tau   int64
+}
+
+// fanShift returns how many heights node level i spans — it has 2^fanShift
+// children at level i−1. Level len(t.levels) is the virtual root: its
+// children are the top kept level's nodes.
+func (t *Tree) fanShift(i int) int {
+	if i == len(t.levels) {
+		return t.lgK - t.heights[i-1]
+	}
+	return t.heights[i] - t.heights[i-1]
+}
+
+// visit implements Algorithm 3 over the kept levels. Node (i, agg) covers
+// the leaf ids [agg<<heights[i], (agg+1)<<heights[i]) and b is its estimate,
+// which its parent computed when it evaluated its children; the virtual root
+// has none.
+func (s *search) visit(i int, agg uint64, b float64, stats *QueryStats, out *[]uint64) {
 	stats.NodesVisited++
-	if lv == 0 {
-		stats.PointQueries++
-		if t.levels[0].Burstiness(agg, ts, tau) >= theta {
+	if i == 0 {
+		if b >= s.theta {
 			*out = append(*out, agg)
 		}
 		return
 	}
-	bp := t.levels[lv].Burstiness(agg, ts, tau)
-	bl := t.levels[lv-1].Burstiness(agg<<1, ts, tau)
-	br := t.levels[lv-1].Burstiness(agg<<1|1, ts, tau)
-	stats.PointQueries += 3
-	if bp*bp-2*bl*br < theta*theta {
-		stats.Pruned++
-		return
+	var cb [maxFanOut]float64
+	first, n := s.expand(i, agg, b, &cb, stats)
+	for j := 0; j < n; j++ {
+		s.visit(i-1, first|uint64(j), cb[j], stats, out)
 	}
-	t.recurse(lv-1, agg<<1, ts, theta, tau, stats, out)
-	t.recurse(lv-1, agg<<1|1, ts, theta, tau, stats, out)
+}
+
+// expand evaluates the children of node (i, agg) — ids first, first+1, … on
+// level i−1 — into cb and returns how many to descend into: all of them, or
+// none when the bound prunes the subtree. A
+// two-child node applies equation 6 as published, b_p² − 2·b_l·b_r < θ²,
+// with its own estimate b; a wider node, and the virtual root — which has no
+// estimate — the additive form Σ b_c² < θ² the published one rewrites. Either
+// way the subtree goes when no child reaches θ in aggregate. A virtual root
+// over a single node has nothing to decide.
+//
+//histburst:noalloc
+func (s *search) expand(i int, agg uint64, b float64, cb *[maxFanOut]float64, stats *QueryStats) (first uint64, n int) {
+	t := s.t
+	shift := t.fanShift(i)
+	n = 1 << shift
+	first = agg << shift
+	below := t.levels[i-1]
+	for j := 0; j < n; j++ {
+		cb[j] = below.Burstiness(first|uint64(j), s.ts, s.tau)
+	}
+	stats.PointQueries += n
+	var bound float64
+	switch {
+	case n == 1:
+		return first, n
+	case n == 2 && i < len(t.levels):
+		bound = b*b - 2*cb[0]*cb[1]
+	default:
+		for _, c := range cb[:n] {
+			bound += c * c
+		}
+	}
+	if bound < s.theta*s.theta {
+		stats.Pruned++
+		return first, 0
+	}
+	return first, n
 }
 
 // Bytes returns the total footprint across levels.

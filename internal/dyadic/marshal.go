@@ -3,16 +3,19 @@ package dyadic
 import (
 	"encoding"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 )
 
-// Serialization: the tree stores its shape plus every level's own binary
-// form. Loading is specific to CM-PBE-backed levels (the only persistent
-// kind); the cell Factory must match the one used at build time.
+// Serialization: the tree stores its shape — the id space and the kept
+// heights — plus every level's own binary form. Loading is specific to the
+// levels CMPBELevels builds (the only persistent kind); the cell Factory must
+// match the one used at build time.
 
-var treeMagic = []byte{'D', 'Y', 'A', 1}
+var treeMagic = []byte{'D', 'Y', 'A', 2}
 
 // MarshalBinary implements encoding.BinaryMarshaler. Every level must be
 // serializable (CM-PBE and Direct levels are; test-only exact levels are
@@ -24,6 +27,9 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 	w.Varint(t.n)
 	w.Varint(t.maxT)
 	w.Uvarint(uint64(len(t.levels)))
+	for _, h := range t.heights {
+		w.Uvarint(uint64(h))
+	}
 	for i, l := range t.levels {
 		m, ok := l.(encoding.BinaryMarshaler)
 		if !ok {
@@ -39,7 +45,15 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalTree decodes a tree serialized by MarshalBinary whose levels are
-// CM-PBE summaries built from the given cell factory.
+// CM-PBE summaries built from the given cell factory. It accepts exactly the
+// shapes CMPBELevels builds: the search indexes a level's cells by height, so
+// a level of any other size would be read out of range or — folded by modulo —
+// silently serve two ids from one cell. Each Direct level has K>>height
+// cells; the Count-Min levels are the lowest heights, share their dimensions,
+// step their seeds by levelSeedStride from the leaf level's, and stand only
+// where a Direct would not fit; the height list is the kept set for that many
+// Count-Min levels. What the blob cannot say — that the leaf level matches the
+// configuration it is loaded under — is the caller's to check.
 //
 //histburst:decoder
 func UnmarshalTree(data []byte, f cmpbe.Factory) (*Tree, error) {
@@ -50,34 +64,68 @@ func UnmarshalTree(data []byte, f cmpbe.Factory) (*Tree, error) {
 	k := r.Uvarint()
 	n := r.Varint()
 	maxT := r.Varint()
-	nLevels := r.SliceLen(65, 1)
+	nLevels := r.SliceLen(65, 2) // a height and a blob each
+	heights := make([]int, nLevels)
+	for i := range heights {
+		heights[i] = r.Len(64)
+	}
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if k == 0 || k != roundPow2(k) {
 		return nil, fmt.Errorf("dyadic: implausible id space %d", k)
 	}
+	lgK := bits.TrailingZeros64(k)
+	if err := checkHeights(heights, lgK); err != nil {
+		return nil, err
+	}
 	levels := make([]Level, nLevels)
-	for i := range levels {
+	sketches := 0
+	for i, h := range heights {
 		v, err := cmpbe.UnmarshalAny(r.BytesBlob(), f)
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
-		lvl, ok := v.(Level)
-		if !ok {
+		switch l := v.(type) {
+		case *cmpbe.Direct:
+			if l.IDs() != k>>h {
+				return nil, fmt.Errorf("dyadic: level %d (height %d) has %d cells for %d aggregate ids", i, h, l.IDs(), k>>h)
+			}
+			levels[i] = l
+		case *cmpbe.Sketch:
+			if i != sketches {
+				return nil, fmt.Errorf("dyadic: level %d (height %d) is a Count-Min sketch above a collision-free level", i, h)
+			}
+			levels[i] = l
+			if err := checkSketchLevel(l, levels[0].(*cmpbe.Sketch), i, h, k); err != nil {
+				return nil, err
+			}
+			sketches++
+		default:
 			return nil, fmt.Errorf("dyadic: level %d type %T lacks the Level methods", i, v)
 		}
-		levels[i] = lvl
 	}
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	lgK := 0
-	for 1<<lgK < int(k) {
-		lgK++
+	if want := keptHeights(lgK, sketches); !slices.Equal(heights, want) {
+		return nil, fmt.Errorf("dyadic: levels at heights %v; an index over %d ids with %d Count-Min levels keeps %v", heights, k, sketches, want)
 	}
-	if nLevels != lgK+1 {
-		return nil, fmt.Errorf("dyadic: level count %d does not match id space %d", nLevels, k)
+	return &Tree{k: k, lgK: lgK, heights: heights, levels: levels, n: n, maxT: maxT}, nil
+}
+
+// checkSketchLevel holds Count-Min level i at height h to what CMPBELevels
+// builds there, given the leaf level: the leaf's dimensions, the leaf's seed
+// stepped h times, and more aggregate ids than its d·w cells — otherwise the
+// factory builds a Direct.
+func checkSketchLevel(l, leaf *cmpbe.Sketch, i, h int, k uint64) error {
+	d, w := l.Dims()
+	ld, lw := leaf.Dims()
+	if want := leaf.Seed() + int64(h)*levelSeedStride; d != ld || w != lw || l.Seed() != want {
+		return fmt.Errorf("dyadic: level %d (height %d) is a %d×%d sketch seeded %d, want %d×%d seeded %d", i, h, d, w, l.Seed(), ld, lw, want)
 	}
-	return &Tree{k: k, lgK: lgK, levels: levels, n: n, maxT: maxT}, nil
+	if k>>h <= uint64(d)*uint64(w) {
+		return fmt.Errorf("dyadic: level %d (height %d) is a %d×%d sketch over %d aggregate ids, which fit collision-free", i, h, d, w, k>>h)
+	}
+	return nil
 }

@@ -2,6 +2,7 @@ package dyadic
 
 import (
 	"fmt"
+	"slices"
 
 	"histburst/internal/cmpbe"
 )
@@ -13,9 +14,8 @@ func (t *Tree) MergeAppend(other *Tree) error {
 	if other == nil {
 		return fmt.Errorf("dyadic: cannot merge nil tree")
 	}
-	if t.k != other.k || len(t.levels) != len(other.levels) {
-		return fmt.Errorf("dyadic: shape mismatch (k=%d/%d, levels=%d/%d)",
-			t.k, other.k, len(t.levels), len(other.levels))
+	if err := sameShape(t, other); err != nil {
+		return err
 	}
 	for i := range t.levels {
 		if err := mergeLevel(t.levels[i], other.levels[i]); err != nil {
@@ -46,9 +46,8 @@ func MergeTrees(parts []*Tree) (*Tree, error) {
 		if p == nil {
 			return nil, fmt.Errorf("dyadic: cannot merge nil tree")
 		}
-		if first.k != p.k || len(first.levels) != len(p.levels) {
-			return nil, fmt.Errorf("dyadic: shape mismatch (k=%d/%d, levels=%d/%d)",
-				first.k, p.k, len(first.levels), len(p.levels))
+		if err := sameShape(first, p); err != nil {
+			return nil, err
 		}
 		n += p.n
 		if p.maxT > maxT {
@@ -63,7 +62,16 @@ func MergeTrees(parts []*Tree) (*Tree, error) {
 		}
 		levels[i] = merged
 	}
-	return &Tree{k: first.k, lgK: first.lgK, levels: levels, n: n, maxT: maxT}, nil
+	return &Tree{k: first.k, lgK: first.lgK, heights: first.heights, levels: levels, n: n, maxT: maxT}, nil
+}
+
+// sameShape reports whether two trees keep the same heights over the same id
+// space — what merging or downsampling them level by level requires.
+func sameShape(a, b *Tree) error {
+	if a.k != b.k || !slices.Equal(a.heights, b.heights) {
+		return fmt.Errorf("dyadic: shape mismatch (k=%d/%d, heights=%v/%v)", a.k, b.k, a.heights, b.heights)
+	}
+	return nil
 }
 
 // mergeLevels streams level i of every tree into one merged level summary.

@@ -2,23 +2,23 @@ package dyadic
 
 import (
 	"fmt"
-	"math/bits"
+	"sync"
+	"sync/atomic"
 )
 
 // BurstyEventsParallel answers the same BURSTY EVENT QUERY as BurstyEvents,
-// fanning the pruned top-down search across at most workers goroutines. The
+// sharing the pruned top-down search out over at most workers goroutines. The
 // result is byte-identical to the sequential search (ascending, same ids) and
-// stats, if non-nil, accumulates the identical totals: left subtrees are
-// handed to spawned workers with private output slices and counters, the
-// right subtree runs inline, and the pieces are concatenated left-then-right
-// once both finish — the sequential emission order by construction.
+// stats, if non-nil, accumulates the identical totals: the calling goroutine
+// walks the top of the tree a level at a time until at least workers subtrees
+// survive (the top kept level alone usually does: it has up to sixteen
+// nodes), then the goroutines claim those subtrees in ascending order off one
+// counter, each into its own output slice, and the slices are concatenated in
+// subtree order once all have joined — the sequential emission order by
+// construction.
 //
 // Level summaries must be safe for concurrent reads; the cmpbe sketches are
-// (queries never mutate a finished or in-construction cell). Concurrency is
-// bounded by a token pool of workers−1 spawns; when no token is free the
-// search simply continues inline, so worst-case overhead is one channel poll
-// per expanded node. Spawning stops a few levels above the leaves — subtrees
-// there are too small to pay for a goroutine.
+// (queries never mutate a finished or in-construction cell).
 //
 //histburst:fastpath BurstyEvents
 func (t *Tree) BurstyEventsParallel(ts int64, theta float64, tau int64, workers int, stats *QueryStats) ([]uint64, error) {
@@ -31,78 +31,69 @@ func (t *Tree) BurstyEventsParallel(ts int64, theta float64, tau int64, workers 
 	if stats == nil {
 		stats = &QueryStats{}
 	}
-	p := &parSearch{
-		t:      t,
-		ts:     ts,
-		theta:  theta,
-		tau:    tau,
-		tokens: make(chan struct{}, workers-1),
-		// Allow spawning in the top ~log2(workers)+2 expandable levels:
-		// enough fan-out to saturate the pool even when early subtrees prune.
-		minSpawnLevel: t.lgK - (bits.Len(uint(workers)) + 2),
+	s := search{t: t, ts: ts, theta: theta, tau: tau}
+	frontier := []subtree{{i: len(t.levels)}}
+	for len(frontier) > 0 && len(frontier) < workers && frontier[0].i > 0 {
+		frontier = s.descend(frontier, stats)
 	}
-	for i := 0; i < workers-1; i++ {
-		p.tokens <- struct{}{}
+	if len(frontier) == 0 {
+		return nil, nil
 	}
+
+	outs := make([][]uint64, len(frontier))
+	workers = min(workers, len(frontier))
+	parts := make([]QueryStats, workers)
+	var next atomic.Int32
+	walk := func(w int) {
+		var st QueryStats
+		for j := int(next.Add(1)) - 1; j < len(frontier); j = int(next.Add(1)) - 1 {
+			f := frontier[j]
+			s.visit(f.i, f.agg, f.b, &st, &outs[j])
+		}
+		parts[w] = st
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			walk(w)
+		}()
+	}
+	walk(0) // the caller is a worker too
+	wg.Wait()
+
 	var out []uint64
-	p.recurse(t.lgK, 0, stats, &out)
+	for j := range outs {
+		out = append(out, outs[j]...)
+	}
+	for i := range parts {
+		stats.add(&parts[i])
+	}
 	return out, nil
 }
 
-// parSearch holds the query-invariant state of one parallel search.
-type parSearch struct {
-	t             *Tree
-	ts            int64
-	theta         float64
-	tau           int64
-	tokens        chan struct{} // each token licenses one live spawned subtree
-	minSpawnLevel int
+// subtree is a node the search has reached and not yet visited, with the
+// estimate its parent computed for it.
+type subtree struct {
+	i   int
+	agg uint64
+	b   float64
 }
 
-// recurse mirrors Tree.recurse, optionally shipping the left child to another
-// goroutine. out and stats are owned by the calling goroutine.
-func (p *parSearch) recurse(lv int, agg uint64, stats *QueryStats, out *[]uint64) {
-	t := p.t
-	stats.NodesVisited++
-	if lv == 0 {
-		stats.PointQueries++
-		if t.levels[0].Burstiness(agg, p.ts, p.tau) >= p.theta {
-			*out = append(*out, agg)
-		}
-		return
-	}
-	bp := t.levels[lv].Burstiness(agg, p.ts, p.tau)
-	bl := t.levels[lv-1].Burstiness(agg<<1, p.ts, p.tau)
-	br := t.levels[lv-1].Burstiness(agg<<1|1, p.ts, p.tau)
-	stats.PointQueries += 3
-	if bp*bp-2*bl*br < p.theta*p.theta {
-		stats.Pruned++
-		return
-	}
-	if lv > p.minSpawnLevel {
-		select {
-		case <-p.tokens:
-			var leftOut []uint64
-			var leftStats QueryStats
-			done := make(chan struct{})
-			go func() {
-				p.recurse(lv-1, agg<<1, &leftStats, &leftOut)
-				p.tokens <- struct{}{} // free the token before the parent wakes
-				close(done)
-			}()
-			var rightOut []uint64
-			p.recurse(lv-1, agg<<1|1, stats, &rightOut)
-			<-done
-			stats.add(&leftStats)
-			*out = append(*out, leftOut...)
-			*out = append(*out, rightOut...)
-			return
-		default:
-			// Pool exhausted; fall through to the inline walk.
+// descend visits every node of the frontier — all at one level above the
+// leaves — and returns the children that survive, in ascending id order.
+func (s *search) descend(frontier []subtree, stats *QueryStats) []subtree {
+	var below []subtree
+	var cb [maxFanOut]float64
+	for _, f := range frontier {
+		stats.NodesVisited++
+		first, n := s.expand(f.i, f.agg, f.b, &cb, stats)
+		for j := 0; j < n; j++ {
+			below = append(below, subtree{i: f.i - 1, agg: first | uint64(j), b: cb[j]})
 		}
 	}
-	p.recurse(lv-1, agg<<1, stats, out)
-	p.recurse(lv-1, agg<<1|1, stats, out)
+	return below
 }
 
 // add accumulates another search's counters.

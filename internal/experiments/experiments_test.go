@@ -25,7 +25,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestListAndDescribe(t *testing.T) {
 	ids := List()
-	want := []string{"abl-cap", "abl-cm", "abl-dp", "abl-klein", "abl-med", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig7", "fig8", "fig9", "tbl-base"}
+	want := []string{"abl-cap", "abl-cm", "abl-dp", "abl-fanout", "abl-klein", "abl-med", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig7", "fig8", "fig9", "tbl-base"}
 	if len(ids) != len(want) {
 		t.Fatalf("List = %v, want %v", ids, want)
 	}
@@ -129,6 +129,113 @@ func TestFig9SpaceMonotone(t *testing.T) {
 			t.Fatalf("space grew with gamma: %v", tbl.Format())
 		}
 		prev = kb
+	}
+}
+
+// indexConfig is the smallest scale at which the event-index experiments'
+// precision and recall are more signal than noise (at tinyConfig's 0.004 the
+// uspolitics stream has next to nothing bursty to recall).
+func indexConfig() Config {
+	return Config{Scale: 0.008, Queries: 60, Seed: 1}
+}
+
+func parseRatio(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatalf("parseRatio(%q): %v", s, err)
+	}
+	return v
+}
+
+// TestFig12Shape pins Figure 12 as EXPERIMENTS.md reads it, for the published
+// index and the kept-levels one alike: precision and recall rise with width
+// (to within the noise of sixty queries) on both datasets; the published
+// index keeps precision ≥ recall — our documented deviation from the paper's
+// ordering, whose cause is the pruning bound; and the kept-levels index
+// recalls at least what the published one does at every width, which is the
+// claim the library's index rests on.
+func TestFig12Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	tbl, err := Run("fig12", indexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct{ dataset, variant, index string }
+	type point struct{ precision, recall float64 }
+	series := make(map[key][]point) // in the table's width order: 136, 272, 544
+	for _, row := range tbl.Rows {
+		k := key{row[0], row[1], row[3]}
+		series[k] = append(series[k], point{parseRatio(t, row[5]), parseRatio(t, row[6])})
+	}
+	if len(series) != 8 {
+		t.Fatalf("fig12 has %d (dataset, variant, index) series, want 8:\n%s", len(series), tbl.Format())
+	}
+	const published, kept = "Algorithm 3 (every level)", "kept levels"
+	const noise = 0.05
+	for k, pts := range series {
+		if len(pts) != 3 {
+			t.Fatalf("%v: %d widths, want 3", k, len(pts))
+		}
+		first, last := pts[0], pts[len(pts)-1]
+		if last.recall < first.recall-noise || last.precision < first.precision-noise {
+			t.Errorf("%v: precision %.3f → %.3f, recall %.3f → %.3f from the narrowest to the widest sketch; both should rise",
+				k, first.precision, last.precision, first.recall, last.recall)
+		}
+		if k.index != published {
+			continue
+		}
+		for i, p := range pts {
+			if p.precision < p.recall {
+				t.Errorf("%v width #%d: precision %.3f below recall %.3f; the published index errs by missing, not by inventing", k, i, p.precision, p.recall)
+			}
+			if got := series[key{k.dataset, k.variant, kept}][i]; got.recall < p.recall {
+				t.Errorf("%v width #%d: kept levels recall %.3f, every level %.3f", k, i, got.recall, p.recall)
+			}
+		}
+	}
+	if t.Failed() {
+		t.Log(tbl.Format())
+	}
+}
+
+// TestAblationFanoutShape pins what abl-fanout is cited for: at every id-space
+// size the index shrinks strictly as the kept collision-free levels thin out,
+// the widest spacing recalls at least what the published index does, and
+// precision does not pay for it.
+func TestAblationFanoutShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	tbl, err := Run("abl-fanout", indexConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tbl.Rows) != 12 {
+		t.Fatalf("abl-fanout has %d rows, want 3 id spaces × 4 spacings:\n%s", len(tbl.Rows), tbl.Format())
+	}
+	for g := 0; g < len(tbl.Rows); g += 4 {
+		rows := tbl.Rows[g : g+4]
+		for i, row := range rows {
+			if row[0] != rows[0][0] || row[1] != strconv.Itoa(i+1) {
+				t.Fatalf("row %d is K=%s spacing %s, want K=%s spacing %d", g+i, row[0], row[1], rows[0][0], i+1)
+			}
+			if i > 0 && parseBytes(t, row[3]) >= parseBytes(t, rows[i-1][3]) {
+				t.Errorf("K=%s: space %s at spacing %d, %s at spacing %d; it should fall", row[0], row[3], i+1, rows[i-1][3], i)
+			}
+		}
+		every, widest := rows[0], rows[3]
+		if parseRatio(t, widest[6]) < parseRatio(t, every[6]) {
+			t.Errorf("K=%s: recall %s at spacing 4, %s with every level", every[0], widest[6], every[6])
+		}
+		if parseRatio(t, widest[5]) < parseRatio(t, every[5])-0.01 {
+			t.Errorf("K=%s: precision %s at spacing 4, %s with every level", every[0], widest[5], every[5])
+		}
+	}
+	if t.Failed() {
+		t.Log(tbl.Format())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // The manifest is the store's segment directory: one CRC-checked binenc
-// record naming every live segment file, in the style of the HBD2 detector
+// record naming every live segment file, in the style of the detector
 // format. It is the single point of atomicity for the whole store — a seal
 // or compaction becomes visible exactly when the rewritten manifest lands
 // via rename, so a crash at any byte offset of any write leaves the

@@ -36,8 +36,10 @@ func coldConfig() Config {
 }
 
 // buildColdDir writes a store of days one-day segments (perDay elements
-// each, evenly spaced from coldOrigin) and closes it. It returns the
-// directory and the newest timestamp.
+// each, evenly spaced from coldOrigin) and closes it. Eight ids take turns in
+// runs of four arrivals, so each has several short bursts a day and its leaf
+// cell needs more than one PBE-2 segment — TestQuarantineUnsearchableCell
+// forges one of those. It returns the directory and the newest timestamp.
 func buildColdDir(tb testing.TB, days, perDay int) (dir string, frontier int64) {
 	tb.Helper()
 	dir = tb.TempDir()
@@ -49,7 +51,7 @@ func buildColdDir(tb testing.TB, days, perDay int) (dir string, frontier int64) 
 	for d := 0; d < days; d++ {
 		for i := 0; i < perDay; i++ {
 			frontier = coldOrigin + int64(d)*coldDay + int64(i)*step
-			if err := s.Append(uint64(i)%16, frontier); err != nil {
+			if err := s.Append(uint64(i/4)%8, frontier); err != nil {
 				tb.Fatal(err)
 			}
 		}

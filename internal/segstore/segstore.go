@@ -237,8 +237,9 @@ const DefaultScrubInterval = time.Minute
 // Open opens (or creates) a store in dir. An empty dir makes the store
 // volatile: fully functional, nothing persisted. If dir holds a manifest,
 // the segment directory is recovered from it — every referenced segment
-// file is read and verified (a damaged one is quarantined, not fatal) and
-// its summary left undecoded until a query first touches it,
+// file is read and verified (a damaged one is quarantined, not fatal; one of
+// another format generation is fatal, and the directory is left untouched)
+// and its summary left undecoded until a query first touches it,
 // unreferenced segment or temp files (debris of a crashed seal or
 // compaction) are swept, and the write-ahead log is replayed into the head
 // so nothing acked before the crash is missing.
@@ -333,6 +334,12 @@ func Open(dir string, cfg Config) (*Store, error) {
 		newDamage := false
 		for _, meta := range man.Segments {
 			data, err := s.verifySegment(meta)
+			if errors.Is(err, histburst.ErrUnsupportedFormat) {
+				// Not damage: a whole file of another format generation,
+				// as every other segment here will be. Nothing has been
+				// written yet; leave the directory exactly as it is.
+				return nil, err
+			}
 			if err != nil {
 				// Referenced files were fsynced before the manifest named
 				// them, so this is real damage, not a crash artifact —

@@ -1,8 +1,10 @@
 package segstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -642,6 +644,67 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesOldGeneration: segment files of the previous detector
+// generation (HBD2: a summary at every height of the event index) are whole
+// files, not damage. Open refuses the directory by the generation's name and
+// leaves it exactly as it was — nothing quarantined, nothing moved, the
+// manifest untouched — even behind a segment that really is damaged.
+func TestOpenRefusesOldGeneration(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig(8))
+	appendN(t, s, 32, 4, 0, 1)
+	mustClose(t, s)
+	segs, err := filepath.Glob(filepath.Join(dir, segFilePrefix+"*"+segFileSuffix))
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("fixture: %d segment files (%v), want at least 3", len(segs), err)
+	}
+	reseal := func(path string, mutate func(body []byte)) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := data[:len(data)-4]
+		mutate(body)
+		binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crcTable))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range segs[1:] {
+		reseal(path, func(body []byte) {
+			if string(body[:5]) != "\x04HBD\x03" {
+				t.Fatalf("fixture: %s starts with %q", path, body[:5])
+			}
+			body[4] = 2
+		})
+	}
+	// The first file is damaged the ordinary way; alone it would be quarantined.
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := dirContents(t, dir)
+	for _, cfg := range []Config{{}, testConfig(8)} {
+		re, err := Open(dir, cfg)
+		if err == nil {
+			mustClose(t, re)
+			t.Fatal("a store of HBD2 segment files opened")
+		}
+		if !errors.Is(err, histburst.ErrUnsupportedFormat) ||
+			!strings.Contains(err.Error(), "unsupported detector format HBD2 (this build reads HBD3 only)") {
+			t.Fatalf("HBD2 segments refused without naming the generation: %v", err)
+		}
+		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+			t.Fatal("refusing an HBD2 store modified the directory")
+		}
+	}
+}
+
 // TestStoreDirectoryHoldsOneFormat drives every writer the store has — seal,
 // compaction, decay, quarantine, checkpoint — and then checks that each
 // manifest and sketch file in the directory tree carries the one current
@@ -688,7 +751,7 @@ func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
 	mustClose(t, s)
 
 	// Magics are binenc blobs: a length byte, then the four magic bytes.
-	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x02"}
+	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x03"}
 	seen := make(map[string]int)
 	for name, content := range dirContents(t, dir) {
 		magic, ok := magics[filepath.Ext(name)]

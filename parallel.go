@@ -175,9 +175,9 @@ func mergeBaseMany(parts []*Detector) (baseLevel, error) {
 }
 
 // BuildParallel constructs a Detector over a time-sorted bulk load, feeding
-// the index's levels on up to workers goroutines (capped at the level count,
-// log₂K + 1; Append itself uses up to GOMAXPROCS). The result is identical
-// to sequential ingestion, byte for byte.
+// the index's levels on up to workers goroutines (capped at the kept level
+// count, 3 at K = 1024; Append itself uses up to GOMAXPROCS). The result is
+// identical to sequential ingestion, byte for byte.
 func BuildParallel(k uint64, elems []Element, workers int, opts ...Option) (*Detector, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("histburst: workers must be at least 1, got %d", workers)

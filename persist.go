@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -23,10 +24,17 @@ import (
 // instead of decoding into a subtly wrong detector. Load rebuilds the cell
 // factory from the stored configuration, so no options are needed at load
 // time and a detector round-trips exactly. Save writes, and Load accepts,
-// format v2 ("HBD2") only; a file of any other generation is refused with an
-// error naming its version.
+// format v3 ("HBD3") only — v2 held a summary at every height of the event
+// index, v3 holds the kept ones and records which; a file of any other
+// generation is refused with an error naming its version.
 
-var detectorMagicV2 = []byte{'H', 'B', 'D', 2}
+var detectorMagic = []byte{'H', 'B', 'D', 3}
+
+// ErrUnsupportedFormat is wrapped by the error Load, Decode and Inspect
+// return for a detector file of another format generation: a file that is
+// whole and was once valid, unlike a damaged one, so a store must refuse to
+// open over it rather than quarantine it.
+var ErrUnsupportedFormat = errors.New("unsupported detector format")
 
 // crcTable is the Castagnoli polynomial, the usual choice for storage
 // footers (hardware-accelerated on amd64/arm64).
@@ -47,7 +55,7 @@ const maxSketchDim = 1 << 24
 func (d *Detector) Save(w io.Writer) error {
 	d.Finish()
 	var enc binenc.Writer
-	enc.BytesBlob(detectorMagicV2)
+	enc.BytesBlob(detectorMagic)
 	enc.Uvarint(d.k)
 	c := d.cfg
 	enc.Int64(c.seed)
@@ -177,9 +185,9 @@ func Inspect(data []byte) (Header, error) {
 //histburst:decoder
 func decodeHeader(data []byte) (*Detector, cmpbe.Factory, []byte, error) {
 	magic := binenc.NewReader(data).BytesBlob()
-	if !bytes.Equal(magic, detectorMagicV2) {
-		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagicV2[:3]) {
-			return nil, nil, nil, fmt.Errorf("histburst: unsupported detector format HBD%d (this build reads HBD2 only)", magic[3])
+	if !bytes.Equal(magic, detectorMagic) {
+		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
+			return nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD3 only)", ErrUnsupportedFormat, magic[3])
 		}
 		return nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
@@ -263,20 +271,51 @@ func Decode(data []byte) (*Detector, error) {
 			return nil, fmt.Errorf("histburst: corrupt detector file: base type %T", v)
 		}
 		det.base = base
-		return det, nil
+	} else {
+		tree, err := dyadic.UnmarshalTree(blob, factory)
+		if err != nil {
+			return nil, fmt.Errorf("histburst: %w", err)
+		}
+		if tree.K() != roundPow2(det.k) {
+			return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
+		}
+		base, ok := tree.Level(0).(baseLevel)
+		if !ok {
+			return nil, fmt.Errorf("histburst: corrupt detector file: level type %T", tree.Level(0))
+		}
+		det.tree = tree
+		det.base = base
 	}
-	tree, err := dyadic.UnmarshalTree(blob, factory)
-	if err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
+	if err := det.checkBase(); err != nil {
+		return nil, err
 	}
-	if tree.K() != roundPow2(det.k) {
-		return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
-	}
-	base, ok := tree.Level(0).(baseLevel)
-	if !ok {
-		return nil, fmt.Errorf("histburst: corrupt detector file: level type %T", tree.Level(0))
-	}
-	det.tree = tree
-	det.base = base
 	return det, nil
+}
+
+// checkBase holds a decoded leaf summary to the header it was stored under:
+// every id is folded by K and hashed by (d, w, seed), so a summary of any
+// other shape would answer for the wrong cells without failing. A Count-Min
+// leaf is the (d, w, seed) sketch the configuration builds, over more ids
+// than its cells; a collision-free one has a cell per id — also where a
+// sketch would be built today, since downsampling narrows w and leaves a
+// collision-free level as it is. The index's upper levels are pinned to the
+// leaf by dyadic.UnmarshalTree.
+func (d *Detector) checkBase() error {
+	c, k := d.cfg, d.K()
+	switch b := d.base.(type) {
+	case *cmpbe.Direct:
+		if b.IDs() != k {
+			return fmt.Errorf("histburst: corrupt detector file: leaf level has %d cells for %d ids", b.IDs(), k)
+		}
+	case *cmpbe.Sketch:
+		bd, bw := b.Dims()
+		if bd != c.d || bw != c.w || b.Seed() != c.seed {
+			return fmt.Errorf("histburst: corrupt detector file: leaf level is a %d×%d sketch seeded %d under a %d×%d configuration seeded %d",
+				bd, bw, b.Seed(), c.d, c.w, c.seed)
+		}
+		if k <= uint64(c.d)*uint64(c.w) {
+			return fmt.Errorf("histburst: corrupt detector file: leaf level is a %d×%d sketch over %d ids, which fit collision-free", bd, bw, k)
+		}
+	}
+	return nil
 }

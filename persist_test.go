@@ -19,8 +19,25 @@ import (
 func saveHBD1(t testing.TB, d *Detector) []byte {
 	t.Helper()
 	d.Finish()
+	var blob []byte
+	var err error
+	if d.tree != nil {
+		blob, err = d.tree.MarshalBinary()
+	} else {
+		blob, err = d.base.(encoding.BinaryMarshaler).MarshalBinary()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeHeader(d, []byte{'H', 'B', 'D', 1}, blob)
+}
+
+// encodeHeader writes d's configuration and counters as Save does, under the
+// given magic and ahead of the given summary blob, without the checksum
+// footer — for the files no Save would write.
+func encodeHeader(d *Detector, magic, blob []byte) []byte {
 	var enc binenc.Writer
-	enc.BytesBlob([]byte{'H', 'B', 'D', 1})
+	enc.BytesBlob(magic)
 	enc.Uvarint(d.k)
 	c := d.cfg
 	enc.Int64(c.seed)
@@ -39,16 +56,6 @@ func saveHBD1(t testing.TB, d *Detector) []byte {
 	enc.Varint(d.lastT)
 	enc.Bool(d.started)
 	enc.Varint(d.outOfOrder)
-	var blob []byte
-	var err error
-	if d.tree != nil {
-		blob, err = d.tree.MarshalBinary()
-	} else {
-		blob, err = d.base.(encoding.BinaryMarshaler).MarshalBinary()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
 	enc.BytesBlob(blob)
 	return enc.Bytes()
 }
@@ -388,7 +395,7 @@ func TestLoadRejectsImplausibleHeaders(t *testing.T) {
 		{"zero width", 8, 2, 0, "implausible sketch dimensions"},
 	} {
 		var enc binenc.Writer
-		enc.BytesBlob(detectorMagicV2)
+		enc.BytesBlob(detectorMagic)
 		enc.Uvarint(tc.k)
 		enc.Int64(det.cfg.seed)
 		enc.Uvarint(tc.d)
