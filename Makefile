@@ -162,7 +162,8 @@ bench-json:
 experiments:
 	$(GO) run ./cmd/burstbench -all -scale 0.02 -queries 300
 
-# Short fuzzing pass over every decoder, the detector's append path and the
+# Short fuzzing pass over every decoder (the PBE-2 cell block's on its own
+# as well as inside a detector file), the detector's append path and the
 # PBE-2 kernel's one-sided contract (at small, Unix-second and
 # Unix-millisecond time origins). FUZZTIME is overridable so CI can run a
 # quicker smoke (make fuzz FUZZTIME=10s).
@@ -175,6 +176,7 @@ fuzz:
 	$(GO) test -fuzz FuzzLoadSingle -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/

@@ -48,7 +48,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD3 blobs,
+// FuzzDetectorLoad targets the full detector decode path: valid HBD4 blobs,
 // retired-generation HBD1 blobs (must be refused, not decoded), their
 // truncations, and bit flips. Load must never panic, never allocate
 // unboundedly, and anything accepted must survive query and re-save — and
@@ -83,10 +83,10 @@ func FuzzDetectorLoad(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0x10
 		f.Add(flipped)
 	}
-	f.Add(unsortedCellFile(f))
+	f.Add(poisonedCellFile(f))
 	f.Add(wrongLeafFile(f))
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x03 nearly"))
+	f.Add([]byte("HBD\x04 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -120,15 +120,15 @@ func FuzzDetectorLoad(f *testing.F) {
 	})
 }
 
-// unsortedCellFile is a detector file, checksum valid, one of whose PBE-2
-// cells carries a segment that starts before its predecessor.
-func unsortedCellFile(t testing.TB) []byte {
+// poisonedCellFile is a detector file, checksum valid, one of whose PBE-2
+// cells carries a segment whose slope is not a number.
+func poisonedCellFile(t testing.TB) []byte {
 	t.Helper()
 	det, err := New(8, WithPBE2(2), WithSketchDims(2, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for burst := int64(0); burst < 4; burst++ { // rises no single line follows
+	for burst := int64(0); burst < 4; burst++ {
 		for i := 0; i < 12; i++ {
 			det.Append(1, 10+burst*50)
 		}
@@ -138,8 +138,8 @@ func unsortedCellFile(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if !pbe2test.Unsort(data) {
-		t.Fatal("fixture: no PBE-2 cell with two segments in the file")
+	if !pbe2test.Poison(data) {
+		t.Fatal("fixture: no collision-free level with a PBE-2 cell in the file")
 	}
 	body := data[:len(data)-4]
 	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crcTable))
@@ -147,16 +147,18 @@ func unsortedCellFile(t testing.TB) []byte {
 }
 
 // TestLoadRejectsUnsearchableCell: a checksum only proves the bytes are the
-// ones written. A cell whose segments are out of order is refused by name
-// where the parent decoded it and binary-searched it anyway.
+// ones written. A cell the queries cannot evaluate is refused by name. (A
+// cell block stores each start as a distance past the previous end, so the
+// out-of-order starts this test forged before HBD4 cannot be written down at
+// all; pbe2's TestDecodeBlockRejects covers what still can.)
 func TestLoadRejectsUnsearchableCell(t *testing.T) {
-	data := unsortedCellFile(t)
+	data := poisonedCellFile(t)
 	if _, err := Inspect(data); err != nil {
 		t.Fatalf("fixture: the verifier rejects the forged file: %v", err)
 	}
 	_, err := Decode(data)
-	if err == nil || !strings.Contains(err.Error(), "pbe2: segment 1 starts before its predecessor") {
-		t.Fatalf("Decode of an unsorted cell: %v, want the pbe2 decoder's refusal", err)
+	if err == nil || !strings.Contains(err.Error(), "pbe2: cell block: cell 1: segment 0 has non-finite coefficients") {
+		t.Fatalf("Decode of a poisoned cell: %v, want the pbe2 decoder's refusal", err)
 	}
 }
 
@@ -277,7 +279,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(garbled)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x03 nearly"))
+	f.Add([]byte("HBD\x04 nearly"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ierr := Inspect(data)

@@ -32,6 +32,7 @@ import (
 	"math/bits"
 	"runtime"
 
+	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
@@ -169,6 +170,7 @@ type baseLevel interface {
 	EventCells(e uint64) []pbe.PBE
 	AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE
 	Bytes() int
+	Encode(w *binenc.Writer) error
 }
 
 // New creates a Detector over the event-id space [0, k). k is rounded up to

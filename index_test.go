@@ -1,7 +1,7 @@
 package histburst
 
 import (
-	"encoding"
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"strings"
@@ -26,7 +26,7 @@ type forgedLevel struct {
 func forgeIndexFile(t testing.TB, det *Detector, levels []forgedLevel) []byte {
 	t.Helper()
 	var w binenc.Writer
-	w.BytesBlob([]byte{'D', 'Y', 'A', 2})
+	w.BytesBlob([]byte{'D', 'Y', 'A', 3})
 	w.Uvarint(det.K())
 	w.Varint(det.n)
 	w.Varint(det.maxT)
@@ -35,11 +35,9 @@ func forgeIndexFile(t testing.TB, det *Detector, levels []forgedLevel) []byte {
 		w.Uvarint(uint64(l.height))
 	}
 	for _, l := range levels {
-		blob, err := l.level.(encoding.BinaryMarshaler).MarshalBinary()
-		if err != nil {
+		if err := l.level.(baseLevel).Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		w.BytesBlob(blob)
 	}
 	return sealed(encodeHeader(det, detectorMagic, w.Bytes()))
 }
@@ -167,11 +165,11 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 	// The same hole without an index: the base level stands alone.
 	bare := shapeFixture(t, 1024, WithPBE2(2), WithoutEventIndex())
 	half := shapeFixture(t, 512, WithPBE2(2), WithoutEventIndex())
-	blob, err := half.base.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
+	var base binenc.Writer
+	if err := half.base.Encode(&base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(sealed(encodeHeader(bare, detectorMagic, blob))); err == nil || !strings.Contains(err.Error(), "leaf level has 512 cells for 1024 ids") {
+	if _, err := Decode(sealed(encodeHeader(bare, detectorMagic, base.Bytes()))); err == nil || !strings.Contains(err.Error(), "leaf level has 512 cells for 1024 ids") {
 		t.Errorf("index-free detector with a 512-cell base: Decode error %v", err)
 	}
 }
@@ -205,7 +203,7 @@ func benchmarkStream(t testing.TB) []Element {
 // TestSparseSupersetOfBinary: on the benchmark's stream and query grid the
 // kept-levels index reports every id the every-level index (Algorithm 3 as
 // published) reports. Both end at the same leaf level and leaf filter — the
-// same bytes — so they can differ only in the path there, and a sixteen-way
+// same bytes, checked below — so they can differ only in the path there, and a sixteen-way
 // node never prunes above a qualifying leaf at the last step (Σ b_c² ≥ b_e²);
 // fewer prune decisions on the way down is where the recall comes from.
 func TestSparseSupersetOfBinary(t *testing.T) {
@@ -222,6 +220,20 @@ func TestSparseSupersetOfBinary(t *testing.T) {
 		every.Append(el.Event, el.Time)
 	}
 	every.Finish()
+	// A kept level is built from the same (height, ids, seed) whatever other
+	// levels exist: byte for byte the level the every-height index holds there.
+	for i, h := range det.tree.Heights() {
+		var kept, all binenc.Writer
+		if err := det.tree.Level(i).(baseLevel).Encode(&kept); err != nil {
+			t.Fatal(err)
+		}
+		if err := every.Level(h).(baseLevel).Encode(&all); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(kept.Bytes(), all.Bytes()) {
+			t.Fatalf("the kept level at height %d is not the every-level index's level there", h)
+		}
+	}
 
 	const tau, queries = 86_400, 256
 	theta := float64(len(elems)) / 5000

@@ -106,15 +106,16 @@ func New(d, w int, seed int64, f Factory) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat := make([]pbe.PBE, d*w)
-	for i := range flat {
-		flat[i] = f()
-	}
+	return newSketch(d, w, seed, hf, factoryCells(d*w, f), 0, 0), nil
+}
+
+// newSketch assembles a sketch around its cells, laid out row-major.
+func newSketch(d, w int, seed int64, hf hash.Family, flat []pbe.PBE, n, maxT int64) *Sketch {
 	cells := make([][]pbe.PBE, d)
 	for i := range cells {
 		cells[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
-	return &Sketch{d: d, w: w, seed: seed, cells: cells, flat: flat, hf: hf}, nil
+	return &Sketch{d: d, w: w, seed: seed, cells: cells, flat: flat, hf: hf, n: n, maxT: maxT}
 }
 
 // NewWithError creates a CM-PBE sized from the usual Count-Min parameters:

@@ -39,11 +39,7 @@ func NewDirect(ids uint64, f Factory) (*Direct, error) {
 	if f == nil {
 		return nil, fmt.Errorf("cmpbe: factory must not be nil")
 	}
-	cells := make([]pbe.PBE, ids)
-	for i := range cells {
-		cells[i] = f()
-	}
-	return &Direct{cells: cells}, nil
+	return &Direct{cells: factoryCells(int(ids), f)}, nil
 }
 
 // Append ingests one element. Ids outside the space are folded in.

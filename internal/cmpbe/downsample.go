@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"histburst/internal/hash"
-	"histburst/internal/pbe"
 	"histburst/internal/pbe2"
 )
 
@@ -57,8 +56,7 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 		}
 	}
 	cellCount := first.d * w
-	flat := make([]pbe.PBE, cellCount)
-	arena := make([]pbe2.Builder, cellCount)
+	arena, flat := arenaCells(cellCount)
 	// One backing array for all per-cell member slices, reused across cells.
 	memberBuf := make([]*pbe2.Builder, len(parts)*group)
 	srcParts := make([][]*pbe2.Builder, len(parts))
@@ -80,15 +78,9 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 			if err := pbe2.DownsampleInto(&arena[c], srcParts, gamma, res); err != nil {
 				return nil, fmt.Errorf("cmpbe: cell (%d,%d): %w", i, j, err)
 			}
-			flat[c] = &arena[c]
 		}
 	}
-	out := &Sketch{d: first.d, w: w, seed: first.seed, flat: flat, hf: hf, n: n, maxT: maxT}
-	out.cells = make([][]pbe.PBE, out.d)
-	for i := range out.cells {
-		out.cells[i] = flat[i*w : (i+1)*w : (i+1)*w]
-	}
-	return out, nil
+	return newSketch(first.d, w, first.seed, hf, flat, n, maxT), nil
 }
 
 // DownsampleDirects re-summarizes time-disjoint collision-free summaries at
@@ -116,8 +108,7 @@ func DownsampleDirects(parts []*Direct, gamma float64, res int64) (*Direct, erro
 		}
 	}
 	cellCount := len(first.cells)
-	out := make([]pbe.PBE, cellCount)
-	arena := make([]pbe2.Builder, cellCount)
+	arena, out := arenaCells(cellCount)
 	memberBuf := make([]*pbe2.Builder, len(parts))
 	srcParts := make([][]*pbe2.Builder, len(parts))
 	for k := range parts {
@@ -134,7 +125,6 @@ func DownsampleDirects(parts []*Direct, gamma float64, res int64) (*Direct, erro
 		if err := pbe2.DownsampleInto(&arena[c], srcParts, gamma, res); err != nil {
 			return nil, fmt.Errorf("cmpbe: direct cell %d: %w", c, err)
 		}
-		out[c] = &arena[c]
 	}
 	return &Direct{cells: out, n: n, maxT: maxT}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"histburst/internal/binenc"
 	"histburst/internal/stream"
 )
 
@@ -236,7 +237,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 		N() int64
 		MaxTime() int64
 		Bytes() int
-		MarshalBinary() ([]byte, error)
+		Encode(w *binenc.Writer) error
 	}
 	for name, mk := range factories {
 		f, err := mk()
@@ -272,15 +273,14 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 					}
 					w.Finish()
 					g.Finish()
-					wb, err := w.MarshalBinary()
-					if err != nil {
+					var wb, gb binenc.Writer
+					if err := w.Encode(&wb); err != nil {
 						t.Fatal(err)
 					}
-					gb, err := g.MarshalBinary()
-					if err != nil {
+					if err := g.Encode(&gb); err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(gb, wb) || g.N() != w.N() || g.MaxTime() != w.MaxTime() || g.Bytes() != w.Bytes() {
+					if !bytes.Equal(gb.Bytes(), wb.Bytes()) || g.N() != w.N() || g.MaxTime() != w.MaxTime() || g.Bytes() != w.Bytes() {
 						t.Fatalf("%s %T shift %d round %d: batched ingest differs from per-element (N %d/%d, maxT %d/%d, Bytes %d/%d)",
 							name, g, shift, round, g.N(), w.N(), g.MaxTime(), w.MaxTime(), g.Bytes(), w.Bytes())
 					}

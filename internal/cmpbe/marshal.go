@@ -5,13 +5,18 @@ import (
 	"fmt"
 
 	"histburst/internal/binenc"
+	"histburst/internal/hash"
 	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 )
 
-// Serialization. Sketches and Direct summaries serialize their dimensions,
-// bookkeeping and every cell's own binary form; loading requires the same
-// Factory that built them (the cell format carries its own magic, so a
-// mismatched factory fails cleanly rather than misinterpreting bytes).
+// Serialization. Sketches and Direct summaries serialize their dimensions
+// and bookkeeping, then their cells: PBE-2 cells together, as one pbe2 cell
+// block; PBE-1 cells one length-prefixed blob each, in their own binary
+// form. The cells themselves decide which — a level holds one kind — and
+// loading requires the same Factory that built them (both forms open with
+// their own magic, so a mismatched factory fails cleanly rather than
+// misinterpreting bytes).
 
 var (
 	sketchMagic = []byte{'C', 'M', 'P', 1}
@@ -20,36 +25,50 @@ var (
 
 const maxCells = 1 << 24
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Sketch) MarshalBinary() ([]byte, error) {
-	var w binenc.Writer
+// Encode appends the sketch's serialized form to w, finishing its cells.
+func (s *Sketch) Encode(w *binenc.Writer) error {
 	w.BytesBlob(sketchMagic)
 	w.Uvarint(uint64(s.d))
 	w.Uvarint(uint64(s.w))
 	w.Int64(s.seed)
 	w.Varint(s.n)
 	w.Varint(s.maxT)
-	for i := range s.cells {
-		for j := range s.cells[i] {
-			blob, err := marshalCell(s.cells[i][j])
-			if err != nil {
-				return nil, fmt.Errorf("cmpbe: cell (%d,%d): %w", i, j, err)
-			}
-			w.BytesBlob(blob)
-		}
-	}
-	return w.Bytes(), nil
+	return encodeCells(w, s.flat, s.maxT)
 }
 
-// UnmarshalSketch decodes a sketch serialized by MarshalBinary. The factory
-// must produce the same cell type and parameters used at build time.
+// Encode appends the summary's serialized form to w, finishing its cells.
+func (d *Direct) Encode(w *binenc.Writer) error {
+	w.BytesBlob(directMagic)
+	w.Uvarint(uint64(len(d.cells)))
+	w.Varint(d.n)
+	w.Varint(d.maxT)
+	return encodeCells(w, d.cells, d.maxT)
+}
+
+// DecodeLevel reads one serialized Sketch or Direct from r, dispatching on
+// the magic it opens with, and leaves r just past it. The concrete type is
+// *Sketch or *Direct; callers (e.g. the dyadic tree loader) assert to the
+// interface they need. The factory must produce the cell type used at build
+// time.
 //
 //histburst:decoder
-func UnmarshalSketch(data []byte, f Factory) (*Sketch, error) {
-	r := binenc.NewReader(data)
-	if string(r.BytesBlob()) != string(sketchMagic) {
-		return nil, fmt.Errorf("cmpbe: bad sketch magic")
+func DecodeLevel(r *binenc.Reader, f Factory) (any, error) {
+	magic := string(r.BytesBlob())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("cmpbe: unreadable summary header: %w", err)
 	}
+	switch magic {
+	case string(sketchMagic):
+		return decodeSketch(r, f)
+	case string(directMagic):
+		return decodeDirect(r, f)
+	default:
+		return nil, fmt.Errorf("cmpbe: unknown summary magic %q", magic)
+	}
+}
+
+//histburst:decoder
+func decodeSketch(r *binenc.Reader, f Factory) (*Sketch, error) {
 	d := int(r.Uvarint())
 	w := int(r.Uvarint())
 	seed := r.Int64()
@@ -63,55 +82,19 @@ func UnmarshalSketch(data []byte, f Factory) (*Sketch, error) {
 	if d <= 0 || w <= 0 || d > maxCells || w > maxCells || d*w > maxCells {
 		return nil, fmt.Errorf("cmpbe: implausible dimensions %d×%d", d, w)
 	}
-	// Every cell is at least a one-byte blob; a short record claiming many
-	// cells must not allocate them all just to fail on the first decode.
-	if d*w > r.Remaining() {
-		return nil, fmt.Errorf("cmpbe: %d cells exceed %d remaining bytes", d*w, r.Remaining())
-	}
-	s, err := New(d, w, seed, f)
+	hf, err := hash.NewFamily(d, w, seed)
 	if err != nil {
 		return nil, err
 	}
-	s.n = n
-	s.maxT = maxT
-	for i := 0; i < d; i++ {
-		for j := 0; j < w; j++ {
-			if err := unmarshalCell(s.cells[i][j], r.BytesBlob()); err != nil {
-				return nil, fmt.Errorf("cmpbe: cell (%d,%d): %w", i, j, err)
-			}
-		}
-	}
-	if err := r.Close(); err != nil {
+	flat, err := decodeCells(r, d*w, w, n, maxT, f)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	return newSketch(d, w, seed, hf, flat, n, maxT), nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (d *Direct) MarshalBinary() ([]byte, error) {
-	var w binenc.Writer
-	w.BytesBlob(directMagic)
-	w.Uvarint(uint64(len(d.cells)))
-	w.Varint(d.n)
-	w.Varint(d.maxT)
-	for i, c := range d.cells {
-		blob, err := marshalCell(c)
-		if err != nil {
-			return nil, fmt.Errorf("cmpbe: direct cell %d: %w", i, err)
-		}
-		w.BytesBlob(blob)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalDirect decodes a Direct summary serialized by MarshalBinary.
-//
 //histburst:decoder
-func UnmarshalDirect(data []byte, f Factory) (*Direct, error) {
-	r := binenc.NewReader(data)
-	if string(r.BytesBlob()) != string(directMagic) {
-		return nil, fmt.Errorf("cmpbe: bad direct magic")
-	}
+func decodeDirect(r *binenc.Reader, f Factory) (*Direct, error) {
 	ids := r.Uvarint()
 	n := r.Varint()
 	maxT := r.Varint()
@@ -121,38 +104,101 @@ func UnmarshalDirect(data []byte, f Factory) (*Direct, error) {
 	if ids == 0 || ids > maxCells {
 		return nil, fmt.Errorf("cmpbe: implausible direct size %d", ids)
 	}
-	if ids > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("cmpbe: %d cells exceed %d remaining bytes", ids, r.Remaining())
-	}
-	d, err := NewDirect(ids, f)
+	cells, err := decodeCells(r, int(ids), int(ids), n, maxT, f)
 	if err != nil {
 		return nil, err
 	}
-	d.n = n
-	d.maxT = maxT
-	for i := range d.cells {
-		if err := unmarshalCell(d.cells[i], r.BytesBlob()); err != nil {
-			return nil, fmt.Errorf("cmpbe: direct cell %d: %w", i, err)
+	return &Direct{cells: cells, n: n, maxT: maxT}, nil
+}
+
+// encodeCells appends a level's cells in the form their type calls for.
+func encodeCells(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
+	if _, ok := cells[0].(*pbe2.Builder); ok {
+		return pbe2.EncodeBlock(w, cells, maxT)
+	}
+	for i, c := range cells {
+		m, ok := c.(encoding.BinaryMarshaler)
+		if !ok {
+			return fmt.Errorf("cmpbe: cell %d: type %T is not serializable", i, c)
+		}
+		blob, err := m.MarshalBinary()
+		if err != nil {
+			return fmt.Errorf("cmpbe: cell %d: %w", i, err)
+		}
+		w.BytesBlob(blob)
+	}
+	return nil
+}
+
+// decodeCells reads the count cells of a level that ingested n elements up
+// to maxT, in the form the factory's cell type calls for. A PBE-2 level must
+// be under the factory's gamma — cells under another would refuse to merge
+// with the ones the factory goes on to build — and account for its elements:
+// every element lands in exactly one cell of each run of row cells (a
+// sketch's row, a Direct's whole array), so each run's counts sum to n.
+//
+//histburst:decoder
+func decodeCells(r *binenc.Reader, count, row int, n, maxT int64, f Factory) ([]pbe.PBE, error) {
+	if f == nil {
+		return nil, fmt.Errorf("cmpbe: factory must not be nil")
+	}
+	if probe, ok := f().(*pbe2.Builder); ok {
+		// An empty cell is one bit of the block; a short record claiming
+		// many cells must not allocate them all just to fail on the first.
+		if (count+7)/8 > r.Remaining() {
+			return nil, fmt.Errorf("cmpbe: %d cells exceed %d remaining bytes", count, r.Remaining())
+		}
+		arena, cells := arenaCells(count)
+		if err := pbe2.DecodeBlock(r, arena, maxT); err != nil {
+			return nil, fmt.Errorf("cmpbe: %w", err)
+		}
+		if got := arena[0].Gamma(); got != probe.Gamma() {
+			return nil, fmt.Errorf("cmpbe: cells under gamma %v, the factory's are under %v", got, probe.Gamma())
+		}
+		for at := 0; at < count; at += row {
+			var sum int64
+			for i := at; i < at+row; i++ {
+				sum += arena[i].Count()
+			}
+			if sum != n {
+				return nil, fmt.Errorf("cmpbe: cells %d–%d count %d arrivals, the level %d", at, at+row-1, sum, n)
+			}
+		}
+		return cells, nil
+	}
+	// Every cell is at least a one-byte blob.
+	if count > r.Remaining() {
+		return nil, fmt.Errorf("cmpbe: %d cells exceed %d remaining bytes", count, r.Remaining())
+	}
+	cells := factoryCells(count, f)
+	for i, c := range cells {
+		u, ok := c.(encoding.BinaryUnmarshaler)
+		if !ok {
+			return nil, fmt.Errorf("cmpbe: cell %d: type %T is not serializable", i, c)
+		}
+		if err := u.UnmarshalBinary(r.BytesBlob()); err != nil {
+			return nil, fmt.Errorf("cmpbe: cell %d: %w", i, err)
 		}
 	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return cells, r.Err()
 }
 
-func marshalCell(c pbe.PBE) ([]byte, error) {
-	m, ok := c.(encoding.BinaryMarshaler)
-	if !ok {
-		return nil, fmt.Errorf("cell type %T is not serializable", c)
+// factoryCells returns n fresh cells of the factory's making.
+func factoryCells(n int, f Factory) []pbe.PBE {
+	cells := make([]pbe.PBE, n)
+	for i := range cells {
+		cells[i] = f()
 	}
-	return m.MarshalBinary()
+	return cells
 }
 
-func unmarshalCell(c pbe.PBE, blob []byte) error {
-	u, ok := c.(encoding.BinaryUnmarshaler)
-	if !ok {
-		return fmt.Errorf("cell type %T is not serializable", c)
+// arenaCells lays n PBE-2 cells out in one allocation and returns them both
+// ways: the builders to fill in, and the cell slice a level holds.
+func arenaCells(n int) ([]pbe2.Builder, []pbe.PBE) {
+	arena := make([]pbe2.Builder, n)
+	cells := make([]pbe.PBE, n)
+	for i := range arena {
+		cells[i] = &arena[i]
 	}
-	return u.UnmarshalBinary(blob)
+	return arena, cells
 }

@@ -1,8 +1,31 @@
 package cmpbe
 
 import (
+	"strings"
 	"testing"
+
+	"histburst/internal/binenc"
 )
+
+// encoded returns a level's serialized form.
+func encoded(t testing.TB, l interface{ Encode(*binenc.Writer) error }) []byte {
+	t.Helper()
+	var w binenc.Writer
+	if err := l.Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+// decodeWhole decodes data as exactly one level.
+func decodeWhole(data []byte, f Factory) (any, error) {
+	r := binenc.NewReader(data)
+	v, err := DecodeLevel(r, f)
+	if err != nil {
+		return nil, err
+	}
+	return v, r.Close()
+}
 
 func TestSketchMarshalRoundTrip(t *testing.T) {
 	f, _ := PBE2Factory(2)
@@ -16,14 +39,12 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	}
 	s.Finish()
 
-	blob, err := s.MarshalBinary()
+	blob := encoded(t, s)
+	v, err := decodeWhole(blob, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalSketch(blob, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := v.(*Sketch)
 	if got.N() != s.N() || got.MaxTime() != s.MaxTime() || got.Bytes() != s.Bytes() {
 		t.Fatal("metadata mismatch")
 	}
@@ -36,6 +57,9 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 				t.Fatalf("Burstiness differs at e=%d t=%d", e, q)
 			}
 		}
+	}
+	if string(encoded(t, got)) != string(blob) {
+		t.Fatal("the decoded sketch encodes to other bytes")
 	}
 }
 
@@ -50,14 +74,11 @@ func TestSketchMarshalPBE1Cells(t *testing.T) {
 		s.Append(el.Event, el.Time)
 	}
 	// Deliberately no Finish: the PBE-1 buffered tails must round-trip.
-	blob, err := s.MarshalBinary()
+	v, err := decodeWhole(encoded(t, s), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalSketch(blob, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := v.(*Sketch)
 	for e := uint64(0); e < 20; e++ {
 		if got.EstimateF(e, s.MaxTime()) != s.EstimateF(e, s.MaxTime()) {
 			t.Fatalf("estimate differs for event %d", e)
@@ -72,14 +93,11 @@ func TestDirectMarshalRoundTrip(t *testing.T) {
 		d.Append(uint64(tm%8), tm)
 	}
 	d.Finish()
-	blob, err := d.MarshalBinary()
+	v, err := decodeWhole(encoded(t, d), f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalDirect(blob, f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := v.(*Direct)
 	if got.N() != d.N() || got.MaxTime() != d.MaxTime() {
 		t.Fatal("metadata mismatch")
 	}
@@ -96,24 +114,33 @@ func TestUnmarshalAnyDispatch(t *testing.T) {
 	f, _ := PBE2Factory(2)
 	s, _ := New(2, 4, 1, f)
 	s.Append(1, 10)
-	s.Finish()
-	sBlob, _ := s.MarshalBinary()
 	d, _ := NewDirect(4, f)
 	d.Append(1, 10)
-	d.Finish()
-	dBlob, _ := d.MarshalBinary()
 
-	if v, err := UnmarshalAny(sBlob, f); err != nil {
+	// Two levels back to back, as a tree stores them: each decode leaves the
+	// reader at the next.
+	var w binenc.Writer
+	if err := s.Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Encode(&w); err != nil {
+		t.Fatal(err)
+	}
+	r := binenc.NewReader(w.Bytes())
+	if v, err := DecodeLevel(r, f); err != nil {
 		t.Fatal(err)
 	} else if _, ok := v.(*Sketch); !ok {
-		t.Fatalf("sketch blob decoded as %T", v)
+		t.Fatalf("sketch decoded as %T", v)
 	}
-	if v, err := UnmarshalAny(dBlob, f); err != nil {
+	if v, err := DecodeLevel(r, f); err != nil {
 		t.Fatal(err)
 	} else if _, ok := v.(*Direct); !ok {
-		t.Fatalf("direct blob decoded as %T", v)
+		t.Fatalf("direct decoded as %T", v)
 	}
-	if _, err := UnmarshalAny([]byte("junk"), f); err == nil {
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeWhole([]byte("junk"), f); err == nil {
 		t.Fatal("junk accepted")
 	}
 }
@@ -122,16 +149,66 @@ func TestUnmarshalSketchRejectsCorrupt(t *testing.T) {
 	f, _ := PBE2Factory(2)
 	s, _ := New(2, 4, 1, f)
 	s.Append(1, 10)
-	s.Finish()
-	blob, _ := s.MarshalBinary()
-	for cut := 0; cut < len(blob); cut += 3 {
-		if _, err := UnmarshalSketch(blob[:cut], f); err == nil {
+	blob := encoded(t, s)
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := decodeWhole(blob[:cut], f); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
-	// Wrong factory type: PBE-1 cells cannot decode PBE-2 blobs.
+	// Another gamma than the cells were built under.
+	f3, _ := PBE2Factory(3)
+	if _, err := decodeWhole(blob, f3); err == nil || !strings.Contains(err.Error(), "cells under gamma 2, the factory's are under 3") {
+		t.Fatalf("factory of another gamma: %v", err)
+	}
+	// Wrong factory type, either way: neither cell form reads as the other.
 	f1, _ := PBE1Factory(100, 5)
-	if _, err := UnmarshalSketch(blob, f1); err == nil {
-		t.Fatal("mismatched cell factory accepted")
+	if _, err := decodeWhole(blob, f1); err == nil {
+		t.Fatal("PBE-1 factory accepted a PBE-2 cell block")
+	}
+	s1, _ := New(2, 4, 1, f1)
+	s1.Append(1, 10)
+	if _, err := decodeWhole(encoded(t, s1), f); err == nil {
+		t.Fatal("PBE-2 factory accepted PBE-1 cell blobs")
+	}
+}
+
+// TestDecodeHoldsCellsToTheLevel: every element of a level lands in one
+// cell of each row, so a row whose cells count another total than the
+// level's n belongs to some other level — refused, where the per-cell format
+// had nothing to check a cell against.
+func TestDecodeHoldsCellsToTheLevel(t *testing.T) {
+	f, _ := PBE2Factory(2)
+	build := func(extra bool) (*Sketch, *Direct) {
+		s, _ := New(2, 4, 1, f)
+		d, _ := NewDirect(4, f)
+		for i := int64(0); i < 40; i++ {
+			s.Append(uint64(i%7), 10+i)
+			d.Append(uint64(i%7), 10+i)
+		}
+		if extra {
+			s.Append(3, 50)
+			d.Append(3, 50)
+		}
+		return s, d
+	}
+	s, d := build(false)
+	s2, d2 := build(true)
+	// The longer level's cells under the shorter level's header: same header
+	// length (n is 40 or 41, one varint byte), another n.
+	splice := func(header, cells []byte) []byte {
+		at := strings.Index(string(cells), "P2B\x01")
+		if at < 0 || at != strings.Index(string(header), "P2B\x01") {
+			t.Fatal("fixture: cell blocks not where expected")
+		}
+		return append(append([]byte(nil), header[:at]...), cells[at:]...)
+	}
+	for name, data := range map[string][]byte{
+		"sketch": splice(encoded(t, s), encoded(t, s2)),
+		"direct": splice(encoded(t, d), encoded(t, d2)),
+	} {
+		_, err := decodeWhole(data, f)
+		if err == nil || !strings.Contains(err.Error(), "count 41 arrivals, the level 40") {
+			t.Errorf("%s: cells of a 41-element level under a 40-element header: %v", name, err)
+		}
 	}
 }

@@ -86,12 +86,7 @@ func MergeSketches(parts []*Sketch) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Sketch{d: first.d, w: first.w, seed: first.seed, flat: flat, hf: first.hf, n: n, maxT: maxT}
-	out.cells = make([][]pbe.PBE, out.d)
-	for i := range out.cells {
-		out.cells[i] = flat[i*out.w : (i+1)*out.w : (i+1)*out.w]
-	}
-	return out, nil
+	return newSketch(first.d, first.w, first.seed, first.hf, flat, n, maxT), nil
 }
 
 // MergeDirects is MergeSketches for collision-free summaries.
@@ -132,8 +127,7 @@ func MergeDirects(parts []*Direct) (*Direct, error) {
 // cell's segment storage is sized exactly once by pbe2.MergeFinishedInto.
 func mergeCellArrays(arrays [][]pbe.PBE) ([]pbe.PBE, error) {
 	cellCount := len(arrays[0])
-	out := make([]pbe.PBE, cellCount)
-	arena := make([]pbe2.Builder, cellCount)
+	arena, out := arenaCells(cellCount)
 	srcs := make([]*pbe2.Builder, len(arrays))
 	for c := 0; c < cellCount; c++ {
 		for k, a := range arrays {
@@ -146,7 +140,6 @@ func mergeCellArrays(arrays [][]pbe.PBE) ([]pbe.PBE, error) {
 		if err := pbe2.MergeFinishedInto(&arena[c], srcs); err != nil {
 			return nil, fmt.Errorf("cmpbe: cell %d: %w", c, err)
 		}
-		out[c] = &arena[c]
 	}
 	return out, nil
 }

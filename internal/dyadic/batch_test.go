@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/stream"
 )
@@ -30,11 +31,11 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 	marshal := func(tr *Tree) []byte {
 		t.Helper()
 		tr.Finish()
-		b, err := tr.MarshalBinary()
-		if err != nil {
+		var w binenc.Writer
+		if err := tr.Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		return b
+		return w.Bytes()
 	}
 	cut := len(data) / 2
 	for _, workers := range []int{0, 1, 2, 4, 100} {

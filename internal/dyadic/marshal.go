@@ -1,7 +1,6 @@
 package dyadic
 
 import (
-	"encoding"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -11,17 +10,16 @@ import (
 )
 
 // Serialization: the tree stores its shape — the id space and the kept
-// heights — plus every level's own binary form. Loading is specific to the
-// levels CMPBELevels builds (the only persistent kind); the cell Factory must
-// match the one used at build time.
+// heights — then every level's own serialized form, one after another.
+// Loading is specific to the levels CMPBELevels builds (the only persistent
+// kind); the cell Factory must match the one used at build time.
 
-var treeMagic = []byte{'D', 'Y', 'A', 2}
+var treeMagic = []byte{'D', 'Y', 'A', 3}
 
-// MarshalBinary implements encoding.BinaryMarshaler. Every level must be
+// Encode appends the tree's serialized form to w. Every level must be
 // serializable (CM-PBE and Direct levels are; test-only exact levels are
 // not).
-func (t *Tree) MarshalBinary() ([]byte, error) {
-	var w binenc.Writer
+func (t *Tree) Encode(w *binenc.Writer) error {
 	w.BytesBlob(treeMagic)
 	w.Uvarint(t.k)
 	w.Varint(t.n)
@@ -31,40 +29,37 @@ func (t *Tree) MarshalBinary() ([]byte, error) {
 		w.Uvarint(uint64(h))
 	}
 	for i, l := range t.levels {
-		m, ok := l.(encoding.BinaryMarshaler)
+		m, ok := l.(interface{ Encode(*binenc.Writer) error })
 		if !ok {
-			return nil, fmt.Errorf("dyadic: level %d type %T is not serializable", i, l)
+			return fmt.Errorf("dyadic: level %d type %T is not serializable", i, l)
 		}
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
+		if err := m.Encode(w); err != nil {
+			return fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
-		w.BytesBlob(blob)
 	}
-	return w.Bytes(), nil
+	return nil
 }
 
-// UnmarshalTree decodes a tree serialized by MarshalBinary whose levels are
-// CM-PBE summaries built from the given cell factory. It accepts exactly the
-// shapes CMPBELevels builds: the search indexes a level's cells by height, so
-// a level of any other size would be read out of range or — folded by modulo —
-// silently serve two ids from one cell. Each Direct level has K>>height
+// DecodeTree reads from r a tree serialized by Encode whose levels are
+// CM-PBE summaries built from the given cell factory, and leaves r just past
+// it. It accepts exactly the shapes CMPBELevels builds: the search indexes a
+// level's cells by height, so a level of any other size would be read out of
+// range or — folded by modulo — silently serve two ids from one cell. Each Direct level has K>>height
 // cells; the Count-Min levels are the lowest heights, share their dimensions,
 // step their seeds by levelSeedStride from the leaf level's, and stand only
 // where a Direct would not fit; the height list is the kept set for that many
-// Count-Min levels. What the blob cannot say — that the leaf level matches the
+// Count-Min levels. What the bytes cannot say — that the leaf level matches the
 // configuration it is loaded under — is the caller's to check.
 //
 //histburst:decoder
-func UnmarshalTree(data []byte, f cmpbe.Factory) (*Tree, error) {
-	r := binenc.NewReader(data)
+func DecodeTree(r *binenc.Reader, f cmpbe.Factory) (*Tree, error) {
 	if string(r.BytesBlob()) != string(treeMagic) {
 		return nil, fmt.Errorf("dyadic: bad magic")
 	}
 	k := r.Uvarint()
 	n := r.Varint()
 	maxT := r.Varint()
-	nLevels := r.SliceLen(65, 2) // a height and a blob each
+	nLevels := r.SliceLen(65, 2) // a height and a level each
 	heights := make([]int, nLevels)
 	for i := range heights {
 		heights[i] = r.Len(64)
@@ -82,7 +77,7 @@ func UnmarshalTree(data []byte, f cmpbe.Factory) (*Tree, error) {
 	levels := make([]Level, nLevels)
 	sketches := 0
 	for i, h := range heights {
-		v, err := cmpbe.UnmarshalAny(r.BytesBlob(), f)
+		v, err := cmpbe.DecodeLevel(r, f)
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
@@ -104,9 +99,6 @@ func UnmarshalTree(data []byte, f cmpbe.Factory) (*Tree, error) {
 		default:
 			return nil, fmt.Errorf("dyadic: level %d type %T lacks the Level methods", i, v)
 		}
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
 	}
 	if want := keptHeights(lgK, sketches); !slices.Equal(heights, want) {
 		return nil, fmt.Errorf("dyadic: levels at heights %v; an index over %d ids with %d Count-Min levels keeps %v", heights, k, sketches, want)

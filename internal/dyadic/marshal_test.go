@@ -5,8 +5,19 @@ import (
 	"sort"
 	"testing"
 
+	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 )
+
+// decodeWhole decodes data as exactly one tree.
+func decodeWhole(data []byte, f cmpbe.Factory) (*Tree, error) {
+	r := binenc.NewReader(data)
+	tr, err := DecodeTree(r, f)
+	if err != nil {
+		return nil, err
+	}
+	return tr, r.Close()
+}
 
 func TestTreeMarshalRoundTrip(t *testing.T) {
 	f, err := cmpbe.PBE2Factory(2)
@@ -23,11 +34,11 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 	}
 	tr.Finish()
 
-	blob, err := tr.MarshalBinary()
-	if err != nil {
+	var w binenc.Writer
+	if err := tr.Encode(&w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := UnmarshalTree(blob, f)
+	got, err := decodeWhole(w.Bytes(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +71,7 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 func TestTreeMarshalExactLevelsFails(t *testing.T) {
 	tr, _ := New(8, exactFactory)
 	tr.Append(1, 1)
-	if _, err := tr.MarshalBinary(); err == nil {
+	if err := tr.Encode(new(binenc.Writer)); err == nil {
 		t.Fatal("non-serializable levels accepted")
 	}
 }
@@ -70,16 +81,17 @@ func TestUnmarshalTreeRejectsCorrupt(t *testing.T) {
 	tr, _ := New(8, CMPBELevels(2, 8, 1, f))
 	tr.Append(1, 5)
 	tr.Finish()
-	blob, err := tr.MarshalBinary()
-	if err != nil {
+	var w binenc.Writer
+	if err := tr.Encode(&w); err != nil {
 		t.Fatal(err)
 	}
-	for cut := 0; cut < len(blob); cut += 11 {
-		if _, err := UnmarshalTree(blob[:cut], f); err == nil {
+	blob := w.Bytes()
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := decodeWhole(blob[:cut], f); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
-	if _, err := UnmarshalTree([]byte("garbage"), f); err == nil {
+	if _, err := decodeWhole([]byte("garbage"), f); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

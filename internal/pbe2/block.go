@@ -1,0 +1,341 @@
+package pbe2
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+
+	"histburst/internal/binenc"
+	"histburst/internal/pbe"
+)
+
+// Cell block: how a level of PBE-2 cells — a collision-free summary, or every
+// row of a Count-Min one — is stored. What the cells share is said once, what
+// an empty cell has to say is one bit, and a segment says where it starts by
+// how far that is from where its predecessor ended (see internal/binenc for
+// the scalar forms; p counts the present cells, in cell order):
+//
+//	magic     uint32 "P2B\x01"
+//	gamma     float64
+//	maxVerts  uvarint
+//	outOfOrd  uvarint   Σ over the cells
+//	present   ⌈cells/8⌉ bytes, bit i%8 of byte i/8 set when cell i holds arrivals
+//	nSegments uvarint × p
+//	count     uvarint × p
+//	open      uvarint × p   count − prevF: the arrivals of the open corner
+//	tail      uvarint × p   lastT − the last segment's End
+//	outOfOrd  uvarint × p   only when the block's sum is not zero
+//	segments  per present cell, per segment:
+//	          first  varint  Start − the level's maxT
+//	          later  uvarint Start − the previous segment's End
+//	          uvarint End − Start, float64 A, float64 B
+//
+// Nothing a decoder can work out is stored. A cell is present exactly when it
+// has counted an arrival, so it has started; EncodeBlock finishes every cell,
+// so it is done and holds at least one segment; an absent cell is the empty
+// summary New returns. Every varint is in its shortest form, so a block has
+// one encoding and DecodeBlock accepts no other.
+
+const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 1<<24
+
+// EncodeBlock appends cells — all PBE-2 summaries under one gamma and vertex
+// cap — to w as one cell block, finishing each first (as MarshalBinary does).
+// maxT is the level's largest timestamp, the base the first start of every
+// cell is written against; DecodeBlock must be given the same.
+func EncodeBlock(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
+	var first *Builder
+	var outOfOrder int64
+	present := make([]*Builder, 0, len(cells))
+	for i, c := range cells {
+		b, ok := c.(*Builder)
+		if !ok {
+			return fmt.Errorf("pbe2: cell %d is a %T, not a PBE-2 summary", i, c)
+		}
+		if first == nil {
+			first = b
+		}
+		if b.gamma != first.gamma || b.maxVertices != first.maxVertices {
+			return fmt.Errorf("pbe2: cell %d has gamma %v and vertex cap %d in a block of gamma %v and vertex cap %d",
+				i, b.gamma, b.maxVertices, first.gamma, first.maxVertices)
+		}
+		b.Finish()
+		if b.count == 0 {
+			continue
+		}
+		// What the columns below cannot express no builder, merge or
+		// downsample produces; a cell in such a state must not reach a file
+		// the decoder would then refuse.
+		n := len(b.starts)
+		if n == 0 || b.prevF < 0 || b.prevF > b.count || b.outOfOrder < 0 || b.lastT < b.starts[n-1]+b.segLen(n-1) {
+			return fmt.Errorf("pbe2: cell %d is inconsistent: %d segments, count %d, prevF %d, frontier %d", i, n, b.count, b.prevF, b.lastT)
+		}
+		outOfOrder += b.outOfOrder
+		present = append(present, b)
+	}
+	if first == nil {
+		return fmt.Errorf("pbe2: cell block of zero cells")
+	}
+	w.Uint32(blockMagic)
+	w.Float64(first.gamma)
+	w.Uvarint(uint64(first.maxVertices))
+	w.Uvarint(uint64(outOfOrder))
+	var mask byte
+	for i, c := range cells {
+		if c.(*Builder).count > 0 {
+			mask |= 1 << (i % 8)
+		}
+		if i%8 == 7 || i == len(cells)-1 {
+			w.Byte(mask)
+			mask = 0
+		}
+	}
+	for _, b := range present {
+		w.Uvarint(uint64(len(b.starts)))
+	}
+	for _, b := range present {
+		w.Uvarint(uint64(b.count))
+	}
+	for _, b := range present {
+		w.Uvarint(uint64(b.count - b.prevF))
+	}
+	for _, b := range present {
+		n := len(b.starts)
+		w.Uvarint(uint64(b.lastT - b.starts[n-1] - b.segLen(n-1)))
+	}
+	if outOfOrder != 0 {
+		for _, b := range present {
+			w.Uvarint(uint64(b.outOfOrder))
+		}
+	}
+	for _, b := range present {
+		prevEnd := maxT
+		for i, start := range b.starts {
+			if i == 0 {
+				w.Varint(start - prevEnd)
+			} else {
+				w.Uvarint(uint64(start - prevEnd))
+			}
+			length, ln := b.segLen(i), b.lines[i]
+			w.Uvarint(uint64(length))
+			w.Float64(ln.A)
+			w.Float64(ln.B)
+			prevEnd = start + length
+		}
+	}
+	return nil
+}
+
+// DecodeBlock reads one cell block into cells, which the caller has sized to
+// the level (their number is the level's to know: the block holds a bit per
+// cell) and which are overwritten whole. It holds the block to what the
+// encoder writes, because the search kernels assume it and a checksum only
+// proves the bytes are the ones written: every present cell has arrivals and
+// segments, its open corner is no larger than its count, its segments ascend
+// without overlap on finite coefficients, and it ends no later than maxT. The
+// segments of all cells share three arrays, each cell holding a full-slice
+// range of them, so an append after loading copies the cell's segments out
+// instead of writing over its neighbour's.
+//
+//histburst:decoder
+func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
+	c := shortest{r: r}
+	corrupt := func(format string, args ...any) error {
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("pbe2: cell block: %w", err)
+		}
+		return fmt.Errorf("pbe2: cell block: "+format, args...)
+	}
+	if r.Uint32() != blockMagic {
+		return corrupt("bad magic")
+	}
+	gamma := r.Float64()
+	maxVerts := c.uvarint()
+	outOfOrder := c.uvarint()
+	if err := checkGamma(gamma); err != nil {
+		return corrupt("%v", err)
+	}
+	if maxVerts > math.MaxInt32 {
+		return corrupt("implausible vertex cap %d", maxVerts)
+	}
+	empty := Builder{gamma: gamma, maxVertices: int(maxVerts), headLow: math.MaxInt64}
+	var mask byte
+	for i := range cells {
+		if i%8 == 0 {
+			mask = r.Byte()
+		}
+		cells[i] = empty
+		cells[i].started = mask&(1<<(i%8)) != 0
+	}
+	if pad := len(cells) % 8; pad != 0 && mask>>pad != 0 {
+		return corrupt("presence bits set past the last cell")
+	}
+
+	// The segment count column, read twice: once ahead on a copy of the
+	// reader, to size the shared arrays before anything is allocated, and
+	// again below, when each cell takes its range of them.
+	ahead := *r
+	total := 0
+	for i := range cells {
+		if cells[i].started {
+			n := ahead.SliceLen(maxSegments, minSegmentBytes)
+			total += n
+		}
+	}
+	if err := ahead.Err(); err != nil {
+		return fmt.Errorf("pbe2: cell block: %w", err)
+	}
+	if total > ahead.Remaining()/minSegmentBytes {
+		return corrupt("%d segments exceed %d remaining bytes", total, ahead.Remaining())
+	}
+	starts := make([]int64, total)
+	lens := make([]uint32, total)
+	lines := make([]line, total)
+	off := 0
+	for i := range cells {
+		b := &cells[i]
+		if !b.started {
+			continue
+		}
+		n := c.SliceLen(maxSegments, minSegmentBytes)
+		if n == 0 {
+			return corrupt("cell %d has arrivals and no segments", i)
+		}
+		b.starts, b.lens, b.lines = starts[off:off+n:off+n], lens[off:off+n:off+n], lines[off:off+n:off+n]
+		off += n
+	}
+	for i := range cells {
+		b := &cells[i]
+		if !b.started {
+			continue
+		}
+		count := c.uvarint()
+		if count == 0 || count > math.MaxInt64 {
+			return corrupt("cell %d is present with count %d", i, count)
+		}
+		b.count = int64(count)
+	}
+	for i := range cells {
+		b := &cells[i]
+		if !b.started {
+			continue
+		}
+		open := c.uvarint()
+		if open > uint64(b.count) {
+			return corrupt("cell %d has %d arrivals in its open corner and %d in all", i, open, b.count)
+		}
+		b.prevF = b.count - int64(open)
+	}
+	for i := range cells {
+		b := &cells[i]
+		if !b.started {
+			continue
+		}
+		tail := c.uvarint()
+		if tail > math.MaxInt64 {
+			return corrupt("cell %d ends %d ticks past its last segment", i, tail)
+		}
+		b.lastT = int64(tail) // until the last segment's End is known
+	}
+	if outOfOrder != 0 {
+		left := outOfOrder
+		for i := range cells {
+			b := &cells[i]
+			if !b.started {
+				continue
+			}
+			v := c.uvarint()
+			if v > left || v > math.MaxInt64 {
+				return corrupt("cells count more than the block's %d out-of-order arrivals", outOfOrder)
+			}
+			left -= v
+			b.outOfOrder = int64(v)
+		}
+		if left != 0 {
+			return corrupt("cells count %d out-of-order arrivals fewer than the block's %d", left, outOfOrder)
+		}
+	}
+	for i := range cells {
+		b := &cells[i]
+		if !b.started {
+			continue
+		}
+		prevEnd := maxT
+		for j := range b.starts {
+			var start int64
+			if j == 0 {
+				start = prevEnd + c.varint()
+			} else {
+				gap := c.uvarint()
+				start = prevEnd + int64(gap)
+				if gap > math.MaxInt64 || start < prevEnd {
+					return corrupt("cell %d: segment %d starts past the end of time", i, j)
+				}
+			}
+			length := c.uvarint()
+			end := start + int64(length)
+			if length > math.MaxInt64 || end < start {
+				return corrupt("cell %d: segment %d ends past the end of time", i, j)
+			}
+			ln := line{A: r.Float64(), B: r.Float64()}
+			if !ln.finite() {
+				return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
+			}
+			b.starts[j], b.lens[j], b.lines[j] = start, b.slot(length), ln
+			prevEnd = end
+		}
+		tail := b.lastT
+		b.lastT = prevEnd + tail
+		if b.lastT < prevEnd || b.lastT > maxT {
+			return corrupt("cell %d ends at %d+%d, past the level's last timestamp %d", i, prevEnd, tail, maxT)
+		}
+		b.done = true
+		b.boundStarts()
+		b.rest() // sets headLow, clips the long table; the columns are exact already
+	}
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("pbe2: cell block: %w", err)
+	}
+	if c.overlong {
+		return corrupt("a varint is not in its shortest form")
+	}
+	return nil
+}
+
+// shortest reads varints through a binenc.Reader and notes any that is not in
+// its shortest form — binenc, like encoding/binary, decodes 0x80 0x00 as 0 —
+// so that DecodeBlock can refuse the block: what it accepts is then exactly
+// what EncodeBlock writes.
+type shortest struct {
+	r        *binenc.Reader
+	overlong bool
+}
+
+// note records whether the varint just read from the position that had before
+// bytes remaining, and holding ux, took more bytes than ux needs.
+func (c *shortest) note(before int, ux uint64) {
+	if c.r.Err() == nil && before-c.r.Remaining() != (bits.Len64(ux|1)+6)/7 {
+		c.overlong = true
+	}
+}
+
+func (c *shortest) uvarint() uint64 {
+	before := c.r.Remaining()
+	v := c.r.Uvarint()
+	c.note(before, v)
+	return v
+}
+
+func (c *shortest) varint() int64 {
+	before := c.r.Remaining()
+	v := c.r.Varint()
+	c.note(before, uint64(v)<<1^uint64(v>>63))
+	return v
+}
+
+// SliceLen is binenc.Reader.SliceLen under the same watch.
+func (c *shortest) SliceLen(max uint64, minElemBytes int) int {
+	before := c.r.Remaining()
+	n := c.r.SliceLen(max, minElemBytes)
+	c.note(before, uint64(n))
+	return n
+}

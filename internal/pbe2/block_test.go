@@ -1,0 +1,339 @@
+package pbe2
+
+import (
+	"bytes"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"histburst/internal/binenc"
+	"histburst/internal/pbe"
+)
+
+// blockCells gathers every kind of cell a level can hold under one gamma:
+// built, empty, with out-of-order arrivals, with segments too long for a
+// lens slot, merged, and downsampled (whose own gamma is the block's).
+func blockCells(t testing.TB, gamma float64) (cells []pbe.PBE, maxT int64) {
+	t.Helper()
+	add := func(b *Builder) {
+		b.Finish()
+		cells = append(cells, b)
+		if b.started && b.lastT > maxT {
+			maxT = b.lastT
+		}
+	}
+	empty := func() *Builder {
+		b, err := New(gamma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	add(buildPBE2(t, randomTimestamps(11, 2000, 3), gamma))
+	add(empty())
+	disordered := buildPBE2(t, randomTimestamps(12, 300, 40), gamma)
+	disordered.Append(5)
+	disordered.Append(7)
+	add(disordered)
+	for i := 0; i < 9; i++ { // an empty stretch across a bitmap byte boundary
+		add(empty())
+	}
+	long, _ := longRunStream(1.7e18, 4)
+	add(buildPBE2(t, long, gamma))
+	merged, err := MergeFinished(threeParts(t, gamma))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(merged)
+	fx := buildDSFixture(t, 5, 3, 2, 400, gamma/4)
+	ds, err := Downsample(fx.parts, gamma, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add(ds)
+	add(buildPBE2(t, []int64{-90, -90, -40}, gamma)) // before time zero
+	add(empty())
+	if got := countLong(cells[12].(*Builder)); got == 0 {
+		t.Fatal("fixture: no segment too long for a lens slot")
+	}
+	return cells, maxT
+}
+
+func encodeBlock(t testing.TB, cells []pbe.PBE, maxT int64) []byte {
+	t.Helper()
+	var w binenc.Writer
+	if err := EncodeBlock(&w, cells, maxT); err != nil {
+		t.Fatal(err)
+	}
+	return w.Bytes()
+}
+
+func arenaOf(cells []Builder) []pbe.PBE {
+	out := make([]pbe.PBE, len(cells))
+	for i := range cells {
+		out[i] = &cells[i]
+	}
+	return out
+}
+
+// TestBlockRoundTrip: a block decodes to cells equal to the ones encoded in
+// every field, re-encodes to the same bytes, and leaves the reader exactly at
+// its end.
+func TestBlockRoundTrip(t *testing.T) {
+	cells, maxT := blockCells(t, 8)
+	data := encodeBlock(t, cells, maxT)
+	r := binenc.NewReader(append(data[:len(data):len(data)], "next"...))
+	got := make([]Builder, len(cells))
+	if err := DecodeBlock(r, got, maxT); err != nil {
+		t.Fatal(err)
+	}
+	if r.Remaining() != 4 {
+		t.Fatalf("decoder left %d bytes, want the 4 that follow the block", r.Remaining())
+	}
+	for i := range got {
+		if !reflect.DeepEqual(&got[i], cells[i]) {
+			t.Errorf("cell %d decoded as\n%+v, encoded from\n%+v", i, &got[i], cells[i])
+		}
+		if b := &got[i]; cap(b.starts) != len(b.starts) || cap(b.lens) != len(b.lens) || cap(b.lines) != len(b.lines) {
+			t.Errorf("cell %d holds columns with room to spare (cap %d/%d/%d for %d segments): an append would write into its neighbour's",
+				i, cap(b.starts), cap(b.lens), cap(b.lines), len(b.starts))
+		}
+	}
+	if again := encodeBlock(t, arenaOf(got), maxT); !bytes.Equal(again, data) {
+		t.Fatal("the decoded cells encode to other bytes")
+	}
+	// The empty cells cost their bit and nothing else: the same block
+	// without them is shorter by the bitmap alone.
+	var dense []pbe.PBE
+	for _, c := range cells {
+		if c.(*Builder).count > 0 {
+			dense = append(dense, c)
+		}
+	}
+	if extra := len(data) - len(encodeBlock(t, dense, maxT)); extra != (len(cells)+7)/8-(len(dense)+7)/8 {
+		t.Errorf("%d empty cells cost %d bytes, want the bitmap's %d", len(cells)-len(dense), extra, (len(cells)+7)/8-(len(dense)+7)/8)
+	}
+}
+
+// TestBlockAppendAfterDecode: the decoded cells share three arrays, and an
+// append that grows one must neither disturb its neighbours nor differ from
+// the same append on a cell that was never stored.
+func TestBlockAppendAfterDecode(t *testing.T) {
+	const gamma = 2
+	streams := [][]int64{
+		randomTimestamps(21, 500, 4),
+		randomTimestamps(22, 500, 9),
+		randomTimestamps(23, 500, 2),
+	}
+	build := func() (cells []pbe.PBE, maxT int64) {
+		for _, ts := range streams {
+			cells = append(cells, buildPBE2(t, ts, gamma))
+			maxT = max(maxT, ts[len(ts)-1])
+		}
+		return cells, maxT
+	}
+	twins, _ := build()
+	cells, maxT := build()
+	got := make([]Builder, len(cells))
+	if err := DecodeBlock(binenc.NewReader(encodeBlock(t, cells, maxT)), got, maxT); err != nil {
+		t.Fatal(err)
+	}
+	before := got[2].Segments()
+	// Grow the middle cell well past its range of the shared arrays.
+	for i, v := range randomTimestamps(24, 2000, 6) {
+		got[1].Append(maxT + v)
+		twins[1].(*Builder).Append(maxT + v)
+		if i == 700 { // and across a Finish, as a reopened store does
+			got[1].Finish()
+			twins[1].Finish()
+		}
+	}
+	got[1].Finish()
+	twins[1].Finish()
+	if got[1].NumSegments() <= len(before) {
+		t.Fatal("fixture: the appends closed no segment")
+	}
+	for i := range got {
+		if !reflect.DeepEqual(&got[i], twins[i]) {
+			t.Errorf("cell %d after appending to cell 1:\n%+v, never stored:\n%+v", i, &got[i], twins[i])
+		}
+	}
+}
+
+func TestEncodeBlockRefusesMixedCells(t *testing.T) {
+	a := buildPBE2(t, []int64{1, 5, 9}, 2)
+	for name, c := range map[string]struct {
+		cells []pbe.PBE
+		want  string
+	}{
+		"another gamma":      {[]pbe.PBE{a, buildPBE2(t, []int64{2}, 3)}, "cell 1 has gamma 3"},
+		"another vertex cap": {[]pbe.PBE{a, buildPBE2(t, []int64{2}, 2, WithMaxVertices(8))}, "vertex cap 8"},
+		"not PBE-2":          {[]pbe.PBE{a, foreignCell{}}, "cell 1 is a pbe2.foreignCell"},
+		"no cells":           {nil, "zero cells"},
+	} {
+		var w binenc.Writer
+		if err := EncodeBlock(&w, c.cells, 9); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", name, err, c.want)
+		}
+	}
+}
+
+type foreignCell struct{ pbe.PBE }
+
+// rawCell is one present cell of a forged block, column by column.
+type rawCell struct {
+	count, open, tail, outOfOrder uint64
+	first                         int64 // first start − maxT
+	segs                          []rawSegment
+}
+
+// rawSegment is a segment as the block stores it; gap is ignored for a
+// cell's first.
+type rawSegment struct {
+	gap, length uint64
+	a, b        float64
+}
+
+// rawBlock writes the block format around the given columns as they are: what
+// a file with a valid checksum can carry.
+func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
+	var w binenc.Writer
+	w.Uint32(blockMagic)
+	w.Float64(2)
+	w.Uvarint(0)
+	w.Uvarint(outOfOrder)
+	for _, m := range bitmap {
+		w.Byte(m)
+	}
+	for _, c := range cells {
+		w.Uvarint(uint64(len(c.segs)))
+	}
+	for _, c := range cells {
+		w.Uvarint(c.count)
+	}
+	for _, c := range cells {
+		w.Uvarint(c.open)
+	}
+	for _, c := range cells {
+		w.Uvarint(c.tail)
+	}
+	if outOfOrder != 0 {
+		for _, c := range cells {
+			w.Uvarint(c.outOfOrder)
+		}
+	}
+	for _, c := range cells {
+		for i, s := range c.segs {
+			if i == 0 {
+				w.Varint(c.first)
+			} else {
+				w.Uvarint(s.gap)
+			}
+			w.Uvarint(s.length)
+			w.Float64(s.a)
+			w.Float64(s.b)
+		}
+	}
+	return w.Bytes()
+}
+
+// TestDecodeBlockRejects: the decoder holds a block to what the encoder
+// writes. The per-cell format took every one of the first five under a valid
+// checksum — count, prevF, lastT and the two flags were stored side by side
+// and never compared.
+func TestDecodeBlockRejects(t *testing.T) {
+	const maxT = 100
+	seg := rawSegment{0, 10, 0.5, 1}
+	good := rawCell{count: 7, open: 2, first: -60, segs: []rawSegment{seg, {3, 5, 0, 6}}}
+	with := func(edit func(c *rawCell)) []rawCell {
+		c := good
+		c.segs = append([]rawSegment(nil), good.segs...)
+		edit(&c)
+		return []rawCell{c}
+	}
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"open corner larger than the count", "9 arrivals in its open corner and 7 in all",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.open = 9 }))},
+		{"present without arrivals", "present with count 0",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.count, c.open = 0, 0 }))},
+		{"present without segments", "arrivals and no segments",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs = nil }))},
+		{"last segment ends past the level", "past the level's last timestamp 100",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].length = 50 }))},
+		{"frontier past the level", "past the level's last timestamp 100",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.tail = 43 }))},
+		{"frontier wraps int64", "past the level's last timestamp",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.tail = math.MaxInt64 }))},
+		{"start wraps int64", "starts past the end of time",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].gap = math.MaxInt64 }))},
+		{"length wraps int64", "ends past the end of time",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].length = math.MaxUint64 - 2 }))},
+		{"NaN slope", "segment 0 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a = math.NaN() }))},
+		{"infinite intercept", "segment 1 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].b = math.Inf(-1) }))},
+		{"more segments than bytes", "exceeds",
+			append(rawBlock(0, []byte{1}, nil), 0xff, 0xff, 0x03)},
+		{"presence bit past the last cell", "presence bits set past the last cell",
+			rawBlock(0, []byte{0b101}, []rawCell{good, good})},
+		{"out-of-order column under a zero sum", "trailing",
+			append(rawBlock(0, []byte{1}, with(func(*rawCell) {})), 0)},
+		{"out-of-order column short of the sum", "fewer than the block's 5",
+			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 3 }))},
+		{"out-of-order column past the sum", "more than the block's 5",
+			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 6 }))},
+		{"bad magic", "bad magic", []byte("P2B\x02 and so on, and so on")},
+	} {
+		cells := make([]Builder, 2)
+		r := binenc.NewReader(tc.data)
+		err := DecodeBlock(r, cells, maxT)
+		if err == nil {
+			err = r.Close()
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+
+	// Each count is held to the bytes that remain when it is read; so must
+	// their sum be. Two cells each claiming as many segments as the bytes
+	// could hold alone:
+	two := rawBlock(0, []byte{3}, []rawCell{good, good})
+	head := 4 + 8 + 1 + 1 + 1
+	per := (len(two) - head - 2) / minSegmentBytes // what one count may claim
+	forged := append(append([]byte(nil), two[:head]...), byte(per), byte(per))
+	forged = append(forged, two[head+2:]...)
+	if err := DecodeBlock(binenc.NewReader(forged), make([]Builder, 2), maxT); err == nil || !strings.Contains(err.Error(), "segments exceed") {
+		t.Errorf("two cells claiming %d segments each in %d bytes: %v", per, len(two), err)
+	}
+
+	// The fixture itself is sound, and an overlong varint is all it takes to
+	// refuse it: 0x80 0x00 decodes as 0, and is not what the encoder writes.
+	sound := rawBlock(0, []byte{1}, []rawCell{good})
+	cells := make([]Builder, 2)
+	if err := DecodeBlock(binenc.NewReader(sound), cells, maxT); err != nil {
+		t.Fatalf("sound block refused: %v", err)
+	}
+	if s := cells[0].Segments(); len(s) != 2 || s[0] != (Segment{0.5, 1, 40, 50}) || s[1] != (Segment{0, 6, 53, 58}) ||
+		cells[0].lastT != 58 || cells[0].prevF != 5 || !cells[0].done || cells[1].started {
+		t.Fatalf("sound block decoded as %+v, %+v", cells[0], cells[1])
+	}
+	at := 4 + 8 // the vertex cap, a zero
+	overlong := append(append(append([]byte(nil), sound[:at]...), 0x80, 0x00), sound[at+1:]...)
+	if err := DecodeBlock(binenc.NewReader(overlong), cells, maxT); err == nil || !strings.Contains(err.Error(), "shortest form") {
+		t.Errorf("overlong varint: %v", err)
+	}
+	for cut := 0; cut < len(sound); cut++ {
+		if err := DecodeBlock(binenc.NewReader(sound[:cut]), cells, maxT); err == nil {
+			t.Fatalf("cut=%d accepted", cut)
+		}
+	}
+}

@@ -17,7 +17,7 @@ type dsFixture struct {
 	gammaIn float64 // per-member gamma
 }
 
-func buildDSFixture(t *testing.T, seed int64, nParts, g, perPart int, gammaIn float64) *dsFixture {
+func buildDSFixture(t testing.TB, seed int64, nParts, g, perPart int, gammaIn float64) *dsFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	fx := &dsFixture{gammaIn: gammaIn}

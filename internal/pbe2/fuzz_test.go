@@ -1,8 +1,11 @@
 package pbe2
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 
+	"histburst/internal/binenc"
 	"histburst/internal/stream"
 )
 
@@ -57,5 +60,56 @@ func FuzzPBE2OneSided(f *testing.F) {
 		check("open", b)
 		b.Finish()
 		check("finished", b)
+	})
+}
+
+// FuzzPBE2CellBlock throws bytes at the cell block decoder under a
+// fuzzer-chosen cell count and level frontier. It must never panic; it must
+// not allocate beyond a small multiple of the input (the cells themselves are
+// the caller's, one per presence bit); and the format is canonical — whatever
+// it accepts re-encodes to exactly the bytes it consumed.
+func FuzzPBE2CellBlock(f *testing.F) {
+	cells, maxT := blockCells(f, 8)
+	whole := encodeBlock(f, cells, maxT)
+	f.Add(uint16(len(cells)), maxT, whole)
+	f.Add(uint16(len(cells)), maxT, whole[:len(whole)/2])
+	f.Add(uint16(len(cells)+3), maxT-1, whole)
+	good := rawCell{count: 7, open: 2, first: -60, segs: []rawSegment{{0, 10, 0.5, 1}, {3, 5, 0, 6}}}
+	f.Add(uint16(2), int64(100), rawBlock(0, []byte{1}, []rawCell{good}))
+	f.Add(uint16(9), int64(58), rawBlock(4, []byte{0x81, 1}, []rawCell{good, good, good}))
+	f.Add(uint16(64), int64(0), rawBlock(0, make([]byte, 8), nil))
+	f.Add(uint16(1), int64(0), []byte{})
+
+	f.Fuzz(func(t *testing.T, n uint16, maxT int64, data []byte) {
+		if n == 0 {
+			return
+		}
+		arena := make([]Builder, n)
+		r := binenc.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := DecodeBlock(r, arena, maxT)
+		runtime.ReadMemStats(&after)
+		// 28 bytes a segment of at least 18 stored, 8 more (in an array grown
+		// by doubling) when its length takes the long table; the constant
+		// covers the error and whatever the fuzzing worker's own goroutines
+		// allocate meanwhile — the counter is the process's.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+1<<16); got > limit {
+			t.Fatalf("decoding %d bytes into %d cells allocated %d, want at most %d", len(data), n, got, limit)
+		}
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Remaining()]
+		if again := encodeBlock(t, arenaOf(arena), maxT); !bytes.Equal(again, consumed) {
+			t.Fatalf("accepted %x, which re-encodes to %x", consumed, again)
+		}
+		for i := range arena {
+			b := &arena[i]
+			b.Estimate3(maxT-20, maxT-10, maxT)
+			if b.started && (len(b.starts) == 0 || b.lastT > maxT || b.count <= 0) {
+				t.Fatalf("cell %d accepted in a state no builder reaches: %+v", i, b)
+			}
+		}
 	})
 }

@@ -7,7 +7,9 @@ import (
 	"histburst/internal/binenc"
 )
 
-// Serialization format (see internal/binenc):
+// Serialization of one summary on its own — what a histburst.Single saves;
+// the cells of a sketch level are stored together, in a cell block (block.go).
+// Format (see internal/binenc):
 //
 //	magic    "PB2\x01"
 //	gamma    float64
@@ -28,6 +30,15 @@ import (
 var pbe2Magic = []byte{'P', 'B', '2', 1}
 
 const maxSegments = 1 << 32
+
+// minSegmentBytes is the least a stored segment occupies, here and in a cell
+// block: two one-byte varints and two float64.
+const minSegmentBytes = 18
+
+// finite reports whether both coefficients are numbers.
+func (ln line) finite() bool {
+	return !math.IsNaN(ln.A) && !math.IsInf(ln.A, 0) && !math.IsNaN(ln.B) && !math.IsInf(ln.B, 0)
+}
 
 // MarshalBinary implements encoding.BinaryMarshaler. The builder is
 // Finish()ed as a side effect (idempotent, and any other choice would drop
@@ -74,7 +85,7 @@ func (b *Builder) UnmarshalBinary(data []byte) error {
 	started := r.Bool()
 	done := r.Bool()
 	outOfOrder := r.Varint()
-	n := r.SliceLen(maxSegments, 18) // two f64 plus two varints per segment
+	n := r.SliceLen(maxSegments, minSegmentBytes)
 	nb := Builder{
 		gamma: gamma, maxVertices: maxVerts,
 		starts: make([]int64, n), lens: make([]uint32, n), lines: make([]line, n),
@@ -92,7 +103,7 @@ func (b *Builder) UnmarshalBinary(data []byte) error {
 		// its successor starts, coefficients are numbers. A file that says
 		// otherwise would decode into a summary that answers garbage.
 		switch {
-		case math.IsNaN(ln.A) || math.IsInf(ln.A, 0) || math.IsNaN(ln.B) || math.IsInf(ln.B, 0):
+		case !ln.finite():
 			return fmt.Errorf("pbe2: segment %d has non-finite coefficients", i)
 		case i > 0 && (dStart < 0 || start < prevStart):
 			return fmt.Errorf("pbe2: segment %d starts before its predecessor", i)

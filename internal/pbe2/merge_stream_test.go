@@ -6,7 +6,7 @@ import (
 
 // threeParts builds the same three time-disjoint partitions twice so the
 // streaming kernel and the MergeAppend chain each get pristine sources.
-func threeParts(t *testing.T, gamma float64) []*Builder {
+func threeParts(t testing.TB, gamma float64) []*Builder {
 	t.Helper()
 	ts := randomTimestamps(91, 4000, 3)
 	c1, c2 := len(ts)/3, 2*len(ts)/3

@@ -22,7 +22,7 @@ func randomTimestamps(seed int64, n int, maxStep int) stream.TimestampSeq {
 	return ts
 }
 
-func buildPBE2(t *testing.T, ts stream.TimestampSeq, gamma float64, opts ...Option) *Builder {
+func buildPBE2(t testing.TB, ts stream.TimestampSeq, gamma float64, opts ...Option) *Builder {
 	t.Helper()
 	b, err := New(gamma, opts...)
 	if err != nil {

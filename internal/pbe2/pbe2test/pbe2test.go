@@ -4,50 +4,59 @@ package pbe2test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 
 	"histburst/internal/binenc"
 )
 
-// Unsort finds, in any bytes that embed marshalled PBE-2 summaries (a
-// detector file, a segment file), the first summary with two or more
-// segments and makes its second segment start before its first: it sets the
-// sign bit of that segment's zigzag start delta, one bit in place, so every
-// length prefix around it still holds. It reports whether it found one. The
-// caller recomputes whatever checksum covers the bytes.
-func Unsort(data []byte) bool {
-	blobMagic := []byte{4, 'P', 'B', '2', 1}
+// Poison finds, in any bytes that embed a collision-free level of PBE-2 cells
+// (a detector file, a segment file), the first such level with a present
+// cell and overwrites the slope of that cell's first segment with NaN: eight
+// bytes in place, so everything around them still parses. It reports whether
+// it found one. The caller recomputes whatever checksum covers the bytes.
+func Poison(data []byte) bool {
+	levelMagic := []byte{4, 'D', 'I', 'R', 1}
 	for at := 0; ; at++ {
-		i := bytes.Index(data[at:], blobMagic)
+		i := bytes.Index(data[at:], levelMagic)
 		if i < 0 {
 			return false
 		}
 		at += i
 		r := binenc.NewReader(data[at:])
-		r.BytesBlob() // magic
-		r.Float64()   // gamma
-		r.Uvarint()   // maxVerts
-		r.Varint()    // count
-		r.Varint()    // lastT
-		r.Varint()    // prevF
-		r.Bool()      // started
-		r.Bool()      // done
-		r.Varint()    // outOfOrder
-		if n := r.Uvarint(); n < 2 {
+		r.BytesBlob() // level magic
+		cells := r.Uvarint()
+		r.Varint() // n
+		r.Varint() // maxT
+		if r.Uint32() != 'P'|'2'<<8|'B'<<16|1<<24 || cells > uint64(r.Remaining()) {
 			continue
 		}
-		for k := 0; k < 2; k++ { // A, B, ΔStart, len of segment 0; A, B of segment 1
-			r.Float64()
-			r.Float64()
-			if k == 0 {
-				r.Varint()
-				r.Varint()
+		r.Float64() // gamma
+		r.Uvarint() // maxVerts
+		outOfOrder := r.Uvarint()
+		present := 0
+		for c := uint64(0); c < cells; c += 8 {
+			for mask := r.Byte(); mask != 0; mask &= mask - 1 {
+				present++
 			}
 		}
-		pos := len(data) - r.Remaining()
-		if delta := r.Varint(); r.Err() != nil || delta < 0 {
+		if present == 0 {
 			continue
 		}
-		data[pos] |= 1
+		columns := 4 // nSegments, count, open, tail
+		if outOfOrder != 0 {
+			columns++
+		}
+		for n := columns * present; n > 0; n-- {
+			r.Uvarint()
+		}
+		r.Varint()  // first start
+		r.Uvarint() // its length
+		pos := len(data) - r.Remaining()
+		if r.Float64(); r.Err() != nil {
+			continue
+		}
+		binary.LittleEndian.PutUint64(data[pos:], math.Float64bits(math.NaN()))
 		return true
 	}
 }

@@ -262,13 +262,13 @@ func TestQuarantineOnFirstTouch(t *testing.T) {
 }
 
 // TestQuarantineUnsearchableCell is the same story for damage that parses:
-// one PBE-2 cell whose second segment starts before its first, under a
+// one PBE-2 cell with a segment whose slope is not a number, under a
 // recomputed checksum. The cell decoder refuses it, so the segment is served
-// around and quarantined instead of binary-searched.
+// around and quarantined instead of evaluated.
 func TestQuarantineUnsearchableCell(t *testing.T) {
 	quarantineOnFirstTouch(t, func(body []byte) {
-		if !pbe2test.Unsort(body) {
-			t.Fatal("fixture: no PBE-2 cell with two segments in the segment file")
+		if !pbe2test.Poison(body) {
+			t.Fatal("fixture: no collision-free level with a PBE-2 cell in the segment file")
 		}
 	})
 }

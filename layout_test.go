@@ -3,11 +3,14 @@ package histburst
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"runtime"
 	"testing"
 
+	"histburst/internal/binenc"
+	"histburst/internal/cmpbe"
+	"histburst/internal/pbe2"
 	"histburst/internal/workload"
 )
 
@@ -41,20 +44,22 @@ func saveDigest(t *testing.T, det *Detector) string {
 
 // TestSaveBytesUnchanged pins Save's bytes across changes to how summaries
 // are held in memory: they must never move for a layout's sake. The digests
-// were re-pinned when the file itself changed — HBD3 holds the event index's
-// kept levels only, under a new magic and a height list (PR 25) — and
-// TestKeptLevelsByteIdentical carries the pin across that change: each level
-// HBD3 holds is, byte for byte, the level HBD2 held at that height.
+// are re-pinned when the file itself changes, once per generation: HBD3 (PR
+// 25) kept the event index's kept levels only; HBD4 (PR 26) writes a level's
+// PBE-2 cells as one block instead of a blob each, which took these three
+// files from 119 388, 1 194 067 and 14 028 bytes to 93 054, 1 004 578 and
+// 11 402. What a generation must carry over — every field of every cell, and
+// every answer — is TestSaveDecodeFixedPoint's to check, not a digest's.
 func TestSaveBytesUnchanged(t *testing.T) {
 	t.Run("olympicrio K=1024", func(t *testing.T) {
 		det := rioDetector(t, 5, 60_000, 1024, WithPBE2(8))
-		if got, want := saveDigest(t, det), "9fda82ee3242f78531e6a12501ebc278e1fb707afa5e58f784912950d49135c6"; got != want {
+		if got, want := saveDigest(t, det), "d8139323c4aeb4014bd1f8a9258287ebc907b521805ce8eefb8f1d4f9866ab01"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
 	t.Run("K=16384 with Count-Min levels", func(t *testing.T) {
 		det := rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))
-		if got, want := saveDigest(t, det), "cb9136fb080cb842cc7031694d08e88aa8710f31545eeb1b3401d201dcc7baeb"; got != want {
+		if got, want := saveDigest(t, det), "bf067254351e8aef5c83ee030924f220d879383bfa5fc6547708b9cb01b33a8f"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -64,52 +69,118 @@ func TestSaveBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, ds), "68ef7990d3cfd9433c4e2cd21f1cb5cd3717447f8f206510c484900fb3cc6338"; got != want {
+		if got, want := saveDigest(t, ds), "3b14657a0634347c8ac942cfd105cca9172488ed4c2ac8d0c820eaecdc6d95b9"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
 }
 
-// TestKeptLevelsByteIdentical pins what thinning the event index must not
-// touch: a kept level is built from the same (height, ids, seed) whatever
-// other levels exist, so its serialized bytes are the ones the level at that
-// height had when the index kept every height. The digests were computed on
-// the last commit that did (PR 24), over TestSaveBytesUnchanged's detectors.
-func TestKeptLevelsByteIdentical(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		det  *Detector
-		want map[int]string // height → SHA-256 of the level's MarshalBinary
-	}{
-		{"olympicrio K=1024", rioDetector(t, 5, 60_000, 1024, WithPBE2(8)), map[int]string{
-			0: "c033ef1c4214f792e7fa7f55e627740437df295ab41cfcc607dcd53c177aeb2f",
-			4: "a0ece556bf1ce2c3563f4a391948190ba19aac051fea018f47a8e8d68e58ccab",
-			8: "e653d4f283ac1fdeb02ad820c485dd29e6544c2c8918cb49f13306c5623eb537",
-		}},
-		{"K=16384 with Count-Min levels", rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4)), map[int]string{
-			0:  "a3acbe6f014f999c9c3f4c920fc0971a6f4025aa071af13db7023dad40f7cb18",
-			1:  "713b2d3101745b03707b239e5576970b3a2b8b127bcdc24feabb20d13a5110b5",
-			2:  "b8b18f6cbf3a0ada790d61080a585aa76510698dd4a95dcc1995a609524aaee4",
-			3:  "ebad148eaa94fc318f712f4f9b80b2602e65c88895789ae8d336519b734285f5",
-			4:  "6ef70ff3ba38ee8d461dd8093f5019be4f995dcec50dc085571ee2fac305393f",
-			8:  "21360f720ee4e3f9b5f6a34e0b45378fd7cb2814f6126a3c10cfb108256f4a68",
-			12: "354bf03969d04beddbaf18be8f86667703822abb53d4f1f28738d03fbed11a65",
-		}},
-	} {
-		heights := c.det.tree.Heights()
-		if len(heights) != len(c.want) {
-			t.Fatalf("%s: index keeps heights %v, want the %d pinned ones", c.name, heights, len(c.want))
+// savedLen returns the size of the detector's file.
+func savedLen(t testing.TB, det *Detector) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := det.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Len()
+}
+
+// TestSegmentationTax pins what cutting a history into sealed segments costs
+// on disk: the benchmark's stream saved as the segments of its base store
+// (twelve of 50 000 elements, as SealEvents cuts it, and the remainder)
+// against the same stream saved as one detector. A summary's size follows its
+// segment count, and thirteen short histories close more PBE-2 segments than
+// one long one (38 516 against 29 843 here, ×1.29) — that part is the
+// paper's; the rest is what the file spends around them, per cell and per
+// level, thirteen times over. ×1.80 before HBD4, when every cell was a blob of
+// its own with a 24-byte envelope; ×1.40 with a level's cells in one block.
+func TestSegmentationTax(t *testing.T) {
+	elems := benchmarkStream(t)
+	const sealEvents = 50_000
+	one, err := New(1024, WithPBE2(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var parts []*Detector
+	for lo := 0; lo < len(elems); lo += sealEvents {
+		part, err := New(1024, WithPBE2(8))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, h := range heights {
-			blob, err := c.det.tree.Level(i).(encoding.BinaryMarshaler).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(blob)
-			if got := hex.EncodeToString(sum[:]); got != c.want[h] {
-				t.Errorf("%s: level at height %d digests to %s, pinned %q", c.name, h, got, c.want[h])
+		for _, el := range elems[lo:min(lo+sealEvents, len(elems))] {
+			part.Append(el.Event, el.Time)
+			one.Append(el.Event, el.Time)
+		}
+		part.Finish()
+		parts = append(parts, part)
+	}
+	one.Finish()
+
+	file, dir := savedLen(t, one), 0
+	var whole, cut levelBytes
+	for _, part := range parts {
+		dir += savedLen(t, part)
+		cut.add(t, part)
+	}
+	whole.add(t, one)
+	t.Logf("%d elements: one file %d B (%.3f B/elem), %d segment files %d B (%.3f B/elem), ×%.3f",
+		len(elems), file, float64(file)/float64(len(elems)), len(parts), dir, float64(dir)/float64(len(elems)), float64(dir)/float64(file))
+	t.Logf("%-14s %8s %8s %9s %9s %9s", "", "cells", "segments", "header B", "columns B", "records B")
+	for i, h := range one.tree.Heights() {
+		t.Logf("one   height %d %8d %8d %9d %9d %9d", h, whole.cells[i], whole.segments[i], whole.header[i], whole.columns[i], whole.records[i])
+	}
+	for i, h := range one.tree.Heights() {
+		t.Logf("×%-2d   height %d %8d %8d %9d %9d %9d", len(parts), h, cut.cells[i], cut.segments[i], cut.header[i], cut.columns[i], cut.records[i])
+	}
+	if tax := float64(dir) / float64(file); tax > 1.5 {
+		t.Errorf("%d segment files hold %d bytes against %d in one file: ×%.2f, want at most ×1.5", len(parts), dir, file, tax)
+	}
+}
+
+// levelBytes breaks the levels of detectors over K = 1024 (collision-free
+// levels only) down into what their files spend where, summed per level over
+// the detectors added: the level's own header, the cell block's header,
+// bitmap and per-cell columns, and the segment records.
+type levelBytes struct {
+	cells, segments, header, columns, records []int
+}
+
+func (lb *levelBytes) add(t testing.TB, det *Detector) {
+	t.Helper()
+	n := det.tree.Levels()
+	if lb.cells == nil {
+		lb.cells, lb.segments, lb.header = make([]int, n), make([]int, n), make([]int, n)
+		lb.columns, lb.records = make([]int, n), make([]int, n)
+	}
+	for i := 0; i < n; i++ {
+		l := det.tree.Level(i).(*cmpbe.Direct)
+		var w binenc.Writer
+		if err := l.Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		block := bytes.Index(w.Bytes(), []byte("P2B\x01"))
+		if block < 0 {
+			t.Fatal("level holds no PBE-2 cell block")
+		}
+		records := 0
+		for e := uint64(0); e < l.IDs(); e++ {
+			prevEnd := l.MaxTime()
+			for j, s := range l.EventCells(e)[0].(*pbe2.Builder).Segments() {
+				var scratch [binary.MaxVarintLen64]byte
+				if j == 0 {
+					records += binary.PutVarint(scratch[:], s.Start-prevEnd)
+				} else {
+					records += binary.PutUvarint(scratch[:], uint64(s.Start-prevEnd))
+				}
+				records += binary.PutUvarint(scratch[:], uint64(s.End-s.Start)) + 16
+				prevEnd = s.End
+				lb.segments[i]++
 			}
 		}
+		lb.cells[i] += int(l.IDs())
+		lb.header[i] += block
+		lb.records[i] += records
+		lb.columns[i] += len(w.Bytes()) - block - records
 	}
 }
 
@@ -140,9 +211,10 @@ func heapHeld(build func() any) (held uint64, v any) {
 // stream is the benchmark's 600 k elements. With three kept levels (PR 25)
 // Bytes() is 0.83 MB and the heap 1.08 MB, 1.31×: the structs are a fixed
 // cost per cell, now 1 092 cells instead of 2 047 and so ~0.25 MB instead of
-// ~0.4 MB, but a larger share of a summary a quarter the size — what packing
-// a sealed level's cells into shared arrays would remove. Not parallel: it
-// reads process-wide heap statistics.
+// ~0.4 MB, but a larger share of a summary a quarter the size. A decoded level
+// does hold its cells' structs in one array and their segments in three (PR
+// 26) — 1.30×: that saves the allocator's rounding, not the structs. Not
+// parallel: it reads process-wide heap statistics.
 func TestBytesTracksHeap(t *testing.T) {
 	check := func(what string, build func() any) *Detector {
 		held, v := heapHeld(build)
@@ -173,6 +245,30 @@ func TestBytesTracksHeap(t *testing.T) {
 		return det
 	})
 	runtime.KeepAlive(file) // or the input dies mid-measurement and is subtracted
+}
+
+// TestDecodeAllocs: decoding allocates per level, not per cell — one array of
+// cells and three of segment columns each, whatever the cell count (3 874
+// allocations for the K = 1024 file when every cell was decoded on its own).
+func TestDecodeAllocs(t *testing.T) {
+	for name, det := range map[string]*Detector{
+		"K=1024":                        rioDetector(t, 5, 60_000, 1024, WithPBE2(8)),
+		"K=16384 with Count-Min levels": rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4)),
+	} {
+		var buf bytes.Buffer
+		if err := det.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(5, func() {
+			if _, err := Decode(buf.Bytes()); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 100 {
+			t.Errorf("%s: Decode allocates %.0f times for %d levels, want at most 100", name, got, det.tree.Levels())
+		} else {
+			t.Logf("%s: %.0f allocations for %d levels", name, got, det.tree.Levels())
+		}
+	}
 }
 
 var decodeSink *Detector

@@ -3,7 +3,6 @@ package histburst
 import (
 	"bufio"
 	"bytes"
-	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -18,17 +17,18 @@ import (
 )
 
 // Serialized detector format: a fixed magic, the resolved configuration,
-// the ingest counters, the summary blob (the dyadic tree, or the standalone
-// base level when the event index is disabled), and a CRC32-C footer over
+// the ingest counters, the summary (the dyadic tree, or the standalone base
+// level when the event index is disabled), and a CRC32-C footer over
 // everything before it, so torn writes and bit rot fail loudly at load time
 // instead of decoding into a subtly wrong detector. Load rebuilds the cell
 // factory from the stored configuration, so no options are needed at load
 // time and a detector round-trips exactly. Save writes, and Load accepts,
-// format v3 ("HBD3") only — v2 held a summary at every height of the event
-// index, v3 holds the kept ones and records which; a file of any other
-// generation is refused with an error naming its version.
+// format v4 ("HBD4") only — v3 wrapped every PBE-2 cell, level and tree in a
+// blob of its own, v4 writes a level's cells as one block straight into the
+// file; a file of any other generation is refused with an error naming its
+// version.
 
-var detectorMagic = []byte{'H', 'B', 'D', 3}
+var detectorMagic = []byte{'H', 'B', 'D', 4}
 
 // ErrUnsupportedFormat is wrapped by the error Load, Decode and Inspect
 // return for a detector file of another format generation: a file that is
@@ -75,21 +75,15 @@ func (d *Detector) Save(w io.Writer) error {
 	enc.Bool(d.started)
 	enc.Varint(d.outOfOrder)
 
-	var blob []byte
 	var err error
 	if d.tree != nil {
-		blob, err = d.tree.MarshalBinary()
+		err = d.tree.Encode(&enc)
 	} else {
-		m, ok := d.base.(encoding.BinaryMarshaler)
-		if !ok {
-			return fmt.Errorf("histburst: base level %T is not serializable", d.base)
-		}
-		blob, err = m.MarshalBinary()
+		err = d.base.Encode(&enc)
 	}
 	if err != nil {
 		return fmt.Errorf("histburst: %w", err)
 	}
-	enc.BytesBlob(blob)
 	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
 
 	bw := bufio.NewWriter(w)
@@ -151,7 +145,7 @@ func Load(r io.Reader) (*Detector, error) {
 }
 
 // Header is what a serialized detector says about itself ahead of its
-// summary blob — what Inspect can vouch for without decoding the summary.
+// summary — what Inspect can vouch for without decoding the summary.
 type Header struct {
 	// Params and PBE2 are what Detector.Params reports for the decoded
 	// detector (PBE2 is its ok result).
@@ -166,8 +160,8 @@ type Header struct {
 // file, and every header field under the bounds Decode applies. It accepts
 // exactly the inputs whose magic, checksum and header Decode accepts, at the
 // cost of one pass over the bytes — what remains for Decode to reject is a
-// summary blob that is malformed under a valid checksum, which no torn write
-// or bit flip can produce.
+// summary that is malformed under a valid checksum, which no torn write or
+// bit flip can produce.
 func Inspect(data []byte) (Header, error) {
 	det, _, _, err := decodeHeader(data)
 	if err != nil {
@@ -180,14 +174,15 @@ func Inspect(data []byte) (Header, error) {
 
 // decodeHeader checks data's magic and checksum and decodes everything ahead
 // of the summary: the detector with its configuration and counters set and
-// no summary yet, the cell factory that configuration selects, and the blob.
+// no summary yet, the cell factory that configuration selects, and the reader
+// standing at the summary.
 //
 //histburst:decoder
-func decodeHeader(data []byte) (*Detector, cmpbe.Factory, []byte, error) {
+func decodeHeader(data []byte) (*Detector, cmpbe.Factory, *binenc.Reader, error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
-			return nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD3 only)", ErrUnsupportedFormat, magic[3])
+			return nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD4 only)", ErrUnsupportedFormat, magic[3])
 		}
 		return nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
@@ -219,8 +214,7 @@ func decodeHeader(data []byte) (*Detector, cmpbe.Factory, []byte, error) {
 	lastT := dec.Varint()
 	started := dec.Bool()
 	outOfOrder := dec.Varint()
-	blob := dec.BytesBlob()
-	if err := dec.Close(); err != nil {
+	if err := dec.Err(); err != nil {
 		return nil, nil, nil, fmt.Errorf("histburst: %w", err)
 	}
 	if k == 0 {
@@ -250,19 +244,19 @@ func decodeHeader(data []byte) (*Detector, cmpbe.Factory, []byte, error) {
 		k: k, cfg: c,
 		n: n, minT: minT, maxT: maxT, lastT: lastT, started: started, outOfOrder: outOfOrder,
 	}
-	return det, factory, blob, nil
+	return det, factory, dec, nil
 }
 
 // Decode is Load for bytes already in memory; data is not retained.
 //
 //histburst:decoder
 func Decode(data []byte) (*Detector, error) {
-	det, factory, blob, err := decodeHeader(data)
+	det, factory, dec, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	if det.cfg.noIndex {
-		v, err := cmpbe.UnmarshalAny(blob, factory)
+		v, err := cmpbe.DecodeLevel(dec, factory)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
@@ -272,7 +266,7 @@ func Decode(data []byte) (*Detector, error) {
 		}
 		det.base = base
 	} else {
-		tree, err := dyadic.UnmarshalTree(blob, factory)
+		tree, err := dyadic.DecodeTree(dec, factory)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
@@ -285,6 +279,9 @@ func Decode(data []byte) (*Detector, error) {
 		}
 		det.tree = tree
 		det.base = base
+	}
+	if err := dec.Close(); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	if err := det.checkBase(); err != nil {
 		return nil, err
@@ -299,7 +296,7 @@ func Decode(data []byte) (*Detector, error) {
 // than its cells; a collision-free one has a cell per id — also where a
 // sketch would be built today, since downsampling narrows w and leaves a
 // collision-free level as it is. The index's upper levels are pinned to the
-// leaf by dyadic.UnmarshalTree.
+// leaf by dyadic.DecodeTree.
 func (d *Detector) checkBase() error {
 	c, k := d.cfg, d.K()
 	switch b := d.base.(type) {

@@ -2,10 +2,10 @@ package histburst
 
 import (
 	"bytes"
-	"encoding"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,29 +13,30 @@ import (
 	"histburst/internal/faultio"
 )
 
-// saveHBD1 encodes a detector in the retired v1 layout (same fields, v1
-// magic, no checksum footer): genuine old-generation bytes that Load must
-// refuse by version.
+// saveHBD1 encodes a detector under the retired v1 magic, v1's way (header,
+// summary as one blob, no checksum footer): bytes that Load must refuse by
+// version.
 func saveHBD1(t testing.TB, d *Detector) []byte {
 	t.Helper()
 	d.Finish()
-	var blob []byte
+	var summary, blob binenc.Writer
 	var err error
 	if d.tree != nil {
-		blob, err = d.tree.MarshalBinary()
+		err = d.tree.Encode(&summary)
 	} else {
-		blob, err = d.base.(encoding.BinaryMarshaler).MarshalBinary()
+		err = d.base.Encode(&summary)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return encodeHeader(d, []byte{'H', 'B', 'D', 1}, blob)
+	blob.BytesBlob(summary.Bytes())
+	return encodeHeader(d, []byte{'H', 'B', 'D', 1}, blob.Bytes())
 }
 
 // encodeHeader writes d's configuration and counters as Save does, under the
-// given magic and ahead of the given summary blob, without the checksum
-// footer — for the files no Save would write.
-func encodeHeader(d *Detector, magic, blob []byte) []byte {
+// given magic and ahead of the given summary, without the checksum footer —
+// for the files no Save would write.
+func encodeHeader(d *Detector, magic, summary []byte) []byte {
 	var enc binenc.Writer
 	enc.BytesBlob(magic)
 	enc.Uvarint(d.k)
@@ -56,8 +57,7 @@ func encodeHeader(d *Detector, magic, blob []byte) []byte {
 	enc.Varint(d.lastT)
 	enc.Bool(d.started)
 	enc.Varint(d.outOfOrder)
-	enc.BytesBlob(blob)
-	return enc.Bytes()
+	return append(enc.Bytes(), summary...)
 }
 
 func TestDetectorSaveLoad(t *testing.T) {
@@ -297,10 +297,13 @@ func TestLoadAfterReloadContinuesCorrectly(t *testing.T) {
 	half := len(data) / 2
 	oracle, _ := New(32, WithPBE2(2), WithSketchDims(3, 32))
 	first, _ := New(32, WithPBE2(2), WithSketchDims(3, 32))
+	twin, _ := New(32, WithPBE2(2), WithSketchDims(3, 32))
 	for _, el := range data[:half] {
 		oracle.Append(el.Event, el.Time)
 		first.Append(el.Event, el.Time)
+		twin.Append(el.Event, el.Time)
 	}
+	twin.Finish() // what Save does to first, without the file
 	var buf bytes.Buffer
 	if err := first.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -312,9 +315,11 @@ func TestLoadAfterReloadContinuesCorrectly(t *testing.T) {
 	for _, el := range data[half:] {
 		oracle.Append(el.Event, el.Time)
 		reloaded.Append(el.Event, el.Time)
+		twin.Append(el.Event, el.Time)
 	}
 	oracle.Finish()
 	reloaded.Finish()
+	twin.Finish()
 	if oracle.N() != reloaded.N() || oracle.MaxTime() != reloaded.MaxTime() {
 		t.Fatalf("metadata diverged: N %d vs %d", oracle.N(), reloaded.N())
 	}
@@ -328,6 +333,137 @@ func TestLoadAfterReloadContinuesCorrectly(t *testing.T) {
 			if diff := a - b; diff > 8 || diff < -8 {
 				t.Fatalf("burstiness diverged at e=%d t=%d: %v vs %v", e, q, a, b)
 			}
+		}
+	}
+	// Against the twin that finished at the same instant and was never
+	// stored there is nothing to allow for. A loaded level's cells share
+	// three arrays; every cell that closed a segment in the second half
+	// outgrew its range of them, and must have taken its own copy.
+	if before, after := first.Bytes(), reloaded.Bytes(); after <= before {
+		t.Fatalf("fixture: the second half closed no segment (%d then %d bytes)", before, after)
+	}
+	sameDetector(t, "appended after load", reloaded, twin)
+}
+
+// sameDetector holds got to want in the bytes Save writes and — for PBE-2
+// cells, whose decoder rebuilds them rather than replacing their state — in
+// every field of every cell of every level.
+func sameDetector(t *testing.T, what string, got, want *Detector) {
+	t.Helper()
+	got.Bytes() // fill both footprint memos: they are fields too
+	want.Bytes()
+	if !want.cfg.usePBE1 && !reflect.DeepEqual(got, want) {
+		levels, heights := indexLevels(want)
+		gotLevels, _ := indexLevels(got)
+		for i := range levels {
+			if !reflect.DeepEqual(gotLevels[i], levels[i]) {
+				t.Errorf("%s: the level at height %d differs", what, heights[i])
+			}
+		}
+		t.Fatalf("%s: detectors differ:\n%+v\n%+v", what, got, want)
+	}
+	var a, b bytes.Buffer
+	if err := got.Save(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Save(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("%s: Save writes %d bytes, the reference %d, and they differ", what, a.Len(), b.Len())
+	}
+}
+
+// TestSaveDecodeFixedPoint: whatever detector Save is given, Decode returns
+// it — every field of every cell of every level — its answers are the
+// original's to the bit, and saving it again writes the same file.
+func TestSaveDecodeFixedPoint(t *testing.T) {
+	parts, _, _ := buildDecayParts(t, 4, decayOpts()...)
+	merged, err := MergeDetectors(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	downsampled, err := DownsampleDetectors(parts, 16, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Out-of-order arrivals, which the cells count in a column of their own.
+	disordered, _ := New(64, WithPBE2(2), WithSketchDims(2, 8))
+	for i, el := range testStream(5, 64, 1500) {
+		if i%7 == 3 {
+			el.Time -= 40
+		}
+		disordered.Append(el.Event, el.Time)
+	}
+	empty, _ := New(64, WithPBE2(2))
+	small := func(opts ...Option) *Detector {
+		det, err := New(64, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, el := range testStream(21, 64, 3000) {
+			det.Append(el.Event, el.Time)
+		}
+		return det
+	}
+	for _, c := range []struct {
+		name string
+		det  *Detector
+	}{
+		{"built", rioDetector(t, 5, 60_000, 1024, WithPBE2(8))},
+		{"merged", merged},
+		{"downsampled", downsampled},
+		{"K = 2¹⁴ with Count-Min levels", rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))},
+		{"out-of-order arrivals", disordered},
+		{"empty", empty},
+		{"PBE-1", small(WithPBE1(200, 20), WithSketchDims(3, 32))},
+		{"PBE-1 under an error cap", small(WithPBE1ErrorCap(200, 400), WithSketchDims(3, 32))},
+		{"without the event index", small(WithPBE2(3), WithoutEventIndex())},
+		{"Count-Min without the event index", small(WithPBE2(3), WithSketchDims(2, 8), WithoutEventIndex())},
+	} {
+		var file bytes.Buffer
+		if err := c.det.Save(&file); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got, err := Decode(file.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sameDetector(t, c.name, got, c.det)
+		sameAnswers(t, c.name, got, c.det)
+	}
+}
+
+// sameAnswers asks both detectors the three queries over a grid of events and
+// instants and wants equal answers, bit for bit.
+func sameAnswers(t *testing.T, what string, got, want *Detector) {
+	t.Helper()
+	span := want.MaxTime() - want.MinTime()
+	tau := max(span/30, 1)
+	for i := int64(0); i <= 24; i++ {
+		q := want.MinTime() + span*i/24
+		for e := uint64(0); e < want.K(); e += max(want.K()/37, 1) {
+			a, err := want.Burstiness(e, q, tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b, _ := got.Burstiness(e, q, tau); a != b {
+				t.Fatalf("%s: POINT (%d, %d): %v, the original %v", what, e, q, b, a)
+			}
+		}
+		for _, theta := range []float64{5, 40} {
+			a, aerr := want.BurstyEvents(q, theta, tau)
+			b, berr := got.BurstyEvents(q, theta, tau)
+			if (aerr == nil) != (berr == nil) || !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: BURSTY-EVENT at %d θ=%v: %v (%v), the original %v (%v)", what, q, theta, b, berr, a, aerr)
+			}
+		}
+	}
+	for e := uint64(0); e < want.K(); e += max(want.K()/11, 1) {
+		a, aerr := want.BurstyTimes(e, 5, tau)
+		b, berr := got.BurstyTimes(e, 5, tau)
+		if (aerr == nil) != (berr == nil) || !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: BURSTY-TIME of %d: %v (%v), the original %v (%v)", what, e, b, berr, a, aerr)
 		}
 	}
 }
