@@ -1,7 +1,6 @@
-// Benchmark harness: one testing.B benchmark per paper table/figure (each
-// regenerates its experiment end to end at a reduced scale; run
-// cmd/burstbench for the human-readable tables), plus microbenchmarks for
-// the core operations' throughput and latency.
+// Microbenchmarks for the core operations' throughput and latency. The
+// paper's tables and figures are not benchmarks here: cmd/burstbench prints
+// them and internal/experiments' TestAllExperimentsRun runs every one.
 package histburst_test
 
 import (
@@ -12,48 +11,11 @@ import (
 	"histburst"
 	"histburst/internal/cmpbe"
 	"histburst/internal/exact"
-	"histburst/internal/experiments"
 	"histburst/internal/pbe1"
 	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 	"histburst/internal/workload"
 )
-
-// benchConfig keeps each figure bench around a second per iteration.
-func benchConfig() experiments.Config {
-	return experiments.Config{Scale: 0.004, Queries: 30, Seed: 1}
-}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tbl, err := experiments.Run(id, benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tbl.Rows) == 0 {
-			b.Fatalf("experiment %s produced no rows", id)
-		}
-	}
-}
-
-// One benchmark per table/figure of the paper's evaluation (Section VI).
-
-func BenchmarkFig7Characteristics(b *testing.B) { benchExperiment(b, "fig7") }
-func BenchmarkFig8PBE1Parameter(b *testing.B)   { benchExperiment(b, "fig8") }
-func BenchmarkFig9PBE2Parameter(b *testing.B)   { benchExperiment(b, "fig9") }
-func BenchmarkFig10SpaceAccuracy(b *testing.B)  { benchExperiment(b, "fig10a") }
-func BenchmarkFig10CurveSize(b *testing.B)      { benchExperiment(b, "fig10b") }
-func BenchmarkFig11CMPBE(b *testing.B)          { benchExperiment(b, "fig11") }
-func BenchmarkFig12BurstyEvents(b *testing.B)   { benchExperiment(b, "fig12") }
-func BenchmarkFig13Timeline(b *testing.B)       { benchExperiment(b, "fig13") }
-func BenchmarkBaselineComparison(b *testing.B)  { benchExperiment(b, "tbl-base") }
-func BenchmarkAblationDPvsCHT(b *testing.B)     { benchExperiment(b, "abl-dp") }
-func BenchmarkAblationMedianVsMin(b *testing.B) { benchExperiment(b, "abl-med") }
-func BenchmarkAblationKleinberg(b *testing.B)   { benchExperiment(b, "abl-klein") }
-func BenchmarkAblationPlainCM(b *testing.B)     { benchExperiment(b, "abl-cm") }
-
-// --- Microbenchmarks -----------------------------------------------------
 
 // benchTimestamps builds a reusable duplicate-heavy timestamp sequence.
 func benchTimestamps(n int) stream.TimestampSeq {

@@ -355,8 +355,31 @@ func TestSubscriptionHTTPLifecycle(t *testing.T) {
 
 // TestStalledSSESubscriberDoesNotBlockIngest opens an alert stream and never
 // reads it while alerts flood out. The subscriber's bounded queue must
-// drop-oldest — ingest keeps acking and the hub keeps firing.
+// drop-oldest — ingest keeps acking, the hub keeps firing, and the flood
+// takes at most twice as long as it does with no standing query armed.
 func TestStalledSSESubscriberDoesNotBlockIngest(t *testing.T) {
+	// 200 batches, each far enough past the last that every window decays
+	// and all 16 events re-fire: 3200 alerts against a queue of 256.
+	flood := func(url string, round int64) time.Duration {
+		start := time.Now()
+		tbase := 1000 + round*200*100
+		for batch := 0; batch < 200; batch++ {
+			var parts []string
+			for j := 0; j < 2; j++ {
+				for e := 0; e < 16; e++ {
+					parts = append(parts, fmt.Sprintf(`{"event":%d,"time":%d}`, e, tbase+int64(j)))
+				}
+			}
+			code, out := postAppend(t, url, strings.Join(parts, ","))
+			if code != 200 || out["appended"].(float64) != 32 {
+				t.Fatalf("batch %d: %d %v", batch, code, out)
+			}
+			tbase += 100 // > 2τ: the windows decay and the edges re-arm
+		}
+		return time.Since(start)
+	}
+	_, bareTS := liveServer(t, "")
+
 	srv, ts := liveServer(t, "")
 	t.Cleanup(srv.closeAlerts)
 	var events []string
@@ -379,21 +402,18 @@ func TestStalledSSESubscriberDoesNotBlockIngest(t *testing.T) {
 	stuck := srv.Alerts().AttachAll(subscribe.ChannelSSE, 4)
 	defer srv.Alerts().Detach(stuck)
 
-	// 200 batches, each far enough past the last that every window decays
-	// and all 16 events re-fire: 3200 alerts against a queue of 256.
-	tbase := int64(1000)
-	for batch := 0; batch < 200; batch++ {
-		var parts []string
-		for j := 0; j < 2; j++ {
-			for e := 0; e < 16; e++ {
-				parts = append(parts, fmt.Sprintf(`{"event":%d,"time":%d}`, e, tbase+int64(j)))
-			}
+	// A leg is ~25 ms without the race detector, short enough for a busy
+	// box to stretch one past 1.8× the other, so the pair is timed up to
+	// three times; a subscriber that backpressures ingest loses every round.
+	for round := int64(0); ; round++ {
+		bare, stalled := flood(bareTS.URL, round), flood(ts.URL, round)
+		t.Logf("flood %d: %v bare, %v stalled", round, bare, stalled)
+		if stalled <= 2*bare {
+			break
 		}
-		code, out := postAppend(t, ts.URL, strings.Join(parts, ","))
-		if code != 200 || out["appended"].(float64) != 32 {
-			t.Fatalf("batch %d with a stalled subscriber: %d %v", batch, code, out)
+		if round == 2 {
+			t.Fatalf("the flood took %v with a stalled subscriber, %v without (> 2×)", stalled, bare)
 		}
-		tbase += 100 // > 2τ: the windows decay and the edges re-arm
 	}
 	st := srv.Alerts().Stats()
 	if st.Fired < 3000 {

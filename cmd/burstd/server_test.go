@@ -9,6 +9,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"histburst/internal/stream"
+	"histburst/internal/subscribe"
+	"histburst/internal/wire"
 )
 
 // liveServer builds an empty live-ingest server (no demo stream) with
@@ -72,9 +76,16 @@ func TestAppendEndpoint(t *testing.T) {
 }
 
 // TestConcurrentAppendAndQuery hammers ingest and every query endpoint at
-// once; run under -race this is the server's central thread-safety proof.
+// once, over HTTP and over one pipelined HBP1 connection; run under -race
+// this is the server's central thread-safety proof.
 func TestConcurrentAppendAndQuery(t *testing.T) {
-	_, ts := liveServer(t, "")
+	srv, ts := liveServer(t, "")
+	t.Cleanup(srv.closeAlerts)
+	_, wc := bothTransports(t, srv)
+	subID, err := wc.Subscribe(subscribe.Subscription{Events: []uint64{40}, Theta: 4, Tau: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(2)
@@ -112,7 +123,45 @@ func TestConcurrentAppendAndQuery(t *testing.T) {
 			}
 		}(w)
 	}
+	// The HBP1 side shares one connection: two goroutines keep POINT batches
+	// pipelined while a third streams one multi-chunk append. Its tail is a
+	// burst on event 40 later than every other element, so the store cannot
+	// reject it and the standing query armed above must alert.
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			qs := make([]wire.PointQuery, 8)
+			for i := range qs {
+				qs[i] = wire.PointQuery{Event: uint64(i), T: 500, Tau: 100}
+			}
+			for i := 0; i < 25; i++ {
+				if res, err := wc.Point(qs); err != nil || len(res) != len(qs) {
+					t.Errorf("wire point: %d results, err=%v", len(res), err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		batch := make(stream.Stream, 0, 2*wire.DefaultChunk+16)
+		for i := 0; i < 2*wire.DefaultChunk; i++ {
+			batch = append(batch, stream.Element{Event: uint64(8 + i%8), Time: int64(i / 3)})
+		}
+		for i := 0; i < 16; i++ {
+			batch = append(batch, stream.Element{Event: 40, Time: int64(4000 + i)})
+		}
+		res, err := wc.Append(batch)
+		if err != nil || res.Appended+res.Rejected != int64(len(batch)) {
+			t.Errorf("wire append: %+v err=%v", res, err)
+		}
+	}()
 	wg.Wait()
+	if a := popWireAlert(t, wc.Alerts()); a.Sub != subID || a.Event != 40 {
+		t.Fatalf("wire alert = %+v, want subscription %d on event 40", a, subID)
+	}
 }
 
 func TestCheckpointAndRecovery(t *testing.T) {

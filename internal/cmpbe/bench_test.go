@@ -52,7 +52,7 @@ func BenchmarkSketchBurstiness(b *testing.B) {
 
 // BenchmarkSketchBurstinessNaive measures the pre-optimization evaluation
 // path (allocating median buffer, three independent segment searches per
-// row) over the same query mix, for the speedup pair in BENCH_PR2.json.
+// row) over the same query mix: BenchmarkSketchBurstiness's "before".
 func BenchmarkSketchBurstinessNaive(b *testing.B) {
 	s := benchSketch(b)
 	es, ts := benchQueries(8192, s.MaxTime())

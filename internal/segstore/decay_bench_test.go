@@ -120,7 +120,7 @@ func buildDecayHistory(b *testing.B, decay bool) *Store {
 // synthetic multi-week stream as a metric family: retained-bytes is the
 // whole store, tierN-bytes the per-tier split from Snapshot.Tiers. The
 // decay leg must come out far below the full leg on the same stream —
-// that delta is the O(log T) claim BENCH_PR10.json records. ns/op here is
+// that delta is the O(log T) claim of DESIGN.md §11. ns/op here is
 // the full ingest+seal+decay lifecycle cost for the stream, so it doubles
 // as a check that decay does not blow up the ingest path.
 func BenchmarkSegstoreDecayFootprint(b *testing.B) {
