@@ -51,8 +51,8 @@ func TestSegmentsCmdPrintsTierTable(t *testing.T) {
 	text := string(out)
 	for _, want := range []string{
 		"generation 12, 2 segments (0 quarantined)",
-		"3600",           // tier 1 resolution
-		"segment 7",      // -full listing
+		"3600",            // tier 1 resolution
+		"segment 7",       // -full listing
 		"tier 1, [0, 99]", // fidelity metadata reaches the per-segment lines
 	} {
 		if !strings.Contains(text, want) {

@@ -298,8 +298,8 @@ func (s *server) healthBody(status string) map[string]any {
 		"bytes":            sn.Bytes(),
 		"heap_alloc_bytes": heapAllocBytes(),
 		"segments":         map[string]int{"total": len(sn.Segments()), "resident": sn.Resident()},
-		"tiers":    sn.Tiers(),
-		"alerts":   s.alerts.hub.Stats(),
+		"tiers":            sn.Tiers(),
+		"alerts":           s.alerts.hub.Stats(),
 	}
 }
 

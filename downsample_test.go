@@ -123,7 +123,10 @@ func TestDownsampleDetectorsSaveLoadRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The dyadic index survives: bursty-event search still runs.
+	// Every level at the γ its height calls for under the tier's γ = 8 (the
+	// decoder held the file to that too), and the dyadic index survives:
+	// bursty-event search still runs.
+	checkShape(t, ds)
 	if _, err := re.BurstyEvents(maxT/2, 1, 64); err != nil {
 		t.Fatalf("BurstyEvents on reloaded downsample: %v", err)
 	}
@@ -150,6 +153,7 @@ func TestDownsampleDetectorsChained(t *testing.T) {
 	if tier2.N() != n {
 		t.Fatalf("chained N = %d, want %d", tier2.N(), n)
 	}
+	checkShape(t, tier2) // height 6 went 4·2 → 4·8 → 4·32 with its tiers
 	if tier2.Bytes() >= tier1a.Bytes()+tier1b.Bytes() {
 		t.Fatalf("tier promotion grew footprint: %d vs %d", tier2.Bytes(), tier1a.Bytes()+tier1b.Bytes())
 	}

@@ -10,6 +10,7 @@ import (
 
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
+	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
 	"histburst/internal/pbe2"
 	"histburst/internal/pbe2/pbe2test"
@@ -48,7 +49,8 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD4 blobs,
+// FuzzDetectorLoad targets the full detector decode path: valid HBD5 blobs
+// (one of them an index with levels under both γs),
 // retired-generation HBD1 blobs (must be refused, not decoded), their
 // truncations, and bit flips. Load must never panic, never allocate
 // unboundedly, and anything accepted must survive query and re-save — and
@@ -56,12 +58,16 @@ func FuzzLoad(f *testing.F) {
 // (checkShape), every PBE-2 cell one the search kernels can trust
 // (checkSearchable).
 func FuzzDetectorLoad(f *testing.F) {
-	for _, opts := range [][]Option{
-		{WithPBE2(2), WithSketchDims(2, 8)},
-		{WithPBE1(100, 10), WithSketchDims(2, 4)},
-		{WithPBE2(2), WithoutEventIndex()},
+	for _, c := range []struct {
+		k    uint64
+		opts []Option
+	}{
+		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
+		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
+		{8, []Option{WithPBE1(100, 10), WithSketchDims(2, 4)}},
+		{8, []Option{WithPBE2(2), WithoutEventIndex()}},
 	} {
-		det, err := New(8, opts...)
+		det, err := New(c.k, c.opts...)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -86,7 +92,7 @@ func FuzzDetectorLoad(f *testing.F) {
 	f.Add(poisonedCellFile(f))
 	f.Add(wrongLeafFile(f))
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x04 nearly"))
+	f.Add([]byte("HBD\x05 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -178,7 +184,7 @@ func indexLevels(d *Detector) (levels []any, heights []int) {
 // through: a collision-free level has one cell per aggregate id of its
 // height, a Count-Min level the header's dimensions and the seed of its
 // height — so no id is folded onto another's cell by a level of the wrong
-// size.
+// size — and PBE-2 cells under the γ of their height.
 func checkShape(t *testing.T, d *Detector) {
 	t.Helper()
 	levels, heights := indexLevels(d)
@@ -197,6 +203,15 @@ func checkShape(t *testing.T, d *Detector) {
 			}
 		default:
 			t.Fatalf("level %d (height %d): unexpected type %T", i, h, l)
+		}
+		// A PBE-2 level is under the γ its height calls for: the header's
+		// below height 4, dyadic.SteerGammaFactor times it from there up.
+		want := d.cfg.gamma
+		if h >= 4 {
+			want *= dyadic.SteerGammaFactor
+		}
+		if b, ok := l.(baseLevel).EventCells(0)[0].(*pbe2.Builder); ok && b.Gamma() != want {
+			t.Fatalf("level %d (height %d): cells under γ = %v, want %v", i, h, b.Gamma(), want)
 		}
 	}
 }
@@ -242,12 +257,16 @@ func checkSearchable(t *testing.T, d *Detector) {
 // and a checksum that holds — so the one thing left for Decode to refuse is a
 // summary malformed under a valid checksum (seeded below).
 func FuzzInspect(f *testing.F) {
-	for _, opts := range [][]Option{
-		{WithPBE2(2), WithSketchDims(2, 8)},
-		{WithPBE1(100, 10), WithSketchDims(2, 4)},
-		{WithPBE2(2), WithoutEventIndex()},
+	for _, c := range []struct {
+		k    uint64
+		opts []Option
+	}{
+		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
+		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
+		{8, []Option{WithPBE1(100, 10), WithSketchDims(2, 4)}},
+		{8, []Option{WithPBE2(2), WithoutEventIndex()}},
 	} {
-		det, err := New(8, opts...)
+		det, err := New(c.k, c.opts...)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -279,7 +298,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(garbled)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x04 nearly"))
+	f.Add([]byte("HBD\x05 nearly"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ierr := Inspect(data)

@@ -115,7 +115,9 @@ func WithPBE1ErrorCap(bufferN int, cap int64) Option {
 // WithPBE2 selects PBE-2 cells with error cap gamma: every frequency
 // estimate stays within [F−γ, F] and every burstiness estimate within 4γ of
 // the truth, per summarized stream (Section III-B). This is the default,
-// with γ = 8.
+// with γ = 8. The cap is that of the cells that answer; the event index's
+// levels from height 4 up, which only steer BurstyEvents and TopBursty, are
+// summarized under 4γ.
 func WithPBE2(gamma float64) Option {
 	return func(c *config) {
 		c.usePBE1 = false
@@ -124,11 +126,12 @@ func WithPBE2(gamma float64) Option {
 }
 
 // WithoutEventIndex disables the dyadic bursty-event index, saving the space
-// and ingest work of its upper levels, each about as heavy as the leaf level:
-// every fourth collision-free height above the leaves (two at K = 1024, so
-// two thirds of the detector) plus, on id spaces wider than the sketch, one
-// Count-Min level per halving down to d·w ids. BurstyEvents then returns an
-// error; point and bursty-time queries are unaffected.
+// and ingest work of its upper levels: every fourth collision-free height
+// above the leaves (two at K = 1024, under 4γ and together about a sixth of
+// the detector) plus, on id spaces wider than the sketch, one Count-Min level
+// per halving down to d·w ids, each about as heavy as the leaf level.
+// BurstyEvents then returns an error; point and bursty-time queries are
+// unaffected.
 func WithoutEventIndex() Option {
 	return func(c *config) { c.noIndex = true }
 }
@@ -183,22 +186,13 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	var factory cmpbe.Factory
-	var err error
-	switch {
-	case c.usePBE1 && c.pbe1CapMode:
-		factory, err = cmpbe.PBE1ErrorCapFactory(c.bufferN, c.pbe1Cap)
-	case c.usePBE1:
-		factory, err = cmpbe.PBE1Factory(c.bufferN, c.eta)
-	default:
-		factory, err = cmpbe.PBE2Factory(c.gamma)
-	}
+	leaf, steer, err := cellFactories(c)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	det := &Detector{k: k}
 	if c.d == -1 { // WithErrorBounds path
-		probe, err := cmpbe.NewWithError(c.epsilon, c.delta, c.seed, factory)
+		probe, err := cmpbe.NewWithError(c.epsilon, c.delta, c.seed, leaf)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
@@ -213,7 +207,7 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 		return nil, fmt.Errorf("histburst: sketch dimensions must be positive, got d=%d w=%d", c.d, c.w)
 	}
 	det.cfg = c
-	levelFactory := dyadic.CMPBELevels(c.d, c.w, c.seed, factory)
+	levelFactory := dyadic.CMPBELevels(c.d, c.w, c.seed, leaf, steer)
 	if c.noIndex {
 		lvl, err := levelFactory(0, roundPow2(k))
 		if err != nil {
@@ -237,6 +231,31 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 	det.tree = tree
 	det.base = base
 	return det, nil
+}
+
+// cellFactories returns the cell factories configuration c selects, as
+// dyadic.CMPBELevels and dyadic.DecodeTree take them: leaf builds the summary
+// that answers (height 0 of the event index, or the standalone base level)
+// and the index's few-id levels just above it, steer the levels from height 4
+// up, which only decide where BurstyEvents and TopBursty descend. PBE-2
+// steering cells run under dyadic.SteerGammaFactor × γ; PBE-1 cells have no
+// error cap to loosen and steer with the leaf's factory. Build and load both
+// come through here, so they cannot disagree about a level's γ; decay does
+// not — dyadic.DownsampleTrees applies the same factor to the tier's γ itself,
+// by height, as it widens each level.
+func cellFactories(c config) (leaf, steer cmpbe.Factory, err error) {
+	switch {
+	case c.usePBE1 && c.pbe1CapMode:
+		leaf, err = cmpbe.PBE1ErrorCapFactory(c.bufferN, c.pbe1Cap)
+	case c.usePBE1:
+		leaf, err = cmpbe.PBE1Factory(c.bufferN, c.eta)
+	default:
+		if leaf, err = cmpbe.PBE2Factory(c.gamma); err == nil {
+			steer, err = cmpbe.PBE2Factory(dyadic.SteerGammaFactor * c.gamma)
+		}
+		return leaf, steer, err
+	}
+	return leaf, leaf, err
 }
 
 // K returns the detector's (rounded) event-id space size.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,8 +91,13 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 	if _, err := Decode(forgeIndexFile(t, direct, ownLevels(direct))); err != nil {
 		t.Fatalf("fixture: the forger's rendering of an untouched index does not load: %v", err)
 	}
-	leafOf := func(k uint64, opts ...Option) dyadic.Level {
-		return shapeFixture(t, k, append([]Option{WithPBE2(2)}, opts...)...).tree.Level(0)
+	leafOf := func(k uint64) dyadic.Level {
+		return shapeFixture(t, k, WithPBE2(2)).tree.Level(0)
+	}
+	// A k-cell level under the γ the victims' levels from height 4 up are
+	// held to.
+	steerOf := func(k uint64) dyadic.Level {
+		return shapeFixture(t, k, WithPBE2(dyadic.SteerGammaFactor*2)).tree.Level(0)
 	}
 	// 2×8 = 16 cells: Count-Min at heights 0–5, collision-free from 6.
 	sketched := shapeFixture(t, 1024, WithPBE2(2), WithSketchDims(2, 8), WithSeed(3))
@@ -112,18 +118,29 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 			return l
 		}, "dyadic: level 0 (height 0) has 512 cells for 1024 aggregate ids"},
 		{"a top level twice too wide", direct, func(l []forgedLevel) []forgedLevel {
-			l[2].level = leafOf(8)
+			l[2].level = steerOf(8)
 			return l
 		}, "dyadic: level 2 (height 8) has 8 cells for 4 aggregate ids"},
+		{"a height-4 level under the leaf's γ", direct, func(l []forgedLevel) []forgedLevel {
+			l[1].level = leafOf(64)
+			return l
+		}, "dyadic: level 1: cmpbe: cells under gamma 2, the factory's are under 8"},
+		{"a leaf level under the steering γ", direct, func(l []forgedLevel) []forgedLevel {
+			l[0].level = steerOf(1024)
+			return l
+		}, "dyadic: level 0: cmpbe: cells under gamma 8, the factory's are under 2"},
 		{"every height, each level the right size", direct, func([]forgedLevel) []forgedLevel {
 			var l []forgedLevel
-			for h := 0; h <= 10; h++ {
+			for h := 0; h < 4; h++ {
 				l = append(l, forgedLevel{h, leafOf(1024 >> h)})
+			}
+			for h := 4; h <= 10; h++ {
+				l = append(l, forgedLevel{h, steerOf(1024 >> h)})
 			}
 			return l
 		}, "keeps [0 4 8]"},
 		{"the kept heights shifted by one", direct, func([]forgedLevel) []forgedLevel {
-			return []forgedLevel{{0, leafOf(1024)}, {1, leafOf(512)}, {5, leafOf(32)}, {9, leafOf(2)}}
+			return []forgedLevel{{0, leafOf(1024)}, {1, leafOf(512)}, {5, steerOf(32)}, {9, steerOf(2)}}
 		}, "keeps [0 4 8]"},
 		{"no leaf level", direct, func(l []forgedLevel) []forgedLevel { return l[1:] },
 			"dyadic: the leaf level (height 0) must be kept"},
@@ -136,12 +153,12 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 			return l
 		}, "dyadic: level 1 (height 1) is a 2×16 sketch"},
 		{"a Count-Min level above a collision-free one", sketched, func(l []forgedLevel) []forgedLevel {
-			l[6], l[7] = forgedLevel{6, leafOf(16)}, forgedLevel{7, sketched.tree.Level(5)}
+			l[6], l[7] = forgedLevel{6, steerOf(16)}, forgedLevel{7, sketched.tree.Level(5)}
 			return l
 		}, "dyadic: level 7 (height 7) is a Count-Min sketch above a collision-free level"},
 		{"a Count-Min level where the ids fit collision-free", sketched, func(l []forgedLevel) []forgedLevel {
 			// Height 6 has 16 ids for 16 cells; a sketch seeded for it.
-			s, err := cmpbe.New(2, 8, 3+6*7919, mustFactory(t, 2))
+			s, err := cmpbe.New(2, 8, 3+6*7919, mustFactory(t, dyadic.SteerGammaFactor*2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,18 +218,19 @@ func benchmarkStream(t testing.TB) []Element {
 }
 
 // TestSparseSupersetOfBinary: on the benchmark's stream and query grid the
-// kept-levels index reports every id the every-level index (Algorithm 3 as
-// published) reports. Both end at the same leaf level and leaf filter — the
-// same bytes, checked below — so they can differ only in the path there, and a sixteen-way
-// node never prunes above a qualifying leaf at the last step (Σ b_c² ≥ b_e²);
-// fewer prune decisions on the way down is where the recall comes from.
+// kept-levels index reports every id the every-level index (Algorithm 3's
+// binary walk, its levels under the same two γs) reports. Both end at the
+// same leaf level and leaf filter — the same bytes, checked below — so they
+// can differ only in the path there, and a sixteen-way node never prunes
+// above a qualifying leaf at the last step (Σ b_c² ≥ b_e²); fewer prune
+// decisions on the way down is where the recall comes from.
 func TestSparseSupersetOfBinary(t *testing.T) {
 	elems := benchmarkStream(t)
 	det, err := BuildParallel(1024, elems, 2, WithPBE2(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	every, err := dyadic.New(1024, dyadic.CMPBELevelsEvery(1, 5, 272, 1, mustFactory(t, 8)))
+	every, err := dyadic.New(1024, dyadic.CMPBELevelsEvery(1, 5, 272, 1, mustFactory(t, 8), mustFactory(t, dyadic.SteerGammaFactor*8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,5 +336,112 @@ func TestBurstyEventsAllocs(t *testing.T) {
 		}
 	}); int(got) > growths {
 		t.Errorf("Detector.BurstyEvents allocates %.0f times for %d results, want at most %d", got, len(found), growths)
+	}
+}
+
+// TestLeafAnswersUnmoved: loosening the steering levels moves no number a
+// caller reads, by construction and bit for bit. One stream is built twice —
+// by the production factory and with every kept level under the leaf's γ, the
+// index as it was before dyadic.SteerGammaFactor — at time origins 0 and
+// 1.7·10⁹, over a collision-free index and over one with Count-Min levels
+// (two of them, heights 4 and 5, loosened). The leaf levels encode to the same
+// bytes; POINT, BURSTY-TIME and cumulative-frequency answers are equal;
+// TopBursty's scores are the leaf's; and every id BURSTY-EVENT returns passed
+// the leaf's b̃ ≥ θ in both. Which subtrees the search entered may differ —
+// that is all a steering level decides.
+func TestLeafAnswersUnmoved(t *testing.T) {
+	spec := workload.OlympicRioSpec(3, 60_000)
+	base, err := workload.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tau = 86_400
+	for _, shape := range []struct {
+		name string
+		k    uint64
+		opts []Option
+	}{
+		{"collision-free levels", 1024, []Option{WithPBE2(8)}},
+		{"Count-Min levels below", 1 << 12, []Option{WithPBE2(4), WithSketchDims(3, 32)}},
+	} {
+		for _, origin := range []int64{0, 1_700_000_000} {
+			prod, err := New(shape.k, shape.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(shape.k, shape.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := ref.cfg
+			leaf := mustFactory(t, c.gamma)
+			tree, err := dyadic.New(shape.k, dyadic.CMPBELevelsEvery(4, c.d, c.w, c.seed, leaf, leaf))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.tree, ref.base = tree, tree.Level(0).(baseLevel)
+			for _, el := range base {
+				prod.Append(el.Event, origin+el.Time)
+				ref.Append(el.Event, origin+el.Time)
+			}
+			prod.Finish()
+			ref.Finish()
+			if prod.Bytes() >= ref.Bytes() {
+				t.Fatalf("%s: fixture: the production index counts %d bytes, every level under γ %d", shape.name, prod.Bytes(), ref.Bytes())
+			}
+			var a, b binenc.Writer
+			if err := prod.base.Encode(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.base.Encode(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("%s, origin %d: the leaf levels differ", shape.name, origin)
+			}
+
+			theta := float64(len(base)) / 2000
+			frontier := prod.MaxTime()
+			found := 0
+			for i := int64(1); i <= 64; i++ {
+				ts := origin + 2*tau + (frontier-origin-2*tau)*i/64
+				e := uint64(i*37) % shape.k
+				pb, _ := prod.Burstiness(e, ts, tau)
+				rb, _ := ref.Burstiness(e, ts, tau)
+				if pb != rb || prod.CumulativeFrequency(e, ts) != ref.CumulativeFrequency(e, ts) {
+					t.Fatalf("%s: id %d at %d: b̃ %v vs %v, F̃ %v vs %v", shape.name, e, ts,
+						pb, rb, prod.CumulativeFrequency(e, ts), ref.CumulativeFrequency(e, ts))
+				}
+				pt, _ := prod.BurstyTimes(e, theta, tau)
+				rt, _ := ref.BurstyTimes(e, theta, tau)
+				if !slices.Equal(pt, rt) {
+					t.Fatalf("%s: id %d: BurstyTimes %v vs %v", shape.name, e, pt, rt)
+				}
+				for _, det := range []*Detector{prod, ref} {
+					top, err := det.TopBursty(ts, 5, tau)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range top {
+						if want, _ := ref.Burstiness(s.Event, ts, tau); s.Burstiness != want {
+							t.Fatalf("%s: TopBursty at %d scores id %d %v, the leaf level says %v", shape.name, ts, s.Event, s.Burstiness, want)
+						}
+					}
+					ids, err := det.BurstyEvents(ts, theta, tau)
+					if err != nil {
+						t.Fatal(err)
+					}
+					found += len(ids)
+					for _, id := range ids {
+						if got, _ := ref.Burstiness(id, ts, tau); got < theta {
+							t.Fatalf("%s: BurstyEvents at %d returns id %d, whose leaf b̃ = %v is below θ = %v", shape.name, ts, id, got, theta)
+						}
+					}
+				}
+			}
+			if found == 0 {
+				t.Fatalf("%s: fixture: no query found a bursty event", shape.name)
+			}
+		}
 	}
 }

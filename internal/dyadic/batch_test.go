@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
-	"histburst/internal/cmpbe"
 	"histburst/internal/stream"
 )
 
@@ -23,11 +22,8 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			data[i].Event += 3 * k
 		}
 	}
-	f, err := cmpbe.PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	levels := CMPBELevels(2, 4, 9, f) // levels 0–2 hash 64/32/16 ids into 2×4 cells
+	f, steer := pbe2Cells(t, 2)
+	levels := CMPBELevels(2, 4, 9, f, steer) // levels 0–2 hash 64/32/16 ids into 2×4 cells
 	marshal := func(tr *Tree) []byte {
 		t.Helper()
 		tr.Finish()

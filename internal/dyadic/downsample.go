@@ -6,9 +6,14 @@ import (
 	"histburst/internal/cmpbe"
 )
 
-// DownsampleTrees re-summarizes time-disjoint trees at lower fidelity: every
-// level's cells widen their error cap to gamma and coarsen time resolution
-// to res, and sketch levels whose width is a multiple of w narrow to w.
+// DownsampleTrees re-summarizes time-disjoint trees at lower fidelity: cells
+// below steerHeight widen their error cap to gamma and every level's from
+// there up to SteerGammaFactor × gamma — what CMPBELevels builds under gamma,
+// so the result loads, merges and downsamples again as an ordinary coarser
+// tree, and a fold floor gamma ≥ (W_src/w)·γ_src that holds at the leaves
+// holds at every level, both sides scaling alike — all coarsen time
+// resolution to res, and sketch levels whose width is a multiple of w narrow
+// to w.
 // Direct levels keep their id space — additivity across siblings
 // (F_parent = ΣF_child), which the pruning bound relies on, is a property
 // of the id mapping and is untouched by per-cell downsampling. Sketch
@@ -36,7 +41,11 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 	}
 	levels := make([]Level, len(first.levels))
 	for i := range levels {
-		ds, err := downsampleLevels(parts, i, gamma, res, w)
+		g := gamma
+		if steered(first.heights[i]) {
+			g = SteerGammaFactor * gamma
+		}
+		ds, err := downsampleLevels(parts, i, g, res, w)
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}

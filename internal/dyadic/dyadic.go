@@ -16,6 +16,15 @@
 // (CMPBELevels) keeps every fourth collision-free height and a node there has
 // sixteen children, pruned by the additive form of the bound, Σ b_c² < θ².
 // A factory that keeps every height gives Algorithm 3 as published.
+//
+// Only height 0 answers: every estimate a caller sees — a point query, the
+// b̃ ≥ θ filter a reported id passed, a TopBursty score — is read from the
+// leaf level. The heights above it steer: their estimates decide which
+// subtrees the search descends into and are never returned. A steering cell
+// that aggregates at least sixteen ids (height ≥ steerHeight) is therefore
+// built under SteerGammaFactor × γ, a fraction of the segments; the leaf
+// level, and the few-id cells of heights 1–3 that a Count-Min index keeps
+// just above it, under the detector's error cap γ.
 package dyadic
 
 import (
@@ -50,9 +59,41 @@ type LevelFactory func(level int, ids uint64) (Level, error)
 // experiment), 4 beats 1, 2 and 3 on bytes, build time, recall and query
 // time at K = 1024. At K ≥ 2¹⁴, where Count-Min levels sit below and every
 // probe of a surviving node's sixteen children is a d-row sketch query, it
-// buys a quarter to a third fewer bytes and recall 0.83 → 0.97 for 2–4× the
-// BURSTY-EVENT time (spacing 2: +13–47 % time, recall 0.89–0.91).
+// buys recall 0.82 → 0.96 for 1.6–3.1× the BURSTY-EVENT time (spacing 2:
+// +26–36 % time, recall 0.89–0.90) and, with the thinned levels under
+// SteerGammaFactor × γ, under a tenth fewer bytes.
 const indexSpacing = 4
+
+// SteerGammaFactor is how much looser than the leaf level's γ the PBE-2 error
+// cap of a steering level at height ≥ steerHeight is. Such a cell decides a
+// prune, it never answers, and its error moves the bound Σ b_c² against θ² by
+// O(γ·θ): an id whose burstiness clears θ by less than the steering cells'
+// envelope 4·(SteerGammaFactor·γ) may be cut above the leaf that would have
+// reported it. Measured (abl-level at scale 0.1: olympicrio over K = 2¹⁰ to
+// 2¹⁶, uspolitics over narrow sketches), 4 is the last step at which
+// BURSTY-EVENT recall holds on every row: within 0.007 of ×1 at prominent
+// thresholds (3–20 % of the burstiness range) and within 0.016 at the lowest
+// (1–5 %, where θ is inside that envelope), for −53 % bytes where every
+// level is collision-free and −12…−27 % under Count-Min levels; ×8 gives up
+// 0.04 at low thresholds at K = 2¹⁶, ×16 0.09 there and 0.06 at prominent ones
+// on uspolitics. Precision is the leaf filter's and does not move. A
+// constant, not an option: a saved index is only readable under the factor it
+// was built with.
+const SteerGammaFactor = 4
+
+// steerHeight is the lowest height built under the looser γ: the height of a
+// sixteen-way node over collision-free leaves. Below it — heights 1 to 3,
+// which exist only over Count-Min levels — a cell holds two to eight ids'
+// arrivals, hardly more than a leaf's, and sits on a chain of two-way prune
+// decisions. Loosening those as well would take the K ≥ 2¹⁴ indexes to a
+// third of their bytes, and costs uspolitics 0.02 of recall at prominent
+// thresholds and 0.05–0.06 at low ones (abl-level's "every height" rows), so
+// they keep the leaf's γ.
+const steerHeight = indexSpacing
+
+// steered reports whether the level at height h is built under
+// SteerGammaFactor × γ.
+func steered(h int) bool { return h >= steerHeight }
 
 // maxFanOut is the most children a node has — New holds every factory to
 // it, so the search evaluates a node's children into a fixed buffer.
@@ -66,24 +107,31 @@ const levelSeedStride = 7919
 // collision-free Direct summaries — no more PBE cells than the sketch they
 // replace, and none of the collisions that break the additivity
 // (F_parent = ΣF_child) the pruning bound relies on — at the lowest height
-// that fits d·w cells and every indexSpacing-th height above it.
+// that fits d·w cells and every indexSpacing-th height above it. The cells of
+// heights below steerHeight come from leaf, the rest from steer: for PBE-2
+// cells under γ that is PBE-2 under SteerGammaFactor × γ; a cell kind with no
+// error cap to loosen (PBE-1) passes the same factory twice.
 //
 // The two kinds thin differently. A Direct parent repeats its children, so
 // dropping it loses nothing; each Count-Min level hashes independently and
 // is its own filter against the collisions of the one below, so all stay.
-func CMPBELevels(d, w int, seed int64, f cmpbe.Factory) LevelFactory {
-	return CMPBELevelsEvery(indexSpacing, d, w, seed, f)
+func CMPBELevels(d, w int, seed int64, leaf, steer cmpbe.Factory) LevelFactory {
+	return CMPBELevelsEvery(indexSpacing, d, w, seed, leaf, steer)
 }
 
 // CMPBELevelsEvery is CMPBELevels with the spacing of the collision-free
-// heights given; spacing 1 keeps every height, which is §V as published. A
-// kept level is the same bytes at any spacing. For the reproduction
-// (fig12's published row, abl-fanout) and tests; only the production
-// spacing is serializable.
-func CMPBELevelsEvery(spacing, d, w int, seed int64, f cmpbe.Factory) LevelFactory {
+// heights given; spacing 1 with steer = leaf keeps every height under one γ,
+// which is §V as published. A kept level is the same bytes at any spacing.
+// For the reproduction (fig12's published row, abl-fanout, abl-level) and
+// tests; only the production spacing and factor are serializable.
+func CMPBELevelsEvery(spacing, d, w int, seed int64, leaf, steer cmpbe.Factory) LevelFactory {
 	return func(level int, ids uint64) (Level, error) {
 		if spacing < 1 {
 			return nil, fmt.Errorf("dyadic: level spacing must be positive, got %d", spacing)
+		}
+		f := leaf
+		if steered(level) {
+			f = steer
 		}
 		h0 := directHeight(ids<<level, d, w)
 		switch {

@@ -220,11 +220,8 @@ func TestOutOfRangeIDFolded(t *testing.T) {
 func TestSketchTreeFindsPlantedBursts(t *testing.T) {
 	const k = 64
 	data := burstyStream(7, k, 3000)
-	f, err := cmpbe.PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(k, CMPBELevels(4, 64, 11, f))
+	f, steer := pbe2Cells(t, 2)
+	tr, err := New(k, CMPBELevels(4, 64, 11, f, steer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,4 +277,20 @@ func TestRoundPow2(t *testing.T) {
 			t.Errorf("roundPow2(%d) = %d, want %d", in, got, want)
 		}
 	}
+}
+
+// pbe2Cells returns the cell factories a PBE-2 index under gamma is built and
+// decoded with: the leaf level's, and the steering levels' at
+// SteerGammaFactor × gamma.
+func pbe2Cells(t testing.TB, gamma float64) (leaf, steer cmpbe.Factory) {
+	t.Helper()
+	leaf, err := cmpbe.PBE2Factory(gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steer, err = cmpbe.PBE2Factory(SteerGammaFactor * gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return leaf, steer
 }

@@ -12,7 +12,8 @@ import (
 // Serialization: the tree stores its shape — the id space and the kept
 // heights — then every level's own serialized form, one after another.
 // Loading is specific to the levels CMPBELevels builds (the only persistent
-// kind); the cell Factory must match the one used at build time.
+// kind); the leaf and steering cell factories must match the ones used at
+// build time.
 
 var treeMagic = []byte{'D', 'Y', 'A', 3}
 
@@ -41,10 +42,13 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 }
 
 // DecodeTree reads from r a tree serialized by Encode whose levels are
-// CM-PBE summaries built from the given cell factory, and leaves r just past
-// it. It accepts exactly the shapes CMPBELevels builds: the search indexes a
-// level's cells by height, so a level of any other size would be read out of
-// range or — folded by modulo — silently serve two ids from one cell. Each Direct level has K>>height
+// CM-PBE summaries built from the given cell factories — leaf below
+// steerHeight, steer from there up, as CMPBELevels takes them, so a steering
+// level stored under the leaf's γ (or the reverse) is refused by the level
+// decoder's γ check — and leaves r just past it. It accepts exactly the
+// shapes CMPBELevels builds: the search indexes a level's cells by height, so
+// a level of any other size would be read out of range or — folded by modulo —
+// silently serve two ids from one cell. Each Direct level has K>>height
 // cells; the Count-Min levels are the lowest heights, share their dimensions,
 // step their seeds by levelSeedStride from the leaf level's, and stand only
 // where a Direct would not fit; the height list is the kept set for that many
@@ -52,7 +56,7 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 // configuration it is loaded under — is the caller's to check.
 //
 //histburst:decoder
-func DecodeTree(r *binenc.Reader, f cmpbe.Factory) (*Tree, error) {
+func DecodeTree(r *binenc.Reader, leaf, steer cmpbe.Factory) (*Tree, error) {
 	if string(r.BytesBlob()) != string(treeMagic) {
 		return nil, fmt.Errorf("dyadic: bad magic")
 	}
@@ -77,6 +81,10 @@ func DecodeTree(r *binenc.Reader, f cmpbe.Factory) (*Tree, error) {
 	levels := make([]Level, nLevels)
 	sketches := 0
 	for i, h := range heights {
+		f := leaf
+		if steered(h) {
+			f = steer
+		}
 		v, err := cmpbe.DecodeLevel(r, f)
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)

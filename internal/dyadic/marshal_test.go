@@ -3,6 +3,7 @@ package dyadic
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"histburst/internal/binenc"
@@ -10,9 +11,9 @@ import (
 )
 
 // decodeWhole decodes data as exactly one tree.
-func decodeWhole(data []byte, f cmpbe.Factory) (*Tree, error) {
+func decodeWhole(data []byte, f, steer cmpbe.Factory) (*Tree, error) {
 	r := binenc.NewReader(data)
-	tr, err := DecodeTree(r, f)
+	tr, err := DecodeTree(r, f, steer)
 	if err != nil {
 		return nil, err
 	}
@@ -20,11 +21,8 @@ func decodeWhole(data []byte, f cmpbe.Factory) (*Tree, error) {
 }
 
 func TestTreeMarshalRoundTrip(t *testing.T) {
-	f, err := cmpbe.PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(64, CMPBELevels(3, 32, 5, f))
+	f, steer := pbe2Cells(t, 2)
+	tr, err := New(64, CMPBELevels(3, 32, 5, f, steer))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +36,7 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 	if err := tr.Encode(&w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeWhole(w.Bytes(), f)
+	got, err := decodeWhole(w.Bytes(), f, steer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +75,8 @@ func TestTreeMarshalExactLevelsFails(t *testing.T) {
 }
 
 func TestUnmarshalTreeRejectsCorrupt(t *testing.T) {
-	f, _ := cmpbe.PBE2Factory(2)
-	tr, _ := New(8, CMPBELevels(2, 8, 1, f))
+	f, steer := pbe2Cells(t, 2)
+	tr, _ := New(8, CMPBELevels(2, 8, 1, f, steer))
 	tr.Append(1, 5)
 	tr.Finish()
 	var w binenc.Writer
@@ -87,11 +85,52 @@ func TestUnmarshalTreeRejectsCorrupt(t *testing.T) {
 	}
 	blob := w.Bytes()
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := decodeWhole(blob[:cut], f); err == nil {
+		if _, err := decodeWhole(blob[:cut], f, steer); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
-	if _, err := decodeWhole([]byte("garbage"), f); err == nil {
+	if _, err := decodeWhole([]byte("garbage"), f, steer); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestDecodeTreeHoldsLevelsToTheirGamma: a tree loads only under the pair of
+// factories it was built with. Handed the leaf's for both, the height-6 level
+// (under SteerGammaFactor × γ) is refused; built with the leaf's for both —
+// the index as it was before the factor — the same level is refused for the
+// opposite reason. Neither is re-fitted or served.
+func TestDecodeTreeHoldsLevelsToTheirGamma(t *testing.T) {
+	f, steer := pbe2Cells(t, 2)
+	for _, c := range []struct {
+		name        string
+		build, load [2]cmpbe.Factory
+		want        string
+	}{
+		{"loaded under the leaf's γ throughout", [2]cmpbe.Factory{f, steer}, [2]cmpbe.Factory{f, f},
+			"level 3: cmpbe: cells under gamma 8, the factory's are under 2"},
+		{"built under the leaf's γ throughout", [2]cmpbe.Factory{f, f}, [2]cmpbe.Factory{f, steer},
+			"level 3: cmpbe: cells under gamma 2, the factory's are under 8"},
+	} {
+		tr, err := New(64, CMPBELevels(3, 8, 5, c.build[0], c.build[1])) // heights 0, 1 hashed; 2 and 6 collision-free
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Heights(); !reflect.DeepEqual(got, []int{0, 1, 2, 6}) {
+			t.Fatalf("fixture keeps heights %v", got)
+		}
+		for _, el := range burstyStream(9, 64, 500) {
+			tr.Append(el.Event, el.Time)
+		}
+		tr.Finish()
+		var w binenc.Writer
+		if err := tr.Encode(&w); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeWhole(w.Bytes(), c.build[0], c.build[1]); err != nil {
+			t.Fatalf("%s: fixture does not load under its own factories: %v", c.name, err)
+		}
+		if _, err := decodeWhole(w.Bytes(), c.load[0], c.load[1]); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: DecodeTree error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

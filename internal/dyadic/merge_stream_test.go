@@ -3,7 +3,6 @@ package dyadic
 import (
 	"testing"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/stream"
 )
 
@@ -11,11 +10,8 @@ import (
 // bit-identical to the sequential MergeAppend chain on every level.
 func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 	const k = 256
-	f, err := cmpbe.PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	factory := CMPBELevels(3, 16, 5, f)
+	f, steer := pbe2Cells(t, 2)
+	factory := CMPBELevels(3, 16, 5, f, steer)
 	data := burstyStream(17, k, 2000)
 	c1, c2 := len(data)/3, 2*len(data)/3
 	for c1 < len(data) && data[c1].Time == data[c1-1].Time {
@@ -92,9 +88,9 @@ func TestMergeTreesValidation(t *testing.T) {
 	if _, err := MergeTrees(nil); err == nil {
 		t.Fatal("zero-part merge accepted")
 	}
-	f, _ := cmpbe.PBE2Factory(2)
-	a, _ := New(64, CMPBELevels(3, 16, 5, f))
-	b, _ := New(128, CMPBELevels(3, 16, 5, f))
+	f, steer := pbe2Cells(t, 2)
+	a, _ := New(64, CMPBELevels(3, 16, 5, f, steer))
+	b, _ := New(128, CMPBELevels(3, 16, 5, f, steer))
 	if _, err := MergeTrees([]*Tree{a, b}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}

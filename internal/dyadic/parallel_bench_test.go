@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/stream"
 )
 
@@ -22,11 +21,8 @@ func benchTree(b *testing.B) *Tree {
 	b.Helper()
 	benchTreeOnce.Do(func() {
 		const k = 1 << 16
-		f, err := cmpbe.PBE2Factory(4)
-		if err != nil {
-			panic(err)
-		}
-		tr, err := New(k, CMPBELevels(3, 128, 17, f))
+		f, steer := pbe2Cells(b, 4)
+		tr, err := New(k, CMPBELevels(3, 128, 17, f, steer))
 		if err != nil {
 			panic(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/stream"
 )
 
@@ -73,11 +72,8 @@ func TestParallelLargeTreeSketchLevels(t *testing.T) {
 		t.Skip("large tree build")
 	}
 	const k = 1 << 16
-	f, err := cmpbe.PBE2Factory(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := New(k, CMPBELevels(3, 128, 17, f))
+	f, steer := pbe2Cells(t, 4)
+	tr, err := New(k, CMPBELevels(3, 128, 17, f, steer))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,10 +111,7 @@ func cancellationStream() stream.Stream {
 // the estimate its parent computed instead of computing it again, and a
 // two-child node decides by equation 6 exactly as before.
 func TestEveryLevelIsAlgorithm3(t *testing.T) {
-	f, err := cmpbe.PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, steer := pbe2Cells(t, 2)
 	for _, c := range []struct {
 		name    string
 		k       uint64
@@ -125,8 +122,8 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 		{"exact levels", 256, exactFactory, burstyStream(11, 256, 3000), 3000},
 		{"exact levels, K=1", 1, exactFactory, burstyStream(5, 1, 400), 400},
 		{"cancellation fixture", 4, exactFactory, cancellationStream(), 300},
-		{"collision-free PBE-2 levels", 64, CMPBELevelsEvery(1, 4, 64, 11, f), burstyStream(7, 64, 3000), 3000},
-		{"Count-Min levels below", 256, CMPBELevelsEvery(1, 3, 16, 5, f), burstyStream(23, 256, 3000), 3000},
+		{"collision-free PBE-2 levels", 64, CMPBELevelsEvery(1, 4, 64, 11, f, steer), burstyStream(7, 64, 3000), 3000},
+		{"Count-Min levels below", 256, CMPBELevelsEvery(1, 3, 16, 5, f, steer), burstyStream(23, 256, 3000), 3000},
 	} {
 		tr, err := New(c.k, c.levels)
 		if err != nil {
@@ -185,14 +182,11 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 // ones start at the lowest that fits and are indexSpacing apart, and neither
 // a node nor the virtual root has more than maxFanOut children.
 func TestKeptHeights(t *testing.T) {
-	f, err := cmpbe.PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, steer := pbe2Cells(t, 2)
 	for _, dims := range [][2]int{{5, 272}, {3, 16}, {64, 4096}} {
 		d, w := dims[0], dims[1]
 		for _, k := range []uint64{1, 2, 16, 32, 1024, 1 << 11, 1 << 14, 1 << 16} {
-			tr, err := New(k, CMPBELevels(d, w, 1, f))
+			tr, err := New(k, CMPBELevels(d, w, 1, f, steer))
 			if err != nil {
 				t.Fatalf("K=%d %d×%d: %v", k, d, w, err)
 			}
@@ -233,7 +227,7 @@ func TestKeptHeights(t *testing.T) {
 		{1024, []int{0, 4, 8}},
 		{1 << 16, []int{0, 1, 2, 3, 4, 5, 6, 10, 14}},
 	} {
-		tr, _ := New(c.k, CMPBELevels(5, 272, 1, f))
+		tr, _ := New(c.k, CMPBELevels(5, 272, 1, f, steer))
 		if !slices.Equal(tr.Heights(), c.want) {
 			t.Fatalf("K=%d at 5×272 keeps %v, want %v", c.k, tr.Heights(), c.want)
 		}

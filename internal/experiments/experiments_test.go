@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"histburst/internal/dyadic"
 )
 
 // tinyConfig keeps every experiment fast enough for the unit-test suite.
@@ -25,7 +28,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestListAndDescribe(t *testing.T) {
 	ids := List()
-	want := []string{"abl-cap", "abl-cm", "abl-dp", "abl-fanout", "abl-klein", "abl-med", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig7", "fig8", "fig9", "tbl-base"}
+	want := []string{"abl-cap", "abl-cm", "abl-dp", "abl-fanout", "abl-klein", "abl-level", "abl-med", "fig10a", "fig10b", "fig11", "fig12", "fig13", "fig7", "fig8", "fig9", "tbl-base"}
 	if len(ids) != len(want) {
 		t.Fatalf("List = %v, want %v", ids, want)
 	}
@@ -202,9 +205,10 @@ func TestFig12Shape(t *testing.T) {
 }
 
 // TestAblationFanoutShape pins what abl-fanout is cited for: at every id-space
-// size the index shrinks strictly as the kept collision-free levels thin out,
-// the widest spacing recalls at least what the published index does, and
-// precision does not pay for it.
+// size the index shrinks strictly as the kept collision-free levels thin out
+// (on the exact bytes column: under the steering factor a level above height 4
+// is less than the space column's last digit), the widest spacing recalls at
+// least what every height does, and precision does not pay for it.
 func TestAblationFanoutShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -216,14 +220,15 @@ func TestAblationFanoutShape(t *testing.T) {
 	if len(tbl.Rows) != 12 {
 		t.Fatalf("abl-fanout has %d rows, want 3 id spaces × 4 spacings:\n%s", len(tbl.Rows), tbl.Format())
 	}
+	const exact = 9 // the bytes column
 	for g := 0; g < len(tbl.Rows); g += 4 {
 		rows := tbl.Rows[g : g+4]
 		for i, row := range rows {
 			if row[0] != rows[0][0] || row[1] != strconv.Itoa(i+1) {
 				t.Fatalf("row %d is K=%s spacing %s, want K=%s spacing %d", g+i, row[0], row[1], rows[0][0], i+1)
 			}
-			if i > 0 && parseBytes(t, row[3]) >= parseBytes(t, rows[i-1][3]) {
-				t.Errorf("K=%s: space %s at spacing %d, %s at spacing %d; it should fall", row[0], row[3], i+1, rows[i-1][3], i)
+			if i > 0 && parseBytes(t, row[exact]) >= parseBytes(t, rows[i-1][exact]) {
+				t.Errorf("K=%s: %s bytes at spacing %d, %s at spacing %d; it should fall", row[0], row[exact], i+1, rows[i-1][exact], i)
 			}
 		}
 		every, widest := rows[0], rows[3]
@@ -232,6 +237,66 @@ func TestAblationFanoutShape(t *testing.T) {
 		}
 		if parseRatio(t, widest[5]) < parseRatio(t, every[5])-0.01 {
 			t.Errorf("K=%s: precision %s at spacing 4, %s with every level", every[0], widest[5], every[5])
+		}
+	}
+	if t.Failed() {
+		t.Log(tbl.Format())
+	}
+}
+
+// TestAblationLevelShape pins what abl-level is cited for, on every
+// (dataset, K, width) group: with the levels from height 4 up under
+// dyadic.SteerGammaFactor × γ the index is smaller than with every level
+// under γ — at most 0.6 of it where no Count-Min level stands in the way —
+// recall is within 0.01 of it at prominent thresholds and within 0.04 at the
+// lowest, where θ is inside the steering cells' own envelope, and precision
+// is no lower. The "every height" rows are the table's evidence for sparing
+// heights 1–3 and are not asserted on: no caller builds that shape.
+func TestAblationLevelShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are slow")
+	}
+	tbl, err := Run("abl-level", Config{Scale: 0.02, Queries: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		name, space, precision, recall, lowPrecision, lowRecall = 3, 4, 6, 7, 10, 11
+
+		variants = 6 // ×1, ×2, ×4, ×8, ×16, and ×4 at every height
+	)
+	if len(tbl.Rows) != 5*variants {
+		t.Fatalf("abl-level has %d rows, want 5 groups × %d variants:\n%s", len(tbl.Rows), variants, tbl.Format())
+	}
+	production := fmt.Sprintf("×%d", dyadic.SteerGammaFactor)
+	for g := 0; g < len(tbl.Rows); g += variants {
+		rows := tbl.Rows[g : g+variants]
+		base, prod := rows[0], rows[2]
+		group := strings.Join(base[:3], " ")
+		if base[name] != "×1" || prod[name] != production {
+			t.Fatalf("%s: rows %q, %q; want ×1 and %s", group, base[name], prod[name], production)
+		}
+		limit := 1.0
+		if group == "olympicrio 2^10 544" {
+			limit = 0.6
+		}
+		if got, was := parseBytes(t, prod[space]), parseBytes(t, base[space]); got >= was || float64(got) > limit*float64(was) {
+			t.Errorf("%s: space %s at %s, %s at ×1; want less, and at most %.1f of it", group, prod[space], production, base[space], limit)
+		}
+		for _, c := range []struct {
+			what      string
+			col, pcol int
+			slack     float64
+		}{
+			{"prominent", recall, precision, 0.01},
+			{"low", lowRecall, lowPrecision, 0.04},
+		} {
+			if got, was := parseRatio(t, prod[c.col]), parseRatio(t, base[c.col]); got < was-c.slack {
+				t.Errorf("%s: recall %.3f at %s, %.3f at ×1 (%s thresholds); want within %.2f", group, got, production, was, c.what, c.slack)
+			}
+			if got, was := parseRatio(t, prod[c.pcol]), parseRatio(t, base[c.pcol]); got < was-0.001 {
+				t.Errorf("%s: precision %.3f at %s, %.3f at ×1 (%s thresholds)", group, got, production, was, c.what)
+			}
 		}
 	}
 	if t.Failed() {

@@ -33,7 +33,7 @@ func cellFactories(cfg Config) (f1, f2 cmpbe.Factory, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f2, err = cmpbe.PBE2Factory(scaleGamma(40, cfg))
+	f2, _, err = pbe2Factories(cfg, 1)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -26,8 +26,9 @@ func init() {
 //
 // Every configuration is measured twice over one query set: with a summary
 // at every height, which is Algorithm 3 as published, and with the levels
-// the library keeps (dyadic.CMPBELevels). The two end at the same leaf level;
-// they differ in how many prune decisions lie on the way to it.
+// the library keeps (dyadic.CMPBELevels), its PBE-2 steering levels under the
+// production γ factor. The two end at the same leaf level; they differ in how
+// many prune decisions lie on the way to it and in what each one costs.
 func fig12(cfg Config) (Table, error) {
 	t := Table{
 		ID:     "fig12",
@@ -43,7 +44,11 @@ func fig12(cfg Config) (Table, error) {
 		{"olympicrio", workload.OlympicRioK, olympicStream(cfg)},
 		{"uspolitics", workload.USPoliticsK, politicsStream(cfg)},
 	}
-	f1, f2, err := cellFactories(cfg)
+	f1, _, err := cellFactories(cfg)
+	if err != nil {
+		return Table{}, err
+	}
+	f2, steer2, err := pbe2Factories(cfg, dyadic.SteerGammaFactor)
 	if err != nil {
 		return Table{}, err
 	}
@@ -51,17 +56,20 @@ func fig12(cfg Config) (Table, error) {
 		oracle := oracleFor(ds.name+fmt.Sprint(cfg.Scale, cfg.Seed), ds.s)
 		queries := eventQueries(oracle, max(cfg.Queries/2, 20), rand.New(rand.NewSource(cfg.Seed+33)))
 		for _, w := range []int{136, 272, 544} {
-			for vi, factory := range []cmpbe.Factory{f1, f2} {
-				name := "CM-PBE-1"
-				if vi == 1 {
-					name = "CM-PBE-2"
-				}
+			// PBE-1 cells have no γ to loosen and steer as they answer.
+			for _, cell := range []struct {
+				name        string
+				leaf, steer cmpbe.Factory
+			}{
+				{"CM-PBE-1", f1, f1},
+				{"CM-PBE-2", f2, steer2},
+			} {
 				for _, index := range []struct {
 					name   string
 					levels dyadic.LevelFactory
 				}{
-					{"Algorithm 3 (every level)", dyadic.CMPBELevelsEvery(1, cmpbeDepth, w, cfg.Seed, factory)},
-					{"kept levels", dyadic.CMPBELevels(cmpbeDepth, w, cfg.Seed, factory)},
+					{"Algorithm 3 (every level)", dyadic.CMPBELevelsEvery(1, cmpbeDepth, w, cfg.Seed, cell.leaf, cell.leaf)},
+					{"kept levels", dyadic.CMPBELevels(cmpbeDepth, w, cfg.Seed, cell.leaf, cell.steer)},
 				} {
 					tree, err := dyadic.New(ds.k, index.levels)
 					if err != nil {
@@ -76,7 +84,7 @@ func fig12(cfg Config) (Table, error) {
 						return Table{}, err
 					}
 					t.Rows = append(t.Rows, []string{
-						ds.name, name, fmt.Sprintf("%d", w), index.name,
+						ds.name, cell.name, fmt.Sprintf("%d", w), index.name,
 						metrics.HumanBytes(tree.Bytes()),
 						fmtF(agg.Precision()), fmtF(agg.Recall()),
 						fmt.Sprintf("%d", stats.PointQueries/len(queries)),
@@ -99,11 +107,17 @@ type eventQuery struct {
 // instants, with thresholds from the upper part of the observed burstiness
 // range — prominent bursts, the paper's use case.
 func eventQueries(oracle *exact.Store, n int, rng *rand.Rand) []eventQuery {
+	return eventQueriesIn(oracle, n, 0.03, 0.20, rng)
+}
+
+// eventQueriesIn is eventQueries with the thresholds uniform in [lo, hi] of
+// the observed burstiness range.
+func eventQueriesIn(oracle *exact.Store, n int, lo, hi float64, rng *rand.Rand) []eventQuery {
 	maxB := burstinessRange(oracle, workload.Day, rng)
 	qs := make([]eventQuery, n)
 	for i := range qs {
 		t := rng.Int63n(oracle.MaxTime() + 1)
-		theta := maxB * (0.03 + 0.17*rng.Float64())
+		theta := maxB * (lo + (hi-lo)*rng.Float64())
 		qs[i] = eventQuery{t: t, theta: theta, want: oracle.BurstyEvents(t, int64(theta), workload.Day)}
 	}
 	return qs

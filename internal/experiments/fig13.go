@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/workload"
 )
@@ -18,11 +17,11 @@ func init() {
 // estorm.org.
 func fig13(cfg Config) (Table, error) {
 	data := politicsStream(cfg)
-	factory, err := cmpbe.PBE2Factory(scaleGamma(40, cfg))
+	leaf, steer, err := pbe2Factories(cfg, dyadic.SteerGammaFactor)
 	if err != nil {
 		return Table{}, err
 	}
-	tree, err := dyadic.New(workload.USPoliticsK, dyadic.CMPBELevels(cmpbeDepth, paperWidth, cfg.Seed, factory))
+	tree, err := dyadic.New(workload.USPoliticsK, dyadic.CMPBELevels(cmpbeDepth, paperWidth, cfg.Seed, leaf, steer))
 	if err != nil {
 		return Table{}, err
 	}

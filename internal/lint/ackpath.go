@@ -39,7 +39,7 @@ func runAckPath(p *Package) []Diagnostic {
 func checkAckPath(p *Package, fn *ast.FuncDecl, syncFn string) []Diagnostic {
 	sig, _ := p.Info.TypeOf(fn.Name).(*types.Signature)
 	if sig == nil || sig.Results().Len() == 0 ||
-		!isErrorType(sig.Results().At(sig.Results().Len() - 1).Type()) {
+		!isErrorType(sig.Results().At(sig.Results().Len()-1).Type()) {
 		return []Diagnostic{p.diag(fn.Pos(), "ackpath",
 			"%s is annotated //histburst:durable-ack but its last result is not error; the contract needs an error to distinguish ack from refusal", fn.Name.Name)}
 	}

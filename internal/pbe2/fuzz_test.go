@@ -74,6 +74,9 @@ func FuzzPBE2CellBlock(f *testing.F) {
 	f.Add(uint16(len(cells)), maxT, whole)
 	f.Add(uint16(len(cells)), maxT, whole[:len(whole)/2])
 	f.Add(uint16(len(cells)+3), maxT-1, whole)
+	// The same cells as an index holds them above height 4: under 4γ.
+	steer, steerT := blockCells(f, 32)
+	f.Add(uint16(len(steer)), steerT, encodeBlock(f, steer, steerT))
 	good := rawCell{count: 7, open: 2, first: -60, segs: []rawSegment{{0, 10, 0.5, 1}, {3, 5, 0, 6}}}
 	f.Add(uint16(2), int64(100), rawBlock(0, []byte{1}, []rawCell{good}))
 	f.Add(uint16(9), int64(58), rawBlock(4, []byte{0x81, 1}, []rawCell{good, good, good}))

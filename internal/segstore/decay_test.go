@@ -407,10 +407,10 @@ func TestResolveDecayTiers(t *testing.T) {
 		t.Fatalf("tier 1 resolved to %+v, want w=8 γ=8 res=60", tiers[1])
 	}
 	for _, bad := range [][]DecayTier{
-		{{Age: 0, Gamma: 8}},                              // age must be positive
-		{{Age: 200, Gamma: 8}, {Age: 200, Gamma: 8}},      // ages strictly ascending
-		{{Age: 100, Gamma: 8, W: 7}},                      // width must divide
-		{{Age: 100, Gamma: 3, W: 8}},                      // gamma below 32/8 × 2
+		{{Age: 0, Gamma: 8}},                                                  // age must be positive
+		{{Age: 200, Gamma: 8}, {Age: 200, Gamma: 8}},                          // ages strictly ascending
+		{{Age: 100, Gamma: 8, W: 7}},                                          // width must divide
+		{{Age: 100, Gamma: 3, W: 8}},                                          // gamma below 32/8 × 2
 		{{Age: 100, Gamma: 8, W: 8, Res: 60}, {Age: 200, Gamma: 32, Res: 30}}, // res must not shrink
 	} {
 		if _, err := resolveDecayTiers(bad, base); err == nil {

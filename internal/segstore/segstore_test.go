@@ -645,8 +645,9 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 }
 
 // TestOpenRefusesOldGeneration: segment files of the previous detector
-// generation (HBD3: every cell, level and tree a blob of its own) are whole
-// files, not damage. Open refuses the directory by the generation's name and
+// generation (HBD4: every index level under the leaf's γ, which this build's
+// steering-level factory would refuse block by block) are whole files, not
+// damage. Open refuses the directory by the generation's name and
 // leaves it exactly as it was — nothing quarantined, nothing moved, the
 // manifest untouched — even behind a segment that really is damaged.
 func TestOpenRefusesOldGeneration(t *testing.T) {
@@ -672,10 +673,10 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 	}
 	for _, path := range segs[1:] {
 		reseal(path, func(body []byte) {
-			if string(body[:5]) != "\x04HBD\x04" {
+			if string(body[:5]) != "\x04HBD\x05" {
 				t.Fatalf("fixture: %s starts with %q", path, body[:5])
 			}
-			body[4] = 3
+			body[4] = 4
 		})
 	}
 	// The first file is damaged the ordinary way; alone it would be quarantined.
@@ -693,14 +694,14 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 		re, err := Open(dir, cfg)
 		if err == nil {
 			mustClose(t, re)
-			t.Fatal("a store of HBD3 segment files opened")
+			t.Fatal("a store of HBD4 segment files opened")
 		}
 		if !errors.Is(err, histburst.ErrUnsupportedFormat) ||
-			!strings.Contains(err.Error(), "unsupported detector format HBD3 (this build reads HBD4 only)") {
-			t.Fatalf("HBD3 segments refused without naming the generation: %v", err)
+			!strings.Contains(err.Error(), "unsupported detector format HBD4 (this build reads HBD5 only)") {
+			t.Fatalf("HBD4 segments refused without naming the generation: %v", err)
 		}
 		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
-			t.Fatal("refusing an HBD3 store modified the directory")
+			t.Fatal("refusing an HBD4 store modified the directory")
 		}
 	}
 }
@@ -751,7 +752,7 @@ func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
 	mustClose(t, s)
 
 	// Magics are binenc blobs: a length byte, then the four magic bytes.
-	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x04"}
+	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x05"}
 	seen := make(map[string]int)
 	for name, content := range dirContents(t, dir) {
 		magic, ok := magics[filepath.Ext(name)]

@@ -48,18 +48,21 @@ func saveDigest(t *testing.T, det *Detector) string {
 // 25) kept the event index's kept levels only; HBD4 (PR 26) writes a level's
 // PBE-2 cells as one block instead of a blob each, which took these three
 // files from 119 388, 1 194 067 and 14 028 bytes to 93 054, 1 004 578 and
-// 11 402. What a generation must carry over — every field of every cell, and
-// every answer — is TestSaveDecodeFixedPoint's to check, not a digest's.
+// 11 402; HBD5 (PR 28) holds the levels from height 4 up under
+// dyadic.SteerGammaFactor × γ: 58 181, 908 164 and 10 985. What a generation
+// must carry over — every field of every cell, and every answer — is
+// TestSaveDecodeFixedPoint's to check, not a digest's; that the leaf level is
+// the bytes it was is TestLeafAnswersUnmoved's.
 func TestSaveBytesUnchanged(t *testing.T) {
 	t.Run("olympicrio K=1024", func(t *testing.T) {
 		det := rioDetector(t, 5, 60_000, 1024, WithPBE2(8))
-		if got, want := saveDigest(t, det), "d8139323c4aeb4014bd1f8a9258287ebc907b521805ce8eefb8f1d4f9866ab01"; got != want {
+		if got, want := saveDigest(t, det), "a1b1cff58ca06ba4b6f99874a47c4da6ff19e57a584dae0f2fcce6198b4be182"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
 	t.Run("K=16384 with Count-Min levels", func(t *testing.T) {
 		det := rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))
-		if got, want := saveDigest(t, det), "bf067254351e8aef5c83ee030924f220d879383bfa5fc6547708b9cb01b33a8f"; got != want {
+		if got, want := saveDigest(t, det), "4618c4a26e739ca43b50ebe5cc62f30b2736c37d22cda4addff7996d54e9c9a0"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -69,7 +72,7 @@ func TestSaveBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, ds), "3b14657a0634347c8ac942cfd105cca9172488ed4c2ac8d0c820eaecdc6d95b9"; got != want {
+		if got, want := saveDigest(t, ds), "73f32cd8ffc7b600680ea9b73c287987af799229299161a34df29684ed883aa7"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -90,10 +93,19 @@ func savedLen(t testing.TB, det *Detector) int {
 // (twelve of 50 000 elements, as SealEvents cuts it, and the remainder)
 // against the same stream saved as one detector. A summary's size follows its
 // segment count, and thirteen short histories close more PBE-2 segments than
-// one long one (38 516 against 29 843 here, ×1.29) — that part is the
-// paper's; the rest is what the file spends around them, per cell and per
-// level, thirteen times over. ×1.80 before HBD4, when every cell was a blob of
-// its own with a 24-byte envelope; ×1.40 with a level's cells in one block.
+// one long one — every cell's open window is cut at every seal — which is the
+// paper's part; the rest is what the file spends around them, per cell and
+// per level, thirteen times over (×1.80 in all before HBD4, when every cell
+// was a blob of its own with a 24-byte envelope).
+//
+// The tax is a per-level quantity and is held per level. The leaf level, at
+// γ, closes 19 163 segments in thirteen files against 10 918 in one (×1.76)
+// and its bytes double; height 4, at 4γ, 1 720 against 1 213 (×1.42); height
+// 8 737 against 709 (×1.04) — the looser a level's γ and the denser its
+// cells, the longer its windows already are and the less a cut costs. The
+// total (×1.92) is the leaf's tax diluted by whatever else the file holds:
+// it read ×1.40 while heights 4 and 8 were under the leaf's γ and two thirds
+// of the file, and says nothing a level's own ratio does not.
 func TestSegmentationTax(t *testing.T) {
 	elems := benchmarkStream(t)
 	const sealEvents = 50_000
@@ -132,8 +144,14 @@ func TestSegmentationTax(t *testing.T) {
 	for i, h := range one.tree.Heights() {
 		t.Logf("×%-2d   height %d %8d %8d %9d %9d %9d", len(parts), h, cut.cells[i], cut.segments[i], cut.header[i], cut.columns[i], cut.records[i])
 	}
-	if tax := float64(dir) / float64(file); tax > 1.5 {
-		t.Errorf("%d segment files hold %d bytes against %d in one file: ×%.2f, want at most ×1.5", len(parts), dir, file, tax)
+	for i, h := range one.tree.Heights() {
+		segs := float64(cut.segments[i]) / float64(whole.segments[i])
+		tax := float64(cut.bytes(i)) / float64(whole.bytes(i))
+		t.Logf("height %d: ×%.2f the segments, ×%.2f the bytes", h, segs, tax)
+		if limit := []float64{2.05, 1.65, 1.15}[i]; tax > limit {
+			t.Errorf("height %d: %d segment files hold %d bytes of it against %d in one file: ×%.2f, want at most ×%.2f",
+				h, len(parts), cut.bytes(i), whole.bytes(i), tax, limit)
+		}
 	}
 }
 
@@ -144,6 +162,9 @@ func TestSegmentationTax(t *testing.T) {
 type levelBytes struct {
 	cells, segments, header, columns, records []int
 }
+
+// bytes returns what level i costs in the files added.
+func (lb *levelBytes) bytes(i int) int { return lb.header[i] + lb.columns[i] + lb.records[i] }
 
 func (lb *levelBytes) add(t testing.TB, det *Detector) {
 	t.Helper()
@@ -203,27 +224,40 @@ func heapHeld(build func() any) (held uint64, v any) {
 }
 
 // TestBytesTracksHeap holds Bytes() to what a sealed detector really keeps
-// alive: built and finished, and decoded from its file, the live heap is
-// within 1.4× of the counted bytes — the rest being the per-cell structs
-// Bytes() documents it leaves out. (1.75× and 1.44× before PR 24, when every
-// closed segment was held in 40 bytes, counted as 32, in arrays append had
-// grown by doubling; 1.19× after it, over an index of eleven levels.) The
-// stream is the benchmark's 600 k elements. With three kept levels (PR 25)
-// Bytes() is 0.83 MB and the heap 1.08 MB, 1.31×: the structs are a fixed
-// cost per cell, now 1 092 cells instead of 2 047 and so ~0.25 MB instead of
-// ~0.4 MB, but a larger share of a summary a quarter the size. A decoded level
-// does hold its cells' structs in one array and their segments in three (PR
-// 26) — 1.30×: that saves the allocator's rounding, not the structs. Not
-// parallel: it reads process-wide heap statistics.
+// alive: built and finished, and decoded from its file, the live heap exceeds
+// the counted bytes by at most a fixed cost per cell — the pbe2.Builder
+// struct (176 B), its interface slot and the allocator's rounding of its
+// columns, which Bytes() documents it leaves out. The stream is the
+// benchmark's 600 k elements over 1 092 cells (heights 0, 4, 8).
+//
+// The bound was a ratio, heap ≤ 1.4 × Bytes(), while the payload dwarfed the
+// structs: 1.19× over eleven levels (PR 24), 1.31× over three (PR 25: 0.83 MB
+// counted, 1.08 MB held), 1.30× decoded (PR 26). With the steering levels
+// under 4γ the payload is 0.36 MB and the heap 0.59 MB — 1.64×, every byte of
+// the payload's saving kept and the same ~0.23 MB of structs beside it — so
+// the ratio now measures the denominator. What must hold is stated directly:
+// the overhead per cell, and a heap no larger than it was. Not parallel: it
+// reads process-wide heap statistics.
 func TestBytesTracksHeap(t *testing.T) {
+	const (
+		perCellHeap = 256       // bytes a cell may hold beyond its counted segments
+		parentHeap  = 1_080_000 // what the same detector held before the steering levels loosened
+	)
 	check := func(what string, build func() any) *Detector {
 		held, v := heapHeld(build)
 		det := v.(*Detector)
-		counted := det.Bytes()
-		t.Logf("%s: Bytes() = %d, heap = %d (%.2f×)", what, counted, held, float64(held)/float64(counted))
-		if float64(held) > 1.4*float64(counted) {
-			t.Errorf("%s detector holds %d heap bytes against Bytes() = %d (%.2f×), want at most 1.4×",
-				what, held, counted, float64(held)/float64(counted))
+		counted, cells := det.Bytes(), 0
+		for i := 0; i < det.tree.Levels(); i++ {
+			cells += int(det.tree.Level(i).(*cmpbe.Direct).IDs())
+		}
+		t.Logf("%s: Bytes() = %d, heap = %d (%.2f×), %d B beyond the count per cell over %d cells",
+			what, counted, held, float64(held)/float64(counted), (int(held)-counted)/cells, cells)
+		if int(held) > counted+cells*perCellHeap {
+			t.Errorf("%s detector holds %d heap bytes against Bytes() = %d: %d beyond the count, want at most %d B × %d cells",
+				what, held, counted, int(held)-counted, perCellHeap, cells)
+		}
+		if held > parentHeap {
+			t.Errorf("%s detector holds %d heap bytes, more than the %d it held with every level under γ", what, held, parentHeap)
 		}
 		return det
 	}

@@ -23,12 +23,13 @@ import (
 // instead of decoding into a subtly wrong detector. Load rebuilds the cell
 // factory from the stored configuration, so no options are needed at load
 // time and a detector round-trips exactly. Save writes, and Load accepts,
-// format v4 ("HBD4") only — v3 wrapped every PBE-2 cell, level and tree in a
-// blob of its own, v4 writes a level's cells as one block straight into the
-// file; a file of any other generation is refused with an error naming its
-// version.
+// format v5 ("HBD5") only — v4 held every level of the event index under the
+// header's γ, v5 holds the levels from height 4 up, which only steer the
+// search, under dyadic.SteerGammaFactor × γ, and a level under any other γ
+// than its height calls for is refused; a file of any other generation is
+// refused with an error naming its version.
 
-var detectorMagic = []byte{'H', 'B', 'D', 4}
+var detectorMagic = []byte{'H', 'B', 'D', 5}
 
 // ErrUnsupportedFormat is wrapped by the error Load, Decode and Inspect
 // return for a detector file of another format generation: a file that is
@@ -163,7 +164,7 @@ type Header struct {
 // summary that is malformed under a valid checksum, which no torn write or
 // bit flip can produce.
 func Inspect(data []byte) (Header, error) {
-	det, _, _, err := decodeHeader(data)
+	det, _, _, _, err := decodeHeader(data)
 	if err != nil {
 		return Header{}, err
 	}
@@ -174,27 +175,27 @@ func Inspect(data []byte) (Header, error) {
 
 // decodeHeader checks data's magic and checksum and decodes everything ahead
 // of the summary: the detector with its configuration and counters set and
-// no summary yet, the cell factory that configuration selects, and the reader
-// standing at the summary.
+// no summary yet, the cell factories that configuration selects, and the
+// reader standing at the summary.
 //
 //histburst:decoder
-func decodeHeader(data []byte) (*Detector, cmpbe.Factory, *binenc.Reader, error) {
+func decodeHeader(data []byte) (det *Detector, leaf, steer cmpbe.Factory, dec *binenc.Reader, err error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
-			return nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD4 only)", ErrUnsupportedFormat, magic[3])
+			return nil, nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD5 only)", ErrUnsupportedFormat, magic[3])
 		}
-		return nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
+		return nil, nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
 	if len(data) < 4 {
-		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
+		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
 	}
 	body, footer := data[:len(data)-4], data[len(data)-4:]
 	want := binary.LittleEndian.Uint32(footer)
 	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
+		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
 	}
-	dec := binenc.NewReader(body)
+	dec = binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above
 	k := dec.Uvarint()
 	var c config
@@ -215,48 +216,39 @@ func decodeHeader(data []byte) (*Detector, cmpbe.Factory, *binenc.Reader, error)
 	started := dec.Bool()
 	outOfOrder := dec.Varint()
 	if err := dec.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("histburst: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("histburst: %w", err)
 	}
 	if k == 0 {
-		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: empty id space")
+		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: empty id space")
 	}
 	if k > maxEventSpace {
-		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible id space %d", k)
+		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible id space %d", k)
 	}
 	if c.d <= 0 || c.w <= 0 || c.d > maxSketchDim || c.w > maxSketchDim {
-		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible sketch dimensions %d×%d", c.d, c.w)
+		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible sketch dimensions %d×%d", c.d, c.w)
 	}
 
-	var factory cmpbe.Factory
-	var err error
-	switch {
-	case c.usePBE1 && c.pbe1CapMode:
-		factory, err = cmpbe.PBE1ErrorCapFactory(c.bufferN, c.pbe1Cap)
-	case c.usePBE1:
-		factory, err = cmpbe.PBE1Factory(c.bufferN, c.eta)
-	default:
-		factory, err = cmpbe.PBE2Factory(c.gamma)
-	}
+	leaf, steer, err = cellFactories(c)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: %w", err)
+		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: %w", err)
 	}
-	det := &Detector{
+	det = &Detector{
 		k: k, cfg: c,
 		n: n, minT: minT, maxT: maxT, lastT: lastT, started: started, outOfOrder: outOfOrder,
 	}
-	return det, factory, dec, nil
+	return det, leaf, steer, dec, nil
 }
 
 // Decode is Load for bytes already in memory; data is not retained.
 //
 //histburst:decoder
 func Decode(data []byte) (*Detector, error) {
-	det, factory, dec, err := decodeHeader(data)
+	det, leaf, steer, dec, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	if det.cfg.noIndex {
-		v, err := cmpbe.DecodeLevel(dec, factory)
+		v, err := cmpbe.DecodeLevel(dec, leaf)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
@@ -266,7 +258,7 @@ func Decode(data []byte) (*Detector, error) {
 		}
 		det.base = base
 	} else {
-		tree, err := dyadic.DecodeTree(dec, factory)
+		tree, err := dyadic.DecodeTree(dec, leaf, steer)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
