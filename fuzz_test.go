@@ -205,11 +205,9 @@ func checkShape(t *testing.T, d *Detector) {
 			t.Fatalf("level %d (height %d): unexpected type %T", i, h, l)
 		}
 		// A PBE-2 level is under the γ its height calls for: the header's
-		// below height 4, dyadic.SteerGammaFactor times it from there up.
-		want := d.cfg.gamma
-		if h >= 4 {
-			want *= dyadic.SteerGammaFactor
-		}
+		// below dyadic.SteerHeight, dyadic.SteerGammaFactor times it from
+		// there up.
+		want := dyadic.SteerGamma(h, d.cfg.gamma)
 		if b, ok := l.(baseLevel).EventCells(0)[0].(*pbe2.Builder); ok && b.Gamma() != want {
 			t.Fatalf("level %d (height %d): cells under γ = %v, want %v", i, h, b.Gamma(), want)
 		}

@@ -238,11 +238,11 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 // that answers (height 0 of the event index, or the standalone base level)
 // and the index's few-id levels just above it, steer the levels from height 4
 // up, which only decide where BurstyEvents and TopBursty descend. PBE-2
-// steering cells run under dyadic.SteerGammaFactor × γ; PBE-1 cells have no
-// error cap to loosen and steer with the leaf's factory. Build and load both
-// come through here, so they cannot disagree about a level's γ; decay does
-// not — dyadic.DownsampleTrees applies the same factor to the tier's γ itself,
-// by height, as it widens each level.
+// steering cells run under dyadic.SteerGamma at the steering heights; PBE-1
+// cells have no error cap to loosen and steer with the leaf's factory. Build
+// and load both come through here, so they cannot disagree about a level's
+// γ; decay does not, but dyadic.DownsampleTrees asks the same SteerGamma for
+// the tier's γ, by height, as it widens each level.
 func cellFactories(c config) (leaf, steer cmpbe.Factory, err error) {
 	switch {
 	case c.usePBE1 && c.pbe1CapMode:
@@ -251,7 +251,7 @@ func cellFactories(c config) (leaf, steer cmpbe.Factory, err error) {
 		leaf, err = cmpbe.PBE1Factory(c.bufferN, c.eta)
 	default:
 		if leaf, err = cmpbe.PBE2Factory(c.gamma); err == nil {
-			steer, err = cmpbe.PBE2Factory(dyadic.SteerGammaFactor * c.gamma)
+			steer, err = cmpbe.PBE2Factory(dyadic.SteerGamma(dyadic.SteerHeight, c.gamma))
 		}
 		return leaf, steer, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // DownsampleTrees re-summarizes time-disjoint trees at lower fidelity: cells
-// below steerHeight widen their error cap to gamma and every level's from
+// below SteerHeight widen their error cap to gamma and every level's from
 // there up to SteerGammaFactor × gamma — what CMPBELevels builds under gamma,
 // so the result loads, merges and downsamples again as an ordinary coarser
 // tree, and a fold floor gamma ≥ (W_src/w)·γ_src that holds at the leaves
@@ -41,11 +41,7 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 	}
 	levels := make([]Level, len(first.levels))
 	for i := range levels {
-		g := gamma
-		if steered(first.heights[i]) {
-			g = SteerGammaFactor * gamma
-		}
-		ds, err := downsampleLevels(parts, i, g, res, w)
+		ds, err := downsampleLevels(parts, i, SteerGamma(first.heights[i], gamma), res, w)
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}

@@ -21,7 +21,7 @@
 // b̃ ≥ θ filter a reported id passed, a TopBursty score — is read from the
 // leaf level. The heights above it steer: their estimates decide which
 // subtrees the search descends into and are never returned. A steering cell
-// that aggregates at least sixteen ids (height ≥ steerHeight) is therefore
+// that aggregates at least sixteen ids (height ≥ SteerHeight) is therefore
 // built under SteerGammaFactor × γ, a fraction of the segments; the leaf
 // level, and the few-id cells of heights 1–3 that a Count-Min index keeps
 // just above it, under the detector's error cap γ.
@@ -65,7 +65,7 @@ type LevelFactory func(level int, ids uint64) (Level, error)
 const indexSpacing = 4
 
 // SteerGammaFactor is how much looser than the leaf level's γ the PBE-2 error
-// cap of a steering level at height ≥ steerHeight is. Such a cell decides a
+// cap of a steering level at height ≥ SteerHeight is. Such a cell decides a
 // prune, it never answers, and its error moves the bound Σ b_c² against θ² by
 // O(γ·θ): an id whose burstiness clears θ by less than the steering cells'
 // envelope 4·(SteerGammaFactor·γ) may be cut above the leaf that would have
@@ -81,7 +81,7 @@ const indexSpacing = 4
 // was built with.
 const SteerGammaFactor = 4
 
-// steerHeight is the lowest height built under the looser γ: the height of a
+// SteerHeight is the lowest height built under the looser γ: the height of a
 // sixteen-way node over collision-free leaves. Below it — heights 1 to 3,
 // which exist only over Count-Min levels — a cell holds two to eight ids'
 // arrivals, hardly more than a leaf's, and sits on a chain of two-way prune
@@ -89,11 +89,22 @@ const SteerGammaFactor = 4
 // third of their bytes, and costs uspolitics 0.02 of recall at prominent
 // thresholds and 0.05–0.06 at low ones (abl-level's "every height" rows), so
 // they keep the leaf's γ.
-const steerHeight = indexSpacing
+const SteerHeight = indexSpacing
 
 // steered reports whether the level at height h is built under
 // SteerGammaFactor × γ.
-func steered(h int) bool { return h >= steerHeight }
+func steered(h int) bool { return h >= SteerHeight }
+
+// SteerGamma is the PBE-2 error cap of the level at height h in an index
+// whose leaves run under gamma: SteerGammaFactor × gamma from SteerHeight up,
+// gamma below. The rule's one owner: the facade's build and load factories,
+// DownsampleTrees and the shape checks that hold a level to its γ all ask it.
+func SteerGamma(h int, gamma float64) float64 {
+	if steered(h) {
+		return SteerGammaFactor * gamma
+	}
+	return gamma
+}
 
 // maxFanOut is the most children a node has — New holds every factory to
 // it, so the search evaluates a node's children into a fixed buffer.
@@ -108,7 +119,7 @@ const levelSeedStride = 7919
 // replace, and none of the collisions that break the additivity
 // (F_parent = ΣF_child) the pruning bound relies on — at the lowest height
 // that fits d·w cells and every indexSpacing-th height above it. The cells of
-// heights below steerHeight come from leaf, the rest from steer: for PBE-2
+// heights below SteerHeight come from leaf, the rest from steer: for PBE-2
 // cells under γ that is PBE-2 under SteerGammaFactor × γ; a cell kind with no
 // error cap to loosen (PBE-1) passes the same factory twice.
 //

@@ -43,7 +43,7 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 
 // DecodeTree reads from r a tree serialized by Encode whose levels are
 // CM-PBE summaries built from the given cell factories — leaf below
-// steerHeight, steer from there up, as CMPBELevels takes them, so a steering
+// SteerHeight, steer from there up, as CMPBELevels takes them, so a steering
 // level stored under the leaf's γ (or the reverse) is refused by the level
 // decoder's γ check — and leaves r just past it. It accepts exactly the
 // shapes CMPBELevels builds: the search indexes a level's cells by height, so

@@ -462,7 +462,8 @@ func (sn *Snapshot) MinTime() int64 {
 
 // Bytes returns the approximate footprint held in memory now: per sealed
 // segment the decoded summary once something has touched it and the
-// verified file bytes until then, plus the head element logs.
+// verified file bytes until then, plus 8 bytes per head element (see
+// memHead.bytes).
 func (sn *Snapshot) Bytes() int {
 	total := 0
 	for _, g := range sn.v.segs {

@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -140,11 +141,13 @@ type SegmentInfo struct {
 }
 
 // A memHead is the mutable in-memory head segment: live appends land here
-// as exact curves (a plain element log plus per-event timestamp sequences),
-// which is cheap to query exactly and cheap to discard once sealed into a
-// sketch. A head freezes exactly once — freeze flips the flag under the
-// lock, after which the element log is immutable and the sealer may read it
-// without locking.
+// as exact curves — one timestamp sequence per event, the head's only copy
+// of its elements — which is cheap to query exactly and cheap to discard
+// once sealed into a sketch. The sealer and the WAL rotation read the head
+// back as one time-ordered stream through inOrder, a k-way merge of the
+// sequences. A head freezes exactly once — freeze flips the flag under the
+// lock, after which its sequences are immutable and the sealer may merge
+// them without locking.
 //
 // Per-event timestamps live in chunked slabs: each event's sequence is a
 // list of fixed-size chunks carved from head-owned slab allocations, so a
@@ -155,14 +158,13 @@ type SegmentInfo struct {
 type memHead struct {
 	mu sync.RWMutex
 
-	// frozen, elems, byEvent, slab/slabOff/seqArena, started, minT, maxT
-	// and n are guarded by mu.
+	// frozen, byEvent, slab/slabOff/seqArena, started, minT, maxT and n are
+	// guarded by mu.
 	frozen  bool
 	started bool
 	minT    int64
 	maxT    int64
 	n       int64
-	elems   stream.Stream
 	byEvent map[uint64]*eventSeq
 
 	// slab is the current timestamp arena; chunks are carved off at slabOff.
@@ -242,8 +244,16 @@ func (q *eventSeq) countIn(lo, hi int64) int64 {
 	return q.countAtOrBefore(hi) - q.countAtOrBefore(lo-1)
 }
 
-// popLast removes the most recent timestamp (the freeze tail split walks
-// backwards through the log).
+// last returns the most recent timestamp; q must be non-empty. Closed chunks
+// are full, so only the open chunk can be empty (after popLast).
+func (q *eventSeq) last() int64 {
+	if len(q.open) > 0 {
+		return q.open[len(q.open)-1]
+	}
+	return q.chunks[len(q.chunks)-1][headChunk-1]
+}
+
+// popLast removes the most recent timestamp (the freeze tail split).
 func (q *eventSeq) popLast() {
 	if len(q.open) == 0 && len(q.chunks) > 0 {
 		q.open = q.chunks[len(q.chunks)-1]
@@ -336,7 +346,6 @@ func (h *memHead) append(e uint64, t int64, lim sealLimits) (needFreeze bool, er
 	}
 	h.maxT = t
 	h.n++
-	h.elems = append(h.elems, stream.Element{Event: e, Time: t})
 	h.appendTS(h.seqFor(e), t)
 	return false, nil
 }
@@ -382,7 +391,6 @@ func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits,
 		e := el.Event % kfold
 		h.maxT = t
 		h.n++
-		h.elems = append(h.elems, stream.Element{Event: e, Time: t})
 		h.appendTS(h.seqFor(e), t)
 		accepted++
 	}
@@ -393,8 +401,10 @@ func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits,
 // the final timestamp are split off and returned instead of frozen, so the
 // sealed slice ends strictly before the store frontier and the next segment
 // merges cleanly (MergeAppend requires strictly increasing boundaries); the
-// split is skipped when every element shares one timestamp. The returned
-// tail is in append order and owned by the caller.
+// split is skipped when every element shares one timestamp. The tail is
+// popped off the end of each event's sequence and maxT recomputed from what
+// is left; it is owned by the caller, every element at the old maxT, in no
+// particular order.
 func (h *memHead) freeze(keepTail bool) (tail stream.Stream) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -402,38 +412,135 @@ func (h *memHead) freeze(keepTail bool) (tail stream.Stream) {
 		return nil
 	}
 	if keepTail && h.n > 0 && h.minT < h.maxT {
-		cut := len(h.elems)
-		for cut > 0 && h.elems[cut-1].Time == h.maxT {
-			cut--
+		maxT := h.minT
+		for e, q := range h.byEvent {
+			for q.n > 0 && q.last() == h.maxT {
+				q.popLast()
+				tail = append(tail, stream.Element{Event: e, Time: h.maxT})
+			}
+			if q.n > 0 && q.last() > maxT {
+				maxT = q.last()
+			}
 		}
-		tail = append(stream.Stream(nil), h.elems[cut:]...)
-		h.elems = h.elems[:cut]
-		for _, el := range tail {
-			h.byEvent[el.Event].popLast()
-		}
-		h.n = int64(cut)
-		h.maxT = h.elems[cut-1].Time
+		h.n -= int64(len(tail))
+		h.maxT = maxT
 	}
 	h.frozen = true
 	return tail
 }
 
-// sealedData returns the frozen head's element log and bounds for the
-// sealer. The log is returned by reference: a frozen head is immutable, so
-// the sealer may iterate it after the lock is released.
-func (h *memHead) sealedData() (elems stream.Stream, n, minT, maxT int64) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.elems, h.n, h.minT, h.maxT
+// seqCursor is inOrder's read position in one event's sequence: cur is the
+// unread part of the chunk being read — never empty while the cursor is
+// live — and chunks, then open, what follows it.
+type seqCursor struct {
+	cur    []int64
+	chunks [][]int64
+	open   []int64
 }
 
-// appendElems appends a copy of the head's element log to dst — the WAL
-// rotation baseline capture, which must copy because a live head keeps
-// growing after the lock drops.
-func (h *memHead) appendElems(dst stream.Stream) stream.Stream {
+// refill moves c on to its next chunk, reporting false when none is left.
+// Closed chunks are full; only the open one can be empty.
+func (c *seqCursor) refill() bool {
+	if len(c.chunks) > 0 {
+		c.cur, c.chunks = c.chunks[0], c.chunks[1:]
+		return true
+	}
+	c.cur, c.open = c.open, nil
+	return len(c.cur) > 0
+}
+
+// mergeKey is a cursor's next timestamp and the cursor's index (spentCur
+// once it has nothing left).
+type mergeKey struct {
+	t   int64
+	cur int
+}
+
+// spentCur marks the key of an exhausted cursor, whose t is MaxInt64.
+const spentCur = -1
+
+// before reports whether a comes first: an earlier timestamp, or the same
+// one under a smaller event id, ids being the cursors' event ids. A spent
+// key comes after every live one, even a live one at MaxInt64.
+func (a mergeKey) before(b mergeKey, ids []uint64) bool {
+	if a.t != b.t {
+		return a.t < b.t
+	}
+	return a.cur != spentCur && (b.cur == spentCur || ids[a.cur] < ids[b.cur])
+}
+
+// inOrder calls fn for every element of the head in time order, equal
+// timestamps in ascending event id: a k-way merge of the per-event
+// sequences, each already sorted — how the sealer and the WAL rotation read
+// a head as one stream. The sequences are captured under the read lock and
+// merged after it drops, so fn runs unlocked; that is safe because appends
+// only write past a captured length and nothing rewrites a timestamp below
+// it.
+//
+// The merge is a loser tree: node p of an implicit tree over the k cursors
+// (leaf i at k+i, parent p/2) holds the key that lost the match played
+// there, so after the winner advances one pass up its path — lg k
+// comparisons against keys held in the nodes themselves — finds the next.
+// Only a tie on t reads the event ids. No sort and no materialized stream:
+// the elements go from the chunks straight to fn.
+func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return append(dst, h.elems...)
+	ids := make([]uint64, 0, len(h.byEvent))
+	cursors := make([]seqCursor, 0, len(h.byEvent))
+	for e, q := range h.byEvent {
+		c := seqCursor{chunks: q.chunks, open: q.open}
+		if c.refill() {
+			ids = append(ids, e)
+			cursors = append(cursors, c)
+		}
+	}
+	h.mu.RUnlock()
+
+	k := len(cursors)
+	if k == 0 {
+		return
+	}
+	// Play every match once, bottom-up, the winners in a scratch row.
+	losers := make([]mergeKey, k)
+	winners := make([]mergeKey, 2*k)
+	for i, c := range cursors {
+		winners[k+i] = mergeKey{t: c.cur[0], cur: i}
+	}
+	for p := k - 1; p >= 1; p-- {
+		a, b := winners[2*p], winners[2*p+1]
+		if b.before(a, ids) {
+			a, b = b, a
+		}
+		winners[p], losers[p] = a, b
+	}
+	w := winners[1]
+	for live := k; ; {
+		leaf := k + w.cur
+		c := &cursors[w.cur]
+		fn(ids[w.cur], w.t)
+		c.cur = c.cur[1:]
+		if len(c.cur) > 0 || c.refill() {
+			w.t = c.cur[0]
+		} else {
+			if live--; live == 0 {
+				return
+			}
+			w = mergeKey{t: math.MaxInt64, cur: spentCur}
+		}
+		// Which key wins a match is data the branch predictor cannot
+		// learn; spelled this way the swap compiles to conditional moves.
+		for p := leaf / 2; p >= 1; p /= 2 {
+			l := losers[p]
+			lFirst := l.t < w.t
+			if l.t == w.t {
+				lFirst = l.before(w, ids)
+			}
+			if lFirst {
+				l, w = w, l
+			}
+			losers[p] = l
+		}
+	}
 }
 
 // snapshot returns the head's counters in one consistent read.
@@ -489,10 +596,11 @@ func (h *memHead) activeIn(lo, hi int64) bool {
 	return h.started && h.minT <= hi && h.maxT >= lo
 }
 
-// bytes estimates the head's heap footprint: 16 bytes per element in the
-// log plus 8 in its event sequence.
+// bytes estimates the head's heap footprint: 8 bytes per element, its slot
+// in its event's sequence — the head's only copy of it. Per-event headers
+// and chunk slack are left out.
 func (h *memHead) bytes() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return int(h.n) * 24
+	return int(h.n) * 8
 }

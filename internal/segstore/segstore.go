@@ -932,28 +932,30 @@ func (s *Store) rotateWAL() error {
 	for _, q := range s.quarantined {
 		durable += q.Elements
 	}
+	// Each head merges into time order on its own, in freeze order, so the
+	// baseline still splits at head boundaries — where the durable watermark
+	// moves as each frozen head seals.
 	var pending stream.Stream
+	collect := func(e uint64, t int64) { pending = append(pending, stream.Element{Event: e, Time: t}) }
 	for _, h := range s.frozen {
-		elems, _, _, _ := h.sealedData()
-		pending = append(pending, elems...)
+		h.inOrder(collect)
 	}
-	pending = s.view.Load().head.appendElems(pending)
+	s.view.Load().head.inOrder(collect)
 	s.mu.Unlock()
 	return w.rotateLocked(durable, pending)
 }
 
 // buildSegment summarizes a frozen head into an immutable sketch segment
 // and persists its detector file. The head is immutable here, so this runs
-// without holding any store lock.
+// without holding any store lock; its sequences stream through the merge
+// straight into the detector.
 func (s *Store) buildSegment(h *memHead) (*Segment, error) {
-	elems, n, minT, maxT := h.sealedData()
+	n, minT, maxT, _ := h.snapshot()
 	det, err := histburst.NewFromParams(s.params)
 	if err != nil {
 		return nil, err
 	}
-	for _, el := range elems {
-		det.Append(el.Event, el.Time)
-	}
+	h.inOrder(det.Append)
 	det.Finish()
 	meta := SegmentMeta{
 		ID: h.sealID, Start: minT, End: maxT, MinT: minT, MaxT: maxT, Elements: n,

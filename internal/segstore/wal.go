@@ -235,10 +235,10 @@ type wal struct {
 }
 
 // openWAL scans dir for log files and returns the wal handle plus the
-// replay suffix: every logged element at position ≥ durableN, in commit
-// order. The returned wal has no live file yet — the store applies the
-// replay and then rotates, which starts a fresh log and deletes the old
-// files.
+// replay suffix: every logged position ≥ durableN, in position order, each
+// as the newest record covering it wrote it. The returned wal has no live
+// file yet — the store applies the replay and then rotates, which starts a
+// fresh log and deletes the old files.
 func openWAL(dir string, policy WALSyncPolicy, every time.Duration, durableN int64) (*wal, stream.Stream, error) {
 	if every <= 0 {
 		every = DefaultWALSyncEvery
@@ -276,11 +276,20 @@ scan:
 				// on is unanchored; stop at the clean prefix.
 				break scan
 			}
-			if end <= expect {
+			if end <= durableN {
 				continue // wholly below the watermark: already sealed
 			}
-			replay = append(replay, rec.elems[expect-rec.startN:]...)
-			expect = end
+			// A record restates every position it covers, and the later
+			// copy wins: a rotation baseline repeats what an older file may
+			// already have replayed, with a head's equal-timestamp elements
+			// in event-id order rather than arrival order, so stitching an
+			// older file's torn prefix to the baseline's rest by position
+			// would swap ids inside such a run.
+			from := max(rec.startN, durableN)
+			src := rec.elems[from-rec.startN:]
+			n := copy(replay[from-durableN:], src)
+			replay = append(replay, src[n:]...)
+			expect = max(expect, end)
 		}
 		if seq := walFileSeq(name); seq > w.seq {
 			w.seq = seq

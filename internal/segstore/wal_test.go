@@ -270,6 +270,56 @@ func TestWALBootstrapKeepsPositionsAligned(t *testing.T) {
 	mustClose(t, r)
 }
 
+// TestWALBaselineWinsOverTornOlderLog: a rotation baseline restates the head
+// in merged order — equal timestamps by event id — while the log it
+// supersedes holds them in arrival order. If that older file survives the
+// rotation with a torn tail, replay must take the baseline for every
+// position it covers: stitching the older file's prefix to the baseline's
+// rest by position would replay one id twice and drop another.
+func TestWALBaselineWinsOverTornOlderLog(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig(-1))
+	ids := []uint64{5, 3, 9, 1}
+	for _, e := range ids { // one run at t = 100, one frame per element
+		if _, _, err := s.AppendBatch(stream.Stream{{Event: e, Time: 100}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	older := walFileNames(t, dir)
+	if len(older) != 1 {
+		t.Fatalf("%d wal files before rotation, want 1", len(older))
+	}
+	data, err := os.ReadFile(filepath.Join(dir, older[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := walFrameEnds(t, data)
+	if err := s.rotateWAL(); err != nil {
+		t.Fatal(err)
+	}
+	crashed := cloneDir(t, dir)
+	mustClose(t, s)
+	// The older file survives the rotation holding its first frame only.
+	if err := os.WriteFile(filepath.Join(crashed, older[0]), data[:ends[0]], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if names := walFileNames(t, crashed); len(names) != 2 {
+		t.Fatalf("crashed dir holds wal files %v, want the torn older one and the baseline", names)
+	}
+
+	r := mustOpen(t, crashed, testConfig(-1))
+	defer mustClose(t, r)
+	if got := r.N(); got != int64(len(ids)) {
+		t.Fatalf("recovered N=%d, want %d", got, len(ids))
+	}
+	head := r.view.Load().head
+	for _, e := range ids {
+		if got := head.arrivals(e); len(got) != 1 || got[0] != 100 {
+			t.Fatalf("event %d recovered arrivals %v, want [100]", e, got)
+		}
+	}
+}
+
 func TestParseWALSyncPolicy(t *testing.T) {
 	for _, want := range []WALSyncPolicy{WALSyncAlways, WALSyncInterval, WALSyncOff} {
 		got, err := ParseWALSyncPolicy(want.String())
