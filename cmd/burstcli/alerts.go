@@ -34,7 +34,7 @@ func runAlertCmd(cmd string, argv []string) error {
 		baseURL = fs.String("http", "", "burstd base URL (JSON transport)")
 		events  = fs.String("events", "", "comma-separated event ids the standing query watches")
 		theta   = fs.Float64("theta", 100, "burstiness threshold θ")
-		tau     = fs.Int64("tau", 86_400, "burst span τ")
+		tau     = fs.Int64("tau", wire.DefaultTau, "burst span τ")
 		dedup   = fs.Int64("dedup", 0, "suppress re-fires within this many time units of the last alert")
 		webhook = fs.String("webhook", "", "also POST alerts to this URL (HTTP transport only)")
 		id      = fs.Uint64("id", 0, "subscription id to remove (unsubscribe)")

@@ -14,6 +14,7 @@ import (
 	"histburst/internal/segstore"
 	"histburst/internal/stream"
 	"histburst/internal/subscribe"
+	"histburst/internal/wire"
 )
 
 // The standing-query (alerting) subsystem: POST /v1/subscriptions arms a
@@ -44,10 +45,7 @@ func (s *server) initAlerts(maxSubs, queueCap int) {
 		// same way keeps "watch event e" aligned with what the store counts.
 		Fold: func(e uint64) uint64 { return e % s.store.K() },
 		Envelope: func(t int64) *segstore.ErrorEnvelope {
-			if env := s.store.Snapshot().Envelope(t); env.Degraded {
-				return &env
-			}
-			return nil
+			return wire.DegradedEnvelope(s.store.Snapshot(), t)
 		},
 	})
 	hub := s.alerts.hub

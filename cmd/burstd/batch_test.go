@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"testing"
+
+	"histburst/internal/wire"
 )
 
 func postBatch(t *testing.T, url, body string) (int, map[string]any) {
@@ -102,7 +104,7 @@ func TestQueryBatchValidation(t *testing.T) {
 	}
 	var b bytes.Buffer
 	b.WriteString(`{"queries":[`)
-	for i := 0; i <= maxBatchQueries; i++ {
+	for i := 0; i <= wire.MaxBatchQueries; i++ {
 		if i > 0 {
 			b.WriteByte(',')
 		}

@@ -23,7 +23,7 @@
 // atomic manifest rewrite (-checkpoint cadence, plus a final seal on
 // graceful shutdown). Startup recovers the manifest generation the last
 // completed write left behind; crash debris is swept. The directory holds
-// one format (docs/FORMATS.md), the same one burstarchive writes; sketch
+// one format (docs/FORMATS.md), the same one `burstcli seal` writes; sketch
 // flags (-k, -gamma, -seed) that contradict an existing store's manifest
 // fail the boot. GET /v1/segments exposes the live segment directory.
 //

@@ -173,22 +173,14 @@ func seedDetector(o serverOpts) (*histburst.Detector, error) {
 		return nil, nil
 	}
 	var data stream.Stream
+	var err error
 	if o.In != "" {
-		f, err := os.Open(o.In)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		data, err = stream.Read(f)
-		if err != nil {
-			return nil, err
-		}
+		data, err = stream.ReadFile(o.In)
 	} else {
-		var err error
 		data, err = workload.Generate(workload.OlympicRioSpec(o.Seed, o.N))
-		if err != nil {
-			return nil, err
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	k := uint64(1)
 	for _, el := range data {
@@ -529,124 +521,104 @@ func (s *server) checkpoint(force bool) (string, error) {
 	return fmt.Sprintf("generation %d", after), nil
 }
 
+// The query handlers are codecs over wire's Answer* functions, which own
+// the validation, the BURSTY-EVENTS scoring and the envelope rule: each
+// parses its parameters, substitutes the default only for an absent one
+// (an explicit tau=0 or k=0 is the caller's error), answers against one
+// snapshot and encodes the result.
+
 func (s *server) handleBurstiness(w http.ResponseWriter, r *http.Request) {
-	e, err1 := paramUint(r, "e")
-	t, err2 := paramInt(r, "t")
-	tau, err3 := paramIntDefault(r, "tau", 86_400)
+	e, err1 := param(r, "e", parseUint)
+	t, err2 := param(r, "t", parseInt)
+	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
 	if err := firstErr(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sn := s.store.Snapshot()
-	b, err := sn.Burstiness(e, t, tau)
+	res, err := wire.AnswerPoint(s.store.Snapshot(), []wire.PointQuery{{Event: e, T: t, Tau: tau}})
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, addEnvelope(map[string]any{"event": e, "t": t, "tau": tau, "burstiness": b}, sn, t))
-}
-
-// addEnvelope attaches the widened error envelope to a query response when
-// the history at t is degraded (quarantined spans below t): the answer
-// still stands over the surviving history, and the caller sees what is
-// missing instead of mistaking it for the whole.
-func addEnvelope(resp map[string]any, sn *segstore.Snapshot, t int64) map[string]any {
-	if env := sn.Envelope(t); env.Degraded {
-		resp["envelope"] = env
-	}
-	return resp
+	reply(w, map[string]any{"event": e, "t": t, "tau": tau, "burstiness": res[0].Burstiness}, res[0].Envelope, nil)
 }
 
 func (s *server) handleTimes(w http.ResponseWriter, r *http.Request) {
-	e, err1 := paramUint(r, "e")
-	theta, err2 := paramFloat(r, "theta")
-	tau, err3 := paramIntDefault(r, "tau", 86_400)
+	e, err1 := param(r, "e", parseUint)
+	theta, err2 := param(r, "theta", parseFloat)
+	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
 	if err := firstErr(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	sn := s.store.Snapshot()
-	ranges, err := sn.BurstyTimes(e, theta, tau)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, addEnvelope(map[string]any{"event": e, "theta": theta, "tau": tau, "ranges": ranges}, sn, sn.MaxTime()))
+	ranges, env, err := wire.AnswerTimes(s.store.Snapshot(), e, theta, tau)
+	reply(w, map[string]any{"event": e, "theta": theta, "tau": tau, "ranges": ranges}, env, err)
 }
 
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	t, err1 := paramInt(r, "t")
-	theta, err2 := paramFloat(r, "theta")
-	tau, err3 := paramIntDefault(r, "tau", 86_400)
+	t, err1 := param(r, "t", parseInt)
+	theta, err2 := param(r, "theta", parseFloat)
+	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
 	if err := firstErr(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if theta <= 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("threshold must be positive, got %v", theta))
-		return
-	}
-	sn := s.store.Snapshot()
-	ids, err := sn.BurstyEvents(t, theta, tau)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	type hit struct {
-		Event      uint64  `json:"event"`
-		Burstiness float64 `json:"burstiness"`
-	}
-	hits := make([]hit, 0, len(ids))
-	for _, id := range ids {
-		b, err := sn.Burstiness(id, t, tau)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, fmt.Errorf("scoring event %d: %w", id, err))
-			return
-		}
-		hits = append(hits, hit{Event: id, Burstiness: b})
-	}
-	writeJSON(w, addEnvelope(map[string]any{"t": t, "theta": theta, "tau": tau, "events": hits}, sn, t))
+	hits, env, err := wire.AnswerEvents(s.store.Snapshot(), t, theta, tau)
+	reply(w, map[string]any{"t": t, "theta": theta, "tau": tau, "events": hits}, env, err)
 }
 
 func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
-	t, err1 := paramInt(r, "t")
-	k, err2 := paramIntDefault(r, "k", 10)
-	tau, err3 := paramIntDefault(r, "tau", 86_400)
+	t, err1 := param(r, "t", parseInt)
+	k, err2 := param(r, "k", parseInt, wire.DefaultK)
+	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
 	if err := firstErr(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if k <= 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("k must be positive, got %d", k))
-		return
-	}
-	sn := s.store.Snapshot()
-	top, err := sn.TopBursty(t, int(k), tau)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, addEnvelope(map[string]any{"t": t, "k": k, "tau": tau, "events": top}, sn, t))
+	hits, env, err := wire.AnswerTop(s.store.Snapshot(), t, k, tau)
+	reply(w, map[string]any{"t": t, "k": k, "tau": tau, "events": hits}, env, err)
 }
 
+// Batch point queries: POST /v1/query/batch answers many point queries
+// against ONE store snapshot, so a batch costs one atomic view load and one
+// JSON body instead of one of each per query, and the whole batch sees one
+// consistent generation while ingest, sealing and compaction continue. Its
+// semantics are the HBP1 POINT frame's, an omitted (or zero) tau included.
+func (s *server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Queries []wire.PointQuery `json:"queries"`
+	}
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAppendBody)).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	for i := range req.Queries {
+		if req.Queries[i].Tau == 0 {
+			req.Queries[i].Tau = wire.DefaultTau
+		}
+	}
+	res, err := wire.AnswerPoint(s.store.Snapshot(), req.Queries)
+	// Each result echoes its query beside the answer.
+	type result struct {
+		wire.PointQuery
+		wire.PointResult
+	}
+	results := make([]result, len(res))
+	for i := range res {
+		results[i] = result{req.Queries[i], res[i]}
+	}
+	reply(w, map[string]any{"results": results}, nil, err)
+}
+
+// handleStats reports the STATS frame's fields (see Stats) beside what only
+// HTTP carries: the WAL, the head and the alerting counters.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	sn := s.store.Snapshot()
-	h := s.store.Health()
-	writeJSON(w, map[string]any{
-		"elements":    sn.N(),
-		"eventSpace":  s.store.K(),
-		"maxTime":     sn.MaxTime(),
-		"bytes":       sn.Bytes(),
-		"outOfOrder":  s.store.Rejected(),
-		"generation":  sn.Generation(),
-		"segments":    len(sn.Segments()),
-		"resident":    sn.Resident(),
-		"quarantined": h.Quarantined,
-		"wal":         h.WAL,
-		"readOnly":    s.readOnly.Load(),
-		"head":        sn.Head(),
-		"alerts":      s.alerts.hub.Stats(),
-	})
+	writeJSON(w, struct {
+		wire.Stats
+		WAL    any `json:"wal"`
+		Head   any `json:"head"`
+		Alerts any `json:"alerts"`
+	}{s.Stats(), s.store.Health().WAL, s.store.Snapshot().Head(), s.alerts.hub.Stats()})
 }
 
 // handleSegments serves the segment directory: one record per sealed
@@ -682,6 +654,19 @@ func httpError(w http.ResponseWriter, code int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) //histburst:allow errdrop -- already reporting an error; a failed write has no further recovery
 }
 
+// reply encodes a query's answer with the envelope it carries (non-nil
+// only on a degraded history), or the answer's error as a 400.
+func reply(w http.ResponseWriter, resp map[string]any, env *segstore.ErrorEnvelope, err error) {
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if env != nil {
+		resp["envelope"] = env
+	}
+	writeJSON(w, resp)
+}
+
 func firstErr(errs ...error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -691,34 +676,19 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-func paramUint(r *http.Request, name string) (uint64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
+// param parses query parameter name; an absent one is an error unless a
+// default stands in for it.
+func param[T any](r *http.Request, name string, parse func(string) (T, error), def ...T) (T, error) {
+	if v := r.URL.Query().Get(name); v != "" {
+		return parse(v)
 	}
-	return strconv.ParseUint(v, 10, 64)
+	if len(def) > 0 {
+		return def[0], nil
+	}
+	var zero T
+	return zero, fmt.Errorf("missing parameter %q", name)
 }
 
-func paramInt(r *http.Request, name string) (int64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	return strconv.ParseInt(v, 10, 64)
-}
-
-func paramIntDefault(r *http.Request, name string, def int64) (int64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	return strconv.ParseInt(v, 10, 64)
-}
-
-func paramFloat(r *http.Request, name string) (float64, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return 0, fmt.Errorf("missing parameter %q", name)
-	}
-	return strconv.ParseFloat(v, 64)
-}
+func parseUint(v string) (uint64, error)   { return strconv.ParseUint(v, 10, 64) }
+func parseInt(v string) (int64, error)     { return strconv.ParseInt(v, 10, 64) }
+func parseFloat(v string) (float64, error) { return strconv.ParseFloat(v, 64) }

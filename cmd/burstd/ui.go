@@ -105,7 +105,7 @@ async function load() {
     getJSON("/v1/top?t=" + t + "&k=" + k + "&tau=" + tau)));
   const series = tops.map((r, i) => ({
     t: times[i],
-    peak: Math.max(0, ...(r.events || []).map(e => e.Burstiness)),
+    peak: Math.max(0, ...(r.events || []).map(e => e.burstiness)),
     events: r.events || [],
   }));
   draw(series, tau);
@@ -150,8 +150,8 @@ function select(series, i, tau) {
     d.t + ", τ=" + tau + ")</th></tr></thead><tbody>";
   if (!d.events.length) html += '<tr><td colspan="2">no bursting events</td></tr>';
   for (const e of d.events) {
-    html += '<tr><td><span class="mark"></span>event ' + e.Event +
-      '</td><td class="num">' + e.Burstiness.toFixed(0) + "</td></tr>";
+    html += '<tr><td><span class="mark"></span>event ' + e.event +
+      '</td><td class="num">' + e.burstiness.toFixed(0) + "</td></tr>";
   }
   $("detail").innerHTML = html + "</tbody></table>";
 }

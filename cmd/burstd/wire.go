@@ -11,8 +11,9 @@ import (
 )
 
 // The wire.Backend implementation: the HBP1 listener fronts the same store
-// snapshot accessors and ingest seam the HTTP handlers use, so the two
-// transports cannot drift apart semantically.
+// snapshots, answered through the same wire.Answer* functions, and the same
+// ingest seam the HTTP handlers use, so the two transports cannot drift
+// apart semantically.
 
 // Snapshot returns the store view wire queries run against.
 func (s *server) Snapshot() *segstore.Snapshot { return s.store.Snapshot() }
@@ -20,7 +21,7 @@ func (s *server) Snapshot() *segstore.Snapshot { return s.store.Snapshot() }
 // Ingest drives one wire append batch through the shared admission policy.
 func (s *server) Ingest(elems stream.Stream) wire.IngestResult { return s.ingest(elems) }
 
-// Stats mirrors the serving fields of GET /v1/stats for STATS frames.
+// Stats answers STATS frames and is the body of GET /v1/stats.
 func (s *server) Stats() wire.Stats {
 	sn := s.store.Snapshot()
 	h := s.store.Health()

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,10 +149,9 @@ func TestWireHTTPQueryEquivalence(t *testing.T) {
 			t.Fatalf("wire %d hits, http %d", len(hits), len(httpHits))
 		}
 		for i, h := range hits {
-			// /v1/top marshals histburst.EventBurstiness directly (no json
-			// tags), so the keys are the exported field names.
+			// /v1/top and /v1/events encode the same wire.EventHit.
 			hh := httpHits[i].(map[string]any)
-			if float64(h.Event) != hh["Event"].(float64) || h.Burstiness != hh["Burstiness"].(float64) {
+			if float64(h.Event) != hh["event"].(float64) || h.Burstiness != hh["burstiness"].(float64) {
 				t.Fatalf("hit %d: wire %+v, http %v", i, h, hh)
 			}
 		}
@@ -364,6 +364,16 @@ func TestWireDegradedEnvelopeMatchesHTTP(t *testing.T) {
 		if float64(m.Start) != hm["Start"].(float64) || float64(m.End) != hm["End"].(float64) {
 			t.Fatalf("missing span %d: wire %+v, http %v", i, m, hm)
 		}
+	}
+	// The batch route answers the same query with the same float and the
+	// same envelope.
+	code, batch := postBatch(t, ts.URL, `{"queries":[{"event":1,"t":15,"tau":4}]}`)
+	if code != 200 {
+		t.Fatalf("batch: HTTP %d: %v", code, batch)
+	}
+	res := batch["results"].([]any)[0].(map[string]any)
+	if res["burstiness"] != out["burstiness"] || !reflect.DeepEqual(res["envelope"], out["envelope"]) {
+		t.Fatalf("degraded batch result %v, /v1/burstiness %v", res, out)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"histburst"
 	"histburst/internal/metrics"
 	"histburst/internal/textmap"
+	"histburst/internal/wire"
 )
 
 func main() {
@@ -63,15 +64,14 @@ func main() {
 }
 
 func process(r io.Reader, w io.Writer, k uint64, tau, report int64, top int, gamma float64, save string, fwd replayer) error {
-	if top <= 0 {
-		return fmt.Errorf("-top must be positive, got %d", top)
-	}
-	if tau <= 0 {
-		return fmt.Errorf("-tau must be positive, got %d", tau)
-	}
 	det, err := histburst.New(k, histburst.WithPBE2(gamma))
 	if err != nil {
 		return err
+	}
+	// A report is a top-k query; an empty detector answers one, so -top and
+	// -tau meet the read path's own checks before any input is read.
+	if _, _, err := wire.AnswerTop(det, 0, int64(top), tau); err != nil {
+		return fmt.Errorf("-top/-tau: %w", err)
 	}
 	mapper := textmap.NewHashtagMapper(k)
 
@@ -81,7 +81,7 @@ func process(r io.Reader, w io.Writer, k uint64, tau, report int64, top int, gam
 		started        bool
 	)
 	emit := func(at int64) error {
-		hits, err := det.TopBursty(at, top, tau)
+		hits, _, err := wire.AnswerTop(det, at, int64(top), tau)
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"histburst/internal/cmpbe"
 	"histburst/internal/metrics"
 	"histburst/internal/pbe1"
+	"histburst/internal/workload"
 )
 
 func init() {
@@ -92,7 +93,7 @@ func ablationMedian(cfg Config) (Table, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed + 7))
 		events := oracle.Events()
 		horizon := oracle.MaxTime()
-		tau := int64(86_400)
+		tau := workload.Day
 		var bMed, bMin, fMed, fMin float64
 		for i := 0; i < cfg.Queries; i++ {
 			e := events[rng.Intn(len(events))]

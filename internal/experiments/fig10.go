@@ -9,6 +9,7 @@ import (
 	"histburst/internal/pbe1"
 	"histburst/internal/pbe2"
 	"histburst/internal/stream"
+	"histburst/internal/workload"
 )
 
 func init() {
@@ -118,7 +119,7 @@ func fig10a(cfg Config) (Table, error) {
 func singleErrVs(est pbe.Estimator, c interface {
 	Burstiness(t, tau int64) int64
 }, horizon int64, q int, rng *rand.Rand) metrics.ErrorStats {
-	tau := int64(86_400)
+	tau := workload.Day
 	errs := make([]float64, q)
 	for i := range errs {
 		ts := int64(rng.Int63n(horizon + 1))

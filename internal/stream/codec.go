@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 )
 
 // Binary stream format (little-endian):
@@ -56,6 +57,16 @@ func Write(w io.Writer, s Stream) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// ReadFile reads the stream file at path, written by Write.
+func ReadFile(path string) (Stream, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Read(f)
 }
 
 // Read deserializes a stream previously written by Write.

@@ -44,8 +44,8 @@ const (
 // corrupt or hostile length prefix from ballooning the heap; SliceLen
 // additionally bounds every count by the remaining payload bytes.
 const (
-	// MaxBatchQueries bounds one POINT frame's query count, mirroring
-	// burstd's /v1/query/batch limit.
+	// MaxBatchQueries bounds one POINT batch's query count, on the wire and
+	// in burstd's /v1/query/batch (AnswerPoint enforces it).
 	MaxBatchQueries = 10_000
 	// maxAppendElems bounds one APPEND frame's element count (each element
 	// occupies at least 2 payload bytes, so the 8 MB frame cap is reached
@@ -105,19 +105,18 @@ type Hello struct {
 }
 
 // PointQuery is one point (burstiness) query. Tau 0 selects the server
-// default span (86 400), matching /v1/query/batch.
+// default span (DefaultTau), on the wire and in /v1/query/batch alike.
 type PointQuery struct {
-	Event uint64
-	T     int64
-	Tau   int64
+	Event uint64 `json:"event"`
+	T     int64  `json:"t"`
+	Tau   int64  `json:"tau,omitempty"`
 }
 
 // PointResult is one point query's answer. Envelope is non-nil exactly when
-// the history below T is degraded — the same condition under which the HTTP
-// handler attaches its envelope object.
+// the history below T is degraded (see AnswerPoint).
 type PointResult struct {
-	Burstiness float64
-	Envelope   *segstore.ErrorEnvelope
+	Burstiness float64                 `json:"burstiness"`
+	Envelope   *segstore.ErrorEnvelope `json:"envelope,omitempty"`
 }
 
 // EventHit is one (event, burstiness) pair of a BURSTY-EVENTS or top-k
@@ -136,24 +135,25 @@ type AppendResult struct {
 	OutOfOrder int64 // store lifetime rejection count
 }
 
-// Stats mirrors the serving fields of GET /v1/stats.
+// Stats is what a STATS frame carries; GET /v1/stats reports the same
+// fields under these JSON keys.
 type Stats struct {
-	Elements    int64
-	EventSpace  uint64
-	MaxTime     int64
-	Bytes       int64
-	OutOfOrder  int64
-	Generation  uint64
-	Segments    int
-	Quarantined int
-	ReadOnly    bool
-	HeadElems   int64
+	Elements    int64  `json:"elements"`
+	EventSpace  uint64 `json:"eventSpace"`
+	MaxTime     int64  `json:"maxTime"`
+	Bytes       int64  `json:"bytes"`
+	OutOfOrder  int64  `json:"outOfOrder"`
+	Generation  uint64 `json:"generation"`
+	Segments    int    `json:"segments"`
+	Quarantined int    `json:"quarantined"`
+	ReadOnly    bool   `json:"readOnly"`
+	HeadElems   int64  `json:"headElems"`
 	// Resident is how many of Segments are decoded in memory; the rest hold
 	// verified file bytes until a query first touches them.
-	Resident int
+	Resident int `json:"resident"`
 	// HeapAlloc is the serving process's live heap: what it holds, where
 	// Bytes is what the summaries count.
-	HeapAlloc int64
+	HeapAlloc int64 `json:"heapAlloc"`
 }
 
 // NackError is a refused request surfaced to the client caller.

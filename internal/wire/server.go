@@ -34,15 +34,16 @@ type IngestResult struct {
 }
 
 // Backend is what a wire server fronts: burstd's server implements it over
-// the same ingest seam and snapshot accessors its HTTP handlers use, which
-// is what keeps the two transports semantically identical.
+// the same ingest seam its HTTP handlers use, and both transports answer
+// queries on its snapshots through the Answer* functions, which is what
+// keeps them semantically identical.
 type Backend interface {
 	// Snapshot returns the store view queries run against.
 	Snapshot() *segstore.Snapshot
 	// Ingest drives one append batch through the store (the group-commit
 	// path), applying the same admission policy as the HTTP append handler.
 	Ingest(elems stream.Stream) IngestResult
-	// Stats mirrors the serving fields of GET /v1/stats.
+	// Stats answers STATS frames (burstd serves GET /v1/stats from it).
 	Stats() Stats
 	// Alerts returns the standing-query hub, or nil when alerting is
 	// disabled — SUBSCRIBE frames are then refused.
@@ -415,8 +416,11 @@ func (h *connHandler) handleAppend(id uint64, r *binenc.Reader) error {
 	grant := int64(len(elems))
 	switch {
 	case res.Refused != 0:
-		env := envelopeFor(h.s.Backend.Snapshot())
-		if err := h.send(encodeNack(id, res.Refused, res.RetryAfter, res.Message, env)); err != nil {
+		// A refused writer learns the state of the history it cannot yet
+		// extend: the store's envelope at its frontier, whole or not.
+		sn := h.s.Backend.Snapshot()
+		env := sn.Envelope(sn.MaxTime())
+		if err := h.send(encodeNack(id, res.Refused, res.RetryAfter, res.Message, &env)); err != nil {
 			return err
 		}
 	case res.Err != nil:
@@ -543,12 +547,12 @@ func (h *connHandler) closeAlerts() {
 	h.awg.Wait()
 }
 
-// envelopeFor returns the store's γ envelope at its frontier, or nil when
-// the history is whole — what a NACK carries so a blocked writer learns the
-// state of the history it cannot yet extend.
-func envelopeFor(sn *segstore.Snapshot) *segstore.ErrorEnvelope {
-	env := sn.Envelope(sn.MaxTime())
-	return &env
+// orDefault maps a zero field to its default: HBP1 cannot say "absent".
+func orDefault(v, def int64) int64 {
+	if v == 0 {
+		return def
+	}
+	return v
 }
 
 func (h *connHandler) handlePoint(id uint64, r *binenc.Reader) error {
@@ -556,35 +560,12 @@ func (h *connHandler) handlePoint(id uint64, r *binenc.Reader) error {
 	if err != nil {
 		return err
 	}
-	// Mirror the HTTP batch handler's all-or-nothing validation, with the
-	// same error strings, before touching the store.
-	if len(qs) == 0 {
-		return h.send(encodeErr(id, "empty batch"))
-	}
-	if len(qs) > MaxBatchQueries {
-		return h.send(encodeErr(id,
-			fmt.Sprintf("batch of %d exceeds the %d-query limit", len(qs), MaxBatchQueries)))
-	}
 	for i := range qs {
-		if qs[i].Tau == 0 {
-			qs[i].Tau = 86_400
-		}
-		if qs[i].Tau < 0 {
-			return h.send(encodeErr(id,
-				fmt.Sprintf("query %d: burst span must be positive, got %d", i, qs[i].Tau)))
-		}
+		qs[i].Tau = orDefault(qs[i].Tau, DefaultTau)
 	}
-	sn := h.s.Backend.Snapshot()
-	results := make([]PointResult, len(qs))
-	for i, q := range qs {
-		b, err := sn.Burstiness(q.Event, q.T, q.Tau)
-		if err != nil {
-			return h.send(encodeErr(id, fmt.Sprintf("query %d: %v", i, err)))
-		}
-		results[i] = PointResult{Burstiness: b}
-		if env := sn.Envelope(q.T); env.Degraded {
-			results[i].Envelope = &env
-		}
+	results, err := AnswerPoint(h.s.Backend.Snapshot(), qs)
+	if err != nil {
+		return h.send(encodeErr(id, err.Error()))
 	}
 	return h.send(encodePointResp(id, results))
 }
@@ -594,17 +575,9 @@ func (h *connHandler) handleTimes(id uint64, r *binenc.Reader) error {
 	if err != nil {
 		return err
 	}
-	if tau == 0 {
-		tau = 86_400
-	}
-	sn := h.s.Backend.Snapshot()
-	ranges, qerr := sn.BurstyTimes(e, theta, tau)
-	if qerr != nil {
-		return h.send(encodeErr(id, qerr.Error()))
-	}
-	var env *segstore.ErrorEnvelope
-	if e := sn.Envelope(sn.MaxTime()); e.Degraded {
-		env = &e
+	ranges, env, err := AnswerTimes(h.s.Backend.Snapshot(), e, theta, orDefault(tau, DefaultTau))
+	if err != nil {
+		return h.send(encodeErr(id, err.Error()))
 	}
 	return h.send(encodeTimesResp(id, ranges, env))
 }
@@ -614,28 +587,9 @@ func (h *connHandler) handleEvents(id uint64, r *binenc.Reader) error {
 	if err != nil {
 		return err
 	}
-	if tau == 0 {
-		tau = 86_400
-	}
-	if theta <= 0 {
-		return h.send(encodeErr(id, fmt.Sprintf("threshold must be positive, got %v", theta)))
-	}
-	sn := h.s.Backend.Snapshot()
-	ids, qerr := sn.BurstyEvents(t, theta, tau)
-	if qerr != nil {
-		return h.send(encodeErr(id, qerr.Error()))
-	}
-	hits := make([]EventHit, 0, len(ids))
-	for _, eid := range ids {
-		b, err := sn.Burstiness(eid, t, tau)
-		if err != nil {
-			return h.send(encodeErr(id, fmt.Sprintf("scoring event %d: %v", eid, err)))
-		}
-		hits = append(hits, EventHit{Event: eid, Burstiness: b})
-	}
-	var env *segstore.ErrorEnvelope
-	if e := sn.Envelope(t); e.Degraded {
-		env = &e
+	hits, env, err := AnswerEvents(h.s.Backend.Snapshot(), t, theta, orDefault(tau, DefaultTau))
+	if err != nil {
+		return h.send(encodeErr(id, err.Error()))
 	}
 	return h.send(encodeHits(frameEventsResp, id, hits, env))
 }
@@ -645,27 +599,9 @@ func (h *connHandler) handleTop(id uint64, r *binenc.Reader) error {
 	if err != nil {
 		return err
 	}
-	if k == 0 {
-		k = 10
-	}
-	if tau == 0 {
-		tau = 86_400
-	}
-	if k < 0 {
-		return h.send(encodeErr(id, fmt.Sprintf("k must be positive, got %d", k)))
-	}
-	sn := h.s.Backend.Snapshot()
-	top, qerr := sn.TopBursty(t, int(k), tau)
-	if qerr != nil {
-		return h.send(encodeErr(id, qerr.Error()))
-	}
-	hits := make([]EventHit, 0, len(top))
-	for _, eb := range top {
-		hits = append(hits, EventHit{Event: eb.Event, Burstiness: eb.Burstiness})
-	}
-	var env *segstore.ErrorEnvelope
-	if e := sn.Envelope(t); e.Degraded {
-		env = &e
+	hits, env, err := AnswerTop(h.s.Backend.Snapshot(), t, orDefault(k, DefaultK), orDefault(tau, DefaultTau))
+	if err != nil {
+		return h.send(encodeErr(id, err.Error()))
 	}
 	return h.send(encodeHits(frameTopResp, id, hits, env))
 }
