@@ -81,7 +81,6 @@ func TestAppendBatchByteIdentity(t *testing.T) {
 	}{
 		{"K=1024 all Direct", 1 << 10, []Option{WithPBE2(8)}},
 		{"K=16384 Count-Min under Direct", 1 << 14, []Option{WithPBE2(8)}},
-		{"PBE-1 cells", 1 << 8, []Option{WithPBE1(64, 8), WithSketchDims(2, 16)}},
 		{"no index", 1 << 10, []Option{WithPBE2(8), WithoutEventIndex()}},
 	}
 	sizes := []int{0, 1, pendingCap - 1, pendingCap, pendingCap + 1, 3*pendingCap + 7}
@@ -204,7 +203,7 @@ func cellPrints(cells []pbe.PBE, horizon int64) [][]float64 {
 // maintains eagerly, so they need not settle the chunk.
 var eagerCounters = map[string]func(d *Detector) any{
 	"K":          func(d *Detector) any { return d.K() },
-	"Params":     func(d *Detector) any { p, ok := d.Params(); return []any{p, ok} },
+	"Params":     func(d *Detector) any { return d.Params() },
 	"N":          func(d *Detector) any { return d.N() },
 	"MinTime":    func(d *Detector) any { return d.MinTime() },
 	"MaxTime":    func(d *Detector) any { return d.MaxTime() },

@@ -130,10 +130,7 @@ func newServer(o serverOpts) (*server, error) {
 		}
 	}
 	if seed != nil {
-		p, ok := seed.Params()
-		if !ok {
-			return nil, fmt.Errorf("burstd: the segment store serves PBE-2 sketches only; rebuild the input with burstcli -pbe2")
-		}
+		p := seed.Params()
 		cfg.K, cfg.Gamma, cfg.Seed = p.K, p.Gamma, p.Seed
 		cfg.D, cfg.W, cfg.NoIndex = p.D, p.W, p.NoIndex
 	}

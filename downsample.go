@@ -16,10 +16,9 @@ import (
 // answers the same queries with a wider — but still two-sided and exactly
 // reported — error envelope, in a fraction of the bytes.
 //
-// Requirements: all parts share their configuration, hold PBE-2 cells, and
-// are finished; w must divide the source width W and gamma must be at least
-// (W/w)·γ_src, the summed error of the source cells folded into each output
-// cell. Total counts are preserved exactly: at and past each part's time
+// Requirements: all parts share their configuration and are finished; w
+// must divide the source width W and gamma must be at least (W/w)·γ_src, the
+// summed error of the source cells folded into each output cell. Total counts are preserved exactly: at and past each part's time
 // frontier the downsampled curves report exact cumulative counts, which is
 // what lets downsampled segments be downsampled again (tier promotion) or
 // merged with equal-fidelity neighbors.
@@ -42,9 +41,6 @@ func DownsampleDetectors(parts []*Detector, gamma float64, res int64, w int) (*D
 	}
 	if err := settledParts(parts); err != nil {
 		return nil, err
-	}
-	if first.cfg.usePBE1 {
-		return nil, fmt.Errorf("histburst: only PBE-2 detectors are downsampleable")
 	}
 	if w <= 0 {
 		w = first.cfg.w

@@ -56,10 +56,7 @@ func TestDownsampleDetectorsPreservesTotals(t *testing.T) {
 	if ds.MaxTime() != maxT {
 		t.Fatalf("MaxTime = %d, want %d", ds.MaxTime(), maxT)
 	}
-	p, ok := ds.Params()
-	if !ok {
-		t.Fatal("downsampled detector lost Params expressibility")
-	}
+	p := ds.Params()
 	if p.Gamma != 16 || p.W != 8 {
 		t.Fatalf("Params report γ=%v w=%d, want γ=16 w=8", p.Gamma, p.W)
 	}
@@ -108,12 +105,7 @@ func TestDownsampleDetectorsSaveLoadRoundTrip(t *testing.T) {
 	if re.N() != ds.N() || re.MaxTime() != ds.MaxTime() {
 		t.Fatalf("round-trip counters: n=%d/%d maxT=%d/%d", re.N(), ds.N(), re.MaxTime(), ds.MaxTime())
 	}
-	rp, ok := re.Params()
-	if !ok {
-		t.Fatal("reloaded detector lost Params")
-	}
-	dp, _ := ds.Params()
-	if rp != dp {
+	if rp, dp := re.Params(), ds.Params(); rp != dp {
 		t.Fatalf("round-trip params %+v vs %+v", rp, dp)
 	}
 	for _, e := range []uint64{0, 3, 17, 39} {
@@ -199,14 +191,6 @@ func TestDownsampleDetectorsRejectsBadInput(t *testing.T) {
 	other.Finish()
 	if _, err := DownsampleDetectors([]*Detector{parts[0], other}, 8, 4, 16); err == nil {
 		t.Fatal("accepted mismatched configuration")
-	}
-	p1, err := New(256, WithPBE1(64, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1.Finish()
-	if _, err := DownsampleDetectors([]*Detector{p1}, 8, 4, 0); err == nil {
-		t.Fatal("accepted PBE-1 detector")
 	}
 }
 

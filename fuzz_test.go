@@ -49,7 +49,7 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD5 blobs
+// FuzzDetectorLoad targets the full detector decode path: valid HBD6 blobs
 // (one of them an index with levels under both γs),
 // retired-generation HBD1 blobs (must be refused, not decoded), their
 // truncations, and bit flips. Load must never panic, never allocate
@@ -64,7 +64,7 @@ func FuzzDetectorLoad(f *testing.F) {
 	}{
 		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
 		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
-		{8, []Option{WithPBE1(100, 10), WithSketchDims(2, 4)}},
+		{8, []Option{WithPBE2(3), WithSketchDims(2, 4)}},
 		{8, []Option{WithPBE2(2), WithoutEventIndex()}},
 	} {
 		det, err := New(c.k, c.opts...)
@@ -92,7 +92,7 @@ func FuzzDetectorLoad(f *testing.F) {
 	f.Add(poisonedCellFile(f))
 	f.Add(wrongLeafFile(f))
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x05 nearly"))
+	f.Add([]byte("HBD\x06 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -261,7 +261,7 @@ func FuzzInspect(f *testing.F) {
 	}{
 		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
 		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
-		{8, []Option{WithPBE1(100, 10), WithSketchDims(2, 4)}},
+		{8, []Option{WithPBE2(3), WithSketchDims(2, 4)}},
 		{8, []Option{WithPBE2(2), WithoutEventIndex()}},
 	} {
 		det, err := New(c.k, c.opts...)
@@ -296,7 +296,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(garbled)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x05 nearly"))
+	f.Add([]byte("HBD\x06 nearly"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ierr := Inspect(data)
@@ -314,9 +314,8 @@ func FuzzInspect(f *testing.F) {
 		if derr != nil {
 			return // the summary's fault; the header and the bytes are sound
 		}
-		p, ok := d.Params()
-		if h.PBE2 != ok || h.Params != p || h.N != d.N() {
-			t.Fatalf("Inspect reports %+v, the decoded detector %+v (pbe2 %v) with %d elements", h, p, ok, d.N())
+		if p := d.Params(); h.Params != p || h.N != d.N() {
+			t.Fatalf("Inspect reports %+v, the decoded detector %+v with %d elements", h, p, d.N())
 		}
 	})
 }

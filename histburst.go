@@ -18,9 +18,9 @@
 //	BURSTY EVENT BurstyEvents(t, θ, τ)        what was bursty at time t?
 //
 // Internally each event's cumulative-frequency curve is approximated by a
-// persistent burstiness estimator — PBE-1 (optimal buffered staircase
-// compression) or PBE-2 (online piecewise-linear approximation with error
-// cap γ) — sharded across a Count-Min layout (CM-PBE) so the space is
+// PBE-2 persistent burstiness estimator (online piecewise-linear
+// approximation with one-sided error cap γ, so time partitions combine
+// exactly) sharded across a Count-Min layout (CM-PBE) so the space is
 // sublinear in both the stream length and the number of events, plus a
 // dyadic decomposition over the event-id space for sub-linear bursty-event
 // search. All estimates are approximate with two-sided guarantees; see the
@@ -52,11 +52,6 @@ type config struct {
 	seed           int64
 	d, w           int
 	epsilon, delta float64 // set when d == -1 (WithErrorBounds)
-	usePBE1        bool
-	bufferN        int
-	eta            int
-	pbe1CapMode    bool  // PBE-1 cells use an error cap instead of a fixed η
-	pbe1Cap        int64 // per-chunk area-error cap (pbe1CapMode only)
 	gamma          float64
 	noIndex        bool
 }
@@ -87,42 +82,13 @@ func WithErrorBounds(epsilon, delta float64) Option {
 	}
 }
 
-// WithPBE1 selects PBE-1 cells: each cell buffers bufferN exact curve
-// corners and compresses them to the optimal eta-point staircase (Section
-// III-A). PBE-1 gives the best accuracy per byte at the cost of buffering
-// during construction.
-func WithPBE1(bufferN, eta int) Option {
-	return func(c *config) {
-		c.usePBE1 = true
-		c.bufferN, c.eta = bufferN, eta
-	}
-}
-
-// WithPBE1ErrorCap selects PBE-1 cells that compress each bufferN-corner
-// chunk to the smallest point budget keeping its area error at or below
-// cap — the paper's "hard cap on the error instead of a space constraint"
-// variant (Section III-A). Space then adapts to the data instead of being
-// fixed per chunk.
-func WithPBE1ErrorCap(bufferN int, cap int64) Option {
-	return func(c *config) {
-		c.usePBE1 = true
-		c.pbe1CapMode = true
-		c.bufferN, c.pbe1Cap = bufferN, cap
-		c.eta = 0
-	}
-}
-
-// WithPBE2 selects PBE-2 cells with error cap gamma: every frequency
-// estimate stays within [F−γ, F] and every burstiness estimate within 4γ of
-// the truth, per summarized stream (Section III-B). This is the default,
-// with γ = 8. The cap is that of the cells that answer; the event index's
-// levels from height 4 up, which only steer BurstyEvents and TopBursty, are
-// summarized under 4γ.
+// WithPBE2 sets the PBE-2 cells' error cap gamma: every frequency estimate
+// stays within [F−γ, F] and every burstiness estimate within 4γ of the
+// truth, per summarized stream (Section III-B). The default is γ = 8. The
+// cap is that of the cells that answer; the event index's levels from height
+// 4 up, which only steer BurstyEvents and TopBursty, are summarized under 4γ.
 func WithPBE2(gamma float64) Option {
-	return func(c *config) {
-		c.usePBE1 = false
-		c.gamma = gamma
-	}
+	return func(c *config) { c.gamma = gamma }
 }
 
 // WithoutEventIndex disables the dyadic bursty-event index, saving the space
@@ -237,31 +203,22 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 // dyadic.CMPBELevels and dyadic.DecodeTree take them: leaf builds the summary
 // that answers (height 0 of the event index, or the standalone base level)
 // and the index's few-id levels just above it, steer the levels from height 4
-// up, which only decide where BurstyEvents and TopBursty descend. PBE-2
-// steering cells run under dyadic.SteerGamma at the steering heights; PBE-1
-// cells have no error cap to loosen and steer with the leaf's factory. Build
-// and load both come through here, so they cannot disagree about a level's
-// γ; decay does not, but dyadic.DownsampleTrees asks the same SteerGamma for
-// the tier's γ, by height, as it widens each level.
+// up, which only decide where BurstyEvents and TopBursty descend, under
+// dyadic.SteerGamma. Build and load both come through here, so they cannot
+// disagree about a level's γ; decay does not, but dyadic.DownsampleTrees asks
+// the same SteerGamma for the tier's γ, by height, as it widens each level.
 func cellFactories(c config) (leaf, steer cmpbe.Factory, err error) {
-	switch {
-	case c.usePBE1 && c.pbe1CapMode:
-		leaf, err = cmpbe.PBE1ErrorCapFactory(c.bufferN, c.pbe1Cap)
-	case c.usePBE1:
-		leaf, err = cmpbe.PBE1Factory(c.bufferN, c.eta)
-	default:
-		if leaf, err = cmpbe.PBE2Factory(c.gamma); err == nil {
-			steer, err = cmpbe.PBE2Factory(dyadic.SteerGamma(dyadic.SteerHeight, c.gamma))
-		}
-		return leaf, steer, err
+	if leaf, err = cmpbe.PBE2Factory(c.gamma); err != nil {
+		return nil, nil, err
 	}
-	return leaf, leaf, err
+	steer, err = cmpbe.PBE2Factory(dyadic.SteerGamma(dyadic.SteerHeight, c.gamma))
+	return leaf, steer, err
 }
 
 // K returns the detector's (rounded) event-id space size.
 func (d *Detector) K() uint64 { return roundPow2(d.k) }
 
-// SketchParams is the exported, replica-complete description of a PBE-2
+// SketchParams is the exported, replica-complete description of a
 // detector's configuration: two detectors built from equal SketchParams are
 // deterministic replicas whose time-disjoint partitions MergeAppend cleanly.
 // The segmented timeline store persists these in its manifest so recovered
@@ -274,16 +231,10 @@ type SketchParams struct {
 	NoIndex bool    // dyadic bursty-event index disabled
 }
 
-// Params returns the detector's sketch parameters. ok is false when the
-// configuration is not expressible as SketchParams — PBE-1 detectors, whose
-// per-partition buffering makes segment-boundary estimate combination lossy
-// (a PBE-1 tail estimate is not the exact count the combination relies on).
-func (d *Detector) Params() (p SketchParams, ok bool) {
+// Params returns the detector's sketch parameters.
+func (d *Detector) Params() SketchParams {
 	c := d.cfg
-	if c.usePBE1 || c.pbe1CapMode || c.bufferN != 0 || c.eta != 0 || c.pbe1Cap != 0 {
-		return SketchParams{}, false
-	}
-	return SketchParams{K: d.k, Seed: c.seed, D: c.d, W: c.w, Gamma: c.gamma, NoIndex: c.noIndex}, true
+	return SketchParams{K: d.k, Seed: c.seed, D: c.d, W: c.w, Gamma: c.gamma, NoIndex: c.noIndex}
 }
 
 // NewFromParams builds an empty detector from exported parameters; the

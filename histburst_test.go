@@ -53,9 +53,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(10, WithPBE2(0.1)); err == nil {
 		t.Error("invalid gamma accepted")
 	}
-	if _, err := New(10, WithPBE1(5, 9)); err == nil {
-		t.Error("invalid PBE-1 params accepted")
-	}
 	if _, err := New(10, WithSketchDims(0, 5)); err == nil {
 		t.Error("d=0 accepted")
 	}
@@ -231,56 +228,6 @@ func TestOutOfOrderClamping(t *testing.T) {
 	}
 	if det.N() != 3 || det.MaxTime() != 100 {
 		t.Fatalf("N=%d MaxTime=%d", det.N(), det.MaxTime())
-	}
-}
-
-func TestPBE1Backend(t *testing.T) {
-	data := testStream(11, 64, 3000)
-	det, oracle := loadDetector(t, data, WithPBE1(200, 20), WithSketchDims(5, 128))
-	r := rand.New(rand.NewSource(4))
-	var sumErr float64
-	n := 0
-	for _, e := range oracle.Events() {
-		for i := 0; i < 5; i++ {
-			q := int64(r.Intn(3000))
-			got, err := det.Burstiness(e, q, 50)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sumErr += math.Abs(got - float64(oracle.Burstiness(e, q, 50)))
-			n++
-		}
-	}
-	if mean := sumErr / float64(n); mean > 25 {
-		t.Fatalf("PBE-1 backend mean error %.2f too large", mean)
-	}
-}
-
-func TestPBE1ErrorCapBackend(t *testing.T) {
-	data := testStream(19, 64, 3000)
-	det, oracle := loadDetector(t, data, WithPBE1ErrorCap(200, 300), WithSketchDims(4, 64))
-	r := rand.New(rand.NewSource(6))
-	var sumErr float64
-	n := 0
-	for _, e := range oracle.Events() {
-		for i := 0; i < 5; i++ {
-			q := int64(r.Intn(3000))
-			got, err := det.Burstiness(e, q, 50)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sumErr += math.Abs(got - float64(oracle.Burstiness(e, q, 50)))
-			n++
-		}
-	}
-	if mean := sumErr / float64(n); mean > 25 {
-		t.Fatalf("error-cap backend mean error %.2f too large", mean)
-	}
-	if _, err := New(8, WithPBE1ErrorCap(2, 10)); err == nil {
-		t.Error("bufferN=2 accepted")
-	}
-	if _, err := New(8, WithPBE1ErrorCap(100, -1)); err == nil {
-		t.Error("negative cap accepted")
 	}
 }
 

@@ -4,7 +4,9 @@
 // events in sublinear space.
 //
 // The sketch keeps d = O(log 1/δ) rows of w = O(1/ε) cells, each cell a PBE
-// (either PBE-1 or PBE-2, chosen by the Factory). An incoming element (e, t)
+// (either PBE-1 or PBE-2, chosen by the Factory; only PBE-2 levels
+// serialize, merge and downsample, PBE-1 ones are the paper's in-memory
+// baseline). An incoming element (e, t)
 // is hashed to one cell per row; the cell ignores the event id and treats
 // everything mapped to it as a single event stream. A query for F_e(t)
 // probes the d cells e maps to and returns the median of their estimates:
@@ -39,19 +41,6 @@ func PBE1Factory(bufferN, eta int) (Factory, error) {
 	}
 	return func() pbe.PBE {
 		b, _ := pbe1.New(bufferN, eta) //histburst:allow errdrop -- identical arguments validated by the probe call above
-		return b
-	}, nil
-}
-
-// PBE1ErrorCapFactory returns a Factory producing PBE-1 cells that compress
-// each chunk to the smallest budget meeting a per-chunk area-error cap (see
-// pbe1.NewWithErrorCap).
-func PBE1ErrorCapFactory(bufferN int, cap int64) (Factory, error) {
-	if _, err := pbe1.NewWithErrorCap(bufferN, cap); err != nil {
-		return nil, err
-	}
-	return func() pbe.PBE {
-		b, _ := pbe1.NewWithErrorCap(bufferN, cap) //histburst:allow errdrop -- identical arguments validated by the probe call above
 		return b
 	}, nil
 }
@@ -116,6 +105,15 @@ func newSketch(d, w int, seed int64, hf hash.Family, flat []pbe.PBE, n, maxT int
 		cells[i] = flat[i*w : (i+1)*w : (i+1)*w]
 	}
 	return &Sketch{d: d, w: w, seed: seed, cells: cells, flat: flat, hf: hf, n: n, maxT: maxT}
+}
+
+// factoryCells returns n fresh cells of the factory's making.
+func factoryCells(n int, f Factory) []pbe.PBE {
+	cells := make([]pbe.PBE, n)
+	for i := range cells {
+		cells[i] = f()
+	}
+	return cells
 }
 
 // NewWithError creates a CM-PBE sized from the usual Count-Min parameters:
@@ -310,13 +308,10 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 		return medianInPlace(vals)
 	}
 	for i, c := range cs {
-		// Concrete cases first: the direct calls skip the itab dispatch the
-		// interface assertion below would pay on every row.
+		// The concrete case first: the direct call skips the itab dispatch
+		// the interface assertion below would pay on every row.
 		switch cell := c.(type) {
 		case *pbe2.Builder:
-			f0, f1, f2 := cell.Estimate3(t0, t1, t)
-			vals[i] = f2 - 2*f1 + f0
-		case *pbe1.Builder:
 			f0, f1, f2 := cell.Estimate3(t0, t1, t)
 			vals[i] = f2 - 2*f1 + f0
 		case pbe.Estimator3:

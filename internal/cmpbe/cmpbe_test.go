@@ -158,6 +158,34 @@ func TestCMPBE1Variant(t *testing.T) {
 	}
 }
 
+// TestCMPBE1Burstiness: the paper's CM-PBE-1 baseline answers burstiness
+// within a mean |b̃−b| of 25 at τ=50, five random instants per event.
+func TestCMPBE1Burstiness(t *testing.T) {
+	f, err := PBE1Factory(200, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(5, 128, 9, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := mixedStream(11, 20000, 40)
+	oracle := loadSketch(t, s, data)
+	r := rand.New(rand.NewSource(4))
+	var sumErr float64
+	trials := 0
+	for _, e := range oracle.Events() {
+		for i := 0; i < 5; i++ {
+			q := int64(r.Intn(int(oracle.MaxTime()) + 1))
+			sumErr += math.Abs(s.Burstiness(e, q, 50) - float64(oracle.Burstiness(e, q, 50)))
+			trials++
+		}
+	}
+	if mean := sumErr / float64(trials); mean > 25 {
+		t.Fatalf("CM-PBE-1 mean burstiness error %.2f too large", mean)
+	}
+}
+
 func TestMedianBeatsMinOnMixedStreams(t *testing.T) {
 	// The min estimator inherits the PBE's downward bias and collisions'
 	// upward bias asymmetrically; the median should have smaller or equal

@@ -1,7 +1,6 @@
 package cmpbe
 
 import (
-	"encoding"
 	"fmt"
 
 	"histburst/internal/binenc"
@@ -11,12 +10,10 @@ import (
 )
 
 // Serialization. Sketches and Direct summaries serialize their dimensions
-// and bookkeeping, then their cells: PBE-2 cells together, as one pbe2 cell
-// block; PBE-1 cells one length-prefixed blob each, in their own binary
-// form. The cells themselves decide which — a level holds one kind — and
-// loading requires the same Factory that built them (both forms open with
-// their own magic, so a mismatched factory fails cleanly rather than
-// misinterpreting bytes).
+// and bookkeeping, then their cells together, as one pbe2 cell block. Only
+// PBE-2 levels serialize: a level of any other cell type is refused on encode,
+// and a factory of any other cell type on decode, each naming the type.
+// Loading requires a factory under the gamma the cells were built with.
 
 var (
 	sketchMagic = []byte{'C', 'M', 'P', 1}
@@ -111,85 +108,52 @@ func decodeDirect(r *binenc.Reader, f Factory) (*Direct, error) {
 	return &Direct{cells: cells, n: n, maxT: maxT}, nil
 }
 
-// encodeCells appends a level's cells in the form their type calls for.
+// encodeCells appends a level's cells as one pbe2 cell block.
 func encodeCells(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
-	if _, ok := cells[0].(*pbe2.Builder); ok {
-		return pbe2.EncodeBlock(w, cells, maxT)
+	if _, ok := cells[0].(*pbe2.Builder); !ok {
+		return fmt.Errorf("cmpbe: cells of type %T do not serialize; only PBE-2 levels do", cells[0])
 	}
-	for i, c := range cells {
-		m, ok := c.(encoding.BinaryMarshaler)
-		if !ok {
-			return fmt.Errorf("cmpbe: cell %d: type %T is not serializable", i, c)
-		}
-		blob, err := m.MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("cmpbe: cell %d: %w", i, err)
-		}
-		w.BytesBlob(blob)
-	}
-	return nil
+	return pbe2.EncodeBlock(w, cells, maxT)
 }
 
 // decodeCells reads the count cells of a level that ingested n elements up
-// to maxT, in the form the factory's cell type calls for. A PBE-2 level must
-// be under the factory's gamma — cells under another would refuse to merge
-// with the ones the factory goes on to build — and account for its elements:
-// every element lands in exactly one cell of each run of row cells (a
-// sketch's row, a Direct's whole array), so each run's counts sum to n.
+// to maxT. The factory must build PBE-2 cells, and the level must be under
+// its gamma — cells under another would refuse to merge with the ones the
+// factory goes on to build — and account for its elements: every element
+// lands in exactly one cell of each run of row cells (a sketch's row, a
+// Direct's whole array), so each run's counts sum to n.
 //
 //histburst:decoder
 func decodeCells(r *binenc.Reader, count, row int, n, maxT int64, f Factory) ([]pbe.PBE, error) {
 	if f == nil {
 		return nil, fmt.Errorf("cmpbe: factory must not be nil")
 	}
-	if probe, ok := f().(*pbe2.Builder); ok {
-		// An empty cell is one bit of the block; a short record claiming
-		// many cells must not allocate them all just to fail on the first.
-		if (count+7)/8 > r.Remaining() {
-			return nil, fmt.Errorf("cmpbe: %d cells exceed %d remaining bytes", count, r.Remaining())
-		}
-		arena, cells := arenaCells(count)
-		if err := pbe2.DecodeBlock(r, arena, maxT); err != nil {
-			return nil, fmt.Errorf("cmpbe: %w", err)
-		}
-		if got := arena[0].Gamma(); got != probe.Gamma() {
-			return nil, fmt.Errorf("cmpbe: cells under gamma %v, the factory's are under %v", got, probe.Gamma())
-		}
-		for at := 0; at < count; at += row {
-			var sum int64
-			for i := at; i < at+row; i++ {
-				sum += arena[i].Count()
-			}
-			if sum != n {
-				return nil, fmt.Errorf("cmpbe: cells %d–%d count %d arrivals, the level %d", at, at+row-1, sum, n)
-			}
-		}
-		return cells, nil
+	probe, ok := f().(*pbe2.Builder)
+	if !ok {
+		return nil, fmt.Errorf("cmpbe: a factory of %T cells cannot decode a level; only PBE-2 levels serialize", f())
 	}
-	// Every cell is at least a one-byte blob.
-	if count > r.Remaining() {
+	// An empty cell is one bit of the block; a short record claiming many
+	// cells must not allocate them all just to fail on the first.
+	if (count+7)/8 > r.Remaining() {
 		return nil, fmt.Errorf("cmpbe: %d cells exceed %d remaining bytes", count, r.Remaining())
 	}
-	cells := factoryCells(count, f)
-	for i, c := range cells {
-		u, ok := c.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return nil, fmt.Errorf("cmpbe: cell %d: type %T is not serializable", i, c)
+	arena, cells := arenaCells(count)
+	if err := pbe2.DecodeBlock(r, arena, maxT); err != nil {
+		return nil, fmt.Errorf("cmpbe: %w", err)
+	}
+	if got := arena[0].Gamma(); got != probe.Gamma() {
+		return nil, fmt.Errorf("cmpbe: cells under gamma %v, the factory's are under %v", got, probe.Gamma())
+	}
+	for at := 0; at < count; at += row {
+		var sum int64
+		for i := at; i < at+row; i++ {
+			sum += arena[i].Count()
 		}
-		if err := u.UnmarshalBinary(r.BytesBlob()); err != nil {
-			return nil, fmt.Errorf("cmpbe: cell %d: %w", i, err)
+		if sum != n {
+			return nil, fmt.Errorf("cmpbe: cells %d–%d count %d arrivals, the level %d", at, at+row-1, sum, n)
 		}
 	}
-	return cells, r.Err()
-}
-
-// factoryCells returns n fresh cells of the factory's making.
-func factoryCells(n int, f Factory) []pbe.PBE {
-	cells := make([]pbe.PBE, n)
-	for i := range cells {
-		cells[i] = f()
-	}
-	return cells
+	return cells, nil
 }
 
 // arenaCells lays n PBE-2 cells out in one allocation and returns them both

@@ -63,29 +63,6 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSketchMarshalPBE1Cells(t *testing.T) {
-	f, err := PBE1Factory(200, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := New(2, 16, 3, f)
-	data := mixedStream(7, 3000, 20)
-	for _, el := range data {
-		s.Append(el.Event, el.Time)
-	}
-	// Deliberately no Finish: the PBE-1 buffered tails must round-trip.
-	v, err := decodeWhole(encoded(t, s), f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := v.(*Sketch)
-	for e := uint64(0); e < 20; e++ {
-		if got.EstimateF(e, s.MaxTime()) != s.EstimateF(e, s.MaxTime()) {
-			t.Fatalf("estimate differs for event %d", e)
-		}
-	}
-}
-
 func TestDirectMarshalRoundTrip(t *testing.T) {
 	f, _ := PBE2Factory(1)
 	d, _ := NewDirect(8, f)
@@ -160,15 +137,33 @@ func TestUnmarshalSketchRejectsCorrupt(t *testing.T) {
 	if _, err := decodeWhole(blob, f3); err == nil || !strings.Contains(err.Error(), "cells under gamma 2, the factory's are under 3") {
 		t.Fatalf("factory of another gamma: %v", err)
 	}
-	// Wrong factory type, either way: neither cell form reads as the other.
+	// A factory of another cell type is refused by its type.
 	f1, _ := PBE1Factory(100, 5)
-	if _, err := decodeWhole(blob, f1); err == nil {
-		t.Fatal("PBE-1 factory accepted a PBE-2 cell block")
+	if _, err := decodeWhole(blob, f1); err == nil || !strings.Contains(err.Error(), "*pbe1.Builder") {
+		t.Fatalf("PBE-1 factory decoding a PBE-2 cell block: %v", err)
 	}
-	s1, _ := New(2, 4, 1, f1)
-	s1.Append(1, 10)
-	if _, err := decodeWhole(encoded(t, s1), f); err == nil {
-		t.Fatal("PBE-2 factory accepted PBE-1 cell blobs")
+}
+
+// TestSketchMarshalPBE1Cells: only PBE-2 levels serialize. A PBE-1 level,
+// finished or holding buffered tails, is refused on encode by its type.
+func TestSketchMarshalPBE1Cells(t *testing.T) {
+	f, err := PBE1Factory(200, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := New(2, 16, 3, f)
+	data := mixedStream(7, 3000, 20)
+	for _, el := range data {
+		s.Append(el.Event, el.Time)
+	}
+	for _, finished := range []bool{false, true} {
+		if finished {
+			s.Finish()
+		}
+		var w binenc.Writer
+		if err := s.Encode(&w); err == nil || !strings.Contains(err.Error(), "*pbe1.Builder") {
+			t.Fatalf("encoding a PBE-1 level (finished %v): %v", finished, err)
+		}
 	}
 }
 
@@ -196,8 +191,8 @@ func TestDecodeHoldsCellsToTheLevel(t *testing.T) {
 	// The longer level's cells under the shorter level's header: same header
 	// length (n is 40 or 41, one varint byte), another n.
 	splice := func(header, cells []byte) []byte {
-		at := strings.Index(string(cells), "P2B\x01")
-		if at < 0 || at != strings.Index(string(header), "P2B\x01") {
+		at := strings.Index(string(cells), "P2B\x02")
+		if at < 0 || at != strings.Index(string(header), "P2B\x02") {
 			t.Fatal("fixture: cell blocks not where expected")
 		}
 		return append(append([]byte(nil), header[:at]...), cells[at:]...)

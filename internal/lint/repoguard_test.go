@@ -1,8 +1,12 @@
 package lint
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -41,6 +45,50 @@ func TestRepoCarriesKeyAnnotations(t *testing.T) {
 		if !strings.Contains(string(data), k.want) {
 			t.Errorf("%s no longer contains %q — %s", k.file, k.want, k.why)
 		}
+	}
+}
+
+// TestPBE1StaysABaseline: the served, persisted, merged and decayed detector
+// has one cell type, PBE-2. PBE-1 is the paper's baseline, which the sketch
+// package can hold and the experiments build in memory; no other non-test
+// code may import it, so it cannot creep back into a product path.
+func TestPBE1StaysABaseline(t *testing.T) {
+	const pbe1 = "histburst/internal/pbe1"
+	allowed := map[string]bool{"internal/cmpbe": true, "internal/experiments": true}
+	root := moduleRootForTest(t)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if allowed[filepath.ToSlash(filepath.Dir(rel))] {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pbe1 {
+				t.Errorf("%s imports %s; only internal/cmpbe and internal/experiments may", rel, pbe1)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -15,9 +15,8 @@ import (
 // how far that is from where its predecessor ended (see internal/binenc for
 // the scalar forms; p counts the present cells, in cell order):
 //
-//	magic     uint32 "P2B\x01"
+//	magic     uint32 "P2B\x02"
 //	gamma     float64
-//	maxVerts  uvarint
 //	outOfOrd  uvarint   Σ over the cells
 //	present   ⌈cells/8⌉ bytes, bit i%8 of byte i/8 set when cell i holds arrivals
 //	nSegments uvarint × p
@@ -36,10 +35,10 @@ import (
 // summary New returns. Every varint is in its shortest form, so a block has
 // one encoding and DecodeBlock accepts no other.
 
-const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 1<<24
+const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 2<<24
 
-// EncodeBlock appends cells — all PBE-2 summaries under one gamma and vertex
-// cap — to w as one cell block, finishing each first (as MarshalBinary does).
+// EncodeBlock appends cells — all PBE-2 summaries under one gamma — to w as
+// one cell block, finishing each first (as MarshalBinary does).
 // maxT is the level's largest timestamp, the base the first start of every
 // cell is written against; DecodeBlock must be given the same.
 func EncodeBlock(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
@@ -54,9 +53,8 @@ func EncodeBlock(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
 		if first == nil {
 			first = b
 		}
-		if b.gamma != first.gamma || b.maxVertices != first.maxVertices {
-			return fmt.Errorf("pbe2: cell %d has gamma %v and vertex cap %d in a block of gamma %v and vertex cap %d",
-				i, b.gamma, b.maxVertices, first.gamma, first.maxVertices)
+		if b.gamma != first.gamma {
+			return fmt.Errorf("pbe2: cell %d has gamma %v in a block of gamma %v", i, b.gamma, first.gamma)
 		}
 		b.Finish()
 		if b.count == 0 {
@@ -77,7 +75,6 @@ func EncodeBlock(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
 	}
 	w.Uint32(blockMagic)
 	w.Float64(first.gamma)
-	w.Uvarint(uint64(first.maxVertices))
 	w.Uvarint(uint64(outOfOrder))
 	var mask byte
 	for i, c := range cells {
@@ -149,15 +146,11 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		return corrupt("bad magic")
 	}
 	gamma := r.Float64()
-	maxVerts := c.uvarint()
 	outOfOrder := c.uvarint()
 	if err := checkGamma(gamma); err != nil {
 		return corrupt("%v", err)
 	}
-	if maxVerts > math.MaxInt32 {
-		return corrupt("implausible vertex cap %d", maxVerts)
-	}
-	empty := Builder{gamma: gamma, maxVertices: int(maxVerts), headLow: math.MaxInt64}
+	empty := Builder{gamma: gamma, headLow: math.MaxInt64}
 	var mask byte
 	for i := range cells {
 		if i%8 == 0 {

@@ -167,10 +167,9 @@ func TestEncodeBlockRefusesMixedCells(t *testing.T) {
 		cells []pbe.PBE
 		want  string
 	}{
-		"another gamma":      {[]pbe.PBE{a, buildPBE2(t, []int64{2}, 3)}, "cell 1 has gamma 3"},
-		"another vertex cap": {[]pbe.PBE{a, buildPBE2(t, []int64{2}, 2, WithMaxVertices(8))}, "vertex cap 8"},
-		"not PBE-2":          {[]pbe.PBE{a, foreignCell{}}, "cell 1 is a pbe2.foreignCell"},
-		"no cells":           {nil, "zero cells"},
+		"another gamma": {[]pbe.PBE{a, buildPBE2(t, []int64{2}, 3)}, "cell 1 has gamma 3"},
+		"not PBE-2":     {[]pbe.PBE{a, foreignCell{}}, "cell 1 is a pbe2.foreignCell"},
+		"no cells":      {nil, "zero cells"},
 	} {
 		var w binenc.Writer
 		if err := EncodeBlock(&w, c.cells, 9); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -201,7 +200,6 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 	var w binenc.Writer
 	w.Uint32(blockMagic)
 	w.Float64(2)
-	w.Uvarint(0)
 	w.Uvarint(outOfOrder)
 	for _, m := range bitmap {
 		w.Byte(m)
@@ -286,7 +284,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 3 }))},
 		{"out-of-order column past the sum", "more than the block's 5",
 			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 6 }))},
-		{"bad magic", "bad magic", []byte("P2B\x02 and so on, and so on")},
+		{"the previous generation", "bad magic", []byte("P2B\x01 and so on, and so on")},
 	} {
 		cells := make([]Builder, 2)
 		r := binenc.NewReader(tc.data)
@@ -307,7 +305,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 	// their sum be. Two cells each claiming as many segments as the bytes
 	// could hold alone:
 	two := rawBlock(0, []byte{3}, []rawCell{good, good})
-	head := 4 + 8 + 1 + 1 + 1
+	head := 4 + 8 + 1 + 1
 	per := (len(two) - head - 2) / minSegmentBytes // what one count may claim
 	forged := append(append([]byte(nil), two[:head]...), byte(per), byte(per))
 	forged = append(forged, two[head+2:]...)
@@ -326,7 +324,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 		cells[0].lastT != 58 || cells[0].prevF != 5 || !cells[0].done || cells[1].started {
 		t.Fatalf("sound block decoded as %+v, %+v", cells[0], cells[1])
 	}
-	at := 4 + 8 // the vertex cap, a zero
+	at := 4 + 8 // the out-of-order sum, a zero
 	overlong := append(append(append([]byte(nil), sound[:at]...), 0x80, 0x00), sound[at+1:]...)
 	if err := DecodeBlock(binenc.NewReader(overlong), cells, maxT); err == nil || !strings.Contains(err.Error(), "shortest form") {
 		t.Errorf("overlong varint: %v", err)

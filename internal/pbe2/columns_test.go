@@ -12,8 +12,8 @@ import (
 // window's region lives behind a pointer so that a resting summary does not
 // carry it.
 func TestBuilderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Builder{}); got > 176 {
-		t.Fatalf("Sizeof(Builder{}) = %d, want at most 176", got)
+	if got := unsafe.Sizeof(Builder{}); got > 168 {
+		t.Fatalf("Sizeof(Builder{}) = %d, want at most 168", got)
 	}
 }
 

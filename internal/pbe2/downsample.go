@@ -176,7 +176,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 	if err := validateDownsample(parts, gamma, res); err != nil {
 		return err
 	}
-	*out = Builder{gamma: gamma, maxVertices: parts[0][0].maxVertices, headLow: math.MaxInt64}
+	*out = Builder{gamma: gamma, headLow: math.MaxInt64}
 	scr := dsScratchPool.Get().(*dsScratch)
 	defer dsScratchPool.Put(scr)
 
@@ -290,7 +290,7 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 	if err := validateDownsample(parts, gamma, res); err != nil {
 		return nil, err
 	}
-	out := &Builder{gamma: gamma, maxVertices: parts[0][0].maxVertices, headLow: math.MaxInt64}
+	out := &Builder{gamma: gamma, headLow: math.MaxInt64}
 	var base, total, globalLast, totalOOO int64
 	anyStarted := false
 	lastFed := int64(math.MinInt64)

@@ -11,9 +11,8 @@ import (
 // the cells of a sketch level are stored together, in a cell block (block.go).
 // Format (see internal/binenc):
 //
-//	magic    "PB2\x01"
+//	magic    "PB2\x02"
 //	gamma    float64
-//	maxVerts uvarint
 //	count    varint
 //	lastT    varint
 //	prevF    varint
@@ -27,7 +26,7 @@ import (
 // committed information and keeps the format independent of the geometry
 // engine. Appending after unmarshal continues normally.
 
-var pbe2Magic = []byte{'P', 'B', '2', 1}
+var pbe2Magic = []byte{'P', 'B', '2', 2}
 
 const maxSegments = 1 << 32
 
@@ -48,7 +47,6 @@ func (b *Builder) MarshalBinary() ([]byte, error) {
 	var w binenc.Writer
 	w.BytesBlob(pbe2Magic)
 	w.Float64(b.gamma)
-	w.Uvarint(uint64(b.maxVertices))
 	w.Varint(b.count)
 	w.Varint(b.lastT)
 	w.Varint(b.prevF)
@@ -78,7 +76,6 @@ func (b *Builder) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("pbe2: bad magic")
 	}
 	gamma := r.Float64()
-	maxVerts := int(r.Uvarint())
 	count := r.Varint()
 	lastT := r.Varint()
 	prevF := r.Varint()
@@ -87,7 +84,7 @@ func (b *Builder) UnmarshalBinary(data []byte) error {
 	outOfOrder := r.Varint()
 	n := r.SliceLen(maxSegments, minSegmentBytes)
 	nb := Builder{
-		gamma: gamma, maxVertices: maxVerts,
+		gamma:  gamma,
 		starts: make([]int64, n), lens: make([]uint32, n), lines: make([]line, n),
 		count: count, lastT: lastT, prevF: prevF, started: started, done: done,
 		outOfOrder: outOfOrder,

@@ -91,7 +91,6 @@ func rawSummary(count, lastT int64, segs []Segment) []byte {
 	var w binenc.Writer
 	w.BytesBlob(pbe2Magic)
 	w.Float64(2)
-	w.Uvarint(0)
 	w.Varint(count)
 	w.Varint(lastT)
 	w.Varint(count)

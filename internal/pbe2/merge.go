@@ -107,14 +107,13 @@ func MergeFinishedInto(out *Builder, parts []*Builder) error {
 	}
 	first := parts[0]
 	*out = Builder{
-		gamma:       first.gamma,
-		maxVertices: first.maxVertices,
-		count:       first.count,
-		lastT:       first.lastT,
-		prevF:       first.prevF,
-		started:     first.started,
-		done:        first.done,
-		outOfOrder:  first.outOfOrder,
+		gamma:      first.gamma,
+		count:      first.count,
+		lastT:      first.lastT,
+		prevF:      first.prevF,
+		started:    first.started,
+		done:       first.done,
+		outOfOrder: first.outOfOrder,
 	}
 	out.reserve(total)
 	for i := range first.starts {

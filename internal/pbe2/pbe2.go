@@ -81,8 +81,7 @@ func (b *Builder) seg(i int) Segment {
 
 // Builder maintains a PBE-2 summary online.
 type Builder struct {
-	gamma       float64
-	maxVertices int // cap on feasible-polygon vertices (0 = unlimited)
+	gamma float64
 
 	// Closed segments, one column per field, index-aligned and clipped to
 	// length by Finish: 28 bytes a segment, nothing stored twice. starts is
@@ -123,28 +122,12 @@ type Builder struct {
 	outOfOrder int64
 }
 
-// Option configures a Builder.
-type Option func(*Builder)
-
-// WithMaxVertices bounds the feasible polygon's vertex count: when the
-// polygon would exceed n vertices the current segment is closed early. The
-// paper suggests this as the way to meet a hard space constraint while
-// constructing; accuracy is unaffected (every emitted line still satisfies
-// all its constraints).
-func WithMaxVertices(n int) Option {
-	return func(b *Builder) { b.maxVertices = n }
-}
-
 // New creates a PBE-2 builder with error cap gamma ≥ 1.
-func New(gamma float64, opts ...Option) (*Builder, error) {
+func New(gamma float64) (*Builder, error) {
 	if err := checkGamma(gamma); err != nil {
 		return nil, err
 	}
-	b := &Builder{gamma: gamma, headLow: math.MaxInt64}
-	for _, o := range opts {
-		o(b)
-	}
-	return b, nil
+	return &Builder{gamma: gamma, headLow: math.MaxInt64}, nil
 }
 
 func checkGamma(gamma float64) error {
@@ -275,7 +258,7 @@ func (b *Builder) feedRange(p rpoint) {
 	if b.win == nil {
 		b.win = regionPool.Get().(*region)
 	}
-	if seg, ok := b.win.feed(p, b.maxVertices); ok {
+	if seg, ok := b.win.feed(p); ok {
 		b.appendSegment(seg)
 	}
 }

@@ -22,9 +22,9 @@ func randomTimestamps(seed int64, n int, maxStep int) stream.TimestampSeq {
 	return ts
 }
 
-func buildPBE2(t testing.TB, ts stream.TimestampSeq, gamma float64, opts ...Option) *Builder {
+func buildPBE2(t testing.TB, ts stream.TimestampSeq, gamma float64) *Builder {
 	t.Helper()
-	b, err := New(gamma, opts...)
+	b, err := New(gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,19 +238,6 @@ func TestEmptyBuilder(t *testing.T) {
 	if b.Count() != 0 || b.NumSegments() != 0 || b.Bytes() != 0 {
 		t.Fatal("empty builder should have zero state")
 	}
-}
-
-func TestMaxVerticesOption(t *testing.T) {
-	ts := randomTimestamps(3, 2000, 3)
-	exact, _ := curve.FromTimestamps(ts)
-	capped := buildPBE2(t, ts, 5, WithMaxVertices(4))
-	free := buildPBE2(t, ts, 5)
-	if capped.NumSegments() < free.NumSegments() {
-		t.Fatalf("vertex cap should only add segments: %d vs %d",
-			capped.NumSegments(), free.NumSegments())
-	}
-	// Accuracy guarantee is unaffected.
-	checkWithinGamma(t, capped, exact, ts[len(ts)-1]+3, 5)
 }
 
 func TestBurstyTimesWithinTolerance(t *testing.T) {

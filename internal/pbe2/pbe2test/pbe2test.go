@@ -28,11 +28,10 @@ func Poison(data []byte) bool {
 		cells := r.Uvarint()
 		r.Varint() // n
 		r.Varint() // maxT
-		if r.Uint32() != 'P'|'2'<<8|'B'<<16|1<<24 || cells > uint64(r.Remaining()) {
+		if r.Uint32() != 'P'|'2'<<8|'B'<<16|2<<24 || cells > uint64(r.Remaining()) {
 			continue
 		}
 		r.Float64() // gamma
-		r.Uvarint() // maxVerts
 		outOfOrder := r.Uvarint()
 		present := 0
 		for c := uint64(0); c < cells; c += 8 {

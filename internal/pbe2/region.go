@@ -97,8 +97,8 @@ func (r *region) constraints(p rpoint) (upper, lower geometry.HalfPlane) {
 }
 
 // feed adds one constraint to the open window. When the window cannot take
-// it — the region would become empty, or outgrow maxVertices (0 = no cap) —
-// the window's segment is returned and a new window starts at p.
+// it — the region would become empty — the window's segment is returned and
+// a new window starts at p.
 //
 // Most constraints of a long window are redundant: the region already lies
 // inside one or both of their half-planes. One pass over the vertices finds
@@ -108,7 +108,7 @@ func (r *region) constraints(p rpoint) (upper, lower geometry.HalfPlane) {
 //
 //histburst:noalloc
 //histburst:fastpath feedNaive
-func (r *region) feed(p rpoint, maxVertices int) (seg Segment, emitted bool) {
+func (r *region) feed(p rpoint) (seg Segment, emitted bool) {
 	if !r.open {
 		if !r.pending {
 			return r.roll(p)
@@ -158,9 +158,6 @@ func (r *region) feed(p rpoint, maxVertices int) (seg Segment, emitted bool) {
 		r.poly = next
 	}
 	r.winEnd = p.t
-	if maxVertices > 0 && r.poly.Len() > maxVertices {
-		return r.roll(p)
-	}
 	return seg, false
 }
 

@@ -14,7 +14,7 @@ import (
 // machinery in the same window-local coordinates, but every constraint is
 // clipped unconditionally through the allocating Clip, as Algorithm 2 is
 // written. TestFeedMatchesNaive pins the two bit-identical.
-func (r *region) feedNaive(p rpoint, maxVertices int) (seg Segment, emitted bool) {
+func (r *region) feedNaive(p rpoint) (seg Segment, emitted bool) {
 	if !r.open {
 		if !r.pending {
 			return r.roll(p)
@@ -38,9 +38,6 @@ func (r *region) feedNaive(p rpoint, maxVertices int) (seg Segment, emitted bool
 		return r.roll(p)
 	}
 	r.poly, r.winEnd = next, p.t
-	if maxVertices > 0 && r.poly.Len() > maxVertices {
-		return r.roll(p)
-	}
 	return seg, false
 }
 
@@ -59,51 +56,49 @@ func gapStream(seed int64, n int, meanGap float64, origin int64) stream.Timestam
 }
 
 func TestFeedMatchesNaive(t *testing.T) {
-	for _, maxVertices := range []int{0, 3, 5} {
-		for seed := int64(1); seed <= 6; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			slack := float64(1 + rng.Intn(8))
-			float := seed%2 == 0 // float ranges, as downsampling feeds them
-			var fast, naive region
-			var segsFast, segsNaive []Segment
-			tick, f := int64(1.7e9), 0.0
-			for i := 0; i < 20000; i++ {
-				tick += 1 + int64(rng.ExpFloat64()*3)
-				if float {
-					f += rng.Float64() * 2
-				} else {
-					f += float64(rng.Intn(3))
-				}
-				p := rpoint{t: tick, hi: f, slack: slack}
-				if s, ok := fast.feed(p, maxVertices); ok {
-					segsFast = append(segsFast, s)
-				}
-				if s, ok := naive.feedNaive(p, maxVertices); ok {
-					segsNaive = append(segsNaive, s)
-				}
-				vf, vn := fast.poly.Vertices(), naive.poly.Vertices()
-				if len(vf) != len(vn) {
-					t.Fatalf("seed %d step %d: %d vs %d vertices", seed, i, len(vf), len(vn))
-				}
-				for k := range vf {
-					if vf[k] != vn[k] {
-						t.Fatalf("seed %d step %d vertex %d: %v vs %v", seed, i, k, vf[k], vn[k])
-					}
-				}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		slack := float64(1 + rng.Intn(8))
+		float := seed%2 == 0 // float ranges, as downsampling feeds them
+		var fast, naive region
+		var segsFast, segsNaive []Segment
+		tick, f := int64(1.7e9), 0.0
+		for i := 0; i < 20000; i++ {
+			tick += 1 + int64(rng.ExpFloat64()*3)
+			if float {
+				f += rng.Float64() * 2
+			} else {
+				f += float64(rng.Intn(3))
 			}
-			if s, ok := fast.close(); ok {
+			p := rpoint{t: tick, hi: f, slack: slack}
+			if s, ok := fast.feed(p); ok {
 				segsFast = append(segsFast, s)
 			}
-			if s, ok := naive.close(); ok {
+			if s, ok := naive.feedNaive(p); ok {
 				segsNaive = append(segsNaive, s)
 			}
-			if len(segsFast) != len(segsNaive) || len(segsFast) < 20 {
-				t.Fatalf("seed %d: %d vs %d segments", seed, len(segsFast), len(segsNaive))
+			vf, vn := fast.poly.Vertices(), naive.poly.Vertices()
+			if len(vf) != len(vn) {
+				t.Fatalf("seed %d step %d: %d vs %d vertices", seed, i, len(vf), len(vn))
 			}
-			for i := range segsFast {
-				if segsFast[i] != segsNaive[i] {
-					t.Fatalf("seed %d segment %d: %+v vs %+v", seed, i, segsFast[i], segsNaive[i])
+			for k := range vf {
+				if vf[k] != vn[k] {
+					t.Fatalf("seed %d step %d vertex %d: %v vs %v", seed, i, k, vf[k], vn[k])
 				}
+			}
+		}
+		if s, ok := fast.close(); ok {
+			segsFast = append(segsFast, s)
+		}
+		if s, ok := naive.close(); ok {
+			segsNaive = append(segsNaive, s)
+		}
+		if len(segsFast) != len(segsNaive) || len(segsFast) < 20 {
+			t.Fatalf("seed %d: %d vs %d segments", seed, len(segsFast), len(segsNaive))
+		}
+		for i := range segsFast {
+			if segsFast[i] != segsNaive[i] {
+				t.Fatalf("seed %d segment %d: %+v vs %+v", seed, i, segsFast[i], segsNaive[i])
 			}
 		}
 	}

@@ -312,9 +312,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	if p, ok := template.Params(); ok {
-		params = p // resolved D/W for defaulted layouts
-	}
+	params = template.Params() // resolved D/W for defaulted layouts
 	s.params = params
 	s.kfold = template.K()
 	s.noIndex = params.NoIndex
@@ -487,7 +485,7 @@ func (s *Store) verifySegment(meta SegmentMeta) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segstore: segment %d: %s: %w", meta.ID, path, err)
 	}
-	if !h.PBE2 || h.Params != meta.effectiveParams(s.params) {
+	if h.Params != meta.effectiveParams(s.params) {
 		return nil, fmt.Errorf("segstore: segment %d: sketch parameters do not match manifest", meta.ID)
 	}
 	if h.N != meta.Elements {
@@ -1009,19 +1007,15 @@ func (s *Store) Checkpoint(all bool) error {
 
 // Bootstrap installs an existing detector as the store's first sealed
 // segment — how a saved sketch or a prebuilt dataset seeds a new store. The
-// store must be empty; the detector must be PBE-2 and, when the store was
-// opened from a manifest, parameter-identical to it. On a fresh store the
-// detector's parameters are checked against the resolved config the same
-// way. An empty detector is a no-op.
+// store must be empty and, when it was opened from a manifest, the detector
+// parameter-identical to it. On a fresh store the detector's parameters are
+// checked against the resolved config the same way. An empty detector is a
+// no-op.
 func (s *Store) Bootstrap(det *histburst.Detector) error {
 	if det == nil {
 		return fmt.Errorf("segstore: nil detector")
 	}
-	p, ok := det.Params()
-	if !ok {
-		return fmt.Errorf("segstore: only PBE-2 detectors can back a segment store")
-	}
-	if p != s.params {
+	if p := det.Params(); p != s.params {
 		return fmt.Errorf("segstore: detector parameters %+v do not match store %+v", p, s.params)
 	}
 	if err := s.bootstrapInstall(det); err != nil {

@@ -319,15 +319,36 @@ func TestBootstrapFromDetector(t *testing.T) {
 	mustClose(t, s)
 }
 
-func TestBootstrapRejectsPBE1(t *testing.T) {
-	det, err := histburst.New(64, histburst.WithPBE1(100, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := mustOpen(t, "", testConfig(0))
-	defer mustClose(t, s)
-	if err := s.Bootstrap(det); err == nil {
-		t.Fatal("PBE-1 detector accepted")
+// TestBootstrapRejectsMismatchedParams: a detector seeds a store only when
+// its parameters are the store's, every one of them; the one that is
+// accepted.
+func TestBootstrapRejectsMismatchedParams(t *testing.T) {
+	cfg := testConfig(0)
+	want := histburst.SketchParams{K: cfg.K, Seed: cfg.Seed, D: cfg.D, W: cfg.W, Gamma: cfg.Gamma}
+	for name, edit := range map[string]func(p *histburst.SketchParams){
+		"id space":  func(p *histburst.SketchParams) { p.K = 128 },
+		"seed":      func(p *histburst.SketchParams) { p.Seed++ },
+		"layout":    func(p *histburst.SketchParams) { p.D, p.W = 2, 48 },
+		"error cap": func(p *histburst.SketchParams) { p.Gamma = 4 },
+		"no index":  func(p *histburst.SketchParams) { p.NoIndex = true },
+		"none":      func(*histburst.SketchParams) {},
+	} {
+		p := want
+		edit(&p)
+		det, err := histburst.NewFromParams(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		det.Append(3, 10)
+		s := mustOpen(t, "", cfg)
+		err = s.Bootstrap(det)
+		mustClose(t, s)
+		switch {
+		case name == "none" && err != nil:
+			t.Errorf("matching detector refused: %v", err)
+		case name != "none" && (err == nil || !strings.Contains(err.Error(), "do not match store")):
+			t.Errorf("%s: Bootstrap of a mismatched detector: %v", name, err)
+		}
 	}
 }
 
@@ -644,10 +665,10 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldGeneration: segment files of the previous detector
+// TestOpenRefusesOldGeneration: segment files of an earlier detector
 // generation (HBD4: every index level under the leaf's γ, which this build's
-// steering-level factory would refuse block by block) are whole files, not
-// damage. Open refuses the directory by the generation's name and
+// steering-level factory would refuse block by block; HBD5: a header with the
+// PBE-1 fields this build does not read) are whole files, not damage. Open refuses the directory by the generation's name and
 // leaves it exactly as it was — nothing quarantined, nothing moved, the
 // manifest untouched — even behind a segment that really is damaged.
 func TestOpenRefusesOldGeneration(t *testing.T) {
@@ -671,14 +692,6 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, path := range segs[1:] {
-		reseal(path, func(body []byte) {
-			if string(body[:5]) != "\x04HBD\x05" {
-				t.Fatalf("fixture: %s starts with %q", path, body[:5])
-			}
-			body[4] = 4
-		})
-	}
 	// The first file is damaged the ordinary way; alone it would be quarantined.
 	data, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -688,20 +701,29 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	before := dirContents(t, dir)
-	for _, cfg := range []Config{{}, testConfig(8)} {
-		re, err := Open(dir, cfg)
-		if err == nil {
-			mustClose(t, re)
-			t.Fatal("a store of HBD4 segment files opened")
+	for _, old := range []byte{4, 5} {
+		for _, path := range segs[1:] {
+			reseal(path, func(body []byte) {
+				if string(body[:4]) != "\x04HBD" {
+					t.Fatalf("fixture: %s starts with %q", path, body[:5])
+				}
+				body[4] = old
+			})
 		}
-		if !errors.Is(err, histburst.ErrUnsupportedFormat) ||
-			!strings.Contains(err.Error(), "unsupported detector format HBD4 (this build reads HBD5 only)") {
-			t.Fatalf("HBD4 segments refused without naming the generation: %v", err)
-		}
-		if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
-			t.Fatal("refusing an HBD4 store modified the directory")
+		before := dirContents(t, dir)
+		for _, cfg := range []Config{{}, testConfig(8)} {
+			re, err := Open(dir, cfg)
+			if err == nil {
+				mustClose(t, re)
+				t.Fatalf("a store of HBD%d segment files opened", old)
+			}
+			if !errors.Is(err, histburst.ErrUnsupportedFormat) ||
+				!strings.Contains(err.Error(), fmt.Sprintf("unsupported detector format HBD%d (this build reads HBD6 only)", old)) {
+				t.Fatalf("HBD%d segments refused without naming the generation: %v", old, err)
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refusing an HBD%d store modified the directory", old)
+			}
 		}
 	}
 }
@@ -752,7 +774,7 @@ func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
 	mustClose(t, s)
 
 	// Magics are binenc blobs: a length byte, then the four magic bytes.
-	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x05"}
+	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x06"}
 	seen := make(map[string]int)
 	for name, content := range dirContents(t, dir) {
 		magic, ok := magics[filepath.Ext(name)]

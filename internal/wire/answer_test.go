@@ -109,7 +109,7 @@ func TestWireZeroIsDefault(t *testing.T) {
 // sketch file and a store directory interchangeable sources.
 func TestDetectorAndStoreAnswerAlike(t *testing.T) {
 	det := burstDetector(t)
-	p, _ := det.Params()
+	p := det.Params()
 	dir := t.TempDir()
 	cfg := segstore.Config{K: p.K, Gamma: p.Gamma, Seed: p.Seed, D: p.D, W: p.W, SealEvents: -1, CompactFanout: -1, ScrubInterval: -1}
 	st, err := segstore.Open(dir, cfg)

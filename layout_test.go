@@ -49,20 +49,22 @@ func saveDigest(t *testing.T, det *Detector) string {
 // PBE-2 cells as one block instead of a blob each, which took these three
 // files from 119 388, 1 194 067 and 14 028 bytes to 93 054, 1 004 578 and
 // 11 402; HBD5 (PR 28) holds the levels from height 4 up under
-// dyadic.SteerGammaFactor × γ: 58 181, 908 164 and 10 985. What a generation
+// dyadic.SteerGammaFactor × γ: 58 181, 908 164 and 10 985; HBD6 drops the
+// header's five PBE-1 fields (5 bytes) and each level's cell-block vertex cap
+// (1 byte a level): 58 173, 908 152 and 10 976. What a generation
 // must carry over — every field of every cell, and every answer — is
 // TestSaveDecodeFixedPoint's to check, not a digest's; that the leaf level is
 // the bytes it was is TestLeafAnswersUnmoved's.
 func TestSaveBytesUnchanged(t *testing.T) {
 	t.Run("olympicrio K=1024", func(t *testing.T) {
 		det := rioDetector(t, 5, 60_000, 1024, WithPBE2(8))
-		if got, want := saveDigest(t, det), "a1b1cff58ca06ba4b6f99874a47c4da6ff19e57a584dae0f2fcce6198b4be182"; got != want {
+		if got, want := saveDigest(t, det), "1973478c86effcfa620c174df3d34d51afdb7bd617308b81c992059bfb8c07f1"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
 	t.Run("K=16384 with Count-Min levels", func(t *testing.T) {
 		det := rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))
-		if got, want := saveDigest(t, det), "4618c4a26e739ca43b50ebe5cc62f30b2736c37d22cda4addff7996d54e9c9a0"; got != want {
+		if got, want := saveDigest(t, det), "5426730187a647c14d79e63f44dec7b27e9e6b34fef17651f47b261afd333a33"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -72,7 +74,7 @@ func TestSaveBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, ds), "73f32cd8ffc7b600680ea9b73c287987af799229299161a34df29684ed883aa7"; got != want {
+		if got, want := saveDigest(t, ds), "1201089cbb1959ef583e3e6efb91041fe219066a7300fc1ceb73bc53aaa2eaa4"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -179,7 +181,7 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 		if err := l.Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		block := bytes.Index(w.Bytes(), []byte("P2B\x01"))
+		block := bytes.Index(w.Bytes(), []byte("P2B\x02"))
 		if block < 0 {
 			t.Fatal("level holds no PBE-2 cell block")
 		}
@@ -226,7 +228,7 @@ func heapHeld(build func() any) (held uint64, v any) {
 // TestBytesTracksHeap holds Bytes() to what a sealed detector really keeps
 // alive: built and finished, and decoded from its file, the live heap exceeds
 // the counted bytes by at most a fixed cost per cell — the pbe2.Builder
-// struct (176 B), its interface slot and the allocator's rounding of its
+// struct (168 B), its interface slot and the allocator's rounding of its
 // columns, which Bytes() documents it leaves out. The stream is the
 // benchmark's 600 k elements over 1 092 cells (heights 0, 4, 8).
 //

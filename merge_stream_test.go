@@ -125,13 +125,4 @@ func TestMergeDetectorsValidation(t *testing.T) {
 	if _, err := MergeDetectors([]*Detector{a, b}); err == nil {
 		t.Fatal("config mismatch accepted")
 	}
-	c, _ := New(64, WithPBE1(32, 8))
-	d, _ := New(64, WithPBE1(32, 8))
-	c.Append(1, 1)
-	d.Append(1, 5)
-	c.Finish()
-	d.Finish()
-	if _, err := MergeDetectors([]*Detector{c, d}); err == nil {
-		t.Fatal("PBE-1 detectors accepted by streaming merge")
-	}
 }

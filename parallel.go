@@ -17,11 +17,10 @@ type Element struct {
 // MergeAppend absorbs a detector built over a strictly later time range of
 // the same logical stream — the paper's "parallel processing on mutually
 // exclusive time ranges". Both detectors must have been created with
-// identical options (same sketch dimensions, seed, cell estimator and
+// identical options (same sketch dimensions, seed, error cap and
 // event-index setting). Both are flushed; the receiver then answers queries
 // over the concatenated history exactly as if it had ingested everything
-// sequentially (PBE-1's per-partition buffer resets included). other should
-// not be used afterwards.
+// sequentially. other should not be used afterwards.
 func (d *Detector) MergeAppend(other *Detector) error {
 	if other == nil {
 		return fmt.Errorf("histburst: cannot merge nil detector")

@@ -36,7 +36,6 @@ func TestBuildParallelMatchesSequentialExactly(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(4, 64), WithSeed(9)},
 		{WithPBE2(2), WithSketchDims(2, 4), WithSeed(9)}, // Count-Min levels under Direct ones
-		{WithPBE1(64, 8), WithSketchDims(4, 64)},
 		{WithPBE2(2), WithoutEventIndex()},
 	} {
 		seq, err := New(64, opts...)

@@ -23,13 +23,13 @@ import (
 // instead of decoding into a subtly wrong detector. Load rebuilds the cell
 // factory from the stored configuration, so no options are needed at load
 // time and a detector round-trips exactly. Save writes, and Load accepts,
-// format v5 ("HBD5") only — v4 held every level of the event index under the
-// header's γ, v5 holds the levels from height 4 up, which only steer the
-// search, under dyadic.SteerGammaFactor × γ, and a level under any other γ
-// than its height calls for is refused; a file of any other generation is
-// refused with an error naming its version.
+// format v6 ("HBD6") only: the levels of the event index from height 4 up,
+// which only steer the search, are held under dyadic.SteerGammaFactor × γ (a
+// level under any other γ than its height calls for is refused), and the
+// header holds γ and no other cell parameter, because every cell is PBE-2. A
+// file of any other generation is refused with an error naming its version.
 
-var detectorMagic = []byte{'H', 'B', 'D', 5}
+var detectorMagic = []byte{'H', 'B', 'D', 6}
 
 // ErrUnsupportedFormat is wrapped by the error Load, Decode and Inspect
 // return for a detector file of another format generation: a file that is
@@ -40,6 +40,20 @@ var ErrUnsupportedFormat = errors.New("unsupported detector format")
 // crcTable is the Castagnoli polynomial, the usual choice for storage
 // footers (hardware-accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// checkedBody verifies the CRC32-C footer that ends a detector file or a
+// single-event summary (what names which, for the error) and returns the bytes
+// it covers.
+func checkedBody(data []byte, what string) ([]byte, error) {
+	if len(data) < 4 {
+		return nil, fmt.Errorf("histburst: corrupt %s: missing checksum footer", what)
+	}
+	body := data[:len(data)-4]
+	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(data[len(body):]); got != want {
+		return nil, fmt.Errorf("histburst: corrupt %s: checksum mismatch (%08x != %08x)", what, got, want)
+	}
+	return body, nil
+}
 
 // maxEventSpace bounds the deserialized id-space size. Ids are folded into
 // the space by modulo, so anything larger is certainly corruption — and the
@@ -62,11 +76,6 @@ func (d *Detector) Save(w io.Writer) error {
 	enc.Int64(c.seed)
 	enc.Uvarint(uint64(c.d))
 	enc.Uvarint(uint64(c.w))
-	enc.Bool(c.usePBE1)
-	enc.Uvarint(uint64(c.bufferN))
-	enc.Uvarint(uint64(c.eta))
-	enc.Bool(c.pbe1CapMode)
-	enc.Varint(c.pbe1Cap)
 	enc.Float64(c.gamma)
 	enc.Bool(c.noIndex)
 	enc.Varint(d.n)
@@ -148,10 +157,8 @@ func Load(r io.Reader) (*Detector, error) {
 // Header is what a serialized detector says about itself ahead of its
 // summary — what Inspect can vouch for without decoding the summary.
 type Header struct {
-	// Params and PBE2 are what Detector.Params reports for the decoded
-	// detector (PBE2 is its ok result).
+	// Params is what Detector.Params reports for the decoded detector.
 	Params SketchParams
-	PBE2   bool
 	// N is the ingested element count.
 	N int64
 }
@@ -168,9 +175,7 @@ func Inspect(data []byte) (Header, error) {
 	if err != nil {
 		return Header{}, err
 	}
-	h := Header{N: det.n}
-	h.Params, h.PBE2 = det.Params()
-	return h, nil
+	return Header{Params: det.Params(), N: det.n}, nil
 }
 
 // decodeHeader checks data's magic and checksum and decodes everything ahead
@@ -183,17 +188,13 @@ func decodeHeader(data []byte) (det *Detector, leaf, steer cmpbe.Factory, dec *b
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
-			return nil, nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD5 only)", ErrUnsupportedFormat, magic[3])
+			return nil, nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD6 only)", ErrUnsupportedFormat, magic[3])
 		}
 		return nil, nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
-	if len(data) < 4 {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
-	}
-	body, footer := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(footer)
-	if got := crc32.Checksum(body, crcTable); got != want {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
+	body, err := checkedBody(data, "detector file")
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	dec = binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above
@@ -202,11 +203,6 @@ func decodeHeader(data []byte) (det *Detector, leaf, steer cmpbe.Factory, dec *b
 	c.seed = dec.Int64()
 	c.d = int(dec.Uvarint())
 	c.w = int(dec.Uvarint())
-	c.usePBE1 = dec.Bool()
-	c.bufferN = int(dec.Uvarint())
-	c.eta = int(dec.Uvarint())
-	c.pbe1CapMode = dec.Bool()
-	c.pbe1Cap = dec.Varint()
 	c.gamma = dec.Float64()
 	c.noIndex = dec.Bool()
 	n := dec.Varint()

@@ -35,7 +35,9 @@ func saveHBD1(t testing.TB, d *Detector) []byte {
 
 // encodeHeader writes d's configuration and counters as Save does, under the
 // given magic and ahead of the given summary, without the checksum footer —
-// for the files no Save would write.
+// for the files no Save would write. Under a magic before HBD6 the header
+// carries the five PBE-1 fields those generations held, as a PBE-2 detector
+// wrote them.
 func encodeHeader(d *Detector, magic, summary []byte) []byte {
 	var enc binenc.Writer
 	enc.BytesBlob(magic)
@@ -44,11 +46,13 @@ func encodeHeader(d *Detector, magic, summary []byte) []byte {
 	enc.Int64(c.seed)
 	enc.Uvarint(uint64(c.d))
 	enc.Uvarint(uint64(c.w))
-	enc.Bool(c.usePBE1)
-	enc.Uvarint(uint64(c.bufferN))
-	enc.Uvarint(uint64(c.eta))
-	enc.Bool(c.pbe1CapMode)
-	enc.Varint(c.pbe1Cap)
+	if magic[3] < 6 {
+		enc.Bool(false) // PBE-1 cells
+		enc.Uvarint(0)  // buffer size
+		enc.Uvarint(0)  // η
+		enc.Bool(false) // error-cap mode
+		enc.Varint(0)   // error cap
+	}
 	enc.Float64(c.gamma)
 	enc.Bool(c.noIndex)
 	enc.Varint(d.n)
@@ -64,8 +68,7 @@ func TestDetectorSaveLoad(t *testing.T) {
 	data := testStream(21, 64, 3000)
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(4, 64)},
-		{WithPBE1(200, 20), WithSketchDims(3, 32)},
-		{WithPBE1ErrorCap(200, 400), WithSketchDims(3, 32)},
+		{WithPBE2(3), WithSketchDims(3, 32)},
 		{WithPBE2(3), WithoutEventIndex()},
 		{WithErrorBounds(0.05, 0.2)},
 	} {
@@ -345,14 +348,13 @@ func TestLoadAfterReloadContinuesCorrectly(t *testing.T) {
 	sameDetector(t, "appended after load", reloaded, twin)
 }
 
-// sameDetector holds got to want in the bytes Save writes and — for PBE-2
-// cells, whose decoder rebuilds them rather than replacing their state — in
-// every field of every cell of every level.
+// sameDetector holds got to want in the bytes Save writes and in every field
+// of every cell of every level.
 func sameDetector(t *testing.T, what string, got, want *Detector) {
 	t.Helper()
 	got.Bytes() // fill both footprint memos: they are fields too
 	want.Bytes()
-	if !want.cfg.usePBE1 && !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, want) {
 		levels, heights := indexLevels(want)
 		gotLevels, _ := indexLevels(got)
 		for i := range levels {
@@ -416,8 +418,7 @@ func TestSaveDecodeFixedPoint(t *testing.T) {
 		{"K = 2¹⁴ with Count-Min levels", rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))},
 		{"out-of-order arrivals", disordered},
 		{"empty", empty},
-		{"PBE-1", small(WithPBE1(200, 20), WithSketchDims(3, 32))},
-		{"PBE-1 under an error cap", small(WithPBE1ErrorCap(200, 400), WithSketchDims(3, 32))},
+		{"3×32 layout", small(WithPBE2(3), WithSketchDims(3, 32))},
 		{"without the event index", small(WithPBE2(3), WithoutEventIndex())},
 		{"Count-Min without the event index", small(WithPBE2(3), WithSketchDims(2, 8), WithoutEventIndex())},
 	} {
@@ -481,10 +482,10 @@ func TestMergeAppendErrorPaths(t *testing.T) {
 	if err := base.MergeAppend(other); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("dims mismatch: %v", err)
 	}
-	// Config mismatch: different estimator.
-	other2, _ := New(16, WithPBE1(100, 10), WithSketchDims(2, 8))
+	// Config mismatch: different error cap.
+	other2, _ := New(16, WithPBE2(3), WithSketchDims(2, 8))
 	if err := base.MergeAppend(other2); err == nil {
-		t.Fatal("estimator mismatch accepted")
+		t.Fatal("error-cap mismatch accepted")
 	}
 	// Different id space.
 	other3, _ := New(64, WithPBE2(2), WithSketchDims(2, 8))

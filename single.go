@@ -2,35 +2,28 @@ package histburst
 
 import (
 	"bufio"
-	"encoding"
+	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
 
 	"histburst/internal/binenc"
 	"histburst/internal/pbe"
-	"histburst/internal/pbe1"
 	"histburst/internal/pbe2"
 )
 
 // Single summarizes one event's stream (the paper's Section III setting):
 // a sequence of timestamps, no event ids, no Count-Min sharding. Use it
 // when you track a known event — it is smaller and strictly more accurate
-// than a Detector, with the per-stream guarantees of the chosen estimator
-// (PBE-1: optimal never-overestimating staircase; PBE-2: F within [F−γ, F]
-// and burstiness within 4γ).
+// than a Detector, with PBE-2's per-stream guarantees: F within [F−γ, F]
+// and burstiness within 4γ.
 type Single struct {
-	p        pbe.PBE
-	usePBE1  bool
-	bufferN  int
-	eta      int
-	capMode  bool
-	errorCap int64
-	gamma    float64
+	p *pbe2.Builder
 }
 
-// NewSingle creates a single-event summary. It accepts the estimator
-// options (WithPBE1, WithPBE2); sketch- and index-related options are
-// meaningless here and are rejected so misconfiguration is loud.
+// NewSingle creates a single-event summary. It accepts the estimator option
+// (WithPBE2); sketch- and index-related options are meaningless here and are
+// rejected so misconfiguration is loud.
 func NewSingle(opts ...Option) (*Single, error) {
 	c := config{seed: 1, d: 5, w: 272, gamma: 8}
 	marker := c
@@ -38,23 +31,13 @@ func NewSingle(opts ...Option) (*Single, error) {
 		o(&c)
 	}
 	if c.d != marker.d || c.w != marker.w || c.noIndex || c.seed != marker.seed {
-		return nil, fmt.Errorf("histburst: NewSingle accepts only WithPBE1/WithPBE2 options")
+		return nil, fmt.Errorf("histburst: NewSingle accepts only the WithPBE2 option")
 	}
-	s := &Single{usePBE1: c.usePBE1, bufferN: c.bufferN, eta: c.eta,
-		capMode: c.pbe1CapMode, errorCap: c.pbe1Cap, gamma: c.gamma}
-	var err error
-	switch {
-	case c.usePBE1 && c.pbe1CapMode:
-		s.p, err = pbe1.NewWithErrorCap(c.bufferN, c.pbe1Cap)
-	case c.usePBE1:
-		s.p, err = pbe1.New(c.bufferN, c.eta)
-	default:
-		s.p, err = pbe2.New(c.gamma)
-	}
+	p, err := pbe2.New(c.gamma)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	return s, nil
+	return &Single{p: p}, nil
 }
 
 // Append ingests one arrival at time t (non-decreasing; earlier timestamps
@@ -100,35 +83,26 @@ func (s *Single) MergeAppend(other *Single) error {
 	if other == nil {
 		return fmt.Errorf("histburst: cannot merge nil summary")
 	}
-	m, ok := s.p.(interface{ MergeAppend(pbe.PBE) error })
-	if !ok {
-		return fmt.Errorf("histburst: estimator %T is not mergeable", s.p)
-	}
-	return m.MergeAppend(other.p)
+	return s.p.MergeAppend(other.p)
 }
 
-var singleMagic = []byte{'H', 'B', 'S', 1}
+// Serialized single-event summary: the magic, the PBE-2 summary's own binary
+// form as one blob, and the CRC32-C footer a detector file ends in, over
+// everything before it — so a torn or bit-flipped file fails to load instead
+// of answering for a different stream. A file of another version is refused
+// by name.
+var singleMagic = []byte{'H', 'B', 'S', 2}
 
 // Save writes the summary's complete state (flushing it first).
 func (s *Single) Save(w io.Writer) error {
-	s.Finish()
-	m, ok := s.p.(encoding.BinaryMarshaler)
-	if !ok {
-		return fmt.Errorf("histburst: estimator %T is not serializable", s.p)
-	}
-	blob, err := m.MarshalBinary()
+	blob, err := s.p.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	var enc binenc.Writer
 	enc.BytesBlob(singleMagic)
-	enc.Bool(s.usePBE1)
-	enc.Uvarint(uint64(s.bufferN))
-	enc.Uvarint(uint64(s.eta))
-	enc.Bool(s.capMode)
-	enc.Varint(s.errorCap)
-	enc.Float64(s.gamma)
 	enc.BytesBlob(blob)
+	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(enc.Bytes()); err != nil {
 		return err
@@ -144,33 +118,26 @@ func LoadSingle(r io.Reader) (*Single, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := binenc.NewReader(data)
-	if string(dec.BytesBlob()) != string(singleMagic) {
+	magic := binenc.NewReader(data).BytesBlob()
+	if !bytes.Equal(magic, singleMagic) {
+		if len(magic) == 4 && bytes.Equal(magic[:3], singleMagic[:3]) {
+			return nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads HBS2 only)", magic[3])
+		}
 		return nil, fmt.Errorf("histburst: bad magic (not a single-event summary)")
 	}
-	s := &Single{}
-	s.usePBE1 = dec.Bool()
-	s.bufferN = int(dec.Uvarint())
-	s.eta = int(dec.Uvarint())
-	s.capMode = dec.Bool()
-	s.errorCap = dec.Varint()
-	s.gamma = dec.Float64()
+	body, err := checkedBody(data, "single-event summary")
+	if err != nil {
+		return nil, err
+	}
+	dec := binenc.NewReader(body)
+	dec.BytesBlob() // magic, verified above
 	blob := dec.BytesBlob()
 	if err := dec.Close(); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	if s.usePBE1 {
-		var b pbe1.Builder
-		if err := b.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("histburst: %w", err)
-		}
-		s.p = &b
-	} else {
-		var b pbe2.Builder
-		if err := b.UnmarshalBinary(blob); err != nil {
-			return nil, fmt.Errorf("histburst: %w", err)
-		}
-		s.p = &b
+	var b pbe2.Builder
+	if err := b.UnmarshalBinary(blob); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	return s, nil
+	return &Single{p: &b}, nil
 }
