@@ -11,7 +11,7 @@ import (
 	"sync"
 	"testing"
 
-	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
 
@@ -188,7 +188,7 @@ func finishedPart(t *testing.T, from int64, opts ...Option) *Detector {
 }
 
 // cellPrints reduces live cells to values DeepEqual can compare.
-func cellPrints(cells []pbe.PBE, horizon int64) [][]float64 {
+func cellPrints(cells []*pbe2.Builder, horizon int64) [][]float64 {
 	out := make([][]float64, len(cells))
 	for i, c := range cells {
 		out[i] = []float64{float64(c.Count()), float64(c.Bytes())}

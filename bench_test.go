@@ -270,11 +270,7 @@ func BenchmarkExactBaselinePointQuery(b *testing.B) {
 }
 
 func BenchmarkCMPBEInsert(b *testing.B) {
-	f, err := cmpbe.PBE2Factory(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sk, err := cmpbe.New(4, 272, 1, f)
+	sk, err := cmpbe.New(4, 272, 1, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -91,52 +91,13 @@ func DownsampleDetectors(parts []*Detector, gamma float64, res int64, w int) (*D
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
-		base, ok := tree.Level(0).(baseLevel)
-		if !ok {
-			return nil, fmt.Errorf("histburst: internal error: level type %T lacks query methods", tree.Level(0))
-		}
-		out.tree = tree
-		out.base = base
+		out.setTree(tree)
 		return out, nil
 	}
-	base, err := downsampleBaseMany(live, gamma, res, w)
+	base, err := cmpbe.DownsampleLevels(bases(live), gamma, res, w)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	out.base = base
 	return out, nil
-}
-
-// downsampleBaseMany streams the standalone (index-free) base levels of the
-// detectors into one lower-fidelity summary.
-func downsampleBaseMany(parts []*Detector, gamma float64, res int64, w int) (baseLevel, error) {
-	switch parts[0].base.(type) {
-	case *cmpbe.Sketch:
-		srcs := make([]*cmpbe.Sketch, len(parts))
-		for i, p := range parts {
-			s, ok := p.base.(*cmpbe.Sketch)
-			if !ok {
-				return nil, fmt.Errorf("base type mismatch: %T vs %T", parts[0].base, p.base)
-			}
-			srcs[i] = s
-		}
-		_, lw := srcs[0].Dims()
-		target := lw
-		if w >= 1 && w <= lw && lw%w == 0 {
-			target = w
-		}
-		return cmpbe.DownsampleSketches(srcs, gamma, res, target)
-	case *cmpbe.Direct:
-		srcs := make([]*cmpbe.Direct, len(parts))
-		for i, p := range parts {
-			s, ok := p.base.(*cmpbe.Direct)
-			if !ok {
-				return nil, fmt.Errorf("base type mismatch: %T vs %T", parts[0].base, p.base)
-			}
-			srcs[i] = s
-		}
-		return cmpbe.DownsampleDirects(srcs, gamma, res)
-	default:
-		return nil, fmt.Errorf("base type %T is not downsampleable", parts[0].base)
-	}
 }

@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 )
 
 // TestDetectorAppendEventCellsMatchesEventCells pins the buffer-reusing
@@ -30,7 +30,7 @@ func TestDetectorAppendEventCellsMatchesEventCells(t *testing.T) {
 				det.Append(uint64(r.Intn(128)), cur)
 			}
 			det.Finish()
-			var buf []pbe.PBE
+			var buf []*pbe2.Builder
 			for e := uint64(0); e < 300; e += 11 { // include ids past K, which fold
 				naive := det.EventCells(e)
 				buf = det.AppendEventCells(e, buf[:0])

@@ -11,8 +11,6 @@ import (
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
-	"histburst/internal/pbe"
-	"histburst/internal/pbe2"
 	"histburst/internal/pbe2/pbe2test"
 )
 
@@ -170,12 +168,12 @@ func TestLoadRejectsUnsearchableCell(t *testing.T) {
 
 // indexLevels lists a detector's summaries with their heights: the base
 // level alone without an index.
-func indexLevels(d *Detector) (levels []any, heights []int) {
+func indexLevels(d *Detector) (levels []cmpbe.Level, heights []int) {
 	if d.tree == nil {
-		return []any{d.base}, []int{0}
+		return []cmpbe.Level{d.base}, []int{0}
 	}
 	for i := 0; i < d.tree.Levels(); i++ {
-		levels = append(levels, d.tree.Level(i))
+		levels = append(levels, d.tree.Level(i).(cmpbe.Level))
 	}
 	return levels, d.tree.Heights()
 }
@@ -204,11 +202,10 @@ func checkShape(t *testing.T, d *Detector) {
 		default:
 			t.Fatalf("level %d (height %d): unexpected type %T", i, h, l)
 		}
-		// A PBE-2 level is under the γ its height calls for: the header's
-		// below dyadic.SteerHeight, dyadic.SteerGammaFactor times it from
-		// there up.
+		// A level is under the γ its height calls for: the header's below
+		// dyadic.SteerHeight, dyadic.SteerGammaFactor times it from there up.
 		want := dyadic.SteerGamma(h, d.cfg.gamma)
-		if b, ok := l.(baseLevel).EventCells(0)[0].(*pbe2.Builder); ok && b.Gamma() != want {
+		if b := l.EventCells(0)[0]; b.Gamma() != want {
 			t.Fatalf("level %d (height %d): cells under γ = %v, want %v", i, h, b.Gamma(), want)
 		}
 	}
@@ -220,17 +217,10 @@ func checkShape(t *testing.T, d *Detector) {
 // successor starts, coefficients are finite.
 func checkSearchable(t *testing.T, d *Detector) {
 	t.Helper()
-	type celled interface {
-		EventCells(e uint64) []pbe.PBE
-	}
 	levels, heights := indexLevels(d)
 	for lv, l := range levels {
 		for e := uint64(0); e < d.K()>>heights[lv]; e++ {
-			for _, c := range l.(celled).EventCells(e) {
-				b, ok := c.(*pbe2.Builder)
-				if !ok {
-					continue
-				}
+			for _, b := range l.EventCells(e) {
 				segs := b.Segments()
 				for i, s := range segs {
 					switch {

@@ -32,10 +32,9 @@ import (
 	"math/bits"
 	"runtime"
 
-	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
-	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
 
@@ -76,7 +75,7 @@ func WithSketchDims(d, w int) Option {
 // probability 1−δ. d = ⌈ln 1/δ⌉, w = ⌈e/ε⌉.
 func WithErrorBounds(epsilon, delta float64) Option {
 	return func(c *config) {
-		// Deliberately unvalidated here; New validates via cmpbe.
+		// Deliberately unvalidated here; New validates via cmpbe.ErrorDims.
 		c.d, c.w = -1, -1
 		c.epsilon, c.delta = epsilon, delta
 	}
@@ -112,7 +111,7 @@ type Detector struct {
 	k    uint64
 	cfg  config       // resolved configuration, kept for serialization
 	tree *dyadic.Tree // nil when the event index is disabled
-	base baseLevel    // leaf-level summary (tree level 0, or standalone)
+	base cmpbe.Level  // leaf-level summary (tree level 0, or standalone)
 
 	// pending holds clamped arrivals the index has not taken yet: Append
 	// hands them to the tree pendingCap at a time (dyadic.Tree.AppendBatch),
@@ -128,20 +127,6 @@ type Detector struct {
 	outOfOrder int64
 }
 
-// baseLevel is what the facade needs from the leaf summary; both
-// *cmpbe.Sketch and *cmpbe.Direct provide it.
-type baseLevel interface {
-	Append(e uint64, t int64)
-	Finish()
-	EstimateF(e uint64, t int64) float64
-	Burstiness(e uint64, t, tau int64) float64
-	BurstyTimes(e uint64, theta float64, tau int64) []pbe.TimeRange
-	EventCells(e uint64) []pbe.PBE
-	AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE
-	Bytes() int
-	Encode(w *binenc.Writer) error
-}
-
 // New creates a Detector over the event-id space [0, k). k is rounded up to
 // a power of two for the dyadic index.
 func New(k uint64, opts ...Option) (*Detector, error) {
@@ -152,17 +137,11 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	leaf, steer, err := cellFactories(c)
-	if err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
-	det := &Detector{k: k}
 	if c.d == -1 { // WithErrorBounds path
-		probe, err := cmpbe.NewWithError(c.epsilon, c.delta, c.seed, leaf)
-		if err != nil {
+		var err error
+		if c.d, c.w, err = cmpbe.ErrorDims(c.epsilon, c.delta); err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
-		c.d, c.w = probe.Dims()
 		// The bounds are fully expressed by the resolved dimensions; clear
 		// them so detectors round-trip through Save/Load (which does not
 		// persist them) with configurations that still compare equal for
@@ -172,47 +151,35 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 	if c.d <= 0 || c.w <= 0 {
 		return nil, fmt.Errorf("histburst: sketch dimensions must be positive, got d=%d w=%d", c.d, c.w)
 	}
-	det.cfg = c
-	levelFactory := dyadic.CMPBELevels(c.d, c.w, c.seed, leaf, steer)
+	det := &Detector{k: k, cfg: c}
+	// The summary that answers (height 0 of the event index, or the
+	// standalone base level) and the index's few-id levels just above it are
+	// under γ; the levels from height 4 up, which only decide where
+	// BurstyEvents and TopBursty descend, under dyadic.SteerGamma — which
+	// DecodeTree and DownsampleTrees ask too, so build, load and decay cannot
+	// disagree about a level's γ.
+	levels := dyadic.CMPBELevels(c.d, c.w, c.seed, c.gamma, dyadic.SteerGamma(dyadic.SteerHeight, c.gamma))
 	if c.noIndex {
-		lvl, err := levelFactory(0, roundPow2(k))
+		base, err := levels(0, roundPow2(k))
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
-		base, ok := lvl.(baseLevel)
-		if !ok {
-			return nil, fmt.Errorf("histburst: internal error: level type %T lacks query methods", lvl)
-		}
-		det.base = base
+		det.base = base.(cmpbe.Level)
 		return det, nil
 	}
-	tree, err := dyadic.New(k, levelFactory)
+	tree, err := dyadic.New(k, levels)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	base, ok := tree.Level(0).(baseLevel)
-	if !ok {
-		return nil, fmt.Errorf("histburst: internal error: level type %T lacks query methods", tree.Level(0))
-	}
-	det.tree = tree
-	det.base = base
+	det.setTree(tree)
 	return det, nil
 }
 
-// cellFactories returns the cell factories configuration c selects, as
-// dyadic.CMPBELevels and dyadic.DecodeTree take them: leaf builds the summary
-// that answers (height 0 of the event index, or the standalone base level)
-// and the index's few-id levels just above it, steer the levels from height 4
-// up, which only decide where BurstyEvents and TopBursty descend, under
-// dyadic.SteerGamma. Build and load both come through here, so they cannot
-// disagree about a level's γ; decay does not, but dyadic.DownsampleTrees asks
-// the same SteerGamma for the tier's γ, by height, as it widens each level.
-func cellFactories(c config) (leaf, steer cmpbe.Factory, err error) {
-	if leaf, err = cmpbe.PBE2Factory(c.gamma); err != nil {
-		return nil, nil, err
-	}
-	steer, err = cmpbe.PBE2Factory(dyadic.SteerGamma(dyadic.SteerHeight, c.gamma))
-	return leaf, steer, err
+// setTree installs an event index whose levels CMPBELevels built, and its
+// leaf level as the summary that answers.
+func (d *Detector) setTree(t *dyadic.Tree) {
+	d.tree = t
+	d.base = t.Level(0).(cmpbe.Level)
 }
 
 // K returns the detector's (rounded) event-id space size.
@@ -353,7 +320,7 @@ func (d *Detector) CumulativeFrequency(e uint64, t int64) float64 {
 // (internal/segstore) to combine cumulative estimates of time-partitioned
 // detectors row by row before the median; the cells alias the detector's
 // internal state and must be treated as read-only.
-func (d *Detector) EventCells(e uint64) []pbe.PBE {
+func (d *Detector) EventCells(e uint64) []*pbe2.Builder {
 	d.settle()
 	return d.base.EventCells(e % d.K())
 }
@@ -363,7 +330,7 @@ func (d *Detector) EventCells(e uint64) []pbe.PBE {
 // detectors per query.
 //
 //histburst:fastpath EventCells
-func (d *Detector) AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE {
+func (d *Detector) AppendEventCells(e uint64, buf []*pbe2.Builder) []*pbe2.Builder {
 	d.settle()
 	return d.base.AppendEventCells(e%d.K(), buf)
 }

@@ -36,7 +36,7 @@ func forgeIndexFile(t testing.TB, det *Detector, levels []forgedLevel) []byte {
 		w.Uvarint(uint64(l.height))
 	}
 	for _, l := range levels {
-		if err := l.level.(baseLevel).Encode(&w); err != nil {
+		if err := l.level.(cmpbe.Level).Encode(&w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -124,11 +124,11 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 		{"a height-4 level under the leaf's γ", direct, func(l []forgedLevel) []forgedLevel {
 			l[1].level = leafOf(64)
 			return l
-		}, "dyadic: level 1: cmpbe: cells under gamma 2, the factory's are under 8"},
+		}, "dyadic: level 1: cmpbe: cells under gamma 2 in a level under gamma 8"},
 		{"a leaf level under the steering γ", direct, func(l []forgedLevel) []forgedLevel {
 			l[0].level = steerOf(1024)
 			return l
-		}, "dyadic: level 0: cmpbe: cells under gamma 8, the factory's are under 2"},
+		}, "dyadic: level 0: cmpbe: cells under gamma 8 in a level under gamma 2"},
 		{"every height, each level the right size", direct, func([]forgedLevel) []forgedLevel {
 			var l []forgedLevel
 			for h := 0; h < 4; h++ {
@@ -158,7 +158,7 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 		}, "dyadic: level 7 (height 7) is a Count-Min sketch above a collision-free level"},
 		{"a Count-Min level where the ids fit collision-free", sketched, func(l []forgedLevel) []forgedLevel {
 			// Height 6 has 16 ids for 16 cells; a sketch seeded for it.
-			s, err := cmpbe.New(2, 8, 3+6*7919, mustFactory(t, dyadic.SteerGammaFactor*2))
+			s, err := cmpbe.New(2, 8, 3+6*7919, dyadic.SteerGammaFactor*2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,15 +191,6 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 	}
 }
 
-func mustFactory(t testing.TB, gamma float64) cmpbe.Factory {
-	t.Helper()
-	f, err := cmpbe.PBE2Factory(gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
 // benchmarkStream is the benchmark's base stream at seed 1: olympicrio's
 // scenario, 600 k arrivals over a month.
 func benchmarkStream(t testing.TB) []Element {
@@ -230,7 +221,7 @@ func TestSparseSupersetOfBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	every, err := dyadic.New(1024, dyadic.CMPBELevelsEvery(1, 5, 272, 1, mustFactory(t, 8), mustFactory(t, dyadic.SteerGammaFactor*8)))
+	every, err := dyadic.New(1024, dyadic.CMPBELevelsEvery(1, 5, 272, 1, 8, dyadic.SteerGammaFactor*8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,10 +233,10 @@ func TestSparseSupersetOfBinary(t *testing.T) {
 	// levels exist: byte for byte the level the every-height index holds there.
 	for i, h := range det.tree.Heights() {
 		var kept, all binenc.Writer
-		if err := det.tree.Level(i).(baseLevel).Encode(&kept); err != nil {
+		if err := det.tree.Level(i).(cmpbe.Level).Encode(&kept); err != nil {
 			t.Fatal(err)
 		}
-		if err := every.Level(h).(baseLevel).Encode(&all); err != nil {
+		if err := every.Level(h).(cmpbe.Level).Encode(&all); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(kept.Bytes(), all.Bytes()) {
@@ -374,12 +365,11 @@ func TestLeafAnswersUnmoved(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := ref.cfg
-			leaf := mustFactory(t, c.gamma)
-			tree, err := dyadic.New(shape.k, dyadic.CMPBELevelsEvery(4, c.d, c.w, c.seed, leaf, leaf))
+			tree, err := dyadic.New(shape.k, dyadic.CMPBELevelsEvery(4, c.d, c.w, c.seed, c.gamma, c.gamma))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref.tree, ref.base = tree, tree.Level(0).(baseLevel)
+			ref.setTree(tree)
 			for _, el := range base {
 				prod.Append(el.Event, origin+el.Time)
 				ref.Append(el.Event, origin+el.Time)

@@ -9,11 +9,7 @@ import (
 // configuration the point-query acceptance benchmark is pinned to.
 func benchSketch(b *testing.B) *Sketch {
 	b.Helper()
-	f, err := PBE2Factory(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := New(5, 272, 1, f)
+	s, err := New(5, 272, 1, 8)
 	if err != nil {
 		b.Fatal(err)
 	}

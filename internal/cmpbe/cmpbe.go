@@ -3,59 +3,33 @@
 // enabling historical burstiness queries over a stream with a mixture of
 // events in sublinear space.
 //
-// The sketch keeps d = O(log 1/δ) rows of w = O(1/ε) cells, each cell a PBE
-// (either PBE-1 or PBE-2, chosen by the Factory; only PBE-2 levels
-// serialize, merge and downsample, PBE-1 ones are the paper's in-memory
-// baseline). An incoming element (e, t)
-// is hashed to one cell per row; the cell ignores the event id and treats
-// everything mapped to it as a single event stream. A query for F_e(t)
-// probes the d cells e maps to and returns the median of their estimates:
-// collisions push a cell's estimate up while the PBE's never-overestimate
-// property pushes it down, and the median balances the two (Theorem 1:
-// Pr[|F̃_e(t) − F_e(t)| ≤ εN + Δ] ≥ 1 − δ, with γ for CM-PBE-2).
+// The sketch keeps d = O(log 1/δ) rows of w = O(1/ε) cells, each cell a PBE-2
+// summary under one error cap γ, all d·w of them in one array. An incoming
+// element (e, t) is hashed to one cell per row; the cell ignores the event id
+// and treats everything mapped to it as a single event stream. A query for
+// F_e(t) probes the d cells e maps to and returns the median of their
+// estimates: collisions push a cell's estimate up while PBE-2's
+// never-overestimate property pushes it down, and the median balances the
+// two (Theorem 1: Pr[|F̃_e(t) − F_e(t)| ≤ εN + γ] ≥ 1 − δ).
+//
+// A level of the dyadic event index is one of two kinds: a *Sketch, or a
+// collision-free *Direct for an id space no wider than a sketch's cells.
+// Level is what both answer, and MergeLevels, DownsampleLevels,
+// MergeAppendLevel and DecodeLevel are the one place that tells them apart.
+// The paper's CM-PBE-1 baseline, whose PBE-1 cells neither merge nor
+// serialize, lives with the experiments that build it.
 package cmpbe
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"histburst/internal/hash"
 	"histburst/internal/pbe"
-	"histburst/internal/pbe1"
 	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
-
-// Factory creates one empty PBE cell. Cells are created eagerly at sketch
-// construction so parameter validation happens exactly once, in the factory
-// constructors below.
-type Factory func() pbe.PBE
-
-// PBE1Factory returns a Factory producing PBE-1 cells with the given buffer
-// size and per-chunk point budget (see pbe1.New).
-func PBE1Factory(bufferN, eta int) (Factory, error) {
-	if _, err := pbe1.New(bufferN, eta); err != nil {
-		return nil, err
-	}
-	return func() pbe.PBE {
-		b, _ := pbe1.New(bufferN, eta) //histburst:allow errdrop -- identical arguments validated by the probe call above
-		return b
-	}, nil
-}
-
-// PBE2Factory returns a Factory producing PBE-2 cells with error cap gamma
-// (see pbe2.New).
-func PBE2Factory(gamma float64) (Factory, error) {
-	if _, err := pbe2.New(gamma); err != nil {
-		return nil, err
-	}
-	return func() pbe.PBE {
-		b, _ := pbe2.New(gamma) //histburst:allow errdrop -- identical arguments validated by the probe call above
-		return b
-	}, nil
-}
 
 // maxStackD is the largest row count whose per-query scratch (cell indices
 // and row estimates) fits in fixed stack arrays. Point queries on sketches
@@ -69,8 +43,7 @@ const maxStackD = 8
 type Sketch struct {
 	d, w  int
 	seed  int64
-	cells [][]pbe.PBE // d rows × w columns; rows alias the flat backing array
-	flat  []pbe.PBE   // the d·w cells contiguously, row-major: one indexed load per probe
+	cells []pbe2.Builder // the d·w cells contiguously, row-major: one indexed load per probe
 	hf    hash.Family
 	n     int64 // total elements ingested
 	maxT  int64
@@ -83,51 +56,33 @@ type Sketch struct {
 	bytesMemo atomic.Int64
 }
 
-// New creates a CM-PBE with explicit dimensions, deterministically seeded.
-func New(d, w int, seed int64, f Factory) (*Sketch, error) {
+// New creates a CM-PBE with explicit dimensions, deterministically seeded,
+// whose cells are PBE-2 summaries under error cap gamma.
+func New(d, w int, seed int64, gamma float64) (*Sketch, error) {
 	if d <= 0 || w <= 0 {
 		return nil, fmt.Errorf("cmpbe: dimensions must be positive, got d=%d w=%d", d, w)
-	}
-	if f == nil {
-		return nil, fmt.Errorf("cmpbe: factory must not be nil")
 	}
 	hf, err := hash.NewFamily(d, w, seed)
 	if err != nil {
 		return nil, err
 	}
-	return newSketch(d, w, seed, hf, factoryCells(d*w, f), 0, 0), nil
-}
-
-// newSketch assembles a sketch around its cells, laid out row-major.
-func newSketch(d, w int, seed int64, hf hash.Family, flat []pbe.PBE, n, maxT int64) *Sketch {
-	cells := make([][]pbe.PBE, d)
-	for i := range cells {
-		cells[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	cells, err := pbe2.NewCells(d*w, gamma)
+	if err != nil {
+		return nil, err
 	}
-	return &Sketch{d: d, w: w, seed: seed, cells: cells, flat: flat, hf: hf, n: n, maxT: maxT}
+	return &Sketch{d: d, w: w, seed: seed, cells: cells, hf: hf}, nil
 }
 
-// factoryCells returns n fresh cells of the factory's making.
-func factoryCells(n int, f Factory) []pbe.PBE {
-	cells := make([]pbe.PBE, n)
-	for i := range cells {
-		cells[i] = f()
-	}
-	return cells
-}
-
-// NewWithError creates a CM-PBE sized from the usual Count-Min parameters:
-// d = ⌈ln(1/δ)⌉ rows and w = ⌈e/ε⌉ columns.
-func NewWithError(epsilon, delta float64, seed int64, f Factory) (*Sketch, error) {
+// ErrorDims returns the Count-Min layout of the usual guarantees: d =
+// ⌈ln(1/δ)⌉ rows and w = ⌈e/ε⌉ columns.
+func ErrorDims(epsilon, delta float64) (d, w int, err error) {
 	if !(epsilon > 0 && epsilon < 1) {
-		return nil, fmt.Errorf("cmpbe: epsilon must be in (0,1), got %v", epsilon)
+		return 0, 0, fmt.Errorf("cmpbe: epsilon must be in (0,1), got %v", epsilon)
 	}
 	if !(delta > 0 && delta < 1) {
-		return nil, fmt.Errorf("cmpbe: delta must be in (0,1), got %v", delta)
+		return 0, 0, fmt.Errorf("cmpbe: delta must be in (0,1), got %v", delta)
 	}
-	d := int(math.Ceil(math.Log(1 / delta)))
-	w := int(math.Ceil(math.E / epsilon))
-	return New(d, w, seed, f)
+	return int(math.Ceil(math.Log(1 / delta))), int(math.Ceil(math.E / epsilon)), nil
 }
 
 // Dims returns the sketch dimensions.
@@ -136,11 +91,16 @@ func (s *Sketch) Dims() (d, w int) { return s.d, s.w }
 // Seed returns the seed the sketch's hash family was drawn from.
 func (s *Sketch) Seed() int64 { return s.seed }
 
+// cell returns event e's cell in row i.
+func (s *Sketch) cell(i int, e uint64) *pbe2.Builder {
+	return &s.cells[i*s.w+s.hf.Hash(i, e)]
+}
+
 // Append ingests one element (e, t). Elements must arrive in non-decreasing
 // time order across the whole mixed stream.
 func (s *Sketch) Append(e uint64, t int64) {
 	for i := 0; i < s.d; i++ {
-		s.cells[i][s.hf.Hash(i, e)].Append(t)
+		s.cell(i, e).Append(t)
 	}
 	s.n++
 	if t > s.maxT {
@@ -161,7 +121,8 @@ func (s *Sketch) Append(e uint64, t int64) {
 //
 //histburst:fastpath Append
 func (s *Sketch) AppendBatch(elems []stream.Element, shift uint) {
-	for i, row := range s.cells {
+	for i := 0; i < s.d; i++ {
+		row := s.cells[i*s.w : (i+1)*s.w]
 		for _, el := range elems {
 			row[s.hf.Hash(i, el.Event>>shift)].Append(el.Time)
 		}
@@ -184,9 +145,7 @@ func batchMaxTime(elems []stream.Element, cur int64) int64 {
 // Finish flushes every cell. Idempotent.
 func (s *Sketch) Finish() {
 	for i := range s.cells {
-		for j := range s.cells[i] {
-			s.cells[i][j].Finish()
-		}
+		s.cells[i].Finish()
 	}
 	s.bytesMemo.Store(0) // flushing moves buffered points into summaries
 }
@@ -207,11 +166,11 @@ func (s *Sketch) EstimateF(e uint64, t int64) float64 {
 	vals := scratch(&buf, s.d)
 	idx := idxScratch(&ibuf, s.d)
 	s.hf.Indexes(e, idx)
-	flat, w := s.flat, s.w
+	cells, w := s.cells, s.w
 	for i := 0; i < s.d; i++ {
-		vals[i] = flat[i*w+idx[i]].Estimate(t)
+		vals[i] = cells[i*w+idx[i]].Estimate(t)
 	}
-	return medianInPlace(vals)
+	return Median(vals)
 }
 
 // scratch returns a length-n float64 slice, backed by buf when it fits.
@@ -231,11 +190,11 @@ func idxScratch(buf *[maxStackD]int, n int) []int {
 }
 
 // cellScratch returns a length-n cell slice, backed by buf when it fits.
-func cellScratch(buf *[maxStackD]pbe.PBE, n int) []pbe.PBE {
+func cellScratch(buf *[maxStackD]*pbe2.Builder, n int) []*pbe2.Builder {
 	if n <= maxStackD {
 		return buf[:n]
 	}
-	return make([]pbe.PBE, n)
+	return make([]*pbe2.Builder, n)
 }
 
 // EventCells returns the d cells event e maps to, one per row — the
@@ -243,10 +202,10 @@ func cellScratch(buf *[maxStackD]pbe.PBE, n int) []pbe.PBE {
 // uses to combine per-row cumulative estimates across time-partitioned
 // sketches before taking the median. The cells are live references into the
 // sketch; callers must treat them as read-only.
-func (s *Sketch) EventCells(e uint64) []pbe.PBE {
-	cells := make([]pbe.PBE, s.d)
-	for i := 0; i < s.d; i++ {
-		cells[i] = s.cells[i][s.hf.Hash(i, e)]
+func (s *Sketch) EventCells(e uint64) []*pbe2.Builder {
+	cells := make([]*pbe2.Builder, s.d)
+	for i := range cells {
+		cells[i] = s.cell(i, e)
 	}
 	return cells
 }
@@ -257,9 +216,9 @@ func (s *Sketch) EventCells(e uint64) []pbe.PBE {
 // a fresh slice per segment.
 //
 //histburst:fastpath EventCells
-func (s *Sketch) AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE {
+func (s *Sketch) AppendEventCells(e uint64, buf []*pbe2.Builder) []*pbe2.Builder {
 	for i := 0; i < s.d; i++ {
-		buf = append(buf, s.cells[i][s.hf.Hash(i, e)])
+		buf = append(buf, s.cell(i, e))
 	}
 	return buf
 }
@@ -271,7 +230,7 @@ func (s *Sketch) AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE {
 func (s *Sketch) EstimateFMin(e uint64, t int64) float64 {
 	min := math.Inf(1)
 	for i := 0; i < s.d; i++ {
-		if v := s.cells[i][s.hf.Hash(i, e)].Estimate(t); v < min {
+		if v := s.cell(i, e).Estimate(t); v < min {
 			min = v
 		}
 	}
@@ -280,8 +239,8 @@ func (s *Sketch) EstimateFMin(e uint64, t int64) float64 {
 
 // Burstiness answers the POINT QUERY q(e, t, τ): the median over rows of the
 // per-row burstiness estimate (each row evaluates equation (2) on its own
-// coherent curve). Zero heap allocations for d ≤ maxStackD; cells providing
-// pbe.Estimator3 answer their three F̃ evaluations in one narrowed search.
+// coherent curve, its three F̃ evaluations in one narrowed search). Zero heap
+// allocations for d ≤ maxStackD.
 //
 //histburst:noalloc
 //histburst:fastpath burstinessNaive
@@ -291,54 +250,27 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 	vals := scratch(&buf, s.d)
 	idx := idxScratch(&ibuf, s.d)
 	s.hf.Indexes(e, idx)
-	t0, t1 := t-2*tau, t-tau
-	flat, w := s.flat, s.w
+	cells, w := s.cells, s.w
 	// Gather the row cells before evaluating: the d loads hit unrelated cache
 	// lines, and a dedicated loop lets their misses overlap instead of
 	// serializing behind each row's evaluation.
-	var cbuf [maxStackD]pbe.PBE
+	var cbuf [maxStackD]*pbe2.Builder
 	cs := cellScratch(&cbuf, s.d)
-	for i := 0; i < s.d; i++ {
-		cs[i] = flat[i*w+idx[i]]
+	for i := range cs {
+		cs[i] = &cells[i*w+idx[i]]
 	}
-	if tau <= 0 {
+	if tau <= 0 { // the instants do not ascend, which Estimate3 needs
 		for i, c := range cs {
-			vals[i] = pbe.Burstiness(c, t, tau)
+			vals[i] = c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
 		}
-		return medianInPlace(vals)
+		return Median(vals)
 	}
+	t0, t1 := t-2*tau, t-tau
 	for i, c := range cs {
-		// The concrete case first: the direct call skips the itab dispatch
-		// the interface assertion below would pay on every row.
-		switch cell := c.(type) {
-		case *pbe2.Builder:
-			f0, f1, f2 := cell.Estimate3(t0, t1, t)
-			vals[i] = f2 - 2*f1 + f0
-		case pbe.Estimator3:
-			f0, f1, f2 := cell.Estimate3(t0, t1, t)
-			vals[i] = f2 - 2*f1 + f0
-		default:
-			vals[i] = pbe.Burstiness(c, t, tau)
-		}
+		f0, f1, f2 := c.Estimate3(t0, t1, t)
+		vals[i] = f2 - 2*f1 + f0
 	}
-	return medianInPlace(vals)
-}
-
-// burstinessNaive is the pre-overhaul point query (allocate, three
-// independent evaluations per row, sort-based median), kept as the reference
-// for equivalence tests and the recorded speedup benchmark.
-func (s *Sketch) burstinessNaive(e uint64, t, tau int64) float64 {
-	vals := make([]float64, s.d)
-	for i := 0; i < s.d; i++ {
-		c := s.cells[i][s.hf.Hash(i, e)]
-		vals[i] = c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
-	}
-	sort.Float64s(vals)
-	n := len(vals)
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
+	return Median(vals)
 }
 
 // View returns a read-only per-event estimator whose Estimate is the
@@ -348,11 +280,7 @@ func (s *Sketch) burstinessNaive(e uint64, t, tau int64) float64 {
 // once here — not re-hashed per evaluation — and the view also provides
 // pbe.CursorProvider, so scans amortize every cell's segment lookup.
 func (s *Sketch) View(e uint64) pbe.Estimator {
-	v := &view{cells: make([]pbe.PBE, s.d)}
-	for i := 0; i < s.d; i++ {
-		v.cells[i] = s.cells[i][s.hf.Hash(i, e)]
-	}
-	return v
+	return &view{cells: s.EventCells(e)}
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over the sketch.
@@ -372,18 +300,22 @@ func (s *Sketch) Bytes() int {
 	if v := s.bytesMemo.Load(); v > 0 {
 		return int(v - 1)
 	}
-	total := 0
-	for i := range s.cells {
-		for j := range s.cells[i] {
-			total += s.cells[i][j].Bytes()
-		}
-	}
+	total := cellBytes(s.cells)
 	s.bytesMemo.Store(int64(total) + 1)
 	return total
 }
 
+// cellBytes sums the cells' footprints.
+func cellBytes(cells []pbe2.Builder) int {
+	total := 0
+	for i := range cells {
+		total += cells[i].Bytes()
+	}
+	return total
+}
+
 type view struct {
-	cells []pbe.PBE // the event's cell per row, resolved once
+	cells []*pbe2.Builder // the event's cell per row, resolved once
 }
 
 var _ pbe.CursorProvider = (*view)(nil)
@@ -394,7 +326,7 @@ func (v *view) Estimate(t int64) float64 {
 	for i, c := range v.cells {
 		vals[i] = c.Estimate(t)
 	}
-	return medianInPlace(vals)
+	return Median(vals)
 }
 
 // Breakpoints merges the d cells' already-sorted breakpoint slices by a
@@ -436,7 +368,7 @@ func (v *view) Breakpoints() []int64 {
 func (v *view) NewCursor() pbe.Cursor {
 	c := &viewCursor{cursors: make([]pbe.Cursor, len(v.cells)), vals: make([]float64, len(v.cells))}
 	for i, cell := range v.cells {
-		c.cursors[i] = pbe.CursorFor(cell)
+		c.cursors[i] = cell.NewCursor()
 	}
 	return c
 }
@@ -451,16 +383,16 @@ func (c *viewCursor) Estimate(t int64) float64 {
 	for i, cur := range c.cursors {
 		c.vals[i] = cur.Estimate(t)
 	}
-	return medianInPlace(c.vals)
+	return Median(c.vals)
 }
 
-// medianInPlace returns the median of vals (average of the two middle values
-// for even lengths) by insertion sort — allocation-free and faster than
-// sort.Float64s at sketch row counts. The default row count d=5 takes a
-// seven-comparison selection network instead.
+// Median returns the median of vals (average of the two middle values for
+// even lengths, 0 for none), reordering vals, by insertion sort —
+// allocation-free and faster than sort.Float64s at sketch row counts. The
+// default row count d=5 takes a six-comparison selection network instead.
 //
 //histburst:noalloc
-func medianInPlace(vals []float64) float64 {
+func Median(vals []float64) float64 {
 	n := len(vals)
 	if n == 0 {
 		return 0

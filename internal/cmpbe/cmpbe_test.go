@@ -24,11 +24,7 @@ func mixedStream(seed int64, n, k int) stream.Stream {
 
 func pbe2Sketch(t *testing.T, d, w int, gamma float64) *Sketch {
 	t.Helper()
-	f, err := PBE2Factory(gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(d, w, 42, f)
+	s, err := New(d, w, 42, gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,41 +43,37 @@ func loadSketch(t *testing.T, s *Sketch, data stream.Stream) *exact.Store {
 }
 
 func TestNewValidation(t *testing.T) {
-	f, err := PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(0, 5, 1, f); err == nil {
+	if _, err := New(0, 5, 1, 2); err == nil {
 		t.Error("d=0 accepted")
 	}
-	if _, err := New(3, 0, 1, f); err == nil {
+	if _, err := New(3, 0, 1, 2); err == nil {
 		t.Error("w=0 accepted")
 	}
-	if _, err := New(3, 5, 1, nil); err == nil {
-		t.Error("nil factory accepted")
-	}
-	if _, err := NewWithError(0, 0.1, 1, f); err == nil {
+	if _, _, err := ErrorDims(0, 0.1); err == nil {
 		t.Error("epsilon=0 accepted")
 	}
-	if _, err := NewWithError(0.1, 2, 1, f); err == nil {
+	if _, _, err := ErrorDims(0.1, 2); err == nil {
 		t.Error("delta=2 accepted")
 	}
-	s, err := NewWithError(0.05, 0.2, 1, f)
+	d, w, err := ErrorDims(0.05, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, w := s.Dims()
 	if d < 2 || w < 54 {
 		t.Errorf("dims d=%d w=%d for eps=.05 delta=.2", d, w)
 	}
 }
 
+// TestFactoryValidation: both level kinds refuse a cell error cap no PBE-2
+// summary accepts, as the cell factory they replace did.
 func TestFactoryValidation(t *testing.T) {
-	if _, err := PBE1Factory(5, 9); err == nil {
-		t.Error("invalid PBE-1 parameters accepted")
-	}
-	if _, err := PBE2Factory(0.2); err == nil {
-		t.Error("invalid gamma accepted")
+	for _, gamma := range []float64{0.2, math.NaN(), math.Inf(1)} {
+		if _, err := New(3, 5, 1, gamma); err == nil {
+			t.Errorf("sketch under gamma %v accepted", gamma)
+		}
+		if _, err := NewDirect(4, gamma); err == nil {
+			t.Errorf("direct summary under gamma %v accepted", gamma)
+		}
 	}
 }
 
@@ -131,58 +123,6 @@ func TestBurstinessCloseToExact(t *testing.T) {
 	}
 	if mean := sumErr / float64(trials); mean > 60 {
 		t.Fatalf("mean |b̃−b| = %.2f, too large", mean)
-	}
-}
-
-func TestCMPBE1Variant(t *testing.T) {
-	f, err := PBE1Factory(200, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(5, 128, 9, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := mixedStream(11, 20000, 40)
-	oracle := loadSketch(t, s, data)
-	r := rand.New(rand.NewSource(4))
-	var sumErr float64
-	trials := 0
-	for _, e := range oracle.Events() {
-		q := int64(r.Intn(int(oracle.MaxTime()) + 1))
-		sumErr += math.Abs(s.EstimateF(e, q) - float64(oracle.CumFreq(e, q)))
-		trials++
-	}
-	if mean := sumErr / float64(trials); mean > 120 {
-		t.Fatalf("CM-PBE-1 mean error %.2f too large", mean)
-	}
-}
-
-// TestCMPBE1Burstiness: the paper's CM-PBE-1 baseline answers burstiness
-// within a mean |b̃−b| of 25 at τ=50, five random instants per event.
-func TestCMPBE1Burstiness(t *testing.T) {
-	f, err := PBE1Factory(200, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(5, 128, 9, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := mixedStream(11, 20000, 40)
-	oracle := loadSketch(t, s, data)
-	r := rand.New(rand.NewSource(4))
-	var sumErr float64
-	trials := 0
-	for _, e := range oracle.Events() {
-		for i := 0; i < 5; i++ {
-			q := int64(r.Intn(int(oracle.MaxTime()) + 1))
-			sumErr += math.Abs(s.Burstiness(e, q, 50) - float64(oracle.Burstiness(e, q, 50)))
-			trials++
-		}
-	}
-	if mean := sumErr / float64(trials); mean > 25 {
-		t.Fatalf("CM-PBE-1 mean burstiness error %.2f too large", mean)
 	}
 }
 

@@ -6,17 +6,18 @@ import (
 	"sync/atomic"
 
 	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
 
-// Direct is the degenerate sketch for a small id space: one PBE per id,
-// no hashing, no collisions. The dyadic tree of Section V uses it for its
+// Direct is the degenerate sketch for a small id space: one PBE-2 cell per
+// id, no hashing, no collisions. The dyadic tree of Section V uses it for its
 // top levels, where the number of aggregate ids is smaller than any useful
 // Count-Min width — hashing two ids into two cells would collide with
 // constant probability and destroy the additivity (F_parent = ΣF_child)
 // that the pruning bound relies on.
 type Direct struct {
-	cells []pbe.PBE
+	cells []pbe2.Builder
 	n     int64
 	maxT  int64
 
@@ -31,20 +32,27 @@ type Direct struct {
 	bytesMemo atomic.Int64
 }
 
-// NewDirect creates a direct summary over the id space [0, ids).
-func NewDirect(ids uint64, f Factory) (*Direct, error) {
+// NewDirect creates a direct summary over the id space [0, ids) whose cells
+// are PBE-2 summaries under error cap gamma.
+func NewDirect(ids uint64, gamma float64) (*Direct, error) {
 	if ids == 0 {
 		return nil, fmt.Errorf("cmpbe: direct id space must be non-empty")
 	}
-	if f == nil {
-		return nil, fmt.Errorf("cmpbe: factory must not be nil")
+	cells, err := pbe2.NewCells(int(ids), gamma)
+	if err != nil {
+		return nil, err
 	}
-	return &Direct{cells: factoryCells(int(ids), f)}, nil
+	return &Direct{cells: cells}, nil
+}
+
+// cell returns id e's cell; ids outside the space are folded in.
+func (d *Direct) cell(e uint64) *pbe2.Builder {
+	return &d.cells[e%uint64(len(d.cells))]
 }
 
 // Append ingests one element. Ids outside the space are folded in.
 func (d *Direct) Append(e uint64, t int64) {
-	d.cells[e%uint64(len(d.cells))].Append(t)
+	d.cell(e).Append(t)
 	d.n++
 	if t > d.maxT {
 		d.maxT = t
@@ -109,8 +117,8 @@ func (d *Direct) AppendBatch(elems []stream.Element, shift uint) {
 
 // Finish flushes every cell. Idempotent.
 func (d *Direct) Finish() {
-	for _, c := range d.cells {
-		c.Finish()
+	for i := range d.cells {
+		d.cells[i].Finish()
 	}
 	if d.batchEnd != nil { // leave a finished summary unwritten: readers may be running
 		d.batchEnd, d.batchTimes = nil, nil
@@ -130,33 +138,33 @@ func (d *Direct) MaxTime() int64 { return d.maxT }
 // EstimateF returns F̃_e(t) from e's dedicated PBE (error is the PBE's own
 // only — no collision term).
 func (d *Direct) EstimateF(e uint64, t int64) float64 {
-	return d.cells[e%uint64(len(d.cells))].Estimate(t)
+	return d.cell(e).Estimate(t)
 }
 
 // Burstiness answers the point query from e's dedicated PBE.
 func (d *Direct) Burstiness(e uint64, t, tau int64) float64 {
-	return pbe.Burstiness(d.cells[e%uint64(len(d.cells))], t, tau)
+	return pbe.Burstiness(d.cell(e), t, tau)
 }
 
 // View returns e's PBE as a read-only estimator.
 func (d *Direct) View(e uint64) pbe.Estimator {
-	return d.cells[e%uint64(len(d.cells))]
+	return d.cell(e)
 }
 
 // EventCells returns e's single dedicated cell — the Direct analogue of
 // Sketch.EventCells (a collision-free summary is a one-row sketch for the
 // purposes of cross-segment combination). The cell is a live reference;
 // callers must treat it as read-only.
-func (d *Direct) EventCells(e uint64) []pbe.PBE {
-	return []pbe.PBE{d.cells[e%uint64(len(d.cells))]}
+func (d *Direct) EventCells(e uint64) []*pbe2.Builder {
+	return []*pbe2.Builder{d.cell(e)}
 }
 
 // AppendEventCells appends e's single cell to buf and returns it — the
 // buffer-reusing variant of EventCells.
 //
 //histburst:fastpath EventCells
-func (d *Direct) AppendEventCells(e uint64, buf []pbe.PBE) []pbe.PBE {
-	return append(buf, d.cells[e%uint64(len(d.cells))])
+func (d *Direct) AppendEventCells(e uint64, buf []*pbe2.Builder) []*pbe2.Builder {
+	return append(buf, d.cell(e))
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY for e.
@@ -170,10 +178,7 @@ func (d *Direct) Bytes() int {
 	if v := d.bytesMemo.Load(); v > 0 {
 		return int(v - 1)
 	}
-	total := 0
-	for _, c := range d.cells {
-		total += c.Bytes()
-	}
+	total := cellBytes(d.cells)
 	d.bytesMemo.Store(int64(total) + 1)
 	return total
 }

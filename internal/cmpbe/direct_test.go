@@ -8,18 +8,16 @@ import (
 )
 
 func TestDirectValidation(t *testing.T) {
-	f, _ := PBE2Factory(2)
-	if _, err := NewDirect(0, f); err == nil {
+	if _, err := NewDirect(0, 2); err == nil {
 		t.Error("ids=0 accepted")
 	}
-	if _, err := NewDirect(4, nil); err == nil {
-		t.Error("nil factory accepted")
+	if _, err := NewDirect(4, 0); err == nil {
+		t.Error("gamma 0 accepted")
 	}
 }
 
 func TestDirectNoCollisions(t *testing.T) {
-	f, _ := PBE2Factory(1)
-	d, err := NewDirect(4, f)
+	d, err := NewDirect(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +56,7 @@ func TestDirectNoCollisions(t *testing.T) {
 }
 
 func TestDirectFoldsIDs(t *testing.T) {
-	f, _ := PBE2Factory(1)
-	d, _ := NewDirect(4, f)
+	d, _ := NewDirect(4, 1)
 	d.Append(7, 10) // folds to 3
 	d.Finish()
 	if got := d.EstimateF(3, 10); got != 1 {
@@ -68,8 +65,7 @@ func TestDirectFoldsIDs(t *testing.T) {
 }
 
 func TestDirectBurstyTimes(t *testing.T) {
-	f, _ := PBE2Factory(1)
-	d, _ := NewDirect(2, f)
+	d, _ := NewDirect(2, 1)
 	// Event 0: quiet then a sharp burst at t in [100, 120).
 	for tm := int64(0); tm < 200; tm++ {
 		d.Append(1, tm) // steady noise on the other id

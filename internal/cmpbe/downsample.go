@@ -22,8 +22,8 @@ import (
 // member cells of cap γ_src per part — so gamma must be at least
 // (W/w)·γ_src (pbe2 validates this per cell part).
 //
-// Sources must be finished and are never mutated. All d·w result cells are
-// laid out in one arena allocation, mirroring MergeSketches.
+// Sources must be finished and are never mutated. All d·w result cells live
+// in one array, mirroring MergeSketches.
 func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sketch, error) {
 	if len(parts) == 0 || parts[0] == nil {
 		return nil, fmt.Errorf("cmpbe: downsample of zero sketches")
@@ -55,8 +55,7 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 			maxT = p.maxT
 		}
 	}
-	cellCount := first.d * w
-	arena, flat := arenaCells(cellCount)
+	cells := make([]pbe2.Builder, first.d*w)
 	// One backing array for all per-cell member slices, reused across cells.
 	memberBuf := make([]*pbe2.Builder, len(parts)*group)
 	srcParts := make([][]*pbe2.Builder, len(parts))
@@ -67,20 +66,15 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 		for j := 0; j < w; j++ {
 			for k, p := range parts {
 				for m := 0; m < group; m++ {
-					b, ok := p.cells[i][j+m*w].(*pbe2.Builder)
-					if !ok {
-						return nil, fmt.Errorf("cmpbe: cell type %T is not downsampleable", p.cells[i][j+m*w])
-					}
-					srcParts[k][m] = b
+					srcParts[k][m] = &p.cells[i*first.w+j+m*w]
 				}
 			}
-			c := i*w + j
-			if err := pbe2.DownsampleInto(&arena[c], srcParts, gamma, res); err != nil {
+			if err := pbe2.DownsampleInto(&cells[i*w+j], srcParts, gamma, res); err != nil {
 				return nil, fmt.Errorf("cmpbe: cell (%d,%d): %w", i, j, err)
 			}
 		}
 	}
-	return newSketch(first.d, w, first.seed, hf, flat, n, maxT), nil
+	return &Sketch{d: first.d, w: w, seed: first.seed, cells: cells, hf: hf, n: n, maxT: maxT}, nil
 }
 
 // DownsampleDirects re-summarizes time-disjoint collision-free summaries at
@@ -107,24 +101,19 @@ func DownsampleDirects(parts []*Direct, gamma float64, res int64) (*Direct, erro
 			maxT = p.maxT
 		}
 	}
-	cellCount := len(first.cells)
-	arena, out := arenaCells(cellCount)
+	cells := make([]pbe2.Builder, len(first.cells))
 	memberBuf := make([]*pbe2.Builder, len(parts))
 	srcParts := make([][]*pbe2.Builder, len(parts))
 	for k := range parts {
 		srcParts[k] = memberBuf[k : k+1 : k+1]
 	}
-	for c := 0; c < cellCount; c++ {
+	for c := range cells {
 		for k, p := range parts {
-			b, ok := p.cells[c].(*pbe2.Builder)
-			if !ok {
-				return nil, fmt.Errorf("cmpbe: cell type %T is not downsampleable", p.cells[c])
-			}
-			srcParts[k][0] = b
+			srcParts[k][0] = &p.cells[c]
 		}
-		if err := pbe2.DownsampleInto(&arena[c], srcParts, gamma, res); err != nil {
+		if err := pbe2.DownsampleInto(&cells[c], srcParts, gamma, res); err != nil {
 			return nil, fmt.Errorf("cmpbe: direct cell %d: %w", c, err)
 		}
 	}
-	return &Direct{cells: out, n: n, maxT: maxT}, nil
+	return &Direct{cells: cells, n: n, maxT: maxT}, nil
 }

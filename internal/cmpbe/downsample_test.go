@@ -3,22 +3,16 @@ package cmpbe
 import (
 	"math/rand"
 	"testing"
-
-	"histburst/internal/pbe2"
 )
 
 func buildDSSketches(t *testing.T, nParts, d, w int, gamma float64) ([]*Sketch, []int64, int64) {
 	t.Helper()
-	f, err := PBE2Factory(gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(5))
 	var parts []*Sketch
 	now := int64(0)
 	var total int64
 	for p := 0; p < nParts; p++ {
-		s, err := New(d, w, 11, f)
+		s, err := New(d, w, 11, gamma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,10 +59,10 @@ func TestDownsampleSketchesNarrowing(t *testing.T) {
 			var want float64
 			for _, p := range parts {
 				for m := 0; m*wOut+j < w; m++ {
-					want += p.cells[i][j+m*wOut].Estimate(maxT + 1)
+					want += p.cells[i*w+j+m*wOut].Estimate(maxT + 1)
 				}
 			}
-			got := out.cells[i][j].Estimate(maxT + 1)
+			got := out.cells[i*wOut+j].Estimate(maxT + 1)
 			if got != want {
 				t.Fatalf("cell (%d,%d): frontier sum %.4f, want exact %.4f", i, j, got, want)
 			}
@@ -103,15 +97,11 @@ func TestDownsampleSketchesRejectsBadWidth(t *testing.T) {
 }
 
 func TestDownsampleDirectsPreservesCells(t *testing.T) {
-	f, err := PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(9))
 	var parts []*Direct
 	now := int64(0)
 	for p := 0; p < 3; p++ {
-		d, err := NewDirect(16, f)
+		d, err := NewDirect(16, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +129,8 @@ func TestDownsampleDirectsPreservesCells(t *testing.T) {
 			t.Fatalf("id %d: frontier estimate %.4f, want %.4f", e, got, want)
 		}
 	}
-	// Downsampled cells stay valid pbe2 builders (chainable).
-	if _, ok := out.cells[0].(*pbe2.Builder); !ok {
-		t.Fatalf("cell type %T, want *pbe2.Builder", out.cells[0])
+	// Downsampled cells are under the new cap (chainable).
+	if g := out.cells[0].Gamma(); g != 6 {
+		t.Fatalf("cell gamma %v, want 6", g)
 	}
 }

@@ -3,7 +3,7 @@ package cmpbe
 import (
 	"testing"
 
-	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 )
 
 // The AppendEventCells fast paths must return exactly the cells EventCells
@@ -16,7 +16,7 @@ func TestSketchAppendEventCellsMatchesEventCells(t *testing.T) {
 		s.Append(el.Event, el.Time)
 	}
 	s.Finish()
-	var buf []pbe.PBE
+	var buf []*pbe2.Builder
 	for e := uint64(0); e < 200; e += 7 { // include ids past the folded space
 		naive := s.EventCells(e)
 		buf = s.AppendEventCells(e, buf[:0])
@@ -32,11 +32,7 @@ func TestSketchAppendEventCellsMatchesEventCells(t *testing.T) {
 }
 
 func TestDirectAppendEventCellsMatchesEventCells(t *testing.T) {
-	f, err := PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDirect(16, f)
+	d, err := NewDirect(16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +40,7 @@ func TestDirectAppendEventCellsMatchesEventCells(t *testing.T) {
 		d.Append(el.Event, el.Time)
 	}
 	d.Finish()
-	var buf []pbe.PBE
+	var buf []*pbe2.Builder
 	for e := uint64(0); e < 40; e++ { // include ids past the folded space
 		naive := d.EventCells(e)
 		buf = d.AppendEventCells(e, buf[:0])

@@ -6,9 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"histburst/internal/binenc"
-	"histburst/internal/pbe"
-	"histburst/internal/pbe1"
 	"histburst/internal/stream"
 )
 
@@ -17,13 +14,9 @@ import (
 // implementation it replaced, and the zero-allocation claims are pinned by
 // testing.AllocsPerRun.
 
-func fastpathSketch(t *testing.T, factory func() (Factory, error), finish bool) *Sketch {
+func fastpathSketch(t *testing.T, gamma float64, finish bool) *Sketch {
 	t.Helper()
-	f, err := factory()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(5, 64, 3, f)
+	s, err := New(5, 64, 3, gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,35 +29,46 @@ func fastpathSketch(t *testing.T, factory func() (Factory, error), finish bool) 
 	return s
 }
 
-func TestBurstinessMatchesNaive(t *testing.T) {
-	factories := map[string]func() (Factory, error){
-		"pbe2": func() (Factory, error) { return PBE2Factory(4) },
-		"pbe1": func() (Factory, error) { return PBE1Factory(64, 12) },
+// burstinessNaive is the pre-overhaul point query (allocate, three
+// independent evaluations per row, sort-based median), kept as the reference
+// for equivalence tests and the recorded speedup benchmark.
+func (s *Sketch) burstinessNaive(e uint64, t, tau int64) float64 {
+	vals := make([]float64, s.d)
+	for i := range vals {
+		c := s.cell(i, e)
+		vals[i] = c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
 	}
-	for name, factory := range factories {
-		for _, finish := range []bool{false, true} {
-			s := fastpathSketch(t, factory, finish)
-			r := rand.New(rand.NewSource(9))
-			horizon := s.MaxTime()
-			for trial := 0; trial < 4000; trial++ {
-				e := uint64(r.Intn(512))
-				// Instants off both ends of the stream included: the head and
-				// before-first-segment paths must agree too.
-				ts := int64(r.Intn(int(horizon)+200)) - 100
-				tau := int64(1 + r.Intn(2000))
-				got := s.Burstiness(e, ts, tau)
-				want := s.burstinessNaive(e, ts, tau)
-				if got != want {
-					t.Fatalf("%s finish=%v: Burstiness(%d, %d, %d) = %v, naive = %v",
-						name, finish, e, ts, tau, got, want)
-				}
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
+
+func TestBurstinessMatchesNaive(t *testing.T) {
+	for _, finish := range []bool{false, true} {
+		s := fastpathSketch(t, 4, finish)
+		r := rand.New(rand.NewSource(9))
+		horizon := s.MaxTime()
+		for trial := 0; trial < 4000; trial++ {
+			e := uint64(r.Intn(512))
+			// Instants off both ends of the stream included: the head and
+			// before-first-segment paths must agree too.
+			ts := int64(r.Intn(int(horizon)+200)) - 100
+			tau := int64(1 + r.Intn(2000))
+			got := s.Burstiness(e, ts, tau)
+			want := s.burstinessNaive(e, ts, tau)
+			if got != want {
+				t.Fatalf("finish=%v: Burstiness(%d, %d, %d) = %v, naive = %v",
+					finish, e, ts, tau, got, want)
 			}
 		}
 	}
 }
 
 func TestEstimateFMatchesPerCellMedian(t *testing.T) {
-	s := fastpathSketch(t, func() (Factory, error) { return PBE2Factory(4) }, true)
+	s := fastpathSketch(t, 4, true)
 	r := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 2000; trial++ {
 		e := uint64(r.Intn(512))
@@ -72,7 +76,7 @@ func TestEstimateFMatchesPerCellMedian(t *testing.T) {
 		got := s.EstimateF(e, ts)
 		vals := make([]float64, s.d)
 		for i := 0; i < s.d; i++ {
-			vals[i] = s.cells[i][s.hf.Hash(i, e)].Estimate(ts)
+			vals[i] = s.cell(i, e).Estimate(ts)
 		}
 		sort.Float64s(vals)
 		want := vals[len(vals)/2]
@@ -100,7 +104,7 @@ func TestMedian5MatchesSort(t *testing.T) {
 }
 
 func TestViewBreakpointsMatchesReference(t *testing.T) {
-	s := fastpathSketch(t, func() (Factory, error) { return PBE2Factory(4) }, true)
+	s := fastpathSketch(t, 4, true)
 	for e := uint64(0); e < 64; e++ {
 		v := s.View(e).(*view)
 		got := v.Breakpoints()
@@ -128,11 +132,7 @@ func TestViewBreakpointsMatchesReference(t *testing.T) {
 }
 
 func TestBytesMemoInvalidation(t *testing.T) {
-	f, err := PBE2Factory(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(3, 16, 1, f)
+	s, err := New(3, 16, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestBytesMemoInvalidation(t *testing.T) {
 		t.Fatalf("Bytes memo went stale across append+finish: %d -> %d", finished, refilled)
 	}
 	finished = refilled
-	o, err := New(3, 16, 1, f)
+	o, err := New(3, 16, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestBytesMemoInvalidation(t *testing.T) {
 }
 
 func TestEstimateFZeroAllocs(t *testing.T) {
-	s := fastpathSketch(t, func() (Factory, error) { return PBE2Factory(4) }, true)
+	s := fastpathSketch(t, 4, true)
 	allocs := testing.AllocsPerRun(200, func() {
 		s.EstimateF(17, 12_345)
 	})
@@ -203,26 +203,19 @@ func TestEstimateFZeroAllocs(t *testing.T) {
 }
 
 func TestBurstinessZeroAllocs(t *testing.T) {
-	for name, factory := range map[string]func() (Factory, error){
-		"pbe2": func() (Factory, error) { return PBE2Factory(4) },
-		"pbe1": func() (Factory, error) { return PBE1Factory(64, 12) },
-	} {
-		s := fastpathSketch(t, factory, true)
-		allocs := testing.AllocsPerRun(200, func() {
-			s.Burstiness(17, 12_345, 1000)
-		})
-		if allocs != 0 {
-			t.Fatalf("%s: Burstiness allocates %.1f times per op, want 0", name, allocs)
-		}
+	s := fastpathSketch(t, 4, true)
+	allocs := testing.AllocsPerRun(200, func() {
+		s.Burstiness(17, 12_345, 1000)
+	})
+	if allocs != 0 {
+		t.Fatalf("Burstiness allocates %.1f times per op, want 0", allocs)
 	}
 }
 
 // TestAppendBatchMatchesAppend holds both summaries' batched ingest to the
 // per-element twin: same bytes, counters and footprint (a stale Bytes memo
-// would show), for PBE-2 and PBE-1 cells, across batch boundaries, shifted
-// ids, ids beyond a Direct's space, and a second round after Finish. A PBE-1
-// level does not serialize, so its cells are compared in pbe1's own binary
-// form.
+// would show), across batch boundaries, shifted ids, ids beyond a Direct's
+// space, and a second round after Finish.
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	data := mixedStream(5, 3000, 200)
 	for i := range data {
@@ -230,82 +223,44 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			data[i].Event += 1 << 20 // folded by Direct, hashed as is by Sketch
 		}
 	}
-	factories := map[string]func() (Factory, error){
-		"pbe2": func() (Factory, error) { return PBE2Factory(2) },
-		"pbe1": func() (Factory, error) { return PBE1Factory(64, 8) },
-	}
 	type summary interface {
-		Append(e uint64, t int64)
+		Level
 		AppendBatch(elems []stream.Element, shift uint)
-		Finish()
 		N() int64
 		MaxTime() int64
-		Bytes() int
-		Encode(w *binenc.Writer) error
 	}
-	encoded := func(s summary) []byte {
-		t.Helper()
-		var w binenc.Writer
-		var cells []pbe.PBE
-		switch s := s.(type) {
-		case *Sketch:
-			cells = s.flat
-		case *Direct:
-			cells = s.cells
-		}
-		if _, ok := cells[0].(*pbe1.Builder); !ok {
-			if err := s.Encode(&w); err != nil {
-				t.Fatal(err)
-			}
-			return w.Bytes()
-		}
-		for _, c := range cells {
-			blob, err := c.(*pbe1.Builder).MarshalBinary()
+	for _, shift := range []uint{0, 3} {
+		build := func() []summary {
+			s, err := New(3, 16, 7, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.BytesBlob(blob)
-		}
-		return w.Bytes()
-	}
-	for name, mk := range factories {
-		f, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shift := range []uint{0, 3} {
-			build := func() []summary {
-				s, err := New(3, 16, 7, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				d, err := NewDirect(32, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return []summary{s, d}
+			d, err := NewDirect(32, 2)
+			if err != nil {
+				t.Fatal(err)
 			}
-			want, got := build(), build()
-			for k := range want {
-				w, g := want[k], got[k]
-				g.Bytes() // fill the memo the batch must invalidate
-				for round, part := range []stream.Stream{data[:2000], data[2000:]} {
-					for _, el := range part {
-						w.Append(el.Event>>shift, el.Time)
-					}
-					g.AppendBatch(nil, shift)
-					for lo := 0; lo < len(part); lo += 701 {
-						g.AppendBatch(part[lo:min(lo+701, len(part))], shift)
-					}
-					if g.Bytes() != w.Bytes() {
-						t.Fatalf("%s %T shift %d round %d: open Bytes %d, per-element %d", name, g, shift, round, g.Bytes(), w.Bytes())
-					}
-					w.Finish()
-					g.Finish()
-					if !bytes.Equal(encoded(g), encoded(w)) || g.N() != w.N() || g.MaxTime() != w.MaxTime() || g.Bytes() != w.Bytes() {
-						t.Fatalf("%s %T shift %d round %d: batched ingest differs from per-element (N %d/%d, maxT %d/%d, Bytes %d/%d)",
-							name, g, shift, round, g.N(), w.N(), g.MaxTime(), w.MaxTime(), g.Bytes(), w.Bytes())
-					}
+			return []summary{s, d}
+		}
+		want, got := build(), build()
+		for k := range want {
+			w, g := want[k], got[k]
+			g.Bytes() // fill the memo the batch must invalidate
+			for round, part := range []stream.Stream{data[:2000], data[2000:]} {
+				for _, el := range part {
+					w.Append(el.Event>>shift, el.Time)
+				}
+				g.AppendBatch(nil, shift)
+				for lo := 0; lo < len(part); lo += 701 {
+					g.AppendBatch(part[lo:min(lo+701, len(part))], shift)
+				}
+				if g.Bytes() != w.Bytes() {
+					t.Fatalf("%T shift %d round %d: open Bytes %d, per-element %d", g, shift, round, g.Bytes(), w.Bytes())
+				}
+				w.Finish()
+				g.Finish()
+				if !bytes.Equal(encoded(t, g), encoded(t, w)) || g.N() != w.N() || g.MaxTime() != w.MaxTime() || g.Bytes() != w.Bytes() {
+					t.Fatalf("%T shift %d round %d: batched ingest differs from per-element (N %d/%d, maxT %d/%d, Bytes %d/%d)",
+						g, shift, round, g.N(), w.N(), g.MaxTime(), w.MaxTime(), g.Bytes(), w.Bytes())
 				}
 			}
 		}

@@ -17,10 +17,10 @@ func encoded(t testing.TB, l interface{ Encode(*binenc.Writer) error }) []byte {
 	return w.Bytes()
 }
 
-// decodeWhole decodes data as exactly one level.
-func decodeWhole(data []byte, f Factory) (any, error) {
+// decodeWhole decodes data as exactly one level under gamma.
+func decodeWhole(data []byte, gamma float64) (Level, error) {
 	r := binenc.NewReader(data)
-	v, err := DecodeLevel(r, f)
+	v, err := DecodeLevel(r, gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -28,8 +28,7 @@ func decodeWhole(data []byte, f Factory) (any, error) {
 }
 
 func TestSketchMarshalRoundTrip(t *testing.T) {
-	f, _ := PBE2Factory(2)
-	s, err := New(3, 32, 9, f)
+	s, err := New(3, 32, 9, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,7 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	s.Finish()
 
 	blob := encoded(t, s)
-	v, err := decodeWhole(blob, f)
+	v, err := decodeWhole(blob, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +63,12 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 }
 
 func TestDirectMarshalRoundTrip(t *testing.T) {
-	f, _ := PBE2Factory(1)
-	d, _ := NewDirect(8, f)
+	d, _ := NewDirect(8, 1)
 	for tm := int64(0); tm < 2000; tm++ {
 		d.Append(uint64(tm%8), tm)
 	}
 	d.Finish()
-	v, err := decodeWhole(encoded(t, d), f)
+	v, err := decodeWhole(encoded(t, d), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +86,9 @@ func TestDirectMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalAnyDispatch(t *testing.T) {
-	f, _ := PBE2Factory(2)
-	s, _ := New(2, 4, 1, f)
+	s, _ := New(2, 4, 1, 2)
 	s.Append(1, 10)
-	d, _ := NewDirect(4, f)
+	d, _ := NewDirect(4, 2)
 	d.Append(1, 10)
 
 	// Two levels back to back, as a tree stores them: each decode leaves the
@@ -104,12 +101,12 @@ func TestUnmarshalAnyDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := binenc.NewReader(w.Bytes())
-	if v, err := DecodeLevel(r, f); err != nil {
+	if v, err := DecodeLevel(r, 2); err != nil {
 		t.Fatal(err)
 	} else if _, ok := v.(*Sketch); !ok {
 		t.Fatalf("sketch decoded as %T", v)
 	}
-	if v, err := DecodeLevel(r, f); err != nil {
+	if v, err := DecodeLevel(r, 2); err != nil {
 		t.Fatal(err)
 	} else if _, ok := v.(*Direct); !ok {
 		t.Fatalf("direct decoded as %T", v)
@@ -117,52 +114,18 @@ func TestUnmarshalAnyDispatch(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeWhole([]byte("junk"), f); err == nil {
+	if _, err := decodeWhole([]byte("junk"), 2); err == nil {
 		t.Fatal("junk accepted")
 	}
 }
 
 func TestUnmarshalSketchRejectsCorrupt(t *testing.T) {
-	f, _ := PBE2Factory(2)
-	s, _ := New(2, 4, 1, f)
+	s, _ := New(2, 4, 1, 2)
 	s.Append(1, 10)
 	blob := encoded(t, s)
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := decodeWhole(blob[:cut], f); err == nil {
+		if _, err := decodeWhole(blob[:cut], 2); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
-		}
-	}
-	// Another gamma than the cells were built under.
-	f3, _ := PBE2Factory(3)
-	if _, err := decodeWhole(blob, f3); err == nil || !strings.Contains(err.Error(), "cells under gamma 2, the factory's are under 3") {
-		t.Fatalf("factory of another gamma: %v", err)
-	}
-	// A factory of another cell type is refused by its type.
-	f1, _ := PBE1Factory(100, 5)
-	if _, err := decodeWhole(blob, f1); err == nil || !strings.Contains(err.Error(), "*pbe1.Builder") {
-		t.Fatalf("PBE-1 factory decoding a PBE-2 cell block: %v", err)
-	}
-}
-
-// TestSketchMarshalPBE1Cells: only PBE-2 levels serialize. A PBE-1 level,
-// finished or holding buffered tails, is refused on encode by its type.
-func TestSketchMarshalPBE1Cells(t *testing.T) {
-	f, err := PBE1Factory(200, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := New(2, 16, 3, f)
-	data := mixedStream(7, 3000, 20)
-	for _, el := range data {
-		s.Append(el.Event, el.Time)
-	}
-	for _, finished := range []bool{false, true} {
-		if finished {
-			s.Finish()
-		}
-		var w binenc.Writer
-		if err := s.Encode(&w); err == nil || !strings.Contains(err.Error(), "*pbe1.Builder") {
-			t.Fatalf("encoding a PBE-1 level (finished %v): %v", finished, err)
 		}
 	}
 }
@@ -170,12 +133,12 @@ func TestSketchMarshalPBE1Cells(t *testing.T) {
 // TestDecodeHoldsCellsToTheLevel: every element of a level lands in one
 // cell of each row, so a row whose cells count another total than the
 // level's n belongs to some other level — refused, where the per-cell format
-// had nothing to check a cell against.
+// had nothing to check a cell against. Cells under another γ than the level
+// is loaded under are refused too.
 func TestDecodeHoldsCellsToTheLevel(t *testing.T) {
-	f, _ := PBE2Factory(2)
 	build := func(extra bool) (*Sketch, *Direct) {
-		s, _ := New(2, 4, 1, f)
-		d, _ := NewDirect(4, f)
+		s, _ := New(2, 4, 1, 2)
+		d, _ := NewDirect(4, 2)
 		for i := int64(0); i < 40; i++ {
 			s.Append(uint64(i%7), 10+i)
 			d.Append(uint64(i%7), 10+i)
@@ -201,9 +164,14 @@ func TestDecodeHoldsCellsToTheLevel(t *testing.T) {
 		"sketch": splice(encoded(t, s), encoded(t, s2)),
 		"direct": splice(encoded(t, d), encoded(t, d2)),
 	} {
-		_, err := decodeWhole(data, f)
+		_, err := decodeWhole(data, 2)
 		if err == nil || !strings.Contains(err.Error(), "count 41 arrivals, the level 40") {
 			t.Errorf("%s: cells of a 41-element level under a 40-element header: %v", name, err)
+		}
+	}
+	for name, data := range map[string][]byte{"sketch": encoded(t, s), "direct": encoded(t, d)} {
+		if _, err := decodeWhole(data, 3); err == nil || !strings.Contains(err.Error(), "cells under gamma 2 in a level under gamma 3") {
+			t.Errorf("%s: cells under γ 2 loaded under 3: %v", name, err)
 		}
 	}
 }

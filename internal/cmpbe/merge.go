@@ -3,15 +3,8 @@ package cmpbe
 import (
 	"fmt"
 
-	"histburst/internal/pbe"
 	"histburst/internal/pbe2"
 )
-
-// mergeAppender is the per-cell merge capability (implemented by both PBE
-// builders).
-type mergeAppender interface {
-	MergeAppend(other pbe.PBE) error
-}
 
 // MergeAppend absorbs a sketch built over a strictly later time range of
 // the same stream. Both sketches must share dimensions and seed (so every
@@ -28,15 +21,9 @@ func (s *Sketch) MergeAppend(other *Sketch) error {
 	if s.seed != other.seed {
 		return fmt.Errorf("cmpbe: seed mismatch (%d vs %d)", s.seed, other.seed)
 	}
-	for i := range s.cells {
-		for j := range s.cells[i] {
-			m, ok := s.cells[i][j].(mergeAppender)
-			if !ok {
-				return fmt.Errorf("cmpbe: cell type %T is not mergeable", s.cells[i][j])
-			}
-			if err := m.MergeAppend(other.cells[i][j]); err != nil {
-				return fmt.Errorf("cmpbe: cell (%d,%d): %w", i, j, err)
-			}
+	for c := range s.cells {
+		if err := s.cells[c].MergeAppend(&other.cells[c]); err != nil {
+			return fmt.Errorf("cmpbe: cell (%d,%d): %w", c/s.w, c%s.w, err)
 		}
 	}
 	s.n += other.n
@@ -50,10 +37,9 @@ func (s *Sketch) MergeAppend(other *Sketch) error {
 // MergeSketches builds a fresh sketch equivalent to MergeAppend-ing each of
 // parts[1:] onto a clone of parts[0], without materializing clones: every
 // cell is assembled straight from the source cells' packed segment arrays by
-// pbe2.MergeFinished, and all d·w result builders live in one arena
-// allocation. Only PBE-2 cells are stream-mergeable (PBE-1's buffering makes
-// packed-array concatenation inapplicable); sources must be finished and are
-// never mutated. Cell arithmetic is bit-identical to the MergeAppend chain.
+// pbe2.MergeFinishedInto, and all d·w result cells live in one array.
+// Sources must be finished and are never mutated. Cell arithmetic is
+// bit-identical to the MergeAppend chain.
 //
 //histburst:fastpath MergeAppend
 func MergeSketches(parts []*Sketch) (*Sketch, error) {
@@ -72,21 +58,18 @@ func MergeSketches(parts []*Sketch) (*Sketch, error) {
 			return nil, fmt.Errorf("cmpbe: seed mismatch (%d vs %d)", first.seed, p.seed)
 		}
 	}
-	arrays := make([][]pbe.PBE, len(parts))
-	var n, maxT int64 = first.n, first.maxT
-	arrays[0] = first.flat
-	for i, p := range parts[1:] {
-		arrays[i+1] = p.flat
+	arrays := make([][]pbe2.Builder, len(parts))
+	n, maxT := int64(0), first.maxT
+	for i, p := range parts {
+		arrays[i] = p.cells
 		n += p.n
-		if p.maxT > maxT {
-			maxT = p.maxT
-		}
+		maxT = max(maxT, p.maxT)
 	}
-	flat, err := mergeCellArrays(arrays)
+	cells, err := mergeCellArrays(arrays)
 	if err != nil {
 		return nil, err
 	}
-	return newSketch(first.d, first.w, first.seed, first.hf, flat, n, maxT), nil
+	return &Sketch{d: first.d, w: first.w, seed: first.seed, cells: cells, hf: first.hf, n: n, maxT: maxT}, nil
 }
 
 // MergeDirects is MergeSketches for collision-free summaries.
@@ -105,15 +88,12 @@ func MergeDirects(parts []*Direct) (*Direct, error) {
 			return nil, fmt.Errorf("cmpbe: id space mismatch (%d vs %d)", len(first.cells), len(p.cells))
 		}
 	}
-	arrays := make([][]pbe.PBE, len(parts))
-	var n, maxT int64 = first.n, first.maxT
-	arrays[0] = first.cells
-	for i, p := range parts[1:] {
-		arrays[i+1] = p.cells
+	arrays := make([][]pbe2.Builder, len(parts))
+	n, maxT := int64(0), first.maxT
+	for i, p := range parts {
+		arrays[i] = p.cells
 		n += p.n
-		if p.maxT > maxT {
-			maxT = p.maxT
-		}
+		maxT = max(maxT, p.maxT)
 	}
 	cells, err := mergeCellArrays(arrays)
 	if err != nil {
@@ -123,21 +103,16 @@ func MergeDirects(parts []*Direct) (*Direct, error) {
 }
 
 // mergeCellArrays merges cell i of every source array into slot i of a fresh
-// cell array. All result builders are laid out in one arena allocation; each
-// cell's segment storage is sized exactly once by pbe2.MergeFinishedInto.
-func mergeCellArrays(arrays [][]pbe.PBE) ([]pbe.PBE, error) {
-	cellCount := len(arrays[0])
-	arena, out := arenaCells(cellCount)
+// cell array; each cell's segment storage is sized exactly once by
+// pbe2.MergeFinishedInto.
+func mergeCellArrays(arrays [][]pbe2.Builder) ([]pbe2.Builder, error) {
+	out := make([]pbe2.Builder, len(arrays[0]))
 	srcs := make([]*pbe2.Builder, len(arrays))
-	for c := 0; c < cellCount; c++ {
+	for c := range out {
 		for k, a := range arrays {
-			b, ok := a[c].(*pbe2.Builder)
-			if !ok {
-				return nil, fmt.Errorf("cmpbe: cell type %T is not stream-mergeable", a[c])
-			}
-			srcs[k] = b
+			srcs[k] = &a[c]
 		}
-		if err := pbe2.MergeFinishedInto(&arena[c], srcs); err != nil {
+		if err := pbe2.MergeFinishedInto(&out[c], srcs); err != nil {
 			return nil, fmt.Errorf("cmpbe: cell %d: %w", c, err)
 		}
 	}
@@ -154,11 +129,7 @@ func (d *Direct) MergeAppend(other *Direct) error {
 		return fmt.Errorf("cmpbe: id space mismatch (%d vs %d)", len(d.cells), len(other.cells))
 	}
 	for i := range d.cells {
-		m, ok := d.cells[i].(mergeAppender)
-		if !ok {
-			return fmt.Errorf("cmpbe: cell type %T is not mergeable", d.cells[i])
-		}
-		if err := m.MergeAppend(other.cells[i]); err != nil {
+		if err := d.cells[i].MergeAppend(&other.cells[i]); err != nil {
 			return fmt.Errorf("cmpbe: direct cell %d: %w", i, err)
 		}
 	}

@@ -1,6 +1,7 @@
 package cmpbe
 
 import (
+	"strings"
 	"testing"
 
 	"histburst/internal/stream"
@@ -22,12 +23,8 @@ func partitionStream(data stream.Stream) []stream.Stream {
 // TestMergeSketchesMatchesMergeAppend pins the streaming sketch merge
 // bit-identical to the sequential MergeAppend chain on every cell.
 func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
-	f, err := PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func() *Sketch {
-		s, err := New(3, 16, 5, f)
+		s, err := New(3, 16, 5, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +76,8 @@ func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
 // TestMergeDirectsMatchesMergeAppend does the same for the collision-free
 // summaries the dyadic tree's top levels use.
 func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
-	f, err := PBE2Factory(2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mk := func() *Direct {
-		d, err := NewDirect(32, f)
+		d, err := NewDirect(32, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,22 +123,50 @@ func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
 }
 
 func TestMergeSketchesValidation(t *testing.T) {
-	f, _ := PBE2Factory(2)
-	a, _ := New(3, 16, 5, f)
-	b, _ := New(3, 16, 6, f) // seed mismatch
+	a, _ := New(3, 16, 5, 2)
+	b, _ := New(3, 16, 6, 2) // seed mismatch
 	if _, err := MergeSketches([]*Sketch{a, b}); err == nil {
 		t.Fatal("seed mismatch accepted")
 	}
-	c, _ := New(2, 16, 5, f) // dimension mismatch
+	c, _ := New(2, 16, 5, 2) // dimension mismatch
 	if _, err := MergeSketches([]*Sketch{a, c}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 	if _, err := MergeSketches(nil); err == nil {
 		t.Fatal("zero-part merge accepted")
 	}
-	p1, _ := PBE1Factory(64, 8)
-	d, _ := New(3, 16, 5, p1)
-	if _, err := MergeSketches([]*Sketch{d}); err == nil {
-		t.Fatal("PBE-1 cells accepted by streaming merge")
+}
+
+// TestLevelKindsDoNotMix: the level functions hand each kind to its own
+// merge or downsample and refuse a mix, and a sketch narrows only to a width
+// that divides its own.
+func TestLevelKindsDoNotMix(t *testing.T) {
+	s, _ := New(2, 8, 1, 2)
+	d, _ := NewDirect(8, 2)
+	s.Finish()
+	d.Finish()
+	if _, err := MergeLevels([]Level{s, d}); err == nil || !strings.Contains(err.Error(), "level kind mismatch") {
+		t.Errorf("merging a sketch and a Direct: %v", err)
+	}
+	if _, err := DownsampleLevels([]Level{d, s}, 4, 1, 4); err == nil || !strings.Contains(err.Error(), "level kind mismatch") {
+		t.Errorf("downsampling a Direct and a sketch: %v", err)
+	}
+	if err := MergeAppendLevel(s, d); err == nil || !strings.Contains(err.Error(), "level kind mismatch") {
+		t.Errorf("appending a Direct to a sketch: %v", err)
+	}
+	if _, err := MergeLevels(nil); err == nil {
+		t.Error("merge of zero levels accepted")
+	}
+	for w, want := range map[int]int{4: 4, 8: 8, 3: 8, 0: 8, 16: 8} {
+		l, err := DownsampleLevels([]Level{s}, 4, 1, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := l.(*Sketch).Dims(); got != want {
+			t.Errorf("downsampled to width %d: %d wide, want %d", w, got, want)
+		}
+	}
+	if l, err := MergeLevels([]Level{d, d}); err != nil || l.(*Direct).IDs() != 8 {
+		t.Errorf("merging two Directs: %v", err)
 	}
 }

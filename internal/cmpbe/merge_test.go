@@ -8,9 +8,8 @@ import (
 )
 
 func TestSketchMergeAppend(t *testing.T) {
-	f, _ := PBE2Factory(2)
 	mk := func() *Sketch {
-		s, err := New(3, 32, 5, f)
+		s, err := New(3, 32, 5, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,13 +50,12 @@ func TestSketchMergeAppend(t *testing.T) {
 }
 
 func TestSketchMergeValidation(t *testing.T) {
-	f, _ := PBE2Factory(2)
-	a, _ := New(3, 32, 5, f)
-	b, _ := New(3, 16, 5, f)
+	a, _ := New(3, 32, 5, 2)
+	b, _ := New(3, 16, 5, 2)
 	if err := a.MergeAppend(b); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
-	c, _ := New(3, 32, 6, f)
+	c, _ := New(3, 32, 6, 2)
 	if err := a.MergeAppend(c); err == nil {
 		t.Error("seed mismatch accepted")
 	}
@@ -67,9 +65,8 @@ func TestSketchMergeValidation(t *testing.T) {
 }
 
 func TestDirectMergeAppend(t *testing.T) {
-	f, _ := PBE2Factory(1)
-	a, _ := NewDirect(4, f)
-	b, _ := NewDirect(4, f)
+	a, _ := NewDirect(4, 1)
+	b, _ := NewDirect(4, 1)
 	for tm := int64(0); tm < 500; tm++ {
 		a.Append(uint64(tm%4), tm)
 	}
@@ -85,7 +82,7 @@ func TestDirectMergeAppend(t *testing.T) {
 	if got := a.EstimateF(1, 999); math.Abs(got-250) > 2 {
 		t.Fatalf("EstimateF = %v, want ≈250", got)
 	}
-	c, _ := NewDirect(8, f)
+	c, _ := NewDirect(8, 1)
 	if err := a.MergeAppend(c); err == nil {
 		t.Error("size mismatch accepted")
 	}

@@ -22,7 +22,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			data[i].Event += 3 * k
 		}
 	}
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	levels := CMPBELevels(2, 4, 9, f, steer) // levels 0–2 hash 64/32/16 ids into 2×4 cells
 	marshal := func(tr *Tree) []byte {
 		t.Helper()

@@ -40,46 +40,14 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 		}
 	}
 	levels := make([]Level, len(first.levels))
-	for i := range levels {
-		ds, err := downsampleLevels(parts, i, SteerGamma(first.heights[i], gamma), res, w)
+	for i, h := range first.heights {
+		srcs, err := levelsAt(parts, i)
+		if err == nil {
+			levels[i], err = cmpbe.DownsampleLevels(srcs, SteerGamma(h, gamma), res, w)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
-		levels[i] = ds
 	}
 	return &Tree{k: first.k, lgK: first.lgK, heights: first.heights, levels: levels, n: n, maxT: maxT}, nil
-}
-
-// downsampleLevels streams level i of every tree into one lower-fidelity
-// level summary.
-func downsampleLevels(parts []*Tree, i int, gamma float64, res int64, w int) (Level, error) {
-	switch lv := parts[0].levels[i].(type) {
-	case *cmpbe.Sketch:
-		srcs := make([]*cmpbe.Sketch, len(parts))
-		for k, p := range parts {
-			s, ok := p.levels[i].(*cmpbe.Sketch)
-			if !ok {
-				return nil, fmt.Errorf("level type mismatch: %T vs %T", parts[0].levels[i], p.levels[i])
-			}
-			srcs[k] = s
-		}
-		_, lw := lv.Dims()
-		target := lw
-		if w >= 1 && w <= lw && lw%w == 0 {
-			target = w
-		}
-		return cmpbe.DownsampleSketches(srcs, gamma, res, target)
-	case *cmpbe.Direct:
-		srcs := make([]*cmpbe.Direct, len(parts))
-		for k, p := range parts {
-			s, ok := p.levels[i].(*cmpbe.Direct)
-			if !ok {
-				return nil, fmt.Errorf("level type mismatch: %T vs %T", parts[0].levels[i], p.levels[i])
-			}
-			srcs[k] = s
-		}
-		return cmpbe.DownsampleDirects(srcs, gamma, res)
-	default:
-		return nil, fmt.Errorf("level type %T is not downsampleable", parts[0].levels[i])
-	}
 }

@@ -12,10 +12,14 @@
 //
 // The tree keeps a summary only at the heights its LevelFactory returns one
 // for. A collision-free parent is, by that same additivity, exactly the sum
-// of its children — a shortcut, not information — so the production factory
-// (CMPBELevels) keeps every fourth collision-free height and a node there has
-// sixteen children, pruned by the additive form of the bound, Σ b_c² < θ².
-// A factory that keeps every height gives Algorithm 3 as published.
+// of its children — a shortcut, not information — so the index shape
+// (LevelsEvery at IndexSpacing) keeps every fourth collision-free height and
+// a node there has sixteen children, pruned by the additive form of the
+// bound, Σ b_c² < θ². A factory that keeps every height gives Algorithm 3 as
+// published. The production levels (CMPBELevels) are CM-PBE-2 summaries,
+// cmpbe.Level values; merging, downsampling and decoding leave telling a
+// Count-Min level from a collision-free one to cmpbe. The experiments fill
+// the same shape with their CM-PBE-1 baseline.
 //
 // Only height 0 answers: every estimate a caller sees — a point query, the
 // b̃ ≥ θ filter a reported id passed, a TopBursty score — is read from the
@@ -38,7 +42,7 @@ import (
 )
 
 // Level is one level's summary: a sketch over that level's aggregate-id
-// stream. *cmpbe.Sketch satisfies it; tests substitute exact stores to
+// stream. Every cmpbe.Level satisfies it; tests substitute exact stores to
 // verify the pruning logic in isolation.
 type Level interface {
 	Append(e uint64, t int64)
@@ -51,18 +55,18 @@ type Level interface {
 // number of distinct aggregate ids there — widths can shrink as the id space
 // halves. A nil Level with a nil error means the tree keeps no summary at
 // that height; height 0 must be kept and a node may span at most
-// indexSpacing heights.
+// IndexSpacing heights.
 type LevelFactory func(level int, ids uint64) (Level, error)
 
-// indexSpacing is the distance between kept collision-free heights: a node
-// there has 2^indexSpacing children. Measured on olympicrio (the abl-fanout
+// IndexSpacing is the distance between kept collision-free heights: a node
+// there has 2^IndexSpacing children. Measured on olympicrio (the abl-fanout
 // experiment), 4 beats 1, 2 and 3 on bytes, build time, recall and query
 // time at K = 1024. At K ≥ 2¹⁴, where Count-Min levels sit below and every
 // probe of a surviving node's sixteen children is a d-row sketch query, it
 // buys recall 0.82 → 0.96 for 1.6–3.1× the BURSTY-EVENT time (spacing 2:
 // +26–36 % time, recall 0.89–0.90) and, with the thinned levels under
 // SteerGammaFactor × γ, under a tenth fewer bytes.
-const indexSpacing = 4
+const IndexSpacing = 4
 
 // SteerGammaFactor is how much looser than the leaf level's γ the PBE-2 error
 // cap of a steering level at height ≥ SteerHeight is. Such a cell decides a
@@ -89,7 +93,7 @@ const SteerGammaFactor = 4
 // third of their bytes, and costs uspolitics 0.02 of recall at prominent
 // thresholds and 0.05–0.06 at low ones (abl-level's "every height" rows), so
 // they keep the leaf's γ.
-const SteerHeight = indexSpacing
+const SteerHeight = IndexSpacing
 
 // steered reports whether the level at height h is built under
 // SteerGammaFactor × γ.
@@ -97,7 +101,7 @@ func steered(h int) bool { return h >= SteerHeight }
 
 // SteerGamma is the PBE-2 error cap of the level at height h in an index
 // whose leaves run under gamma: SteerGammaFactor × gamma from SteerHeight up,
-// gamma below. The rule's one owner: the facade's build and load factories,
+// gamma below. The rule's one owner: the facade's build, DecodeTree,
 // DownsampleTrees and the shape checks that hold a level to its γ all ask it.
 func SteerGamma(h int, gamma float64) float64 {
 	if steered(h) {
@@ -108,26 +112,17 @@ func SteerGamma(h int, gamma float64) float64 {
 
 // maxFanOut is the most children a node has — New holds every factory to
 // it, so the search evaluates a node's children into a fixed buffer.
-const maxFanOut = 1 << indexSpacing
+const maxFanOut = 1 << IndexSpacing
 
 // levelSeedStride separates the hash seeds of the Count-Min levels.
 const levelSeedStride = 7919
 
-// CMPBELevels returns the production LevelFactory: CM-PBE sketches with d
-// rows and w columns at every height whose id count exceeds d·w, and
-// collision-free Direct summaries — no more PBE cells than the sketch they
-// replace, and none of the collisions that break the additivity
-// (F_parent = ΣF_child) the pruning bound relies on — at the lowest height
-// that fits d·w cells and every indexSpacing-th height above it. The cells of
-// heights below SteerHeight come from leaf, the rest from steer: for PBE-2
-// cells under γ that is PBE-2 under SteerGammaFactor × γ; a cell kind with no
-// error cap to loosen (PBE-1) passes the same factory twice.
-//
-// The two kinds thin differently. A Direct parent repeats its children, so
-// dropping it loses nothing; each Count-Min level hashes independently and
-// is its own filter against the collisions of the one below, so all stay.
-func CMPBELevels(d, w int, seed int64, leaf, steer cmpbe.Factory) LevelFactory {
-	return CMPBELevelsEvery(indexSpacing, d, w, seed, leaf, steer)
+// CMPBELevels returns the production LevelFactory: the shape LevelsEvery
+// keeps at IndexSpacing, of CM-PBE-2 sketches and Direct summaries whose
+// cells are under the error cap leaf below SteerHeight and steer from there
+// up — what SteerGamma gives for a leaf γ.
+func CMPBELevels(d, w int, seed int64, leaf, steer float64) LevelFactory {
+	return CMPBELevelsEvery(IndexSpacing, d, w, seed, leaf, steer)
 }
 
 // CMPBELevelsEvery is CMPBELevels with the spacing of the collision-free
@@ -135,21 +130,43 @@ func CMPBELevels(d, w int, seed int64, leaf, steer cmpbe.Factory) LevelFactory {
 // which is §V as published. A kept level is the same bytes at any spacing.
 // For the reproduction (fig12's published row, abl-fanout, abl-level) and
 // tests; only the production spacing and factor are serializable.
-func CMPBELevelsEvery(spacing, d, w int, seed int64, leaf, steer cmpbe.Factory) LevelFactory {
+func CMPBELevelsEvery(spacing, d, w int, seed int64, leaf, steer float64) LevelFactory {
+	gamma := func(h int) float64 {
+		if steered(h) {
+			return steer
+		}
+		return leaf
+	}
+	return LevelsEvery(spacing, d, w, seed,
+		func(h int, seed int64) (Level, error) { return cmpbe.New(d, w, seed, gamma(h)) },
+		func(h int, ids uint64) (Level, error) { return cmpbe.NewDirect(ids, gamma(h)) })
+}
+
+// LevelsEvery returns the LevelFactory of the index shape: a Count-Min level
+// of d rows and w columns, built by sketch under the seed given, at every
+// height whose id count exceeds d·w, and a collision-free level over the
+// height's ids, built by direct — no more cells than the sketch it replaces,
+// and none of the collisions that break the additivity (F_parent = ΣF_child)
+// the pruning bound relies on — at the lowest height that fits d·w cells and
+// every spacing-th height above it. The Count-Min levels' seeds step by
+// levelSeedStride from seed, one step a height.
+//
+// The two kinds thin differently. A Direct parent repeats its children, so
+// dropping it loses nothing; each Count-Min level hashes independently and
+// is its own filter against the collisions of the one below, so all stay.
+func LevelsEvery(spacing, d, w int, seed int64,
+	sketch func(h int, seed int64) (Level, error),
+	direct func(h int, ids uint64) (Level, error)) LevelFactory {
 	return func(level int, ids uint64) (Level, error) {
 		if spacing < 1 {
 			return nil, fmt.Errorf("dyadic: level spacing must be positive, got %d", spacing)
 		}
-		f := leaf
-		if steered(level) {
-			f = steer
-		}
 		h0 := directHeight(ids<<level, d, w)
 		switch {
 		case level < h0:
-			return cmpbe.New(d, w, seed+int64(level)*levelSeedStride, f)
+			return sketch(level, seed+int64(level)*levelSeedStride)
 		case (level-h0)%spacing == 0:
-			return cmpbe.NewDirect(ids, f)
+			return direct(level, ids)
 		}
 		return nil, nil
 	}
@@ -168,11 +185,11 @@ func directHeight(k uint64, d, w int) int {
 // keptHeights lists the heights CMPBELevels keeps over 2^lgK ids when h0 is
 // the lowest collision-free one: every height below it, then h0, h0+4, ….
 func keptHeights(lgK, h0 int) []int {
-	hs := make([]int, 0, h0+(lgK-h0)/indexSpacing+1)
+	hs := make([]int, 0, h0+(lgK-h0)/IndexSpacing+1)
 	for h := 0; h < h0; h++ {
 		hs = append(hs, h)
 	}
-	for h := h0; h <= lgK; h += indexSpacing {
+	for h := h0; h <= lgK; h += IndexSpacing {
 		hs = append(hs, h)
 	}
 	return hs
@@ -217,17 +234,17 @@ func New(k uint64, f LevelFactory) (*Tree, error) {
 
 // checkHeights holds a height list to what the search indexes by: the leaves
 // are kept, heights ascend, and neither a node nor the virtual root over the
-// top kept level spans more than indexSpacing heights.
+// top kept level spans more than IndexSpacing heights.
 func checkHeights(heights []int, lgK int) error {
 	if len(heights) == 0 || heights[0] != 0 {
 		return fmt.Errorf("dyadic: the leaf level (height 0) must be kept")
 	}
 	for i, h := range heights[1:] {
-		if d := h - heights[i]; d < 1 || d > indexSpacing {
-			return fmt.Errorf("dyadic: level %d at height %d follows height %d; a node spans 1 to %d heights", i+1, h, heights[i], indexSpacing)
+		if d := h - heights[i]; d < 1 || d > IndexSpacing {
+			return fmt.Errorf("dyadic: level %d at height %d follows height %d; a node spans 1 to %d heights", i+1, h, heights[i], IndexSpacing)
 		}
 	}
-	if top := heights[len(heights)-1]; top > lgK || lgK-top > indexSpacing {
+	if top := heights[len(heights)-1]; top > lgK || lgK-top > IndexSpacing {
 		return fmt.Errorf("dyadic: top level at height %d of %d leaves more than %d nodes without a parent", top, lgK, maxFanOut)
 	}
 	return nil

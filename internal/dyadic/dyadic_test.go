@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/exact"
 	"histburst/internal/stream"
 )
@@ -220,7 +219,7 @@ func TestOutOfRangeIDFolded(t *testing.T) {
 func TestSketchTreeFindsPlantedBursts(t *testing.T) {
 	const k = 64
 	data := burstyStream(7, k, 3000)
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	tr, err := New(k, CMPBELevels(4, 64, 11, f, steer))
 	if err != nil {
 		t.Fatal(err)
@@ -279,18 +278,9 @@ func TestRoundPow2(t *testing.T) {
 	}
 }
 
-// pbe2Cells returns the cell factories a PBE-2 index under gamma is built and
-// decoded with: the leaf level's, and the steering levels' at
-// SteerGammaFactor × gamma.
-func pbe2Cells(t testing.TB, gamma float64) (leaf, steer cmpbe.Factory) {
-	t.Helper()
-	leaf, err := cmpbe.PBE2Factory(gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steer, err = cmpbe.PBE2Factory(SteerGammaFactor * gamma)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return leaf, steer
+// indexGammas returns the error caps a PBE-2 index under gamma is built
+// with: the leaf level's, and the steering levels' at SteerGammaFactor ×
+// gamma.
+func indexGammas(gamma float64) (leaf, steer float64) {
+	return gamma, SteerGammaFactor * gamma
 }

@@ -11,9 +11,8 @@ import (
 
 // Serialization: the tree stores its shape — the id space and the kept
 // heights — then every level's own serialized form, one after another.
-// Loading is specific to the levels CMPBELevels builds (the only persistent
-// kind); the leaf and steering cell factories must match the ones used at
-// build time.
+// Loading is specific to the levels CMPBELevels builds under SteerGamma (the
+// only persistent kind), given the leaf γ used at build time.
 
 var treeMagic = []byte{'D', 'Y', 'A', 3}
 
@@ -42,10 +41,9 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 }
 
 // DecodeTree reads from r a tree serialized by Encode whose levels are
-// CM-PBE summaries built from the given cell factories — leaf below
-// SteerHeight, steer from there up, as CMPBELevels takes them, so a steering
-// level stored under the leaf's γ (or the reverse) is refused by the level
-// decoder's γ check — and leaves r just past it. It accepts exactly the
+// CM-PBE summaries under SteerGamma(h, gamma) at each height h — so a
+// steering level stored under the leaf's γ (or the reverse) is refused by the
+// level decoder's γ check — and leaves r just past it. It accepts exactly the
 // shapes CMPBELevels builds: the search indexes a level's cells by height, so
 // a level of any other size would be read out of range or — folded by modulo —
 // silently serve two ids from one cell. Each Direct level has K>>height
@@ -56,7 +54,7 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 // configuration it is loaded under — is the caller's to check.
 //
 //histburst:decoder
-func DecodeTree(r *binenc.Reader, leaf, steer cmpbe.Factory) (*Tree, error) {
+func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
 	if string(r.BytesBlob()) != string(treeMagic) {
 		return nil, fmt.Errorf("dyadic: bad magic")
 	}
@@ -81,11 +79,7 @@ func DecodeTree(r *binenc.Reader, leaf, steer cmpbe.Factory) (*Tree, error) {
 	levels := make([]Level, nLevels)
 	sketches := 0
 	for i, h := range heights {
-		f := leaf
-		if steered(h) {
-			f = steer
-		}
-		v, err := cmpbe.DecodeLevel(r, f)
+		v, err := cmpbe.DecodeLevel(r, SteerGamma(h, gamma))
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
@@ -104,8 +98,6 @@ func DecodeTree(r *binenc.Reader, leaf, steer cmpbe.Factory) (*Tree, error) {
 				return nil, err
 			}
 			sketches++
-		default:
-			return nil, fmt.Errorf("dyadic: level %d type %T lacks the Level methods", i, v)
 		}
 	}
 	if want := keptHeights(lgK, sketches); !slices.Equal(heights, want) {

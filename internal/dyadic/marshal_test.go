@@ -7,13 +7,12 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
-	"histburst/internal/cmpbe"
 )
 
-// decodeWhole decodes data as exactly one tree.
-func decodeWhole(data []byte, f, steer cmpbe.Factory) (*Tree, error) {
+// decodeWhole decodes data as exactly one tree whose leaves are under gamma.
+func decodeWhole(data []byte, gamma float64) (*Tree, error) {
 	r := binenc.NewReader(data)
-	tr, err := DecodeTree(r, f, steer)
+	tr, err := DecodeTree(r, gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -21,7 +20,7 @@ func decodeWhole(data []byte, f, steer cmpbe.Factory) (*Tree, error) {
 }
 
 func TestTreeMarshalRoundTrip(t *testing.T) {
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	tr, err := New(64, CMPBELevels(3, 32, 5, f, steer))
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +35,7 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 	if err := tr.Encode(&w); err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeWhole(w.Bytes(), f, steer)
+	got, err := decodeWhole(w.Bytes(), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +74,7 @@ func TestTreeMarshalExactLevelsFails(t *testing.T) {
 }
 
 func TestUnmarshalTreeRejectsCorrupt(t *testing.T) {
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	tr, _ := New(8, CMPBELevels(2, 8, 1, f, steer))
 	tr.Append(1, 5)
 	tr.Finish()
@@ -85,31 +84,35 @@ func TestUnmarshalTreeRejectsCorrupt(t *testing.T) {
 	}
 	blob := w.Bytes()
 	for cut := 0; cut < len(blob); cut++ {
-		if _, err := decodeWhole(blob[:cut], f, steer); err == nil {
+		if _, err := decodeWhole(blob[:cut], f); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
-	if _, err := decodeWhole([]byte("garbage"), f, steer); err == nil {
+	if _, err := decodeWhole([]byte("garbage"), f); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
-// TestDecodeTreeHoldsLevelsToTheirGamma: a tree loads only under the pair of
-// factories it was built with. Handed the leaf's for both, the height-6 level
-// (under SteerGammaFactor × γ) is refused; built with the leaf's for both —
-// the index as it was before the factor — the same level is refused for the
-// opposite reason. Neither is re-fitted or served.
+// TestDecodeTreeHoldsLevelsToTheirGamma: a tree loads only under the leaf γ
+// it was built with, every level under SteerGamma of its height. Built with
+// the leaf's γ throughout — the index as it was before the factor — or under
+// another factor, the height-6 level is refused; loaded under another leaf
+// γ, the leaf level is. None is re-fitted or served.
 func TestDecodeTreeHoldsLevelsToTheirGamma(t *testing.T) {
-	f, steer := pbe2Cells(t, 2)
+	leaf, steer := indexGammas(2)
 	for _, c := range []struct {
-		name        string
-		build, load [2]cmpbe.Factory
-		want        string
+		name  string
+		build [2]float64
+		load  float64
+		want  string
 	}{
-		{"loaded under the leaf's γ throughout", [2]cmpbe.Factory{f, steer}, [2]cmpbe.Factory{f, f},
-			"level 3: cmpbe: cells under gamma 8, the factory's are under 2"},
-		{"built under the leaf's γ throughout", [2]cmpbe.Factory{f, f}, [2]cmpbe.Factory{f, steer},
-			"level 3: cmpbe: cells under gamma 2, the factory's are under 8"},
+		{"as built", [2]float64{leaf, steer}, leaf, ""},
+		{"built under the leaf's γ throughout", [2]float64{leaf, leaf}, leaf,
+			"level 3: cmpbe: cells under gamma 2 in a level under gamma 8"},
+		{"built under another steering factor", [2]float64{leaf, 2 * steer}, leaf,
+			"level 3: cmpbe: cells under gamma 16 in a level under gamma 8"},
+		{"loaded under another leaf γ", [2]float64{leaf, steer}, 2 * leaf,
+			"level 0: cmpbe: cells under gamma 2 in a level under gamma 4"},
 	} {
 		tr, err := New(64, CMPBELevels(3, 8, 5, c.build[0], c.build[1])) // heights 0, 1 hashed; 2 and 6 collision-free
 		if err != nil {
@@ -126,10 +129,12 @@ func TestDecodeTreeHoldsLevelsToTheirGamma(t *testing.T) {
 		if err := tr.Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := decodeWhole(w.Bytes(), c.build[0], c.build[1]); err != nil {
-			t.Fatalf("%s: fixture does not load under its own factories: %v", c.name, err)
-		}
-		if _, err := decodeWhole(w.Bytes(), c.load[0], c.load[1]); err == nil || !strings.Contains(err.Error(), c.want) {
+		_, err = decodeWhole(w.Bytes(), c.load)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: DecodeTree error %v", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: DecodeTree error %v, want one containing %q", c.name, err, c.want)
 		}
 	}

@@ -18,7 +18,11 @@ func (t *Tree) MergeAppend(other *Tree) error {
 		return err
 	}
 	for i := range t.levels {
-		if err := mergeLevel(t.levels[i], other.levels[i]); err != nil {
+		pair, err := levelsAt([]*Tree{t, other}, i)
+		if err == nil {
+			err = cmpbe.MergeAppendLevel(pair[0], pair[1])
+		}
+		if err != nil {
 			return fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
 	}
@@ -56,11 +60,13 @@ func MergeTrees(parts []*Tree) (*Tree, error) {
 	}
 	levels := make([]Level, len(first.levels))
 	for i := range levels {
-		merged, err := mergeLevels(parts, i)
+		srcs, err := levelsAt(parts, i)
+		if err == nil {
+			levels[i], err = cmpbe.MergeLevels(srcs)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
-		levels[i] = merged
 	}
 	return &Tree{k: first.k, lgK: first.lgK, heights: first.heights, levels: levels, n: n, maxT: maxT}, nil
 }
@@ -74,49 +80,16 @@ func sameShape(a, b *Tree) error {
 	return nil
 }
 
-// mergeLevels streams level i of every tree into one merged level summary.
-func mergeLevels(parts []*Tree, i int) (Level, error) {
-	switch parts[0].levels[i].(type) {
-	case *cmpbe.Sketch:
-		srcs := make([]*cmpbe.Sketch, len(parts))
-		for k, p := range parts {
-			s, ok := p.levels[i].(*cmpbe.Sketch)
-			if !ok {
-				return nil, fmt.Errorf("level type mismatch: %T vs %T", parts[0].levels[i], p.levels[i])
-			}
-			srcs[k] = s
-		}
-		return cmpbe.MergeSketches(srcs)
-	case *cmpbe.Direct:
-		srcs := make([]*cmpbe.Direct, len(parts))
-		for k, p := range parts {
-			s, ok := p.levels[i].(*cmpbe.Direct)
-			if !ok {
-				return nil, fmt.Errorf("level type mismatch: %T vs %T", parts[0].levels[i], p.levels[i])
-			}
-			srcs[k] = s
-		}
-		return cmpbe.MergeDirects(srcs)
-	default:
-		return nil, fmt.Errorf("level type %T is not stream-mergeable", parts[0].levels[i])
-	}
-}
-
-func mergeLevel(dst, src Level) error {
-	switch d := dst.(type) {
-	case *cmpbe.Sketch:
-		s, ok := src.(*cmpbe.Sketch)
+// levelsAt returns level i of every tree, each the CM-PBE level it must be to
+// merge or downsample; the exact levels the pruning tests substitute are not.
+func levelsAt(parts []*Tree, i int) ([]cmpbe.Level, error) {
+	out := make([]cmpbe.Level, len(parts))
+	for k, p := range parts {
+		l, ok := p.levels[i].(cmpbe.Level)
 		if !ok {
-			return fmt.Errorf("level type mismatch: %T vs %T", dst, src)
+			return nil, fmt.Errorf("level type %T is not a CM-PBE level", p.levels[i])
 		}
-		return d.MergeAppend(s)
-	case *cmpbe.Direct:
-		s, ok := src.(*cmpbe.Direct)
-		if !ok {
-			return fmt.Errorf("level type mismatch: %T vs %T", dst, src)
-		}
-		return d.MergeAppend(s)
-	default:
-		return fmt.Errorf("level type %T is not mergeable", dst)
+		out[k] = l
 	}
+	return out, nil
 }

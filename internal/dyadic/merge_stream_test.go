@@ -10,7 +10,7 @@ import (
 // bit-identical to the sequential MergeAppend chain on every level.
 func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 	const k = 256
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	factory := CMPBELevels(3, 16, 5, f, steer)
 	data := burstyStream(17, k, 2000)
 	c1, c2 := len(data)/3, 2*len(data)/3
@@ -88,7 +88,7 @@ func TestMergeTreesValidation(t *testing.T) {
 	if _, err := MergeTrees(nil); err == nil {
 		t.Fatal("zero-part merge accepted")
 	}
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	a, _ := New(64, CMPBELevels(3, 16, 5, f, steer))
 	b, _ := New(128, CMPBELevels(3, 16, 5, f, steer))
 	if _, err := MergeTrees([]*Tree{a, b}); err == nil {

@@ -21,7 +21,7 @@ func benchTree(b *testing.B) *Tree {
 	b.Helper()
 	benchTreeOnce.Do(func() {
 		const k = 1 << 16
-		f, steer := pbe2Cells(b, 4)
+		f, steer := indexGammas(4)
 		tr, err := New(k, CMPBELevels(3, 128, 17, f, steer))
 		if err != nil {
 			panic(err)

@@ -72,7 +72,7 @@ func TestParallelLargeTreeSketchLevels(t *testing.T) {
 		t.Skip("large tree build")
 	}
 	const k = 1 << 16
-	f, steer := pbe2Cells(t, 4)
+	f, steer := indexGammas(4)
 	tr, err := New(k, CMPBELevels(3, 128, 17, f, steer))
 	if err != nil {
 		t.Fatal(err)

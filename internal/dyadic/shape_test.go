@@ -111,7 +111,7 @@ func cancellationStream() stream.Stream {
 // the estimate its parent computed instead of computing it again, and a
 // two-child node decides by equation 6 exactly as before.
 func TestEveryLevelIsAlgorithm3(t *testing.T) {
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	for _, c := range []struct {
 		name    string
 		k       uint64
@@ -179,10 +179,10 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 // TestKeptHeights pins the shape rule over id spaces and sketch dimensions:
 // the leaves are always kept, heights ascend to at most lg K, every Count-Min
 // height is present and below every collision-free one, the collision-free
-// ones start at the lowest that fits and are indexSpacing apart, and neither
+// ones start at the lowest that fits and are IndexSpacing apart, and neither
 // a node nor the virtual root has more than maxFanOut children.
 func TestKeptHeights(t *testing.T) {
-	f, steer := pbe2Cells(t, 2)
+	f, steer := indexGammas(2)
 	for _, dims := range [][2]int{{5, 272}, {3, 16}, {64, 4096}} {
 		d, w := dims[0], dims[1]
 		for _, k := range []uint64{1, 2, 16, 32, 1024, 1 << 11, 1 << 14, 1 << 16} {
@@ -208,8 +208,8 @@ func TestKeptHeights(t *testing.T) {
 					t.Fatalf("K=%d %d×%d: height %d holds a %T over %d ids", k, d, w, h, tr.Level(i), k>>h)
 				case sketch && h != i:
 					t.Fatalf("K=%d %d×%d: Count-Min height %d missing below %v", k, d, w, i, heights)
-				case !sketch && (h-h0)%indexSpacing != 0:
-					t.Fatalf("K=%d %d×%d: collision-free height %d is not %d + a multiple of %d", k, d, w, h, h0, indexSpacing)
+				case !sketch && (h-h0)%IndexSpacing != 0:
+					t.Fatalf("K=%d %d×%d: collision-free height %d is not %d + a multiple of %d", k, d, w, h, h0, IndexSpacing)
 				}
 				if i > 0 && (h <= heights[i-1] || 1<<(h-heights[i-1]) > maxFanOut) {
 					t.Fatalf("K=%d %d×%d: heights %v: node at %d has more than %d children or none", k, d, w, heights, h, maxFanOut)

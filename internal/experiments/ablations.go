@@ -71,18 +71,14 @@ func ablationMedian(cfg Config) (Table, error) {
 	w := paperWidth
 	cells := []struct {
 		name string
-		mk   func() (cmpbe.Factory, error)
+		mk   func() (mixedSketch, error)
 	}{
-		{"PBE-2 tight (γ=2)", func() (cmpbe.Factory, error) { return cmpbe.PBE2Factory(2) }},
-		{"PBE-2 coarse", func() (cmpbe.Factory, error) { return cmpbe.PBE2Factory(scaleGamma(400, cfg)) }},
-		{"PBE-1 coarse (η=8)", func() (cmpbe.Factory, error) { return cmpbe.PBE1Factory(pbe1BufferN, 8) }},
+		{"PBE-2 tight (γ=2)", func() (mixedSketch, error) { return cmpbe.New(cmpbeDepth, w, cfg.Seed, 2) }},
+		{"PBE-2 coarse", func() (mixedSketch, error) { return cmpbe.New(cmpbeDepth, w, cfg.Seed, scaleGamma(400, cfg)) }},
+		{"PBE-1 coarse (η=8)", func() (mixedSketch, error) { return newCMPBE1(cmpbeDepth, w, cfg.Seed, 8) }},
 	}
 	for _, cell := range cells {
-		factory, err := cell.mk()
-		if err != nil {
-			return Table{}, err
-		}
-		sk, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, factory)
+		sk, err := cell.mk()
 		if err != nil {
 			return Table{}, err
 		}

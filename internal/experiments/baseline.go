@@ -24,19 +24,11 @@ func baseline(cfg Config) (Table, error) {
 	oracle := oracleFor("olympicrio"+fmt.Sprint(cfg.Scale, cfg.Seed), data)
 
 	w := paperWidth / 2
-	f2, err := cmpbe.PBE2Factory(math.Max(6, 60*cfg.Scale))
+	sk2, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, math.Max(6, 60*cfg.Scale))
 	if err != nil {
 		return Table{}, err
 	}
-	sk2, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, f2)
-	if err != nil {
-		return Table{}, err
-	}
-	f1, err := cmpbe.PBE1Factory(pbe1BufferN, 60)
-	if err != nil {
-		return Table{}, err
-	}
-	sk1, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, f1)
+	sk1, err := newCMPBE1(cmpbeDepth, w, cfg.Seed, pbe1Eta)
 	if err != nil {
 		return Table{}, err
 	}

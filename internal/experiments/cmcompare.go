@@ -30,11 +30,7 @@ func ablationCM(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	factory, err := cmpbe.PBE2Factory(scaleGamma(40, cfg))
-	if err != nil {
-		return Table{}, err
-	}
-	sk, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, factory)
+	sk, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, scaleGamma(40, cfg))
 	if err != nil {
 		return Table{}, err
 	}

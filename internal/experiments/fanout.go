@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/metrics"
 	"histburst/internal/stream"
@@ -23,15 +22,12 @@ var indexLgKs = []int{10, 14, 16}
 // steerFactors is abl-level's sweep; 1 is every level under the leaf's γ.
 var steerFactors = []float64{1, 2, 4, 8, 16}
 
-// pbe2Factories returns the PBE-2 leaf factory at the experiments' fixed
-// moderate γ (cellFactories' f2) and a steering factory at factor times it.
-func pbe2Factories(cfg Config, factor float64) (leaf, steer cmpbe.Factory, err error) {
+// pbe2Gammas returns the experiments' fixed moderate PBE-2 γ (fig11's
+// CM-PBE-2 cells), as an event index's leaf γ, and a steering γ factor times
+// it.
+func pbe2Gammas(cfg Config, factor float64) (leaf, steer float64) {
 	gamma := scaleGamma(40, cfg)
-	if leaf, err = cmpbe.PBE2Factory(gamma); err != nil {
-		return nil, nil, err
-	}
-	steer, err = cmpbe.PBE2Factory(factor * gamma)
-	return leaf, steer, err
+	return gamma, factor * gamma
 }
 
 // spreadOlympic returns olympicrio over an id space of 2^lgK: as generated at
@@ -66,10 +62,7 @@ func ablationFanout(cfg Config) (Table, error) {
 			"with Count-Min levels below (K ≥ 2¹⁴) more subtrees survive and each costs sketch probes, so the wider node pays in query time",
 		Header: []string{"K", "spacing", "levels", "space", "build ns/elem", "precision", "recall", "point queries/query", "µs/query", "bytes"},
 	}
-	leaf, steer, err := pbe2Factories(cfg, dyadic.SteerGammaFactor)
-	if err != nil {
-		return Table{}, err
-	}
+	leaf, steer := pbe2Gammas(cfg, dyadic.SteerGammaFactor)
 	for _, lgK := range indexLgKs {
 		data := spreadOlympic(cfg, lgK)
 		oracle := oracleFor(fmt.Sprint("olympicrio/spread", lgK, cfg.Scale, cfg.Seed), data)
@@ -157,19 +150,13 @@ func ablationLevel(cfg Config) (Table, error) {
 			return nil
 		}
 		for _, factor := range steerFactors {
-			leaf, steer, err := pbe2Factories(cfg, factor)
-			if err != nil {
-				return Table{}, err
-			}
+			leaf, steer := pbe2Gammas(cfg, factor)
 			if err := row(fmt.Sprintf("×%g", factor), dyadic.CMPBELevels(cmpbeDepth, g.w, cfg.Seed, leaf, steer)); err != nil {
 				return Table{}, err
 			}
 		}
-		leaf, steer, err := pbe2Factories(cfg, dyadic.SteerGammaFactor)
-		if err != nil {
-			return Table{}, err
-		}
-		// A factory handed steer for both kinds builds every height under it;
+		leaf, steer := pbe2Gammas(cfg, dyadic.SteerGammaFactor)
+		// A factory handed steer for both γs builds every height under it;
 		// only its leaf level is not wanted.
 		leaves := dyadic.CMPBELevels(cmpbeDepth, g.w, cfg.Seed, leaf, leaf)
 		above := dyadic.CMPBELevels(cmpbeDepth, g.w, cfg.Seed, steer, steer)

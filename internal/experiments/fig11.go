@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"histburst/internal/cmpbe"
-	"histburst/internal/exact"
 	"histburst/internal/metrics"
 	"histburst/internal/stream"
 )
@@ -26,20 +25,6 @@ const paperWidth = 544
 // collision term the way the paper's growing space budget does.
 var fig11Widths = []int{68, 136, 272, 544}
 
-// cellFactories returns the per-variant cell factory at a fixed moderate
-// budget: η=60 points per PBE-1 chunk, γ scaled from the paper's 40.
-func cellFactories(cfg Config) (f1, f2 cmpbe.Factory, err error) {
-	f1, err = cmpbe.PBE1Factory(pbe1BufferN, 60)
-	if err != nil {
-		return nil, nil, err
-	}
-	f2, _, err = pbe2Factories(cfg, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f1, f2, nil
-}
-
 // fig11 reproduces Figure 11: on full mixed streams, CM-PBE-1 and CM-PBE-2
 // trade space for burstiness accuracy; olympicrio behaves better than
 // uspolitics at small budgets because uspolitics' Zipf popularity lets
@@ -58,19 +43,20 @@ func fig11(cfg Config) (Table, error) {
 		{"olympicrio", olympicStream(cfg)},
 		{"uspolitics", politicsStream(cfg)},
 	}
-	f1, f2, err := cellFactories(cfg)
-	if err != nil {
-		return Table{}, err
-	}
+	// Both variants at a fixed moderate budget: η = 60 points per PBE-1
+	// chunk, γ scaled from the paper's 40.
+	gamma, _ := pbe2Gammas(cfg, 1)
 	for _, ds := range datasets {
 		oracle := oracleFor(ds.name+fmt.Sprint(cfg.Scale, cfg.Seed), ds.s)
 		for _, w := range fig11Widths {
-			for vi, factory := range []cmpbe.Factory{f1, f2} {
-				name := "CM-PBE-1"
-				if vi == 1 {
-					name = "CM-PBE-2"
+			for vi, name := range []string{"CM-PBE-1", "CM-PBE-2"} {
+				var sk mixedSketch
+				var err error
+				if vi == 0 {
+					sk, err = newCMPBE1(cmpbeDepth, w, cfg.Seed, pbe1Eta)
+				} else {
+					sk, err = cmpbe.New(cmpbeDepth, w, cfg.Seed, gamma)
 				}
-				sk, err := cmpbe.New(cmpbeDepth, w, cfg.Seed, factory)
 				if err != nil {
 					return Table{}, err
 				}
@@ -79,7 +65,7 @@ func fig11(cfg Config) (Table, error) {
 				}
 				sk.Finish()
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(w) + int64(vi)))
-				stats := mixedErrPerSketch(sk, oracle, cfg.Queries, rng)
+				stats := mixedPointErrors(sk.Burstiness, oracle, cfg.Queries, rng)
 				t.Rows = append(t.Rows, []string{
 					ds.name, name, fmt.Sprintf("%d", w),
 					metrics.HumanBytes(sk.Bytes()),
@@ -89,10 +75,4 @@ func fig11(cfg Config) (Table, error) {
 		}
 	}
 	return t, nil
-}
-
-func mixedErrPerSketch(sk *cmpbe.Sketch, oracle *exact.Store, q int, rng *rand.Rand) metrics.ErrorStats {
-	return mixedPointErrors(func(e uint64, t, tau int64) float64 {
-		return sk.Burstiness(e, t, tau)
-	}, oracle, q, rng)
 }

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/exact"
 	"histburst/internal/metrics"
@@ -44,32 +43,24 @@ func fig12(cfg Config) (Table, error) {
 		{"olympicrio", workload.OlympicRioK, olympicStream(cfg)},
 		{"uspolitics", workload.USPoliticsK, politicsStream(cfg)},
 	}
-	f1, _, err := cellFactories(cfg)
-	if err != nil {
-		return Table{}, err
-	}
-	f2, steer2, err := pbe2Factories(cfg, dyadic.SteerGammaFactor)
-	if err != nil {
-		return Table{}, err
-	}
+	leaf, steer := pbe2Gammas(cfg, dyadic.SteerGammaFactor)
 	for _, ds := range datasets {
 		oracle := oracleFor(ds.name+fmt.Sprint(cfg.Scale, cfg.Seed), ds.s)
 		queries := eventQueries(oracle, max(cfg.Queries/2, 20), rand.New(rand.NewSource(cfg.Seed+33)))
 		for _, w := range []int{136, 272, 544} {
-			// PBE-1 cells have no γ to loosen and steer as they answer.
 			for _, cell := range []struct {
-				name        string
-				leaf, steer cmpbe.Factory
+				name            string
+				published, kept dyadic.LevelFactory
 			}{
-				{"CM-PBE-1", f1, f1},
-				{"CM-PBE-2", f2, steer2},
+				{"CM-PBE-1", pbe1Levels(1, cmpbeDepth, w, cfg.Seed, pbe1Eta), pbe1Levels(dyadic.IndexSpacing, cmpbeDepth, w, cfg.Seed, pbe1Eta)},
+				{"CM-PBE-2", dyadic.CMPBELevelsEvery(1, cmpbeDepth, w, cfg.Seed, leaf, leaf), dyadic.CMPBELevels(cmpbeDepth, w, cfg.Seed, leaf, steer)},
 			} {
 				for _, index := range []struct {
 					name   string
 					levels dyadic.LevelFactory
 				}{
-					{"Algorithm 3 (every level)", dyadic.CMPBELevelsEvery(1, cmpbeDepth, w, cfg.Seed, cell.leaf, cell.leaf)},
-					{"kept levels", dyadic.CMPBELevels(cmpbeDepth, w, cfg.Seed, cell.leaf, cell.steer)},
+					{"Algorithm 3 (every level)", cell.published},
+					{"kept levels", cell.kept},
 				} {
 					tree, err := dyadic.New(ds.k, index.levels)
 					if err != nil {

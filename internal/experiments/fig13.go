@@ -17,10 +17,7 @@ func init() {
 // estorm.org.
 func fig13(cfg Config) (Table, error) {
 	data := politicsStream(cfg)
-	leaf, steer, err := pbe2Factories(cfg, dyadic.SteerGammaFactor)
-	if err != nil {
-		return Table{}, err
-	}
+	leaf, steer := pbe2Gammas(cfg, dyadic.SteerGammaFactor)
 	tree, err := dyadic.New(workload.USPoliticsK, dyadic.CMPBELevels(cmpbeDepth, paperWidth, cfg.Seed, leaf, steer))
 	if err != nil {
 		return Table{}, err

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -49,12 +50,64 @@ func TestRepoCarriesKeyAnnotations(t *testing.T) {
 }
 
 // TestPBE1StaysABaseline: the served, persisted, merged and decayed detector
-// has one cell type, PBE-2. PBE-1 is the paper's baseline, which the sketch
-// package can hold and the experiments build in memory; no other non-test
-// code may import it, so it cannot creep back into a product path.
+// has one cell type, PBE-2. PBE-1 is the paper's baseline, which the
+// experiments build in memory; no other non-test code may import it, so it
+// cannot creep back into a product path.
 func TestPBE1StaysABaseline(t *testing.T) {
 	const pbe1 = "histburst/internal/pbe1"
-	allowed := map[string]bool{"internal/cmpbe": true, "internal/experiments": true}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(rel)) == "internal/experiments" {
+			return
+		}
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pbe1 {
+				t.Errorf("%s imports %s; only internal/experiments may", rel, pbe1)
+			}
+		}
+	})
+}
+
+// TestLevelsHoldConcreteCells: a level's cells are one []pbe2.Builder, so no
+// non-test code of the packages that build, serve or store the detector names
+// the pbe.PBE interface a cell slot would need to hold any other kind.
+func TestLevelsHoldConcreteCells(t *testing.T) {
+	const pbePath = "histburst/internal/pbe"
+	held := map[string]bool{".": true, "internal/cmpbe": true, "internal/dyadic": true, "internal/segstore": true}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		if !held[filepath.ToSlash(filepath.Dir(rel))] {
+			return
+		}
+		name := ""
+		for _, imp := range f.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); p == pbePath {
+				name = "pbe"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return
+		}
+		named := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "PBE" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+					named = true
+				}
+			}
+			return !named
+		})
+		if named {
+			t.Errorf("%s names pbe.PBE; a level holds pbe2.Builder cells", rel)
+		}
+	})
+}
+
+// eachProductFile calls fn with every non-test Go file of the module outside
+// testdata and dot directories, parsed, and its path from the module root.
+func eachProductFile(t *testing.T, fn func(rel string, f *ast.File)) {
+	t.Helper()
 	root := moduleRootForTest(t)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -73,18 +126,11 @@ func TestPBE1StaysABaseline(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if allowed[filepath.ToSlash(filepath.Dir(rel))] {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 		if err != nil {
 			return err
 		}
-		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == pbe1 {
-				t.Errorf("%s imports %s; only internal/cmpbe and internal/experiments may", rel, pbe1)
-			}
-		}
+		fn(rel, f)
 		return nil
 	})
 	if err != nil {

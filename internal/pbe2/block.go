@@ -6,7 +6,6 @@ import (
 	"math/bits"
 
 	"histburst/internal/binenc"
-	"histburst/internal/pbe"
 )
 
 // Cell block: how a level of PBE-2 cells — a collision-free summary, or every
@@ -37,22 +36,19 @@ import (
 
 const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 2<<24
 
-// EncodeBlock appends cells — all PBE-2 summaries under one gamma — to w as
-// one cell block, finishing each first (as MarshalBinary does).
+// EncodeBlock appends cells — summaries under one gamma — to w as one cell
+// block, finishing each first (as MarshalBinary does).
 // maxT is the level's largest timestamp, the base the first start of every
 // cell is written against; DecodeBlock must be given the same.
-func EncodeBlock(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
-	var first *Builder
+func EncodeBlock(w *binenc.Writer, cells []Builder, maxT int64) error {
+	if len(cells) == 0 {
+		return fmt.Errorf("pbe2: cell block of zero cells")
+	}
+	first := &cells[0]
 	var outOfOrder int64
 	present := make([]*Builder, 0, len(cells))
-	for i, c := range cells {
-		b, ok := c.(*Builder)
-		if !ok {
-			return fmt.Errorf("pbe2: cell %d is a %T, not a PBE-2 summary", i, c)
-		}
-		if first == nil {
-			first = b
-		}
+	for i := range cells {
+		b := &cells[i]
 		if b.gamma != first.gamma {
 			return fmt.Errorf("pbe2: cell %d has gamma %v in a block of gamma %v", i, b.gamma, first.gamma)
 		}
@@ -70,15 +66,12 @@ func EncodeBlock(w *binenc.Writer, cells []pbe.PBE, maxT int64) error {
 		outOfOrder += b.outOfOrder
 		present = append(present, b)
 	}
-	if first == nil {
-		return fmt.Errorf("pbe2: cell block of zero cells")
-	}
 	w.Uint32(blockMagic)
 	w.Float64(first.gamma)
 	w.Uvarint(uint64(outOfOrder))
 	var mask byte
-	for i, c := range cells {
-		if c.(*Builder).count > 0 {
+	for i := range cells {
+		if cells[i].count > 0 {
 			mask |= 1 << (i % 8)
 		}
 		if i%8 == 7 || i == len(cells)-1 {
@@ -147,7 +140,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	}
 	gamma := r.Float64()
 	outOfOrder := c.uvarint()
-	if err := checkGamma(gamma); err != nil {
+	if err := CheckGamma(gamma); err != nil {
 		return corrupt("%v", err)
 	}
 	empty := Builder{gamma: gamma, headLow: math.MaxInt64}

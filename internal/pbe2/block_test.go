@@ -8,17 +8,16 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
-	"histburst/internal/pbe"
 )
 
 // blockCells gathers every kind of cell a level can hold under one gamma:
 // built, empty, with out-of-order arrivals, with segments too long for a
 // lens slot, merged, and downsampled (whose own gamma is the block's).
-func blockCells(t testing.TB, gamma float64) (cells []pbe.PBE, maxT int64) {
+func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	t.Helper()
 	add := func(b *Builder) {
 		b.Finish()
-		cells = append(cells, b)
+		cells = append(cells, *b)
 		if b.started && b.lastT > maxT {
 			maxT = b.lastT
 		}
@@ -54,27 +53,19 @@ func blockCells(t testing.TB, gamma float64) (cells []pbe.PBE, maxT int64) {
 	add(ds)
 	add(buildPBE2(t, []int64{-90, -90, -40}, gamma)) // before time zero
 	add(empty())
-	if got := countLong(cells[12].(*Builder)); got == 0 {
+	if got := countLong(&cells[12]); got == 0 {
 		t.Fatal("fixture: no segment too long for a lens slot")
 	}
 	return cells, maxT
 }
 
-func encodeBlock(t testing.TB, cells []pbe.PBE, maxT int64) []byte {
+func encodeBlock(t testing.TB, cells []Builder, maxT int64) []byte {
 	t.Helper()
 	var w binenc.Writer
 	if err := EncodeBlock(&w, cells, maxT); err != nil {
 		t.Fatal(err)
 	}
 	return w.Bytes()
-}
-
-func arenaOf(cells []Builder) []pbe.PBE {
-	out := make([]pbe.PBE, len(cells))
-	for i := range cells {
-		out[i] = &cells[i]
-	}
-	return out
 }
 
 // TestBlockRoundTrip: a block decodes to cells equal to the ones encoded in
@@ -92,22 +83,22 @@ func TestBlockRoundTrip(t *testing.T) {
 		t.Fatalf("decoder left %d bytes, want the 4 that follow the block", r.Remaining())
 	}
 	for i := range got {
-		if !reflect.DeepEqual(&got[i], cells[i]) {
-			t.Errorf("cell %d decoded as\n%+v, encoded from\n%+v", i, &got[i], cells[i])
+		if !reflect.DeepEqual(got[i], cells[i]) {
+			t.Errorf("cell %d decoded as\n%+v, encoded from\n%+v", i, &got[i], &cells[i])
 		}
 		if b := &got[i]; cap(b.starts) != len(b.starts) || cap(b.lens) != len(b.lens) || cap(b.lines) != len(b.lines) {
 			t.Errorf("cell %d holds columns with room to spare (cap %d/%d/%d for %d segments): an append would write into its neighbour's",
 				i, cap(b.starts), cap(b.lens), cap(b.lines), len(b.starts))
 		}
 	}
-	if again := encodeBlock(t, arenaOf(got), maxT); !bytes.Equal(again, data) {
+	if again := encodeBlock(t, got, maxT); !bytes.Equal(again, data) {
 		t.Fatal("the decoded cells encode to other bytes")
 	}
 	// The empty cells cost their bit and nothing else: the same block
 	// without them is shorter by the bitmap alone.
-	var dense []pbe.PBE
+	var dense []Builder
 	for _, c := range cells {
-		if c.(*Builder).count > 0 {
+		if c.count > 0 {
 			dense = append(dense, c)
 		}
 	}
@@ -126,9 +117,9 @@ func TestBlockAppendAfterDecode(t *testing.T) {
 		randomTimestamps(22, 500, 9),
 		randomTimestamps(23, 500, 2),
 	}
-	build := func() (cells []pbe.PBE, maxT int64) {
+	build := func() (cells []Builder, maxT int64) {
 		for _, ts := range streams {
-			cells = append(cells, buildPBE2(t, ts, gamma))
+			cells = append(cells, *buildPBE2(t, ts, gamma))
 			maxT = max(maxT, ts[len(ts)-1])
 		}
 		return cells, maxT
@@ -143,7 +134,7 @@ func TestBlockAppendAfterDecode(t *testing.T) {
 	// Grow the middle cell well past its range of the shared arrays.
 	for i, v := range randomTimestamps(24, 2000, 6) {
 		got[1].Append(maxT + v)
-		twins[1].(*Builder).Append(maxT + v)
+		twins[1].Append(maxT + v)
 		if i == 700 { // and across a Finish, as a reopened store does
 			got[1].Finish()
 			twins[1].Finish()
@@ -155,8 +146,8 @@ func TestBlockAppendAfterDecode(t *testing.T) {
 		t.Fatal("fixture: the appends closed no segment")
 	}
 	for i := range got {
-		if !reflect.DeepEqual(&got[i], twins[i]) {
-			t.Errorf("cell %d after appending to cell 1:\n%+v, never stored:\n%+v", i, &got[i], twins[i])
+		if !reflect.DeepEqual(got[i], twins[i]) {
+			t.Errorf("cell %d after appending to cell 1:\n%+v, never stored:\n%+v", i, &got[i], &twins[i])
 		}
 	}
 }
@@ -164,11 +155,10 @@ func TestBlockAppendAfterDecode(t *testing.T) {
 func TestEncodeBlockRefusesMixedCells(t *testing.T) {
 	a := buildPBE2(t, []int64{1, 5, 9}, 2)
 	for name, c := range map[string]struct {
-		cells []pbe.PBE
+		cells []Builder
 		want  string
 	}{
-		"another gamma": {[]pbe.PBE{a, buildPBE2(t, []int64{2}, 3)}, "cell 1 has gamma 3"},
-		"not PBE-2":     {[]pbe.PBE{a, foreignCell{}}, "cell 1 is a pbe2.foreignCell"},
+		"another gamma": {[]Builder{*a, *buildPBE2(t, []int64{2}, 3)}, "cell 1 has gamma 3"},
 		"no cells":      {nil, "zero cells"},
 	} {
 		var w binenc.Writer
@@ -177,8 +167,6 @@ func TestEncodeBlockRefusesMixedCells(t *testing.T) {
 		}
 	}
 }
-
-type foreignCell struct{ pbe.PBE }
 
 // rawCell is one present cell of a forged block, column by column.
 type rawCell struct {

@@ -1,6 +1,8 @@
 package pbe2
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -378,4 +380,93 @@ func BenchmarkPBE2DownsampleNaive(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// downsampleNaive is the retained naive twin of DownsampleInto: the same
+// constraint mathematics, but candidate instants are materialized, sorted
+// and deduplicated per part, and sources are evaluated through the plain
+// Estimate search instead of streaming cursors. Equivalence tests pin the
+// two bit-identical.
+func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, error) {
+	if err := validateDownsample(parts, gamma, res); err != nil {
+		return nil, err
+	}
+	out := &Builder{gamma: gamma, headLow: math.MaxInt64}
+	var base, total, globalLast, totalOOO int64
+	anyStarted := false
+	lastFed := int64(math.MinInt64)
+	prevLast := int64(math.MinInt64)
+
+	for k := range parts {
+		part := parts[k]
+		pin, partLast, count, gammaSum, ooo, started := partBounds(part)
+		totalOOO += ooo
+		if !started {
+			continue
+		}
+		if anyStarted && pin < prevLast {
+			out.rest()
+			return nil, fmt.Errorf("pbe2: time ranges overlap (part ends at %d, next starts at %d)", prevLast, pin)
+		}
+		capT := partLast
+		for j := k + 1; j < len(parts); j++ {
+			nextPin, _, _, _, _, nextStarted := partBounds(parts[j])
+			if nextStarted {
+				capT = nextPin
+				break
+			}
+		}
+		slack := gamma - gammaSum
+
+		var cands []int64
+		for _, m := range part {
+			for _, s := range m.Segments() {
+				cands = append(cands, alignUp(s.Start, res))
+				if bp := s.End + 1; bp <= m.lastT {
+					cands = append(cands, alignUp(bp, res))
+				}
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
+		sBase := float64(base)
+		for _, c := range cands {
+			if c <= lastFed || c >= capT {
+				continue
+			}
+			s := sBase
+			for _, m := range part {
+				s += m.Estimate(c)
+			}
+			out.feedRange(rpoint{t: c, hi: s, slack: slack})
+			lastFed = c
+		}
+		if capT > lastFed {
+			s := sBase
+			for _, m := range part {
+				s += m.Estimate(capT)
+			}
+			out.feedRange(rpoint{t: capT, hi: s, slack: slack})
+			lastFed = capT
+		}
+
+		base += count
+		total += count
+		if partLast > globalLast {
+			globalLast = partLast
+		}
+		prevLast = partLast
+		anyStarted = true
+	}
+
+	out.closeWindow()
+	out.count = total
+	out.outOfOrder = totalOOO
+	if anyStarted {
+		out.lastT = globalLast
+		out.prevF = total
+		out.started = true
+		out.done = true
+	}
+	out.rest()
+	return out, nil
 }

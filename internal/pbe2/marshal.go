@@ -115,7 +115,7 @@ func (b *Builder) UnmarshalBinary(data []byte) error {
 	if err := r.Close(); err != nil {
 		return fmt.Errorf("pbe2: %w", err)
 	}
-	if err := checkGamma(gamma); err != nil {
+	if err := CheckGamma(gamma); err != nil {
 		return fmt.Errorf("pbe2: unmarshal: %w", err)
 	}
 	nb.boundStarts()

@@ -1,22 +1,14 @@
 package pbe2
 
-import (
-	"fmt"
-
-	"histburst/internal/pbe"
-)
+import "fmt"
 
 // MergeAppend absorbs a summary built over a strictly later time range —
 // parallel construction over mutually exclusive time partitions. Both
-// builders are flushed; other's segments are lifted by the receiver's
+// builders are flushed; o's segments are lifted by the receiver's
 // count (a later partition counts from zero) and concatenated. Every
 // per-instant guarantee (F−γ ≤ F̃ ≤ F) carries over to the merged stream
 // because cumulative frequencies of time-disjoint partitions add.
-func (b *Builder) MergeAppend(other pbe.PBE) error {
-	o, ok := other.(*Builder)
-	if !ok {
-		return fmt.Errorf("pbe2: cannot merge %T into PBE-2", other)
-	}
+func (b *Builder) MergeAppend(o *Builder) error {
 	if o.gamma != b.gamma {
 		return fmt.Errorf("pbe2: gamma mismatch (%v vs %v)", b.gamma, o.gamma)
 	}

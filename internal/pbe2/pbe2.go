@@ -124,13 +124,28 @@ type Builder struct {
 
 // New creates a PBE-2 builder with error cap gamma ≥ 1.
 func New(gamma float64) (*Builder, error) {
-	if err := checkGamma(gamma); err != nil {
+	if err := CheckGamma(gamma); err != nil {
 		return nil, err
 	}
 	return &Builder{gamma: gamma, headLow: math.MaxInt64}, nil
 }
 
-func checkGamma(gamma float64) error {
+// NewCells returns n empty builders under error cap gamma ≥ 1 in one array:
+// the cells of a sketch level, validated once.
+func NewCells(n int, gamma float64) ([]Builder, error) {
+	if err := CheckGamma(gamma); err != nil {
+		return nil, err
+	}
+	cells := make([]Builder, n)
+	for i := range cells {
+		cells[i] = Builder{gamma: gamma, headLow: math.MaxInt64}
+	}
+	return cells, nil
+}
+
+// CheckGamma refuses an error cap no builder accepts: below 1, NaN or
+// infinite.
+func CheckGamma(gamma float64) error {
 	if gamma < 1 || math.IsNaN(gamma) || math.IsInf(gamma, 0) {
 		return fmt.Errorf("pbe2: gamma must be at least 1, got %v", gamma)
 	}

@@ -264,29 +264,6 @@ func runDetectors(run []*Segment) ([]*histburst.Detector, error) {
 	return dets, nil
 }
 
-// mergeRunNaive is the retained naive twin: clone every input — MergeAppend
-// mutates both operands — and chain MergeAppend in time order.
-func (s *Store) mergeRunNaive(run []*Segment) (*Segment, error) {
-	dets, err := runDetectors(run)
-	if err != nil {
-		return nil, err
-	}
-	out, err := dets[0].Clone()
-	if err != nil {
-		return nil, err
-	}
-	for _, det := range dets[1:] {
-		next, err := det.Clone()
-		if err != nil {
-			return nil, err
-		}
-		if err := out.MergeAppend(next); err != nil {
-			return nil, err
-		}
-	}
-	return residentSegment(runMeta(run), out), nil
-}
-
 // runMeta derives the merged segment's manifest record from the run it
 // replaces. Fidelity metadata carries over from the first segment — pickRuns
 // and pickDecayRuns only group equal-fidelity neighbors.

@@ -152,30 +152,6 @@ func (s *Store) decayRun(run []*Segment, target int) (*Segment, error) {
 	return residentSegment(decayMeta(run, target, tier), out), nil
 }
 
-// decayRunNaive is the retained naive twin: clone every input and downsample
-// the clones, proving by construction that the fast path's in-place reads
-// leave the live sources untouched. Output estimates are bit-identical.
-func (s *Store) decayRunNaive(run []*Segment, target int) (*Segment, error) {
-	tier := s.tiers[target-1]
-	dets, err := runDetectors(run)
-	if err != nil {
-		return nil, err
-	}
-	for i, det := range dets {
-		c, err := det.Clone()
-		if err != nil {
-			return nil, err
-		}
-		c.Finish()
-		dets[i] = c
-	}
-	out, err := histburst.DownsampleDetectors(dets, tier.Gamma, tier.Res, tier.W)
-	if err != nil {
-		return nil, err
-	}
-	return residentSegment(decayMeta(run, target, tier), out), nil
-}
-
 // decayMeta derives the decayed segment's manifest record: the run's united
 // spans stamped with the tier's fidelity. A single never-compacted segment
 // stays un-Compacted — decay changes its fidelity, not its provenance.

@@ -16,6 +16,30 @@ import (
 // undecayed store, decayed history stays inside its reported (wider)
 // envelope, and the retained footprint shrinks.
 
+// decayRunNaive is the retained naive twin: clone every input and downsample
+// the clones, proving by construction that the fast path's in-place reads
+// leave the live sources untouched. Output estimates are bit-identical.
+func (s *Store) decayRunNaive(run []*Segment, target int) (*Segment, error) {
+	tier := s.tiers[target-1]
+	dets, err := runDetectors(run)
+	if err != nil {
+		return nil, err
+	}
+	for i, det := range dets {
+		c, err := det.Clone()
+		if err != nil {
+			return nil, err
+		}
+		c.Finish()
+		dets[i] = c
+	}
+	out, err := histburst.DownsampleDetectors(dets, tier.Gamma, tier.Res, tier.W)
+	if err != nil {
+		return nil, err
+	}
+	return residentSegment(decayMeta(run, target, tier), out), nil
+}
+
 // decayConfig is testConfig plus a two-tier decay ladder over a multi-week
 // event-time span (timestamps are seconds).
 func decayConfig(sealEvents int64) Config {

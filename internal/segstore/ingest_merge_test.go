@@ -12,6 +12,29 @@ import (
 // store query-identical to per-element Append, and the streaming mergeRun
 // must produce the same segment as the Clone+MergeAppend chain.
 
+// mergeRunNaive is the retained naive twin: clone every input — MergeAppend
+// mutates both operands — and chain MergeAppend in time order.
+func (s *Store) mergeRunNaive(run []*Segment) (*Segment, error) {
+	dets, err := runDetectors(run)
+	if err != nil {
+		return nil, err
+	}
+	out, err := dets[0].Clone()
+	if err != nil {
+		return nil, err
+	}
+	for _, det := range dets[1:] {
+		next, err := det.Clone()
+		if err != nil {
+			return nil, err
+		}
+		if err := out.MergeAppend(next); err != nil {
+			return nil, err
+		}
+	}
+	return residentSegment(runMeta(run), out), nil
+}
+
 // withDisorder injects out-of-order elements (timestamps behind the running
 // maximum) at a deterministic cadence so both ingest paths must reject the
 // same set.

@@ -7,7 +7,9 @@ import (
 	"sync"
 
 	"histburst"
+	"histburst/internal/cmpbe"
 	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 )
 
 // Query combination (the three instants of eq. (2), across segments):
@@ -62,7 +64,7 @@ const maxRows = 8
 // across workers), so the scratch cannot hang off the snapshot itself — it
 // is pooled and held for exactly one query.
 type queryScratch struct {
-	cells []pbe.PBE
+	cells []*pbe2.Builder
 
 	lists  [][]int64
 	bounds []int64
@@ -129,7 +131,7 @@ func (sn *Snapshot) CumulativeFrequency(e uint64, t int64) float64 {
 	var buf [maxRows]float64
 	est := 0.0
 	if d := sn.rowSums(e, t, &buf, scr); d > 0 {
-		est = medianInPlace(buf[:d])
+		est = cmpbe.Median(buf[:d])
 	}
 	queryScratchPool.Put(scr)
 	for _, h := range sn.v.frozen {
@@ -150,17 +152,18 @@ func (sn *Snapshot) Burstiness(e uint64, t, tau int64) (float64, error) {
 }
 
 // burstiness is the fold-free core shared with the candidate rescoring
-// paths (whose ids are already folded). Only the segments overlapping the
-// query window are visited (segsInWindow) — which is also what keeps a
-// lazily opened store lazy. Row scratch lives on the stack and cell scratch
-// in a pooled buffer, so the cross-segment point query performs no per-query
-// allocation.
+// paths (whose ids are already folded); tau is positive. Only the segments
+// overlapping the query window are visited (segsInWindow) — which is also
+// what keeps a lazily opened store lazy. Row scratch lives on the stack and
+// cell scratch in a pooled buffer, so the cross-segment point query performs
+// no per-query allocation.
 //
 //histburst:fastpath burstinessNaive
 func (sn *Snapshot) burstiness(e uint64, t, tau int64) float64 {
 	scr := queryScratchPool.Get().(*queryScratch)
 	var rows [maxRows]float64
 	d := 0
+	t0, t1 := t-2*tau, t-tau
 	for _, g := range sn.segsInWindow(t, tau) {
 		det := g.detector()
 		if det == nil {
@@ -169,39 +172,17 @@ func (sn *Snapshot) burstiness(e uint64, t, tau int64) float64 {
 		scr.cells = det.AppendEventCells(e, scr.cells[:0])
 		d = min(len(scr.cells), maxRows)
 		for i, c := range scr.cells[:d] {
-			rows[i] += pbe.Burstiness(c, t, tau)
+			f0, f1, f2 := c.Estimate3(t0, t1, t)
+			rows[i] += f2 - 2*f1 + f0
 		}
 	}
 	scr.cells = scr.cells[:0]
 	queryScratchPool.Put(scr)
-	b := medianInPlace(rows[:d])
+	b := cmpbe.Median(rows[:d])
 	for _, h := range sn.v.frozen {
 		b += h.burstiness(e, t, tau)
 	}
 	return b + sn.v.head.burstiness(e, t, tau)
-}
-
-// burstinessNaive is the retained naive twin of the point query: fresh
-// EventCells slices per segment, every segment visited, heads materialized.
-func (sn *Snapshot) burstinessNaive(e uint64, t, tau int64) float64 {
-	var rows [maxRows]float64
-	d := 0
-	for _, g := range sn.v.segs {
-		det := g.detector()
-		if det == nil {
-			continue
-		}
-		cells := det.EventCells(e)
-		d = min(len(cells), maxRows)
-		for i, c := range cells[:d] {
-			rows[i] += pbe.Burstiness(c, t, tau)
-		}
-	}
-	b := medianInPlace(rows[:d])
-	for _, h := range sn.heads() {
-		b += h.burstiness(e, t, tau)
-	}
-	return b
 }
 
 // crossView is the per-event pbe.Estimator over the whole snapshot: the
@@ -709,28 +690,6 @@ func (s *Store) Generation() uint64 { return s.Snapshot().Generation() }
 
 // Segments returns the current segment directory.
 func (s *Store) Segments() []SegmentInfo { return s.Snapshot().Segments() }
-
-// medianInPlace returns the median of vals (average of the two middle
-// values for even lengths), sorting in place — row counts are tiny.
-func medianInPlace(vals []float64) float64 {
-	n := len(vals)
-	if n == 0 {
-		return 0
-	}
-	for i := 1; i < n; i++ {
-		v := vals[i]
-		j := i - 1
-		for j >= 0 && vals[j] > v {
-			vals[j+1] = vals[j]
-			j--
-		}
-		vals[j+1] = v
-	}
-	if n%2 == 1 {
-		return vals[n/2]
-	}
-	return (vals[n/2-1] + vals[n/2]) / 2
-}
 
 // mergeSorted merges sorted int64 lists into one sorted deduplicated list by
 // rounds of pairwise merges — O(total · log len(lists)) against the

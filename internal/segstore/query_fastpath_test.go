@@ -2,10 +2,43 @@ package segstore
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
+
+// burstinessNaive is the retained naive twin of the point query: fresh
+// EventCells slices per segment, every segment visited, heads materialized,
+// and a sort-based median.
+func (sn *Snapshot) burstinessNaive(e uint64, t, tau int64) float64 {
+	var rows [maxRows]float64
+	d := 0
+	for _, g := range sn.v.segs {
+		det := g.detector()
+		if det == nil {
+			continue
+		}
+		cells := det.EventCells(e)
+		d = min(len(cells), maxRows)
+		for i, c := range cells[:d] {
+			rows[i] += pbe.Burstiness(c, t, tau)
+		}
+	}
+	vals, b := rows[:d], 0.0
+	sort.Float64s(vals)
+	switch {
+	case d%2 == 1:
+		b = vals[d/2]
+	case d > 0:
+		b = (vals[d/2-1] + vals[d/2]) / 2
+	}
+	for _, h := range sn.heads() {
+		b += h.burstiness(e, t, tau)
+	}
+	return b
+}
 
 // TestBurstinessFastpathMatchesNaive pins the pooled-scratch burstiness fast
 // path bit-identical to burstinessNaive over a store with sealed segments, a

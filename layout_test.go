@@ -10,7 +10,6 @@ import (
 
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
-	"histburst/internal/pbe2"
 	"histburst/internal/workload"
 )
 
@@ -188,7 +187,7 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 		records := 0
 		for e := uint64(0); e < l.IDs(); e++ {
 			prevEnd := l.MaxTime()
-			for j, s := range l.EventCells(e)[0].(*pbe2.Builder).Segments() {
+			for j, s := range l.EventCells(e)[0].Segments() {
 				var scratch [binary.MaxVarintLen64]byte
 				if j == 0 {
 					records += binary.PutVarint(scratch[:], s.Start-prevEnd)

@@ -37,7 +37,7 @@ func (d *Detector) MergeAppend(other *Detector) error {
 		if err := d.tree.MergeAppend(other.tree); err != nil {
 			return err
 		}
-	} else if err := mergeBase(d.base, other.base); err != nil {
+	} else if err := cmpbe.MergeAppendLevel(d.base, other.base); err != nil {
 		return err
 	}
 	if !d.started && other.started {
@@ -59,9 +59,9 @@ func (d *Detector) MergeAppend(other *Detector) error {
 // of parts[1:] onto a clone of parts[0] in time order, without materializing
 // any intermediate clones: every sketch cell of the result is assembled
 // straight from the source cells' packed segment arrays, bit-identical to
-// the clone+MergeAppend chain. All detectors must share their configuration,
-// hold PBE-2 cells, and be finished (sealed summaries always are); sources
-// are never mutated, so they may keep serving queries during the merge.
+// the clone+MergeAppend chain. All detectors must share their configuration
+// and be finished (sealed summaries always are); sources are never mutated,
+// so they may keep serving queries during the merge.
 //
 //histburst:fastpath MergeAppend
 func MergeDetectors(parts []*Detector) (*Detector, error) {
@@ -114,20 +114,24 @@ func MergeDetectors(parts []*Detector) (*Detector, error) {
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
-		base, ok := tree.Level(0).(baseLevel)
-		if !ok {
-			return nil, fmt.Errorf("histburst: internal error: level type %T lacks query methods", tree.Level(0))
-		}
-		out.tree = tree
-		out.base = base
+		out.setTree(tree)
 		return out, nil
 	}
-	base, err := mergeBaseMany(live)
+	base, err := cmpbe.MergeLevels(bases(live))
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	out.base = base
 	return out, nil
+}
+
+// bases returns the detectors' standalone (index-free) base levels.
+func bases(parts []*Detector) []cmpbe.Level {
+	out := make([]cmpbe.Level, len(parts))
+	for i, p := range parts {
+		out[i] = p.base
+	}
+	return out
 }
 
 // settledParts refuses a part that still buffers arrivals. MergeDetectors
@@ -142,35 +146,6 @@ func settledParts(parts []*Detector) error {
 		}
 	}
 	return nil
-}
-
-// mergeBaseMany streams the standalone (index-free) base levels of the
-// detectors into one merged summary.
-func mergeBaseMany(parts []*Detector) (baseLevel, error) {
-	switch parts[0].base.(type) {
-	case *cmpbe.Sketch:
-		srcs := make([]*cmpbe.Sketch, len(parts))
-		for i, p := range parts {
-			s, ok := p.base.(*cmpbe.Sketch)
-			if !ok {
-				return nil, fmt.Errorf("base type mismatch: %T vs %T", parts[0].base, p.base)
-			}
-			srcs[i] = s
-		}
-		return cmpbe.MergeSketches(srcs)
-	case *cmpbe.Direct:
-		srcs := make([]*cmpbe.Direct, len(parts))
-		for i, p := range parts {
-			s, ok := p.base.(*cmpbe.Direct)
-			if !ok {
-				return nil, fmt.Errorf("base type mismatch: %T vs %T", parts[0].base, p.base)
-			}
-			srcs[i] = s
-		}
-		return cmpbe.MergeDirects(srcs)
-	default:
-		return nil, fmt.Errorf("base type %T is not stream-mergeable", parts[0].base)
-	}
 }
 
 // BuildParallel constructs a Detector over a time-sorted bulk load, feeding
@@ -200,24 +175,4 @@ func BuildParallel(k uint64, elems []Element, workers int, opts ...Option) (*Det
 	}
 	det.Finish()
 	return det, nil
-}
-
-// mergeBase merges standalone (index-free) base levels.
-func mergeBase(dst, src baseLevel) error {
-	switch d := dst.(type) {
-	case *cmpbe.Sketch:
-		s, ok := src.(*cmpbe.Sketch)
-		if !ok {
-			return fmt.Errorf("histburst: base type mismatch: %T vs %T", dst, src)
-		}
-		return d.MergeAppend(s)
-	case *cmpbe.Direct:
-		s, ok := src.(*cmpbe.Direct)
-		if !ok {
-			return fmt.Errorf("histburst: base type mismatch: %T vs %T", dst, src)
-		}
-		return d.MergeAppend(s)
-	default:
-		return fmt.Errorf("histburst: base type %T is not mergeable", dst)
-	}
 }

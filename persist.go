@@ -14,15 +14,16 @@ import (
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
+	"histburst/internal/pbe2"
 )
 
 // Serialized detector format: a fixed magic, the resolved configuration,
 // the ingest counters, the summary (the dyadic tree, or the standalone base
 // level when the event index is disabled), and a CRC32-C footer over
 // everything before it, so torn writes and bit rot fail loudly at load time
-// instead of decoding into a subtly wrong detector. Load rebuilds the cell
-// factory from the stored configuration, so no options are needed at load
-// time and a detector round-trips exactly. Save writes, and Load accepts,
+// instead of decoding into a subtly wrong detector. Load holds every level to
+// the γ of the stored configuration, so no options are needed at load time
+// and a detector round-trips exactly. Save writes, and Load accepts,
 // format v6 ("HBD6") only: the levels of the event index from height 4 up,
 // which only steer the search, are held under dyadic.SteerGammaFactor × γ (a
 // level under any other γ than its height calls for is refused), and the
@@ -171,7 +172,7 @@ type Header struct {
 // summary that is malformed under a valid checksum, which no torn write or
 // bit flip can produce.
 func Inspect(data []byte) (Header, error) {
-	det, _, _, _, err := decodeHeader(data)
+	det, _, err := decodeHeader(data)
 	if err != nil {
 		return Header{}, err
 	}
@@ -180,21 +181,20 @@ func Inspect(data []byte) (Header, error) {
 
 // decodeHeader checks data's magic and checksum and decodes everything ahead
 // of the summary: the detector with its configuration and counters set and
-// no summary yet, the cell factories that configuration selects, and the
-// reader standing at the summary.
+// no summary yet, and the reader standing at the summary.
 //
 //histburst:decoder
-func decodeHeader(data []byte) (det *Detector, leaf, steer cmpbe.Factory, dec *binenc.Reader, err error) {
+func decodeHeader(data []byte) (det *Detector, dec *binenc.Reader, err error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
-			return nil, nil, nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD6 only)", ErrUnsupportedFormat, magic[3])
+			return nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD6 only)", ErrUnsupportedFormat, magic[3])
 		}
-		return nil, nil, nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
+		return nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
 	body, err := checkedBody(data, "detector file")
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	dec = binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above
@@ -212,61 +212,52 @@ func decodeHeader(data []byte) (det *Detector, leaf, steer cmpbe.Factory, dec *b
 	started := dec.Bool()
 	outOfOrder := dec.Varint()
 	if err := dec.Err(); err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: %w", err)
+		return nil, nil, fmt.Errorf("histburst: %w", err)
 	}
 	if k == 0 {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: empty id space")
+		return nil, nil, fmt.Errorf("histburst: corrupt detector file: empty id space")
 	}
 	if k > maxEventSpace {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible id space %d", k)
+		return nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible id space %d", k)
 	}
 	if c.d <= 0 || c.w <= 0 || c.d > maxSketchDim || c.w > maxSketchDim {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible sketch dimensions %d×%d", c.d, c.w)
+		return nil, nil, fmt.Errorf("histburst: corrupt detector file: implausible sketch dimensions %d×%d", c.d, c.w)
 	}
-
-	leaf, steer, err = cellFactories(c)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("histburst: corrupt detector file: %w", err)
+	// No cell is under such a γ, so Decode refuses it at the first level;
+	// refused here, Inspect agrees.
+	if err := pbe2.CheckGamma(c.gamma); err != nil {
+		return nil, nil, fmt.Errorf("histburst: corrupt detector file: %w", err)
 	}
 	det = &Detector{
 		k: k, cfg: c,
 		n: n, minT: minT, maxT: maxT, lastT: lastT, started: started, outOfOrder: outOfOrder,
 	}
-	return det, leaf, steer, dec, nil
+	return det, dec, nil
 }
 
 // Decode is Load for bytes already in memory; data is not retained.
 //
 //histburst:decoder
 func Decode(data []byte) (*Detector, error) {
-	det, leaf, steer, dec, err := decodeHeader(data)
+	det, dec, err := decodeHeader(data)
 	if err != nil {
 		return nil, err
 	}
 	if det.cfg.noIndex {
-		v, err := cmpbe.DecodeLevel(dec, leaf)
+		base, err := cmpbe.DecodeLevel(dec, det.cfg.gamma)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
-		base, ok := v.(baseLevel)
-		if !ok {
-			return nil, fmt.Errorf("histburst: corrupt detector file: base type %T", v)
-		}
 		det.base = base
 	} else {
-		tree, err := dyadic.DecodeTree(dec, leaf, steer)
+		tree, err := dyadic.DecodeTree(dec, det.cfg.gamma)
 		if err != nil {
 			return nil, fmt.Errorf("histburst: %w", err)
 		}
 		if tree.K() != roundPow2(det.k) {
 			return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
 		}
-		base, ok := tree.Level(0).(baseLevel)
-		if !ok {
-			return nil, fmt.Errorf("histburst: corrupt detector file: level type %T", tree.Level(0))
-		}
-		det.tree = tree
-		det.base = base
+		det.setTree(tree)
 	}
 	if err := dec.Close(); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)

@@ -3,6 +3,7 @@ package histburst
 import (
 	"bytes"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -543,6 +544,37 @@ func TestLoadRejectsImplausibleHeaders(t *testing.T) {
 		_, err := Load(bytes.NewReader(append(body, footer.Bytes()...)))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestInspectRefusesUncellableGamma: a header γ that no cell accepts, under a
+// valid checksum, is refused by Inspect with the error Decode gives. The
+// header check is the only place Inspect can see it: Decode would refuse such
+// a file at its first level anyway, which FuzzInspect files as the summary's
+// fault.
+func TestInspectRefusesUncellableGamma(t *testing.T) {
+	det, _ := New(8, WithPBE2(2), WithSketchDims(2, 8))
+	det.Append(1, 10)
+	var buf bytes.Buffer
+	if err := det.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	summary := buf.Bytes()[len(encodeHeader(det, detectorMagic, nil)) : buf.Len()-4]
+	for _, gamma := range []float64{2, 0.5, math.NaN(), math.Inf(1)} {
+		forged := *det
+		forged.cfg.gamma = gamma
+		data := sealed(encodeHeader(&forged, detectorMagic, summary))
+		_, ierr := Inspect(data)
+		_, derr := Decode(data)
+		if gamma == 2 {
+			if ierr != nil || derr != nil {
+				t.Fatalf("fixture: the file as saved does not load: Inspect %v, Decode %v", ierr, derr)
+			}
+			continue
+		}
+		if ierr == nil || derr == nil || ierr.Error() != derr.Error() || !strings.Contains(ierr.Error(), "gamma must be at least 1") {
+			t.Errorf("γ %v: Inspect error %v, Decode error %v; want both to refuse the header's γ alike", gamma, ierr, derr)
 		}
 	}
 }
