@@ -378,8 +378,10 @@ func seal(args []string, out io.Writer) (err error) {
 	if first, frontier := data[0].Time, st.Frontier(); first < frontier {
 		return fmt.Errorf("seal: period starts at %d, behind the store frontier %d (it overlaps sealed history)", first, frontier)
 	}
-	if err := st.AppendStream(data); err != nil {
+	if _, rejected, err := st.AppendBatch(data); err != nil {
 		return err
+	} else if rejected > 0 {
+		return fmt.Errorf("seal: %d elements of %s are out of time order", rejected, *in)
 	}
 	if err := st.Checkpoint(true); err != nil {
 		return err

@@ -84,8 +84,8 @@ func TestSealedDirIsAStoreDirectory(t *testing.T) {
 	}
 	defer direct.Close() //nolint:errcheck
 	for _, p := range []stream.Stream{p1, p2} {
-		if err := direct.AppendStream(p); err != nil {
-			t.Fatal(err)
+		if _, rej, err := direct.AppendBatch(p); err != nil || rej > 0 {
+			t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
 		}
 		if err := direct.Checkpoint(true); err != nil {
 			t.Fatal(err)

@@ -79,6 +79,12 @@ func TestDecayTiersEndToEnd(t *testing.T) {
 	if code, out := postAppend(t, ts.URL, sb.String()); code != 200 {
 		t.Fatalf("append: code=%d out=%v", code, out)
 	}
+	// The tier table counts sealed segments only. Seal the whole stream
+	// first: while later heads are still frozen, every sealed segment may
+	// already have decayed, and the table would show tier 1 alone.
+	if err := srv.store.Checkpoint(true); err != nil {
+		t.Fatal(err)
+	}
 
 	type segsBody struct {
 		Tiers []segstore.TierStats `json:"tiers"`

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -26,8 +27,12 @@ func TestRepoCarriesKeyAnnotations(t *testing.T) {
 	}{
 		{"internal/segstore/segstore.go", "//histburst:lockorder wal.mu Store.mu",
 			"the WAL-before-store lock order (PR 6) must stay declared"},
-		{"internal/segstore/segstore.go", "//histburst:durable-ack appendLocked",
-			"Append/AppendBatch/AppendStream must keep the WAL-before-ack contract"},
+		{"internal/segstore/segstore.go", "//histburst:lockorder Store.ingestMu wal.mu",
+			"the write path's lock must stay declared outside the log's"},
+		{"internal/segstore/segstore.go", "//histburst:lockorder Store.ingestMu Store.mu",
+			"the write path's lock must stay declared outside the store's"},
+		{"internal/segstore/ingest.go", "//histburst:durable-ack appendLocked",
+			"AppendBatch, the one function that logs, must keep the WAL-before-ack contract"},
 		{"internal/segstore/wal.go", "//histburst:durable-ack Sync",
 			"wal.appendLocked must keep fsync dominating its ack"},
 		{"internal/segstore/segstore.go", "//histburst:atomic",
@@ -47,6 +52,58 @@ func TestRepoCarriesKeyAnnotations(t *testing.T) {
 			t.Errorf("%s no longer contains %q — %s", k.file, k.want, k.why)
 		}
 	}
+}
+
+// TestOneWritePath: every element enters the store through
+// Store.AppendBatch — admit, log, apply — so in segstore's non-test code
+// only AppendBatch logs (wal.appendLocked), and only Store.apply and the
+// freeze's tail re-append write a head (memHead.appendBatch). The side
+// paths the write path replaced stay gone.
+func TestOneWritePath(t *testing.T) {
+	callers := map[string][]string{
+		"appendLocked": {"Store.AppendBatch"},
+		"appendBatch":  {"Store.apply", "Store.freezeHead"},
+	}
+	retired := map[string]bool{
+		"AppendStream": true, "applyDirect": true, "applyAccepted": true,
+		"stopOnReject": true, "compactOnce": true, "decayOnce": true,
+	}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(rel)) != "internal/segstore" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fn.Name.Name
+			if fn.Recv != nil && len(fn.Recv.List) == 1 {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if retired[n.Name] {
+						t.Errorf("%s: %s names the retired %s", rel, name, n.Name)
+					}
+				case *ast.CallExpr:
+					if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+						if allowed := callers[sel.Sel.Name]; allowed != nil && !slices.Contains(allowed, name) {
+							t.Errorf("%s: %s calls %s; only %v may", rel, name, sel.Sel.Name, allowed)
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
 }
 
 // TestPBE1StaysABaseline: the served, persisted, merged and decayed detector

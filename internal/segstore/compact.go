@@ -17,16 +17,18 @@ import (
 // whenever fanout adjacent segments share a size class the compactor
 // merges them — the streaming kernel reads the finished inputs in time
 // order without cloning them — into one segment a class up. The swap is a
-// generation bump: new file fsynced,
-// manifest rewritten atomically, view republished, and only then are the
-// tombstoned input files deleted. A crash anywhere in that sequence leaves
-// either the old generation (new file swept as an orphan at open) or the
-// new one (old files swept), never a mix.
+// generation bump: new file fsynced, manifest rewritten atomically, view
+// republished, and only then are the tombstoned input files deleted. A
+// crash anywhere in that sequence leaves either the old generation (new
+// file swept as an orphan at open) or the new one (old files swept), never
+// a mix.
 //
-// Runs whose inputs share a boundary timestamp cannot merge (a forced
-// whole-head seal can produce equal boundaries; detector MergeAppend
-// requires strictly increasing ones). Such runs are remembered and skipped
-// — their segments stay live and queryable, merely unmerged.
+// Merges and decays are jobs of one executor, rebuildOnce: build every
+// job's replacement concurrently, then swap each in. Runs whose inputs share
+// a boundary timestamp cannot merge (a forced whole-head seal can produce
+// equal boundaries; detector MergeAppend requires strictly increasing
+// ones). Such runs are remembered and skipped — their segments stay live
+// and queryable, merely unmerged.
 
 // compactLoop runs on its own goroutine, draining candidates after every
 // nudge until none remain.
@@ -50,73 +52,77 @@ func (s *Store) compactLoop() {
 			// one ages too — so which tier history ended up in depended on
 			// whether a restart had interrupted the merges (four SIGKILLs
 			// at "ready" left bench's http_mixed at 4.0 or 4.9 B/elem).
-			decayed, err := s.decayOnce()
+			decayed, err := s.rebuildOnce("decay", s.decayJobs())
+			merged := false
+			if err == nil {
+				merged, err = s.rebuildOnce("compaction", s.mergeJobs())
+			}
 			if err != nil {
 				s.mu.Lock()
 				if s.bgErr == nil {
-					s.bgErr = fmt.Errorf("segstore: decay: %w", err)
+					s.bgErr = fmt.Errorf("segstore: %w", err)
 				}
 				s.cond.Broadcast()
 				s.mu.Unlock()
 				return
 			}
-			progressed, err := s.compactOnce()
-			if err != nil {
-				s.mu.Lock()
-				if s.bgErr == nil {
-					s.bgErr = fmt.Errorf("segstore: compaction: %w", err)
-				}
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return
-			}
-			if !progressed && !decayed {
+			if !merged && !decayed {
 				break
 			}
 		}
 	}
 }
 
-// compactOnce merges every currently eligible run. Runs over disjoint
-// segments are independent — the merge kernel only reads its own finished
-// sources — so their merges execute concurrently, and only the swaps
-// serialize on mu. progressed reports whether another scan might find more
-// work (a merge happened, or a run was newly marked unmergeable).
-func (s *Store) compactOnce() (progressed bool, err error) {
-	v := s.view.Load()
-	runs := s.pickRuns(v.segs)
-	if len(runs) == 0 {
-		return false, nil
+// A rebuild is one job of the compactor: build a segment to replace run —
+// a merge or a decay of it — and, if build fails, remember key in noMerge
+// so later scans pass the run over.
+type rebuild struct {
+	run   []*Segment
+	key   string
+	build func() (*Segment, error)
+}
+
+// mergeJobs returns a merge job for every eligible run.
+func (s *Store) mergeJobs() []rebuild {
+	var jobs []rebuild
+	for _, run := range s.pickRuns(s.view.Load().segs) {
+		jobs = append(jobs, rebuild{run, runKey(run), func() (*Segment, error) { return s.mergeRun(run) }})
 	}
-	merged := make([]*Segment, len(runs))
-	merr := make([]error, len(runs))
-	if len(runs) == 1 {
-		merged[0], merr[0] = s.mergeRun(runs[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range runs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				merged[i], merr[i] = s.mergeRun(runs[i])
-			}(i)
+	return jobs
+}
+
+// rebuildOnce runs one scan's jobs. Their runs are disjoint and each kernel
+// only reads its own finished sources, so the builds run concurrently and
+// only the swaps serialize on mu. A failed build is a policy outcome, not a
+// store failure: the run is remembered, logged, and serves as it is.
+// progressed reports whether another scan might find more work.
+func (s *Store) rebuildOnce(what string, jobs []rebuild) (progressed bool, err error) {
+	built := make([]*Segment, len(jobs))
+	errs := make([]error, len(jobs))
+	parallel(len(jobs), func(i int) { built[i], errs[i] = jobs[i].build() })
+	for i, job := range jobs {
+		if errs[i] != nil {
+			s.noMerge[job.key] = true
+			s.logf("segstore: %s of run %s skipped: %v", what, runKey(job.run), errs[i])
+		} else if err := s.swapRun(job.run, built[i]); err != nil {
+			return true, fmt.Errorf("%s: %w", what, err)
 		}
-		wg.Wait()
 	}
-	for i, run := range runs {
-		if merr[i] != nil {
-			// Unmergeable boundary: remember the run so the scan moves on.
-			// This is a policy outcome, not a failure.
-			s.noMerge[runKey(run)] = true
-			progressed = true
-			continue
-		}
-		if err := s.swapRun(run, merged[i]); err != nil {
-			return progressed, err
-		}
-		progressed = true
+	return len(jobs) > 0, nil
+}
+
+// parallel calls fn(0), …, fn(n−1) concurrently and returns once every call
+// has.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
 	}
-	return progressed, nil
+	wg.Wait()
 }
 
 // swapRun publishes merged in place of run: ID assignment, segment file and

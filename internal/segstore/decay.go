@@ -1,7 +1,7 @@
 package segstore
 
 import (
-	"sync"
+	"fmt"
 
 	"histburst"
 )
@@ -18,10 +18,10 @@ import (
 // cross-segment query sums valid: a row's cells report exact counts for any
 // instant at or past their segment's MaxT, whatever the segment's width.
 //
-// Decay reuses the whole compaction machinery: candidate runs are picked
-// from an immutable view, downsampled concurrently off-lock, and swapped in
-// through the same manifest-rewrite generation bump (swapRun), so the crash
-// story is identical — old generation or new, never a mix.
+// Decay is a job of the compaction executor, rebuildOnce: candidate runs
+// are picked from an immutable view, downsampled concurrently off-lock, and
+// swapped in through the same manifest-rewrite generation bump (swapRun), so
+// the crash story is identical — old generation or new, never a mix.
 
 // maxDecayRun caps how many adjacent segments one decay pass folds into a
 // single segment, bounding the work (and the memory of the naive twin) per
@@ -29,49 +29,14 @@ import (
 // equal-fidelity neighbors of the same tier remain decay candidates.
 const maxDecayRun = 8
 
-// decayOnce downsamples every currently eligible run. Like compactOnce, the
-// kernel only reads its own finished sources, so disjoint runs execute
-// concurrently and only the swaps serialize on mu. progressed reports
-// whether another scan might find more work.
-func (s *Store) decayOnce() (progressed bool, err error) {
-	if len(s.tiers) == 0 {
-		return false, nil
-	}
-	v := s.view.Load()
-	runs, targets := s.pickDecayRuns(v.segs, s.Frontier())
-	if len(runs) == 0 {
-		return false, nil
-	}
-	decayed := make([]*Segment, len(runs))
-	derr := make([]error, len(runs))
-	if len(runs) == 1 {
-		decayed[0], derr[0] = s.decayRun(runs[0], targets[0])
-	} else {
-		var wg sync.WaitGroup
-		for i := range runs {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				decayed[i], derr[i] = s.decayRun(runs[i], targets[i])
-			}(i)
-		}
-		wg.Wait()
-	}
+// decayJobs returns a decay job for every run due for a deeper tier.
+func (s *Store) decayJobs() []rebuild {
+	runs, targets := s.pickDecayRuns(s.view.Load().segs, s.Frontier())
+	jobs := make([]rebuild, len(runs))
 	for i, run := range runs {
-		if derr[i] != nil {
-			// An undownsampleable run must not wedge the store: remember it,
-			// say so, and keep serving it at its current fidelity.
-			s.noMerge[decayKey(run)] = true
-			s.logf("segstore: decay of run %s to tier %d skipped: %v", runKey(run), targets[i], derr[i])
-			progressed = true
-			continue
-		}
-		if err := s.swapRun(run, decayed[i]); err != nil {
-			return progressed, err
-		}
-		progressed = true
+		jobs[i] = rebuild{run, decayKey(run), func() (*Segment, error) { return s.decayRun(run, targets[i]) }}
 	}
-	return progressed, nil
+	return jobs
 }
 
 // decayKey namespaces a run's no-merge marker so a run skipped for decay is
@@ -147,7 +112,7 @@ func (s *Store) decayRun(run []*Segment, target int) (*Segment, error) {
 	}
 	out, err := histburst.DownsampleDetectors(dets, tier.Gamma, tier.Res, tier.W)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("to tier %d: %w", target, err)
 	}
 	return residentSegment(decayMeta(run, target, tier), out), nil
 }

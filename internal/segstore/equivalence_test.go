@@ -65,8 +65,8 @@ func buildPair(t *testing.T, elems stream.Stream, cfg Config, sealAll bool) (*hi
 	det.Finish()
 
 	s := mustOpen(t, "", cfg)
-	if err := s.AppendStream(elems); err != nil {
-		t.Fatal(err)
+	if _, rej, err := s.AppendBatch(elems); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
 	}
 	if err := s.Checkpoint(sealAll); err != nil {
 		t.Fatal(err)

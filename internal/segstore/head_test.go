@@ -48,8 +48,8 @@ func TestHeadInOrderIsTimeThenID(t *testing.T) {
 		elems = append(elems, stream.Element{Event: e, Time: math.MaxInt64})
 	}
 	h := newMemHead(0)
-	if _, acc, _, _, err := h.appendBatch(elems, 1024, sealLimits{}, true); err != nil || acc != int64(len(elems)) {
-		t.Fatalf("appendBatch accepted %d of %d: %v", acc, len(elems), err)
+	if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+		t.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
 	}
 	want := slices.Clone(elems)
 	slices.SortStableFunc(want, byTimeThenID)
@@ -222,8 +222,8 @@ func TestHeadHeapTracksBytes(t *testing.T) {
 	}
 	held, v := heapHeld(func() any {
 		h := newMemHead(0)
-		if _, acc, _, _, err := h.appendBatch(elems, 1024, sealLimits{}, true); err != nil || acc != int64(len(elems)) {
-			t.Fatalf("appendBatch accepted %d of %d: %v", acc, len(elems), err)
+		if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+			t.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
 		}
 		return h
 	})

@@ -7,10 +7,11 @@ import (
 	"histburst/internal/stream"
 )
 
-// The ingest/compaction fast paths from the throughput overhaul, pinned to
-// their naive twins: AppendBatch (one head lock per batch) must leave the
-// store query-identical to per-element Append, and the streaming mergeRun
-// must produce the same segment as the Clone+MergeAppend chain.
+// The ingest/compaction fast paths from the throughput overhaul: batching
+// must not change what the store holds — AppendBatch in uneven chunks
+// leaves the store query-identical to per-element Append, its one-element
+// case — and the streaming mergeRun must produce the same segment as the
+// Clone+MergeAppend chain.
 
 // mergeRunNaive is the retained naive twin: clone every input — MergeAppend
 // mutates both operands — and chain MergeAppend in time order.
@@ -126,29 +127,6 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 				t.Fatalf("b(%d,%d): sequential %v, batch %v", e, q, a, b)
 			}
 		}
-	}
-}
-
-// TestAppendStreamStopsAtFirstDisorder pins the batch-path AppendStream to
-// the old per-element semantics: error at the first out-of-order element,
-// everything before it ingested.
-func TestAppendStreamStopsAtFirstDisorder(t *testing.T) {
-	cfg := testConfig(-1)
-	cfg.CompactFanout = -1
-	s := mustOpen(t, "", cfg)
-	defer mustClose(t, s)
-	elems := stream.Stream{
-		{Event: 1, Time: 10}, {Event: 2, Time: 20}, {Event: 3, Time: 15}, {Event: 4, Time: 30},
-	}
-	err := s.AppendStream(elems)
-	if !errors.Is(err, stream.ErrOutOfOrder) {
-		t.Fatalf("err = %v, want ErrOutOfOrder", err)
-	}
-	if n := s.N(); n != 2 {
-		t.Fatalf("ingested %d elements before the disorder, want 2", n)
-	}
-	if s.Rejected() != 1 {
-		t.Fatalf("rejected = %d, want 1", s.Rejected())
 	}
 }
 

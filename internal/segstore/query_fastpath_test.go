@@ -2,6 +2,7 @@ package segstore
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -68,6 +69,38 @@ func TestBurstinessFastpathMatchesNaive(t *testing.T) {
 	}
 }
 
+// append is the retained per-element twin of memHead.appendBatch: one lock
+// round trip per element. needFreeze is true when the head declined the
+// element because it must be frozen first — the head is already frozen, or
+// it is full and t advances past maxT. A timestamp below the frontier is
+// rejected with an error wrapping stream.ErrOutOfOrder.
+func (h *memHead) append(e uint64, t int64, lim sealLimits) (needFreeze bool, err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.frozen {
+		return true, nil
+	}
+	if t < h.floor || (h.started && t < h.maxT) {
+		frontier := h.floor
+		if h.started {
+			frontier = h.maxT
+		}
+		return false, fmt.Errorf("%w: append at %d behind frontier %d", stream.ErrOutOfOrder, t, frontier)
+	}
+	if h.started && t > h.maxT &&
+		((lim.events > 0 && h.n >= lim.events) || (lim.span > 0 && h.maxT-h.minT >= lim.span)) {
+		return true, nil
+	}
+	if !h.started {
+		h.minT = t
+		h.started = true
+	}
+	h.maxT = t
+	h.n++
+	h.appendTS(h.seqFor(e), t)
+	return false, nil
+}
+
 // TestMemHeadAppendBatchMatchesAppend drives the same element sequence —
 // including out-of-order stragglers and unfolded event ids — through
 // memHead.appendBatch and through per-element memHead.append, and requires
@@ -82,9 +115,9 @@ func TestMemHeadAppendBatchMatchesAppend(t *testing.T) {
 	lim := sealLimits{} // no freeze thresholds: the whole stream lands in one head
 
 	hb := newMemHead(0)
-	consumed, accepted, rejected, needFreeze, err := hb.appendBatch(elems, kfold, lim, false)
-	if err != nil || needFreeze || consumed != len(elems) {
-		t.Fatalf("appendBatch: consumed=%d needFreeze=%v err=%v", consumed, needFreeze, err)
+	consumed, accepted, rejected, needFreeze := hb.appendBatch(elems, kfold, lim)
+	if needFreeze || consumed != len(elems) {
+		t.Fatalf("appendBatch: consumed=%d needFreeze=%v", consumed, needFreeze)
 	}
 
 	ha := newMemHead(0)

@@ -13,8 +13,9 @@ import (
 
 // A Segment is one immutable time slice of the history: a finished PBE-2
 // detector covering [MinT, MaxT], plus the manifest metadata describing it.
-// Segments are never mutated after publication — compaction builds a new
-// Segment from clones and swaps it in — so queries read them without locks.
+// Segments are never mutated after publication — a merge or decay reads the
+// finished ones and swaps a new Segment in (rebuildOnce) — so queries read
+// them without locks.
 //
 // A segment a seal, merge or decay just built is resident: its detector is
 // in memory. One recovered by Open is only verified: it holds the bytes of
@@ -312,77 +313,37 @@ func newMemHead(floor int64) *memHead {
 	return &memHead{floor: floor, byEvent: make(map[uint64]*eventSeq)}
 }
 
-// sealLimits carries the head-size thresholds append checks against.
+// sealLimits carries the head-size thresholds appendBatch checks against.
 type sealLimits struct {
 	events int64 // freeze once the head holds this many elements (0 = off)
 	span   int64 // freeze once maxT−minT reaches this (0 = off)
 }
 
-// append ingests one element. needFreeze is true when the head declined the
-// element because it must be frozen first — the head is already frozen, or
-// it is full and t advances past maxT (the boundary where sealing keeps
-// segment time ranges strictly increasing); the caller freezes and retries
-// on the fresh head. A timestamp below the store frontier is rejected.
-func (h *memHead) append(e uint64, t int64, lim sealLimits) (needFreeze bool, err error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.frozen {
-		return true, nil
-	}
-	if t < h.floor || (h.started && t < h.maxT) {
-		frontier := h.floor
-		if h.started {
-			frontier = h.maxT
-		}
-		return false, fmt.Errorf("%w: append at %d behind frontier %d", stream.ErrOutOfOrder, t, frontier)
-	}
-	if h.started && t > h.maxT &&
-		((lim.events > 0 && h.n >= lim.events) || (lim.span > 0 && h.maxT-h.minT >= lim.span)) {
-		return true, nil
-	}
-	if !h.started {
-		h.minT = t
-		h.started = true
-	}
-	h.maxT = t
-	h.n++
-	h.appendTS(h.seqFor(e), t)
-	return false, nil
-}
-
 // appendBatch ingests a batch of elements under a single lock acquisition,
-// validating ordering once per element against the running frontier instead
-// of paying a lock round-trip each. It stops early when the head must be
-// frozen — consumed reports how many leading elements were handled
-// (accepted+rejected) so the caller can freeze and retry the remainder on
-// the fresh head. With stopOnReject set the first out-of-order element
-// aborts the batch with an error (Append/AppendStream semantics); otherwise
-// rejects are counted and skipped.
+// validating ordering once per element against the running frontier
+// (rejects are counted and skipped). It stops early when the head must be
+// frozen first — the head is already frozen, or it is full and the next
+// timestamp advances past maxT (the boundary where sealing keeps segment
+// time ranges strictly increasing); consumed reports how many leading
+// elements were handled (accepted+rejected) so the caller can freeze and
+// retry the remainder on the fresh head.
 //
 //histburst:fastpath append
-func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits, stopOnReject bool) (consumed int, accepted, rejected int64, needFreeze bool, err error) {
+func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits) (consumed int, accepted, rejected int64, needFreeze bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, el := range elems {
 		if h.frozen {
-			return i, accepted, rejected, true, nil
+			return i, accepted, rejected, true
 		}
 		t := el.Time
 		if t < h.floor || (h.started && t < h.maxT) {
-			if stopOnReject {
-				frontier := h.floor
-				if h.started {
-					frontier = h.maxT
-				}
-				return i, accepted, rejected + 1, false,
-					fmt.Errorf("%w: append at %d behind frontier %d", stream.ErrOutOfOrder, t, frontier)
-			}
 			rejected++
 			continue
 		}
 		if h.started && t > h.maxT &&
 			((lim.events > 0 && h.n >= lim.events) || (lim.span > 0 && h.maxT-h.minT >= lim.span)) {
-			return i, accepted, rejected, true, nil
+			return i, accepted, rejected, true
 		}
 		if !h.started {
 			h.minT = t
@@ -394,7 +355,7 @@ func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits,
 		h.appendTS(h.seqFor(e), t)
 		accepted++
 	}
-	return len(elems), accepted, rejected, false, nil
+	return len(elems), accepted, rejected, false
 }
 
 // freeze marks the head immutable. When keepTail is true the elements at
@@ -541,6 +502,17 @@ func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 			losers[p] = l
 		}
 	}
+}
+
+// frontier returns the newest timestamp the head holds, or its floor while
+// it holds none.
+func (h *memHead) frontier() int64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.started {
+		return h.maxT
+	}
+	return h.floor
 }
 
 // snapshot returns the head's counters in one consistent read.

@@ -185,6 +185,14 @@ type Store struct {
 	tiers   []DecayTier // resolved decay ladder; empty disables decay
 	noIndex bool
 
+	// ingestMu serializes the write path — admission, log append and head
+	// apply (ingest.go) — and WAL rotation, which quiesces ingest while it
+	// captures the unsealed baseline.
+	//
+	//histburst:lockorder Store.ingestMu wal.mu
+	//histburst:lockorder Store.ingestMu Store.mu
+	ingestMu sync.Mutex
+
 	// mu serializes composition changes: freezing the head, publishing
 	// seals and compaction swaps, manifest writes, and ID issue.
 	mu sync.Mutex
@@ -209,9 +217,8 @@ type Store struct {
 	rejected atomic.Int64 // out-of-order appends refused
 
 	// wal is the write-ahead log (nil for volatile or DisableWAL stores).
-	// Lock order: wal.mu is taken strictly before mu — the accept path
-	// holds it across frontier read, log append, and head apply, and
-	// rotation holds it while reading the composition under mu.
+	// Its mu is the log's own lock, held only across a log append, a sync
+	// or a rotation; it is never taken under mu.
 	//
 	//histburst:lockorder wal.mu Store.mu
 	wal *wal
@@ -389,10 +396,12 @@ func Open(dir string, cfg Config) (*Store, error) {
 			return nil, err
 		}
 		if len(replay) > 0 {
-			if rej, err := s.applyDirect(replay); err != nil {
+			accepted, rej := admitBatch(replay, s.Frontier())
+			if err := s.apply(accepted); err != nil {
 				return nil, fmt.Errorf("segstore: wal replay: %w", err)
-			} else if rej > 0 {
-				// Positions said these elements were unsealed, yet the head
+			}
+			if rej > 0 {
+				// Positions said these elements were unsealed, yet admission
 				// refused them — the log and manifest disagree. Serve what
 				// was applied and say so; refusing to open would lose more.
 				s.logf("segstore: wal replay: %d elements rejected (log/manifest disagreement)", rej)
@@ -421,24 +430,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 		go s.scrubLoop()
 	}
 	return s, nil
-}
-
-// applyDirect pushes elems through the head machinery without touching the
-// WAL — the replay path. Out-of-order elements are counted, not fatal.
-func (s *Store) applyDirect(elems stream.Stream) (rejectedCount int64, err error) {
-	i := 0
-	for i < len(elems) {
-		v := s.view.Load()
-		consumed, _, rej, needFreeze, _ := v.head.appendBatch(elems[i:], s.kfold, s.seals, false) //histburst:allow errdrop -- stopOnReject=false never errors; disorder is counted in rej
-		rejectedCount += rej
-		i += consumed
-		if needFreeze {
-			if err := s.freezeHead(v, false); err != nil {
-				return rejectedCount, err
-			}
-		}
-	}
-	return rejectedCount, nil
 }
 
 // checkConfigAgainstManifest rejects explicit config values that conflict
@@ -561,221 +552,6 @@ func (s *Store) finishQuarantineMoves() error {
 
 func segFileName(id uint64) string { return fmt.Sprintf("%s%016d%s", segFilePrefix, id, segFileSuffix) }
 
-// Append ingests one element. Elements must arrive in non-decreasing time
-// order store-wide; a timestamp behind the frontier is rejected with an
-// error wrapping stream.ErrOutOfOrder and counted in Rejected. Event ids at
-// or above K are folded into the space by modulo, exactly as the monolithic
-// detector folds them. With the WAL enabled the element is durable (per the
-// sync policy) before Append returns.
-//
-//histburst:durable-ack appendLocked
-func (s *Store) Append(e uint64, t int64) error {
-	if s.wal != nil {
-		s.wal.mu.Lock()
-		defer s.wal.mu.Unlock()
-		if f := s.Frontier(); t < f {
-			s.rejected.Add(1)
-			return fmt.Errorf("%w: append at %d behind frontier %d", stream.ErrOutOfOrder, t, f)
-		}
-		if err := s.wal.appendLocked(stream.Stream{{Event: e, Time: t}}); err != nil {
-			return err
-		}
-	}
-	e %= s.kfold
-	for {
-		v := s.view.Load()
-		needFreeze, err := v.head.append(e, t, s.seals)
-		if err != nil {
-			s.rejected.Add(1)
-			return err
-		}
-		if !needFreeze {
-			return nil
-		}
-		if err := s.freezeHead(v, false); err != nil {
-			return err
-		}
-	}
-}
-
-// admitBatch simulates the head's admission rule against a running
-// frontier: an element behind the newest accepted timestamp so far is
-// rejected, everything else is accepted in order. This mirrors appendBatch
-// exactly (freezes never change an element's outcome — the fresh head's
-// floor is the frozen head's frontier), which is what lets the accepted set
-// be logged before any of it is applied.
-func admitBatch(elems stream.Stream, frontier int64) (accepted stream.Stream, rejected int64) {
-	maxT := frontier
-	i := 0
-	for ; i < len(elems); i++ {
-		if elems[i].Time < maxT {
-			break
-		}
-		maxT = elems[i].Time
-	}
-	if i == len(elems) {
-		return elems, 0
-	}
-	accepted = append(stream.Stream{}, elems[:i]...)
-	for ; i < len(elems); i++ {
-		if elems[i].Time < maxT {
-			rejected++
-			continue
-		}
-		maxT = elems[i].Time
-		accepted = append(accepted, elems[i])
-	}
-	return accepted, rejected
-}
-
-// AppendBatch bulk-ingests a time-sorted batch, taking the head lock once
-// per batch (plus once per seal boundary crossed) instead of once per
-// element. Elements behind the frontier are counted in rejected and skipped
-// rather than erroring, matching how per-element callers treat ErrOutOfOrder
-// as a per-element outcome; because the batch is sorted, the rejected set is
-// exactly the elements below the frontier observed at entry. Equivalent,
-// query-wise, to calling Append element by element.
-//
-//histburst:fastpath Append
-//histburst:durable-ack appendLocked
-func (s *Store) AppendBatch(elems stream.Stream) (appended, rejected int64, err error) {
-	if s.wal != nil && len(elems) > 0 {
-		// Write-ahead: precompute the exact accepted set, log it as one
-		// frame, and only then apply. A log failure leaves nothing applied
-		// (and nothing counted), so the caller can retry the whole batch.
-		s.wal.mu.Lock()
-		defer s.wal.mu.Unlock()
-		accepted, rej := admitBatch(elems, s.Frontier())
-		if len(accepted) == 0 {
-			s.rejected.Add(rej)
-			return 0, rej, nil //histburst:allow ackpath -- nothing was accepted, so nothing is owed durability
-		}
-		if err := s.wal.appendLocked(accepted); err != nil {
-			return 0, 0, err
-		}
-		appended, _, err = s.applyAccepted(accepted)
-		if err == nil {
-			rejected = rej
-			s.rejected.Add(rej)
-		}
-		return appended, rejected, err
-	}
-	i := 0
-	for i < len(elems) {
-		v := s.view.Load()
-		consumed, acc, rej, needFreeze, _ := v.head.appendBatch(elems[i:], s.kfold, s.seals, false) //histburst:allow errdrop -- stopOnReject=false never errors; disorder is counted in rej
-		appended += acc
-		rejected += rej
-		i += consumed
-		if needFreeze {
-			if err := s.freezeHead(v, false); err != nil {
-				if rejected > 0 {
-					s.rejected.Add(rejected)
-				}
-				return appended, rejected, err
-			}
-		}
-	}
-	if rejected > 0 {
-		s.rejected.Add(rejected)
-	}
-	return appended, rejected, nil
-}
-
-// applyAccepted pushes an already-admitted, already-logged element set into
-// the head. The caller holds wal.mu, so the frontier cannot move under us
-// and every element must land; a rejection here means the admission
-// simulation diverged from the head — surfaced as an error, never silent.
-func (s *Store) applyAccepted(accepted stream.Stream) (appended, rejected int64, err error) {
-	i := 0
-	for i < len(accepted) {
-		v := s.view.Load()
-		consumed, acc, rej, needFreeze, _ := v.head.appendBatch(accepted[i:], s.kfold, s.seals, false) //histburst:allow errdrop -- stopOnReject=false never errors; disorder is counted in rej
-		appended += acc
-		rejected += rej
-		i += consumed
-		if needFreeze {
-			if err := s.freezeHead(v, false); err != nil {
-				return appended, rejected, err
-			}
-		}
-	}
-	if rejected > 0 {
-		return appended, rejected, fmt.Errorf("segstore: %d logged elements refused by the head (admission mismatch)", rejected)
-	}
-	return appended, 0, nil
-}
-
-// AppendStream bulk-ingests a time-sorted element slice through the batch
-// path, stopping with an error at the first out-of-order element.
-//
-//histburst:durable-ack appendLocked
-func (s *Store) AppendStream(elems stream.Stream) error {
-	if s.wal != nil && len(elems) > 0 {
-		s.wal.mu.Lock()
-		defer s.wal.mu.Unlock()
-		// Accept the prefix up to the first out-of-order element — exactly
-		// what the stopOnReject apply does — and log it ahead of applying.
-		f := s.Frontier()
-		maxT := f
-		cut := len(elems)
-		for i, el := range elems {
-			if el.Time < maxT {
-				cut = i
-				break
-			}
-			maxT = el.Time
-		}
-		if cut > 0 {
-			if err := s.wal.appendLocked(elems[:cut]); err != nil {
-				return err
-			}
-			if _, _, err := s.applyAccepted(elems[:cut]); err != nil {
-				return err
-			}
-		}
-		if cut < len(elems) {
-			s.rejected.Add(1)
-			frontier := f
-			if cut > 0 {
-				frontier = elems[cut-1].Time
-			}
-			return fmt.Errorf("%w: append at %d behind frontier %d", stream.ErrOutOfOrder, elems[cut].Time, frontier)
-		}
-		return nil
-	}
-	i := 0
-	for i < len(elems) {
-		v := s.view.Load()
-		consumed, _, rej, needFreeze, err := v.head.appendBatch(elems[i:], s.kfold, s.seals, true)
-		if rej > 0 {
-			s.rejected.Add(rej)
-		}
-		if err != nil {
-			return err
-		}
-		i += consumed
-		if needFreeze {
-			if err := s.freezeHead(v, false); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Frontier returns the store's current time frontier: the newest accepted
-// timestamp, or the recovery floor before any element arrives. An element
-// strictly below it will be rejected as out of order.
-func (s *Store) Frontier() int64 {
-	v := s.view.Load()
-	_, _, maxT, started := v.head.snapshot()
-	if started {
-		return maxT
-	}
-	return v.head.floor
-}
-
 // freezeHead retires the head of view v: the head is marked immutable and
 // queued for the background sealer, and a fresh head is published. With
 // keepTail set, elements at the final timestamp move to the fresh head so
@@ -792,17 +568,9 @@ func (s *Store) freezeHead(v *storeView, keepTail bool) error {
 	}
 	h := cur.head
 	tail := h.freeze(keepTail)
-	n, _, maxT, started := h.snapshot()
-	frontier := h.floor
-	if started {
-		frontier = maxT
-	}
-	next := newMemHead(frontier)
-	for _, el := range tail {
-		if _, err := next.append(el.Event, el.Time, sealLimits{}); err != nil {
-			return fmt.Errorf("segstore: re-appending split tail: %w", err)
-		}
-	}
+	n, _, _, _ := h.snapshot()
+	next := newMemHead(h.frontier())
+	next.appendBatch(tail, s.kfold, sealLimits{}) // one timestamp, at or past the floor: all land
 	if n > 0 {
 		h.sealID = s.nextID
 		s.nextID++
@@ -851,19 +619,7 @@ func (s *Store) sealLoop() {
 
 		built := make([]*Segment, len(batch))
 		errs := make([]error, len(batch))
-		if len(batch) == 1 {
-			built[0], errs[0] = s.buildSegment(batch[0])
-		} else {
-			var wg sync.WaitGroup
-			for i := range batch {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					built[i], errs[i] = s.buildSegment(batch[i])
-				}(i)
-			}
-			wg.Wait()
-		}
+		parallel(len(batch), func(i int) { built[i], errs[i] = s.buildSegment(batch[i]) })
 		// Publish the longest successful prefix; a failure mid-batch keeps
 		// every later head frozen and queryable behind it.
 		ok := 0
@@ -904,7 +660,10 @@ func (s *Store) sealLoop() {
 			// the log down to the remaining unsealed suffix so it stays
 			// O(head). Failure is retried at the next seal — the oversized
 			// log is only a space cost, never a correctness one.
-			if rerr := s.rotateWAL(); rerr != nil {
+			s.ingestMu.Lock()
+			rerr := s.rotateWAL()
+			s.ingestMu.Unlock()
+			if rerr != nil {
 				s.logf("segstore: wal rotation failed (will retry at next seal): %v", rerr)
 			}
 		}
@@ -913,15 +672,15 @@ func (s *Store) sealLoop() {
 }
 
 // rotateWAL rewrites the log as one baseline record of the store's current
-// unsealed elements. It takes wal.mu before mu (the store's lock order), so
-// ingest is quiesced while the baseline is captured and written.
+// unsealed elements. The caller holds ingestMu (Open, before the store is
+// shared, need not), so ingest is quiesced while the baseline is captured
+// and written.
+//
+//histburst:locked ingestMu
 func (s *Store) rotateWAL() error {
 	if s.wal == nil {
 		return nil
 	}
-	w := s.wal
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	s.mu.Lock()
 	durable := int64(0)
 	for _, g := range s.segs {
@@ -940,7 +699,9 @@ func (s *Store) rotateWAL() error {
 	}
 	s.view.Load().head.inOrder(collect)
 	s.mu.Unlock()
-	return w.rotateLocked(durable, pending)
+	s.wal.mu.Lock()
+	defer s.wal.mu.Unlock()
+	return s.wal.rotateLocked(durable, pending)
 }
 
 // buildSegment summarizes a frozen head into an immutable sketch segment
@@ -1018,12 +779,14 @@ func (s *Store) Bootstrap(det *histburst.Detector) error {
 	if p := det.Params(); p != s.params {
 		return fmt.Errorf("segstore: detector parameters %+v do not match store %+v", p, s.params)
 	}
+	// The durable position jumps by det.N(); ingest waits until the
+	// rotation has moved the log's positions with it, or an append could
+	// log at a position the new segment already covers.
+	s.ingestMu.Lock()
+	defer s.ingestMu.Unlock()
 	if err := s.bootstrapInstall(det); err != nil {
 		return err
 	}
-	// The durable position jumped by det.N(); rotate so the log's positions
-	// agree (an empty store's log holds no records, so this just restates
-	// the new baseline). Taken outside mu — rotation locks wal.mu first.
 	return s.rotateWAL()
 }
 

@@ -39,9 +39,9 @@ import (
 //
 // Torn tails are tolerated by construction: frames are length-prefixed and
 // CRC32-C-checked, and the first bad frame ends the parse. Commits are
-// serialized (one writer holds wal.mu through frame write, fsync, and head
-// apply), so a torn frame can only be the newest record — exactly the one
-// that was never acked under WALSyncAlways.
+// serialized (one writer holds Store.ingestMu through admission, frame
+// write, fsync, and head apply), so a torn frame can only be the newest
+// record — exactly the one that was never acked under WALSyncAlways.
 
 // WALSyncPolicy selects when the write-ahead log fsyncs.
 type WALSyncPolicy int
@@ -200,10 +200,10 @@ func parseWALFile(data []byte) (recs []walRecord, clean bool) {
 	}
 }
 
-// wal is the store's write-ahead log. mu serializes the entire accept path:
-// the holder reads the frontier, appends the record, applies it to the head,
-// and only then releases — so record order on disk is commit order, and a
-// torn frame can only be the newest.
+// wal is the store's write-ahead log. mu is the log's own lock, held across
+// one frame append, one sync or one rotation. The store's write path
+// (Store.ingestMu) serializes commits around it, so record order on disk is
+// commit order, and a torn frame can only be the newest.
 type wal struct {
 	dir    string
 	policy WALSyncPolicy

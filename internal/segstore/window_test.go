@@ -84,8 +84,8 @@ func windowLayout(t *testing.T, name string) *Store {
 			tm += 1 + rng.Int63n(2*dt)
 		}
 	}
-	if err := s.AppendStream(batch); err != nil {
-		t.Fatal(err)
+	if _, rej, err := s.AppendBatch(batch); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
 	}
 	if err := s.Checkpoint(false); err != nil { // the frontier timestamp stays in the head
 		t.Fatal(err)
