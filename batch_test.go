@@ -81,7 +81,6 @@ func TestAppendBatchByteIdentity(t *testing.T) {
 	}{
 		{"K=1024 all Direct", 1 << 10, []Option{WithPBE2(8)}},
 		{"K=16384 Count-Min under Direct", 1 << 14, []Option{WithPBE2(8)}},
-		{"no index", 1 << 10, []Option{WithPBE2(8), WithoutEventIndex()}},
 	}
 	sizes := []int{0, 1, pendingCap - 1, pendingCap, pendingCap + 1, 3*pendingCap + 7}
 	for i, cfg := range configs {

@@ -148,10 +148,6 @@ func benchAppend(b *testing.B, opts ...histburst.Option) {
 
 func BenchmarkDetectorAppend(b *testing.B) { benchAppend(b, histburst.WithPBE2(8)) }
 
-func BenchmarkDetectorAppendNoIndex(b *testing.B) {
-	benchAppend(b, histburst.WithPBE2(8), histburst.WithoutEventIndex())
-}
-
 // BenchmarkDetectorBuild is the construction cost the paper's §VI reports
 // and lib_paper's set-up pays: a whole olympicrio stream into a fresh
 // detector, Finish included, in ns per element. K=1024 is the benchmark's

@@ -132,7 +132,7 @@ func newServer(o serverOpts) (*server, error) {
 	if seed != nil {
 		p := seed.Params()
 		cfg.K, cfg.Gamma, cfg.Seed = p.K, p.Gamma, p.Seed
-		cfg.D, cfg.W, cfg.NoIndex = p.D, p.W, p.NoIndex
+		cfg.D, cfg.W = p.D, p.W
 	}
 	st, err := segstore.Open(o.SnapDir, cfg)
 	if err != nil {

@@ -163,11 +163,36 @@ func TestForwarderGivesUpAfterRetryBudget(t *testing.T) {
 	}
 }
 
+// TestForwarderHonoursRetryAfter: burstd puts a Retry-After on every 503 it
+// sheds or refuses an append with, and the retry waits at least that long.
+func TestForwarderHonoursRetryAfter(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if requests.Add(1) == 1 {
+			w.Header().Set("Retry-After", "2")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		fmt.Fprint(w, `{"appended":1}`)
+	}))
+	defer ts.Close()
+	f, slept := testForwarder(ts.URL, 1)
+	if err := f.add(1, 10); err != nil {
+		t.Fatalf("the batch did not get through the 503: %v", err)
+	}
+	if requests.Load() != 2 || len(*slept) != 1 {
+		t.Fatalf("%d requests and backoffs %v, want 2 requests and one backoff", requests.Load(), *slept)
+	}
+	if (*slept)[0] < 2*time.Second {
+		t.Fatalf("backed off %v after a 503 asking for 2s", (*slept)[0])
+	}
+}
+
 func TestBackoffJitterBounds(t *testing.T) {
 	f := newForwarder("http://unused", 1, nil)
 	for attempt := 1; attempt < 12; attempt++ {
 		for i := 0; i < 50; i++ {
-			d := f.backoff(attempt)
+			d := f.backoff(attempt, 0)
 			if d < f.base/2 || d > f.cap*3/2 {
 				t.Fatalf("attempt %d: backoff %v outside [base/2, cap*1.5]", attempt, d)
 			}

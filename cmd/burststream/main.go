@@ -13,11 +13,10 @@
 // At end of input the summary can be persisted with -save for later
 // burstcli/burstd querying. With -forward the mapped elements are also
 // replayed to a running burstd in batches, with jittered exponential
-// retry/backoff so the replay survives server restarts and load shedding.
-// An http:// URL replays via POST /v1/append; an hbp://host:port address
-// streams over the HBP1 wire protocol, where retries resend only the
-// unacknowledged suffix of a batch and honor the server's Retry-After
-// NACK hint.
+// retry/backoff that honours the server's Retry-After hint, so the replay
+// survives server restarts and load shedding. An http:// URL replays via
+// POST /v1/append; an hbp://host:port address streams over the HBP1 wire
+// protocol, where retries resend only the unacknowledged suffix of a batch.
 package main
 
 import (
@@ -47,15 +46,14 @@ func main() {
 		fwdN   = flag.Int("forward-batch", 256, "elements per forwarded append request")
 	)
 	flag.Parse()
-	var fwd replayer
+	var fwd *forwarder
 	if *fwdURL != "" {
 		if addr, ok := strings.CutPrefix(*fwdURL, "hbp://"); ok {
-			wf := newWireForwarder(addr, *fwdN)
-			defer wf.close()
-			fwd = wf
+			fwd = newWireForwarder(addr, *fwdN)
 		} else {
 			fwd = newForwarder(*fwdURL, *fwdN, nil)
 		}
+		defer fwd.close()
 	}
 	if err := process(os.Stdin, os.Stdout, *k, *tau, *report, *top, *gamma, *save, fwd); err != nil {
 		fmt.Fprintln(os.Stderr, "burststream:", err)
@@ -63,7 +61,7 @@ func main() {
 	}
 }
 
-func process(r io.Reader, w io.Writer, k uint64, tau, report int64, top int, gamma float64, save string, fwd replayer) error {
+func process(r io.Reader, w io.Writer, k uint64, tau, report int64, top int, gamma float64, save string, fwd *forwarder) error {
 	det, err := histburst.New(k, histburst.WithPBE2(gamma))
 	if err != nil {
 		return err

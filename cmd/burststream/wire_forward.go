@@ -2,145 +2,59 @@ package main
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"time"
 
 	"histburst/internal/stream"
 	"histburst/internal/wire"
 )
 
-// A replayer receives mapped elements and delivers them to a burstd; the
-// HTTP forwarder and the HBP1 wireForwarder both satisfy it, selected by
-// the -forward scheme.
-type replayer interface {
-	add(e uint64, t int64) error
-	flush() error
-	totals() (sent, posts, retried int64)
-}
-
-func (f *forwarder) totals() (int64, int64, int64) { return f.sent, f.posts, f.retried }
-
-// wireForwarder replays the mapped stream over one persistent HBP1
-// connection with the same retry discipline as the HTTP forwarder —
-// jittered exponential backoff, stretched to the server's Retry-After
-// hint when a NACK carries one. Where HTTP re-posts a whole failed batch,
-// the wire ack's acked-prefix contract lets a retry resend only the
-// elements the server never acknowledged.
-type wireForwarder struct {
-	addr  string
-	c     *wire.Client
-	batch stream.Stream
-	size  int
-
-	retries int           // attempts per batch before giving up
-	base    time.Duration // first backoff
-	cap     time.Duration // backoff ceiling
-
-	rng   *rand.Rand
-	sleep func(time.Duration)                // injection point for tests
-	dial  func(string) (*wire.Client, error) // injection point for tests
-
-	sent, posts, retried int64
-}
-
-func newWireForwarder(addr string, batchSize int) *wireForwarder {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return &wireForwarder{
-		addr:    addr,
-		size:    batchSize,
-		retries: 8,
-		base:    100 * time.Millisecond,
-		cap:     5 * time.Second,
-		rng:     rand.New(rand.NewSource(time.Now().UnixNano())),
-		sleep:   time.Sleep,
+// newWireForwarder replays over one persistent HBP1 connection to addr.
+func newWireForwarder(addr string, batchSize int) *forwarder {
+	return forwardTo(&wireAppender{
+		addr: addr,
 		dial: func(a string) (*wire.Client, error) {
 			return wire.Dial(a, 10*time.Second)
 		},
-	}
+	}, batchSize)
 }
 
-// add queues one element, flushing when the batch is full.
-func (f *wireForwarder) add(e uint64, t int64) error {
-	f.batch = append(f.batch, stream.Element{Event: e, Time: t})
-	if len(f.batch) >= f.size {
-		return f.flush()
-	}
-	return nil
+// wireAppender streams each batch as APPEND frames. Where an HTTP append is
+// all or nothing, the wire ack's acked-prefix contract tells the forwarder
+// how much of a refused or interrupted batch the server committed.
+type wireAppender struct {
+	addr string
+	c    *wire.Client
+	dial func(string) (*wire.Client, error) // injection point for tests
 }
 
-func (f *wireForwarder) totals() (int64, int64, int64) { return f.sent, f.posts, f.retried }
-
-// flush streams the queued batch, retrying transient failures. Every
-// attempt trims the acked prefix first, so a mid-batch connection loss or
-// refusal never re-appends elements the server already committed.
-func (f *wireForwarder) flush() error {
-	if len(f.batch) == 0 {
-		return nil
+func (w *wireAppender) send(batch stream.Stream) (int64, time.Duration, error) {
+	if w.c == nil {
+		c, err := w.dial(w.addr)
+		if err != nil {
+			return 0, 0, err
+		}
+		w.c = c
 	}
-	var lastErr error
-	for attempt := 0; attempt < f.retries; attempt++ {
-		if attempt > 0 {
-			f.retried++
-			f.sleep(f.backoff(attempt, lastErr))
-		}
-		if f.c == nil {
-			c, err := f.dial(f.addr)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			f.c = c
-		}
-		res, err := f.c.Append(f.batch)
-		f.posts++
-		// The client promises Appended+Rejected is a contiguous acked
-		// prefix; clamp anyway so a buggy or hostile peer can never make
-		// the trim run past the batch.
-		acked := res.Appended + res.Rejected // delivered, whether admitted or out-of-order
-		if n := int64(len(f.batch)); acked > n {
-			acked = n
-		}
-		f.sent += acked
-		f.batch = f.batch[acked:]
-		if err == nil {
-			f.batch = f.batch[:0]
-			return nil
-		}
-		lastErr = err
-		var nack *wire.NackError
-		if !errors.As(err, &nack) {
-			// Connection-level failure: the client is dead, reconnect.
-			f.c.Close() //histburst:allow errdrop -- connection already failed; the append error is the answer
-			f.c = nil
-		}
-	}
-	return fmt.Errorf("forward %d elements: %w", len(f.batch), lastErr)
-}
-
-// close tears down the connection after the final flush.
-func (f *wireForwarder) close() {
-	if f.c != nil {
-		f.c.Close() //histburst:allow errdrop -- replay finished, nothing in flight
-		f.c = nil
-	}
-}
-
-// backoff mirrors the HTTP forwarder's jittered exponential delay, but a
-// NACK carrying a Retry-After hint raises the floor to what the server
-// asked for.
-func (f *wireForwarder) backoff(attempt int, cause error) time.Duration {
-	d := f.base << (attempt - 1)
-	if d > f.cap || d <= 0 {
-		d = f.cap
-	}
-	half := d / 2
-	delay := half + time.Duration(f.rng.Int63n(int64(d)+1))
+	res, err := w.c.Append(batch)
+	// The client promises Appended+Rejected is a contiguous acked prefix:
+	// delivered, whether admitted or out of order.
+	acked := res.Appended + res.Rejected
 	var nack *wire.NackError
-	if errors.As(cause, &nack) && nack.RetryAfter > delay {
-		delay = nack.RetryAfter
+	switch {
+	case err == nil:
+	case errors.As(err, &nack):
+		return acked, nack.RetryAfter, err
+	default:
+		// Connection-level failure: the client is dead, reconnect.
+		w.c.Close() //histburst:allow errdrop -- connection already failed; the append error is the answer
+		w.c = nil
 	}
-	return delay
+	return acked, 0, err
+}
+
+func (w *wireAppender) close() {
+	if w.c != nil {
+		w.c.Close() //histburst:allow errdrop -- replay finished, nothing in flight
+		w.c = nil
+	}
 }

@@ -113,8 +113,9 @@ func TestWireForwarderRetriesDialFailures(t *testing.T) {
 	defer f.close()
 	f.sleep = func(time.Duration) {}
 	failures := 2
-	realDial := f.dial
-	f.dial = func(a string) (*wire.Client, error) {
+	to := f.to.(*wireAppender)
+	realDial := to.dial
+	to.dial = func(a string) (*wire.Client, error) {
 		if failures > 0 {
 			failures--
 			return nil, fmt.Errorf("synthetic dial failure")
@@ -141,7 +142,8 @@ func TestWireForwarderRetriesDialFailures(t *testing.T) {
 // trim-and-retry around a mid-stream NACK never drops an unacked element.
 type midNackBackend struct {
 	*wireBackend
-	refuse int // 1-based Ingest call to refuse; all others accept
+	refuse     int           // 1-based Ingest call to refuse; all others accept
+	retryAfter time.Duration // the hint the refusal carries, as burstd's do
 
 	mu    sync.Mutex
 	calls int
@@ -153,7 +155,7 @@ func (b *midNackBackend) Ingest(elems stream.Stream) wire.IngestResult {
 	defer b.mu.Unlock()
 	b.calls++
 	if b.calls == b.refuse {
-		return wire.IngestResult{Refused: wire.NackInternal, Message: "forced mid-stream refusal"}
+		return wire.IngestResult{Refused: wire.NackInternal, Message: "forced mid-stream refusal", RetryAfter: b.retryAfter}
 	}
 	for _, el := range elems {
 		b.seen[el.Time]++
@@ -201,7 +203,7 @@ func TestWireForwarderGivesUpAfterRetries(t *testing.T) {
 	f := newWireForwarder("unreachable", 2)
 	f.sleep = func(time.Duration) {}
 	f.retries = 3
-	f.dial = func(string) (*wire.Client, error) {
+	f.to.(*wireAppender).dial = func(string) (*wire.Client, error) {
 		return nil, fmt.Errorf("synthetic dial failure")
 	}
 	if err := f.add(1, 1); err != nil {
@@ -217,13 +219,20 @@ func TestWireForwarderGivesUpAfterRetries(t *testing.T) {
 }
 
 func TestWireForwarderBackoffHonorsRetryAfter(t *testing.T) {
-	f := newWireForwarder("x", 1)
+	b := &midNackBackend{wireBackend: newWireBackend(t), refuse: 1, retryAfter: 42 * time.Second, seen: map[int64]int{}}
+	addr := serveWire(t, b, 0)
+	f := newWireForwarder(addr, 1)
+	defer f.close()
 	f.rng = rand.New(rand.NewSource(1))
-	nack := &wire.NackError{Code: wire.NackDraining, RetryAfter: 42 * time.Second}
-	if d := f.backoff(1, nack); d != 42*time.Second {
-		t.Fatalf("backoff with Retry-After hint = %v, want 42s", d)
+	var slept []time.Duration
+	f.sleep = func(d time.Duration) { slept = append(slept, d) }
+	if err := f.add(1, 1); err != nil {
+		t.Fatalf("the element did not get through the NACK: %v", err)
 	}
-	if d := f.backoff(1, fmt.Errorf("plain")); d > f.cap*3/2 {
+	if len(slept) != 1 || slept[0] != 42*time.Second {
+		t.Fatalf("backoffs %v after a NACK asking for 42s, want one of 42s", slept)
+	}
+	if d := f.backoff(1, 0); d > f.cap*3/2 {
 		t.Fatalf("plain backoff %v beyond jittered cap", d)
 	}
 }

@@ -193,20 +193,3 @@ func TestDownsampleDetectorsRejectsBadInput(t *testing.T) {
 		t.Fatal("accepted mismatched configuration")
 	}
 }
-
-func TestDownsampleDetectorsNoIndex(t *testing.T) {
-	opts := append(decayOpts(), WithoutEventIndex())
-	parts, exact, maxT := buildDecayParts(t, 2, opts...)
-	ds, err := DownsampleDetectors(parts, 8, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e, want := range exact {
-		if got := ds.CumulativeFrequency(e, maxT); got < float64(want) {
-			t.Fatalf("event %d: frontier estimate %.2f below exact %d", e, got, want)
-		}
-	}
-	if _, err := ds.BurstyEvents(maxT, 1, 64); err == nil {
-		t.Fatal("no-index downsample answered BurstyEvents")
-	}
-}

@@ -9,14 +9,13 @@ import (
 
 // TestDetectorAppendEventCellsMatchesEventCells pins the buffer-reusing
 // AppendEventCells fast path to EventCells: same cell identities in the same
-// order, for both the indexed and the index-free base level.
+// order, on a Count-Min leaf level.
 func TestDetectorAppendEventCellsMatchesEventCells(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []Option
 	}{
 		{"indexed", []Option{WithSeed(5), WithSketchDims(3, 32), WithPBE2(2)}},
-		{"no-index", []Option{WithSeed(5), WithSketchDims(3, 32), WithPBE2(2), WithoutEventIndex()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			det, err := New(128, tc.opts...)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -47,10 +48,10 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD6 blobs
-// (one of them an index with levels under both γs),
-// retired-generation HBD1 blobs (must be refused, not decoded), their
-// truncations, and bit flips. Load must never panic, never allocate
+// FuzzDetectorLoad targets the full detector decode path: valid HBD7 blobs
+// (one of them an index with levels under both γs), retired-generation HBD1
+// and HBD6 blobs (must be refused, not decoded), their truncations, and bit
+// flips. Load must never panic, never allocate
 // unboundedly, and anything accepted must survive query and re-save — and
 // every level must be the size and hashing its height and header call for
 // (checkShape), every PBE-2 cell one the search kernels can trust
@@ -63,7 +64,7 @@ func FuzzDetectorLoad(f *testing.F) {
 		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
 		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
 		{8, []Option{WithPBE2(3), WithSketchDims(2, 4)}},
-		{8, []Option{WithPBE2(2), WithoutEventIndex()}},
+		{1024, []Option{WithPBE2(8)}}, // the benchmark's shape: Direct levels at heights 0, 4 and 8
 	} {
 		det, err := New(c.k, c.opts...)
 		if err != nil {
@@ -79,6 +80,7 @@ func FuzzDetectorLoad(f *testing.F) {
 		v1 := saveHBD1(f, det)
 		f.Add(v2.Bytes())
 		f.Add(v1)
+		f.Add(saveHBD6(f, det))
 		for _, cut := range []int{1, 5, 9, len(v1) / 2, len(v1) - 1} {
 			f.Add(v1[:cut])
 			f.Add(v2.Bytes()[:cut])
@@ -90,7 +92,7 @@ func FuzzDetectorLoad(f *testing.F) {
 	f.Add(poisonedCellFile(f))
 	f.Add(wrongLeafFile(f))
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x06 nearly"))
+	f.Add([]byte("HBD\x07 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -166,12 +168,8 @@ func TestLoadRejectsUnsearchableCell(t *testing.T) {
 	}
 }
 
-// indexLevels lists a detector's summaries with their heights: the base
-// level alone without an index.
+// indexLevels lists a detector's summaries with their heights.
 func indexLevels(d *Detector) (levels []cmpbe.Level, heights []int) {
-	if d.tree == nil {
-		return []cmpbe.Level{d.base}, []int{0}
-	}
 	for i := 0; i < d.tree.Levels(); i++ {
 		levels = append(levels, d.tree.Level(i).(cmpbe.Level))
 	}
@@ -252,7 +250,7 @@ func FuzzInspect(f *testing.F) {
 		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
 		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
 		{8, []Option{WithPBE2(3), WithSketchDims(2, 4)}},
-		{8, []Option{WithPBE2(2), WithoutEventIndex()}},
+		{1024, []Option{WithPBE2(8)}}, // the benchmark's shape: Direct levels at heights 0, 4 and 8
 	} {
 		det, err := New(c.k, c.opts...)
 		if err != nil {
@@ -268,6 +266,7 @@ func FuzzInspect(f *testing.F) {
 		data := buf.Bytes()
 		f.Add(data)
 		f.Add(saveHBD1(f, det))
+		f.Add(saveHBD6(f, det))
 		for _, cut := range []int{1, 5, 9, len(data) / 2, len(data) - 1} {
 			f.Add(data[:cut])
 		}
@@ -286,7 +285,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(garbled)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x06 nearly"))
+	f.Add([]byte("HBD\x07 nearly"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ierr := Inspect(data)
@@ -310,29 +309,55 @@ func FuzzInspect(f *testing.F) {
 	})
 }
 
-// FuzzLoadSingle does the same for single-event summaries.
+// FuzzLoadSingle does the same for single-event summaries: valid HBS3 files
+// (empty, and with a segment too long for a length slot), the HBS2 files of
+// the previous generation, truncations and bit flips. Anything accepted must
+// answer queries and survive a save and load unchanged.
 func FuzzLoadSingle(f *testing.F) {
-	s, err := NewSingle(WithPBE2(2))
+	empty, err := NewSingle(WithPBE2(2))
 	if err != nil {
 		f.Fatal(err)
 	}
-	s.Append(3)
-	s.Append(9)
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		f.Fatal(err)
+	s, _ := NewSingle(WithPBE2(2))
+	for _, tm := range []int64{3, 9, 9, 4, 1 << 40} {
+		s.Append(tm)
 	}
-	f.Add(buf.Bytes())
+	for _, x := range []*Single{empty, s} {
+		data := saveSingle(f, x)
+		f.Add(data)
+		f.Add(saveHBS2(f, x))
+		for _, cut := range []int{1, 5, 7, len(data) / 2, len(data) - 1} {
+			f.Add(data[:cut])
+		}
+		flipped := append([]byte(nil), data...)
+		flipped[len(flipped)/2] ^= 0x10
+		f.Add(flipped)
+	}
 	f.Add([]byte("HBS\x01"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := LoadSingle(bytes.NewReader(data))
-		if err != nil {
-			return
+		// As it is, and under a recomputed checksum: the only way a mutated
+		// block reaches the decoder.
+		inputs := [][]byte{data}
+		if len(data) > 4 {
+			inputs = append(inputs, sealed(append([]byte(nil), data[:len(data)-4]...)))
 		}
-		if _, err := s.Burstiness(5, 2); err != nil {
-			t.Fatalf("loaded summary cannot query: %v", err)
+		for _, in := range inputs {
+			s, err := LoadSingle(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if _, err := s.Burstiness(5, 2); err != nil {
+				t.Fatalf("loaded summary cannot query: %v", err)
+			}
+			again, err := LoadSingle(bytes.NewReader(saveSingle(t, s)))
+			if err != nil {
+				t.Fatalf("re-saved summary does not load: %v", err)
+			}
+			if !reflect.DeepEqual(*again.p, *s.p) {
+				t.Fatalf("save and load changed the summary:\n%+v\n%+v", again.p, s.p)
+			}
 		}
 	})
 }

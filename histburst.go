@@ -52,7 +52,6 @@ type config struct {
 	d, w           int
 	epsilon, delta float64 // set when d == -1 (WithErrorBounds)
 	gamma          float64
-	noIndex        bool
 }
 
 // Option configures a Detector.
@@ -90,17 +89,6 @@ func WithPBE2(gamma float64) Option {
 	return func(c *config) { c.gamma = gamma }
 }
 
-// WithoutEventIndex disables the dyadic bursty-event index, saving the space
-// and ingest work of its upper levels: every fourth collision-free height
-// above the leaves (two at K = 1024, under 4γ and together about a sixth of
-// the detector) plus, on id spaces wider than the sketch, one Count-Min level
-// per halving down to d·w ids, each about as heavy as the leaf level.
-// BurstyEvents then returns an error; point and bursty-time queries are
-// unaffected.
-func WithoutEventIndex() Option {
-	return func(c *config) { c.noIndex = true }
-}
-
 // Detector answers historical burstiness queries over a mixed event stream.
 //
 // It is not safe for concurrent use while appending — Append, and the first
@@ -110,8 +98,8 @@ func WithoutEventIndex() Option {
 type Detector struct {
 	k    uint64
 	cfg  config       // resolved configuration, kept for serialization
-	tree *dyadic.Tree // nil when the event index is disabled
-	base cmpbe.Level  // leaf-level summary (tree level 0, or standalone)
+	tree *dyadic.Tree // the event index
+	base cmpbe.Level  // its leaf level, the summary that answers
 
 	// pending holds clamped arrivals the index has not taken yet: Append
 	// hands them to the tree pendingCap at a time (dyadic.Tree.AppendBatch),
@@ -119,6 +107,11 @@ type Detector struct {
 	// the buffer, so finished, loaded and merged detectors carry none.
 	pending []stream.Element
 
+	counters
+}
+
+// counters is what a detector counts of its arrivals beside the summary.
+type counters struct {
 	n          int64
 	minT       int64
 	maxT       int64
@@ -152,21 +145,12 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 		return nil, fmt.Errorf("histburst: sketch dimensions must be positive, got d=%d w=%d", c.d, c.w)
 	}
 	det := &Detector{k: k, cfg: c}
-	// The summary that answers (height 0 of the event index, or the
-	// standalone base level) and the index's few-id levels just above it are
-	// under γ; the levels from height 4 up, which only decide where
-	// BurstyEvents and TopBursty descend, under dyadic.SteerGamma — which
-	// DecodeTree and DownsampleTrees ask too, so build, load and decay cannot
-	// disagree about a level's γ.
+	// The summary that answers (height 0 of the event index) and the index's
+	// few-id levels just above it are under γ; the levels from height 4 up,
+	// which only decide where BurstyEvents and TopBursty descend, under
+	// dyadic.SteerGamma — which DecodeTree and DownsampleTrees ask too, so
+	// build, load and decay cannot disagree about a level's γ.
 	levels := dyadic.CMPBELevels(c.d, c.w, c.seed, c.gamma, dyadic.SteerGamma(dyadic.SteerHeight, c.gamma))
-	if c.noIndex {
-		base, err := levels(0, roundPow2(k))
-		if err != nil {
-			return nil, fmt.Errorf("histburst: %w", err)
-		}
-		det.base = base.(cmpbe.Level)
-		return det, nil
-	}
 	tree, err := dyadic.New(k, levels)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
@@ -191,17 +175,16 @@ func (d *Detector) K() uint64 { return roundPow2(d.k) }
 // The segmented timeline store persists these in its manifest so recovered
 // segments are guaranteed config-compatible with future seals.
 type SketchParams struct {
-	K       uint64  // event-id space (pre-rounding)
-	Seed    int64   // hash seed
-	D, W    int     // Count-Min rows × cells
-	Gamma   float64 // PBE-2 error cap
-	NoIndex bool    // dyadic bursty-event index disabled
+	K     uint64  // event-id space (pre-rounding)
+	Seed  int64   // hash seed
+	D, W  int     // Count-Min rows × cells
+	Gamma float64 // PBE-2 error cap
 }
 
 // Params returns the detector's sketch parameters.
 func (d *Detector) Params() SketchParams {
 	c := d.cfg
-	return SketchParams{K: d.k, Seed: c.seed, D: c.d, W: c.w, Gamma: c.gamma, NoIndex: c.noIndex}
+	return SketchParams{K: d.k, Seed: c.seed, D: c.d, W: c.w, Gamma: c.gamma}
 }
 
 // NewFromParams builds an empty detector from exported parameters; the
@@ -212,9 +195,6 @@ func NewFromParams(p SketchParams) (*Detector, error) {
 	opts := []Option{WithSeed(p.Seed), WithPBE2(p.Gamma)}
 	if p.D != 0 || p.W != 0 {
 		opts = append(opts, WithSketchDims(p.D, p.W))
-	}
-	if p.NoIndex {
-		opts = append(opts, WithoutEventIndex())
 	}
 	return New(p.K, opts...)
 }
@@ -235,9 +215,8 @@ func (d *Detector) Append(e uint64, t int64) {
 	}
 }
 
-// stage clamps and counts one arrival and either feeds it straight to the
-// standalone base level (no index: one level, nothing to batch) or buffers
-// it for the index, reporting whether the chunk is now full.
+// stage clamps and counts one arrival and buffers it for the index, reporting
+// whether the chunk is now full.
 func (d *Detector) stage(e uint64, t int64) (full bool) {
 	if d.started && t < d.lastT {
 		d.outOfOrder++
@@ -251,10 +230,6 @@ func (d *Detector) stage(e uint64, t int64) (full bool) {
 	d.n++
 	if t > d.maxT {
 		d.maxT = t
-	}
-	if d.tree == nil {
-		d.base.Append(e%d.K(), t)
-		return false
 	}
 	if d.pending == nil {
 		d.pending = make([]stream.Element, 0, pendingCap)
@@ -284,15 +259,11 @@ func (d *Detector) settle() {
 // Appends are allowed and start new buffers). Queries before Finish are
 // valid and include all ingested data. Idempotent.
 func (d *Detector) Finish() {
-	if d.tree != nil {
-		if d.pending != nil { // a finished detector is left unwritten: Save and Clone run beside queries
-			d.settle()
-			d.pending = nil
-		}
-		d.tree.Finish()
-		return
+	if d.pending != nil { // a finished detector is left unwritten: Save and Clone run beside queries
+		d.settle()
+		d.pending = nil
 	}
-	d.base.Finish()
+	d.tree.Finish()
 }
 
 // N returns the number of ingested elements.
@@ -374,9 +345,6 @@ const parallelSearchMinK = 1 << 12
 // adds scheduling overhead (a measured ~4% regression), so the search stays
 // sequential. The result is identical either way.
 func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
-	if d.tree == nil {
-		return nil, fmt.Errorf("histburst: event index disabled (WithoutEventIndex)")
-	}
 	if tau <= 0 {
 		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
 	}
@@ -395,12 +363,8 @@ type EventBurstiness struct {
 
 // TopBursty returns up to k events with the largest estimated burstiness at
 // time t (descending), via best-first search over the dyadic index —
-// typically far fewer point queries than ranking all K events. Requires the
-// event index.
+// typically far fewer point queries than ranking all K events.
 func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, error) {
-	if d.tree == nil {
-		return nil, fmt.Errorf("histburst: event index disabled (WithoutEventIndex)")
-	}
 	d.settle()
 	scores, err := d.tree.TopBursty(t, k, tau, nil)
 	if err != nil {
@@ -416,10 +380,7 @@ func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, erro
 // Bytes returns the detector's summary footprint in bytes.
 func (d *Detector) Bytes() int {
 	d.settle()
-	if d.tree != nil {
-		return d.tree.Bytes()
-	}
-	return d.base.Bytes()
+	return d.tree.Bytes()
 }
 
 func roundPow2(k uint64) uint64 {

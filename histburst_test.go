@@ -171,10 +171,6 @@ func TestTopBursty(t *testing.T) {
 	if _, err := det.TopBursty(q, 0, tau); err == nil {
 		t.Error("k=0 accepted")
 	}
-	noIdx, _ := New(64, WithoutEventIndex())
-	if _, err := noIdx.TopBursty(q, 2, tau); err == nil {
-		t.Error("TopBursty without index accepted")
-	}
 }
 
 func TestQueryValidation(t *testing.T) {
@@ -187,34 +183,6 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if _, err := det.BurstyEvents(10, 0, 5); err == nil {
 		t.Error("theta=0 accepted")
-	}
-}
-
-func TestWithoutEventIndex(t *testing.T) {
-	det, err := New(64, WithoutEventIndex(), WithPBE2(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := New(64, WithPBE2(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := testStream(9, 64, 2000)
-	for _, el := range data {
-		det.Append(el.Event, el.Time)
-		full.Append(el.Event, el.Time)
-	}
-	det.Finish()
-	full.Finish()
-	if _, err := det.BurstyEvents(100, 5, 10); err == nil {
-		t.Error("BurstyEvents should fail without the index")
-	}
-	if b, err := det.Burstiness(3, 1030, 30); err != nil || b == 0 && det.N() == 0 {
-		t.Errorf("point query broken without index: %v %v", b, err)
-	}
-	if det.Bytes() >= full.Bytes() {
-		t.Errorf("index-free detector (%d B) should be smaller than full (%d B)",
-			det.Bytes(), full.Bytes())
 	}
 }
 

@@ -178,17 +178,6 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 			t.Errorf("%s: Decode error %v, want one containing %q", c.name, err, c.want)
 		}
 	}
-
-	// The same hole without an index: the base level stands alone.
-	bare := shapeFixture(t, 1024, WithPBE2(2), WithoutEventIndex())
-	half := shapeFixture(t, 512, WithPBE2(2), WithoutEventIndex())
-	var base binenc.Writer
-	if err := half.base.Encode(&base); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Decode(sealed(encodeHeader(bare, detectorMagic, base.Bytes()))); err == nil || !strings.Contains(err.Error(), "leaf level has 512 cells for 1024 ids") {
-		t.Errorf("index-free detector with a 512-cell base: Decode error %v", err)
-	}
 }
 
 // benchmarkStream is the benchmark's base stream at seed 1: olympicrio's

@@ -106,6 +106,33 @@ func TestOneWritePath(t *testing.T) {
 	})
 }
 
+// TestOneSummaryCodec: a PBE-2 summary is stored one way, as a cell block —
+// a detector's levels and a single-event summary alike — so neither summary
+// package carries a codec of its own, PBE-1 keeps no merge the experiments do
+// not build, and the detector has one shape: the option, field and flag of
+// the index-free one stay gone.
+func TestOneSummaryCodec(t *testing.T) {
+	methods := map[string][]string{
+		"internal/pbe1": {"MarshalBinary", "UnmarshalBinary", "MergeAppend"},
+		"internal/pbe2": {"MarshalBinary", "UnmarshalBinary"},
+	}
+	retired := map[string]bool{"WithoutEventIndex": true, "NoIndex": true, "noIndex": true}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		banned := methods[filepath.ToSlash(filepath.Dir(rel))]
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && slices.Contains(banned, fn.Name.Name) {
+				t.Errorf("%s declares the method %s; a summary is stored as a cell block", rel, fn.Name.Name)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && retired[id.Name] {
+				t.Errorf("%s names the retired %s; every detector has the event index", rel, id.Name)
+			}
+			return true
+		})
+	})
+}
+
 // TestPBE1StaysABaseline: the served, persisted, merged and decayed detector
 // has one cell type, PBE-2. PBE-1 is the paper's baseline, which the
 // experiments build in memory; no other non-test code may import it, so it

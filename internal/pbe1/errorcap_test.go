@@ -112,36 +112,3 @@ func TestBuilderWithErrorCap(t *testing.T) {
 		t.Fatalf("loose cap used more space: %d > %d", loose.Bytes(), b.Bytes())
 	}
 }
-
-func TestErrorCapMarshalRoundTrip(t *testing.T) {
-	ts := randomTimestamps(7, 1500)
-	b, err := NewWithErrorCap(200, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range ts {
-		b.Append(v)
-	}
-	b.Finish()
-	blob, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Builder
-	if err := got.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if cap, ok := got.ErrorCap(); !ok || cap != 300 {
-		t.Fatalf("ErrorCap after round trip = %d,%v", cap, ok)
-	}
-	for q := int64(0); q <= ts[len(ts)-1]; q += 31 {
-		if got.Estimate(q) != b.Estimate(q) {
-			t.Fatalf("estimate differs at %d", q)
-		}
-	}
-	// Mode mismatch blocks merging.
-	fixed, _ := New(200, 20)
-	if err := got.MergeAppend(fixed); err == nil {
-		t.Error("cap/fixed mode merge accepted")
-	}
-}

@@ -36,8 +36,20 @@ import (
 
 const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 2<<24
 
+const maxSegments = 1 << 32
+
+// minSegmentBytes is the least a stored segment occupies: two one-byte
+// varints and two float64.
+const minSegmentBytes = 18
+
+// finite reports whether both coefficients are numbers.
+func (ln line) finite() bool {
+	return !math.IsNaN(ln.A) && !math.IsInf(ln.A, 0) && !math.IsNaN(ln.B) && !math.IsInf(ln.B, 0)
+}
+
 // EncodeBlock appends cells — summaries under one gamma — to w as one cell
-// block, finishing each first (as MarshalBinary does).
+// block, finishing each first: the open window is not stored, and sealing it
+// loses no committed arrival.
 // maxT is the level's largest timestamp, the base the first start of every
 // cell is written against; DecodeBlock must be given the same.
 func EncodeBlock(w *binenc.Writer, cells []Builder, maxT int64) error {
@@ -253,13 +265,19 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			} else {
 				gap := c.uvarint()
 				start = prevEnd + int64(gap)
-				if gap > math.MaxInt64 || start < prevEnd {
+				switch {
+				case gap > math.MaxInt64:
+					return corrupt("cell %d: segment %d starts before its predecessor ends", i, j)
+				case start < prevEnd:
 					return corrupt("cell %d: segment %d starts past the end of time", i, j)
 				}
 			}
 			length := c.uvarint()
 			end := start + int64(length)
-			if length > math.MaxInt64 || end < start {
+			switch {
+			case length > math.MaxInt64:
+				return corrupt("cell %d: segment %d has a negative length", i, j)
+			case end < start:
 				return corrupt("cell %d: segment %d ends past the end of time", i, j)
 			}
 			ln := line{A: r.Float64(), B: r.Float64()}

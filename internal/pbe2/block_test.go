@@ -68,6 +68,74 @@ func encodeBlock(t testing.TB, cells []Builder, maxT int64) []byte {
 	return w.Bytes()
 }
 
+// oneCell stores cells[0] as a one-cell block written against its frontier —
+// the form a single-event summary is saved in — and decodes it back, holding
+// the block to end where the decoder stops. EncodeBlock finishes the cell.
+func oneCell(t testing.TB, cells []Builder) (back *Builder, data []byte) {
+	t.Helper()
+	data = encodeBlock(t, cells[:1], cells[0].Frontier())
+	got := make([]Builder, 1)
+	r := binenc.NewReader(data)
+	if err := DecodeBlock(r, got, cells[0].Frontier()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return &got[0], data
+}
+
+// TestMarshalRoundTrip: a summary stored as a one-cell block decodes to the
+// summary in every field and encodes to the same bytes again.
+func TestMarshalRoundTrip(t *testing.T) {
+	ts := randomTimestamps(11, 2000, 3)
+	b := buildPBE2(t, ts, 3)
+	got, data := oneCell(t, []Builder{*b})
+	if !reflect.DeepEqual(*got, *b) {
+		t.Fatalf("decoded as\n%+v, encoded from\n%+v", got, b)
+	}
+	for q := int64(0); q <= ts[len(ts)-1]+5; q += 3 {
+		if got.Estimate(q) != b.Estimate(q) {
+			t.Fatalf("estimate differs at t=%d: %v vs %v", q, got.Estimate(q), b.Estimate(q))
+		}
+	}
+	if again := encodeBlock(t, []Builder{*got}, got.Frontier()); !bytes.Equal(again, data) {
+		t.Fatal("the decoded summary encodes to other bytes")
+	}
+}
+
+func TestMarshalFinishesOpenWindow(t *testing.T) {
+	cells, _ := NewCells(1, 2)
+	for _, v := range []int64{1, 5, 9, 14} {
+		cells[0].Append(v)
+	}
+	// No Finish: EncodeBlock must seal the window itself.
+	got, _ := oneCell(t, cells)
+	if !cells[0].done || cells[0].win != nil {
+		t.Fatal("the encoded cell was left open")
+	}
+	if est := got.Estimate(14); est != 4 {
+		t.Fatalf("Estimate(14) = %v, want 4", est)
+	}
+	// Appending continues.
+	got.Append(30)
+	got.Finish()
+	if got.Count() != 5 || got.Estimate(30) != 5 {
+		t.Fatalf("append after decode broken: %d %v", got.Count(), got.Estimate(30))
+	}
+}
+
+func TestMarshalEmpty(t *testing.T) {
+	b, _ := New(4)
+	got, data := oneCell(t, []Builder{*b})
+	if got.Count() != 0 || got.Estimate(10) != 0 || got.Gamma() != 4 || !reflect.DeepEqual(*got, *b) {
+		t.Fatal("empty round trip broken")
+	}
+	if want := 4 + 8 + 1 + 1; len(data) != want {
+		t.Fatalf("an empty summary takes %d bytes, want the block's magic, γ, sum and presence bit: %d", len(data), want)
+	}
+}
+
 // TestBlockRoundTrip: a block decodes to cells equal to the ones encoded in
 // every field, re-encodes to the same bytes, and leaves the reader exactly at
 // its end.
@@ -224,24 +292,53 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 	return w.Bytes()
 }
 
+// rejectCase is a forged input and the words its refusal must name.
+type rejectCase struct {
+	name, want string
+	data       []byte
+}
+
+// expectRejected decodes each case as a two-cell block against maxT and holds
+// the decoder to refusing it with an error that starts with prefix and names
+// the case's words.
+func expectRejected(t *testing.T, maxT int64, prefix string, cases []rejectCase) {
+	t.Helper()
+	for _, tc := range cases {
+		cells := make([]Builder, 2)
+		r := binenc.NewReader(tc.data)
+		err := DecodeBlock(r, cells, maxT)
+		if err == nil {
+			err = r.Close()
+		}
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want one starting %q and naming %q", tc.name, err, prefix, tc.want)
+		}
+	}
+}
+
+// goodCell is a sound present cell of two segments, 40..50 and 53..58 against
+// a maxT of 100; with returns it as a one-cell column set after edit.
+var goodCell = rawCell{count: 7, open: 2, first: -60, segs: []rawSegment{{0, 10, 0.5, 1}, {3, 5, 0, 6}}}
+
+func with(edit func(c *rawCell)) []rawCell {
+	c := goodCell
+	c.segs = append([]rawSegment(nil), goodCell.segs...)
+	edit(&c)
+	return []rawCell{c}
+}
+
 // TestDecodeBlockRejects: the decoder holds a block to what the encoder
 // writes. The per-cell format took every one of the first five under a valid
 // checksum — count, prevF, lastT and the two flags were stored side by side
 // and never compared.
 func TestDecodeBlockRejects(t *testing.T) {
 	const maxT = 100
-	seg := rawSegment{0, 10, 0.5, 1}
-	good := rawCell{count: 7, open: 2, first: -60, segs: []rawSegment{seg, {3, 5, 0, 6}}}
-	with := func(edit func(c *rawCell)) []rawCell {
-		c := good
-		c.segs = append([]rawSegment(nil), good.segs...)
-		edit(&c)
-		return []rawCell{c}
-	}
-	for _, tc := range []struct {
-		name, want string
-		data       []byte
-	}{
+	good := goodCell
+	expectRejected(t, maxT, "", []rejectCase{
 		{"open corner larger than the count", "9 arrivals in its open corner and 7 in all",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.open = 9 }))},
 		{"present without arrivals", "present with count 0",
@@ -256,12 +353,10 @@ func TestDecodeBlockRejects(t *testing.T) {
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.tail = math.MaxInt64 }))},
 		{"start wraps int64", "starts past the end of time",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].gap = math.MaxInt64 }))},
-		{"length wraps int64", "ends past the end of time",
+		{"end wraps int64", "segment 1 ends past the end of time",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].length = math.MaxInt64 }))},
+		{"length wraps int64", "segment 1 has a negative length",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].length = math.MaxUint64 - 2 }))},
-		{"NaN slope", "segment 0 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a = math.NaN() }))},
-		{"infinite intercept", "segment 1 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].b = math.Inf(-1) }))},
 		{"more segments than bytes", "exceeds",
 			append(rawBlock(0, []byte{1}, nil), 0xff, 0xff, 0x03)},
 		{"presence bit past the last cell", "presence bits set past the last cell",
@@ -272,22 +367,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 3 }))},
 		{"out-of-order column past the sum", "more than the block's 5",
 			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 6 }))},
-		{"the previous generation", "bad magic", []byte("P2B\x01 and so on, and so on")},
-	} {
-		cells := make([]Builder, 2)
-		r := binenc.NewReader(tc.data)
-		err := DecodeBlock(r, cells, maxT)
-		if err == nil {
-			err = r.Close()
-		}
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q, want one naming %q", tc.name, err, tc.want)
-		}
-	}
+	})
 
 	// Each count is held to the bytes that remain when it is read; so must
 	// their sum be. Two cells each claiming as many segments as the bytes
@@ -323,3 +403,61 @@ func TestDecodeBlockRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarshalRejectsGarbage: bytes that are not a block — nothing, some
+// text, a retired per-summary blob, the previous block generation, or any cut
+// of a built summary's block — are refused.
+func TestUnmarshalRejectsGarbage(t *testing.T) {
+	expectRejected(t, 100, "", []rejectCase{
+		{"empty input", "truncated uint32 at offset 0", nil},
+		{"not a block", "bad magic", []byte("nope")},
+		{"a per-summary blob", "bad magic", []byte("PB2\x01xx")},
+		{"the previous generation", "bad magic", []byte("P2B\x01 and so on, and so on")},
+	})
+	src := buildPBE2(t, randomTimestamps(3, 300, 3), 2)
+	built := encodeBlock(t, []Builder{*src}, src.Frontier())
+	cells := make([]Builder, 1)
+	for cut := 0; cut < len(built); cut += 5 {
+		if err := DecodeBlock(binenc.NewReader(built[:cut]), cells, src.Frontier()); err == nil {
+			t.Fatalf("cut=%d of %d accepted", cut, len(built))
+		}
+	}
+}
+
+// TestUnmarshalRejectsUnsearchable: the decoder holds a summary to the
+// builder's own invariants, because the search kernels assume them: starts in
+// order, lengths not below zero, no overlaps, finite coefficients.
+func TestUnmarshalRejectsUnsearchable(t *testing.T) {
+	const maxT = 100
+	expectRejected(t, maxT, "pbe2: ", []rejectCase{
+		{"negative length", "segment 0 has a negative length",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].length = negative(1) }))},
+		{"descending starts, End < Start", "segment 0 has a negative length",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].length, c.segs[1].gap = negative(5), negative(20) }))},
+		{"descending starts", "segment 1 starts before its predecessor ends",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].gap = negative(15) }))},
+		{"End past the next Start", "segment 1 starts before its predecessor ends",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].gap = negative(3) }))},
+		{"NaN slope", "segment 0 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a = math.NaN() }))},
+		{"infinite intercept", "segment 1 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].b = math.Inf(-1) }))},
+	})
+
+	// What the builder can legitimately emit still decodes: a successor may
+	// start on its predecessor's End, two segments may share a Start when the
+	// first is a single instant, and starts may be negative.
+	edges := rawCell{count: 50, tail: 30, first: -120, segs: []rawSegment{{0, 0, 0, 1}, {0, 24, 0.5, 3}, {0, 5, 0, 7}, {21, 0, 0, 8}}}
+	cells := make([]Builder, 2)
+	if err := DecodeBlock(binenc.NewReader(rawBlock(0, []byte{1}, []rawCell{edges})), cells, maxT); err != nil {
+		t.Fatalf("builder-shaped cell refused: %v", err)
+	}
+	want := []Segment{{0, 1, -20, -20}, {0.5, 3, -20, 4}, {0, 7, 4, 9}, {0, 8, 30, 30}}
+	if got := cells[0].Segments(); !reflect.DeepEqual(got, want) || cells[0].lastT != 60 {
+		t.Fatalf("builder-shaped cell decoded as %+v ending at %d, want %+v ending at 60", got, cells[0].lastT, want)
+	}
+}
+
+// negative is -n as the two's-complement uvarint a forged gap or length
+// carries.
+func negative(n int64) uint64 { return uint64(-n) }

@@ -96,14 +96,8 @@ func TestLongSegmentLengths(t *testing.T) {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 
-	blob, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Builder
-	if err := back.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
+	decoded, blob := oneCell(t, []Builder{*b})
+	back := *decoded
 	want := b.Segments()
 	got := back.Segments()
 	if len(got) != len(want) {
@@ -115,12 +109,8 @@ func TestLongSegmentLengths(t *testing.T) {
 		}
 	}
 	probeSegments(t, "decoded", &back, ts, runs, gamma)
-	again, err := back.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != string(blob) {
-		t.Fatal("re-marshalled bytes differ")
+	if again := encodeBlock(t, []Builder{back}, back.Frontier()); string(again) != string(blob) {
+		t.Fatal("re-encoded bytes differ")
 	}
 
 	// Append after Finish: the stream goes on, past another long silence.

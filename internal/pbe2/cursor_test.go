@@ -66,15 +66,8 @@ func TestEstimate3MatchesEstimate(t *testing.T) {
 		},
 		"roundtrip": func() (*Builder, int64) {
 			a, horizon := buildRandom(t, 26, 3000, true)
-			blob, err := a.MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
-			var b Builder
-			if err := b.UnmarshalBinary(blob); err != nil {
-				t.Fatal(err)
-			}
-			return &b, horizon
+			b, _ := oneCell(t, []Builder{*a})
+			return b, horizon
 		},
 	}
 	for name, mk := range builders {

@@ -379,6 +379,9 @@ func appendBreakpoint(out []int64, v int64) []int64 {
 // Count returns the number of arrivals ingested.
 func (b *Builder) Count() int64 { return b.count }
 
+// Frontier returns the time of the last arrival (zero before the first).
+func (b *Builder) Frontier() int64 { return b.lastT }
+
 // OutOfOrder returns how many arrivals were clamped.
 func (b *Builder) OutOfOrder() int64 { return b.outOfOrder }
 

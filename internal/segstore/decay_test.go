@@ -300,7 +300,7 @@ func TestDecayLongHorizon(t *testing.T) {
 	}
 	mustClose(t, decayed)
 
-	// Reopen from the HBM3 manifest: fidelity metadata round-trips, the
+	// Reopen from the manifest: fidelity metadata round-trips, the
 	// coarser detector files load against their per-segment parameters, and
 	// queries answer identically.
 	re := mustOpen(t, dir, Config{})
@@ -454,7 +454,7 @@ func TestResolveDecayTiers(t *testing.T) {
 // buildDecayCrashFixture creates a store directory of three sealed segments
 // old enough (relative to the frontier) that reopening with decay enabled
 // compacts and decays the first two, and harvests the final generation's
-// bytes: every new segment file plus the HBM3 manifest naming them.
+// bytes: every new segment file plus the manifest naming them.
 func buildDecayCrashFixture(t *testing.T) (dir string, n int64, newFiles map[string][]byte, manData []byte) {
 	t.Helper()
 	cfg := testConfig(8)
@@ -518,7 +518,7 @@ func buildDecayCrashFixture(t *testing.T) (dir string, n int64, newFiles map[str
 func TestCrashDuringDecayManifestWriteRecoversEitherGeneration(t *testing.T) {
 	dir, n, newFiles, manData := buildDecayCrashFixture(t)
 	// The decayed segment files are in place (their writes precede the
-	// manifest rewrite); the crash hits the HBM3 manifest write at every
+	// manifest rewrite); the crash hits the manifest write at every
 	// byte offset. Before the rename the three full-fidelity inputs serve;
 	// after it the decayed generation does — with every element accounted
 	// for either way.

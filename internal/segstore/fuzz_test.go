@@ -9,9 +9,11 @@ import (
 	"histburst/internal/binenc"
 )
 
-// encodeLegacyManifest reproduces the retired HBM1/HBM2 wire layouts (no
-// per-segment fidelity fields, HBM1 without the quarantine list) so the fuzz
-// corpus and the must-reject tests exercise genuine old-generation bytes.
+// encodeLegacyManifest reproduces the retired HBM1–HBM3 wire layouts (each
+// with the event-index flag after the sketch parameters; HBM1 and HBM2
+// without the per-segment fidelity fields, HBM1 without the quarantine list)
+// so the fuzz corpus and the must-reject tests exercise genuine
+// old-generation bytes.
 func encodeLegacyManifest(m *Manifest, version int) []byte {
 	var enc binenc.Writer
 	enc.BytesBlob([]byte{'H', 'B', 'M', byte(version)})
@@ -23,7 +25,13 @@ func encodeLegacyManifest(m *Manifest, version int) []byte {
 	enc.Uvarint(uint64(p.D))
 	enc.Uvarint(uint64(p.W))
 	enc.Float64(p.Gamma)
-	enc.Bool(p.NoIndex)
+	enc.Bool(false) // event index disabled
+	if version == 3 {
+		encodeSegmentMetas(&enc, m.Segments)
+		encodeSegmentMetas(&enc, m.Quarantined)
+		enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
+		return enc.Bytes()
+	}
 	legacy := func(metas []SegmentMeta) {
 		enc.Uvarint(uint64(len(metas)))
 		for _, g := range metas {
@@ -59,12 +67,12 @@ func FuzzManifestLoad(f *testing.F) {
 			{ID: 0, File: segFileName(0), Start: -10, End: 5, MinT: -10, MaxT: 5, Elements: 12},
 			{ID: 3, File: segFileName(3), Start: 5, End: 40, MinT: 5, MaxT: 40, Elements: 90, Compacted: true},
 		}},
-		{Generation: 1, NextID: 2, Params: histburst.SketchParams{K: 1 << 20, Seed: -3, D: 5, W: 272, Gamma: 8, NoIndex: true},
+		{Generation: 1, NextID: 2, Params: histburst.SketchParams{K: 1 << 20, Seed: -3, D: 5, W: 272, Gamma: 8},
 			Segments: []SegmentMeta{
 				{ID: 1, File: "", Start: 0, End: 0, MinT: 0, MaxT: 0, Elements: 1},
 			}},
-		// HBM3 fidelity metadata: a decayed tier ladder plus a quarantined
-		// decayed segment.
+		// Fidelity metadata: a decayed tier ladder plus a quarantined decayed
+		// segment.
 		{Generation: 12, NextID: 9, Params: params,
 			Segments: []SegmentMeta{
 				{ID: 7, File: segFileName(7), Start: 0, End: 99, MinT: 0, MaxT: 99, Elements: 400,
@@ -78,7 +86,7 @@ func FuzzManifestLoad(f *testing.F) {
 					Tier: 1, Gamma: 8, W: 8, Res: 60},
 			}},
 	} {
-		for _, data := range [][]byte{m.Encode(), encodeLegacyManifest(m, 1), encodeLegacyManifest(m, 2)} {
+		for _, data := range [][]byte{m.Encode(), encodeLegacyManifest(m, 1), encodeLegacyManifest(m, 2), encodeLegacyManifest(m, 3)} {
 			f.Add(data)
 			for _, cut := range []int{1, 4, 8, len(data) / 2, len(data) - 1} {
 				if cut < len(data) {
@@ -91,7 +99,7 @@ func FuzzManifestLoad(f *testing.F) {
 		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBM\x01 nearly"))
+	f.Add([]byte("HBM\x04 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
 

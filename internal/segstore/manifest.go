@@ -26,11 +26,12 @@ import (
 // ManifestName is the manifest's file name within a store directory.
 const ManifestName = "MANIFEST.hbm"
 
-// manifestMagicV3 identifies the manifest format ("HBM3"): the live and
-// quarantined segment lists, each SegmentMeta carrying its fidelity metadata
-// (decay tier, effective γ, Count-Min width, time resolution). It is the only
-// generation written or read; any other is refused by version.
-var manifestMagicV3 = []byte{'H', 'B', 'M', 3}
+// manifestMagic identifies the manifest format ("HBM4"): the sketch
+// parameters, then the live and quarantined segment lists, each SegmentMeta
+// carrying its fidelity metadata (decay tier, effective γ, Count-Min width,
+// time resolution). It is the only generation written or read; any other is
+// refused by version.
+var manifestMagic = []byte{'H', 'B', 'M', 4}
 
 // crcTable is the Castagnoli polynomial, matching the detector footer.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -147,7 +148,7 @@ type Manifest struct {
 // Encode serializes the manifest with its CRC32-C footer.
 func (m *Manifest) Encode() []byte {
 	var enc binenc.Writer
-	enc.BytesBlob(manifestMagicV3)
+	enc.BytesBlob(manifestMagic)
 	enc.Uvarint(m.Generation)
 	enc.Uvarint(m.NextID)
 	p := m.Params
@@ -156,7 +157,6 @@ func (m *Manifest) Encode() []byte {
 	enc.Uvarint(uint64(p.D))
 	enc.Uvarint(uint64(p.W))
 	enc.Float64(p.Gamma)
-	enc.Bool(p.NoIndex)
 	encodeSegmentMetas(&enc, m.Segments)
 	encodeSegmentMetas(&enc, m.Quarantined)
 	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
@@ -202,9 +202,9 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	dec := binenc.NewReader(body)
 	magic := dec.BytesBlob()
-	if !bytes.Equal(magic, manifestMagicV3) {
-		if len(magic) == 4 && bytes.Equal(magic[:3], manifestMagicV3[:3]) {
-			return nil, fmt.Errorf("segstore: unsupported manifest format HBM%d (this build reads HBM3 only)", magic[3])
+	if !bytes.Equal(magic, manifestMagic) {
+		if len(magic) == 4 && bytes.Equal(magic[:3], manifestMagic[:3]) {
+			return nil, fmt.Errorf("segstore: unsupported manifest format HBM%d (this build reads HBM4 only)", magic[3])
 		}
 		return nil, fmt.Errorf("segstore: bad magic (not a manifest)")
 	}
@@ -216,7 +216,6 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	m.Params.D = int(dec.Uvarint())
 	m.Params.W = int(dec.Uvarint())
 	m.Params.Gamma = dec.Float64()
-	m.Params.NoIndex = dec.Bool()
 	var err error
 	if m.Segments, err = decodeSegmentMetas(dec); err != nil {
 		return nil, err

@@ -30,18 +30,17 @@ import (
 // immutable, and the head (still live — a snapshot pins the composition,
 // not the head's growth) synchronizes internally.
 type Snapshot struct {
-	v       *storeView
-	kfold   uint64
-	gamma   float64
-	w       int
-	noIndex bool
+	v     *storeView
+	kfold uint64
+	gamma float64
+	w     int
 }
 
 // Snapshot returns the current generation for querying. Queries on one
 // snapshot never observe seals or compaction swaps that happen after it was
 // taken.
 func (s *Store) Snapshot() *Snapshot {
-	return &Snapshot{v: s.view.Load(), kfold: s.kfold, gamma: s.params.Gamma, w: s.params.W, noIndex: s.noIndex}
+	return &Snapshot{v: s.view.Load(), kfold: s.kfold, gamma: s.params.Gamma, w: s.params.W}
 }
 
 // Generation returns the manifest generation this snapshot pins.
@@ -256,9 +255,6 @@ func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst
 // parallel — the per-segment searches are themselves the paper's pruned
 // dyadic walks.
 func (sn *Snapshot) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
-	if sn.noIndex {
-		return nil, fmt.Errorf("segstore: event index disabled (NoIndex)")
-	}
 	if tau <= 0 {
 		return nil, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
 	}
@@ -346,9 +342,6 @@ func (sn *Snapshot) burstyCandidates(t int64, theta float64, tau int64) ([]uint6
 // the cross-segment point query — per-segment ranks can disagree with the
 // combined rank, so the widened candidate pool is re-ranked globally.
 func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurstiness, error) {
-	if sn.noIndex {
-		return nil, fmt.Errorf("segstore: event index disabled (NoIndex)")
-	}
 	if tau <= 0 {
 		return nil, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
 	}

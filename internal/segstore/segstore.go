@@ -44,16 +44,15 @@ const (
 // ErrClosed reports use of a closed store.
 var ErrClosed = errors.New("segstore: store is closed")
 
-// Config configures a store. Sketch parameters (K, Gamma, Seed, D, W,
-// NoIndex) follow histburst.New semantics; they are ignored in favor of the
+// Config configures a store. Sketch parameters (K, Gamma, Seed, D, W)
+// follow histburst.New semantics; they are ignored in favor of the
 // manifest when an existing store is opened (a conflicting non-zero value
 // is an error). The remaining knobs shape the segment lifecycle.
 type Config struct {
-	K       uint64  // event-id space (required unless a manifest exists)
-	Gamma   float64 // PBE-2 error cap (default 8)
-	Seed    int64   // hash seed (default 1)
-	D, W    int     // Count-Min layout (0 = library default)
-	NoIndex bool    // disable the dyadic bursty-event index
+	K     uint64  // event-id space (required unless a manifest exists)
+	Gamma float64 // PBE-2 error cap (default 8)
+	Seed  int64   // hash seed (default 1)
+	D, W  int     // Count-Min layout (0 = library default)
 
 	// SealEvents freezes the head once it holds this many elements
 	// (default DefaultSealEvents; negative disables size-based sealing).
@@ -177,13 +176,12 @@ type storeView struct {
 // Store is a segmented timeline store. All methods are safe for concurrent
 // use.
 type Store struct {
-	dir     string // "" = volatile (no files, no manifest)
-	params  histburst.SketchParams
-	kfold   uint64 // event ids are folded modulo this (detector K())
-	seals   sealLimits
-	fanout  int64       // < 2 disables compaction
-	tiers   []DecayTier // resolved decay ladder; empty disables decay
-	noIndex bool
+	dir    string // "" = volatile (no files, no manifest)
+	params histburst.SketchParams
+	kfold  uint64 // event ids are folded modulo this (detector K())
+	seals  sealLimits
+	fanout int64       // < 2 disables compaction
+	tiers  []DecayTier // resolved decay ladder; empty disables decay
 
 	// ingestMu serializes the write path — admission, log append and head
 	// apply (ingest.go) — and WAL rotation, which quiesces ingest while it
@@ -282,7 +280,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	}
 
 	params := histburst.SketchParams{
-		K: cfg.K, Seed: cfg.Seed, D: cfg.D, W: cfg.W, Gamma: cfg.Gamma, NoIndex: cfg.NoIndex,
+		K: cfg.K, Seed: cfg.Seed, D: cfg.D, W: cfg.W, Gamma: cfg.Gamma,
 	}
 	if params.Seed == 0 {
 		params.Seed = 1
@@ -322,7 +320,6 @@ func Open(dir string, cfg Config) (*Store, error) {
 	params = template.Params() // resolved D/W for defaulted layouts
 	s.params = params
 	s.kfold = template.K()
-	s.noIndex = params.NoIndex
 	if len(cfg.DecayTiers) > 0 {
 		if s.fanout < 2 {
 			return nil, fmt.Errorf("segstore: decay tiers require compaction (CompactFanout ≥ 2)")
@@ -452,9 +449,6 @@ func checkConfigAgainstManifest(cfg, man histburst.SketchParams) error {
 	}
 	if cfg.W != 0 && cfg.W != man.W {
 		return conflict("W", cfg.W, man.W)
-	}
-	if cfg.NoIndex != man.NoIndex {
-		return conflict("NoIndex", cfg.NoIndex, man.NoIndex)
 	}
 	return nil
 }

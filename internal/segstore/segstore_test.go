@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -330,7 +331,6 @@ func TestBootstrapRejectsMismatchedParams(t *testing.T) {
 		"seed":      func(p *histburst.SketchParams) { p.Seed++ },
 		"layout":    func(p *histburst.SketchParams) { p.D, p.W = 2, 48 },
 		"error cap": func(p *histburst.SketchParams) { p.Gamma = 4 },
-		"no index":  func(p *histburst.SketchParams) { p.NoIndex = true },
 		"none":      func(*histburst.SketchParams) {},
 	} {
 		p := want
@@ -631,7 +631,7 @@ func dirContents(t *testing.T, dir string) map[string]string {
 }
 
 // TestOpenRefusesLegacyManifest: a directory whose manifest is of a retired
-// generation (HBM1/HBM2) is refused with an error naming that version, and
+// generation (HBM1–HBM3) is refused with an error naming that version, and
 // nothing in it is rewritten or swept.
 func TestOpenRefusesLegacyManifest(t *testing.T) {
 	dir := t.TempDir()
@@ -646,7 +646,7 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, segFileName(999)), []byte("orphan"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, version := range []int{1, 2} {
+	for _, version := range []int{1, 2, 3} {
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), encodeLegacyManifest(man, version), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -668,9 +668,12 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 // TestOpenRefusesOldGeneration: segment files of an earlier detector
 // generation (HBD4: every index level under the leaf's γ, which this build's
 // steering-level factory would refuse block by block; HBD5: a header with the
-// PBE-1 fields this build does not read) are whole files, not damage. Open refuses the directory by the generation's name and
-// leaves it exactly as it was — nothing quarantined, nothing moved, the
-// manifest untouched — even behind a segment that really is damaged.
+// PBE-1 fields this build does not read; HBD6: a header with the event-index
+// flag) are whole files, not damage, and so is a manifest of the previous
+// generation (HBM3, with the same flag). Open refuses the directory by the
+// generation's name and leaves it exactly as it was — nothing quarantined,
+// nothing moved, the manifest untouched — even behind a segment that really
+// is damaged.
 func TestOpenRefusesOldGeneration(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, testConfig(8))
@@ -701,7 +704,30 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, old := range []byte{4, 5} {
+	manifest := filepath.Join(dir, ManifestName)
+	refused := func(what, want string, wantErr error) {
+		t.Helper()
+		before := dirContents(t, dir)
+		sum := sha256.Sum256([]byte(before[ManifestName]))
+		for _, cfg := range []Config{{}, testConfig(8)} {
+			re, err := Open(dir, cfg)
+			if err == nil {
+				mustClose(t, re)
+				t.Fatalf("a store of %s opened", what)
+			}
+			if (wantErr != nil && !errors.Is(err, wantErr)) || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s refused without naming the generation: %v", what, err)
+			}
+			after := dirContents(t, dir)
+			if !reflect.DeepEqual(before, after) || sha256.Sum256([]byte(after[ManifestName])) != sum {
+				t.Fatalf("refusing %s modified the directory", what)
+			}
+			if _, err := os.Stat(filepath.Join(dir, quarantineDir)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("refusing %s made a quarantine directory: %v", what, err)
+			}
+		}
+	}
+	for _, old := range []byte{4, 5, 6} {
 		for _, path := range segs[1:] {
 			reseal(path, func(body []byte) {
 				if string(body[:4]) != "\x04HBD" {
@@ -710,22 +736,20 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 				body[4] = old
 			})
 		}
-		before := dirContents(t, dir)
-		for _, cfg := range []Config{{}, testConfig(8)} {
-			re, err := Open(dir, cfg)
-			if err == nil {
-				mustClose(t, re)
-				t.Fatalf("a store of HBD%d segment files opened", old)
-			}
-			if !errors.Is(err, histburst.ErrUnsupportedFormat) ||
-				!strings.Contains(err.Error(), fmt.Sprintf("unsupported detector format HBD%d (this build reads HBD6 only)", old)) {
-				t.Fatalf("HBD%d segments refused without naming the generation: %v", old, err)
-			}
-			if after := dirContents(t, dir); !reflect.DeepEqual(before, after) {
-				t.Fatalf("refusing an HBD%d store modified the directory", old)
-			}
-		}
+		refused(fmt.Sprintf("HBD%d segment files", old),
+			fmt.Sprintf("unsupported detector format HBD%d (this build reads HBD7 only)", old), histburst.ErrUnsupportedFormat)
 	}
+
+	// The previous manifest generation, over the files it was written with:
+	// refused before any of them is read.
+	man, err := LoadManifest(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, encodeLegacyManifest(man, 3), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("an HBM3 manifest", "unsupported manifest format HBM3 (this build reads HBM4 only)", nil)
 }
 
 // TestStoreDirectoryHoldsOneFormat drives every writer the store has — seal,
@@ -774,7 +798,7 @@ func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
 	mustClose(t, s)
 
 	// Magics are binenc blobs: a length byte, then the four magic bytes.
-	magics := map[string]string{".hbm": "\x04HBM\x03", ".hbsk": "\x04HBD\x06"}
+	magics := map[string]string{".hbm": "\x04HBM\x04", ".hbsk": "\x04HBD\x07"}
 	seen := make(map[string]int)
 	for name, content := range dirContents(t, dir) {
 		magic, ok := magics[filepath.Ext(name)]

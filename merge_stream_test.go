@@ -40,15 +40,13 @@ func mergeParts(t *testing.T, opts ...Option) []*Detector {
 }
 
 // TestMergeDetectorsMatchesMergeAppend pins the streaming detector merge
-// bit-identical to the Clone+MergeAppend chain, for both the indexed and the
-// index-free configuration.
+// bit-identical to the Clone+MergeAppend chain.
 func TestMergeDetectorsMatchesMergeAppend(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts []Option
 	}{
 		{"indexed", []Option{WithSeed(5), WithSketchDims(3, 32), WithPBE2(2)}},
-		{"no-index", []Option{WithSeed(5), WithSketchDims(3, 32), WithPBE2(2), WithoutEventIndex()}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			parts := mergeParts(t, tc.opts...)

@@ -3,7 +3,6 @@ package histburst
 import (
 	"fmt"
 
-	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 )
 
@@ -17,41 +16,24 @@ type Element struct {
 // MergeAppend absorbs a detector built over a strictly later time range of
 // the same logical stream — the paper's "parallel processing on mutually
 // exclusive time ranges". Both detectors must have been created with
-// identical options (same sketch dimensions, seed, error cap and
-// event-index setting). Both are flushed; the receiver then answers queries
-// over the concatenated history exactly as if it had ingested everything
-// sequentially. other should not be used afterwards.
+// identical options (same sketch dimensions, seed and error cap). Both are
+// flushed; the receiver then answers queries over the concatenated history
+// exactly as if it had ingested everything sequentially. other should not be
+// used afterwards.
 func (d *Detector) MergeAppend(other *Detector) error {
-	if other == nil {
-		return fmt.Errorf("histburst: cannot merge nil detector")
-	}
-	if d.cfg != other.cfg || d.K() != other.K() {
-		return fmt.Errorf("histburst: configuration mismatch; partitions must share all options")
+	merged, live, err := gather([]*Detector{d, other}, "merge")
+	if err != nil {
+		return err
 	}
 	d.Finish()
 	other.Finish()
-	if other.n == 0 {
+	if len(live) == 1 {
 		return nil
 	}
-	if d.tree != nil {
-		if err := d.tree.MergeAppend(other.tree); err != nil {
-			return err
-		}
-	} else if err := cmpbe.MergeAppendLevel(d.base, other.base); err != nil {
+	if err := d.tree.MergeAppend(other.tree); err != nil {
 		return err
 	}
-	if !d.started && other.started {
-		d.minT = other.minT
-	}
-	d.n += other.n
-	if other.maxT > d.maxT {
-		d.maxT = other.maxT
-	}
-	if other.lastT > d.lastT {
-		d.lastT = other.lastT
-	}
-	d.started = d.started || other.started
-	d.outOfOrder += other.outOfOrder
+	d.counters = merged.counters
 	return nil
 }
 
@@ -65,71 +47,65 @@ func (d *Detector) MergeAppend(other *Detector) error {
 //
 //histburst:fastpath MergeAppend
 func MergeDetectors(parts []*Detector) (*Detector, error) {
-	if len(parts) == 0 || parts[0] == nil {
-		return nil, fmt.Errorf("histburst: merge of zero detectors")
-	}
-	first := parts[0]
-	for _, p := range parts[1:] {
-		if p == nil {
-			return nil, fmt.Errorf("histburst: cannot merge nil detector")
-		}
-		if first.cfg != p.cfg || first.K() != p.K() {
-			return nil, fmt.Errorf("histburst: configuration mismatch; partitions must share all options")
-		}
+	out, live, err := gather(parts, "merge")
+	if err != nil {
+		return nil, err
 	}
 	if err := settledParts(parts); err != nil {
 		return nil, err
 	}
-	out := &Detector{
-		k: first.k, cfg: first.cfg,
-		n: first.n, minT: first.minT, maxT: first.maxT, lastT: first.lastT,
-		started: first.started, outOfOrder: first.outOfOrder,
-	}
-	live := make([]*Detector, 0, len(parts))
-	live = append(live, first)
-	for _, p := range parts[1:] {
-		if p.n == 0 {
-			continue // contributes nothing, exactly as MergeAppend skips it
-		}
-		if !out.started && p.started {
-			out.minT = p.minT
-		}
-		live = append(live, p)
-		out.n += p.n
-		if p.maxT > out.maxT {
-			out.maxT = p.maxT
-		}
-		if p.lastT > out.lastT {
-			out.lastT = p.lastT
-		}
-		out.started = out.started || p.started
-		out.outOfOrder += p.outOfOrder
-	}
-	if first.tree != nil {
-		trees := make([]*dyadic.Tree, len(live))
-		for i, p := range live {
-			trees[i] = p.tree
-		}
-		tree, err := dyadic.MergeTrees(trees)
-		if err != nil {
-			return nil, fmt.Errorf("histburst: %w", err)
-		}
-		out.setTree(tree)
-		return out, nil
-	}
-	base, err := cmpbe.MergeLevels(bases(live))
+	tree, err := dyadic.MergeTrees(trees(live))
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	out.base = base
+	out.setTree(tree)
 	return out, nil
 }
 
-// bases returns the detectors' standalone (index-free) base levels.
-func bases(parts []*Detector) []cmpbe.Level {
-	out := make([]cmpbe.Level, len(parts))
+// gather checks parts — detectors over disjoint time ranges, in ascending
+// time order — for a merge or a downsample (verb names which in the errors):
+// none is nil and all share one configuration. It returns a detector with
+// the first part's configuration and the counters of all of them, and no
+// summary yet, and the parts whose summaries make up the result's: the first
+// and every later one that holds elements.
+func gather(parts []*Detector, verb string) (out *Detector, live []*Detector, err error) {
+	if len(parts) == 0 || parts[0] == nil {
+		return nil, nil, fmt.Errorf("histburst: %s of zero detectors", verb)
+	}
+	first := parts[0]
+	for _, p := range parts[1:] {
+		if p == nil {
+			return nil, nil, fmt.Errorf("histburst: cannot %s nil detector", verb)
+		}
+		if first.cfg != p.cfg || first.K() != p.K() {
+			return nil, nil, fmt.Errorf("histburst: configuration mismatch; partitions must share all options")
+		}
+	}
+	out = &Detector{k: first.k, cfg: first.cfg, counters: first.counters}
+	live = append(make([]*Detector, 0, len(parts)), first)
+	for _, p := range parts[1:] {
+		if p.n == 0 {
+			continue // contributes nothing
+		}
+		c := &out.counters
+		if !c.started && p.started {
+			c.minT = p.minT
+		}
+		c.n += p.n
+		c.maxT = max(c.maxT, p.maxT)
+		c.lastT = max(c.lastT, p.lastT)
+		c.started = c.started || p.started
+		c.outOfOrder += p.outOfOrder
+		live = append(live, p)
+	}
+	return out, live, nil
+}
+
+// trees returns the parts' event indexes.
+func trees(parts []*Detector) []*dyadic.Tree {
+	out := make([]*dyadic.Tree, len(parts))
 	for i, p := range parts {
-		out[i] = p.base
+		out[i] = p.tree
 	}
 	return out
 }

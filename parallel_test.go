@@ -2,7 +2,6 @@ package histburst
 
 import (
 	"bytes"
-	"math"
 	"runtime"
 	"testing"
 )
@@ -36,7 +35,6 @@ func TestBuildParallelMatchesSequentialExactly(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(4, 64), WithSeed(9)},
 		{WithPBE2(2), WithSketchDims(2, 4), WithSeed(9)}, // Count-Min levels under Direct ones
-		{WithPBE2(2), WithoutEventIndex()},
 	} {
 		seq, err := New(64, opts...)
 		if err != nil {
@@ -96,27 +94,6 @@ func TestMergeAppendConfigMismatch(t *testing.T) {
 	}
 	if err := a.MergeAppend(nil); err == nil {
 		t.Error("nil accepted")
-	}
-}
-
-func TestMergeAppendNoIndexDetectors(t *testing.T) {
-	opts := []Option{WithPBE2(2), WithoutEventIndex(), WithSketchDims(3, 16)}
-	a, _ := New(16, opts...)
-	b, _ := New(16, opts...)
-	for tm := int64(0); tm < 500; tm++ {
-		a.Append(uint64(tm%16), tm)
-	}
-	for tm := int64(500); tm < 1000; tm++ {
-		b.Append(uint64(tm%16), tm)
-	}
-	if err := a.MergeAppend(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != 1000 || a.MaxTime() != 999 {
-		t.Fatalf("counters: N=%d maxT=%d", a.N(), a.MaxTime())
-	}
-	if f := a.CumulativeFrequency(3, 999); math.Abs(f-62.5) > 8 {
-		t.Fatalf("F(999) for event 3 = %v, want ≈62", f)
 	}
 }
 

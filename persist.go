@@ -18,19 +18,19 @@ import (
 )
 
 // Serialized detector format: a fixed magic, the resolved configuration,
-// the ingest counters, the summary (the dyadic tree, or the standalone base
-// level when the event index is disabled), and a CRC32-C footer over
-// everything before it, so torn writes and bit rot fail loudly at load time
-// instead of decoding into a subtly wrong detector. Load holds every level to
-// the γ of the stored configuration, so no options are needed at load time
-// and a detector round-trips exactly. Save writes, and Load accepts,
-// format v6 ("HBD6") only: the levels of the event index from height 4 up,
-// which only steer the search, are held under dyadic.SteerGammaFactor × γ (a
-// level under any other γ than its height calls for is refused), and the
-// header holds γ and no other cell parameter, because every cell is PBE-2. A
+// the ingest counters, the summary (the dyadic tree), and a CRC32-C footer
+// over everything before it, so torn writes and bit rot fail loudly at load
+// time instead of decoding into a subtly wrong detector. Load holds every
+// level to the γ of the stored configuration, so no options are needed at
+// load time and a detector round-trips exactly. Save writes, and Load
+// accepts, format v7 ("HBD7") only: the levels of the event index from height
+// 4 up, which only steer the search, are held under
+// dyadic.SteerGammaFactor × γ (a level under any other γ than its height
+// calls for is refused), and the header holds γ and no other cell or shape
+// parameter, because every cell is PBE-2 and every detector has the index. A
 // file of any other generation is refused with an error naming its version.
 
-var detectorMagic = []byte{'H', 'B', 'D', 6}
+var detectorMagic = []byte{'H', 'B', 'D', 7}
 
 // ErrUnsupportedFormat is wrapped by the error Load, Decode and Inspect
 // return for a detector file of another format generation: a file that is
@@ -78,7 +78,6 @@ func (d *Detector) Save(w io.Writer) error {
 	enc.Uvarint(uint64(c.d))
 	enc.Uvarint(uint64(c.w))
 	enc.Float64(c.gamma)
-	enc.Bool(c.noIndex)
 	enc.Varint(d.n)
 	enc.Varint(d.minT)
 	enc.Varint(d.maxT)
@@ -86,13 +85,7 @@ func (d *Detector) Save(w io.Writer) error {
 	enc.Bool(d.started)
 	enc.Varint(d.outOfOrder)
 
-	var err error
-	if d.tree != nil {
-		err = d.tree.Encode(&enc)
-	} else {
-		err = d.base.Encode(&enc)
-	}
-	if err != nil {
+	if err := d.tree.Encode(&enc); err != nil {
 		return fmt.Errorf("histburst: %w", err)
 	}
 	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
@@ -188,7 +181,7 @@ func decodeHeader(data []byte) (det *Detector, dec *binenc.Reader, err error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
-			return nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD6 only)", ErrUnsupportedFormat, magic[3])
+			return nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD7 only)", ErrUnsupportedFormat, magic[3])
 		}
 		return nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
@@ -204,7 +197,6 @@ func decodeHeader(data []byte) (det *Detector, dec *binenc.Reader, err error) {
 	c.d = int(dec.Uvarint())
 	c.w = int(dec.Uvarint())
 	c.gamma = dec.Float64()
-	c.noIndex = dec.Bool()
 	n := dec.Varint()
 	minT := dec.Varint()
 	maxT := dec.Varint()
@@ -230,7 +222,7 @@ func decodeHeader(data []byte) (det *Detector, dec *binenc.Reader, err error) {
 	}
 	det = &Detector{
 		k: k, cfg: c,
-		n: n, minT: minT, maxT: maxT, lastT: lastT, started: started, outOfOrder: outOfOrder,
+		counters: counters{n: n, minT: minT, maxT: maxT, lastT: lastT, started: started, outOfOrder: outOfOrder},
 	}
 	return det, dec, nil
 }
@@ -243,22 +235,14 @@ func Decode(data []byte) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	if det.cfg.noIndex {
-		base, err := cmpbe.DecodeLevel(dec, det.cfg.gamma)
-		if err != nil {
-			return nil, fmt.Errorf("histburst: %w", err)
-		}
-		det.base = base
-	} else {
-		tree, err := dyadic.DecodeTree(dec, det.cfg.gamma)
-		if err != nil {
-			return nil, fmt.Errorf("histburst: %w", err)
-		}
-		if tree.K() != roundPow2(det.k) {
-			return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
-		}
-		det.setTree(tree)
+	tree, err := dyadic.DecodeTree(dec, det.cfg.gamma)
+	if err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
+	if tree.K() != roundPow2(det.k) {
+		return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
+	}
+	det.setTree(tree)
 	if err := dec.Close(); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
@@ -270,28 +254,22 @@ func Decode(data []byte) (*Detector, error) {
 
 // checkBase holds a decoded leaf summary to the header it was stored under:
 // every id is folded by K and hashed by (d, w, seed), so a summary of any
-// other shape would answer for the wrong cells without failing. A Count-Min
-// leaf is the (d, w, seed) sketch the configuration builds, over more ids
-// than its cells; a collision-free one has a cell per id — also where a
-// sketch would be built today, since downsampling narrows w and leaves a
-// collision-free level as it is. The index's upper levels are pinned to the
-// leaf by dyadic.DecodeTree.
+// other shape would answer for the wrong cells without failing.
+// dyadic.DecodeTree has pinned every level to the leaf and to its height — a
+// collision-free leaf has a cell per id, a Count-Min one more ids than cells
+// — so what is left is that a Count-Min leaf is the (d, w, seed) sketch the
+// configuration builds. A collision-free leaf may stand where a sketch would
+// be built today, since downsampling narrows w and leaves a collision-free
+// level as it is.
 func (d *Detector) checkBase() error {
-	c, k := d.cfg, d.K()
-	switch b := d.base.(type) {
-	case *cmpbe.Direct:
-		if b.IDs() != k {
-			return fmt.Errorf("histburst: corrupt detector file: leaf level has %d cells for %d ids", b.IDs(), k)
-		}
-	case *cmpbe.Sketch:
-		bd, bw := b.Dims()
-		if bd != c.d || bw != c.w || b.Seed() != c.seed {
-			return fmt.Errorf("histburst: corrupt detector file: leaf level is a %d×%d sketch seeded %d under a %d×%d configuration seeded %d",
-				bd, bw, b.Seed(), c.d, c.w, c.seed)
-		}
-		if k <= uint64(c.d)*uint64(c.w) {
-			return fmt.Errorf("histburst: corrupt detector file: leaf level is a %d×%d sketch over %d ids, which fit collision-free", bd, bw, k)
-		}
+	b, ok := d.base.(*cmpbe.Sketch)
+	if !ok {
+		return nil
+	}
+	c := d.cfg
+	if bd, bw := b.Dims(); bd != c.d || bw != c.w || b.Seed() != c.seed {
+		return fmt.Errorf("histburst: corrupt detector file: leaf level is a %d×%d sketch seeded %d under a %d×%d configuration seeded %d",
+			bd, bw, b.Seed(), c.d, c.w, c.seed)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package histburst
 
 import (
 	"bytes"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -21,24 +22,31 @@ func saveHBD1(t testing.TB, d *Detector) []byte {
 	t.Helper()
 	d.Finish()
 	var summary, blob binenc.Writer
-	var err error
-	if d.tree != nil {
-		err = d.tree.Encode(&summary)
-	} else {
-		err = d.base.Encode(&summary)
-	}
-	if err != nil {
+	if err := d.tree.Encode(&summary); err != nil {
 		t.Fatal(err)
 	}
 	blob.BytesBlob(summary.Bytes())
 	return encodeHeader(d, []byte{'H', 'B', 'D', 1}, blob.Bytes())
 }
 
+// saveHBD6 encodes a detector as the previous generation did, its header
+// carrying the event-index flag, under a valid checksum: bytes that Load must
+// refuse by version.
+func saveHBD6(t testing.TB, d *Detector) []byte {
+	t.Helper()
+	d.Finish()
+	var summary binenc.Writer
+	if err := d.tree.Encode(&summary); err != nil {
+		t.Fatal(err)
+	}
+	return sealed(encodeHeader(d, []byte{'H', 'B', 'D', 6}, summary.Bytes()))
+}
+
 // encodeHeader writes d's configuration and counters as Save does, under the
 // given magic and ahead of the given summary, without the checksum footer —
 // for the files no Save would write. Under a magic before HBD6 the header
 // carries the five PBE-1 fields those generations held, as a PBE-2 detector
-// wrote them.
+// wrote them, and under one before HBD7 the event-index flag, unset.
 func encodeHeader(d *Detector, magic, summary []byte) []byte {
 	var enc binenc.Writer
 	enc.BytesBlob(magic)
@@ -55,7 +63,9 @@ func encodeHeader(d *Detector, magic, summary []byte) []byte {
 		enc.Varint(0)   // error cap
 	}
 	enc.Float64(c.gamma)
-	enc.Bool(c.noIndex)
+	if magic[3] < 7 {
+		enc.Bool(false) // event index disabled
+	}
 	enc.Varint(d.n)
 	enc.Varint(d.minT)
 	enc.Varint(d.maxT)
@@ -70,7 +80,6 @@ func TestDetectorSaveLoad(t *testing.T) {
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(4, 64)},
 		{WithPBE2(3), WithSketchDims(3, 32)},
-		{WithPBE2(3), WithoutEventIndex()},
 		{WithErrorBounds(0.05, 0.2)},
 	} {
 		det, err := New(64, opts...)
@@ -103,16 +112,17 @@ func TestDetectorSaveLoad(t *testing.T) {
 				}
 			}
 		}
-		// Event queries survive (only when the index exists).
-		if _, err := det.BurstyEvents(1549, 100, 60); err == nil {
-			a, _ := det.BurstyEvents(1549, 100, 60)
-			b, err := got.BurstyEvents(1549, 100, 60)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("BurstyEvents differ: %v vs %v", a, b)
-			}
+		// Event queries survive.
+		a, err := det.BurstyEvents(1549, 100, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.BurstyEvents(1549, 100, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a) != len(b) {
+			t.Fatalf("BurstyEvents differ: %v vs %v", a, b)
 		}
 	}
 }
@@ -209,6 +219,16 @@ func TestLoadRejectsLegacyHBD1(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unsupported detector format HBD1") {
 		t.Fatalf("v1 file refused without naming its version: %v", err)
+	}
+	// The previous generation, whole and checksummed, is refused by name by
+	// the verifier and the decoder alike.
+	hbd6 := saveHBD6(t, det)
+	_, ierr := Inspect(hbd6)
+	_, derr := Decode(hbd6)
+	for _, err := range []error{ierr, derr} {
+		if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format HBD6 (this build reads HBD7 only)") {
+			t.Fatalf("HBD6 file: %v, want a refusal naming HBD6", err)
+		}
 	}
 }
 
@@ -420,8 +440,6 @@ func TestSaveDecodeFixedPoint(t *testing.T) {
 		{"out-of-order arrivals", disordered},
 		{"empty", empty},
 		{"3×32 layout", small(WithPBE2(3), WithSketchDims(3, 32))},
-		{"without the event index", small(WithPBE2(3), WithoutEventIndex())},
-		{"Count-Min without the event index", small(WithPBE2(3), WithSketchDims(2, 8), WithoutEventIndex())},
 	} {
 		var file bytes.Buffer
 		if err := c.det.Save(&file); err != nil {

@@ -30,7 +30,7 @@ func NewSingle(opts ...Option) (*Single, error) {
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.d != marker.d || c.w != marker.w || c.noIndex || c.seed != marker.seed {
+	if c.d != marker.d || c.w != marker.w || c.seed != marker.seed {
 		return nil, fmt.Errorf("histburst: NewSingle accepts only the WithPBE2 option")
 	}
 	p, err := pbe2.New(c.gamma)
@@ -86,22 +86,23 @@ func (s *Single) MergeAppend(other *Single) error {
 	return s.p.MergeAppend(other.p)
 }
 
-// Serialized single-event summary: the magic, the PBE-2 summary's own binary
-// form as one blob, and the CRC32-C footer a detector file ends in, over
-// everything before it — so a torn or bit-flipped file fails to load instead
-// of answering for a different stream. A file of another version is refused
-// by name.
-var singleMagic = []byte{'H', 'B', 'S', 2}
+// Serialized single-event summary: the magic, the frontier the summary's cell
+// block is written against (its last arrival, zero when it has none), the
+// summary as a one-cell block — the form every cell of a detector takes — and
+// the CRC32-C footer a detector file ends in, over everything before it, so
+// a torn or bit-flipped file fails to load instead of answering for a
+// different stream. A file of another version is refused by name.
+var singleMagic = []byte{'H', 'B', 'S', 3}
 
 // Save writes the summary's complete state (flushing it first).
 func (s *Single) Save(w io.Writer) error {
-	blob, err := s.p.MarshalBinary()
-	if err != nil {
-		return err
-	}
+	s.p.Finish()
 	var enc binenc.Writer
 	enc.BytesBlob(singleMagic)
-	enc.BytesBlob(blob)
+	enc.Varint(s.p.Frontier())
+	if err := pbe2.EncodeBlock(&enc, []pbe2.Builder{*s.p}, s.p.Frontier()); err != nil {
+		return fmt.Errorf("histburst: %w", err)
+	}
 	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(enc.Bytes()); err != nil {
@@ -121,7 +122,7 @@ func LoadSingle(r io.Reader) (*Single, error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, singleMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], singleMagic[:3]) {
-			return nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads HBS2 only)", magic[3])
+			return nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads HBS3 only)", magic[3])
 		}
 		return nil, fmt.Errorf("histburst: bad magic (not a single-event summary)")
 	}
@@ -131,13 +132,18 @@ func LoadSingle(r io.Reader) (*Single, error) {
 	}
 	dec := binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above
-	blob := dec.BytesBlob()
+	frontier := dec.Varint()
+	cell := make([]pbe2.Builder, 1)
+	if err := pbe2.DecodeBlock(dec, cell, frontier); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
+	}
 	if err := dec.Close(); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	var b pbe2.Builder
-	if err := b.UnmarshalBinary(blob); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
+	// The block is written against the summary's own frontier, so that a
+	// summary has one encoding.
+	if got := cell[0].Frontier(); got != frontier {
+		return nil, fmt.Errorf("histburst: corrupt single-event summary: block written against frontier %d, its last arrival is at %d", frontier, got)
 	}
-	return &Single{p: &b}, nil
+	return &Single{p: &cell[0]}, nil
 }

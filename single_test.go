@@ -4,19 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"histburst/internal/binenc"
 	"histburst/internal/exact"
+	"histburst/internal/pbe2"
 )
 
 func TestNewSingleValidation(t *testing.T) {
 	if _, err := NewSingle(WithSketchDims(3, 8)); err == nil {
 		t.Error("sketch dims accepted")
-	}
-	if _, err := NewSingle(WithoutEventIndex()); err == nil {
-		t.Error("index option accepted")
 	}
 	if _, err := NewSingle(WithSeed(5)); err == nil {
 		t.Error("seed option accepted")
@@ -91,23 +90,42 @@ func TestSingleQueries(t *testing.T) {
 	}
 }
 
-func TestSingleSaveLoad(t *testing.T) {
-	s, _ := buildSingle(t, WithPBE2(2))
+// saveSingle is Single.Save into memory.
+func saveSingle(t testing.TB, s *Single) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadSingle(&buf)
+	return buf.Bytes()
+}
+
+func TestSingleSaveLoad(t *testing.T) {
+	s, _ := buildSingle(t, WithPBE2(2))
+	got, err := LoadSingle(bytes.NewReader(saveSingle(t, s)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.N() != s.N() {
 		t.Fatalf("N = %d, want %d", got.N(), s.N())
 	}
+	// The loaded summary is the saved one in every field, so it answers
+	// alike to the bit.
+	if !reflect.DeepEqual(*got.p, *s.p) {
+		t.Fatalf("loaded summary differs:\n%+v\nsaved:\n%+v", got.p, s.p)
+	}
 	for q := int64(0); q < 5100; q += 53 {
 		if got.CumulativeFrequency(q) != s.CumulativeFrequency(q) {
 			t.Fatalf("estimate differs at %d", q)
 		}
+		a, _ := s.Burstiness(q, 200)
+		if b, _ := got.Burstiness(q, 200); a != b {
+			t.Fatalf("burstiness differs at %d: %v, saved %v", q, b, a)
+		}
+	}
+	a, _ := s.BurstyTimes(500, 200, 5000)
+	if b, _ := got.BurstyTimes(500, 200, 5000); !reflect.DeepEqual(a, b) {
+		t.Fatalf("bursty times differ: %v, saved %v", b, a)
 	}
 	// Appending resumes.
 	got.Append(6000)
@@ -124,6 +142,66 @@ func TestSingleSaveLoad(t *testing.T) {
 	old.Bool(false)
 	if _, err := LoadSingle(bytes.NewReader(old.Bytes())); err == nil || !strings.Contains(err.Error(), "HBS1") {
 		t.Errorf("HBS1 file: %v, want a refusal naming HBS1", err)
+	}
+
+	// Empty, clamped and before time zero: each round-trips whole.
+	empty, _ := NewSingle(WithPBE2(4))
+	clamped, _ := NewSingle(WithPBE2(2))
+	early, _ := NewSingle(WithPBE2(2))
+	for _, tm := range []int64{10, 40, 25, 41, 90, 3} {
+		clamped.Append(tm)
+	}
+	for _, tm := range []int64{-900, -900, -450, -30} {
+		early.Append(tm)
+	}
+	for name, s := range map[string]*Single{"empty": empty, "clamped": clamped, "before time zero": early} {
+		got, err := LoadSingle(bytes.NewReader(saveSingle(t, s)))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(*got.p, *s.p) {
+			t.Errorf("%s: loaded summary differs:\n%+v\nsaved:\n%+v", name, got.p, s.p)
+		}
+	}
+}
+
+// TestLoadSingleRefusesOtherFrontier: the cell block is written against the
+// summary's own frontier, its last arrival. A later base would decode to the
+// same summary, so under a valid checksum it is refused — a summary has one
+// encoding — and an earlier one is refused by the block decoder.
+func TestLoadSingleRefusesOtherFrontier(t *testing.T) {
+	s, _ := NewSingle(WithPBE2(2))
+	for _, tm := range []int64{5, 9, 9, 30} {
+		s.Append(tm)
+	}
+	s.Finish()
+	empty, _ := NewSingle(WithPBE2(2))
+	against := func(s *Single, frontier int64) []byte {
+		var enc binenc.Writer
+		enc.BytesBlob(singleMagic)
+		enc.Varint(frontier)
+		if err := pbe2.EncodeBlock(&enc, []pbe2.Builder{*s.p}, frontier); err != nil {
+			t.Fatal(err)
+		}
+		return sealed(enc.Bytes())
+	}
+	if !bytes.Equal(against(s, 30), saveSingle(t, s)) || !bytes.Equal(against(empty, 0), saveSingle(t, empty)) {
+		t.Fatal("fixture: Save does not write the block against the last arrival")
+	}
+	for _, c := range []struct {
+		s        *Single
+		frontier int64
+		want     string
+	}{
+		{s, 31, "against frontier 31, its last arrival is at 30"},
+		{s, 1 << 40, "its last arrival is at 30"},
+		{s, 29, "past the level's last timestamp 29"},
+		{empty, 7, "against frontier 7, its last arrival is at 0"},
+	} {
+		_, err := LoadSingle(bytes.NewReader(against(c.s, c.frontier)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("frontier %d: %v, want a refusal naming %q", c.frontier, err, c.want)
+		}
 	}
 }
 
@@ -161,6 +239,47 @@ func TestLoadSingleRefusesBitFlips(t *testing.T) {
 			t.Fatalf("bit flip at byte %d of %d accepted", i, len(raw))
 		}
 	}
+}
+
+// TestLoadSingleRefusesHBS2: a summary of the previous generation, whole and
+// under a valid checksum, is refused by its name.
+func TestLoadSingleRefusesHBS2(t *testing.T) {
+	s, _ := buildSingle(t, WithPBE2(2))
+	_, err := LoadSingle(bytes.NewReader(saveHBS2(t, s)))
+	if err == nil || !strings.Contains(err.Error(), "unsupported single-event summary format HBS2 (this build reads HBS3 only)") {
+		t.Fatalf("HBS2 file: %v, want a refusal naming HBS2", err)
+	}
+}
+
+// saveHBS2 writes a summary as the previous generation laid it out: its own
+// "PB2\x02" blob (γ, the staircase counters, then each segment's
+// coefficients, start delta and length) inside the HBS2 envelope.
+func saveHBS2(t testing.TB, s *Single) []byte {
+	t.Helper()
+	s.Finish()
+	var blob binenc.Writer
+	blob.BytesBlob([]byte{'P', 'B', '2', 2})
+	blob.Float64(s.p.Gamma())
+	blob.Varint(s.p.Count())
+	blob.Varint(s.p.Frontier())
+	blob.Varint(s.p.Count())
+	blob.Bool(s.p.Count() > 0)
+	blob.Bool(s.p.Count() > 0)
+	blob.Varint(s.p.OutOfOrder())
+	segs := s.p.Segments()
+	blob.Uvarint(uint64(len(segs)))
+	var prev int64
+	for _, sg := range segs {
+		blob.Float64(sg.A)
+		blob.Float64(sg.B)
+		blob.Varint(sg.Start - prev)
+		blob.Varint(sg.End - sg.Start)
+		prev = sg.Start
+	}
+	var enc binenc.Writer
+	enc.BytesBlob([]byte{'H', 'B', 'S', 2})
+	enc.BytesBlob(blob.Bytes())
+	return sealed(enc.Bytes())
 }
 
 func TestSingleMergeAppend(t *testing.T) {
