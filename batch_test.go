@@ -79,8 +79,8 @@ func TestAppendBatchByteIdentity(t *testing.T) {
 		k    uint64
 		opts []Option
 	}{
-		{"K=1024 all Direct", 1 << 10, []Option{WithPBE2(8)}},
-		{"K=16384 Count-Min under Direct", 1 << 14, []Option{WithPBE2(8)}},
+		{"K=1024 all collision-free", 1 << 10, []Option{WithPBE2(8)}},
+		{"K=16384 Count-Min under collision-free", 1 << 14, []Option{WithPBE2(8)}},
 	}
 	sizes := []int{0, 1, pendingCap - 1, pendingCap, pendingCap + 1, 3*pendingCap + 7}
 	for i, cfg := range configs {
@@ -130,7 +130,7 @@ func TestAppendBatchByteIdentity(t *testing.T) {
 }
 
 // unsettledOpts gives the flush-before-read detectors Count-Min levels under
-// Direct ones at K = 64.
+// collision-free ones at K = 64.
 var unsettledOpts = []Option{WithPBE2(2), WithSketchDims(2, 4), WithSeed(5)}
 
 // unsettledPair builds a detector through Append that still holds a
@@ -387,7 +387,7 @@ func TestFlushBeforeReadConcurrentQueries(t *testing.T) {
 // cells) is refused rather than merged without them, and accepted once
 // finished.
 func TestMergeSourcesMustBeSettled(t *testing.T) {
-	opts := []Option{WithPBE2(2), WithSeed(5)} // all levels Direct: frontier counts are exact
+	opts := []Option{WithPBE2(2), WithSeed(5)} // all levels collision-free: frontier counts are exact
 	for _, n := range []int{1, pendingCap - 1, pendingCap + 1} {
 		first := finishedPart(t, 0, opts...)
 		part, err := New(64, opts...)

@@ -151,10 +151,10 @@ func BenchmarkDetectorAppend(b *testing.B) { benchAppend(b, histburst.WithPBE2(8
 // BenchmarkDetectorBuild is the construction cost the paper's §VI reports
 // and lib_paper's set-up pays: a whole olympicrio stream into a fresh
 // detector, Finish included, in ns per element. K=1024 is the benchmark's
-// shape (three collision-free Direct levels, heights 0, 4 and 8); K=65536 has
-// six Count-Min levels under three Direct ones, each costing d=5 times a
-// Direct level — the row where uneven level weights would show as a poor
-// -cpu 2 over -cpu 1 ratio.
+// shape (three collision-free levels, one row each, heights 0, 4 and 8);
+// K=65536 has six Count-Min levels under three collision-free ones, each
+// costing its d=5 rows — the row where uneven level weights would show as a
+// poor -cpu 2 over -cpu 1 ratio.
 func BenchmarkDetectorBuild(b *testing.B) {
 	data, err := workload.Generate(workload.OlympicRioSpec(1, 200_000))
 	if err != nil {

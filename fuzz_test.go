@@ -64,7 +64,7 @@ func FuzzDetectorLoad(f *testing.F) {
 		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
 		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
 		{8, []Option{WithPBE2(3), WithSketchDims(2, 4)}},
-		{1024, []Option{WithPBE2(8)}}, // the benchmark's shape: Direct levels at heights 0, 4 and 8
+		{1024, []Option{WithPBE2(8)}}, // the benchmark's shape: collision-free levels at heights 0, 4 and 8
 	} {
 		det, err := New(c.k, c.opts...)
 		if err != nil {
@@ -169,9 +169,9 @@ func TestLoadRejectsUnsearchableCell(t *testing.T) {
 }
 
 // indexLevels lists a detector's summaries with their heights.
-func indexLevels(d *Detector) (levels []cmpbe.Level, heights []int) {
+func indexLevels(d *Detector) (levels []*cmpbe.Sketch, heights []int) {
 	for i := 0; i < d.tree.Levels(); i++ {
-		levels = append(levels, d.tree.Level(i).(cmpbe.Level))
+		levels = append(levels, d.tree.Level(i).(*cmpbe.Sketch))
 	}
 	return levels, d.tree.Heights()
 }
@@ -186,19 +186,14 @@ func checkShape(t *testing.T, d *Detector) {
 	levels, heights := indexLevels(d)
 	for i, l := range levels {
 		h := heights[i]
-		switch l := l.(type) {
-		case *cmpbe.Direct:
-			if l.IDs() != d.K()>>h {
-				t.Fatalf("level %d (height %d): %d cells for %d aggregate ids", i, h, l.IDs(), d.K()>>h)
+		dd, w := l.Dims()
+		if l.CollisionFree() {
+			if uint64(w) != d.K()>>h {
+				t.Fatalf("level %d (height %d): %d cells for %d aggregate ids", i, h, w, d.K()>>h)
 			}
-		case *cmpbe.Sketch:
-			dd, w := l.Dims()
-			if dd != d.cfg.d || w != d.cfg.w || l.Seed() != d.cfg.seed+int64(h)*7919 {
-				t.Fatalf("level %d (height %d): %d×%d sketch seeded %d under configuration %d×%d seeded %d",
-					i, h, dd, w, l.Seed(), d.cfg.d, d.cfg.w, d.cfg.seed)
-			}
-		default:
-			t.Fatalf("level %d (height %d): unexpected type %T", i, h, l)
+		} else if dd != d.cfg.d || w != d.cfg.w || l.Seed() != d.cfg.seed+int64(h)*7919 {
+			t.Fatalf("level %d (height %d): %d×%d sketch seeded %d under configuration %d×%d seeded %d",
+				i, h, dd, w, l.Seed(), d.cfg.d, d.cfg.w, d.cfg.seed)
 		}
 		// A level is under the γ its height calls for: the header's below
 		// dyadic.SteerHeight, dyadic.SteerGammaFactor times it from there up.
@@ -250,7 +245,7 @@ func FuzzInspect(f *testing.F) {
 		{8, []Option{WithPBE2(2), WithSketchDims(2, 8)}},
 		{64, []Option{WithPBE2(2), WithSketchDims(2, 8)}}, // heights 0, 1 hashed, 2 and — under 4γ — 6
 		{8, []Option{WithPBE2(3), WithSketchDims(2, 4)}},
-		{1024, []Option{WithPBE2(8)}}, // the benchmark's shape: Direct levels at heights 0, 4 and 8
+		{1024, []Option{WithPBE2(8)}}, // the benchmark's shape: collision-free levels at heights 0, 4 and 8
 	} {
 		det, err := New(c.k, c.opts...)
 		if err != nil {

@@ -97,9 +97,9 @@ func WithPBE2(gamma float64) Option {
 // Append any number of goroutines may query, Save or Clone it.
 type Detector struct {
 	k    uint64
-	cfg  config       // resolved configuration, kept for serialization
-	tree *dyadic.Tree // the event index
-	base cmpbe.Level  // its leaf level, the summary that answers
+	cfg  config        // resolved configuration, kept for serialization
+	tree *dyadic.Tree  // the event index
+	base *cmpbe.Sketch // its leaf level, the summary that answers
 
 	// pending holds clamped arrivals the index has not taken yet: Append
 	// hands them to the tree pendingCap at a time (dyadic.Tree.AppendBatch),
@@ -163,7 +163,7 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 // leaf level as the summary that answers.
 func (d *Detector) setTree(t *dyadic.Tree) {
 	d.tree = t
-	d.base = t.Level(0).(cmpbe.Level)
+	d.base = t.Level(0).(*cmpbe.Sketch)
 }
 
 // K returns the detector's (rounded) event-id space size.

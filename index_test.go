@@ -36,7 +36,7 @@ func forgeIndexFile(t testing.TB, det *Detector, levels []forgedLevel) []byte {
 		w.Uvarint(uint64(l.height))
 	}
 	for _, l := range levels {
-		if err := l.level.(cmpbe.Level).Encode(&w); err != nil {
+		if err := l.level.(*cmpbe.Sketch).Encode(&w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -222,10 +222,10 @@ func TestSparseSupersetOfBinary(t *testing.T) {
 	// levels exist: byte for byte the level the every-height index holds there.
 	for i, h := range det.tree.Heights() {
 		var kept, all binenc.Writer
-		if err := det.tree.Level(i).(cmpbe.Level).Encode(&kept); err != nil {
+		if err := det.tree.Level(i).(*cmpbe.Sketch).Encode(&kept); err != nil {
 			t.Fatal(err)
 		}
-		if err := every.Level(h).(cmpbe.Level).Encode(&all); err != nil {
+		if err := every.Level(h).(*cmpbe.Sketch).Encode(&all); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(kept.Bytes(), all.Bytes()) {

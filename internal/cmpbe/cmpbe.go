@@ -12,17 +12,20 @@
 // never-overestimate property pushes it down, and the median balances the
 // two (Theorem 1: Pr[|F̃_e(t) − F_e(t)| ≤ εN + γ] ≥ 1 − δ).
 //
-// A level of the dyadic event index is one of two kinds: a *Sketch, or a
-// collision-free *Direct for an id space no wider than a sketch's cells.
-// Level is what both answer, and MergeLevels, DownsampleLevels,
-// MergeAppendLevel and DecodeLevel are the one place that tells them apart.
-// The paper's CM-PBE-1 baseline, whose PBE-1 cells neither merge nor
-// serialize, lives with the experiments that build it.
+// Every level of the dyadic event index is a *Sketch. A level whose aggregate
+// ids fit its cells is the sketch's degenerate case (NewDirect): d = 1 and
+// w = ids under the identity hash h(e) = e mod w, so each id has a cell to
+// itself and none collide. It ingests, answers, merges and downsamples through
+// the same code as a Count-Min level; CollisionFree tells the two apart where
+// the kind matters — its stored record, its width under downsampling, and the
+// shape checks of a decoded index. The paper's CM-PBE-1 baseline, whose PBE-1
+// cells neither merge nor serialize, lives with the experiments that build it.
 package cmpbe
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"histburst/internal/hash"
@@ -48,6 +51,13 @@ type Sketch struct {
 	n     int64 // total elements ingested
 	maxT  int64
 
+	// AppendBatch's counting-sort scratch, released by Finish: each cell's run
+	// end within a row's batch, and the batch's cells and its timestamps
+	// grouped by cell.
+	batchEnd   []int32
+	batchCell  []int32
+	batchTimes []int64
+
 	// bytesMemo caches Bytes()+1 (0 = invalid). Bytes walks all d·w cells,
 	// which /v1/stats would otherwise pay per request; mutations invalidate.
 	// Atomic because queries sharing a read lock may race to fill it.
@@ -72,6 +82,28 @@ func New(d, w int, seed int64, gamma float64) (*Sketch, error) {
 	}
 	return &Sketch{d: d, w: w, seed: seed, cells: cells, hf: hf}, nil
 }
+
+// NewDirect creates the collision-free level over the id space [0, ids): one
+// row of ids cells under the identity hash, so id e has cell e mod ids to
+// itself. Its cells are PBE-2 summaries under error cap gamma. The dyadic tree
+// uses it for its top levels, where the number of aggregate ids is smaller
+// than any useful Count-Min width — hashing two ids into two cells would
+// collide with constant probability and destroy the additivity
+// (F_parent = ΣF_child) that the pruning bound relies on.
+func NewDirect(ids uint64, gamma float64) (*Sketch, error) {
+	if ids == 0 {
+		return nil, fmt.Errorf("cmpbe: direct id space must be non-empty")
+	}
+	cells, err := pbe2.NewCells(int(ids), gamma)
+	if err != nil {
+		return nil, err
+	}
+	return &Sketch{d: 1, w: int(ids), cells: cells, hf: hash.Identity(int(ids))}, nil
+}
+
+// CollisionFree reports whether s is a level NewDirect builds: one row under
+// the identity hash, a cell per id.
+func (s *Sketch) CollisionFree() bool { return s.hf.Equal(hash.Identity(s.w)) }
 
 // ErrorDims returns the Count-Min layout of the usual guarantees: d =
 // ⌈ln(1/δ)⌉ rows and w = ⌈e/ε⌉ columns.
@@ -114,17 +146,54 @@ func (s *Sketch) Append(e uint64, t int64) {
 }
 
 // AppendBatch ingests elems in order, each under the id Event>>shift (the
-// dyadic tree's level-ℓ aggregate id), row-major: one row's w cells take the
-// whole batch before the next row starts, so they stay cached, and the
-// counters move once per batch. Every cell receives exactly the Append(t)
-// sequence that calling Append per element would hand it.
+// dyadic tree's level-ℓ aggregate id), one row at a time, with the counters
+// moved once per batch. A batch that brings a row at least as many arrivals
+// as it has cells is fed to it cell-major: a stable counting sort groups the
+// batch's timestamps by cell, so each cell's state is loaded once per batch
+// instead of once per arrival. A shorter batch is fed in arrival order, the
+// row's w cells staying cached across it. Either way every cell receives
+// exactly the Append(t) sequence that calling Append per element would hand
+// it.
 //
 //histburst:fastpath Append
 func (s *Sketch) AppendBatch(elems []stream.Element, shift uint) {
+	hf := s.hf
 	for i := 0; i < s.d; i++ {
 		row := s.cells[i*s.w : (i+1)*s.w]
-		for _, el := range elems {
-			row[s.hf.Hash(i, el.Event>>shift)].Append(el.Time)
+		if len(elems) < s.w {
+			for _, el := range elems {
+				row[hf.Hash(i, el.Event>>shift)].Append(el.Time)
+			}
+			continue
+		}
+		if s.batchEnd == nil {
+			s.batchEnd = make([]int32, s.w)
+		}
+		end := s.batchEnd
+		clear(end)
+		cellOf := slices.Grow(s.batchCell[:0], len(elems))[:len(elems)]
+		times := slices.Grow(s.batchTimes[:0], len(elems))[:len(elems)]
+		s.batchCell, s.batchTimes = cellOf, times
+		for k, el := range elems {
+			c := int32(hf.Hash(i, el.Event>>shift))
+			cellOf[k] = c
+			end[c]++
+		}
+		sum := int32(0)
+		for c, n := range end {
+			end[c] = sum // where cell c's run starts; the scatter below advances it to the run's end
+			sum += n
+		}
+		for k, c := range cellOf {
+			times[end[c]] = elems[k].Time
+			end[c]++
+		}
+		lo := int32(0)
+		for c, hi := range end {
+			for _, t := range times[lo:hi] {
+				row[c].Append(t)
+			}
+			lo = hi
 		}
 	}
 	s.n += int64(len(elems))
@@ -147,6 +216,9 @@ func (s *Sketch) Finish() {
 	for i := range s.cells {
 		s.cells[i].Finish()
 	}
+	if s.batchEnd != nil { // leave a finished summary unwritten: readers may be running
+		s.batchEnd, s.batchCell, s.batchTimes = nil, nil, nil
+	}
 	s.bytesMemo.Store(0) // flushing moves buffered points into summaries
 }
 
@@ -157,10 +229,13 @@ func (s *Sketch) N() int64 { return s.n }
 func (s *Sketch) MaxTime() int64 { return s.maxT }
 
 // EstimateF returns the median-of-rows estimate F̃_e(t). Zero heap
-// allocations for d ≤ maxStackD.
+// allocations for d ≤ maxStackD. A one-row sketch returns its row's.
 //
 //histburst:noalloc
 func (s *Sketch) EstimateF(e uint64, t int64) float64 {
+	if s.d == 1 {
+		return s.cell(0, e).Estimate(t)
+	}
 	var buf [maxStackD]float64
 	var ibuf [maxStackD]int
 	vals := scratch(&buf, s.d)
@@ -240,11 +315,20 @@ func (s *Sketch) EstimateFMin(e uint64, t int64) float64 {
 // Burstiness answers the POINT QUERY q(e, t, τ): the median over rows of the
 // per-row burstiness estimate (each row evaluates equation (2) on its own
 // coherent curve, its three F̃ evaluations in one narrowed search). Zero heap
-// allocations for d ≤ maxStackD.
+// allocations for d ≤ maxStackD. The median of one row is that row's
+// estimate, which a one-row sketch returns without the median's scratch.
 //
 //histburst:noalloc
 //histburst:fastpath burstinessNaive
 func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
+	if s.d == 1 {
+		c := s.cell(0, e)
+		if tau <= 0 {
+			return c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
+		}
+		f0, f1, f2 := c.Estimate3(t-2*tau, t-tau, t)
+		return f2 - 2*f1 + f0
+	}
 	var buf [maxStackD]float64
 	var ibuf [maxStackD]int
 	vals := scratch(&buf, s.d)
@@ -278,8 +362,12 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 // cell breakpoints. It satisfies pbe.Estimator, so pbe.BurstyTimes answers
 // the BURSTY TIME QUERY over the sketch. The event's d cells are resolved
 // once here — not re-hashed per evaluation — and the view also provides
-// pbe.CursorProvider, so scans amortize every cell's segment lookup.
+// pbe.CursorProvider, so scans amortize every cell's segment lookup. A
+// one-row sketch's view is the event's cell itself.
 func (s *Sketch) View(e uint64) pbe.Estimator {
+	if s.d == 1 {
+		return s.cell(0, e)
+	}
 	return &view{cells: s.EventCells(e)}
 }
 

@@ -22,6 +22,10 @@ import (
 // member cells of cap γ_src per part — so gamma must be at least
 // (W/w)·γ_src (pbe2 validates this per cell part).
 //
+// A collision-free level keeps its width, whatever w: its id space is
+// structural — the additivity of the dyadic index (F_parent = ΣF_child)
+// depends on it — so only its error cap and time resolution change.
+//
 // Sources must be finished and are never mutated. All d·w result cells live
 // in one array, mirroring MergeSketches.
 func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sketch, error) {
@@ -33,20 +37,23 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 		if p == nil {
 			return nil, fmt.Errorf("cmpbe: cannot downsample nil sketch")
 		}
-		if first.d != p.d || first.w != p.w {
-			return nil, fmt.Errorf("cmpbe: dimension mismatch (%d×%d vs %d×%d)", first.d, first.w, p.d, p.w)
+		if err := sameHashing(first, p); err != nil {
+			return nil, err
 		}
-		if first.seed != p.seed {
-			return nil, fmt.Errorf("cmpbe: seed mismatch (%d vs %d)", first.seed, p.seed)
-		}
+	}
+	if first.CollisionFree() {
+		w = first.w
 	}
 	if w <= 0 || first.w%w != 0 {
 		return nil, fmt.Errorf("cmpbe: target width %d must positively divide source width %d", w, first.w)
 	}
 	group := first.w / w
-	hf, err := hash.NewFamily(first.d, w, first.seed)
-	if err != nil {
-		return nil, err
+	hf := first.hf
+	if w != first.w {
+		var err error
+		if hf, err = hash.NewFamily(first.d, w, first.seed); err != nil {
+			return nil, err
+		}
 	}
 	var n, maxT int64
 	for _, p := range parts {
@@ -75,45 +82,4 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 		}
 	}
 	return &Sketch{d: first.d, w: w, seed: first.seed, cells: cells, hf: hf, n: n, maxT: maxT}, nil
-}
-
-// DownsampleDirects re-summarizes time-disjoint collision-free summaries at
-// lower fidelity. The id space is structural (additivity of the dyadic
-// index depends on it), so only the error cap and time resolution change —
-// cell count is preserved.
-func DownsampleDirects(parts []*Direct, gamma float64, res int64) (*Direct, error) {
-	if len(parts) == 0 || parts[0] == nil {
-		return nil, fmt.Errorf("cmpbe: downsample of zero summaries")
-	}
-	first := parts[0]
-	for _, p := range parts[1:] {
-		if p == nil {
-			return nil, fmt.Errorf("cmpbe: cannot downsample nil summary")
-		}
-		if len(first.cells) != len(p.cells) {
-			return nil, fmt.Errorf("cmpbe: id space mismatch (%d vs %d)", len(first.cells), len(p.cells))
-		}
-	}
-	var n, maxT int64
-	for _, p := range parts {
-		n += p.n
-		if p.maxT > maxT {
-			maxT = p.maxT
-		}
-	}
-	cells := make([]pbe2.Builder, len(first.cells))
-	memberBuf := make([]*pbe2.Builder, len(parts))
-	srcParts := make([][]*pbe2.Builder, len(parts))
-	for k := range parts {
-		srcParts[k] = memberBuf[k : k+1 : k+1]
-	}
-	for c := range cells {
-		for k, p := range parts {
-			srcParts[k][0] = &p.cells[c]
-		}
-		if err := pbe2.DownsampleInto(&cells[c], srcParts, gamma, res); err != nil {
-			return nil, fmt.Errorf("cmpbe: direct cell %d: %w", c, err)
-		}
-	}
-	return &Direct{cells: cells, n: n, maxT: maxT}, nil
 }

@@ -20,6 +20,21 @@ func fastpathSketch(t *testing.T, gamma float64, finish bool) *Sketch {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fastpathFill(s, finish)
+}
+
+// fastpathDirect is fastpathSketch's stream in a collision-free level, whose
+// point query skips the median of rows.
+func fastpathDirect(t *testing.T, gamma float64, finish bool) *Sketch {
+	t.Helper()
+	s, err := NewDirect(512, gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fastpathFill(s, finish)
+}
+
+func fastpathFill(s *Sketch, finish bool) *Sketch {
 	for _, el := range mixedStream(5, 30_000, 512) {
 		s.Append(el.Event, el.Time)
 	}
@@ -48,40 +63,42 @@ func (s *Sketch) burstinessNaive(e uint64, t, tau int64) float64 {
 
 func TestBurstinessMatchesNaive(t *testing.T) {
 	for _, finish := range []bool{false, true} {
-		s := fastpathSketch(t, 4, finish)
-		r := rand.New(rand.NewSource(9))
-		horizon := s.MaxTime()
-		for trial := 0; trial < 4000; trial++ {
-			e := uint64(r.Intn(512))
-			// Instants off both ends of the stream included: the head and
-			// before-first-segment paths must agree too.
-			ts := int64(r.Intn(int(horizon)+200)) - 100
-			tau := int64(1 + r.Intn(2000))
-			got := s.Burstiness(e, ts, tau)
-			want := s.burstinessNaive(e, ts, tau)
-			if got != want {
-				t.Fatalf("finish=%v: Burstiness(%d, %d, %d) = %v, naive = %v",
-					finish, e, ts, tau, got, want)
+		for _, s := range []*Sketch{fastpathSketch(t, 4, finish), fastpathDirect(t, 4, finish)} {
+			r := rand.New(rand.NewSource(9))
+			horizon := s.MaxTime()
+			for trial := 0; trial < 4000; trial++ {
+				e := uint64(r.Intn(512))
+				// Instants off both ends of the stream included: the head and
+				// before-first-segment paths must agree too, and τ ≤ 0.
+				ts := int64(r.Intn(int(horizon)+200)) - 100
+				tau := int64(r.Intn(2000)) - 20
+				got := s.Burstiness(e, ts, tau)
+				want := s.burstinessNaive(e, ts, tau)
+				if got != want {
+					t.Fatalf("%d×%d finish=%v: Burstiness(%d, %d, %d) = %v, naive = %v",
+						s.d, s.w, finish, e, ts, tau, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestEstimateFMatchesPerCellMedian(t *testing.T) {
-	s := fastpathSketch(t, 4, true)
-	r := rand.New(rand.NewSource(10))
-	for trial := 0; trial < 2000; trial++ {
-		e := uint64(r.Intn(512))
-		ts := int64(r.Intn(int(s.MaxTime()) + 1))
-		got := s.EstimateF(e, ts)
-		vals := make([]float64, s.d)
-		for i := 0; i < s.d; i++ {
-			vals[i] = s.cell(i, e).Estimate(ts)
-		}
-		sort.Float64s(vals)
-		want := vals[len(vals)/2]
-		if got != want {
-			t.Fatalf("EstimateF(%d, %d) = %v, reference median = %v", e, ts, got, want)
+	for _, s := range []*Sketch{fastpathSketch(t, 4, true), fastpathDirect(t, 4, true)} {
+		r := rand.New(rand.NewSource(10))
+		for trial := 0; trial < 2000; trial++ {
+			e := uint64(r.Intn(512))
+			ts := int64(r.Intn(int(s.MaxTime()) + 1))
+			got := s.EstimateF(e, ts)
+			vals := make([]float64, s.d)
+			for i := 0; i < s.d; i++ {
+				vals[i] = s.cell(i, e).Estimate(ts)
+			}
+			sort.Float64s(vals)
+			want := vals[len(vals)/2]
+			if got != want {
+				t.Fatalf("%d×%d: EstimateF(%d, %d) = %v, reference median = %v", s.d, s.w, e, ts, got, want)
+			}
 		}
 	}
 }
@@ -203,34 +220,32 @@ func TestEstimateFZeroAllocs(t *testing.T) {
 }
 
 func TestBurstinessZeroAllocs(t *testing.T) {
-	s := fastpathSketch(t, 4, true)
-	allocs := testing.AllocsPerRun(200, func() {
-		s.Burstiness(17, 12_345, 1000)
-	})
-	if allocs != 0 {
-		t.Fatalf("Burstiness allocates %.1f times per op, want 0", allocs)
+	for _, s := range []*Sketch{fastpathSketch(t, 4, true), fastpathDirect(t, 4, true)} {
+		allocs := testing.AllocsPerRun(200, func() {
+			s.Burstiness(17, 12_345, 1000)
+		})
+		if allocs != 0 {
+			t.Fatalf("%d×%d: Burstiness allocates %.1f times per op, want 0", s.d, s.w, allocs)
+		}
 	}
 }
 
-// TestAppendBatchMatchesAppend holds both summaries' batched ingest to the
-// per-element twin: same bytes, counters and footprint (a stale Bytes memo
-// would show), across batch boundaries, shifted ids, ids beyond a Direct's
-// space, and a second round after Finish.
+// TestAppendBatchMatchesAppend holds batched ingest to the per-element twin,
+// for a Count-Min sketch 16 wide and a collision-free level of 32 ids: same
+// bytes, counters and footprint (a stale Bytes memo would show), across batch
+// boundaries, batches shorter than, as long as and longer than a row (fed in
+// arrival order or cell-major), shifted ids, ids beyond the level's space, and
+// a second round after Finish.
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	data := mixedStream(5, 3000, 200)
 	for i := range data {
 		if i%7 == 0 {
-			data[i].Event += 1 << 20 // folded by Direct, hashed as is by Sketch
+			data[i].Event += 1 << 20 // past both id spaces: folded mod 32 by the identity hash
 		}
 	}
-	type summary interface {
-		Level
-		AppendBatch(elems []stream.Element, shift uint)
-		N() int64
-		MaxTime() int64
-	}
+	sizes := []int{15, 16, 31, 32, 33, 701}
 	for _, shift := range []uint{0, 3} {
-		build := func() []summary {
+		build := func() []*Sketch {
 			s, err := New(3, 16, 7, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -239,7 +254,7 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return []summary{s, d}
+			return []*Sketch{s, d}
 		}
 		want, got := build(), build()
 		for k := range want {
@@ -250,17 +265,19 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 					w.Append(el.Event>>shift, el.Time)
 				}
 				g.AppendBatch(nil, shift)
-				for lo := 0; lo < len(part); lo += 701 {
-					g.AppendBatch(part[lo:min(lo+701, len(part))], shift)
+				for lo, b := 0, 0; lo < len(part); b++ {
+					hi := min(lo+sizes[b%len(sizes)], len(part))
+					g.AppendBatch(part[lo:hi], shift)
+					lo = hi
 				}
 				if g.Bytes() != w.Bytes() {
-					t.Fatalf("%T shift %d round %d: open Bytes %d, per-element %d", g, shift, round, g.Bytes(), w.Bytes())
+					t.Fatalf("%d×%d shift %d round %d: open Bytes %d, per-element %d", g.d, g.w, shift, round, g.Bytes(), w.Bytes())
 				}
 				w.Finish()
 				g.Finish()
 				if !bytes.Equal(encoded(t, g), encoded(t, w)) || g.N() != w.N() || g.MaxTime() != w.MaxTime() || g.Bytes() != w.Bytes() {
-					t.Fatalf("%T shift %d round %d: batched ingest differs from per-element (N %d/%d, maxT %d/%d, Bytes %d/%d)",
-						g, shift, round, g.N(), w.N(), g.MaxTime(), w.MaxTime(), g.Bytes(), w.Bytes())
+					t.Fatalf("%d×%d shift %d round %d: batched ingest differs from per-element (N %d/%d, maxT %d/%d, Bytes %d/%d)",
+						g.d, g.w, shift, round, g.N(), w.N(), g.MaxTime(), w.MaxTime(), g.Bytes(), w.Bytes())
 				}
 			}
 		}

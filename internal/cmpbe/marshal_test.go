@@ -1,6 +1,7 @@
 package cmpbe
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ func encoded(t testing.TB, l interface{ Encode(*binenc.Writer) error }) []byte {
 }
 
 // decodeWhole decodes data as exactly one level under gamma.
-func decodeWhole(data []byte, gamma float64) (Level, error) {
+func decodeWhole(data []byte, gamma float64) (*Sketch, error) {
 	r := binenc.NewReader(data)
 	v, err := DecodeLevel(r, gamma)
 	if err != nil {
@@ -39,11 +40,10 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 	s.Finish()
 
 	blob := encoded(t, s)
-	v, err := decodeWhole(blob, 2)
+	got, err := decodeWhole(blob, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.(*Sketch)
 	if got.N() != s.N() || got.MaxTime() != s.MaxTime() || got.Bytes() != s.Bytes() {
 		t.Fatal("metadata mismatch")
 	}
@@ -68,13 +68,19 @@ func TestDirectMarshalRoundTrip(t *testing.T) {
 		d.Append(uint64(tm%8), tm)
 	}
 	d.Finish()
-	v, err := decodeWhole(encoded(t, d), 1)
+	blob := encoded(t, d)
+	if !strings.HasPrefix(string(blob), "\x04DIR\x01\x08") {
+		t.Fatalf("a collision-free level is stored as % x…, want its own record and width", blob[:6])
+	}
+	got, err := decodeWhole(blob, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := v.(*Direct)
-	if got.N() != d.N() || got.MaxTime() != d.MaxTime() {
+	if !got.CollisionFree() || got.N() != d.N() || got.MaxTime() != d.MaxTime() {
 		t.Fatal("metadata mismatch")
+	}
+	if string(encoded(t, got)) != string(blob) {
+		t.Fatal("the decoded level encodes to other bytes")
 	}
 	for e := uint64(0); e < 8; e++ {
 		for q := int64(0); q < 2000; q += 97 {
@@ -103,13 +109,13 @@ func TestUnmarshalAnyDispatch(t *testing.T) {
 	r := binenc.NewReader(w.Bytes())
 	if v, err := DecodeLevel(r, 2); err != nil {
 		t.Fatal(err)
-	} else if _, ok := v.(*Sketch); !ok {
-		t.Fatalf("sketch decoded as %T", v)
+	} else if dd, dw := v.Dims(); v.CollisionFree() || dd != 2 || dw != 4 || v.Seed() != 1 {
+		t.Fatalf("sketch decoded as a %d×%d level seeded %d (collision-free %t)", dd, dw, v.Seed(), v.CollisionFree())
 	}
 	if v, err := DecodeLevel(r, 2); err != nil {
 		t.Fatal(err)
-	} else if _, ok := v.(*Direct); !ok {
-		t.Fatalf("direct decoded as %T", v)
+	} else if dd, dw := v.Dims(); !v.CollisionFree() || dd != 1 || dw != 4 {
+		t.Fatalf("collision-free level decoded as a %d×%d sketch seeded %d", dd, dw, v.Seed())
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -122,11 +128,33 @@ func TestUnmarshalAnyDispatch(t *testing.T) {
 func TestUnmarshalSketchRejectsCorrupt(t *testing.T) {
 	s, _ := New(2, 4, 1, 2)
 	s.Append(1, 10)
-	blob := encoded(t, s)
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := decodeWhole(blob[:cut], 2); err == nil {
-			t.Fatalf("cut=%d accepted", cut)
+	d, _ := NewDirect(4, 2)
+	d.Append(1, 10)
+	for _, blob := range [][]byte{encoded(t, s), encoded(t, d)} {
+		for cut := 0; cut < len(blob); cut++ {
+			if _, err := decodeWhole(blob[:cut], 2); err == nil {
+				t.Fatalf("%q cut=%d accepted", blob[:5], cut)
+			}
 		}
+	}
+	// A 20-byte record claiming 2²⁴ rows of one cell: refused by its length
+	// before a hash function is drawn for any row (640 MB of them).
+	var w binenc.Writer
+	w.BytesBlob(sketchMagic)
+	w.Uvarint(1 << 24)
+	w.Uvarint(1)
+	w.Int64(1)
+	w.Varint(0)
+	w.Varint(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := decodeWhole(w.Bytes(), 2)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 2²⁴-row header with no cells accepted")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Fatalf("refusing a %d-byte record allocated %d bytes", len(w.Bytes()), alloc)
 	}
 }
 
@@ -136,7 +164,7 @@ func TestUnmarshalSketchRejectsCorrupt(t *testing.T) {
 // had nothing to check a cell against. Cells under another γ than the level
 // is loaded under are refused too.
 func TestDecodeHoldsCellsToTheLevel(t *testing.T) {
-	build := func(extra bool) (*Sketch, *Direct) {
+	build := func(extra bool) (*Sketch, *Sketch) {
 		s, _ := New(2, 4, 1, 2)
 		d, _ := NewDirect(4, 2)
 		for i := int64(0); i < 40; i++ {

@@ -1,7 +1,7 @@
 package cmpbe
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 
 	"histburst/internal/stream"
@@ -76,7 +76,7 @@ func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
 // TestMergeDirectsMatchesMergeAppend does the same for the collision-free
 // summaries the dyadic tree's top levels use.
 func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
-	mk := func() *Direct {
+	mk := func() *Sketch {
 		d, err := NewDirect(32, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -85,8 +85,8 @@ func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
 	}
 	data := mixedStream(13, 5000, 32)
 	parts := partitionStream(data)
-	build := func() []*Direct {
-		out := make([]*Direct, len(parts))
+	build := func() []*Sketch {
+		out := make([]*Sketch, len(parts))
 		for i, p := range parts {
 			out[i] = mk()
 			for _, el := range p {
@@ -98,7 +98,7 @@ func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
 	}
 
 	srcs := build()
-	fast, err := MergeDirects(srcs)
+	fast, err := MergeSketches(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +110,11 @@ func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
 		}
 	}
 
-	if fast.N() != naive.N() || fast.MaxTime() != naive.MaxTime() {
-		t.Fatalf("counters: N %d/%d maxT %d/%d", fast.N(), naive.N(), fast.MaxTime(), naive.MaxTime())
+	if fast.N() != naive.N() || fast.MaxTime() != naive.MaxTime() || !fast.CollisionFree() {
+		t.Fatalf("counters: N %d/%d maxT %d/%d, collision-free %t", fast.N(), naive.N(), fast.MaxTime(), naive.MaxTime(), fast.CollisionFree())
+	}
+	if !bytes.Equal(encoded(t, fast), encoded(t, naive)) {
+		t.Fatal("merged level encodes to other bytes than the MergeAppend chain")
 	}
 	for e := uint64(0); e < 32; e++ {
 		for q := int64(-3); q <= fast.MaxTime()+3; q += 5 {
@@ -134,39 +137,5 @@ func TestMergeSketchesValidation(t *testing.T) {
 	}
 	if _, err := MergeSketches(nil); err == nil {
 		t.Fatal("zero-part merge accepted")
-	}
-}
-
-// TestLevelKindsDoNotMix: the level functions hand each kind to its own
-// merge or downsample and refuse a mix, and a sketch narrows only to a width
-// that divides its own.
-func TestLevelKindsDoNotMix(t *testing.T) {
-	s, _ := New(2, 8, 1, 2)
-	d, _ := NewDirect(8, 2)
-	s.Finish()
-	d.Finish()
-	if _, err := MergeLevels([]Level{s, d}); err == nil || !strings.Contains(err.Error(), "level kind mismatch") {
-		t.Errorf("merging a sketch and a Direct: %v", err)
-	}
-	if _, err := DownsampleLevels([]Level{d, s}, 4, 1, 4); err == nil || !strings.Contains(err.Error(), "level kind mismatch") {
-		t.Errorf("downsampling a Direct and a sketch: %v", err)
-	}
-	if err := MergeAppendLevel(s, d); err == nil || !strings.Contains(err.Error(), "level kind mismatch") {
-		t.Errorf("appending a Direct to a sketch: %v", err)
-	}
-	if _, err := MergeLevels(nil); err == nil {
-		t.Error("merge of zero levels accepted")
-	}
-	for w, want := range map[int]int{4: 4, 8: 8, 3: 8, 0: 8, 16: 8} {
-		l, err := DownsampleLevels([]Level{s}, 4, 1, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, got := l.(*Sketch).Dims(); got != want {
-			t.Errorf("downsampled to width %d: %d wide, want %d", w, got, want)
-		}
-	}
-	if l, err := MergeLevels([]Level{d, d}); err != nil || l.(*Direct).IDs() != 8 {
-		t.Errorf("merging two Directs: %v", err)
 	}
 }

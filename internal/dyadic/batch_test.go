@@ -12,8 +12,8 @@ import (
 // TestAppendBatchMatchesAppend holds the level-major, fanned-out ingest to
 // the per-element twin it replaces on the facade's path: for every fan-out
 // cap (1 runs inline, 100 is clamped to the level count) the tree marshals
-// to the same bytes — Count-Min levels under Direct ones, ids beyond K, a
-// second round after Finish.
+// to the same bytes — Count-Min levels under collision-free ones, ids beyond
+// K, a second round after Finish.
 func TestAppendBatchMatchesAppend(t *testing.T) {
 	const k = 64
 	data := burstyStream(17, k, 1500)

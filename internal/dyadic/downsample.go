@@ -12,13 +12,10 @@ import (
 // so the result loads, merges and downsamples again as an ordinary coarser
 // tree, and a fold floor gamma ≥ (W_src/w)·γ_src that holds at the leaves
 // holds at every level, both sides scaling alike — all coarsen time
-// resolution to res, and sketch levels whose width is a multiple of w narrow
-// to w.
-// Direct levels keep their id space — additivity across siblings
-// (F_parent = ΣF_child), which the pruning bound relies on, is a property
-// of the id mapping and is untouched by per-cell downsampling. Sketch
-// levels whose width w does not divide keep their width and only widen
-// gamma / coarsen resolution.
+// resolution to res, and Count-Min levels whose width is a multiple of w
+// narrow to w. Collision-free levels keep their id space (see
+// cmpbe.DownsampleSketches), and Count-Min levels whose width w does not
+// divide keep their width and only widen gamma / coarsen resolution.
 //
 // Sources must hold finished (sealed) summaries and are never mutated.
 func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, error) {
@@ -43,7 +40,11 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 	for i, h := range first.heights {
 		srcs, err := levelsAt(parts, i)
 		if err == nil {
-			levels[i], err = cmpbe.DownsampleLevels(srcs, SteerGamma(h, gamma), res, w)
+			lw := w
+			if _, sw := srcs[0].Dims(); lw < 1 || sw%lw != 0 {
+				lw = sw
+			}
+			levels[i], err = cmpbe.DownsampleSketches(srcs, SteerGamma(h, gamma), res, lw)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)

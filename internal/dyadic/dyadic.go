@@ -16,10 +16,11 @@
 // (LevelsEvery at IndexSpacing) keeps every fourth collision-free height and
 // a node there has sixteen children, pruned by the additive form of the
 // bound, Σ b_c² < θ². A factory that keeps every height gives Algorithm 3 as
-// published. The production levels (CMPBELevels) are CM-PBE-2 summaries,
-// cmpbe.Level values; merging, downsampling and decoding leave telling a
-// Count-Min level from a collision-free one to cmpbe. The experiments fill
-// the same shape with their CM-PBE-1 baseline.
+// published. The production levels (CMPBELevels) are CM-PBE-2 sketches, one
+// type at every height: a collision-free level is a *cmpbe.Sketch of one row
+// over the identity hash, so merging and downsampling a level never ask its
+// kind, and decoding asks it only to check the shape. The experiments fill the
+// same shape with their CM-PBE-1 baseline.
 //
 // Only height 0 answers: every estimate a caller sees — a point query, the
 // b̃ ≥ θ filter a reported id passed, a TopBursty score — is read from the
@@ -42,8 +43,8 @@ import (
 )
 
 // Level is one level's summary: a sketch over that level's aggregate-id
-// stream. Every cmpbe.Level satisfies it; tests substitute exact stores to
-// verify the pruning logic in isolation.
+// stream. *cmpbe.Sketch satisfies it; the experiments' CM-PBE-1 does too, and
+// tests substitute exact stores to verify the pruning logic in isolation.
 type Level interface {
 	Append(e uint64, t int64)
 	Finish()
@@ -118,9 +119,9 @@ const maxFanOut = 1 << IndexSpacing
 const levelSeedStride = 7919
 
 // CMPBELevels returns the production LevelFactory: the shape LevelsEvery
-// keeps at IndexSpacing, of CM-PBE-2 sketches and Direct summaries whose
-// cells are under the error cap leaf below SteerHeight and steer from there
-// up — what SteerGamma gives for a leaf γ.
+// keeps at IndexSpacing, of CM-PBE-2 sketches — Count-Min and collision-free
+// (cmpbe.NewDirect) — whose cells are under the error cap leaf below
+// SteerHeight and steer from there up — what SteerGamma gives for a leaf γ.
 func CMPBELevels(d, w int, seed int64, leaf, steer float64) LevelFactory {
 	return CMPBELevelsEvery(IndexSpacing, d, w, seed, leaf, steer)
 }
@@ -151,9 +152,10 @@ func CMPBELevelsEvery(spacing, d, w int, seed int64, leaf, steer float64) LevelF
 // every spacing-th height above it. The Count-Min levels' seeds step by
 // levelSeedStride from seed, one step a height.
 //
-// The two kinds thin differently. A Direct parent repeats its children, so
-// dropping it loses nothing; each Count-Min level hashes independently and
-// is its own filter against the collisions of the one below, so all stay.
+// The two kinds thin differently. A collision-free parent repeats its
+// children, so dropping it loses nothing; each Count-Min level hashes
+// independently and is its own filter against the collisions of the one
+// below, so all stay.
 func LevelsEvery(spacing, d, w int, seed int64,
 	sketch func(h int, seed int64) (Level, error),
 	direct func(h int, ids uint64) (Level, error)) LevelFactory {
@@ -291,8 +293,8 @@ func (t *Tree) Append(e uint64, ts int64) {
 const fanOutMin = 256
 
 // batchLevel is a Level that takes a whole batch under the aggregate id
-// Event>>shift with its bookkeeping hoisted out of the element loop; both
-// cmpbe summaries do.
+// Event>>shift with its bookkeeping hoisted out of the element loop, as
+// *cmpbe.Sketch does.
 type batchLevel interface {
 	AppendBatch(elems []stream.Element, shift uint)
 }

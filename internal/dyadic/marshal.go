@@ -17,8 +17,7 @@ import (
 var treeMagic = []byte{'D', 'Y', 'A', 3}
 
 // Encode appends the tree's serialized form to w. Every level must be
-// serializable (CM-PBE and Direct levels are; test-only exact levels are
-// not).
+// serializable (CM-PBE levels are; test-only exact levels are not).
 func (t *Tree) Encode(w *binenc.Writer) error {
 	w.BytesBlob(treeMagic)
 	w.Uvarint(t.k)
@@ -46,12 +45,13 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 // level decoder's γ check — and leaves r just past it. It accepts exactly the
 // shapes CMPBELevels builds: the search indexes a level's cells by height, so
 // a level of any other size would be read out of range or — folded by modulo —
-// silently serve two ids from one cell. Each Direct level has K>>height
-// cells; the Count-Min levels are the lowest heights, share their dimensions,
-// step their seeds by levelSeedStride from the leaf level's, and stand only
-// where a Direct would not fit; the height list is the kept set for that many
-// Count-Min levels. What the bytes cannot say — that the leaf level matches the
-// configuration it is loaded under — is the caller's to check.
+// silently serve two ids from one cell. Each collision-free level has
+// K>>height cells; the Count-Min levels are the lowest heights, share their
+// dimensions, step their seeds by levelSeedStride from the leaf level's, and
+// stand only where a collision-free level would not fit; the height list is
+// the kept set for that many Count-Min levels. What the bytes cannot say —
+// that the leaf level matches the configuration it is loaded under — is the
+// caller's to check.
 //
 //histburst:decoder
 func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
@@ -79,26 +79,24 @@ func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
 	levels := make([]Level, nLevels)
 	sketches := 0
 	for i, h := range heights {
-		v, err := cmpbe.DecodeLevel(r, SteerGamma(h, gamma))
+		l, err := cmpbe.DecodeLevel(r, SteerGamma(h, gamma))
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
-		switch l := v.(type) {
-		case *cmpbe.Direct:
-			if l.IDs() != k>>h {
-				return nil, fmt.Errorf("dyadic: level %d (height %d) has %d cells for %d aggregate ids", i, h, l.IDs(), k>>h)
+		levels[i] = l
+		if l.CollisionFree() {
+			if _, w := l.Dims(); uint64(w) != k>>h {
+				return nil, fmt.Errorf("dyadic: level %d (height %d) has %d cells for %d aggregate ids", i, h, w, k>>h)
 			}
-			levels[i] = l
-		case *cmpbe.Sketch:
-			if i != sketches {
-				return nil, fmt.Errorf("dyadic: level %d (height %d) is a Count-Min sketch above a collision-free level", i, h)
-			}
-			levels[i] = l
-			if err := checkSketchLevel(l, levels[0].(*cmpbe.Sketch), i, h, k); err != nil {
-				return nil, err
-			}
-			sketches++
+			continue
 		}
+		if i != sketches {
+			return nil, fmt.Errorf("dyadic: level %d (height %d) is a Count-Min sketch above a collision-free level", i, h)
+		}
+		if err := checkSketchLevel(l, levels[0].(*cmpbe.Sketch), i, h, k); err != nil {
+			return nil, err
+		}
+		sketches++
 	}
 	if want := keptHeights(lgK, sketches); !slices.Equal(heights, want) {
 		return nil, fmt.Errorf("dyadic: levels at heights %v; an index over %d ids with %d Count-Min levels keeps %v", heights, k, sketches, want)
@@ -109,7 +107,7 @@ func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
 // checkSketchLevel holds Count-Min level i at height h to what CMPBELevels
 // builds there, given the leaf level: the leaf's dimensions, the leaf's seed
 // stepped h times, and more aggregate ids than its d·w cells — otherwise the
-// factory builds a Direct.
+// factory builds a collision-free level.
 func checkSketchLevel(l, leaf *cmpbe.Sketch, i, h int, k uint64) error {
 	d, w := l.Dims()
 	ld, lw := leaf.Dims()

@@ -20,7 +20,7 @@ func (t *Tree) MergeAppend(other *Tree) error {
 	for i := range t.levels {
 		pair, err := levelsAt([]*Tree{t, other}, i)
 		if err == nil {
-			err = cmpbe.MergeAppendLevel(pair[0], pair[1])
+			err = pair[0].MergeAppend(pair[1])
 		}
 		if err != nil {
 			return fmt.Errorf("dyadic: level %d: %w", i, err)
@@ -62,7 +62,7 @@ func MergeTrees(parts []*Tree) (*Tree, error) {
 	for i := range levels {
 		srcs, err := levelsAt(parts, i)
 		if err == nil {
-			levels[i], err = cmpbe.MergeLevels(srcs)
+			levels[i], err = cmpbe.MergeSketches(srcs)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
@@ -82,10 +82,10 @@ func sameShape(a, b *Tree) error {
 
 // levelsAt returns level i of every tree, each the CM-PBE level it must be to
 // merge or downsample; the exact levels the pruning tests substitute are not.
-func levelsAt(parts []*Tree, i int) ([]cmpbe.Level, error) {
-	out := make([]cmpbe.Level, len(parts))
+func levelsAt(parts []*Tree, i int) ([]*cmpbe.Sketch, error) {
+	out := make([]*cmpbe.Sketch, len(parts))
 	for k, p := range parts {
-		l, ok := p.levels[i].(cmpbe.Level)
+		l, ok := p.levels[i].(*cmpbe.Sketch)
 		if !ok {
 			return nil, fmt.Errorf("level type %T is not a CM-PBE level", p.levels[i])
 		}

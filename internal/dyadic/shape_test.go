@@ -202,7 +202,7 @@ func TestKeptHeights(t *testing.T) {
 				t.Fatalf("K=%d %d×%d: leaves not kept: %v", k, d, w, heights)
 			}
 			for i, h := range heights {
-				_, sketch := tr.Level(i).(*cmpbe.Sketch)
+				sketch := !tr.Level(i).(*cmpbe.Sketch).CollisionFree()
 				switch {
 				case sketch != (k>>h > uint64(d*w)):
 					t.Fatalf("K=%d %d×%d: height %d holds a %T over %d ids", k, d, w, h, tr.Level(i), k>>h)

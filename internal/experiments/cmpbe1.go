@@ -23,15 +23,15 @@ type mixedSketch interface {
 }
 
 // cmPBE1 is the paper's CM-PBE-1 baseline: Section IV's sketch with PBE-1
-// cells of pbe1BufferN arrivals and η points a chunk. In its Count-Min mode
-// it hashes d rows of w cells exactly as cmpbe.Sketch does and answers with
-// the median of the rows (cmpbe.Median); in its one-cell-per-id mode (d = 0)
-// it holds a cell per id, as cmpbe.Direct does for an event index's
-// collision-free levels. PBE-1's buffered chunks neither merge nor
-// serialize, so the baseline is built here, in memory, and nowhere else.
+// cells of pbe1BufferN arrivals and η points a chunk. It hashes d rows of w
+// cells exactly as cmpbe.Sketch does and answers with the median of the rows
+// (cmpbe.Median); its collision-free levels are one row under the identity
+// hash, as cmpbe.NewDirect builds an event index's. PBE-1's buffered chunks
+// neither merge nor serialize, so the baseline is built here, in memory, and
+// nowhere else.
 type cmPBE1 struct {
 	hf    hash.Family
-	d, w  int // d = 0: one cell per id, no hashing
+	d, w  int
 	cells []*pbe1.Builder
 }
 
@@ -58,7 +58,7 @@ func newDirectPBE1(ids uint64, eta int) (*cmPBE1, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &cmPBE1{cells: cells}, nil
+	return &cmPBE1{hf: hash.Identity(int(ids)), d: 1, w: int(ids), cells: cells}, nil
 }
 
 func pbe1Cells(n, eta int) ([]*pbe1.Builder, error) {
@@ -84,9 +84,6 @@ func pbe1Levels(spacing, d, w int, seed int64, eta int) dyadic.LevelFactory {
 
 // rows appends e's cells, one per row, to buf.
 func (s *cmPBE1) rows(e uint64, buf []*pbe1.Builder) []*pbe1.Builder {
-	if s.d == 0 {
-		return append(buf, s.cells[e%uint64(len(s.cells))])
-	}
 	for i := 0; i < s.d; i++ {
 		buf = append(buf, s.cells[i*s.w+s.hf.Hash(i, e)])
 	}

@@ -6,13 +6,16 @@
 // classic polynomial construction over the Mersenne prime p = 2^61 − 1:
 // h(x) = ((a·x + b) mod p) mod w with a ∈ [1, p), b ∈ [0, p) drawn from a
 // seeded PRNG, which is pairwise independent and cheap to evaluate with
-// 128-bit multiplication (math/bits).
+// 128-bit multiplication (math/bits). Identity is the unseeded member a = 1,
+// b = 0: a one-row sketch under it is a collision-free level with a cell per
+// id.
 package hash
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // mersenne61 is the prime 2^61 − 1 used as the hash field modulus.
@@ -28,6 +31,10 @@ type Func struct {
 	// "Faster remainders when the divisor is a constant"). Point queries pay
 	// this mod d times each.
 	mHi, mLo uint64
+	// Every key below fixed hashes to itself: w for the identity member
+	// (a = 1, b = 0), whose keys — a level's ids — Apply returns without the
+	// field arithmetic, and 0 for a seeded one.
+	fixed uint64
 }
 
 // Family is a set of d independent hash functions sharing a bucket count.
@@ -50,11 +57,32 @@ func NewFamily(d, w int, seed int64) (Family, error) {
 		// a in [1, p), b in [0, p).
 		a := uint64(rng.Int63n(mersenne61-1)) + 1
 		b := uint64(rng.Int63n(mersenne61))
-		mHi, mLo := modReciprocal(uint64(w))
-		fns[i] = Func{a: a, b: b, w: uint64(w), mHi: mHi, mLo: mLo}
+		fns[i] = newFunc(a, b, uint64(w))
 	}
 	return Family{fns: fns}, nil
 }
+
+// Identity returns the one-function family onto [0, w) whose member has
+// a = 1 and b = 0: h(x) = x mod w for every x < 2^61 − 1. Over ids below w it
+// never collides, so a one-row sketch hashed by it holds a cell per id. w must
+// be positive.
+func Identity(w int) Family {
+	return Family{fns: []Func{newFunc(1, 0, uint64(w))}}
+}
+
+// newFunc returns h(x) = ((a·x + b) mod p) mod w.
+func newFunc(a, b, w uint64) Func {
+	mHi, mLo := modReciprocal(w)
+	h := Func{a: a, b: b, w: w, mHi: mHi, mLo: mLo}
+	if a == 1 && b == 0 {
+		h.fixed = min(w, mersenne61) // x < min(w, p): (x·1 + 0) mod p mod w = x
+	}
+	return h
+}
+
+// Equal reports whether f and g map every key to the same buckets: the same
+// functions, in the same order, onto the same width.
+func (f Family) Equal(g Family) bool { return slices.Equal(f.fns, g.fns) }
 
 // Len returns the number of functions d.
 func (f Family) Len() int { return len(f.fns) }
@@ -93,7 +121,10 @@ func (f Family) Indexes(x uint64, dst []int) {
 // Apply evaluates the hash function at x.
 //
 //histburst:noalloc
-func (h Func) Apply(x uint64) int {
+func (h *Func) Apply(x uint64) int {
+	if x < h.fixed {
+		return int(x)
+	}
 	// Fold x into the field first so the polynomial sees a value < p.
 	v := mulModMersenne(h.a, modMersenne(x)) + h.b
 	if v >= mersenne61 {

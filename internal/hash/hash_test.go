@@ -162,6 +162,65 @@ func TestMersenneArithmetic(t *testing.T) {
 	}
 }
 
+// identityMismatch returns the first probe at which f's only function, through
+// Hash or through Indexes, sends x anywhere but x mod w.
+func identityMismatch(f Family, w uint64) (x uint64, found bool) {
+	probes := []uint64{1<<40 + 3, mersenne61 - 1}
+	for x := uint64(0); x < 1<<20; x++ {
+		probes = append(probes, x)
+	}
+	dst := make([]int, 1)
+	for _, x := range probes {
+		f.Indexes(x, dst)
+		if f.Hash(0, x) != int(x%w) || dst[0] != int(x%w) {
+			return x, true
+		}
+	}
+	return 0, false
+}
+
+// TestIdentityIsModulo: the identity family is x mod w over every id a level
+// can see — ids below 2²⁰, and far beyond any K at 2⁴⁰+3 and 2⁶¹−2 — which is
+// what lets a one-row sketch under it serve as a collision-free level. Any
+// other coefficients break it somewhere in that range.
+func TestIdentityIsModulo(t *testing.T) {
+	for _, w := range []uint64{1, 2, 4, 64, 1024, 1 << 24} {
+		f := Identity(int(w))
+		if f.Len() != 1 || f.Width() != int(w) {
+			t.Fatalf("Identity(%d): %d functions onto %d buckets", w, f.Len(), f.Width())
+		}
+		if x, found := identityMismatch(f, w); found {
+			t.Fatalf("Identity(%d) maps %d to %d, want %d", w, x, f.Hash(0, x), x%w)
+		}
+		if w == 1 {
+			continue // every function maps everything to bucket 0
+		}
+		for _, ab := range [][2]uint64{{2, 0}, {1, 1}, {1, w}, {1, 1 << 24}, {mersenne61 - 1, 0}, {3, 5}} {
+			other := Family{fns: []Func{newFunc(ab[0], ab[1], w)}}
+			if _, found := identityMismatch(other, w); !found {
+				t.Errorf("w=%d: a=%d b=%d also passes as the identity", w, ab[0], ab[1])
+			}
+		}
+	}
+}
+
+// TestFamilyEqual: families are equal exactly when they hash alike — the same
+// seed, depth and width — and the identity equals no seeded family.
+func TestFamilyEqual(t *testing.T) {
+	a, _ := NewFamily(1, 8, 0)
+	b, _ := NewFamily(1, 8, 0)
+	c, _ := NewFamily(1, 8, 1)
+	d, _ := NewFamily(1, 4, 0)
+	switch {
+	case !a.Equal(b):
+		t.Error("two families drawn from one seed differ")
+	case a.Equal(c), a.Equal(d):
+		t.Error("families of another seed or width are equal")
+	case !Identity(8).Equal(Identity(8)), Identity(8).Equal(a), Identity(8).Equal(Identity(4)):
+		t.Error("the identity family compares wrongly")
+	}
+}
+
 // TestIndexesMatchesHash is the equivalence test behind the
 // //histburst:fastpath annotation on Indexes: the batched row-index fill
 // must agree with the one-at-a-time Hash path for every row.

@@ -133,6 +133,37 @@ func TestOneSummaryCodec(t *testing.T) {
 	})
 }
 
+// TestOneLevelType: every level of the event index is a *cmpbe.Sketch — a
+// collision-free level is a one-row sketch over the identity hash — so cmpbe
+// declares no second level type, and neither the interface over the two nor
+// the functions that told them apart come back.
+func TestOneLevelType(t *testing.T) {
+	retired := map[string]bool{
+		"MergeLevels": true, "DownsampleLevels": true, "MergeAppendLevel": true,
+		"MergeDirects": true, "DownsampleDirects": true, "decodeDirect": true, "ofKind": true,
+	}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		inCmpbe := filepath.ToSlash(filepath.Dir(rel)) == "internal/cmpbe"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if inCmpbe && (n.Name.Name == "Direct" || n.Name.Name == "Level") {
+					t.Errorf("%s declares the type %s; every level is a *Sketch", rel, n.Name.Name)
+				}
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "cmpbe" && n.Sel.Name == "Level" {
+					t.Errorf("%s names cmpbe.Level; every level is a *cmpbe.Sketch", rel)
+				}
+			case *ast.Ident:
+				if retired[n.Name] {
+					t.Errorf("%s names the retired %s; every level is a *cmpbe.Sketch", rel, n.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // TestPBE1StaysABaseline: the served, persisted, merged and decayed detector
 // has one cell type, PBE-2. PBE-1 is the paper's baseline, which the
 // experiments build in memory; no other non-test code may import it, so it

@@ -177,7 +177,11 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 		lb.columns, lb.records = make([]int, n), make([]int, n)
 	}
 	for i := 0; i < n; i++ {
-		l := det.tree.Level(i).(*cmpbe.Direct)
+		l := det.tree.Level(i).(*cmpbe.Sketch)
+		_, ids := l.Dims()
+		if !l.CollisionFree() {
+			t.Fatalf("level %d is a Count-Min sketch; the per-id walk needs a cell per id", i)
+		}
 		var w binenc.Writer
 		if err := l.Encode(&w); err != nil {
 			t.Fatal(err)
@@ -187,7 +191,7 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 			t.Fatal("level holds no PBE-2 cell block")
 		}
 		records := 0
-		for e := uint64(0); e < l.IDs(); e++ {
+		for e := uint64(0); e < uint64(ids); e++ {
 			prevEnd := l.MaxTime()
 			for j, s := range l.EventCells(e)[0].Segments() {
 				var scratch [binary.MaxVarintLen64]byte
@@ -201,7 +205,7 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 				lb.segments[i]++
 			}
 		}
-		lb.cells[i] += int(l.IDs())
+		lb.cells[i] += ids
 		lb.header[i] += block
 		lb.records[i] += records
 		lb.columns[i] += len(w.Bytes()) - block - records
@@ -251,7 +255,8 @@ func TestBytesTracksHeap(t *testing.T) {
 		det := v.(*Detector)
 		counted, cells := det.Bytes(), 0
 		for i := 0; i < det.tree.Levels(); i++ {
-			cells += int(det.tree.Level(i).(*cmpbe.Direct).IDs())
+			_, ids := det.tree.Level(i).(*cmpbe.Sketch).Dims()
+			cells += ids
 		}
 		t.Logf("%s: Bytes() = %d, heap = %d (%.2f×), %d B beyond the count per cell over %d cells",
 			what, counted, held, float64(held)/float64(counted), (int(held)-counted)/cells, cells)

@@ -34,7 +34,7 @@ func TestBuildParallelMatchesSequentialExactly(t *testing.T) {
 	elems := streamToElements(t, 51, 64, 4000)
 	for _, opts := range [][]Option{
 		{WithPBE2(2), WithSketchDims(4, 64), WithSeed(9)},
-		{WithPBE2(2), WithSketchDims(2, 4), WithSeed(9)}, // Count-Min levels under Direct ones
+		{WithPBE2(2), WithSketchDims(2, 4), WithSeed(9)}, // Count-Min levels under collision-free ones
 	} {
 		seq, err := New(64, opts...)
 		if err != nil {

@@ -12,7 +12,6 @@ import (
 
 	"histburst/internal/atomicfile"
 	"histburst/internal/binenc"
-	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe2"
 )
@@ -262,11 +261,10 @@ func Decode(data []byte) (*Detector, error) {
 // be built today, since downsampling narrows w and leaves a collision-free
 // level as it is.
 func (d *Detector) checkBase() error {
-	b, ok := d.base.(*cmpbe.Sketch)
-	if !ok {
+	b, c := d.base, d.cfg
+	if b.CollisionFree() {
 		return nil
 	}
-	c := d.cfg
 	if bd, bw := b.Dims(); bd != c.d || bw != c.w || b.Seed() != c.seed {
 		return fmt.Errorf("histburst: corrupt detector file: leaf level is a %d×%d sketch seeded %d under a %d×%d configuration seeded %d",
 			bd, bw, b.Seed(), c.d, c.w, c.seed)
