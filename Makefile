@@ -114,9 +114,10 @@ experiments:
 	$(GO) run ./cmd/burstbench -all -scale 0.02 -queries 300
 
 # Short fuzzing pass over every decoder (the PBE-2 cell block's on its own
-# as well as inside a detector file), the detector's append path and the
+# as well as inside a detector file), the detector's append path, the
 # PBE-2 kernel's one-sided contract (at small, Unix-second and
-# Unix-millisecond time origins). FUZZTIME is overridable so CI can run a
+# Unix-millisecond time origins) and the store head's packed timestamp
+# sequences against a sorted-slice twin. FUZZTIME is overridable so CI can run a
 # quicker smoke (make fuzz FUZZTIME=10s).
 FUZZTIME ?= 20s
 fuzz:
@@ -131,6 +132,7 @@ fuzz:
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/
+	$(GO) test -fuzz FuzzHeadSeq -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzAlertFrame -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -fuzz FuzzSubscriptionDecode -fuzztime $(FUZZTIME) ./internal/wire/

@@ -1,10 +1,127 @@
 package segstore
 
 import (
+	"math/rand"
+	"sync"
 	"testing"
 
 	"histburst/internal/stream"
+	"histburst/internal/workload"
 )
+
+// rioHeadElems is the head the benchmark's http_mixed workload accumulates
+// before its first seal: the first 53 800 elements of the olympicrio month
+// (600 000 elements, scenario seed 2016, arrival seed 1) — 864 ids, a few
+// hot, a long tail of rare ones — moved to a Unix-second origin.
+var rioHeadElems = sync.OnceValue(func() stream.Stream {
+	const (
+		headLen = 53_800
+		origin  = int64(1_700_000_000)
+	)
+	spec := workload.OlympicRioSpec(2016, 600_000)
+	spec.Seed = 1
+	base, err := workload.Generate(spec)
+	if err != nil {
+		panic(err)
+	}
+	elems := make(stream.Stream, headLen)
+	for i := range elems {
+		elems[i] = stream.Element{Event: base[i].Event, Time: origin + base[i].Time}
+	}
+	return elems
+})
+
+// rioHead returns a fresh live head holding rioHeadElems.
+func rioHead(tb testing.TB) *memHead {
+	tb.Helper()
+	elems := rioHeadElems()
+	h := newMemHead(0)
+	if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+		tb.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
+	}
+	return h
+}
+
+// rioQueries draws n (event, instant) pairs over rioHeadElems: events in
+// proportion to their volume, instants uniform over the head's span.
+func rioQueries(n int) (es []uint64, ts []int64) {
+	elems := rioHeadElems()
+	rng := rand.New(rand.NewSource(7))
+	lo, span := elems[0].Time, elems[len(elems)-1].Time-elems[0].Time+1
+	es, ts = make([]uint64, n), make([]int64, n)
+	for i := range es {
+		es[i] = elems[rng.Intn(len(elems))].Event
+		ts[i] = lo + rng.Int63n(span)
+	}
+	return es, ts
+}
+
+// benchTau is the serving default burst span, one day.
+const benchTau = 86_400
+
+// BenchmarkHeadAppend fills the benchmark-shaped head in 512-element
+// batches, the stager's shape. One op is the whole head; ns/elem is the
+// per-element cost.
+func BenchmarkHeadAppend(b *testing.B) {
+	elems := rioHeadElems()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h := newMemHead(0)
+		for lo := 0; lo < len(elems); lo += 512 {
+			h.appendBatch(elems[lo:min(lo+512, len(elems))], 1024, sealLimits{})
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(elems)), "ns/elem")
+}
+
+// BenchmarkHeadPoint measures the head's exact share of a POINT query — three
+// counts under the read lock — on the benchmark-shaped head.
+func BenchmarkHeadPoint(b *testing.B) {
+	h := rioHead(b)
+	es, ts := rioQueries(4096)
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & 4095
+		sink += h.burstiness(es[j], ts[j], benchTau)
+	}
+	benchSink = sink
+}
+
+var benchSink float64
+
+// BenchmarkHeadInOrder measures the head read back as one time-ordered
+// stream, the sealer's and the WAL rotation's read. One op is the whole head.
+func BenchmarkHeadInOrder(b *testing.B) {
+	h := rioHead(b)
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.inOrder(func(uint64, int64) { n++ })
+	}
+	if n != b.N*len(rioHeadElems()) {
+		b.Fatalf("inOrder yielded %d elements, want %d", n, b.N*len(rioHeadElems()))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/elem")
+}
+
+// BenchmarkHeadEventsInWindow measures the head's candidate set for a
+// BURSTY-EVENT search over (t−2τ, t] on the benchmark-shaped head.
+func BenchmarkHeadEventsInWindow(b *testing.B) {
+	h := rioHead(b)
+	_, ts := rioQueries(256)
+	n := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := ts[i&255]
+		n += len(h.eventsInWindow(t-2*benchTau+1, t))
+	}
+	benchSink = float64(n)
+}
 
 // benchStore builds a volatile store holding nSegs sealed segments of
 // segElems elements each (compaction off, so the layout is deterministic).

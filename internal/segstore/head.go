@@ -1,7 +1,9 @@
 package segstore
 
 import (
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"sync"
 
 	"histburst/internal/stream"
@@ -16,17 +18,20 @@ import (
 // lock, after which its sequences are immutable and the sealer may merge
 // them without locking.
 //
-// Per-event timestamps live in chunked slabs: each event's sequence is a
-// list of fixed-size chunks carved from head-owned slab allocations, so a
-// busy head performs one slab allocation per headSlabSize timestamps instead
-// of one grow-and-copy per event per doubling. Closed chunks are always full
-// (headChunk entries), which lets the count queries skip straight to the one
-// boundary chunk by arithmetic.
+// Each event's sequence is a list of full chunks of headChunk timestamps,
+// packed, plus one raw open chunk being filled. The open chunk is carved
+// from a head-owned slab on the event's first append; the append that fills
+// it packs it — its first timestamp, and the 31 gaps after it at the
+// narrowest byte width that holds the largest, carved from head-owned byte
+// arenas — and empties it for reuse. A head's per-event gaps are small, so a
+// packed chunk costs ~2 bytes a timestamp where a raw one costs 8. Packed
+// chunks are always full, which lets the count queries skip straight to the
+// one boundary chunk by arithmetic.
 type memHead struct {
 	mu sync.RWMutex
 
-	// frozen, byEvent, slab/slabOff/seqArena, started, minT, maxT and n are
-	// guarded by mu.
+	// frozen, started, minT, maxT, n, byEvent, slab/slabOff,
+	// arenas/arenaOff, seqArena, packed and gapBytes are guarded by mu.
 	frozen  bool
 	started bool
 	minT    int64
@@ -34,12 +39,21 @@ type memHead struct {
 	n       int64
 	byEvent map[uint64]*eventSeq
 
-	// slab is the current timestamp arena; chunks are carved off at slabOff.
+	// slab is the current open-chunk arena; open chunks are carved off at
+	// slabOff, one per event.
 	slab    []int64
 	slabOff int
+	// arenas hold the packed chunks' gaps, carved off the last one at
+	// arenaOff.
+	arenas   gapArenas
+	arenaOff int
 	// seqArena batches eventSeq headers the same way, one allocation per
 	// seqArenaSize first-seen events.
 	seqArena []eventSeq
+	// packed counts the packed chunks and gapBytes the gap bytes they hold:
+	// what bytes() counts beside the open chunks' raw timestamps.
+	packed   int
+	gapBytes int
 
 	// floor is the store's time frontier when this head was created —
 	// appends strictly below it are out of order. Immutable after creation.
@@ -51,104 +65,183 @@ type memHead struct {
 
 const (
 	// headChunk is the per-event chunk size: small enough that a long tail
-	// of rare events wastes at most one part-filled chunk each, large enough
-	// that hot events append through pointer-free chunk memory.
+	// of rare events wastes at most one part-filled open chunk each, large
+	// enough that a packed chunk's 16 B of metadata is half a byte a
+	// timestamp.
 	headChunk = 32
-	// headSlabSize is the number of timestamps per slab allocation.
+	// headSlabSize is the number of open-chunk timestamps per slab
+	// allocation.
 	headSlabSize = 4096
+	// gapArenaSize is the number of gap bytes per arena allocation; at most
+	// one packed chunk's worth plus 8, 31·8 + 8 bytes, is left unused at its
+	// end.
+	gapArenaSize = 8 << 10
+	// packedChunkBytes is the size of a packedChunk.
+	packedChunkBytes = 16
 	// seqArenaSize is the number of eventSeq headers per arena allocation.
 	seqArenaSize = 64
 )
 
+// A packedChunk is one full chunk of an event's sequence: its first
+// timestamp, and the headChunk−1 gaps between consecutive ones, w bytes
+// each, little-endian, at off in arena number arena of the head's
+// gapArenas. w is the byte width of the largest gap, at most 8; a run of one
+// timestamp packs to w = 0 and no gap bytes at all. Gaps are differences
+// modulo 2⁶⁴, so a chunk spanning more than MaxInt64 restores exactly.
+type packedChunk struct {
+	base  int64
+	arena uint32
+	off   uint16
+	w     uint8
+}
+
+// gapArenas are a head's gap arenas, gapArenaSize bytes each. Bytes a packed
+// chunk was carved from are never written again, so a copy of the list
+// taken under the head's lock reads every chunk packed before it without the
+// lock. pack leaves at least 8 bytes of arena after every chunk: its word
+// stores spill there, and word loads under the lock may overhang there.
+type gapArenas [][]byte
+
+// gapMask keeps the low w bytes of a word.
+func gapMask(w int) uint64 { return ^uint64(0) >> (64 - 8*uint(w)) }
+
+// countTo returns how many of c's timestamps are ≤ t, which is at least
+// c.base: the base, then the gaps summed until they pass t, one masked word
+// load each. The loads may overhang the chunk, so the caller holds the
+// head's lock.
+//
+//histburst:noalloc
+func (a gapArenas) countTo(c packedChunk, t int64) int {
+	if c.w == 0 {
+		return headChunk
+	}
+	d, w := uint64(t)-uint64(c.base), int(c.w)
+	p, mask := a[c.arena][c.off:], gapMask(w)
+	sum := uint64(0)
+	for i := range headChunk - 1 {
+		if sum += binary.LittleEndian.Uint64(p[i*w:]) & mask; sum > d {
+			return 1 + i
+		}
+	}
+	return headChunk
+}
+
+// unpack writes c's timestamps to dst[:headChunk]. It reads no byte past
+// the chunk — inOrder unpacks without the lock, beside an append that may
+// be packing the next chunk — so the last gaps, whose word would overhang,
+// are read byte by byte.
+func (a gapArenas) unpack(c packedChunk, dst []int64) {
+	dst = dst[:headChunk]
+	w := int(c.w)
+	p, mask := a[c.arena][c.off:int(c.off)+(headChunk-1)*w], gapMask(w)
+	t := c.base
+	dst[0] = t
+	i := 0
+	for ; i*w+8 <= len(p); i++ {
+		t += int64(binary.LittleEndian.Uint64(p[i*w:]) & mask)
+		dst[1+i] = t
+	}
+	for ; i < headChunk-1; i++ {
+		g := uint64(0)
+		for j := w - 1; j >= 0; j-- {
+			g = g<<8 | uint64(p[i*w+j])
+		}
+		t += int64(g)
+		dst[1+i] = t
+	}
+}
+
 // eventSeq is one event's timestamp sequence inside the head: zero or more
-// full closed chunks plus the open chunk being filled. Timestamps are
-// appended in non-decreasing order, so every chunk is sorted and chunk time
-// ranges ascend.
+// full packed chunks plus the raw open chunk being filled, never full.
+// Timestamps are appended in non-decreasing order, so every chunk is sorted
+// and chunk time ranges ascend.
 type eventSeq struct {
-	chunks [][]int64
+	chunks []packedChunk
 	open   []int64
 	n      int64
 }
 
-// countAtOrBefore returns how many timestamps are ≤ t: binary search for the
-// boundary chunk (closed chunks are always full, so the chunks before it
-// contribute len·headChunk by arithmetic), then binary search inside it.
-func (q *eventSeq) countAtOrBefore(t int64) int64 {
+// countAtOrBefore returns how many timestamps are ≤ t: binary search over
+// the packed chunks' bases for the boundary chunk (the chunks before it end
+// at or before its base and are full, so they contribute len·headChunk by
+// arithmetic), then a scan inside it, then binary search inside the open
+// chunk if every packed timestamp is ≤ t.
+//
+//histburst:noalloc
+func (q *eventSeq) countAtOrBefore(a gapArenas, t int64) int64 {
 	if q == nil || q.n == 0 {
 		return 0
 	}
 	lo, hi := 0, len(q.chunks)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if q.chunks[mid][headChunk-1] <= t {
+		if q.chunks[mid].base <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	cnt := int64(lo) * headChunk
-	tail := q.open
-	if lo < len(q.chunks) {
-		tail = q.chunks[lo]
+	cnt := int64(0)
+	if lo > 0 {
+		in := a.countTo(q.chunks[lo-1], t)
+		cnt = int64(lo-1)*headChunk + int64(in)
+		if lo < len(q.chunks) || in < headChunk {
+			return cnt
+		}
+	} else if len(q.chunks) > 0 {
+		return 0
 	}
-	a, b := 0, len(tail)
-	for a < b {
-		mid := int(uint(a+b) >> 1)
-		if tail[mid] <= t {
-			a = mid + 1
+	i, j := 0, len(q.open)
+	for i < j {
+		mid := int(uint(i+j) >> 1)
+		if q.open[mid] <= t {
+			i = mid + 1
 		} else {
-			b = mid
+			j = mid
 		}
 	}
-	return cnt + int64(a)
+	return cnt + int64(i)
 }
 
 // countIn returns how many timestamps land in [lo, hi].
-func (q *eventSeq) countIn(lo, hi int64) int64 {
+func (q *eventSeq) countIn(a gapArenas, lo, hi int64) int64 {
 	if q == nil || q.n == 0 || hi < lo {
 		return 0
 	}
-	return q.countAtOrBefore(hi) - q.countAtOrBefore(lo-1)
+	n := q.countAtOrBefore(a, hi)
+	if lo > math.MinInt64 {
+		n -= q.countAtOrBefore(a, lo-1)
+	}
+	return n
 }
 
-// last returns the most recent timestamp; q must be non-empty. Closed chunks
-// are full, so only the open chunk can be empty (after popLast).
-func (q *eventSeq) last() int64 {
+// last returns the most recent timestamp; q must be non-empty.
+func (q *eventSeq) last(a gapArenas) int64 {
 	if len(q.open) > 0 {
 		return q.open[len(q.open)-1]
 	}
-	return q.chunks[len(q.chunks)-1][headChunk-1]
-}
-
-// popLast removes the most recent timestamp (the freeze tail split).
-func (q *eventSeq) popLast() {
-	if len(q.open) == 0 && len(q.chunks) > 0 {
-		q.open = q.chunks[len(q.chunks)-1]
-		q.chunks = q.chunks[:len(q.chunks)-1]
-	}
-	q.open = q.open[:len(q.open)-1]
-	q.n--
+	var c [headChunk]int64
+	a.unpack(q.chunks[len(q.chunks)-1], c[:])
+	return c[headChunk-1]
 }
 
 // materialize returns the sequence as one contiguous sorted slice.
-func (q *eventSeq) materialize() stream.TimestampSeq {
+func (q *eventSeq) materialize(a gapArenas) stream.TimestampSeq {
 	if q == nil || q.n == 0 {
 		return nil
 	}
-	out := make(stream.TimestampSeq, 0, q.n)
-	for _, c := range q.chunks {
-		out = append(out, c...)
+	out := make(stream.TimestampSeq, q.n)
+	for i, c := range q.chunks {
+		a.unpack(c, out[i*headChunk:])
 	}
-	return append(out, q.open...)
+	copy(out[len(q.chunks)*headChunk:], q.open)
+	return out
 }
 
-// appendTS appends one timestamp to q, carving a fresh chunk from the head's
-// slab when the open one fills.
+// appendTS appends one timestamp to q, carving q's open chunk from the
+// head's slab on first sight and packing it when it fills.
 func (h *memHead) appendTS(q *eventSeq, t int64) {
-	if len(q.open) == cap(q.open) {
-		if cap(q.open) > 0 {
-			q.chunks = append(q.chunks, q.open)
-		}
+	if cap(q.open) == 0 {
 		if h.slabOff+headChunk > len(h.slab) {
 			h.slab = make([]int64, headSlabSize)
 			h.slabOff = 0
@@ -158,6 +251,52 @@ func (h *memHead) appendTS(q *eventSeq, t int64) {
 	}
 	q.open = append(q.open, t)
 	q.n++
+	if len(q.open) == headChunk {
+		h.pack(q)
+	}
+}
+
+// pack moves q's full open chunk into a packed chunk and empties it for
+// reuse. Each gap is one word store, spilling into the next gap's bytes —
+// rewritten by the next store — and, after the last, into the 8 uncarved
+// bytes every chunk is followed by.
+func (h *memHead) pack(q *eventSeq) {
+	open := q.open[:headChunk]
+	var gaps uint64 // every gap ORed together: as wide as the largest
+	for i := 1; i < headChunk; i++ {
+		gaps |= uint64(open[i]) - uint64(open[i-1])
+	}
+	w := (bits.Len64(gaps) + 7) / 8
+	size := (headChunk - 1) * w
+	if len(h.arenas) == 0 || h.arenaOff+size+8 > gapArenaSize {
+		h.arenas = append(h.arenas, make([]byte, gapArenaSize))
+		h.arenaOff = 0
+	}
+	p := h.arenas[len(h.arenas)-1][h.arenaOff:]
+	for i := 1; i < headChunk; i++ {
+		binary.LittleEndian.PutUint64(p[(i-1)*w:], uint64(open[i])-uint64(open[i-1]))
+	}
+	q.chunks = append(q.chunks, packedChunk{base: open[0], arena: uint32(len(h.arenas) - 1), off: uint16(h.arenaOff), w: uint8(w)})
+	q.open = q.open[:0]
+	h.arenaOff += size
+	h.packed++
+	h.gapBytes += size
+}
+
+// popLast removes q's most recent timestamp (the freeze tail split),
+// unpacking the last packed chunk back into the open buffer when the open
+// chunk is empty.
+func (h *memHead) popLast(q *eventSeq) {
+	if len(q.open) == 0 {
+		c := q.chunks[len(q.chunks)-1]
+		q.chunks = q.chunks[:len(q.chunks)-1]
+		q.open = q.open[:headChunk]
+		h.arenas.unpack(c, q.open)
+		h.packed--
+		h.gapBytes -= (headChunk - 1) * int(c.w)
+	}
+	q.open = q.open[:len(q.open)-1]
+	q.n--
 }
 
 // seqFor returns e's sequence, creating it from the header arena on first
@@ -241,12 +380,12 @@ func (h *memHead) freeze(keepTail bool) (tail stream.Stream) {
 	if keepTail && h.n > 0 && h.minT < h.maxT {
 		maxT := h.minT
 		for e, q := range h.byEvent {
-			for q.n > 0 && q.last() == h.maxT {
-				q.popLast()
+			for q.n > 0 && q.last(h.arenas) == h.maxT {
+				h.popLast(q)
 				tail = append(tail, stream.Element{Event: e, Time: h.maxT})
 			}
-			if q.n > 0 && q.last() > maxT {
-				maxT = q.last()
+			if q.n > 0 {
+				maxT = max(maxT, q.last(h.arenas))
 			}
 		}
 		h.n -= int64(len(tail))
@@ -257,22 +396,27 @@ func (h *memHead) freeze(keepTail bool) (tail stream.Stream) {
 }
 
 // seqCursor is inOrder's read position in one event's sequence: cur is the
-// unread part of the chunk being read — never empty while the cursor is
-// live — and chunks, then open, what follows it.
+// chunk being read and pos the next unread index in it — pos < len(cur)
+// while the cursor is live — and chunks, then open, what follows it. Packed
+// chunks are decoded one at a time into buf. Advancing moves an index, not
+// a slice, so the merge loop stores no pointers.
 type seqCursor struct {
 	cur    []int64
-	chunks [][]int64
+	pos    int
+	buf    *[headChunk]int64
+	chunks []packedChunk
 	open   []int64
 }
 
 // refill moves c on to its next chunk, reporting false when none is left.
-// Closed chunks are full; only the open one can be empty.
-func (c *seqCursor) refill() bool {
+// Packed chunks are full; only the open one can be empty.
+func (c *seqCursor) refill(a gapArenas) bool {
 	if len(c.chunks) > 0 {
-		c.cur, c.chunks = c.chunks[0], c.chunks[1:]
+		a.unpack(c.chunks[0], c.buf[:])
+		c.cur, c.pos, c.chunks = c.buf[:], 0, c.chunks[1:]
 		return true
 	}
-	c.cur, c.open = c.open, nil
+	c.cur, c.pos, c.open = c.open, 0, nil
 	return len(c.cur) > 0
 }
 
@@ -300,23 +444,39 @@ func (a mergeKey) before(b mergeKey, ids []uint64) bool {
 // timestamps in ascending event id: a k-way merge of the per-event
 // sequences, each already sorted — how the sealer and the WAL rotation read
 // a head as one stream. The sequences are captured under the read lock and
-// merged after it drops, so fn runs unlocked; that is safe because appends
-// only write past a captured length and nothing rewrites a timestamp below
-// it.
+// merged after it drops, so fn runs unlocked. The packed chunks and the
+// arenas are captured as they are: an append only packs past a captured
+// length, into arena bytes nobody has read. The open chunks are copied,
+// because the append that packs a full one refills the same buffer.
 //
 // The merge is a loser tree: node p of an implicit tree over the k cursors
 // (leaf i at k+i, parent p/2) holds the key that lost the match played
 // there, so after the winner advances one pass up its path — lg k
 // comparisons against keys held in the nodes themselves — finds the next.
 // Only a tie on t reads the event ids. No sort and no materialized stream:
-// the elements go from the chunks straight to fn.
+// the elements go from one decoded chunk per cursor straight to fn.
 func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 	h.mu.RLock()
+	arenas := h.arenas
+	open, packed := 0, 0
+	for _, q := range h.byEvent {
+		open += len(q.open)
+		if len(q.chunks) > 0 {
+			packed++
+		}
+	}
+	opens := make([]int64, open)
+	bufs := make([][headChunk]int64, packed)
 	ids := make([]uint64, 0, len(h.byEvent))
 	cursors := make([]seqCursor, 0, len(h.byEvent))
 	for e, q := range h.byEvent {
-		c := seqCursor{chunks: q.chunks, open: q.open}
-		if c.refill() {
+		c := seqCursor{chunks: q.chunks}
+		if len(q.chunks) > 0 {
+			c.buf, bufs = &bufs[0], bufs[1:]
+		}
+		c.open, opens = opens[:len(q.open)], opens[len(q.open):]
+		copy(c.open, q.open)
+		if c.refill(arenas) {
 			ids = append(ids, e)
 			cursors = append(cursors, c)
 		}
@@ -345,9 +505,8 @@ func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 		leaf := k + w.cur
 		c := &cursors[w.cur]
 		fn(ids[w.cur], w.t)
-		c.cur = c.cur[1:]
-		if len(c.cur) > 0 || c.refill() {
-			w.t = c.cur[0]
+		if c.pos++; c.pos < len(c.cur) || c.refill(arenas) {
+			w.t = c.cur[c.pos]
 		} else {
 			if live--; live == 0 {
 				return
@@ -390,27 +549,31 @@ func (h *memHead) snapshot() (n, minT, maxT int64, started bool) {
 
 // countAtOrBefore returns the exact cumulative frequency F_e(t) of the
 // head's slice of the stream.
+//
+//histburst:noalloc
 func (h *memHead) countAtOrBefore(e uint64, t int64) float64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return float64(h.byEvent[e].countAtOrBefore(t))
+	return float64(h.byEvent[e].countAtOrBefore(h.arenas, t))
 }
 
 // burstiness returns the head's exact contribution to b_e(t): cumulative
 // frequencies of time-disjoint slices add, so equation (2) distributes over
 // the slices term by term.
+//
+//histburst:noalloc
 func (h *memHead) burstiness(e uint64, t, tau int64) float64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	ts := h.byEvent[e]
-	return float64(ts.countAtOrBefore(t) - 2*ts.countAtOrBefore(t-tau) + ts.countAtOrBefore(t-2*tau))
+	ts, a := h.byEvent[e], h.arenas
+	return float64(ts.countAtOrBefore(a, t) - 2*ts.countAtOrBefore(a, t-tau) + ts.countAtOrBefore(a, t-2*tau))
 }
 
 // arrivals returns a copy of e's timestamps in the head.
 func (h *memHead) arrivals(e uint64) stream.TimestampSeq {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.byEvent[e].materialize()
+	return h.byEvent[e].materialize(h.arenas)
 }
 
 // eventsInWindow returns the ids with at least one arrival in [lo, hi] —
@@ -420,7 +583,7 @@ func (h *memHead) eventsInWindow(lo, hi int64) []uint64 {
 	defer h.mu.RUnlock()
 	var out []uint64
 	for e, ts := range h.byEvent {
-		if ts.countIn(lo, hi) > 0 {
+		if ts.countIn(h.arenas, lo, hi) > 0 {
 			out = append(out, e)
 		}
 	}
@@ -434,11 +597,13 @@ func (h *memHead) activeIn(lo, hi int64) bool {
 	return h.started && h.minT <= hi && h.maxT >= lo
 }
 
-// bytes estimates the head's heap footprint: 8 bytes per element, its slot
-// in its event's sequence — the head's only copy of it. Per-event headers
-// and chunk slack are left out.
+// bytes is what the head stores for its elements, the only copy of them:
+// per packed chunk its 16 B of metadata (its first timestamp among them)
+// and 31 gaps at its width, plus 8 B per timestamp in an open chunk.
+// Per-event headers and map entries, the open chunks' unfilled slots and
+// the arenas' uncarved tails are left out.
 func (h *memHead) bytes() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return int(h.n) * 8
+	return h.packed*packedChunkBytes + h.gapBytes + 8*(int(h.n)-h.packed*headChunk)
 }

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"cmp"
 	"math"
+	"math/bits"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"histburst"
 	"histburst/internal/stream"
@@ -72,6 +76,249 @@ func TestHeadInOrderIsTimeThenID(t *testing.T) {
 	}
 	if n, _, maxT, _ := h.snapshot(); n != int64(cut) || maxT != want[cut-1].Time {
 		t.Fatalf("frozen head counts n=%d maxT=%d, want %d and %d", n, maxT, cut, want[cut-1].Time)
+	}
+}
+
+// headSeqOrigins are the time origins FuzzHeadSeq draws from: small,
+// Unix-second, Unix-millisecond, near MaxInt64 (where gaps saturate into
+// runs at MaxInt64) and MinInt64 (where width-8 gaps add up to spans past
+// MaxInt64).
+var headSeqOrigins = [...]int64{0, 1_700_000_000, 1_700_000_000_000, math.MaxInt64 - 1<<40, math.MinInt64}
+
+// headSeqElems turns fuzz input into a sorted stream over events 0–2. Each
+// byte pair appends one to four elements of one event, spaced by a gap
+// whose byte width is drawn from 0 to 8, so chunks pack at every width and
+// width 0 — runs of equal timestamps — is common. Then a final run of event
+// 0 at one later instant, align elements past the one that would close
+// event 0's open chunk: 0 ends the run exactly on a packed-chunk boundary,
+// a positive align carries it across one, a negative one stops it short.
+func headSeqElems(origin int64, data []byte, align int8) stream.Stream {
+	var out stream.Stream
+	tm := origin
+	step := func(g uint64) {
+		if g > uint64(math.MaxInt64)-uint64(tm) { // the room left, modulo 2⁶⁴
+			tm = math.MaxInt64
+		} else {
+			tm += int64(g)
+		}
+	}
+	for i := 0; i+1 < len(data) && len(out) < 2000; i += 2 {
+		width, reps := int(data[i]%9), 1+int(data[i]/9%4)
+		e, mag := uint64(data[i+1]%3), uint64(data[i+1])
+		var g uint64
+		if width > 0 {
+			g = (mag%127 + 1) << (8 * (width - 1)) // width bytes wide
+		}
+		for range reps {
+			step(g)
+			out = append(out, stream.Element{Event: e, Time: tm})
+		}
+	}
+	n0 := 0
+	for _, el := range out {
+		if el.Event == 0 {
+			n0++
+		}
+	}
+	run := headChunk - n0%headChunk + int(align)
+	step(1)
+	for range max(run, 1) {
+		out = append(out, stream.Element{Event: 0, Time: tm})
+	}
+	return out
+}
+
+// checkHeadSeq holds h to its sorted-slice naive twin want, each event's
+// timestamps in arrival order: counts at and around every stored instant and
+// at the ends of time, windows between neighbouring instants, arrivals, the
+// merged stream, and bytes() recomputed from the chunk widths the twin's
+// own gaps call for.
+func checkHeadSeq(t *testing.T, h *memHead, want map[uint64][]int64) {
+	t.Helper()
+	var all stream.Stream
+	var instants []int64
+	wantBytes := 0
+	for e, ts := range want {
+		for _, tm := range ts {
+			all = append(all, stream.Element{Event: e, Time: tm})
+		}
+		for c := 0; c+headChunk <= len(ts); c += headChunk {
+			maxGap := uint64(0)
+			for i := c + 1; i < c+headChunk; i++ {
+				maxGap = max(maxGap, uint64(ts[i])-uint64(ts[i-1]))
+			}
+			wantBytes += packedChunkBytes + (headChunk-1)*((bits.Len64(maxGap)+7)/8)
+		}
+		wantBytes += 8 * (len(ts) % headChunk)
+	}
+	slices.SortFunc(all, byTimeThenID)
+	if got := collectInOrder(h); !slices.Equal(got, all) {
+		t.Fatalf("inOrder yields %d elements, want %d in time-then-id order", len(got), len(all))
+	}
+	if got := h.bytes(); got != wantBytes {
+		t.Fatalf("bytes() = %d, want %d", got, wantBytes)
+	}
+	for _, el := range all {
+		instants = append(instants, el.Time)
+		if el.Time > math.MinInt64 {
+			instants = append(instants, el.Time-1)
+		}
+		if el.Time < math.MaxInt64 {
+			instants = append(instants, el.Time+1)
+		}
+	}
+	instants = append(instants, math.MinInt64, math.MaxInt64)
+	slices.Sort(instants)
+	instants = slices.Compact(instants)
+	countTo := func(ts []int64, tm int64) int64 {
+		n, _ := slices.BinarySearch(ts, tm+1)
+		if tm == math.MaxInt64 {
+			n = len(ts)
+		}
+		return int64(n)
+	}
+	for e := uint64(0); e < 4; e++ { // event 3 is never appended
+		ts := want[e]
+		if got := h.arrivals(e); !slices.Equal(got, stream.TimestampSeq(ts)) {
+			t.Fatalf("event %d: arrivals %v, want %v", e, got, ts)
+		}
+		for _, tm := range instants {
+			if got, exp := h.countAtOrBefore(e, tm), float64(countTo(ts, tm)); got != exp {
+				t.Fatalf("event %d: F(%d) = %v, want %v", e, tm, got, exp)
+			}
+		}
+	}
+	for i := 1; i < len(instants); i++ {
+		lo, hi := instants[i-1], instants[i]
+		var exp []uint64
+		for e, ts := range want {
+			in := countTo(ts, hi)
+			if lo > math.MinInt64 {
+				in -= countTo(ts, lo-1)
+			}
+			if got := h.byEvent[e].countIn(h.arenas, lo, hi); got != in {
+				t.Fatalf("event %d: %d in [%d, %d], want %d", e, got, lo, hi, in)
+			}
+			if in > 0 {
+				exp = append(exp, e)
+			}
+		}
+		got := h.eventsInWindow(lo, hi)
+		slices.Sort(got)
+		slices.Sort(exp)
+		if !slices.Equal(got, exp) {
+			t.Fatalf("events in [%d, %d]: %v, want %v", lo, hi, got, exp)
+		}
+	}
+}
+
+// FuzzHeadSeq holds the packed head to a sorted-slice naive twin: a head
+// built from the stream, then the same head after a freeze(true) tail split
+// — which pops the final run off each sequence, unpacking a packed chunk
+// when the run reaches back into one — against the twin with the final run
+// removed.
+func FuzzHeadSeq(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for o := range headSeqOrigins {
+		for _, align := range []int8{0, 5, 40, -3, -31} {
+			data := make([]byte, 2*(100+rng.Intn(300)))
+			rng.Read(data)
+			f.Add(uint8(o), data, align)
+		}
+	}
+	f.Add(uint8(0), []byte{}, int8(0))                       // the final run alone: one w = 0 chunk
+	f.Add(uint8(3), bytes.Repeat([]byte{8, 1}, 90), int8(7)) // width-8 gaps saturating at MaxInt64
+	f.Fuzz(func(t *testing.T, origin uint8, data []byte, align int8) {
+		elems := headSeqElems(headSeqOrigins[int(origin)%len(headSeqOrigins)], data, align)
+		h := newMemHead(math.MinInt64)
+		if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+			t.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
+		}
+		want := map[uint64][]int64{}
+		for _, el := range elems {
+			want[el.Event] = append(want[el.Event], el.Time)
+		}
+		checkHeadSeq(t, h, want)
+
+		minT, maxT := elems[0].Time, elems[len(elems)-1].Time
+		var wantTail stream.Stream
+		if minT < maxT {
+			for e, ts := range want {
+				for len(ts) > 0 && ts[len(ts)-1] == maxT {
+					ts = ts[:len(ts)-1]
+					wantTail = append(wantTail, stream.Element{Event: e, Time: maxT})
+				}
+				want[e] = ts
+			}
+		}
+		tail := h.freeze(true)
+		slices.SortFunc(tail, byTimeThenID)
+		slices.SortFunc(wantTail, byTimeThenID)
+		if !slices.Equal(tail, wantTail) {
+			t.Fatalf("tail split returned %d elements, want the final run's %d", len(tail), len(wantTail))
+		}
+		for e, ts := range want {
+			if len(ts) == 0 {
+				delete(want, e)
+			}
+		}
+		checkHeadSeq(t, h, want)
+		if n, _, gotMax, _ := h.snapshot(); n != int64(len(elems)-len(tail)) ||
+			(len(tail) > 0 && gotMax != elems[len(elems)-len(tail)-1].Time) {
+			t.Fatalf("frozen head counts n=%d maxT=%d after a %d-element tail split", n, gotMax, len(tail))
+		}
+	})
+}
+
+// TestConcurrentHeadInOrderBesideAppends: inOrder merges outside the lock
+// while appends go on packing chunks and refilling the open buffers it
+// copied; every merge must still be a per-event prefix of what was
+// appended, in time-then-id order. Run it under -race.
+func TestConcurrentHeadInOrderBesideAppends(t *testing.T) {
+	elems := tieStream(20_000, 16, 1_700_000_000, 11)
+	want := map[uint64][]int64{}
+	for _, el := range elems {
+		want[el.Event] = append(want[el.Event], el.Time)
+	}
+	h := newMemHead(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for lo := 0; lo < len(elems); lo += 64 {
+			h.appendBatch(elems[lo:min(lo+64, len(elems))], 1024, sealLimits{})
+		}
+	}()
+	for merges := 0; ; merges++ {
+		select {
+		case <-done:
+			if merges == 0 {
+				t.Log("the appends finished before the first merge")
+			}
+			if got := collectInOrder(h); len(got) != len(elems) {
+				t.Fatalf("final merge yields %d elements, want %d", len(got), len(elems))
+			}
+			return
+		default:
+		}
+		got := collectInOrder(h)
+		if !slices.IsSortedFunc(got, byTimeThenID) {
+			t.Fatalf("merge %d is out of time-then-id order", merges)
+		}
+		seen := map[uint64]int{}
+		for _, el := range got {
+			if i := seen[el.Event]; i >= len(want[el.Event]) || want[el.Event][i] != el.Time {
+				t.Fatalf("merge %d: event %d's element %d is %d, not what was appended", merges, el.Event, i, el.Time)
+			}
+			seen[el.Event]++
+		}
+	}
+}
+
+// TestPackedChunkBytes: bytes() counts a packed chunk's metadata at the
+// struct's real size.
+func TestPackedChunkBytes(t *testing.T) {
+	if got := unsafe.Sizeof(packedChunk{}); got != packedChunkBytes {
+		t.Fatalf("packedChunk is %d bytes, packedChunkBytes says %d", got, packedChunkBytes)
 	}
 }
 
@@ -181,6 +428,81 @@ func TestSealedSegmentMatchesDirectBuild(t *testing.T) {
 	}
 }
 
+// TestPackedHeadSealAndBaselineBytes: heads whose events fill packed chunks
+// — six ids, so each fills several a head, and runs of equal timestamps, so
+// some pack at width 0 — seal into the bytes a detector fed the same
+// elements in arrival order writes, and a WAL rotation of a live packed head
+// writes the baseline record unpacked heads wrote: the unsealed elements in
+// time-then-id order, positioned at the sealed count.
+func TestPackedHeadSealAndBaselineBytes(t *testing.T) {
+	elems := tieStream(3700, 6, 1_700_000_000, 8)
+	cfg := testConfig(1500)
+	cfg.CompactFanout = -1
+	dir := t.TempDir()
+	s := mustOpen(t, dir, cfg)
+	defer mustClose(t, s)
+	appendAll := func(part stream.Stream) {
+		for lo := 0; lo < len(part); lo += 97 {
+			if _, _, err := s.AppendBatch(part[lo:min(lo+97, len(part))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	appendAll(elems[:2500])
+	if err := s.Checkpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(elems[2500:])
+
+	durable := int64(0)
+	for _, g := range s.view.Load().segs {
+		direct, err := histburst.NewFromParams(s.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, el := range elems[durable : durable+g.meta.Elements] {
+			direct.Append(el.Event, el.Time)
+		}
+		direct.Finish()
+		var want, got bytes.Buffer
+		if err := direct.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.detector().Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("segment %d: %d sealed bytes differ from %d built directly", g.meta.ID, got.Len(), want.Len())
+		}
+		durable += g.meta.Elements
+	}
+	h := s.view.Load().head
+	h.mu.RLock()
+	packed := h.packed
+	h.mu.RUnlock()
+	if durable < 2000 || packed < 6*4 {
+		t.Fatalf("fixture sealed %d elements and left %d packed chunks in the head, want ≥ 2000 and ≥ 24", durable, packed)
+	}
+
+	if err := s.rotateWAL(); err != nil {
+		t.Fatal(err)
+	}
+	unsealed := slices.Clone(elems[durable:])
+	slices.SortStableFunc(unsealed, byTimeThenID)
+	want := append(slices.Clone(walMagic), encodeWALRecord(durable, unsealed)...)
+	logs, err := filepath.Glob(filepath.Join(dir, walFilePrefix+"*"+walFileSuffix))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("store directory holds logs %v (%v), want the one rotated", logs, err)
+	}
+	got, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rotated log is %d bytes, want the %d-byte baseline of %d unsealed elements", len(got), len(want), len(unsealed))
+	}
+}
+
 // heapHeld is layout_test.go's measurement: the live heap build leaves
 // behind after GC.
 func heapHeld(build func() any) (held uint64, v any) {
@@ -199,44 +521,60 @@ func heapHeld(build func() any) (held uint64, v any) {
 }
 
 // TestHeadHeapTracksBytes holds memHead.bytes() to what a head really keeps
-// alive: past the counted 8 B an element, at most a fixed cost per event —
-// its sequence header, map entry, part-filled chunk, its share of the chunk
-// lists and the open slab — and, all told, no more than twice the count.
-// With a second, 16 B copy of every element in an append log beside the
-// sequences, the head held 30–35 B an element against 24 counted; the log
-// alone is the whole second bound. Not parallel: it reads process-wide heap
+// alive. bytes() counts what is stored for the elements: per packed chunk
+// its 16 B of metadata and 31 gaps at its width, plus 8 B per timestamp
+// in an open chunk. Past that, a head may hold at most a fixed cost per
+// event — its sequence header, map entry, the unfilled slots of its open
+// chunk and its share of the chunk list's slack and the arenas' uncarved
+// tails — and at most perElem bytes an element all told. Two heads: a
+// skewed synthetic one, and the one the benchmark's http_mixed workload
+// accumulates, which also bounds bytes() itself. At one raw int64 an
+// element the synthetic head held 13.4 B an element against 8 counted; with
+// a second, 16 B copy of every element in an append log beside the
+// sequences, 30–35 B against 24. Not parallel: it reads process-wide heap
 // statistics.
 func TestHeadHeapTracksBytes(t *testing.T) {
-	const (
-		perEvent = 512 // bytes an event may hold beyond its counted timestamps
-		perElem  = 16  // heap bytes an element may cost all told
-	)
-	// A benchmark-like head: 60 k elements over a skewed id space, so a few
-	// hot ids fill many chunks and a long tail holds one part-filled chunk
-	// each.
+	const perEvent = 512 // bytes an event may hold beyond what bytes() counts
+	// A skewed head: 60 k elements over 1 024 ids, three to an instant, so a
+	// few hot ids fill many chunks and a long tail holds one part-filled
+	// open chunk each.
 	rng := rand.New(rand.NewSource(9))
 	zipf := rand.NewZipf(rng, 1.1, 4, 1023)
-	elems := make(stream.Stream, 60_000)
-	for i := range elems {
-		elems[i] = stream.Element{Event: zipf.Uint64(), Time: int64(i / 3)}
+	synthetic := make(stream.Stream, 60_000)
+	for i := range synthetic {
+		synthetic[i] = stream.Element{Event: zipf.Uint64(), Time: int64(i / 3)}
 	}
-	held, v := heapHeld(func() any {
-		h := newMemHead(0)
-		if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
-			t.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
+	for _, tc := range []struct {
+		name     string
+		elems    stream.Stream
+		perElem  float64 // heap bytes an element may cost all told
+		maxBytes float64 // bytes() an element may count (0: unchecked)
+	}{
+		{"zipf", synthetic, 9, 0},
+		{"olympicrio", rioHeadElems(), 8.5, 3.4},
+	} {
+		held, v := heapHeld(func() any {
+			h := newMemHead(0)
+			if _, acc, _, _ := h.appendBatch(tc.elems, 1024, sealLimits{}); acc != int64(len(tc.elems)) {
+				t.Fatalf("%s: appendBatch accepted %d of %d", tc.name, acc, len(tc.elems))
+			}
+			return h
+		})
+		h := v.(*memHead)
+		n := float64(len(tc.elems))
+		counted, events := h.bytes(), len(h.byEvent)
+		t.Logf("%s: bytes() = %d (%.2f B/elem), heap = %d (%.1f B/elem, %.2f×), %d events, %d packed chunks",
+			tc.name, counted, float64(counted)/n, held, float64(held)/n, float64(held)/float64(counted), events, h.packed)
+		if int(held) > counted+perEvent*events {
+			t.Errorf("%s: head holds %d heap bytes against bytes() = %d: %d beyond the count, want at most %d B × %d events",
+				tc.name, held, counted, int(held)-counted, perEvent, events)
 		}
-		return h
-	})
-	h := v.(*memHead)
-	counted, events := h.bytes(), len(h.byEvent)
-	t.Logf("bytes() = %d, heap = %d (%.1f B/elem, %.2f×), %d events",
-		counted, held, float64(held)/float64(len(elems)), float64(held)/float64(counted), events)
-	if int(held) > counted+perEvent*events {
-		t.Errorf("head holds %d heap bytes against bytes() = %d: %d beyond the count, want at most %d B × %d events",
-			held, counted, int(held)-counted, perEvent, events)
+		if float64(held) > tc.perElem*n {
+			t.Errorf("%s: head holds %.1f B an element, want at most %g", tc.name, float64(held)/n, tc.perElem)
+		}
+		if tc.maxBytes > 0 && float64(counted) > tc.maxBytes*n {
+			t.Errorf("%s: bytes() counts %.2f B an element, want at most %g", tc.name, float64(counted)/n, tc.maxBytes)
+		}
+		runtime.KeepAlive(tc.elems) // or the input dies mid-measurement and is subtracted
 	}
-	if held > perElem*uint64(len(elems)) {
-		t.Errorf("head holds %.1f B an element, want at most %d", float64(held)/float64(len(elems)), perElem)
-	}
-	runtime.KeepAlive(elems) // or the input dies mid-measurement and is subtracted
 }

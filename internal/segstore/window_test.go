@@ -176,21 +176,70 @@ func TestWindowTouchesOnlyOverlap(t *testing.T) {
 	}
 }
 
+// packedHeadStore builds sealed segments from an epoch-scale origin, then a
+// live head in which event 3 fills at least four packed chunks.
+func packedHeadStore(t *testing.T) *Store {
+	t.Helper()
+	cfg := testConfig(1024)
+	cfg.CompactFanout = -1
+	s := mustOpen(t, "", cfg)
+	rng := rand.New(rand.NewSource(8))
+	tm := int64(1_700_000_000)
+	batch := make(stream.Stream, 1600)
+	for i := range batch {
+		e := rng.Uint64() % 8
+		if i%2 == 0 {
+			e = 3
+		}
+		tm += rng.Int63n(600)
+		batch[i] = stream.Element{Event: e, Time: tm}
+	}
+	if _, rej, err := s.AppendBatch(batch[:1000]); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+	}
+	if err := s.Checkpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	if _, rej, err := s.AppendBatch(batch[1000:]); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+	}
+	h := s.view.Load().head
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if c := len(h.byEvent[3].chunks); c < 4 {
+		t.Fatalf("fixture head holds %d packed chunks of event 3, want at least 4", c)
+	}
+	return s
+}
+
 // TestSegstorePointZeroAllocs: the cross-segment POINT path performs no
-// per-query allocation, window search included.
+// per-query allocation, window search included — over sealed segments, and
+// over a head whose exact counts read packed chunks at all three instants.
 func TestSegstorePointZeroAllocs(t *testing.T) {
-	s := windowLayout(t, "sealed")
-	defer mustClose(t, s)
-	sn := s.Snapshot()
-	mid := (sn.MinTime() + sn.MaxTime()) / 2
-	for _, tau := range []int64{600, 86_400} {
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := sn.Burstiness(3, mid, tau); err != nil {
-				t.Fatal(err)
+	sealed := windowLayout(t, "sealed")
+	defer mustClose(t, sealed)
+	packed := packedHeadStore(t)
+	defer mustClose(t, packed)
+	_, hmin, hmax, _ := packed.view.Load().head.snapshot()
+	for _, tc := range []struct {
+		name string
+		s    *Store
+		t    int64
+		taus []int64
+	}{
+		{"sealed", sealed, (sealed.Snapshot().MinTime() + sealed.Snapshot().MaxTime()) / 2, []int64{600, 86_400}},
+		{"packed head", packed, hmax - (hmax-hmin)/8, []int64{600, (hmax - hmin) / 3}},
+	} {
+		sn := tc.s.Snapshot()
+		for _, tau := range tc.taus {
+			allocs := testing.AllocsPerRun(200, func() {
+				if _, err := sn.Burstiness(3, tc.t, tau); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s: Snapshot.Burstiness(τ=%d) allocates %.1f times per op, want 0", tc.name, tau, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Fatalf("Snapshot.Burstiness(τ=%d) allocates %.1f times per op, want 0", tau, allocs)
 		}
 	}
 }
