@@ -112,9 +112,6 @@ func gapMask(w int) uint64 { return ^uint64(0) >> (64 - 8*uint(w)) }
 //
 //histburst:noalloc
 func (a gapArenas) countTo(c packedChunk, t int64) int {
-	if c.w == 0 {
-		return headChunk
-	}
 	d, w := uint64(t)-uint64(c.base), int(c.w)
 	p, mask := a[c.arena][c.off:], gapMask(w)
 	sum := uint64(0)
