@@ -2,21 +2,18 @@
 
 GO ?= go
 
-.PHONY: all check build vet bench-module test race race-segstore race-build crash decay-smoke alert-smoke lint lint-self lint-check bench bench-smoke experiments fuzz clean
+.PHONY: all check build vet bench-module test race lint lint-self lint-check bench bench-smoke experiments fuzz clean
 
 all: build vet test
 
-# Full pre-merge gate, twelve steps: compile, vet, the benchmark module (the
+# Full pre-merge gate, seven steps: compile, vet, the benchmark module (the
 # one Go module `./...` cannot reach; its TestQuickSmoke drives all four
 # BENCHMARK.json workloads against a burstd built from this tree), the repo's
-# own analyzers (the linter's sources included), tests, the race detector,
-# the store's and burstd's concurrency tests uncached, the
-# chunked-construction equivalence at several Ps, the crash/fault-injection
-# suite, the time-decayed compaction smoke, the standing-query alert smoke,
-# and one iteration of every testing.B benchmark so none can rot unnoticed.
-# Nothing here is timed: a performance claim is made with bench/ (README,
-# "Making a performance claim").
-check: build vet bench-module lint-check test race race-segstore race-build crash decay-smoke alert-smoke bench-smoke
+# own analyzers (the linter's sources included), tests, every test again
+# under the race detector, and one iteration of every testing.B benchmark so
+# none can rot unnoticed. Nothing here is timed: a performance claim is made
+# with bench/ (README, "Making a performance claim").
+check: build vet bench-module lint-check test race bench-smoke
 
 build:
 	$(GO) build ./...
@@ -56,53 +53,14 @@ lint-check:
 test:
 	$(GO) test ./...
 
+# Every test under the race detector, uncached, so `make check` always
+# exercises the sharpest race bait fresh: the store's append vs seal vs
+# compaction vs lock-free snapshots, burstd's appends beside queries and
+# standing queries over HTTP and HBP1, the chunked construction at one, two
+# and four Ps (its tests run a sub-test per GOMAXPROCS), and the crash,
+# decay and alert suites.
 race:
-	$(GO) test -race ./...
-
-# The segment store's concurrency tests are the repo's sharpest race bait
-# (append vs seal vs compaction vs lock-free snapshots), and burstd's mixes
-# appends, queries and a standing query over HTTP and HBP1 at once; run them
-# under the race detector with no result caching so `make check` always
-# exercises them fresh.
-race-segstore:
-	$(GO) test -race -count 1 -run 'TestConcurrent' ./internal/segstore/ ./cmd/burstd/
-
-# Chunked, level-major construction under the race detector at one, two and
-# four Ps, uncached: Detector.Append's fan-out over the dyadic levels must
-# save to the bytes of the per-element Tree.Append twin, every reader must
-# settle the pending chunk first, and 64 goroutines querying one finished
-# detector must not race.
-race-build:
-	$(GO) test -race -count 1 -cpu 1,2,4 -run 'TestAppendBatch|TestFlushBeforeRead|TestBuildParallel' \
-		. ./internal/dyadic/ ./internal/cmpbe/
-
-# Durability gate: crash-at-every-byte sweeps over the WAL, segment, and
-# manifest write paths, bit-flip corruption recovery, the subprocess
-# SIGKILL ack-contract test, scrub/quarantine, and degraded-mode serving —
-# all under the race detector, uncached, so `make check` re-proves the
-# "no acked append is ever lost" contract on every run.
-crash:
-	$(GO) test -race -count 1 -run 'TestCrash|TestWAL|TestStager|TestScrub|TestCorrupt|TestDiskFault|TestQuarantine' \
-		./internal/segstore/ ./internal/faultio/ ./internal/wire/ ./cmd/burstd/
-
-# Time-decayed compaction gate under the race detector, uncached: the
-# multi-week long-horizon lifecycle (recent history bit-identical to an
-# undecayed store, old history inside its reported envelope, reopen
-# round-trip), the downsample kernel vs its naive twin, tier-ladder
-# validation, crash sweeps over the decay manifest/segment writes, and the
-# burstd -decay-tiers flag end to end.
-decay-smoke:
-	$(GO) test -race -count 1 -run 'TestDecay|TestEqualBoundary|TestResolveDecayTiers|TestParseDecayTiers|TestCrashDuringDecay' \
-		./internal/segstore/ ./cmd/burstd/
-
-# Standing-query gate under the race detector, uncached: an append commits
-# and the alert lands on all three delivery channels (SSE, webhook, wire
-# ALERT frame), rising-edge dedup holds across a sustained burst, degraded
-# histories stamp their envelope onto alerts, and a stalled SSE subscriber
-# sheds instead of backpressuring ingest.
-alert-smoke:
-	$(GO) test -race -count 1 -run 'TestAlert|TestSubscri|TestStalledSSE|TestSSEGap|TestUnsubscribe|TestConnClose' \
-		./cmd/burstd/ ./internal/wire/ ./internal/subscribe/
+	$(GO) test -race -count 1 ./...
 
 # One compile-and-run iteration of every testing.B benchmark; part of
 # `check`. `bench` is an alias.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"histburst/internal/dyadic"
 	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
@@ -69,64 +70,66 @@ func batchStream(shape string, n int, k uint64, seed int64, from int64) stream.S
 
 // TestAppendBatchByteIdentity is the tentpole's contract: a detector fed
 // through Detector.Append (chunked, level-major, fanned out over GOMAXPROCS
-// — run it at -cpu 1,2,4) saves to exactly the bytes of one fed element by
+// — one sub-test each at 1, 2 and 4) saves to exactly the bytes of one fed element by
 // element through Tree.Append, at every chunk boundary, for every cell and
 // level kind, when arrivals are clamped, and when appending resumes after
 // Finish.
 func TestAppendBatchByteIdentity(t *testing.T) {
-	configs := []struct {
-		name string
-		k    uint64
-		opts []Option
-	}{
-		{"K=1024 all collision-free", 1 << 10, []Option{WithPBE2(8)}},
-		{"K=16384 Count-Min under collision-free", 1 << 14, []Option{WithPBE2(8)}},
-	}
-	sizes := []int{0, 1, pendingCap - 1, pendingCap, pendingCap + 1, 3*pendingCap + 7}
-	for i, cfg := range configs {
-		// Every shape on the benchmark's configuration; the others take the
-		// one that both clamps and (by clamping) repeats timestamps, which
-		// keeps the -race -cpu 1,2,4 run under a minute.
-		shapes := []string{"disordered"}
-		if i == 0 {
-			shapes = []string{"ordered", "disordered", "runs"}
+	atEachProcs(t, func(t *testing.T) {
+		configs := []struct {
+			name string
+			k    uint64
+			opts []Option
+		}{
+			{"K=1024 all collision-free", 1 << 10, []Option{WithPBE2(8)}},
+			{"K=16384 Count-Min under collision-free", 1 << 14, []Option{WithPBE2(8)}},
 		}
-		for _, shape := range shapes {
-			for _, n := range sizes {
-				name := fmt.Sprintf("%s/%s/n=%d", cfg.name, shape, n)
-				got, err := New(cfg.k, cfg.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := New(cfg.k, cfg.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				feed := func(s stream.Stream) {
-					for _, el := range s {
-						got.Append(el.Event, el.Time)
-						appendPerElement(want, el.Event, el.Time)
+		sizes := []int{0, 1, pendingCap - 1, pendingCap, pendingCap + 1, 3*pendingCap + 7}
+		for i, cfg := range configs {
+			// Every shape on the benchmark's configuration; the others take the
+			// one that both clamps and (by clamping) repeats timestamps, which
+			// keeps the three sub-tests under the race detector under a minute.
+			shapes := []string{"disordered"}
+			if i == 0 {
+				shapes = []string{"ordered", "disordered", "runs"}
+			}
+			for _, shape := range shapes {
+				for _, n := range sizes {
+					name := fmt.Sprintf("%s/%s/n=%d", cfg.name, shape, n)
+					got, err := New(cfg.k, cfg.opts...)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				first := batchStream(shape, n, cfg.k, int64(n)+1, 0)
-				feed(first)
-				if shape == "disordered" && n > 100 && got.OutOfOrder() == 0 {
-					t.Fatalf("%s: no arrival was clamped", name)
-				}
-				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
-					t.Fatalf("%s: chunked detector differs from per-element reference", name)
-				}
-				// Save finished both; appending resumes on closed windows.
-				feed(batchStream(shape, pendingCap/2+3, cfg.k, int64(n)+2, got.MaxTime()))
-				if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
-					t.Fatalf("%s: differs after appending past Finish", name)
-				}
-				if got.pending != nil {
-					t.Fatalf("%s: finished detector still holds its %d-slot chunk", name, cap(got.pending))
+					want, err := New(cfg.k, cfg.opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					feed := func(s stream.Stream) {
+						for _, el := range s {
+							got.Append(el.Event, el.Time)
+							appendPerElement(want, el.Event, el.Time)
+						}
+					}
+					first := batchStream(shape, n, cfg.k, int64(n)+1, 0)
+					feed(first)
+					if shape == "disordered" && n > 100 && got.OutOfOrder() == 0 {
+						t.Fatalf("%s: no arrival was clamped", name)
+					}
+					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+						t.Fatalf("%s: chunked detector differs from per-element reference", name)
+					}
+					// Save finished both; appending resumes on closed windows.
+					feed(batchStream(shape, pendingCap/2+3, cfg.k, int64(n)+2, got.MaxTime()))
+					if !bytes.Equal(saveBytes(t, got), saveBytes(t, want)) {
+						t.Fatalf("%s: differs after appending past Finish", name)
+					}
+					if got.pending != nil {
+						t.Fatalf("%s: finished detector still holds its %d-slot chunk", name, cap(got.pending))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // unsettledOpts gives the flush-before-read detectors Count-Min levels under
@@ -278,6 +281,15 @@ var summaryReaders = []struct {
 	{"AppendEventCells", func(t *testing.T, d *Detector) any {
 		return cellPrints(d.AppendEventCells(40, nil), d.MaxTime())
 	}},
+	{"EventIndex", func(t *testing.T, d *Detector) any {
+		var st dyadic.QueryStats
+		tr := d.EventIndex()
+		out, err := tr.TopBursty(d.MaxTime(), 5, 8, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []any{tr.N(), tr.Bytes(), out, st}
+	}},
 	{"Bytes", func(t *testing.T, d *Detector) any { return d.Bytes() }},
 	{"Save", func(t *testing.T, d *Detector) any { return saveBytes(t, d) }},
 	{"SaveFile", func(t *testing.T, d *Detector) any {
@@ -319,33 +331,35 @@ var summaryReaders = []struct {
 // missing up to pendingCap−1 arrivals. The reflection check makes a method
 // added later choose a side.
 func TestFlushBeforeRead(t *testing.T) {
-	for _, tail := range []bool{false, true} {
-		for _, r := range summaryReaders {
+	atEachProcs(t, func(t *testing.T) {
+		for _, tail := range []bool{false, true} {
+			for _, r := range summaryReaders {
+				got, ref := unsettledPair(t, tail)
+				if g, w := r.call(t, got), r.call(t, ref); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s (one chunk flushed: %v): chunked detector answered\n%v\nper-element reference\n%v", r.method, tail, g, w)
+				}
+			}
 			got, ref := unsettledPair(t, tail)
-			if g, w := r.call(t, got), r.call(t, ref); !reflect.DeepEqual(g, w) {
-				t.Errorf("%s (one chunk flushed: %v): chunked detector answered\n%v\nper-element reference\n%v", r.method, tail, g, w)
+			for name, call := range eagerCounters {
+				if g, w := call(got), call(ref); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s (one chunk flushed: %v): %v, per-element reference %v", name, tail, g, w)
+				}
 			}
 		}
-		got, ref := unsettledPair(t, tail)
-		for name, call := range eagerCounters {
-			if g, w := call(got), call(ref); !reflect.DeepEqual(g, w) {
-				t.Errorf("%s (one chunk flushed: %v): %v, per-element reference %v", name, tail, g, w)
-			}
-		}
-	}
 
-	covered := map[string]bool{}
-	for _, r := range summaryReaders {
-		covered[r.method] = true
-	}
-	typ := reflect.TypeOf(&Detector{})
-	for i := 0; i < typ.NumMethod(); i++ {
-		name := typ.Method(i).Name
-		if _, eager := eagerCounters[name]; !covered[name] && !eager {
-			t.Errorf("exported method Detector.%s is in neither summaryReaders nor eagerCounters: "+
-				"if it reads the summary it must call settle first and be driven here", name)
+		covered := map[string]bool{}
+		for _, r := range summaryReaders {
+			covered[r.method] = true
 		}
-	}
+		typ := reflect.TypeOf(&Detector{})
+		for i := 0; i < typ.NumMethod(); i++ {
+			name := typ.Method(i).Name
+			if _, eager := eagerCounters[name]; !covered[name] && !eager {
+				t.Errorf("exported method Detector.%s is in neither summaryReaders nor eagerCounters: "+
+					"if it reads the summary it must call settle first and be driven here", name)
+			}
+		}
+	})
 }
 
 // TestFlushBeforeReadConcurrentQueries pins the other half of the contract:
@@ -353,32 +367,34 @@ func TestFlushBeforeRead(t *testing.T) {
 // any number of goroutines may query, Save and Clone it at once (the race
 // detector is the judge) and all see the single-threaded answers.
 func TestFlushBeforeReadConcurrentQueries(t *testing.T) {
-	det, _ := unsettledPair(t, false)
-	det.Finish()
-	answers := func() string {
-		var sb strings.Builder
-		for _, r := range summaryReaders {
-			switch r.method {
-			case "Burstiness", "BurstyTimes", "BurstyEvents", "TopBursty",
-				"CumulativeFrequency", "EventCells", "AppendEventCells", "Bytes",
-				"Save", "Clone": // the compactor clones sealed segments that are serving reads
-				fmt.Fprintln(&sb, r.method, r.call(t, det))
+	atEachProcs(t, func(t *testing.T) {
+		det, _ := unsettledPair(t, false)
+		det.Finish()
+		answers := func() string {
+			var sb strings.Builder
+			for _, r := range summaryReaders {
+				switch r.method {
+				case "Burstiness", "BurstyTimes", "BurstyEvents", "TopBursty",
+					"CumulativeFrequency", "EventCells", "AppendEventCells", "Bytes",
+					"Save", "Clone": // the compactor clones sealed segments that are serving reads
+					fmt.Fprintln(&sb, r.method, r.call(t, det))
+				}
 			}
+			return sb.String()
 		}
-		return sb.String()
-	}
-	want := answers()
-	var wg sync.WaitGroup
-	for g := 0; g < 64; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got := answers(); got != want {
-				t.Errorf("concurrent query answered\n%s\nwant\n%s", got, want)
-			}
-		}()
-	}
-	wg.Wait()
+		want := answers()
+		var wg sync.WaitGroup
+		for g := 0; g < 64; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := answers(); got != want {
+					t.Errorf("concurrent query answered\n%s\nwant\n%s", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // TestMergeSourcesMustBeSettled: MergeDetectors and DownsampleDetectors

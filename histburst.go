@@ -306,6 +306,13 @@ func (d *Detector) AppendEventCells(e uint64, buf []*pbe2.Builder) []*pbe2.Build
 	return d.base.AppendEventCells(e%d.K(), buf)
 }
 
+// EventIndex returns the detector's event index, read-only: the segmented
+// timeline store sums its segments' levels as it sums their EventCells.
+func (d *Detector) EventIndex() *dyadic.Tree {
+	d.settle()
+	return d.tree
+}
+
 // Burstiness answers the POINT QUERY q(e, t, τ): the estimated acceleration
 // of e's incoming rate at time t over burst span tau > 0.
 func (d *Detector) Burstiness(e uint64, t, tau int64) (float64, error) {

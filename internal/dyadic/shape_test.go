@@ -39,22 +39,19 @@ func (t *Tree) burstyEventsBinary(ts int64, theta float64, tau int64) []uint64 {
 }
 
 // topBurstyBinary is the best-first search of the same vintage, on
-// container/heap.
+// container/heap, held to the ranking contract: descending score, ties by
+// ascending id, a node read as its score at its lowest leaf id.
 func (t *Tree) topBurstyBinary(ts int64, k int, tau int64) []EventScore {
 	pq := &binaryHeap{}
 	heap.Push(pq, binaryNode{lv: t.lgK, bound: math.Abs(t.levels[t.lgK].Burstiness(0, ts, tau))})
 	var results []EventScore
-	worst := math.Inf(-1)
 	for pq.Len() > 0 {
 		n := heap.Pop(pq).(binaryNode)
-		if len(results) >= k && n.bound <= worst {
+		if len(results) >= k && ranksBefore(results[k-1], n.score()) {
 			break
 		}
 		if n.lv == 0 {
 			results = insertScore(results, EventScore{Event: n.agg, Burstiness: n.exact}, k)
-			if len(results) >= k {
-				worst = results[len(results)-1].Burstiness
-			}
 			continue
 		}
 		for j := uint64(0); j < 2; j++ {
@@ -76,10 +73,14 @@ type binaryNode struct {
 	exact float64
 }
 
+func (n binaryNode) score() EventScore {
+	return EventScore{Event: n.agg << n.lv, Burstiness: n.bound}
+}
+
 type binaryHeap []binaryNode
 
 func (h binaryHeap) Len() int           { return len(h) }
-func (h binaryHeap) Less(i, j int) bool { return h[i].bound > h[j].bound }
+func (h binaryHeap) Less(i, j int) bool { return ranksBefore(h[i].score(), h[j].score()) }
 func (h binaryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *binaryHeap) Push(x any)        { *h = append(*h, x.(binaryNode)) }
 func (h *binaryHeap) Pop() any {

@@ -1,6 +1,7 @@
 package dyadic
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -101,6 +102,41 @@ func TestTopBurstyValidation(t *testing.T) {
 	for _, s := range got {
 		if s.Burstiness != 0 {
 			t.Fatalf("empty tree produced score %v", s)
+		}
+	}
+}
+
+// TestTopBurstyTiesRankByID: equal scores rank by ascending id, at the k-th
+// place too, so which of several tied events make the cut never depends on
+// the order the search reached them — over exact levels at every height and
+// over the production index shape.
+func TestTopBurstyTiesRankByID(t *testing.T) {
+	f, steer := indexGammas(2)
+	for name, levels := range map[string]LevelFactory{"exact": exactFactory, "CM-PBE": CMPBELevels(4, 64, 11, f, steer)} {
+		tr, err := New(64, levels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// At t = 100 over τ = 10: event 50 at 8, five others tied at 5, the
+		// rest at 0.
+		for _, e := range []uint64{40, 9, 33, 2, 17} {
+			for j := 0; j < 5; j++ {
+				tr.Append(e, 95)
+			}
+		}
+		for j := 0; j < 8; j++ {
+			tr.Append(50, 95)
+		}
+		tr.Finish()
+		want := []EventScore{{50, 8}, {2, 5}, {9, 5}, {17, 5}, {33, 5}, {40, 5}, {0, 0}, {1, 0}}
+		for k := 1; k <= len(want); k++ {
+			got, err := tr.TopBursty(100, k, 10, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want[:k]) {
+				t.Errorf("%s: TopBursty(k=%d) = %v, want %v", name, k, got, want[:k])
+			}
 		}
 	}
 }

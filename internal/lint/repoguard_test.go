@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -217,6 +218,52 @@ func TestLevelsHoldConcreteCells(t *testing.T) {
 			t.Errorf("%s names pbe.PBE; a level holds pbe2.Builder cells", rel)
 		}
 	})
+}
+
+// TestOneEventSearch: the store answers BURSTY-EVENT and TOP with one
+// Algorithm-3 walk over its summed segments, so no non-test segstore code
+// asks a segment's *histburst.Detector for a search of its own, and query.go
+// starts no goroutine: the per-segment fan-out at θ/m and its rescoring pass
+// stay gone.
+func TestOneEventSearch(t *testing.T) {
+	root := moduleRootForTest(t)
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := l.LoadDir(filepath.Join(root, "internal", "segstore"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(p.TypeErrors) > 0 {
+		t.Fatalf("internal/segstore does not type-check: %v", p.TypeErrors[0])
+	}
+	searches := map[string]bool{"BurstyEvents": true, "BurstyEventsParallel": true, "TopBursty": true}
+	for _, f := range p.Syntax {
+		inQuery := filepath.Base(p.Fset.Position(f.Pos()).Filename) == "query.go"
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				if inQuery {
+					t.Errorf("%s: query.go starts a goroutine; a query walks the summed index on its caller's", p.Fset.Position(n.Pos()))
+				}
+			case *ast.SelectorExpr:
+				if sel := p.Info.Selections[n]; sel != nil && searches[n.Sel.Name] && isDetector(sel.Recv()) {
+					t.Errorf("%s: segstore calls Detector.%s; the store searches its summed index", p.Fset.Position(n.Pos()), n.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// isDetector reports whether t is histburst.Detector or a pointer to one.
+func isDetector(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "histburst" && named.Obj().Name() == "Detector"
 }
 
 // eachProductFile calls fn with every non-test Go file of the module outside

@@ -285,6 +285,49 @@ func BenchmarkSegstoreCrossSegmentTimes(b *testing.B) {
 	}
 }
 
+// crossTau is the burst span of the cross-segment search benchmarks: under a
+// 1024-instant id cycle, so each id lands in one half of (t−2τ, t] or the
+// other or neither, and runs of ids that arrived together steer the walk
+// down. The window spans two or three of benchStore's 1024-instant segments.
+// crossTheta clears the sketch's 4γ error per segment in the window, so the
+// EVENTS query, like most asked of a store without bursts, finds nothing.
+const (
+	crossTau   = 700
+	crossTheta = 24
+)
+
+// BenchmarkSegstoreCrossSegmentEvents measures the BURSTY EVENT query over
+// the same 16-segment store.
+func BenchmarkSegstoreCrossSegmentEvents(b *testing.B) {
+	s := benchStore(b, 16, 1024)
+	defer s.Close() //histburst:allow errdrop -- benchmark teardown
+	sn := s.Snapshot()
+	span := sn.MaxTime() - 2*crossTau
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sn.BurstyEvents(2*crossTau+int64(i)*997%span, crossTheta, crossTau); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSegstoreCrossSegmentTop measures the top-10 query over the same
+// store and instants.
+func BenchmarkSegstoreCrossSegmentTop(b *testing.B) {
+	s := benchStore(b, 16, 1024)
+	defer s.Close() //histburst:allow errdrop -- benchmark teardown
+	sn := s.Snapshot()
+	span := sn.MaxTime() - 2*crossTau
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sn.TopBursty(2*crossTau+int64(i)*997%span, 10, crossTau); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSegstoreCrossSegmentBreakpoints isolates the merge half of it.
 func BenchmarkSegstoreCrossSegmentBreakpoints(b *testing.B) {
 	s := benchStore(b, 16, 1024)

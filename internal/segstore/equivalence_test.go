@@ -210,10 +210,14 @@ func TestBurstyEventsCrossSegment(t *testing.T) {
 	}
 }
 
+// TestTopBurstyCrossSegment: on a frozen many-segment layout the store's
+// ranking is the one a detector merged from its segments gives — scored
+// across seals, not per segment — and the hard burst leads it.
 func TestTopBurstyCrossSegment(t *testing.T) {
-	elems := genStream(500, 32, 1200, 47)
-	cfg := testConfig(64)
-	_, s := buildPair(t, elems, cfg, false)
+	elems := denseStream(1200, 32, 47)
+	cfg := testConfig(8000)
+	cfg.CompactFanout = -1
+	s := frozenStore(t, elems, cfg)
 	defer mustClose(t, s)
 	idx := indexStream(elems)
 
@@ -221,14 +225,11 @@ func TestTopBurstyCrossSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(top) == 0 {
-		t.Fatal("no top events at the burst instant")
+	m := newMergedLayout(t, s)
+	if m.inGap(610) || m.inGap(600) || m.inGap(590) {
+		t.Fatal("fixture: an instant of the query falls in an inter-segment gap")
 	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Burstiness > top[i-1].Burstiness {
-			t.Fatalf("TopBursty not descending: %+v", top)
-		}
-	}
+	m.check(t, 610, 10, nil, []int{len(top)})
 	// Event 2 bursts hard at t≈600 (60 copies in a 10-wide window); it must
 	// lead the ranking.
 	if top[0].Event != 2 {

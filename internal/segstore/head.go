@@ -554,16 +554,17 @@ func (h *memHead) countAtOrBefore(e uint64, t int64) float64 {
 	return float64(h.byEvent[e].countAtOrBefore(h.arenas, t))
 }
 
-// burstiness returns the head's exact contribution to b_e(t): cumulative
-// frequencies of time-disjoint slices add, so equation (2) distributes over
-// the slices term by term.
+// burstiness returns the head's exact contribution to b_e(t) for a positive
+// tau: cumulative frequencies of time-disjoint slices add, so equation (2)
+// distributes over the slices term by term.
 //
 //histburst:noalloc
 func (h *memHead) burstiness(e uint64, t, tau int64) float64 {
+	t0, t1 := burstWindow(t, tau)
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ts, a := h.byEvent[e], h.arenas
-	return float64(ts.countAtOrBefore(a, t) - 2*ts.countAtOrBefore(a, t-tau) + ts.countAtOrBefore(a, t-2*tau))
+	return float64(ts.countAtOrBefore(a, t) - 2*ts.countAtOrBefore(a, t1) + ts.countAtOrBefore(a, t0))
 }
 
 // arrivals returns a copy of e's timestamps in the head.
@@ -574,10 +575,13 @@ func (h *memHead) arrivals(e uint64) stream.TimestampSeq {
 }
 
 // eventsInWindow returns the ids with at least one arrival in [lo, hi] —
-// the head's candidate set for the bursty-event search.
+// those whose exact burstiness the head adds to the bursty-event searches.
 func (h *memHead) eventsInWindow(lo, hi int64) []uint64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
+	if !h.started || h.minT > hi || h.maxT < lo {
+		return nil
+	}
 	var out []uint64
 	for e, ts := range h.byEvent {
 		if ts.countIn(h.arenas, lo, hi) > 0 {
@@ -585,13 +589,6 @@ func (h *memHead) eventsInWindow(lo, hi int64) []uint64 {
 		}
 	}
 	return out
-}
-
-// activeIn reports whether the head holds any arrival in [lo, hi].
-func (h *memHead) activeIn(lo, hi int64) bool {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.started && h.minT <= hi && h.maxT >= lo
 }
 
 // bytes is what the head stores for its elements, the only copy of them:

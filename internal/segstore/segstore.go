@@ -32,6 +32,7 @@ import (
 
 	"histburst"
 	"histburst/internal/atomicfile"
+	"histburst/internal/dyadic"
 	"histburst/internal/stream"
 )
 
@@ -178,7 +179,8 @@ type storeView struct {
 type Store struct {
 	dir    string // "" = volatile (no files, no manifest)
 	params histburst.SketchParams
-	kfold  uint64 // event ids are folded modulo this (detector K())
+	kfold  uint64       // event ids are folded modulo this (detector K())
+	shape  dyadic.Shape // every segment's event index's: (K, D, W) fix it, decay keeps it
 	seals  sealLimits
 	fanout int64       // < 2 disables compaction
 	tiers  []DecayTier // resolved decay ladder; empty disables decay
@@ -320,6 +322,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	params = template.Params() // resolved D/W for defaulted layouts
 	s.params = params
 	s.kfold = template.K()
+	s.shape = template.EventIndex().Shape
 	if len(cfg.DecayTiers) > 0 {
 		if s.fanout < 2 {
 			return nil, fmt.Errorf("segstore: decay tiers require compaction (CompactFanout ≥ 2)")

@@ -3,11 +3,11 @@ package wire
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"histburst"
 	"histburst/internal/segstore"
+	"histburst/internal/stream"
 )
 
 // burstDetector builds a K = 64 detector over [1.7·10⁹, 1.7·10⁹+3000) with
@@ -182,15 +182,64 @@ func TestDetectorAndStoreAnswerAlike(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no BURSTY-EVENT query found the planted bursts")
 	}
-	// Top-k orders equal scores by each source's own search, so ties are
-	// put in id order before comparing.
+	// Both rank equal scores by ascending id, so ties need no reordering.
 	for tm := det.MinTime(); tm <= det.MaxTime(); tm += 211 {
 		agree(fmt.Sprintf("top t=%d", tm), func(q Querier) (any, *segstore.ErrorEnvelope, error) {
-			h, env, err := AnswerTop(q, tm, 5, 40)
-			sort.SliceStable(h, func(i, j int) bool {
-				return h[i].Burstiness > h[j].Burstiness || h[i].Burstiness == h[j].Burstiness && h[i].Event < h[j].Event
-			})
-			return h, env, err
+			return AnswerTop(q, tm, 5, 40)
 		})
+	}
+}
+
+// TestTopRanksTiesByID: AnswerTop ranks by descending burstiness and then
+// ascending id, at the k-th place too, whichever source answers — a
+// detector, or a store whose two segments split the tied events and the
+// leading burst between them.
+func TestTopRanksTiesByID(t *testing.T) {
+	det, err := histburst.New(64, histburst.WithPBE2(2), histburst.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := det.Params()
+	st, err := segstore.Open("", segstore.Config{K: p.K, Gamma: p.Gamma, Seed: p.Seed, D: p.D, W: p.W, SealEvents: -1, CompactFanout: -1, ScrubInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() //nolint:errcheck
+	// Over (90, 100], event 9 gets 30 arrivals on each side of the seal and
+	// six others 50 each, three per side, so the 50s tie across every k.
+	for _, half := range []struct {
+		from int64
+		ids  []uint64
+	}{{91, []uint64{40, 12, 33}}, {96, []uint64{5, 21, 60}}} {
+		var part stream.Stream
+		for tm := half.from; tm < half.from+5; tm++ {
+			for j := 0; j < 6; j++ {
+				part = append(part, stream.Element{Event: 9, Time: tm})
+			}
+			for _, e := range half.ids {
+				for j := 0; j < 10; j++ {
+					part = append(part, stream.Element{Event: e, Time: tm})
+				}
+			}
+		}
+		for _, el := range part {
+			det.Append(el.Event, el.Time)
+		}
+		if _, rej, err := st.AppendBatch(part); err != nil || rej > 0 {
+			t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+		}
+		if err := st.Checkpoint(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	det.Finish()
+	want := []EventHit{{Event: 9, Burstiness: 60}, {Event: 5, Burstiness: 50}, {Event: 12, Burstiness: 50}, {Event: 21, Burstiness: 50}}
+	for name, q := range map[string]Querier{"detector": det, "store": st.Snapshot()} {
+		for k := 1; k <= len(want); k++ {
+			got, _, err := AnswerTop(q, 100, int64(k), 10)
+			if err != nil || !reflect.DeepEqual(got, want[:k]) {
+				t.Errorf("%s: AnswerTop(k=%d) = %v (%v), want %v", name, k, got, err, want[:k])
+			}
+		}
 	}
 }

@@ -2,9 +2,23 @@ package histburst
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 )
+
+// atEachProcs runs fn as one sub-test per GOMAXPROCS of 1, 2 and 4: the
+// chunked construction fans out over GOMAXPROCS, and its byte identity and
+// its readers' settle must hold at every fan-out, under the race detector
+// too.
+func atEachProcs(t *testing.T, fn func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(t)
+		})
+	}
+}
 
 func toElements(data []struct {
 	Event uint64
@@ -31,29 +45,31 @@ func streamToElements(t *testing.T, seed int64, k int, horizon int64) []Element 
 // comment: whatever the fan-out cap, the detector it returns saves to the
 // same bytes as one fed element by element.
 func TestBuildParallelMatchesSequentialExactly(t *testing.T) {
-	elems := streamToElements(t, 51, 64, 4000)
-	for _, opts := range [][]Option{
-		{WithPBE2(2), WithSketchDims(4, 64), WithSeed(9)},
-		{WithPBE2(2), WithSketchDims(2, 4), WithSeed(9)}, // Count-Min levels under collision-free ones
-	} {
-		seq, err := New(64, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, el := range elems {
-			appendPerElement(seq, el.Event, el.Time)
-		}
-		want := saveBytes(t, seq)
-		for _, workers := range []int{1, 2, 4, 64} {
-			par, err := BuildParallel(64, elems, workers, opts...)
+	atEachProcs(t, func(t *testing.T) {
+		elems := streamToElements(t, 51, 64, 4000)
+		for _, opts := range [][]Option{
+			{WithPBE2(2), WithSketchDims(4, 64), WithSeed(9)},
+			{WithPBE2(2), WithSketchDims(2, 4), WithSeed(9)}, // Count-Min levels under collision-free ones
+		} {
+			seq, err := New(64, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(saveBytes(t, par), want) {
-				t.Fatalf("workers=%d: parallel build differs from sequential ingestion", workers)
+			for _, el := range elems {
+				appendPerElement(seq, el.Event, el.Time)
+			}
+			want := saveBytes(t, seq)
+			for _, workers := range []int{1, 2, 4, 64} {
+				par, err := BuildParallel(64, elems, workers, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(saveBytes(t, par), want) {
+					t.Fatalf("workers=%d: parallel build differs from sequential ingestion", workers)
+				}
 			}
 		}
-	}
+	})
 }
 
 func TestBuildParallelValidation(t *testing.T) {
@@ -71,14 +87,16 @@ func TestBuildParallelValidation(t *testing.T) {
 }
 
 func TestBuildParallelSingleWorker(t *testing.T) {
-	elems := streamToElements(t, 53, 16, 500)
-	a, err := BuildParallel(16, elems, 1, WithPBE2(2), WithSketchDims(3, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.N() != int64(len(elems)) {
-		t.Fatalf("N = %d, want %d", a.N(), len(elems))
-	}
+	atEachProcs(t, func(t *testing.T) {
+		elems := streamToElements(t, 53, 16, 500)
+		a, err := BuildParallel(16, elems, 1, WithPBE2(2), WithSketchDims(3, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.N() != int64(len(elems)) {
+			t.Fatalf("N = %d, want %d", a.N(), len(elems))
+		}
+	})
 }
 
 func TestMergeAppendConfigMismatch(t *testing.T) {
