@@ -220,6 +220,25 @@ func BenchmarkBurstyEventQuery(b *testing.B) {
 			}
 		}
 	})
+	benchOlympicRioGrid(b, func(det *histburst.Detector, t int64, theta float64, tau int64) error {
+		_, err := det.BurstyEvents(t, theta, tau)
+		return err
+	})
+}
+
+// BenchmarkTopBurstyQuery times the best-first TOP search over the same
+// olympicrio detectors and instant grid as BenchmarkBurstyEventQuery, k = 10.
+func BenchmarkTopBurstyQuery(b *testing.B) {
+	benchOlympicRioGrid(b, func(det *histburst.Detector, t int64, _ float64, tau int64) error {
+		_, err := det.TopBursty(t, 10, tau)
+		return err
+	})
+}
+
+// benchOlympicRioGrid runs query over the benchmark's 256-instant grid (θ =
+// n/5000, τ = one day) on a 600 k-element olympicrio detector at K = 1024
+// and K = 65536, one sub-benchmark each.
+func benchOlympicRioGrid(b *testing.B, query func(det *histburst.Detector, t int64, theta float64, tau int64) error) {
 	spec := workload.OlympicRioSpec(2016, 600_000)
 	spec.Seed = 1
 	data, err := workload.Generate(spec)
@@ -241,7 +260,7 @@ func BenchmarkBurstyEventQuery(b *testing.B) {
 			span := det.MaxTime() - 2*tau
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := det.BurstyEvents(2*tau+span*int64(i%grid)/grid, theta, tau); err != nil {
+				if err := query(det, 2*tau+span*int64(i%grid)/grid, theta, tau); err != nil {
 					b.Fatal(err)
 				}
 			}
