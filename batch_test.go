@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +28,19 @@ func appendPerElement(d *Detector, e uint64, t int64) {
 		d.tree.Append(el.Event, el.Time)
 	}
 	d.pending = d.pending[:0]
+}
+
+// atEachProcs runs fn as one sub-test per GOMAXPROCS of 1, 2 and 4: the
+// chunked construction fans out over GOMAXPROCS, and its byte identity and
+// its readers' settle must hold at every fan-out, under the race detector
+// too.
+func atEachProcs(t *testing.T, fn func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(t)
+		})
+	}
 }
 
 func saveBytes(t testing.TB, d *Detector) []byte {

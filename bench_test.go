@@ -207,8 +207,7 @@ func BenchmarkBurstyTimeQuery(b *testing.B) {
 // for its history; the olympicrio rows sweep the benchmark's 256-instant grid
 // (θ = n/5000, τ = one day) over its 600 k-element stream: K = 1024 is
 // lib_paper's shape, three collision-free levels; at K = 65536 the search
-// descends through six Count-Min levels and BurstyEvents fans out over
-// GOMAXPROCS.
+// descends through six Count-Min levels.
 func BenchmarkBurstyEventQuery(b *testing.B) {
 	b.Run("uniform", func(b *testing.B) {
 		det, _ := benchDetector(b, 1024, 100_000, histburst.WithPBE2(8))

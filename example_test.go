@@ -69,23 +69,3 @@ func ExampleSingle() {
 	// steady stream burstiness ≈ 0
 	// restored 500 arrivals
 }
-
-// ExampleBuildParallel summarizes a bulk load on several goroutines; the
-// result is the detector sequential ingestion builds.
-func ExampleBuildParallel() {
-	var elems []histburst.Element
-	for t := int64(0); t < 3000; t++ {
-		elems = append(elems, histburst.Element{Event: uint64(t % 4), Time: t})
-	}
-	det, err := histburst.BuildParallel(4, elems, 4, histburst.WithPBE2(1))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("ingested %d elements across 4 events\n", det.N())
-	f := det.CumulativeFrequency(1, 2999)
-	fmt.Printf("F_1(2999) ≈ %.0f\n", f)
-
-	// Output:
-	// ingested 3000 elements across 4 events
-	// F_1(2999) ≈ 750
-}

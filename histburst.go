@@ -211,7 +211,7 @@ const pendingCap = 4096
 // OutOfOrder. Event ids at or above K are folded into the space by modulo.
 func (d *Detector) Append(e uint64, t int64) {
 	if d.stage(e, t) {
-		d.flush(runtime.GOMAXPROCS(0))
+		d.flush()
 	}
 }
 
@@ -239,9 +239,9 @@ func (d *Detector) stage(e uint64, t int64) (full bool) {
 }
 
 // flush feeds the pending chunk to every level of the index on at most
-// workers goroutines.
-func (d *Detector) flush(workers int) {
-	d.tree.AppendBatch(d.pending, workers)
+// GOMAXPROCS goroutines.
+func (d *Detector) flush() {
+	d.tree.AppendBatch(d.pending, runtime.GOMAXPROCS(0))
 	d.pending = d.pending[:0]
 }
 
@@ -251,7 +251,7 @@ func (d *Detector) flush(workers int) {
 // queries of one race-free.
 func (d *Detector) settle() {
 	if len(d.pending) != 0 {
-		d.flush(runtime.GOMAXPROCS(0))
+		d.flush()
 	}
 }
 
@@ -339,26 +339,15 @@ func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange,
 	return out, nil
 }
 
-// parallelSearchMinK is the id-space size from which BurstyEvents fans the
-// dyadic search across cores: smaller trees finish in microseconds and would
-// only pay goroutine overhead.
-const parallelSearchMinK = 1 << 12
-
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
 // whose estimated burstiness at time t reaches theta (> 0), found by the
-// pruned dyadic search — typically O(log K) point queries rather than K. On
-// large id spaces the search runs across runtime.GOMAXPROCS(0) goroutines
-// when more than one core is available; with GOMAXPROCS=1 the fan-out only
-// adds scheduling overhead (a measured ~4% regression), so the search stays
-// sequential. The result is identical either way.
+// pruned dyadic search — typically O(log K) point queries rather than K —
+// on the caller's goroutine.
 func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
 	if tau <= 0 {
 		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
 	}
 	d.settle()
-	if procs := runtime.GOMAXPROCS(0); procs >= 2 && d.K() >= parallelSearchMinK {
-		return d.tree.BurstyEventsParallel(t, theta, tau, procs, nil)
-	}
 	return d.tree.BurstyEvents(t, theta, tau, nil)
 }
 

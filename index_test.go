@@ -11,6 +11,7 @@ import (
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
+	"histburst/internal/stream"
 	"histburst/internal/workload"
 )
 
@@ -182,7 +183,7 @@ func TestLoadRejectsWrongLevelShape(t *testing.T) {
 
 // benchmarkStream is the benchmark's base stream at seed 1: olympicrio's
 // scenario, 600 k arrivals over a month.
-func benchmarkStream(t testing.TB) []Element {
+func benchmarkStream(t testing.TB) stream.Stream {
 	t.Helper()
 	spec := workload.OlympicRioSpec(2016, 600_000)
 	spec.Seed = 1
@@ -190,11 +191,7 @@ func benchmarkStream(t testing.TB) []Element {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elems := make([]Element, len(data))
-	for i, el := range data {
-		elems[i] = Element{Event: el.Event, Time: el.Time}
-	}
-	return elems
+	return data
 }
 
 // TestSparseSupersetOfBinary: on the benchmark's stream and query grid the
@@ -206,10 +203,14 @@ func benchmarkStream(t testing.TB) []Element {
 // decisions on the way down is where the recall comes from.
 func TestSparseSupersetOfBinary(t *testing.T) {
 	elems := benchmarkStream(t)
-	det, err := BuildParallel(1024, elems, 2, WithPBE2(8))
+	det, err := New(1024, WithPBE2(8))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, el := range elems {
+		det.Append(el.Event, el.Time)
+	}
+	det.Finish()
 	every, err := dyadic.New(1024, dyadic.CMPBELevelsEvery(1, 5, 272, 1, 8, dyadic.SteerGammaFactor*8))
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package dyadic
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -15,8 +14,7 @@ var (
 )
 
 // benchTree builds (once) a K = 2^16 sketch tree with bursts planted across
-// the id space, sized so the pruned search still expands enough branches to
-// give the worker pool real work.
+// the id space, sized so the pruned search expands several deep branches.
 func benchTree(b *testing.B) *Tree {
 	b.Helper()
 	benchTreeOnce.Do(func() {
@@ -51,24 +49,12 @@ func benchTree(b *testing.B) *Tree {
 	return benchTreeVal
 }
 
-func BenchmarkBurstyEventsSequential(b *testing.B) {
+func BenchmarkBurstyEvents(b *testing.B) {
 	tr := benchTree(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tr.BurstyEvents(1049, 100, 50, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBurstyEventsParallel(b *testing.B) {
-	tr := benchTree(b)
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.BurstyEventsParallel(1049, 100, 50, workers, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

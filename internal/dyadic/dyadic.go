@@ -415,14 +415,16 @@ func IndexOf[S Scorer](sh Shape, levels []S) Index {
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
 // whose estimated burstiness at time ts is at least theta. theta must be
-// positive (the pruning bound works on squares). The result is ascending.
+// positive (the pruning bound works on squares); NaN is refused too, since no
+// bound compares below it and nothing would be pruned. The result is
+// ascending.
 //
 // Stats, if non-nil, receives the number of point queries issued — the
 // quantity Figure 12's discussion bounds by O(log K) in the typical case.
 //
 //histburst:fastpath burstyEventsBinary
 func (x Index) BurstyEvents(ts int64, theta float64, tau int64, stats *QueryStats) ([]uint64, error) {
-	if theta <= 0 {
+	if !(theta > 0) {
 		return nil, fmt.Errorf("dyadic: theta must be positive, got %v", theta)
 	}
 	if stats == nil {

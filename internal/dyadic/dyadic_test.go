@@ -1,7 +1,9 @@
 package dyadic
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -194,13 +196,19 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	}
 }
 
+// TestThetaValidation: a threshold that is not positive is refused before
+// the walk starts. NaN is among them: no bound compares below it, so it
+// would prune nothing and score every node of the tree.
 func TestThetaValidation(t *testing.T) {
 	tr, _ := New(8, exactFactory)
-	if _, err := tr.BurstyEvents(10, 0, 5, nil); err == nil {
-		t.Error("theta=0 accepted")
-	}
-	if _, err := tr.BurstyEvents(10, -3, 5, nil); err == nil {
-		t.Error("negative theta accepted")
+	for _, theta := range []float64{0, -3, math.NaN()} {
+		var stats QueryStats
+		if _, err := tr.BurstyEvents(10, theta, 5, &stats); err == nil {
+			t.Errorf("theta=%v accepted", theta)
+		}
+		if stats != (QueryStats{}) {
+			t.Errorf("theta=%v: refused query did work: %+v", theta, stats)
+		}
 	}
 }
 
@@ -252,6 +260,49 @@ func TestSketchTreeFindsPlantedBursts(t *testing.T) {
 	}
 	if len(got) > len(want)+5 {
 		t.Fatalf("too many false positives: got %v, want %v", got, want)
+	}
+}
+
+// TestLargeTreeSketchLevels runs the search over a sketch tree at K = 2^16,
+// where the lower levels are Count-Min sketches under heavy collision:
+// every planted burst is found, each spread across the id space so the walk
+// descends several deep branches, and the walk scores a small fraction of
+// the K leaves.
+func TestLargeTreeSketchLevels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("large tree build")
+	}
+	const k = 1 << 16
+	f, steer := indexGammas(4)
+	tr, err := New(k, CMPBELevels(3, 128, 17, f, steer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(19))
+	burstIDs := []uint64{5, 1 << 10, 1<<15 + 7, k - 2}
+	for tm := int64(0); tm < 2000; tm++ {
+		tr.Append(uint64(r.Intn(k)), tm)
+		if tm >= 1000 && tm < 1100 {
+			for _, e := range burstIDs {
+				for j := 0; j < 6; j++ {
+					tr.Append(e, tm)
+				}
+			}
+		}
+	}
+	tr.Finish()
+	var stats QueryStats
+	got, err := tr.BurstyEvents(1049, 150, 50, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range burstIDs {
+		if !slices.Contains(got, e) {
+			t.Fatalf("missed planted burst %d; got %v", e, got)
+		}
+	}
+	if stats.PointQueries > k/16 {
+		t.Fatalf("the walk issued %d point queries over %d ids", stats.PointQueries, k)
 	}
 }
 

@@ -152,13 +152,6 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEvents %v, Algorithm 3 %v", c.name, ts, tau, theta, got, want)
 			}
-			par, err := tr.BurstyEventsParallel(ts, theta, tau, 2+r.Intn(7), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(par, want) {
-				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEventsParallel %v, Algorithm 3 %v", c.name, ts, tau, theta, par, want)
-			}
 			if c.k == 1 {
 				continue // the binary search scored a root that is also a leaf as 0
 			}

@@ -238,7 +238,7 @@ func TestOneEventSearch(t *testing.T) {
 	if len(p.TypeErrors) > 0 {
 		t.Fatalf("internal/segstore does not type-check: %v", p.TypeErrors[0])
 	}
-	searches := map[string]bool{"BurstyEvents": true, "BurstyEventsParallel": true, "TopBursty": true}
+	searches := map[string]bool{"BurstyEvents": true, "TopBursty": true}
 	for _, f := range p.Syntax {
 		inQuery := filepath.Base(p.Fset.Position(f.Pos()).Filename) == "query.go"
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -255,6 +255,34 @@ func TestOneEventSearch(t *testing.T) {
 			return true
 		})
 	}
+}
+
+// TestQueriesStayOnTheCallersGoroutine: a facade call runs on its caller's
+// goroutine, which already sits in a server's worker pool, so no non-test
+// code of the root package or internal/dyadic starts a goroutine — except
+// Tree.AppendBatch, whose level fan-out is ingest, not a query.
+func TestQueriesStayOnTheCallersGoroutine(t *testing.T) {
+	eachProductFile(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		if dir != "." && dir != "internal/dyadic" {
+			return
+		}
+		for _, d := range f.Decls {
+			where := "a package-level declaration"
+			if fn, ok := d.(*ast.FuncDecl); ok {
+				if dir == "internal/dyadic" && fn.Recv != nil && fn.Name.Name == "AppendBatch" { // Tree's, the one method of that name there
+					continue
+				}
+				where = fn.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if _, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: %s starts a goroutine; only Tree.AppendBatch may", rel, where)
+				}
+				return true
+			})
+		}
+	})
 }
 
 // isDetector reports whether t is histburst.Detector or a pointer to one.

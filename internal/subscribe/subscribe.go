@@ -117,11 +117,7 @@ type window struct {
 }
 
 func newWindow(tau int64) window {
-	w := (tau + tauBuckets - 1) / tauBuckets
-	if w < 1 {
-		w = 1
-	}
-	return window{width: w}
+	return window{width: (tau-1)/tauBuckets + 1} // ⌈τ/tauBuckets⌉ for τ > 0, without overflow
 }
 
 func (w *window) bucket(t int64) int64 {
@@ -282,7 +278,7 @@ func (h *Hub) Register(sub Subscription) (Subscription, error) {
 	if len(sub.Events) > MaxEventsPerSub {
 		return Subscription{}, fmt.Errorf("subscribe: %d events exceeds the %d-event limit", len(sub.Events), MaxEventsPerSub)
 	}
-	if sub.Theta <= 0 {
+	if !(sub.Theta > 0) { // NaN too: it would fire once on any traffic and never again
 		return Subscription{}, fmt.Errorf("subscribe: threshold must be positive, got %v", sub.Theta)
 	}
 	if sub.Tau <= 0 {

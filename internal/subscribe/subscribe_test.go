@@ -1,6 +1,7 @@
 package subscribe
 
 import (
+	"math"
 	"testing"
 
 	"histburst/internal/segstore"
@@ -212,6 +213,7 @@ func TestRegisterValidation(t *testing.T) {
 	bad := []Subscription{
 		{Theta: 1, Tau: 1},                                 // no events
 		{Events: []uint64{1}, Theta: 0, Tau: 1},            // θ ≤ 0
+		{Events: []uint64{1}, Theta: math.NaN(), Tau: 1},   // θ NaN
 		{Events: []uint64{1}, Theta: 1, Tau: 0},            // τ ≤ 0
 		{Events: []uint64{1}, Theta: 1, Tau: 1, Dedup: -1}, // dedup < 0
 	}
@@ -336,5 +338,23 @@ func TestWindowBucketQuantization(t *testing.T) {
 	w.advance(1000 + 321)
 	if b := w.burst(); b != 0 {
 		t.Fatalf("after 2τ slide b = %v, want 0", b)
+	}
+}
+
+// TestHugeTauKeepsItsSpan: a τ near the int64 limit still spans the whole
+// stream, so two batches 900 apart sum to one burst of 20. The bucket width
+// ⌈τ/16⌉ must not wrap, which would shrink τ to 16 time units.
+func TestHugeTauKeepsItsSpan(t *testing.T) {
+	for _, tau := range []int64{1 << 40, math.MaxInt64 - 15, math.MaxInt64} {
+		h := NewHub(Config{})
+		if _, err := h.Register(Subscription{Events: []uint64{3}, Theta: 20, Tau: tau}); err != nil {
+			t.Fatal(err)
+		}
+		q := h.AttachAll(ChannelSSE, 16)
+		h.Evaluate(burst(3, 100, 10))
+		h.Evaluate(burst(3, 1000, 10))
+		if alerts := drain(q); len(alerts) != 1 {
+			t.Errorf("τ=%d: %d alerts, want 1", tau, len(alerts))
+		}
 	}
 }

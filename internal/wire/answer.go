@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"histburst"
 	"histburst/internal/segstore"
@@ -78,9 +79,13 @@ func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 	return out, nil
 }
 
-// AnswerTimes answers the BURSTY TIME query q(e, θ, τ). The ranges span the
+// AnswerTimes answers the BURSTY TIME query q(e, θ, τ). Any θ but NaN is
+// accepted: θ ≤ 0 is a legitimate threshold for a scan. The ranges span the
 // whole history, so the envelope is the one at its frontier.
 func AnswerTimes(q Querier, e uint64, theta float64, tau int64) ([]histburst.TimeRange, *segstore.ErrorEnvelope, error) {
+	if math.IsNaN(theta) {
+		return nil, nil, errors.New("threshold must be a number, got NaN")
+	}
 	if err := checkTau(tau); err != nil {
 		return nil, nil, err
 	}
@@ -98,7 +103,7 @@ func AnswerTimes(q Querier, e uint64, theta float64, tau int64) ([]histburst.Tim
 // AnswerEvents answers the BURSTY EVENT query q(t, θ, τ): the ids found by
 // the pruned search, ascending, each scored with its point query.
 func AnswerEvents(q Querier, t int64, theta float64, tau int64) ([]EventHit, *segstore.ErrorEnvelope, error) {
-	if theta <= 0 {
+	if !(theta > 0) {
 		return nil, nil, fmt.Errorf("threshold must be positive, got %v", theta)
 	}
 	if err := checkTau(tau); err != nil {

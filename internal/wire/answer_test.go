@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -63,6 +64,10 @@ func TestAnswerValidation(t *testing.T) {
 			"threshold must be positive, got 0"},
 		{"events negative θ", func() error { _, _, err := AnswerEvents(det, 5, -1.5, 60); return err },
 			"threshold must be positive, got -1.5"},
+		{"events NaN θ", func() error { _, _, err := AnswerEvents(det, 5, math.NaN(), 60); return err },
+			"threshold must be positive, got NaN"},
+		{"times NaN θ", func() error { _, _, err := AnswerTimes(det, 1, math.NaN(), 60); return err },
+			"threshold must be a number, got NaN"},
 		{"events τ", func() error { _, _, err := AnswerEvents(det, 5, 10, -2); return err },
 			"burst span must be positive, got -2"},
 		{"top k", func() error { _, _, err := AnswerTop(det, 5, 0, 60); return err },

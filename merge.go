@@ -6,13 +6,6 @@ import (
 	"histburst/internal/dyadic"
 )
 
-// Element is one stream entry for bulk ingestion: an event id and its
-// timestamp.
-type Element struct {
-	Event uint64
-	Time  int64
-}
-
 // MergeAppend absorbs a detector built over a strictly later time range of
 // the same logical stream — the paper's "parallel processing on mutually
 // exclusive time ranges". Both detectors must have been created with
@@ -122,33 +115,4 @@ func settledParts(parts []*Detector) error {
 		}
 	}
 	return nil
-}
-
-// BuildParallel constructs a Detector over a time-sorted bulk load, feeding
-// the index's levels on up to workers goroutines (capped at the kept level
-// count, 3 at K = 1024; Append itself uses up to GOMAXPROCS). The result is
-// identical to sequential ingestion, byte for byte.
-func BuildParallel(k uint64, elems []Element, workers int, opts ...Option) (*Detector, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("histburst: workers must be at least 1, got %d", workers)
-	}
-	for i := 1; i < len(elems); i++ {
-		if elems[i].Time < elems[i-1].Time {
-			return nil, fmt.Errorf("histburst: elements out of order at index %d", i)
-		}
-	}
-	det, err := New(k, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for _, el := range elems {
-		if det.stage(el.Event, el.Time) {
-			det.flush(workers)
-		}
-	}
-	if len(det.pending) != 0 {
-		det.flush(workers)
-	}
-	det.Finish()
-	return det, nil
 }

@@ -3,6 +3,8 @@ package histburst
 import (
 	"math/rand"
 	"testing"
+
+	"histburst/internal/stream"
 )
 
 // mergeParts builds the same three time-disjoint partition detectors on each
@@ -11,11 +13,11 @@ import (
 func mergeParts(t *testing.T, opts ...Option) []*Detector {
 	t.Helper()
 	r := rand.New(rand.NewSource(23))
-	var elems []Element
+	var elems stream.Stream
 	cur := int64(0)
 	for i := 0; i < 6000; i++ {
 		cur += int64(r.Intn(3))
-		elems = append(elems, Element{Event: uint64(r.Intn(128)), Time: cur})
+		elems = append(elems, stream.Element{Event: uint64(r.Intn(128)), Time: cur})
 	}
 	c1, c2 := len(elems)/3, 2*len(elems)/3
 	for c1 < len(elems) && elems[c1].Time == elems[c1-1].Time {
@@ -25,7 +27,7 @@ func mergeParts(t *testing.T, opts ...Option) []*Detector {
 		c2++
 	}
 	parts := make([]*Detector, 0, 3)
-	for _, p := range [][]Element{elems[:c1], elems[c1:c2], elems[c2:]} {
+	for _, p := range []stream.Stream{elems[:c1], elems[c1:c2], elems[c2:]} {
 		det, err := New(128, opts...)
 		if err != nil {
 			t.Fatal(err)
