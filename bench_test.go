@@ -192,14 +192,26 @@ func BenchmarkPointQuery(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkBurstyTimeQuery times the point query swept over the shifted
+// breakpoints. uniform is a toy, 64 ids over one collision-free level; the
+// olympicrio rows ask the benchmark's 256 most popular ids (θ = n/5000, τ =
+// one day) of its 600 k-element stream: at K = 1024 the leaves are
+// collision-free, at K = 65536 every answer is a median of five Count-Min
+// rows.
 func BenchmarkBurstyTimeQuery(b *testing.B) {
-	det, _ := benchDetector(b, 64, 100_000, histburst.WithPBE2(8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := det.BurstyTimes(uint64(i%64), 50, 1000); err != nil {
-			b.Fatal(err)
+	b.Run("uniform", func(b *testing.B) {
+		det, _ := benchDetector(b, 64, 100_000, histburst.WithPBE2(8))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := det.BurstyTimes(uint64(i%64), 50, 1000); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	benchOlympicRioGrid(b, func(det *histburst.Detector, e uint64, _ int64, theta float64, tau int64) error {
+		_, err := det.BurstyTimes(e, theta, tau)
+		return err
+	})
 }
 
 // BenchmarkBurstyEventQuery times the pruned index search. uniform is a toy —
@@ -219,7 +231,7 @@ func BenchmarkBurstyEventQuery(b *testing.B) {
 			}
 		}
 	})
-	benchOlympicRioGrid(b, func(det *histburst.Detector, t int64, theta float64, tau int64) error {
+	benchOlympicRioGrid(b, func(det *histburst.Detector, _ uint64, t int64, theta float64, tau int64) error {
 		_, err := det.BurstyEvents(t, theta, tau)
 		return err
 	})
@@ -228,16 +240,18 @@ func BenchmarkBurstyEventQuery(b *testing.B) {
 // BenchmarkTopBurstyQuery times the best-first TOP search over the same
 // olympicrio detectors and instant grid as BenchmarkBurstyEventQuery, k = 10.
 func BenchmarkTopBurstyQuery(b *testing.B) {
-	benchOlympicRioGrid(b, func(det *histburst.Detector, t int64, _ float64, tau int64) error {
+	benchOlympicRioGrid(b, func(det *histburst.Detector, _ uint64, t int64, _ float64, tau int64) error {
 		_, err := det.TopBursty(t, 10, tau)
 		return err
 	})
 }
 
-// benchOlympicRioGrid runs query over the benchmark's 256-instant grid (θ =
+// benchOlympicRioGrid runs query over the benchmark's 256-point grid (θ =
 // n/5000, τ = one day) on a 600 k-element olympicrio detector at K = 1024
-// and K = 65536, one sub-benchmark each.
-func benchOlympicRioGrid(b *testing.B, query func(det *histburst.Detector, t int64, theta float64, tau int64) error) {
+// and K = 65536, one sub-benchmark each. Point i of the grid is the i-th of
+// 256 evenly spaced instants and the i-th most popular id (the scenario
+// numbers its ids by popularity).
+func benchOlympicRioGrid(b *testing.B, query func(det *histburst.Detector, e uint64, t int64, theta float64, tau int64) error) {
 	spec := workload.OlympicRioSpec(2016, 600_000)
 	spec.Seed = 1
 	data, err := workload.Generate(spec)
@@ -259,7 +273,8 @@ func benchOlympicRioGrid(b *testing.B, query func(det *histburst.Detector, t int
 			span := det.MaxTime() - 2*tau
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := query(det, 2*tau+span*int64(i%grid)/grid, theta, tau); err != nil {
+				j := i % grid
+				if err := query(det, uint64(j), 2*tau+span*int64(j)/grid, theta, tau); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -89,6 +89,6 @@ func BenchmarkViewBreakpoints(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.View(uint64(i % 4096)).Breakpoints()
+		s.breakpoints(uint64(i % 4096))
 	}
 }

@@ -321,12 +321,13 @@ func (s *Sketch) EstimateFMin(e uint64, t int64) float64 {
 //histburst:noalloc
 //histburst:fastpath burstinessNaive
 func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
+	t0, t1 := pbe.BurstWindow(t, tau)
 	if s.d == 1 {
 		c := s.cell(0, e)
 		if tau <= 0 {
-			return c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
+			return c.Estimate(t) - 2*c.Estimate(t1) + c.Estimate(t0)
 		}
-		f0, f1, f2 := c.Estimate3(t-2*tau, t-tau, t)
+		f0, f1, f2 := c.Estimate3(t0, t1, t)
 		return f2 - 2*f1 + f0
 	}
 	var buf [maxStackD]float64
@@ -345,11 +346,10 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 	}
 	if tau <= 0 { // the instants do not ascend, which Estimate3 needs
 		for i, c := range cs {
-			vals[i] = c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
+			vals[i] = c.Estimate(t) - 2*c.Estimate(t1) + c.Estimate(t0)
 		}
 		return Median(vals)
 	}
-	t0, t1 := t-2*tau, t-tau
 	for i, c := range cs {
 		f0, f1, f2 := c.Estimate3(t0, t1, t)
 		vals[i] = f2 - 2*f1 + f0
@@ -357,27 +357,28 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 	return Median(vals)
 }
 
-// View returns a read-only per-event estimator whose Estimate is the
-// median-of-rows F̃_e and whose Breakpoints are the union of the event's d
-// cell breakpoints. It satisfies pbe.Estimator, so pbe.BurstyTimes answers
-// the BURSTY TIME QUERY over the sketch. The event's d cells are resolved
-// once here — not re-hashed per evaluation — and the view also provides
-// pbe.CursorProvider, so scans amortize every cell's segment lookup. A
-// one-row sketch's view is the event's cell itself.
-func (s *Sketch) View(e uint64) pbe.Estimator {
-	if s.d == 1 {
-		return s.cell(0, e)
-	}
-	return &view{cells: s.EventCells(e)}
+// BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over the sketch: the
+// point query swept over the union of the event's d cells' breakpoints
+// shifted by {0, τ, 2τ}, so every candidate instant gets exactly the answer
+// Burstiness gives there. Between candidate instants the median of the d
+// per-row estimates may switch rows, so unlike the single-stream case the
+// crossing refinement is heuristic there.
+func (s *Sketch) BurstyTimes(e uint64, theta float64, tau int64) []pbe.TimeRange {
+	burst := func(t int64) float64 { return s.Burstiness(e, t, tau) }
+	return pbe.BurstyTimes(s.breakpoints(e), burst, theta, tau, s.maxT)
 }
 
-// BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over the sketch.
-// Between breakpoints the median of the d per-row estimates may switch rows,
-// so unlike the single-stream case the crossing refinement is heuristic
-// there; candidate instants themselves are still evaluated exactly against
-// the sketch.
-func (s *Sketch) BurstyTimes(e uint64, theta float64, tau int64) []pbe.TimeRange {
-	return pbe.BurstyTimes(s.View(e), theta, tau, s.maxT)
+// breakpoints returns the sorted union of event e's d cells' breakpoints.
+func (s *Sketch) breakpoints(e uint64) []int64 {
+	if s.d == 1 {
+		return s.cell(0, e).Breakpoints() // sorted and distinct already
+	}
+	lists := make([][]int64, s.d)
+	for i := range lists {
+		lists[i] = s.cell(i, e).Breakpoints()
+	}
+	var bufs [2][]int64
+	return pbe.MergeSorted(lists, &bufs)
 }
 
 // Bytes returns the total footprint of all cells, memoized until the next
@@ -400,78 +401,6 @@ func cellBytes(cells []pbe2.Builder) int {
 		total += cells[i].Bytes()
 	}
 	return total
-}
-
-type view struct {
-	cells []*pbe2.Builder // the event's cell per row, resolved once
-}
-
-var _ pbe.CursorProvider = (*view)(nil)
-
-func (v *view) Estimate(t int64) float64 {
-	var buf [maxStackD]float64
-	vals := scratch(&buf, len(v.cells))
-	for i, c := range v.cells {
-		vals[i] = c.Estimate(t)
-	}
-	return Median(vals)
-}
-
-// Breakpoints merges the d cells' already-sorted breakpoint slices by a
-// d-way merge with on-the-fly deduplication — no map, no sort.
-func (v *view) Breakpoints() []int64 {
-	lists := make([][]int64, len(v.cells))
-	total := 0
-	for i, c := range v.cells {
-		lists[i] = c.Breakpoints()
-		total += len(lists[i])
-	}
-	out := make([]int64, 0, total)
-	for {
-		var best int64
-		found := false
-		for _, l := range lists {
-			if len(l) == 0 {
-				continue
-			}
-			if v := l[0]; !found || v < best {
-				best, found = v, true
-			}
-		}
-		if !found {
-			return out
-		}
-		out = append(out, best)
-		for i := range lists {
-			for len(lists[i]) > 0 && lists[i][0] == best {
-				lists[i] = lists[i][1:]
-			}
-		}
-	}
-}
-
-// NewCursor returns a scan cursor holding one cursor per cell: each
-// evaluation takes the median of the d cell cursors, so an ascending sweep
-// costs amortized O(d) instead of O(d log S) per step.
-func (v *view) NewCursor() pbe.Cursor {
-	c := &viewCursor{cursors: make([]pbe.Cursor, len(v.cells)), vals: make([]float64, len(v.cells))}
-	for i, cell := range v.cells {
-		c.cursors[i] = cell.NewCursor()
-	}
-	return c
-}
-
-type viewCursor struct {
-	cursors []pbe.Cursor
-	vals    []float64
-}
-
-//histburst:noalloc
-func (c *viewCursor) Estimate(t int64) float64 {
-	for i, cur := range c.cursors {
-		c.vals[i] = cur.Estimate(t)
-	}
-	return Median(c.vals)
 }
 
 // Median returns the median of vals (average of the two middle values for

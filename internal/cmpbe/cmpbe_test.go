@@ -230,14 +230,13 @@ func TestViewBreakpoints(t *testing.T) {
 		s.Append(uint64(i%3), i*2)
 	}
 	s.Finish()
-	v := s.View(1)
-	bps := v.Breakpoints()
+	bps := s.breakpoints(1)
 	if len(bps) == 0 {
-		t.Fatal("view has no breakpoints")
+		t.Fatal("event has no breakpoints")
 	}
 	for i := 1; i < len(bps); i++ {
 		if bps[i] <= bps[i-1] {
-			t.Fatal("view breakpoints not sorted/unique")
+			t.Fatal("event breakpoints not sorted/unique")
 		}
 	}
 }

@@ -123,11 +123,10 @@ func TestMedian5MatchesSort(t *testing.T) {
 func TestViewBreakpointsMatchesReference(t *testing.T) {
 	s := fastpathSketch(t, 4, true)
 	for e := uint64(0); e < 64; e++ {
-		v := s.View(e).(*view)
-		got := v.Breakpoints()
+		got := s.breakpoints(e)
 		// Reference: union via map, then sort.
 		set := map[int64]bool{}
-		for _, c := range v.cells {
+		for _, c := range s.EventCells(e) {
 			for _, bp := range c.Breakpoints() {
 				set[bp] = true
 			}

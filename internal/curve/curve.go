@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -94,13 +95,15 @@ func (c Staircase) Total() int64 {
 // Burstiness returns the exact burstiness b(t) = F(t) − 2F(t−τ) + F(t−2τ)
 // for burst span τ > 0.
 func (c Staircase) Burstiness(t, tau int64) int64 {
-	return c.Value(t) - 2*c.Value(t-tau) + c.Value(t-2*tau)
+	t0, t1 := pbe.BurstWindow(t, tau)
+	return c.Value(t) - 2*c.Value(t1) + c.Value(t0)
 }
 
 // BurstFrequency returns bf(t) = f(t−τ, t) = F(t) − F(t−τ): the incoming
 // rate of the event over the span ending at t.
 func (c Staircase) BurstFrequency(t, tau int64) int64 {
-	return c.Value(t) - c.Value(t-tau)
+	_, t1 := pbe.BurstWindow(t, tau)
+	return c.Value(t) - c.Value(t1)
 }
 
 // AreaBetween returns ∫_{t1}^{t2} F(t) dt over the discrete time domain,

@@ -7,6 +7,7 @@ import (
 
 	"histburst/internal/cmpbe"
 	"histburst/internal/metrics"
+	"histburst/internal/pbe"
 	"histburst/internal/pbe1"
 	"histburst/internal/workload"
 )
@@ -99,7 +100,8 @@ func ablationMedian(cfg Config) (Table, error) {
 			// The min-F alternative evaluates equation (2) on spliced
 			// min-of-rows frequency estimates, the way a plain Count-Min
 			// user would.
-			minB := sk.EstimateFMin(e, qt) - 2*sk.EstimateFMin(e, qt-tau) + sk.EstimateFMin(e, qt-2*tau)
+			q0, q1 := pbe.BurstWindow(qt, tau)
+			minB := sk.EstimateFMin(e, qt) - 2*sk.EstimateFMin(e, q1) + sk.EstimateFMin(e, q0)
 			bMin += math.Abs(minB - wantB)
 			wantF := float64(oracle.CumFreq(e, qt))
 			fMed += math.Abs(sk.EstimateF(e, qt) - wantF)

@@ -45,7 +45,8 @@ func ablationKleinberg(cfg Config) (Table, error) {
 		}
 	}
 	theta := maxB / 5
-	ranges := pbe.BurstyTimes(b, theta, tau, horizon)
+	burst := func(t int64) float64 { return pbe.Burstiness(b, t, tau) }
+	ranges := pbe.BurstyTimes(b.Breakpoints(), burst, theta, tau, horizon)
 	aivs := make([]kleinberg.Interval, len(ranges))
 	for i, r := range ranges {
 		aivs[i] = kleinberg.Interval{Start: r.Start, End: r.End - 1}

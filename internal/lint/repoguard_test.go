@@ -285,6 +285,54 @@ func TestQueriesStayOnTheCallersGoroutine(t *testing.T) {
 	})
 }
 
+// TestOneBurstinessCurve: every query reads one b̃, the point query's, and
+// BURSTY TIME sweeps it over the shifted breakpoints, so no non-test code of
+// the packages that build, serve or store the detector declares a named type
+// implementing pbe.Estimator — the F̃-curve views it once fed BURSTY TIME
+// (cmpbe's per-event view, segstore's crossView) stay gone. The summaries,
+// pbe1.Builder and pbe2.Builder, remain the implementations.
+func TestOneBurstinessCurve(t *testing.T) {
+	root := moduleRootForTest(t)
+	l, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(dir string) *types.Package {
+		p, err := l.LoadDir(filepath.Join(root, filepath.FromSlash(dir)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.TypeErrors) > 0 {
+			t.Fatalf("%s does not type-check: %v", dir, p.TypeErrors[0])
+		}
+		return p.TypesPkg
+	}
+	estimator := load("internal/pbe").Scope().Lookup("Estimator").Type().Underlying().(*types.Interface)
+	implementers := func(pkg *types.Package) []string {
+		var out []string
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || types.IsInterface(tn.Type()) {
+				continue
+			}
+			if types.Implements(tn.Type(), estimator) || types.Implements(types.NewPointer(tn.Type()), estimator) {
+				out = append(out, name)
+			}
+		}
+		return out
+	}
+	for _, dir := range []string{"internal/pbe1", "internal/pbe2"} {
+		if got := implementers(load(dir)); !slices.Equal(got, []string{"Builder"}) {
+			t.Errorf("%s: pbe.Estimator implementations %v, want [Builder]", dir, got)
+		}
+	}
+	for _, dir := range []string{".", "internal/cmpbe", "internal/dyadic", "internal/segstore", "internal/wire"} {
+		for _, name := range implementers(load(dir)) {
+			t.Errorf("%s declares %s, which implements pbe.Estimator; BURSTY TIME sweeps the point query", dir, name)
+		}
+	}
+}
+
 // isDetector reports whether t is histburst.Detector or a pointer to one.
 func isDetector(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {

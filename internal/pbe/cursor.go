@@ -1,40 +1,5 @@
 package pbe
 
-// Cursor is a stateful reader over an estimator's curve. It returns exactly
-// the same values as Estimator.Estimate for every t, but remembers where the
-// previous evaluation landed, so an ascending sweep costs amortized O(1) per
-// step instead of one O(log S) binary search per step. Arbitrary (including
-// backward) seeks remain correct — they fall back to a fresh search.
-//
-// A cursor is only valid while the underlying summary is unmodified: create
-// it, run the scan, drop it. Cursors are not safe for concurrent use, but
-// independent cursors over the same summary are.
-type Cursor interface {
-	// Estimate returns F̃(t), identical to the estimator's Estimate(t).
-	Estimate(t int64) float64
-}
-
-// CursorProvider is implemented by estimators that offer an amortized-O(1)
-// ascending-scan cursor. Both PBE builders and the CM-PBE per-event view
-// implement it.
-type CursorProvider interface {
-	NewCursor() Cursor
-}
-
-// CursorFor returns a scan cursor for p: the estimator's own cursor when it
-// provides one, otherwise a stateless pass-through (correct, just without
-// the amortization).
-func CursorFor(p Estimator) Cursor {
-	if cp, ok := p.(CursorProvider); ok {
-		return cp.NewCursor()
-	}
-	return plainCursor{p: p}
-}
-
-type plainCursor struct{ p Estimator }
-
-func (c plainCursor) Estimate(t int64) float64 { return c.p.Estimate(t) }
-
 // Estimator3 is implemented by estimators that can evaluate three ascending
 // instants t0 ≤ t1 ≤ t2 in one call, sharing and narrowing the segment
 // search across them. Burstiness uses it to answer the point query's three
@@ -43,50 +8,4 @@ type Estimator3 interface {
 	// Estimate3 returns (F̃(t0), F̃(t1), F̃(t2)) for t0 ≤ t1 ≤ t2. Results
 	// are identical to three Estimate calls.
 	Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64)
-}
-
-// AdvanceIndex returns the largest index i in [0, n) with timeAt(i) <= t, or
-// -1 when no such index exists, starting from the hint of a previous answer
-// (pass -1 with no hint). Ascending probes advance a few steps linearly (the
-// common case during a scan); larger jumps and backward seeks binary-search
-// the remaining range. Cursor implementations in the estimator packages are
-// built on it.
-func AdvanceIndex(hint, n int, t int64, timeAt func(int) int64) int {
-	if n == 0 {
-		return -1
-	}
-	i := hint
-	if i >= n {
-		i = n - 1
-	}
-	if i < 0 || timeAt(i) <= t {
-		// At or behind the target: walk forward a little, then give up and
-		// binary-search the rest.
-		steps := 0
-		for i+1 < n && timeAt(i+1) <= t {
-			i++
-			steps++
-			if steps == 8 {
-				return i + searchLast(i+1, n, t, timeAt)
-			}
-		}
-		return i
-	}
-	// Backward seek: restart the search in [0, i).
-	return searchLast(0, i, t, timeAt) - 1
-}
-
-// searchLast returns the count of indices j in [lo, hi) with timeAt(j) <= t,
-// i.e. lo+count-1 is the last such index (count 0 means none).
-func searchLast(lo, hi int, t int64, timeAt func(int) int64) int {
-	l, h := lo, hi
-	for l < h {
-		mid := int(uint(l+h) >> 1)
-		if timeAt(mid) <= t {
-			l = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	return l - lo
 }

@@ -12,12 +12,17 @@
 // evaluated on the approximation (equation 2).
 package pbe
 
-import "slices"
+import (
+	"math"
+	"slices"
+	"sort"
+)
 
 // Estimator is the read side of a burstiness summary: anything that can
 // evaluate an approximate cumulative-frequency curve and enumerate the
-// instants where its shape changes. Both single-stream PBEs and per-event
-// views of a CM-PBE satisfy it.
+// instants where its shape changes. The single-stream PBEs, PBE-1 and
+// PBE-2, satisfy it; a sketch or a store answers through its point query
+// instead, so no median-of-rows F̃ curve is ever built.
 type Estimator interface {
 	// Estimate returns F̃(t), the approximate cumulative frequency at t.
 	Estimate(t int64) float64
@@ -61,16 +66,55 @@ type PBE interface {
 // Estimators implementing Estimator3 answer the three evaluations in one
 // narrowed pass; the result is identical either way.
 func Burstiness(p Estimator, t, tau int64) float64 {
+	t0, t1 := BurstWindow(t, tau)
 	if e3, ok := p.(Estimator3); ok && tau > 0 {
-		f0, f1, f2 := e3.Estimate3(t-2*tau, t-tau, t)
+		f0, f1, f2 := e3.Estimate3(t0, t1, t)
 		return f2 - 2*f1 + f0
 	}
-	return p.Estimate(t) - 2*p.Estimate(t-tau) + p.Estimate(t-2*tau)
+	return p.Estimate(t) - 2*p.Estimate(t1) + p.Estimate(t0)
 }
 
 // BurstFrequency evaluates the approximate incoming rate bf̃(t) = F̃(t) − F̃(t−τ).
 func BurstFrequency(p Estimator, t, tau int64) float64 {
-	return p.Estimate(t) - p.Estimate(t-tau)
+	_, t1 := BurstWindow(t, tau)
+	return p.Estimate(t) - p.Estimate(t1)
+}
+
+// BurstWindow returns t−2τ and t−τ, the earlier instants of equation (2),
+// saturating at the int64 bounds: τ comes off the wire, and a wrapped t−2τ
+// would land past t. For a positive τ the three instants ascend, as
+// Estimate3 needs.
+//
+//histburst:noalloc
+func BurstWindow(t, tau int64) (t0, t1 int64) {
+	t1 = subSat(t, tau)
+	return subSat(t1, tau), t1
+}
+
+// subSat returns a−b, saturated at math.MinInt64 or math.MaxInt64.
+//
+//histburst:noalloc
+func subSat(a, b int64) int64 {
+	d := a - b
+	if (d < a) != (b > 0) { // wrapped
+		if b > 0 {
+			return math.MinInt64
+		}
+		return math.MaxInt64
+	}
+	return d
+}
+
+// addSat returns a+b, saturated at math.MinInt64 or math.MaxInt64.
+func addSat(a, b int64) int64 {
+	d := a + b
+	if (d > a) != (b > 0) { // wrapped
+		if b > 0 {
+			return math.MaxInt64
+		}
+		return math.MinInt64
+	}
+	return d
 }
 
 // TimeRange is a half-open interval [Start, End).
@@ -81,31 +125,23 @@ type TimeRange struct {
 // Contains reports whether t lies in the range.
 func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
 
-// BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over a PBE summary
-// (Section V): it evaluates b̃ only at the union of the summary's
-// breakpoints shifted by {0, τ, 2τ} — the instants where b̃ can change —
-// and returns the maximal intervals where b̃(t) ≥ θ. horizon is the last
-// time instant considered (inclusive).
+// BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over a summary
+// (Section V): burst is the summary's point query at span τ, bps the sorted
+// instants where its F̃ changes shape. BurstyTimes evaluates burst only at
+// bps shifted by {0, τ, 2τ} — the instants where b̃ can change — and
+// returns the maximal intervals within [0, horizon] (horizon inclusive)
+// where b̃(t) ≥ θ. Every answer is the point query's answer at the instant.
 //
-// For PBE-1 the estimate is piecewise constant, so the result is exact with
-// respect to the summary. For PBE-2 the estimate is piecewise linear, so b̃
-// is piecewise linear too; BurstyTimes additionally solves for threshold
-// crossings inside each piece, making the result exact with respect to the
-// summary there as well.
-func BurstyTimes(p Estimator, theta float64, tau, horizon int64) []TimeRange {
-	bps := ShiftedBreakpoints(p, tau, horizon)
-	if len(bps) == 0 {
-		return nil
-	}
-	// Three cursors, one per shifted term of equation (2): the scan sweeps t
-	// upward, so each cursor sees an (almost) ascending probe sequence and
-	// amortizes its segment lookup to O(1) per step. The crossing refinement
-	// probes backward inside one piece; cursors stay correct there, just not
-	// amortized.
-	c0, c1, c2 := CursorFor(p), CursorFor(p), CursorFor(p)
-	burst := func(t int64) float64 {
-		return c0.Estimate(t) - 2*c1.Estimate(t-tau) + c2.Estimate(t-2*tau)
-	}
+// For a PBE-1 summary the estimate is piecewise constant, so the result is
+// exact with respect to the summary. For a PBE-2 summary it is piecewise
+// linear, so b̃ is piecewise linear too; BurstyTimes additionally solves for
+// threshold crossings inside each piece, making the result exact with
+// respect to the summary there as well. Over a sketch, whose b̃ is a median
+// of rows, the median may switch rows between candidate instants, so the
+// crossing refinement is heuristic there; the candidate instants themselves
+// are still evaluated exactly.
+func BurstyTimes(bps []int64, burst func(t int64) float64, theta float64, tau, horizon int64) []TimeRange {
+	cands := ShiftedBreakpoints(bps, tau, horizon)
 	var out []TimeRange
 	emit := func(start, end int64) {
 		if start >= end {
@@ -117,10 +153,10 @@ func BurstyTimes(p Estimator, theta float64, tau, horizon int64) []TimeRange {
 		}
 		out = append(out, TimeRange{Start: start, End: end})
 	}
-	for i, t0 := range bps {
+	for i, t0 := range cands {
 		t1 := horizon + 1
-		if i+1 < len(bps) {
-			t1 = bps[i+1]
+		if i+1 < len(cands) {
+			t1 = cands[i+1]
 		}
 		b0 := burst(t0)
 		if t1 == t0+1 {
@@ -163,58 +199,124 @@ func BurstyTimes(p Estimator, theta float64, tau, horizon int64) []TimeRange {
 }
 
 // ShiftedBreakpoints returns the sorted distinct instants in [0, horizon]
-// where b̃ can change: each summary breakpoint shifted by 0, τ and 2τ,
-// plus 0. Breakpoints() is already sorted, so the three shifted copies are
-// three sorted streams; a 3-way merge with on-the-fly deduplication builds
-// the result without the map+sort round-trip the naive union needs.
-func ShiftedBreakpoints(p Estimator, tau, horizon int64) []int64 {
-	base := p.Breakpoints()
-	// The Estimator contract promises sorted breakpoints; guard against a
-	// non-conforming implementation rather than silently merging garbage.
-	for i := 1; i < len(base); i++ {
-		if base[i] < base[i-1] {
-			sorted := append([]int64(nil), base...)
-			slices.Sort(sorted)
-			base = sorted
-			break
-		}
+// where b̃ can change: each of the breakpoints base shifted by 0, τ and 2τ,
+// plus 0. base is sorted (an unsorted one is sorted first), so the three
+// shifted copies are three sorted streams; a 3-way merge with on-the-fly
+// deduplication builds the result without the map+sort round-trip the naive
+// union needs.
+func ShiftedBreakpoints(base []int64, tau, horizon int64) []int64 {
+	if !slices.IsSorted(base) {
+		base = slices.Clone(base)
+		slices.Sort(base)
 	}
-	shifts := [3]int64{0, tau, 2 * tau}
-	var idx [3]int
-	out := make([]int64, 0, 3*len(base)+1)
-	out = append(out, 0)
-	for {
-		var best int64
-		found := false
-		for s := range shifts {
-			// Values below 0 are skipped; once a value exceeds the horizon
-			// the rest of that (sorted) stream does too.
-			for idx[s] < len(base) && base[idx[s]]+shifts[s] < 0 {
-				idx[s]++
+	// within returns the breakpoints whose shift by k·τ lands in
+	// [0, horizon], found on the saturated shift (monotone in b). Inside
+	// that range b + k·τ is exact even where k·τ itself wraps.
+	within := func(k int) []int64 {
+		shift := func(i int) int64 {
+			v := base[i]
+			for range k {
+				v = addSat(v, tau)
 			}
-			if idx[s] >= len(base) {
-				continue
-			}
-			v := base[idx[s]] + shifts[s]
-			if v > horizon {
-				idx[s] = len(base)
-				continue
-			}
-			if !found || v < best {
-				best, found = v, true
-			}
+			return v
 		}
-		if !found {
-			break
+		lo := sort.Search(len(base), func(i int) bool { return shift(i) >= 0 })
+		hi := sort.Search(len(base), func(i int) bool { return shift(i) > horizon })
+		return base[lo:max(lo, hi)]
+	}
+	s0, s1, s2 := within(0), within(1), within(2)
+	o1, o2 := tau, 2*tau
+	out := make([]int64, 1, len(s0)+len(s1)+len(s2)+1) // out[0] = 0
+	for len(s0)+len(s1)+len(s2) > 0 {
+		// v is the least head; math.MaxInt64 stands in for an empty stream
+		// and, when a head holds it, is that head.
+		v := int64(math.MaxInt64)
+		if len(s0) > 0 {
+			v = s0[0]
 		}
-		if best != out[len(out)-1] {
-			out = append(out, best)
+		if len(s1) > 0 && s1[0]+o1 < v {
+			v = s1[0] + o1
 		}
-		for s := range shifts {
-			for idx[s] < len(base) && base[idx[s]]+shifts[s] == best {
-				idx[s]++
-			}
+		if len(s2) > 0 && s2[0]+o2 < v {
+			v = s2[0] + o2
+		}
+		for len(s0) > 0 && s0[0] == v {
+			s0 = s0[1:]
+		}
+		for len(s1) > 0 && s1[0]+o1 == v {
+			s1 = s1[1:]
+		}
+		for len(s2) > 0 && s2[0]+o2 == v {
+			s2 = s2[1:]
+		}
+		if v != out[len(out)-1] {
+			out = append(out, v)
 		}
 	}
 	return out
+}
+
+// MergeSorted merges sorted int64 lists into one sorted deduplicated list by
+// rounds of pairwise merges — O(total · log len(lists)) against the
+// scan-every-list-per-output mergeSortedNaive it replaced. Each round reads
+// the previous round's lists and writes the next into the other of the two
+// scratch buffers; lists is reordered in place. The result is freshly
+// allocated (callers keep it), the buffers are not.
+//
+//histburst:fastpath mergeSortedNaive
+func MergeSorted(lists [][]int64, bufs *[2][]int64) []int64 {
+	total, n := 0, 0
+	for _, l := range lists {
+		if len(l) > 0 {
+			lists[n] = l
+			n++
+			total += len(l)
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	lists = lists[:n]
+	for round := 0; len(lists) > 1; round++ {
+		buf := bufs[round&1]
+		if cap(buf) < total {
+			buf = make([]int64, 0, total)
+			bufs[round&1] = buf
+		}
+		buf = buf[:0]
+		n = 0
+		for i := 0; i < len(lists); i += 2 {
+			var b []int64
+			if i+1 < len(lists) {
+				b = lists[i+1]
+			}
+			start := len(buf)
+			buf = mergeTwo(buf, lists[i], b)
+			lists[n] = buf[start:len(buf):len(buf)]
+			n++
+		}
+		lists = lists[:n]
+	}
+	// The copy out of scratch is also the dedupe a lone list still owes.
+	return mergeTwo(make([]int64, 0, len(lists[0])), lists[0], nil)
+}
+
+// mergeTwo appends the sorted deduplicated union of sorted a and b to dst.
+func mergeTwo(dst, a, b []int64) []int64 {
+	first := len(dst)
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		var v int64
+		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
+			v = a[i]
+			i++
+		} else {
+			v = b[j]
+			j++
+		}
+		if len(dst) == first || dst[len(dst)-1] != v {
+			dst = append(dst, v)
+		}
+	}
+	return dst
 }

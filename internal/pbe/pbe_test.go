@@ -1,6 +1,8 @@
 package pbe
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -46,6 +48,12 @@ func (e *stepEstimator) Breakpoints() []int64 {
 	return out
 }
 
+// burstyTimes sweeps e's point query over e's breakpoints, as every summary
+// answers the bursty time query.
+func burstyTimes(e Estimator, theta float64, tau, horizon int64) []TimeRange {
+	return BurstyTimes(e.Breakpoints(), func(q int64) float64 { return Burstiness(e, q, tau) }, theta, tau, horizon)
+}
+
 func TestBurstinessIdentity(t *testing.T) {
 	e := newStepEstimator(0, 0, 10, 5, 20, 30, 30, 35)
 	// b(t) = F(t) − 2F(t−τ) + F(t−2τ); τ=10.
@@ -70,13 +78,13 @@ func TestTimeRangeContains(t *testing.T) {
 
 func TestShiftedBreakpoints(t *testing.T) {
 	e := newStepEstimator(3, 1, 7, 4)
-	got := ShiftedBreakpoints(e, 5, 20)
+	got := ShiftedBreakpoints(e.Breakpoints(), 5, 20)
 	want := []int64{0, 3, 7, 8, 12, 13, 17}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ShiftedBreakpoints = %v, want %v", got, want)
 	}
 	// Horizon clipping.
-	got = ShiftedBreakpoints(e, 5, 9)
+	got = ShiftedBreakpoints(e.Breakpoints(), 5, 9)
 	want = []int64{0, 3, 7, 8}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("clipped = %v, want %v", got, want)
@@ -89,7 +97,7 @@ func TestBurstyTimesMatchesBruteForce(t *testing.T) {
 	horizon := int64(80)
 	for _, tau := range []int64{5, 10, 17} {
 		for _, theta := range []float64{1, 20, 55, 1000} {
-			ranges := BurstyTimes(e, theta, tau, horizon)
+			ranges := burstyTimes(e, theta, tau, horizon)
 			for q := int64(0); q <= horizon; q++ {
 				want := Burstiness(e, q, tau) >= theta
 				got := false
@@ -118,12 +126,12 @@ func TestBurstyTimesMatchesBruteForce(t *testing.T) {
 
 func TestBurstyTimesEmptyEstimator(t *testing.T) {
 	e := &stepEstimator{}
-	ranges := BurstyTimes(e, 1, 5, 100)
+	ranges := burstyTimes(e, 1, 5, 100)
 	if len(ranges) != 0 {
 		t.Fatalf("empty estimator returned %v", ranges)
 	}
 	// θ below zero matches everything (b̃ ≡ 0 ≥ θ).
-	ranges = BurstyTimes(e, -1, 5, 10)
+	ranges = burstyTimes(e, -1, 5, 10)
 	if len(ranges) != 1 || ranges[0].Start != 0 || ranges[0].End != 11 {
 		t.Fatalf("always-true query = %v", ranges)
 	}
@@ -149,7 +157,7 @@ func TestBurstyTimesLinearCrossing(t *testing.T) {
 	// b(t) = F(t) − 2F(t−10) + F(t−20). For t in [0,10): b = t (ramp-in);
 	// t in [10,20): b = t − 2(t−10) = 20 − t; t in [20,100]: 0.
 	e := linEstimator{}
-	ranges := BurstyTimes(e, 5, 10, 150)
+	ranges := burstyTimes(e, 5, 10, 150)
 	// b ≥ 5 ⟺ t in [5, 15].
 	if len(ranges) != 1 {
 		t.Fatalf("ranges = %v", ranges)
@@ -169,8 +177,90 @@ func TestBurstyTimesLinearCrossing(t *testing.T) {
 
 func TestBreakpointHelpersSorted(t *testing.T) {
 	e := newStepEstimator(9, 1, 3, 2) // deliberately unsorted steps input
-	bps := ShiftedBreakpoints(e, 2, 100)
+	bps := ShiftedBreakpoints(e.Breakpoints(), 2, 100)
 	if !sort.SliceIsSorted(bps, func(i, j int) bool { return bps[i] < bps[j] }) {
 		t.Fatal("ShiftedBreakpoints not sorted")
+	}
+}
+
+// TestBurstWindowSaturates pins the earlier instants of equation (2) at the
+// int64 bounds: a wrapped t−2τ would land past t.
+func TestBurstWindowSaturates(t *testing.T) {
+	for _, tc := range []struct{ t, tau, t0, t1 int64 }{
+		{1000, 10, 980, 990},
+		{1000, -10, 1020, 1010},
+		{2000, 1 << 40, 2000 - 1<<41, 2000 - 1<<40},
+		{2000, 3 << 61, math.MinInt64, 2000 - 3<<61},
+		{2000, math.MaxInt64, math.MinInt64, 2001 + math.MinInt64},
+		{math.MinInt64 + 5, 10, math.MinInt64, math.MinInt64},
+		{math.MaxInt64 - 5, -10, math.MaxInt64, math.MaxInt64},
+	} {
+		if t0, t1 := BurstWindow(tc.t, tc.tau); t0 != tc.t0 || t1 != tc.t1 {
+			t.Errorf("BurstWindow(%d, %d) = (%d, %d), want (%d, %d)", tc.t, tc.tau, t0, t1, tc.t0, tc.t1)
+		}
+	}
+	// Shifting by a huge τ adds nothing inside the horizon.
+	bps := []int64{3, 7, 1000}
+	for _, tau := range []int64{1 << 40, 3 << 61, math.MaxInt64} {
+		if got, want := ShiftedBreakpoints(bps, tau, 2000), []int64{0, 3, 7, 1000}; !reflect.DeepEqual(got, want) {
+			t.Errorf("τ=%d: ShiftedBreakpoints = %v, want %v", tau, got, want)
+		}
+	}
+}
+
+// mergeSortedNaive is the retained twin of MergeSorted: every emitted value
+// rescans every list, twice.
+func mergeSortedNaive(lists [][]int64) []int64 {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]int64, 0, total)
+	idx := make([]int, len(lists))
+	for {
+		var best int64
+		found := false
+		for i, l := range lists {
+			if idx[i] >= len(l) {
+				continue
+			}
+			if v := l[idx[i]]; !found || v < best {
+				best, found = v, true
+			}
+		}
+		if !found {
+			return out
+		}
+		if len(out) == 0 || out[len(out)-1] != best {
+			out = append(out, best)
+		}
+		for i, l := range lists {
+			for idx[i] < len(l) && l[idx[i]] == best {
+				idx[i]++
+			}
+		}
+	}
+}
+
+func TestMergeSortedMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var bufs [2][]int64 // reused across cases, as callers' pooled scratch is
+	for trial := 0; trial < 400; trial++ {
+		lists := make([][]int64, rng.Intn(12))
+		for i := range lists {
+			v := rng.Int63n(50) - 25
+			for j := rng.Intn(9); j > 0; j-- {
+				lists[i] = append(lists[i], v)
+				v += rng.Int63n(4) // zero steps: duplicates inside a list
+			}
+		}
+		want := mergeSortedNaive(lists)
+		got := MergeSorted(append([][]int64(nil), lists...), &bufs)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: lists %v merge to %v, want %v", trial, lists, got, want)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func TestBurstyTimesPropertyRandomSteps(t *testing.T) {
 		horizon := tm + int64(r.Intn(30))
 		tau := int64(1 + r.Intn(25))
 		theta := float64(r.Intn(30) - 5)
-		ranges := BurstyTimes(e, theta, tau, horizon)
+		ranges := burstyTimes(e, theta, tau, horizon)
 		for q := int64(0); q <= horizon; q++ {
 			want := Burstiness(e, q, tau) >= theta
 			got := false

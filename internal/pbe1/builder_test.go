@@ -215,7 +215,7 @@ func TestBuilderBurstyTimesLossless(t *testing.T) {
 	horizon := ts[len(ts)-1]
 	tau := int64(10)
 	theta := 3.0
-	ranges := pbe.BurstyTimes(b, theta, tau, horizon)
+	ranges := pbe.BurstyTimes(b.Breakpoints(), func(q int64) float64 { return pbe.Burstiness(b, q, tau) }, theta, tau, horizon)
 	for q := int64(0); q <= horizon; q++ {
 		want := float64(exact.Burstiness(q, tau)) >= theta
 		got := false

@@ -9,25 +9,12 @@ import "histburst/internal/pbe"
 // flush, the first buffered corner may share the summary's final timestamp
 // with a larger F. Taking the LAST index with T ≤ t resolves that seam to
 // the buffered (fresher) corner, exactly as Estimate's buffer-first branch
-// does, so all three entry points below agree with Estimate everywhere.
+// does, so Estimate3 below agrees with Estimate everywhere.
 
-var (
-	_ pbe.CursorProvider = (*Builder)(nil)
-	_ pbe.Estimator3     = (*Builder)(nil)
-)
+var _ pbe.Estimator3 = (*Builder)(nil)
 
 // numPoints returns the total corner count across summary and buffer.
 func (b *Builder) numPoints() int { return len(b.summary) + len(b.buf) }
-
-// pointTime returns the i-th corner's timestamp in the concatenated view.
-//
-//histburst:noalloc
-func (b *Builder) pointTime(i int) int64 {
-	if i < len(b.summary) {
-		return b.summary[i].T
-	}
-	return b.buf[i-len(b.summary)].T
-}
 
 // pointF returns the i-th corner's cumulative frequency.
 //
@@ -52,9 +39,8 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 	return b.pointValue(i0), b.pointValue(i1), b.pointValue(i2)
 }
 
-// searchConcat returns the largest i < hi with pointTime(i) ≤ t, or -1, as a
-// direct binary search — the point-query hot loop cannot afford an indirect
-// callback per probe. The buffer follows the summary in time, so the probe
+// searchConcat returns the largest i < hi whose corner time is ≤ t, or -1,
+// by binary search. The buffer follows the summary in time, so the probe
 // runs over exactly one region: the buffer when t reaches its first corner
 // (which also resolves the seam tie to the buffer, as Estimate does), the
 // summary otherwise.
@@ -103,22 +89,4 @@ func (b *Builder) pointValue(i int) float64 {
 		return 0
 	}
 	return float64(b.pointF(i))
-}
-
-// Cursor is a stateful reader over the summary, amortizing ascending
-// evaluations to O(1) per step. Valid until the next Append/Finish.
-type Cursor struct {
-	b    *Builder
-	hint int
-}
-
-// NewCursor returns a scan cursor positioned before the first corner.
-func (b *Builder) NewCursor() pbe.Cursor { return &Cursor{b: b, hint: -1} }
-
-// Estimate returns F̃(t), identical to Builder.Estimate(t).
-//
-//histburst:noalloc
-func (c *Cursor) Estimate(t int64) float64 {
-	c.hint = pbe.AdvanceIndex(c.hint, c.b.numPoints(), t, c.b.pointTime)
-	return c.b.pointValue(c.hint)
 }

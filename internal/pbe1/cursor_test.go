@@ -61,22 +61,3 @@ func TestEstimate3MatchesEstimate(t *testing.T) {
 		}
 	}
 }
-
-func TestCursorMatchesEstimate(t *testing.T) {
-	for _, finish := range []bool{false, true} {
-		b, horizon := buildRandom1(t, 61, 3000, finish)
-		c := b.NewCursor()
-		r := rand.New(rand.NewSource(62))
-		tm := int64(-50)
-		for tm <= horizon+100 {
-			if got, want := c.Estimate(tm), b.Estimate(tm); got != want {
-				t.Fatalf("finish=%v: cursor at %d = %v, Estimate = %v", finish, tm, got, want)
-			}
-			if r.Intn(8) == 0 {
-				tm -= int64(r.Intn(20))
-			} else {
-				tm += int64(r.Intn(40))
-			}
-		}
-	}
-}

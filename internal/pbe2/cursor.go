@@ -5,22 +5,15 @@ import "histburst/internal/pbe"
 // Fast-path query support. Estimate has two regimes: a "live head" (the
 // exact count at/past the frontier, the open feasible region's centroid
 // line, or a single uncommitted constraint) and the closed-segment list. The
-// head checks are O(1) already; the wins here are memoizing the segment
-// index across a scan (Cursor), narrowing the three point-query searches
-// against each other (Estimate3), and computing the open polygon's centroid
-// at most once per query instead of once per evaluation.
+// head checks are O(1) already; the wins here are narrowing the three
+// point-query searches against each other (Estimate3) and computing the open
+// polygon's centroid at most once per query instead of once per evaluation.
 
-var (
-	_ pbe.CursorProvider = (*Builder)(nil)
-	_ pbe.Estimator3     = (*Builder)(nil)
-)
-
-// segStart returns the i-th closed segment's start time.
-func (b *Builder) segStart(i int) int64 { return b.starts[i] }
+var _ pbe.Estimator3 = (*Builder)(nil)
 
 // centroidCache lazily computes the open region's centroid line once.
 // Queries must not mutate the Builder (they run concurrently under read
-// locks), so the cache lives in the caller's frame or cursor instead.
+// locks), so the cache lives in the caller's frame instead.
 type centroidCache struct {
 	b    *Builder
 	a, y float64 // region.line()
@@ -139,36 +132,24 @@ func segVal(s Segment, t int64) float64 {
 	return v
 }
 
-// searchDown returns the largest i < hi with starts[i] <= t, or -1, for an
-// answer expected near hi (the previous instant's segment): an exponential
-// backoff brackets it in O(log distance) localized probes, then the plain
-// binary search finishes inside the bracket.
+// searchDown returns the largest i < hi with starts[i] <= t, or -1, by
+// halving starts[:hi], one probe a step. Estimate3 calls it only once the
+// adjacency probe has missed, when τ spans several segments.
 //
 //histburst:noalloc
 func searchDown(starts []int64, t int64, hi int) int {
-	lo := 0
-	step := 1
-	for hi > 0 {
-		p := hi - step
-		if p < 0 {
-			p = 0
-		}
-		if starts[p] <= t {
-			lo = p + 1
-			break
-		}
-		hi = p
-		step <<= 1
+	if hi <= 0 || starts[0] > t {
+		return -1
 	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if starts[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
+	base, n := 0, hi
+	for n > 1 {
+		half := n >> 1
+		if starts[base+half] <= t {
+			base += half
 		}
+		n -= half
 	}
-	return lo - 1
+	return base
 }
 
 // estimate3Head is Estimate3 for the uncommon case where the latest instant
@@ -262,45 +243,4 @@ func (b *Builder) searchFull(t int64) int {
 		}
 	}
 	return lo - 1
-}
-
-// searchSegs returns the largest i < hi with starts[i] <= t, or -1, by plain
-// binary search over the packed starts array — the narrowed-range companion
-// of searchFull.
-//
-//histburst:noalloc
-func (b *Builder) searchSegs(t int64, hi int) int {
-	starts := b.starts
-	lo := 0
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if starts[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// Cursor is a stateful reader over the summary, amortizing ascending
-// evaluations to O(1) per step. Valid until the next Append/Finish.
-type Cursor struct {
-	cc   centroidCache
-	hint int
-}
-
-// NewCursor returns a scan cursor positioned before the first segment.
-func (b *Builder) NewCursor() pbe.Cursor {
-	return &Cursor{cc: centroidCache{b: b}, hint: -1}
-}
-
-// Estimate returns F̃(t), identical to Builder.Estimate(t).
-func (c *Cursor) Estimate(t int64) float64 {
-	b := c.cc.b
-	if v, ok := b.liveHead(t, &c.cc); ok {
-		return v
-	}
-	c.hint = pbe.AdvanceIndex(c.hint, len(b.starts), t, b.segStart)
-	return b.segValue(c.hint, t)
 }

@@ -88,28 +88,6 @@ func TestEstimate3MatchesEstimate(t *testing.T) {
 	}
 }
 
-// TestCursorMatchesEstimate drives an ascending (with occasional small
-// backward jitter) scan through a cursor and checks every evaluation against
-// the stateless Estimate.
-func TestCursorMatchesEstimate(t *testing.T) {
-	for _, finish := range []bool{false, true} {
-		b, horizon := buildRandom(t, 31, 3000, finish)
-		c := b.NewCursor()
-		r := rand.New(rand.NewSource(32))
-		tm := int64(-50)
-		for tm <= horizon+100 {
-			if got, want := c.Estimate(tm), b.Estimate(tm); got != want {
-				t.Fatalf("finish=%v: cursor at %d = %v, Estimate = %v", finish, tm, got, want)
-			}
-			if r.Intn(8) == 0 {
-				tm -= int64(r.Intn(20)) // backward probe within the scan
-			} else {
-				tm += int64(r.Intn(40))
-			}
-		}
-	}
-}
-
 // TestSearchFullMatchesLinear pins the interpolated/galloping search against
 // a linear reference over every segment boundary.
 func TestSearchFullMatchesLinear(t *testing.T) {

@@ -250,7 +250,7 @@ func TestBurstyTimesWithinTolerance(t *testing.T) {
 	horizon := ts[len(ts)-1]
 	tau := int64(25)
 	theta := 12.0
-	ranges := pbe.BurstyTimes(b, theta, tau, horizon)
+	ranges := pbe.BurstyTimes(b.Breakpoints(), func(q int64) float64 { return pbe.Burstiness(b, q, tau) }, theta, tau, horizon)
 	for q := int64(0); q <= horizon; q++ {
 		in := false
 		for _, r := range ranges {

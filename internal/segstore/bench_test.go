@@ -36,7 +36,7 @@ func rioHead(tb testing.TB) *memHead {
 	tb.Helper()
 	elems := rioHeadElems()
 	h := newMemHead(0)
-	if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+	if _, acc, _, _ := h.appendBatch(elems, 1024, 0); acc != int64(len(elems)) {
 		tb.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
 	}
 	return h
@@ -69,7 +69,7 @@ func BenchmarkHeadAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h := newMemHead(0)
 		for lo := 0; lo < len(elems); lo += 512 {
-			h.appendBatch(elems[lo:min(lo+512, len(elems))], 1024, sealLimits{})
+			h.appendBatch(elems[lo:min(lo+512, len(elems))], 1024, 0)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(elems)), "ns/elem")
@@ -271,7 +271,7 @@ func BenchmarkSegstoreSingleSegmentPoint(b *testing.B) {
 
 // BenchmarkSegstoreCrossSegmentTimes measures the BURSTY TIME query over the
 // same 16-segment store: the breakpoint merge across every segment's cells,
-// then the cross-segment estimate at each candidate instant.
+// then the point query at each candidate instant.
 func BenchmarkSegstoreCrossSegmentTimes(b *testing.B) {
 	s := benchStore(b, 16, 1024)
 	defer s.Close() //histburst:allow errdrop -- benchmark teardown
@@ -332,11 +332,11 @@ func BenchmarkSegstoreCrossSegmentTop(b *testing.B) {
 func BenchmarkSegstoreCrossSegmentBreakpoints(b *testing.B) {
 	s := benchStore(b, 16, 1024)
 	defer s.Close() //histburst:allow errdrop -- benchmark teardown
-	v := &crossView{sn: s.Snapshot(), e: 3}
+	sn := s.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if len(v.Breakpoints()) == 0 {
+		if len(sn.breakpoints(3)) == 0 {
 			b.Fatal("no breakpoints")
 		}
 	}

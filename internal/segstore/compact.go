@@ -189,10 +189,10 @@ func (s *Store) pickRuns(segs []*Segment) [][]*Segment {
 	}
 	var runs [][]*Segment
 	for lo := 0; lo+n <= len(segs); lo++ {
-		lvl := segs[lo].level(s.seals.events, s.fanout)
+		lvl := segs[lo].level(s.sealEvents, s.fanout)
 		ok := true
 		for i := 1; i < n; i++ {
-			if segs[lo+i].level(s.seals.events, s.fanout) != lvl ||
+			if segs[lo+i].level(s.sealEvents, s.fanout) != lvl ||
 				!sameFidelity(segs[lo+i].meta, segs[lo].meta) {
 				ok = false
 				break

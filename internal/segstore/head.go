@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sync"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -315,23 +316,18 @@ func newMemHead(floor int64) *memHead {
 	return &memHead{floor: floor, byEvent: make(map[uint64]*eventSeq)}
 }
 
-// sealLimits carries the head-size thresholds appendBatch checks against.
-type sealLimits struct {
-	events int64 // freeze once the head holds this many elements (0 = off)
-	span   int64 // freeze once maxT−minT reaches this (0 = off)
-}
-
 // appendBatch ingests a batch of elements under a single lock acquisition,
 // validating ordering once per element against the running frontier
 // (rejects are counted and skipped). It stops early when the head must be
-// frozen first — the head is already frozen, or it is full and the next
-// timestamp advances past maxT (the boundary where sealing keeps segment
-// time ranges strictly increasing); consumed reports how many leading
-// elements were handled (accepted+rejected) so the caller can freeze and
-// retry the remainder on the fresh head.
+// frozen first — the head is already frozen, or it holds sealEvents
+// elements (0 = no limit) and the next timestamp advances past maxT (the
+// boundary where sealing keeps segment time ranges strictly increasing);
+// consumed reports how many leading elements were handled
+// (accepted+rejected) so the caller can freeze and retry the remainder on
+// the fresh head.
 //
 //histburst:fastpath append
-func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits) (consumed int, accepted, rejected int64, needFreeze bool) {
+func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, sealEvents int64) (consumed int, accepted, rejected int64, needFreeze bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i, el := range elems {
@@ -343,8 +339,7 @@ func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, lim sealLimits)
 			rejected++
 			continue
 		}
-		if h.started && t > h.maxT &&
-			((lim.events > 0 && h.n >= lim.events) || (lim.span > 0 && h.maxT-h.minT >= lim.span)) {
+		if h.started && t > h.maxT && sealEvents > 0 && h.n >= sealEvents {
 			return i, accepted, rejected, true
 		}
 		if !h.started {
@@ -560,7 +555,7 @@ func (h *memHead) countAtOrBefore(e uint64, t int64) float64 {
 //
 //histburst:noalloc
 func (h *memHead) burstiness(e uint64, t, tau int64) float64 {
-	t0, t1 := burstWindow(t, tau)
+	t0, t1 := pbe.BurstWindow(t, tau)
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ts, a := h.byEvent[e], h.arenas

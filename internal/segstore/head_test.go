@@ -52,7 +52,7 @@ func TestHeadInOrderIsTimeThenID(t *testing.T) {
 		elems = append(elems, stream.Element{Event: e, Time: math.MaxInt64})
 	}
 	h := newMemHead(0)
-	if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+	if _, acc, _, _ := h.appendBatch(elems, 1024, 0); acc != int64(len(elems)) {
 		t.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
 	}
 	want := slices.Clone(elems)
@@ -231,7 +231,7 @@ func FuzzHeadSeq(f *testing.F) {
 	f.Fuzz(func(t *testing.T, origin uint8, data []byte, align int8) {
 		elems := headSeqElems(headSeqOrigins[int(origin)%len(headSeqOrigins)], data, align)
 		h := newMemHead(math.MinInt64)
-		if _, acc, _, _ := h.appendBatch(elems, 1024, sealLimits{}); acc != int64(len(elems)) {
+		if _, acc, _, _ := h.appendBatch(elems, 1024, 0); acc != int64(len(elems)) {
 			t.Fatalf("appendBatch accepted %d of %d", acc, len(elems))
 		}
 		want := map[uint64][]int64{}
@@ -285,7 +285,7 @@ func TestConcurrentHeadInOrderBesideAppends(t *testing.T) {
 	go func() {
 		defer close(done)
 		for lo := 0; lo < len(elems); lo += 64 {
-			h.appendBatch(elems[lo:min(lo+64, len(elems))], 1024, sealLimits{})
+			h.appendBatch(elems[lo:min(lo+64, len(elems))], 1024, 0)
 		}
 	}()
 	for merges := 0; ; merges++ {
@@ -555,7 +555,7 @@ func TestHeadHeapTracksBytes(t *testing.T) {
 	} {
 		held, v := heapHeld(func() any {
 			h := newMemHead(0)
-			if _, acc, _, _ := h.appendBatch(tc.elems, 1024, sealLimits{}); acc != int64(len(tc.elems)) {
+			if _, acc, _, _ := h.appendBatch(tc.elems, 1024, 0); acc != int64(len(tc.elems)) {
 				t.Fatalf("%s: appendBatch accepted %d of %d", tc.name, acc, len(tc.elems))
 			}
 			return h

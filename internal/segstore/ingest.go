@@ -92,7 +92,7 @@ func admitBatch(elems stream.Stream, frontier int64) (accepted stream.Stream, re
 func (s *Store) apply(accepted stream.Stream) error {
 	for i := 0; i < len(accepted); {
 		v := s.view.Load()
-		consumed, _, rej, needFreeze := v.head.appendBatch(accepted[i:], s.kfold, s.seals)
+		consumed, _, rej, needFreeze := v.head.appendBatch(accepted[i:], s.kfold, s.sealEvents)
 		if rej > 0 {
 			return fmt.Errorf("segstore: %d admitted elements refused by the head (admission mismatch)", rej)
 		}

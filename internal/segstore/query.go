@@ -3,7 +3,6 @@ package segstore
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -64,7 +63,7 @@ const maxRows = 8
 
 // queryScratch is the reusable state behind the zero-alloc point path and
 // the breakpoint merge: the EventCells buffer every segment's cells append
-// into, and the list and merge buffers of crossView.Breakpoints. A Snapshot
+// into, and the list and merge buffers of Snapshot.breakpoints. A Snapshot
 // is shared by concurrent readers (burstd's batch handler fans one snapshot
 // across workers), so the scratch cannot hang off the snapshot itself — it
 // is pooled and held for exactly one query.
@@ -101,20 +100,8 @@ func (sn *Snapshot) segsThrough(t int64) []*Segment {
 // MinT and MaxT both ascend along segs, so each end is one binary search.
 func (sn *Snapshot) segsInWindow(t, tau int64) []*Segment {
 	segs := sn.segsThrough(t)
-	from, _ := burstWindow(t, tau)
+	from, _ := pbe.BurstWindow(t, tau)
 	return segs[sort.Search(len(segs), func(i int) bool { return segs[i].meta.MaxT > from }):]
-}
-
-// burstWindow returns t−2τ and t−τ for a positive τ, saturating at
-// math.MinInt64: τ comes off the wire, and a wrapped t−2τ lands past t.
-func burstWindow(t, tau int64) (t0, t1 int64) {
-	if t1 = t - tau; t1 > t {
-		t1 = math.MinInt64
-	}
-	if t0 = t1 - tau; t0 > t1 {
-		t0 = math.MinInt64
-	}
-	return t0, t1
 }
 
 // rowSums evaluates Σ_s F̃ᵣ,ₛ(t) for every row r into vals, returning the
@@ -177,7 +164,7 @@ func (sn *Snapshot) burstiness(e uint64, t, tau int64) float64 {
 	scr := queryScratchPool.Get().(*queryScratch)
 	var rows [maxRows]float64
 	d := 0
-	t0, t1 := burstWindow(t, tau)
+	t0, t1 := pbe.BurstWindow(t, tau)
 	for _, g := range sn.segsInWindow(t, tau) {
 		det := g.detector()
 		if det == nil {
@@ -205,30 +192,18 @@ func addRows(cells []*pbe2.Builder, t0, t1, t int64, rows *[maxRows]float64) int
 	return d
 }
 
-// crossView is the per-event pbe.Estimator over the whole snapshot: the
-// cross-segment cumulative estimate, plus breakpoints at every instant any
-// component's curve changes shape. Feeding it to pbe.BurstyTimes answers
-// the BURSTY TIME QUERY with the same contract as the monolithic sketch
-// (candidate instants evaluated exactly; between breakpoints the median may
-// switch rows, so crossing refinement is heuristic there).
-type crossView struct {
-	sn *Snapshot
-	e  uint64
-}
-
-func (v *crossView) Estimate(t int64) float64 {
-	return v.sn.CumulativeFrequency(v.e, t)
-}
-
-func (v *crossView) Breakpoints() []int64 {
+// breakpoints returns the sorted instants at which e's cross-segment F̃
+// changes shape: every sealed cell's breakpoints, each segment's MaxT and
+// the heads' arrivals.
+func (sn *Snapshot) breakpoints(e uint64) []int64 {
 	scr := queryScratchPool.Get().(*queryScratch)
 	lists, bounds := scr.lists[:0], scr.bounds[:0]
-	for _, g := range v.sn.v.segs {
+	for _, g := range sn.v.segs {
 		det := g.detector()
 		if det == nil {
 			continue
 		}
-		scr.cells = det.AppendEventCells(v.e, scr.cells[:0])
+		scr.cells = det.AppendEventCells(e, scr.cells[:0])
 		for _, c := range scr.cells {
 			lists = append(lists, c.Breakpoints())
 		}
@@ -239,12 +214,12 @@ func (v *crossView) Breakpoints() []int64 {
 		bounds = append(bounds, g.meta.MaxT)
 	}
 	lists = append(lists, bounds)
-	for _, h := range v.sn.heads() {
-		if ts := h.arrivals(v.e); len(ts) > 0 {
+	for _, h := range sn.heads() {
+		if ts := h.arrivals(e); len(ts) > 0 {
 			lists = append(lists, ts)
 		}
 	}
-	out := mergeSorted(lists, &scr.merge)
+	out := pbe.MergeSorted(lists, &scr.merge)
 	clear(lists) // the pool must not pin the cells' breakpoint lists
 	scr.lists, scr.bounds, scr.cells = lists[:0], bounds[:0], scr.cells[:0]
 	queryScratchPool.Put(scr)
@@ -253,12 +228,16 @@ func (v *crossView) Breakpoints() []int64 {
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ): the maximal time
 // ranges within [0, MaxTime] where the estimated burstiness reaches theta.
+// It is the point query swept over the shifted breakpoints, so each
+// candidate instant visits only the segments overlapping its window, and
+// every candidate gets exactly the answer Burstiness gives there.
 func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error) {
 	if tau <= 0 {
 		return nil, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
 	}
-	v := &crossView{sn: sn, e: e % sn.kfold}
-	internal := pbe.BurstyTimes(v, theta, tau, sn.MaxTime())
+	e %= sn.kfold
+	burst := func(t int64) float64 { return sn.burstiness(e, t, tau) }
+	internal := pbe.BurstyTimes(sn.breakpoints(e), burst, theta, tau, sn.MaxTime())
 	out := make([]histburst.TimeRange, len(internal))
 	for i, r := range internal {
 		out[i] = histburst.TimeRange{Start: r.Start, End: r.End}
@@ -298,7 +277,7 @@ func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurst
 // (t−2τ, t] (segsInWindow).
 func (sn *Snapshot) summedLevels(t, tau int64) []summedLevel {
 	v := &summedView{sn: sn}
-	v.t0, v.t1 = burstWindow(t, tau)
+	v.t0, v.t1 = pbe.BurstWindow(t, tau)
 	levels := make([]summedLevel, len(sn.shape.Heights()))
 	for i, h := range sn.shape.Heights() {
 		levels[i] = summedLevel{v: v, h: h}
@@ -652,68 +631,3 @@ func (s *Store) Generation() uint64 { return s.Snapshot().Generation() }
 
 // Segments returns the current segment directory.
 func (s *Store) Segments() []SegmentInfo { return s.Snapshot().Segments() }
-
-// mergeSorted merges sorted int64 lists into one sorted deduplicated list by
-// rounds of pairwise merges — O(total · log len(lists)) against the
-// scan-every-list-per-output mergeSortedNaive it replaced. Each round reads
-// the previous round's lists and writes the next into the other of the two
-// scratch buffers; lists is reordered in place. The result is freshly
-// allocated (callers keep it), the buffers are not.
-//
-//histburst:fastpath mergeSortedNaive
-func mergeSorted(lists [][]int64, bufs *[2][]int64) []int64 {
-	total, n := 0, 0
-	for _, l := range lists {
-		if len(l) > 0 {
-			lists[n] = l
-			n++
-			total += len(l)
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	lists = lists[:n]
-	for round := 0; len(lists) > 1; round++ {
-		buf := bufs[round&1]
-		if cap(buf) < total {
-			buf = make([]int64, 0, total)
-			bufs[round&1] = buf
-		}
-		buf = buf[:0]
-		n = 0
-		for i := 0; i < len(lists); i += 2 {
-			var b []int64
-			if i+1 < len(lists) {
-				b = lists[i+1]
-			}
-			start := len(buf)
-			buf = mergeTwo(buf, lists[i], b)
-			lists[n] = buf[start:len(buf):len(buf)]
-			n++
-		}
-		lists = lists[:n]
-	}
-	// The copy out of scratch is also the dedupe a lone list still owes.
-	return mergeTwo(make([]int64, 0, len(lists[0])), lists[0], nil)
-}
-
-// mergeTwo appends the sorted deduplicated union of sorted a and b to dst.
-func mergeTwo(dst, a, b []int64) []int64 {
-	first := len(dst)
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		var v int64
-		if j == len(b) || (i < len(a) && a[i] <= b[j]) {
-			v = a[i]
-			i++
-		} else {
-			v = b[j]
-			j++
-		}
-		if len(dst) == first || dst[len(dst)-1] != v {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}

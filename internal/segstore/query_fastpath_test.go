@@ -74,7 +74,7 @@ func TestBurstinessFastpathMatchesNaive(t *testing.T) {
 // element because it must be frozen first — the head is already frozen, or
 // it is full and t advances past maxT. A timestamp below the frontier is
 // rejected with an error wrapping stream.ErrOutOfOrder.
-func (h *memHead) append(e uint64, t int64, lim sealLimits) (needFreeze bool, err error) {
+func (h *memHead) append(e uint64, t int64, sealEvents int64) (needFreeze bool, err error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.frozen {
@@ -87,8 +87,7 @@ func (h *memHead) append(e uint64, t int64, lim sealLimits) (needFreeze bool, er
 		}
 		return false, fmt.Errorf("%w: append at %d behind frontier %d", stream.ErrOutOfOrder, t, frontier)
 	}
-	if h.started && t > h.maxT &&
-		((lim.events > 0 && h.n >= lim.events) || (lim.span > 0 && h.maxT-h.minT >= lim.span)) {
+	if h.started && t > h.maxT && sealEvents > 0 && h.n >= sealEvents {
 		return true, nil
 	}
 	if !h.started {
@@ -112,7 +111,7 @@ func TestMemHeadAppendBatchMatchesAppend(t *testing.T) {
 	for i := 40; i < len(elems); i += 40 { // stragglers behind the frontier
 		elems[i].Time = elems[i-1].Time - 3
 	}
-	lim := sealLimits{} // no freeze thresholds: the whole stream lands in one head
+	const lim = 0 // no freeze threshold: the whole stream lands in one head
 
 	hb := newMemHead(0)
 	consumed, accepted, rejected, needFreeze := hb.appendBatch(elems, kfold, lim)

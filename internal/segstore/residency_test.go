@@ -113,9 +113,9 @@ func TestOpenLeavesSegmentsCold(t *testing.T) {
 	if err := s.scrubOnce(); err != nil {
 		t.Fatal(err)
 	}
-	// The pickers read only fanout, seal limits, tiers and the no-merge set.
+	// The pickers read only fanout, the seal threshold, tiers and the no-merge set.
 	picker := &Store{
-		fanout: 4, seals: s.seals, noMerge: map[string]bool{},
+		fanout: 4, sealEvents: s.sealEvents, noMerge: map[string]bool{},
 		tiers: []DecayTier{{Age: coldDay, Gamma: 8, W: 8, Res: 3600}},
 	}
 	if runs := picker.pickRuns(sn.v.segs); len(runs) == 0 {

@@ -58,10 +58,6 @@ type Config struct {
 	// SealEvents freezes the head once it holds this many elements
 	// (default DefaultSealEvents; negative disables size-based sealing).
 	SealEvents int64
-	// SealSpan freezes the head once its time span maxT−minT reaches this
-	// (0 = disabled). "Age" is measured in event time, the only clock the
-	// store has.
-	SealSpan int64
 	// CompactFanout is how many adjacent same-class segments one compaction
 	// merges (default DefaultCompactFanout; below 2 disables compaction).
 	CompactFanout int
@@ -177,13 +173,13 @@ type storeView struct {
 // Store is a segmented timeline store. All methods are safe for concurrent
 // use.
 type Store struct {
-	dir    string // "" = volatile (no files, no manifest)
-	params histburst.SketchParams
-	kfold  uint64       // event ids are folded modulo this (detector K())
-	shape  dyadic.Shape // every segment's event index's: (K, D, W) fix it, decay keeps it
-	seals  sealLimits
-	fanout int64       // < 2 disables compaction
-	tiers  []DecayTier // resolved decay ladder; empty disables decay
+	dir        string // "" = volatile (no files, no manifest)
+	params     histburst.SketchParams
+	kfold      uint64       // event ids are folded modulo this (detector K())
+	shape      dyadic.Shape // every segment's event index's: (K, D, W) fix it, decay keeps it
+	sealEvents int64        // freeze the head once it holds this many elements (0 = off)
+	fanout     int64        // < 2 disables compaction
+	tiers      []DecayTier  // resolved decay ladder; empty disables decay
 
 	// ingestMu serializes the write path — admission, log append and head
 	// apply (ingest.go) — and WAL rotation, which quiesces ingest while it
@@ -265,13 +261,12 @@ func Open(dir string, cfg Config) (*Store, error) {
 		s.logf = func(string, ...any) {}
 	}
 
-	s.seals.events = cfg.SealEvents
-	if s.seals.events == 0 {
-		s.seals.events = DefaultSealEvents
-	} else if s.seals.events < 0 {
-		s.seals.events = 0
+	s.sealEvents = cfg.SealEvents
+	if s.sealEvents == 0 {
+		s.sealEvents = DefaultSealEvents
+	} else if s.sealEvents < 0 {
+		s.sealEvents = 0
 	}
-	s.seals.span = cfg.SealSpan
 	s.fanout = int64(cfg.CompactFanout)
 	if cfg.CompactFanout == 0 {
 		s.fanout = DefaultCompactFanout
@@ -567,7 +562,7 @@ func (s *Store) freezeHead(v *storeView, keepTail bool) error {
 	tail := h.freeze(keepTail)
 	n, _, _, _ := h.snapshot()
 	next := newMemHead(h.frontier())
-	next.appendBatch(tail, s.kfold, sealLimits{}) // one timestamp, at or past the floor: all land
+	next.appendBatch(tail, s.kfold, 0) // one timestamp, at or past the floor: all land
 	if n > 0 {
 		h.sealID = s.nextID
 		s.nextID++

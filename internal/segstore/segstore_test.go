@@ -114,20 +114,6 @@ func TestSealThresholdProducesSegments(t *testing.T) {
 	mustClose(t, s)
 }
 
-func TestSealSpanThreshold(t *testing.T) {
-	cfg := testConfig(-1)
-	cfg.SealSpan = 10
-	s := mustOpen(t, "", cfg)
-	defer mustClose(t, s)
-	appendN(t, s, 30, 4, 0, 1) // spans 0..29: must freeze at least twice
-	if err := s.Checkpoint(false); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Segments()) < 2 {
-		t.Fatalf("span-based sealing produced %d segments, want >= 2", len(s.Segments()))
-	}
-}
-
 func TestDuplicateTimestampsStraddlingSeal(t *testing.T) {
 	// A burst of equal timestamps right at the seal threshold: the freeze
 	// must keep the boundary consistent and no element may be lost or

@@ -4,8 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -244,79 +247,30 @@ func TestSegstorePointZeroAllocs(t *testing.T) {
 	}
 }
 
-// mergeSortedNaive is the retained twin of mergeSorted: every emitted value
-// rescans every list, twice.
-func mergeSortedNaive(lists [][]int64) []int64 {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]int64, 0, total)
-	idx := make([]int, len(lists))
-	for {
-		var best int64
-		found := false
-		for i, l := range lists {
-			if idx[i] >= len(l) {
-				continue
-			}
-			if v := l[idx[i]]; !found || v < best {
-				best, found = v, true
+// breakpointsNaive is Snapshot.breakpoints as a set: a fresh EventCells
+// slice per segment, every breakpoint, boundary and head arrival put in a
+// map, then sorted.
+func (sn *Snapshot) breakpointsNaive(e uint64) []int64 {
+	set := map[int64]bool{}
+	for _, g := range sn.v.segs {
+		for _, c := range g.detector().EventCells(e) {
+			for _, bp := range c.Breakpoints() {
+				set[bp] = true
 			}
 		}
-		if !found {
-			return out
-		}
-		if len(out) == 0 || out[len(out)-1] != best {
-			out = append(out, best)
-		}
-		for i, l := range lists {
-			for idx[i] < len(l) && l[idx[i]] == best {
-				idx[i]++
-			}
+		set[g.meta.MaxT] = true
+	}
+	for _, h := range sn.heads() {
+		for _, ts := range h.arrivals(e) {
+			set[ts] = true
 		}
 	}
-}
-
-// breakpointsNaive is crossView.Breakpoints as it was: a fresh EventCells
-// slice and a one-element boundary list per segment, merged naively.
-func (v *crossView) breakpointsNaive() []int64 {
-	var lists [][]int64
-	for _, g := range v.sn.v.segs {
-		for _, c := range g.detector().EventCells(v.e) {
-			lists = append(lists, c.Breakpoints())
-		}
-		lists = append(lists, []int64{g.meta.MaxT})
+	out := make([]int64, 0, len(set))
+	for bp := range set {
+		out = append(out, bp)
 	}
-	for _, h := range v.sn.heads() {
-		if ts := h.arrivals(v.e); len(ts) > 0 {
-			lists = append(lists, ts)
-		}
-	}
-	return mergeSortedNaive(lists)
-}
-
-func TestMergeSortedMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var bufs [2][]int64 // reused across cases, as the pooled scratch is
-	for trial := 0; trial < 400; trial++ {
-		lists := make([][]int64, rng.Intn(12))
-		for i := range lists {
-			v := rng.Int63n(50) - 25
-			for j := rng.Intn(9); j > 0; j-- {
-				lists[i] = append(lists[i], v)
-				v += rng.Int63n(4) // zero steps: duplicates inside a list
-			}
-		}
-		want := mergeSortedNaive(lists)
-		got := mergeSorted(append([][]int64(nil), lists...), &bufs)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: lists %v merge to %v, want %v", trial, lists, got, want)
-		}
-	}
+	slices.Sort(out)
+	return out
 }
 
 func TestBreakpointsMatchNaive(t *testing.T) {
@@ -324,9 +278,8 @@ func TestBreakpointsMatchNaive(t *testing.T) {
 		s := windowLayout(t, name)
 		sn := s.Snapshot()
 		for e := uint64(0); e < 8; e++ {
-			v := &crossView{sn: sn, e: e}
 			for rep := 0; rep < 2; rep++ { // the second call reuses pooled scratch
-				got, want := v.Breakpoints(), v.breakpointsNaive()
+				got, want := sn.breakpoints(e), sn.breakpointsNaive(e)
 				if len(want) == 0 || !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: event %d: %d breakpoints, naive twin %d; first difference at %d",
 						name, e, len(got), len(want), firstDiff(got, want))
@@ -344,4 +297,47 @@ func firstDiff(a, b []int64) int {
 		}
 	}
 	return min(len(a), len(b))
+}
+
+// TestBurstyTimesAgreesWithPoint pins the store's BURSTY TIME to its POINT
+// over several segments with Count-Min leaves (K > d·w) and an unsealed
+// tail: at every instant the query evaluates, and at each range's first and
+// last instant, t lies in a reported range exactly when the point query at
+// t reaches θ.
+func TestBurstyTimesAgreesWithPoint(t *testing.T) {
+	const tau, theta = 20, 12
+	s := mustOpen(t, "", Config{K: 512, Gamma: 2, Seed: 7, D: 5, W: 32, SealEvents: 6000, CompactFanout: -1})
+	defer mustClose(t, s)
+	if _, _, err := s.AppendBatch(genStream(40_000, 512, 10_000, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(false); err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	if n := len(sn.Segments()); n < 4 {
+		t.Fatalf("store sealed %d segments, want several", n)
+	}
+	found := 0
+	for e := uint64(0); e < 24; e++ {
+		ranges, err := sn.BurstyTimes(e, theta, tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found += len(ranges)
+		probes := pbe.ShiftedBreakpoints(sn.breakpoints(e), tau, sn.MaxTime())
+		for _, r := range ranges {
+			probes = append(probes, r.Start, r.End-1)
+		}
+		for _, q := range probes {
+			i := sort.Search(len(ranges), func(i int) bool { return ranges[i].End > q })
+			in := i < len(ranges) && ranges[i].Contains(q)
+			if b := sn.burstiness(e, q, tau); in != (b >= theta) {
+				t.Fatalf("event %d: t=%d in a range is %v, but POINT = %v against θ = %v", e, q, in, b, float64(theta))
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no event was ever bursty; the check saw only negatives")
+	}
 }

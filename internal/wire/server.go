@@ -56,7 +56,7 @@ type Backend interface {
 const DefaultWindow = 1 << 16
 
 // DefaultQueryWorkers bounds how many query frames one connection answers
-// concurrently when the server does not override it.
+// concurrently. Appends are always handled in arrival order regardless.
 const DefaultQueryWorkers = 8
 
 // Server serves HBP1 over accepted connections.
@@ -65,22 +65,11 @@ type Server struct {
 	// Window is the per-connection append credit window in elements
 	// (DefaultWindow when 0).
 	Window int64
-	// QueryWorkers bounds per-connection concurrent query handling
-	// (DefaultQueryWorkers when 0). Appends are always handled in arrival
-	// order regardless.
-	QueryWorkers int
-	Logf         func(format string, args ...any)
+	Logf   func(format string, args ...any)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
-}
-
-func (s *Server) queryWorkers() int {
-	if s.QueryWorkers > 0 {
-		return s.QueryWorkers
-	}
-	return DefaultQueryWorkers
 }
 
 func (s *Server) logf(format string, args ...any) {
@@ -216,7 +205,7 @@ func (s *Server) ServeConn(c net.Conn) error {
 		return err
 	}
 
-	h := &connHandler{s: s, bw: bw, conn: c, sem: make(chan struct{}, s.queryWorkers())}
+	h := &connHandler{s: s, bw: bw, conn: c, sem: make(chan struct{}, DefaultQueryWorkers)}
 	// Subscriptions are connection-scoped: whatever standing queries this
 	// session registered die with it, and the alert pump drains out.
 	defer h.closeAlerts()

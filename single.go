@@ -61,12 +61,14 @@ func (s *Single) Burstiness(t, tau int64) (float64, error) {
 	return pbe.Burstiness(s.p, t, tau), nil
 }
 
-// BurstyTimes answers the BURSTY TIME QUERY over [0, horizon].
+// BurstyTimes answers the BURSTY TIME QUERY over [0, horizon]: the point
+// query swept over the summary's shifted breakpoints.
 func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, error) {
 	if tau <= 0 {
 		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
 	}
-	internal := pbe.BurstyTimes(s.p, theta, tau, horizon)
+	burst := func(t int64) float64 { return pbe.Burstiness(s.p, t, tau) }
+	internal := pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, tau, horizon)
 	out := make([]TimeRange, len(internal))
 	for i, r := range internal {
 		out[i] = TimeRange{Start: r.Start, End: r.End}
