@@ -74,9 +74,10 @@ experiments:
 # Short fuzzing pass over every decoder (the PBE-2 cell block's on its own
 # as well as inside a detector file), the detector's append path, the
 # PBE-2 kernel's one-sided contract (at small, Unix-second and
-# Unix-millisecond time origins) and the store head's packed timestamp
-# sequences against a sorted-slice twin. FUZZTIME is overridable so CI can run a
-# quicker smoke (make fuzz FUZZTIME=10s).
+# Unix-millisecond time origins, and through a merge of cut parts) and the
+# store head's packed timestamp sequences against a sorted-slice twin.
+# FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
+# FUZZTIME=10s).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/stream/
@@ -87,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/

@@ -382,7 +382,7 @@ func (s *Sketch) breakpoints(e uint64) []int64 {
 }
 
 // Bytes returns the total footprint of all cells, memoized until the next
-// mutation (Append, MergeAppend, Finish). Concurrent readers may race to
+// mutation (Append, AppendBatch, Finish). Concurrent readers may race to
 // fill the memo; they compute the same value, and the atomic keeps the race
 // benign.
 func (s *Sketch) Bytes() int {

@@ -64,8 +64,8 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 	}
 	cells := make([]pbe2.Builder, first.d*w)
 	// One backing array for all per-cell member slices, reused across cells.
-	memberBuf := make([]*pbe2.Builder, len(parts)*group)
-	srcParts := make([][]*pbe2.Builder, len(parts))
+	memberBuf := make([]*pbe2.Summary, len(parts)*group)
+	srcParts := make([][]*pbe2.Summary, len(parts))
 	for k := range parts {
 		srcParts[k] = memberBuf[k*group : (k+1)*group : (k+1)*group]
 	}
@@ -73,7 +73,7 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 		for j := 0; j < w; j++ {
 			for k, p := range parts {
 				for m := 0; m < group; m++ {
-					srcParts[k][m] = &p.cells[i*first.w+j+m*w]
+					srcParts[k][m] = p.cells[i*first.w+j+m*w].Seal()
 				}
 			}
 			if err := pbe2.DownsampleInto(&cells[i*w+j], srcParts, gamma, res); err != nil {

@@ -200,10 +200,11 @@ func TestBytesMemoInvalidation(t *testing.T) {
 		}
 	}
 	o.Finish()
-	if err := s.MergeAppend(o); err != nil {
+	m, err := MergeSketches([]*Sketch{s, o})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if merged := s.Bytes(); merged <= finished {
+	if merged := m.Bytes(); merged <= finished {
 		t.Fatalf("Bytes did not grow after merge: %d -> %d", finished, merged)
 	}
 }

@@ -35,8 +35,8 @@ func TestLevelKindsDoNotMix(t *testing.T) {
 	refused("merging a sketch and a collision-free level", err)
 	_, err = cmpbe.DownsampleSketches([]*cmpbe.Sketch{d, s}, 4, 1, 8)
 	refused("downsampling a collision-free level and a sketch", err)
-	refused("appending a collision-free level to a sketch", s.MergeAppend(d))
-	refused("appending a sketch to a collision-free level", d.MergeAppend(s))
+	_, err = cmpbe.MergeSketches([]*cmpbe.Sketch{d, s})
+	refused("merging a collision-free level and a sketch", err)
 	if _, err := cmpbe.MergeSketches(nil); err == nil {
 		t.Error("merge of zero levels accepted")
 	}

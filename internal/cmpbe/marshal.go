@@ -33,7 +33,11 @@ func (s *Sketch) Encode(w *binenc.Writer) error {
 	}
 	w.Varint(s.n)
 	w.Varint(s.maxT)
-	return pbe2.EncodeBlock(w, s.cells, s.maxT)
+	cells := make([]*pbe2.Summary, len(s.cells))
+	for i := range s.cells {
+		cells[i] = s.cells[i].Seal()
+	}
+	return pbe2.EncodeBlock(w, cells, s.maxT)
 }
 
 // DecodeLevel reads one serialized level, a Count-Min sketch or a

@@ -20,8 +20,22 @@ func partitionStream(data stream.Stream) []stream.Stream {
 	return []stream.Stream{data[:c1], data[c1:c2], data[c2:]}
 }
 
-// TestMergeSketchesMatchesMergeAppend pins the streaming sketch merge
-// bit-identical to the sequential MergeAppend chain on every cell.
+// mergeChain merges parts one at a time onto the first, each step a
+// two-part merge-append.
+func mergeChain(t *testing.T, parts []*Sketch) *Sketch {
+	t.Helper()
+	out := parts[0]
+	for _, p := range parts[1:] {
+		var err error
+		if out, err = mergeTwo(out, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestMergeSketchesMatchesMergeAppend pins the n-way sketch merge
+// bit-identical to merging its parts one at a time on every cell.
 func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
 	mk := func() *Sketch {
 		s, err := New(3, 16, 5, 2)
@@ -49,13 +63,7 @@ func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveSrcs := build()
-	naive := naiveSrcs[0]
-	for _, p := range naiveSrcs[1:] {
-		if err := naive.MergeAppend(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	naive := mergeChain(t, build())
 
 	if fast.N() != naive.N() || fast.MaxTime() != naive.MaxTime() {
 		t.Fatalf("counters: N %d/%d maxT %d/%d", fast.N(), naive.N(), fast.MaxTime(), naive.MaxTime())
@@ -64,10 +72,10 @@ func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
 	for e := uint64(0); e < 40; e++ {
 		for q := int64(-3); q <= maxT+3; q += 7 {
 			if a, b := fast.EstimateF(e, q), naive.EstimateF(e, q); a != b {
-				t.Fatalf("EstimateF(%d,%d) = %v, MergeAppend chain gives %v", e, q, a, b)
+				t.Fatalf("EstimateF(%d,%d) = %v, merging one part at a time gives %v", e, q, a, b)
 			}
 			if a, b := fast.Burstiness(e, q, 50), naive.Burstiness(e, q, 50); a != b {
-				t.Fatalf("Burstiness(%d,%d) = %v, MergeAppend chain gives %v", e, q, a, b)
+				t.Fatalf("Burstiness(%d,%d) = %v, merging one part at a time gives %v", e, q, a, b)
 			}
 		}
 	}
@@ -102,24 +110,18 @@ func TestMergeDirectsMatchesMergeAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveSrcs := build()
-	naive := naiveSrcs[0]
-	for _, p := range naiveSrcs[1:] {
-		if err := naive.MergeAppend(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	naive := mergeChain(t, build())
 
 	if fast.N() != naive.N() || fast.MaxTime() != naive.MaxTime() || !fast.CollisionFree() {
 		t.Fatalf("counters: N %d/%d maxT %d/%d, collision-free %t", fast.N(), naive.N(), fast.MaxTime(), naive.MaxTime(), fast.CollisionFree())
 	}
 	if !bytes.Equal(encoded(t, fast), encoded(t, naive)) {
-		t.Fatal("merged level encodes to other bytes than the MergeAppend chain")
+		t.Fatal("merged level encodes to other bytes than merging one part at a time")
 	}
 	for e := uint64(0); e < 32; e++ {
 		for q := int64(-3); q <= fast.MaxTime()+3; q += 5 {
 			if a, b := fast.EstimateF(e, q), naive.EstimateF(e, q); a != b {
-				t.Fatalf("EstimateF(%d,%d) = %v, MergeAppend chain gives %v", e, q, a, b)
+				t.Fatalf("EstimateF(%d,%d) = %v, merging one part at a time gives %v", e, q, a, b)
 			}
 		}
 	}

@@ -7,6 +7,11 @@ import (
 	"histburst/internal/exact"
 )
 
+// mergeTwo merges a later sketch b onto a, as a merge-append would.
+func mergeTwo(a, b *Sketch) (*Sketch, error) {
+	return MergeSketches([]*Sketch{a, b})
+}
+
 func TestSketchMergeAppend(t *testing.T) {
 	mk := func() *Sketch {
 		s, err := New(3, 32, 5, 2)
@@ -30,7 +35,8 @@ func TestSketchMergeAppend(t *testing.T) {
 		b.Append(el.Event, el.Time)
 		oracle.Append(el.Event, el.Time)
 	}
-	if err := a.MergeAppend(b); err != nil {
+	a, err := mergeTwo(a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if a.N() != int64(len(data)) || a.MaxTime() != oracle.MaxTime() {
@@ -52,14 +58,14 @@ func TestSketchMergeAppend(t *testing.T) {
 func TestSketchMergeValidation(t *testing.T) {
 	a, _ := New(3, 32, 5, 2)
 	b, _ := New(3, 16, 5, 2)
-	if err := a.MergeAppend(b); err == nil {
+	if _, err := mergeTwo(a, b); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 	c, _ := New(3, 32, 6, 2)
-	if err := a.MergeAppend(c); err == nil {
+	if _, err := mergeTwo(a, c); err == nil {
 		t.Error("seed mismatch accepted")
 	}
-	if err := a.MergeAppend(nil); err == nil {
+	if _, err := mergeTwo(a, nil); err == nil {
 		t.Error("nil accepted")
 	}
 }
@@ -73,7 +79,8 @@ func TestDirectMergeAppend(t *testing.T) {
 	for tm := int64(500); tm < 1000; tm++ {
 		b.Append(uint64(tm%4), tm)
 	}
-	if err := a.MergeAppend(b); err != nil {
+	a, err := mergeTwo(a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if a.N() != 1000 {
@@ -83,10 +90,10 @@ func TestDirectMergeAppend(t *testing.T) {
 		t.Fatalf("EstimateF = %v, want ≈250", got)
 	}
 	c, _ := NewDirect(8, 1)
-	if err := a.MergeAppend(c); err == nil {
+	if _, err := mergeTwo(a, c); err == nil {
 		t.Error("size mismatch accepted")
 	}
-	if err := a.MergeAppend(nil); err == nil {
+	if _, err := mergeTwo(a, nil); err == nil {
 		t.Error("nil accepted")
 	}
 }

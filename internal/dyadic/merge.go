@@ -7,39 +7,11 @@ import (
 	"histburst/internal/cmpbe"
 )
 
-// MergeAppend absorbs a tree built over a strictly later time range of the
-// same stream: every level merges with its counterpart. Both trees must
-// have been built with equivalent level factories (same shapes and seeds).
-func (t *Tree) MergeAppend(other *Tree) error {
-	if other == nil {
-		return fmt.Errorf("dyadic: cannot merge nil tree")
-	}
-	if err := sameShape(t, other); err != nil {
-		return err
-	}
-	for i := range t.levels {
-		pair, err := levelsAt([]*Tree{t, other}, i)
-		if err == nil {
-			err = pair[0].MergeAppend(pair[1])
-		}
-		if err != nil {
-			return fmt.Errorf("dyadic: level %d: %w", i, err)
-		}
-	}
-	t.n += other.n
-	if other.maxT > t.maxT {
-		t.maxT = other.maxT
-	}
-	return nil
-}
-
-// MergeTrees builds a fresh tree equivalent to MergeAppend-ing each of
-// parts[1:] onto a clone of parts[0]: every level merges all its
-// counterparts in one pass through cmpbe's streaming cell mergers, with no
-// intermediate clones. Sources must hold finished (sealed) summaries and are
-// never mutated; results are bit-identical to the MergeAppend chain.
-//
-//histburst:fastpath MergeAppend
+// MergeTrees builds the tree of parts concatenated: trees over mutually
+// exclusive time ranges of one stream, in time order, built with equivalent
+// level factories (same shapes and seeds). Every level merges all its
+// counterparts in one pass through cmpbe.MergeSketches. Sources must hold
+// finished (sealed) summaries; they are only read.
 func MergeTrees(parts []*Tree) (*Tree, error) {
 	if len(parts) == 0 || parts[0] == nil {
 		return nil, fmt.Errorf("dyadic: merge of zero trees")

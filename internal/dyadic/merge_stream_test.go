@@ -6,8 +6,9 @@ import (
 	"histburst/internal/stream"
 )
 
-// TestMergeTreesMatchesMergeAppend pins the streaming tree merge
-// bit-identical to the sequential MergeAppend chain on every level.
+// TestMergeTreesMatchesMergeAppend pins the n-way tree merge bit-identical
+// to merging its parts one at a time (each step a two-part merge-append) on
+// every level.
 func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 	const k = 256
 	f, steer := indexGammas(2)
@@ -44,7 +45,7 @@ func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 	naiveParts := build()
 	naive := naiveParts[0]
 	for _, p := range naiveParts[1:] {
-		if err := naive.MergeAppend(p); err != nil {
+		if naive, err = MergeTrees([]*Tree{naive, p}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,7 +62,7 @@ func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 				a := fast.Level(lv).Burstiness(e, q, 25)
 				b := naive.Level(lv).Burstiness(e, q, 25)
 				if a != b {
-					t.Fatalf("level %d Burstiness(%d,%d) = %v, MergeAppend chain gives %v", lv, e, q, a, b)
+					t.Fatalf("level %d Burstiness(%d,%d) = %v, merging one part at a time gives %v", lv, e, q, a, b)
 				}
 			}
 		}

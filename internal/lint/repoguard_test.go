@@ -107,6 +107,63 @@ func TestOneWritePath(t *testing.T) {
 	})
 }
 
+// TestOneMergePath: sealed summaries merge one way, into a fresh result. The
+// summary packages declare no in-place MergeAppend — merging cell by cell
+// into the receiver, a refusal partway left it half-merged — and the public
+// MergeAppend methods, which keep their signatures, reach a merge only
+// through the n-way one: Detector's through MergeDetectors, Single's through
+// pbe2.MergeFinished.
+func TestOneMergePath(t *testing.T) {
+	summaries := map[string]bool{"internal/pbe2": true, "internal/cmpbe": true, "internal/dyadic": true}
+	via := map[string]string{"Detector": "MergeDetectors", "Single": "MergeFinished"}
+	reached := map[string]bool{}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "MergeAppend" {
+				continue
+			}
+			if summaries[dir] {
+				t.Errorf("%s declares the method MergeAppend; sealed summaries merge into a fresh result", rel)
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			name := types.ExprString(recv)
+			want, known := via[name]
+			if dir != "." || !known {
+				t.Errorf("%s declares %s.MergeAppend, a merge path beside the n-way merges", rel, name)
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				callee := types.ExprString(call.Fun)
+				if i := strings.LastIndexByte(callee, '.'); i >= 0 {
+					callee = callee[i+1:]
+				}
+				switch {
+				case callee == want:
+					reached[name] = true
+				case strings.HasPrefix(callee, "Merge"):
+					t.Errorf("%s: %s.MergeAppend calls %s; it merges only through %s", rel, name, callee, want)
+				}
+				return true
+			})
+		}
+	})
+	for name, want := range via {
+		if !reached[name] {
+			t.Errorf("%s.MergeAppend does not merge through %s", name, want)
+		}
+	}
+}
+
 // TestOneSummaryCodec: a PBE-2 summary is stored one way, as a cell block —
 // a detector's levels and a single-event summary alike — so neither summary
 // package carries a codec of its own, PBE-1 keeps no merge the experiments do
@@ -290,7 +347,8 @@ func TestQueriesStayOnTheCallersGoroutine(t *testing.T) {
 // the packages that build, serve or store the detector declares a named type
 // implementing pbe.Estimator — the F̃-curve views it once fed BURSTY TIME
 // (cmpbe's per-event view, segstore's crossView) stay gone. The summaries,
-// pbe1.Builder and pbe2.Builder, remain the implementations.
+// pbe1.Builder and pbe2's Builder and sealed Summary, remain the
+// implementations.
 func TestOneBurstinessCurve(t *testing.T) {
 	root := moduleRootForTest(t)
 	l, err := NewLoader(root)
@@ -312,7 +370,7 @@ func TestOneBurstinessCurve(t *testing.T) {
 		var out []string
 		for _, name := range pkg.Scope().Names() {
 			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-			if !ok || types.IsInterface(tn.Type()) {
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
 				continue
 			}
 			if types.Implements(tn.Type(), estimator) || types.Implements(types.NewPointer(tn.Type()), estimator) {
@@ -321,9 +379,9 @@ func TestOneBurstinessCurve(t *testing.T) {
 		}
 		return out
 	}
-	for _, dir := range []string{"internal/pbe1", "internal/pbe2"} {
-		if got := implementers(load(dir)); !slices.Equal(got, []string{"Builder"}) {
-			t.Errorf("%s: pbe.Estimator implementations %v, want [Builder]", dir, got)
+	for dir, want := range map[string][]string{"internal/pbe1": {"Builder"}, "internal/pbe2": {"Builder", "Summary"}} {
+		if got := implementers(load(dir)); !slices.Equal(got, want) {
+			t.Errorf("%s: pbe.Estimator implementations %v, want %v", dir, got, want)
 		}
 	}
 	for _, dir := range []string{".", "internal/cmpbe", "internal/dyadic", "internal/segstore", "internal/wire"} {

@@ -29,9 +29,9 @@ import (
 //	          uvarint End − Start, float64 A, float64 B
 //
 // Nothing a decoder can work out is stored. A cell is present exactly when it
-// has counted an arrival, so it has started; EncodeBlock finishes every cell,
-// so it is done and holds at least one segment; an absent cell is the empty
-// summary New returns. Every varint is in its shortest form, so a block has
+// has counted an arrival; every cell is a sealed summary, so a present one
+// holds at least one segment; an absent cell is the empty summary New
+// returns. Every varint is in its shortest form, so a block has
 // one encoding and DecodeBlock accepts no other.
 
 const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 2<<24
@@ -47,24 +47,20 @@ func (ln line) finite() bool {
 	return !math.IsNaN(ln.A) && !math.IsInf(ln.A, 0) && !math.IsNaN(ln.B) && !math.IsInf(ln.B, 0)
 }
 
-// EncodeBlock appends cells — summaries under one gamma — to w as one cell
-// block, finishing each first: the open window is not stored, and sealing it
-// loses no committed arrival.
-// maxT is the level's largest timestamp, the base the first start of every
-// cell is written against; DecodeBlock must be given the same.
-func EncodeBlock(w *binenc.Writer, cells []Builder, maxT int64) error {
+// EncodeBlock appends cells — sealed summaries under one gamma — to w as one
+// cell block. maxT is the level's largest timestamp, the base the first
+// start of every cell is written against; DecodeBlock must be given the same.
+func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 	if len(cells) == 0 {
 		return fmt.Errorf("pbe2: cell block of zero cells")
 	}
-	first := &cells[0]
+	first := cells[0]
 	var outOfOrder int64
-	present := make([]*Builder, 0, len(cells))
-	for i := range cells {
-		b := &cells[i]
+	present := make([]*Summary, 0, len(cells))
+	for i, b := range cells {
 		if b.gamma != first.gamma {
 			return fmt.Errorf("pbe2: cell %d has gamma %v in a block of gamma %v", i, b.gamma, first.gamma)
 		}
-		b.Finish()
 		if b.count == 0 {
 			continue
 		}
@@ -82,8 +78,8 @@ func EncodeBlock(w *binenc.Writer, cells []Builder, maxT int64) error {
 	w.Float64(first.gamma)
 	w.Uvarint(uint64(outOfOrder))
 	var mask byte
-	for i := range cells {
-		if cells[i].count > 0 {
+	for i, b := range cells {
+		if b.count > 0 {
 			mask |= 1 << (i % 8)
 		}
 		if i%8 == 7 || i == len(cells)-1 {
@@ -129,14 +125,14 @@ func EncodeBlock(w *binenc.Writer, cells []Builder, maxT int64) error {
 
 // DecodeBlock reads one cell block into cells, which the caller has sized to
 // the level (their number is the level's to know: the block holds a bit per
-// cell) and which are overwritten whole. It holds the block to what the
-// encoder writes, because the search kernels assume it and a checksum only
-// proves the bytes are the ones written: every present cell has arrivals and
-// segments, its open corner is no larger than its count, its segments ascend
-// without overlap on finite coefficients, and it ends no later than maxT. The
-// segments of all cells share three arrays, each cell holding a full-slice
-// range of them, so an append after loading copies the cell's segments out
-// instead of writing over its neighbour's.
+// cell) and which are overwritten whole, each with a sealed summary. It
+// holds the block to what the encoder writes, because the search kernels
+// assume it and a checksum only proves the bytes are the ones written: every
+// present cell has arrivals and segments, its open corner is no larger than
+// its count, its segments ascend without overlap on finite coefficients, and
+// it ends no later than maxT. The segments of all cells share three arrays,
+// each cell holding a full-slice range of them, so an append after loading
+// copies the cell's segments out instead of writing over its neighbour's.
 //
 //histburst:decoder
 func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
@@ -155,14 +151,13 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	if err := CheckGamma(gamma); err != nil {
 		return corrupt("%v", err)
 	}
-	empty := Builder{gamma: gamma, headLow: math.MaxInt64}
 	var mask byte
 	for i := range cells {
 		if i%8 == 0 {
 			mask = r.Byte()
 		}
-		cells[i] = empty
-		cells[i].started = mask&(1<<(i%8)) != 0
+		cells[i].reset(gamma)
+		cells[i].count = int64(mask >> (i % 8) & 1) // presence; the count is read below
 	}
 	if pad := len(cells) % 8; pad != 0 && mask>>pad != 0 {
 		return corrupt("presence bits set past the last cell")
@@ -174,7 +169,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	ahead := *r
 	total := 0
 	for i := range cells {
-		if cells[i].started {
+		if cells[i].count > 0 {
 			n := ahead.SliceLen(maxSegments, minSegmentBytes)
 			total += n
 		}
@@ -191,7 +186,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	off := 0
 	for i := range cells {
 		b := &cells[i]
-		if !b.started {
+		if b.count == 0 {
 			continue
 		}
 		n := c.SliceLen(maxSegments, minSegmentBytes)
@@ -203,7 +198,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	}
 	for i := range cells {
 		b := &cells[i]
-		if !b.started {
+		if b.count == 0 {
 			continue
 		}
 		count := c.uvarint()
@@ -214,7 +209,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	}
 	for i := range cells {
 		b := &cells[i]
-		if !b.started {
+		if b.count == 0 {
 			continue
 		}
 		open := c.uvarint()
@@ -225,7 +220,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	}
 	for i := range cells {
 		b := &cells[i]
-		if !b.started {
+		if b.count == 0 {
 			continue
 		}
 		tail := c.uvarint()
@@ -238,7 +233,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		left := outOfOrder
 		for i := range cells {
 			b := &cells[i]
-			if !b.started {
+			if b.count == 0 {
 				continue
 			}
 			v := c.uvarint()
@@ -254,7 +249,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	}
 	for i := range cells {
 		b := &cells[i]
-		if !b.started {
+		if b.count == 0 {
 			continue
 		}
 		prevEnd := maxT
@@ -292,7 +287,6 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.lastT < prevEnd || b.lastT > maxT {
 			return corrupt("cell %d ends at %d+%d, past the level's last timestamp %d", i, prevEnd, tail, maxT)
 		}
-		b.done = true
 		b.boundStarts()
 		b.rest() // sets headLow, clips the long table; the columns are exact already
 	}

@@ -18,7 +18,7 @@ func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	add := func(b *Builder) {
 		b.Finish()
 		cells = append(cells, *b)
-		if b.started && b.lastT > maxT {
+		if b.count > 0 && b.lastT > maxT {
 			maxT = b.lastT
 		}
 	}
@@ -40,7 +40,7 @@ func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	}
 	long, _ := longRunStream(1.7e18, 4)
 	add(buildPBE2(t, long, gamma))
-	merged, err := MergeFinished(threeParts(t, gamma))
+	merged, err := MergeFinished(sealed(threeParts(t, gamma)...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,19 @@ func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	return cells, maxT
 }
 
+// sealedCells seals cells and returns their summaries.
+func sealedCells(cells []Builder) []*Summary {
+	out := make([]*Summary, len(cells))
+	for i := range cells {
+		out[i] = cells[i].Seal()
+	}
+	return out
+}
+
 func encodeBlock(t testing.TB, cells []Builder, maxT int64) []byte {
 	t.Helper()
 	var w binenc.Writer
-	if err := EncodeBlock(&w, cells, maxT); err != nil {
+	if err := EncodeBlock(&w, sealedCells(cells), maxT); err != nil {
 		t.Fatal(err)
 	}
 	return w.Bytes()
@@ -70,7 +79,7 @@ func encodeBlock(t testing.TB, cells []Builder, maxT int64) []byte {
 
 // oneCell stores cells[0] as a one-cell block written against its frontier —
 // the form a single-event summary is saved in — and decodes it back, holding
-// the block to end where the decoder stops. EncodeBlock finishes the cell.
+// the block to end where the decoder stops. The cell is sealed first.
 func oneCell(t testing.TB, cells []Builder) (back *Builder, data []byte) {
 	t.Helper()
 	data = encodeBlock(t, cells[:1], cells[0].Frontier())
@@ -109,9 +118,9 @@ func TestMarshalFinishesOpenWindow(t *testing.T) {
 	for _, v := range []int64{1, 5, 9, 14} {
 		cells[0].Append(v)
 	}
-	// No Finish: EncodeBlock must seal the window itself.
+	// No Finish: the Seal that hands the cell to EncodeBlock closes the window.
 	got, _ := oneCell(t, cells)
-	if !cells[0].done || cells[0].win != nil {
+	if cells[0].win != nil {
 		t.Fatal("the encoded cell was left open")
 	}
 	if est := got.Estimate(14); est != 4 {
@@ -230,7 +239,7 @@ func TestEncodeBlockRefusesMixedCells(t *testing.T) {
 		"no cells":      {nil, "zero cells"},
 	} {
 		var w binenc.Writer
-		if err := EncodeBlock(&w, c.cells, 9); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := EncodeBlock(&w, sealedCells(c.cells), 9); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one naming %q", name, err, c.want)
 		}
 	}
@@ -389,7 +398,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 		t.Fatalf("sound block refused: %v", err)
 	}
 	if s := cells[0].Segments(); len(s) != 2 || s[0] != (Segment{0.5, 1, 40, 50}) || s[1] != (Segment{0, 6, 53, 58}) ||
-		cells[0].lastT != 58 || cells[0].prevF != 5 || !cells[0].done || cells[1].started {
+		cells[0].lastT != 58 || cells[0].prevF != 5 || cells[0].win != nil || cells[1].count != 0 {
 		t.Fatalf("sound block decoded as %+v, %+v", cells[0], cells[1])
 	}
 	at := 4 + 8 // the out-of-order sum, a zero

@@ -8,12 +8,15 @@ import (
 )
 
 // TestBuilderSize pins the per-cell struct: a K-cell sketch pays it K times
-// per level per resident segment, and Bytes() does not count it. The open
-// window's region lives behind a pointer so that a resting summary does not
-// carry it.
+// per level per resident segment, and Bytes() does not count it. A cell is a
+// sealed Summary and one pointer: the open window's region lives behind it,
+// so that a resting summary does not carry the region.
 func TestBuilderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Builder{}); got > 168 {
-		t.Fatalf("Sizeof(Builder{}) = %d, want at most 168", got)
+	if got := unsafe.Sizeof(Summary{}); got > 152 {
+		t.Fatalf("Sizeof(Summary{}) = %d, want at most 152", got)
+	}
+	if got, want := unsafe.Sizeof(Builder{}), unsafe.Sizeof(Summary{})+unsafe.Sizeof((*region)(nil)); got != want {
+		t.Fatalf("Sizeof(Builder{}) = %d, want a Summary and a pointer: %d", got, want)
 	}
 }
 
@@ -126,15 +129,17 @@ func TestLongSegmentLengths(t *testing.T) {
 	back.Finish()
 	probeSegments(t, "resumed", &back, all, allRuns, gamma)
 
-	// MergeAppend onto it: the other partition's long segments land at
-	// shifted indices.
+	// Merge a later partition onto it: the other partition's long segments
+	// land at shifted indices.
 	tail, tailRuns := longRunStream(all[len(all)-1]+1<<34, 4)
 	other := buildPBE2(t, tail, gamma)
 	before := back.Segments()
 	lift := float64(back.Count())
-	if err := back.MergeAppend(other); err != nil {
+	m, err := mergeTwo(&back, other)
+	if err != nil {
 		t.Fatal(err)
 	}
+	back = *m
 	all = append(all, tail...)
 	probeSegments(t, "merged", &back, all, append(allRuns, tailRuns...), gamma)
 	merged := back.Segments()
@@ -144,7 +149,7 @@ func TestLongSegmentLengths(t *testing.T) {
 			t.Fatalf("merged segment %d is %+v, want %+v", len(before)+i, merged[len(before)+i], s)
 		}
 	}
-	fin, err := MergeFinished([]*Builder{b, other})
+	fin, err := mergeTwo(b, other)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,36 +3,39 @@ package pbe2
 import "histburst/internal/pbe"
 
 // Fast-path query support. Estimate has two regimes: a "live head" (the
-// exact count at/past the frontier, the open feasible region's centroid
-// line, or a single uncommitted constraint) and the closed-segment list. The
-// head checks are O(1) already; the wins here are narrowing the three
-// point-query searches against each other (Estimate3) and computing the open
-// polygon's centroid at most once per query instead of once per evaluation.
+// exact count at/past the frontier and, on a Builder, the open feasible
+// region's centroid line or a single uncommitted constraint) and the
+// closed-segment list. The head checks are O(1) already; the wins here are
+// narrowing the three point-query searches against each other (Estimate3)
+// and computing the open polygon's centroid at most once per query instead
+// of once per evaluation. A Summary and a Builder share every kernel: the
+// Summary's queries pass no window, the Builder's its own.
 
-var _ pbe.Estimator3 = (*Builder)(nil)
+var (
+	_ pbe.Estimator3 = (*Summary)(nil)
+	_ pbe.Estimator3 = (*Builder)(nil)
+)
 
 // centroidCache lazily computes the open region's centroid line once.
 // Queries must not mutate the Builder (they run concurrently under read
 // locks), so the cache lives in the caller's frame instead.
 type centroidCache struct {
-	b    *Builder
 	a, y float64 // region.line()
 	have bool
 }
 
-// liveHead answers t from the open (not yet segment-committed) state, if it
-// applies: the exact count at and past the frontier, the open region's line
-// (any of its lines satisfies every constraint of the open window), or a
-// single uncommitted constraint — the staircase is flat at its frequency
-// from that instant to the open corner.
-func (b *Builder) liveHead(t int64, cc *centroidCache) (float64, bool) {
-	if !b.started {
+// liveHead answers t from the state the closed segments do not hold, if it
+// applies: the exact count at and past the frontier, or, in the open window
+// w (nil on a sealed summary), the region's line (any of its lines satisfies
+// every constraint of the window) or a single uncommitted constraint — the
+// staircase is flat at its frequency from that instant to the open corner.
+func (s *Summary) liveHead(w *region, t int64, cc *centroidCache) (float64, bool) {
+	if s.count == 0 {
 		return 0, false
 	}
-	if t >= b.lastT {
-		return float64(b.count), true
+	if t >= s.lastT {
+		return float64(s.count), true
 	}
-	w := b.win
 	if w == nil || t < w.winStart {
 		return 0, false
 	}
@@ -51,19 +54,19 @@ func (b *Builder) liveHead(t int64, cc *centroidCache) (float64, bool) {
 
 // segValue maps a segment index found for t (-1 = before the first segment)
 // to the estimate: the segment's line inside its span, the held final value
-// in the flat gap after it. It is segVal(b.seg(i), t) spelled out on the
+// in the flat gap after it. It is segVal(s.seg(i), t) spelled out on the
 // columns: assembling the Segment first costs it its place in the inlining
 // budget, and every scan evaluates through here.
 //
 //histburst:noalloc
-func (b *Builder) segValue(i int, t int64) float64 {
+func (s *Summary) segValue(i int, t int64) float64 {
 	if i < 0 {
 		return 0
 	}
-	if end := b.starts[i] + b.segLen(i); t > end {
+	if end := s.starts[i] + s.segLen(i); t > end {
 		t = end
 	}
-	ln := b.lines[i]
+	ln := s.lines[i]
 	return clampNonNegative(ln.A*float64(t) + ln.B)
 }
 
@@ -71,8 +74,25 @@ func (b *Builder) segValue(i int, t int64) float64 {
 // pass, narrowing each segment search by the previous (later-time) result.
 // Results are identical to three Estimate calls.
 //
-// Two observations cut most of the work. First, every live-head condition is
-// monotone in t, so when the latest instant falls through to the segment
+//histburst:noalloc
+//histburst:fastpath Estimate
+func (s *Summary) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
+	return s.estimate3(nil, t0, t1, t2)
+}
+
+// Estimate3 is Summary.Estimate3 with the open tail answered as Estimate
+// answers it.
+//
+//histburst:noalloc
+//histburst:fastpath Estimate
+func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
+	return b.estimate3(b.win, t0, t1, t2)
+}
+
+// estimate3 is Estimate3 beside the open window w, if any.
+//
+// Two observations cut most of the work. First, every live-head condition
+// is monotone in t, so when the latest instant falls through to the segment
 // list the earlier instants cannot hit the head and skip those checks
 // entirely — that common case runs as one straight-line function. Second,
 // the instants are τ apart while segments typically span much more, so the
@@ -80,18 +100,17 @@ func (b *Builder) segValue(i int, t int64) float64 {
 // previous one — probe there before binary-searching the narrowed range.
 //
 //histburst:noalloc
-//histburst:fastpath Estimate
-func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
-	if t2 >= b.headLow {
-		return b.estimate3Head(t0, t1, t2)
+func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
+	if t2 >= s.headLow {
+		return s.estimate3Head(w, t0, t1, t2)
 	}
-	i2 := b.searchFull(t2)
+	i2 := s.searchFull(t2)
 	if i2 < 0 {
 		return 0, 0, 0 // t0 ≤ t1 ≤ t2 all precede the first segment
 	}
-	s2 := b.seg(i2)
+	s2 := s.seg(i2)
 	f2 = segVal(s2, t2)
-	starts := b.starts
+	starts := s.starts
 	i1 := i2
 	if starts[i1] > t1 {
 		if i1--; i1 >= 0 && starts[i1] > t1 {
@@ -100,7 +119,7 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 		if i1 < 0 {
 			return 0, 0, f2 // t0 ≤ t1, so both precede the first segment
 		}
-		s2 = b.seg(i1)
+		s2 = s.seg(i1)
 	}
 	f1 = segVal(s2, t1) // s2 now holds segment i1
 	i0 := i1
@@ -111,7 +130,7 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 		if i0 < 0 {
 			return 0, f1, f2
 		}
-		s2 = b.seg(i0)
+		s2 = s.seg(i0)
 	}
 	f0 = segVal(s2, t0)
 	return f0, f1, f2
@@ -157,25 +176,25 @@ func searchDown(starts []int64, t int64, hi int) int {
 // re-checks until one falls through to the segments.
 //
 //histburst:noalloc
-func (b *Builder) estimate3Head(t0, t1, t2 int64) (f0, f1, f2 float64) {
-	cc := centroidCache{b: b}
-	f2, ok2 := b.liveHead(t2, &cc)
+func (s *Summary) estimate3Head(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
+	cc := centroidCache{}
+	f2, ok2 := s.liveHead(w, t2, &cc)
 	if !ok2 {
-		f2 = b.segValue(b.searchFull(t2), t2)
+		f2 = s.segValue(s.searchFull(t2), t2)
 	}
-	f1, ok1 := b.liveHead(t1, &cc)
+	f1, ok1 := s.liveHead(w, t1, &cc)
 	if !ok1 {
-		f1 = b.segValue(b.searchFull(t1), t1)
+		f1 = s.segValue(s.searchFull(t1), t1)
 	}
-	f0, ok0 := b.liveHead(t0, &cc)
+	f0, ok0 := s.liveHead(w, t0, &cc)
 	if !ok0 {
-		f0 = b.segValue(b.searchFull(t0), t0)
+		f0 = s.segValue(s.searchFull(t0), t0)
 	}
 	return f0, f1, f2
 }
 
 // searchFull returns the largest i with starts[i] <= t, or -1, over the
-// whole summary. Boundary cases resolve against the builder-resident bounds
+// whole summary. Boundary cases resolve against the summary-resident bounds
 // without touching the array; steady streams produce segment starts that are
 // near-uniform in time, so for longer summaries an interpolated first guess
 // plus a doubling gallop brackets the answer in a couple of localized
@@ -183,15 +202,15 @@ func (b *Builder) estimate3Head(t0, t1, t2 int64) (f0, f1, f2 float64) {
 // plain binary search.
 //
 //histburst:noalloc
-func (b *Builder) searchFull(t int64) int {
-	n := len(b.starts)
-	if n == 0 || t < b.firstStart {
+func (s *Summary) searchFull(t int64) int {
+	n := len(s.starts)
+	if n == 0 || t < s.firstStart {
 		return -1
 	}
-	if t >= b.lastStart {
+	if t >= s.lastStart {
 		return n - 1
 	}
-	starts := b.starts
+	starts := s.starts
 	if n < 16 {
 		// Tiny summaries: a predictable linear scan over at most two cache
 		// lines beats the mispredicting binary probes.
@@ -204,7 +223,7 @@ func (b *Builder) searchFull(t int64) int {
 	// firstStart <= t < lastStart, so the upper bound (first index with a
 	// start beyond t) lies in [1, n-1]. The float guess is a heuristic only;
 	// the gallop establishes the true bracket.
-	g := int(float64(t-b.firstStart) * b.invSpan)
+	g := int(float64(t-s.firstStart) * s.invSpan)
 	if g < 1 {
 		g = 1
 	} else if g > n-2 {

@@ -59,10 +59,11 @@ func TestEstimate3MatchesEstimate(t *testing.T) {
 				tm += int64(r.Intn(4))
 				c.Append(tm)
 			}
-			if err := a.MergeAppend(c); err != nil {
+			m, err := mergeTwo(a, c)
+			if err != nil {
 				t.Fatal(err)
 			}
-			return a, tm
+			return m, tm
 		},
 		"roundtrip": func() (*Builder, int64) {
 			a, horizon := buildRandom(t, 26, 3000, true)

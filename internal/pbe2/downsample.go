@@ -32,51 +32,51 @@ import (
 //
 // Decomposing by exact part bases requires every arrival of part k to be
 // strictly later than every arrival of part k−1 — the same constraint
-// MergeAppend enforces via the virtual-pin check, and the reason the
+// MergeFinished enforces via the virtual-pin check, and the reason the
 // compactor never downsample-merges across an equal timestamp boundary.
 
-// srcCursor evaluates one finished source summary at ascending instants in
-// amortized O(1) per step, bit-identical to Builder.Estimate.
+// srcCursor evaluates one source summary at ascending instants in
+// amortized O(1) per step, bit-identical to Summary.Estimate.
 type srcCursor struct {
-	b *Builder
+	s *Summary
 	i int // largest segment index with Start ≤ the last queried t, or -1
 }
 
 //histburst:noalloc
 func (c *srcCursor) est(t int64) float64 {
-	b := c.b
-	if b.started && t >= b.lastT {
-		return float64(b.count)
+	s := c.s
+	if t >= s.headLow {
+		return float64(s.count)
 	}
-	starts := b.starts
+	starts := s.starts
 	for c.i+1 < len(starts) && starts[c.i+1] <= t {
 		c.i++
 	}
-	return b.segValue(c.i, t)
+	return s.segValue(c.i, t)
 }
 
 // memberIter streams one member's candidate constraint instants — its
 // segment breakpoints aligned up to the res grid — in non-decreasing order.
 type memberIter struct {
 	cur   srcCursor
-	j     int // next segment of cur.b to yield breakpoints from
+	j     int // next segment of cur.s to yield breakpoints from
 	phase int8
 	next  int64 // next aligned candidate; math.MaxInt64 when exhausted
 }
 
 //histburst:noalloc
 func (m *memberIter) advance(res int64) {
-	b := m.cur.b
-	for m.j < len(b.starts) {
+	s := m.cur.s
+	for m.j < len(s.starts) {
 		if m.phase == 0 {
 			m.phase = 1
-			m.next = alignUp(b.starts[m.j], res)
+			m.next = alignUp(s.starts[m.j], res)
 			return
 		}
-		raw := b.starts[m.j] + b.segLen(m.j) + 1
+		raw := s.starts[m.j] + s.segLen(m.j) + 1
 		m.phase = 0
 		m.j++
-		if raw <= b.lastT {
+		if raw <= s.lastT {
 			m.next = alignUp(raw, res)
 			return
 		}
@@ -104,7 +104,7 @@ var dsScratchPool = sync.Pool{New: func() any { return new(dsScratch) }}
 
 // validateDownsample checks the shared preconditions of both downsample
 // paths and returns the per-part gamma sums.
-func validateDownsample(parts [][]*Builder, gamma float64, res int64) error {
+func validateDownsample(parts [][]*Summary, gamma float64, res int64) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("pbe2: downsample of zero parts")
 	}
@@ -123,9 +123,6 @@ func validateDownsample(parts [][]*Builder, gamma float64, res int64) error {
 			if m == nil {
 				return fmt.Errorf("pbe2: downsample part %d member %d is nil", k, i)
 			}
-			if m.started && !m.done {
-				return fmt.Errorf("pbe2: downsample part %d member %d not finished", k, i)
-			}
 			sum += m.gamma
 		}
 		if sum > gamma {
@@ -138,18 +135,18 @@ func validateDownsample(parts [][]*Builder, gamma float64, res int64) error {
 // partBounds returns part k's boundary pin (the earliest member constraint
 // instant), frontier, element count and summed error caps; started reports
 // whether any member holds data.
-func partBounds(part []*Builder) (pin, lastT, count int64, gammaSum float64, outOfOrder int64, started bool) {
+func partBounds(part []*Summary) (pin, lastT, count int64, gammaSum float64, outOfOrder int64, started bool) {
 	pin = math.MaxInt64
 	lastT = math.MinInt64
 	for _, m := range part {
 		gammaSum += m.gamma
 		outOfOrder += m.outOfOrder
 		count += m.count
-		if !m.started {
+		if m.count == 0 {
 			continue
 		}
 		started = true
-		if len(m.starts) > 0 && m.firstStart < pin {
+		if m.firstStart < pin {
 			pin = m.firstStart
 		}
 		if m.lastT > lastT {
@@ -159,11 +156,10 @@ func partBounds(part []*Builder) (pin, lastT, count int64, gammaSum float64, out
 	return pin, lastT, count, gammaSum, outOfOrder, started
 }
 
-// DownsampleInto builds into out — which must be a zero Builder — one
-// summary with error cap gamma and time resolution res covering the
-// concatenation of parts: parts[k] is the group of finished source
-// summaries whose true counts sum to part k's staircase, and parts are in
-// strictly increasing time order. Sources are never mutated.
+// DownsampleInto builds into out one summary with error cap gamma and time
+// resolution res covering the concatenation of parts: parts[k] is the group
+// of source summaries whose true counts sum to part k's staircase, and parts
+// are in strictly increasing time order. Sources are only read.
 //
 // The kernel streams: member breakpoints merge on the fly (no materialized
 // candidate list), sources are evaluated through amortized-O(1) cursors,
@@ -171,11 +167,11 @@ func partBounds(part []*Builder) (pin, lastT, count int64, gammaSum float64, out
 // allocation beyond the output's own segment columns.
 //
 //histburst:fastpath downsampleNaive
-func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) error {
+func DownsampleInto(out *Builder, parts [][]*Summary, gamma float64, res int64) error {
 	if err := validateDownsample(parts, gamma, res); err != nil {
 		return err
 	}
-	*out = Builder{gamma: gamma, headLow: math.MaxInt64}
+	out.reset(gamma)
 	scr := dsScratchPool.Get().(*dsScratch)
 	defer dsScratchPool.Put(scr)
 
@@ -189,7 +185,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 		pin, partLast, count, gammaSum, ooo, started := partBounds(part)
 		totalOOO += ooo
 		if !started {
-			continue // contributes nothing, exactly as MergeAppend skips it
+			continue // contributes nothing, exactly as MergeFinished skips it
 		}
 		if anyStarted && pin < prevLast {
 			out.rest()
@@ -209,7 +205,7 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 
 		members := scr.members[:0]
 		for _, m := range part {
-			it := memberIter{cur: srcCursor{b: m, i: -1}}
+			it := memberIter{cur: srcCursor{s: m, i: -1}}
 			it.advance(res)
 			members = append(members, it)
 		}
@@ -264,15 +260,13 @@ func DownsampleInto(out *Builder, parts [][]*Builder, gamma float64, res int64) 
 	if anyStarted {
 		out.lastT = globalLast
 		out.prevF = total
-		out.started = true
-		out.done = true
 	}
 	out.rest()
 	return nil
 }
 
 // Downsample is DownsampleInto returning a fresh builder.
-func Downsample(parts [][]*Builder, gamma float64, res int64) (*Builder, error) {
+func Downsample(parts [][]*Summary, gamma float64, res int64) (*Builder, error) {
 	out := new(Builder)
 	if err := DownsampleInto(out, parts, gamma, res); err != nil {
 		return nil, err

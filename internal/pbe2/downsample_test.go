@@ -9,10 +9,10 @@ import (
 )
 
 // dsFixture builds a deterministic downsample scenario: nParts time-disjoint
-// parts of g member builders each, arrivals scattered over the members, plus
+// parts of g member summaries each, arrivals scattered over the members, plus
 // the exact combined staircase for invariant checks.
 type dsFixture struct {
-	parts   [][]*Builder
+	parts   [][]*Summary
 	times   []int64 // sorted arrival times of the combined stream
 	lastT   int64
 	total   int64
@@ -44,10 +44,7 @@ func buildDSFixture(t testing.TB, seed int64, nParts, g, perPart int, gammaIn fl
 			fx.times = append(fx.times, now)
 			fx.total++
 		}
-		for _, b := range part {
-			b.Finish()
-		}
-		fx.parts = append(fx.parts, part)
+		fx.parts = append(fx.parts, sealed(part...))
 		now += 1 + int64(rng.Intn(5)) // strictly later next part
 	}
 	fx.lastT = now
@@ -71,7 +68,7 @@ func (fx *dsFixture) fedInstants(res int64) []int64 {
 		started := false
 		partLast := int64(-1 << 62)
 		for _, m := range part {
-			if m.started {
+			if m.count > 0 {
 				started = true
 				if m.lastT > partLast {
 					partLast = m.lastT
@@ -86,7 +83,7 @@ func (fx *dsFixture) fedInstants(res int64) []int64 {
 			pin := int64(1<<62 - 1)
 			nextStarted := false
 			for _, m := range fx.parts[j] {
-				if m.started && len(m.starts) > 0 {
+				if m.count > 0 {
 					nextStarted = true
 					if m.starts[0] < pin {
 						pin = m.starts[0]
@@ -147,8 +144,7 @@ func TestDownsampleMatchesNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: downsampleNaive: %v", tc.seed, err)
 		}
-		if fast.count != naive.count || fast.lastT != naive.lastT ||
-			fast.started != naive.started || fast.done != naive.done ||
+		if fast.count != naive.count || fast.lastT != naive.lastT || fast.prevF != naive.prevF ||
 			fast.gamma != naive.gamma || fast.outOfOrder != naive.outOfOrder {
 			t.Fatalf("seed %d: counters diverge: fast{n=%d lastT=%d} naive{n=%d lastT=%d}",
 				tc.seed, fast.count, fast.lastT, naive.count, naive.lastT)
@@ -251,7 +247,7 @@ func TestDownsampleChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Downsample([][]*Builder{{mid1}, {mid2}}, 20, 32)
+	out, err := Downsample([][]*Summary{{mid1.Seal()}, {mid2.Seal()}}, 20, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,41 +269,36 @@ func TestDownsampleChain(t *testing.T) {
 }
 
 func TestDownsampleRejectsBadInput(t *testing.T) {
-	b, _ := New(2)
-	b.Append(10)
-	b.Finish()
-	later, _ := New(2)
-	later.Append(5) // earlier than b's frontier
-	later.Finish()
+	nb, _ := New(2)
+	nb.Append(10)
+	b := nb.Seal()
+	nl, _ := New(2)
+	nl.Append(5) // earlier than b's frontier
+	later := nl.Seal()
 
 	if _, err := Downsample(nil, 8, 4); err == nil {
 		t.Fatal("accepted zero parts")
 	}
-	if _, err := Downsample([][]*Builder{{b}}, 8, 0); err == nil {
+	if _, err := Downsample([][]*Summary{{b}}, 8, 0); err == nil {
 		t.Fatal("accepted resolution 0")
 	}
-	if _, err := Downsample([][]*Builder{{b, b}}, 2, 4); err == nil {
+	if _, err := Downsample([][]*Summary{{b, b}}, 2, 4); err == nil {
 		t.Fatal("accepted gamma below summed source caps")
 	}
-	if _, err := Downsample([][]*Builder{{b}, {later}}, 8, 4); err == nil {
+	if _, err := Downsample([][]*Summary{{b}, {later}}, 8, 4); err == nil {
 		t.Fatal("accepted overlapping time ranges")
-	}
-	open, _ := New(2)
-	open.Append(100)
-	if _, err := Downsample([][]*Builder{{open}}, 8, 4); err == nil {
-		t.Fatal("accepted unfinished source")
 	}
 }
 
 func TestDownsampleEmptyParts(t *testing.T) {
-	empty, _ := New(2)
-	empty.Finish()
-	out, err := Downsample([][]*Builder{{empty}, {empty}}, 8, 4)
+	nb, _ := New(2)
+	empty := nb.Seal()
+	out, err := Downsample([][]*Summary{{empty}, {empty}}, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Count() != 0 || out.started {
-		t.Fatalf("empty downsample: count=%d started=%v", out.Count(), out.started)
+	if out.Count() != 0 || out.headLow != math.MaxInt64 {
+		t.Fatalf("empty downsample: count=%d head at %d", out.Count(), out.headLow)
 	}
 	if got := out.Estimate(123); got != 0 {
 		t.Fatalf("empty downsample estimates %v", got)
@@ -319,7 +310,7 @@ func TestDownsampleEmptyParts(t *testing.T) {
 // settings must shrink it.
 func TestDownsampleShrinksSegments(t *testing.T) {
 	fx := buildDSFixture(t, 41, 4, 1, 2000, 2)
-	merged, err := MergeFinished([]*Builder{fx.parts[0][0], fx.parts[1][0], fx.parts[2][0], fx.parts[3][0]})
+	merged, err := MergeFinished([]*Summary{fx.parts[0][0], fx.parts[1][0], fx.parts[2][0], fx.parts[3][0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +323,11 @@ func TestDownsampleShrinksSegments(t *testing.T) {
 	}
 }
 
-func benchDSParts(b *testing.B, nParts, g, perPart int) [][]*Builder {
+func benchDSParts(b *testing.B, nParts, g, perPart int) [][]*Summary {
 	b.Helper()
 	rng := rand.New(rand.NewSource(99))
 	now := int64(0)
-	var parts [][]*Builder
+	var parts [][]*Summary
 	for p := 0; p < nParts; p++ {
 		part := make([]*Builder, g)
 		for m := range part {
@@ -350,10 +341,7 @@ func benchDSParts(b *testing.B, nParts, g, perPart int) [][]*Builder {
 			now += int64(rng.Intn(3))
 			part[rng.Intn(g)].Append(now)
 		}
-		for _, nb := range part {
-			nb.Finish()
-		}
-		parts = append(parts, part)
+		parts = append(parts, sealed(part...))
 		now += 2
 	}
 	return parts
@@ -387,11 +375,12 @@ func BenchmarkPBE2DownsampleNaive(b *testing.B) {
 // and deduplicated per part, and sources are evaluated through the plain
 // Estimate search instead of streaming cursors. Equivalence tests pin the
 // two bit-identical.
-func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, error) {
+func downsampleNaive(parts [][]*Summary, gamma float64, res int64) (*Builder, error) {
 	if err := validateDownsample(parts, gamma, res); err != nil {
 		return nil, err
 	}
-	out := &Builder{gamma: gamma, headLow: math.MaxInt64}
+	out := new(Builder)
+	out.reset(gamma)
 	var base, total, globalLast, totalOOO int64
 	anyStarted := false
 	lastFed := int64(math.MinInt64)
@@ -464,8 +453,6 @@ func downsampleNaive(parts [][]*Builder, gamma float64, res int64) (*Builder, er
 	if anyStarted {
 		out.lastT = globalLast
 		out.prevF = total
-		out.started = true
-		out.done = true
 	}
 	out.rest()
 	return out, nil

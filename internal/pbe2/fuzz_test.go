@@ -2,7 +2,9 @@ package pbe2
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"histburst/internal/binenc"
@@ -63,6 +65,79 @@ func FuzzPBE2OneSided(f *testing.F) {
 	})
 }
 
+// FuzzMergeOneSided cuts a fuzzer-chosen stream at an epoch-scale origin
+// into two to four parts at fuzzer-chosen points, builds each, and merges
+// them: parts that share a timestamp across a cut must be refused, and
+// otherwise the merge must hold F − γ ≤ F̃ ≤ F — the upper side strictly —
+// at every integer instant of the merged span, and equal, column for
+// column, merging the first two parts and then the rest. The detector's
+// merge and the store's compaction are this merge, cell by cell.
+func FuzzMergeOneSided(f *testing.F) {
+	f.Add(byte(1), uint16(3), uint16(9), uint16(0), []byte{1, 1, 0, 0, 3, 0x85, 2, 0, 0, 0, 9, 0xff, 1, 1, 1, 2, 0x90, 4})
+	f.Add(byte(7), uint16(1), uint16(2), uint16(3), []byte{0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, gsel byte, c1, c2, c3 uint16, gaps []byte) {
+		if len(gaps) < 2 || len(gaps) > 1024 {
+			return
+		}
+		gamma := float64(1 + gsel%16)
+		ts := make(stream.TimestampSeq, len(gaps))
+		cur := int64(1.7e9)
+		for i, g := range gaps {
+			gap := int64(g & 0x1f) // 0 … 31: same-instant runs and neighbours
+			if g&0x80 != 0 {
+				gap <<= 4 // up to 496: flat stretches
+			}
+			cur += gap
+			ts[i] = cur
+		}
+		cuts := []int{0, len(ts)}
+		for _, c := range [...]uint16{c1, c2, c3} {
+			if at := int(c) % len(ts); at > 0 && !slices.Contains(cuts, at) {
+				cuts = append(cuts, at)
+			}
+		}
+		if len(cuts) < 3 {
+			return
+		}
+		slices.Sort(cuts)
+		parts := make([]*Summary, len(cuts)-1)
+		touching := false
+		for k := range parts {
+			b, err := New(gamma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range ts[cuts[k]:cuts[k+1]] {
+				b.Append(v)
+			}
+			parts[k] = b.Seal()
+			touching = touching || k > 0 && ts[cuts[k]] == ts[cuts[k]-1]
+		}
+		merged, err := MergeFinished(parts)
+		if touching {
+			if err == nil {
+				t.Fatal("parts sharing a timestamp across a cut merged")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkOneSided(t, "merged", merged.Estimate, ts, gamma, ts[0]-2, ts[len(ts)-1]+2)
+		pair, err := MergeFinished(parts[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, err := MergeFinished(append([]*Summary{pair.Seal()}, parts[2:]...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(chain.summary, merged.summary) {
+			t.Fatalf("%d-way merge\n%+v\nmerging two, then the rest\n%+v", len(parts), merged.summary, chain.summary)
+		}
+	})
+}
+
 // FuzzPBE2CellBlock throws bytes at the cell block decoder under a
 // fuzzer-chosen cell count and level frontier. It must never panic; it must
 // not allocate beyond a small multiple of the input (the cells themselves are
@@ -110,7 +185,7 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		for i := range arena {
 			b := &arena[i]
 			b.Estimate3(maxT-20, maxT-10, maxT)
-			if b.started && (len(b.starts) == 0 || b.lastT > maxT || b.count <= 0) {
+			if b.count < 0 || b.count > 0 && (len(b.starts) == 0 || b.lastT > maxT) {
 				t.Fatalf("cell %d accepted in a state no builder reaches: %+v", i, b)
 			}
 		}

@@ -1,11 +1,52 @@
 package pbe2
 
 import (
+	"fmt"
 	"testing"
 )
 
+// sealed seals bs and returns their summaries.
+func sealed(bs ...*Builder) []*Summary {
+	out := make([]*Summary, len(bs))
+	for i, b := range bs {
+		out[i] = b.Seal()
+	}
+	return out
+}
+
+// mergeAppend is the cell-level reference MergeFinished is checked against:
+// the in-place merge that absorbed one later partition into the receiver,
+// segment by segment — and that left the receiver half-merged when it
+// refused one partway through a sketch.
+func mergeAppend(b, o *Builder) error {
+	if o.gamma != b.gamma {
+		return fmt.Errorf("pbe2: gamma mismatch (%v vs %v)", b.gamma, o.gamma)
+	}
+	b.Finish()
+	o.Finish()
+	if o.count == 0 {
+		return nil
+	}
+	if b.count > 0 && len(o.starts) > 0 && o.firstStart < b.lastT {
+		return fmt.Errorf("pbe2: time ranges overlap (receiver ends at %d, other starts at %d)",
+			b.lastT, o.firstStart)
+	}
+	offset := float64(b.count)
+	for i := range o.starts {
+		s := o.seg(i)
+		s.B += offset
+		b.appendSegment(s)
+	}
+	b.count += o.count
+	b.lastT = o.lastT
+	b.prevF = b.count
+	b.outOfOrder += o.outOfOrder
+	b.rest()
+	return nil
+}
+
 // threeParts builds the same three time-disjoint partitions twice so the
-// streaming kernel and the MergeAppend chain each get pristine sources.
+// streaming kernel and the mergeAppend chain each get pristine sources.
 func threeParts(t testing.TB, gamma float64) []*Builder {
 	t.Helper()
 	ts := randomTimestamps(91, 4000, 3)
@@ -35,7 +76,7 @@ func TestMergeFinishedMatchesMergeAppend(t *testing.T) {
 	parts := threeParts(t, gamma)
 	segsBefore := parts[1].NumSegments()
 
-	fast, err := MergeFinished(parts)
+	fast, err := MergeFinished(sealed(parts...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +87,7 @@ func TestMergeFinishedMatchesMergeAppend(t *testing.T) {
 	naiveParts := threeParts(t, gamma)
 	naive := naiveParts[0]
 	for _, p := range naiveParts[1:] {
-		if err := naive.MergeAppend(p); err != nil {
+		if err := mergeAppend(naive, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +117,7 @@ func TestMergeFinishedEmptyAndSingle(t *testing.T) {
 	if _, err := MergeFinished(nil); err == nil {
 		t.Fatal("zero-part merge accepted")
 	}
-	one, err := MergeFinished([]*Builder{empty})
+	one, err := MergeFinished(sealed(empty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +127,7 @@ func TestMergeFinishedEmptyAndSingle(t *testing.T) {
 
 	b := buildPBE2(t, randomTimestamps(7, 200, 2), 2)
 	b.Finish()
-	merged, err := MergeFinished([]*Builder{empty, b, empty})
+	merged, err := MergeFinished(sealed(empty, b, empty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,21 +139,14 @@ func TestMergeFinishedEmptyAndSingle(t *testing.T) {
 func TestMergeFinishedValidation(t *testing.T) {
 	a, _ := New(2)
 	b, _ := New(3)
-	if _, err := MergeFinished([]*Builder{a, b}); err == nil {
+	if _, err := MergeFinished(sealed(a, b)); err == nil {
 		t.Fatal("gamma mismatch accepted")
-	}
-	c, _ := New(2)
-	c.Append(10) // started but unfinished
-	if _, err := MergeFinished([]*Builder{c}); err == nil {
-		t.Fatal("unfinished source accepted")
 	}
 	d, _ := New(2)
 	e, _ := New(2)
 	d.Append(100)
 	e.Append(100) // same instant ⇒ overlapping partitions
-	d.Finish()
-	e.Finish()
-	if _, err := MergeFinished([]*Builder{d, e}); err == nil {
+	if _, err := MergeFinished(sealed(d, e)); err == nil {
 		t.Fatal("overlap accepted")
 	}
 }

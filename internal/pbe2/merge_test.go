@@ -6,6 +6,11 @@ import (
 	"histburst/internal/curve"
 )
 
+// mergeTwo merges a later partition b onto a, as a merge-append would.
+func mergeTwo(a, b *Builder) (*Builder, error) {
+	return MergeFinished(sealed(a, b))
+}
+
 func TestMergeAppendPreservesGammaBound(t *testing.T) {
 	ts := randomTimestamps(41, 3000, 3)
 	cut := len(ts) / 3
@@ -13,9 +18,8 @@ func TestMergeAppendPreservesGammaBound(t *testing.T) {
 		cut++
 	}
 	gamma := 3.0
-	a := buildPBE2(t, ts[:cut], gamma)
-	b := buildPBE2(t, ts[cut:], gamma)
-	if err := a.MergeAppend(b); err != nil {
+	a, err := mergeTwo(buildPBE2(t, ts[:cut], gamma), buildPBE2(t, ts[cut:], gamma))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != int64(len(ts)) {
@@ -31,14 +35,14 @@ func TestMergeAppendPreservesGammaBound(t *testing.T) {
 func TestMergeAppendValidation(t *testing.T) {
 	a, _ := New(2)
 	b, _ := New(3)
-	if err := a.MergeAppend(b); err == nil {
+	if _, err := mergeTwo(a, b); err == nil {
 		t.Fatal("gamma mismatch accepted")
 	}
 	c, _ := New(2)
 	d, _ := New(2)
 	c.Append(100)
 	d.Append(100) // same instant ⇒ overlapping partitions
-	if err := c.MergeAppend(d); err == nil {
+	if _, err := mergeTwo(c, d); err == nil {
 		t.Fatal("overlap accepted")
 	}
 }
@@ -47,14 +51,15 @@ func TestMergeAppendEmptySides(t *testing.T) {
 	a, _ := New(2)
 	b, _ := New(2)
 	b.Append(10)
-	if err := a.MergeAppend(b); err != nil {
+	a, err := mergeTwo(a, b)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != 1 || a.Estimate(10) != 1 {
 		t.Fatalf("adopt failed: %d %v", a.Count(), a.Estimate(10))
 	}
 	empty, _ := New(2)
-	if err := a.MergeAppend(empty); err != nil {
+	if a, err = mergeTwo(a, empty); err != nil {
 		t.Fatal(err)
 	}
 	if a.Count() != 1 {

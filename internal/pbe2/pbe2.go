@@ -47,24 +47,24 @@ const lenTag = 1 << 31
 
 // slot returns the lens entry for a segment of length n, moving n to the
 // long table when 31 bits cannot hold it.
-func (b *Builder) slot(n uint64) uint32 {
+func (s *Summary) slot(n uint64) uint32 {
 	if n < lenTag {
 		return uint32(n)
 	}
-	if b.long == nil {
-		b.long = new([]int64)
+	if s.long == nil {
+		s.long = new([]int64)
 	}
-	*b.long = append(*b.long, int64(n))
-	return lenTag | uint32(len(*b.long)-1)
+	*s.long = append(*s.long, int64(n))
+	return lenTag | uint32(len(*s.long)-1)
 }
 
 // segLen returns End − Start of the i-th closed segment.
 //
 //histburst:noalloc
-func (b *Builder) segLen(i int) int64 {
-	n := b.lens[i]
+func (s *Summary) segLen(i int) int64 {
+	n := s.lens[i]
 	if n >= lenTag {
-		return (*b.long)[n-lenTag]
+		return (*s.long)[n-lenTag]
 	}
 	return int64(n)
 }
@@ -74,21 +74,23 @@ func (b *Builder) segLen(i int) int64 {
 // it (or through starts, the search key, and segLen).
 //
 //histburst:noalloc
-func (b *Builder) seg(i int) Segment {
-	start, ln := b.starts[i], b.lines[i]
-	return Segment{A: ln.A, B: ln.B, Start: start, End: start + b.segLen(i)}
+func (s *Summary) seg(i int) Segment {
+	start, ln := s.starts[i], s.lines[i]
+	return Segment{A: ln.A, B: ln.B, Start: start, End: start + s.segLen(i)}
 }
 
-// Builder maintains a PBE-2 summary online.
-type Builder struct {
+// Summary is a sealed PBE-2 summary: the closed segments of F̃ and the
+// exact count at its frontier. Merge, downsample and the cell block read
+// summaries and never write them; a Builder hands out its own through Seal.
+type Summary struct {
 	gamma float64
 
-	// Closed segments, one column per field, index-aligned and clipped to
-	// length by Finish: 28 bytes a segment, nothing stored twice. starts is
-	// the one search key — eight candidates per cache line — and stays a full
-	// int64 so the search kernels compare timestamps as they arrive. lens
-	// holds End − Start, or for the rare length past 31 bits a tagged index
-	// into *long (see lenTag); long is nil until one occurs.
+	// Closed segments, one column per field, index-aligned and exactly as
+	// long as the segments they hold: 28 bytes a segment, nothing stored
+	// twice. starts is the one search key — eight candidates per cache line —
+	// and stays a full int64 so the search kernels compare timestamps as they
+	// arrive. lens holds End − Start, or for the rare length past 31 bits a
+	// tagged index into *long (see lenTag); long is nil until one occurs.
 	// firstStart/lastStart duplicate the ends of starts so full-range
 	// searches resolve boundary cases without touching the array.
 	starts     []int64
@@ -101,25 +103,32 @@ type Builder struct {
 	// interpolation guess in searchFull, precomputed so the query path
 	// multiplies instead of divides.
 	invSpan float64
-	// headLow is the smallest t the live head can answer (MaxInt64 when
-	// nothing was appended): a query at or past it must consult the open
-	// state, one below it is answered by closed segments alone. Maintained on
-	// every mutation so the query path dispatches on a single comparison.
+	// headLow is the smallest t the closed segments do not answer: the
+	// frontier (MaxInt64 when nothing was counted), or, while a Builder's
+	// window is open, that window's first instant. The query path dispatches
+	// on this one comparison.
 	headLow int64
 
-	// win is the feasible region of the open window; closed windows land in
-	// the columns. A resting summary has none: Finish drops it and the next
-	// constraint re-creates it.
-	win *region
-
-	// Staircase state: the currently open corner.
-	count   int64 // arrivals so far
-	lastT   int64 // time of the open corner
-	prevF   int64 // cumulative frequency before the open corner
-	started bool
-	done    bool // Finish sealed the open corner
-
+	count      int64 // arrivals
+	lastT      int64 // frontier: the time of the last arrival
+	prevF      int64 // arrivals before the corner at lastT
 	outOfOrder int64
+}
+
+// summary is Summary under an unexported name, so that the Builder embedding
+// it promotes its readers without exposing the field: outside this package
+// a Builder's summary is reached only through Seal.
+type summary = Summary
+
+// Builder maintains a PBE-2 summary online: the Summary of what it has
+// closed, and the feasible region of its open window. A sealed Builder — one
+// that never counted an arrival, or whose last call was Finish — has no
+// window; its first Append after that opens one. The window pointer comes
+// first, beside the fields every query reads, so that loading it touches no
+// cache line the query would not.
+type Builder struct {
+	win *region
+	summary
 }
 
 // New creates a PBE-2 builder with error cap gamma ≥ 1.
@@ -127,7 +136,9 @@ func New(gamma float64) (*Builder, error) {
 	if err := CheckGamma(gamma); err != nil {
 		return nil, err
 	}
-	return &Builder{gamma: gamma, headLow: math.MaxInt64}, nil
+	b := new(Builder)
+	b.reset(gamma)
+	return b, nil
 }
 
 // NewCells returns n empty builders under error cap gamma ≥ 1 in one array:
@@ -138,9 +149,14 @@ func NewCells(n int, gamma float64) ([]Builder, error) {
 	}
 	cells := make([]Builder, n)
 	for i := range cells {
-		cells[i] = Builder{gamma: gamma, headLow: math.MaxInt64}
+		cells[i].reset(gamma)
 	}
 	return cells, nil
+}
+
+// reset makes b the empty builder under gamma, writing it in place.
+func (b *Builder) reset(gamma float64) {
+	*b = Builder{summary: Summary{gamma: gamma, headLow: math.MaxInt64}}
 }
 
 // CheckGamma refuses an error cap no builder accepts: below 1, NaN or
@@ -160,7 +176,7 @@ func CheckGamma(gamma float64) error {
 // when a window is open and lastT otherwise.
 func (b *Builder) updateHeadLow() {
 	switch {
-	case !b.started:
+	case b.count == 0:
 		b.headLow = math.MaxInt64
 	case b.win != nil && (b.win.open || b.win.pending):
 		b.headLow = b.win.winStart
@@ -170,25 +186,15 @@ func (b *Builder) updateHeadLow() {
 }
 
 // Gamma returns the configured error cap.
-func (b *Builder) Gamma() float64 { return b.gamma }
+func (s *Summary) Gamma() float64 { return s.gamma }
 
 // Append ingests one arrival at time t. Out-of-order arrivals are clamped
 // to the frontier and counted.
 func (b *Builder) Append(t int64) {
-	if b.started && t < b.lastT {
-		b.outOfOrder++
-		t = b.lastT
-	}
-	if b.started && t == b.lastT && !b.done {
-		b.count++
-		return
-	}
-	if !b.started {
-		b.count++
+	if b.count == 0 {
+		b.count = 1
 		b.lastT = t
 		b.prevF = 0
-		b.started = true
-		b.done = false
 		// Pin the instant just before the first rise: F is 0 there. Only
 		// useful when it doesn't precede time zero's history — it's a
 		// virtual constraint on the same staircase, always valid.
@@ -196,53 +202,61 @@ func (b *Builder) Append(t int64) {
 		b.updateHeadLow()
 		return
 	}
-	// Time advances (or we restart after Finish): seal the open corner.
-	b.sealCorner(t)
+	if t < b.lastT {
+		b.outOfOrder++
+		t = b.lastT
+	}
+	open := b.win != nil
+	if open && t == b.lastT {
+		b.count++
+		return
+	}
+	// Time advances, or a sealed summary reopens: seal the open corner (a
+	// sealed one was fed by Finish), then record the flat run up to t — the
+	// "doubled" point.
+	if open {
+		b.feed(b.lastT, b.count)
+	}
+	if t > b.lastT+1 {
+		b.feed(t-1, b.count)
+	}
+	b.prevF = b.count
 	b.count++
 	b.lastT = t
-	b.done = false
+	b.window()
 	b.updateHeadLow()
 }
 
-// sealCorner closes the corner at lastT with frequency count, feeds its
-// constraints, and records the flat run up to nextT (the "doubled" point).
-func (b *Builder) sealCorner(nextT int64) {
-	if !b.started {
-		return
-	}
-	if !b.done {
-		b.feed(b.lastT, b.count)
-	}
-	if nextT > b.lastT+1 {
-		// Pin the end of the flat run just before the next rise.
-		b.feed(nextT-1, b.count)
-	}
-	b.prevF = b.count
-}
-
 // Finish seals the open corner, closes the final segment and clips the
-// segment columns to their length. Idempotent — a Finish on a finished
+// segment columns to their length. Idempotent — a Finish on a sealed
 // builder writes nothing, so it is safe beside lock-free readers; Append may
 // be called afterwards.
 func (b *Builder) Finish() {
-	if !b.started || b.done {
+	if b.win == nil {
 		return
 	}
 	b.feed(b.lastT, b.count)
 	b.closeWindow()
-	b.done = true
 	b.rest()
 }
 
-// rest puts a sealed builder in its resting form: head dispatch recomputed,
-// the open-window engine (clip arena included) back in its pool, columns
-// exactly as long as the segments they hold.
+// Seal finishes the builder and returns its summary, which the builder
+// shares until its next Append. It is how merge, downsample and the cell
+// block reach a cell: the type they read holds no open window.
+func (b *Builder) Seal() *Summary {
+	b.Finish()
+	return &b.summary
+}
+
+// rest puts a builder in its sealed form: the open-window engine (clip arena
+// included) back in its pool, head dispatch recomputed, columns exactly as
+// long as the segments they hold.
 func (b *Builder) rest() {
-	b.updateHeadLow()
 	if b.win != nil {
 		b.win.recycle()
 		b.win = nil
 	}
+	b.updateHeadLow()
 	b.starts = clipped(b.starts)
 	b.lens = clipped(b.lens)
 	b.lines = clipped(b.lines)
@@ -267,13 +281,19 @@ func (b *Builder) feed(t, f int64) {
 	b.feedRange(rpoint{t: t, hi: float64(f), slack: b.gamma})
 }
 
-// feedRange adds one constraint to the open window, recording the segment
-// of the window it closes, if any.
-func (b *Builder) feedRange(p rpoint) {
+// window returns the open window's engine, opening one if the builder is
+// sealed.
+func (b *Builder) window() *region {
 	if b.win == nil {
 		b.win = regionPool.Get().(*region)
 	}
-	if seg, ok := b.win.feed(p); ok {
+	return b.win
+}
+
+// feedRange adds one constraint to the open window, recording the segment
+// of the window it closes, if any.
+func (b *Builder) feedRange(p rpoint) {
+	if seg, ok := b.window().feed(p); ok {
 		b.appendSegment(seg)
 	}
 }
@@ -288,23 +308,23 @@ func (b *Builder) closeWindow() {
 	}
 }
 
-func (b *Builder) appendSegment(s Segment) {
-	b.lens = append(b.lens, b.slot(uint64(s.End-s.Start)))
-	b.starts = append(b.starts, s.Start)
-	b.lines = append(b.lines, line{A: s.A, B: s.B})
-	b.boundStarts()
+func (s *Summary) appendSegment(seg Segment) {
+	s.lens = append(s.lens, s.slot(uint64(seg.End-seg.Start)))
+	s.starts = append(s.starts, seg.Start)
+	s.lines = append(s.lines, line{A: seg.A, B: seg.B})
+	s.boundStarts()
 }
 
 // boundStarts refreshes what searchFull keeps beside the starts column: its
 // two ends and the interpolation slope between them.
-func (b *Builder) boundStarts() {
-	n := len(b.starts)
+func (s *Summary) boundStarts() {
+	n := len(s.starts)
 	if n == 0 {
 		return
 	}
-	b.firstStart, b.lastStart = b.starts[0], b.starts[n-1]
-	if b.lastStart > b.firstStart {
-		b.invSpan = float64(n-1) / float64(b.lastStart-b.firstStart)
+	s.firstStart, s.lastStart = s.starts[0], s.starts[n-1]
+	if s.lastStart > s.firstStart {
+		s.invSpan = float64(n-1) / float64(s.lastStart-s.firstStart)
 	}
 }
 
@@ -312,13 +332,23 @@ func (b *Builder) boundStarts() {
 //
 // Closed segments answer t within their spans; between segments F̃ holds the
 // previous segment's final value (the staircase is flat there, so the hold
-// stays within γ). Queries on the still-open tail are answered from the
-// live feasible region (any of its lines satisfies every constraint of the
-// open window) or, at and past the frontier, from the exact running count.
+// stays within γ). At and past the frontier the answer is the exact count.
+func (s *Summary) Estimate(t int64) float64 {
+	if t >= s.headLow {
+		return float64(s.count)
+	}
+	return s.segValue(s.searchFull(t), t)
+}
+
+// Estimate returns F̃(t) as Summary.Estimate does, answering the still-open
+// tail from the live feasible region: any of its lines satisfies every
+// constraint of the open window. (A one-line wrapper over a shared kernel
+// would inline into every caller and grow the point query's frame; this
+// body does not.)
 func (b *Builder) Estimate(t int64) float64 {
 	if t >= b.headLow {
-		cc := centroidCache{b: b}
-		if v, ok := b.liveHead(t, &cc); ok {
+		cc := centroidCache{}
+		if v, ok := b.liveHead(b.win, t, &cc); ok {
 			return v
 		}
 	}
@@ -333,13 +363,13 @@ func clampNonNegative(v float64) float64 {
 }
 
 // Segments returns a copy of the closed segments.
-func (b *Builder) Segments() []Segment {
-	if len(b.starts) == 0 {
+func (s *Summary) Segments() []Segment {
+	if len(s.starts) == 0 {
 		return nil
 	}
-	out := make([]Segment, len(b.starts))
+	out := make([]Segment, len(s.starts))
 	for i := range out {
-		out[i] = b.seg(i)
+		out[i] = s.seg(i)
 	}
 	return out
 }
@@ -347,14 +377,14 @@ func (b *Builder) Segments() []Segment {
 // Breakpoints returns the times where F̃ changes shape: each segment start
 // and the instant just past each segment end (where the flat hold begins),
 // plus the open-corner frontier.
-func (b *Builder) Breakpoints() []int64 {
-	out := make([]int64, 0, 2*len(b.starts)+1)
-	for i, start := range b.starts {
+func (s *Summary) Breakpoints() []int64 {
+	out := make([]int64, 0, 2*len(s.starts)+1)
+	for i, start := range s.starts {
 		out = appendBreakpoint(out, start)
-		out = appendBreakpoint(out, start+b.segLen(i)+1)
+		out = appendBreakpoint(out, start+s.segLen(i)+1)
 	}
-	if b.started {
-		out = appendBreakpoint(out, b.lastT)
+	if s.count > 0 {
+		out = appendBreakpoint(out, s.lastT)
 	}
 	return out
 }
@@ -377,16 +407,16 @@ func appendBreakpoint(out []int64, v int64) []int64 {
 }
 
 // Count returns the number of arrivals ingested.
-func (b *Builder) Count() int64 { return b.count }
+func (s *Summary) Count() int64 { return s.count }
 
 // Frontier returns the time of the last arrival (zero before the first).
-func (b *Builder) Frontier() int64 { return b.lastT }
+func (s *Summary) Frontier() int64 { return s.lastT }
 
 // OutOfOrder returns how many arrivals were clamped.
-func (b *Builder) OutOfOrder() int64 { return b.outOfOrder }
+func (s *Summary) OutOfOrder() int64 { return s.outOfOrder }
 
 // NumSegments returns the number of closed segments.
-func (b *Builder) NumSegments() int { return len(b.starts) }
+func (s *Summary) NumSegments() int { return len(s.starts) }
 
 // Bytes returns the summary footprint: what the segment columns hold. That
 // is 28 bytes per closed segment (an int64 start, a uint32 length, two
@@ -395,10 +425,10 @@ func (b *Builder) NumSegments() int { return len(b.starts) }
 // allocator's per-array rounding, a fixed cost per cell that a sketch of K
 // cells pays K times whatever the history's length — and, while a window is
 // open, its feasible region and clip arena, which Finish releases.
-func (b *Builder) Bytes() int {
-	n := 28 * len(b.starts)
-	if b.long != nil {
-		n += 8 * len(*b.long)
+func (s *Summary) Bytes() int {
+	n := 28 * len(s.starts)
+	if s.long != nil {
+		n += 8 * len(*s.long)
 	}
 	return n
 }

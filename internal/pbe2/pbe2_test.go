@@ -327,10 +327,11 @@ func TestBreakpointsSortedUnique(t *testing.T) {
 	// A merged partition's virtual pin may coincide with the receiver's
 	// frontier, likewise.
 	other := buildPBE2(t, stream.TimestampSeq{last + 1, last + 1, last + 4}, 3)
-	if err := b.MergeAppend(other); err != nil {
+	merged, err := mergeTwo(b, other)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("merged", b)
+	check("merged", merged)
 }
 
 func TestImplementsPBE(t *testing.T) {

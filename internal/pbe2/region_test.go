@@ -132,7 +132,7 @@ func checkInstant(t *testing.T, what string, v, f, gamma float64, q int64) {
 // TestOneSidedEveryInstant is the kernel's contract at the scales where it
 // broke: every density, at small, Unix-second and Unix-millisecond time
 // origins, at every integer instant of the history — on the open tail while
-// building, after Finish, through MergeAppend and through Downsample.
+// building, after Finish, through MergeFinished and through Downsample.
 func TestOneSidedEveryInstant(t *testing.T) {
 	densities := []struct {
 		meanGap float64
@@ -162,21 +162,23 @@ func TestOneSidedEveryInstant(t *testing.T) {
 
 					left := buildPBE2(t, ts[:half], gamma)
 					right := buildPBE2(t, ts[half:], gamma)
-					ds, err := Downsample([][]*Builder{{left}, {right}}, 2*gamma, 1)
+					parts := [][]*Summary{{left.Seal()}, {right.Seal()}}
+					ds, err := Downsample(parts, 2*gamma, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
 					// A downsampled curve is pinned at the instants the kernel
 					// feeds — the sources' breakpoints — and trails F by the
 					// count's rise in between.
-					fx := dsFixture{parts: [][]*Builder{{left}, {right}}}
+					fx := dsFixture{parts: parts}
 					for _, q := range fx.fedInstants(1) {
 						checkInstant(t, "Downsample", ds.Estimate(q), float64(ts.CountAtOrBefore(q)), 2*gamma, q)
 					}
-					if err := left.MergeAppend(right); err != nil {
+					merged, err := mergeTwo(left, right)
+					if err != nil {
 						t.Fatal(err)
 					}
-					checkOneSided(t, "MergeAppend", left.Estimate, ts, gamma, first-3, last+3)
+					checkOneSided(t, "MergeFinished", merged.Estimate, ts, gamma, first-3, last+3)
 				})
 			}
 		}

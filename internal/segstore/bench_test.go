@@ -212,8 +212,8 @@ func BenchmarkSegstoreAppendSealElement(b *testing.B) {
 	}
 }
 
-// BenchmarkSegstoreCompactMerge measures compaction throughput: cloning and
-// MergeAppend-ing a run of 4 sealed segments of 4096 elements each into one.
+// BenchmarkSegstoreCompactMerge measures compaction throughput: merging a
+// run of 4 sealed segments of 4096 elements each into one.
 func BenchmarkSegstoreCompactMerge(b *testing.B) {
 	s := benchStore(b, 4, 4096)
 	defer s.Close() //histburst:allow errdrop -- benchmark teardown

@@ -25,9 +25,10 @@ import (
 //
 // Merges and decays are jobs of one executor, rebuildOnce: build every
 // job's replacement concurrently, then swap each in. Runs whose inputs share
-// a boundary timestamp cannot merge (a forced whole-head seal can produce
-// equal boundaries; detector MergeAppend requires strictly increasing
-// ones). Such runs are remembered and skipped — their segments stay live
+// a boundary timestamp may not merge (a forced whole-head seal can produce
+// equal boundaries, and a summary cell that counted the shared timestamp on
+// both sides refuses: each part's curve is pinned one tick before its first
+// arrival). Such runs are remembered and skipped — their segments stay live
 // and queryable, merely unmerged.
 
 // compactLoop runs on its own goroutine, draining candidates after every
@@ -240,9 +241,9 @@ func (s *Store) findRunLocked(run []*Segment) int {
 }
 
 // mergeRun builds the replacement segment with the streaming merge kernel:
-// MergeDetectors reads the finished sources' packed arrays directly and
-// never mutates them, so — unlike the MergeAppend chain — no clones are
-// materialized and the originals keep serving queries throughout.
+// MergeDetectors reads the sealed sources' packed arrays directly and never
+// mutates them, so no clones are materialized and the originals keep
+// serving queries throughout.
 //
 //histburst:fastpath mergeRunNaive
 func (s *Store) mergeRun(run []*Segment) (*Segment, error) {

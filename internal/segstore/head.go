@@ -358,8 +358,9 @@ func (h *memHead) appendBatch(elems stream.Stream, kfold uint64, sealEvents int6
 // freeze marks the head immutable. When keepTail is true the elements at
 // the final timestamp are split off and returned instead of frozen, so the
 // sealed slice ends strictly before the store frontier and the next segment
-// merges cleanly (MergeAppend requires strictly increasing boundaries); the
-// split is skipped when every element shares one timestamp. The tail is
+// merges cleanly (a summary cell refuses a timestamp counted on both sides
+// of a boundary); the split is skipped when every element shares one
+// timestamp. The tail is
 // popped off the end of each event's sequence and maxT recomputed from what
 // is left; it is owned by the caller, every element at the old maxT, in no
 // particular order.

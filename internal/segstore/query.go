@@ -22,7 +22,7 @@ import (
 // the summed rows, and the head's exact counts are added after it (an exact
 // term would only be distorted by passing through the median). For a
 // single-segment store this collapses to exactly the monolithic detector's
-// estimate; across segments it matches a MergeAppend-merged detector except
+// estimate; across segments it matches the merged detector except
 // inside inter-segment gaps, where each summand holds its own tail value
 // instead of the merged segment's line — a difference bounded by the same γ
 // guarantee (both readings are valid PBE-2 curves for the same staircase).

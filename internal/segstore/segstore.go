@@ -3,8 +3,8 @@
 // timeline into segments — a mutable in-memory head absorbing live appends
 // as exact curves, sealed at a configurable size/age threshold into
 // immutable PBE-2 sketch segments, with an LSM-style background compactor
-// merging runs of small sealed segments through the detector MergeAppend
-// machinery. Queries combine per-segment cumulative estimates at the three
+// merging runs of small sealed segments through the detector merge
+// (histburst.MergeDetectors). Queries combine per-segment cumulative estimates at the three
 // instants of b(t) = F(t) − 2F(t−τ) + F(t−2τ): time-disjoint slices of a
 // stream have additive cumulative frequencies, so each sketch row sums
 // across segments before the median, and the head's exact counts are added
@@ -228,9 +228,8 @@ type Store struct {
 	stop         chan struct{}
 	wg           sync.WaitGroup
 
-	// noMerge records runs whose MergeAppend failed (equal boundary
-	// timestamps from a forced seal); touched only by the compactor
-	// goroutine.
+	// noMerge records runs whose merge failed (equal boundary timestamps
+	// from a forced seal); touched only by the compactor goroutine.
 	noMerge map[string]bool
 }
 

@@ -233,8 +233,9 @@ func heapHeld(build func() any) (held uint64, v any) {
 // TestBytesTracksHeap holds Bytes() to what a sealed detector really keeps
 // alive: built and finished, and decoded from its file, the live heap exceeds
 // the counted bytes by at most a fixed cost per cell — the pbe2.Builder
-// struct (168 B), its interface slot and the allocator's rounding of its
-// columns, which Bytes() documents it leaves out. The stream is the
+// struct (160 B: a 152-B pbe2.Summary and the pointer to its open window),
+// its interface slot and the allocator's rounding of its columns, which
+// Bytes() documents it leaves out. The stream is the
 // benchmark's 600 k elements over 1 092 cells (heights 0, 4, 8).
 //
 // The bound was a ratio, heap ≤ 1.4 × Bytes(), while the payload dwarfed the

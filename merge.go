@@ -10,35 +10,30 @@ import (
 // the same logical stream — the paper's "parallel processing on mutually
 // exclusive time ranges". Both detectors must have been created with
 // identical options (same sketch dimensions, seed and error cap). Both are
-// flushed; the receiver then answers queries over the concatenated history
-// exactly as if it had ingested everything sequentially. other should not be
-// used afterwards.
+// finished and merged by MergeDetectors; the receiver then answers queries
+// over the concatenated history exactly as if it had ingested everything
+// sequentially. A refused merge leaves the receiver as it was. other should
+// not be used afterwards.
 func (d *Detector) MergeAppend(other *Detector) error {
-	merged, live, err := gather([]*Detector{d, other}, "merge")
-	if err != nil {
-		return err
+	if other == nil {
+		return fmt.Errorf("histburst: cannot merge nil detector")
 	}
 	d.Finish()
 	other.Finish()
-	if len(live) == 1 {
-		return nil
-	}
-	if err := d.tree.MergeAppend(other.tree); err != nil {
+	merged, err := MergeDetectors([]*Detector{d, other})
+	if err != nil {
 		return err
 	}
-	d.counters = merged.counters
+	*d = *merged
 	return nil
 }
 
-// MergeDetectors builds a fresh detector equivalent to MergeAppend-ing each
-// of parts[1:] onto a clone of parts[0] in time order, without materializing
-// any intermediate clones: every sketch cell of the result is assembled
-// straight from the source cells' packed segment arrays, bit-identical to
-// the clone+MergeAppend chain. All detectors must share their configuration
-// and be finished (sealed summaries always are); sources are never mutated,
-// so they may keep serving queries during the merge.
-//
-//histburst:fastpath MergeAppend
+// MergeDetectors builds the detector of parts concatenated: detectors over
+// mutually exclusive time ranges of one logical stream, in time order. Every
+// sketch cell of the result is assembled straight from the source cells'
+// packed segment arrays. All detectors must share their configuration and be
+// finished; sources are only read, so they may keep serving queries during
+// the merge.
 func MergeDetectors(parts []*Detector) (*Detector, error) {
 	out, live, err := gather(parts, "merge")
 	if err != nil {
@@ -57,10 +52,13 @@ func MergeDetectors(parts []*Detector) (*Detector, error) {
 
 // gather checks parts — detectors over disjoint time ranges, in ascending
 // time order — for a merge or a downsample (verb names which in the errors):
-// none is nil and all share one configuration. It returns a detector with
-// the first part's configuration and the counters of all of them, and no
-// summary yet, and the parts whose summaries make up the result's: the first
-// and every later one that holds elements.
+// none is nil, all share one configuration, and none holds an arrival before
+// the last one of a part ahead of it. An equal timestamp may cross a
+// boundary: the summaries of two parts refuse to merge only in a cell both
+// counted it in. It returns a detector with the first part's configuration
+// and the counters of all of them, and no summary yet, and the parts whose
+// summaries make up the result's: the first and every later one that holds
+// elements.
 func gather(parts []*Detector, verb string) (out *Detector, live []*Detector, err error) {
 	if len(parts) == 0 || parts[0] == nil {
 		return nil, nil, fmt.Errorf("histburst: %s of zero detectors", verb)
@@ -76,11 +74,15 @@ func gather(parts []*Detector, verb string) (out *Detector, live []*Detector, er
 	}
 	out = &Detector{k: first.k, cfg: first.cfg, counters: first.counters}
 	live = append(make([]*Detector, 0, len(parts)), first)
-	for _, p := range parts[1:] {
+	for i, p := range parts[1:] {
 		if p.n == 0 {
 			continue // contributes nothing
 		}
 		c := &out.counters
+		if c.started && p.minT < c.lastT {
+			return nil, nil, fmt.Errorf("histburst: cannot %s part %d: its first arrival at %d precedes an earlier part's last at %d",
+				verb, i+1, p.minT, c.lastT)
+		}
 		if !c.started && p.started {
 			c.minT = p.minT
 		}
@@ -103,14 +105,13 @@ func trees(parts []*Detector) []*dyadic.Tree {
 	return out
 }
 
-// settledParts refuses a part that still buffers arrivals. MergeDetectors
-// and DownsampleDetectors never mutate their sources, so they cannot settle
-// one, and the per-cell "not finished" guard below them cannot see it: a part
-// whose elements all sit in the pending chunk has untouched cells and would
-// pass — counted in N, absent from the summary.
+// settledParts refuses a part that has taken arrivals since its last Finish.
+// MergeDetectors and DownsampleDetectors never mutate their sources, so they
+// can neither settle such a part — whose pending chunk would be counted in N
+// and absent from the summary — nor seal its cells' open windows.
 func settledParts(parts []*Detector) error {
 	for i, p := range parts {
-		if len(p.pending) != 0 {
+		if p.pending != nil {
 			return fmt.Errorf("histburst: merge source %d not finished", i)
 		}
 	}

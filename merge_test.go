@@ -1,6 +1,11 @@
 package histburst
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestMergeAppendConfigMismatch(t *testing.T) {
 	a, _ := New(16, WithPBE2(2))
@@ -106,5 +111,110 @@ func TestMergeAppendEmptyPartitions(t *testing.T) {
 	e1.Append(1, 3)
 	if e1.N() != 1 {
 		t.Fatalf("post-merge append lost: N=%d", e1.N())
+	}
+}
+
+// spans builds a finished K = 64, γ = 2 detector (every level collision-free)
+// from runs of one arrival a tick: {event, first tick, last tick}, in order.
+func spans(t *testing.T, runs ...[3]int64) *Detector {
+	t.Helper()
+	d, err := New(64, WithPBE2(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range runs {
+		for tm := r[1]; tm <= r[2]; tm++ {
+			d.Append(uint64(r[0]), tm)
+		}
+	}
+	d.Finish()
+	return d
+}
+
+// TestRefusedMergeAppendLeavesReceiver: a merge refused partway — by the
+// parts' order, or by the one cell that counted the boundary timestamp on
+// both sides — leaves every answer and every byte of the receiver as they
+// were, F̃ ≤ F on its own stream included.
+func TestRefusedMergeAppendLeavesReceiver(t *testing.T) {
+	for name, c := range map[string]struct{ recv, other [][3]int64 }{
+		"misordered":         {[][3]int64{{1, 100, 149}, {2, 1000, 1049}}, [][3]int64{{2, 500, 549}, {1, 2000, 2049}}},
+		"boundary in a cell": {[][3]int64{{1, 100, 149}, {2, 150, 150}}, [][3]int64{{1, 150, 199}, {2, 150, 150}}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			recv, other := spans(t, c.recv...), spans(t, c.other...)
+			answers := func() string {
+				var b strings.Builder
+				fmt.Fprintf(&b, "N=%d span=[%d,%d] bytes=%d\n", recv.N(), recv.MinTime(), recv.MaxTime(), recv.Bytes())
+				for e := uint64(0); e < 64; e++ {
+					for _, q := range []int64{99, 149, 150, 549, 1049, 2049, 5000} {
+						bq, err := recv.Burstiness(e, q, 50)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fmt.Fprintf(&b, "F(%d,%d)=%v b=%v\n", e, q, recv.CumulativeFrequency(e, q), bq)
+					}
+				}
+				top, err := recv.TopBursty(1049, 3, 50)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "top=%v\n", top)
+				return b.String()
+			}
+			before, file := answers(), saveBytes(t, recv)
+			if err := recv.MergeAppend(other); err == nil {
+				t.Fatal("merge accepted")
+			}
+			got, was := strings.Split(answers(), "\n"), strings.Split(before, "\n")
+			for i := range was {
+				if got[i] != was[i] {
+					t.Fatalf("the refused merge changed the receiver: %s, was %s", got[i], was[i])
+				}
+			}
+			if !bytes.Equal(saveBytes(t, recv), file) {
+				t.Fatal("the refused merge changed the receiver's file")
+			}
+		})
+	}
+}
+
+// TestMergeRefusesMisorderedParts: a part whose first arrival precedes an
+// earlier part's last is refused before any cell is read — even when no cell
+// holds arrivals of both, which the cells alone cannot see — by merge and
+// downsample alike. A boundary timestamp the two parts share merges: a
+// checkpoint seals store segments that do.
+func TestMergeRefusesMisorderedParts(t *testing.T) {
+	late, early := spans(t, [3]int64{0, 1000, 1049}), spans(t, [3]int64{63, 100, 149})
+	if _, err := MergeDetectors([]*Detector{late, early}); err == nil || !strings.Contains(err.Error(), "precedes") {
+		t.Errorf("MergeDetectors: %v", err)
+	}
+	if _, err := DownsampleDetectors([]*Detector{late, early}, 4, 2, 0); err == nil || !strings.Contains(err.Error(), "precedes") {
+		t.Errorf("DownsampleDetectors: %v", err)
+	}
+	if err := late.MergeAppend(early); err == nil || !strings.Contains(err.Error(), "precedes") {
+		t.Errorf("MergeAppend: %v", err)
+	}
+	if late.N() != 50 || late.MinTime() != 1000 {
+		t.Fatalf("refused merge changed the receiver: N=%d MinTime=%d", late.N(), late.MinTime())
+	}
+
+	touching := spans(t, [3]int64{63, 1049, 1098})
+	merged, err := MergeDetectors([]*Detector{late, touching})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.N() != 100 || merged.MinTime() != 1000 || merged.MaxTime() != 1098 {
+		t.Fatalf("merged N=%d span=[%d,%d], want 100 over [1000,1098]", merged.N(), merged.MinTime(), merged.MaxTime())
+	}
+	for e, want := range map[uint64]float64{0: 50, 63: 50} {
+		if f := merged.CumulativeFrequency(e, 1098); f != want {
+			t.Errorf("F̃(%d, 1098) = %v, want %v", e, f, want)
+		}
+	}
+	if err := late.MergeAppend(touching); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saveBytes(t, late), saveBytes(t, merged)) {
+		t.Error("MergeAppend and MergeDetectors disagree")
 	}
 }

@@ -109,9 +109,7 @@ func (d *Detector) SaveFile(path string) error {
 }
 
 // Clone returns an independent deep copy of the detector via a Save/Load
-// round-trip; the receiver is Finish()ed as a side effect (see Save). The
-// segmented timeline store uses this to hand compaction workers private
-// copies, since MergeAppend mutates both of its operands.
+// round-trip; the receiver is Finish()ed as a side effect (see Save).
 func (d *Detector) Clone() (*Detector, error) {
 	var buf bytes.Buffer
 	if err := d.Save(&buf); err != nil {

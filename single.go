@@ -80,12 +80,18 @@ func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, er
 func (s *Single) Bytes() int { return s.p.Bytes() }
 
 // MergeAppend absorbs a summary built over a strictly later time range
-// with identical options.
+// with identical options. Both are finished; a refused merge leaves the
+// receiver as it was.
 func (s *Single) MergeAppend(other *Single) error {
 	if other == nil {
 		return fmt.Errorf("histburst: cannot merge nil summary")
 	}
-	return s.p.MergeAppend(other.p)
+	merged, err := pbe2.MergeFinished([]*pbe2.Summary{s.p.Seal(), other.p.Seal()})
+	if err != nil {
+		return err
+	}
+	s.p = merged
+	return nil
 }
 
 // Serialized single-event summary: the magic, the frontier the summary's cell
@@ -98,11 +104,11 @@ var singleMagic = []byte{'H', 'B', 'S', 3}
 
 // Save writes the summary's complete state (flushing it first).
 func (s *Single) Save(w io.Writer) error {
-	s.p.Finish()
+	sum := s.p.Seal()
 	var enc binenc.Writer
 	enc.BytesBlob(singleMagic)
-	enc.Varint(s.p.Frontier())
-	if err := pbe2.EncodeBlock(&enc, []pbe2.Builder{*s.p}, s.p.Frontier()); err != nil {
+	enc.Varint(sum.Frontier())
+	if err := pbe2.EncodeBlock(&enc, []*pbe2.Summary{sum}, sum.Frontier()); err != nil {
 		return fmt.Errorf("histburst: %w", err)
 	}
 	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))

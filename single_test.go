@@ -180,7 +180,7 @@ func TestLoadSingleRefusesOtherFrontier(t *testing.T) {
 		var enc binenc.Writer
 		enc.BytesBlob(singleMagic)
 		enc.Varint(frontier)
-		if err := pbe2.EncodeBlock(&enc, []pbe2.Builder{*s.p}, frontier); err != nil {
+		if err := pbe2.EncodeBlock(&enc, []*pbe2.Summary{s.p.Seal()}, frontier); err != nil {
 			t.Fatal(err)
 		}
 		return sealed(enc.Bytes())
