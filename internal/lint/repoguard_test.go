@@ -41,7 +41,9 @@ func TestRepoCarriesKeyAnnotations(t *testing.T) {
 		{"internal/wire/server.go", "//histburst:worker",
 			"wire server goroutines must keep a declared shutdown mechanism"},
 		{"internal/segstore/segstore.go", "//histburst:worker stop",
-			"Open's background loops must keep a declared shutdown mechanism"},
+			"start's background loops must keep a declared shutdown mechanism"},
+		{"internal/segstore/segstore.go", "//histburst:lockorder Store.sealMu Store.ingestMu",
+			"a seal step rotates the log, so its lock must stay declared outside the write path's"},
 	}
 	root := moduleRootForTest(t)
 	for _, k := range keys {
@@ -59,15 +61,17 @@ func TestRepoCarriesKeyAnnotations(t *testing.T) {
 // Store.AppendBatch — admit, log, apply — so in segstore's non-test code
 // only AppendBatch logs (wal.appendLocked), and only Store.apply and the
 // freeze's tail re-append write a head (memHead.appendBatch). The side
-// paths the write path replaced stay gone.
+// paths the write path replaced stay gone. Compaction and decay share one
+// rebuild executor: only Store.rebuildOnce swaps a run.
 func TestOneWritePath(t *testing.T) {
 	callers := map[string][]string{
 		"appendLocked": {"Store.AppendBatch"},
 		"appendBatch":  {"Store.apply", "Store.freezeHead"},
+		"swapRun":      {"Store.rebuildOnce"},
 	}
 	retired := map[string]bool{
 		"AppendStream": true, "applyDirect": true, "applyAccepted": true,
-		"stopOnReject": true, "compactOnce": true, "decayOnce": true,
+		"stopOnReject": true, "decayOnce": true,
 	}
 	eachProductFile(t, func(rel string, f *ast.File) {
 		if filepath.ToSlash(filepath.Dir(rel)) != "internal/segstore" {
@@ -388,6 +392,42 @@ func TestOneBurstinessCurve(t *testing.T) {
 		for _, name := range implementers(load(dir)) {
 			t.Errorf("%s declares %s, which implements pbe.Estimator; BURSTY TIME sweeps the point query", dir, name)
 		}
+	}
+}
+
+// TestSegstoreTestsDoNotPoll: background work is steps a test can take, so
+// no segstore test waits on it by the clock — no time.Sleep, timer or
+// time.Now().Add deadline — outside an allowlist that gives each file's
+// reason; and no segstore code holds a sync.Cond: a frozen head is a nudge
+// to the sealer, and a Checkpoint seals on its own goroutine.
+func TestSegstoreTestsDoNotPoll(t *testing.T) {
+	allowed := map[string]string{
+		"proc_crash_test.go": "kills a child process on a real-time schedule",
+	}
+	clock := map[string]bool{"time.Sleep": true, "time.After": true, "time.AfterFunc": true,
+		"time.Tick": true, "time.NewTimer": true, "time.NewTicker": true, "time.Now().Add": true}
+	names, err := filepath.Glob(filepath.Join(moduleRootForTest(t), "internal", "segstore", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		test := strings.HasSuffix(name, "_test.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				switch x := types.ExprString(sel); {
+				case !test && (x == "sync.Cond" || x == "sync.NewCond"):
+					t.Errorf("%s: segstore holds a %s; nudge a worker or take the step instead", fset.Position(n.Pos()), x)
+				case test && clock[x] && allowed[filepath.Base(name)] == "":
+					t.Errorf("%s: a segstore test waits by the clock (%s); take steps, or allowlist the file with its reason", fset.Position(n.Pos()), x)
+				}
+			}
+			return true
+		})
 	}
 }
 

@@ -31,47 +31,36 @@ import (
 // arrival). Such runs are remembered and skipped — their segments stay live
 // and queryable, merely unmerged.
 
-// compactLoop runs on its own goroutine, draining candidates after every
-// nudge until none remain.
+// compactLoop takes compaction steps after every nudge until one makes no
+// progress, and stops at its first failure.
 func (s *Store) compactLoop() {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.compactNudge:
-		}
-		for {
-			select {
-			case <-s.stop:
-				return
-			default:
-			}
-			// Decay goes first: a segment's tier is then decided by its own
-			// age. Merged first, an aged segment takes the age of the
-			// youngest member of its run and keeps full fidelity until that
-			// one ages too — so which tier history ended up in depended on
-			// whether a restart had interrupted the merges (four SIGKILLs
-			// at "ready" left bench's http_mixed at 4.0 or 4.9 B/elem).
-			decayed, err := s.rebuildOnce("decay", s.decayJobs())
-			merged := false
-			if err == nil {
-				merged, err = s.rebuildOnce("compaction", s.mergeJobs())
-			}
-			if err != nil {
-				s.mu.Lock()
-				if s.bgErr == nil {
-					s.bgErr = fmt.Errorf("segstore: %w", err)
-				}
-				s.cond.Broadcast()
-				s.mu.Unlock()
-				return
-			}
-			if !merged && !decayed {
-				break
-			}
-		}
+	for wait(s.stop, s.compactNudge) && s.drain(s.compactOnce) == nil {
 	}
+}
+
+// compactOnce is one compaction step: a decay scan, then a merge scan.
+// Decay goes first: a segment's tier is then decided by its own age. Merged
+// first, an aged segment takes the age of the youngest member of its run and
+// keeps full fidelity until that one ages too — so which tier history ended
+// up in depended on whether a restart had interrupted the merges (four
+// SIGKILLs at "ready" left bench's http_mixed at 4.0 or 4.9 B/elem).
+// A failure is recorded as bgErr.
+func (s *Store) compactOnce() (progressed bool, err error) {
+	decayed, err := s.rebuildOnce("decay", s.decayJobs())
+	merged := false
+	if err == nil {
+		merged, err = s.rebuildOnce("compaction", s.mergeJobs())
+	}
+	if err != nil {
+		err = fmt.Errorf("segstore: %w", err)
+		s.mu.Lock()
+		if s.bgErr == nil {
+			s.bgErr = err
+		}
+		s.mu.Unlock()
+	}
+	return decayed || merged, err
 }
 
 // A rebuild is one job of the compactor: build a segment to replace run —

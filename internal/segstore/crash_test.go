@@ -4,7 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"histburst/internal/faultio"
 )
@@ -275,29 +274,22 @@ func TestCorruptSegmentFileQuarantinedAtOpen(t *testing.T) {
 func buildCompactionCrashFixture(t *testing.T) (dir string, n int64, mergedName string, mergedData, manData []byte) {
 	t.Helper()
 	cfg := testConfig(8)
-	cfg.CompactFanout = -1 // keep the two seals intact in the fixture
-	dir = t.TempDir()
-	s := mustOpen(t, dir, cfg)
+	cfg.CompactFanout = 2
+	work := t.TempDir()
+	s := openStepped(t, work, cfg)
+	defer mustClose(t, s)
 	appendN(t, s, 16, 4, 0, 1) // two level-0 seals of 8
 	if err := s.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	n = s.N()
-	mustClose(t, s)
-	if got := len(mustReopenSegments(t, dir)); got != 2 {
+	if got := len(s.Segments()); got != 2 {
 		t.Fatalf("fixture expected 2 segments, got %d", got)
 	}
-
-	// Drive a real compaction in a clone to harvest authentic merged bytes.
-	work := cloneDir(t, dir)
-	cfg2 := testConfig(8)
-	cfg2.CompactFanout = 2
-	s2 := mustOpen(t, work, cfg2)
-	waitForSegments(t, s2, 1, 5*time.Second)
-	if err := s2.Err(); err != nil {
-		t.Fatalf("compaction: %v", err)
-	}
-	mustClose(t, s2)
+	// The sealed generation is the fixture; a real compaction step after
+	// it harvests authentic merged bytes.
+	dir = cloneDir(t, work)
+	settle(t, s)
 	man, err := LoadManifest(filepath.Join(work, ManifestName))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"histburst"
 )
 
-// Time-decayed compaction: the second job of the compactor goroutine. Where
+// Time-decayed compaction: the second job of the compaction step. Where
 // size-tiered compaction keeps the segment *count* logarithmic in the stream
 // length, the decay pass keeps the retained *bytes* logarithmic in the
 // stream's time span — old enough segments are re-summarized at the coarser

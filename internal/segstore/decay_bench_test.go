@@ -14,18 +14,15 @@ import (
 
 // benchDecayFixture seals 4 segments of 4096 elements and picks the decay
 // run a far-future frontier would re-summarize. The tier age sits far past
-// the stream span and the fanout far above the segment count, so the
-// background compactor never touches the layout and the run is stable.
+// the stream span and the fanout far above the segment count, so settling
+// leaves the layout as sealed and the run is stable.
 func benchDecayFixture(b *testing.B) (s *Store, run []*Segment, target int) {
 	b.Helper()
 	cfg := testConfig(-1)
 	cfg.K = 1 << 10
 	cfg.CompactFanout = 64 // ≥ 2 as decay tiers require, > segment count so nothing merges
 	cfg.DecayTiers = []DecayTier{{Age: 1 << 40, Gamma: 8, W: 8, Res: 64}}
-	s, err := Open("", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s = openStepped(b, "", cfg)
 	t := int64(0)
 	for g := 0; g < 4; g++ {
 		for i := 0; i < 4096; i++ {
@@ -38,7 +35,7 @@ func benchDecayFixture(b *testing.B) (s *Store, run []*Segment, target int) {
 			b.Fatal(err)
 		}
 	}
-	settleGenerations(b, s)
+	settle(b, s)
 	runs, targets := s.pickDecayRuns(s.view.Load().segs, t+1<<41)
 	if len(runs) != 1 {
 		b.Fatalf("fixture picked %d decay runs, want 1", len(runs))
@@ -85,7 +82,7 @@ func BenchmarkSegstoreDecayRunNaive(b *testing.B) {
 
 // buildDecayHistory streams ~42 days of synthetic history (6000 elements,
 // one per 10 minutes over 8 events) through the full seal → compact → decay
-// lifecycle and waits for the background drain to go idle. With decay off
+// lifecycle and settles it. With decay off
 // the same stream is sealed and compacted at full fidelity.
 func buildDecayHistory(b *testing.B, decay bool) *Store {
 	b.Helper()
@@ -98,10 +95,7 @@ func buildDecayHistory(b *testing.B, decay bool) *Store {
 	if !decay {
 		cfg.DecayTiers = nil
 	}
-	s, err := Open("", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := openStepped(b, "", cfg)
 	tm := int64(0)
 	for i := 0; i < n; i++ {
 		if err := s.Append(uint64(i)%span, tm); err != nil {
@@ -112,7 +106,7 @@ func buildDecayHistory(b *testing.B, decay bool) *Store {
 	if err := s.Checkpoint(true); err != nil {
 		b.Fatal(err)
 	}
-	settleGenerations(b, s)
+	settle(b, s)
 	return s
 }
 

@@ -3,8 +3,8 @@ package segstore
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
-	"time"
 
 	"histburst"
 	"histburst/internal/faultio"
@@ -52,40 +52,6 @@ func decayConfig(sealEvents int64) Config {
 	return cfg
 }
 
-// waitForTier polls until some sealed segment reaches the given decay tier
-// and the store has quiesced (two consecutive identical segment listings),
-// or the deadline passes.
-func waitForTier(t *testing.T, s *Store, tier int, d time.Duration) []SegmentInfo {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	var prev []SegmentInfo
-	for {
-		segs := s.Segments()
-		reached := false
-		for _, g := range segs {
-			if g.Tier >= tier {
-				reached = true
-			}
-		}
-		if reached && len(segs) == len(prev) {
-			same := true
-			for i := range segs {
-				if segs[i].ID != prev[i].ID {
-					same = false
-				}
-			}
-			if same {
-				return segs
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("decay to tier %d did not settle; segments: %+v", tier, segs)
-		}
-		prev = segs
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // ingestWeeks streams n elements over span events into every given store,
 // stepping event time by dt seconds, and returns per-event arrival times.
 func ingestWeeks(t *testing.T, stores []*Store, n int, span uint64, dt int64) (arrivals map[uint64][]int64, maxT int64) {
@@ -127,13 +93,10 @@ func TestDecayLongHorizon(t *testing.T) {
 		dt   = 600
 	)
 	dir := t.TempDir()
-	decayed := mustOpen(t, dir, decayConfig(64))
-	// Closed explicitly before the reopen below; the cleanup only catches
-	// early assertion exits so no compactor outlives the temp dir.
-	t.Cleanup(func() { _ = decayed.Close() })
+	decayed := openStepped(t, dir, decayConfig(64))
 	plainCfg := testConfig(64)
 	plainCfg.CompactFanout = 2
-	plain := mustOpen(t, "", plainCfg)
+	plain := openStepped(t, "", plainCfg)
 	defer mustClose(t, plain)
 
 	arrivals, maxT := ingestWeeks(t, []*Store{decayed, plain}, n, span, dt)
@@ -154,7 +117,12 @@ func TestDecayLongHorizon(t *testing.T) {
 	if err := plain.Checkpoint(false); err != nil {
 		t.Fatal(err)
 	}
-	segs := waitForTier(t, decayed, 2, 10*time.Second)
+	settle(t, decayed)
+	settle(t, plain)
+	segs := decayed.Segments()
+	if !slices.ContainsFunc(segs, func(g SegmentInfo) bool { return g.Tier == 2 }) {
+		t.Fatalf("nothing decayed to tier 2: %+v", segs)
+	}
 	if err := decayed.Err(); err != nil {
 		t.Fatalf("background error: %v", err)
 	}
@@ -285,7 +253,7 @@ func TestDecayLongHorizon(t *testing.T) {
 	if err := decayed.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
-	settleGenerations(t, decayed)
+	settle(t, decayed)
 	finalTiers := decayed.Snapshot().Tiers()
 	fsn := decayed.Snapshot()
 	type qkey struct {
@@ -334,26 +302,6 @@ func TestDecayLongHorizon(t *testing.T) {
 		}
 	}
 	compareTiers("resident", true)
-}
-
-// settleGenerations waits until the store's generation stays unchanged for a
-// sustained window — the background compact/decay drain has gone idle.
-func settleGenerations(t testing.TB, s *Store) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	stable := 0
-	prev := s.Generation()
-	for stable < 25 {
-		if time.Now().After(deadline) {
-			t.Fatal("store generations did not settle")
-		}
-		time.Sleep(2 * time.Millisecond)
-		if gen := s.Generation(); gen == prev {
-			stable++
-		} else {
-			stable, prev = 0, gen
-		}
-	}
 }
 
 func TestDecayRunMatchesNaive(t *testing.T) {
@@ -441,7 +389,7 @@ func TestResolveDecayTiers(t *testing.T) {
 			t.Fatalf("accepted invalid tier ladder %+v", bad)
 		}
 	}
-	// Decay rides the compaction goroutine; configuring tiers with
+	// Decay rides the compaction step; configuring tiers with
 	// compaction disabled must fail loudly rather than never decay.
 	cfg := testConfig(0)
 	cfg.CompactFanout = -1
@@ -452,46 +400,36 @@ func TestResolveDecayTiers(t *testing.T) {
 }
 
 // buildDecayCrashFixture creates a store directory of three sealed segments
-// old enough (relative to the frontier) that reopening with decay enabled
-// compacts and decays the first two, and harvests the final generation's
-// bytes: every new segment file plus the manifest naming them.
+// old enough (relative to the frontier) that decay compacts and decays the
+// first two, and harvests the final generation's bytes: every new segment
+// file plus the manifest naming them.
 func buildDecayCrashFixture(t *testing.T) (dir string, n int64, newFiles map[string][]byte, manData []byte) {
 	t.Helper()
 	cfg := testConfig(8)
-	cfg.CompactFanout = -1 // keep the three seals intact in the fixture
-	dir = t.TempDir()
-	s := mustOpen(t, dir, cfg)
+	cfg.CompactFanout = 2
+	cfg.DecayTiers = []DecayTier{{Age: 5000, Gamma: 8, W: 8, Res: 100}}
+	work := t.TempDir()
+	s := openStepped(t, work, cfg)
+	defer mustClose(t, s)
 	appendN(t, s, 24, 4, 0, 1000) // three seals spanning [0, 23000]
 	if err := s.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
 	n = s.N()
-	mustClose(t, s)
-	old, err := LoadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
+	old := s.Segments()
+	if len(old) != 3 {
+		t.Fatalf("fixture expected 3 segments, got %d", len(old))
 	}
-	if len(old.Segments) != 3 {
-		t.Fatalf("fixture expected 3 segments, got %d", len(old.Segments))
-	}
-
-	// Drive the real decay in a clone to harvest authentic bytes.
-	work := cloneDir(t, dir)
-	dcfg := testConfig(8)
-	dcfg.CompactFanout = 2
-	dcfg.DecayTiers = []DecayTier{{Age: 5000, Gamma: 8, W: 8, Res: 100}}
-	s2 := mustOpen(t, work, dcfg)
-	waitForTier(t, s2, 1, 5*time.Second)
-	if err := s2.Err(); err != nil {
-		t.Fatalf("decay: %v", err)
-	}
-	mustClose(t, s2)
+	// The sealed generation is the fixture; real decay and compaction steps
+	// after it harvest authentic bytes.
+	dir = cloneDir(t, work)
+	settle(t, s)
 	man, err := LoadManifest(filepath.Join(work, ManifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldNames := make(map[string]bool)
-	for _, g := range old.Segments {
+	for _, g := range old {
 		oldNames[g.File] = true
 	}
 	newFiles = make(map[string][]byte)
@@ -604,8 +542,8 @@ func TestEqualBoundarySegmentsDecayAlone(t *testing.T) {
 	cfg := testConfig(-1) // seal only on checkpoint: exactly two sealed segments
 	cfg.CompactFanout = 2
 	cfg.DecayTiers = []DecayTier{{Age: 10, Gamma: 8, W: 8, Res: 4}}
-	dir := t.TempDir()
-	s := mustOpen(t, dir, cfg)
+	s := openStepped(t, t.TempDir(), cfg)
+	defer mustClose(t, s)
 	for _, tm := range []int64{1, 2, 3} {
 		if err := s.Append(1, tm); err != nil {
 			t.Fatal(err)
@@ -622,11 +560,8 @@ func TestEqualBoundarySegmentsDecayAlone(t *testing.T) {
 	if err := s.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
-	// Probe the scan on the closed store — the compactor goroutine owns
-	// noMerge, so the direct call is only safe once it has stopped. The
-	// decay scan must split at the shared instant: two runs of one segment
-	// each, never one run of two (the kernel would reject it).
-	mustClose(t, s)
+	// The decay scan must split at the shared instant: two runs of one
+	// segment each, never one run of two (the kernel would reject it).
 	runs, _ := s.pickDecayRuns(s.view.Load().segs, 1000)
 	if len(runs) != 2 || len(runs[0]) != 1 || len(runs[1]) != 1 {
 		shape := make([]int, len(runs))
@@ -635,31 +570,15 @@ func TestEqualBoundarySegmentsDecayAlone(t *testing.T) {
 		}
 		t.Fatalf("pickDecayRuns split shape %v, want [1 1]", shape)
 	}
-	// Reopen and age both segments past the tier with a head-only append,
-	// then wake the compactor against the advanced frontier. Each side
-	// decays alone; the compactor may later merge the two decayed outputs,
-	// but no sealed full-fidelity data may survive past the tier age.
-	s = mustOpen(t, dir, cfg)
-	defer mustClose(t, s)
+	// Age both segments past the tier with a head-only append and settle
+	// against the advanced frontier. Each side decays alone; a later step
+	// may merge the two decayed outputs, but no sealed full-fidelity data
+	// may survive past the tier age.
 	if err := s.Append(3, 1000); err != nil {
 		t.Fatal(err)
 	}
-	s.nudgeCompactor()
-	// The two sides decay in separate passes, so waitForTier's "listing
-	// stable for one poll" can fire between them; wait for both.
-	segs := waitForTier(t, s, 1, 5*time.Second)
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); segs = s.Segments() {
-		full := 0
-		for _, g := range segs {
-			if g.Tier == 0 {
-				full++
-			}
-		}
-		if full == 0 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	settle(t, s)
+	segs := s.Segments()
 	if err := s.Err(); err != nil {
 		t.Fatalf("background error: %v", err)
 	}
@@ -694,11 +613,10 @@ func TestDecayBeforeCompaction(t *testing.T) {
 		{Age: 3 * coldDay, Gamma: 8, W: 8, Res: 3600},
 		{Age: 8 * coldDay, Gamma: 32, W: 4, Res: 43200},
 	}
-	s := mustOpen(t, dir, cfg)
+	s := openStepped(t, dir, cfg)
 	defer mustClose(t, s)
-	// Ages are measured against the frontier the head recovered; the cold
-	// listing below may race the compactor's first swap, so read the days
-	// from the directory's own description of them instead.
+	// Ages are measured against the frontier the head recovered; the days
+	// come from the directory's own description of them.
 	type day struct {
 		minT, maxT int64
 		due        int
@@ -712,7 +630,7 @@ func TestDecayBeforeCompaction(t *testing.T) {
 	if days[0].due != 2 || days[12].due != 0 {
 		t.Fatalf("fixture: oldest day due tier %d, newest %d, want 2 and 0", days[0].due, days[12].due)
 	}
-	settleGenerations(t, s)
+	settle(t, s)
 	segs := s.Segments()
 	if len(segs) >= 13 {
 		t.Fatalf("nothing merged or decayed: %d segments", len(segs))

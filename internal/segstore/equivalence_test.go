@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"time"
 
 	"histburst"
 	"histburst/internal/stream"
@@ -300,10 +299,16 @@ func TestCompactedStoreStillWithinEnvelope(t *testing.T) {
 	elems := genStream(600, 32, 1200, 61)
 	cfg := testConfig(32)
 	cfg.CompactFanout = 2
-	_, s := buildPair(t, elems, cfg, false)
+	s := openStepped(t, "", cfg)
 	defer mustClose(t, s)
+	if _, rej, err := s.AppendBatch(elems); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+	}
+	if err := s.Checkpoint(false); err != nil {
+		t.Fatal(err)
+	}
 	// Let compaction finish all available work.
-	waitForSegments(t, s, 5, 5*time.Second)
+	settle(t, s)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}

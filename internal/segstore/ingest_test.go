@@ -3,22 +3,16 @@ package segstore
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // crashClone copies s's directory as a crash would leave it once every
-// frozen head is sealed: the live head exists only in the log. Holding
-// ingestMu keeps appends and log rotation out of the copy.
+// frozen head is sealed — here, on the test's goroutine: the live head
+// exists only in the log. Holding ingestMu keeps appends and log rotation
+// out of the copy.
 func crashClone(t *testing.T, s *Store) string {
 	t.Helper()
-	for {
-		s.mu.Lock()
-		pending := len(s.frozen)
-		s.mu.Unlock()
-		if pending == 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	if err := s.sealFrozen(); err != nil {
+		t.Fatal(err)
 	}
 	s.ingestMu.Lock()
 	defer s.ingestMu.Unlock()

@@ -78,7 +78,12 @@ func residentIDs(s *Store) []uint64 {
 
 func TestOpenLeavesSegmentsCold(t *testing.T) {
 	dir, frontier := buildColdDir(t, 13, 48)
-	s := mustOpen(t, dir, coldConfig())
+	// Stepped, with compaction and one decay tier on, so the pickers below
+	// have work to find while nothing runs them.
+	cfg := coldConfig()
+	cfg.CompactFanout = 4
+	cfg.DecayTiers = []DecayTier{{Age: coldDay, Gamma: 8, W: 8, Res: 3600}}
+	s := openStepped(t, dir, cfg)
 	defer mustClose(t, s)
 
 	sn := s.Snapshot()
@@ -113,15 +118,10 @@ func TestOpenLeavesSegmentsCold(t *testing.T) {
 	if err := s.scrubOnce(); err != nil {
 		t.Fatal(err)
 	}
-	// The pickers read only fanout, the seal threshold, tiers and the no-merge set.
-	picker := &Store{
-		fanout: 4, sealEvents: s.sealEvents, noMerge: map[string]bool{},
-		tiers: []DecayTier{{Age: coldDay, Gamma: 8, W: 8, Res: 3600}},
-	}
-	if runs := picker.pickRuns(sn.v.segs); len(runs) == 0 {
+	if runs := s.pickRuns(sn.v.segs); len(runs) == 0 {
 		t.Fatal("fixture gave the compactor nothing to pick")
 	}
-	if runs, _ := picker.pickDecayRuns(sn.v.segs, frontier); len(runs) == 0 {
+	if runs, _ := s.pickDecayRuns(sn.v.segs, frontier); len(runs) == 0 {
 		t.Fatal("fixture gave the decayer nothing to pick")
 	}
 	if got := sn.Resident(); got != 0 {

@@ -23,56 +23,49 @@ import (
 // query layer reports the missing span by widening the error envelope
 // (see Snapshot.Envelope) rather than pretending the history is whole.
 
-// scrubLoop runs verification passes until the store closes. The interval
-// is jittered ±half so a fleet of stores opened together does not thunder
-// its disks in lockstep.
+// scrubLoop takes a scrub step on a jittered interval until the store
+// stops. The interval is jittered ±half so a fleet of stores opened together
+// does not thunder its disks in lockstep.
 func (s *Store) scrubLoop() {
 	defer s.wg.Done()
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for {
-		d := s.scrubEvery/2 + time.Duration(rng.Int63n(int64(s.scrubEvery)))
-		timer := time.NewTimer(d)
-		select {
-		case <-s.stop:
-			timer.Stop()
-			return
-		case <-timer.C:
-		}
-		err := s.scrubOnce()
-		s.mu.Lock()
-		s.scrubErr = err
-		s.mu.Unlock()
-		if err != nil {
-			s.logf("segstore: scrub pass failed: %v", err)
-		}
-		s.scrubPasses.Add(1)
+	for wait(s.stop, time.After(s.scrubEvery/2+time.Duration(rng.Int63n(int64(s.scrubEvery))))) {
+		s.scrubOnce() //histburst:allow errdrop -- the step records the failure for Health and logs it
 	}
 }
 
-// scrubOnce verifies every sealed segment in the current view against its
-// manifest meta and quarantines the damaged ones. The verification reads
-// run lock-free against the immutable view; only a quarantine takes mu.
-// The returned error reports quarantine-machinery failures (manifest
-// write, file move) — damage itself is handled, not returned.
+// scrubOnce is one scrub step: a pass that verifies every sealed segment in
+// the current view against its manifest meta and quarantines the damaged
+// ones, then records the pass for Health (ScrubPasses, and ScrubErr, which a
+// clean pass clears). The verification reads run lock-free against the
+// immutable view; only a quarantine takes mu. The returned error reports
+// quarantine-machinery failures (manifest write, file move) — damage itself
+// is handled, not returned.
 func (s *Store) scrubOnce() error {
-	v := s.view.Load()
-	var firstErr error
-	for _, g := range v.segs {
+	var err error
+	for _, g := range s.view.Load().segs {
 		if g.meta.File == "" {
 			continue
 		}
 		select {
 		case <-s.stop:
-			return firstErr
+			continue // Close is waiting: skip the rest of the pass
 		default:
 		}
-		if _, err := s.verifySegment(g.meta); err != nil {
-			if qerr := s.quarantine(g.meta, err); qerr != nil && firstErr == nil {
-				firstErr = qerr
+		if _, verr := s.verifySegment(g.meta); verr != nil {
+			if qerr := s.quarantine(g.meta, verr); qerr != nil && err == nil {
+				err = qerr
 			}
 		}
 	}
-	return firstErr
+	if err != nil {
+		s.logf("segstore: scrub pass failed: %v", err)
+	}
+	s.mu.Lock()
+	s.scrubErr = err
+	s.mu.Unlock()
+	s.scrubPasses.Add(1)
+	return err
 }
 
 // quarantine removes one damaged segment from service: manifest first

@@ -4,15 +4,13 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func TestScrubQuarantinesCorruptedSegment(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(8)
 	cfg.CompactFanout = -1
-	cfg.ScrubInterval = 10 * time.Millisecond
-	s := mustOpen(t, dir, cfg)
+	s := openStepped(t, dir, cfg)
 	appendN(t, s, 16, 4, 0, 1) // two sealed segments
 	if err := s.Checkpoint(true); err != nil {
 		t.Fatal(err)
@@ -24,7 +22,8 @@ func TestScrubQuarantinesCorruptedSegment(t *testing.T) {
 	victim := segs[0]
 
 	// Rot a byte of the first segment's file in place, under the store's
-	// feet. The next scrub pass must notice and quarantine it.
+	// feet. The next scrub pass must notice and quarantine it, and say so
+	// through Health however it was driven.
 	path := filepath.Join(dir, victim.File)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -35,18 +34,11 @@ func TestScrubQuarantinesCorruptedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if h := s.Health(); h.Quarantined == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("segment not quarantined within deadline; health=%+v", s.Health())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
+	step(t, s, scrub)
 	h := s.Health()
+	if h.Quarantined != 1 || h.ScrubPasses != 1 {
+		t.Fatalf("scrub pass did not quarantine the segment; health=%+v", h)
+	}
 	if h.QuarantinedElements != victim.Elements {
 		t.Fatalf("quarantined %d elements, want %d", h.QuarantinedElements, victim.Elements)
 	}
@@ -103,22 +95,19 @@ func TestScrubQuarantinesCorruptedSegment(t *testing.T) {
 
 func TestScrubCleanStoreStaysClean(t *testing.T) {
 	dir := t.TempDir()
-	cfg := testConfig(8)
-	cfg.ScrubInterval = 5 * time.Millisecond
-	s := mustOpen(t, dir, cfg)
+	s := openStepped(t, dir, testConfig(8))
 	appendN(t, s, 16, 4, 0, 1)
 	if err := s.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}
-	// Let several passes run over healthy segments.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Health().ScrubPasses < 3 {
-		if time.Now().After(deadline) {
-			t.Fatalf("scrubber made %d passes, want >= 3", s.Health().ScrubPasses)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Several passes over healthy segments.
+	for range 3 {
+		step(t, s, scrub)
 	}
 	h := s.Health()
+	if h.ScrubPasses != 3 {
+		t.Fatalf("Health counts %d scrub passes, want 3", h.ScrubPasses)
+	}
 	if h.Quarantined != 0 || h.ScrubErr != "" {
 		t.Fatalf("healthy store scrubbed into %+v", h)
 	}

@@ -189,12 +189,16 @@ type Store struct {
 	//histburst:lockorder Store.ingestMu Store.mu
 	ingestMu sync.Mutex
 
+	// sealMu serializes seal steps, so the sealer and any number of
+	// checkpointers never build one frozen head twice.
+	//
+	//histburst:lockorder Store.sealMu Store.ingestMu
+	//histburst:lockorder Store.sealMu Store.mu
+	sealMu sync.Mutex
+
 	// mu serializes composition changes: freezing the head, publishing
 	// seals and compaction swaps, manifest writes, and ID issue.
 	mu sync.Mutex
-	// cond signals frozen-queue transitions (sealer wakes on freeze;
-	// Checkpoint waits for the queue to drain). Associated with mu.
-	cond *sync.Cond
 
 	// gen, nextID, segs, quarantined, frozen, closed, bgErr and scrubErr
 	// are guarded by mu.
@@ -224,12 +228,14 @@ type Store struct {
 	scrubPasses atomic.Int64
 	logf        func(format string, args ...any)
 
+	sealNudge    chan struct{} // a head froze
 	compactNudge chan struct{}
 	stop         chan struct{}
 	wg           sync.WaitGroup
 
 	// noMerge records runs whose merge failed (equal boundary timestamps
-	// from a forced seal); touched only by the compactor goroutine.
+	// from a forced seal); touched only by compaction steps, which run on
+	// one goroutine.
 	noMerge map[string]bool
 }
 
@@ -245,17 +251,26 @@ const DefaultScrubInterval = time.Minute
 // unreferenced segment or temp files (debris of a crashed seal or
 // compaction) are swept, and the write-ahead log is replayed into the head
 // so nothing acked before the crash is missing.
-//
-//histburst:worker stop
 func Open(dir string, cfg Config) (*Store, error) {
+	s, err := open(dir, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.start()
+	return s, nil
+}
+
+// open is Open without start: until the workers run, background work runs
+// only as steps some goroutine takes (sealOnce, compactOnce, scrubOnce).
+func open(dir string, cfg Config) (*Store, error) {
 	s := &Store{
 		dir:          dir,
+		sealNudge:    make(chan struct{}, 1),
 		compactNudge: make(chan struct{}, 1),
 		stop:         make(chan struct{}),
 		noMerge:      make(map[string]bool),
 		logf:         cfg.Logf,
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -409,21 +424,30 @@ func Open(dir string, cfg Config) (*Store, error) {
 		if err := s.rotateWAL(); err != nil {
 			return nil, err
 		}
-		w.start()
 	}
+	return s, nil
+}
 
+// start launches the workers, each a loop that waits, then steps: the
+// sealer, the compactor (nudged once for what the recovered layout owes),
+// the scrubber and the log's interval fsync.
+//
+//histburst:worker stop
+func (s *Store) start() {
 	s.wg.Add(1)
 	go s.sealLoop()
 	if s.fanout >= 2 {
 		s.wg.Add(1)
 		go s.compactLoop()
-		s.nudgeCompactor()
+		nudge(s.compactNudge)
 	}
-	if dir != "" && s.scrubEvery > 0 {
+	if s.dir != "" && s.scrubEvery > 0 {
 		s.wg.Add(1)
 		go s.scrubLoop()
 	}
-	return s, nil
+	if s.wal != nil {
+		s.wal.start()
+	}
 }
 
 // checkConfigAgainstManifest rejects explicit config values that conflict
@@ -544,7 +568,7 @@ func (s *Store) finishQuarantineMoves() error {
 func segFileName(id uint64) string { return fmt.Sprintf("%s%016d%s", segFilePrefix, id, segFileSuffix) }
 
 // freezeHead retires the head of view v: the head is marked immutable and
-// queued for the background sealer, and a fresh head is published. With
+// queued for the sealer, and a fresh head is published. With
 // keepTail set, elements at the final timestamp move to the fresh head so
 // the sealed boundary stays strictly increasing (see memHead.freeze).
 func (s *Store) freezeHead(v *storeView, keepTail bool) error {
@@ -566,7 +590,7 @@ func (s *Store) freezeHead(v *storeView, keepTail bool) error {
 		h.sealID = s.nextID
 		s.nextID++
 		s.frozen = append(s.frozen, h)
-		s.cond.Broadcast()
+		nudge(s.sealNudge)
 	}
 	s.publishLocked(next)
 	return nil
@@ -588,77 +612,87 @@ func (s *Store) publishLocked(head *memHead) {
 	})
 }
 
-// sealLoop drains the frozen-head queue, building sketch segments. When the
-// queue backs up — fast ingest freezing heads faster than one goroutine can
-// summarize them — the whole backlog is built concurrently, one goroutine
-// per head, and published as one generation bump in freeze order, so segs
-// stays time-sorted without any sorting and the manifest is written once
-// per batch instead of once per head.
+// sealLoop takes seal steps after every freeze until the queue is empty,
+// and stops at its first failure: the store is wedged for durability until
+// the error is observed. With the WAL on, the wedge is softer than it
+// sounds: every unsealed element is still in the log, so a restart recovers.
 func (s *Store) sealLoop() {
 	defer s.wg.Done()
+	for wait(s.stop, s.sealNudge) && s.drain(s.sealOnce) == nil {
+	}
+}
+
+// sealOnce is one seal step: it builds every frozen head concurrently, one
+// goroutine per head, and publishes the longest successful prefix as one
+// generation bump in freeze order, so segs stays time-sorted without any
+// sorting and the manifest is written once per batch. A failure is recorded
+// as bgErr; the heads behind it stay frozen and queryable. Steps serialize
+// on sealMu, so any goroutine may take one.
+func (s *Store) sealOnce() (progressed bool, err error) {
+	s.sealMu.Lock()
+	defer s.sealMu.Unlock()
+	s.mu.Lock()
+	batch := append([]*memHead(nil), s.frozen...)
+	s.mu.Unlock()
+	if len(batch) == 0 {
+		return false, nil
+	}
+
+	built := make([]*Segment, len(batch))
+	errs := make([]error, len(batch))
+	parallel(len(batch), func(i int) { built[i], errs[i] = s.buildSegment(batch[i]) })
+	ok := 0
+	for ok < len(batch) && errs[ok] == nil {
+		ok++
+	}
+	if ok < len(batch) {
+		err = errs[ok]
+	}
+
+	s.mu.Lock()
+	if ok > 0 {
+		s.segs = append(s.segs, built[:ok]...)
+		s.frozen = s.frozen[ok:]
+		s.gen++
+		if merr := s.writeManifestLocked(); merr != nil && err == nil {
+			err = merr
+		}
+		s.publishLocked(nil)
+	}
+	if err != nil {
+		err = fmt.Errorf("segstore: seal: %w", err)
+		if s.bgErr == nil {
+			s.bgErr = err
+		}
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return ok > 0, err
+	}
+	// The just-sealed elements are durable in segments now; rewrite the log
+	// down to the remaining unsealed suffix so it stays O(head). Failure is
+	// retried at the next seal — the oversized log is only a space cost,
+	// never a correctness one.
+	s.ingestMu.Lock()
+	rerr := s.rotateWAL()
+	s.ingestMu.Unlock()
+	if rerr != nil {
+		s.logf("segstore: wal rotation failed (will retry at next seal): %v", rerr)
+	}
+	nudge(s.compactNudge)
+	return true, nil
+}
+
+// sealFrozen takes seal steps on the caller's goroutine until the frozen
+// queue is empty or a background failure is on record.
+func (s *Store) sealFrozen() error {
 	for {
-		s.mu.Lock()
-		for len(s.frozen) == 0 && !s.closed {
-			s.cond.Wait()
+		if err := s.Err(); err != nil {
+			return err
 		}
-		if len(s.frozen) == 0 && s.closed {
-			s.mu.Unlock()
-			return
+		if progressed, err := s.sealOnce(); err != nil || !progressed {
+			return err
 		}
-		batch := append([]*memHead(nil), s.frozen...)
-		s.mu.Unlock()
-
-		built := make([]*Segment, len(batch))
-		errs := make([]error, len(batch))
-		parallel(len(batch), func(i int) { built[i], errs[i] = s.buildSegment(batch[i]) })
-		// Publish the longest successful prefix; a failure mid-batch keeps
-		// every later head frozen and queryable behind it.
-		ok := 0
-		for ok < len(batch) && errs[ok] == nil {
-			ok++
-		}
-		var err error
-		if ok < len(batch) {
-			err = errs[ok]
-		}
-
-		s.mu.Lock()
-		if ok > 0 {
-			s.segs = append(s.segs, built[:ok]...)
-			s.frozen = s.frozen[ok:]
-			s.gen++
-			if merr := s.writeManifestLocked(); merr != nil && err == nil {
-				err = merr
-			}
-			s.publishLocked(nil)
-		}
-		if err != nil && s.bgErr == nil {
-			s.bgErr = fmt.Errorf("segstore: seal: %w", err)
-		}
-		failed := err != nil
-		published := ok > 0
-		s.cond.Broadcast()
-		s.mu.Unlock()
-		if failed {
-			// The queue is left intact so the data stays queryable; the
-			// store is wedged for durability until the error is observed.
-			// With the WAL on, the wedge is softer than it sounds: every
-			// unsealed element is still in the log, so a restart recovers.
-			return
-		}
-		if published {
-			// The just-sealed elements are durable in segments now; rewrite
-			// the log down to the remaining unsealed suffix so it stays
-			// O(head). Failure is retried at the next seal — the oversized
-			// log is only a space cost, never a correctness one.
-			s.ingestMu.Lock()
-			rerr := s.rotateWAL()
-			s.ingestMu.Unlock()
-			if rerr != nil {
-				s.logf("segstore: wal rotation failed (will retry at next seal): %v", rerr)
-			}
-		}
-		s.nudgeCompactor()
 	}
 }
 
@@ -736,12 +770,13 @@ func (s *Store) writeManifestLocked() error {
 	return WriteManifest(filepath.Join(s.dir, ManifestName), m)
 }
 
-// Checkpoint freezes the head and blocks until every frozen head is sealed
-// and the manifest is durable. In the default split mode, elements at the
-// frontier timestamp stay in the new head (keeping sealed boundaries
-// strictly increasing and therefore compactable); they are covered by the
-// next checkpoint. With all set, the entire head is sealed — the right mode
-// for shutdown, after which no element can straddle the boundary.
+// Checkpoint freezes the head and seals every frozen head on the caller's
+// goroutine; it returns once the manifest naming them is durable. In the
+// default split mode, elements at the frontier timestamp stay in the new
+// head (keeping sealed boundaries strictly increasing and therefore
+// compactable); they are covered by the next checkpoint. With all set, the
+// entire head is sealed — the right mode for shutdown, after which no
+// element can straddle the boundary.
 func (s *Store) Checkpoint(all bool) error {
 	v := s.view.Load()
 	if n, _, _, _ := v.head.snapshot(); n > 0 {
@@ -749,12 +784,7 @@ func (s *Store) Checkpoint(all bool) error {
 			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for len(s.frozen) > 0 && s.bgErr == nil {
-		s.cond.Wait()
-	}
-	return s.bgErr
+	return s.sealFrozen()
 }
 
 // Bootstrap installs an existing detector as the store's first sealed
@@ -831,8 +861,8 @@ func (s *Store) Close() error {
 	s.closed = true
 	// Freeze the live head so late Appends bounce into freezeHead, which
 	// reports ErrClosed, instead of landing in a dead head. An append that
-	// raced in between the final checkpoint and here still gets sealed: the
-	// sealer drains the frozen queue before honoring closed.
+	// raced in between the final checkpoint and here still gets sealed,
+	// below, once the workers have stopped.
 	h := s.view.Load().head
 	h.freeze(false)
 	if n, _, _, _ := h.snapshot(); n > 0 {
@@ -840,19 +870,16 @@ func (s *Store) Close() error {
 		s.nextID++
 		s.frozen = append(s.frozen, h)
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
+	if err == nil {
+		err = s.sealFrozen()
+	}
 	if s.wal != nil {
 		if werr := s.wal.Close(); err == nil {
 			err = werr
 		}
-	}
-	if err == nil {
-		s.mu.Lock()
-		err = s.bgErr
-		s.mu.Unlock()
 	}
 	return err
 }
@@ -906,14 +933,36 @@ func (s *Store) Health() StoreHealth {
 	return h
 }
 
-// nudgeCompactor wakes the compactor without blocking.
-func (s *Store) nudgeCompactor() {
-	if s.fanout < 2 {
-		return
-	}
+// nudge wakes the worker waiting on ch without blocking.
+func nudge(ch chan<- struct{}) {
 	select {
-	case s.compactNudge <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
+	}
+}
+
+// wait blocks a worker until ch delivers (true) or stop closes (false).
+func wait[T any](stop <-chan struct{}, ch <-chan T) bool {
+	select {
+	case <-stop:
+		return false
+	case <-ch:
+		return true
+	}
+}
+
+// drain takes steps until one makes no progress or fails, or the store
+// stops.
+func (s *Store) drain(step func() (bool, error)) error {
+	for {
+		select {
+		case <-s.stop:
+			return nil
+		default:
+		}
+		if progressed, err := step(); err != nil || !progressed {
+			return err
+		}
 	}
 }
 

@@ -77,7 +77,7 @@ func windowLayout(t *testing.T, name string) *Store {
 		// into one, each part frontier an exact count on a downsampled cell.
 		cfg, n, dt = decayConfig(64), 3000, 600
 	}
-	s := mustOpen(t, "", cfg)
+	s := openStepped(t, "", cfg)
 	rng := rand.New(rand.NewSource(5))
 	batch := make(stream.Stream, 0, n)
 	tm := origin
@@ -93,7 +93,7 @@ func windowLayout(t *testing.T, name string) *Store {
 	if err := s.Checkpoint(false); err != nil { // the frontier timestamp stays in the head
 		t.Fatal(err)
 	}
-	settleGenerations(t, s)
+	settle(t, s)
 	return s
 }
 
