@@ -72,15 +72,17 @@ experiments:
 	$(GO) run ./cmd/burstbench -all -scale 0.02 -queries 300
 
 # Short fuzzing pass over every decoder (the PBE-2 cell block's on its own
-# as well as inside a detector file), the detector's append path, the
-# PBE-2 kernel's one-sided contract (at small, Unix-second and
-# Unix-millisecond time origins, and through a merge of cut parts) and the
-# store head's packed timestamp sequences against a sorted-slice twin.
+# as well as inside a detector file), the element-run round trip, the
+# detector's append path, the PBE-2 kernel's one-sided contract (at small,
+# Unix-second and Unix-millisecond time origins, and through a merge of cut
+# parts) and the store head's packed timestamp sequences against a
+# sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s).
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/stream/
+	$(GO) test -fuzz FuzzElementRun -fuzztime $(FUZZTIME) ./internal/stream/
 	$(GO) test -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzDetectorLoad -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzInspect -fuzztime $(FUZZTIME) .

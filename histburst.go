@@ -34,6 +34,7 @@ import (
 
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
+	"histburst/internal/pbe"
 	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
@@ -316,22 +317,24 @@ func (d *Detector) EventIndex() *dyadic.Tree {
 // Burstiness answers the POINT QUERY q(e, t, τ): the estimated acceleration
 // of e's incoming rate at time t over burst span tau > 0.
 func (d *Detector) Burstiness(e uint64, t, tau int64) (float64, error) {
-	if tau <= 0 {
-		return 0, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return 0, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
-	return d.base.Burstiness(e%d.K(), t, tau), nil
+	return d.base.Burstiness(e%d.K(), t, sp), nil
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ): the maximal time
 // ranges within [0, MaxTime] where e's estimated burstiness reaches theta.
 // Cost is linear in the summary size, not the stream size.
 func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
-	internal := d.base.BurstyTimes(e%d.K(), theta, tau)
+	internal := d.base.BurstyTimes(e%d.K(), theta, sp)
 	out := make([]TimeRange, len(internal))
 	for i, r := range internal {
 		out[i] = TimeRange{Start: r.Start, End: r.End}
@@ -344,8 +347,8 @@ func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange,
 // pruned dyadic search — typically O(log K) point queries rather than K —
 // on the caller's goroutine.
 func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
+	if _, err := pbe.NewSpan(tau); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
 	return d.tree.BurstyEvents(t, theta, tau, nil)

@@ -3,6 +3,8 @@ package cmpbe
 import (
 	"math/rand"
 	"testing"
+
+	"histburst/internal/pbe"
 )
 
 // benchSketch builds a d=5 PBE-2 sketch over a mixed Zipf stream, the
@@ -41,7 +43,7 @@ func BenchmarkSketchBurstiness(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		j := i & 8191
-		sink += s.Burstiness(es[j], ts[j], 1000)
+		sink += s.Burstiness(es[j], ts[j], pbe.MustSpan(1000))
 	}
 	_ = sink
 }
@@ -57,7 +59,7 @@ func BenchmarkSketchBurstinessNaive(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		j := i & 8191
-		sink += s.burstinessNaive(es[j], ts[j], 1000)
+		sink += s.burstinessNaive(es[j], ts[j], pbe.MustSpan(1000))
 	}
 	_ = sink
 }
@@ -80,7 +82,7 @@ func BenchmarkSketchBurstyTimes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.BurstyTimes(uint64(i%4096), 20, 1000)
+		s.BurstyTimes(uint64(i%4096), 20, pbe.MustSpan(1000))
 	}
 }
 

@@ -320,14 +320,10 @@ func (s *Sketch) EstimateFMin(e uint64, t int64) float64 {
 //
 //histburst:noalloc
 //histburst:fastpath burstinessNaive
-func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
-	t0, t1 := pbe.BurstWindow(t, tau)
+func (s *Sketch) Burstiness(e uint64, t int64, sp pbe.Span) float64 {
+	t0, t1, t2 := sp.Instants(t)
 	if s.d == 1 {
-		c := s.cell(0, e)
-		if tau <= 0 {
-			return c.Estimate(t) - 2*c.Estimate(t1) + c.Estimate(t0)
-		}
-		f0, f1, f2 := c.Estimate3(t0, t1, t)
+		f0, f1, f2 := s.cell(0, e).Estimate3(t0, t1, t2)
 		return f2 - 2*f1 + f0
 	}
 	var buf [maxStackD]float64
@@ -344,14 +340,8 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 	for i := range cs {
 		cs[i] = &cells[i*w+idx[i]]
 	}
-	if tau <= 0 { // the instants do not ascend, which Estimate3 needs
-		for i, c := range cs {
-			vals[i] = c.Estimate(t) - 2*c.Estimate(t1) + c.Estimate(t0)
-		}
-		return Median(vals)
-	}
 	for i, c := range cs {
-		f0, f1, f2 := c.Estimate3(t0, t1, t)
+		f0, f1, f2 := c.Estimate3(t0, t1, t2)
 		vals[i] = f2 - 2*f1 + f0
 	}
 	return Median(vals)
@@ -363,9 +353,9 @@ func (s *Sketch) Burstiness(e uint64, t, tau int64) float64 {
 // Burstiness gives there. Between candidate instants the median of the d
 // per-row estimates may switch rows, so unlike the single-stream case the
 // crossing refinement is heuristic there.
-func (s *Sketch) BurstyTimes(e uint64, theta float64, tau int64) []pbe.TimeRange {
-	burst := func(t int64) float64 { return s.Burstiness(e, t, tau) }
-	return pbe.BurstyTimes(s.breakpoints(e), burst, theta, tau, s.maxT)
+func (s *Sketch) BurstyTimes(e uint64, theta float64, sp pbe.Span) []pbe.TimeRange {
+	burst := func(t int64) float64 { return s.Burstiness(e, t, sp) }
+	return pbe.BurstyTimes(s.breakpoints(e), burst, theta, sp, s.maxT)
 }
 
 // breakpoints returns the sorted union of event e's d cells' breakpoints.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"histburst/internal/exact"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -115,7 +116,7 @@ func TestBurstinessCloseToExact(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			q := int64(r.Intn(int(oracle.MaxTime()) + 1))
 			tau := int64(1 + r.Intn(100))
-			got := s.Burstiness(e, q, tau)
+			got := s.Burstiness(e, q, pbe.MustSpan(tau))
 			want := float64(oracle.Burstiness(e, q, tau))
 			sumErr += math.Abs(got - want)
 			trials++
@@ -187,7 +188,7 @@ func TestBurstyTimesFindsInjectedBurst(t *testing.T) {
 	s := pbe2Sketch(t, 5, 256, 2)
 	loadSketch(t, s, data)
 	tau := int64(100)
-	ranges := s.BurstyTimes(0, 500, tau)
+	ranges := s.BurstyTimes(0, 500, pbe.MustSpan(tau))
 	found := false
 	for _, rg := range ranges {
 		if rg.Start <= 3100 && rg.End >= 3050 {

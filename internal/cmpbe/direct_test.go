@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"histburst/internal/exact"
+	"histburst/internal/pbe"
 )
 
 func TestDirectValidation(t *testing.T) {
@@ -43,7 +44,7 @@ func TestDirectNoCollisions(t *testing.T) {
 	// Burstiness error bounded by 4γ.
 	for e := uint64(0); e < 4; e++ {
 		for q := int64(50); q < 1000; q += 53 {
-			got := d.Burstiness(e, q, 25)
+			got := d.Burstiness(e, q, pbe.MustSpan(25))
 			want := float64(oracle.Burstiness(e, q, 25))
 			if math.Abs(got-want) > 4 {
 				t.Fatalf("burstiness e=%d t=%d: %v vs %v", e, q, got, want)
@@ -76,7 +77,7 @@ func TestDirectBurstyTimes(t *testing.T) {
 		}
 	}
 	d.Finish()
-	ranges := d.BurstyTimes(0, 50, 20)
+	ranges := d.BurstyTimes(0, 50, pbe.MustSpan(20))
 	if len(ranges) == 0 {
 		t.Fatal("burst not detected")
 	}

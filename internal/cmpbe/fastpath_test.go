@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -47,11 +48,12 @@ func fastpathFill(s *Sketch, finish bool) *Sketch {
 // burstinessNaive is the pre-overhaul point query (allocate, three
 // independent evaluations per row, sort-based median), kept as the reference
 // for equivalence tests and the recorded speedup benchmark.
-func (s *Sketch) burstinessNaive(e uint64, t, tau int64) float64 {
+func (s *Sketch) burstinessNaive(e uint64, t int64, sp pbe.Span) float64 {
+	t0, t1, _ := sp.Instants(t)
 	vals := make([]float64, s.d)
 	for i := range vals {
 		c := s.cell(i, e)
-		vals[i] = c.Estimate(t) - 2*c.Estimate(t-tau) + c.Estimate(t-2*tau)
+		vals[i] = c.Estimate(t) - 2*c.Estimate(t1) + c.Estimate(t0)
 	}
 	sort.Float64s(vals)
 	n := len(vals)
@@ -69,11 +71,13 @@ func TestBurstinessMatchesNaive(t *testing.T) {
 			for trial := 0; trial < 4000; trial++ {
 				e := uint64(r.Intn(512))
 				// Instants off both ends of the stream included: the head and
-				// before-first-segment paths must agree too, and τ ≤ 0.
+				// before-first-segment paths must agree too, and τ ≤ 0,
+				// which leaves the zero Span.
 				ts := int64(r.Intn(int(horizon)+200)) - 100
 				tau := int64(r.Intn(2000)) - 20
-				got := s.Burstiness(e, ts, tau)
-				want := s.burstinessNaive(e, ts, tau)
+				sp, _ := pbe.NewSpan(tau)
+				got := s.Burstiness(e, ts, sp)
+				want := s.burstinessNaive(e, ts, sp)
 				if got != want {
 					t.Fatalf("%d×%d finish=%v: Burstiness(%d, %d, %d) = %v, naive = %v",
 						s.d, s.w, finish, e, ts, tau, got, want)
@@ -222,7 +226,7 @@ func TestEstimateFZeroAllocs(t *testing.T) {
 func TestBurstinessZeroAllocs(t *testing.T) {
 	for _, s := range []*Sketch{fastpathSketch(t, 4, true), fastpathDirect(t, 4, true)} {
 		allocs := testing.AllocsPerRun(200, func() {
-			s.Burstiness(17, 12_345, 1000)
+			s.Burstiness(17, 12_345, pbe.MustSpan(1000))
 		})
 		if allocs != 0 {
 			t.Fatalf("%d×%d: Burstiness allocates %.1f times per op, want 0", s.d, s.w, allocs)

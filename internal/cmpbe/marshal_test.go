@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/pbe"
 )
 
 // encoded returns a level's serialized form.
@@ -52,7 +53,7 @@ func TestSketchMarshalRoundTrip(t *testing.T) {
 			if got.EstimateF(e, q) != s.EstimateF(e, q) {
 				t.Fatalf("EstimateF differs at e=%d t=%d", e, q)
 			}
-			if got.Burstiness(e, q, 50) != s.Burstiness(e, q, 50) {
+			if got.Burstiness(e, q, pbe.MustSpan(50)) != s.Burstiness(e, q, pbe.MustSpan(50)) {
 				t.Fatalf("Burstiness differs at e=%d t=%d", e, q)
 			}
 		}

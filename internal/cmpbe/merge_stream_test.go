@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -74,7 +75,7 @@ func TestMergeSketchesMatchesMergeAppend(t *testing.T) {
 			if a, b := fast.EstimateF(e, q), naive.EstimateF(e, q); a != b {
 				t.Fatalf("EstimateF(%d,%d) = %v, merging one part at a time gives %v", e, q, a, b)
 			}
-			if a, b := fast.Burstiness(e, q, 50), naive.Burstiness(e, q, 50); a != b {
+			if a, b := fast.Burstiness(e, q, pbe.MustSpan(50)), naive.Burstiness(e, q, pbe.MustSpan(50)); a != b {
 				t.Fatalf("Burstiness(%d,%d) = %v, merging one part at a time gives %v", e, q, a, b)
 			}
 		}

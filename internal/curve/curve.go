@@ -93,16 +93,16 @@ func (c Staircase) Total() int64 {
 }
 
 // Burstiness returns the exact burstiness b(t) = F(t) − 2F(t−τ) + F(t−2τ)
-// for burst span τ > 0.
+// for burst span τ > 0; it panics on any other τ.
 func (c Staircase) Burstiness(t, tau int64) int64 {
-	t0, t1 := pbe.BurstWindow(t, tau)
+	t0, t1, _ := pbe.MustSpan(tau).Instants(t)
 	return c.Value(t) - 2*c.Value(t1) + c.Value(t0)
 }
 
 // BurstFrequency returns bf(t) = f(t−τ, t) = F(t) − F(t−τ): the incoming
-// rate of the event over the span ending at t.
+// rate of the event over the span ending at t, for τ > 0.
 func (c Staircase) BurstFrequency(t, tau int64) int64 {
-	_, t1 := pbe.BurstWindow(t, tau)
+	_, t1, _ := pbe.MustSpan(tau).Instants(t)
 	return c.Value(t) - c.Value(t1)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -77,7 +78,7 @@ func TestAppendBatchPlainLevels(t *testing.T) {
 	for lv := 0; lv < want.Levels(); lv++ {
 		for agg := uint64(0); agg < k>>lv; agg++ {
 			for _, ts := range []int64{100, 400, 430, 799} {
-				if g, w := got.Level(lv).Burstiness(agg, ts, 20), want.Level(lv).Burstiness(agg, ts, 20); g != w {
+				if g, w := got.Level(lv).Burstiness(agg, ts, pbe.MustSpan(20)), want.Level(lv).Burstiness(agg, ts, pbe.MustSpan(20)); g != w {
 					t.Fatalf("level %d id %d t=%d: %v, per-element %v", lv, agg, ts, g, w)
 				}
 			}

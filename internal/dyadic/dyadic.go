@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 
 	"histburst/internal/cmpbe"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -375,15 +376,10 @@ func (t *Tree) N() int64 { return t.n }
 // MaxTime returns the largest timestamp seen.
 func (t *Tree) MaxTime() int64 { return t.maxT }
 
-// Burstiness answers a point query for a leaf event from level 0.
-func (t *Tree) Burstiness(e uint64, ts, tau int64) float64 {
-	return t.levels[0].Burstiness(e, ts, tau)
-}
-
 // Scorer is how the searches read a kept level: the estimated burstiness of
-// aggregate id agg at t over burst span tau.
+// aggregate id agg at t over burst span sp.
 type Scorer interface {
-	Burstiness(agg uint64, t, tau int64) float64
+	Burstiness(agg uint64, t int64, sp pbe.Span) float64
 }
 
 // Shape is an index's id space, 2^lgK leaf ids, and its kept heights,
@@ -414,24 +410,26 @@ func IndexOf[S Scorer](sh Shape, levels []S) Index {
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
-// whose estimated burstiness at time ts is at least theta. theta must be
-// positive (the pruning bound works on squares); NaN is refused too, since no
-// bound compares below it and nothing would be pruned. The result is
-// ascending.
+// whose estimated burstiness at time ts is at least theta, ascending. theta
+// follows pbe.CheckEventsTheta and tau must be positive.
 //
 // Stats, if non-nil, receives the number of point queries issued — the
 // quantity Figure 12's discussion bounds by O(log K) in the typical case.
 //
 //histburst:fastpath burstyEventsBinary
 func (x Index) BurstyEvents(ts int64, theta float64, tau int64, stats *QueryStats) ([]uint64, error) {
-	if !(theta > 0) {
-		return nil, fmt.Errorf("dyadic: theta must be positive, got %v", theta)
+	if err := pbe.CheckEventsTheta(theta); err != nil {
+		return nil, fmt.Errorf("dyadic: %w", err)
+	}
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("dyadic: %w", err)
 	}
 	if stats == nil {
 		stats = &QueryStats{}
 	}
 	var out []uint64
-	s := search{x: x, ts: ts, theta: theta, tau: tau}
+	s := search{x: x, ts: ts, theta: theta, sp: sp}
 	s.visit(len(x.scorers), 0, 0, stats, &out)
 	return out, nil
 }
@@ -448,7 +446,7 @@ type search struct {
 	x     Index
 	ts    int64
 	theta float64
-	tau   int64
+	sp    pbe.Span
 }
 
 // fanShift returns how many heights node level i spans — it has 2^fanShift
@@ -496,7 +494,7 @@ func (s *search) expand(i int, agg uint64, b float64, cb *[maxFanOut]float64, st
 	first = agg << shift
 	below := s.x.scorers[i-1]
 	for j := 0; j < n; j++ {
-		cb[j] = below.Burstiness(first|uint64(j), s.ts, s.tau)
+		cb[j] = below.Burstiness(first|uint64(j), s.ts, s.sp)
 	}
 	stats.PointQueries += n
 	var bound float64

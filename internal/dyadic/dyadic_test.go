@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"histburst/internal/exact"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -19,8 +20,9 @@ func newExactLevel() *exactLevel { return &exactLevel{st: exact.New()} }
 
 func (l *exactLevel) Append(e uint64, t int64) { l.st.Append(e, t) }
 func (l *exactLevel) Finish()                  {}
-func (l *exactLevel) Burstiness(e uint64, t, tau int64) float64 {
-	return float64(l.st.Burstiness(e, t, tau))
+func (l *exactLevel) Burstiness(e uint64, t int64, sp pbe.Span) float64 {
+	t0, t1, t2 := sp.Instants(t)
+	return float64(l.st.CumFreq(e, t2) - 2*l.st.CumFreq(e, t1) + l.st.CumFreq(e, t0))
 }
 func (l *exactLevel) Bytes() int { return l.st.Bytes() }
 
@@ -219,7 +221,7 @@ func TestOutOfRangeIDFolded(t *testing.T) {
 	if tr.N() != 1 {
 		t.Fatalf("N = %d", tr.N())
 	}
-	if b := tr.Burstiness(0, 5, 2); b <= 0 {
+	if b := tr.Level(0).Burstiness(0, 5, pbe.MustSpan(2)); b <= 0 {
 		t.Fatalf("folded id invisible: b = %v", b)
 	}
 }

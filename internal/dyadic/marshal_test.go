@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/pbe"
 )
 
 // decodeWhole decodes data as exactly one tree whose leaves are under gamma.
@@ -59,7 +60,7 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 		}
 	}
 	for e := uint64(0); e < 64; e += 5 {
-		if got.Burstiness(e, 1049, 50) != tr.Burstiness(e, 1049, 50) {
+		if got.Level(0).Burstiness(e, 1049, pbe.MustSpan(50)) != tr.Level(0).Burstiness(e, 1049, pbe.MustSpan(50)) {
 			t.Fatalf("point query differs for %d", e)
 		}
 	}

@@ -3,6 +3,7 @@ package dyadic
 import (
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -59,8 +60,8 @@ func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 		ids := fast.K() >> lv
 		for e := uint64(0); e < ids; e++ {
 			for _, q := range []int64{0, 500, 1000, 1040, 1500, 1999} {
-				a := fast.Level(lv).Burstiness(e, q, 25)
-				b := naive.Level(lv).Burstiness(e, q, 25)
+				a := fast.Level(lv).Burstiness(e, q, pbe.MustSpan(25))
+				b := naive.Level(lv).Burstiness(e, q, pbe.MustSpan(25))
 				if a != b {
 					t.Fatalf("level %d Burstiness(%d,%d) = %v, merging one part at a time gives %v", lv, e, q, a, b)
 				}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"histburst/internal/cmpbe"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -20,14 +21,14 @@ func (t *Tree) burstyEventsBinary(ts int64, theta float64, tau int64) []uint64 {
 	var recurse func(lv int, agg uint64)
 	recurse = func(lv int, agg uint64) {
 		if lv == 0 {
-			if t.levels[0].Burstiness(agg, ts, tau) >= theta {
+			if t.levels[0].Burstiness(agg, ts, pbe.MustSpan(tau)) >= theta {
 				out = append(out, agg)
 			}
 			return
 		}
-		bp := t.levels[lv].Burstiness(agg, ts, tau)
-		bl := t.levels[lv-1].Burstiness(agg<<1, ts, tau)
-		br := t.levels[lv-1].Burstiness(agg<<1|1, ts, tau)
+		bp := t.levels[lv].Burstiness(agg, ts, pbe.MustSpan(tau))
+		bl := t.levels[lv-1].Burstiness(agg<<1, ts, pbe.MustSpan(tau))
+		br := t.levels[lv-1].Burstiness(agg<<1|1, ts, pbe.MustSpan(tau))
 		if bp*bp-2*bl*br < theta*theta {
 			return
 		}
@@ -43,7 +44,7 @@ func (t *Tree) burstyEventsBinary(ts int64, theta float64, tau int64) []uint64 {
 // ascending id, a node read as its score at its lowest leaf id.
 func (t *Tree) topBurstyBinary(ts int64, k int, tau int64) []EventScore {
 	pq := &binaryHeap{}
-	heap.Push(pq, binaryNode{lv: t.lgK, bound: math.Abs(t.levels[t.lgK].Burstiness(0, ts, tau))})
+	heap.Push(pq, binaryNode{lv: t.lgK, bound: math.Abs(t.levels[t.lgK].Burstiness(0, ts, pbe.MustSpan(tau)))})
 	var results []EventScore
 	for pq.Len() > 0 {
 		n := heap.Pop(pq).(binaryNode)
@@ -55,7 +56,7 @@ func (t *Tree) topBurstyBinary(ts int64, k int, tau int64) []EventScore {
 			continue
 		}
 		for j := uint64(0); j < 2; j++ {
-			bc := t.levels[n.lv-1].Burstiness(n.agg<<1|j, ts, tau)
+			bc := t.levels[n.lv-1].Burstiness(n.agg<<1|j, ts, pbe.MustSpan(tau))
 			child := binaryNode{lv: n.lv - 1, agg: n.agg<<1 | j, bound: math.Abs(bc)}
 			if child.lv == 0 {
 				child.bound, child.exact = bc, bc

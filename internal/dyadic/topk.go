@@ -3,6 +3,8 @@ package dyadic
 import (
 	"fmt"
 	"math"
+
+	"histburst/internal/pbe"
 )
 
 // EventScore pairs an event id with its estimated burstiness.
@@ -28,7 +30,8 @@ func (x Index) TopBursty(ts int64, k int, tau int64, stats *QueryStats) ([]Event
 	if k <= 0 {
 		return nil, fmt.Errorf("dyadic: k must be positive, got %d", k)
 	}
-	if tau <= 0 {
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
 		return nil, fmt.Errorf("dyadic: tau must be positive, got %d", tau)
 	}
 	if stats == nil {
@@ -39,7 +42,7 @@ func (x Index) TopBursty(ts int64, k int, tau int64, stats *QueryStats) ([]Event
 	// allocation.
 	var stack [8 * maxFanOut]node
 	pq := nodeHeap(stack[:0])
-	pq = x.pushChildren(pq, len(x.scorers), 0, ts, tau, stats)
+	pq = x.pushChildren(pq, len(x.scorers), 0, ts, sp, stats)
 
 	results := make([]EventScore, 0, min(k, 63)+1)
 	for len(pq) > 0 {
@@ -53,7 +56,7 @@ func (x Index) TopBursty(ts int64, k int, tau int64, stats *QueryStats) ([]Event
 			results = insertScore(results, n.EventScore, k)
 			continue
 		}
-		pq = x.pushChildren(pq, n.i, n.Event>>x.heights[n.i], ts, tau, stats)
+		pq = x.pushChildren(pq, n.i, n.Event>>x.heights[n.i], ts, sp, stats)
 	}
 	return results, nil
 }
@@ -61,12 +64,12 @@ func (x Index) TopBursty(ts int64, k int, tau int64, stats *QueryStats) ([]Event
 // pushChildren scores the children of node (i, agg) — the top kept level's
 // nodes when i is the virtual root — and queues them: a leaf under its
 // burstiness, an inner node under the magnitude of its aggregate.
-func (x Index) pushChildren(pq nodeHeap, i int, agg uint64, ts, tau int64, stats *QueryStats) nodeHeap {
+func (x Index) pushChildren(pq nodeHeap, i int, agg uint64, ts int64, sp pbe.Span, stats *QueryStats) nodeHeap {
 	shift := x.fanShift(i)
 	first := agg << shift
 	below, h := x.scorers[i-1], x.heights[i-1]
 	for j := uint64(0); j < 1<<shift; j++ {
-		b := below.Burstiness(first|j, ts, tau)
+		b := below.Burstiness(first|j, ts, sp)
 		if i-1 > 0 {
 			b = math.Abs(b)
 		}

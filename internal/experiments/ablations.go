@@ -96,11 +96,11 @@ func ablationMedian(cfg Config) (Table, error) {
 			e := events[rng.Intn(len(events))]
 			qt := rng.Int63n(horizon + 1)
 			wantB := float64(oracle.Burstiness(e, qt, tau))
-			bMed += math.Abs(sk.Burstiness(e, qt, tau) - wantB)
+			bMed += math.Abs(sk.Burstiness(e, qt, pbe.MustSpan(tau)) - wantB)
 			// The min-F alternative evaluates equation (2) on spliced
 			// min-of-rows frequency estimates, the way a plain Count-Min
 			// user would.
-			q0, q1 := pbe.BurstWindow(qt, tau)
+			q0, q1, _ := pbe.MustSpan(tau).Instants(qt)
 			minB := sk.EstimateFMin(e, qt) - 2*sk.EstimateFMin(e, q1) + sk.EstimateFMin(e, q0)
 			bMin += math.Abs(minB - wantB)
 			wantF := float64(oracle.CumFreq(e, qt))

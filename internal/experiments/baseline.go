@@ -8,6 +8,7 @@ import (
 
 	"histburst/internal/cmpbe"
 	"histburst/internal/metrics"
+	"histburst/internal/pbe"
 	"histburst/internal/workload"
 )
 
@@ -51,11 +52,12 @@ func baseline(cfg Config) (Table, error) {
 		query func(e uint64, t int64) float64
 		err   *metrics.ErrorStats
 	}
+	sp := pbe.MustSpan(tau)
 	exactQ := func(e uint64, t int64) float64 { return float64(oracle.Burstiness(e, t, tau)) }
 	targets := []target{
 		{name: "exact baseline", bytes: oracle.Bytes(), query: exactQ},
-		{name: "CM-PBE-1", bytes: sk1.Bytes(), query: func(e uint64, t int64) float64 { return sk1.Burstiness(e, t, tau) }},
-		{name: "CM-PBE-2", bytes: sk2.Bytes(), query: func(e uint64, t int64) float64 { return sk2.Burstiness(e, t, tau) }},
+		{name: "CM-PBE-1", bytes: sk1.Bytes(), query: func(e uint64, t int64) float64 { return sk1.Burstiness(e, t, sp) }},
+		{name: "CM-PBE-2", bytes: sk2.Bytes(), query: func(e uint64, t int64) float64 { return sk2.Burstiness(e, t, sp) }},
 	}
 
 	t := Table{

@@ -114,8 +114,8 @@ func (s *cmPBE1) Finish() {
 	}
 }
 
-func (s *cmPBE1) Burstiness(e uint64, t, tau int64) float64 {
-	return s.median(e, func(c *pbe1.Builder) float64 { return pbe.Burstiness(c, t, tau) })
+func (s *cmPBE1) Burstiness(e uint64, t int64, sp pbe.Span) float64 {
+	return s.median(e, func(c *pbe1.Builder) float64 { return pbe.Burstiness(c, t, sp) })
 }
 
 func (s *cmPBE1) EstimateF(e uint64, t int64) float64 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"histburst/internal/exact"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -74,7 +75,7 @@ func TestCMPBE1Burstiness(t *testing.T) {
 		for _, e := range oracle.Events() {
 			for i := 0; i < 5; i++ {
 				q := int64(r.Intn(int(oracle.MaxTime()) + 1))
-				sumErr += math.Abs(sk.Burstiness(e, q, 50) - float64(oracle.Burstiness(e, q, 50)))
+				sumErr += math.Abs(sk.Burstiness(e, q, pbe.MustSpan(50)) - float64(oracle.Burstiness(e, q, 50)))
 				trials++
 			}
 		}

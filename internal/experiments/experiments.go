@@ -28,17 +28,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the fast configuration used by the benchmarks.
-func DefaultConfig() Config {
-	return Config{Scale: 0.02, Queries: 200, Seed: 1}
-}
-
-// PaperConfig returns the full-volume configuration matching the paper's
-// setup (minutes of runtime).
-func PaperConfig() Config {
-	return Config{Scale: 1.0, Queries: 1000, Seed: 1}
-}
-
 func (c Config) validate() error {
 	if !(c.Scale > 0) {
 		return fmt.Errorf("experiments: scale must be positive, got %v", c.Scale)

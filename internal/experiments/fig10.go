@@ -123,7 +123,7 @@ func singleErrVs(est pbe.Estimator, c interface {
 	errs := make([]float64, q)
 	for i := range errs {
 		ts := int64(rng.Int63n(horizon + 1))
-		errs[i] = pbe.Burstiness(est, ts, tau) - float64(c.Burstiness(ts, tau))
+		errs[i] = pbe.Burstiness(est, ts, pbe.MustSpan(tau)) - float64(c.Burstiness(ts, tau))
 	}
 	return metrics.SummarizeErrors(errs)
 }

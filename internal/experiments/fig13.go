@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"histburst/internal/dyadic"
+	"histburst/internal/pbe"
 	"histburst/internal/workload"
 )
 
@@ -66,7 +67,7 @@ func fig13(cfg Config) (Table, error) {
 				return Table{}, err
 			}
 			for _, e := range events {
-				b := tree.Burstiness(e, qt, tau)
+				b := tree.Level(0).Burstiness(e, qt, pbe.MustSpan(tau))
 				if workload.USPoliticsCategory(e) == "Democrat" {
 					demCount++
 					demMass += b

@@ -146,7 +146,7 @@ func singlePointErrors(est pbe.Estimator, exactCurve curve.Staircase, horizon in
 	errs := make([]float64, q)
 	for i := range errs {
 		t := int64(rng.Int63n(horizon + 1))
-		errs[i] = pbe.Burstiness(est, t, tau) - float64(exactCurve.Burstiness(t, tau))
+		errs[i] = pbe.Burstiness(est, t, pbe.MustSpan(tau)) - float64(exactCurve.Burstiness(t, tau))
 	}
 	return metrics.SummarizeErrors(errs)
 }
@@ -155,7 +155,7 @@ func singlePointErrors(est pbe.Estimator, exactCurve curve.Staircase, horizon in
 // queries against an exact oracle. Events are sampled uniformly — the
 // regime where a skewed dataset's unpopular events expose the collision
 // error, the effect the paper's Figure 11 discussion hinges on.
-func mixedPointErrors(est func(e uint64, t, tau int64) float64, oracle *exact.Store, q int, rng *rand.Rand) metrics.ErrorStats {
+func mixedPointErrors(est func(e uint64, t int64, sp pbe.Span) float64, oracle *exact.Store, q int, rng *rand.Rand) metrics.ErrorStats {
 	events := oracle.Events()
 	if len(events) == 0 {
 		return metrics.ErrorStats{}
@@ -166,7 +166,7 @@ func mixedPointErrors(est func(e uint64, t, tau int64) float64, oracle *exact.St
 	for i := range errs {
 		e := events[rng.Intn(len(events))]
 		t := int64(rng.Int63n(horizon + 1))
-		errs[i] = est(e, t, tau) - float64(oracle.Burstiness(e, t, tau))
+		errs[i] = est(e, t, pbe.MustSpan(tau)) - float64(oracle.Burstiness(e, t, tau))
 	}
 	return metrics.SummarizeErrors(errs)
 }

@@ -45,8 +45,9 @@ func ablationKleinberg(cfg Config) (Table, error) {
 		}
 	}
 	theta := maxB / 5
-	burst := func(t int64) float64 { return pbe.Burstiness(b, t, tau) }
-	ranges := pbe.BurstyTimes(b.Breakpoints(), burst, theta, tau, horizon)
+	sp := pbe.MustSpan(tau)
+	burst := func(t int64) float64 { return pbe.Burstiness(b, t, sp) }
+	ranges := pbe.BurstyTimes(b.Breakpoints(), burst, theta, sp, horizon)
 	aivs := make([]kleinberg.Interval, len(ranges))
 	for i, r := range ranges {
 		aivs[i] = kleinberg.Interval{Start: r.Start, End: r.End - 1}

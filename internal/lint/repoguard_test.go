@@ -486,3 +486,116 @@ func moduleRootForTest(t *testing.T) string {
 	}
 	return root
 }
+
+// TestOneElementRunCodec: an element run — event uvarint, then a time delta
+// varint against the previous element — is written and read in one place,
+// stream.AppendRun and stream.ReadRun. No other non-test code forms the
+// delta (Varint(x.Time − prev)) or accumulates it (prev + r.Varint(),
+// prev += r.Varint()).
+func TestOneElementRunCodec(t *testing.T) {
+	isVarintCall := func(e ast.Expr) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Varint"
+	}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(rel)) == "internal/stream" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				sel, ok := n.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Varint" && sel.Sel.Name != "PutVarint" && sel.Sel.Name != "AppendVarint") {
+					break
+				}
+				for _, arg := range n.Args {
+					if d, ok := arg.(*ast.BinaryExpr); ok && d.Op == token.SUB {
+						if x, ok := d.X.(*ast.SelectorExpr); ok && x.Sel.Name == "Time" {
+							t.Errorf("%s encodes a time delta (%s); use stream.AppendRun", rel, types.ExprString(n))
+						}
+					}
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.ADD && (isVarintCall(n.X) || isVarintCall(n.Y)) {
+					t.Errorf("%s accumulates a varint delta (%s); use stream.ReadRun", rel, types.ExprString(n))
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ADD_ASSIGN && len(n.Rhs) == 1 && isVarintCall(n.Rhs[0]) {
+					t.Errorf("%s accumulates a varint delta (%s += …); use stream.ReadRun", rel, types.ExprString(n.Lhs[0]))
+				}
+			}
+			return true
+		})
+	})
+}
+
+// TestKernelsTakeASpan: τ is validated once, where a query enters, into a
+// pbe.Span. The equation-(2) kernels take the Span, not a raw τ, so none of
+// internal/cmpbe, internal/dyadic or internal/segstore checks τ ≤ 0 — their
+// entry points build the Span instead — and nothing names the retired
+// pbe.BurstWindow.
+func TestKernelsTakeASpan(t *testing.T) {
+	kernels := map[string][]string{
+		"internal/pbe":      {"Burstiness", "BurstFrequency", "BurstyTimes", "ShiftedBreakpoints"},
+		"internal/cmpbe":    {"Sketch.Burstiness", "Sketch.BurstyTimes"},
+		"internal/dyadic":   {"Index.pushChildren"},
+		"internal/segstore": {"Snapshot.burstiness", "memHead.burstiness", "Snapshot.segsInWindow", "Snapshot.summedLevels", "summedLevel.Burstiness"},
+	}
+	noTauCheck := map[string]bool{"internal/cmpbe": true, "internal/dyadic": true, "internal/segstore": true}
+	found := map[string]bool{}
+	eachProductFile(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "BurstWindow" && dir == "internal/pbe" {
+					t.Errorf("%s declares the retired BurstWindow; take a Span", rel)
+				}
+			case *ast.SelectorExpr:
+				if types.ExprString(n) == "pbe.BurstWindow" {
+					t.Errorf("%s names the retired pbe.BurstWindow; take a pbe.Span", rel)
+				}
+			case *ast.BinaryExpr:
+				if id, ok := n.X.(*ast.Ident); ok && noTauCheck[dir] && strings.EqualFold(id.Name, "tau") && n.Op == token.LEQ {
+					t.Errorf("%s checks %s; build a pbe.Span where the query enters", rel, types.ExprString(n))
+				}
+			case *ast.FuncDecl:
+				name := n.Name.Name
+				if n.Recv != nil && len(n.Recv.List) == 1 {
+					recv := n.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
+				}
+				if !slices.Contains(kernels[dir], name) {
+					break
+				}
+				found[dir+" "+name] = true
+				span := false
+				for _, p := range n.Type.Params.List {
+					if s := types.ExprString(p.Type); s == "Span" || s == "pbe.Span" {
+						span = true
+					}
+				}
+				if !span {
+					t.Errorf("%s: kernel %s takes no pbe.Span", rel, name)
+				}
+			}
+			return true
+		})
+	})
+	for dir, names := range kernels {
+		for _, name := range names {
+			if !found[dir+" "+name] {
+				t.Errorf("%s: kernel %s not found; update this guard with its new name", dir, name)
+			}
+		}
+	}
+}

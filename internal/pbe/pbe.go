@@ -13,6 +13,8 @@
 package pbe
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -62,59 +64,90 @@ type PBE interface {
 	Bytes() int
 }
 
-// Burstiness evaluates b̃(t) for burst span τ on any PBE via equation (2).
+// Burstiness evaluates b̃(t) over span sp on any PBE via equation (2).
 // Estimators implementing Estimator3 answer the three evaluations in one
 // narrowed pass; the result is identical either way.
-func Burstiness(p Estimator, t, tau int64) float64 {
-	t0, t1 := BurstWindow(t, tau)
-	if e3, ok := p.(Estimator3); ok && tau > 0 {
-		f0, f1, f2 := e3.Estimate3(t0, t1, t)
+func Burstiness(p Estimator, t int64, sp Span) float64 {
+	t0, t1, t2 := sp.Instants(t)
+	if e3, ok := p.(Estimator3); ok {
+		f0, f1, f2 := e3.Estimate3(t0, t1, t2)
 		return f2 - 2*f1 + f0
 	}
-	return p.Estimate(t) - 2*p.Estimate(t1) + p.Estimate(t0)
+	return p.Estimate(t2) - 2*p.Estimate(t1) + p.Estimate(t0)
 }
 
 // BurstFrequency evaluates the approximate incoming rate bf̃(t) = F̃(t) − F̃(t−τ).
-func BurstFrequency(p Estimator, t, tau int64) float64 {
-	_, t1 := BurstWindow(t, tau)
-	return p.Estimate(t) - p.Estimate(t1)
+func BurstFrequency(p Estimator, t int64, sp Span) float64 {
+	_, t1, t2 := sp.Instants(t)
+	return p.Estimate(t2) - p.Estimate(t1)
 }
 
-// BurstWindow returns t−2τ and t−τ, the earlier instants of equation (2),
-// saturating at the int64 bounds: τ comes off the wire, and a wrapped t−2τ
-// would land past t. For a positive τ the three instants ascend, as
-// Estimate3 needs.
-//
-//histburst:noalloc
-func BurstWindow(t, tau int64) (t0, t1 int64) {
-	t1 = subSat(t, tau)
-	return subSat(t1, tau), t1
-}
+// Span is a burst span τ > 0. Only NewSpan builds one, so the query kernels
+// take a Span instead of a raw τ and none re-checks it. It yields the
+// instants of equation (2) saturated at the int64 bounds — τ comes off the
+// wire, and a wrapped t−2τ would land past t. The zero Span's three instants
+// coincide, so every kernel answers b̃ = 0 on it, never a wrapped window.
+type Span struct{ tau int64 }
 
-// subSat returns a−b, saturated at math.MinInt64 or math.MaxInt64.
-//
-//histburst:noalloc
-func subSat(a, b int64) int64 {
-	d := a - b
-	if (d < a) != (b > 0) { // wrapped
-		if b > 0 {
-			return math.MinInt64
-		}
-		return math.MaxInt64
+// NewSpan returns the span τ, refusing τ ≤ 0.
+func NewSpan(tau int64) (Span, error) {
+	if tau <= 0 {
+		return Span{}, fmt.Errorf("burst span must be positive, got %d", tau)
 	}
-	return d
+	return Span{tau}, nil
 }
 
-// addSat returns a+b, saturated at math.MinInt64 or math.MaxInt64.
+// MustSpan is NewSpan for a τ known to be positive; it panics otherwise.
+func MustSpan(tau int64) Span {
+	sp, err := NewSpan(tau)
+	if err != nil {
+		panic(err)
+	}
+	return sp
+}
+
+// Instants returns t−2τ, t−τ and t, the instants of equation (2), ascending.
+// τ ≥ 0, so a difference can only wrap upward, past its minuend.
+//
+//histburst:noalloc
+func (s Span) Instants(t int64) (t0, t1, t2 int64) {
+	if t1 = t - s.tau; t1 > t {
+		t1 = math.MinInt64
+	}
+	if t0 = t1 - s.tau; t0 > t1 {
+		t0 = math.MinInt64
+	}
+	return t0, t1, t
+}
+
+// The threshold θ has one rule per query class, the two side by side here.
+
+// CheckEventsTheta refuses a BURSTY EVENT threshold, searched or standing,
+// that is not positive: the walk's pruning bound compares squares, and a NaN
+// θ compares below nothing, so it would prune nothing (and a standing query
+// would fire once on any traffic and never again).
+func CheckEventsTheta(theta float64) error {
+	if !(theta > 0) {
+		return fmt.Errorf("threshold must be positive, got %v", theta)
+	}
+	return nil
+}
+
+// CheckTimesTheta refuses a NaN BURSTY TIME threshold; θ ≤ 0 is a legitimate
+// threshold for a scan.
+func CheckTimesTheta(theta float64) error {
+	if math.IsNaN(theta) {
+		return errors.New("threshold must be a number, got NaN")
+	}
+	return nil
+}
+
+// addSat returns a+b for b ≥ 0, saturated at math.MaxInt64.
 func addSat(a, b int64) int64 {
-	d := a + b
-	if (d > a) != (b > 0) { // wrapped
-		if b > 0 {
-			return math.MaxInt64
-		}
-		return math.MinInt64
+	if d := a + b; d >= a {
+		return d
 	}
-	return d
+	return math.MaxInt64
 }
 
 // TimeRange is a half-open interval [Start, End).
@@ -126,7 +159,7 @@ type TimeRange struct {
 func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over a summary
-// (Section V): burst is the summary's point query at span τ, bps the sorted
+// (Section V): burst is the summary's point query at span sp, bps the sorted
 // instants where its F̃ changes shape. BurstyTimes evaluates burst only at
 // bps shifted by {0, τ, 2τ} — the instants where b̃ can change — and
 // returns the maximal intervals within [0, horizon] (horizon inclusive)
@@ -140,8 +173,8 @@ func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
 // of rows, the median may switch rows between candidate instants, so the
 // crossing refinement is heuristic there; the candidate instants themselves
 // are still evaluated exactly.
-func BurstyTimes(bps []int64, burst func(t int64) float64, theta float64, tau, horizon int64) []TimeRange {
-	cands := ShiftedBreakpoints(bps, tau, horizon)
+func BurstyTimes(bps []int64, burst func(t int64) float64, theta float64, sp Span, horizon int64) []TimeRange {
+	cands := ShiftedBreakpoints(bps, sp, horizon)
 	var out []TimeRange
 	emit := func(start, end int64) {
 		if start >= end {
@@ -204,7 +237,7 @@ func BurstyTimes(bps []int64, burst func(t int64) float64, theta float64, tau, h
 // shifted copies are three sorted streams; a 3-way merge with on-the-fly
 // deduplication builds the result without the map+sort round-trip the naive
 // union needs.
-func ShiftedBreakpoints(base []int64, tau, horizon int64) []int64 {
+func ShiftedBreakpoints(base []int64, sp Span, horizon int64) []int64 {
 	if !slices.IsSorted(base) {
 		base = slices.Clone(base)
 		slices.Sort(base)
@@ -216,7 +249,7 @@ func ShiftedBreakpoints(base []int64, tau, horizon int64) []int64 {
 		shift := func(i int) int64 {
 			v := base[i]
 			for range k {
-				v = addSat(v, tau)
+				v = addSat(v, sp.tau)
 			}
 			return v
 		}
@@ -225,7 +258,7 @@ func ShiftedBreakpoints(base []int64, tau, horizon int64) []int64 {
 		return base[lo:max(lo, hi)]
 	}
 	s0, s1, s2 := within(0), within(1), within(2)
-	o1, o2 := tau, 2*tau
+	o1, o2 := sp.tau, 2*sp.tau
 	out := make([]int64, 1, len(s0)+len(s1)+len(s2)+1) // out[0] = 0
 	for len(s0)+len(s1)+len(s2) > 0 {
 		// v is the least head; math.MaxInt64 stands in for an empty stream

@@ -1,6 +1,7 @@
 package pbe
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -51,18 +52,19 @@ func (e *stepEstimator) Breakpoints() []int64 {
 // burstyTimes sweeps e's point query over e's breakpoints, as every summary
 // answers the bursty time query.
 func burstyTimes(e Estimator, theta float64, tau, horizon int64) []TimeRange {
-	return BurstyTimes(e.Breakpoints(), func(q int64) float64 { return Burstiness(e, q, tau) }, theta, tau, horizon)
+	sp := MustSpan(tau)
+	return BurstyTimes(e.Breakpoints(), func(q int64) float64 { return Burstiness(e, q, sp) }, theta, sp, horizon)
 }
 
 func TestBurstinessIdentity(t *testing.T) {
 	e := newStepEstimator(0, 0, 10, 5, 20, 30, 30, 35)
 	// b(t) = F(t) − 2F(t−τ) + F(t−2τ); τ=10.
-	got := Burstiness(e, 25, 10)
+	got := Burstiness(e, 25, MustSpan(10))
 	want := e.Estimate(25) - 2*e.Estimate(15) + e.Estimate(5)
 	if got != want {
 		t.Fatalf("Burstiness = %v, want %v", got, want)
 	}
-	if bf := BurstFrequency(e, 25, 10); bf != e.Estimate(25)-e.Estimate(15) {
+	if bf := BurstFrequency(e, 25, MustSpan(10)); bf != e.Estimate(25)-e.Estimate(15) {
 		t.Fatalf("BurstFrequency = %v", bf)
 	}
 }
@@ -78,13 +80,13 @@ func TestTimeRangeContains(t *testing.T) {
 
 func TestShiftedBreakpoints(t *testing.T) {
 	e := newStepEstimator(3, 1, 7, 4)
-	got := ShiftedBreakpoints(e.Breakpoints(), 5, 20)
+	got := ShiftedBreakpoints(e.Breakpoints(), MustSpan(5), 20)
 	want := []int64{0, 3, 7, 8, 12, 13, 17}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("ShiftedBreakpoints = %v, want %v", got, want)
 	}
 	// Horizon clipping.
-	got = ShiftedBreakpoints(e.Breakpoints(), 5, 9)
+	got = ShiftedBreakpoints(e.Breakpoints(), MustSpan(5), 9)
 	want = []int64{0, 3, 7, 8}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("clipped = %v, want %v", got, want)
@@ -99,7 +101,7 @@ func TestBurstyTimesMatchesBruteForce(t *testing.T) {
 		for _, theta := range []float64{1, 20, 55, 1000} {
 			ranges := burstyTimes(e, theta, tau, horizon)
 			for q := int64(0); q <= horizon; q++ {
-				want := Burstiness(e, q, tau) >= theta
+				want := Burstiness(e, q, MustSpan(tau)) >= theta
 				got := false
 				for _, r := range ranges {
 					if r.Contains(q) {
@@ -167,7 +169,7 @@ func TestBurstyTimesLinearCrossing(t *testing.T) {
 	}
 	// Verify against brute force.
 	for q := int64(0); q <= 150; q++ {
-		want := Burstiness(e, q, 10) >= 5
+		want := Burstiness(e, q, MustSpan(10)) >= 5
 		got := ranges[0].Contains(q)
 		if got != want {
 			t.Fatalf("t=%d: %v want %v", q, got, want)
@@ -177,33 +179,82 @@ func TestBurstyTimesLinearCrossing(t *testing.T) {
 
 func TestBreakpointHelpersSorted(t *testing.T) {
 	e := newStepEstimator(9, 1, 3, 2) // deliberately unsorted steps input
-	bps := ShiftedBreakpoints(e.Breakpoints(), 2, 100)
+	bps := ShiftedBreakpoints(e.Breakpoints(), MustSpan(2), 100)
 	if !sort.SliceIsSorted(bps, func(i, j int) bool { return bps[i] < bps[j] }) {
 		t.Fatal("ShiftedBreakpoints not sorted")
 	}
 }
 
-// TestBurstWindowSaturates pins the earlier instants of equation (2) at the
-// int64 bounds: a wrapped t−2τ would land past t.
-func TestBurstWindowSaturates(t *testing.T) {
+// TestSpanSaturates pins the instants of equation (2) at the int64 bounds:
+// a wrapped t−2τ would land past t. A span is built from τ > 0 only.
+func TestSpanSaturates(t *testing.T) {
 	for _, tc := range []struct{ t, tau, t0, t1 int64 }{
 		{1000, 10, 980, 990},
-		{1000, -10, 1020, 1010},
 		{2000, 1 << 40, 2000 - 1<<41, 2000 - 1<<40},
 		{2000, 3 << 61, math.MinInt64, 2000 - 3<<61},
 		{2000, math.MaxInt64, math.MinInt64, 2001 + math.MinInt64},
 		{math.MinInt64 + 5, 10, math.MinInt64, math.MinInt64},
-		{math.MaxInt64 - 5, -10, math.MaxInt64, math.MaxInt64},
+		{math.MaxInt64, math.MaxInt64, -math.MaxInt64, 0},
 	} {
-		if t0, t1 := BurstWindow(tc.t, tc.tau); t0 != tc.t0 || t1 != tc.t1 {
-			t.Errorf("BurstWindow(%d, %d) = (%d, %d), want (%d, %d)", tc.t, tc.tau, t0, t1, tc.t0, tc.t1)
+		sp, err := NewSpan(tc.tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if t0, t1, t2 := sp.Instants(tc.t); t0 != tc.t0 || t1 != tc.t1 || t2 != tc.t {
+			t.Errorf("τ=%d: Instants(%d) = (%d, %d, %d), want (%d, %d, %d)", tc.tau, tc.t, t0, t1, t2, tc.t0, tc.t1, tc.t)
+		}
+	}
+	for _, tau := range []int64{0, -1, math.MinInt64} {
+		if _, err := NewSpan(tau); err == nil || err.Error() != fmt.Sprintf("burst span must be positive, got %d", tau) {
+			t.Errorf("NewSpan(%d) = %v, want a refusal", tau, err)
 		}
 	}
 	// Shifting by a huge τ adds nothing inside the horizon.
 	bps := []int64{3, 7, 1000}
 	for _, tau := range []int64{1 << 40, 3 << 61, math.MaxInt64} {
-		if got, want := ShiftedBreakpoints(bps, tau, 2000), []int64{0, 3, 7, 1000}; !reflect.DeepEqual(got, want) {
+		if got, want := ShiftedBreakpoints(bps, MustSpan(tau), 2000), []int64{0, 3, 7, 1000}; !reflect.DeepEqual(got, want) {
 			t.Errorf("τ=%d: ShiftedBreakpoints = %v, want %v", tau, got, want)
+		}
+	}
+}
+
+// TestZeroSpan: the zero Span's three instants coincide, at the int64
+// bounds too, so equation (2) answers 0 — never a wrapped window. (cmpbe's
+// TestBurstinessMatchesNaive covers it through Estimate3.)
+func TestZeroSpan(t *testing.T) {
+	var sp Span
+	e := newStepEstimator(3, 7, 7, 20)
+	for _, ts := range []int64{math.MinInt64, -5, 0, 7, 8, 25, math.MaxInt64} {
+		if t0, t1, t2 := sp.Instants(ts); t0 != ts || t1 != ts || t2 != ts {
+			t.Errorf("zero Span: Instants(%d) = (%d, %d, %d)", ts, t0, t1, t2)
+		}
+		if b, bf := Burstiness(e, ts, sp), BurstFrequency(e, ts, sp); b != 0 || bf != 0 {
+			t.Errorf("zero Span at %d: b = %v, bf = %v, want 0", ts, b, bf)
+		}
+	}
+}
+
+// TestThetaRules pins the two threshold rules: BURSTY EVENT needs θ > 0,
+// BURSTY TIME refuses only NaN.
+func TestThetaRules(t *testing.T) {
+	for _, tc := range []struct {
+		theta         float64
+		events, times string
+	}{
+		{1.5, "", ""},
+		{math.Inf(1), "", ""},
+		{0, "threshold must be positive, got 0", ""},
+		{-2, "threshold must be positive, got -2", ""},
+		{math.Inf(-1), "threshold must be positive, got -Inf", ""},
+		{math.NaN(), "threshold must be positive, got NaN", "threshold must be a number, got NaN"},
+	} {
+		for _, c := range []struct {
+			err  error
+			want string
+		}{{CheckEventsTheta(tc.theta), tc.events}, {CheckTimesTheta(tc.theta), tc.times}} {
+			if got := fmt.Sprint(c.err); (c.want == "" && c.err != nil) || (c.want != "" && got != c.want) {
+				t.Errorf("θ=%v: %v, want %q", tc.theta, c.err, c.want)
+			}
 		}
 	}
 }

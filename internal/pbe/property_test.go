@@ -26,7 +26,7 @@ func TestBurstyTimesPropertyRandomSteps(t *testing.T) {
 		theta := float64(r.Intn(30) - 5)
 		ranges := burstyTimes(e, theta, tau, horizon)
 		for q := int64(0); q <= horizon; q++ {
-			want := Burstiness(e, q, tau) >= theta
+			want := Burstiness(e, q, MustSpan(tau)) >= theta
 			got := false
 			for _, rg := range ranges {
 				if rg.Contains(q) {

@@ -188,7 +188,7 @@ func TestBuilderBurstinessErrorBounded(t *testing.T) {
 		var sum float64
 		var cnt int
 		for q := int64(0); q <= horizon; q += 3 {
-			diff := pbe.Burstiness(b, q, tau) - float64(exact.Burstiness(q, tau))
+			diff := pbe.Burstiness(b, q, pbe.MustSpan(tau)) - float64(exact.Burstiness(q, tau))
 			if diff < 0 {
 				diff = -diff
 			}
@@ -215,7 +215,8 @@ func TestBuilderBurstyTimesLossless(t *testing.T) {
 	horizon := ts[len(ts)-1]
 	tau := int64(10)
 	theta := 3.0
-	ranges := pbe.BurstyTimes(b.Breakpoints(), func(q int64) float64 { return pbe.Burstiness(b, q, tau) }, theta, tau, horizon)
+	sp := pbe.MustSpan(tau)
+	ranges := pbe.BurstyTimes(b.Breakpoints(), func(q int64) float64 { return pbe.Burstiness(b, q, sp) }, theta, sp, horizon)
 	for q := int64(0); q <= horizon; q++ {
 		want := float64(exact.Burstiness(q, tau)) >= theta
 		got := false

@@ -120,7 +120,7 @@ func TestBurstinessWithin4Gamma(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		q := int64(r.Intn(int(horizon) + 10))
 		tau := int64(1 + r.Intn(50))
-		diff := pbe.Burstiness(b, q, tau) - float64(exact.Burstiness(q, tau))
+		diff := pbe.Burstiness(b, q, pbe.MustSpan(tau)) - float64(exact.Burstiness(q, tau))
 		if math.Abs(diff) > 4*gamma+1e-6 {
 			t.Fatalf("burstiness error %v exceeds 4γ=%v at t=%d τ=%d", diff, 4*gamma, q, tau)
 		}
@@ -250,7 +250,8 @@ func TestBurstyTimesWithinTolerance(t *testing.T) {
 	horizon := ts[len(ts)-1]
 	tau := int64(25)
 	theta := 12.0
-	ranges := pbe.BurstyTimes(b.Breakpoints(), func(q int64) float64 { return pbe.Burstiness(b, q, tau) }, theta, tau, horizon)
+	sp := pbe.MustSpan(tau)
+	ranges := pbe.BurstyTimes(b.Breakpoints(), func(q int64) float64 { return pbe.Burstiness(b, q, sp) }, theta, sp, horizon)
 	for q := int64(0); q <= horizon; q++ {
 		in := false
 		for _, r := range ranges {

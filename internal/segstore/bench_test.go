@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 	"histburst/internal/workload"
 )
@@ -85,7 +86,7 @@ func BenchmarkHeadPoint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j := i & 4095
-		sink += h.burstiness(es[j], ts[j], benchTau)
+		sink += h.burstiness(es[j], ts[j], pbe.MustSpan(benchTau))
 	}
 	benchSink = sink
 }

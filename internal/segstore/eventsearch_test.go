@@ -8,6 +8,7 @@ import (
 
 	"histburst"
 	"histburst/internal/dyadic"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -194,7 +195,7 @@ func (m mergedLayout) inGap(q int64) bool {
 func (m mergedLayout) check(t *testing.T, tm, tau int64, thetas []float64, ks []int) int {
 	t.Helper()
 	sn := m.sn
-	x := dyadic.IndexOf(sn.shape, sn.summedLevels(tm, tau))
+	x := dyadic.IndexOf(sn.shape, sn.summedLevels(tm, pbe.MustSpan(tau)))
 	mx := m.merged.EventIndex()
 	found := 0
 	for _, theta := range thetas {
@@ -300,7 +301,7 @@ func TestEventSearchWithLiveHead(t *testing.T) {
 
 	const tm, tau = 1209, 20
 	sn := s.Snapshot()
-	x, sx := sn.summedLevels(tm, tau), sealed.Snapshot().summedLevels(tm, tau)
+	x, sx := sn.summedLevels(tm, pbe.MustSpan(tau)), sealed.Snapshot().summedLevels(tm, pbe.MustSpan(tau))
 	exact := indexStream(headPart)
 	for i, h := range sn.shape.Heights() {
 		if h == 0 {
@@ -311,8 +312,8 @@ func TestEventSearchWithLiveHead(t *testing.T) {
 			for e := agg << h; e < (agg+1)<<h; e++ {
 				share += exact.burstiness(e, tm, tau)
 			}
-			got := x[i].Burstiness(agg, tm, tau)
-			if want := sx[i].Burstiness(agg, tm, tau) + share; got != want {
+			got := x[i].Burstiness(agg, tm, pbe.MustSpan(tau))
+			if want := sx[i].Burstiness(agg, tm, pbe.MustSpan(tau)) + share; got != want {
 				t.Fatalf("height %d node %d: summed %v, sealed segments plus the head's exact %v = %v", h, agg, got, share, want)
 			}
 		}

@@ -550,17 +550,17 @@ func (h *memHead) countAtOrBefore(e uint64, t int64) float64 {
 	return float64(h.byEvent[e].countAtOrBefore(h.arenas, t))
 }
 
-// burstiness returns the head's exact contribution to b_e(t) for a positive
-// tau: cumulative frequencies of time-disjoint slices add, so equation (2)
+// burstiness returns the head's exact contribution to b_e(t) over span sp:
+// cumulative frequencies of time-disjoint slices add, so equation (2)
 // distributes over the slices term by term.
 //
 //histburst:noalloc
-func (h *memHead) burstiness(e uint64, t, tau int64) float64 {
-	t0, t1 := pbe.BurstWindow(t, tau)
+func (h *memHead) burstiness(e uint64, t int64, sp pbe.Span) float64 {
+	t0, t1, t2 := sp.Instants(t)
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	ts, a := h.byEvent[e], h.arenas
-	return float64(ts.countAtOrBefore(a, t) - 2*ts.countAtOrBefore(a, t1) + ts.countAtOrBefore(a, t0))
+	return float64(ts.countAtOrBefore(a, t2) - 2*ts.countAtOrBefore(a, t1) + ts.countAtOrBefore(a, t0))
 }
 
 // arrivals returns a copy of e's timestamps in the head.

@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"histburst"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -412,7 +413,7 @@ func TestSealedSegmentMatchesDirectBuild(t *testing.T) {
 				t.Fatalf("F_%d(%d): reopened %v, crashed %v", e, tm, a, b)
 			}
 			for _, tau := range []int64{5, 40} {
-				if a, b := post.burstiness(e, tm, tau), pre.burstiness(e, tm, tau); a != b {
+				if a, b := post.burstiness(e, tm, pbe.MustSpan(tau)), pre.burstiness(e, tm, pbe.MustSpan(tau)); a != b {
 					t.Fatalf("b_%d(%d, τ=%d): reopened %v, crashed %v", e, tm, tau, a, b)
 				}
 			}

@@ -90,17 +90,17 @@ func (sn *Snapshot) segsThrough(t int64) []*Segment {
 	return segs[:sort.Search(n, func(i int) bool { return segs[i].meta.MinT > t })]
 }
 
-// segsInWindow returns the segments that can contribute to b(t) with burst
-// span tau — those overlapping (t−2τ, t]. segsThrough drops the suffix; the
+// segsInWindow returns the segments that can contribute to b(t) over span
+// sp — those overlapping (t−2τ, t]. segsThrough drops the suffix; the
 // mirror image drops the prefix: a segment with MaxT ≤ t−2τ lies wholly at
 // or before all three instants of equation (2), where each of its cells
 // holds one value c (the line's value at the cell's last End, which is what
 // Estimate returns from there on), so its term in every row is
 // c − 2c + c = +0.0 exactly and the row sums are unchanged to the bit.
 // MinT and MaxT both ascend along segs, so each end is one binary search.
-func (sn *Snapshot) segsInWindow(t, tau int64) []*Segment {
+func (sn *Snapshot) segsInWindow(t int64, sp pbe.Span) []*Segment {
 	segs := sn.segsThrough(t)
-	from, _ := pbe.BurstWindow(t, tau)
+	from, _, _ := sp.Instants(t)
 	return segs[sort.Search(len(segs), func(i int) bool { return segs[i].meta.MaxT > from }):]
 }
 
@@ -146,47 +146,48 @@ func (sn *Snapshot) CumulativeFrequency(e uint64, t int64) float64 {
 // curve and the median is taken over the per-row burstiness values; the
 // head's exact burstiness is added after.
 func (sn *Snapshot) Burstiness(e uint64, t, tau int64) (float64, error) {
-	if tau <= 0 {
-		return 0, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return 0, fmt.Errorf("segstore: %w", err)
 	}
-	return sn.burstiness(e%sn.kfold, t, tau), nil
+	return sn.burstiness(e%sn.kfold, t, sp), nil
 }
 
 // burstiness is the fold-free core, also the summed index's leaf level
-// (whose ids are already folded); tau is positive. Only the segments
-// overlapping the query window are visited (segsInWindow) — which is also
-// what keeps a lazily opened store lazy. Row scratch lives on the stack and
-// cell scratch in a pooled buffer, so the cross-segment point query performs
-// no per-query allocation.
+// (whose ids are already folded). Only the segments overlapping the query
+// window are visited (segsInWindow) — which is also what keeps a lazily
+// opened store lazy. Row scratch lives on the stack and cell scratch in a
+// pooled buffer, so the cross-segment point query performs no per-query
+// allocation.
 //
 //histburst:fastpath burstinessNaive
-func (sn *Snapshot) burstiness(e uint64, t, tau int64) float64 {
+func (sn *Snapshot) burstiness(e uint64, t int64, sp pbe.Span) float64 {
 	scr := queryScratchPool.Get().(*queryScratch)
 	var rows [maxRows]float64
 	d := 0
-	t0, t1 := pbe.BurstWindow(t, tau)
-	for _, g := range sn.segsInWindow(t, tau) {
+	t0, t1, t2 := sp.Instants(t)
+	for _, g := range sn.segsInWindow(t, sp) {
 		det := g.detector()
 		if det == nil {
 			continue // failed its first decode; quarantined, answered without
 		}
 		scr.cells = det.AppendEventCells(e, scr.cells[:0])
-		d = addRows(scr.cells, t0, t1, t, &rows)
+		d = addRows(scr.cells, t0, t1, t2, &rows)
 	}
 	scr.cells = scr.cells[:0]
 	queryScratchPool.Put(scr)
 	b := cmpbe.Median(rows[:d])
 	for _, h := range sn.v.frozen {
-		b += h.burstiness(e, t, tau)
+		b += h.burstiness(e, t, sp)
 	}
-	return b + sn.v.head.burstiness(e, t, tau)
+	return b + sn.v.head.burstiness(e, t, sp)
 }
 
 // addRows adds one segment's equation-(2) term to each row and returns the row count.
-func addRows(cells []*pbe2.Builder, t0, t1, t int64, rows *[maxRows]float64) int {
+func addRows(cells []*pbe2.Builder, t0, t1, t2 int64, rows *[maxRows]float64) int {
 	d := min(len(cells), maxRows)
 	for r, c := range cells[:d] {
-		f0, f1, f2 := c.Estimate3(t0, t1, t)
+		f0, f1, f2 := c.Estimate3(t0, t1, t2)
 		rows[r] += f2 - 2*f1 + f0
 	}
 	return d
@@ -232,12 +233,13 @@ func (sn *Snapshot) breakpoints(e uint64) []int64 {
 // candidate instant visits only the segments overlapping its window, and
 // every candidate gets exactly the answer Burstiness gives there.
 func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
 	}
 	e %= sn.kfold
-	burst := func(t int64) float64 { return sn.burstiness(e, t, tau) }
-	internal := pbe.BurstyTimes(sn.breakpoints(e), burst, theta, tau, sn.MaxTime())
+	burst := func(t int64) float64 { return sn.burstiness(e, t, sp) }
+	internal := pbe.BurstyTimes(sn.breakpoints(e), burst, theta, sp, sn.MaxTime())
 	out := make([]histburst.TimeRange, len(internal))
 	for i, r := range internal {
 		out[i] = histburst.TimeRange{Start: r.Start, End: r.End}
@@ -248,20 +250,22 @@ func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ) across segments:
 // Algorithm 3 over the summed index, ascending.
 func (sn *Snapshot) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	return dyadic.IndexOf(sn.shape, sn.summedLevels(t, tau)).BurstyEvents(t, theta, tau, nil)
+	return dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, theta, tau, nil)
 }
 
 // TopBursty returns up to k events with the largest cross-segment
 // burstiness at time t: the best-first search over the summed index, ranked
 // by descending burstiness and then ascending id.
 func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurstiness, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("segstore: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	scores, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, tau)).TopBursty(t, k, tau, nil)
+	scores, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, tau, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -272,17 +276,17 @@ func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurst
 	return out, nil
 }
 
-// summedLevels returns the snapshot's event index levels at t over a
-// positive tau, one a kept height, decoding only the segments overlapping
-// (t−2τ, t] (segsInWindow).
-func (sn *Snapshot) summedLevels(t, tau int64) []summedLevel {
+// summedLevels returns the snapshot's event index levels at t over span sp,
+// one a kept height, decoding only the segments overlapping (t−2τ, t]
+// (segsInWindow).
+func (sn *Snapshot) summedLevels(t int64, sp pbe.Span) []summedLevel {
 	v := &summedView{sn: sn}
-	v.t0, v.t1 = pbe.BurstWindow(t, tau)
+	v.t0, v.t1, _ = sp.Instants(t)
 	levels := make([]summedLevel, len(sn.shape.Heights()))
 	for i, h := range sn.shape.Heights() {
 		levels[i] = summedLevel{v: v, h: h}
 	}
-	for _, g := range sn.segsInWindow(t, tau) {
+	for _, g := range sn.segsInWindow(t, sp) {
 		det := g.detector()
 		if det == nil {
 			continue // failed its first decode; quarantined, answered without
@@ -294,7 +298,7 @@ func (sn *Snapshot) summedLevels(t, tau int64) []summedLevel {
 	var share []histburst.EventBurstiness
 	for _, h := range sn.heads() {
 		for _, e := range h.eventsInWindow(v.t0+1, t) {
-			share = append(share, histburst.EventBurstiness{Event: e, Burstiness: h.burstiness(e, t, tau)})
+			share = append(share, histburst.EventBurstiness{Event: e, Burstiness: h.burstiness(e, t, sp)})
 		}
 	}
 	slices.SortFunc(share, func(a, b histburst.EventBurstiness) int { return cmp.Compare(a.Event, b.Event) })
@@ -325,10 +329,10 @@ type summedLevel struct {
 // Burstiness scores aggregate id agg: at the leaves the point query, above
 // them as a point query over the level's summed rows and the heads' exact
 // share, one range of their prefix sums.
-func (l summedLevel) Burstiness(agg uint64, t, tau int64) float64 {
+func (l summedLevel) Burstiness(agg uint64, t int64, sp pbe.Span) float64 {
 	v := l.v
 	if l.h == 0 {
-		return v.sn.burstiness(agg, t, tau)
+		return v.sn.burstiness(agg, t, sp)
 	}
 	var rows [maxRows]float64
 	d := 0
@@ -490,16 +494,6 @@ func (sn *Snapshot) Quarantined() []SegmentInfo {
 			ID: meta.ID, Start: meta.Start, End: meta.End,
 			Elements: meta.Elements, File: meta.File, Compacted: meta.Compacted,
 		}
-	}
-	return out
-}
-
-// MissingRanges returns the time spans covered only by quarantined
-// segments — history the snapshot cannot see. Empty for a healthy store.
-func (sn *Snapshot) MissingRanges() []histburst.TimeRange {
-	out := make([]histburst.TimeRange, len(sn.v.quarantined))
-	for i, meta := range sn.v.quarantined {
-		out[i] = histburst.TimeRange{Start: meta.MinT, End: meta.MaxT}
 	}
 	return out
 }

@@ -13,7 +13,7 @@ import (
 // burstinessNaive is the retained naive twin of the point query: fresh
 // EventCells slices per segment, every segment visited, heads materialized,
 // and a sort-based median.
-func (sn *Snapshot) burstinessNaive(e uint64, t, tau int64) float64 {
+func (sn *Snapshot) burstinessNaive(e uint64, t int64, sp pbe.Span) float64 {
 	var rows [maxRows]float64
 	d := 0
 	for _, g := range sn.v.segs {
@@ -24,7 +24,7 @@ func (sn *Snapshot) burstinessNaive(e uint64, t, tau int64) float64 {
 		cells := det.EventCells(e)
 		d = min(len(cells), maxRows)
 		for i, c := range cells[:d] {
-			rows[i] += pbe.Burstiness(c, t, tau)
+			rows[i] += pbe.Burstiness(c, t, sp)
 		}
 	}
 	vals, b := rows[:d], 0.0
@@ -36,7 +36,7 @@ func (sn *Snapshot) burstinessNaive(e uint64, t, tau int64) float64 {
 		b = (vals[d/2-1] + vals[d/2]) / 2
 	}
 	for _, h := range sn.heads() {
-		b += h.burstiness(e, t, tau)
+		b += h.burstiness(e, t, sp)
 	}
 	return b
 }
@@ -59,8 +59,8 @@ func TestBurstinessFastpathMatchesNaive(t *testing.T) {
 	for e := uint64(0); e < 8; e++ {
 		for _, tau := range []int64{16, 64} {
 			for q := int64(-5); q <= sn.MaxTime()+10; q += 37 {
-				fast := sn.burstiness(e, q, tau)
-				naive := sn.burstinessNaive(e, q, tau)
+				fast := sn.burstiness(e, q, pbe.MustSpan(tau))
+				naive := sn.burstinessNaive(e, q, pbe.MustSpan(tau))
 				if fast != naive {
 					t.Fatalf("burstiness(e=%d, t=%d, tau=%d): fast %v != naive %v", e, q, tau, fast, naive)
 				}

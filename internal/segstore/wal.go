@@ -116,18 +116,13 @@ type walRecord struct {
 }
 
 // encodeWALRecord frames one record: payload = startN, element count, then
-// (event uvarint, time delta varint) pairs against a running previous time
-// (records hold an accepted set, so times never decrease within one).
+// the elements as an element run (stream.AppendRun). Records hold an
+// accepted set, so times never decrease within one.
 func encodeWALRecord(startN int64, elems stream.Stream) []byte {
 	var payload binenc.Writer
 	payload.Uvarint(uint64(startN))
 	payload.Uvarint(uint64(len(elems)))
-	prev := int64(0)
-	for _, el := range elems {
-		payload.Uvarint(el.Event)
-		payload.Varint(el.Time - prev)
-		prev = el.Time
-	}
+	stream.AppendRun(&payload, elems)
 	body := payload.Bytes()
 	var frame binenc.Writer
 	frame.Uint32(uint32(len(body)))
@@ -143,16 +138,8 @@ func encodeWALRecord(startN int64, elems stream.Stream) []byte {
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	dec := binenc.NewReader(payload)
 	startN := dec.Uvarint()
-	// Each element occupies at least one event byte and one delta byte.
-	n := dec.SliceLen(maxWALRecordElems, 2)
-	elems := make(stream.Stream, 0, n)
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		e := dec.Uvarint()
-		t := prev + dec.Varint()
-		prev = t
-		elems = append(elems, stream.Element{Event: e, Time: t})
-	}
+	elems := make(stream.Stream, dec.SliceLen(maxWALRecordElems, stream.MinElemBytes))
+	stream.ReadRun(dec, elems)
 	if err := dec.Close(); err != nil {
 		return walRecord{}, fmt.Errorf("segstore: wal record: %w", err)
 	}

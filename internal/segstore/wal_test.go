@@ -1,8 +1,11 @@
 package segstore
 
 import (
+	"encoding/hex"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -380,4 +383,39 @@ func FuzzWALRecordDecode(f *testing.F) {
 			t.Fatalf("negative position decoded: %d", rec.startN)
 		}
 	})
+}
+
+// TestWALRecordGolden pins the record bytes to the ones the log has always
+// written — unsorted with negative deltas, duplicate timestamps,
+// Unix-second and Unix-millisecond origins, and a span wider than 2⁶³ — and
+// each decodes back.
+func TestWALRecordGolden(t *testing.T) {
+	for _, tc := range []struct {
+		s   stream.Stream
+		hex string
+	}{
+		{goldenRun(3, 100, 1, 40, 1<<40, 250, 2, -10), "13000000a8f3349bd2090403c8010177808080808020a403028704"},
+		{goldenRun(5, 7, 5, 7, 9, 7, 5, 8), "0b000000b1c7c382d20904050e050009000502"},
+		{goldenRun(1, 1_700_000_000, 2, 1_700_000_003, 1, 1_700_086_400), "0f0000009c0d62d2d209030180c49fd50c020601fac50a"},
+		{goldenRun(0, 1_700_000_000_000, 300, 1_700_000_000_250, 70_000, 1_700_086_400_000),
+			"15000000be112547d209030080a0abfef962ac02f403f0a2048cecb252"},
+		{goldenRun(1, math.MinInt64+1, 2, math.MaxInt64), "100000003e32e6edd2090201fdffffffffffffffff010203"},
+	} {
+		frame := encodeWALRecord(1234, tc.s)
+		if got := hex.EncodeToString(frame); got != tc.hex {
+			t.Errorf("encodeWALRecord(%v) = %s, want %s", tc.s, got, tc.hex)
+		}
+		if rec, err := decodeWALRecord(frame[walFrameHeader:]); err != nil || rec.startN != 1234 || !slices.Equal(rec.elems, tc.s) {
+			t.Errorf("decodeWALRecord = %+v (%v), want %v at 1234", rec, err, tc.s)
+		}
+	}
+}
+
+// goldenRun builds a stream from (event, time) pairs.
+func goldenRun(pairs ...int64) stream.Stream {
+	s := make(stream.Stream, 0, len(pairs)/2)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		s = append(s, stream.Element{Event: uint64(pairs[i]), Time: pairs[i+1]})
+	}
+	return s
 }

@@ -50,8 +50,8 @@ func TestTwoStoresSameGeneration(t *testing.T) {
 	}
 	asn, bsn := a.Snapshot(), b.Snapshot()
 	for _, tau := range []int64{10, 30000, 90000} {
-		asn.burstiness(3, q, tau)
-		if fast, naive := bsn.burstiness(3, q, tau), bsn.burstinessNaive(3, q, tau); fast != naive {
+		asn.burstiness(3, q, pbe.MustSpan(tau))
+		if fast, naive := bsn.burstiness(3, q, pbe.MustSpan(tau)), bsn.burstinessNaive(3, q, pbe.MustSpan(tau)); fast != naive {
 			t.Fatalf("store B, asked after A: b(3, %d, τ=%d) = %v, want %v", q, tau, fast, naive)
 		}
 	}
@@ -129,9 +129,9 @@ func TestWindowSkipMatchesNaive(t *testing.T) {
 				for _, shift := range []int64{0, tau, 2 * tau} {
 					for d := int64(-1); d <= 1; d++ {
 						q := b + shift + d
-						skipped += len(sn.segsThrough(q)) - len(sn.segsInWindow(q, tau))
+						skipped += len(sn.segsThrough(q)) - len(sn.segsInWindow(q, pbe.MustSpan(tau)))
 						for e := uint64(0); e < 8; e++ {
-							fast, naive := sn.burstiness(e, q, tau), sn.burstinessNaive(e, q, tau)
+							fast, naive := sn.burstiness(e, q, pbe.MustSpan(tau)), sn.burstinessNaive(e, q, pbe.MustSpan(tau))
 							if math.Float64bits(fast) != math.Float64bits(naive) {
 								t.Fatalf("%s: b(%d, %d, τ=%d): %v (%#x) skipping, %v (%#x) visiting every segment",
 									name, e, q, tau, fast, math.Float64bits(fast), naive, math.Float64bits(naive))
@@ -171,7 +171,7 @@ func TestWindowTouchesOnlyOverlap(t *testing.T) {
 						want = append(want, h)
 					}
 				}
-				if got := sn.segsInWindow(q, tau); !reflect.DeepEqual(append([]*Segment(nil), got...), want) {
+				if got := sn.segsInWindow(q, pbe.MustSpan(tau)); !reflect.DeepEqual(append([]*Segment(nil), got...), want) {
 					t.Fatalf("segsInWindow(%d, τ=%d) = %d segments, want %d", q, tau, len(got), len(want))
 				}
 			}
@@ -325,14 +325,14 @@ func TestBurstyTimesAgreesWithPoint(t *testing.T) {
 			t.Fatal(err)
 		}
 		found += len(ranges)
-		probes := pbe.ShiftedBreakpoints(sn.breakpoints(e), tau, sn.MaxTime())
+		probes := pbe.ShiftedBreakpoints(sn.breakpoints(e), pbe.MustSpan(tau), sn.MaxTime())
 		for _, r := range ranges {
 			probes = append(probes, r.Start, r.End-1)
 		}
 		for _, q := range probes {
 			i := sort.Search(len(ranges), func(i int) bool { return ranges[i].End > q })
 			in := i < len(ranges) && ranges[i].Contains(q)
-			if b := sn.burstiness(e, q, tau); in != (b >= theta) {
+			if b := sn.burstiness(e, q, pbe.MustSpan(tau)); in != (b >= theta) {
 				t.Fatalf("event %d: t=%d in a range is %v, but POINT = %v against θ = %v", e, q, in, b, float64(theta))
 			}
 		}

@@ -1,13 +1,48 @@
 package stream
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+
+	"histburst/internal/binenc"
 )
+
+// An element run is how every histburst format stores a sequence of
+// elements — the HBST file below, the HBP1 APPEND frame and the WAL record:
+// per element, the event id as a uvarint, then the time as a varint delta
+// from the previous element's (from 0 for the first). Deltas are taken
+// modulo 2⁶⁴, so any Stream round-trips — unsorted, or spanning more than
+// 2⁶³. A run carries no count: each format writes its own and bounds it, and
+// each decides whether a run must be in order.
+
+// MinElemBytes is the fewest bytes one element of a run occupies: one event
+// byte and one delta byte. Decoders bound a decoded count by it.
+const MinElemBytes = 2
+
+// AppendRun appends s to w as an element run.
+func AppendRun(w *binenc.Writer, s Stream) {
+	prev := int64(0)
+	for _, el := range s {
+		w.Uvarint(el.Event)
+		w.Varint(el.Time - prev)
+		prev = el.Time
+	}
+}
+
+// ReadRun fills s with the next len(s) elements of the element run in r.
+// Errors are r's, sticky: check r.Err or r.Close after.
+//
+//histburst:decoder
+func ReadRun(r *binenc.Reader, s Stream) {
+	prev := int64(0)
+	for i := range s {
+		s[i].Event = r.Uvarint()
+		prev += r.Varint()
+		s[i].Time = prev
+	}
+}
 
 // Binary stream format (little-endian):
 //
@@ -15,12 +50,10 @@ import (
 //	version uint16  = 1
 //	flags   uint16  (reserved, zero)
 //	count   uint64
-//	count × { event uvarint, timeDelta varint }
+//	count elements as an element run, time-sorted, and nothing after
 //
-// Timestamps are delta-encoded against the previous element, which makes a
-// sorted stream of seconds-granularity data compress to a couple of bytes per
-// element. A trailing CRC is intentionally omitted: the tools operate on
-// local files and validation is structural (magic, version, count, order).
+// A trailing CRC is intentionally omitted: the tools operate on local files
+// and validation is structural (magic, version, count, order).
 
 const (
 	codecMagic   = 0x48425354
@@ -37,26 +70,13 @@ func Write(w io.Writer, s Stream) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(w)
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], codecMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], codecVersion)
-	binary.LittleEndian.PutUint16(hdr[6:8], 0)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(s)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [2 * binary.MaxVarintLen64]byte
-	prev := int64(0)
-	for _, el := range s {
-		n := binary.PutUvarint(buf[:], el.Event)
-		n += binary.PutVarint(buf[n:], el.Time-prev)
-		prev = el.Time
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	var enc binenc.Writer
+	enc.Uint32(codecMagic)
+	enc.Uint32(codecVersion) // the u16 version, then the zero u16 flags
+	enc.Uint64(uint64(len(s)))
+	AppendRun(&enc, s)
+	_, err := w.Write(enc.Bytes())
+	return err
 }
 
 // ReadFile reads the stream file at path, written by Write.
@@ -69,47 +89,36 @@ func ReadFile(path string) (Stream, error) {
 	return Read(f)
 }
 
-// Read deserializes a stream previously written by Write.
+// Read deserializes a stream previously written by Write. It refuses bytes
+// after the last element and a run whose times decrease.
 //
 //histburst:decoder
-func Read(r io.Reader) (Stream, error) {
-	br := bufio.NewReader(r)
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+func Read(in io.Reader) (Stream, error) {
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return nil, err
+	}
+	r := binenc.NewReader(data)
+	magic, version, count := r.Uint32(), uint16(r.Uint32()), r.Uint64()
+	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
 	}
-	if binary.LittleEndian.Uint32(hdr[0:4]) != codecMagic {
+	if magic != codecMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadFormat)
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != codecVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
+	if version != codecVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, version)
 	}
-	count := binary.LittleEndian.Uint64(hdr[8:16])
-	const maxPrealloc = 1 << 22 // cap preallocation so a hostile header can't OOM us
-	capHint := count
-	if capHint > maxPrealloc {
-		capHint = maxPrealloc
+	if count > uint64(r.Remaining()/MinElemBytes) {
+		return nil, fmt.Errorf("%w: %d elements cannot fit in %d bytes", ErrBadFormat, count, r.Remaining())
 	}
-	s := make(Stream, 0, capHint) //histburst:allow decodersafety -- capacity hint clamped to maxPrealloc; growth is append-driven
-	prev := int64(0)
-	for i := uint64(0); i < count; i++ {
-		e, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated at element %d: %v", ErrBadFormat, i, err)
-		}
-		d, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: truncated at element %d: %v", ErrBadFormat, i, err)
-		}
-		if d < 0 && i > 0 {
-			return nil, fmt.Errorf("%w: negative time delta at element %d", ErrBadFormat, i)
-		}
-		t := prev + d
-		if i > 0 && t < prev {
-			return nil, fmt.Errorf("%w: timestamp overflow at element %d", ErrBadFormat, i)
-		}
-		prev = t
-		s = append(s, Element{Event: e, Time: t})
+	s := make(Stream, count) //histburst:allow decodersafety -- count is bounded by the remaining bytes just above
+	ReadRun(r, s)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
 	return s, nil
 }

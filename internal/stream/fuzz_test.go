@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
@@ -14,6 +15,9 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("HBST junk"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	var wide bytes.Buffer // a sorted span past 2⁶³: its delta wraps
+	_ = Write(&wide, Stream{{Event: 1, Time: math.MinInt64 + 1}, {Event: 2, Time: math.MaxInt64}})
+	f.Add(wide.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Read(bytes.NewReader(data))

@@ -31,6 +31,7 @@ import (
 	"sort"
 	"sync"
 
+	"histburst/internal/pbe"
 	"histburst/internal/segstore"
 	"histburst/internal/stream"
 )
@@ -278,11 +279,11 @@ func (h *Hub) Register(sub Subscription) (Subscription, error) {
 	if len(sub.Events) > MaxEventsPerSub {
 		return Subscription{}, fmt.Errorf("subscribe: %d events exceeds the %d-event limit", len(sub.Events), MaxEventsPerSub)
 	}
-	if !(sub.Theta > 0) { // NaN too: it would fire once on any traffic and never again
-		return Subscription{}, fmt.Errorf("subscribe: threshold must be positive, got %v", sub.Theta)
+	if err := pbe.CheckEventsTheta(sub.Theta); err != nil {
+		return Subscription{}, fmt.Errorf("subscribe: %w", err)
 	}
-	if sub.Tau <= 0 {
-		return Subscription{}, fmt.Errorf("subscribe: burst span must be positive, got %d", sub.Tau)
+	if _, err := pbe.NewSpan(sub.Tau); err != nil {
+		return Subscription{}, fmt.Errorf("subscribe: %w", err)
 	}
 	if sub.Dedup < 0 {
 		return Subscription{}, fmt.Errorf("subscribe: dedup window must be non-negative, got %d", sub.Dedup)

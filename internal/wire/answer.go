@@ -3,9 +3,9 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"histburst"
+	"histburst/internal/pbe"
 	"histburst/internal/segstore"
 )
 
@@ -47,13 +47,6 @@ func DegradedEnvelope(q Querier, t int64) *segstore.ErrorEnvelope {
 	return nil
 }
 
-func checkTau(tau int64) error {
-	if tau <= 0 {
-		return fmt.Errorf("burst span must be positive, got %d", tau)
-	}
-	return nil
-}
-
 // AnswerPoint answers a batch of POINT queries q(e, t, τ) in request order.
 // A batch is all-or-nothing: every query is validated before q is touched.
 func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
@@ -64,7 +57,7 @@ func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 		return nil, fmt.Errorf("batch of %d exceeds the %d-query limit", len(qs), MaxBatchQueries)
 	}
 	for i, pq := range qs {
-		if err := checkTau(pq.Tau); err != nil {
+		if _, err := pbe.NewSpan(pq.Tau); err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
 	}
@@ -79,14 +72,14 @@ func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 	return out, nil
 }
 
-// AnswerTimes answers the BURSTY TIME query q(e, θ, τ). Any θ but NaN is
-// accepted: θ ≤ 0 is a legitimate threshold for a scan. The ranges span the
-// whole history, so the envelope is the one at its frontier.
+// AnswerTimes answers the BURSTY TIME query q(e, θ, τ), θ as
+// pbe.CheckTimesTheta allows. The ranges span the whole history, so the
+// envelope is the one at its frontier.
 func AnswerTimes(q Querier, e uint64, theta float64, tau int64) ([]histburst.TimeRange, *segstore.ErrorEnvelope, error) {
-	if math.IsNaN(theta) {
-		return nil, nil, errors.New("threshold must be a number, got NaN")
+	if err := pbe.CheckTimesTheta(theta); err != nil {
+		return nil, nil, err
 	}
-	if err := checkTau(tau); err != nil {
+	if _, err := pbe.NewSpan(tau); err != nil {
 		return nil, nil, err
 	}
 	ranges, err := q.BurstyTimes(e, theta, tau)
@@ -101,12 +94,13 @@ func AnswerTimes(q Querier, e uint64, theta float64, tau int64) ([]histburst.Tim
 }
 
 // AnswerEvents answers the BURSTY EVENT query q(t, θ, τ): the ids found by
-// the pruned search, ascending, each scored with its point query.
+// the pruned search, ascending, each scored with its point query; θ as
+// pbe.CheckEventsTheta allows.
 func AnswerEvents(q Querier, t int64, theta float64, tau int64) ([]EventHit, *segstore.ErrorEnvelope, error) {
-	if !(theta > 0) {
-		return nil, nil, fmt.Errorf("threshold must be positive, got %v", theta)
+	if err := pbe.CheckEventsTheta(theta); err != nil {
+		return nil, nil, err
 	}
-	if err := checkTau(tau); err != nil {
+	if _, err := pbe.NewSpan(tau); err != nil {
 		return nil, nil, err
 	}
 	ids, err := q.BurstyEvents(t, theta, tau)
@@ -129,7 +123,7 @@ func AnswerTop(q Querier, t, k, tau int64) ([]EventHit, *segstore.ErrorEnvelope,
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("k must be positive, got %d", k)
 	}
-	if err := checkTau(tau); err != nil {
+	if _, err := pbe.NewSpan(tau); err != nil {
 		return nil, nil, err
 	}
 	top, err := q.TopBursty(t, int(k), tau)

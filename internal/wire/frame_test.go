@@ -3,11 +3,15 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
+	"math"
+	"slices"
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/stream"
 )
 
 // newTestReader positions a binenc reader at the start of a raw payload.
@@ -156,4 +160,41 @@ func FuzzWireFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendGolden pins the APPEND payload to the bytes it has always had:
+// unsorted with negative deltas, duplicate timestamps, Unix-second and
+// Unix-millisecond origins, and a span wider than 2⁶³; each decodes back.
+func TestAppendGolden(t *testing.T) {
+	for _, tc := range []struct {
+		s   stream.Stream
+		hex string
+	}{
+		{goldenRun(3, 100, 1, 40, 1<<40, 250, 2, -10), "01070403c8010177808080808020a403028704"},
+		{goldenRun(5, 7, 5, 7, 9, 7, 5, 8), "010704050e050009000502"},
+		{goldenRun(1, 1_700_000_000, 2, 1_700_000_003, 1, 1_700_086_400), "0107030180c49fd50c020601fac50a"},
+		{goldenRun(0, 1_700_000_000_000, 300, 1_700_000_000_250, 70_000, 1_700_086_400_000),
+			"0107030080a0abfef962ac02f403f0a2048cecb252"},
+		{goldenRun(1, math.MinInt64+1, 2, math.MaxInt64), "01070201fdffffffffffffffff010203"},
+	} {
+		payload := encodeAppend(7, tc.s)
+		if got := hex.EncodeToString(payload); got != tc.hex {
+			t.Errorf("encodeAppend(%v) = %s, want %s", tc.s, got, tc.hex)
+		}
+		r := newTestReader(payload)
+		r.Byte()
+		r.Uvarint()
+		if got, err := decodeAppend(r); err != nil || !slices.Equal(got, tc.s) {
+			t.Errorf("decodeAppend = %v (%v), want %v", got, err, tc.s)
+		}
+	}
+}
+
+// goldenRun builds a stream from (event, time) pairs.
+func goldenRun(pairs ...int64) stream.Stream {
+	s := make(stream.Stream, 0, len(pairs)/2)
+	for i := 0; i+1 < len(pairs); i += 2 {
+		s = append(s, stream.Element{Event: uint64(pairs[i]), Time: pairs[i+1]})
+	}
+	return s
 }

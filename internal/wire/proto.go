@@ -216,35 +216,21 @@ func decodeHello(r *binenc.Reader) (Hello, error) {
 	return h, nil
 }
 
-// encodeAppend frames one append batch: element count then (event uvarint,
-// time-delta varint) pairs against a running previous time — the WAL record
-// layout. Batches need not be sorted (the store's stager sorts), so deltas
-// may be negative.
+// encodeAppend frames one append batch: uvarint count, then the batch as an
+// element run (stream.AppendRun). Batches need not be sorted (the store's
+// stager sorts), so deltas may be negative.
 func encodeAppend(id uint64, elems stream.Stream) []byte {
 	var w binenc.Writer
 	beginPayload(&w, frameAppend, id)
 	w.Uvarint(uint64(len(elems)))
-	prev := int64(0)
-	for _, el := range elems {
-		w.Uvarint(el.Event)
-		w.Varint(el.Time - prev)
-		prev = el.Time
-	}
+	stream.AppendRun(&w, elems)
 	return w.Bytes()
 }
 
 //histburst:decoder
 func decodeAppend(r *binenc.Reader) (stream.Stream, error) {
-	// Each element occupies at least one event byte and one delta byte.
-	n := r.SliceLen(maxAppendElems, 2)
-	elems := make(stream.Stream, 0, n)
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		e := r.Uvarint()
-		t := prev + r.Varint()
-		prev = t
-		elems = append(elems, stream.Element{Event: e, Time: t})
-	}
+	elems := make(stream.Stream, r.SliceLen(maxAppendElems, stream.MinElemBytes))
+	stream.ReadRun(r, elems)
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("wire: append: %w", err)
 	}

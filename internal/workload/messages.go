@@ -17,9 +17,6 @@ type Message struct {
 // hashtagFor returns the canonical hashtag used for an event id.
 func hashtagFor(e uint64) string { return fmt.Sprintf("#event%d", e) }
 
-// Hashtag returns the hashtag that Messages embeds for an event id.
-func Hashtag(e uint64) string { return hashtagFor(e) }
-
 var messageTemplates = []string{
 	"just saw the news about %s — unbelievable",
 	"everyone is talking about %s right now",

@@ -55,20 +55,22 @@ func (s *Single) CumulativeFrequency(t int64) float64 { return s.p.Estimate(t) }
 
 // Burstiness answers the POINT QUERY for burst span tau > 0.
 func (s *Single) Burstiness(t, tau int64) (float64, error) {
-	if tau <= 0 {
-		return 0, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return 0, fmt.Errorf("histburst: %w", err)
 	}
-	return pbe.Burstiness(s.p, t, tau), nil
+	return pbe.Burstiness(s.p, t, sp), nil
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY over [0, horizon]: the point
 // query swept over the summary's shifted breakpoints.
 func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, error) {
-	if tau <= 0 {
-		return nil, fmt.Errorf("histburst: burst span must be positive, got %d", tau)
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	burst := func(t int64) float64 { return pbe.Burstiness(s.p, t, tau) }
-	internal := pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, tau, horizon)
+	burst := func(t int64) float64 { return pbe.Burstiness(s.p, t, sp) }
+	internal := pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, sp, horizon)
 	out := make([]TimeRange, len(internal))
 	for i, r := range internal {
 		out[i] = TimeRange{Start: r.Start, End: r.End}
