@@ -13,7 +13,7 @@ import (
 	"testing"
 
 	"histburst/internal/dyadic"
-	"histburst/internal/pbe2"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -203,18 +203,6 @@ func finishedPart(t *testing.T, from int64, opts ...Option) *Detector {
 	return d
 }
 
-// cellPrints reduces live cells to values DeepEqual can compare.
-func cellPrints(cells []*pbe2.Builder, horizon int64) [][]float64 {
-	out := make([][]float64, len(cells))
-	for i, c := range cells {
-		out[i] = []float64{float64(c.Count()), float64(c.Bytes())}
-		for q := int64(0); q <= horizon; q += horizon/37 + 1 {
-			out[i] = append(out[i], c.Estimate(q))
-		}
-	}
-	return out
-}
-
 // eagerCounters are the exported methods that read only counters Append
 // maintains eagerly, so they need not settle the chunk.
 var eagerCounters = map[string]func(d *Detector) any{
@@ -289,16 +277,10 @@ var summaryReaders = []struct {
 		}
 		return out
 	}},
-	{"EventCells", func(t *testing.T, d *Detector) any {
-		return cellPrints(d.EventCells(3), d.MaxTime())
-	}},
-	{"AppendEventCells", func(t *testing.T, d *Detector) any {
-		return cellPrints(d.AppendEventCells(40, nil), d.MaxTime())
-	}},
 	{"EventIndex", func(t *testing.T, d *Detector) any {
 		var st dyadic.QueryStats
 		tr := d.EventIndex()
-		out, err := tr.TopBursty(d.MaxTime(), 5, 8, &st)
+		out, err := tr.TopBursty(d.MaxTime(), 5, pbe.MustSpan(8), &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,7 +371,7 @@ func TestFlushBeforeReadConcurrentQueries(t *testing.T) {
 			for _, r := range summaryReaders {
 				switch r.method {
 				case "Burstiness", "BurstyTimes", "BurstyEvents", "TopBursty",
-					"CumulativeFrequency", "EventCells", "AppendEventCells", "Bytes",
+					"CumulativeFrequency", "Bytes",
 					"Save", "Clone": // the compactor clones sealed segments that are serving reads
 					fmt.Fprintln(&sb, r.method, r.call(t, det))
 				}

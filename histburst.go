@@ -35,7 +35,6 @@ import (
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
-	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
 
@@ -286,29 +285,9 @@ func (d *Detector) CumulativeFrequency(e uint64, t int64) float64 {
 	return d.base.EstimateF(e%d.K(), t)
 }
 
-// EventCells returns the base-level summary cells event e maps to, one per
-// sketch row (a single collision-free cell for small id spaces). This is the
-// segment-boundary plumbing used by the segmented timeline store
-// (internal/segstore) to combine cumulative estimates of time-partitioned
-// detectors row by row before the median; the cells alias the detector's
-// internal state and must be treated as read-only.
-func (d *Detector) EventCells(e uint64) []*pbe2.Builder {
-	d.settle()
-	return d.base.EventCells(e % d.K())
-}
-
-// AppendEventCells appends e's cells to buf and returns it — the
-// buffer-reusing variant of EventCells for callers that walk many
-// detectors per query.
-//
-//histburst:fastpath EventCells
-func (d *Detector) AppendEventCells(e uint64, buf []*pbe2.Builder) []*pbe2.Builder {
-	d.settle()
-	return d.base.AppendEventCells(e%d.K(), buf)
-}
-
 // EventIndex returns the detector's event index, read-only: the segmented
-// timeline store sums its segments' levels as it sums their EventCells.
+// timeline store sums its segments' levels, each a *cmpbe.Sketch, through
+// cmpbe.Rows — the rule a Detector answers by.
 func (d *Detector) EventIndex() *dyadic.Tree {
 	d.settle()
 	return d.tree
@@ -329,6 +308,9 @@ func (d *Detector) Burstiness(e uint64, t, tau int64) (float64, error) {
 // ranges within [0, MaxTime] where e's estimated burstiness reaches theta.
 // Cost is linear in the summary size, not the stream size.
 func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange, error) {
+	if err := pbe.CheckTimesTheta(theta); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
+	}
 	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
@@ -347,11 +329,16 @@ func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange,
 // pruned dyadic search — typically O(log K) point queries rather than K —
 // on the caller's goroutine.
 func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
-	if _, err := pbe.NewSpan(tau); err != nil {
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
-	return d.tree.BurstyEvents(t, theta, tau, nil)
+	out, err := d.tree.BurstyEvents(t, theta, sp, nil)
+	if err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
+	}
+	return out, nil
 }
 
 // EventBurstiness pairs an event id with its estimated burstiness.
@@ -364,8 +351,12 @@ type EventBurstiness struct {
 // time t (descending), via best-first search over the dyadic index —
 // typically far fewer point queries than ranking all K events.
 func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, error) {
+	sp, err := pbe.NewSpan(tau)
+	if err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
+	}
 	d.settle()
-	scores, err := d.tree.TopBursty(t, k, tau, nil)
+	scores, err := d.tree.TopBursty(t, k, sp, nil)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}

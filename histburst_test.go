@@ -173,19 +173,6 @@ func TestTopBursty(t *testing.T) {
 	}
 }
 
-func TestQueryValidation(t *testing.T) {
-	det, _ := New(16)
-	if _, err := det.Burstiness(1, 10, 0); err == nil {
-		t.Error("tau=0 accepted")
-	}
-	if _, err := det.BurstyTimes(1, 5, -1); err == nil {
-		t.Error("negative tau accepted")
-	}
-	if _, err := det.BurstyEvents(10, 0, 5); err == nil {
-		t.Error("theta=0 accepted")
-	}
-}
-
 func TestOutOfOrderClamping(t *testing.T) {
 	det, _ := New(8)
 	det.Append(1, 100)

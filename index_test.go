@@ -11,6 +11,7 @@ import (
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 	"histburst/internal/workload"
 )
@@ -240,7 +241,7 @@ func TestSparseSupersetOfBinary(t *testing.T) {
 	binaryFound, keptFound := 0, 0
 	for i := 0; i < queries; i++ {
 		ts := 2*tau + (frontier-2*tau)*int64(i)/queries
-		want, err := every.BurstyEvents(ts, theta, tau, nil)
+		want, err := every.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +275,7 @@ func TestBurstyEventsAllocs(t *testing.T) {
 	const tau = 86_400
 	ts := det.MaxTime() / 2
 	theta := 40.0
-	found, err := det.tree.BurstyEvents(ts, theta, tau, nil)
+	found, err := det.tree.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +288,7 @@ func TestBurstyEventsAllocs(t *testing.T) {
 	}
 	var stats dyadic.QueryStats
 	if got := testing.AllocsPerRun(50, func() {
-		if _, err := det.tree.BurstyEvents(ts, theta, tau, &stats); err != nil {
+		if _, err := det.tree.BurstyEvents(ts, theta, pbe.MustSpan(tau), &stats); err != nil {
 			t.Fatal(err)
 		}
 	}); int(got) > growths {
@@ -297,7 +298,7 @@ func TestBurstyEventsAllocs(t *testing.T) {
 		t.Fatalf("fixture: the walk did no work: %+v", stats)
 	}
 	if got := testing.AllocsPerRun(50, func() {
-		if _, err := det.tree.TopBursty(ts, 5, tau, &stats); err != nil {
+		if _, err := det.tree.TopBursty(ts, 5, pbe.MustSpan(tau), &stats); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 1 {

@@ -34,12 +34,12 @@ import (
 	"histburst/internal/stream"
 )
 
-// maxStackD is the largest row count whose per-query scratch (cell indices
-// and row estimates) fits in fixed stack arrays. Point queries on sketches
-// with d ≤ maxStackD perform zero heap allocations; wider sketches (δ <
-// e^-8 ≈ 3e-4 rows — tighter than any practical setting) fall back to heap
-// scratch and stay correct. Kept small because the arrays are zeroed on
-// every query.
+// maxStackD is the largest row count whose per-query scratch (the probed
+// cells and the row sums of Rows) fits in fixed stack arrays. Point queries
+// on sketches with d ≤ maxStackD perform zero heap allocations; wider
+// sketches (δ < e^-8 ≈ 3e-4 rows — tighter than any practical setting) fall
+// back to heap scratch and keep every row. Kept small because the arrays are
+// zeroed on every query.
 const maxStackD = 8
 
 // Sketch is a CM-PBE.
@@ -228,55 +228,114 @@ func (s *Sketch) N() int64 { return s.n }
 // MaxTime returns the largest timestamp seen.
 func (s *Sketch) MaxTime() int64 { return s.maxT }
 
-// EstimateF returns the median-of-rows estimate F̃_e(t). Zero heap
-// allocations for d ≤ maxStackD. A one-row sketch returns its row's.
+// EstimateF returns the median-of-rows estimate F̃_e(t): the one-part case
+// of Rows. Zero heap allocations for d ≤ maxStackD.
 //
 //histburst:noalloc
 func (s *Sketch) EstimateF(e uint64, t int64) float64 {
+	var r Rows
+	r.AddEstimate(s, e, t)
+	return r.Median()
+}
+
+// Rows is CM-PBE's one combination rule (Section IV), over any number of
+// time-disjoint parts: the cumulative frequencies of disjoint stream slices
+// add (PBE-2's merge property, Section III), so each row is summed over the
+// parts and the median is taken once, over the sums. A sketch is the
+// one-part case; the segmented store adds one part per segment. Every part
+// must have the same row count d; widths may differ (decay narrows them),
+// since each part maps e through its own hash family. The zero value is
+// empty, and holds its rows on the stack for d ≤ maxStackD.
+type Rows struct {
+	d     int
+	stack [maxStackD]float64
+	heap  []float64 // the rows when d > maxStackD
+}
+
+// open returns the d row sums the next part adds into, and whether it is the
+// first part, whose terms are assigned rather than added: +0 + −0 is +0, and
+// a one-part answer must keep the sign of its row's zero.
+func (r *Rows) open(d int) (rows []float64, first bool) {
+	if r.d == 0 {
+		r.d, first = d, true
+		if d > maxStackD {
+			r.heap = make([]float64, d)
+		}
+	}
+	return r.rows(), first
+}
+
+// rows returns the d row sums.
+func (r *Rows) rows() []float64 {
+	if r.d > maxStackD {
+		return r.heap
+	}
+	return r.stack[:r.d]
+}
+
+// AddEstimate adds part s's row estimates F̃ᵣ(t) of event e.
+//
+//histburst:noalloc
+func (r *Rows) AddEstimate(s *Sketch, e uint64, t int64) {
+	rows, first := r.open(s.d)
+	var buf [maxStackD]*pbe2.Builder
+	for i, c := range s.probe(e, &buf) {
+		if first {
+			rows[i] = c.Estimate(t)
+		} else {
+			rows[i] += c.Estimate(t)
+		}
+	}
+}
+
+// AddBurstiness adds part s's row terms of equation (2) for event e at the
+// instants t0 ≤ t1 ≤ t2, each row's three F̃ evaluations in one narrowed
+// search.
+//
+//histburst:noalloc
+func (r *Rows) AddBurstiness(s *Sketch, e uint64, t0, t1, t2 int64) {
+	rows, first := r.open(s.d)
+	var buf [maxStackD]*pbe2.Builder
+	for i, c := range s.probe(e, &buf) {
+		f0, f1, f2 := c.Estimate3(t0, t1, t2)
+		if first {
+			rows[i] = f2 - 2*f1 + f0
+		} else {
+			rows[i] += f2 - 2*f1 + f0
+		}
+	}
+}
+
+// Median returns the median of the summed rows, 0 when no part was added.
+//
+//histburst:noalloc
+func (r *Rows) Median() float64 { return Median(r.rows()) }
+
+// probe returns e's d cells, one per row, backed by buf when they fit. The
+// cells are gathered before any is evaluated: the d loads hit unrelated cache
+// lines, and a dedicated loop lets their misses overlap instead of
+// serializing behind each row's evaluation. One row skips the hash family's
+// batch evaluation.
+func (s *Sketch) probe(e uint64, buf *[maxStackD]*pbe2.Builder) []*pbe2.Builder {
 	if s.d == 1 {
-		return s.cell(0, e).Estimate(t)
+		buf[0] = s.cell(0, e)
+		return buf[:1]
 	}
-	var buf [maxStackD]float64
 	var ibuf [maxStackD]int
-	vals := scratch(&buf, s.d)
-	idx := idxScratch(&ibuf, s.d)
+	cs, idx := buf[:], ibuf[:]
+	if s.d > maxStackD {
+		cs, idx = make([]*pbe2.Builder, s.d), make([]int, s.d)
+	}
+	cs, idx = cs[:s.d], idx[:s.d]
 	s.hf.Indexes(e, idx)
-	cells, w := s.cells, s.w
-	for i := 0; i < s.d; i++ {
-		vals[i] = cells[i*w+idx[i]].Estimate(t)
+	for i := range cs {
+		cs[i] = &s.cells[i*s.w+idx[i]]
 	}
-	return Median(vals)
+	return cs
 }
 
-// scratch returns a length-n float64 slice, backed by buf when it fits.
-func scratch(buf *[maxStackD]float64, n int) []float64 {
-	if n <= maxStackD {
-		return buf[:n]
-	}
-	return make([]float64, n)
-}
-
-// idxScratch returns a length-n int slice, backed by buf when it fits.
-func idxScratch(buf *[maxStackD]int, n int) []int {
-	if n <= maxStackD {
-		return buf[:n]
-	}
-	return make([]int, n)
-}
-
-// cellScratch returns a length-n cell slice, backed by buf when it fits.
-func cellScratch(buf *[maxStackD]*pbe2.Builder, n int) []*pbe2.Builder {
-	if n <= maxStackD {
-		return buf[:n]
-	}
-	return make([]*pbe2.Builder, n)
-}
-
-// EventCells returns the d cells event e maps to, one per row — the
-// segment-boundary plumbing the segmented timeline store (internal/segstore)
-// uses to combine per-row cumulative estimates across time-partitioned
-// sketches before taking the median. The cells are live references into the
-// sketch; callers must treat them as read-only.
+// EventCells returns the d cells event e maps to, one per row. The cells are
+// live references into the sketch; callers must treat them as read-only.
 func (s *Sketch) EventCells(e uint64) []*pbe2.Builder {
 	cells := make([]*pbe2.Builder, s.d)
 	for i := range cells {
@@ -285,17 +344,13 @@ func (s *Sketch) EventCells(e uint64) []*pbe2.Builder {
 	return cells
 }
 
-// AppendEventCells appends e's d cells to buf and returns it — the
-// buffer-reusing variant of EventCells for the cross-segment point path,
-// which walks every segment's cells per query and would otherwise allocate
-// a fresh slice per segment.
-//
-//histburst:fastpath EventCells
-func (s *Sketch) AppendEventCells(e uint64, buf []*pbe2.Builder) []*pbe2.Builder {
+// AppendBreakpoints appends the breakpoint lists of e's d cells to lists and
+// returns it.
+func (s *Sketch) AppendBreakpoints(lists [][]int64, e uint64) [][]int64 {
 	for i := 0; i < s.d; i++ {
-		buf = append(buf, s.cell(i, e))
+		lists = append(lists, s.cell(i, e).Breakpoints())
 	}
-	return buf
+	return lists
 }
 
 // EstimateFMin returns the min-of-rows estimate. Plain Count-Min uses the
@@ -314,9 +369,9 @@ func (s *Sketch) EstimateFMin(e uint64, t int64) float64 {
 
 // Burstiness answers the POINT QUERY q(e, t, τ): the median over rows of the
 // per-row burstiness estimate (each row evaluates equation (2) on its own
-// coherent curve, its three F̃ evaluations in one narrowed search). Zero heap
-// allocations for d ≤ maxStackD. The median of one row is that row's
-// estimate, which a one-row sketch returns without the median's scratch.
+// coherent curve), the one-part case of Rows. Zero heap allocations for d ≤
+// maxStackD. The median of one row is that row's estimate, which a one-row
+// sketch returns without the rows' scratch.
 //
 //histburst:noalloc
 //histburst:fastpath burstinessNaive
@@ -326,25 +381,9 @@ func (s *Sketch) Burstiness(e uint64, t int64, sp pbe.Span) float64 {
 		f0, f1, f2 := s.cell(0, e).Estimate3(t0, t1, t2)
 		return f2 - 2*f1 + f0
 	}
-	var buf [maxStackD]float64
-	var ibuf [maxStackD]int
-	vals := scratch(&buf, s.d)
-	idx := idxScratch(&ibuf, s.d)
-	s.hf.Indexes(e, idx)
-	cells, w := s.cells, s.w
-	// Gather the row cells before evaluating: the d loads hit unrelated cache
-	// lines, and a dedicated loop lets their misses overlap instead of
-	// serializing behind each row's evaluation.
-	var cbuf [maxStackD]*pbe2.Builder
-	cs := cellScratch(&cbuf, s.d)
-	for i := range cs {
-		cs[i] = &cells[i*w+idx[i]]
-	}
-	for i, c := range cs {
-		f0, f1, f2 := c.Estimate3(t0, t1, t2)
-		vals[i] = f2 - 2*f1 + f0
-	}
-	return Median(vals)
+	var r Rows
+	r.AddBurstiness(s, e, t0, t1, t2)
+	return r.Median()
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over the sketch: the
@@ -360,15 +399,8 @@ func (s *Sketch) BurstyTimes(e uint64, theta float64, sp pbe.Span) []pbe.TimeRan
 
 // breakpoints returns the sorted union of event e's d cells' breakpoints.
 func (s *Sketch) breakpoints(e uint64) []int64 {
-	if s.d == 1 {
-		return s.cell(0, e).Breakpoints() // sorted and distinct already
-	}
-	lists := make([][]int64, s.d)
-	for i := range lists {
-		lists[i] = s.cell(i, e).Breakpoints()
-	}
 	var bufs [2][]int64
-	return pbe.MergeSorted(lists, &bufs)
+	return pbe.MergeSorted(s.AppendBreakpoints(make([][]int64, 0, s.d), e), &bufs)
 }
 
 // Bytes returns the total footprint of all cells, memoized until the next

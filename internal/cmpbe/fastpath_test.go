@@ -24,6 +24,17 @@ func fastpathSketch(t *testing.T, gamma float64, finish bool) *Sketch {
 	return fastpathFill(s, finish)
 }
 
+// fastpathWide is fastpathSketch with more rows than maxStackD, whose
+// queries take heap scratch.
+func fastpathWide(t *testing.T, gamma float64, finish bool) *Sketch {
+	t.Helper()
+	s, err := New(maxStackD+1, 64, 3, gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fastpathFill(s, finish)
+}
+
 // fastpathDirect is fastpathSketch's stream in a collision-free level, whose
 // point query skips the median of rows.
 func fastpathDirect(t *testing.T, gamma float64, finish bool) *Sketch {
@@ -65,7 +76,7 @@ func (s *Sketch) burstinessNaive(e uint64, t int64, sp pbe.Span) float64 {
 
 func TestBurstinessMatchesNaive(t *testing.T) {
 	for _, finish := range []bool{false, true} {
-		for _, s := range []*Sketch{fastpathSketch(t, 4, finish), fastpathDirect(t, 4, finish)} {
+		for _, s := range []*Sketch{fastpathSketch(t, 4, finish), fastpathWide(t, 4, finish), fastpathDirect(t, 4, finish)} {
 			r := rand.New(rand.NewSource(9))
 			horizon := s.MaxTime()
 			for trial := 0; trial < 4000; trial++ {
@@ -88,7 +99,7 @@ func TestBurstinessMatchesNaive(t *testing.T) {
 }
 
 func TestEstimateFMatchesPerCellMedian(t *testing.T) {
-	for _, s := range []*Sketch{fastpathSketch(t, 4, true), fastpathDirect(t, 4, true)} {
+	for _, s := range []*Sketch{fastpathSketch(t, 4, true), fastpathWide(t, 4, true), fastpathDirect(t, 4, true)} {
 		r := rand.New(rand.NewSource(10))
 		for trial := 0; trial < 2000; trial++ {
 			e := uint64(r.Intn(512))

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -54,7 +55,7 @@ func BenchmarkBurstyEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.BurstyEvents(1049, 100, 50, nil); err != nil {
+		if _, err := tr.BurstyEvents(1049, 100, pbe.MustSpan(50), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -410,20 +410,17 @@ func IndexOf[S Scorer](sh Shape, levels []S) Index {
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
-// whose estimated burstiness at time ts is at least theta, ascending. theta
-// follows pbe.CheckEventsTheta and tau must be positive.
+// whose estimated burstiness at time ts over span sp is at least theta,
+// ascending. theta follows pbe.CheckEventsTheta; its refusal is unprefixed,
+// for the query's entry point to name itself.
 //
 // Stats, if non-nil, receives the number of point queries issued — the
 // quantity Figure 12's discussion bounds by O(log K) in the typical case.
 //
 //histburst:fastpath burstyEventsBinary
-func (x Index) BurstyEvents(ts int64, theta float64, tau int64, stats *QueryStats) ([]uint64, error) {
+func (x Index) BurstyEvents(ts int64, theta float64, sp pbe.Span, stats *QueryStats) ([]uint64, error) {
 	if err := pbe.CheckEventsTheta(theta); err != nil {
-		return nil, fmt.Errorf("dyadic: %w", err)
-	}
-	sp, err := pbe.NewSpan(tau)
-	if err != nil {
-		return nil, fmt.Errorf("dyadic: %w", err)
+		return nil, err
 	}
 	if stats == nil {
 		stats = &QueryStats{}

@@ -97,7 +97,7 @@ func TestExactTreePerfectPrecision(t *testing.T) {
 		ts := int64(r.Intn(2000))
 		tau := int64(1 + r.Intn(100))
 		theta := float64(1 + r.Intn(10))
-		got, err := tr.BurstyEvents(ts, theta, tau, nil)
+		got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestPruningCancellationMiss(t *testing.T) {
 		t.Fatalf("setup broken: oracle b_0 = %d", b)
 	}
 	var stats QueryStats
-	got, err := tr.BurstyEvents(ts, theta, tau, &stats)
+	got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	var stats QueryStats
 	// Query inside the burst window with a threshold only the injected
 	// bursts pass.
-	if _, err := tr.BurstyEvents(2049, 100, 50, &stats); err != nil {
+	if _, err := tr.BurstyEvents(2049, 100, pbe.MustSpan(50), &stats); err != nil {
 		t.Fatal(err)
 	}
 	// A naive scan costs k point queries; the pruned search should do far
@@ -205,7 +205,7 @@ func TestThetaValidation(t *testing.T) {
 	tr, _ := New(8, exactFactory)
 	for _, theta := range []float64{0, -3, math.NaN()} {
 		var stats QueryStats
-		if _, err := tr.BurstyEvents(10, theta, 5, &stats); err == nil {
+		if _, err := tr.BurstyEvents(10, theta, pbe.MustSpan(5), &stats); err == nil {
 			t.Errorf("theta=%v accepted", theta)
 		}
 		if stats != (QueryStats{}) {
@@ -244,7 +244,7 @@ func TestSketchTreeFindsPlantedBursts(t *testing.T) {
 	ts := int64(1549)
 	tau := int64(50)
 	theta := 100.0
-	got, err := tr.BurstyEvents(ts, theta, tau, nil)
+	got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestLargeTreeSketchLevels(t *testing.T) {
 	}
 	tr.Finish()
 	var stats QueryStats
-	got, err := tr.BurstyEvents(1049, 150, 50, &stats)
+	got, err := tr.BurstyEvents(1049, 150, pbe.MustSpan(50), &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

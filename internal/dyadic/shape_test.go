@@ -146,7 +146,7 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 			theta := float64(1 + r.Intn(40))
 			want := tr.burstyEventsBinary(ts, theta, tau)
 			found += len(want)
-			got, err := tr.BurstyEvents(ts, theta, tau, nil)
+			got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +157,7 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 				continue // the binary search scored a root that is also a leaf as 0
 			}
 			k := 1 + r.Intn(5)
-			top, err := tr.TopBursty(ts, k, tau, nil)
+			top, err := tr.TopBursty(ts, k, pbe.MustSpan(tau), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

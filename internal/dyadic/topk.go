@@ -14,8 +14,10 @@ type EventScore struct {
 }
 
 // TopBursty returns up to k events with the largest estimated burstiness at
-// time ts, by descending burstiness and then ascending id — at the k-th
-// place too — found by best-first search over the index.
+// time ts over span sp, by descending burstiness and then ascending id — at
+// the k-th place too — found by best-first search over the index. A k that
+// is not positive is refused unprefixed, for the query's entry point to name
+// itself.
 //
 // A node is ranked as its aggregate burstiness magnitude |b̃| at its lowest
 // leaf id; the search expands the first node in rank order and stops once
@@ -26,13 +28,9 @@ type EventScore struct {
 // also misses.
 //
 //histburst:fastpath topBurstyBinary
-func (x Index) TopBursty(ts int64, k int, tau int64, stats *QueryStats) ([]EventScore, error) {
+func (x Index) TopBursty(ts int64, k int, sp pbe.Span, stats *QueryStats) ([]EventScore, error) {
 	if k <= 0 {
-		return nil, fmt.Errorf("dyadic: k must be positive, got %d", k)
-	}
-	sp, err := pbe.NewSpan(tau)
-	if err != nil {
-		return nil, fmt.Errorf("dyadic: tau must be positive, got %d", tau)
+		return nil, fmt.Errorf("k must be positive, got %d", k)
 	}
 	if stats == nil {
 		stats = &QueryStats{}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"histburst/internal/exact"
+	"histburst/internal/pbe"
 )
 
 func TestTopBurstyExactLevels(t *testing.T) {
@@ -24,7 +25,7 @@ func TestTopBurstyExactLevels(t *testing.T) {
 
 	ts, tau := int64(1549), int64(50)
 	var stats QueryStats
-	got, err := tr.TopBursty(ts, 2, tau, &stats)
+	got, err := tr.TopBursty(ts, 2, pbe.MustSpan(tau), &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestTopBurstyMatchesBruteForceRanking(t *testing.T) {
 	}
 	tr.Finish()
 	ts, tau := int64(1030), int64(40)
-	got, err := tr.TopBursty(ts, 5, tau, nil)
+	got, err := tr.TopBursty(ts, 5, pbe.MustSpan(tau), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +89,10 @@ func TestTopBurstyMatchesBruteForceRanking(t *testing.T) {
 
 func TestTopBurstyValidation(t *testing.T) {
 	tr, _ := New(8, exactFactory)
-	if _, err := tr.TopBursty(10, 0, 5, nil); err == nil {
+	if _, err := tr.TopBursty(10, 0, pbe.MustSpan(5), nil); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := tr.TopBursty(10, 3, 0, nil); err == nil {
-		t.Error("tau=0 accepted")
-	}
-	got, err := tr.TopBursty(10, 3, 5, nil)
+	got, err := tr.TopBursty(10, 3, pbe.MustSpan(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +128,7 @@ func TestTopBurstyTiesRankByID(t *testing.T) {
 		tr.Finish()
 		want := []EventScore{{50, 8}, {2, 5}, {9, 5}, {17, 5}, {33, 5}, {40, 5}, {0, 0}, {1, 0}}
 		for k := 1; k <= len(want); k++ {
-			got, err := tr.TopBursty(100, k, 10, nil)
+			got, err := tr.TopBursty(100, k, pbe.MustSpan(10), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

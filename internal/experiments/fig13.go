@@ -53,6 +53,7 @@ func fig13(cfg Config) (Table, error) {
 		Header: []string{"week", "dem events", "dem burst mass", "rep events", "rep burst mass"},
 	}
 	weeks := horizon/(7*workload.Day) + 1
+	sp := pbe.MustSpan(tau)
 	for wk := int64(0); wk < weeks; wk++ {
 		demCount, repCount := 0, 0
 		demMass, repMass := 0.0, 0.0
@@ -62,12 +63,12 @@ func fig13(cfg Config) (Table, error) {
 			if qt > horizon {
 				break
 			}
-			events, err := tree.BurstyEvents(qt, theta, tau, nil)
+			events, err := tree.BurstyEvents(qt, theta, sp, nil)
 			if err != nil {
 				return Table{}, err
 			}
 			for _, e := range events {
-				b := tree.Level(0).Burstiness(e, qt, pbe.MustSpan(tau))
+				b := tree.Level(0).Burstiness(e, qt, sp)
 				if workload.USPoliticsCategory(e) == "Democrat" {
 					demCount++
 					demMass += b

@@ -444,6 +444,12 @@ func isDetector(t types.Type) bool {
 // testdata and dot directories, parsed, and its path from the module root.
 func eachProductFile(t *testing.T, fn func(rel string, f *ast.File)) {
 	t.Helper()
+	eachGoFile(t, false, fn)
+}
+
+// eachGoFile is eachProductFile over the test files too when tests is set.
+func eachGoFile(t *testing.T, tests bool, fn func(rel string, f *ast.File)) {
+	t.Helper()
 	root := moduleRootForTest(t)
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -455,7 +461,7 @@ func eachProductFile(t *testing.T, fn func(rel string, f *ast.File)) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return nil
 		}
 		rel, err := filepath.Rel(root, path)
@@ -536,16 +542,17 @@ func TestOneElementRunCodec(t *testing.T) {
 // TestKernelsTakeASpan: τ is validated once, where a query enters, into a
 // pbe.Span. The equation-(2) kernels take the Span, not a raw τ, so none of
 // internal/cmpbe, internal/dyadic or internal/segstore checks τ ≤ 0 — their
-// entry points build the Span instead — and nothing names the retired
-// pbe.BurstWindow.
+// entry points build the Span instead, and cmpbe and dyadic, which no query
+// enters, build none — and nothing names the retired pbe.BurstWindow.
 func TestKernelsTakeASpan(t *testing.T) {
 	kernels := map[string][]string{
 		"internal/pbe":      {"Burstiness", "BurstFrequency", "BurstyTimes", "ShiftedBreakpoints"},
 		"internal/cmpbe":    {"Sketch.Burstiness", "Sketch.BurstyTimes"},
-		"internal/dyadic":   {"Index.pushChildren"},
+		"internal/dyadic":   {"Index.BurstyEvents", "Index.TopBursty", "Index.pushChildren"},
 		"internal/segstore": {"Snapshot.burstiness", "memHead.burstiness", "Snapshot.segsInWindow", "Snapshot.summedLevels", "summedLevel.Burstiness"},
 	}
 	noTauCheck := map[string]bool{"internal/cmpbe": true, "internal/dyadic": true, "internal/segstore": true}
+	noSpanBuilt := map[string]bool{"internal/cmpbe": true, "internal/dyadic": true}
 	found := map[string]bool{}
 	eachProductFile(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
@@ -556,8 +563,11 @@ func TestKernelsTakeASpan(t *testing.T) {
 					t.Errorf("%s declares the retired BurstWindow; take a Span", rel)
 				}
 			case *ast.SelectorExpr:
-				if types.ExprString(n) == "pbe.BurstWindow" {
+				switch s := types.ExprString(n); {
+				case s == "pbe.BurstWindow":
 					t.Errorf("%s names the retired pbe.BurstWindow; take a pbe.Span", rel)
+				case s == "pbe.NewSpan" && noSpanBuilt[dir]:
+					t.Errorf("%s builds a Span; take the caller's pbe.Span", rel)
 				}
 			case *ast.BinaryExpr:
 				if id, ok := n.X.(*ast.Ident); ok && noTauCheck[dir] && strings.EqualFold(id.Name, "tau") && n.Op == token.LEQ {
@@ -598,4 +608,30 @@ func TestKernelsTakeASpan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOneRowCombination: CM-PBE's combination rule — sum each row over the
+// time-disjoint parts, take the median once — has one home, cmpbe.Rows, which
+// a Detector and the segmented store both answer by. Neither the store nor
+// the facade (histburst.go) reads a cell's Estimate or Estimate3 or calls
+// cmpbe.Median, and no file, test or not, names the retired per-segment cell
+// plumbing AppendEventCells or the store's row cap maxRows.
+func TestOneRowCombination(t *testing.T) {
+	eachGoFile(t, true, func(rel string, f *ast.File) {
+		product := !strings.HasSuffix(rel, "_test.go") &&
+			(filepath.ToSlash(filepath.Dir(rel)) == "internal/segstore" || rel == "histburst.go")
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Ident:
+				if n.Name == "AppendEventCells" || n.Name == "maxRows" {
+					t.Errorf("%s names the retired %s; combine rows through cmpbe.Rows", rel, n.Name)
+				}
+			case *ast.SelectorExpr:
+				if s := types.ExprString(n); product && (s == "cmpbe.Median" || n.Sel.Name == "Estimate" || n.Sel.Name == "Estimate3") {
+					t.Errorf("%s reads %s; combine rows through cmpbe.Rows", rel, s)
+				}
+			}
+			return true
+		})
+	})
 }

@@ -3,6 +3,7 @@ package segstore
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -89,35 +90,104 @@ func (idx exactCounts) burstiness(e uint64, t, tau int64) float64 {
 	return float64(ts.CountAtOrBefore(t) - 2*ts.CountAtOrBefore(t-tau) + ts.CountAtOrBefore(t-2*tau))
 }
 
+// TestSingleSegmentMatchesMonolithicExactly: a store holding one sealed
+// segment answers F, POINT, TIMES, EVENTS and TOP exactly as the detector
+// built from the same stream, whatever the sketch layout: collision-free
+// leaves, and Count-Min leaves with fewer rows than cmpbe's stack scratch
+// holds (D = 5) and with more (D = 9).
 func TestSingleSegmentMatchesMonolithicExactly(t *testing.T) {
-	elems := genStream(400, 32, 1000, 11)
-	cfg := testConfig(-1) // seal only at checkpoint: one segment
-	cfg.CompactFanout = -1
-	det, s := buildPair(t, elems, cfg, true) // one whole-history segment
-	defer mustClose(t, s)
-	if got := len(s.Segments()); got != 1 {
-		t.Fatalf("expected a single segment, got %d", got)
-	}
+	for _, tc := range []struct {
+		name       string
+		k          uint64
+		d, w       int
+		n          int
+		span       uint64
+		horizon    int64
+		theta      float64
+		eventsStep uint64
+	}{
+		{"collision-free-K64-D3-W32", 64, 3, 32, 400, 32, 1000, 4, 1},
+		{"count-min-K512-D5-W8", 512, 5, 8, 4000, 512, 2000, 8, 16},
+		{"count-min-K512-D9-W8", 512, 9, 8, 4000, 512, 2000, 8, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			elems := genStream(tc.n, tc.span, tc.horizon, 11)
+			cfg := testConfig(-1) // seal only at checkpoint: one segment
+			cfg.K, cfg.D, cfg.W = tc.k, tc.d, tc.w
+			cfg.CompactFanout = -1
+			det, s := buildPair(t, elems, cfg, true) // one whole-history segment
+			defer mustClose(t, s)
+			if got := len(s.Segments()); got != 1 {
+				t.Fatalf("expected a single segment, got %d", got)
+			}
 
-	for e := uint64(0); e < 32; e++ {
-		for _, q := range []int64{-5, 0, 113, 250, 499, 500, 750, 999, 1200} {
-			if got, want := s.CumulativeFrequency(e, q), det.CumulativeFrequency(e, q); got != want {
-				t.Fatalf("F(%d,%d): store %v, detector %v", e, q, got, want)
+			qs := []int64{-5, 0, 113, 250, 499, 500, 750, 999, 1200, 1500, 1999, 2400}
+			for e := uint64(0); e < tc.span; e++ {
+				for _, q := range qs {
+					if got, want := s.CumulativeFrequency(e, q), det.CumulativeFrequency(e, q); got != want {
+						t.Fatalf("F(%d,%d): store %v, detector %v", e, q, got, want)
+					}
+					for _, tau := range []int64{7, 50} {
+						got, err := s.Burstiness(e, q, tau)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want, err := det.Burstiness(e, q, tau)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got != want {
+							t.Fatalf("b(%d,%d,%d): store %v, detector %v", e, q, tau, got, want)
+						}
+					}
+				}
 			}
-			for _, tau := range []int64{7, 50} {
-				got, err := s.Burstiness(e, q, tau)
+
+			const tau = 50
+			hits := 0
+			for e := uint64(0); e < tc.span; e += tc.eventsStep {
+				got, err := s.BurstyTimes(e, tc.theta, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := det.Burstiness(e, q, tau)
+				want, err := det.BurstyTimes(e, tc.theta, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got != want {
-					t.Fatalf("b(%d,%d,%d): store %v, detector %v", e, q, tau, got, want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("TIMES(e=%d): store %v, detector %v", e, got, want)
+				}
+				hits += len(want)
+			}
+			for q := int64(0); q < tc.horizon; q += tc.horizon / 20 {
+				got, err := s.BurstyEvents(q, tc.theta, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := det.BurstyEvents(q, tc.theta, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("EVENTS(t=%d): store %v, detector %v", q, got, want)
+				}
+				hits += len(want)
+				top, err := s.TopBursty(q, 5, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantTop, err := det.TopBursty(q, 5, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(top, wantTop) {
+					t.Fatalf("TOP(t=%d): store %v, detector %v", q, top, wantTop)
 				}
 			}
-		}
+			if hits == 0 {
+				t.Fatal("no TIMES range and no EVENTS hit: the comparison saw only empty answers")
+			}
+		})
 	}
 }
 

@@ -200,11 +200,11 @@ func (m mergedLayout) check(t *testing.T, tm, tau int64, thetas []float64, ks []
 	found := 0
 	for _, theta := range thetas {
 		var got, want dyadic.QueryStats
-		ids, err := x.BurstyEvents(tm, theta, tau, &got)
+		ids, err := x.BurstyEvents(tm, theta, pbe.MustSpan(tau), &got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantIDs, err := mx.BurstyEvents(tm, theta, tau, &want)
+		wantIDs, err := mx.BurstyEvents(tm, theta, pbe.MustSpan(tau), &want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +218,11 @@ func (m mergedLayout) check(t *testing.T, tm, tau int64, thetas []float64, ks []
 	}
 	for _, k := range ks {
 		var got, want dyadic.QueryStats
-		top, err := x.TopBursty(tm, k, tau, &got)
+		top, err := x.TopBursty(tm, k, pbe.MustSpan(tau), &got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantTop, err := mx.TopBursty(tm, k, tau, &want)
+		wantTop, err := mx.TopBursty(tm, k, pbe.MustSpan(tau), &want)
 		if err != nil {
 			t.Fatal(err)
 		}

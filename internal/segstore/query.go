@@ -11,18 +11,18 @@ import (
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
-	"histburst/internal/pbe2"
 )
 
 // Query combination (the three instants of eq. (2), across segments):
 // cumulative frequencies of time-disjoint stream slices add, so for every
 // sketch row r the store's curve is the sum of the per-segment cell curves
-// F̃ᵣ(t) = Σ_s F̃ᵣ,ₛ(t) — all segments share (d, w, seed), so row r maps
-// event e to the same hash lane everywhere. The median is taken once, over
-// the summed rows, and the head's exact counts are added after it (an exact
+// F̃ᵣ(t) = Σ_s F̃ᵣ,ₛ(t) — each segment maps e through its own level's hash
+// family, and all share the row count d. cmpbe.Rows is that rule, the one a
+// Detector answers by: one part per window segment, the median taken once,
+// over the summed rows, and the head's exact counts added after it (an exact
 // term would only be distorted by passing through the median). For a
 // single-segment store this collapses to exactly the monolithic detector's
-// estimate; across segments it matches the merged detector except
+// estimate, for any d; across segments it matches the merged detector except
 // inside inter-segment gaps, where each summand holds its own tail value
 // instead of the merged segment's line — a difference bounded by the same γ
 // guarantee (both readings are valid PBE-2 curves for the same staircase).
@@ -58,18 +58,12 @@ func (sn *Snapshot) heads() []*memHead {
 	return append(out, sn.v.head)
 }
 
-// maxRows mirrors cmpbe's stack bound for the default sketch layouts.
-const maxRows = 8
-
-// queryScratch is the reusable state behind the zero-alloc point path and
-// the breakpoint merge: the EventCells buffer every segment's cells append
-// into, and the list and merge buffers of Snapshot.breakpoints. A Snapshot
-// is shared by concurrent readers (burstd's batch handler fans one snapshot
-// across workers), so the scratch cannot hang off the snapshot itself — it
-// is pooled and held for exactly one query.
+// queryScratch is the reusable state behind the breakpoint merge: the list
+// and merge buffers of Snapshot.breakpoints. A Snapshot is shared by
+// concurrent readers (burstd's batch handler fans one snapshot across
+// workers), so the scratch cannot hang off the snapshot itself — it is
+// pooled and held for exactly one query.
 type queryScratch struct {
-	cells []*pbe2.Builder
-
 	lists  [][]int64
 	bounds []int64
 	merge  [2][]int64
@@ -104,37 +98,17 @@ func (sn *Snapshot) segsInWindow(t int64, sp pbe.Span) []*Segment {
 	return segs[sort.Search(len(segs), func(i int) bool { return segs[i].meta.MaxT > from }):]
 }
 
-// rowSums evaluates Σ_s F̃ᵣ,ₛ(t) for every row r into vals, returning the
-// row count (0 when no sealed segment reaches back to t).
-func (sn *Snapshot) rowSums(e uint64, t int64, vals *[maxRows]float64, scr *queryScratch) int {
-	*vals = [maxRows]float64{}
-	d := 0
-	for _, g := range sn.segsThrough(t) {
-		det := g.detector()
-		if det == nil {
-			continue // failed its first decode; quarantined, answered without
-		}
-		scr.cells = det.AppendEventCells(e, scr.cells[:0])
-		d = min(len(scr.cells), maxRows)
-		for i, c := range scr.cells[:d] {
-			vals[i] += c.Estimate(t)
-		}
-	}
-	scr.cells = scr.cells[:0]
-	return d
-}
-
 // CumulativeFrequency returns the estimate F̃_e(t) over the whole history
-// held by the snapshot.
+// held by the snapshot: one Rows part per segment reaching back to t.
 func (sn *Snapshot) CumulativeFrequency(e uint64, t int64) float64 {
 	e %= sn.kfold
-	scr := queryScratchPool.Get().(*queryScratch)
-	var buf [maxRows]float64
-	est := 0.0
-	if d := sn.rowSums(e, t, &buf, scr); d > 0 {
-		est = cmpbe.Median(buf[:d])
+	var rows cmpbe.Rows
+	for _, g := range sn.segsThrough(t) {
+		if lv := g.sketch(0); lv != nil {
+			rows.AddEstimate(lv, e, t)
+		}
 	}
-	queryScratchPool.Put(scr)
+	est := rows.Median()
 	for _, h := range sn.v.frozen {
 		est += h.countAtOrBefore(e, t)
 	}
@@ -154,43 +128,25 @@ func (sn *Snapshot) Burstiness(e uint64, t, tau int64) (float64, error) {
 }
 
 // burstiness is the fold-free core, also the summed index's leaf level
-// (whose ids are already folded). Only the segments overlapping the query
-// window are visited (segsInWindow) — which is also what keeps a lazily
-// opened store lazy. Row scratch lives on the stack and cell scratch in a
-// pooled buffer, so the cross-segment point query performs no per-query
-// allocation.
+// (whose ids are already folded): one Rows part per segment overlapping the
+// query window (segsInWindow) — which is also what keeps a lazily opened
+// store lazy. The rows live on the stack, so the cross-segment point query
+// performs no per-query allocation.
 //
 //histburst:fastpath burstinessNaive
 func (sn *Snapshot) burstiness(e uint64, t int64, sp pbe.Span) float64 {
-	scr := queryScratchPool.Get().(*queryScratch)
-	var rows [maxRows]float64
-	d := 0
+	var rows cmpbe.Rows
 	t0, t1, t2 := sp.Instants(t)
 	for _, g := range sn.segsInWindow(t, sp) {
-		det := g.detector()
-		if det == nil {
-			continue // failed its first decode; quarantined, answered without
+		if lv := g.sketch(0); lv != nil {
+			rows.AddBurstiness(lv, e, t0, t1, t2)
 		}
-		scr.cells = det.AppendEventCells(e, scr.cells[:0])
-		d = addRows(scr.cells, t0, t1, t2, &rows)
 	}
-	scr.cells = scr.cells[:0]
-	queryScratchPool.Put(scr)
-	b := cmpbe.Median(rows[:d])
+	b := rows.Median()
 	for _, h := range sn.v.frozen {
 		b += h.burstiness(e, t, sp)
 	}
 	return b + sn.v.head.burstiness(e, t, sp)
-}
-
-// addRows adds one segment's equation-(2) term to each row and returns the row count.
-func addRows(cells []*pbe2.Builder, t0, t1, t2 int64, rows *[maxRows]float64) int {
-	d := min(len(cells), maxRows)
-	for r, c := range cells[:d] {
-		f0, f1, f2 := c.Estimate3(t0, t1, t2)
-		rows[r] += f2 - 2*f1 + f0
-	}
-	return d
 }
 
 // breakpoints returns the sorted instants at which e's cross-segment F̃
@@ -200,14 +156,11 @@ func (sn *Snapshot) breakpoints(e uint64) []int64 {
 	scr := queryScratchPool.Get().(*queryScratch)
 	lists, bounds := scr.lists[:0], scr.bounds[:0]
 	for _, g := range sn.v.segs {
-		det := g.detector()
-		if det == nil {
+		lv := g.sketch(0)
+		if lv == nil {
 			continue
 		}
-		scr.cells = det.AppendEventCells(e, scr.cells[:0])
-		for _, c := range scr.cells {
-			lists = append(lists, c.Breakpoints())
-		}
+		lists = lv.AppendBreakpoints(lists, e)
 		// The segment boundary itself: past MaxT every cell's estimate
 		// holds its exact count, a shape change the cells of *other*
 		// segments do not know about. MaxT ascends along segs, so the
@@ -222,7 +175,7 @@ func (sn *Snapshot) breakpoints(e uint64) []int64 {
 	}
 	out := pbe.MergeSorted(lists, &scr.merge)
 	clear(lists) // the pool must not pin the cells' breakpoint lists
-	scr.lists, scr.bounds, scr.cells = lists[:0], bounds[:0], scr.cells[:0]
+	scr.lists, scr.bounds = lists[:0], bounds[:0]
 	queryScratchPool.Put(scr)
 	return out
 }
@@ -233,6 +186,9 @@ func (sn *Snapshot) breakpoints(e uint64) []int64 {
 // candidate instant visits only the segments overlapping its window, and
 // every candidate gets exactly the answer Burstiness gives there.
 func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error) {
+	if err := pbe.CheckTimesTheta(theta); err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
+	}
 	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
@@ -254,7 +210,11 @@ func (sn *Snapshot) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, e
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	return dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, theta, tau, nil)
+	ids, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, theta, sp, nil)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
+	}
+	return ids, nil
 }
 
 // TopBursty returns up to k events with the largest cross-segment
@@ -265,9 +225,9 @@ func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurst
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	scores, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, tau, nil)
+	scores, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, sp, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segstore: %w", err)
 	}
 	out := make([]histburst.EventBurstiness, len(scores))
 	for i, s := range scores {
@@ -287,12 +247,10 @@ func (sn *Snapshot) summedLevels(t int64, sp pbe.Span) []summedLevel {
 		levels[i] = summedLevel{v: v, h: h}
 	}
 	for _, g := range sn.segsInWindow(t, sp) {
-		det := g.detector()
-		if det == nil {
-			continue // failed its first decode; quarantined, answered without
-		}
 		for i := 1; i < len(levels); i++ { // the leaves are the point query's
-			levels[i].sks = append(levels[i].sks, det.EventIndex().Level(i).(*cmpbe.Sketch))
+			if lv := g.sketch(i); lv != nil {
+				levels[i].sks = append(levels[i].sks, lv)
+			}
 		}
 	}
 	var share []histburst.EventBurstiness
@@ -314,9 +272,8 @@ func (sn *Snapshot) summedLevels(t int64, sp pbe.Span) []summedLevel {
 type summedView struct {
 	sn     *Snapshot
 	t0, t1 int64
-	ids    []uint64        // the heads' window events ascending, once per head holding one
-	cum    []float64       // cum[j] is the heads' burstiness of ids[:j]
-	cells  []*pbe2.Builder // scratch: the search is sequential
+	ids    []uint64  // the heads' window events ascending, once per head holding one
+	cum    []float64 // cum[j] is the heads' burstiness of ids[:j]
 }
 
 // summedLevel is the kept level at height h of the summed index.
@@ -327,22 +284,20 @@ type summedLevel struct {
 }
 
 // Burstiness scores aggregate id agg: at the leaves the point query, above
-// them as a point query over the level's summed rows and the heads' exact
-// share, one range of their prefix sums.
+// them as a point query over the level's segments, one Rows part each, and
+// the heads' exact share, one range of their prefix sums.
 func (l summedLevel) Burstiness(agg uint64, t int64, sp pbe.Span) float64 {
 	v := l.v
 	if l.h == 0 {
 		return v.sn.burstiness(agg, t, sp)
 	}
-	var rows [maxRows]float64
-	d := 0
+	var rows cmpbe.Rows
 	for _, lv := range l.sks {
-		v.cells = lv.AppendEventCells(agg, v.cells[:0])
-		d = addRows(v.cells, v.t0, v.t1, t, &rows)
+		rows.AddBurstiness(lv, agg, v.t0, v.t1, t)
 	}
 	lo, _ := slices.BinarySearch(v.ids, agg<<l.h)
 	hi, _ := slices.BinarySearch(v.ids, (agg+1)<<l.h)
-	return cmpbe.Median(rows[:d]) + (v.cum[hi] - v.cum[lo])
+	return rows.Median() + (v.cum[hi] - v.cum[lo])
 }
 
 // N returns the number of elements held (sealed plus in-memory).

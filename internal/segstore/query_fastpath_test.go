@@ -6,28 +6,31 @@ import (
 	"sort"
 	"testing"
 
+	"histburst/internal/cmpbe"
 	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
 // burstinessNaive is the retained naive twin of the point query: fresh
-// EventCells slices per segment, every segment visited, heads materialized,
-// and a sort-based median.
+// leaf-level EventCells slices per segment, every segment visited, heads
+// materialized, and a sort-based median over every row.
 func (sn *Snapshot) burstinessNaive(e uint64, t int64, sp pbe.Span) float64 {
-	var rows [maxRows]float64
-	d := 0
+	var rows []float64
 	for _, g := range sn.v.segs {
 		det := g.detector()
 		if det == nil {
 			continue
 		}
-		cells := det.EventCells(e)
-		d = min(len(cells), maxRows)
-		for i, c := range cells[:d] {
+		cells := det.EventIndex().Level(0).(*cmpbe.Sketch).EventCells(e)
+		if rows == nil {
+			rows = make([]float64, len(cells))
+		}
+		for i, c := range cells {
 			rows[i] += pbe.Burstiness(c, t, sp)
 		}
 	}
-	vals, b := rows[:d], 0.0
+	d := len(rows)
+	vals, b := rows, 0.0
 	sort.Float64s(vals)
 	switch {
 	case d%2 == 1:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"histburst"
+	"histburst/internal/cmpbe"
 )
 
 // A Segment is one immutable time slice of the history: a finished PBE-2
@@ -87,6 +88,17 @@ func (g *Segment) decode() *histburst.Detector {
 	g.owner.logf("segstore: segment %d decoded on first touch: %d elements, %d bytes, %s",
 		g.meta.ID, g.meta.Elements, g.fileBytes, time.Since(t0))
 	return det
+}
+
+// sketch returns kept level i of the segment's event index (0 = the
+// leaves), or nil when the segment failed its first decode — it is then
+// quarantined, and queries answer without it.
+func (g *Segment) sketch(i int) *cmpbe.Sketch {
+	det := g.detector()
+	if det == nil {
+		return nil
+	}
+	return det.EventIndex().Level(i).(*cmpbe.Sketch)
 }
 
 // resident reports whether the detector is decoded.

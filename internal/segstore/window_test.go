@@ -247,13 +247,13 @@ func TestSegstorePointZeroAllocs(t *testing.T) {
 	}
 }
 
-// breakpointsNaive is Snapshot.breakpoints as a set: a fresh EventCells
-// slice per segment, every breakpoint, boundary and head arrival put in a
-// map, then sorted.
+// breakpointsNaive is Snapshot.breakpoints as a set: a fresh leaf-level
+// EventCells slice per segment, every breakpoint, boundary and head arrival
+// put in a map, then sorted.
 func (sn *Snapshot) breakpointsNaive(e uint64) []int64 {
 	set := map[int64]bool{}
 	for _, g := range sn.v.segs {
-		for _, c := range g.detector().EventCells(e) {
+		for _, c := range g.sketch(0).EventCells(e) {
 			for _, bp := range c.Breakpoints() {
 				set[bp] = true
 			}

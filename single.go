@@ -65,6 +65,9 @@ func (s *Single) Burstiness(t, tau int64) (float64, error) {
 // BurstyTimes answers the BURSTY TIME QUERY over [0, horizon]: the point
 // query swept over the summary's shifted breakpoints.
 func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, error) {
+	if err := pbe.CheckTimesTheta(theta); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
+	}
 	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)

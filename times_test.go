@@ -89,7 +89,7 @@ func TestBurstyTimesAgreesWithPoint(t *testing.T) {
 		}
 		found += len(ranges)
 		var bps []int64
-		for _, c := range det.EventCells(e) {
+		for _, c := range det.base.EventCells(e) {
 			bps = append(bps, c.Breakpoints()...)
 		}
 		point := func(q int64) float64 {
