@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
 	"histburst/internal/stream"
@@ -230,7 +231,7 @@ var summaryReaders = []struct {
 		if d.pending != nil {
 			t.Error("Finish kept the chunk")
 		}
-		return []any{d.tree.N(), d.tree.Bytes()}
+		return []any{d.base.N(), d.tree.Bytes()}
 	}},
 	{"Burstiness", func(t *testing.T, d *Detector) any {
 		var out []float64
@@ -284,7 +285,7 @@ var summaryReaders = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []any{tr.N(), tr.Bytes(), out, st}
+		return []any{tr.Level(0).(*cmpbe.Sketch).N(), tr.Bytes(), out, st}
 	}},
 	{"Bytes", func(t *testing.T, d *Detector) any { return d.Bytes() }},
 	{"Save", func(t *testing.T, d *Detector) any { return saveBytes(t, d) }},

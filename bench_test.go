@@ -177,6 +177,31 @@ func BenchmarkDetectorBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkSingleAppend is a single-event summary's construction cost:
+// 100 000 arrivals, four an instant, into a fresh Single, Finish included, in
+// ns per arrival. PBE-2 summarizes a steady rate in a few segments, so what a
+// build pays beside its cell's own work — staging, bookkeeping — shows, and
+// B/op is what it allocates beside the summary.
+func BenchmarkSingleAppend(b *testing.B) {
+	ts := make([]int64, 100_000)
+	for i := range ts {
+		ts[i] = int64(i / 4)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := histburst.NewSingle(histburst.WithPBE2(8))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, t := range ts {
+			s.Append(t)
+		}
+		s.Finish()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(ts)), "ns/elem")
+}
+
 func BenchmarkPointQuery(b *testing.B) {
 	det, _ := benchDetector(b, 256, 100_000, histburst.WithPBE2(8))
 	horizon := det.MaxTime()

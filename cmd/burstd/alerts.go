@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -83,13 +82,6 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(body).Decode(&sub); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
-	}
-	if sub.Webhook != "" {
-		u, err := url.Parse(sub.Webhook)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("webhook must be an absolute http(s) URL"))
-			return
-		}
 	}
 	reg, err := s.alerts.hub.Register(sub)
 	if err != nil {

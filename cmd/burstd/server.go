@@ -246,7 +246,7 @@ func (s *server) limit(next http.Handler) http.Handler {
 			defer func() { <-s.inflight }()
 			next.ServeHTTP(w, r)
 		default:
-			w.Header().Set("Retry-After", s.retryAfterSeconds())
+			w.Header().Set("Retry-After", retryAfterSeconds(s.retryAfter()))
 			httpError(w, http.StatusServiceUnavailable, fmt.Errorf("server overloaded"))
 		}
 	})
@@ -262,10 +262,9 @@ func (s *server) retryAfter() time.Duration {
 	return d
 }
 
-// retryAfterSeconds renders the hint for the HTTP Retry-After header,
+// retryAfterSeconds renders a hint for the HTTP Retry-After header,
 // rounding partial seconds up (the header speaks whole seconds).
-func (s *server) retryAfterSeconds() string {
-	d := s.retryAfter()
+func retryAfterSeconds(d time.Duration) string {
 	secs := int64((d + time.Second - 1) / time.Second)
 	return strconv.FormatInt(secs, 10)
 }
@@ -371,11 +370,12 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	// The ingest seam applies the shared admission policy (draining,
 	// read-only, retry/degrade) for both this handler and the wire
-	// transport; here its verdict is mapped back onto HTTP status codes.
+	// transport; here its verdict, hint included, is mapped back onto HTTP
+	// status codes, as the wire maps it onto a NACK.
 	res := s.ingest(elems)
 	switch {
 	case res.Refused != 0:
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
+		w.Header().Set("Retry-After", retryAfterSeconds(res.RetryAfter))
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("%s", res.Message))
 	case res.Err != nil:
 		httpError(w, http.StatusInternalServerError, res.Err)

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -377,75 +378,85 @@ func TestWireDegradedEnvelopeMatchesHTTP(t *testing.T) {
 	}
 }
 
+// TestWireReadOnlyNackMatchesHTTP: one append verdict reads alike on both
+// transports. For every wire.IngestResult kind — draining, read-only, a disk
+// fault that outlives the retries, an internal error, accepted — the HTTP
+// status and Retry-After header pin the NACK code and hint: the header is
+// the verdict's hint rounded up to whole seconds, a refusal's message is the
+// same on both and its NACK carries the store's envelope, an internal error
+// has no hint, and an accepted batch neither.
 func TestWireReadOnlyNackMatchesHTTP(t *testing.T) {
-	// A read-only server refuses appends on both transports with the same
-	// message and the same Retry-After hint.
-	srv, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
+	failWith := func(err error) func(*server) {
+		return func(s *server) {
+			s.append = func(stream.Stream) segstore.BatchResult { return segstore.BatchResult{Err: err} }
+		}
 	}
-	srv.readOnly.Store(true)
-	ts, wc := bothTransports(t, srv)
+	for _, tc := range []struct {
+		name   string
+		setup  func(*server)
+		status int
+		code   wire.NackCode // 0 when the batch is acknowledged
+	}{
+		{"draining", func(s *server) { s.ready.Store(false) }, http.StatusServiceUnavailable, wire.NackDraining},
+		{"read-only", func(s *server) { s.readOnly.Store(true) }, http.StatusServiceUnavailable, wire.NackReadOnly},
+		{"disk fault", failWith(fmt.Errorf("wal append: %w", syscall.ENOSPC)), http.StatusServiceUnavailable, wire.NackReadOnly},
+		{"internal error", failWith(fmt.Errorf("admission mismatch")), http.StatusInternalServerError, wire.NackInternal},
+		{"accepted", func(*server) {}, http.StatusOK, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One server per transport: a verdict may change what the next
+			// append meets (a disk fault leaves the server read-only).
+			fresh := func() *server {
+				srv, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, Logf: t.Logf})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tc.setup(srv)
+				t.Cleanup(func() { srv.ready.Store(false) }) // a read-only server's prober exits
+				return srv
+			}
+			ts, _ := bothTransports(t, fresh())
+			resp, err := http.Post(ts.URL+"/v1/append", "application/json",
+				strings.NewReader(`{"elements":[{"event":1,"time":10}]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var httpOut map[string]any
+			if err := jsonDecode(resp, &httpOut); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("HTTP append %d, want %d: %v", resp.StatusCode, tc.status, httpOut)
+			}
+			header := resp.Header.Get("Retry-After")
 
-	resp, err := http.Post(ts.URL+"/v1/append", "application/json",
-		strings.NewReader(`{"elements":[{"event":1,"time":10}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var httpOut map[string]any
-	if err := jsonDecode(resp, &httpOut); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("HTTP append %d, want 503", resp.StatusCode)
-	}
-	retrySecs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil {
-		t.Fatalf("Retry-After %q: %v", resp.Header.Get("Retry-After"), err)
-	}
-
-	_, werr := wc.Append(stream.Stream{{Event: 1, Time: 10}})
-	ne, ok := werr.(*wire.NackError)
-	if !ok {
-		t.Fatalf("wire append error = %v, want NackError", werr)
-	}
-	if ne.Code != wire.NackReadOnly {
-		t.Fatalf("nack code = %v", ne.Code)
-	}
-	if ne.Message != httpOut["error"].(string) {
-		t.Fatalf("refusal message: wire %q, http %q", ne.Message, httpOut["error"])
-	}
-	// The header rounds the hint up to whole seconds; the wire hint is the
-	// exact duration. They must agree to the second.
-	wireSecs := int((ne.RetryAfter + time.Second - 1) / time.Second)
-	if wireSecs != retrySecs {
-		t.Fatalf("retry hint: wire %v (%ds), http %ds", ne.RetryAfter, wireSecs, retrySecs)
-	}
-	if ne.Envelope == nil {
-		t.Fatal("wire NACK carries no envelope")
-	}
-
-	// Draining refuses with its own code and message on both transports.
-	srv.readOnly.Store(false)
-	srv.ready.Store(false)
-	resp2, err := http.Post(ts.URL+"/v1/append", "application/json",
-		strings.NewReader(`{"elements":[{"event":1,"time":10}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out2 map[string]any
-	if err := jsonDecode(resp2, &out2); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("draining HTTP append %d, want 503", resp2.StatusCode)
-	}
-	_, werr = wc.Append(stream.Stream{{Event: 1, Time: 10}})
-	ne, ok = werr.(*wire.NackError)
-	if !ok || ne.Code != wire.NackDraining {
-		t.Fatalf("draining wire append = %v, want NackError(draining)", werr)
-	}
-	if ne.Message != out2["error"].(string) {
-		t.Fatalf("draining message: wire %q, http %q", ne.Message, out2["error"])
+			_, wc := bothTransports(t, fresh())
+			_, werr := wc.Append(stream.Stream{{Event: 1, Time: 10}})
+			if tc.code == 0 {
+				if werr != nil || header != "" {
+					t.Fatalf("accepted batch: wire %v, HTTP Retry-After %q", werr, header)
+				}
+				return
+			}
+			ne, ok := werr.(*wire.NackError)
+			if !ok || ne.Code != tc.code {
+				t.Fatalf("wire append = %v, want a %v NACK", werr, tc.code)
+			}
+			if ne.Message != httpOut["error"].(string) {
+				t.Fatalf("message: wire %q, http %q", ne.Message, httpOut["error"])
+			}
+			if tc.code == wire.NackInternal {
+				if ne.RetryAfter != 0 || header != "" {
+					t.Fatalf("internal error carries a hint: wire %v, HTTP %q", ne.RetryAfter, header)
+				}
+				return
+			}
+			if want := strconv.FormatInt(int64((ne.RetryAfter+time.Second-1)/time.Second), 10); header != want {
+				t.Fatalf("retry hint: wire %v (%s s), HTTP Retry-After %q", ne.RetryAfter, want, header)
+			}
+			if ne.Envelope == nil {
+				t.Fatal("wire NACK carries no envelope")
+			}
+		})
 	}
 }

@@ -304,10 +304,11 @@ func FuzzInspect(f *testing.F) {
 	})
 }
 
-// FuzzLoadSingle does the same for single-event summaries: valid HBS3 files
-// (empty, and with a segment too long for a length slot), the HBS2 files of
-// the previous generation, truncations and bit flips. Anything accepted must
-// answer queries and survive a save and load unchanged.
+// FuzzLoadSingle does the same for single-event summaries: valid files — HBD7
+// detector files over one id, empty and with a segment too long for a length
+// slot — the refused HBS2 and HBS3 files of the generations before, a
+// detector file over two ids, truncations and bit flips. Anything accepted
+// must answer queries and survive a save and load unchanged.
 func FuzzLoadSingle(f *testing.F) {
 	empty, err := NewSingle(WithPBE2(2))
 	if err != nil {
@@ -321,6 +322,7 @@ func FuzzLoadSingle(f *testing.F) {
 		data := saveSingle(f, x)
 		f.Add(data)
 		f.Add(saveHBS2(f, x))
+		f.Add(saveHBS3(f, x))
 		for _, cut := range []int{1, 5, 7, len(data) / 2, len(data) - 1} {
 			f.Add(data[:cut])
 		}
@@ -328,6 +330,13 @@ func FuzzLoadSingle(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0x10
 		f.Add(flipped)
 	}
+	pair, _ := New(2, WithPBE2(2))
+	pair.Append(1, 7)
+	var buf bytes.Buffer
+	if err := pair.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
 	f.Add([]byte("HBS\x01"))
 	f.Add([]byte{})
 

@@ -54,6 +54,9 @@ type config struct {
 	gamma          float64
 }
 
+// defaults is the configuration no option has changed.
+var defaults = config{seed: 1, d: 5, w: 272, gamma: 8}
+
 // Option configures a Detector.
 type Option func(*config)
 
@@ -126,7 +129,7 @@ func New(k uint64, opts ...Option) (*Detector, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("histburst: event space must be non-empty")
 	}
-	c := config{seed: 1, d: 5, w: 272, gamma: 8}
+	c := defaults
 	for _, o := range opts {
 		o(&c)
 	}
@@ -316,12 +319,16 @@ func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange,
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
-	internal := d.base.BurstyTimes(e%d.K(), theta, sp)
+	return timeRanges(d.base.BurstyTimes(e%d.K(), theta, sp)), nil
+}
+
+// timeRanges converts a BURSTY TIME answer to the exported type.
+func timeRanges(internal []pbe.TimeRange) []TimeRange {
 	out := make([]TimeRange, len(internal))
 	for i, r := range internal {
 		out[i] = TimeRange{Start: r.Start, End: r.End}
 	}
-	return out, nil
+	return out
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids

@@ -101,6 +101,21 @@ func NewDirect(ids uint64, gamma float64) (*Sketch, error) {
 	return &Sketch{d: 1, w: int(ids), cells: cells, hf: hash.Identity(int(ids))}, nil
 }
 
+// NewDirectOf returns the collision-free level over one id holding a copy of
+// sum, a finished summary of that id's arrivals: NewDirect(1, γ) once it has
+// ingested them.
+func NewDirectOf(sum *pbe2.Summary) (*Sketch, error) {
+	s, err := NewDirect(1, sum.Gamma())
+	if err == nil {
+		err = pbe2.MergeFinishedInto(&s.cells[0], []*pbe2.Summary{sum})
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.n, s.maxT = sum.Count(), max(s.maxT, sum.Frontier())
+	return s, nil
+}
+
 // CollisionFree reports whether s is a level NewDirect builds: one row under
 // the identity hash, a cell per id.
 func (s *Sketch) CollisionFree() bool { return s.hf.Equal(hash.Identity(s.w)) }

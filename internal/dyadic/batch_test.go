@@ -52,9 +52,9 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 			for lo := 0; lo < len(part); lo += 509 {
 				got.AppendBatch(slices.Clone(part[lo:min(lo+509, len(part))]), workers)
 			}
-			if got.N() != want.N() || got.MaxTime() != want.MaxTime() || got.Bytes() != want.Bytes() {
-				t.Fatalf("workers=%d: N %d/%d, maxT %d/%d, Bytes %d/%d", workers,
-					got.N(), want.N(), got.MaxTime(), want.MaxTime(), got.Bytes(), want.Bytes())
+			if leafCounts(got) != leafCounts(want) || got.Bytes() != want.Bytes() {
+				t.Fatalf("workers=%d: N and maxT %v/%v, Bytes %d/%d", workers,
+					leafCounts(got), leafCounts(want), got.Bytes(), want.Bytes())
 			}
 			if !bytes.Equal(marshal(got), marshal(want)) {
 				t.Fatalf("workers=%d: batched tree differs from per-element tree", workers)

@@ -23,17 +23,12 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 		return nil, fmt.Errorf("dyadic: downsample of zero trees")
 	}
 	first := parts[0]
-	var n, maxT int64
 	for _, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("dyadic: cannot downsample nil tree")
 		}
 		if err := sameShape(first, p); err != nil {
 			return nil, err
-		}
-		n += p.n
-		if p.maxT > maxT {
-			maxT = p.maxT
 		}
 	}
 	levels := make([]Level, len(first.levels))
@@ -50,5 +45,5 @@ func DownsampleTrees(parts []*Tree, gamma float64, res int64, w int) (*Tree, err
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
 	}
-	return &Tree{Index: IndexOf(first.Shape, levels), levels: levels, k: first.k, n: n, maxT: maxT}, nil
+	return &Tree{Index: IndexOf(first.Shape, levels), levels: levels, k: first.k}, nil
 }

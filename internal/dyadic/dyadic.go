@@ -204,8 +204,6 @@ type Tree struct {
 	Index
 	levels []Level // levels[i] summarizes the aggregate ids e >> heights[i]; the Index scores through them
 	k      uint64  // id-space size, a power of two
-	maxT   int64
-	n      int64
 }
 
 // New creates a tree over the id space [0, k). k is rounded up to a power
@@ -276,10 +274,6 @@ func (t *Tree) Append(e uint64, ts int64) {
 	for i, l := range t.levels {
 		l.Append(e>>t.heights[i], ts)
 	}
-	t.n++
-	if ts > t.maxT {
-		t.maxT = ts
-	}
 }
 
 // fanOutMin is the batch size below which AppendBatch stays on the calling
@@ -320,11 +314,7 @@ func (t *Tree) AppendBatch(elems []stream.Element, workers int) {
 		if elems[i].Event >= t.k {
 			elems[i].Event %= t.k
 		}
-		if elems[i].Time > t.maxT {
-			t.maxT = elems[i].Time
-		}
 	}
-	t.n += int64(len(elems))
 
 	workers = min(workers, len(t.levels))
 	if workers <= 1 || len(elems) < fanOutMin {
@@ -369,12 +359,6 @@ func (t *Tree) Finish() {
 		l.Finish()
 	}
 }
-
-// N returns the number of ingested elements.
-func (t *Tree) N() int64 { return t.n }
-
-// MaxTime returns the largest timestamp seen.
-func (t *Tree) MaxTime() int64 { return t.maxT }
 
 // Scorer is how the searches read a kept level: the estimated burstiness of
 // aggregate id agg at t over burst span sp.

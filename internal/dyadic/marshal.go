@@ -16,13 +16,18 @@ import (
 
 var treeMagic = []byte{'D', 'Y', 'A', 3}
 
-// Encode appends the tree's serialized form to w. Every level must be
-// serializable (CM-PBE levels are; test-only exact levels are not).
+// Encode appends the tree's serialized form to w: the shape, the element
+// count and largest timestamp every level keeps, then the levels. Every level
+// must be serializable (CM-PBE levels are; test-only exact levels are not).
 func (t *Tree) Encode(w *binenc.Writer) error {
+	leaf, ok := t.levels[0].(*cmpbe.Sketch)
+	if !ok {
+		return fmt.Errorf("dyadic: level 0 type %T is not serializable", t.levels[0])
+	}
 	w.BytesBlob(treeMagic)
 	w.Uvarint(t.k)
-	w.Varint(t.n)
-	w.Varint(t.maxT)
+	w.Varint(leaf.N())
+	w.Varint(leaf.MaxTime())
 	w.Uvarint(uint64(len(t.levels)))
 	for _, h := range t.heights {
 		w.Uvarint(uint64(h))
@@ -49,9 +54,10 @@ func (t *Tree) Encode(w *binenc.Writer) error {
 // K>>height cells; the Count-Min levels are the lowest heights, share their
 // dimensions, step their seeds by levelSeedStride from the leaf level's, and
 // stand only where a collision-free level would not fit; the height list is
-// the kept set for that many Count-Min levels. What the bytes cannot say —
-// that the leaf level matches the configuration it is loaded under — is the
-// caller's to check.
+// the kept set for that many Count-Min levels, and the element count and
+// largest timestamp the tree stores are its leaf level's. What the bytes
+// cannot say — that the leaf level matches the configuration it is loaded
+// under — is the caller's to check.
 //
 //histburst:decoder
 func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
@@ -101,7 +107,10 @@ func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
 	if want := keptHeights(lgK, sketches); !slices.Equal(heights, want) {
 		return nil, fmt.Errorf("dyadic: levels at heights %v; an index over %d ids with %d Count-Min levels keeps %v", heights, k, sketches, want)
 	}
-	return &Tree{Index: IndexOf(Shape{lgK, heights}, levels), levels: levels, k: k, n: n, maxT: maxT}, nil
+	if leaf := levels[0].(*cmpbe.Sketch); leaf.N() != n || leaf.MaxTime() != maxT {
+		return nil, fmt.Errorf("dyadic: the leaf level holds %d elements up to %d, the tree %d up to %d", leaf.N(), leaf.MaxTime(), n, maxT)
+	}
+	return &Tree{Index: IndexOf(Shape{lgK, heights}, levels), levels: levels, k: k}, nil
 }
 
 // checkSketchLevel holds Count-Min level i at height h to what CMPBELevels

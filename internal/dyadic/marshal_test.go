@@ -2,6 +2,7 @@ package dyadic
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -40,7 +41,7 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.K() != tr.K() || got.N() != tr.N() || got.MaxTime() != tr.MaxTime() || got.Levels() != tr.Levels() {
+	if got.K() != tr.K() || leafCounts(got) != leafCounts(tr) || got.Levels() != tr.Levels() {
 		t.Fatal("metadata mismatch")
 	}
 	// Identical query results.
@@ -91,6 +92,19 @@ func TestUnmarshalTreeRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := decodeWhole([]byte("garbage"), f); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	// The header's element count (byte 6) and largest timestamp (byte 7),
+	// zigzag varints after the magic and K, are the leaf level's; a header
+	// claiming others is refused.
+	if blob[6] != 2 || blob[7] != 10 {
+		t.Fatalf("fixture: header counters % x, want 02 0a", blob[6:8])
+	}
+	for at, v := range map[int]byte{6: 4, 7: 12} {
+		forged := slices.Clone(blob)
+		forged[at] = v
+		if _, err := decodeWhole(forged, f); err == nil || !strings.Contains(err.Error(), "the leaf level holds 1 elements up to 5, the tree") {
+			t.Errorf("header byte %d forged to %#x: %v, want a refusal naming the leaf's counters", at, v, err)
+		}
 	}
 }
 

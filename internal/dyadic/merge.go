@@ -17,17 +17,12 @@ func MergeTrees(parts []*Tree) (*Tree, error) {
 		return nil, fmt.Errorf("dyadic: merge of zero trees")
 	}
 	first := parts[0]
-	var n, maxT int64 = first.n, first.maxT
 	for _, p := range parts[1:] {
 		if p == nil {
 			return nil, fmt.Errorf("dyadic: cannot merge nil tree")
 		}
 		if err := sameShape(first, p); err != nil {
 			return nil, err
-		}
-		n += p.n
-		if p.maxT > maxT {
-			maxT = p.maxT
 		}
 	}
 	levels := make([]Level, len(first.levels))
@@ -40,7 +35,7 @@ func MergeTrees(parts []*Tree) (*Tree, error) {
 			return nil, fmt.Errorf("dyadic: level %d: %w", i, err)
 		}
 	}
-	return &Tree{Index: IndexOf(first.Shape, levels), levels: levels, k: first.k, n: n, maxT: maxT}, nil
+	return &Tree{Index: IndexOf(first.Shape, levels), levels: levels, k: first.k}, nil
 }
 
 // sameShape reports whether two trees keep the same heights over the same id

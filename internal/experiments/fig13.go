@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
 	"histburst/internal/workload"
@@ -28,7 +29,7 @@ func fig13(cfg Config) (Table, error) {
 	}
 	tree.Finish()
 
-	horizon := tree.MaxTime()
+	horizon := tree.Level(0).(*cmpbe.Sketch).MaxTime()
 	tau := workload.Day
 	// Threshold: a fixed fraction of the observed burstiness range so the
 	// timeline keeps only prominent bursts.

@@ -195,6 +195,71 @@ func TestOneSummaryCodec(t *testing.T) {
 	})
 }
 
+// TestOneFacadeCodec: a summary has one file format and one decoder. A Single
+// is a detector over one id and saves as that detector's file, so in the root
+// package's non-test code only persist.go declares a file magic (a variable
+// or constant named for one, or a byte literal spelling "HB…"), only the
+// detector decoder — Decode, and decodeHeader, which Decode shares with
+// Inspect — carries //histburst:decoder, no name spells the retired
+// single-event magic (singleMagic, or any with HBS in it), and only
+// persist.go, which refuses those files by name, spells HBS in a string.
+func TestOneFacadeCodec(t *testing.T) {
+	root := moduleRootForTest(t)
+	paths, err := filepath.Glob(filepath.Join(root, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := map[string]bool{"Decode": true, "decodeHeader": true}
+	isChar := func(e ast.Expr, c string) bool {
+		lit, ok := e.(*ast.BasicLit)
+		return ok && lit.Kind == token.CHAR && lit.Value == c
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		rel := filepath.Base(path)
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Doc == nil {
+				continue
+			}
+			for _, c := range fn.Doc.List {
+				if c.Text == "//histburst:decoder" && (rel != "persist.go" || !decoders[fn.Name.Name]) {
+					t.Errorf("%s: %s is a decoder; a summary is read by Decode alone", rel, fn.Name.Name)
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					if rel != "persist.go" && strings.Contains(strings.ToLower(name.Name), "magic") {
+						t.Errorf("%s declares the file magic %s; only persist.go does", rel, name.Name)
+					}
+				}
+			case *ast.CompositeLit:
+				if rel != "persist.go" && len(n.Elts) >= 3 && isChar(n.Elts[0], "'H'") && isChar(n.Elts[1], "'B'") {
+					t.Errorf("%s spells a file magic %s; only persist.go does", rel, types.ExprString(n))
+				}
+			case *ast.Ident:
+				if n.Name == "singleMagic" || strings.Contains(strings.ToUpper(n.Name), "HBS") {
+					t.Errorf("%s names %s; a Single saves as a detector file", rel, n.Name)
+				}
+			case *ast.BasicLit:
+				if rel != "persist.go" && n.Kind == token.STRING && strings.Contains(n.Value, "HBS") {
+					t.Errorf("%s spells %s; a Single saves as a detector file", rel, n.Value)
+				}
+			}
+			return true
+		})
+	}
+}
+
 // TestOneLevelType: every level of the event index is a *cmpbe.Sketch — a
 // collision-free level is a one-row sketch over the identity hash — so cmpbe
 // declares no second level type, and neither the interface over the two nor

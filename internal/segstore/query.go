@@ -523,18 +523,18 @@ type HeadStats struct {
 // Head returns the snapshot's in-memory stats.
 func (sn *Snapshot) Head() HeadStats {
 	hs := HeadStats{Frozen: len(sn.v.frozen)}
+	set := false // a head holding t = 0 sets MinT to 0, so a zero MinT cannot mean unset
 	for _, h := range sn.heads() {
 		n, minT, maxT, started := h.snapshot()
 		if !started {
 			continue
 		}
+		if !set {
+			hs.MinT, hs.MaxT, set = minT, maxT, true
+		}
 		hs.Elements += n
-		if hs.MinT == 0 || minT < hs.MinT {
-			hs.MinT = minT
-		}
-		if maxT > hs.MaxT {
-			hs.MaxT = maxT
-		}
+		hs.MinT = min(hs.MinT, minT)
+		hs.MaxT = max(hs.MaxT, maxT)
 	}
 	return hs
 }

@@ -97,6 +97,29 @@ func windowLayout(t *testing.T, name string) *Store {
 	return s
 }
 
+// TestHeadStatsSpanEveryHead: Head reports the span of every unsealed
+// element, frozen heads and the live one alike. A frozen head holding only
+// t = 0 beside a live head holding 5 and 9 starts the span at 0; a zero MinT
+// once read as "no head yet", which reported 5.
+func TestHeadStatsSpanEveryHead(t *testing.T) {
+	s := openStepped(t, "", testConfig(0))
+	defer mustClose(t, s)
+	for i, batch := range []stream.Stream{{{Event: 1, Time: 0}}, {{Event: 1, Time: 5}, {Event: 2, Time: 9}}} {
+		if _, rej, err := s.AppendBatch(batch); err != nil || rej > 0 {
+			t.Fatalf("AppendBatch(%v): %d rejected, %v", batch, rej, err)
+		}
+		if i == 0 {
+			if err := s.freezeHead(s.view.Load(), false); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want := HeadStats{Elements: 3, MinT: 0, MaxT: 9, Frozen: 1}
+	if got := s.Snapshot().Head(); got != want {
+		t.Errorf("Head() = %+v, want %+v", got, want)
+	}
+}
+
 // TestWindowSkipMatchesNaive pins the two-ended segment skip of the point
 // query bit-identical to burstinessNaive, which keeps visiting everything:
 // t on, one before and one after every segment boundary — and t−τ and t−2τ

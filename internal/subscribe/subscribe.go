@@ -28,6 +28,7 @@ package subscribe
 
 import (
 	"fmt"
+	"net/url"
 	"sort"
 	"sync"
 
@@ -63,8 +64,8 @@ const (
 // Subscription is one standing query: fire when any watched event's
 // burstiness over span Tau crosses Theta. Dedup is the re-fire suppression
 // window in event-time units (0 = every rising edge fires). Webhook is an
-// optional delivery URL managed by the daemon, carried here so listings
-// show it.
+// optional delivery URL, an absolute http(s) one, managed by the daemon and
+// carried here so listings show it.
 type Subscription struct {
 	ID      uint64   `json:"id"`
 	Events  []uint64 `json:"events"`
@@ -287,6 +288,12 @@ func (h *Hub) Register(sub Subscription) (Subscription, error) {
 	}
 	if sub.Dedup < 0 {
 		return Subscription{}, fmt.Errorf("subscribe: dedup window must be non-negative, got %d", sub.Dedup)
+	}
+	if sub.Webhook != "" {
+		u, err := url.Parse(sub.Webhook)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return Subscription{}, fmt.Errorf("subscribe: webhook must be an absolute http(s) URL")
+		}
 	}
 	events := make([]uint64, 0, len(sub.Events))
 	seen := make(map[uint64]struct{}, len(sub.Events))

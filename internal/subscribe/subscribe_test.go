@@ -211,11 +211,14 @@ func TestFoldMapsEventIDs(t *testing.T) {
 func TestRegisterValidation(t *testing.T) {
 	h := NewHub(Config{MaxSubs: 1})
 	bad := []Subscription{
-		{Theta: 1, Tau: 1},                                 // no events
-		{Events: []uint64{1}, Theta: 0, Tau: 1},            // θ ≤ 0
-		{Events: []uint64{1}, Theta: math.NaN(), Tau: 1},   // θ NaN
-		{Events: []uint64{1}, Theta: 1, Tau: 0},            // τ ≤ 0
-		{Events: []uint64{1}, Theta: 1, Tau: 1, Dedup: -1}, // dedup < 0
+		{Theta: 1, Tau: 1},                                                         // no events
+		{Events: []uint64{1}, Theta: 0, Tau: 1},                                    // θ ≤ 0
+		{Events: []uint64{1}, Theta: math.NaN(), Tau: 1},                           // θ NaN
+		{Events: []uint64{1}, Theta: 1, Tau: 0},                                    // τ ≤ 0
+		{Events: []uint64{1}, Theta: 1, Tau: 1, Dedup: -1},                         // dedup < 0
+		{Events: []uint64{1}, Theta: 1, Tau: 1, Webhook: "/hooks/burst"},           // relative URL
+		{Events: []uint64{1}, Theta: 1, Tau: 1, Webhook: "ftp://example.com/hook"}, // not http(s)
+		{Events: []uint64{1}, Theta: 1, Tau: 1, Webhook: "http:///hook"},           // empty host
 	}
 	for i, s := range bad {
 		if _, err := h.Register(s); err == nil {

@@ -27,7 +27,9 @@ import (
 // dyadic.SteerGammaFactor × γ (a level under any other γ than its height
 // calls for is refused), and the header holds γ and no other cell or shape
 // parameter, because every cell is PBE-2 and every detector has the index. A
-// file of any other generation is refused with an error naming its version.
+// file of any other generation is refused with an error naming its version,
+// and so is a single-event summary of the generations that had a format of
+// their own, HBS1 to HBS3: a Single now saves as the detector over one id.
 
 var detectorMagic = []byte{'H', 'B', 'D', 7}
 
@@ -40,20 +42,6 @@ var ErrUnsupportedFormat = errors.New("unsupported detector format")
 // crcTable is the Castagnoli polynomial, the usual choice for storage
 // footers (hardware-accelerated on amd64/arm64).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// checkedBody verifies the CRC32-C footer that ends a detector file or a
-// single-event summary (what names which, for the error) and returns the bytes
-// it covers.
-func checkedBody(data []byte, what string) ([]byte, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("histburst: corrupt %s: missing checksum footer", what)
-	}
-	body := data[:len(data)-4]
-	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(data[len(body):]); got != want {
-		return nil, fmt.Errorf("histburst: corrupt %s: checksum mismatch (%08x != %08x)", what, got, want)
-	}
-	return body, nil
-}
 
 // maxEventSpace bounds the deserialized id-space size. Ids are folded into
 // the space by modulo, so anything larger is certainly corruption — and the
@@ -180,11 +168,17 @@ func decodeHeader(data []byte) (det *Detector, dec *binenc.Reader, err error) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
 			return nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD7 only)", ErrUnsupportedFormat, magic[3])
 		}
+		if len(magic) == 4 && string(magic[:3]) == "HBS" {
+			return nil, nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads a single-event summary as an HBD7 detector file over one id)", magic[3])
+		}
 		return nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}
-	body, err := checkedBody(data, "detector file")
-	if err != nil {
-		return nil, nil, err
+	if len(data) < 4 {
+		return nil, nil, fmt.Errorf("histburst: corrupt detector file: missing checksum footer")
+	}
+	body := data[:len(data)-4]
+	if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(data[len(body):]); got != want {
+		return nil, nil, fmt.Errorf("histburst: corrupt detector file: checksum mismatch (%08x != %08x)", got, want)
 	}
 	dec = binenc.NewReader(body)
 	dec.BytesBlob() // magic, verified above

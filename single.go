@@ -1,13 +1,11 @@
 package histburst
 
 import (
-	"bufio"
-	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 
-	"histburst/internal/binenc"
+	"histburst/internal/cmpbe"
+	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
 	"histburst/internal/pbe2"
 )
@@ -15,22 +13,27 @@ import (
 // Single summarizes one event's stream (the paper's Section III setting):
 // a sequence of timestamps, no event ids, no Count-Min sharding. Use it
 // when you track a known event — it is smaller and strictly more accurate
-// than a Detector, with PBE-2's per-stream guarantees: F within [F−γ, F]
-// and burstiness within 4γ.
+// than a Detector over many ids, with PBE-2's per-stream guarantees: F within
+// [F−γ, F] and burstiness within 4γ.
+//
+// It is the detector over one id, the way Section IV builds CM-PBE from
+// Section III's estimator: one collision-free level of one PBE-2 cell. It
+// ingests and answers through that cell alone, and saves as that detector's
+// HBD7 file, so Load reads a saved Single.
 type Single struct {
-	p *pbe2.Builder
+	p    *pbe2.Builder
+	minT int64 // the first arrival, which the detector file records
 }
 
 // NewSingle creates a single-event summary. It accepts the estimator option
 // (WithPBE2); sketch- and index-related options are meaningless here and are
 // rejected so misconfiguration is loud.
 func NewSingle(opts ...Option) (*Single, error) {
-	c := config{seed: 1, d: 5, w: 272, gamma: 8}
-	marker := c
+	c := defaults
 	for _, o := range opts {
 		o(&c)
 	}
-	if c.d != marker.d || c.w != marker.w || c.seed != marker.seed {
+	if !c.onlyGamma() {
 		return nil, fmt.Errorf("histburst: NewSingle accepts only the WithPBE2 option")
 	}
 	p, err := pbe2.New(c.gamma)
@@ -40,9 +43,21 @@ func NewSingle(opts ...Option) (*Single, error) {
 	return &Single{p: p}, nil
 }
 
+// onlyGamma reports whether c differs from the defaults in γ alone, as the
+// configurations of single-event summaries do.
+func (c config) onlyGamma() bool {
+	c.gamma = defaults.gamma
+	return c == defaults
+}
+
 // Append ingests one arrival at time t (non-decreasing; earlier timestamps
 // are clamped by the underlying estimator).
-func (s *Single) Append(t int64) { s.p.Append(t) }
+func (s *Single) Append(t int64) {
+	if s.p.Count() == 0 {
+		s.minT = t
+	}
+	s.p.Append(t)
+}
 
 // Finish flushes internal buffers. Idempotent; Append may follow.
 func (s *Single) Finish() { s.p.Finish() }
@@ -73,12 +88,7 @@ func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, er
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	burst := func(t int64) float64 { return pbe.Burstiness(s.p, t, sp) }
-	internal := pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, sp, horizon)
-	out := make([]TimeRange, len(internal))
-	for i, r := range internal {
-		out[i] = TimeRange{Start: r.Start, End: r.End}
-	}
-	return out, nil
+	return timeRanges(pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, sp, horizon)), nil
 }
 
 // Bytes returns the summary footprint.
@@ -95,68 +105,45 @@ func (s *Single) MergeAppend(other *Single) error {
 	if err != nil {
 		return err
 	}
+	if s.p.Count() == 0 {
+		s.minT = other.minT
+	}
 	s.p = merged
 	return nil
 }
 
-// Serialized single-event summary: the magic, the frontier the summary's cell
-// block is written against (its last arrival, zero when it has none), the
-// summary as a one-cell block — the form every cell of a detector takes — and
-// the CRC32-C footer a detector file ends in, over everything before it, so
-// a torn or bit-flipped file fails to load instead of answering for a
-// different stream. A file of another version is refused by name.
-var singleMagic = []byte{'H', 'B', 'S', 3}
-
-// Save writes the summary's complete state (flushing it first).
+// Save writes the summary's complete state (flushing it first): the HBD7
+// file of the detector over one id that holds it — New(1)'s index, one
+// collision-free level of one cell, with New(1)'s configuration under the
+// summary's γ and the counters New(1) keeps of the same arrivals.
 func (s *Single) Save(w io.Writer) error {
 	sum := s.p.Seal()
-	var enc binenc.Writer
-	enc.BytesBlob(singleMagic)
-	enc.Varint(sum.Frontier())
-	if err := pbe2.EncodeBlock(&enc, []*pbe2.Summary{sum}, sum.Frontier()); err != nil {
+	tree, err := dyadic.New(1, func(int, uint64) (dyadic.Level, error) { return cmpbe.NewDirectOf(sum) })
+	if err != nil {
 		return fmt.Errorf("histburst: %w", err)
 	}
-	enc.Uint32(crc32.Checksum(enc.Bytes(), crcTable))
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(enc.Bytes()); err != nil {
-		return err
-	}
-	return bw.Flush()
+	n := sum.Count()
+	d := &Detector{k: 1, cfg: defaults, counters: counters{n: n, minT: s.minT, lastT: sum.Frontier(), started: n > 0, outOfOrder: sum.OutOfOrder()}}
+	d.cfg.gamma = sum.Gamma()
+	d.setTree(tree)
+	d.maxT = d.base.MaxTime()
+	return d.Save(w)
 }
 
-// LoadSingle reads a summary written by Single.Save.
-//
-//histburst:decoder
+// LoadSingle reads a summary written by Single.Save: a detector file over one
+// id under a configuration NewSingle builds. A detector over more ids, or
+// configured beyond WithPBE2, is refused.
 func LoadSingle(r io.Reader) (*Single, error) {
-	data, err := io.ReadAll(r)
+	d, err := Load(r)
 	if err != nil {
 		return nil, err
 	}
-	magic := binenc.NewReader(data).BytesBlob()
-	if !bytes.Equal(magic, singleMagic) {
-		if len(magic) == 4 && bytes.Equal(magic[:3], singleMagic[:3]) {
-			return nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads HBS3 only)", magic[3])
-		}
-		return nil, fmt.Errorf("histburst: bad magic (not a single-event summary)")
+	if d.K() != 1 {
+		return nil, fmt.Errorf("histburst: not a single-event summary: a detector over %d ids", d.K())
 	}
-	body, err := checkedBody(data, "single-event summary")
-	if err != nil {
-		return nil, err
+	if c := d.cfg; !c.onlyGamma() {
+		return nil, fmt.Errorf("histburst: not a single-event summary: a detector of seed %d and sketch dimensions %d×%d, which NewSingle does not build",
+			c.seed, c.d, c.w)
 	}
-	dec := binenc.NewReader(body)
-	dec.BytesBlob() // magic, verified above
-	frontier := dec.Varint()
-	cell := make([]pbe2.Builder, 1)
-	if err := pbe2.DecodeBlock(dec, cell, frontier); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
-	if err := dec.Close(); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
-	// The block is written against the summary's own frontier, so that a
-	// summary has one encoding.
-	if got := cell[0].Frontier(); got != frontier {
-		return nil, fmt.Errorf("histburst: corrupt single-event summary: block written against frontier %d, its last arrival is at %d", frontier, got)
-	}
-	return &Single{p: &cell[0]}, nil
+	return &Single{p: d.base.EventCells(0)[0], minT: d.minT}, nil
 }

@@ -136,12 +136,14 @@ func TestSingleSaveLoad(t *testing.T) {
 	if _, err := LoadSingle(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Error("garbage accepted")
 	}
-	// The previous generation is refused by its name.
-	var old binenc.Writer
-	old.BytesBlob([]byte{'H', 'B', 'S', 1})
-	old.Bool(false)
-	if _, err := LoadSingle(bytes.NewReader(old.Bytes())); err == nil || !strings.Contains(err.Error(), "HBS1") {
-		t.Errorf("HBS1 file: %v, want a refusal naming HBS1", err)
+	// The generations with a format of their own are refused by name.
+	var hbs1 binenc.Writer
+	hbs1.BytesBlob([]byte{'H', 'B', 'S', 1})
+	hbs1.Bool(false)
+	for name, old := range map[string][]byte{"HBS1": hbs1.Bytes(), "HBS3": saveHBS3(t, s)} {
+		if _, err := LoadSingle(bytes.NewReader(old)); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s file: %v, want a refusal naming %s", name, err, name)
+		}
 	}
 
 	// Empty, clamped and before time zero: each round-trips whole.
@@ -161,46 +163,6 @@ func TestSingleSaveLoad(t *testing.T) {
 		}
 		if !reflect.DeepEqual(*got.p, *s.p) {
 			t.Errorf("%s: loaded summary differs:\n%+v\nsaved:\n%+v", name, got.p, s.p)
-		}
-	}
-}
-
-// TestLoadSingleRefusesOtherFrontier: the cell block is written against the
-// summary's own frontier, its last arrival. A later base would decode to the
-// same summary, so under a valid checksum it is refused — a summary has one
-// encoding — and an earlier one is refused by the block decoder.
-func TestLoadSingleRefusesOtherFrontier(t *testing.T) {
-	s, _ := NewSingle(WithPBE2(2))
-	for _, tm := range []int64{5, 9, 9, 30} {
-		s.Append(tm)
-	}
-	s.Finish()
-	empty, _ := NewSingle(WithPBE2(2))
-	against := func(s *Single, frontier int64) []byte {
-		var enc binenc.Writer
-		enc.BytesBlob(singleMagic)
-		enc.Varint(frontier)
-		if err := pbe2.EncodeBlock(&enc, []*pbe2.Summary{s.p.Seal()}, frontier); err != nil {
-			t.Fatal(err)
-		}
-		return sealed(enc.Bytes())
-	}
-	if !bytes.Equal(against(s, 30), saveSingle(t, s)) || !bytes.Equal(against(empty, 0), saveSingle(t, empty)) {
-		t.Fatal("fixture: Save does not write the block against the last arrival")
-	}
-	for _, c := range []struct {
-		s        *Single
-		frontier int64
-		want     string
-	}{
-		{s, 31, "against frontier 31, its last arrival is at 30"},
-		{s, 1 << 40, "its last arrival is at 30"},
-		{s, 29, "past the level's last timestamp 29"},
-		{empty, 7, "against frontier 7, its last arrival is at 0"},
-	} {
-		_, err := LoadSingle(bytes.NewReader(against(c.s, c.frontier)))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("frontier %d: %v, want a refusal naming %q", c.frontier, err, c.want)
 		}
 	}
 }
@@ -241,18 +203,27 @@ func TestLoadSingleRefusesBitFlips(t *testing.T) {
 	}
 }
 
-// TestLoadSingleRefusesHBS2: a summary of the previous generation, whole and
-// under a valid checksum, is refused by its name.
+// TestLoadSingleRefusesHBS2: a summary of a generation that had a format of
+// its own, whole and under a valid checksum, is refused by its name — HBS2,
+// which held the summary as a blob of its own, and HBS3, a one-cell block —
+// and its bytes are left as they were.
 func TestLoadSingleRefusesHBS2(t *testing.T) {
 	s, _ := buildSingle(t, WithPBE2(2))
-	_, err := LoadSingle(bytes.NewReader(saveHBS2(t, s)))
-	if err == nil || !strings.Contains(err.Error(), "unsupported single-event summary format HBS2 (this build reads HBS3 only)") {
-		t.Fatalf("HBS2 file: %v, want a refusal naming HBS2", err)
+	for name, old := range map[string][]byte{"HBS2": saveHBS2(t, s), "HBS3": saveHBS3(t, s)} {
+		kept := bytes.Clone(old)
+		_, err := LoadSingle(bytes.NewReader(old))
+		want := "unsupported single-event summary format " + name + " (this build reads a single-event summary as an HBD7 detector file over one id)"
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s file: %v, want a refusal naming %s", name, err, name)
+		}
+		if !bytes.Equal(old, kept) {
+			t.Errorf("%s file: refusing it changed its bytes", name)
+		}
 	}
 }
 
-// saveHBS2 writes a summary as the previous generation laid it out: its own
-// "PB2\x02" blob (γ, the staircase counters, then each segment's
+// saveHBS2 writes a summary as the generation before last laid it out: its
+// own "PB2\x02" blob (γ, the staircase counters, then each segment's
 // coefficients, start delta and length) inside the HBS2 envelope.
 func saveHBS2(t testing.TB, s *Single) []byte {
 	t.Helper()
@@ -279,6 +250,21 @@ func saveHBS2(t testing.TB, s *Single) []byte {
 	var enc binenc.Writer
 	enc.BytesBlob([]byte{'H', 'B', 'S', 2})
 	enc.BytesBlob(blob.Bytes())
+	return sealed(enc.Bytes())
+}
+
+// saveHBS3 writes a summary as the previous generation laid it out: the
+// frontier (its last arrival) and the summary as a one-cell block written
+// against it, under a CRC32-C footer.
+func saveHBS3(t testing.TB, s *Single) []byte {
+	t.Helper()
+	s.Finish()
+	var enc binenc.Writer
+	enc.BytesBlob([]byte{'H', 'B', 'S', 3})
+	enc.Varint(s.p.Frontier())
+	if err := pbe2.EncodeBlock(&enc, []*pbe2.Summary{s.p.Seal()}, s.p.Frontier()); err != nil {
+		t.Fatal(err)
+	}
 	return sealed(enc.Bytes())
 }
 
@@ -309,5 +295,138 @@ func TestSingleMergeAppend(t *testing.T) {
 	}
 	if err := a.MergeAppend(nil); err == nil {
 		t.Error("nil accepted")
+	}
+}
+
+// TestSingleIsAOneEventDetector: a Single is the detector over one id. Its
+// file loads through Load as the K = 1 detector fed the same arrivals — the
+// same counters, and for a stream in time order the same bytes — and answers
+// POINT, F and TIMES bit-identically. LoadSingle refuses by name a detector
+// over more ids or configured beyond WithPBE2, leaving the file's bytes as
+// they were.
+func TestSingleIsAOneEventDetector(t *testing.T) {
+	steady, _ := buildSingle(t, WithPBE2(2))
+	var steadyTimes []int64
+	for tm := int64(0); tm < 5000; tm++ {
+		steadyTimes = append(steadyTimes, tm)
+		if tm >= 3000 && tm < 3200 {
+			steadyTimes = append(steadyTimes, tm, tm, tm, tm, tm, tm, tm)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		times   []int64
+		inOrder bool
+	}{
+		{"steady with a burst", steadyTimes, true},
+		{"empty", nil, true},
+		{"before time zero", []int64{-900, -900, -450, -30}, true},
+		{"clamped", []int64{10, 40, 25, 41, 90, 3}, false},
+	} {
+		s, _ := NewSingle(WithPBE2(2))
+		fed, _ := New(1, WithPBE2(2))
+		for _, tm := range c.times {
+			s.Append(tm)
+			fed.Append(0, tm)
+		}
+		if c.name == "steady with a burst" && !reflect.DeepEqual(*s.p.Seal(), *steady.p.Seal()) {
+			t.Fatal("fixture: the stream is not buildSingle's")
+		}
+		file := saveSingle(t, s)
+		var want bytes.Buffer
+		if err := fed.Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if c.inOrder && !bytes.Equal(file, want.Bytes()) {
+			t.Errorf("%s: a Single's file differs from the K = 1 detector's", c.name)
+		}
+		d, err := Load(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d.K() != 1 || d.N() != fed.N() || d.MinTime() != fed.MinTime() || d.MaxTime() != fed.MaxTime() ||
+			d.OutOfOrder() != fed.OutOfOrder() || d.Bytes() != s.Bytes() {
+			t.Fatalf("%s: loaded detector K %d, N %d, times [%d, %d], %d clamped, %d B; fed K = 1 detector N %d, times [%d, %d], %d clamped; the summary %d B",
+				c.name, d.K(), d.N(), d.MinTime(), d.MaxTime(), d.OutOfOrder(), d.Bytes(), fed.N(), fed.MinTime(), fed.MaxTime(), fed.OutOfOrder(), s.Bytes())
+		}
+		for q := int64(-1000); q < 5300; q += 7 {
+			if a, b := s.CumulativeFrequency(q), d.CumulativeFrequency(0, q); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: F(%d): single %v, detector %v", c.name, q, a, b)
+			}
+			for _, tau := range []int64{1, 37, 200, 1 << 40} {
+				a, err := s.Burstiness(q, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := d.Burstiness(0, q, tau)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("%s: b(%d, τ=%d): single %v, detector %v", c.name, q, tau, a, b)
+				}
+			}
+		}
+		for _, theta := range []float64{1, 100, 500} {
+			a, err := s.BurstyTimes(theta, 200, d.MaxTime())
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := d.BurstyTimes(0, theta, 200)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: TIMES at θ = %v: single %v, detector %v", c.name, theta, a, b)
+			}
+		}
+		back, err := LoadSingle(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(saveSingle(t, back), file) {
+			t.Errorf("%s: a loaded Single saves to other bytes", c.name)
+		}
+	}
+
+	// A merged summary's file records the first arrival of its first
+	// non-empty part.
+	empty, _ := NewSingle(WithPBE2(2))
+	late, _ := NewSingle(WithPBE2(2))
+	late.Append(40)
+	late.Append(41)
+	if err := empty.MergeAppend(late); err != nil {
+		t.Fatal(err)
+	}
+	if d, err := Load(bytes.NewReader(saveSingle(t, empty))); err != nil || d.N() != 2 || d.MinTime() != 40 || d.MaxTime() != 41 {
+		t.Errorf("merged into an empty summary: %v, want a detector of 2 arrivals over [40, 41]", err)
+	}
+
+	for _, c := range []struct {
+		k    uint64
+		opts []Option
+		want string
+	}{
+		{1024, []Option{WithPBE2(2)}, "not a single-event summary: a detector over 1024 ids"},
+		{1, []Option{WithPBE2(2), WithSeed(7)}, "not a single-event summary: a detector of seed 7 and sketch dimensions 5×272"},
+		{1, []Option{WithSketchDims(3, 64)}, "not a single-event summary: a detector of seed 1 and sketch dimensions 3×64"},
+	} {
+		other, err := New(c.k, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other.Append(0, 10)
+		var buf bytes.Buffer
+		if err := other.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		file := buf.Bytes()
+		kept := bytes.Clone(file)
+		if _, err := LoadSingle(bytes.NewReader(file)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("detector file: %v, want a refusal naming %q", err, c.want)
+		}
+		if !bytes.Equal(file, kept) {
+			t.Errorf("refusing a detector file (%s) changed its bytes", c.want)
+		}
 	}
 }
