@@ -20,19 +20,20 @@ import (
 // them without locking.
 //
 // Each event's sequence is a list of full chunks of headChunk timestamps,
-// packed, plus one raw open chunk being filled. The open chunk is carved
-// from a head-owned slab on the event's first append; the append that fills
-// it packs it — its first timestamp, and the 31 gaps after it at the
-// narrowest byte width that holds the largest, carved from head-owned byte
-// arenas — and empties it for reuse. A head's per-event gaps are small, so a
-// packed chunk costs ~2 bytes a timestamp where a raw one costs 8. Packed
-// chunks are always full, which lets the count queries skip straight to the
-// one boundary chunk by arithmetic.
+// packed, plus one open chunk being filled. Both kinds hold a chunk the same
+// way: its first timestamp, then the gaps after it at the narrowest byte
+// width that holds the largest so far. The open chunk's gaps live in a
+// buffer of the event's own that grows with it and is rewritten at a wider
+// width when a wider gap arrives; the append that fills it copies its gaps
+// into head-owned byte arenas and empties it for reuse. A head's per-event
+// gaps are small, so a chunk of either kind costs ~2 bytes a timestamp
+// where a raw one would cost 8. Packed chunks are always full, which lets
+// the count queries skip straight to the one boundary chunk by arithmetic.
 type memHead struct {
 	mu sync.RWMutex
 
-	// frozen, started, minT, maxT, n, byEvent, slab/slabOff,
-	// arenas/arenaOff, seqArena, packed and gapBytes are guarded by mu.
+	// frozen, started, minT, maxT, n, byEvent, arenas/arenaOff, seqArena,
+	// packed, gapBytes and openBytes are guarded by mu.
 	frozen  bool
 	started bool
 	minT    int64
@@ -40,10 +41,6 @@ type memHead struct {
 	n       int64
 	byEvent map[uint64]*eventSeq
 
-	// slab is the current open-chunk arena; open chunks are carved off at
-	// slabOff, one per event.
-	slab    []int64
-	slabOff int
 	// arenas hold the packed chunks' gaps, carved off the last one at
 	// arenaOff.
 	arenas   gapArenas
@@ -51,10 +48,12 @@ type memHead struct {
 	// seqArena batches eventSeq headers the same way, one allocation per
 	// seqArenaSize first-seen events.
 	seqArena []eventSeq
-	// packed counts the packed chunks and gapBytes the gap bytes they hold:
-	// what bytes() counts beside the open chunks' raw timestamps.
-	packed   int
-	gapBytes int
+	// packed counts the packed chunks and gapBytes the gap bytes they hold;
+	// openBytes is what the open chunks store, 8 B and their gaps each.
+	// bytes() is their sum.
+	packed    int
+	gapBytes  int
+	openBytes int
 
 	// floor is the store's time frontier when this head was created —
 	// appends strictly below it are out of order. Immutable after creation.
@@ -65,14 +64,11 @@ type memHead struct {
 }
 
 const (
-	// headChunk is the per-event chunk size: small enough that a long tail
-	// of rare events wastes at most one part-filled open chunk each, large
+	// headChunk is the per-event chunk size: small enough that an open
+	// chunk rewidens at most 8 times over at most headChunk−1 gaps, large
 	// enough that a packed chunk's 16 B of metadata is half a byte a
 	// timestamp.
 	headChunk = 32
-	// headSlabSize is the number of open-chunk timestamps per slab
-	// allocation.
-	headSlabSize = 4096
 	// gapArenaSize is the number of gap bytes per arena allocation; at most
 	// one packed chunk's worth plus 8, 31·8 + 8 bytes, is left unused at its
 	// end.
@@ -99,39 +95,60 @@ type packedChunk struct {
 // gapArenas are a head's gap arenas, gapArenaSize bytes each. Bytes a packed
 // chunk was carved from are never written again, so a copy of the list
 // taken under the head's lock reads every chunk packed before it without the
-// lock. pack leaves at least 8 bytes of arena after every chunk: its word
-// stores spill there, and word loads under the lock may overhang there.
+// lock. pack leaves at least 8 bytes of arena after every chunk, where word
+// loads under the lock may overhang.
 type gapArenas [][]byte
+
+// chunk returns c as the decoder reads it.
+func (a gapArenas) chunk(c packedChunk) gapChunk {
+	return gapChunk{p: a[c.arena][c.off:], base: c.base, n: headChunk, w: int(c.w)}
+}
+
+// A gapChunk is one chunk of an event's sequence, packed or open, as the
+// decoder reads it: n timestamps, 1 ≤ n ≤ headChunk, the first base and the
+// n−1 gaps after it w bytes each, little-endian, at the start of p. p may
+// run on past the gaps; under the head's lock, when w > 0, it runs at least
+// 8 bytes past the last gap's start.
+type gapChunk struct {
+	p    []byte
+	base int64
+	n, w int
+}
+
+// gapWidth is the byte width of gap g.
+func gapWidth(g uint64) int { return (bits.Len64(g) + 7) / 8 }
 
 // gapMask keeps the low w bytes of a word.
 func gapMask(w int) uint64 { return ^uint64(0) >> (64 - 8*uint(w)) }
 
-// countTo returns how many of c's timestamps are ≤ t, which is at least
-// c.base: the base, then the gaps summed until they pass t, one masked word
-// load each. The loads may overhang the chunk, so the caller holds the
-// head's lock.
+// countTo returns how many of c's timestamps are ≤ t, t ≥ c.base: the base,
+// then the gaps summed until they pass t, one masked word load each. The
+// loads may overhang the gaps, so the caller holds the head's lock.
 //
 //histburst:noalloc
-func (a gapArenas) countTo(c packedChunk, t int64) int {
-	d, w := uint64(t)-uint64(c.base), int(c.w)
-	p, mask := a[c.arena][c.off:], gapMask(w)
+func (c gapChunk) countTo(t int64) int {
+	if c.w == 0 { // no gap bytes to load: every timestamp is the base
+		return c.n
+	}
+	p, n, w := c.p, c.n, c.w
+	d, mask := uint64(t)-uint64(c.base), gapMask(w)
 	sum := uint64(0)
-	for i := range headChunk - 1 {
-		if sum += binary.LittleEndian.Uint64(p[i*w:]) & mask; sum > d {
-			return 1 + i
+	for i, off := 1, 0; i < n; i, off = i+1, off+w {
+		if sum += binary.LittleEndian.Uint64(p[off:off+8]) & mask; sum > d {
+			return i
 		}
 	}
-	return headChunk
+	return n
 }
 
-// unpack writes c's timestamps to dst[:headChunk]. It reads no byte past
-// the chunk — inOrder unpacks without the lock, beside an append that may
-// be packing the next chunk — so the last gaps, whose word would overhang,
-// are read byte by byte.
-func (a gapArenas) unpack(c packedChunk, dst []int64) {
-	dst = dst[:headChunk]
-	w := int(c.w)
-	p, mask := a[c.arena][c.off:int(c.off)+(headChunk-1)*w], gapMask(w)
+// unpack writes c's timestamps to dst[:c.n]. It reads no byte past the
+// gaps — inOrder unpacks packed chunks without the lock, beside an append
+// that may be packing the next one — so the last gaps, whose word would
+// overhang, are read byte by byte.
+func (c gapChunk) unpack(dst []int64) {
+	dst = dst[:c.n]
+	w := c.w
+	p, mask := c.p[:(c.n-1)*w], gapMask(w)
 	t := c.base
 	dst[0] = t
 	i := 0
@@ -139,7 +156,7 @@ func (a gapArenas) unpack(c packedChunk, dst []int64) {
 		t += int64(binary.LittleEndian.Uint64(p[i*w:]) & mask)
 		dst[1+i] = t
 	}
-	for ; i < headChunk-1; i++ {
+	for ; i < c.n-1; i++ {
 		g := uint64(0)
 		for j := w - 1; j >= 0; j-- {
 			g = g<<8 | uint64(p[i*w+j])
@@ -150,55 +167,66 @@ func (a gapArenas) unpack(c packedChunk, dst []int64) {
 }
 
 // eventSeq is one event's timestamp sequence inside the head: zero or more
-// full packed chunks plus the raw open chunk being filled, never full.
+// full packed chunks plus the open chunk being filled, never full — its
+// first timestamp base, its last tail, and its gaps at width w in open,
+// which grows with the event and is kept for reuse when the chunk packs.
 // Timestamps are appended in non-decreasing order, so every chunk is sorted
 // and chunk time ranges ascend.
 type eventSeq struct {
 	chunks []packedChunk
-	open   []int64
+	open   []byte
+	base   int64
+	tail   int64
 	n      int64
+	w      uint8
 }
 
-// countAtOrBefore returns how many timestamps are ≤ t: binary search over
-// the packed chunks' bases for the boundary chunk (the chunks before it end
-// at or before its base and are full, so they contribute len·headChunk by
-// arithmetic), then a scan inside it, then binary search inside the open
-// chunk if every packed timestamp is ≤ t.
+// openLen is the number of timestamps in q's open chunk.
+func (q *eventSeq) openLen() int { return int(q.n) - len(q.chunks)*headChunk }
+
+// openChunk returns q's open chunk, which must be non-empty, as the decoder
+// reads it. Its p runs to the buffer's capacity, at least 8 bytes past the
+// last gap's start.
+func (q *eventSeq) openChunk() gapChunk {
+	return gapChunk{p: q.open[:cap(q.open)], base: q.base, n: q.openLen(), w: int(q.w)}
+}
+
+// countAtOrBefore returns how many timestamps are ≤ t. The open chunk
+// starts at or after every packed timestamp, so a t at or past its base
+// counts every packed chunk whole and scans the open chunk alone. Otherwise
+// a binary search over the packed chunks' bases finds the boundary chunk
+// (the chunks before it end at or before its base and are full, so they
+// contribute len·headChunk by arithmetic), and a scan inside it counts the
+// rest.
 //
 //histburst:noalloc
 func (q *eventSeq) countAtOrBefore(a gapArenas, t int64) int64 {
 	if q == nil || q.n == 0 {
 		return 0
 	}
-	lo, hi := 0, len(q.chunks)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if q.chunks[mid].base <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
+	var cnt int
+	var c gapChunk
+	if k := q.openLen(); k > 0 && t >= q.base {
+		if t >= q.tail {
+			return q.n
 		}
-	}
-	cnt := int64(0)
-	if lo > 0 {
-		in := a.countTo(q.chunks[lo-1], t)
-		cnt = int64(lo-1)*headChunk + int64(in)
-		if lo < len(q.chunks) || in < headChunk {
-			return cnt
+		cnt, c = len(q.chunks)*headChunk, q.openChunk()
+	} else {
+		lo, hi := 0, len(q.chunks)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if q.chunks[mid].base <= t {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
-	} else if len(q.chunks) > 0 {
-		return 0
-	}
-	i, j := 0, len(q.open)
-	for i < j {
-		mid := int(uint(i+j) >> 1)
-		if q.open[mid] <= t {
-			i = mid + 1
-		} else {
-			j = mid
+		if lo == 0 {
+			return 0
 		}
+		cnt, c = (lo-1)*headChunk, a.chunk(q.chunks[lo-1])
 	}
-	return cnt + int64(i)
+	return int64(cnt + c.countTo(t))
 }
 
 // countIn returns how many timestamps land in [lo, hi].
@@ -215,11 +243,11 @@ func (q *eventSeq) countIn(a gapArenas, lo, hi int64) int64 {
 
 // last returns the most recent timestamp; q must be non-empty.
 func (q *eventSeq) last(a gapArenas) int64 {
-	if len(q.open) > 0 {
-		return q.open[len(q.open)-1]
+	if q.openLen() > 0 {
+		return q.tail
 	}
 	var c [headChunk]int64
-	a.unpack(q.chunks[len(q.chunks)-1], c[:])
+	a.chunk(q.chunks[len(q.chunks)-1]).unpack(c[:])
 	return c[headChunk-1]
 }
 
@@ -230,71 +258,105 @@ func (q *eventSeq) materialize(a gapArenas) stream.TimestampSeq {
 	}
 	out := make(stream.TimestampSeq, q.n)
 	for i, c := range q.chunks {
-		a.unpack(c, out[i*headChunk:])
+		a.chunk(c).unpack(out[i*headChunk:])
 	}
-	copy(out[len(q.chunks)*headChunk:], q.open)
+	if q.openLen() > 0 {
+		q.openChunk().unpack(out[len(q.chunks)*headChunk:])
+	}
 	return out
 }
 
-// appendTS appends one timestamp to q, carving q's open chunk from the
-// head's slab on first sight and packing it when it fills.
-func (h *memHead) appendTS(q *eventSeq, t int64) {
-	if cap(q.open) == 0 {
-		if h.slabOff+headChunk > len(h.slab) {
-			h.slab = make([]int64, headSlabSize)
-			h.slabOff = 0
-		}
-		q.open = h.slab[h.slabOff : h.slabOff : h.slabOff+headChunk]
-		h.slabOff += headChunk
+// putGap appends gap g to q's open gaps at width q.w, growing the buffer
+// first so the word store — spilling into the next gap's bytes, rewritten
+// by the next store — and every word load stay inside it. The buffer
+// doubles, but never past what a full chunk at the current width takes.
+func (q *eventSeq) putGap(g uint64) {
+	off, w := len(q.open), int(q.w)
+	if off+8 > cap(q.open) {
+		buf := make([]byte, off, min(max(off+8, 2*cap(q.open)), (headChunk-2)*w+8))
+		copy(buf, q.open)
+		q.open = buf
 	}
-	q.open = append(q.open, t)
+	binary.LittleEndian.PutUint64(q.open[off:off+8], g)
+	q.open = q.open[:off+w]
+}
+
+// appendTS appends one timestamp to q: the base of a fresh open chunk, or a
+// gap after its tail — rewriting the open gaps at a wider width first when
+// this one is wider than every gap before it — and packs the open chunk when
+// it fills.
+func (h *memHead) appendTS(q *eventSeq, t int64) {
+	k := q.openLen()
 	q.n++
-	if len(q.open) == headChunk {
+	if k == 0 {
+		q.base, q.tail, q.w, q.open = t, t, 0, q.open[:0]
+		h.openBytes += 8
+		return
+	}
+	g := uint64(t) - uint64(q.tail)
+	q.tail = t
+	if w := gapWidth(g); w > int(q.w) {
+		var gaps [headChunk - 1]uint64 // all zero at width 0
+		if old := q.openChunk(); old.w > 0 {
+			for i := range k - 1 {
+				gaps[i] = binary.LittleEndian.Uint64(old.p[i*old.w:]) & gapMask(old.w)
+			}
+		}
+		h.openBytes += (k - 1) * (w - int(q.w))
+		q.w, q.open = uint8(w), q.open[:0]
+		for _, g := range gaps[:k-1] {
+			q.putGap(g)
+		}
+	}
+	if q.w > 0 {
+		q.putGap(g)
+		h.openBytes += int(q.w)
+	}
+	if k+1 == headChunk {
 		h.pack(q)
 	}
 }
 
-// pack moves q's full open chunk into a packed chunk and empties it for
-// reuse. Each gap is one word store, spilling into the next gap's bytes —
-// rewritten by the next store — and, after the last, into the 8 uncarved
-// bytes every chunk is followed by.
+// pack copies q's full open chunk into a packed chunk and empties it for
+// reuse: the gaps are already at the width the packed chunk takes.
 func (h *memHead) pack(q *eventSeq) {
-	open := q.open[:headChunk]
-	var gaps uint64 // every gap ORed together: as wide as the largest
-	for i := 1; i < headChunk; i++ {
-		gaps |= uint64(open[i]) - uint64(open[i-1])
-	}
-	w := (bits.Len64(gaps) + 7) / 8
+	w := int(q.w)
 	size := (headChunk - 1) * w
 	if len(h.arenas) == 0 || h.arenaOff+size+8 > gapArenaSize {
 		h.arenas = append(h.arenas, make([]byte, gapArenaSize))
 		h.arenaOff = 0
 	}
-	p := h.arenas[len(h.arenas)-1][h.arenaOff:]
-	for i := 1; i < headChunk; i++ {
-		binary.LittleEndian.PutUint64(p[(i-1)*w:], uint64(open[i])-uint64(open[i-1]))
-	}
-	q.chunks = append(q.chunks, packedChunk{base: open[0], arena: uint32(len(h.arenas) - 1), off: uint16(h.arenaOff), w: uint8(w)})
+	copy(h.arenas[len(h.arenas)-1][h.arenaOff:], q.open[:size])
+	q.chunks = append(q.chunks, packedChunk{base: q.base, arena: uint32(len(h.arenas) - 1), off: uint16(h.arenaOff), w: uint8(w)})
 	q.open = q.open[:0]
 	h.arenaOff += size
 	h.packed++
 	h.gapBytes += size
+	h.openBytes -= 8 + size
 }
 
-// popLast removes q's most recent timestamp (the freeze tail split),
-// unpacking the last packed chunk back into the open buffer when the open
-// chunk is empty.
+// popLast removes q's most recent timestamp (the freeze tail split): the
+// last chunk — the open one, or the last packed one when the open chunk is
+// empty — is decoded, dropped, and its other timestamps appended again as
+// the open chunk, at the width they call for.
 func (h *memHead) popLast(q *eventSeq) {
-	if len(q.open) == 0 {
+	var ts [headChunk]int64
+	k := q.openLen()
+	if k > 0 {
+		q.openChunk().unpack(ts[:])
+		h.openBytes -= 8 + (k-1)*int(q.w)
+	} else {
 		c := q.chunks[len(q.chunks)-1]
+		h.arenas.chunk(c).unpack(ts[:])
 		q.chunks = q.chunks[:len(q.chunks)-1]
-		q.open = q.open[:headChunk]
-		h.arenas.unpack(c, q.open)
 		h.packed--
 		h.gapBytes -= (headChunk - 1) * int(c.w)
+		k = headChunk
 	}
-	q.open = q.open[:len(q.open)-1]
-	q.n--
+	q.n -= int64(k)
+	for _, t := range ts[:k-1] {
+		h.appendTS(q, t)
+	}
 }
 
 // seqFor returns e's sequence, creating it from the header arena on first
@@ -405,7 +467,7 @@ type seqCursor struct {
 // Packed chunks are full; only the open one can be empty.
 func (c *seqCursor) refill(a gapArenas) bool {
 	if len(c.chunks) > 0 {
-		a.unpack(c.chunks[0], c.buf[:])
+		a.chunk(c.chunks[0]).unpack(c.buf[:])
 		c.cur, c.pos, c.chunks = c.buf[:], 0, c.chunks[1:]
 		return true
 	}
@@ -439,8 +501,9 @@ func (a mergeKey) before(b mergeKey, ids []uint64) bool {
 // a head as one stream. The sequences are captured under the read lock and
 // merged after it drops, so fn runs unlocked. The packed chunks and the
 // arenas are captured as they are: an append only packs past a captured
-// length, into arena bytes nobody has read. The open chunks are copied,
-// because the append that packs a full one refills the same buffer.
+// length, into arena bytes nobody has read. The open chunks are decoded
+// into a copy, because an append rewrites an open buffer in place — at a
+// wider width, or from the start once it packs.
 //
 // The merge is a loser tree: node p of an implicit tree over the k cursors
 // (leaf i at k+i, parent p/2) holds the key that lost the match played
@@ -453,7 +516,7 @@ func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 	arenas := h.arenas
 	open, packed := 0, 0
 	for _, q := range h.byEvent {
-		open += len(q.open)
+		open += q.openLen()
 		if len(q.chunks) > 0 {
 			packed++
 		}
@@ -467,8 +530,10 @@ func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 		if len(q.chunks) > 0 {
 			c.buf, bufs = &bufs[0], bufs[1:]
 		}
-		c.open, opens = opens[:len(q.open)], opens[len(q.open):]
-		copy(c.open, q.open)
+		if k := q.openLen(); k > 0 {
+			c.open, opens = opens[:k], opens[k:]
+			q.openChunk().unpack(c.open)
+		}
 		if c.refill(arenas) {
 			ids = append(ids, e)
 			cursors = append(cursors, c)
@@ -589,11 +654,12 @@ func (h *memHead) eventsInWindow(lo, hi int64) []uint64 {
 
 // bytes is what the head stores for its elements, the only copy of them:
 // per packed chunk its 16 B of metadata (its first timestamp among them)
-// and 31 gaps at its width, plus 8 B per timestamp in an open chunk.
-// Per-event headers and map entries, the open chunks' unfilled slots and
-// the arenas' uncarved tails are left out.
+// and 31 gaps at its width, plus per open chunk of n timestamps its 8 B
+// first one and n−1 gaps at its width. Per-event headers and map entries,
+// the open buffers' spare capacity and the arenas' uncarved tails are left
+// out.
 func (h *memHead) bytes() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.packed*packedChunkBytes + h.gapBytes + 8*(int(h.n)-h.packed*headChunk)
+	return h.packed*packedChunkBytes + h.gapBytes + h.openBytes
 }

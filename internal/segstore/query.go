@@ -344,7 +344,7 @@ func (sn *Snapshot) MinTime() int64 {
 // segment the decoded summary once something has touched it and the
 // verified file bytes until then, plus what each head stores for its
 // elements: 16 bytes and 31 fixed-width gaps per packed 32-timestamp chunk,
-// 8 bytes per timestamp still in an open chunk (see memHead.bytes).
+// 8 bytes and its fixed-width gaps per open chunk (see memHead.bytes).
 func (sn *Snapshot) Bytes() int {
 	total := 0
 	for _, g := range sn.v.segs {

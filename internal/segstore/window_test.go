@@ -238,33 +238,88 @@ func packedHeadStore(t *testing.T) *Store {
 	return s
 }
 
+// openWidthsStore builds a live head in which event w, for w = 0…8, holds
+// one open chunk of 20 timestamps whose gaps are all w bytes wide; it
+// returns the store and each event's first timestamp and gap.
+func openWidthsStore(t *testing.T) (s *Store, first, gap [9]int64) {
+	t.Helper()
+	s = mustOpen(t, "", testConfig(-1))
+	var batch stream.Stream
+	tm := int64(0)
+	for w := range 9 {
+		if w > 0 {
+			gap[w] = 3 << (8 * (w - 1)) // w bytes wide
+		}
+		first[w] = tm
+		for i := range 20 {
+			batch = append(batch, stream.Element{Event: uint64(w), Time: tm})
+			if i < 19 {
+				tm += gap[w]
+			}
+		}
+	}
+	if _, rej, err := s.AppendBatch(batch); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+	}
+	h := s.view.Load().head
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	for w := range 9 {
+		if q := h.byEvent[uint64(w)]; len(q.chunks) != 0 || q.openLen() != 20 || int(q.w) != w {
+			t.Fatalf("event %d: %d packed chunks and %d open timestamps at width %d, want 0, 20 and %d", w, len(q.chunks), q.openLen(), q.w, w)
+		}
+	}
+	return s, first, gap
+}
+
 // TestSegstorePointZeroAllocs: the cross-segment POINT path performs no
-// per-query allocation, window search included — over sealed segments, and
-// over a head whose exact counts read packed chunks at all three instants.
+// per-query allocation, window search included — over sealed segments,
+// over a head whose exact counts read packed chunks at all three instants,
+// and over open chunks at every gap width.
 func TestSegstorePointZeroAllocs(t *testing.T) {
 	sealed := windowLayout(t, "sealed")
 	defer mustClose(t, sealed)
 	packed := packedHeadStore(t)
 	defer mustClose(t, packed)
 	_, hmin, hmax, _ := packed.view.Load().head.snapshot()
-	for _, tc := range []struct {
-		name string
-		s    *Store
+	type query struct {
+		e    uint64
 		t    int64
 		taus []int64
+	}
+	cases := []struct {
+		name string
+		s    *Store
+		qs   []query
 	}{
-		{"sealed", sealed, (sealed.Snapshot().MinTime() + sealed.Snapshot().MaxTime()) / 2, []int64{600, 86_400}},
-		{"packed head", packed, hmax - (hmax-hmin)/8, []int64{600, (hmax - hmin) / 3}},
-	} {
+		{"sealed", sealed, []query{{3, (sealed.Snapshot().MinTime() + sealed.Snapshot().MaxTime()) / 2, []int64{600, 86_400}}}},
+		{"packed head", packed, []query{{3, hmax - (hmax-hmin)/8, []int64{600, (hmax - hmin) / 3}}}},
+	}
+	open, first, gap := openWidthsStore(t)
+	defer mustClose(t, open)
+	var qs []query
+	for w := range 9 {
+		// τ spans three gaps, so t−2τ, t−τ and t fall inside the chunk.
+		tau := max(3*gap[w], 1)
+		qs = append(qs, query{uint64(w), first[w] + 13*gap[w] + gap[w]/2, []int64{tau}})
+	}
+	cases = append(cases, struct {
+		name string
+		s    *Store
+		qs   []query
+	}{"open chunks at widths 0–8", open, qs})
+	for _, tc := range cases {
 		sn := tc.s.Snapshot()
-		for _, tau := range tc.taus {
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, err := sn.Burstiness(3, tc.t, tau); err != nil {
-					t.Fatal(err)
+		for _, q := range tc.qs {
+			for _, tau := range q.taus {
+				allocs := testing.AllocsPerRun(200, func() {
+					if _, err := sn.Burstiness(q.e, q.t, tau); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%s: Snapshot.Burstiness(e=%d, τ=%d) allocates %.1f times per op, want 0", tc.name, q.e, tau, allocs)
 				}
-			})
-			if allocs != 0 {
-				t.Fatalf("%s: Snapshot.Burstiness(τ=%d) allocates %.1f times per op, want 0", tc.name, tau, allocs)
 			}
 		}
 	}
