@@ -271,6 +271,40 @@ var summaryReaders = []struct {
 		}
 		return out
 	}},
+	{"BurstinessOver", func(t *testing.T, d *Detector) any {
+		var out []float64
+		for e := uint64(0); e < 64; e += 3 {
+			for _, back := range []int64{0, 1, 8, 100} {
+				out = append(out, d.BurstinessOver(e, d.MaxTime()-back, pbe.MustSpan(8)))
+			}
+		}
+		return out
+	}},
+	{"BurstyTimesOver", func(t *testing.T, d *Detector) any {
+		var out [][]TimeRange
+		for _, e := range []uint64{3, 40, 7} {
+			r, err := d.BurstyTimesOver(e, 20, pbe.MustSpan(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, r)
+		}
+		return out
+	}},
+	{"BurstyEventsOver", func(t *testing.T, d *Detector) any {
+		out, err := d.BurstyEventsOver(d.MaxTime(), 20, pbe.MustSpan(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}},
+	{"TopBurstyOver", func(t *testing.T, d *Detector) any {
+		out, err := d.TopBurstyOver(d.MaxTime(), 5, pbe.MustSpan(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}},
 	{"CumulativeFrequency", func(t *testing.T, d *Detector) any {
 		var out []float64
 		for e := uint64(0); e < 64; e += 5 {
@@ -372,6 +406,7 @@ func TestFlushBeforeReadConcurrentQueries(t *testing.T) {
 			for _, r := range summaryReaders {
 				switch r.method {
 				case "Burstiness", "BurstyTimes", "BurstyEvents", "TopBursty",
+					"BurstinessOver", "BurstyTimesOver", "BurstyEventsOver", "TopBurstyOver",
 					"CumulativeFrequency", "Bytes",
 					"Save", "Clone": // the compactor clones sealed segments that are serving reads
 					fmt.Fprintln(&sb, r.method, r.call(t, det))

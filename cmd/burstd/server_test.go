@@ -197,7 +197,7 @@ func TestCheckpointAndRecovery(t *testing.T) {
 	if srv2.store.N() != 2 {
 		t.Fatalf("recovered N = %d, want 2", srv2.store.N())
 	}
-	b, err := srv2.store.Burstiness(5, 150, 100)
+	b, err := srv2.store.Snapshot().Burstiness(5, 150, 100)
 	if err != nil || b <= 0 {
 		t.Fatalf("recovered burstiness = %v err=%v", b, err)
 	}

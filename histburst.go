@@ -38,13 +38,12 @@ import (
 	"histburst/internal/stream"
 )
 
-// TimeRange is a half-open interval [Start, End) of time instants.
-type TimeRange struct {
-	Start, End int64
-}
+// TimeRange is a half-open interval [Start, End) of time instants; its
+// Contains reports whether an instant lies in it.
+type TimeRange = pbe.TimeRange
 
-// Contains reports whether t lies in the range.
-func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
+// EventBurstiness pairs an event id with its estimated burstiness.
+type EventBurstiness = dyadic.EventScore
 
 // config collects the options for a Detector.
 type config struct {
@@ -303,32 +302,33 @@ func (d *Detector) Burstiness(e uint64, t, tau int64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("histburst: %w", err)
 	}
+	return d.BurstinessOver(e, t, sp), nil
+}
+
+// BurstinessOver is Burstiness over a span already built.
+func (d *Detector) BurstinessOver(e uint64, t int64, sp pbe.Span) float64 {
 	d.settle()
-	return d.base.Burstiness(e%d.K(), t, sp), nil
+	return d.base.Burstiness(e%d.K(), t, sp)
 }
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ): the maximal time
 // ranges within [0, MaxTime] where e's estimated burstiness reaches theta.
 // Cost is linear in the summary size, not the stream size.
 func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange, error) {
-	if err := pbe.CheckTimesTheta(theta); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
 	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	d.settle()
-	return timeRanges(d.base.BurstyTimes(e%d.K(), theta, sp)), nil
+	return d.BurstyTimesOver(e, theta, sp)
 }
 
-// timeRanges converts a BURSTY TIME answer to the exported type.
-func timeRanges(internal []pbe.TimeRange) []TimeRange {
-	out := make([]TimeRange, len(internal))
-	for i, r := range internal {
-		out[i] = TimeRange{Start: r.Start, End: r.End}
+// BurstyTimesOver is BurstyTimes over a span already built.
+func (d *Detector) BurstyTimesOver(e uint64, theta float64, sp pbe.Span) ([]TimeRange, error) {
+	if err := pbe.CheckTimesTheta(theta); err != nil {
+		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	return out
+	d.settle()
+	return d.base.BurstyTimes(e%d.K(), theta, sp), nil
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
@@ -341,17 +341,14 @@ func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, er
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
-	out, err := d.tree.BurstyEvents(t, theta, sp, nil)
-	if err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
-	return out, nil
+	return prefixed(d.tree.BurstyEventIDs(t, theta, sp, nil))
 }
 
-// EventBurstiness pairs an event id with its estimated burstiness.
-type EventBurstiness struct {
-	Event      uint64
-	Burstiness float64
+// BurstyEventsOver is BurstyEvents over a span already built, each id with
+// the burstiness the search found there: Burstiness's answer at (e, t, τ).
+func (d *Detector) BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]EventBurstiness, error) {
+	d.settle()
+	return prefixed(d.tree.BurstyEvents(t, theta, sp, nil))
 }
 
 // TopBursty returns up to k events with the largest estimated burstiness at
@@ -362,14 +359,19 @@ func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, erro
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
+	return d.TopBurstyOver(t, k, sp)
+}
+
+// TopBurstyOver is TopBursty over a span already built.
+func (d *Detector) TopBurstyOver(t int64, k int, sp pbe.Span) ([]EventBurstiness, error) {
 	d.settle()
-	scores, err := d.tree.TopBursty(t, k, sp, nil)
+	return prefixed(d.tree.TopBursty(t, k, sp, nil))
+}
+
+// prefixed names the package in a search's refusal.
+func prefixed[T any](out T, err error) (T, error) {
 	if err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
-	out := make([]EventBurstiness, len(scores))
-	for i, s := range scores {
-		out[i] = EventBurstiness{Event: s.Event, Burstiness: s.Burstiness}
+		return out, fmt.Errorf("histburst: %w", err)
 	}
 	return out, nil
 }

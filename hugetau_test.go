@@ -70,10 +70,10 @@ func TestHugeTauMatchesLargeTau(t *testing.T) {
 			return a, err
 		}},
 		{"store", func(tau int64) (a answers, err error) {
-			if a.point, err = store.Burstiness(1, 2000, tau); err != nil {
+			if a.point, err = store.Snapshot().Burstiness(1, 2000, tau); err != nil {
 				return a, err
 			}
-			a.times, err = store.BurstyTimes(1, 40, tau)
+			a.times, err = store.Snapshot().BurstyTimes(1, 40, tau)
 			return a, err
 		}},
 	} {

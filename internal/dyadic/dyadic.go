@@ -393,26 +393,38 @@ func IndexOf[S Scorer](sh Shape, levels []S) Index {
 	return Index{sh, scorers}
 }
 
-// BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
-// whose estimated burstiness at time ts over span sp is at least theta,
-// ascending. theta follows pbe.CheckEventsTheta; its refusal is unprefixed,
-// for the query's entry point to name itself.
+// BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): every event whose
+// estimated burstiness at time ts over span sp is at least theta, ascending
+// by id, each with the leaf score the walk compared against theta — the
+// point query's answer there. theta follows pbe.CheckEventsTheta; its
+// refusal is unprefixed, for the query's entry point to name itself.
 //
 // Stats, if non-nil, receives the number of point queries issued — the
 // quantity Figure 12's discussion bounds by O(log K) in the typical case.
 //
 //histburst:fastpath burstyEventsBinary
-func (x Index) BurstyEvents(ts int64, theta float64, sp pbe.Span, stats *QueryStats) ([]uint64, error) {
-	if err := pbe.CheckEventsTheta(theta); err != nil {
-		return nil, err
+func (x Index) BurstyEvents(ts int64, theta float64, sp pbe.Span, stats *QueryStats) ([]EventScore, error) {
+	var hits []EventScore
+	return hits, x.walk(search{x: x, ts: ts, theta: theta, sp: sp, hits: &hits}, stats)
+}
+
+// BurstyEventIDs is BurstyEvents without the scores: the ids alone, for the
+// callers that need nothing else.
+func (x Index) BurstyEventIDs(ts int64, theta float64, sp pbe.Span, stats *QueryStats) ([]uint64, error) {
+	var ids []uint64
+	return ids, x.walk(search{x: x, ts: ts, theta: theta, sp: sp, ids: &ids}, stats)
+}
+
+// walk runs Algorithm 3 for s once theta passes pbe.CheckEventsTheta.
+func (x Index) walk(s search, stats *QueryStats) error {
+	if err := pbe.CheckEventsTheta(s.theta); err != nil {
+		return err
 	}
 	if stats == nil {
 		stats = &QueryStats{}
 	}
-	var out []uint64
-	s := search{x: x, ts: ts, theta: theta, sp: sp}
-	s.visit(len(x.scorers), 0, 0, stats, &out)
-	return out, nil
+	s.visit(len(x.scorers), 0, 0, stats)
+	return nil
 }
 
 // QueryStats counts the work done by one BurstyEvents or TopBursty call.
@@ -422,12 +434,15 @@ type QueryStats struct {
 	Pruned       int // subtrees cut by the equation-6 bound
 }
 
-// search holds the query-invariant state of one bursty-event search.
+// search holds the query-invariant state of one bursty-event search and
+// its sink, hits when set, else ids: where the leaves reaching theta go.
 type search struct {
 	x     Index
 	ts    int64
 	theta float64
 	sp    pbe.Span
+	ids   *[]uint64
+	hits  *[]EventScore
 }
 
 // fanShift returns how many heights node level i spans — it has 2^fanShift
@@ -444,18 +459,22 @@ func (x Index) fanShift(i int) int {
 // the leaf ids [agg<<heights[i], (agg+1)<<heights[i]) and b is its estimate,
 // which its parent computed when it evaluated its children; the virtual root
 // has none.
-func (s *search) visit(i int, agg uint64, b float64, stats *QueryStats, out *[]uint64) {
+func (s *search) visit(i int, agg uint64, b float64, stats *QueryStats) {
 	stats.NodesVisited++
 	if i == 0 {
-		if b >= s.theta {
-			*out = append(*out, agg)
+		switch {
+		case b < s.theta:
+		case s.hits != nil:
+			*s.hits = append(*s.hits, EventScore{agg, b})
+		default:
+			*s.ids = append(*s.ids, agg)
 		}
 		return
 	}
 	var cb [maxFanOut]float64
 	first, n := s.expand(i, agg, b, &cb, stats)
 	for j := 0; j < n; j++ {
-		s.visit(i-1, first|uint64(j), cb[j], stats, out)
+		s.visit(i-1, first|uint64(j), cb[j], stats)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestExactTreePerfectPrecision(t *testing.T) {
 		ts := int64(r.Intn(2000))
 		tau := int64(1 + r.Intn(100))
 		theta := float64(1 + r.Intn(10))
-		got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
+		got, err := tr.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func TestSketchTreeFindsPlantedBursts(t *testing.T) {
 	ts := int64(1549)
 	tau := int64(50)
 	theta := 100.0
-	got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
+	got, err := tr.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestLargeTreeSketchLevels(t *testing.T) {
 	}
 	tr.Finish()
 	var stats QueryStats
-	got, err := tr.BurstyEvents(1049, 150, pbe.MustSpan(50), &stats)
+	got, err := tr.BurstyEventIDs(1049, 150, pbe.MustSpan(50), &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,11 +46,11 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 	}
 	// Identical query results.
 	for _, theta := range []float64{50, 200} {
-		a, err := tr.BurstyEvents(1049, theta, pbe.MustSpan(50), nil)
+		a, err := tr.BurstyEventIDs(1049, theta, pbe.MustSpan(50), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := got.BurstyEvents(1049, theta, pbe.MustSpan(50), nil)
+		b, err := got.BurstyEventIDs(1049, theta, pbe.MustSpan(50), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

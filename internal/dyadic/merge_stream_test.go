@@ -68,11 +68,11 @@ func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 			}
 		}
 	}
-	fastIDs, err := fast.BurstyEvents(1040, 20, pbe.MustSpan(25), nil)
+	fastIDs, err := fast.BurstyEventIDs(1040, 20, pbe.MustSpan(25), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveIDs, err := naive.BurstyEvents(1040, 20, pbe.MustSpan(25), nil)
+	naiveIDs, err := naive.BurstyEventIDs(1040, 20, pbe.MustSpan(25), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,12 +146,22 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 			theta := float64(1 + r.Intn(40))
 			want := tr.burstyEventsBinary(ts, theta, tau)
 			found += len(want)
-			got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
+			hits, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			got := make([]uint64, len(hits))
+			for i, h := range hits {
+				got[i] = h.Event
+				if b := tr.levels[0].Burstiness(h.Event, ts, pbe.MustSpan(tau)); math.Float64bits(h.Burstiness) != math.Float64bits(b) {
+					t.Fatalf("%s: ts=%d τ=%d: BurstyEvents scored %d at %v, its leaf %v", c.name, ts, tau, h.Event, h.Burstiness, b)
+				}
+			}
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEvents %v, Algorithm 3 %v", c.name, ts, tau, theta, got, want)
+			}
+			if ids, err := tr.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil); err != nil || !slices.Equal(ids, got) {
+				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEventIDs %v (%v), BurstyEvents %v", c.name, ts, tau, theta, ids, err, got)
 			}
 			if c.k == 1 {
 				continue // the binary search scored a root that is also a leaf as 0

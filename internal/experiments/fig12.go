@@ -123,7 +123,7 @@ func askEvents(tree *dyadic.Tree, queries []eventQuery) (metrics.PrecisionRecall
 	var spent time.Duration
 	for _, q := range queries {
 		t0 := time.Now()
-		got, err := tree.BurstyEvents(q.t, q.theta, pbe.MustSpan(workload.Day), &stats)
+		got, err := tree.BurstyEventIDs(q.t, q.theta, pbe.MustSpan(workload.Day), &stats)
 		spent += time.Since(t0)
 		if err != nil {
 			return agg, stats, spent, err

@@ -64,18 +64,17 @@ func fig13(cfg Config) (Table, error) {
 			if qt > horizon {
 				break
 			}
-			events, err := tree.BurstyEvents(qt, theta, sp, nil)
+			hits, err := tree.BurstyEvents(qt, theta, sp, nil)
 			if err != nil {
 				return Table{}, err
 			}
-			for _, e := range events {
-				b := tree.Level(0).Burstiness(e, qt, sp)
-				if workload.USPoliticsCategory(e) == "Democrat" {
+			for _, h := range hits {
+				if workload.USPoliticsCategory(h.Event) == "Democrat" {
 					demCount++
-					demMass += b
+					demMass += h.Burstiness
 				} else {
 					repCount++
-					repMass += b
+					repMass += h.Burstiness
 				}
 			}
 		}

@@ -613,7 +613,7 @@ func TestKernelsTakeASpan(t *testing.T) {
 	kernels := map[string][]string{
 		"internal/pbe":      {"Burstiness", "BurstFrequency", "BurstyTimes", "ShiftedBreakpoints"},
 		"internal/cmpbe":    {"Sketch.Burstiness", "Sketch.BurstyTimes"},
-		"internal/dyadic":   {"Index.BurstyEvents", "Index.TopBursty", "Index.pushChildren"},
+		"internal/dyadic":   {"Index.BurstyEvents", "Index.BurstyEventIDs", "Index.TopBursty", "Index.pushChildren"},
 		"internal/segstore": {"Snapshot.burstiness", "memHead.burstiness", "Snapshot.segsInWindow", "Snapshot.summedLevels", "summedLevel.Burstiness"},
 	}
 	noTauCheck := map[string]bool{"internal/cmpbe": true, "internal/dyadic": true, "internal/segstore": true}
@@ -672,6 +672,96 @@ func TestKernelsTakeASpan(t *testing.T) {
 				t.Errorf("%s: kernel %s not found; update this guard with its new name", dir, name)
 			}
 		}
+	}
+}
+
+// TestOneQueryEntry: a query's span is built once, where it enters. No
+// function that takes a pbe.Span builds another with pbe.NewSpan; every
+// method of wire.Querier that takes arguments takes a pbe.Span and none a
+// raw τ; each wire.Answer* names pbe.NewSpan once, and only AnswerPoint asks
+// for a point query, so a BURSTY-EVENTS hit keeps the score its walk found.
+// The answer values are declared once too: outside internal/pbe,
+// internal/dyadic and the internal/exact oracle, no non-test file declares a
+// {Start, End int64} or an {Event uint64; Burstiness float64} struct but
+// wire.EventHit, the tagged codec form, and kleinberg.Interval, the
+// baseline's closed interval [Start, End].
+func TestOneQueryEntry(t *testing.T) {
+	isSpan := func(e ast.Expr) bool { s := types.ExprString(e); return s == "pbe.Span" || s == "Span" }
+	takesSpan := func(ft *ast.FuncType) bool {
+		return slices.ContainsFunc(ft.Params.List, func(p *ast.Field) bool { return isSpan(p.Type) })
+	}
+	fieldSet := func(st *ast.StructType) string {
+		var fs []string
+		for _, f := range st.Fields.List {
+			for _, n := range f.Names {
+				fs = append(fs, n.Name+" "+types.ExprString(f.Type))
+			}
+		}
+		slices.Sort(fs)
+		return strings.Join(fs, "; ")
+	}
+	answerValues := map[string]bool{"End int64; Start int64": true, "Burstiness float64; Event uint64": true}
+	valueHomes := map[string]bool{"internal/pbe": true, "internal/dyadic": true, "internal/exact": true}
+	otherValues := map[string]bool{"internal/wire EventHit": true, "internal/kleinberg Interval": true}
+	querier := false
+	eachProductFile(t, func(rel string, f *ast.File) {
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				newSpans, points := 0, 0
+				ast.Inspect(n, func(m ast.Node) bool {
+					if sel, ok := m.(*ast.SelectorExpr); ok {
+						switch s := types.ExprString(sel); {
+						case s == "pbe.NewSpan" || s == "NewSpan" && dir == "internal/pbe":
+							newSpans++
+						case sel.Sel.Name == "BurstinessOver":
+							points++
+						}
+					}
+					return true
+				})
+				if newSpans > 0 && takesSpan(n.Type) {
+					t.Errorf("%s: %s takes a pbe.Span and builds another; answer over the caller's", rel, n.Name.Name)
+				}
+				if dir == "internal/wire" && strings.HasPrefix(n.Name.Name, "Answer") && n.Recv == nil {
+					if newSpans != 1 {
+						t.Errorf("%s: %s names pbe.NewSpan %d times; build the query's span once", rel, n.Name.Name, newSpans)
+					}
+					if points > 0 && n.Name.Name != "AnswerPoint" {
+						t.Errorf("%s: %s issues a point query; the search's hits carry their scores", rel, n.Name.Name)
+					}
+				}
+			case *ast.TypeSpec:
+				if it, ok := n.Type.(*ast.InterfaceType); ok && dir == "internal/wire" && n.Name.Name == "Querier" {
+					querier = true
+					for _, m := range it.Methods.List {
+						ft, ok := m.Type.(*ast.FuncType)
+						if !ok || len(m.Names) == 0 {
+							continue
+						}
+						if len(ft.Params.List) > 0 && !takesSpan(ft) {
+							t.Errorf("%s: Querier.%s takes no pbe.Span", rel, m.Names[0].Name)
+						}
+						for _, p := range ft.Params.List {
+							for _, name := range p.Names {
+								if strings.EqualFold(name.Name, "tau") {
+									t.Errorf("%s: Querier.%s takes a raw τ; take a pbe.Span", rel, m.Names[0].Name)
+								}
+							}
+						}
+					}
+				}
+				st, ok := n.Type.(*ast.StructType)
+				if ok && !valueHomes[dir] && answerValues[fieldSet(st)] && !otherValues[dir+" "+n.Name.Name] {
+					t.Errorf("%s declares %s as {%s}; use pbe.TimeRange or dyadic.EventScore", rel, n.Name.Name, fieldSet(st))
+				}
+			}
+			return true
+		})
+	})
+	if !querier {
+		t.Error("internal/wire declares no Querier; update this guard with its new name")
 	}
 }
 

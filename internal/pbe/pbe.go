@@ -175,7 +175,7 @@ func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
 // are still evaluated exactly.
 func BurstyTimes(bps []int64, burst func(t int64) float64, theta float64, sp Span, horizon int64) []TimeRange {
 	cands := ShiftedBreakpoints(bps, sp, horizon)
-	var out []TimeRange
+	out := []TimeRange{} // never nil: no range encodes as a JSON [], not null
 	emit := func(start, end int64) {
 		if start >= end {
 			return

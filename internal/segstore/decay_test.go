@@ -185,11 +185,11 @@ func TestDecayLongHorizon(t *testing.T) {
 			if qt-2*tau <= maxT-tier1Age {
 				t.Fatalf("query window [%d, %d] reaches into decayable history", qt-2*tau, qt)
 			}
-			got, err := decayed.Burstiness(e, qt, tau)
+			got, err := decayed.Snapshot().Burstiness(e, qt, tau)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := plain.Burstiness(e, qt, tau)
+			want, err := plain.Snapshot().Burstiness(e, qt, tau)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,11 +200,11 @@ func TestDecayLongHorizon(t *testing.T) {
 	}
 	// Both stores surface exactly the injected burst: its signal (≈64) sits
 	// far above the threshold, uniform background traffic far below it.
-	gotEvents, err := decayed.BurstyEvents(maxT, 30, tau)
+	gotEvents, err := decayed.Snapshot().BurstyEvents(maxT, 30, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEvents, err := plain.BurstyEvents(maxT, 30, tau)
+	wantEvents, err := plain.Snapshot().BurstyEvents(maxT, 30, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestEqualBoundarySegmentsDecayAlone(t *testing.T) {
 	if decayedElems != 6 {
 		t.Fatalf("decayed tier holds %d elements, want all 6: %+v", decayedElems, segs)
 	}
-	if got := s.CumulativeFrequency(1, 2000); got < 3 {
+	if got := s.Snapshot().CumulativeFrequency(1, 2000); got < 3 {
 		t.Fatalf("F̃(1) after split decay = %v, want ≥ 3", got)
 	}
 }

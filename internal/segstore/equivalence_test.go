@@ -124,11 +124,11 @@ func TestSingleSegmentMatchesMonolithicExactly(t *testing.T) {
 			qs := []int64{-5, 0, 113, 250, 499, 500, 750, 999, 1200, 1500, 1999, 2400}
 			for e := uint64(0); e < tc.span; e++ {
 				for _, q := range qs {
-					if got, want := s.CumulativeFrequency(e, q), det.CumulativeFrequency(e, q); got != want {
+					if got, want := s.Snapshot().CumulativeFrequency(e, q), det.CumulativeFrequency(e, q); got != want {
 						t.Fatalf("F(%d,%d): store %v, detector %v", e, q, got, want)
 					}
 					for _, tau := range []int64{7, 50} {
-						got, err := s.Burstiness(e, q, tau)
+						got, err := s.Snapshot().Burstiness(e, q, tau)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -146,7 +146,7 @@ func TestSingleSegmentMatchesMonolithicExactly(t *testing.T) {
 			const tau = 50
 			hits := 0
 			for e := uint64(0); e < tc.span; e += tc.eventsStep {
-				got, err := s.BurstyTimes(e, tc.theta, tau)
+				got, err := s.Snapshot().BurstyTimes(e, tc.theta, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +160,7 @@ func TestSingleSegmentMatchesMonolithicExactly(t *testing.T) {
 				hits += len(want)
 			}
 			for q := int64(0); q < tc.horizon; q += tc.horizon / 20 {
-				got, err := s.BurstyEvents(q, tc.theta, tau)
+				got, err := s.Snapshot().BurstyEvents(q, tc.theta, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -172,7 +172,7 @@ func TestSingleSegmentMatchesMonolithicExactly(t *testing.T) {
 					t.Fatalf("EVENTS(t=%d): store %v, detector %v", q, got, want)
 				}
 				hits += len(want)
-				top, err := s.TopBursty(q, 5, tau)
+				top, err := s.Snapshot().TopBursty(q, 5, tau)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,10 +211,10 @@ func TestMultiSegmentWithinGammaEnvelope(t *testing.T) {
 	for e := uint64(0); e < 32; e++ {
 		for _, q := range []int64{100, 300, 500, 700, 900, 1100, 1250} {
 			exactF := float64(idx[e].CountAtOrBefore(q))
-			if got := s.CumulativeFrequency(e, q); math.Abs(got-exactF) > envF {
+			if got := s.Snapshot().CumulativeFrequency(e, q); math.Abs(got-exactF) > envF {
 				t.Fatalf("F(%d,%d) = %v, exact %v: outside γ·(m+1) = %v", e, q, got, exactF, envF)
 			}
-			got, err := s.Burstiness(e, q, 40)
+			got, err := s.Snapshot().Burstiness(e, q, 40)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func TestMultiSegmentWithinGammaEnvelope(t *testing.T) {
 	// combined estimate collapses to the monolithic one exactly.
 	horizon := s.MaxTime()
 	for e := uint64(0); e < 32; e++ {
-		if got, want := s.CumulativeFrequency(e, horizon), det.CumulativeFrequency(e, horizon); got != want {
+		if got, want := s.Snapshot().CumulativeFrequency(e, horizon), det.CumulativeFrequency(e, horizon); got != want {
 			t.Fatalf("F(%d,frontier): store %v, detector %v", e, got, want)
 		}
 	}
@@ -255,7 +255,7 @@ func TestBurstyEventsCrossSegment(t *testing.T) {
 		{t: 610, tau: 10, theta: 30},
 		{t: 930, tau: 30, theta: 25},
 	} {
-		got, err := s.BurstyEvents(q.t, q.theta, q.tau)
+		got, err := s.Snapshot().BurstyEvents(q.t, q.theta, q.tau)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestTopBurstyCrossSegment(t *testing.T) {
 	defer mustClose(t, s)
 	idx := indexStream(elems)
 
-	top, err := s.TopBursty(610, 3, 10)
+	top, err := s.Snapshot().TopBursty(610, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestBurstyTimesCrossSegment(t *testing.T) {
 	// Event 2's burst packs 60+ arrivals into [600, 610): the exact
 	// burstiness crosses a high θ there and nowhere else.
 	const tau, theta = 10, 30
-	ranges, err := s.BurstyTimes(2, theta, tau)
+	ranges, err := s.Snapshot().BurstyTimes(2, theta, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestCompactedStoreStillWithinEnvelope(t *testing.T) {
 	for e := uint64(0); e < 32; e++ {
 		for _, q := range []int64{200, 600, 1000} {
 			exact := float64(idx[e].CountAtOrBefore(q))
-			if got := s.CumulativeFrequency(e, q); math.Abs(got-exact) > cfg.Gamma*m {
+			if got := s.Snapshot().CumulativeFrequency(e, q); math.Abs(got-exact) > cfg.Gamma*m {
 				t.Fatalf("post-compaction F(%d,%d) = %v, exact %v (envelope %v)", e, q, got, exact, cfg.Gamma*m)
 			}
 		}

@@ -63,12 +63,14 @@ func TestTopBurstyStraddlingSeal(t *testing.T) {
 	if n := len(s.Segments()); n != 2 {
 		t.Fatalf("fixture sealed %d segments, want 2", n)
 	}
-	if b, err := s.Burstiness(9, 100, 10); err != nil || b != 60 {
+	if b, err := s.Snapshot().Burstiness(9, 100, 10); err != nil || b != 60 {
 		t.Fatalf("POINT b_9 = %v (%v), want 60", b, err)
 	}
 	want := []histburst.EventBurstiness{{Event: 9, Burstiness: 60}, {Event: 1, Burstiness: 50}, {Event: 2, Burstiness: 50}}
 	for name, top := range map[string]func(t, k, tau int64) ([]histburst.EventBurstiness, error){
-		"store":    func(tm, k, tau int64) ([]histburst.EventBurstiness, error) { return s.TopBursty(tm, int(k), tau) },
+		"store": func(tm, k, tau int64) ([]histburst.EventBurstiness, error) {
+			return s.Snapshot().TopBursty(tm, int(k), tau)
+		},
 		"detector": func(tm, k, tau int64) ([]histburst.EventBurstiness, error) { return det.TopBursty(tm, int(k), tau) },
 	} {
 		got, err := top(100, 3, 10)
@@ -82,7 +84,7 @@ func TestTopBurstyStraddlingSeal(t *testing.T) {
 			t.Errorf("%s TopBursty with k = 0 accepted", name)
 		}
 	}
-	if got, err := s.BurstyEvents(100, 55, 10); err != nil || !slices.Equal(got, []uint64{9}) {
+	if got, err := s.Snapshot().BurstyEvents(100, 55, 10); err != nil || !slices.Equal(got, []uint64{9}) {
 		t.Errorf("BurstyEvents(100, 55, 10) = %v (%v), want [9]", got, err)
 	}
 }
@@ -200,11 +202,11 @@ func (m mergedLayout) check(t *testing.T, tm, tau int64, thetas []float64, ks []
 	found := 0
 	for _, theta := range thetas {
 		var got, want dyadic.QueryStats
-		ids, err := x.BurstyEvents(tm, theta, pbe.MustSpan(tau), &got)
+		ids, err := x.BurstyEventIDs(tm, theta, pbe.MustSpan(tau), &got)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantIDs, err := mx.BurstyEvents(tm, theta, pbe.MustSpan(tau), &want)
+		wantIDs, err := mx.BurstyEventIDs(tm, theta, pbe.MustSpan(tau), &want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +321,7 @@ func TestEventSearchWithLiveHead(t *testing.T) {
 		}
 	}
 
-	top, err := s.TopBursty(tm, 6, tau)
+	top, err := s.Snapshot().TopBursty(tm, 6, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,16 +332,16 @@ func TestEventSearchWithLiveHead(t *testing.T) {
 		if i > 0 && !(eb.Burstiness < top[i-1].Burstiness || eb.Burstiness == top[i-1].Burstiness && eb.Event > top[i-1].Event) {
 			t.Fatalf("TopBursty not by descending score then ascending id: %v", top)
 		}
-		if b, err := s.Burstiness(eb.Event, tm, tau); err != nil || b != eb.Burstiness {
+		if b, err := s.Snapshot().Burstiness(eb.Event, tm, tau); err != nil || b != eb.Burstiness {
 			t.Fatalf("TopBursty scores event %d %v, POINT %v (%v)", eb.Event, eb.Burstiness, b, err)
 		}
 	}
-	ids, err := s.BurstyEvents(tm, top[2].Burstiness, tau)
+	ids, err := s.Snapshot().BurstyEvents(tm, top[2].Burstiness, tau)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range ids {
-		if b, err := s.Burstiness(e, tm, tau); err != nil || b < top[2].Burstiness {
+		if b, err := s.Snapshot().Burstiness(e, tm, tau); err != nil || b < top[2].Burstiness {
 			t.Fatalf("BurstyEvents(θ=%v) reports event %d at POINT %v (%v)", top[2].Burstiness, e, b, err)
 		}
 	}
@@ -391,7 +393,7 @@ func TestLargeTauSaturates(t *testing.T) {
 	sources := []struct {
 		name string
 		q    answerer
-	}{{"head", head}, {"sealed", sealed}, {"detector", det}}
+	}{{"head", head.Snapshot()}, {"sealed", sealed.Snapshot()}, {"detector", det}}
 	for _, tau := range []int64{1 << 40, 1 << 62, 3 << 61, math.MaxInt64} {
 		var bs [3]float64
 		for i, src := range sources {

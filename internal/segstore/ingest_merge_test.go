@@ -112,14 +112,14 @@ func TestAppendBatchMatchesAppend(t *testing.T) {
 	}
 	for e := uint64(0); e < 32; e++ {
 		for q := int64(-5); q <= seq.MaxTime()+5; q += 41 {
-			if a, b := seq.CumulativeFrequency(e, q), bat.CumulativeFrequency(e, q); a != b {
+			if a, b := seq.Snapshot().CumulativeFrequency(e, q), bat.Snapshot().CumulativeFrequency(e, q); a != b {
 				t.Fatalf("F(%d,%d): sequential %v, batch %v", e, q, a, b)
 			}
-			a, err := seq.Burstiness(e, q, 30)
+			a, err := seq.Snapshot().Burstiness(e, q, 30)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := bat.Burstiness(e, q, 30)
+			b, err := bat.Snapshot().Burstiness(e, q, 30)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,11 +91,11 @@ func TestStoreKindsAdmitAlike(t *testing.T) {
 		}
 		for e := uint64(0); e < 32; e++ {
 			for q := origin - 5; q <= want.MaxTime()+5; q += 41 {
-				if a, b := want.CumulativeFrequency(e, q), s.CumulativeFrequency(e, q); a != b {
+				if a, b := want.Snapshot().CumulativeFrequency(e, q), s.Snapshot().CumulativeFrequency(e, q); a != b {
 					t.Fatalf("%s: F(%d,%d) = %v, volatile %v", name, e, q, b, a)
 				}
-				a, err1 := want.Burstiness(e, q, 30)
-				b, err2 := s.Burstiness(e, q, 30)
+				a, err1 := want.Snapshot().Burstiness(e, q, 30)
+				b, err2 := s.Snapshot().Burstiness(e, q, 30)
 				if err1 != nil || err2 != nil || a != b {
 					t.Fatalf("%s: b(%d,%d) = %v (%v), volatile %v (%v)", name, e, q, b, err2, a, err1)
 				}

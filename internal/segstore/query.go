@@ -124,7 +124,12 @@ func (sn *Snapshot) Burstiness(e uint64, t, tau int64) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("segstore: %w", err)
 	}
-	return sn.burstiness(e%sn.kfold, t, sp), nil
+	return sn.BurstinessOver(e, t, sp), nil
+}
+
+// BurstinessOver is Burstiness over a span already built.
+func (sn *Snapshot) BurstinessOver(e uint64, t int64, sp pbe.Span) float64 {
+	return sn.burstiness(e%sn.kfold, t, sp)
 }
 
 // burstiness is the fold-free core, also the summed index's leaf level
@@ -186,21 +191,21 @@ func (sn *Snapshot) breakpoints(e uint64) []int64 {
 // candidate instant visits only the segments overlapping its window, and
 // every candidate gets exactly the answer Burstiness gives there.
 func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error) {
-	if err := pbe.CheckTimesTheta(theta); err != nil {
-		return nil, fmt.Errorf("segstore: %w", err)
-	}
 	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
+	return sn.BurstyTimesOver(e, theta, sp)
+}
+
+// BurstyTimesOver is BurstyTimes over a span already built.
+func (sn *Snapshot) BurstyTimesOver(e uint64, theta float64, sp pbe.Span) ([]histburst.TimeRange, error) {
+	if err := pbe.CheckTimesTheta(theta); err != nil {
+		return nil, fmt.Errorf("segstore: %w", err)
+	}
 	e %= sn.kfold
 	burst := func(t int64) float64 { return sn.burstiness(e, t, sp) }
-	internal := pbe.BurstyTimes(sn.breakpoints(e), burst, theta, sp, sn.MaxTime())
-	out := make([]histburst.TimeRange, len(internal))
-	for i, r := range internal {
-		out[i] = histburst.TimeRange{Start: r.Start, End: r.End}
-	}
-	return out, nil
+	return pbe.BurstyTimes(sn.breakpoints(e), burst, theta, sp, sn.MaxTime()), nil
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ) across segments:
@@ -210,11 +215,13 @@ func (sn *Snapshot) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, e
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	ids, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, theta, sp, nil)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: %w", err)
-	}
-	return ids, nil
+	return prefixed(dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEventIDs(t, theta, sp, nil))
+}
+
+// BurstyEventsOver is BurstyEvents over a span already built, each id with
+// the burstiness the search found there: Burstiness's answer at (e, t, τ).
+func (sn *Snapshot) BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]histburst.EventBurstiness, error) {
+	return prefixed(dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, theta, sp, nil))
 }
 
 // TopBursty returns up to k events with the largest cross-segment
@@ -225,13 +232,18 @@ func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurst
 	if err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	scores, err := dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, sp, nil)
+	return sn.TopBurstyOver(t, k, sp)
+}
+
+// TopBurstyOver is TopBursty over a span already built.
+func (sn *Snapshot) TopBurstyOver(t int64, k int, sp pbe.Span) ([]histburst.EventBurstiness, error) {
+	return prefixed(dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, sp, nil))
+}
+
+// prefixed names the package in a search's refusal.
+func prefixed[T any](out T, err error) (T, error) {
 	if err != nil {
-		return nil, fmt.Errorf("segstore: %w", err)
-	}
-	out := make([]histburst.EventBurstiness, len(scores))
-	for i, s := range scores {
-		out[i] = histburst.EventBurstiness(s)
+		return out, fmt.Errorf("segstore: %w", err)
 	}
 	return out, nil
 }
@@ -253,13 +265,13 @@ func (sn *Snapshot) summedLevels(t int64, sp pbe.Span) []summedLevel {
 			}
 		}
 	}
-	var share []histburst.EventBurstiness
+	var share []dyadic.EventScore
 	for _, h := range sn.heads() {
 		for _, e := range h.eventsInWindow(v.t0+1, t) {
-			share = append(share, histburst.EventBurstiness{Event: e, Burstiness: h.burstiness(e, t, sp)})
+			share = append(share, dyadic.EventScore{Event: e, Burstiness: h.burstiness(e, t, sp)})
 		}
 	}
-	slices.SortFunc(share, func(a, b histburst.EventBurstiness) int { return cmp.Compare(a.Event, b.Event) })
+	slices.SortFunc(share, func(a, b dyadic.EventScore) int { return cmp.Compare(a.Event, b.Event) })
 	v.ids, v.cum = make([]uint64, len(share)), make([]float64, len(share)+1)
 	for j, s := range share {
 		v.ids[j], v.cum[j+1] = s.Event, v.cum[j]+s.Burstiness
@@ -537,33 +549,6 @@ func (sn *Snapshot) Head() HeadStats {
 		hs.MaxT = max(hs.MaxT, maxT)
 	}
 	return hs
-}
-
-// Store-level conveniences: each takes a fresh snapshot.
-
-// CumulativeFrequency returns F̃_e(t) over the current generation.
-func (s *Store) CumulativeFrequency(e uint64, t int64) float64 {
-	return s.Snapshot().CumulativeFrequency(e, t)
-}
-
-// Burstiness answers the POINT QUERY over the current generation.
-func (s *Store) Burstiness(e uint64, t, tau int64) (float64, error) {
-	return s.Snapshot().Burstiness(e, t, tau)
-}
-
-// BurstyTimes answers the BURSTY TIME QUERY over the current generation.
-func (s *Store) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error) {
-	return s.Snapshot().BurstyTimes(e, theta, tau)
-}
-
-// BurstyEvents answers the BURSTY EVENT QUERY over the current generation.
-func (s *Store) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
-	return s.Snapshot().BurstyEvents(t, theta, tau)
-}
-
-// TopBursty ranks the burstiest events over the current generation.
-func (s *Store) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurstiness, error) {
-	return s.Snapshot().TopBursty(t, k, tau)
 }
 
 // N returns the number of elements held.

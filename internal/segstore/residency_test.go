@@ -366,7 +366,7 @@ func TestColdSegmentOutlivesItsFile(t *testing.T) {
 	warm := mustOpen(t, dir, coldConfig())
 	defer mustClose(t, warm)
 	q := coldOrigin + coldDay/2
-	want, err := warm.Burstiness(3, q, 600)
+	want, err := warm.Snapshot().Burstiness(3, q, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestColdSegmentOutlivesItsFile(t *testing.T) {
 	if got, _ := old.Burstiness(3, q, 600); got != want {
 		t.Fatalf("old snapshot answers %v after the swap, want %v", got, want)
 	}
-	if got, _ := s.Burstiness(3, q, 600); math.Abs(got-want) > 8 {
+	if got, _ := s.Snapshot().Burstiness(3, q, 600); math.Abs(got-want) > 8 {
 		t.Fatalf("merged generation answers %v, the run it replaced %v", got, want)
 	}
 }

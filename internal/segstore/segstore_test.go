@@ -67,10 +67,10 @@ func TestVolatileHeadOnlyQueries(t *testing.T) {
 	if got := s.N(); got != 5 {
 		t.Fatalf("N = %d, want 5", got)
 	}
-	if got := s.CumulativeFrequency(3, 12); got != 3 {
+	if got := s.Snapshot().CumulativeFrequency(3, 12); got != 3 {
 		t.Fatalf("F(3,12) = %v, want 3 (exact head)", got)
 	}
-	b, err := s.Burstiness(3, 12, 5)
+	b, err := s.Snapshot().Burstiness(3, 12, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +136,11 @@ func TestDuplicateTimestampsStraddlingSeal(t *testing.T) {
 	// Sealing never splits a timestamp and segment estimates are exact at or
 	// past their own MaxT, so the count at the frontier is exact regardless
 	// of where the seal landed.
-	if got := s.CumulativeFrequency(2, 7); got != 8 {
+	if got := s.Snapshot().CumulativeFrequency(2, 7); got != 8 {
 		t.Fatalf("F(2,7) = %v, want 8", got)
 	}
 	// Interior instants of a sealed segment are sketch estimates: within γ.
-	if got := s.CumulativeFrequency(2, 6); got < 3-2 || got > 3+2 {
+	if got := s.Snapshot().CumulativeFrequency(2, 6); got < 3-2 || got > 3+2 {
 		t.Fatalf("F(2,6) = %v, want 3 ± γ=2", got)
 	}
 }
@@ -210,8 +210,8 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	// Compaction stays off in both: a background merge landing between the
 	// two captures would legitimately change the estimates.
 	s = mustOpen(t, dir, Config{CompactFanout: -1})
-	wantF := s.CumulativeFrequency(2, last)
-	wantB, err := s.Burstiness(2, last, 30)
+	wantF := s.Snapshot().CumulativeFrequency(2, last)
+	wantB, err := s.Snapshot().Burstiness(2, last, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if got := s.N(); got != wantN {
 		t.Fatalf("recovered N = %d, want %d", got, wantN)
 	}
-	if got := s.CumulativeFrequency(2, last); got != wantF {
+	if got := s.Snapshot().CumulativeFrequency(2, last); got != wantF {
 		t.Fatalf("recovered F = %v, want %v", got, wantF)
 	}
-	if got, err := s.Burstiness(2, last, 30); err != nil || got != wantB {
+	if got, err := s.Snapshot().Burstiness(2, last, 30); err != nil || got != wantB {
 		t.Fatalf("recovered b = %v (%v), want %v", got, err, wantB)
 	}
 	if got := s.MaxTime(); got != last {
@@ -284,7 +284,7 @@ func TestBootstrapFromDetector(t *testing.T) {
 	// Single segment, identical sketch: estimates must match bit-exactly.
 	for e := uint64(0); e < 5; e++ {
 		for _, q := range []int64{9, 15, 25, 39, 50} {
-			if got, want := s.CumulativeFrequency(e, q), det.CumulativeFrequency(e, q); got != want {
+			if got, want := s.Snapshot().CumulativeFrequency(e, q), det.CumulativeFrequency(e, q); got != want {
 				t.Fatalf("F(%d,%d) = %v, detector says %v", e, q, got, want)
 			}
 		}
@@ -400,7 +400,7 @@ func TestCompactionMergesRuns(t *testing.T) {
 		t.Fatalf("element accounting off: N=%d, sealed=%d", s.N(), total)
 	}
 	// Queries over the compacted store still answer.
-	if got := s.CumulativeFrequency(1, 127); got < 1 {
+	if got := s.Snapshot().CumulativeFrequency(1, 127); got < 1 {
 		t.Fatalf("F after compaction = %v", got)
 	}
 	mustClose(t, s)
@@ -470,11 +470,11 @@ func TestEqualBoundarySegmentsStayUnmerged(t *testing.T) {
 	if got := len(s.Segments()); got != 2 {
 		t.Fatalf("segments = %d, want 2 (unmerged pair)", got)
 	}
-	if got := s.CumulativeFrequency(1, 15); got != 12 {
+	if got := s.Snapshot().CumulativeFrequency(1, 15); got != 12 {
 		t.Fatalf("F(1,15) = %v, want 12", got)
 	}
 	// t=14 is interior to the first segment: a sketch estimate, within γ.
-	if got := s.CumulativeFrequency(1, 14); got < 5-2 || got > 5+2 {
+	if got := s.Snapshot().CumulativeFrequency(1, 14); got < 5-2 || got > 5+2 {
 		t.Fatalf("F(1,14) = %v, want 5 ± γ=2", got)
 	}
 }
@@ -650,7 +650,9 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 // is damaged.
 func TestOpenRefusesOldGeneration(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, testConfig(8))
+	cfg := testConfig(8)
+	cfg.CompactFanout = -1 // a background merge of the four seals would leave too few files
+	s := mustOpen(t, dir, cfg)
 	appendN(t, s, 32, 4, 0, 1)
 	mustClose(t, s)
 	segs, err := filepath.Glob(filepath.Join(dir, segFilePrefix+"*"+segFileSuffix))

@@ -189,14 +189,14 @@ func TestStagerInterleavedWritersMatchSequentialReplay(t *testing.T) {
 	}
 	for e := uint64(0); e < 32; e += 3 {
 		for q := int64(0); q <= st.MaxTime()+10; q += 113 {
-			if x, y := st.CumulativeFrequency(e, q), seq.CumulativeFrequency(e, q); x != y {
+			if x, y := st.Snapshot().CumulativeFrequency(e, q), seq.Snapshot().CumulativeFrequency(e, q); x != y {
 				t.Fatalf("F(%d,%d): stager %v, sequential %v", e, q, x, y)
 			}
-			x, err := st.Burstiness(e, q, 60)
+			x, err := st.Snapshot().Burstiness(e, q, 60)
 			if err != nil {
 				t.Fatal(err)
 			}
-			y, err := seq.Burstiness(e, q, 60)
+			y, err := seq.Snapshot().Burstiness(e, q, 60)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,10 +42,10 @@ func TestTwoStoresSameGeneration(t *testing.T) {
 		t.Fatalf("fixture: generations %d and %d differ", a.Generation(), b.Generation())
 	}
 	const q = 100000
-	if got := a.CumulativeFrequency(3, q); got != 5 {
+	if got := a.Snapshot().CumulativeFrequency(3, q); got != 5 {
 		t.Fatalf("store A: F̃(3, %d) = %v, want 5", q, got)
 	}
-	if got := b.CumulativeFrequency(3, q); got != 15 {
+	if got := b.Snapshot().CumulativeFrequency(3, q); got != 15 {
 		t.Fatalf("store B, asked after A: F̃(3, %d) = %v, want 15", q, got)
 	}
 	asn, bsn := a.Snapshot(), b.Snapshot()

@@ -13,8 +13,8 @@ import (
 // burstd's HTTP handlers, burstcli over a sketch file or a store directory —
 // decodes its own request form, substitutes the defaults for what its caller
 // left out, and answers through these four functions. They own everything
-// else: validation and its messages, the BURSTY-EVENTS scoring, and when a
-// degraded-history envelope rides along.
+// else: validation and its messages, the one pbe.Span each query is answered
+// over, and when a degraded-history envelope rides along.
 
 const (
 	// DefaultTau is the burst span τ of a query that names none: one day.
@@ -23,13 +23,15 @@ const (
 	DefaultK int64 = 10
 )
 
-// Querier is a source of the paper's three queries plus top-k.
-// *histburst.Detector and *segstore.Snapshot both satisfy it.
+// Querier is a source of the paper's three queries plus top-k, each over a
+// span the caller has built, and of its frontier. *histburst.Detector and
+// *segstore.Snapshot both satisfy it.
 type Querier interface {
-	Burstiness(e uint64, t, tau int64) (float64, error)
-	BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error)
-	BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error)
-	TopBursty(t int64, k int, tau int64) ([]histburst.EventBurstiness, error)
+	BurstinessOver(e uint64, t int64, sp pbe.Span) float64
+	BurstyTimesOver(e uint64, theta float64, sp pbe.Span) ([]histburst.TimeRange, error)
+	BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]histburst.EventBurstiness, error)
+	TopBurstyOver(t int64, k int, sp pbe.Span) ([]histburst.EventBurstiness, error)
+	MaxTime() int64
 }
 
 // DegradedEnvelope is the degraded-history rule every answer (and every
@@ -48,7 +50,7 @@ func DegradedEnvelope(q Querier, t int64) *segstore.ErrorEnvelope {
 }
 
 // AnswerPoint answers a batch of POINT queries q(e, t, τ) in request order.
-// A batch is all-or-nothing: every query is validated before q is touched.
+// A batch is all-or-nothing: one invalid query refuses all of it.
 func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 	if len(qs) == 0 {
 		return nil, errors.New("empty batch")
@@ -56,18 +58,13 @@ func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 	if len(qs) > MaxBatchQueries {
 		return nil, fmt.Errorf("batch of %d exceeds the %d-query limit", len(qs), MaxBatchQueries)
 	}
-	for i, pq := range qs {
-		if _, err := pbe.NewSpan(pq.Tau); err != nil {
-			return nil, fmt.Errorf("query %d: %w", i, err)
-		}
-	}
 	out := make([]PointResult, len(qs))
 	for i, pq := range qs {
-		b, err := q.Burstiness(pq.Event, pq.T, pq.Tau)
+		sp, err := pbe.NewSpan(pq.Tau)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		out[i] = PointResult{Burstiness: b, Envelope: DegradedEnvelope(q, pq.T)}
+		out[i] = PointResult{Burstiness: q.BurstinessOver(pq.Event, pq.T, sp), Envelope: DegradedEnvelope(q, pq.T)}
 	}
 	return out, nil
 }
@@ -79,43 +76,33 @@ func AnswerTimes(q Querier, e uint64, theta float64, tau int64) ([]histburst.Tim
 	if err := pbe.CheckTimesTheta(theta); err != nil {
 		return nil, nil, err
 	}
-	if _, err := pbe.NewSpan(tau); err != nil {
-		return nil, nil, err
-	}
-	ranges, err := q.BurstyTimes(e, theta, tau)
+	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, nil, err
 	}
-	var env *segstore.ErrorEnvelope
-	if sn, ok := q.(*segstore.Snapshot); ok {
-		env = DegradedEnvelope(sn, sn.MaxTime())
+	ranges, err := q.BurstyTimesOver(e, theta, sp)
+	if err != nil {
+		return nil, nil, err
 	}
-	return ranges, env, nil
+	return ranges, DegradedEnvelope(q, q.MaxTime()), nil
 }
 
 // AnswerEvents answers the BURSTY EVENT query q(t, θ, τ): the ids found by
-// the pruned search, ascending, each scored with its point query; θ as
-// pbe.CheckEventsTheta allows.
+// the pruned search, ascending, each with the score the search found it by —
+// its point query's answer; θ as pbe.CheckEventsTheta allows.
 func AnswerEvents(q Querier, t int64, theta float64, tau int64) ([]EventHit, *segstore.ErrorEnvelope, error) {
 	if err := pbe.CheckEventsTheta(theta); err != nil {
 		return nil, nil, err
 	}
-	if _, err := pbe.NewSpan(tau); err != nil {
-		return nil, nil, err
-	}
-	ids, err := q.BurstyEvents(t, theta, tau)
+	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, nil, err
 	}
-	hits := make([]EventHit, len(ids))
-	for i, id := range ids {
-		b, err := q.Burstiness(id, t, tau)
-		if err != nil {
-			return nil, nil, fmt.Errorf("scoring event %d: %w", id, err)
-		}
-		hits[i] = EventHit{Event: id, Burstiness: b}
+	scores, err := q.BurstyEventsOver(t, theta, sp)
+	if err != nil {
+		return nil, nil, err
 	}
-	return hits, DegradedEnvelope(q, t), nil
+	return eventHits(scores), DegradedEnvelope(q, t), nil
 }
 
 // AnswerTop returns the k burstiest events at t, descending.
@@ -123,16 +110,22 @@ func AnswerTop(q Querier, t, k, tau int64) ([]EventHit, *segstore.ErrorEnvelope,
 	if k <= 0 {
 		return nil, nil, fmt.Errorf("k must be positive, got %d", k)
 	}
-	if _, err := pbe.NewSpan(tau); err != nil {
-		return nil, nil, err
-	}
-	top, err := q.TopBursty(t, int(k), tau)
+	sp, err := pbe.NewSpan(tau)
 	if err != nil {
 		return nil, nil, err
 	}
-	hits := make([]EventHit, len(top))
-	for i, eb := range top {
-		hits[i] = EventHit(eb)
+	scores, err := q.TopBurstyOver(t, int(k), sp)
+	if err != nil {
+		return nil, nil, err
 	}
-	return hits, DegradedEnvelope(q, t), nil
+	return eventHits(scores), DegradedEnvelope(q, t), nil
+}
+
+// eventHits is a search's answer in its codec form.
+func eventHits(scores []histburst.EventBurstiness) []EventHit {
+	hits := make([]EventHit, len(scores))
+	for i, s := range scores {
+		hits[i] = EventHit(s)
+	}
+	return hits
 }

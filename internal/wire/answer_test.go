@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -245,6 +247,122 @@ func TestTopRanksTiesByID(t *testing.T) {
 			if err != nil || !reflect.DeepEqual(got, want[:k]) {
 				t.Errorf("%s: AnswerTop(k=%d) = %v (%v), want %v", name, k, got, err, want[:k])
 			}
+		}
+	}
+}
+
+// TestWalkScoresArePointScores: a BURSTY-EVENTS or top-k hit carries the
+// score its walk compared or ranked by, and that score is the point query's
+// answer at its (e, t, τ) to the bit — over a detector and over a store of
+// six segments plus a live head, at an epoch time origin, with bursts inside
+// segments, across seals and in the head.
+func TestWalkScoresArePointScores(t *testing.T) {
+	const origin, parts, width = 1_700_000_000, 7, 1000
+	det, err := histburst.New(64, histburst.WithPBE2(2), histburst.WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := det.Params()
+	st, err := segstore.Open("", segstore.Config{K: p.K, Gamma: p.Gamma, Seed: p.Seed, D: p.D, W: p.W, SealEvents: -1, CompactFanout: -1, ScrubInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() //nolint:errcheck
+	for part := int64(0); part < parts; part++ {
+		var s stream.Stream
+		for tm := origin + part*width; tm < origin+(part+1)*width; tm++ {
+			s = append(s, stream.Element{Event: uint64(tm % 40), Time: tm})
+			// Each part bursts one event over its last 300 instants and the
+			// next part's first 100, so every seal splits a burst.
+			if off := tm - origin; off%width >= width-300 || part > 0 && off%width < 100 {
+				burst := uint64(3 + 7*part)
+				if off%width < 100 {
+					burst -= 7
+				}
+				s = append(s, stream.Element{Event: burst, Time: tm}, stream.Element{Event: burst, Time: tm})
+			}
+		}
+		for _, el := range s {
+			det.Append(el.Event, el.Time)
+		}
+		if _, rej, err := st.AppendBatch(s); err != nil || rej > 0 {
+			t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+		}
+		if part < parts-1 { // the last part stays in the live head
+			if err := st.Checkpoint(true); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	det.Finish()
+	sn := st.Snapshot()
+	if n := len(sn.Segments()); n < 5 || sn.Head().Elements == 0 {
+		t.Fatalf("store holds %d segments and %d head elements, want at least 5 and some", n, sn.Head().Elements)
+	}
+	for name, q := range map[string]Querier{"detector": det, "store": sn} {
+		scored := 0
+		check := func(what string, tm, tau int64, hits []EventHit, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %s: %v", name, what, err)
+			}
+			if len(hits) == 0 {
+				return
+			}
+			qs := make([]PointQuery, len(hits))
+			for i, h := range hits {
+				qs[i] = PointQuery{Event: h.Event, T: tm, Tau: tau}
+			}
+			res, err := AnswerPoint(q, qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range hits {
+				if math.Float64bits(h.Burstiness) != math.Float64bits(res[i].Burstiness) {
+					t.Fatalf("%s: %s at t=%d τ=%d: event %d scored %v, its point query %v", name, what, tm, tau, h.Event, h.Burstiness, res[i].Burstiness)
+				}
+			}
+			scored += len(hits)
+		}
+		for tm := int64(origin); tm <= origin+parts*width+50; tm += 23 {
+			for _, tau := range []int64{40, 150, DefaultTau} {
+				for _, theta := range []float64{10, 60} {
+					hits, _, err := AnswerEvents(q, tm, theta, tau)
+					check(fmt.Sprintf("events θ=%v", theta), tm, tau, hits, err)
+				}
+				hits, _, err := AnswerTop(q, tm, 10, tau)
+				check("top", tm, tau, hits, err)
+			}
+		}
+		if scored < 1000 {
+			t.Fatalf("%s: only %d hits scored; the comparison is too thin", name, scored)
+		}
+		t.Logf("%s: %d hits equal their point queries", name, scored)
+	}
+}
+
+// TestEmptyAnswersAreLists: a query that finds nothing answers an empty
+// list, not nil, from either source, so an HTTP body reads [] and never
+// null.
+func TestEmptyAnswersAreLists(t *testing.T) {
+	det := burstDetector(t)
+	st, err := segstore.Open("", segstore.Config{K: 64, ScrubInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close() //nolint:errcheck
+	for name, q := range map[string]Querier{"detector": det, "empty store": st.Snapshot()} {
+		ranges, _, err1 := AnswerTimes(q, 3, 1e9, 40)
+		events, _, err2 := AnswerEvents(q, det.MinTime(), 1e9, 40)
+		top, _, err3 := AnswerTop(q, det.MinTime()-100, 3, 40)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			t.Fatal(err)
+		}
+		if body, err := json.Marshal([]any{ranges, events}); err != nil || string(body) != "[[],[]]" {
+			t.Errorf("%s: empty answers encode as %s (%v), want [[],[]]", name, body, err)
+		}
+		if top == nil {
+			t.Errorf("%s: AnswerTop answered nil", name)
 		}
 	}
 }

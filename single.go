@@ -88,7 +88,7 @@ func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, er
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	burst := func(t int64) float64 { return pbe.Burstiness(s.p, t, sp) }
-	return timeRanges(pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, sp, horizon)), nil
+	return pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, sp, horizon), nil
 }
 
 // Bytes returns the summary footprint.
