@@ -75,8 +75,9 @@ experiments:
 # as well as inside a detector file), the element-run round trip, the
 # detector's append path, the PBE-2 kernel's one-sided contract (at small,
 # Unix-second and Unix-millisecond time origins, and through a merge of cut
-# parts) and the store head's packed timestamp sequences against a
-# sorted-slice twin.
+# parts), its searches against a linear scan with segment starts on either
+# side of 2³² ticks from a cell's first, and the store head's packed
+# timestamp sequences against a sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s).
 FUZZTIME ?= 20s
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzSummarySearch -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/

@@ -67,8 +67,8 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 		// What the columns below cannot express no builder, merge or
 		// downsample produces; a cell in such a state must not reach a file
 		// the decoder would then refuse.
-		n := len(b.starts)
-		if n == 0 || b.prevF < 0 || b.prevF > b.count || b.outOfOrder < 0 || b.lastT < b.starts[n-1]+b.segLen(n-1) {
+		n := len(b.lines)
+		if n == 0 || b.prevF < 0 || b.prevF > b.count || b.outOfOrder < 0 || b.lastT < b.lastStart+b.segLen(n-1) {
 			return fmt.Errorf("pbe2: cell %d is inconsistent: %d segments, count %d, prevF %d, frontier %d", i, n, b.count, b.prevF, b.lastT)
 		}
 		outOfOrder += b.outOfOrder
@@ -88,7 +88,7 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 		}
 	}
 	for _, b := range present {
-		w.Uvarint(uint64(len(b.starts)))
+		w.Uvarint(uint64(len(b.lines)))
 	}
 	for _, b := range present {
 		w.Uvarint(uint64(b.count))
@@ -97,8 +97,7 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 		w.Uvarint(uint64(b.count - b.prevF))
 	}
 	for _, b := range present {
-		n := len(b.starts)
-		w.Uvarint(uint64(b.lastT - b.starts[n-1] - b.segLen(n-1)))
+		w.Uvarint(uint64(b.lastT - b.lastStart - b.segLen(len(b.lines)-1)))
 	}
 	if outOfOrder != 0 {
 		for _, b := range present {
@@ -107,7 +106,8 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 	}
 	for _, b := range present {
 		prevEnd := maxT
-		for i, start := range b.starts {
+		for i := range b.lines {
+			start := b.start(i)
 			if i == 0 {
 				w.Varint(start - prevEnd)
 			} else {
@@ -132,7 +132,10 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 // its count, its segments ascend without overlap on finite coefficients, and
 // it ends no later than maxT. The segments of all cells share three arrays,
 // each cell holding a full-slice range of them, so an append after loading
-// copies the cell's segments out instead of writing over its neighbour's.
+// copies the cell's segments out instead of writing over its neighbour's. A
+// cell whose starts reach 2³² ticks past its first moves them, as it reads
+// them, to a wide column of its own, and leaves its range of the shared
+// starts unused.
 //
 //histburst:decoder
 func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
@@ -180,7 +183,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	if total > ahead.Remaining()/minSegmentBytes {
 		return corrupt("%d segments exceed %d remaining bytes", total, ahead.Remaining())
 	}
-	starts := make([]int64, total)
+	starts := make([]uint32, total)
 	lens := make([]uint32, total)
 	lines := make([]line, total)
 	off := 0
@@ -253,7 +256,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			continue
 		}
 		prevEnd := maxT
-		for j := range b.starts {
+		for j := range b.lines {
 			var start int64
 			if j == 0 {
 				start = prevEnd + c.varint()
@@ -279,7 +282,19 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			if !ln.finite() {
 				return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
 			}
-			b.starts[j], b.lens[j], b.lines[j] = start, b.slot(length), ln
+			if j == 0 {
+				b.firstStart = start
+			}
+			switch off := uint64(start) - uint64(b.firstStart); {
+			case b.starts == nil:
+				b.wide.starts[j] = off
+			case off > math.MaxUint32:
+				b.widen()
+				b.wide.starts[j] = off
+			default:
+				b.starts[j] = uint32(off)
+			}
+			b.lens[j], b.lines[j] = b.slot(length), ln
 			prevEnd = end
 		}
 		tail := b.lastT

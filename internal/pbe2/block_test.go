@@ -165,7 +165,7 @@ func TestBlockRoundTrip(t *testing.T) {
 		}
 		if b := &got[i]; cap(b.starts) != len(b.starts) || cap(b.lens) != len(b.lens) || cap(b.lines) != len(b.lines) {
 			t.Errorf("cell %d holds columns with room to spare (cap %d/%d/%d for %d segments): an append would write into its neighbour's",
-				i, cap(b.starts), cap(b.lens), cap(b.lines), len(b.starts))
+				i, cap(b.starts), cap(b.lens), cap(b.lines), len(b.lines))
 		}
 	}
 	if again := encodeBlock(t, got, maxT); !bytes.Equal(again, data) {

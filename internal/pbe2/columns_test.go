@@ -51,10 +51,10 @@ func longRunStream(origin int64, bursts int) (ts stream.TimestampSeq, runs [][2]
 }
 
 func countLong(b *Builder) int {
-	if b.long == nil {
+	if b.wide == nil {
 		return 0
 	}
-	return len(*b.long)
+	return len(b.wide.long)
 }
 
 // probeSegments checks that the segments too long for a lens slot are exactly
@@ -95,6 +95,11 @@ func TestLongSegmentLengths(t *testing.T) {
 	ts, runs := longRunStream(origin, 6)
 	b := buildPBE2(t, ts, gamma)
 	probeSegments(t, "built", b, ts, runs, gamma)
+	// Bursts 2³² ticks apart: the starts take the wide form, 28 bytes a
+	// segment.
+	if !wideForm(&b.summary) {
+		t.Fatal("starts 2³² ticks apart kept the narrow form")
+	}
 	if got, want := b.Bytes(), 28*b.NumSegments()+8*countLong(b); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}

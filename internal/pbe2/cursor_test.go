@@ -97,8 +97,8 @@ func TestSearchFullMatchesLinear(t *testing.T) {
 		t.Fatalf("want a summary long enough for the interpolation path, got %d segments", b.NumSegments())
 	}
 	ref := func(tm int64) int {
-		for i := len(b.starts) - 1; i >= 0; i-- {
-			if b.starts[i] <= tm {
+		for i := b.NumSegments() - 1; i >= 0; i-- {
+			if b.start(i) <= tm {
 				return i
 			}
 		}
@@ -112,7 +112,8 @@ func TestSearchFullMatchesLinear(t *testing.T) {
 		}
 	}
 	// Exact boundaries and their neighbors.
-	for _, s := range b.starts {
+	for i := range b.lines {
+		s := b.start(i)
 		for _, tm := range []int64{s - 1, s, s + 1} {
 			if got, want := b.searchFull(tm), ref(tm); got != want {
 				t.Fatalf("searchFull(%d) = %d, want %d", tm, got, want)

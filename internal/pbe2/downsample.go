@@ -48,11 +48,13 @@ func (c *srcCursor) est(t int64) float64 {
 	if t >= s.headLow {
 		return float64(s.count)
 	}
-	starts := s.starts
-	for c.i+1 < len(starts) && starts[c.i+1] <= t {
+	for c.i+1 < len(s.lines) && s.start(c.i+1) <= t {
 		c.i++
 	}
-	return s.segValue(c.i, t)
+	if c.i < 0 {
+		return 0
+	}
+	return segVal(s.seg(c.i), t)
 }
 
 // memberIter streams one member's candidate constraint instants — its
@@ -67,13 +69,13 @@ type memberIter struct {
 //histburst:noalloc
 func (m *memberIter) advance(res int64) {
 	s := m.cur.s
-	for m.j < len(s.starts) {
+	for m.j < len(s.lines) {
 		if m.phase == 0 {
 			m.phase = 1
-			m.next = alignUp(s.starts[m.j], res)
+			m.next = alignUp(s.start(m.j), res)
 			return
 		}
-		raw := s.starts[m.j] + s.segLen(m.j) + 1
+		raw := s.start(m.j) + s.segLen(m.j) + 1
 		m.phase = 0
 		m.j++
 		if raw <= s.lastT {

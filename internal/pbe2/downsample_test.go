@@ -85,8 +85,8 @@ func (fx *dsFixture) fedInstants(res int64) []int64 {
 			for _, m := range fx.parts[j] {
 				if m.count > 0 {
 					nextStarted = true
-					if m.starts[0] < pin {
-						pin = m.starts[0]
+					if m.firstStart < pin {
+						pin = m.firstStart
 					}
 				}
 			}

@@ -2,6 +2,7 @@ package pbe2
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -62,6 +63,109 @@ func FuzzPBE2OneSided(f *testing.F) {
 		check("open", b)
 		b.Finish()
 		check("finished", b)
+	})
+}
+
+// FuzzSummarySearch builds a summary whose arrival gaps straddle 2³² ticks —
+// just short of it, just past it, or a sizeable fraction of it — at a
+// fuzzer-chosen origin, so that its segment starts fall on either side of
+// the narrow column's reach and the cell takes either form. Open and after
+// Finish, Estimate, Estimate3 and the downsampling cursor must answer as a
+// linear scan over Segments() does at every breakpoint, and a finished
+// summary's Bytes() must be what its columns hold.
+func FuzzSummarySearch(f *testing.F) {
+	f.Add(byte(0), byte(7), []byte{1, 0xc3, 2, 2, 0x85, 0, 0x40, 0x7f, 3, 0xbf, 1})
+	f.Add(byte(3), byte(0), []byte{0, 0x7f, 0x7f, 0x7f, 0x7f, 0x41, 1, 1, 0xc0, 0x80})
+	f.Add(byte(4), byte(15), []byte{0xff, 0xff, 5, 0x81, 0x81, 9})
+	f.Fuzz(func(t *testing.T, sel, gsel byte, gaps []byte) {
+		if len(gaps) == 0 || len(gaps) > 512 {
+			return
+		}
+		origins := [...]int64{0, 1.7e9, 1.7e12, 1.7e18, math.MinInt64 + 2, math.MaxInt64 - 1<<45}
+		gamma := float64(1 + gsel%16)
+		ts := make(stream.TimestampSeq, 0, len(gaps))
+		cur := origins[int(sel)%len(origins)]
+		for _, g := range gaps {
+			step := int64(g & 0x3f)
+			switch g >> 6 {
+			case 1: // a fraction of 2³²: offsets creep up on the boundary
+				step <<= 26
+			case 2: // just past 2³²
+				step = 1<<32 + step
+			case 3: // just short of it
+				step = 1<<32 - step
+			}
+			next, ok := addTick(cur, step)
+			if !ok {
+				break
+			}
+			cur = next
+			ts = append(ts, cur)
+		}
+		b, err := New(gamma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, s *Summary, est func(int64) float64, est3 func(t0, t1, t2 int64) (float64, float64, float64)) {
+			ref := refOf(s)
+			lin := func(q int64) float64 {
+				if q >= s.headLow {
+					return est(q) // the open window or the exact count: not the columns' to answer
+				}
+				for i := len(ref.segs) - 1; i >= 0; i-- {
+					if seg := ref.segs[i]; seg.Start <= q {
+						v := seg.A*float64(min(q, seg.End)) + seg.B
+						if v < 0 {
+							v = 0
+						}
+						return v
+					}
+				}
+				return 0
+			}
+			probes := refProbes(ref)
+			for _, v := range ts {
+				for _, d := range [...]int64{-1, 0, 1} {
+					if q, ok := addTick(v, d); ok {
+						probes = append(probes, q)
+					}
+				}
+			}
+			slices.Sort(probes)
+			probes = slices.Compact(probes)
+			cur := srcCursor{s: s, i: -1}
+			for k, q := range probes {
+				want := lin(q)
+				if got := est(q); !sameFloat(got, want) {
+					t.Fatalf("%s: Estimate(%d) = %v, the scan says %v", what, q, got, want)
+				}
+				if q < s.headLow {
+					if got := cur.est(q); !sameFloat(got, want) {
+						t.Fatalf("%s: cursor at %d = %v, the scan says %v", what, q, got, want)
+					}
+				}
+				// The instant itself and two earlier probes, near and far.
+				p1, p0 := probes[k/2+k/4], probes[k/2]
+				f0, f1, f2 := est3(p0, p1, q)
+				if !sameFloat(f0, lin(p0)) || !sameFloat(f1, lin(p1)) || !sameFloat(f2, want) {
+					t.Fatalf("%s: Estimate3(%d, %d, %d) = %v %v %v, the scan says %v %v %v",
+						what, p0, p1, q, f0, f1, f2, lin(p0), lin(p1), want)
+				}
+			}
+		}
+		for _, v := range ts {
+			b.Append(v)
+		}
+		check("open", &b.summary, b.Estimate, b.Estimate3)
+		s := b.Seal()
+		check("finished", s, s.Estimate, s.Estimate3)
+		held := 4*cap(s.starts) + 4*cap(s.lens) + 16*cap(s.lines)
+		if s.wide != nil {
+			held += 8*cap(s.wide.starts) + 8*cap(s.wide.long)
+		}
+		if held != s.Bytes() {
+			t.Fatalf("columns hold %d bytes, Bytes = %d", held, s.Bytes())
+		}
 	})
 }
 
@@ -168,10 +272,12 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := DecodeBlock(r, arena, maxT)
 		runtime.ReadMemStats(&after)
-		// 28 bytes a segment of at least 18 stored, 8 more (in an array grown
-		// by doubling) when its length takes the long table; the constant
-		// covers the error and whatever the fuzzing worker's own goroutines
-		// allocate meanwhile — the counter is the process's.
+		// 24 bytes a segment of at least 18 stored; 8 more (in an array grown
+		// by doubling) when its length takes the long table, and 8 more when
+		// its cell's starts take the wide form, whose 4 in the shared array
+		// then go unused; the constant covers the error and whatever the
+		// fuzzing worker's own goroutines allocate meanwhile — the counter is
+		// the process's.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes into %d cells allocated %d, want at most %d", len(data), n, got, limit)
 		}
@@ -185,7 +291,7 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		for i := range arena {
 			b := &arena[i]
 			b.Estimate3(maxT-20, maxT-10, maxT)
-			if b.count < 0 || b.count > 0 && (len(b.starts) == 0 || b.lastT > maxT) {
+			if b.count < 0 || b.count > 0 && (len(b.lines) == 0 || b.lastT > maxT) {
 				t.Fatalf("cell %d accepted in a state no builder reaches: %+v", i, b)
 			}
 		}

@@ -31,7 +31,7 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 		if p.gamma != parts[0].gamma {
 			return fmt.Errorf("pbe2: gamma mismatch (%v vs %v)", parts[0].gamma, p.gamma)
 		}
-		total += len(p.starts)
+		total += len(p.lines)
 	}
 	first := parts[0]
 	s := Summary{
@@ -42,9 +42,9 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 		outOfOrder: first.outOfOrder,
 	}
 	if total > 0 {
-		s.starts, s.lens, s.lines = make([]int64, 0, total), make([]uint32, 0, total), make([]line, 0, total)
+		s.starts, s.lens, s.lines = make([]uint32, 0, total), make([]uint32, 0, total), make([]line, 0, total)
 	}
-	for i := range first.starts {
+	for i := range first.lines {
 		s.appendSegment(first.seg(i))
 	}
 	for _, p := range parts[1:] {
@@ -60,7 +60,7 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 				s.lastT, p.firstStart)
 		}
 		offset := float64(s.count)
-		for i := range p.starts {
+		for i := range p.lines {
 			seg := p.seg(i)
 			seg.B += offset
 			s.appendSegment(seg)

@@ -41,9 +41,28 @@ type Segment struct {
 type line struct{ A, B float64 }
 
 // lenTag marks a lens slot that holds, in its low 31 bits, an index into the
-// long table instead of a length: the segment is 2³¹ ticks long or more. A
-// flat run of seconds never gets there; one of nanoseconds does after 2.1 s.
+// wide form's long table instead of a length: the segment is 2³¹ ticks long
+// or more. A flat run of seconds never gets there; one of nanoseconds does
+// after 2.1 s.
 const lenTag = 1 << 31
+
+// wide is what a cell holds only once a distance outgrows its 32-bit slot,
+// behind a pointer that stays nil until then: the lengths of segments 2³¹
+// ticks long or more, and, once a start lies 2³² ticks or more past the
+// cell's first, every start as a 64-bit offset. A nanosecond clock gets there
+// after 4.3 s, a millisecond one after 49.7 days.
+type wide struct {
+	long   []int64  // indexed by a lens slot tagged lenTag
+	starts []uint64 // replaces Summary.starts, which is then nil
+}
+
+// widened returns the wide form, allocating it on first need.
+func (s *Summary) widened() *wide {
+	if s.wide == nil {
+		s.wide = new(wide)
+	}
+	return s.wide
+}
 
 // slot returns the lens entry for a segment of length n, moving n to the
 // long table when 31 bits cannot hold it.
@@ -51,11 +70,9 @@ func (s *Summary) slot(n uint64) uint32 {
 	if n < lenTag {
 		return uint32(n)
 	}
-	if s.long == nil {
-		s.long = new([]int64)
-	}
-	*s.long = append(*s.long, int64(n))
-	return lenTag | uint32(len(*s.long)-1)
+	w := s.widened()
+	w.long = append(w.long, int64(n))
+	return lenTag | uint32(len(w.long)-1)
 }
 
 // segLen returns End − Start of the i-th closed segment.
@@ -64,18 +81,47 @@ func (s *Summary) slot(n uint64) uint32 {
 func (s *Summary) segLen(i int) int64 {
 	n := s.lens[i]
 	if n >= lenTag {
-		return (*s.long)[n-lenTag]
+		return s.wide.long[n-lenTag]
 	}
 	return int64(n)
 }
 
-// seg assembles the i-th closed segment from the columns. It is the one
-// reader of the layout: queries, Segments, merge and downsample go through
-// it (or through starts, the search key, and segLen).
+// start returns the Start of the i-th closed segment: its offset from the
+// first one, added back. A wide cell's offsets may pass 2⁶³; the int64 sum
+// wraps to the exact start all the same.
 //
 //histburst:noalloc
-func (s *Summary) seg(i int) Segment {
-	start, ln := s.starts[i], s.lines[i]
+func (s *Summary) start(i int) int64 {
+	if s.starts == nil {
+		return s.firstStart + int64(s.wide.starts[i])
+	}
+	return s.firstStart + int64(s.starts[i])
+}
+
+// widen moves the starts to the wide form, keeping their capacity: a start
+// 2³² ticks or more past the first is about to be written.
+func (s *Summary) widen() {
+	w := s.widened()
+	w.starts = make([]uint64, len(s.starts), cap(s.starts))
+	for i, off := range s.starts {
+		w.starts[i] = uint64(off)
+	}
+	s.starts = nil
+}
+
+// seg assembles the i-th closed segment from the columns. It is the one
+// reader of the layout: queries, Segments, merge and downsample go through
+// it (or through the narrow starts, the search key, start and segLen).
+//
+//histburst:noalloc
+func (s *Summary) seg(i int) Segment { return s.segAt(i, s.start(i)) }
+
+// segAt is seg for a caller that has the start already: estimate3, which
+// reads it off the narrow column it searched.
+//
+//histburst:noalloc
+func (s *Summary) segAt(i int, start int64) Segment {
+	ln := s.lines[i]
 	return Segment{A: ln.A, B: ln.B, Start: start, End: start + s.segLen(i)}
 }
 
@@ -86,20 +132,22 @@ type Summary struct {
 	gamma float64
 
 	// Closed segments, one column per field, index-aligned and exactly as
-	// long as the segments they hold: 28 bytes a segment, nothing stored
-	// twice. starts is the one search key — eight candidates per cache line —
-	// and stays a full int64 so the search kernels compare timestamps as they
-	// arrive. lens holds End − Start, or for the rare length past 31 bits a
-	// tagged index into *long (see lenTag); long is nil until one occurs.
-	// firstStart/lastStart duplicate the ends of starts so full-range
+	// long as the segments they hold: 24 bytes a segment, nothing stored
+	// twice; lines is as long as the summary. starts is the one search key —
+	// sixteen candidates per cache line — and holds each start as its offset
+	// from firstStart, so the kernels compare t − firstStart, converted once
+	// per query. lens holds End − Start. What 32 bits cannot hold, the rare
+	// length past 31 bits or start past 2³² ticks from the first, goes to the
+	// wide form, nil until one occurs (see wide); a wide cell's starts column
+	// is nil. firstStart/lastStart are the ends of the starts, so full-range
 	// searches resolve boundary cases without touching the array.
-	starts     []int64
+	starts     []uint32
 	lens       []uint32
 	lines      []line
-	long       *[]int64
+	wide       *wide
 	firstStart int64
 	lastStart  int64
-	// invSpan is (len(starts)-1)/(lastStart-firstStart), the slope of the
+	// invSpan is (segments−1)/(lastStart−firstStart), the slope of the
 	// interpolation guess in searchFull, precomputed so the query path
 	// multiplies instead of divides.
 	invSpan float64
@@ -260,8 +308,9 @@ func (b *Builder) rest() {
 	b.starts = clipped(b.starts)
 	b.lens = clipped(b.lens)
 	b.lines = clipped(b.lines)
-	if b.long != nil {
-		*b.long = clipped(*b.long)
+	if w := b.wide; w != nil {
+		w.long = clipped(w.long)
+		w.starts = clipped(w.starts)
 	}
 }
 
@@ -309,22 +358,35 @@ func (b *Builder) closeWindow() {
 }
 
 func (s *Summary) appendSegment(seg Segment) {
+	n := len(s.lines)
+	if n == 0 {
+		s.firstStart = seg.Start
+	}
+	off := uint64(seg.Start) - uint64(s.firstStart)
+	if off > math.MaxUint32 && s.starts != nil {
+		s.widen()
+	}
+	if n > 0 && s.starts == nil {
+		s.wide.starts = append(s.wide.starts, off)
+	} else {
+		s.starts = append(s.starts, uint32(off))
+	}
 	s.lens = append(s.lens, s.slot(uint64(seg.End-seg.Start)))
-	s.starts = append(s.starts, seg.Start)
 	s.lines = append(s.lines, line{A: seg.A, B: seg.B})
 	s.boundStarts()
 }
 
-// boundStarts refreshes what searchFull keeps beside the starts column: its
-// two ends and the interpolation slope between them.
+// boundStarts refreshes what searchFull keeps beside the starts column: the
+// last start and the interpolation slope from the first to it. The first is
+// the offsets' base, fixed by the first segment.
 func (s *Summary) boundStarts() {
-	n := len(s.starts)
+	n := len(s.lines)
 	if n == 0 {
 		return
 	}
-	s.firstStart, s.lastStart = s.starts[0], s.starts[n-1]
-	if s.lastStart > s.firstStart {
-		s.invSpan = float64(n-1) / float64(s.lastStart-s.firstStart)
+	s.lastStart = s.start(n - 1)
+	if span := uint64(s.lastStart) - uint64(s.firstStart); span > 0 {
+		s.invSpan = float64(n-1) / float64(span)
 	}
 }
 
@@ -337,7 +399,11 @@ func (s *Summary) Estimate(t int64) float64 {
 	if t >= s.headLow {
 		return float64(s.count)
 	}
-	return s.segValue(s.searchFull(t), t)
+	i := s.searchFull(t)
+	if i < 0 {
+		return 0
+	}
+	return segVal(s.seg(i), t)
 }
 
 // Estimate returns F̃(t) as Summary.Estimate does, answering the still-open
@@ -352,7 +418,11 @@ func (b *Builder) Estimate(t int64) float64 {
 			return v
 		}
 	}
-	return b.segValue(b.searchFull(t), t)
+	i := b.searchFull(t)
+	if i < 0 {
+		return 0
+	}
+	return segVal(b.seg(i), t)
 }
 
 func clampNonNegative(v float64) float64 {
@@ -364,10 +434,10 @@ func clampNonNegative(v float64) float64 {
 
 // Segments returns a copy of the closed segments.
 func (s *Summary) Segments() []Segment {
-	if len(s.starts) == 0 {
+	if len(s.lines) == 0 {
 		return nil
 	}
-	out := make([]Segment, len(s.starts))
+	out := make([]Segment, len(s.lines))
 	for i := range out {
 		out[i] = s.seg(i)
 	}
@@ -378,8 +448,9 @@ func (s *Summary) Segments() []Segment {
 // and the instant just past each segment end (where the flat hold begins),
 // plus the open-corner frontier.
 func (s *Summary) Breakpoints() []int64 {
-	out := make([]int64, 0, 2*len(s.starts)+1)
-	for i, start := range s.starts {
+	out := make([]int64, 0, 2*len(s.lines)+1)
+	for i := range s.lines {
+		start := s.start(i)
 		out = appendBreakpoint(out, start)
 		out = appendBreakpoint(out, start+s.segLen(i)+1)
 	}
@@ -416,19 +487,21 @@ func (s *Summary) Frontier() int64 { return s.lastT }
 func (s *Summary) OutOfOrder() int64 { return s.outOfOrder }
 
 // NumSegments returns the number of closed segments.
-func (s *Summary) NumSegments() int { return len(s.starts) }
+func (s *Summary) NumSegments() int { return len(s.lines) }
 
 // Bytes returns the summary footprint: what the segment columns hold. That
-// is 28 bytes per closed segment (an int64 start, a uint32 length, two
-// float64 coefficients) plus 8 per length too long for 31 bits. Counted:
-// segment payload only. Not counted: the Builder struct itself and the
-// allocator's per-array rounding, a fixed cost per cell that a sketch of K
-// cells pays K times whatever the history's length — and, while a window is
-// open, its feasible region and clip arena, which Finish releases.
+// is 24 bytes per closed segment (a uint32 offset of its start from the
+// first, a uint32 length, two float64 coefficients), plus 8 per length too
+// long for 31 bits, and 4 more per segment in a cell whose starts took the
+// 64-bit form. Counted: segment payload only. Not counted: the Builder struct
+// itself, the wide form's header and the allocator's per-array rounding, a
+// fixed cost per cell that a sketch of K cells pays K times whatever the
+// history's length — and, while a window is open, its feasible region and
+// clip arena, which Finish releases.
 func (s *Summary) Bytes() int {
-	n := 28 * len(s.starts)
-	if s.long != nil {
-		n += 8 * len(*s.long)
+	n := 4*len(s.starts) + 20*len(s.lines)
+	if w := s.wide; w != nil {
+		n += 8*len(w.starts) + 8*len(w.long)
 	}
 	return n
 }

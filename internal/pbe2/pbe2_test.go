@@ -273,11 +273,14 @@ func TestBurstyTimesWithinTolerance(t *testing.T) {
 func TestBytesAccounting(t *testing.T) {
 	ts := randomTimestamps(13, 500, 3)
 	b := buildPBE2(t, ts, 2)
-	if got, want := b.Bytes(), 28*b.NumSegments(); got != want {
+	if b.wide != nil {
+		t.Fatal("a stream of small ticks took the wide form")
+	}
+	if got, want := b.Bytes(), 24*b.NumSegments(); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 	// What Bytes counts is what the columns hold: Finish left no slack.
-	if held := 8*cap(b.starts) + 4*cap(b.lens) + 16*cap(b.lines); held != b.Bytes() {
+	if held := 4*cap(b.starts) + 4*cap(b.lens) + 16*cap(b.lines); held != b.Bytes() {
 		t.Fatalf("finished columns hold %d bytes, Bytes = %d", held, b.Bytes())
 	}
 	segs := b.Segments()

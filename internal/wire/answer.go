@@ -37,14 +37,16 @@ type Querier interface {
 // DegradedEnvelope is the degraded-history rule every answer (and every
 // alert) follows: a store snapshot missing history at or before t reports
 // its envelope there; a whole history, or a detector (which has nothing to
-// quarantine), nil.
+// quarantine), nil. Only a degraded envelope is copied to the heap: a
+// healthy snapshot's answers allocate nothing here.
 func DegradedEnvelope(q Querier, t int64) *segstore.ErrorEnvelope {
 	sn, ok := q.(*segstore.Snapshot)
 	if !ok {
 		return nil
 	}
 	if env := sn.Envelope(t); env.Degraded {
-		return &env
+		out := env
+		return &out
 	}
 	return nil
 }

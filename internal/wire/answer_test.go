@@ -366,3 +366,30 @@ func TestEmptyAnswersAreLists(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerPointAllocs: a POINT batch over a healthy snapshot allocates its
+// result slice and nothing else — the envelope of a whole history is nil, and
+// only a degraded one is copied to the heap — just as a batch over a detector
+// does.
+func TestAnswerPointAllocs(t *testing.T) {
+	det, sn := answerSources(t)
+	lo, span := det.MinTime(), det.MaxTime()-det.MinTime()+1
+	batch := make([]PointQuery, 16)
+	for i := range batch {
+		batch[i] = PointQuery{Event: uint64(i * 61), T: lo + int64(i)*span/16, Tau: DefaultTau}
+	}
+	for _, src := range []struct {
+		name string
+		q    Querier
+	}{{"detector", det}, {"snapshot", sn}} {
+		got := testing.AllocsPerRun(20, func() {
+			res, err := AnswerPoint(src.q, batch)
+			if err != nil || res[0].Envelope != nil {
+				t.Fatalf("AnswerPoint: %v, envelope %+v", err, res[0].Envelope)
+			}
+		})
+		if got > 1 {
+			t.Errorf("%s: a 16-query POINT batch allocates %.0f times, want at most 1", src.name, got)
+		}
+	}
+}

@@ -13,7 +13,7 @@ import (
 // answerSources builds one olympicrio stream (120 000 elements over its
 // month, moved to a Unix-second origin) twice: into a K = 1024 detector and
 // into a volatile store sealed as 12 time-ordered segments.
-func answerSources(b *testing.B) (*histburst.Detector, *segstore.Snapshot) {
+func answerSources(b testing.TB) (*histburst.Detector, *segstore.Snapshot) {
 	b.Helper()
 	const origin, segments = 1_700_000_000, 12
 	base, err := workload.Generate(workload.OlympicRioSpec(2016, 120_000))

@@ -318,7 +318,7 @@ var decodeSink *Detector
 
 // BenchmarkDetectorDecode is what a segment's first touch and a restart pay:
 // the benchmark's 600 k-element K = 1024 file into a detector. heap-B/seg is
-// the live heap one decoded detector pins per closed PBE-2 segment — 28 of it
+// the live heap one decoded detector pins per closed PBE-2 segment — 24 of it
 // payload, the rest the per-cell structs and the allocator's rounding.
 func BenchmarkDetectorDecode(b *testing.B) {
 	det := rioDetector(b, 1, 600_000, 1024, WithPBE2(8))
@@ -327,7 +327,17 @@ func BenchmarkDetectorDecode(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	segments := det.Bytes() / 28
+	segments := 0
+	for i := 0; i < det.tree.Levels(); i++ {
+		l := det.tree.Level(i).(*cmpbe.Sketch)
+		if !l.CollisionFree() {
+			b.Fatalf("level %d is a Count-Min sketch; the count walks a cell per id", i)
+		}
+		_, ids := l.Dims()
+		for e := uint64(0); e < uint64(ids); e++ {
+			segments += l.EventCells(e)[0].NumSegments()
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

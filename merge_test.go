@@ -139,6 +139,9 @@ func TestRefusedMergeAppendLeavesReceiver(t *testing.T) {
 	for name, c := range map[string]struct{ recv, other [][3]int64 }{
 		"misordered":         {[][3]int64{{1, 100, 149}, {2, 1000, 1049}}, [][3]int64{{2, 500, 549}, {1, 2000, 2049}}},
 		"boundary in a cell": {[][3]int64{{1, 100, 149}, {2, 150, 150}}, [][3]int64{{1, 150, 199}, {2, 150, 150}}},
+		// Event 1's cell would have taken segment starts 2³³ ticks past its
+		// first: the wide form.
+		"boundary in a cell, far": {[][3]int64{{1, 100, 149}, {2, 150, 150}}, [][3]int64{{2, 150, 150}, {1, 1 << 33, 1<<33 + 49}}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			recv, other := spans(t, c.recv...), spans(t, c.other...)
@@ -146,7 +149,7 @@ func TestRefusedMergeAppendLeavesReceiver(t *testing.T) {
 				var b strings.Builder
 				fmt.Fprintf(&b, "N=%d span=[%d,%d] bytes=%d\n", recv.N(), recv.MinTime(), recv.MaxTime(), recv.Bytes())
 				for e := uint64(0); e < 64; e++ {
-					for _, q := range []int64{99, 149, 150, 549, 1049, 2049, 5000} {
+					for _, q := range []int64{99, 149, 150, 549, 1049, 2049, 5000, 1 << 33, 1<<33 + 49} {
 						bq, err := recv.Burstiness(e, q, 50)
 						if err != nil {
 							t.Fatal(err)
