@@ -74,10 +74,11 @@ experiments:
 # Short fuzzing pass over every decoder (the PBE-2 cell block's on its own
 # as well as inside a detector file), the element-run round trip, the
 # detector's append path, the PBE-2 kernel's one-sided contract (at small,
-# Unix-second and Unix-millisecond time origins, and through a merge of cut
-# parts), its searches against a linear scan with segment starts on either
-# side of 2³² ticks from a cell's first, and the store head's packed
-# timestamp sequences against a sorted-slice twin.
+# Unix-second and Unix-millisecond time origins, through a merge of cut
+# parts, and for every stored line, narrow or escaped, through a merge whose
+# lift passes int32), its searches against a linear scan with segment starts
+# on either side of 2³² ticks from a cell's first, and the store head's
+# packed timestamp sequences against a sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s).
 FUZZTIME ?= 20s
@@ -93,6 +94,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzSummarySearch -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzNarrowLine -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/

@@ -48,9 +48,9 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD7 blobs
-// (one of them an index with levels under both γs), retired-generation HBD1
-// and HBD6 blobs (must be refused, not decoded), their truncations, and bit
+// FuzzDetectorLoad targets the full detector decode path: valid HBD8 blobs
+// (one of them an index with levels under both γs), retired-generation HBD1,
+// HBD6 and HBD7 blobs (must be refused, not decoded), their truncations, and bit
 // flips. Load must never panic, never allocate
 // unboundedly, and anything accepted must survive query and re-save — and
 // every level must be the size and hashing its height and header call for
@@ -81,9 +81,11 @@ func FuzzDetectorLoad(f *testing.F) {
 		f.Add(v2.Bytes())
 		f.Add(v1)
 		f.Add(saveHBD6(f, det))
-		for _, cut := range []int{1, 5, 9, len(v1) / 2, len(v1) - 1} {
-			f.Add(v1[:cut])
-			f.Add(v2.Bytes()[:cut])
+		f.Add(saveHBD7(f, det))
+		for _, blob := range [][]byte{v1, v2.Bytes()} {
+			for _, cut := range []int{1, 5, 9, len(blob) / 2, len(blob) - 1} {
+				f.Add(blob[:cut])
+			}
 		}
 		flipped := append([]byte(nil), v2.Bytes()...)
 		flipped[len(flipped)/2] ^= 0x10
@@ -217,7 +219,7 @@ func checkSearchable(t *testing.T, d *Detector) {
 				segs := b.Segments()
 				for i, s := range segs {
 					switch {
-					case math.IsNaN(s.A) || math.IsInf(s.A, 0) || math.IsNaN(s.B) || math.IsInf(s.B, 0):
+					case math.IsNaN(s.A) || math.IsInf(s.A, 0) || math.IsNaN(s.Y) || math.IsInf(s.Y, 0):
 						t.Fatalf("level %d id %d: segment %d has non-finite coefficients: %+v", lv, e, i, s)
 					case s.End < s.Start:
 						t.Fatalf("level %d id %d: segment %d ends before it starts: %+v", lv, e, i, s)
@@ -262,6 +264,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(data)
 		f.Add(saveHBD1(f, det))
 		f.Add(saveHBD6(f, det))
+		f.Add(saveHBD7(f, det))
 		for _, cut := range []int{1, 5, 9, len(data) / 2, len(data) - 1} {
 			f.Add(data[:cut])
 		}
@@ -304,7 +307,7 @@ func FuzzInspect(f *testing.F) {
 	})
 }
 
-// FuzzLoadSingle does the same for single-event summaries: valid files — HBD7
+// FuzzLoadSingle does the same for single-event summaries: valid files — HBD8
 // detector files over one id, empty and with a segment too long for a length
 // slot — the refused HBS2 and HBS3 files of the generations before, a
 // detector file over two ids, truncations and bit flips. Anything accepted

@@ -319,6 +319,57 @@ func (p Polygon) Contains(q Vec2) bool {
 	return true
 }
 
+// InsideBy reports whether q lies inside every edge's line by more than
+// margin, the distance measured along the Y axis: for each edge from u to v,
+// (v − u) × (q − u) > margin·|v.X − u.X|, so an edge parallel to the Y axis
+// asks only for strictness. Unlike Contains it grants no Eps: a point on the
+// boundary, or just outside it, is not inside.
+//
+//histburst:noalloc
+func (p Polygon) InsideBy(q Vec2, margin float64) bool {
+	if len(p.vs) < 3 {
+		return false
+	}
+	u := p.vs[len(p.vs)-1]
+	for _, v := range p.vs {
+		e := v.Sub(u)
+		if e.Cross(q.Sub(u)) <= margin*math.Abs(e.X) {
+			return false
+		}
+		u = v
+	}
+	return true
+}
+
+// ChordX returns the X interval [lo, hi] where the horizontal line at y
+// meets the polygon, assuming CCW orientation; ok is false when it misses.
+// Like InsideBy it grants no Eps.
+//
+//histburst:noalloc
+func (p Polygon) ChordX(y float64) (lo, hi float64, ok bool) {
+	if len(p.vs) < 3 {
+		return 0, 0, false
+	}
+	lo, hi = math.Inf(-1), math.Inf(1)
+	u := p.vs[len(p.vs)-1]
+	for _, v := range p.vs {
+		// q = (x, y) is inside this edge where e × (q − u) ≥ 0, that is
+		// e.Y·x ≤ c.
+		e := v.Sub(u)
+		c := e.X*(y-u.Y) + e.Y*u.X
+		switch {
+		case e.Y > 0:
+			hi = math.Min(hi, c/e.Y)
+		case e.Y < 0:
+			lo = math.Max(lo, c/e.Y)
+		case c < 0:
+			return 0, 0, false
+		}
+		u = v
+	}
+	return lo, hi, lo <= hi
+}
+
 // BoundedIntersection builds the polygon from exactly four half-planes whose
 // pairwise boundary intersections bound a (possibly degenerate)
 // parallelogram-like region. PBE-2 seeds each feasible region from the four

@@ -153,6 +153,48 @@ func TestContains(t *testing.T) {
 	}
 }
 
+// TestInsideByAndChordX: InsideBy asks for the margin inside every edge and
+// grants nothing on the boundary; ChordX is the X interval a horizontal line
+// cuts from the polygon, or a miss.
+func TestInsideByAndChordX(t *testing.T) {
+	p := square()
+	for _, c := range []struct {
+		q      Vec2
+		margin float64
+		in     bool
+	}{
+		{Vec2{0.5, 0.5}, 0.1, true},
+		{Vec2{0.5, 0.95}, 0.1, false},
+		{Vec2{0.5, 0.95}, 0.01, true},
+		{Vec2{0, 0}, 0, false},
+		{Vec2{1, 0.5}, 0, false},
+		{Vec2{1.5, 0.5}, 0, false},
+	} {
+		if got := p.InsideBy(c.q, c.margin); got != c.in {
+			t.Errorf("square: InsideBy(%v, %v) = %v, want %v", c.q, c.margin, got, c.in)
+		}
+	}
+	tri := NewPolygon([]Vec2{{0, 0}, {2, 0}, {0, 2}})
+	for _, c := range []struct {
+		p      Polygon
+		y      float64
+		lo, hi float64
+		ok     bool
+	}{
+		{p, 0.5, 0, 1, true},
+		{tri, 1, 0, 1, true},
+		{tri, 0.5, 0, 1.5, true},
+		{tri, 3, 0, 0, false},
+		{p, -0.5, 0, 0, false},
+		{Polygon{}, 0, 0, 0, false},
+	} {
+		lo, hi, ok := c.p.ChordX(c.y)
+		if ok != c.ok || ok && (!approx(lo, c.lo) || !approx(hi, c.hi)) {
+			t.Errorf("ChordX(%v) on %v = [%v, %v] %v, want [%v, %v] %v", c.y, c.p.Vertices(), lo, hi, ok, c.lo, c.hi, c.ok)
+		}
+	}
+}
+
 func TestBoundedIntersectionParallelogram(t *testing.T) {
 	// Constraints of two PBE-2 points (t=1, [2,3]) and (t=2, [4,6]):
 	// 2 <= a+b <= 3 and 4 <= 2a+b <= 6.

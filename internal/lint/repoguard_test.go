@@ -790,3 +790,67 @@ func TestOneRowCombination(t *testing.T) {
 		})
 	})
 }
+
+// TestOneLineFormula: a stored PBE-2 line is evaluated by one formula,
+// segVal's, which every query, the downsampling cursor, the open window's
+// line and Segments come through. In internal/pbe2's non-test code no other
+// function multiplies a slope field — A of a Segment, a of a stored line —
+// and a coefficient field (A, B, Y, a, y) is changed in place only by the
+// merge's lift, appendLifted, for a line the integer lift cannot carry.
+func TestOneLineFormula(t *testing.T) {
+	slope := func(e ast.Expr) bool {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+				continue
+			case *ast.CallExpr:
+				if len(x.Args) == 1 { // a conversion
+					e = x.Args[0]
+					continue
+				}
+			case *ast.SelectorExpr:
+				return x.Sel.Name == "A" || x.Sel.Name == "a"
+			}
+			return false
+		}
+	}
+	coefficient := map[string]bool{"A": true, "B": true, "Y": true, "a": true, "y": true}
+	evaluated := 0
+	eachProductFile(t, func(rel string, f *ast.File) {
+		if filepath.ToSlash(filepath.Dir(rel)) != "internal/pbe2" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.BinaryExpr:
+					if n.Op == token.MUL && (slope(n.X) || slope(n.Y)) {
+						if name != "segVal" {
+							t.Errorf("%s: %s multiplies a slope, %s; only segVal evaluates a line", rel, name, types.ExprString(n))
+						}
+						evaluated++
+					}
+				case *ast.AssignStmt:
+					if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+						return true
+					}
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok && coefficient[sel.Sel.Name] && name != "appendLifted" {
+							t.Errorf("%s: %s changes the coefficient %s in place; only the merge's lift does", rel, name, types.ExprString(sel))
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+	if evaluated == 0 {
+		t.Error("no function in internal/pbe2 evaluates a line; the guard has lost its subject")
+	}
+}

@@ -14,7 +14,7 @@ import (
 // how far that is from where its predecessor ended (see internal/binenc for
 // the scalar forms; p counts the present cells, in cell order):
 //
-//	magic     uint32 "P2B\x02"
+//	magic     uint32 "P2B\x03"
 //	gamma     float64
 //	outOfOrd  uvarint   Σ over the cells
 //	present   ⌈cells/8⌉ bytes, bit i%8 of byte i/8 set when cell i holds arrivals
@@ -23,28 +23,59 @@ import (
 //	open      uvarint × p   count − prevF: the arrivals of the open corner
 //	tail      uvarint × p   lastT − the last segment's End
 //	outOfOrd  uvarint × p   only when the block's sum is not zero
+//	nEscaped  uvarint       the escaped segments of all cells, when p > 0
+//	nWide     uvarint       the cells with an escaped line, a line in the
+//	                        float64 form (below) or a start 2³² ticks or
+//	                        more past their first, when p > 0
+//	nFloat    uvarint       the segments of the cells with a line in the
+//	                        float64 form, when p > 0
+//	escaped   float64 slope, float64 value at Start × nEscaped, in segment order
 //	segments  per present cell, per segment:
 //	          first  varint  Start − the level's maxT
 //	          later  uvarint Start − the previous segment's End
-//	          uvarint End − Start, float64 A, float64 B
+//	          uvarint End − Start
+//	          its line, in one of three forms:
+//	            int32   the value at Start in units of 2⁻⁸ count, at least
+//	                    −2³¹ + 2, then the float32 slope
+//	            int32   −2³¹ + 1, float64 the value at Start, float32 slope
+//	            int32   −2³¹ alone: the line is the next escaped one
 //
-// Nothing a decoder can work out is stored. A cell is present exactly when it
-// has counted an arrival; every cell is a sealed summary, so a present one
-// holds at least one segment; an absent cell is the empty summary New
-// returns. Every varint is in its shortest form, so a block has
-// one encoding and DecodeBlock accepts no other.
+// Nothing a decoder can work out is stored, but for nEscaped, nWide and
+// nFloat, which size the arrays the records' escaped and float64 lines go
+// to before the records are read, and must equal what the records hold. A cell is present exactly when it has counted an
+// arrival; every cell is a sealed summary, so a present one holds at least
+// one segment; an absent cell is the empty summary New returns. A segment is
+// escaped exactly when it is in memory: no float32 slope holds its line, it
+// is 2³² − 1 ticks long or more, or its cell escapes its value (see
+// valueForm). Any other line is written in the first form exactly when its
+// value at Start is on that grid, and a cell holds its values as float64 in
+// memory exactly when one of its lines is written in the second. Every varint is in its shortest form, so a block
+// has one encoding and DecodeBlock accepts no other.
 
-const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 2<<24
+const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 3<<24
+
+// The tags of a segment record's escaped and float64 lines, −2³¹ and
+// −2³¹ + 1 as a uint32: no narrow value at Start is either (minNarrowY).
+const (
+	blockEscaped   = 1 << 31
+	blockFloatLine = 1<<31 | 1
+)
 
 const maxSegments = 1 << 32
 
-// minSegmentBytes is the least a stored segment occupies: two one-byte
-// varints and two float64.
-const minSegmentBytes = 18
+// minSegmentBytes is the least a stored segment's record occupies: two
+// one-byte varints and an escape tag. escapedBytes is what an escaped line
+// adds in its own section, and minWideBytes the least a cell counted in
+// nWide stores past that count: a record in the float64 form.
+const (
+	minSegmentBytes = 6
+	escapedBytes    = 16
+	minWideBytes    = 18
+)
 
 // finite reports whether both coefficients are numbers.
-func (ln line) finite() bool {
-	return !math.IsNaN(ln.A) && !math.IsInf(ln.A, 0) && !math.IsNaN(ln.B) && !math.IsInf(ln.B, 0)
+func finite(a, y float64) bool {
+	return !math.IsNaN(a) && !math.IsInf(a, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
 }
 
 // EncodeBlock appends cells — sealed summaries under one gamma — to w as one
@@ -56,6 +87,7 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 	}
 	first := cells[0]
 	var outOfOrder int64
+	escaped, nWide, nFloat := 0, 0, 0
 	present := make([]*Summary, 0, len(cells))
 	for i, b := range cells {
 		if b.gamma != first.gamma {
@@ -72,6 +104,13 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 			return fmt.Errorf("pbe2: cell %d is inconsistent: %d segments, count %d, prevF %d, frontier %d", i, n, b.count, b.prevF, b.lastT)
 		}
 		outOfOrder += b.outOfOrder
+		if w := b.wide; w != nil {
+			escaped += len(w.segs)
+			nWide++
+			if w.yhi != nil {
+				nFloat += n
+			}
+		}
 		present = append(present, b)
 	}
 	w.Uint32(blockMagic)
@@ -104,20 +143,43 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 			w.Uvarint(uint64(b.outOfOrder))
 		}
 	}
+	if len(present) > 0 {
+		w.Uvarint(uint64(escaped))
+		w.Uvarint(uint64(nWide))
+		w.Uvarint(uint64(nFloat))
+	}
+	for _, b := range present {
+		if b.wide != nil {
+			for _, e := range b.wide.segs {
+				w.Float64(e.a)
+				w.Float64(e.y)
+			}
+		}
+	}
+
 	for _, b := range present {
 		prevEnd := maxT
 		for i := range b.lines {
-			start := b.start(i)
+			seg := b.seg(i)
 			if i == 0 {
-				w.Varint(start - prevEnd)
+				w.Varint(seg.Start - prevEnd)
 			} else {
-				w.Uvarint(uint64(start - prevEnd))
+				w.Uvarint(uint64(seg.Start - prevEnd))
 			}
-			length, ln := b.segLen(i), b.lines[i]
-			w.Uvarint(uint64(length))
-			w.Float64(ln.A)
-			w.Float64(ln.B)
-			prevEnd = start + length
+			w.Uvarint(uint64(seg.End - seg.Start))
+			y, narrow := narrowY(seg.Y)
+			switch {
+			case b.lens[i] == escLen:
+				w.Uint32(blockEscaped)
+			case narrow:
+				w.Uint32(uint32(y))
+				w.Uint32(math.Float32bits(float32(seg.A)))
+			default:
+				w.Uint32(blockFloatLine)
+				w.Float64(seg.Y)
+				w.Uint32(math.Float32bits(float32(seg.A)))
+			}
+			prevEnd = seg.End
 		}
 	}
 	return nil
@@ -130,12 +192,15 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 // assume it and a checksum only proves the bytes are the ones written: every
 // present cell has arrivals and segments, its open corner is no larger than
 // its count, its segments ascend without overlap on finite coefficients, and
-// it ends no later than maxT. The segments of all cells share three arrays,
+// it ends no later than maxT. The segments of all cells share their arrays,
 // each cell holding a full-slice range of them, so an append after loading
-// copies the cell's segments out instead of writing over its neighbour's. A
+// copies the cell's segments out instead of writing over its neighbour's.
+// Every shared array is allocated at its exact size before the records are
+// read — the escaped segments' from nEscaped, the wide structs' from nWide,
+// the float64 values' high halves from nFloat — but the narrow starts: a
 // cell whose starts reach 2³² ticks past its first moves them, as it reads
-// them, to a wide column of its own, and leaves its range of the shared
-// starts unused.
+// them, to a wide column of its own, and when one does the narrow starts are
+// copied once more at the end into an array without its range.
 //
 //histburst:decoder
 func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
@@ -250,10 +315,40 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			return corrupt("cells count %d out-of-order arrivals fewer than the block's %d", left, outOfOrder)
 		}
 	}
+	nEscaped := 0
+	if total > 0 {
+		nEscaped = c.SliceLen(uint64(total), escapedBytes)
+	}
+	nWide, nFloat := 0, 0
+	if total > 0 {
+		nWide = c.SliceLen(uint64(len(cells)), minWideBytes)
+		nFloat = c.SliceLen(uint64(total), minSegmentBytes)
+	}
+	escaped := make([]wideSeg, nEscaped)
+	for k := range escaped {
+		escaped[k].a, escaped[k].y = r.Float64(), r.Float64()
+	}
+	wides, yhi := make([]wide, nWide), make([]int32, nFloat)
+
+	// A cell takes the next escaped lines in order, the next wide struct
+	// when it first needs one, and at its first float64 line as many high
+	// halves as it has segments.
+	escUsed, wideUsed, floatUsed, wentWide := 0, 0, 0, false
 	for i := range cells {
 		b := &cells[i]
 		if b.count == 0 {
 			continue
+		}
+		cellEsc := escUsed
+		takeWide := func() bool {
+			if b.wide == nil {
+				if wideUsed == len(wides) {
+					return false
+				}
+				b.wide = &wides[wideUsed]
+				wideUsed++
+			}
+			return true
 		}
 		prevEnd := maxT
 		for j := range b.lines {
@@ -278,9 +373,60 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			case end < start:
 				return corrupt("cell %d: segment %d ends past the end of time", i, j)
 			}
-			ln := line{A: r.Float64(), B: r.Float64()}
-			if !ln.finite() {
-				return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
+			ln, hi, n := line{}, int32(0), uint32(length)
+			switch tag := r.Uint32(); tag {
+			case blockEscaped:
+				if escUsed == len(escaped) {
+					return corrupt("cell %d: segment %d is escaped past the %d escaped lines", i, j, len(escaped))
+				}
+				if !takeWide() {
+					return corrupt("cell %d: segment %d is escaped past the block's %d wide cells", i, j, len(wides))
+				}
+				e := &escaped[escUsed]
+				if !finite(e.a, e.y) {
+					return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
+				}
+				if float64(float32(e.a)) == e.a && length < escLen && b.valueForm(e.y, escUsed-cellEsc, j) != escapedValue {
+					return corrupt("cell %d: segment %d is escaped, and a line holds it", i, j)
+				}
+				e.n = int64(length)
+				ln, n = escapedLine(escUsed-cellEsc), escLen
+				escUsed++
+			case blockFloatLine:
+				if length >= escLen {
+					return corrupt("cell %d: segment %d is %d ticks long and not escaped", i, j, length)
+				}
+				y := r.Float64()
+				ln.a = math.Float32frombits(r.Uint32())
+				if !finite(float64(ln.a), y) {
+					return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
+				}
+				if _, ok := narrowY(y); ok {
+					return corrupt("cell %d: segment %d holds a float64 value the narrow form holds", i, j)
+				}
+				if b.valueForm(y, escUsed-cellEsc, j) != floatValue {
+					return corrupt("cell %d: segment %d holds a float64 value its cell escapes", i, j)
+				}
+				if b.wide == nil || b.wide.yhi == nil {
+					n := len(b.lines)
+					if !takeWide() || len(yhi)-floatUsed < n {
+						return corrupt("cell %d: segment %d is float64 past the block's %d wide cells and %d float64 segments", i, j, len(wides), len(yhi))
+					}
+					b.widenY(yhi[floatUsed : floatUsed+n : floatUsed+n])
+					floatUsed += n
+				}
+				ln, hi = floatLine(ln.a, y)
+			default:
+				if length >= escLen {
+					return corrupt("cell %d: segment %d is %d ticks long and not escaped", i, j, length)
+				}
+				ln = line{a: math.Float32frombits(r.Uint32()), y: int32(tag)}
+				if a := float64(ln.a); math.IsNaN(a) || math.IsInf(a, 0) {
+					return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
+				}
+				if b.wide != nil && b.wide.yhi != nil {
+					ln, hi = floatLine(ln.a, float64(ln.y)/yUnit)
+				}
 			}
 			if j == 0 {
 				b.firstStart = start
@@ -289,13 +435,23 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			case b.starts == nil:
 				b.wide.starts[j] = off
 			case off > math.MaxUint32:
+				if !takeWide() {
+					return corrupt("cell %d: segment %d starts 2³² ticks past the first, past the block's %d wide cells", i, j, len(wides))
+				}
 				b.widen()
 				b.wide.starts[j] = off
+				wentWide = true
 			default:
 				b.starts[j] = uint32(off)
 			}
-			b.lens[j], b.lines[j] = b.slot(length), ln
+			b.lens[j], b.lines[j] = n, ln
+			if b.wide != nil && b.wide.yhi != nil {
+				b.wide.yhi[j] = hi
+			}
 			prevEnd = end
+		}
+		if escUsed > cellEsc {
+			b.wide.segs = escaped[cellEsc:escUsed:escUsed]
 		}
 		tail := b.lastT
 		b.lastT = prevEnd + tail
@@ -303,7 +459,29 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			return corrupt("cell %d ends at %d+%d, past the level's last timestamp %d", i, prevEnd, tail, maxT)
 		}
 		b.boundStarts()
-		b.rest() // sets headLow, clips the long table; the columns are exact already
+		b.rest() // sets headLow; the columns are exact already
+	}
+	if escUsed != len(escaped) {
+		return corrupt("%d escaped lines, %d segments escaped", len(escaped), escUsed)
+	}
+	if wideUsed != len(wides) || floatUsed != len(yhi) {
+		return corrupt("%d wide cells and %d float64 segments, the block says %d and %d", wideUsed, floatUsed, len(wides), len(yhi))
+	}
+	if wentWide {
+		// The wide cells' ranges of the narrow starts went unused: copy the
+		// rest into an array without them.
+		kept := 0
+		for i := range cells {
+			kept += len(cells[i].starts)
+		}
+		exact := make([]uint32, kept)
+		for i := range cells {
+			b := &cells[i]
+			if n := len(b.starts); n > 0 {
+				copy(exact, b.starts)
+				b.starts, exact = exact[:n:n], exact[n:]
+			}
+		}
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("pbe2: cell block: %w", err)

@@ -250,13 +250,25 @@ type rawCell struct {
 	count, open, tail, outOfOrder uint64
 	first                         int64 // first start − maxT
 	segs                          []rawSegment
+	lines                         map[int][]byte // segment → its line's bytes as stored, in place of a and y
+	escape                        map[int]bool   // segments written escaped whatever their lines
 }
 
 // rawSegment is a segment as the block stores it; gap is ignored for a
 // cell's first.
 type rawSegment struct {
 	gap, length uint64
-	a, b        float64
+	a, y        float64
+}
+
+// floatRecord is a segment record's line in the float64 form: the tag, y,
+// and a zero slope.
+func floatRecord(y float64) []byte {
+	var w binenc.Writer
+	w.Uint32(1<<31 | 1)
+	w.Float64(y)
+	w.Uint32(0)
+	return w.Bytes()
 }
 
 // rawBlock writes the block format around the given columns as they are: what
@@ -286,7 +298,48 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 			w.Uvarint(c.outOfOrder)
 		}
 	}
-	for _, c := range cells {
+	forms := make([][]int, len(cells))
+	n, nWide, nFloat := 0, 0, 0
+	for ci, c := range cells {
+		segs := make([]Segment, len(c.segs))
+		wide := false
+		var start int64 // relative to the cell's first start
+		for i, s := range c.segs {
+			if i > 0 {
+				start = segs[i-1].End + int64(s.gap)
+			}
+			segs[i] = Segment{A: s.a, Y: s.y, Start: start, End: start + int64(s.length)}
+			wide = wide || uint64(start) > math.MaxUint32
+		}
+		var float bool
+		forms[ci], float = refForms(segs, c.escape)
+		for _, f := range forms[ci] {
+			if f == escapedValue {
+				n++
+				wide = true
+			}
+		}
+		if wide || float {
+			nWide++
+		}
+		if float {
+			nFloat += len(c.segs)
+		}
+	}
+	if len(cells) > 0 {
+		w.Uvarint(uint64(n))
+		w.Uvarint(uint64(nWide))
+		w.Uvarint(uint64(nFloat))
+	}
+	for ci, c := range cells {
+		for i, s := range c.segs {
+			if forms[ci][i] == escapedValue {
+				w.Float64(s.a)
+				w.Float64(s.y)
+			}
+		}
+	}
+	for ci, c := range cells {
 		for i, s := range c.segs {
 			if i == 0 {
 				w.Varint(c.first)
@@ -294,8 +347,13 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 				w.Uvarint(s.gap)
 			}
 			w.Uvarint(s.length)
-			w.Float64(s.a)
-			w.Float64(s.b)
+			if raw, ok := c.lines[i]; ok {
+				for _, b := range raw {
+					w.Byte(b)
+				}
+			} else {
+				writeLine(&w, s.a, s.y, forms[ci][i])
+			}
 		}
 	}
 	return w.Bytes()
@@ -421,7 +479,8 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		{"empty input", "truncated uint32 at offset 0", nil},
 		{"not a block", "bad magic", []byte("nope")},
 		{"a per-summary blob", "bad magic", []byte("PB2\x01xx")},
-		{"the previous generation", "bad magic", []byte("P2B\x01 and so on, and so on")},
+		{"an earlier generation", "bad magic", []byte("P2B\x01 and so on, and so on")},
+		{"the previous generation", "bad magic", []byte("P2B\x02 and so on, and so on")},
 	})
 	src := buildPBE2(t, randomTimestamps(3, 300, 3), 2)
 	built := encodeBlock(t, []Builder{*src}, src.Frontier())
@@ -450,7 +509,38 @@ func TestUnmarshalRejectsUnsearchable(t *testing.T) {
 		{"NaN slope", "segment 0 has non-finite coefficients",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a = math.NaN() }))},
 		{"infinite intercept", "segment 1 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].b = math.Inf(-1) }))},
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = math.Inf(-1) }))},
+		{"narrow NaN slope", "segment 0 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{0: {0, 1, 0, 0, 0, 0, 0xc0, 0x7f}} }))},
+		{"narrow infinite slope", "segment 1 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: {0, 1, 0, 0, 0, 0, 0x80, 0xff}} }))},
+		{"an escaped line a line holds", "segment 1 is escaped, and a line holds it",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.escape = map[int]bool{1: true} }))},
+		{"a tag past the escaped lines", "segment 1 is escaped past the 0 escaped lines",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: {0, 0, 0, 0x80}} }))},
+		{"an escaped line no segment takes", "1 escaped lines, 0 segments escaped",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) {
+				c.escape = map[int]bool{1: true}
+				c.lines = map[int][]byte{1: {0, 6, 0, 0, 0, 0, 0, 0}}
+			}))},
+		{"a segment too long for its slot, not escaped", "segment 1 is 4294967295 ticks long and not escaped",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) {
+				c.segs[1].length = 1<<32 - 1
+				c.lines = map[int][]byte{1: {0, 6, 0, 0, 0, 0, 0, 0}}
+			}))},
+		{"a float64 value the narrow form holds", "segment 1 holds a float64 value the narrow form holds",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(6)} }))},
+		{"a NaN float64 value", "segment 1 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(math.NaN())} }))},
+		{"a float64 value its cell escapes", "segment 1 holds a float64 value its cell escapes",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(6.1)} }))},
+		{"a float64 value past the block's count", "segment 1 is float64 past the block's 0 wide cells and 0 float64 segments",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(1e7)} }))},
+		{"a float64 cell with no float64 value", "0 wide cells and 0 float64 segments, the block says 1 and 2",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) {
+				c.segs[1].y = 1e7
+				c.lines = map[int][]byte{1: {0, 6, 0, 0, 0, 0, 0, 0}}
+			}))},
 	})
 
 	// What the builder can legitimately emit still decodes: a successor may

@@ -50,11 +50,18 @@ func longRunStream(origin int64, bursts int) (ts stream.TimestampSeq, runs [][2]
 	return ts, runs
 }
 
+// countLong counts the escaped segments the wide form holds for a length
+// too long for its slot.
 func countLong(b *Builder) int {
-	if b.wide == nil {
-		return 0
+	n := 0
+	if b.wide != nil {
+		for _, w := range b.wide.segs {
+			if w.n >= escLen {
+				n++
+			}
+		}
 	}
-	return len(b.wide.long)
+	return n
 }
 
 // probeSegments checks that the segments too long for a lens slot are exactly
@@ -65,7 +72,7 @@ func probeSegments(t *testing.T, what string, b *Builder, ts stream.TimestampSeq
 	t.Helper()
 	long := 0
 	for _, s := range b.Segments() {
-		if s.End-s.Start < lenTag {
+		if s.End-s.Start < escLen {
 			continue
 		}
 		if long == len(runs) || s.Start != runs[long][0] || s.End != runs[long][1] {
@@ -73,17 +80,17 @@ func probeSegments(t *testing.T, what string, b *Builder, ts stream.TimestampSeq
 		}
 		long++
 		wrap32 := s.Start + int64(uint32(s.End-s.Start))
-		wrap31 := s.Start + (s.End-s.Start)&(lenTag-1)
+		wrap31 := s.Start + (s.End-s.Start)&(1<<31-1)
 		for _, q := range [...]int64{
 			s.Start, s.Start + 1, s.Start + (s.End-s.Start)/2,
 			wrap31 - 1, wrap31, wrap31 + 1, wrap32 - 1, wrap32, wrap32 + 1,
-			s.Start + lenTag - 1, s.Start + lenTag, s.End - 1, s.End, s.End + 1,
+			s.Start + escLen - 1, s.Start + escLen, s.End - 1, s.End, s.End + 1,
 		} {
 			checkInstant(t, what, b.Estimate(q), float64(ts.CountAtOrBefore(q)), gamma, q)
 		}
 	}
 	if long != len(runs) || long != countLong(b) {
-		t.Fatalf("%s: %d segments longer than 31 bits, long table holds %d, the stream has %d flat runs",
+		t.Fatalf("%s: %d segments too long for 32 bits, the wide form holds %d, the stream has %d flat runs",
 			what, long, countLong(b), len(runs))
 	}
 }
@@ -95,12 +102,12 @@ func TestLongSegmentLengths(t *testing.T) {
 	ts, runs := longRunStream(origin, 6)
 	b := buildPBE2(t, ts, gamma)
 	probeSegments(t, "built", b, ts, runs, gamma)
-	// Bursts 2³² ticks apart: the starts take the wide form, 28 bytes a
+	// Bursts 2³² ticks apart: the starts take the wide form, 20 bytes a
 	// segment.
 	if !wideForm(&b.summary) {
 		t.Fatal("starts 2³² ticks apart kept the narrow form")
 	}
-	if got, want := b.Bytes(), 28*b.NumSegments()+8*countLong(b); got != want {
+	if got, want := b.Bytes(), refBytes(b.Segments(), true); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 
@@ -149,7 +156,7 @@ func TestLongSegmentLengths(t *testing.T) {
 	probeSegments(t, "merged", &back, all, append(allRuns, tailRuns...), gamma)
 	merged := back.Segments()
 	for i, s := range other.Segments() {
-		s.B += lift
+		s.Y += lift
 		if merged[len(before)+i] != s {
 			t.Fatalf("merged segment %d is %+v, want %+v", len(before)+i, merged[len(before)+i], s)
 		}

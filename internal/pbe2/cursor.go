@@ -44,7 +44,7 @@ func (s *Summary) liveHead(w *region, t int64, cc *centroidCache) (float64, bool
 			cc.a, cc.y = w.line()
 			cc.have = true
 		}
-		return clampNonNegative(w.lineAt(cc.a, cc.y, t)), true
+		return segVal(Segment{A: cc.a, Y: cc.y, Start: w.winStart, End: t}, t), true
 	}
 	if w.pending {
 		return w.v0, true
@@ -54,16 +54,19 @@ func (s *Summary) liveHead(w *region, t int64, cc *centroidCache) (float64, bool
 
 // segValue maps a segment index found for t (-1 = before the first segment)
 // to the estimate: the segment's line inside its span, the held final value
-// in the flat gap after it. The start's two widths cost it its place in the
-// inlining budget, so the single-instant paths — Estimate and the cursor —
-// spell it out: the check, then segVal(s.seg(i), t), both of which inline.
+// in the flat gap after it: seg spelled out, so that segAt, which fits the
+// inlining budget where seg does not, inlines into it. Estimate and the
+// downsampling cursor spell it out the same way.
 //
 //histburst:noalloc
 func (s *Summary) segValue(i int, t int64) float64 {
-	if i < 0 {
+	switch {
+	case i < 0:
 		return 0
+	case s.floatValues():
+		return segVal(s.segFloat(i), t)
 	}
-	return segVal(s.seg(i), t)
+	return segVal(s.segAt(i, s.start(i)), t)
 }
 
 // Estimate3 evaluates F̃ at three ascending instants t0 ≤ t1 ≤ t2 in one
@@ -95,8 +98,10 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 // earlier answers are usually in the same or the adjacent segment as the
 // previous one — probe there before binary-searching the narrowed range. The
 // searches compare each instant's offset from the first start against the
-// narrow starts; a wide cell takes the three independent searches of the
-// head case. An empty one stays here: its search finds nothing at once.
+// narrow starts, and read each segment with segAt, its value at Start then
+// replaced in a cell of float64 values; a wide cell takes the three
+// independent searches of the head case. An empty one stays here: its
+// search finds nothing at once.
 //
 //histburst:noalloc
 func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
@@ -107,8 +112,11 @@ func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
 	if i2 < 0 {
 		return 0, 0, 0 // t0 ≤ t1 ≤ t2 all precede the first segment
 	}
-	starts, first := s.starts, s.firstStart
+	starts, first, float := s.starts, s.firstStart, s.floatValues()
 	s2 := s.segAt(i2, first+int64(starts[i2]))
+	if float {
+		s2.Y = s.floatY(i2, s2.Y)
+	}
 	f2 = segVal(s2, t2)
 	// An earlier instant that precedes the segment in hand lies between the
 	// first start and that one, so its offset fits the narrow key — unless
@@ -124,6 +132,9 @@ func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
 			i1 = searchDown(starts, k1, i1)
 		}
 		s2 = s.segAt(i1, first+int64(starts[i1]))
+		if float {
+			s2.Y = s.floatY(i1, s2.Y)
+		}
 	}
 	f1 = segVal(s2, t1) // s2 now holds segment i1
 	i0 := i1
@@ -136,20 +147,27 @@ func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
 			i0 = searchDown(starts, k0, i0)
 		}
 		s2 = s.segAt(i0, first+int64(starts[i0]))
+		if float {
+			s2.Y = s.floatY(i0, s2.Y)
+		}
 	}
 	f0 = segVal(s2, t0)
 	return f0, f1, f2
 }
 
 // segVal evaluates a segment found for t (so t ≥ Start): the segment's line
-// inside its span, the held final value in the flat gap after it.
+// inside its span, the held final value in the flat gap after it, never
+// below zero. It is the one evaluation of a line: every query, the
+// downsampling cursor and the open window's line come through it. The
+// distance from Start is taken unsigned, so a segment spanning more than
+// 2⁶³ ticks still reads its own.
 //
 //histburst:noalloc
 func segVal(s Segment, t int64) float64 {
 	if t > s.End {
 		t = s.End
 	}
-	v := s.A*float64(t) + s.B
+	v := s.Y + s.A*float64(uint64(t-s.Start))
 	if v < 0 {
 		v = 0
 	}

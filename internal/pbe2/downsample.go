@@ -51,10 +51,13 @@ func (c *srcCursor) est(t int64) float64 {
 	for c.i+1 < len(s.lines) && s.start(c.i+1) <= t {
 		c.i++
 	}
-	if c.i < 0 {
+	switch {
+	case c.i < 0:
 		return 0
+	case s.floatValues():
+		return segVal(s.segFloat(c.i), t)
 	}
-	return segVal(s.seg(c.i), t)
+	return segVal(s.segAt(c.i, s.start(c.i)), t)
 }
 
 // memberIter streams one member's candidate constraint instants — its

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"histburst/internal/binenc"
@@ -114,7 +115,7 @@ func FuzzSummarySearch(f *testing.F) {
 				}
 				for i := len(ref.segs) - 1; i >= 0; i-- {
 					if seg := ref.segs[i]; seg.Start <= q {
-						v := seg.A*float64(min(q, seg.End)) + seg.B
+						v := seg.Y + seg.A*float64(uint64(min(q, seg.End)-seg.Start))
 						if v < 0 {
 							v = 0
 						}
@@ -159,11 +160,7 @@ func FuzzSummarySearch(f *testing.F) {
 		check("open", &b.summary, b.Estimate, b.Estimate3)
 		s := b.Seal()
 		check("finished", s, s.Estimate, s.Estimate3)
-		held := 4*cap(s.starts) + 4*cap(s.lens) + 16*cap(s.lines)
-		if s.wide != nil {
-			held += 8*cap(s.wide.starts) + 8*cap(s.wide.long)
-		}
-		if held != s.Bytes() {
+		if held := heldBytes(s); held != s.Bytes() {
 			t.Fatalf("columns hold %d bytes, Bytes = %d", held, s.Bytes())
 		}
 	})
@@ -272,13 +269,16 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := DecodeBlock(r, arena, maxT)
 		runtime.ReadMemStats(&after)
-		// 24 bytes a segment of at least 18 stored; 8 more (in an array grown
-		// by doubling) when its length takes the long table, and 8 more when
-		// its cell's starts take the wide form, whose 4 in the shared array
-		// then go unused; the constant covers the error and whatever the
-		// fuzzing worker's own goroutines allocate meanwhile — the counter is
-		// the process's.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(data)+1<<16); got > limit {
+		// 16 bytes a segment of at least 6 stored, 4 more in a cell of
+		// float64 values; an escaped one 24 more for its line of 16 stored;
+		// a 72-byte wide struct for a cell with an escaped or float64 line
+		// or wide starts (a present cell of one escaped segment stores 26
+		// bytes and holds 112, ×4.3: the worst case); 8 more a segment when
+		// its cell's starts take the wide form, and 4 more for every other
+		// narrow start when one does, which the decoder copies once more;
+		// the constant covers the error and whatever the fuzzing worker's
+		// own goroutines allocate meanwhile — the counter is the process's.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes into %d cells allocated %d, want at most %d", len(data), n, got, limit)
 		}
 		if err != nil {
@@ -296,4 +296,155 @@ func FuzzPBE2CellBlock(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sliverGaps is a γ = 1 stream of long flat runs at FuzzPBE2OneSided's gap
+// encoding: many of its windows close on regions thinner than 2⁻⁸ count,
+// where no line of the narrow grid lies strictly inside and the cell takes
+// float64 values.
+var sliverGaps = []byte{0x12, 0xf9, 0x2a, 0xfb, 0xe0, 0xf, 0x85, 0x8, 0xd0, 0xe8, 0x3b, 0xab, 0x9c, 0xf8, 0xce, 0xbf, 0x42, 0xe2, 0x5e, 0x8b}
+
+// FuzzNarrowLine holds every stored line, narrow, float64 or escaped, to
+// the contract: F − γ ≤ F̃ ≤ F — the upper side strictly — at every integer
+// instant of the history. It builds a summary from fuzzer-chosen gaps at a
+// small, Unix-second or Unix-millisecond origin; when heavy is odd it also
+// merges that summary after a part of 2²³ arrivals or more at the origin,
+// whose lift carries every y ≥ 0 of the later part past int32. A cell holds
+// its lines narrow exactly when the narrow grid holds every value at Start.
+func FuzzNarrowLine(f *testing.F) {
+	for sel := range fuzzOrigins {
+		f.Add(byte(sel), byte(0), byte(1), sliverGaps)
+		f.Add(byte(sel), byte(7), byte(3), []byte{1, 1, 0, 0, 3, 0x85, 2, 0, 0, 0, 9, 0xff, 1, 1, 1, 2, 0x90, 4})
+		f.Add(byte(sel), byte(3), byte(0), []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0, 0, 0, 0, 1})
+	}
+	f.Fuzz(func(t *testing.T, sel, gsel, heavy byte, gaps []byte) {
+		if len(gaps) == 0 || len(gaps) > 256 {
+			return
+		}
+		narrowLineCase(t, sel, gsel, heavy, gaps)
+	})
+}
+
+// TestNarrowLineEscapes: FuzzNarrowLine's seeds reach both ways off the
+// narrow grid — a window too thin for it, and a lift past int32 — at every
+// origin.
+func TestNarrowLineEscapes(t *testing.T) {
+	for sel := range fuzzOrigins {
+		built, merged := narrowLineCase(t, byte(sel), 0, 1, sliverGaps)
+		if built == 0 || merged <= built {
+			t.Errorf("origin %d: %d lines off the narrow grid as built, %d after the lift; want some, then more", fuzzOrigins[sel], built, merged)
+		}
+	}
+}
+
+// narrowLineCase is FuzzNarrowLine's body. It returns how many lines of the
+// summary and of the merge no narrow line holds.
+func narrowLineCase(t *testing.T, sel, gsel, heavy byte, gaps []byte) (built, merged int) {
+	t.Helper()
+	origin := fuzzOrigins[int(sel)%len(fuzzOrigins)]
+	gamma := float64(1 + gsel%16)
+	ts := make(stream.TimestampSeq, len(gaps))
+	cur := origin + 1
+	for i, g := range gaps {
+		gap := int64(g & 0x1f)
+		if g&0x80 != 0 {
+			gap <<= 6
+		}
+		cur += gap
+		ts[i] = cur
+	}
+	b, err := New(gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range ts {
+		b.Append(v)
+	}
+	s := b.Seal()
+	built = checkStoredLines(t, "built", s)
+	checkOneSided(t, "built", s.Estimate, ts, gamma, ts[0]-2, ts[len(ts)-1]+2)
+	if heavy&1 == 0 {
+		return built, 0
+	}
+	n := int64(1<<23 + int(heavy>>1))
+	m, err := MergeFinished([]*Summary{heavyPart(t, origin, n, gamma), s})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged = checkStoredLines(t, "merged", &m.summary)
+	i := 0
+	for q := origin - 2; q <= ts[len(ts)-1]+2; q++ {
+		for i < len(ts) && ts[i] <= q {
+			i++
+		}
+		f := float64(i)
+		if q >= origin {
+			f += float64(n)
+		}
+		checkInstant(t, "merged", m.Estimate(q), f, gamma, q)
+	}
+	return built, merged
+}
+
+// heavyParts caches heavyPart's summaries, each built from millions of
+// arrivals.
+var heavyParts sync.Map
+
+// heavyPart returns the summary of n arrivals at one instant.
+func heavyPart(t *testing.T, at, n int64, gamma float64) *Summary {
+	type key struct {
+		at, n int64
+		gamma float64
+	}
+	k := key{at, n, gamma}
+	if s, ok := heavyParts.Load(k); ok {
+		return s.(*Summary)
+	}
+	b, err := New(gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range n {
+		b.Append(at)
+	}
+	s := b.Seal()
+	heavyParts.Store(k, s)
+	return s
+}
+
+// checkStoredLines holds each stored segment to the form refForms replays
+// for it — escaped whole to the wide form, or a line whose value is narrow
+// in a narrow cell and float64 in a cell of float64 values — and returns how
+// many segments no narrow line could hold.
+func checkStoredLines(t *testing.T, what string, s *Summary) int {
+	t.Helper()
+	segs := s.Segments()
+	forms, float := refForms(segs, nil)
+	if got := s.wide != nil && s.wide.yhi != nil; got != float {
+		t.Fatalf("%s: values at Start held as float64: %v, want %v", what, got, float)
+	}
+	off, escaped := 0, 0
+	for i, ln := range s.lines {
+		seg := segs[i]
+		switch {
+		case forms[i] == escapedValue:
+			escaped++
+			if s.lens[i] != escLen {
+				t.Fatalf("%s: segment %d %+v is a line; want it escaped", what, i, seg)
+			}
+		case s.lens[i] == escLen || float64(ln.a) != seg.A || int64(s.lens[i]) != seg.End-seg.Start || !float && float64(ln.y)/256 != seg.Y:
+			t.Fatalf("%s: segment %d %+v is not its slots %+v, %d", what, i, seg, ln, s.lens[i])
+		}
+		if forms[i] == escapedValue || !narrowRef(seg.Y) {
+			off++
+		}
+	}
+	held := 0
+	if s.wide != nil {
+		held = len(s.wide.segs)
+	}
+	if held != escaped {
+		t.Fatalf("%s: %d segments escaped, the wide form holds %d", what, escaped, held)
+	}
+	return off
 }

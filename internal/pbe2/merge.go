@@ -6,10 +6,10 @@ import "fmt"
 // over mutually exclusive time ranges, in time order: the paper's parallel
 // construction over time partitions. Each later part's segments are lifted
 // by the count of all before it (a later partition counts from zero) and
-// appended, one float64 addition a segment, into columns allocated once at
-// their final size. Every per-instant guarantee (F−γ ≤ F̃ ≤ F) carries over
-// to the merged stream because cumulative frequencies of time-disjoint
-// partitions add. The parts are only read.
+// appended, one addition a segment (appendLifted), into columns
+// allocated once at their final size. Every per-instant guarantee
+// (F−γ ≤ F̃ ≤ F) carries over to the merged stream because cumulative
+// frequencies of time-disjoint partitions add. The parts are only read.
 func MergeFinished(parts []*Summary) (*Builder, error) {
 	out := new(Builder)
 	if err := MergeFinishedInto(out, parts); err != nil {
@@ -45,7 +45,7 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 		s.starts, s.lens, s.lines = make([]uint32, 0, total), make([]uint32, 0, total), make([]line, 0, total)
 	}
 	for i := range first.lines {
-		s.appendSegment(first.seg(i))
+		s.appendLifted(first, i, 0)
 	}
 	for _, p := range parts[1:] {
 		if p.count == 0 {
@@ -59,11 +59,8 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 			return fmt.Errorf("pbe2: time ranges overlap (receiver ends at %d, other starts at %d)",
 				s.lastT, p.firstStart)
 		}
-		offset := float64(s.count)
 		for i := range p.lines {
-			seg := p.seg(i)
-			seg.B += offset
-			s.appendSegment(seg)
+			s.appendLifted(p, i, s.count)
 		}
 		s.count += p.count
 		s.lastT = p.lastT
@@ -73,4 +70,14 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 	*out = Builder{summary: s}
 	out.rest()
 	return nil
+}
+
+// appendLifted appends p's i-th segment raised by offset counts. The lift
+// is a float64 addition, exact for a narrow value below 2⁴⁴ counts, and the
+// lifted segment is stored as appendSegment stores any: a cell the lift
+// carries past the narrow range takes the float64 form.
+func (s *Summary) appendLifted(p *Summary, i int, offset int64) {
+	seg := p.seg(i)
+	seg.Y += float64(offset)
+	s.appendSegment(seg)
 }

@@ -34,7 +34,7 @@ func mergeAppend(b, o *Builder) error {
 	offset := float64(b.count)
 	for i := range o.lines {
 		s := o.seg(i)
-		s.B += offset
+		s.Y += offset
 		b.appendSegment(s)
 	}
 	b.count += o.count

@@ -19,10 +19,12 @@
 //
 // The window machinery — region seeding, clipping, closing — is one engine
 // (region, in region.go) shared by online construction and by
-// downsampling. It works in coordinates local to the open window, skips
-// constraints the region already satisfies, and converts to the stored
-// global Segment{A, B} only when a window closes; see the region type for
-// why absolute coordinates are not an option.
+// downsampling. It works in coordinates local to the open window and skips
+// constraints the region already satisfies; see the region type for why
+// absolute coordinates are not an option. A closed segment keeps that local
+// form — its value at Start and its slope — and stores it in 8 bytes, on a
+// grid of 2⁻⁸ count when a line of it lies inside the window's feasible
+// region (see line).
 package pbe2
 
 import (
@@ -30,30 +32,86 @@ import (
 	"math"
 )
 
-// Segment is one piece of the piecewise-linear approximation: the line
-// A·t + B in effect on [Start, End] (inclusive).
+// Segment is one piece of the piecewise-linear approximation in the local
+// form of the window it closed: the line through Y at Start with slope A,
+// in effect on [Start, End] (inclusive). segVal evaluates it.
 type Segment struct {
-	A, B       float64
+	A, Y       float64
 	Start, End int64
 }
 
-// line is a closed segment's coefficients as stored.
-type line struct{ A, B float64 }
+// line is a closed segment's coefficients as stored, in 8 bytes: a float32
+// slope, and in y the segment's value at Start in its cell's form. A narrow
+// cell holds it in units of 2⁻⁸ count, an int32 that reaches ±8.4 M counts;
+// a window closes on a line of that grid when one lies inside its feasible
+// region (region.close), which is nearly always. A cell whose count passes
+// that reach, or that meets many windows thinner than 2⁻⁸ count, holds
+// every value as a float64 instead, y its low half and the wide form's yhi
+// its high half (valueForm). A segment no float32 slope or 32-bit length
+// slot holds, or the odd thin window of a narrow cell, is escaped whole to
+// the wide form's segs: its length slot holds escLen and the bits of a its
+// index there (escapedLine, escIndex).
+type line struct {
+	a float32
+	y int32
+}
 
-// lenTag marks a lens slot that holds, in its low 31 bits, an index into the
-// wide form's long table instead of a length: the segment is 2³¹ ticks long
-// or more. A flat run of seconds never gets there; one of nanoseconds does
-// after 2.1 s.
-const lenTag = 1 << 31
+const (
+	// yUnit is the number of narrow y units in one count.
+	yUnit = 256
+	// minNarrowY is the least narrow y: the cell block tags its records
+	// with the two below it (see blockEscaped).
+	minNarrowY = math.MinInt32 + 2
+	// escLen marks an escaped segment's length slot, and bounds a narrow
+	// segment's length: a flat run of seconds never gets there, one of
+	// nanoseconds does after 4.3 s.
+	escLen = math.MaxUint32
+)
 
-// wide is what a cell holds only once a distance outgrows its 32-bit slot,
-// behind a pointer that stays nil until then: the lengths of segments 2³¹
-// ticks long or more, and, once a start lies 2³² ticks or more past the
-// cell's first, every start as a 64-bit offset. A nanosecond clock gets there
-// after 4.3 s, a millisecond one after 49.7 days.
+// narrowY returns the narrow form of a value at Start, if it holds it
+// exactly.
+//
+//histburst:noalloc
+func narrowY(y float64) (int32, bool) {
+	k := y * yUnit
+	if k != math.Trunc(k) || k < minNarrowY || k > math.MaxInt32 {
+		return 0, false
+	}
+	return int32(k), true
+}
+
+// floatLine returns the line of slope a through the float64 value y, in a
+// cell whose values are float64, and the high half of y's bits, for yhi.
+func floatLine(a float32, y float64) (line, int32) {
+	bits := math.Float64bits(y)
+	return line{a: a, y: int32(uint32(bits))}, int32(bits >> 32)
+}
+
+// escapedLine returns the stored line of the wide form's i-th segment.
+func escapedLine(i int) line { return line{a: math.Float32frombits(uint32(i))} }
+
+// escIndex returns an escaped segment's index in the wide form.
+//
+//histburst:noalloc
+func (ln line) escIndex() uint32 { return math.Float32bits(ln.a) }
+
+// wideSeg is an escaped segment: its line as a float64 pair in the local
+// form, and its length.
+type wideSeg struct {
+	a, y float64
+	n    int64
+}
+
+// wide is what a cell holds only once a segment outgrows its slots, behind
+// a pointer that stays nil until then: the escaped segments; once a value at
+// Start is off the narrow grid, the high halves of every value's float64
+// bits; and, once a start lies 2³² ticks or more past the cell's first,
+// every start as a 64-bit offset. A nanosecond clock gets there after 4.3 s,
+// a millisecond one after 49.7 days.
 type wide struct {
-	long   []int64  // indexed by a lens slot tagged lenTag
-	starts []uint64 // replaces Summary.starts, which is then nil
+	segs   []wideSeg // indexed by an escaped line's escIndex
+	yhi    []int32   // index-aligned with Summary.lines; nil in a narrow cell
+	starts []uint64  // replaces Summary.starts, which is then nil
 }
 
 // widened returns the wide form, allocating it on first need.
@@ -64,24 +122,13 @@ func (s *Summary) widened() *wide {
 	return s.wide
 }
 
-// slot returns the lens entry for a segment of length n, moving n to the
-// long table when 31 bits cannot hold it.
-func (s *Summary) slot(n uint64) uint32 {
-	if n < lenTag {
-		return uint32(n)
-	}
-	w := s.widened()
-	w.long = append(w.long, int64(n))
-	return lenTag | uint32(len(w.long)-1)
-}
-
 // segLen returns End − Start of the i-th closed segment.
 //
 //histburst:noalloc
 func (s *Summary) segLen(i int) int64 {
 	n := s.lens[i]
-	if n >= lenTag {
-		return s.wide.long[n-lenTag]
+	if n == escLen {
+		return s.wide.segs[s.lines[i].escIndex()].n
 	}
 	return int64(n)
 }
@@ -111,18 +158,71 @@ func (s *Summary) widen() {
 
 // seg assembles the i-th closed segment from the columns. It is the one
 // reader of the layout: queries, Segments, merge and downsample go through
-// it (or through the narrow starts, the search key, start and segLen).
+// it, or through segAt in a cell of narrow values (or through the narrow
+// starts, the search key, start and segLen).
 //
 //histburst:noalloc
-func (s *Summary) seg(i int) Segment { return s.segAt(i, s.start(i)) }
+func (s *Summary) seg(i int) Segment {
+	if s.floatValues() {
+		return s.segFloat(i)
+	}
+	return s.segAt(i, s.start(i))
+}
 
-// segAt is seg for a caller that has the start already: estimate3, which
-// reads it off the narrow column it searched.
+// segAt is seg in a cell whose values at Start are narrow, for a caller
+// that has the start already: the segment is its three slots, or, when its
+// length slot says so, the escaped segment in the wide form. The point
+// kernels call it after one check of the cell, and it inlines into them.
 //
 //histburst:noalloc
 func (s *Summary) segAt(i int, start int64) Segment {
-	ln := s.lines[i]
-	return Segment{A: ln.A, B: ln.B, Start: start, End: start + s.segLen(i)}
+	ln, n := s.lines[i], s.lens[i]
+	if n == escLen {
+		e := &s.wide.segs[ln.escIndex()]
+		return Segment{A: e.a, Y: e.y, Start: start, End: start + e.n}
+	}
+	return Segment{A: float64(ln.a), Y: float64(ln.y) * (1.0 / yUnit), Start: start, End: start + int64(n)}
+}
+
+// segFloat is seg in a cell of float64 values: segAt's segment with its
+// value at Start from floatY.
+//
+//histburst:noalloc
+func (s *Summary) segFloat(i int) Segment {
+	seg := s.segAt(i, s.start(i))
+	seg.Y = s.floatY(i, seg.Y)
+	return seg
+}
+
+// floatY returns the value at Start of the i-th segment of a cell of
+// float64 values, read from the line's y and yhi, or y, segAt's reading,
+// when the segment is escaped.
+//
+//histburst:noalloc
+func (s *Summary) floatY(i int, y float64) float64 {
+	if s.lens[i] == escLen {
+		return y
+	}
+	return math.Float64frombits(uint64(s.wide.yhi[i])<<32 | uint64(uint32(s.lines[i].y)))
+}
+
+// floatValues reports whether the cell holds its values at Start as
+// float64.
+//
+//histburst:noalloc
+func (s *Summary) floatValues() bool { return s.wide != nil && s.wide.yhi != nil }
+
+// widenY moves the cell's values at Start to their float64 form, the high
+// halves to yhi, as long as the lines: a value off the narrow grid is about
+// to be written.
+func (s *Summary) widenY(yhi []int32) {
+	w := s.widened()
+	w.yhi = yhi
+	for i, ln := range s.lines {
+		if s.lens[i] != escLen {
+			s.lines[i], w.yhi[i] = floatLine(ln.a, float64(ln.y)/yUnit)
+		}
+	}
 }
 
 // Summary is a sealed PBE-2 summary: the closed segments of F̃ and the
@@ -132,15 +232,17 @@ type Summary struct {
 	gamma float64
 
 	// Closed segments, one column per field, index-aligned and exactly as
-	// long as the segments they hold: 24 bytes a segment, nothing stored
+	// long as the segments they hold: 16 bytes a segment, nothing stored
 	// twice; lines is as long as the summary. starts is the one search key —
 	// sixteen candidates per cache line — and holds each start as its offset
 	// from firstStart, so the kernels compare t − firstStart, converted once
-	// per query. lens holds End − Start. What 32 bits cannot hold, the rare
-	// length past 31 bits or start past 2³² ticks from the first, goes to the
-	// wide form, nil until one occurs (see wide); a wide cell's starts column
-	// is nil. firstStart/lastStart are the ends of the starts, so full-range
-	// searches resolve boundary cases without touching the array.
+	// per query. lens holds End − Start. What the slots cannot hold — the
+	// rare escaped segment, a value at Start off the narrow grid (see line),
+	// and starts past 2³² ticks from the first — goes to the wide form, nil
+	// until one occurs (see wide); a cell with wide starts has a nil starts
+	// column. firstStart/lastStart are the ends of the
+	// starts, so full-range searches resolve boundary cases without touching
+	// the array.
 	starts     []uint32
 	lens       []uint32
 	lines      []line
@@ -309,7 +411,8 @@ func (b *Builder) rest() {
 	b.lens = clipped(b.lens)
 	b.lines = clipped(b.lines)
 	if w := b.wide; w != nil {
-		w.long = clipped(w.long)
+		w.segs = clipped(w.segs)
+		w.yhi = clipped(w.yhi)
 		w.starts = clipped(w.starts)
 	}
 }
@@ -357,22 +460,93 @@ func (b *Builder) closeWindow() {
 	}
 }
 
+// appendSegment appends seg to the columns: as a line when a float32 slope
+// and a 32-bit length slot hold it and valueForm does not escape its value,
+// escaped whole to the wide form otherwise.
 func (s *Summary) appendSegment(seg Segment) {
-	n := len(s.lines)
-	if n == 0 {
-		s.firstStart = seg.Start
+	n := uint64(seg.End - seg.Start)
+	a := float32(seg.A)
+	form := escapedValue
+	if float64(a) == seg.A && n < escLen {
+		form = s.valueForm(seg.Y, s.escaped(), len(s.lines))
 	}
-	off := uint64(seg.Start) - uint64(s.firstStart)
+	switch form {
+	case narrowValue:
+		y, _ := narrowY(seg.Y)
+		s.appendColumns(seg.Start, uint32(n), line{a: a, y: y}, 0)
+	case floatValue:
+		if !s.floatValues() {
+			s.widenY(make([]int32, len(s.lines), cap(s.lines)))
+		}
+		ln, hi := floatLine(a, seg.Y)
+		s.appendColumns(seg.Start, uint32(n), ln, hi)
+	default:
+		w := s.widened()
+		w.segs = append(w.segs, wideSeg{a: seg.A, y: seg.Y, n: int64(n)})
+		s.appendColumns(seg.Start, escLen, escapedLine(len(w.segs)-1), 0)
+	}
+}
+
+// The forms in which a cell stores a line's value at Start (valueForm).
+const (
+	narrowValue  = iota // an int32 count of 2⁻⁸, the line's y
+	floatValue          // a float64, its bits split between y and yhi
+	escapedValue        // with the line, escaped whole to the wide form
+)
+
+// valueForm returns the form in which a cell that has escaped e of its i
+// segments stores y, the value at Start of its next line, whose slope is a
+// float32. A cell holding float64 values keeps to them. Otherwise a value on
+// the narrow grid is narrow, and one past the grid's range takes the cell to
+// float64, since the values after it will be past it too. A value off the
+// grid within its range — a window thinner than 2⁻⁸ count — escapes while
+// the cell has escaped fewer than a sixth of its segments, or fewer than
+// three: an escape costs 24 bytes where float64 values cost 4 a segment, and
+// a cell that meets one thin window seldom meets many.
+//
+//histburst:noalloc
+func (s *Summary) valueForm(y float64, e, i int) int {
+	if s.floatValues() {
+		return floatValue
+	}
+	if _, ok := narrowY(y); ok {
+		return narrowValue
+	}
+	if k := y * yUnit; k >= minNarrowY && k <= math.MaxInt32 && 6*e < max(i, 18) {
+		return escapedValue
+	}
+	return floatValue
+}
+
+// escaped returns how many segments the cell has escaped whole.
+func (s *Summary) escaped() int {
+	if s.wide == nil {
+		return 0
+	}
+	return len(s.wide.segs)
+}
+
+// appendColumns appends a segment starting at start whose length slot and
+// line are n and ln, and hi to yhi in a cell whose values are float64.
+func (s *Summary) appendColumns(start int64, n uint32, ln line, hi int32) {
+	i := len(s.lines)
+	if i == 0 {
+		s.firstStart = start
+	}
+	off := uint64(start) - uint64(s.firstStart)
 	if off > math.MaxUint32 && s.starts != nil {
 		s.widen()
 	}
-	if n > 0 && s.starts == nil {
+	if i > 0 && s.starts == nil {
 		s.wide.starts = append(s.wide.starts, off)
 	} else {
 		s.starts = append(s.starts, uint32(off))
 	}
-	s.lens = append(s.lens, s.slot(uint64(seg.End-seg.Start)))
-	s.lines = append(s.lines, line{A: seg.A, B: seg.B})
+	if s.floatValues() {
+		s.wide.yhi = append(s.wide.yhi, hi)
+	}
+	s.lens = append(s.lens, n)
+	s.lines = append(s.lines, ln)
 	s.boundStarts()
 }
 
@@ -400,10 +574,13 @@ func (s *Summary) Estimate(t int64) float64 {
 		return float64(s.count)
 	}
 	i := s.searchFull(t)
-	if i < 0 {
+	switch {
+	case i < 0:
 		return 0
+	case s.floatValues():
+		return segVal(s.segFloat(i), t)
 	}
-	return segVal(s.seg(i), t)
+	return segVal(s.segAt(i, s.start(i)), t)
 }
 
 // Estimate returns F̃(t) as Summary.Estimate does, answering the still-open
@@ -419,17 +596,13 @@ func (b *Builder) Estimate(t int64) float64 {
 		}
 	}
 	i := b.searchFull(t)
-	if i < 0 {
+	switch {
+	case i < 0:
 		return 0
+	case b.floatValues():
+		return segVal(b.segFloat(i), t)
 	}
-	return segVal(b.seg(i), t)
-}
-
-func clampNonNegative(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
+	return segVal(b.segAt(i, b.start(i)), t)
 }
 
 // Segments returns a copy of the closed segments.
@@ -490,18 +663,20 @@ func (s *Summary) OutOfOrder() int64 { return s.outOfOrder }
 func (s *Summary) NumSegments() int { return len(s.lines) }
 
 // Bytes returns the summary footprint: what the segment columns hold. That
-// is 24 bytes per closed segment (a uint32 offset of its start from the
-// first, a uint32 length, two float64 coefficients), plus 8 per length too
-// long for 31 bits, and 4 more per segment in a cell whose starts took the
-// 64-bit form. Counted: segment payload only. Not counted: the Builder struct
-// itself, the wide form's header and the allocator's per-array rounding, a
+// is 16 bytes per closed segment (a uint32 offset of its start from the
+// first, a uint32 length, a float32 slope and an int32 value at its start),
+// plus 24 per escaped segment (its float64 line and int64 length), 4 more
+// per segment in a cell whose values at Start took the float64 form, and 4
+// more per segment in a cell whose starts took the 64-bit form. Counted:
+// segment payload only. Not counted: the Builder struct itself, the wide
+// form's header and the allocator's per-array rounding, a
 // fixed cost per cell that a sketch of K cells pays K times whatever the
 // history's length — and, while a window is open, its feasible region and
 // clip arena, which Finish releases.
 func (s *Summary) Bytes() int {
-	n := 4*len(s.starts) + 20*len(s.lines)
+	n := 4*len(s.starts) + 12*len(s.lines)
 	if w := s.wide; w != nil {
-		n += 8*len(w.starts) + 8*len(w.long)
+		n += 8*len(w.starts) + 24*len(w.segs) + 4*len(w.yhi)
 	}
 	return n
 }

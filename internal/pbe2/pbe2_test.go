@@ -276,11 +276,11 @@ func TestBytesAccounting(t *testing.T) {
 	if b.wide != nil {
 		t.Fatal("a stream of small ticks took the wide form")
 	}
-	if got, want := b.Bytes(), 24*b.NumSegments(); got != want {
+	if got, want := b.Bytes(), 16*b.NumSegments(); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
 	// What Bytes counts is what the columns hold: Finish left no slack.
-	if held := 4*cap(b.starts) + 4*cap(b.lens) + 16*cap(b.lines); held != b.Bytes() {
+	if held := 4*cap(b.starts) + 4*cap(b.lens) + 8*cap(b.lines); held != b.Bytes() {
 		t.Fatalf("finished columns hold %d bytes, Bytes = %d", held, b.Bytes())
 	}
 	segs := b.Segments()

@@ -1,6 +1,7 @@
 package pbe2
 
 import (
+	"math"
 	"sync"
 
 	"histburst/internal/geometry"
@@ -27,11 +28,12 @@ type rpoint struct {
 // and an exact (or, for float ranges, nearly exact) float subtraction. The
 // polygon therefore sits within a few γ of the origin however large the
 // timestamps and counts are, construction is exactly invariant under
-// translation of time, and the conversion to the stored global form
-// A·t + B happens once, at emit. In absolute coordinates the intercept is
-// f − a·t ≈ 10⁵…10⁸ and the region a sliver ~10⁻⁹ wide at that offset: the
-// centroid cancels catastrophically and the emitted line leaves its own
-// window's constraints (by thousands of counts at Unix-epoch timestamps).
+// translation of time, and a closed segment keeps the window's frame: its
+// value at winStart and its slope (Segment). In absolute coordinates the
+// intercept is f − a·t ≈ 10⁵…10⁸ and the region a sliver ~10⁻⁹ wide at that
+// offset: the centroid cancels catastrophically and the emitted line leaves
+// its own window's constraints (by thousands of counts at Unix-epoch
+// timestamps).
 type region struct {
 	// poly aliases scr.bufs[scr.cur] while a window is open. The engine is
 	// pooled, arena and all, and recycled when its owner seals, so resting
@@ -161,25 +163,82 @@ func (r *region) feed(p rpoint) (seg Segment, emitted bool) {
 	return seg, false
 }
 
-// close ends the open window and returns its segment, if there is one: the
-// region's centroid line converted to the global A·t + B, or a
-// single-instant segment pinned to the middle of a lone constraint's range.
+// close ends the open window and returns its segment, if there is one: a
+// line of the narrow grid strictly inside the region (gridLine), else the
+// region's centroid line with its slope rounded to float32 when that stays
+// as far inside, else the centroid line itself; or a single-instant segment
+// at the middle of a lone constraint's range, on the grid when that stays in
+// the range.
 //
 //histburst:noalloc
 func (r *region) close() (seg Segment, emitted bool) {
 	switch {
 	case r.open:
 		a, y := r.line()
-		seg = Segment{A: a, B: y - a*float64(r.winStart), Start: r.winStart, End: r.winEnd}
+		if ga, gy, ok := r.gridLine(a, y); ok {
+			a, y = ga, gy
+		} else if fa := float64(float32(a)); r.poly.InsideBy(geometry.Vec2{X: fa, Y: y - r.v0}, gridMargin) {
+			a = fa
+		}
+		seg = Segment{A: a, Y: y, Start: r.winStart, End: r.winEnd}
 	case r.pending:
-		seg = Segment{A: 0, B: r.v0 - r.slack0/2, Start: r.winStart, End: r.winStart}
+		lo, y := r.v0-r.slack0, r.v0-r.slack0/2
+		if gy := math.Round(y*yUnit) / yUnit; gy >= lo && gy <= r.v0 {
+			y = gy
+		}
+		seg = Segment{Y: y, Start: r.winStart, End: r.winStart}
 	default:
 		return seg, false
 	}
-	r.poly = geometry.Polygon{}
 	r.open = false
 	r.pending = false
+	r.poly = geometry.Polygon{}
 	return seg, true
+}
+
+// gridMargin is how far inside every constraint of its window, in counts, a
+// line rounded to the stored grid must stay: far more than the clip's
+// tolerance lets the polygon stray outside its constraints (geometry.Eps)
+// and than a float64 evaluation rounds, far less than the grid's spacing.
+const gridMargin = 1.0 / (1 << 20)
+
+// gridLine returns a line of the narrow grid — a float32 slope, a value at
+// winStart in multiples of 2⁻⁸ — strictly inside the open region: the line
+// (a, y) rounded to the grid, or one of its eight neighbours there; failing
+// those, at the grid value nearest y or either neighbour, the float32 slope
+// nearest the middle of the region's chord there, or the one to either side
+// of it. ok is false when none of them is inside.
+//
+//histburst:noalloc
+func (r *region) gridLine(a, y float64) (ga, gy float64, ok bool) {
+	k0 := math.Round(y * yUnit)
+	for _, sa := range around(float32(a)) {
+		for _, dk := range [3]float64{0, -1, 1} {
+			if ga, gy = float64(sa), (k0+dk)/yUnit; r.poly.InsideBy(geometry.Vec2{X: ga, Y: gy - r.v0}, gridMargin) {
+				return ga, gy, true
+			}
+		}
+	}
+	for _, dk := range [3]float64{0, -1, 1} {
+		gy = (k0 + dk) / yUnit
+		lo, hi, ok := r.poly.ChordX(gy - r.v0)
+		if !ok {
+			continue
+		}
+		for _, sa := range around(float32(lo + (hi-lo)/2)) {
+			if ga = float64(sa); r.poly.InsideBy(geometry.Vec2{X: ga, Y: gy - r.v0}, gridMargin) {
+				return ga, gy, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// around returns a and the float32 values on either side of it.
+//
+//histburst:noalloc
+func around(a float32) [3]float32 {
+	return [3]float32{a, math.Nextafter32(a, float32(math.Inf(-1))), math.Nextafter32(a, float32(math.Inf(1)))}
 }
 
 // line returns the open region's representative line as slope and value at
@@ -189,11 +248,4 @@ func (r *region) close() (seg Segment, emitted bool) {
 func (r *region) line() (a, y float64) {
 	c := r.poly.Centroid()
 	return c.X, c.Y + r.v0
-}
-
-// lineAt evaluates line() at t ≥ winStart.
-//
-//histburst:noalloc
-func (r *region) lineAt(a, y float64, t int64) float64 {
-	return a*float64(uint64(t-r.winStart)) + y
 }

@@ -41,7 +41,7 @@ func (r refSummary) estimate(t int64) float64 {
 		return 0
 	}
 	seg := r.segs[i]
-	v := seg.A*float64(min(t, seg.End)) + seg.B
+	v := seg.Y + seg.A*float64(uint64(min(t, seg.End)-seg.Start))
 	if v < 0 {
 		return 0
 	}
@@ -113,25 +113,160 @@ func refBlock(s *Summary, maxT int64) []byte {
 	if s.outOfOrder != 0 {
 		w.Uvarint(uint64(s.outOfOrder))
 	}
-	prevEnd := maxT
-	for i, seg := range segs {
-		if i == 0 {
-			w.Varint(seg.Start - prevEnd)
-		} else {
-			w.Uvarint(uint64(seg.Start - prevEnd))
-		}
-		w.Uvarint(uint64(seg.End - seg.Start))
-		w.Float64(seg.A)
-		w.Float64(seg.B)
-		prevEnd = seg.End
-	}
+	writeSegments(&w, maxT, [][]Segment{segs}, nil)
 	return w.Bytes()
+}
+
+// writeSegments writes the present cells' segments — the counts and the
+// escaped lines' section, then the records — as the format states them;
+// raw, when it holds bytes for a cell's segment, writes them in place of
+// that record's line.
+func writeSegments(w *binenc.Writer, maxT int64, cells [][]Segment, raw []map[int][]byte) {
+	forms := make([][]int, len(cells))
+	n, nWide, nFloat := 0, 0, 0
+	for c, segs := range cells {
+		var float bool
+		forms[c], float = refForms(segs, nil)
+		wide := float
+		for i, s := range segs {
+			wide = wide || uint64(s.Start-segs[0].Start) > math.MaxUint32
+			if forms[c][i] == escapedValue {
+				n++
+				wide = true
+			}
+		}
+		if wide {
+			nWide++
+		}
+		if float {
+			nFloat += len(segs)
+		}
+	}
+	w.Uvarint(uint64(n))
+	w.Uvarint(uint64(nWide))
+	w.Uvarint(uint64(nFloat))
+	for c, segs := range cells {
+		for i, s := range segs {
+			if forms[c][i] == escapedValue {
+				w.Float64(s.A)
+				w.Float64(s.Y)
+			}
+		}
+	}
+	for c, segs := range cells {
+		prevEnd := maxT
+		for i, seg := range segs {
+			if i == 0 {
+				w.Varint(seg.Start - prevEnd)
+			} else {
+				w.Uvarint(uint64(seg.Start - prevEnd))
+			}
+			w.Uvarint(uint64(seg.End - seg.Start))
+			switch {
+			case c < len(raw) && raw[c][i] != nil:
+				for _, b := range raw[c][i] {
+					w.Byte(b)
+				}
+			default:
+				writeLine(w, seg.A, seg.Y, forms[c][i])
+			}
+			prevEnd = seg.End
+		}
+	}
+}
+
+// writeLine writes a segment record's line, as form says its cell holds it.
+func writeLine(w *binenc.Writer, a, y float64, form int) {
+	switch {
+	case form == escapedValue:
+		w.Uint32(1 << 31)
+	case narrowRef(y):
+		w.Uint32(uint32(int32(y * 256)))
+		w.Uint32(math.Float32bits(float32(a)))
+	default:
+		w.Uint32(1<<31 | 1)
+		w.Float64(y)
+		w.Uint32(math.Float32bits(float32(a)))
+	}
+}
+
+// escapedRef reports whether no stored line holds a segment: its slope is
+// not a float32, or it is 2³² − 1 ticks long or more.
+func escapedRef(s Segment) bool {
+	return float64(float32(s.A)) != s.A || uint64(s.End-s.Start) >= 1<<32-1
+}
+
+// narrowRef reports whether an int32 count of 2⁻⁸, at least −2³¹ + 2,
+// holds a value at Start exactly.
+func narrowRef(y float64) bool {
+	k := y * 256
+	return k == math.Trunc(k) && k >= math.MinInt32+2 && k <= math.MaxInt32
+}
+
+// refForms replays how a cell holds segs, appended in order — each one's
+// value narrowValue, floatValue or escapedValue, the forced ones escaped —
+// and reports whether the cell ends holding float64 values. A segment
+// escapedRef holds escapes; a float64 cell keeps to float64; a value on the
+// narrow grid is narrow; one past the grid's range takes the cell to
+// float64; one off the grid within it escapes while fewer than a sixth of
+// the cell's segments before it, or fewer than three, have escaped, and
+// takes the cell to float64 after that.
+func refForms(segs []Segment, forced map[int]bool) (forms []int, float bool) {
+	escaped := 0
+	for i, s := range segs {
+		k := s.Y * 256
+		form := floatValue
+		switch {
+		case forced[i] || escapedRef(s):
+			form = escapedValue
+		case float:
+		case narrowRef(s.Y):
+			form = narrowValue
+		case k >= math.MinInt32+2 && k <= math.MaxInt32 && 6*escaped < max(i, 18):
+			form = escapedValue
+		default:
+			float = true
+		}
+		if form == escapedValue {
+			escaped++
+		}
+		forms = append(forms, form)
+	}
+	return forms, float
+}
+
+// refBytes is what Bytes reads for a cell of segs: 16 bytes a segment, 4
+// more when its starts are wide, 4 more when it holds float64 values, and
+// 24 more for each escaped segment.
+func refBytes(segs []Segment, wideStarts bool) int {
+	forms, float := refForms(segs, nil)
+	n := 16 * len(segs)
+	if wideStarts {
+		n += 4 * len(segs)
+	}
+	if float {
+		n += 4 * len(segs)
+	}
+	for _, f := range forms {
+		if f == escapedValue {
+			n += 24
+		}
+	}
+	return n
+}
+
+// heldBytes is what a summary's columns hold, capacity and all.
+func heldBytes(s *Summary) int {
+	held := 4*cap(s.starts) + 4*cap(s.lens) + 8*cap(s.lines)
+	if w := s.wide; w != nil {
+		held += 8*cap(w.starts) + 24*cap(w.segs) + 4*cap(w.yhi)
+	}
+	return held
 }
 
 // checkAgainstRef holds the sealed summary s to its int64 reference: Estimate,
 // Estimate3 and the downsampling cursor answer alike at every probe, Bytes()
-// is 24 or 28 bytes a segment (as wide says) plus 8 per long length and
-// equals what the columns hold, and the cell's file is the reference's and
+// is refBytes and equals what the columns hold, and the cell's file is the reference's and
 // decodes to a summary that passes the same checks.
 func checkAgainstRef(t *testing.T, what string, s *Summary, wide bool) {
 	t.Helper()
@@ -183,23 +318,10 @@ func checkAnswers(t *testing.T, what string, s *Summary, wide bool) {
 			}
 		}
 	}
-	long := 0
-	for _, seg := range ref.segs {
-		if seg.End-seg.Start >= lenTag {
-			long++
-		}
+	if got, want := s.Bytes(), refBytes(ref.segs, wide); got != want {
+		t.Fatalf("%s: Bytes = %d, want %d for %d segments", what, got, want, len(ref.segs))
 	}
-	per := 24
-	if wide {
-		per = 28
-	}
-	if got, want := s.Bytes(), per*len(ref.segs)+8*long; got != want {
-		t.Fatalf("%s: Bytes = %d, want %d for %d segments, %d long", what, got, want, len(ref.segs), long)
-	}
-	held := 4*cap(s.starts) + 4*cap(s.lens) + 16*cap(s.lines)
-	if s.wide != nil {
-		held += 8*cap(s.wide.starts) + 8*cap(s.wide.long)
-	}
+	held := heldBytes(s)
 	if held != s.Bytes() {
 		t.Fatalf("%s: columns hold %d bytes, Bytes = %d", what, held, s.Bytes())
 	}
@@ -309,7 +431,7 @@ func TestWideStartsByMerge(t *testing.T) {
 	ts, a, b := halves(t, gamma)
 	want := a.Segments()
 	for _, s := range b.Segments() {
-		s.B += float64(a.Count())
+		s.Y += float64(a.Count())
 		want = append(want, s)
 	}
 	fin, err := MergeFinished(sealed(a, b))

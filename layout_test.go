@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"runtime"
 	"testing"
 
 	"histburst/internal/binenc"
 	"histburst/internal/cmpbe"
+	"histburst/internal/pbe2"
 	"histburst/internal/workload"
 )
 
@@ -52,20 +54,24 @@ func saveDigest(t *testing.T, det *Detector) string {
 // header's five PBE-1 fields (5 bytes) and each level's cell-block vertex cap
 // (1 byte a level): 58 173, 908 152 and 10 976; HBD7 drops the header's
 // event-index flag, and only that header byte moved — every other byte
-// but the magic's version is the HBD6 file's: 58 172, 908 151 and 10 975.
+// but the magic's version is the HBD6 file's: 58 172, 908 151 and 10 975;
+// HBD8 stores a segment's line as a float32 slope and a fixed-point value at
+// its start, 8 bytes where two float64 took 16, chosen inside the window's
+// feasible region, so its answers move by less than a count: 38 109,
+// 557 844 and 6 707.
 // What a generation must carry over — every field of every cell, and every
 // answer — is TestSaveDecodeFixedPoint's to check, not a digest's; that the
 // leaf level is the bytes it was is TestLeafAnswersUnmoved's.
 func TestSaveBytesUnchanged(t *testing.T) {
 	t.Run("olympicrio K=1024", func(t *testing.T) {
 		det := rioDetector(t, 5, 60_000, 1024, WithPBE2(8))
-		if got, want := saveDigest(t, det), "05256004c628722336a65d2ce79bbcd0cd29cc52cd94856b60ab1c5f95412f89"; got != want {
+		if got, want := saveDigest(t, det), "bfc2cb06764a3601ecd73c134d49be77741f6096a8e43f84d94ba78ce86143c6"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
 	t.Run("K=16384 with Count-Min levels", func(t *testing.T) {
 		det := rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))
-		if got, want := saveDigest(t, det), "2a7e76177233eff02d442b8f16590a49b44bfd61a819236a59d01feeb014108b"; got != want {
+		if got, want := saveDigest(t, det), "291cafb7c012c37c2ff9be37bb46496e7a26a8eecf22ce60572c3b050a1115f4"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -75,7 +81,7 @@ func TestSaveBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, ds), "ddb0ffa04de83678b9c5d8c5abf0f88ea31eaccfbfc2ba4236c714b4b7f2b861"; got != want {
+		if got, want := saveDigest(t, ds), "f1171475171899db61b0b2e26e4e87fb678e49d008bf9188c1fd5a882b5101be"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -106,9 +112,17 @@ func savedLen(t testing.TB, det *Detector) int {
 // and its bytes double; height 4, at 4γ, 1 720 against 1 213 (×1.42); height
 // 8 737 against 709 (×1.04) — the looser a level's γ and the denser its
 // cells, the longer its windows already are and the less a cut costs. The
-// total (×1.92) is the leaf's tax diluted by whatever else the file holds:
+// total (×2.06) is the leaf's tax diluted by whatever else the file holds:
 // it read ×1.40 while heights 4 and 8 were under the leaf's γ and two thirds
 // of the file, and says nothing a level's own ratio does not.
+//
+// Since HBD8 a narrow segment record is 8 bytes of line where it was 16, so
+// the records shrank and the per-cell columns each file repeats weigh more:
+// the leaf's ratio went ×2.00 → ×2.16 and height 4's ×1.60 → ×1.72 while
+// the bytes the cut adds at the leaf fell from 222 k to 156 k. A ratio alone
+// would let those bytes grow unseen as long as the one file grew with them,
+// so each level's added bytes are held too, a few per cent above what they
+// measure: 156 315, 10 637 and 1 011.
 func TestSegmentationTax(t *testing.T) {
 	elems := benchmarkStream(t)
 	const sealEvents = 50_000
@@ -148,12 +162,20 @@ func TestSegmentationTax(t *testing.T) {
 		t.Logf("×%-2d   height %d %8d %8d %9d %9d %9d", len(parts), h, cut.cells[i], cut.segments[i], cut.header[i], cut.columns[i], cut.records[i])
 	}
 	for i, h := range one.tree.Heights() {
+		t.Logf("height %d: narrow lines %d of %d in one file, %d of %d in %d", h,
+			whole.segments[i]-whole.wide[i], whole.segments[i], cut.segments[i]-cut.wide[i], cut.segments[i], len(parts))
+	}
+	for i, h := range one.tree.Heights() {
 		segs := float64(cut.segments[i]) / float64(whole.segments[i])
 		tax := float64(cut.bytes(i)) / float64(whole.bytes(i))
-		t.Logf("height %d: ×%.2f the segments, ×%.2f the bytes", h, segs, tax)
-		if limit := []float64{2.05, 1.65, 1.15}[i]; tax > limit {
+		t.Logf("height %d: ×%.2f the segments, ×%.2f the bytes, %d bytes more", h, segs, tax, cut.bytes(i)-whole.bytes(i))
+		if limit := []float64{2.20, 1.75, 1.15}[i]; tax > limit {
 			t.Errorf("height %d: %d segment files hold %d bytes of it against %d in one file: ×%.2f, want at most ×%.2f",
 				h, len(parts), cut.bytes(i), whole.bytes(i), tax, limit)
+		}
+		if limit, more := []int{160_000, 11_000, 1_050}[i], cut.bytes(i)-whole.bytes(i); more > limit {
+			t.Errorf("height %d: %d segment files hold %d bytes of it, %d more than one file; want at most %d more",
+				h, len(parts), cut.bytes(i), more, limit)
 		}
 	}
 }
@@ -163,7 +185,22 @@ func TestSegmentationTax(t *testing.T) {
 // the detectors added: the level's own header, the cell block's header,
 // bitmap and per-cell columns, and the segment records.
 type levelBytes struct {
-	cells, segments, header, columns, records []int
+	cells, segments, wide, header, columns, records []int
+}
+
+// lineBytes returns what a segment's line takes in a cell block: 8 bytes
+// for a float32 slope and a value at Start in whole 2⁻⁸ counts, at least
+// −2³¹ + 2 of them; 16 for a tag, a float64 value and the slope; 20 for an
+// escaped segment's tag and its two float64 in the block's escaped section.
+func lineBytes(s pbe2.Segment) int {
+	k := s.Y * 256
+	switch {
+	case float64(float32(s.A)) != s.A || uint64(s.End-s.Start) >= 1<<32-1:
+		return 20
+	case k == math.Trunc(k) && k >= math.MinInt32+2 && k <= math.MaxInt32:
+		return 8
+	}
+	return 16
 }
 
 // bytes returns what level i costs in the files added.
@@ -173,7 +210,7 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 	t.Helper()
 	n := det.tree.Levels()
 	if lb.cells == nil {
-		lb.cells, lb.segments, lb.header = make([]int, n), make([]int, n), make([]int, n)
+		lb.cells, lb.segments, lb.wide, lb.header = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
 		lb.columns, lb.records = make([]int, n), make([]int, n)
 	}
 	for i := 0; i < n; i++ {
@@ -186,7 +223,7 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 		if err := l.Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		block := bytes.Index(w.Bytes(), []byte("P2B\x02"))
+		block := bytes.Index(w.Bytes(), []byte("P2B\x03"))
 		if block < 0 {
 			t.Fatal("level holds no PBE-2 cell block")
 		}
@@ -200,7 +237,11 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 				} else {
 					records += binary.PutUvarint(scratch[:], uint64(s.Start-prevEnd))
 				}
-				records += binary.PutUvarint(scratch[:], uint64(s.End-s.Start)) + 16
+				line := lineBytes(s)
+				records += binary.PutUvarint(scratch[:], uint64(s.End-s.Start)) + line
+				if line != 8 {
+					lb.wide[i]++
+				}
 				prevEnd = s.End
 				lb.segments[i]++
 			}
@@ -318,7 +359,7 @@ var decodeSink *Detector
 
 // BenchmarkDetectorDecode is what a segment's first touch and a restart pay:
 // the benchmark's 600 k-element K = 1024 file into a detector. heap-B/seg is
-// the live heap one decoded detector pins per closed PBE-2 segment — 24 of it
+// the live heap one decoded detector pins per closed PBE-2 segment — 16 of it
 // payload, the rest the per-cell structs and the allocator's rounding.
 func BenchmarkDetectorDecode(b *testing.B) {
 	det := rioDetector(b, 1, 600_000, 1024, WithPBE2(8))

@@ -42,6 +42,19 @@ func saveHBD6(t testing.TB, d *Detector) []byte {
 	return sealed(encodeHeader(d, []byte{'H', 'B', 'D', 6}, summary.Bytes()))
 }
 
+// saveHBD7 encodes a detector under the previous generation's magic, its
+// header being this one's, under a valid checksum: bytes that Load must
+// refuse by version.
+func saveHBD7(t testing.TB, d *Detector) []byte {
+	t.Helper()
+	d.Finish()
+	var summary binenc.Writer
+	if err := d.tree.Encode(&summary); err != nil {
+		t.Fatal(err)
+	}
+	return sealed(encodeHeader(d, []byte{'H', 'B', 'D', 7}, summary.Bytes()))
+}
+
 // encodeHeader writes d's configuration and counters as Save does, under the
 // given magic and ahead of the given summary, without the checksum footer —
 // for the files no Save would write. Under a magic before HBD6 the header
@@ -220,14 +233,18 @@ func TestLoadRejectsLegacyHBD1(t *testing.T) {
 	if !strings.Contains(err.Error(), "unsupported detector format HBD1") {
 		t.Fatalf("v1 file refused without naming its version: %v", err)
 	}
-	// The previous generation, whole and checksummed, is refused by name by
-	// the verifier and the decoder alike.
-	hbd6 := saveHBD6(t, det)
-	_, ierr := Inspect(hbd6)
-	_, derr := Decode(hbd6)
-	for _, err := range []error{ierr, derr} {
-		if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format HBD6 (this build reads HBD7 only)") {
-			t.Fatalf("HBD6 file: %v, want a refusal naming HBD6", err)
+	// The previous generations, whole and checksummed, are refused by name
+	// by the verifier and the decoder alike. An HBD7 file is this one's
+	// header under the older version byte, ahead of cell blocks whose lines
+	// it cannot read.
+	hbd7 := saveHBD7(t, det)
+	for name, old := range map[string][]byte{"HBD6": saveHBD6(t, det), "HBD7": hbd7} {
+		_, ierr := Inspect(old)
+		_, derr := Decode(old)
+		for _, err := range []error{ierr, derr} {
+			if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format "+name+" (this build reads HBD8 only)") {
+				t.Fatalf("%s file: %v, want a refusal naming %s", name, err, name)
+			}
 		}
 	}
 }

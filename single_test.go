@@ -184,10 +184,10 @@ func TestLoadSingleRefusesBitFlips(t *testing.T) {
 	}
 	raw := buf.Bytes()
 	segs := s.p.Segments()
-	coef := binary.LittleEndian.AppendUint64(nil, math.Float64bits(segs[len(segs)-1].B))
+	coef := binary.LittleEndian.AppendUint32(nil, math.Float32bits(float32(segs[len(segs)-1].A)))
 	at := bytes.LastIndex(raw, coef)
 	if at < 0 {
-		t.Fatal("fixture: the last segment's intercept is not in the file")
+		t.Fatal("fixture: the last segment's slope is not in the file")
 	}
 	flipped := append([]byte(nil), raw...)
 	flipped[at] ^= 1
@@ -212,7 +212,7 @@ func TestLoadSingleRefusesHBS2(t *testing.T) {
 	for name, old := range map[string][]byte{"HBS2": saveHBS2(t, s), "HBS3": saveHBS3(t, s)} {
 		kept := bytes.Clone(old)
 		_, err := LoadSingle(bytes.NewReader(old))
-		want := "unsupported single-event summary format " + name + " (this build reads a single-event summary as an HBD7 detector file over one id)"
+		want := "unsupported single-event summary format " + name + " (this build reads a single-event summary as an HBD8 detector file over one id)"
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s file: %v, want a refusal naming %s", name, err, name)
 		}
@@ -242,7 +242,7 @@ func saveHBS2(t testing.TB, s *Single) []byte {
 	var prev int64
 	for _, sg := range segs {
 		blob.Float64(sg.A)
-		blob.Float64(sg.B)
+		blob.Float64(sg.Y)
 		blob.Varint(sg.Start - prev)
 		blob.Varint(sg.End - sg.Start)
 		prev = sg.Start
