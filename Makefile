@@ -77,8 +77,9 @@ experiments:
 # Unix-second and Unix-millisecond time origins, through a merge of cut
 # parts, and for every stored line, narrow or escaped, through a merge whose
 # lift passes int32), its searches against a linear scan with segment starts
-# on either side of 2³² ticks from a cell's first, and the store head's
-# packed timestamp sequences against a sorted-slice twin.
+# on either side of 2³² ticks from a cell's first, its packed columns with
+# fields across every byte width against the values appended, and the store
+# head's packed timestamp sequences against a sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s).
 FUZZTIME ?= 20s
@@ -95,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz FuzzSummarySearch -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzNarrowLine -fuzztime $(FUZZTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzPackedColumn -fuzztime $(FUZZTIME) ./internal/pbe2/
 	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
 	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/

@@ -109,9 +109,10 @@ func newDefTracker(p *Package, fn *ast.FuncDecl) *defTracker {
 }
 
 // safeSize reports whether a make() size expression is trustworthy:
-// constants, len/cap of in-memory values, SliceLen results, and arithmetic
-// over those. Anything read raw from the wire — Uvarint results, struct
-// fields, function parameters — is not.
+// constants, len/cap of in-memory values, SliceLen results, arithmetic over
+// those, and a min() with one such argument, which it cannot exceed.
+// Anything read raw from the wire — Uvarint results, struct fields,
+// function parameters — is not.
 func (tr *defTracker) safeSize(e ast.Expr) bool {
 	if tv, ok := tr.p.Info.Types[e]; ok && tv.Value != nil {
 		return true // compile-time constant
@@ -154,6 +155,14 @@ func (tr *defTracker) safeSize(e ast.Expr) bool {
 		}
 		if isSliceLenCall(x) {
 			return true
+		}
+		if tr.p.isBuiltin(x.Fun, "min") {
+			for _, arg := range x.Args {
+				if tr.safeSize(arg) {
+					return true
+				}
+			}
+			return false
 		}
 		// Conversions like int(n) are as safe as their operand.
 		if tv, ok := tr.p.Info.Types[x.Fun]; ok && tv.IsType() && len(x.Args) == 1 {

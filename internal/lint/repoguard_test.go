@@ -791,6 +791,41 @@ func TestOneRowCombination(t *testing.T) {
 	})
 }
 
+// TestOnePackedReader: a PBE-2 cell's closed segments are packed fields in
+// one byte array, Summary.cols, and one accessor reads and writes them:
+// internal/pbe2/column.go. In internal/pbe2's non-test code no other file
+// names the array, and no other function loads a word from bytes
+// (binary.LittleEndian), so a change to the layout is a change to that file.
+func TestOnePackedReader(t *testing.T) {
+	const accessor = "internal/pbe2/column.go"
+	loads := 0
+	eachProductFile(t, func(rel string, f *ast.File) {
+		rel = filepath.ToSlash(rel)
+		if filepath.ToSlash(filepath.Dir(rel)) != "internal/pbe2" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch {
+			case sel.Sel.Name == "cols" && rel != accessor:
+				t.Errorf("%s names the packed columns (%s); read them through %s", rel, types.ExprString(sel), accessor)
+			case types.ExprString(sel.X) == "binary.LittleEndian":
+				if rel != accessor {
+					t.Errorf("%s loads from bytes (%s); only %s reads packed storage", rel, types.ExprString(sel), accessor)
+				}
+				loads++
+			}
+			return true
+		})
+	})
+	if loads == 0 {
+		t.Errorf("nothing in internal/pbe2 loads a packed field; the guard has lost its subject")
+	}
+}
+
 // TestOneLineFormula: a stored PBE-2 line is evaluated by one formula,
 // segVal's, which every query, the downsampling cursor, the open window's
 // line and Segments come through. In internal/pbe2's non-test code no other

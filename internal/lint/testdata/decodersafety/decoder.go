@@ -39,6 +39,18 @@ func decodeGoodArith(r *reader) []byte {
 }
 
 //histburst:decoder
+func decodeGoodMin(r *reader, planned int) []byte {
+	n := r.SliceLen(1<<20, 1)
+	return make([]byte, min(planned, 4*n))
+}
+
+//histburst:decoder
+func decodeBadMin(r *reader, planned int) []byte {
+	n := int(r.Uvarint())
+	return make([]byte, min(planned, n)) // want "does not flow through binenc.SliceLen"
+}
+
+//histburst:decoder
 func decodeConst(r *reader) []byte {
 	return make([]byte, 64)
 }

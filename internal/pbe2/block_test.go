@@ -12,7 +12,7 @@ import (
 
 // blockCells gathers every kind of cell a level can hold under one gamma:
 // built, empty, with out-of-order arrivals, with segments too long for a
-// lens slot, merged, and downsampled (whose own gamma is the block's).
+// 32-bit slot, merged, and downsampled (whose own gamma is the block's).
 func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	t.Helper()
 	add := func(b *Builder) {
@@ -53,8 +53,8 @@ func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	add(ds)
 	add(buildPBE2(t, []int64{-90, -90, -40}, gamma)) // before time zero
 	add(empty())
-	if got := countLong(&cells[12]); got == 0 {
-		t.Fatal("fixture: no segment too long for a lens slot")
+	if got := countLong(&cells[12]); got <= 0 {
+		t.Fatal("fixture: no segment too long for a 32-bit slot")
 	}
 	return cells, maxT
 }
@@ -163,9 +163,9 @@ func TestBlockRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got[i], cells[i]) {
 			t.Errorf("cell %d decoded as\n%+v, encoded from\n%+v", i, &got[i], &cells[i])
 		}
-		if b := &got[i]; cap(b.starts) != len(b.starts) || cap(b.lens) != len(b.lens) || cap(b.lines) != len(b.lines) {
-			t.Errorf("cell %d holds columns with room to spare (cap %d/%d/%d for %d segments): an append would write into its neighbour's",
-				i, cap(b.starts), cap(b.lens), cap(b.lines), len(b.lines))
+		if b := &got[i]; cap(b.cols) != len(b.cols) || b.room != b.n || b.wide != nil && cap(b.wide.segs) != len(b.wide.segs) {
+			t.Errorf("cell %d holds columns with room to spare (cap %d for %d bytes, room %d for %d segments): an append would write into its neighbour's",
+				i, cap(b.cols), len(b.cols), b.room, b.n)
 		}
 	}
 	if again := encodeBlock(t, got, maxT); !bytes.Equal(again, data) {
@@ -184,7 +184,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockAppendAfterDecode: the decoded cells share three arrays, and an
+// TestBlockAppendAfterDecode: the decoded cells share their arrays, and an
 // append that grows one must neither disturb its neighbours nor differ from
 // the same append on a cell that was never stored.
 func TestBlockAppendAfterDecode(t *testing.T) {

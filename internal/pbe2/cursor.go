@@ -54,17 +54,12 @@ func (s *Summary) liveHead(w *region, t int64, cc *centroidCache) (float64, bool
 
 // segValue maps a segment index found for t (-1 = before the first segment)
 // to the estimate: the segment's line inside its span, the held final value
-// in the flat gap after it: seg spelled out, so that segAt, which fits the
-// inlining budget where seg does not, inlines into it. Estimate and the
-// downsampling cursor spell it out the same way.
+// in the flat gap after it.
 //
 //histburst:noalloc
 func (s *Summary) segValue(i int, t int64) float64 {
-	switch {
-	case i < 0:
+	if i < 0 {
 		return 0
-	case s.floatValues():
-		return segVal(s.segFloat(i), t)
 	}
 	return segVal(s.segAt(i, s.start(i)), t)
 }
@@ -98,43 +93,36 @@ func (b *Builder) Estimate3(t0, t1, t2 int64) (f0, f1, f2 float64) {
 // earlier answers are usually in the same or the adjacent segment as the
 // previous one — probe there before binary-searching the narrowed range. The
 // searches compare each instant's offset from the first start against the
-// narrow starts, and read each segment with segAt, its value at Start then
-// replaced in a cell of float64 values; a wide cell takes the three
-// independent searches of the head case. An empty one stays here: its
-// search finds nothing at once.
+// start column, and read each segment with segAt. An empty cell stays here:
+// its search finds nothing at once.
 //
 //histburst:noalloc
 func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
-	if t2 >= s.headLow || s.starts == nil && s.wide != nil {
+	if t2 >= s.headLow {
 		return s.estimate3Head(w, t0, t1, t2)
 	}
 	i2 := s.searchFull(t2)
 	if i2 < 0 {
 		return 0, 0, 0 // t0 ≤ t1 ≤ t2 all precede the first segment
 	}
-	starts, first, float := s.starts, s.firstStart, s.floatValues()
-	s2 := s.segAt(i2, first+int64(starts[i2]))
-	if float {
-		s2.Y = s.floatY(i2, s2.Y)
-	}
+	key, first := s.key(), s.firstStart
+	s2 := s.segAt(i2, first+int64(key.at(i2)))
 	f2 = segVal(s2, t2)
 	// An earlier instant that precedes the segment in hand lies between the
-	// first start and that one, so its offset fits the narrow key — unless
-	// it precedes the first start too, and with it every segment. The first
-	// start, at offset 0, is at most the key: no search runs off the front.
+	// first start and that one, so its offset is a distance on the key —
+	// unless it precedes the first start too, and with it every segment. The
+	// first start, at offset 0, is at most the key: no search runs off the
+	// front.
 	i1 := i2
 	if s2.Start > t1 {
 		if t1 < first {
 			return 0, 0, f2 // t0 ≤ t1, so both precede the first segment
 		}
-		k1 := uint32(t1 - first)
-		if i1--; starts[i1] > k1 {
-			i1 = searchDown(starts, k1, i1)
+		k1 := uint64(t1) - uint64(first)
+		if i1--; key.at(i1) > k1 {
+			i1 = searchDown(key, k1, i1)
 		}
-		s2 = s.segAt(i1, first+int64(starts[i1]))
-		if float {
-			s2.Y = s.floatY(i1, s2.Y)
-		}
+		s2 = s.segAt(i1, first+int64(key.at(i1)))
 	}
 	f1 = segVal(s2, t1) // s2 now holds segment i1
 	i0 := i1
@@ -142,14 +130,11 @@ func (s *Summary) estimate3(w *region, t0, t1, t2 int64) (f0, f1, f2 float64) {
 		if t0 < first {
 			return 0, f1, f2
 		}
-		k0 := uint32(t0 - first)
-		if i0--; starts[i0] > k0 {
-			i0 = searchDown(starts, k0, i0)
+		k0 := uint64(t0) - uint64(first)
+		if i0--; key.at(i0) > k0 {
+			i0 = searchDown(key, k0, i0)
 		}
-		s2 = s.segAt(i0, first+int64(starts[i0]))
-		if float {
-			s2.Y = s.floatY(i0, s2.Y)
-		}
+		s2 = s.segAt(i0, first+int64(key.at(i0)))
 	}
 	f0 = segVal(s2, t0)
 	return f0, f1, f2
@@ -174,24 +159,16 @@ func segVal(s Segment, t int64) float64 {
 	return v
 }
 
-// searchDown returns the largest i < hi with starts[i] <= k, or -1, by
-// halving starts[:hi], one probe a step. Estimate3 calls it only once the
-// adjacency probe has missed, when τ spans several segments.
+// searchDown returns the largest i < hi with key.at(i) <= k, or -1.
+// Estimate3 calls it only once the adjacency probe has missed, when τ spans
+// several segments.
 //
 //histburst:noalloc
-func searchDown(starts []uint32, k uint32, hi int) int {
-	if hi <= 0 || starts[0] > k {
+func searchDown(key key, k uint64, hi int) int {
+	if hi <= 0 || key.at(0) > k {
 		return -1
 	}
-	base, n := 0, hi
-	for n > 1 {
-		half := n >> 1
-		if starts[base+half] <= k {
-			base += half
-		}
-		n -= half
-	}
-	return base
+	return key.last(0, hi, k)
 }
 
 // estimate3Head is Estimate3 for the uncommon case where the latest instant
@@ -218,51 +195,49 @@ func (s *Summary) estimate3Head(w *region, t0, t1, t2 int64) (f0, f1, f2 float64
 
 // searchFull returns the largest i whose segment starts at or before t, or
 // -1, over the whole summary. Boundary cases resolve against the
-// summary-resident bounds without touching the array; steady streams produce
-// segment starts that are near-uniform in time, so for longer summaries an
-// interpolated first guess plus a doubling gallop brackets the answer in a
-// couple of localized probes. The bracket (and any irregular distribution)
-// falls through to the plain binary search. A wide cell is searched by
-// searchWide.
+// summary-resident bounds without touching the columns; steady streams
+// produce segment starts that are near-uniform in time, so for longer
+// summaries an interpolated first guess plus a doubling gallop brackets the
+// answer in a couple of localized probes. The bracket (and any irregular
+// distribution) is halved without a branch on the probes (key.last): with
+// the key's probes a load and a mask, that beats the branches a query at a
+// random instant mispredicts.
 //
 //histburst:noalloc
 func (s *Summary) searchFull(t int64) int {
-	if t < s.firstStart {
+	n := s.n
+	if n == 0 || t < s.firstStart {
 		return -1
-	}
-	n := len(s.starts)
-	if n == 0 {
-		return s.searchWide(t)
 	}
 	if t >= s.lastStart {
 		return n - 1
 	}
-	// firstStart <= t < lastStart, so the offset fits the narrow key and the
-	// upper bound (first index with a start beyond it) lies in [1, n-1]. The
-	// float guess is a heuristic only; the gallop establishes the true
-	// bracket.
-	starts, k := s.starts, uint32(t-s.firstStart)
+	// firstStart <= t < lastStart, so the upper bound (first index with a
+	// start beyond t) lies in [1, n-1]. The offset is an unsigned distance,
+	// exact however far the starts spread. The float guess is a heuristic
+	// only; the gallop establishes the true bracket.
+	key, k := s.key(), uint64(t)-uint64(s.firstStart)
 	if n < 16 {
-		// Tiny summaries: a predictable linear scan over one cache line
+		// Tiny summaries: a predictable linear scan over a few cache lines
 		// beats the mispredicting binary probes.
 		i := n - 1
-		for i >= 0 && starts[i] > k {
+		for i >= 0 && key.at(i) > k {
 			i--
 		}
 		return i
 	}
-	g := int(float64(k) * s.invSpan)
+	g := int(float64(int64(k)) * s.invSpan)
 	if g < 1 {
 		g = 1
 	} else if g > n-2 {
 		g = n - 2
 	}
 	lo, hi := 0, n
-	if starts[g] <= k {
+	if key.at(g) <= k {
 		lo = g + 1
 		step := 1
 		for lo+step < hi {
-			if starts[lo+step-1] > k {
+			if key.at(lo+step-1) > k {
 				hi = lo + step - 1
 				break
 			}
@@ -273,7 +248,7 @@ func (s *Summary) searchFull(t int64) int {
 		hi = g
 		step := 1
 		for hi-step > 0 {
-			if starts[hi-step] <= k {
+			if key.at(hi-step) <= k {
 				lo = hi - step + 1
 				break
 			}
@@ -281,35 +256,7 @@ func (s *Summary) searchFull(t int64) int {
 			step <<= 1
 		}
 	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if starts[mid] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
-}
-
-// searchWide is searchFull over a wide cell's 64-bit offsets, or over no
-// segments at all, for t ≥ firstStart: a plain binary search, since such a
-// cell is rare and its starts are anything but near-uniform.
-//
-//histburst:noalloc
-func (s *Summary) searchWide(t int64) int {
-	if s.wide == nil {
-		return -1
-	}
-	starts, k := s.wide.starts, uint64(t)-uint64(s.firstStart)
-	lo, hi := 0, len(starts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if starts[mid] <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo - 1
+	// The bracket: the answer is in [lo−1, hi), and the start at lo−1 —
+	// or, when lo is 0, the first, at offset 0 — is at most the key.
+	return key.last(max(lo-1, 0), hi, k)
 }

@@ -112,7 +112,7 @@ func TestSearchFullMatchesLinear(t *testing.T) {
 		}
 	}
 	// Exact boundaries and their neighbors.
-	for i := range b.lines {
+	for i := range b.n {
 		s := b.start(i)
 		for _, tm := range []int64{s - 1, s, s + 1} {
 			if got, want := b.searchFull(tm), ref(tm); got != want {

@@ -48,16 +48,10 @@ func (c *srcCursor) est(t int64) float64 {
 	if t >= s.headLow {
 		return float64(s.count)
 	}
-	for c.i+1 < len(s.lines) && s.start(c.i+1) <= t {
+	for c.i+1 < s.n && s.start(c.i+1) <= t {
 		c.i++
 	}
-	switch {
-	case c.i < 0:
-		return 0
-	case s.floatValues():
-		return segVal(s.segFloat(c.i), t)
-	}
-	return segVal(s.segAt(c.i, s.start(c.i)), t)
+	return s.segValue(c.i, t)
 }
 
 // memberIter streams one member's candidate constraint instants — its
@@ -72,7 +66,7 @@ type memberIter struct {
 //histburst:noalloc
 func (m *memberIter) advance(res int64) {
 	s := m.cur.s
-	for m.j < len(s.lines) {
+	for m.j < s.n {
 		if m.phase == 0 {
 			m.phase = 1
 			m.next = alignUp(s.start(m.j), res)

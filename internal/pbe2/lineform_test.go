@@ -20,11 +20,12 @@ func cellOf(gamma float64, segs []Segment, count, lastT int64) *Summary {
 	return &c.summary
 }
 
-// TestLineForms: a cell holds its lines narrow until a value at Start passes
-// the 2⁻⁸ grid's int32 range, or more than a few values fall off the grid,
-// then every value as a float64, at 4 bytes a segment more; the odd value
-// off the grid, and a slope no float32 holds, escape their segment whole.
-// Each form answers, encodes and decodes as the int64 reference does.
+// TestLineForms: a cell holds its values at Start on the 2⁻⁸ grid — past
+// the int32 the block's narrow record holds too — until one passes ±2⁵⁵
+// counts, or more than a few values fall off the grid, then every value as
+// a float64; the odd value off the grid, and a slope no float32 holds,
+// escape their segment whole. Each form answers, encodes and decodes as the
+// int64 reference does.
 func TestLineForms(t *testing.T) {
 	base := []Segment{
 		{A: 0.5, Y: 1, Start: 100, End: 110},
@@ -55,18 +56,21 @@ func TestLineForms(t *testing.T) {
 	}{
 		{"narrow", base, false, 0, 4},
 		{"a value off the grid", with(func(s []Segment) { s[2].Y += 1.0 / 3 }), false, 1, 3},
-		{"a value past int32", with(func(s []Segment) { s[3].Y += 1 << 23 }), true, 0, 3},
+		{"a value past int32", with(func(s []Segment) { s[3].Y += 1 << 23 }), false, 0, 3},
 		{"the least narrow value", with(func(s []Segment) { s[0].Y = float64(minNarrowY) / yUnit }), false, 0, 4},
-		{"a value a record tag would take", with(func(s []Segment) { s[0].Y = float64(minNarrowY-1) / yUnit }), true, 0, 3},
+		{"a value a record tag would take", with(func(s []Segment) { s[0].Y = float64(minNarrowY-1) / yUnit }), false, 0, 3},
+		{"a value below the base", with(func(s []Segment) { s[2].Y = -100.5 }), false, 0, 4},
+		{"a value past 2⁵⁵ counts", with(func(s []Segment) { s[3].Y += 1 << 56 }), true, 0, 3},
 		{"a slope no float32 holds", with(func(s []Segment) { s[1].A = 1.0 / 3 }), false, 1, 3},
 		{"both", with(func(s []Segment) { s[1].A, s[1].Y = 1.0/3, 7+1.0/3 }), false, 1, 3},
-		{"an escape, then a value past int32", with(func(s []Segment) { s[0].A, s[3].Y = math.Pi, s[3].Y+1<<23 }), true, 1, 2},
+		{"an escape, then a value past int32", with(func(s []Segment) { s[0].A, s[3].Y = math.Pi, s[3].Y+1<<23 }), false, 1, 2},
+		{"an escape, then a value past 2⁵⁵ counts", with(func(s []Segment) { s[0].A, s[3].Y = math.Pi, s[3].Y+1<<56 }), true, 1, 2},
 		{"thin windows past a sixth", thin, true, 3, 16},
 	} {
 		last := tc.segs[len(tc.segs)-1]
 		s := cellOf(1, tc.segs, 20, last.End+5)
-		if float := s.wide != nil && s.wide.yhi != nil; float != tc.float {
-			t.Fatalf("%s: values held as float64: %v, want %v", tc.name, float, tc.float)
+		if s.float != tc.float {
+			t.Fatalf("%s: values held as float64: %v, want %v", tc.name, s.float, tc.float)
 		}
 		if got := checkStoredLines(t, tc.name, s); got != len(tc.segs)-tc.narrow {
 			t.Fatalf("%s: %d lines off the narrow form, want %d", tc.name, got, len(tc.segs)-tc.narrow)
@@ -76,8 +80,8 @@ func TestLineForms(t *testing.T) {
 				t.Fatalf("%s: segment %d reads %+v, was written %+v", tc.name, i, seg, tc.segs[i])
 			}
 		}
-		if s.wide != nil && len(s.wide.segs) != tc.escaped || s.wide == nil && tc.escaped != 0 {
-			t.Fatalf("%s: want %d escaped segments, have %+v", tc.name, tc.escaped, s.wide)
+		if s.escaped() != tc.escaped {
+			t.Fatalf("%s: want %d escaped segments, have %d", tc.name, tc.escaped, s.escaped())
 		}
 		checkAgainstRef(t, tc.name, s, false)
 	}
@@ -86,9 +90,9 @@ func TestLineForms(t *testing.T) {
 // TestSparseGammaOneBytes: at γ = 1 over sparse arrivals the feasible
 // regions are about one gap's reciprocal wide, thinner than the 2⁻⁸ grid at
 // most window starts, so a cell takes float64 values after its first few
-// escapes: 20 bytes a segment and three escapes, below the 24 two float64
-// coefficients took, and every arrival still within its bounds. At γ = 8 the
-// same streams stay narrow.
+// escapes — below the 20 bytes a segment the same cell took with 32-bit
+// fields, and every arrival still within its bounds. At γ = 8 the same
+// streams stay on the grid.
 func TestSparseGammaOneBytes(t *testing.T) {
 	for _, gap := range []float64{500, 5000} {
 		rng := rand.New(rand.NewSource(1))
@@ -103,18 +107,24 @@ func TestSparseGammaOneBytes(t *testing.T) {
 			s := b.Seal()
 			n := s.NumSegments()
 			off := checkStoredLines(t, "sparse", s)
-			t.Logf("γ = %v, mean gap %v: %d segments, %d off the narrow grid, %.2f B a segment", gamma, gap, n, off, float64(s.Bytes())/float64(n))
-			if limit := map[float64]int{1: 20, 8: 16}[gamma]; s.Bytes() > limit*n+3*24 {
+			segs := s.Segments()
+			t.Logf("γ = %v, mean gap %v: %d segments, %d off the narrow grid, %.2f B a segment, %.2f with 32-bit fields",
+				gamma, gap, n, off, float64(s.Bytes())/float64(n), float64(parentBytes(segs))/float64(n))
+			if limit := map[float64]int{1: 19, 8: 14}[gamma]; s.Bytes() > limit*n+3*16 {
 				t.Errorf("γ = %v, mean gap %v: %d bytes for %d segments, want at most %d a segment and three escapes", gamma, gap, s.Bytes(), n, limit)
+			}
+			if s.Bytes() != refBytes(segs) || s.Bytes() > parentBytes(segs) {
+				t.Errorf("γ = %v, mean gap %v: Bytes = %d, want %d and at most the %d of 32-bit fields", gamma, gap, s.Bytes(), refBytes(segs), parentBytes(segs))
 			}
 			checkAtArrivals(t, "sparse", s.Estimate, ts, gamma)
 		}
 	}
 }
 
-// TestHeavyCellBytes: a cell whose count passes 2²³, the narrow int32's
-// reach, takes float64 values at 20 bytes a segment — built past it, or
-// lifted past it by a merge — instead of escaping each later segment.
+// TestHeavyCellBytes: a cell whose count passes 2²³, the reach of the
+// block's int32 record, keeps its values on the grid, built past it or
+// lifted past it by a merge: a value field a few bits wider, where 32-bit
+// fields took float64 values at 20 bytes a segment.
 func TestHeavyCellBytes(t *testing.T) {
 	const heavy = 1<<23 + 1000
 	rng := rand.New(rand.NewSource(2))
@@ -138,11 +148,13 @@ func TestHeavyCellBytes(t *testing.T) {
 		s    *Summary
 	}{{"built", built}, {"merged", &merged.summary}} {
 		n := c.s.NumSegments()
-		if c.s.wide == nil || c.s.wide.yhi == nil || len(c.s.wide.segs) != 0 {
-			t.Fatalf("%s: want float64 values and no escaped segment, have %+v", c.what, c.s.wide)
+		if c.s.float || c.s.escaped() != 0 {
+			t.Fatalf("%s: want grid values and no escaped segment, have float64 values %v and %d escaped", c.what, c.s.float, c.s.escaped())
 		}
-		if got := c.s.Bytes(); got != 20*n {
-			t.Errorf("%s: %d bytes for %d segments, want 20 a segment", c.what, got, n)
+		segs := c.s.Segments()
+		t.Logf("%s: %d segments, %.2f B a segment, %.2f with 32-bit fields", c.what, n, float64(c.s.Bytes())/float64(n), float64(parentBytes(segs))/float64(n))
+		if got := c.s.Bytes(); got != refBytes(segs) || got > 13*n {
+			t.Errorf("%s: %d bytes for %d segments, want %d, at most 13 a segment", c.what, got, n, refBytes(segs))
 		}
 		checkStoredLines(t, c.what, c.s)
 		for _, v := range ts[heavy-1:] {

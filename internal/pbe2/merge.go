@@ -6,8 +6,8 @@ import "fmt"
 // over mutually exclusive time ranges, in time order: the paper's parallel
 // construction over time partitions. Each later part's segments are lifted
 // by the count of all before it (a later partition counts from zero) and
-// appended, one addition a segment (appendLifted), into columns
-// allocated once at their final size. Every per-instant guarantee
+// appended, one addition a segment (appendLifted), as a builder appends
+// its own, and the columns are clipped to their size at the end. Every per-instant guarantee
 // (F−γ ≤ F̃ ≤ F) carries over to the merged stream because cumulative
 // frequencies of time-disjoint partitions add. The parts are only read.
 func MergeFinished(parts []*Summary) (*Builder, error) {
@@ -26,12 +26,10 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("pbe2: merge of zero summaries")
 	}
-	total := 0
 	for _, p := range parts {
 		if p.gamma != parts[0].gamma {
 			return fmt.Errorf("pbe2: gamma mismatch (%v vs %v)", parts[0].gamma, p.gamma)
 		}
-		total += len(p.lines)
 	}
 	first := parts[0]
 	s := Summary{
@@ -41,10 +39,7 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 		prevF:      first.prevF,
 		outOfOrder: first.outOfOrder,
 	}
-	if total > 0 {
-		s.starts, s.lens, s.lines = make([]uint32, 0, total), make([]uint32, 0, total), make([]line, 0, total)
-	}
-	for i := range first.lines {
+	for i := range first.n {
 		s.appendLifted(first, i, 0)
 	}
 	for _, p := range parts[1:] {
@@ -59,7 +54,7 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 			return fmt.Errorf("pbe2: time ranges overlap (receiver ends at %d, other starts at %d)",
 				s.lastT, p.firstStart)
 		}
-		for i := range p.lines {
+		for i := range p.n {
 			s.appendLifted(p, i, s.count)
 		}
 		s.count += p.count
@@ -73,9 +68,9 @@ func MergeFinishedInto(out *Builder, parts []*Summary) error {
 }
 
 // appendLifted appends p's i-th segment raised by offset counts. The lift
-// is a float64 addition, exact for a narrow value below 2⁴⁴ counts, and the
-// lifted segment is stored as appendSegment stores any: a cell the lift
-// carries past the narrow range takes the float64 form.
+// is a float64 addition, exact for a grid value below 2⁴⁴ counts, and the
+// lifted segment is stored as appendSegment stores any: a wider y field, or
+// float64 values in a cell the lift carries past the grid's ±2⁵⁵ counts.
 func (s *Summary) appendLifted(p *Summary, i int, offset int64) {
 	seg := p.seg(i)
 	seg.Y += float64(offset)

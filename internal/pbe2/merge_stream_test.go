@@ -27,12 +27,12 @@ func mergeAppend(b, o *Builder) error {
 	if o.count == 0 {
 		return nil
 	}
-	if b.count > 0 && len(o.lines) > 0 && o.firstStart < b.lastT {
+	if b.count > 0 && o.n > 0 && o.firstStart < b.lastT {
 		return fmt.Errorf("pbe2: time ranges overlap (receiver ends at %d, other starts at %d)",
 			b.lastT, o.firstStart)
 	}
 	offset := float64(b.count)
-	for i := range o.lines {
+	for i := range o.n {
 		s := o.seg(i)
 		s.Y += offset
 		b.appendSegment(s)

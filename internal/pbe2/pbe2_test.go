@@ -273,14 +273,14 @@ func TestBurstyTimesWithinTolerance(t *testing.T) {
 func TestBytesAccounting(t *testing.T) {
 	ts := randomTimestamps(13, 500, 3)
 	b := buildPBE2(t, ts, 2)
-	if b.wide != nil {
-		t.Fatal("a stream of small ticks took the wide form")
+	if b.wide != nil || b.float {
+		t.Fatal("a stream of small ticks escaped a line or took float64 values")
 	}
-	if got, want := b.Bytes(), 16*b.NumSegments(); got != want {
-		t.Fatalf("Bytes = %d, want %d", got, want)
+	if got, want := b.Bytes(), refBytes(b.Segments()); got != want || got >= 16*b.NumSegments() {
+		t.Fatalf("Bytes = %d, want %d, under the 16 a segment of 32-bit fields", got, want)
 	}
 	// What Bytes counts is what the columns hold: Finish left no slack.
-	if held := 4*cap(b.starts) + 4*cap(b.lens) + 8*cap(b.lines); held != b.Bytes() {
+	if held := heldBytes(&b.summary); held != b.Bytes() {
 		t.Fatalf("finished columns hold %d bytes, Bytes = %d", held, b.Bytes())
 	}
 	segs := b.Segments()

@@ -12,11 +12,12 @@ import (
 	"histburst/internal/stream"
 )
 
-// A cell stores each segment start as a 32-bit offset from its first, until
-// one lies 2³² ticks or more past it: then every start takes the wide form's
-// 64-bit column. These tests hold both forms to an int64 reference built from
-// Segments(): the same answers from every kernel, the same file as the
-// format writes from the int64 segments, and Bytes() exactly as documented.
+// A cell stores each segment start as its offset from the first, at the
+// width the widest offset needs: past 32 bits once one lies 2³² ticks or
+// more past the first, the wide form of the file's records. These tests hold
+// both to an int64 reference built from Segments(): the same answers from
+// every kernel, the same file as the format writes from the int64 segments,
+// and Bytes() exactly as documented.
 
 // refSummary is the int64 reference: a sealed summary's segments, searched
 // linearly, and its frontier.
@@ -48,8 +49,8 @@ func (r refSummary) estimate(t int64) float64 {
 	return v
 }
 
-// wideForm reports whether s holds its starts in the 64-bit column.
-func wideForm(s *Summary) bool { return s.wide != nil && s.wide.starts != nil }
+// wideForm reports whether s holds start offsets of more than 4 bytes.
+func wideForm(s *Summary) bool { return s.sw > 4 }
 
 // addTick returns t + d and whether the sum stayed in int64.
 func addTick(t, d int64) (int64, bool) {
@@ -190,8 +191,8 @@ func writeLine(w *binenc.Writer, a, y float64, form int) {
 	}
 }
 
-// escapedRef reports whether no stored line holds a segment: its slope is
-// not a float32, or it is 2³² − 1 ticks long or more.
+// escapedRef reports whether the block escapes a segment's record whatever
+// its value: its slope is not a float32, or it is 2³² − 1 ticks long or more.
 func escapedRef(s Segment) bool {
 	return float64(float32(s.A)) != s.A || uint64(s.End-s.Start) >= 1<<32-1
 }
@@ -203,14 +204,14 @@ func narrowRef(y float64) bool {
 	return k == math.Trunc(k) && k >= math.MinInt32+2 && k <= math.MaxInt32
 }
 
-// refForms replays how a cell holds segs, appended in order — each one's
-// value narrowValue, floatValue or escapedValue, the forced ones escaped —
-// and reports whether the cell ends holding float64 values. A segment
-// escapedRef holds escapes; a float64 cell keeps to float64; a value on the
-// narrow grid is narrow; one past the grid's range takes the cell to
-// float64; one off the grid within it escapes while fewer than a sixth of
-// the cell's segments before it, or fewer than three, have escaped, and
-// takes the cell to float64 after that.
+// refForms replays the forms the block writes a cell's records in — each
+// one narrowValue, floatValue or escapedValue, the forced ones escaped — and
+// reports whether the cell has a record in the float64 form. A segment
+// escapedRef holds escapes; once a record is float64, every line is written
+// narrow or float64; a value on the int32 grid is narrow; one past the
+// int32's range takes the float64 form; one off the grid within it escapes
+// while fewer than a sixth of the cell's records before it, or fewer than
+// three, have escaped, and takes the float64 form after that.
 func refForms(segs []Segment, forced map[int]bool) (forms []int, float bool) {
 	escaped := 0
 	for i, s := range segs {
@@ -235,13 +236,100 @@ func refForms(segs []Segment, forced map[int]bool) (forms []int, float bool) {
 	return forms, float
 }
 
-// refBytes is what Bytes reads for a cell of segs: 16 bytes a segment, 4
-// more when its starts are wide, 4 more when it holds float64 values, and
-// 24 more for each escaped segment.
-func refBytes(segs []Segment, wideStarts bool) int {
+// refMemForms replays how a cell holds segs in memory, appended in order:
+// each one's value on the grid (narrowValue), a float64 (floatValue) or
+// escaped whole, and whether the cell ends holding float64 values. A slope
+// no float32 holds escapes; a float64 cell keeps to float64; a value on the
+// 2⁻⁸ grid within ±2⁵⁵ counts stays on it; one past that takes the cell to
+// float64; one off the grid escapes while fewer than a sixth of the cell's
+// segments before it, or fewer than three, have escaped, and takes the cell
+// to float64 after that.
+func refMemForms(segs []Segment) (forms []int, float bool) {
+	escaped := 0
+	for i, s := range segs {
+		k := s.Y * 256
+		form := floatValue
+		switch {
+		case float64(float32(s.A)) != s.A:
+			form = escapedValue
+		case float:
+		case k < -(1<<63) || k >= 1<<63:
+			float = true
+		case k == math.Trunc(k):
+			form = narrowValue
+		case 6*escaped < max(i, 18):
+			form = escapedValue
+		default:
+			float = true
+		}
+		if form == escapedValue {
+			escaped++
+		}
+		forms = append(forms, form)
+	}
+	return forms, float
+}
+
+// refWidth is the bytes a packed field takes for values up to v.
+func refWidth(v uint64) int {
+	n := 0
+	for ; v > 0; v >>= 8 {
+		n++
+	}
+	return n
+}
+
+// refBytes is what Bytes reads for a cell of segs: the start offsets, the
+// lengths and the values at Start, each at the width in bytes its widest
+// needs, and a 4-byte slope, a segment; at least 8 bytes from the last
+// length's and the last value's first bytes; 16 bytes more for each
+// escaped segment.
+func refBytes(segs []Segment) int {
+	if len(segs) == 0 {
+		return 0
+	}
+	forms, float := refMemForms(segs)
+	var maxLen uint64
+	minK, maxK, grid, escaped := int64(0), int64(0), false, 0
+	for i, s := range segs {
+		maxLen = max(maxLen, uint64(s.End-s.Start))
+		switch forms[i] {
+		case escapedValue:
+			escaped++
+		case narrowValue:
+			k := int64(s.Y * 256)
+			if !grid {
+				minK, maxK, grid = k, k, true
+			}
+			minK, maxK = min(minK, k), max(maxK, k)
+		}
+	}
+	sw := refWidth(uint64(segs[len(segs)-1].Start) - uint64(segs[0].Start))
+	lw, yw := refWidth(maxLen), 8
+	if !float {
+		yw = 0
+		if grid {
+			yw = refWidth(uint64(maxK - minK))
+		}
+		if escaped > 0 {
+			yw = max(yw, refWidth(uint64(escaped-1)))
+		}
+	}
+	n := len(segs)
+	return n*sw + (n-1)*(lw+yw+4) + lw + max(yw+4, 8) + 16*escaped
+}
+
+// parentBytes is what a cell of segs counted when every field took 32
+// bits: 16 bytes a segment, 4 more a segment once a start lies 2³² ticks or
+// more past the first, 4 more once a record is in the float64 form, and 24
+// more for each escaped record (refForms).
+func parentBytes(segs []Segment) int {
+	if len(segs) == 0 {
+		return 0
+	}
 	forms, float := refForms(segs, nil)
 	n := 16 * len(segs)
-	if wideStarts {
+	if uint64(segs[len(segs)-1].Start)-uint64(segs[0].Start) > math.MaxUint32 {
 		n += 4 * len(segs)
 	}
 	if float {
@@ -257,9 +345,9 @@ func refBytes(segs []Segment, wideStarts bool) int {
 
 // heldBytes is what a summary's columns hold, capacity and all.
 func heldBytes(s *Summary) int {
-	held := 4*cap(s.starts) + 4*cap(s.lens) + 8*cap(s.lines)
+	held := cap(s.cols)
 	if w := s.wide; w != nil {
-		held += 8*cap(w.starts) + 24*cap(w.segs) + 4*cap(w.yhi)
+		held += 16 * cap(w.segs)
 	}
 	return held
 }
@@ -318,8 +406,11 @@ func checkAnswers(t *testing.T, what string, s *Summary, wide bool) {
 			}
 		}
 	}
-	if got, want := s.Bytes(), refBytes(ref.segs, wide); got != want {
+	if got, want := s.Bytes(), refBytes(ref.segs); got != want {
 		t.Fatalf("%s: Bytes = %d, want %d for %d segments", what, got, want, len(ref.segs))
+	}
+	if got, parent := s.Bytes(), parentBytes(ref.segs); got > parent {
+		t.Fatalf("%s: Bytes = %d, more than the %d of 32-bit fields", what, got, parent)
 	}
 	held := heldBytes(s)
 	if held != s.Bytes() {
