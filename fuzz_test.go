@@ -48,9 +48,9 @@ func FuzzLoad(f *testing.F) {
 	})
 }
 
-// FuzzDetectorLoad targets the full detector decode path: valid HBD8 blobs
+// FuzzDetectorLoad targets the full detector decode path: valid HBD9 blobs
 // (one of them an index with levels under both γs), retired-generation HBD1,
-// HBD6 and HBD7 blobs (must be refused, not decoded), their truncations, and bit
+// HBD6, HBD7 and HBD8 blobs (must be refused, not decoded), their truncations, and bit
 // flips. Load must never panic, never allocate
 // unboundedly, and anything accepted must survive query and re-save — and
 // every level must be the size and hashing its height and header call for
@@ -80,8 +80,9 @@ func FuzzDetectorLoad(f *testing.F) {
 		v1 := saveHBD1(f, det)
 		f.Add(v2.Bytes())
 		f.Add(v1)
-		f.Add(saveHBD6(f, det))
-		f.Add(saveHBD7(f, det))
+		for _, gen := range []byte{6, 7, 8} {
+			f.Add(saveOld(f, det, gen))
+		}
 		for _, blob := range [][]byte{v1, v2.Bytes()} {
 			for _, cut := range []int{1, 5, 9, len(blob) / 2, len(blob) - 1} {
 				f.Add(blob[:cut])
@@ -94,7 +95,7 @@ func FuzzDetectorLoad(f *testing.F) {
 	f.Add(poisonedCellFile(f))
 	f.Add(wrongLeafFile(f))
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x07 nearly"))
+	f.Add([]byte("HBD\x08 nearly"))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -263,8 +264,9 @@ func FuzzInspect(f *testing.F) {
 		data := buf.Bytes()
 		f.Add(data)
 		f.Add(saveHBD1(f, det))
-		f.Add(saveHBD6(f, det))
-		f.Add(saveHBD7(f, det))
+		for _, gen := range []byte{6, 7, 8} {
+			f.Add(saveOld(f, det, gen))
+		}
 		for _, cut := range []int{1, 5, 9, len(data) / 2, len(data) - 1} {
 			f.Add(data[:cut])
 		}
@@ -283,7 +285,7 @@ func FuzzInspect(f *testing.F) {
 		f.Add(garbled)
 	}
 	f.Add([]byte{})
-	f.Add([]byte("HBD\x07 nearly"))
+	f.Add([]byte("HBD\x08 nearly"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, ierr := Inspect(data)
@@ -307,7 +309,7 @@ func FuzzInspect(f *testing.F) {
 	})
 }
 
-// FuzzLoadSingle does the same for single-event summaries: valid files — HBD8
+// FuzzLoadSingle does the same for single-event summaries: valid files — HBD9
 // detector files over one id, empty and with a segment too long for a length
 // slot — the refused HBS2 and HBS3 files of the generations before, a
 // detector file over two ids, truncations and bit flips. Anything accepted

@@ -74,9 +74,10 @@ func (w *Writer) BytesBlob(b []byte) {
 // Reader decodes a record written by Writer. Methods return zero values
 // after the first error; check Err (or use Close) once at the end.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf      []byte
+	off      int
+	err      error
+	overlong bool
 }
 
 // NewReader wraps an encoded record.
@@ -84,6 +85,11 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 
 // Err returns the sticky decode error, if any.
 func (r *Reader) Err() error { return r.err }
+
+// Overlong reports whether a varint read so far took more bytes than its
+// value needs. Like encoding/binary, the Reader decodes 0x80 0x00 as 0; a
+// decoder that accepts one encoding only refuses what this reports.
+func (r *Reader) Overlong() bool { return r.overlong }
 
 // Close verifies the record decoded cleanly and completely.
 func (r *Reader) Close() error {
@@ -157,7 +163,7 @@ func (r *Reader) Uvarint() uint64 {
 		r.fail("uvarint")
 		return 0
 	}
-	r.off += n
+	r.advance(n)
 	return v
 }
 
@@ -171,8 +177,17 @@ func (r *Reader) Varint() int64 {
 		r.fail("varint")
 		return 0
 	}
-	r.off += n
+	r.advance(n)
 	return v
+}
+
+// advance steps past an n-byte varint, noting it when it is overlong: when
+// its last byte, which holds its top seven bits, is zero.
+func (r *Reader) advance(n int) {
+	r.off += n
+	if n > 1 && r.buf[r.off-1] == 0 {
+		r.overlong = true
+	}
 }
 
 // Float64 reads an IEEE-754 encoded float.

@@ -129,3 +129,41 @@ func TestUvarintWidthLadder(t *testing.T) {
 		t.Fatalf("max uint64 encoded to %d bytes, want 10", got)
 	}
 }
+
+// TestOverlong: Overlong reports exactly the varints longer than the
+// writer's form of their value — every shortest form, and each of its
+// extensions by zero groups, read as a count and as a signed value — and
+// stays set once it has.
+func TestOverlong(t *testing.T) {
+	var values []uint64
+	for width := 0; width < 64; width += 7 {
+		values = append(values, 1<<width-1, 1<<width, 1<<width+1)
+	}
+	values = append(values, math.MaxUint64)
+	for _, v := range values {
+		var w Writer
+		w.Uvarint(v)
+		for enc, pad := w.Bytes(), 0; len(enc) <= 10; pad++ {
+			r := NewReader(enc)
+			if got := r.Uvarint(); r.Err() != nil || got != v || r.Overlong() != (pad > 0) {
+				t.Fatalf("Uvarint of %x: %d (err %v, overlong %v), want %d, %d byte(s) past the shortest form", enc, got, r.Err(), r.Overlong(), v, pad)
+			}
+			r = NewReader(enc)
+			if got := r.Varint(); r.Err() != nil || uint64(got)<<1^uint64(got>>63) != v || r.Overlong() != (pad > 0) {
+				t.Fatalf("Varint of %x: %d (err %v, overlong %v), want zigzag %d, %d byte(s) past the shortest form", enc, got, r.Err(), r.Overlong(), v, pad)
+			}
+			enc = append(append([]byte(nil), enc...), 0)
+			enc[len(enc)-2] |= 0x80
+		}
+	}
+	r := NewReader([]byte{0x80, 0x00, 0x02, 0x05, 0x06})
+	if r.Uvarint(); !r.Overlong() {
+		t.Fatal("0x80 0x00 is not reported")
+	}
+	if n := r.SliceLen(8, 1); n != 2 || !r.Overlong() || r.Err() != nil {
+		t.Fatal("a shortest varint after an overlong one cleared the report")
+	}
+	if r := NewReader([]byte{0x80, 0x00}); r.SliceLen(8, 1) != 0 || !r.Overlong() {
+		t.Fatal("SliceLen does not report an overlong count")
+	}
+}

@@ -183,8 +183,8 @@ func TestDecodeHoldsCellsToTheLevel(t *testing.T) {
 	// The longer level's cells under the shorter level's header: same header
 	// length (n is 40 or 41, one varint byte), another n.
 	splice := func(header, cells []byte) []byte {
-		at := strings.Index(string(cells), "P2B\x03")
-		if at < 0 || at != strings.Index(string(header), "P2B\x03") {
+		at := strings.Index(string(cells), "P2B\x04")
+		if at < 0 || at != strings.Index(string(header), "P2B\x04") {
 			t.Fatal("fixture: cell blocks not where expected")
 		}
 		return append(append([]byte(nil), header[:at]...), cells[at:]...)

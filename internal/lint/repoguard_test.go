@@ -826,6 +826,71 @@ func TestOnePackedReader(t *testing.T) {
 	}
 }
 
+// TestOneLineFormRule: a PBE-2 segment is held in one of three forms — its
+// value on the 2⁻⁸ grid, a float64 value, or escaped whole — and lineForm
+// alone picks which, for memory and file alike: the cell block writes each
+// record in the form its cell holds it, and its decoder replays lineForm
+// through a plan. In internal/pbe2's non-test code the form constants are
+// named outside lineForm only to compare a form with one — a case label, or
+// an operand of == or != — so no other function can pick a form; and the
+// names of the file's own 32-bit rule, which once replayed the forms a
+// second way, are declared nowhere in the module.
+func TestOneLineFormRule(t *testing.T) {
+	forms := map[string]bool{"narrowValue": true, "floatValue": true, "escapedValue": true}
+	retired := map[string]bool{"fileForms": true, "narrowY": true, "blockEscaped": true, "blockFloatLine": true}
+	picked := 0
+	eachGoFile(t, true, func(rel string, f *ast.File) {
+		rel = filepath.ToSlash(rel)
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && retired[id.Name] {
+				t.Errorf("%s names %s, the file's second line-form rule; lineForm is the only one", rel, id.Name)
+			}
+			return true
+		})
+		if filepath.Dir(rel) != "internal/pbe2" || strings.HasSuffix(rel, "_test.go") {
+			return
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			compared := map[*ast.Ident]bool{}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				var operands []ast.Expr
+				switch n := n.(type) {
+				case *ast.CaseClause:
+					operands = n.List
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						operands = []ast.Expr{n.X, n.Y}
+					}
+				}
+				for _, e := range operands {
+					if id, ok := e.(*ast.Ident); ok {
+						compared[id] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				switch {
+				case !ok || !forms[id.Name]:
+				case fn.Name.Name == "lineForm":
+					picked++
+				case !compared[id]:
+					t.Errorf("%s: %s names the form %s other than to compare with it; only lineForm picks a segment's form", rel, fn.Name.Name, id.Name)
+				}
+				return true
+			})
+		}
+	})
+	if picked == 0 {
+		t.Error("lineForm names no form in internal/pbe2; the guard has lost its subject")
+	}
+}
+
 // TestOneLineFormula: a stored PBE-2 line is evaluated by one formula,
 // segVal's, which every query, the downsampling cursor, the open window's
 // line and Segments come through. In internal/pbe2's non-test code no other

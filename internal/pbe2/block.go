@@ -3,7 +3,6 @@ package pbe2
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"histburst/internal/binenc"
 )
@@ -14,7 +13,7 @@ import (
 // how far that is from where its predecessor ended (see internal/binenc for
 // the scalar forms; p counts the present cells, in cell order):
 //
-//	magic     uint32 "P2B\x03"
+//	magic     uint32 "P2B\x04"
 //	gamma     float64
 //	outOfOrd  uvarint   Σ over the cells
 //	present   ⌈cells/8⌉ bytes, bit i%8 of byte i/8 set when cell i holds arrivals
@@ -23,118 +22,54 @@ import (
 //	open      uvarint × p   count − prevF: the arrivals of the open corner
 //	tail      uvarint × p   lastT − the last segment's End
 //	outOfOrd  uvarint × p   only when the block's sum is not zero
-//	nEscaped  uvarint       the escaped segments of all cells, when p > 0
-//	nWide     uvarint       the cells with an escaped line, a line in the
-//	                        float64 form (below) or a start 2³² ticks or
-//	                        more past their first, when p > 0
-//	nFloat    uvarint       the segments of the cells with a line in the
-//	                        float64 form, when p > 0
-//	escaped   float64 slope, float64 value at Start × nEscaped, in segment order
+//	float     ⌈p/8⌉ bytes, bit j%8 of byte j/8 set when the j-th present cell
+//	          holds float64 values
 //	segments  per present cell, per segment:
 //	          first  varint  Start − the level's maxT
 //	          later  uvarint Start − the previous segment's End
 //	          uvarint End − Start
-//	          its line, in one of three forms:
-//	            int32   the value at Start in units of 2⁻⁸ count, at least
-//	                    −2³¹ + 2, then the float32 slope
-//	            int32   −2³¹ + 1, float64 the value at Start, float32 slope
-//	            int32   −2³¹ alone: the line is the next escaped one
+//	          uint32  the float32 slope, or escSlope for a segment escaped whole
+//	          then, as the cell holds the segment:
+//	            escaped     float64 slope, float64 value at Start
+//	            grid cell   varint, the value at Start in units of 2⁻⁸ count
+//	            float cell  float64 value at Start
 //
-// Nothing a decoder can work out is stored, but for nEscaped, nWide and
-// nFloat, which must equal what the records hold. A cell is present exactly
+// Nothing a decoder can work out is stored but the float bits, which must
+// agree with where the records take their cells. A cell is present exactly
 // when it has counted an arrival; every cell is a sealed summary, so a
 // present one holds at least one segment; an absent cell is the empty
-// summary New returns. The form of a cell's records is fileForms' replay of
-// its segments, whatever form memory holds them in: a record is escaped
-// when no float32 slope holds its line, it is 2³² − 1 ticks long or more,
-// or its value at Start is off the grid while the cell's records have
-// escaped fewer than a sixth of its segments, or fewer than three, and no
-// record of it is in the float64 form; any other line is written in the
-// first form exactly when the int32 holds its value at Start. Every varint
-// is in its shortest form, so a block has one encoding and DecodeBlock
-// accepts no other.
+// summary New returns. Each record is in the form its cell holds the segment
+// in, which lineForm picked as the segments were appended: DecodeBlock
+// replays it and refuses a record in any other. Every varint is in its
+// shortest form, and a float cell holds a zero as +0, so a block has one
+// encoding and DecodeBlock accepts no other.
 
-const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 3<<24
-
-// The tags of a segment record's escaped and float64 lines, −2³¹ and
-// −2³¹ + 1 as a uint32: no narrow value at Start is either (minNarrowY).
-const (
-	blockEscaped   = 1 << 31
-	blockFloatLine = 1<<31 | 1
-)
-
-const (
-	// minNarrowY is the least value at Start a record holds in the first
-	// form, in units of 2⁻⁸ count: the two int32 below it are the tags.
-	minNarrowY = math.MinInt32 + 2
-	// escLen bounds a record's length in any but the escaped form: a flat
-	// run of seconds never gets there, one of nanoseconds does after 4.3 s.
-	escLen = math.MaxUint32
-)
+const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 4<<24
 
 const maxSegments = 1 << 32
 
-// minSegmentBytes is the least a stored segment occupies, its record and
-// its escaped line together: a record in the first form, two one-byte
-// varints, a value and a slope (an escaped record is 6 bytes, and its line
-// 16 more). escapedBytes is what an escaped line adds in its own section,
-// and minWideBytes the least a cell counted in nWide stores past that
-// count: a record in the float64 form.
-const (
-	minSegmentBytes = 10
-	escapedBytes    = 16
-	minWideBytes    = 18
-)
+// minSegmentBytes is the least a stored segment occupies: two one-byte
+// varints, a slope and a one-byte value.
+const minSegmentBytes = 7
 
 // finite reports whether both coefficients are numbers.
 func finite(a, y float64) bool {
 	return !math.IsNaN(a) && !math.IsInf(a, 0) && !math.IsNaN(y) && !math.IsInf(y, 0)
 }
 
-// narrowY returns a value at Start as the first record form holds it, if
-// it does.
-//
-//histburst:noalloc
-func narrowY(y float64) (int32, bool) {
-	k := y * yUnit
-	if k != math.Trunc(k) || k < minNarrowY || k > math.MaxInt32 {
-		return 0, false
+// putBits writes a bit for each of n cells, bit i%8 of byte i/8 set when
+// set(i) holds.
+func putBits(w *binenc.Writer, n int, set func(i int) bool) {
+	var mask byte
+	for i := range n {
+		if set(i) {
+			mask |= 1 << (i % 8)
+		}
+		if i%8 == 7 || i == n-1 {
+			w.Byte(mask)
+			mask = 0
+		}
 	}
-	return int32(k), true
-}
-
-// fileForms replays, over a cell's segments in order, the form the block
-// writes each one's record in: escaped, or a line whose cell has a record
-// in the float64 form (float) or not. The rule is the one cells held their
-// lines by when a value took 32 bits, so that files stay as they were.
-type fileForms struct {
-	escaped int  // the cell's escaped records so far
-	float   bool // a record of the cell is in the float64 form
-}
-
-// next returns the form of the cell's i-th segment, seg: escapedValue,
-// floatValue once the cell has a float64 record, narrowValue otherwise. A
-// line the first form does not hold is written in the float64 one.
-//
-//histburst:noalloc
-func (f *fileForms) next(seg Segment, i int) int {
-	form, k := floatValue, seg.Y*yUnit
-	_, narrow := narrowY(seg.Y)
-	switch {
-	case float64(float32(seg.A)) != seg.A || uint64(seg.End-seg.Start) >= escLen:
-		form = escapedValue
-	case f.float:
-	case narrow:
-		form = narrowValue
-	case k >= minNarrowY && k <= math.MaxInt32 && 6*f.escaped < max(i, 18):
-		form = escapedValue
-	default:
-		f.float = true
-	}
-	if form == escapedValue {
-		f.escaped++
-	}
-	return form
 }
 
 // EncodeBlock appends cells — sealed summaries under one gamma — to w as one
@@ -146,7 +81,6 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 	}
 	first := cells[0]
 	var outOfOrder int64
-	escaped, nWide, nFloat := 0, 0, 0
 	present := make([]*Summary, 0, len(cells))
 	for i, b := range cells {
 		if b.gamma != first.gamma {
@@ -163,32 +97,12 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 			return fmt.Errorf("pbe2: cell %d is inconsistent: %d segments, count %d, prevF %d, frontier %d", i, n, b.count, b.prevF, b.lastT)
 		}
 		outOfOrder += b.outOfOrder
-		var ff fileForms
-		for j := range n {
-			ff.next(b.seg(j), j)
-		}
-		escaped += ff.escaped
-		if ff.escaped > 0 || ff.float || uint64(b.lastStart)-uint64(b.firstStart) > math.MaxUint32 {
-			nWide++
-		}
-		if ff.float {
-			nFloat += n
-		}
 		present = append(present, b)
 	}
 	w.Uint32(blockMagic)
 	w.Float64(first.gamma)
 	w.Uvarint(uint64(outOfOrder))
-	var mask byte
-	for i, b := range cells {
-		if b.count > 0 {
-			mask |= 1 << (i % 8)
-		}
-		if i%8 == 7 || i == len(cells)-1 {
-			w.Byte(mask)
-			mask = 0
-		}
-	}
+	putBits(w, len(cells), func(i int) bool { return cells[i].count > 0 })
 	for _, b := range present {
 		w.Uvarint(uint64(b.n))
 	}
@@ -206,46 +120,27 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 			w.Uvarint(uint64(b.outOfOrder))
 		}
 	}
-	if len(present) > 0 {
-		w.Uvarint(uint64(escaped))
-		w.Uvarint(uint64(nWide))
-		w.Uvarint(uint64(nFloat))
-	}
-	for _, b := range present {
-		if escaped == 0 {
-			break // no cell has an escaped record to replay
-		}
-		var ff fileForms
-		for i := range b.n {
-			if seg := b.seg(i); ff.next(seg, i) == escapedValue {
-				w.Float64(seg.A)
-				w.Float64(seg.Y)
-			}
-		}
-	}
+	putBits(w, len(present), func(i int) bool { return present[i].float })
 
 	for _, b := range present {
-		var ff fileForms
 		prevEnd := maxT
 		for i := range b.n {
-			seg := b.seg(i)
+			seg, slope := b.seg(i), b.slopeBits(i)
 			if i == 0 {
 				w.Varint(seg.Start - prevEnd)
 			} else {
 				w.Uvarint(uint64(seg.Start - prevEnd))
 			}
 			w.Uvarint(uint64(seg.End - seg.Start))
-			y, narrow := narrowY(seg.Y)
+			w.Uint32(slope)
 			switch {
-			case ff.next(seg, i) == escapedValue:
-				w.Uint32(blockEscaped)
-			case narrow:
-				w.Uint32(uint32(y))
-				w.Uint32(math.Float32bits(float32(seg.A)))
-			default:
-				w.Uint32(blockFloatLine)
+			case slope == escSlope:
+				w.Float64(seg.A)
 				w.Float64(seg.Y)
-				w.Uint32(math.Float32bits(float32(seg.A)))
+			case b.float:
+				w.Float64(seg.Y)
+			default:
+				w.Varint(int64(seg.Y * yUnit))
 			}
 			prevEnd = seg.End
 		}
@@ -260,7 +155,7 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 // assume it and a checksum only proves the bytes are the ones written: every
 // present cell has arrivals and segments, its open corner is no larger than
 // its count, its segments ascend without overlap on finite coefficients, its
-// records take the forms fileForms replays, and it ends no later than maxT.
+// records take the forms a plan replays, and it ends no later than maxT.
 //
 // It reads the records once, checking them into a list of the level's
 // segments and planning each cell's columns (plan); then, with every shared
@@ -272,7 +167,6 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 //
 //histburst:decoder
 func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
-	c := shortest{r: r}
 	corrupt := func(format string, args ...any) error {
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("pbe2: cell block: %w", err)
@@ -283,7 +177,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		return corrupt("bad magic")
 	}
 	gamma := r.Float64()
-	outOfOrder := c.uvarint()
+	outOfOrder := r.Uvarint()
 	if err := CheckGamma(gamma); err != nil {
 		return corrupt("%v", err)
 	}
@@ -321,7 +215,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.count == 0 {
 			continue
 		}
-		n := c.SliceLen(maxSegments, minSegmentBytes)
+		n := r.SliceLen(maxSegments, minSegmentBytes)
 		if n == 0 {
 			return corrupt("cell %d has arrivals and no segments", i)
 		}
@@ -332,7 +226,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.count == 0 {
 			continue
 		}
-		count := c.uvarint()
+		count := r.Uvarint()
 		if count == 0 || count > math.MaxInt64 {
 			return corrupt("cell %d is present with count %d", i, count)
 		}
@@ -343,7 +237,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.count == 0 {
 			continue
 		}
-		open := c.uvarint()
+		open := r.Uvarint()
 		if open > uint64(b.count) {
 			return corrupt("cell %d has %d arrivals in its open corner and %d in all", i, open, b.count)
 		}
@@ -354,7 +248,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.count == 0 {
 			continue
 		}
-		tail := c.uvarint()
+		tail := r.Uvarint()
 		if tail > math.MaxInt64 {
 			return corrupt("cell %d ends %d ticks past its last segment", i, tail)
 		}
@@ -367,7 +261,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			if b.count == 0 {
 				continue
 			}
-			v := c.uvarint()
+			v := r.Uvarint()
 			if v > left || v > math.MaxInt64 {
 				return corrupt("cells count more than the block's %d out-of-order arrivals", outOfOrder)
 			}
@@ -378,57 +272,41 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			return corrupt("cells count %d out-of-order arrivals fewer than the block's %d", left, outOfOrder)
 		}
 	}
-	nEscaped := 0
-	if total > 0 {
-		nEscaped = c.SliceLen(uint64(total), escapedBytes)
+	present := 0
+	for i := range cells {
+		b := &cells[i]
+		if b.count == 0 {
+			continue
+		}
+		if present%8 == 0 {
+			mask = r.Byte()
+		}
+		b.float = mask>>(present%8)&1 != 0
+		present++
 	}
-	nWide, nFloat := 0, 0
-	if total > 0 {
-		nWide = c.SliceLen(uint64(len(cells)), minWideBytes)
-		nFloat = c.SliceLen(uint64(total), minSegmentBytes)
-	}
-	esc := *r
-	for range nEscaped {
-		r.Float64()
-		r.Float64()
+	if pad := present % 8; pad != 0 && mask>>pad != 0 {
+		return corrupt("float bits set past the %d present cells", present)
 	}
 
 	// First pass: read and check the records into segs, in order, and plan
-	// each cell's columns. A cell counts towards nWide at its first escaped
-	// record, float64 record or start 2³² ticks past its first, and takes as
-	// many of nFloat as it has segments at its first float64 record.
+	// each cell's columns: a record must be in the form the plan replays for
+	// it, and a cell must hold float64 values exactly when its plan ends so.
 	segs := make([]Segment, 0, total)
-	escUsed, wideUsed, floatUsed := 0, 0, 0
 	colBytes, lines, wides := 0, 0, 0
 	for i := range cells {
 		b := &cells[i]
 		if b.count == 0 {
 			continue
 		}
-		var (
-			ff       fileForms
-			p        plan
-			cellWide bool
-			first    int64
-		)
-		takeWide := func() bool {
-			if !cellWide {
-				if wideUsed == nWide {
-					return false
-				}
-				wideUsed++
-				cellWide = true
-			}
-			return true
-		}
+		var p plan
 		prevEnd := maxT
 		for j := range b.n {
 			var start int64
 			if j == 0 {
-				start = prevEnd + c.varint()
-				first = start
+				first := r.Varint()
+				start = prevEnd + first
 			} else {
-				gap := c.uvarint()
+				gap := r.Uvarint()
 				start = prevEnd + int64(gap)
 				switch {
 				case gap > math.MaxInt64:
@@ -437,7 +315,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 					return corrupt("cell %d: segment %d starts past the end of time", i, j)
 				}
 			}
-			length := c.uvarint()
+			length := r.Uvarint()
 			end := start + int64(length)
 			switch {
 			case length > math.MaxInt64:
@@ -446,61 +324,38 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 				return corrupt("cell %d: segment %d ends past the end of time", i, j)
 			}
 			seg := Segment{Start: start, End: end}
-			switch tag := r.Uint32(); tag {
-			case blockEscaped:
-				if escUsed == nEscaped {
-					return corrupt("cell %d: segment %d is escaped past the %d escaped lines", i, j, nEscaped)
-				}
-				if !takeWide() {
-					return corrupt("cell %d: segment %d is escaped past the block's %d wide cells", i, j, nWide)
-				}
-				seg.A, seg.Y = esc.Float64(), esc.Float64()
-				if !finite(seg.A, seg.Y) {
-					return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
-				}
-				if ff.next(seg, j) != escapedValue {
-					return corrupt("cell %d: segment %d is escaped, and a line holds it", i, j)
-				}
-				escUsed++
-			case blockFloatLine:
-				if length >= escLen {
-					return corrupt("cell %d: segment %d is %d ticks long and not escaped", i, j, length)
-				}
-				seg.Y = r.Float64()
-				seg.A = float64(math.Float32frombits(r.Uint32()))
-				if !finite(seg.A, seg.Y) {
-					return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
-				}
-				if _, ok := narrowY(seg.Y); ok {
-					return corrupt("cell %d: segment %d holds a float64 value the narrow form holds", i, j)
-				}
-				wasFloat := ff.float
-				if ff.next(seg, j) != floatValue {
-					return corrupt("cell %d: segment %d holds a float64 value its cell escapes", i, j)
-				}
-				if !wasFloat {
-					if !takeWide() || nFloat-floatUsed < b.n {
-						return corrupt("cell %d: segment %d is float64 past the block's %d wide cells and %d float64 segments", i, j, nWide, nFloat)
-					}
-					floatUsed += b.n
+			var k int64
+			slope := r.Uint32()
+			switch {
+			case slope == escSlope:
+				seg.A, seg.Y = r.Float64(), r.Float64()
+			case b.float:
+				seg.A, seg.Y = float64(math.Float32frombits(slope)), r.Float64()
+				if math.Float64bits(seg.Y) == 1<<63 {
+					return corrupt("cell %d: segment %d holds −0, where a cell holds +0", i, j)
 				}
 			default:
-				if length >= escLen {
-					return corrupt("cell %d: segment %d is %d ticks long and not escaped", i, j, length)
-				}
-				seg.A = float64(math.Float32frombits(r.Uint32()))
-				if !finite(seg.A, 0) {
-					return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
-				}
-				seg.Y = float64(int32(tag)) / yUnit
-				ff.next(seg, j)
+				k = r.Varint()
+				seg.A, seg.Y = float64(math.Float32frombits(slope)), float64(k)/yUnit
 			}
-			if uint64(start)-uint64(first) > math.MaxUint32 && !takeWide() {
-				return corrupt("cell %d: segment %d starts 2³² ticks past the first, past the block's %d wide cells", i, j, nWide)
+			if !finite(seg.A, seg.Y) {
+				return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
 			}
-			p.add(seg)
+			switch form := p.add(seg); {
+			case slope == escSlope && form != escapedValue:
+				return corrupt("cell %d: segment %d is escaped, and its cell keeps its line", i, j)
+			case slope != escSlope && form == escapedValue:
+				return corrupt("cell %d: segment %d is a line its cell escapes", i, j)
+			case !b.float && form == floatValue:
+				return corrupt("cell %d: segment %d holds a grid value its cell takes to float64", i, j)
+			case !b.float && form == narrowValue && int64(seg.Y*yUnit) != k:
+				return corrupt("cell %d: segment %d holds %d units of 2⁻⁸ count, which no float64 holds", i, j, k)
+			}
 			segs = append(segs, seg)
 			prevEnd = end
+		}
+		if p.float != b.float {
+			return corrupt("cell %d holds float64 values, and its segments' forms keep to the grid", i)
 		}
 		tail := b.lastT
 		b.lastT = prevEnd + tail
@@ -514,16 +369,10 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 		b.room = p.esc // until the second pass lays the columns out
 	}
-	if escUsed != nEscaped {
-		return corrupt("%d escaped lines, %d segments escaped", nEscaped, escUsed)
-	}
-	if wideUsed != nWide || floatUsed != nFloat {
-		return corrupt("%d wide cells and %d float64 segments, the block says %d and %d", wideUsed, floatUsed, nWide, nFloat)
-	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("pbe2: cell block: %w", err)
 	}
-	if c.overlong {
+	if r.Overlong() {
 		return corrupt("a varint is not in its shortest form")
 	}
 
@@ -539,9 +388,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			continue
 		}
 		size := colSize(b.n, b.sw, b.lw, b.yw)
-		// A cell of grid values alone stores each as lineForm would; one
-		// that escapes a line or holds float64 values replays the rule.
-		cell, replay := segs[:b.n], b.room > 0 || b.float
+		cell := segs[:b.n]
 		segs = segs[b.n:]
 		b.lay(cols[:size:size])
 		cols = cols[size:]
@@ -555,11 +402,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 		var p plan
 		for _, seg := range cell {
-			form := narrowValue
-			if replay {
-				form = p.add(seg)
-			}
-			b.fill(seg, form)
+			b.fill(seg, p.add(seg))
 		}
 		if k := b.escaped(); k > 0 {
 			b.wide.segs = b.wide.segs[:k:k]
@@ -571,43 +414,4 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		b.rest() // sets headLow; the columns are exact already
 	}
 	return nil
-}
-
-// shortest reads varints through a binenc.Reader and notes any that is not in
-// its shortest form — binenc, like encoding/binary, decodes 0x80 0x00 as 0 —
-// so that DecodeBlock can refuse the block: what it accepts is then exactly
-// what EncodeBlock writes.
-type shortest struct {
-	r        *binenc.Reader
-	overlong bool
-}
-
-// note records whether the varint just read from the position that had before
-// bytes remaining, and holding ux, took more bytes than ux needs.
-func (c *shortest) note(before int, ux uint64) {
-	if c.r.Err() == nil && before-c.r.Remaining() != (bits.Len64(ux|1)+6)/7 {
-		c.overlong = true
-	}
-}
-
-func (c *shortest) uvarint() uint64 {
-	before := c.r.Remaining()
-	v := c.r.Uvarint()
-	c.note(before, v)
-	return v
-}
-
-func (c *shortest) varint() int64 {
-	before := c.r.Remaining()
-	v := c.r.Varint()
-	c.note(before, uint64(v)<<1^uint64(v>>63))
-	return v
-}
-
-// SliceLen is binenc.Reader.SliceLen under the same watch.
-func (c *shortest) SliceLen(max uint64, minElemBytes int) int {
-	before := c.r.Remaining()
-	n := c.r.SliceLen(max, minElemBytes)
-	c.note(before, uint64(n))
-	return n
 }

@@ -250,8 +250,9 @@ type rawCell struct {
 	count, open, tail, outOfOrder uint64
 	first                         int64 // first start − maxT
 	segs                          []rawSegment
-	lines                         map[int][]byte // segment → its line's bytes as stored, in place of a and y
+	lines                         map[int][]byte // segment → its slope's and value's bytes as stored, in place of a and y
 	escape                        map[int]bool   // segments written escaped whatever their lines
+	flipFloat                     bool           // the float bit the reverse of the cell's forms
 }
 
 // rawSegment is a segment as the block stores it; gap is ignored for a
@@ -261,18 +262,9 @@ type rawSegment struct {
 	a, y        float64
 }
 
-// floatRecord is a segment record's line in the float64 form: the tag, y,
-// and a zero slope.
-func floatRecord(y float64) []byte {
-	var w binenc.Writer
-	w.Uint32(1<<31 | 1)
-	w.Float64(y)
-	w.Uint32(0)
-	return w.Bytes()
-}
-
 // rawBlock writes the block format around the given columns as they are: what
-// a file with a valid checksum can carry.
+// a file with a valid checksum can carry. Each record is in the form refForms
+// replays for its cell, but where the cell says otherwise.
 func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 	var w binenc.Writer
 	w.Uint32(blockMagic)
@@ -298,47 +290,20 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 			w.Uvarint(c.outOfOrder)
 		}
 	}
-	forms := make([][]int, len(cells))
-	n, nWide, nFloat := 0, 0, 0
+	forms, floats := make([][]int, len(cells)), make([]bool, len(cells))
 	for ci, c := range cells {
 		segs := make([]Segment, len(c.segs))
-		wide := false
 		var start int64 // relative to the cell's first start
 		for i, s := range c.segs {
 			if i > 0 {
 				start = segs[i-1].End + int64(s.gap)
 			}
 			segs[i] = Segment{A: s.a, Y: s.y, Start: start, End: start + int64(s.length)}
-			wide = wide || uint64(start) > math.MaxUint32
 		}
-		var float bool
-		forms[ci], float = refForms(segs, c.escape)
-		for _, f := range forms[ci] {
-			if f == escapedValue {
-				n++
-				wide = true
-			}
-		}
-		if wide || float {
-			nWide++
-		}
-		if float {
-			nFloat += len(c.segs)
-		}
+		forms[ci], floats[ci] = refForms(segs)
+		floats[ci] = floats[ci] != c.flipFloat
 	}
-	if len(cells) > 0 {
-		w.Uvarint(uint64(n))
-		w.Uvarint(uint64(nWide))
-		w.Uvarint(uint64(nFloat))
-	}
-	for ci, c := range cells {
-		for i, s := range c.segs {
-			if forms[ci][i] == escapedValue {
-				w.Float64(s.a)
-				w.Float64(s.y)
-			}
-		}
-	}
+	writeBits(&w, floats)
 	for ci, c := range cells {
 		for i, s := range c.segs {
 			if i == 0 {
@@ -352,10 +317,27 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 					w.Byte(b)
 				}
 			} else {
-				writeLine(&w, s.a, s.y, forms[ci][i])
+				writeLine(&w, s.a, s.y, forms[ci][i] == escapedValue || c.escape[i], floats[ci])
 			}
 		}
 	}
+	return w.Bytes()
+}
+
+// floatLine is a record's slope and value in a float cell: the float32
+// slope, then y as a float64.
+func floatLine(a, y float64) []byte {
+	var w binenc.Writer
+	writeLine(&w, a, y, false, true)
+	return w.Bytes()
+}
+
+// gridLine is a record's slope and value in a grid cell: the float32 slope
+// bits, then k, any int64, as a varint.
+func gridLine(slope uint32, k int64) []byte {
+	var w binenc.Writer
+	w.Uint32(slope)
+	w.Varint(k)
 	return w.Bytes()
 }
 
@@ -434,7 +416,32 @@ func TestDecodeBlockRejects(t *testing.T) {
 			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 3 }))},
 		{"out-of-order column past the sum", "more than the block's 5",
 			rawBlock(5, []byte{1}, with(func(c *rawCell) { c.outOfOrder = 6 }))},
+		{"an escape marker on a line its cell keeps", "segment 1 is escaped, and its cell keeps its line",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.escape = map[int]bool{1: true} }))},
+		{"a line its cell escapes", "segment 0 is a line its cell escapes",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) {
+				c.segs[0].y, c.segs[1].y = 1+1.0/3, 1<<56
+				c.lines = map[int][]byte{0: floatLine(0.5, 1+1.0/3)}
+			}))},
+		{"a float bit on a cell whose forms keep to the grid", "cell 0 holds float64 values, and its segments' forms keep to the grid",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.flipFloat = true }))},
+		{"a grid value its cell takes to float64", "segment 1 holds a grid value its cell takes to float64",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(0, math.MaxInt64)} }))},
+		{"a grid value no float64 holds", "segment 1 holds 9007199254740993 units of 2⁻⁸ count, which no float64 holds",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(0, 1<<53+1)} }))},
+		{"−0 in a float cell", "segment 0 holds −0, where a cell holds +0",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].y, c.segs[1].y = math.Copysign(0, -1), 1<<56 }))},
 	})
+
+	// A float bit past the present cells: the sound one-cell block's float
+	// byte, behind the header, the bitmap and four one-byte columns.
+	floatAt := 4 + 8 + 1 + 1 + 4
+	pastP := rawBlock(0, []byte{1}, []rawCell{good})
+	if pastP[floatAt] != 0 {
+		t.Fatalf("fixture: float byte %#x", pastP[floatAt])
+	}
+	pastP[floatAt] = 0b10
+	expectRejected(t, maxT, "", []rejectCase{{"float bits set past the present cells", "float bits set past the 1 present cells", pastP}})
 
 	// Each count is held to the bytes that remain when it is read; so must
 	// their sum be. Two cells each claiming as many segments as the bytes
@@ -510,37 +517,12 @@ func TestUnmarshalRejectsUnsearchable(t *testing.T) {
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a = math.NaN() }))},
 		{"infinite intercept", "segment 1 has non-finite coefficients",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = math.Inf(-1) }))},
-		{"narrow NaN slope", "segment 0 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{0: {0, 1, 0, 0, 0, 0, 0xc0, 0x7f}} }))},
-		{"narrow infinite slope", "segment 1 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: {0, 1, 0, 0, 0, 0, 0x80, 0xff}} }))},
-		{"an escaped line a line holds", "segment 1 is escaped, and a line holds it",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.escape = map[int]bool{1: true} }))},
-		{"a tag past the escaped lines", "segment 1 is escaped past the 0 escaped lines",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: {0, 0, 0, 0x80}} }))},
-		{"an escaped line no segment takes", "1 escaped lines, 0 segments escaped",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) {
-				c.escape = map[int]bool{1: true}
-				c.lines = map[int][]byte{1: {0, 6, 0, 0, 0, 0, 0, 0}}
-			}))},
-		{"a segment too long for its slot, not escaped", "segment 1 is 4294967295 ticks long and not escaped",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) {
-				c.segs[1].length = 1<<32 - 1
-				c.lines = map[int][]byte{1: {0, 6, 0, 0, 0, 0, 0, 0}}
-			}))},
-		{"a float64 value the narrow form holds", "segment 1 holds a float64 value the narrow form holds",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(6)} }))},
-		{"a NaN float64 value", "segment 1 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(math.NaN())} }))},
-		{"a float64 value its cell escapes", "segment 1 holds a float64 value its cell escapes",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(6.1)} }))},
-		{"a float64 value past the block's count", "segment 1 is float64 past the block's 0 wide cells and 0 float64 segments",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: floatRecord(1e7)} }))},
-		{"a float64 cell with no float64 value", "0 wide cells and 0 float64 segments, the block says 1 and 2",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) {
-				c.segs[1].y = 1e7
-				c.lines = map[int][]byte{1: {0, 6, 0, 0, 0, 0, 0, 0}}
-			}))},
+		{"NaN slope in a grid cell", "segment 0 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{0: gridLine(0x7fc00001, 256)} }))},
+		{"infinite slope in a grid cell", "segment 1 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(0xff800000, 6*256)} }))},
+		{"a NaN value", "segment 1 has non-finite coefficients",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = math.NaN() }))},
 	})
 
 	// What the builder can legitimately emit still decodes: a successor may
@@ -554,6 +536,61 @@ func TestUnmarshalRejectsUnsearchable(t *testing.T) {
 	want := []Segment{{0, 1, -20, -20}, {0.5, 3, -20, 4}, {0, 7, 4, 9}, {0, 8, 30, 30}}
 	if got := cells[0].Segments(); !reflect.DeepEqual(got, want) || cells[0].lastT != 60 {
 		t.Fatalf("builder-shaped cell decoded as %+v ending at %d, want %+v ending at 60", got, cells[0].lastT, want)
+	}
+}
+
+// formBlock is a two-cell block of one present cell, against a maxT of 100,
+// whose records take one form: decoded, the cell holds float64 values or
+// not and esc escaped segments — or, refused, the block is one no cell
+// writes.
+type formBlock struct {
+	name    string
+	data    []byte
+	float   bool
+	esc     int
+	refused bool
+}
+
+// recordForms returns a formBlock a record form, and one of a −0 in a
+// float cell, which a cell holds as +0.
+func recordForms() []formBlock {
+	long := rawCell{count: 7, open: 2, first: -(1<<32 + 60), segs: []rawSegment{{0, 1 << 32, 0.5, 1}, {3, 5, 0, 6}}}
+	return []formBlock{
+		{name: "a grid value past int32", data: rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = 1<<24 + 0.5 }))},
+		{name: "a float64 cell", data: rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = 1 << 56 })), float: true},
+		{name: "an escaped slope", data: rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a = 1.0 / 3 })), esc: 1},
+		{name: "an escaped value off the grid", data: rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = 6.1 })), esc: 1},
+		{name: "a segment of 2³² ticks", data: rawBlock(0, []byte{1}, []rawCell{long})},
+		{name: "−0 in a float cell", data: rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].y, c.segs[1].y = math.Copysign(0, -1), 1<<56 })), refused: true},
+	}
+}
+
+// TestBlockRecordForms: a block of each record form decodes to a cell that
+// holds its segments in that form and re-encodes to the same bytes; the
+// −0 a float cell never holds is refused.
+func TestBlockRecordForms(t *testing.T) {
+	for _, tc := range recordForms() {
+		cells := make([]Builder, 2)
+		r := binenc.NewReader(tc.data)
+		err := DecodeBlock(r, cells, 100)
+		if err == nil {
+			err = r.Close()
+		}
+		switch {
+		case tc.refused:
+			if err == nil {
+				t.Errorf("%s: accepted", tc.name)
+			}
+			continue
+		case err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if b := &cells[0]; b.float != tc.float || b.escaped() != tc.esc {
+			t.Errorf("%s: decoded with float64 values %v and %d escaped, want %v and %d", tc.name, b.float, b.escaped(), tc.float, tc.esc)
+		}
+		if again := encodeBlock(t, cells, 100); !bytes.Equal(again, tc.data) {
+			t.Errorf("%s: re-encodes to %x, was %x", tc.name, again, tc.data)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // sealed Summary and one pointer: the open window's region lives behind it,
 // so that a resting summary does not carry the region.
 func TestBuilderSize(t *testing.T) {
-	if got := unsafe.Sizeof(Summary{}); got > 152 {
-		t.Fatalf("Sizeof(Summary{}) = %d, want at most 152", got)
+	if got := unsafe.Sizeof(Summary{}); got > 144 {
+		t.Fatalf("Sizeof(Summary{}) = %d, want at most 144", got)
 	}
 	if got, want := unsafe.Sizeof(Builder{}), unsafe.Sizeof(Summary{})+unsafe.Sizeof((*region)(nil)); got != want {
 		t.Fatalf("Sizeof(Builder{}) = %d, want a Summary and a pointer: %d", got, want)
@@ -50,13 +50,16 @@ func longRunStream(origin int64, bursts int) (ts stream.TimestampSeq, runs [][2]
 	return ts, runs
 }
 
-// countLong counts the segments whose length the block's records escape
-// — 2³² − 1 ticks or more — and checks that the length column holds each
-// whole: a line like any other, at the width its length needs.
+// longLen is the least length 32-bit fields escaped a segment for.
+const longLen = 1<<32 - 1
+
+// countLong counts the segments of longLen ticks or more and checks that
+// the length column holds each whole: a line like any other, at the width
+// its length needs.
 func countLong(b *Builder) int {
 	n := 0
 	for i := range b.n {
-		if b.segLen(i) >= escLen {
+		if b.segLen(i) >= longLen {
 			if b.slopeBits(i) == escSlope || b.lw <= 4 {
 				return -1
 			}
@@ -74,7 +77,7 @@ func probeSegments(t *testing.T, what string, b *Builder, ts stream.TimestampSeq
 	t.Helper()
 	long := 0
 	for _, s := range b.Segments() {
-		if s.End-s.Start < escLen {
+		if s.End-s.Start < longLen {
 			continue
 		}
 		if long == len(runs) || s.Start != runs[long][0] || s.End != runs[long][1] {
@@ -86,7 +89,7 @@ func probeSegments(t *testing.T, what string, b *Builder, ts stream.TimestampSeq
 		for _, q := range [...]int64{
 			s.Start, s.Start + 1, s.Start + (s.End-s.Start)/2,
 			wrap31 - 1, wrap31, wrap31 + 1, wrap32 - 1, wrap32, wrap32 + 1,
-			s.Start + escLen - 1, s.Start + escLen, s.End - 1, s.End, s.End + 1,
+			s.Start + longLen - 1, s.Start + longLen, s.End - 1, s.End, s.End + 1,
 		} {
 			checkInstant(t, what, b.Estimate(q), float64(ts.CountAtOrBefore(q)), gamma, q)
 		}

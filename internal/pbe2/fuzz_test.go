@@ -275,6 +275,9 @@ func FuzzPBE2CellBlock(f *testing.F) {
 	f.Add(uint16(2), int64(100), rawBlock(0, []byte{1}, []rawCell{good}))
 	f.Add(uint16(9), int64(58), rawBlock(4, []byte{0x81, 1}, []rawCell{good, good, good}))
 	f.Add(uint16(64), int64(0), rawBlock(0, make([]byte, 8), nil))
+	for _, tc := range recordForms() {
+		f.Add(uint16(2), int64(100), tc.data)
+	}
 	f.Add(uint16(1), int64(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, n uint16, maxT int64, data []byte) {
@@ -287,14 +290,16 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := DecodeBlock(r, arena, maxT)
 		runtime.ReadMemStats(&after)
-		// A segment of at least 10 stored takes 32 bytes in the list the
-		// decoder reads the records into (×3.2) and at most 28 of columns —
+		// A segment of at least 7 stored takes 32 bytes in the list the
+		// decoder reads the records into (×4.6) and at most 28 of columns —
 		// three 8-byte fields and a slope, though a field wider than its
-		// varint needs more stored bytes than that; a narrow record of one-
-		// byte varints takes some 13; an escaped line 16 more for its 16
-		// stored, and a 24-byte wide struct for a cell with one; the
-		// constant covers the error and whatever the fuzzing worker's own
-		// goroutines allocate meanwhile — the counter is the process's.
+		// varint needs more stored bytes than that; a grid record of one-
+		// byte varints takes some 9, so a block of nothing but such
+		// records allocates ×5.9, which the constant covers up to some
+		// 75 KB; an escaped segment 16 more for its 16 stored, and a
+		// 24-byte wide struct for a cell with one; the constant covers the
+		// error and whatever the fuzzing worker's own goroutines allocate
+		// meanwhile — the counter is the process's.
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes into %d cells allocated %d, want at most %d", len(data), n, got, limit)
 		}
@@ -429,15 +434,15 @@ func heavyPart(t *testing.T, at, n int64, gamma float64) *Summary {
 	return s
 }
 
-// checkStoredLines holds each stored segment to the form refMemForms
+// checkStoredLines holds each stored segment to the form refForms
 // replays for it — escaped whole to the wide form, or a line whose value is
 // on the grid in a grid cell and float64 in a cell of float64 values — and
-// returns how many segments the block's narrow record could not hold: lines
-// escaped or off the int32 grid.
+// returns how many segments a 32-bit record could not hold: lines escaped
+// or off the int32 grid.
 func checkStoredLines(t *testing.T, what string, s *Summary) int {
 	t.Helper()
 	segs := s.Segments()
-	forms, float := refMemForms(segs)
+	forms, float := refForms(segs)
 	if s.float != float {
 		t.Fatalf("%s: values at Start held as float64: %v, want %v", what, s.float, float)
 	}

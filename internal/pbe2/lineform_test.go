@@ -21,7 +21,7 @@ func cellOf(gamma float64, segs []Segment, count, lastT int64) *Summary {
 }
 
 // TestLineForms: a cell holds its values at Start on the 2⁻⁸ grid — past
-// the int32 the block's narrow record holds too — until one passes ±2⁵⁵
+// the int32 a 32-bit record held too — until one passes ±2⁵⁵
 // counts, or more than a few values fall off the grid, then every value as
 // a float64; the odd value off the grid, and a slope no float32 holds,
 // escape their segment whole. Each form answers, encodes and decodes as the
@@ -57,8 +57,8 @@ func TestLineForms(t *testing.T) {
 		{"narrow", base, false, 0, 4},
 		{"a value off the grid", with(func(s []Segment) { s[2].Y += 1.0 / 3 }), false, 1, 3},
 		{"a value past int32", with(func(s []Segment) { s[3].Y += 1 << 23 }), false, 0, 3},
-		{"the least narrow value", with(func(s []Segment) { s[0].Y = float64(minNarrowY) / yUnit }), false, 0, 4},
-		{"a value a record tag would take", with(func(s []Segment) { s[0].Y = float64(minNarrowY-1) / yUnit }), false, 0, 3},
+		{"the least value an int32 record held", with(func(s []Segment) { s[0].Y = float64(math.MinInt32+2) / yUnit }), false, 0, 4},
+		{"a value an int32 record's tag took", with(func(s []Segment) { s[0].Y = float64(math.MinInt32+1) / yUnit }), false, 0, 3},
 		{"a value below the base", with(func(s []Segment) { s[2].Y = -100.5 }), false, 0, 4},
 		{"a value past 2⁵⁵ counts", with(func(s []Segment) { s[3].Y += 1 << 56 }), true, 0, 3},
 		{"a slope no float32 holds", with(func(s []Segment) { s[1].A = 1.0 / 3 }), false, 1, 3},

@@ -43,8 +43,8 @@ type Segment struct {
 
 // The forms in which a cell stores a closed segment (lineForm): its value
 // at Start on the grid, as a float64, or the segment escaped whole to the
-// wide form. The cell block writes its records in forms of the same names
-// (fileForms).
+// wide form. The cell block writes each record in the form its cell holds
+// the segment in.
 const (
 	narrowValue  = iota // a multiple of 2⁻⁸ count
 	floatValue          // a float64
@@ -451,11 +451,12 @@ func (s *Summary) NumSegments() int { return s.n }
 // the width in bytes the cell's widest of each needs, and a float32 slope:
 // in a cell of float64 values the value takes 8 bytes. The last row carries
 // the few bytes its 8-byte loads read past it, and an escaped segment 16
-// more for its float64 line. Counted: segment payload only. Not counted: the Builder struct itself (widths and base included),
-// the wide form's header and the allocator's per-array rounding, a fixed
-// cost per cell that a sketch of K cells pays K times whatever the
-// history's length — and, while a window is open, the columns' room to
-// spare, its feasible region and clip arena, which Finish releases.
+// more for its float64 line. Counted: segment payload only. Not counted:
+// the Builder struct itself (widths and base included), the wide form's
+// header and the allocator's per-array rounding, a fixed cost per cell that
+// a sketch of K cells pays K times whatever the history's length — and,
+// while a window is open, the columns' room to spare, its feasible region
+// and clip arena, which Finish releases.
 func (s *Summary) Bytes() int {
 	return colSize(s.n, s.sw, s.lw, s.yw) + 16*s.escaped()
 }

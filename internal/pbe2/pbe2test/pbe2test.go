@@ -12,12 +12,13 @@ import (
 
 // Poison finds, in any bytes that embed a collision-free level of PBE-2 cells
 // (a detector file, a segment file), the first such level with a present
-// cell and overwrites the slope of that cell's first segment with NaN: four
-// bytes in place, past a float64 value at Start if the line holds one, or
-// eight in the block's escaped lines when its line is the first of them, so
-// everything around them still parses. It reports whether
-// it found one. The caller recomputes whatever checksum covers the bytes.
+// cell and overwrites the slope of that cell's first segment with NaN: the
+// record's four bytes, with a NaN other than the escape marker, or the
+// float64 slope behind the marker when the segment is escaped, so everything
+// around them still parses. It reports whether it found one. The caller
+// recomputes whatever checksum covers the bytes.
 func Poison(data []byte) bool {
+	const escSlope = 0x7fc00000 // the escape marker, itself a NaN
 	levelMagic := []byte{4, 'D', 'I', 'R', 1}
 	for at := 0; ; at++ {
 		i := bytes.Index(data[at:], levelMagic)
@@ -30,7 +31,7 @@ func Poison(data []byte) bool {
 		cells := r.Uvarint()
 		r.Varint() // n
 		r.Varint() // maxT
-		if r.Uint32() != 'P'|'2'<<8|'B'<<16|3<<24 || cells > uint64(r.Remaining()) {
+		if r.Uint32() != 'P'|'2'<<8|'B'<<16|4<<24 || cells > uint64(r.Remaining()) {
 			continue
 		}
 		r.Float64() // gamma
@@ -51,28 +52,23 @@ func Poison(data []byte) bool {
 		for n := columns * present; n > 0; n-- {
 			r.Uvarint()
 		}
-		escapedLines := r.Uvarint()
-		r.Uvarint()                            // cells with escaped or float64 lines
-		r.Uvarint()                            // their float64 segments
-		firstLine := len(data) - r.Remaining() // the first escaped line's slope
-		for n := escapedLines; n > 0; n-- {
-			r.Float64()
-			r.Float64()
+		for n := (present + 7) / 8; n > 0; n-- {
+			r.Byte() // float bits
 		}
 		r.Varint()  // first start
 		r.Uvarint() // its length
-		tag := r.Uint32()
-		if tag == 1<<31|1 {
-			r.Float64() // a float64 value at Start
-		}
 		pos := len(data) - r.Remaining()
-		if r.Uint32(); r.Err() != nil {
+		slope := r.Uint32()
+		if slope == escSlope {
+			r.Float64() // the slope to poison
+		}
+		if r.Err() != nil {
 			continue
 		}
-		if tag == 1<<31 {
-			binary.LittleEndian.PutUint64(data[firstLine:], math.Float64bits(math.NaN()))
+		if slope == escSlope {
+			binary.LittleEndian.PutUint64(data[pos+4:], math.Float64bits(math.NaN()))
 		} else {
-			binary.LittleEndian.PutUint32(data[pos:], math.Float32bits(float32(math.NaN())))
+			binary.LittleEndian.PutUint32(data[pos:], escSlope|1)
 		}
 		return true
 	}

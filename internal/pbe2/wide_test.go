@@ -14,10 +14,10 @@ import (
 
 // A cell stores each segment start as its offset from the first, at the
 // width the widest offset needs: past 32 bits once one lies 2³² ticks or
-// more past the first, the wide form of the file's records. These tests hold
-// both to an int64 reference built from Segments(): the same answers from
-// every kernel, the same file as the format writes from the int64 segments,
-// and Bytes() exactly as documented.
+// more past the first. These tests hold every cell to an int64 reference
+// built from Segments(): the same answers from every kernel, the same file
+// as the format writes from the int64 segments, and Bytes() exactly as
+// documented.
 
 // refSummary is the int64 reference: a sealed summary's segments, searched
 // linearly, and its frontier.
@@ -114,111 +114,78 @@ func refBlock(s *Summary, maxT int64) []byte {
 	if s.outOfOrder != 0 {
 		w.Uvarint(uint64(s.outOfOrder))
 	}
-	writeSegments(&w, maxT, [][]Segment{segs}, nil)
+	forms, float := refForms(segs)
+	writeBits(&w, []bool{float})
+	prevEnd := maxT
+	for i, seg := range segs {
+		if i == 0 {
+			w.Varint(seg.Start - prevEnd)
+		} else {
+			w.Uvarint(uint64(seg.Start - prevEnd))
+		}
+		w.Uvarint(uint64(seg.End - seg.Start))
+		writeLine(&w, seg.A, seg.Y, forms[i] == escapedValue, float)
+		prevEnd = seg.End
+	}
 	return w.Bytes()
 }
 
-// writeSegments writes the present cells' segments — the counts and the
-// escaped lines' section, then the records — as the format states them;
-// raw, when it holds bytes for a cell's segment, writes them in place of
-// that record's line.
-func writeSegments(w *binenc.Writer, maxT int64, cells [][]Segment, raw []map[int][]byte) {
-	forms := make([][]int, len(cells))
-	n, nWide, nFloat := 0, 0, 0
-	for c, segs := range cells {
-		var float bool
-		forms[c], float = refForms(segs, nil)
-		wide := float
-		for i, s := range segs {
-			wide = wide || uint64(s.Start-segs[0].Start) > math.MaxUint32
-			if forms[c][i] == escapedValue {
-				n++
-				wide = true
+// writeBits writes a bit a cell, bit i%8 of byte i/8 for the i-th.
+func writeBits(w *binenc.Writer, bits []bool) {
+	for lo := 0; lo < len(bits); lo += 8 {
+		var b byte
+		for i, set := range bits[lo:min(lo+8, len(bits))] {
+			if set {
+				b |= 1 << i
 			}
 		}
-		if wide {
-			nWide++
-		}
-		if float {
-			nFloat += len(segs)
-		}
-	}
-	w.Uvarint(uint64(n))
-	w.Uvarint(uint64(nWide))
-	w.Uvarint(uint64(nFloat))
-	for c, segs := range cells {
-		for i, s := range segs {
-			if forms[c][i] == escapedValue {
-				w.Float64(s.A)
-				w.Float64(s.Y)
-			}
-		}
-	}
-	for c, segs := range cells {
-		prevEnd := maxT
-		for i, seg := range segs {
-			if i == 0 {
-				w.Varint(seg.Start - prevEnd)
-			} else {
-				w.Uvarint(uint64(seg.Start - prevEnd))
-			}
-			w.Uvarint(uint64(seg.End - seg.Start))
-			switch {
-			case c < len(raw) && raw[c][i] != nil:
-				for _, b := range raw[c][i] {
-					w.Byte(b)
-				}
-			default:
-				writeLine(w, seg.A, seg.Y, forms[c][i])
-			}
-			prevEnd = seg.End
-		}
+		w.Byte(b)
 	}
 }
 
-// writeLine writes a segment record's line, as form says its cell holds it.
-func writeLine(w *binenc.Writer, a, y float64, form int) {
+// writeLine writes the slope and value of a segment record: the escape
+// marker, a NaN, and both as float64 for a segment escaped whole; otherwise
+// the float32 slope, then the value as a float64 in a cell of float64
+// values, or as a zigzag varint of 2⁻⁸ counts in a grid cell.
+func writeLine(w *binenc.Writer, a, y float64, escaped, float bool) {
 	switch {
-	case form == escapedValue:
-		w.Uint32(1 << 31)
-	case narrowRef(y):
-		w.Uint32(uint32(int32(y * 256)))
-		w.Uint32(math.Float32bits(float32(a)))
-	default:
-		w.Uint32(1<<31 | 1)
+	case escaped:
+		w.Uint32(0x7fc00000)
+		w.Float64(a)
 		w.Float64(y)
+	case float:
 		w.Uint32(math.Float32bits(float32(a)))
+		w.Float64(y)
+	default:
+		w.Uint32(math.Float32bits(float32(a)))
+		w.Varint(int64(y * 256))
 	}
-}
-
-// escapedRef reports whether the block escapes a segment's record whatever
-// its value: its slope is not a float32, or it is 2³² − 1 ticks long or more.
-func escapedRef(s Segment) bool {
-	return float64(float32(s.A)) != s.A || uint64(s.End-s.Start) >= 1<<32-1
 }
 
 // narrowRef reports whether an int32 count of 2⁻⁸, at least −2³¹ + 2,
-// holds a value at Start exactly.
+// holds a value at Start exactly: the reach of the 32-bit records the
+// fixtures are built to pass.
 func narrowRef(y float64) bool {
 	k := y * 256
 	return k == math.Trunc(k) && k >= math.MinInt32+2 && k <= math.MaxInt32
 }
 
-// refForms replays the forms the block writes a cell's records in — each
-// one narrowValue, floatValue or escapedValue, the forced ones escaped — and
-// reports whether the cell has a record in the float64 form. A segment
-// escapedRef holds escapes; once a record is float64, every line is written
-// narrow or float64; a value on the int32 grid is narrow; one past the
-// int32's range takes the float64 form; one off the grid within it escapes
-// while fewer than a sixth of the cell's records before it, or fewer than
-// three, have escaped, and takes the float64 form after that.
-func refForms(segs []Segment, forced map[int]bool) (forms []int, float bool) {
+// parentForms replays the forms a cell held its segments in when every
+// field took 32 bits — each one narrowValue, floatValue or escapedValue —
+// and reports whether the cell held a line in the float64 form. A slope no
+// float32 holds, or a length of 2³² − 1 ticks or more, escaped the segment;
+// once a line was float64, every line was narrow or float64; a value on the
+// int32 grid was narrow; one past the int32's range took the float64 form;
+// one off the grid within it escaped while fewer than a sixth of the cell's
+// segments before it, or fewer than three, had escaped, and took the
+// float64 form after that.
+func parentForms(segs []Segment) (forms []int, float bool) {
 	escaped := 0
 	for i, s := range segs {
 		k := s.Y * 256
 		form := floatValue
 		switch {
-		case forced[i] || escapedRef(s):
+		case float64(float32(s.A)) != s.A || uint64(s.End-s.Start) >= 1<<32-1:
 			form = escapedValue
 		case float:
 		case narrowRef(s.Y):
@@ -236,15 +203,15 @@ func refForms(segs []Segment, forced map[int]bool) (forms []int, float bool) {
 	return forms, float
 }
 
-// refMemForms replays how a cell holds segs in memory, appended in order:
-// each one's value on the grid (narrowValue), a float64 (floatValue) or
-// escaped whole, and whether the cell ends holding float64 values. A slope
-// no float32 holds escapes; a float64 cell keeps to float64; a value on the
-// 2⁻⁸ grid within ±2⁵⁵ counts stays on it; one past that takes the cell to
-// float64; one off the grid escapes while fewer than a sixth of the cell's
-// segments before it, or fewer than three, have escaped, and takes the cell
-// to float64 after that.
-func refMemForms(segs []Segment) (forms []int, float bool) {
+// refForms replays how a cell holds segs, appended in order, and so how
+// the block writes their records: each one's value on the grid
+// (narrowValue), a float64 (floatValue) or escaped whole, and whether the
+// cell ends holding float64 values. A slope no float32 holds escapes; a
+// float64 cell keeps to float64; a value on the 2⁻⁸ grid within ±2⁵⁵ counts
+// stays on it; one past that takes the cell to float64; one off the grid
+// escapes while fewer than a sixth of the cell's segments before it, or
+// fewer than three, have escaped, and takes the cell to float64 after that.
+func refForms(segs []Segment) (forms []int, float bool) {
 	escaped := 0
 	for i, s := range segs {
 		k := s.Y * 256
@@ -288,7 +255,7 @@ func refBytes(segs []Segment) int {
 	if len(segs) == 0 {
 		return 0
 	}
-	forms, float := refMemForms(segs)
+	forms, float := refForms(segs)
 	var maxLen uint64
 	minK, maxK, grid, escaped := int64(0), int64(0), false, 0
 	for i, s := range segs {
@@ -322,12 +289,12 @@ func refBytes(segs []Segment) int {
 // parentBytes is what a cell of segs counted when every field took 32
 // bits: 16 bytes a segment, 4 more a segment once a start lies 2³² ticks or
 // more past the first, 4 more once a record is in the float64 form, and 24
-// more for each escaped record (refForms).
+// more for each escaped record (parentForms).
 func parentBytes(segs []Segment) int {
 	if len(segs) == 0 {
 		return 0
 	}
-	forms, float := refForms(segs, nil)
+	forms, float := parentForms(segs)
 	n := 16 * len(segs)
 	if uint64(segs[len(segs)-1].Start)-uint64(segs[0].Start) > math.MaxUint32 {
 		n += 4 * len(segs)

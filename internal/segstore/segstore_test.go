@@ -643,7 +643,8 @@ func TestOpenRefusesLegacyManifest(t *testing.T) {
 // generation (HBD4: every index level under the leaf's γ, which this build's
 // steering-level factory would refuse block by block; HBD5: a header with the
 // PBE-1 fields this build does not read; HBD6: a header with the event-index
-// flag; HBD7: cell blocks of float64 lines) are whole files, not damage, and
+// flag; HBD7: cell blocks of float64 lines; HBD8: cell blocks whose records
+// follow the rule of 32-bit fields) are whole files, not damage, and
 // so is a manifest of the previous generation (HBM3, with the same flag).
 // Open refuses the directory by the generation's name and leaves it exactly as it was — nothing quarantined,
 // nothing moved, the manifest untouched — even behind a segment that really
@@ -703,7 +704,7 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 			}
 		}
 	}
-	for _, old := range []byte{4, 5, 6, 7} {
+	for _, old := range []byte{4, 5, 6, 7, 8} {
 		for _, path := range segs[1:] {
 			reseal(path, func(body []byte) {
 				if string(body[:4]) != "\x04HBD" {
@@ -713,7 +714,7 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 			})
 		}
 		refused(fmt.Sprintf("HBD%d segment files", old),
-			fmt.Sprintf("unsupported detector format HBD%d (this build reads HBD8 only)", old), histburst.ErrUnsupportedFormat)
+			fmt.Sprintf("unsupported detector format HBD%d (this build reads HBD9 only)", old), histburst.ErrUnsupportedFormat)
 	}
 
 	// The previous manifest generation, over the files it was written with:
@@ -777,7 +778,7 @@ func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
 	mustClose(t, s)
 
 	// Magics are binenc blobs: a length byte, then the four magic bytes.
-	magics := map[string]string{".hbm": "\x04HBM\x04", ".hbsk": "\x04HBD\x08"}
+	magics := map[string]string{".hbm": "\x04HBM\x04", ".hbsk": "\x04HBD\x09"}
 	seen := make(map[string]int)
 	for name, content := range dirContents(t, dir) {
 		magic, ok := magics[filepath.Ext(name)]

@@ -58,20 +58,23 @@ func saveDigest(t *testing.T, det *Detector) string {
 // HBD8 stores a segment's line as a float32 slope and a fixed-point value at
 // its start, 8 bytes where two float64 took 16, chosen inside the window's
 // feasible region, so its answers move by less than a count: 38 109,
-// 557 844 and 6 707.
+// 557 844 and 6 707; HBD9 writes each record in the form its cell holds it,
+// a value on the grid as a varint of its 2⁻⁸ counts where HBD8 took an
+// int32, and drops the escaped lines' section and its three counts, with
+// every answer unmoved: 34 704, 507 431 and 6 059.
 // What a generation must carry over — every field of every cell, and every
 // answer — is TestSaveDecodeFixedPoint's to check, not a digest's; that the
 // leaf level is the bytes it was is TestLeafAnswersUnmoved's.
 func TestSaveBytesUnchanged(t *testing.T) {
 	t.Run("olympicrio K=1024", func(t *testing.T) {
 		det := rioDetector(t, 5, 60_000, 1024, WithPBE2(8))
-		if got, want := saveDigest(t, det), "bfc2cb06764a3601ecd73c134d49be77741f6096a8e43f84d94ba78ce86143c6"; got != want {
+		if got, want := saveDigest(t, det), "bf89da499152510a6ddd6bf58fdb94e003b8b7c7db689e1192e8397662675037"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
 	t.Run("K=16384 with Count-Min levels", func(t *testing.T) {
 		det := rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4))
-		if got, want := saveDigest(t, det), "291cafb7c012c37c2ff9be37bb46496e7a26a8eecf22ce60572c3b050a1115f4"; got != want {
+		if got, want := saveDigest(t, det), "15dec309a6bf72a83e40cbca4abd9db3afae9d8985f13490186e14dcc4dba954"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -81,7 +84,7 @@ func TestSaveBytesUnchanged(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := saveDigest(t, ds), "f1171475171899db61b0b2e26e4e87fb678e49d008bf9188c1fd5a882b5101be"; got != want {
+		if got, want := saveDigest(t, ds), "b5c5e6163e7cb8c4272465d0e51e367dd6be52c5ea2256f75f8c3c1df5e641fe"; got != want {
 			t.Fatalf("Save digest %s, want %s", got, want)
 		}
 	})
@@ -122,7 +125,10 @@ func savedLen(t testing.TB, det *Detector) int {
 // the bytes the cut adds at the leaf fell from 222 k to 156 k. A ratio alone
 // would let those bytes grow unseen as long as the one file grew with them,
 // so each level's added bytes are held too, a few per cent above what they
-// measure: 156 315, 10 637 and 1 011.
+// measure. HBD9's grid values take a varint of 2⁻⁸ counts where HBD8 took
+// an int32, and every file drops the escaped lines' counts: the ratios went
+// to ×2.09, ×1.62 and ×1.10, and the bytes added to 137 033, 9 009 and 776
+// (from 156 315, 10 637 and 1 011).
 func TestSegmentationTax(t *testing.T) {
 	elems := benchmarkStream(t)
 	const sealEvents = 50_000
@@ -173,7 +179,7 @@ func TestSegmentationTax(t *testing.T) {
 			t.Errorf("height %d: %d segment files hold %d bytes of it against %d in one file: ×%.2f, want at most ×%.2f",
 				h, len(parts), cut.bytes(i), whole.bytes(i), tax, limit)
 		}
-		if limit, more := []int{160_000, 11_000, 1_050}[i], cut.bytes(i)-whole.bytes(i); more > limit {
+		if limit, more := []int{141_000, 9_300, 800}[i], cut.bytes(i)-whole.bytes(i); more > limit {
 			t.Errorf("height %d: %d segment files hold %d bytes of it, %d more than one file; want at most %d more",
 				h, len(parts), cut.bytes(i), more, limit)
 		}
@@ -188,19 +194,51 @@ type levelBytes struct {
 	cells, segments, wide, header, columns, records []int
 }
 
-// lineBytes returns what a segment's line takes in a cell block: 8 bytes
-// for a float32 slope and a value at Start in whole 2⁻⁸ counts, at least
-// −2³¹ + 2 of them; 16 for a tag, a float64 value and the slope; 20 for an
-// escaped segment's tag and its two float64 in the block's escaped section.
-func lineBytes(s pbe2.Segment) int {
-	k := s.Y * 256
-	switch {
-	case float64(float32(s.A)) != s.A || uint64(s.End-s.Start) >= 1<<32-1:
-		return 20
-	case k == math.Trunc(k) && k >= math.MinInt32+2 && k <= math.MaxInt32:
-		return 8
+// lineBytes returns what each of a cell's segments takes in a cell block
+// past its gap and length, in the form the cell holds it: a 4-byte slope,
+// then 16 bytes of two float64 for a segment escaped whole, 8 for a float64
+// value in a cell of float64 values, or the varint of its value's 2⁻⁸
+// counts in a grid cell. It replays the forms as the cell appended them: a
+// slope no float32 holds escapes; a value past ±2⁵⁵ counts takes the cell
+// to float64; a value off the grid escapes while fewer than a sixth of the
+// cell's segments before it, or fewer than three, have escaped, and takes
+// the cell to float64 after that. wide counts the lines not on the grid.
+func lineBytes(segs []pbe2.Segment) (lines []int, wide int) {
+	escaped, float := make([]bool, len(segs)), false
+	e := 0
+	for i, s := range segs {
+		k := s.Y * 256
+		switch {
+		case float64(float32(s.A)) != s.A:
+			escaped[i] = true
+		case float:
+		case k < -(1<<63) || k >= 1<<63:
+			float = true
+		case k == math.Trunc(k):
+		case 6*e < max(i, 18):
+			escaped[i] = true
+		default:
+			float = true
+		}
+		if escaped[i] {
+			e++
+		}
 	}
-	return 16
+	var scratch [binary.MaxVarintLen64]byte
+	for i, s := range segs {
+		switch {
+		case escaped[i]:
+			lines = append(lines, 4+16)
+		case float:
+			lines = append(lines, 4+8)
+		default:
+			lines = append(lines, 4+binary.PutVarint(scratch[:], int64(s.Y*256)))
+		}
+		if escaped[i] || float {
+			wide++
+		}
+	}
+	return lines, wide
 }
 
 // bytes returns what level i costs in the files added.
@@ -223,28 +261,27 @@ func (lb *levelBytes) add(t testing.TB, det *Detector) {
 		if err := l.Encode(&w); err != nil {
 			t.Fatal(err)
 		}
-		block := bytes.Index(w.Bytes(), []byte("P2B\x03"))
+		block := bytes.Index(w.Bytes(), []byte("P2B\x04"))
 		if block < 0 {
 			t.Fatal("level holds no PBE-2 cell block")
 		}
 		records := 0
 		for e := uint64(0); e < uint64(ids); e++ {
 			prevEnd := l.MaxTime()
-			for j, s := range l.EventCells(e)[0].Segments() {
+			segs := l.EventCells(e)[0].Segments()
+			lines, wide := lineBytes(segs)
+			for j, s := range segs {
 				var scratch [binary.MaxVarintLen64]byte
 				if j == 0 {
 					records += binary.PutVarint(scratch[:], s.Start-prevEnd)
 				} else {
 					records += binary.PutUvarint(scratch[:], uint64(s.Start-prevEnd))
 				}
-				line := lineBytes(s)
-				records += binary.PutUvarint(scratch[:], uint64(s.End-s.Start)) + line
-				if line != 8 {
-					lb.wide[i]++
-				}
+				records += binary.PutUvarint(scratch[:], uint64(s.End-s.Start)) + lines[j]
 				prevEnd = s.End
-				lb.segments[i]++
 			}
+			lb.segments[i] += len(segs)
+			lb.wide[i] += wide
 		}
 		lb.cells[i] += ids
 		lb.header[i] += block
@@ -274,7 +311,7 @@ func heapHeld(build func() any) (held uint64, v any) {
 // TestBytesTracksHeap holds Bytes() to what a sealed detector really keeps
 // alive: built and finished, and decoded from its file, the live heap exceeds
 // the counted bytes by at most a fixed cost per cell — the pbe2.Builder
-// struct (160 B: a 152-B pbe2.Summary and the pointer to its open window),
+// struct (152 B: a 144-B pbe2.Summary and the pointer to its open window),
 // its interface slot and the allocator's rounding of its columns, which
 // Bytes() documents it leaves out. The stream is the
 // benchmark's 600 k elements over 1 092 cells (heights 0, 4, 8).
@@ -359,8 +396,9 @@ var decodeSink *Detector
 
 // BenchmarkDetectorDecode is what a segment's first touch and a restart pay:
 // the benchmark's 600 k-element K = 1024 file into a detector. heap-B/seg is
-// the live heap one decoded detector pins per closed PBE-2 segment — 16 of it
-// payload, the rest the per-cell structs and the allocator's rounding.
+// the live heap one decoded detector pins per closed PBE-2 segment — the
+// payload Bytes() counts, some 13 B, and the per-cell structs and the
+// allocator's rounding beside it.
 func BenchmarkDetectorDecode(b *testing.B) {
 	det := rioDetector(b, 1, 600_000, 1024, WithPBE2(8))
 	var buf bytes.Buffer

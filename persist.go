@@ -22,9 +22,10 @@ import (
 // time instead of decoding into a subtly wrong detector. Load holds every
 // level to the γ of the stored configuration, so no options are needed at
 // load time and a detector round-trips exactly. Save writes, and Load
-// accepts, format v8 ("HBD8") only: every level is a "P2B\x03" cell block,
-// whose segments store a float32 slope and a fixed-point value at their start
-// (HBD7's blocks held two float64 a segment); the levels of the event index
+// accepts, format v9 ("HBD9") only: every level is a "P2B\x04" cell block,
+// whose segments store a float32 slope and their value at Start in the form
+// their cell holds it (HBD8's blocks wrote each value by the rule of 32-bit
+// fields, HBD7's two float64 a segment); the levels of the event index
 // from height 4 up, which only steer the search, are held under
 // dyadic.SteerGammaFactor × γ (a level under any other γ than its height
 // calls for is refused), and the header holds γ and no other cell or shape
@@ -33,7 +34,7 @@ import (
 // and so is a single-event summary of the generations that had a format of
 // their own, HBS1 to HBS3: a Single now saves as the detector over one id.
 
-var detectorMagic = []byte{'H', 'B', 'D', 8}
+var detectorMagic = []byte{'H', 'B', 'D', 9}
 
 // ErrUnsupportedFormat is wrapped by the error Load, Decode and Inspect
 // return for a detector file of another format generation: a file that is
@@ -168,10 +169,10 @@ func decodeHeader(data []byte) (det *Detector, dec *binenc.Reader, err error) {
 	magic := binenc.NewReader(data).BytesBlob()
 	if !bytes.Equal(magic, detectorMagic) {
 		if len(magic) == 4 && bytes.Equal(magic[:3], detectorMagic[:3]) {
-			return nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD8 only)", ErrUnsupportedFormat, magic[3])
+			return nil, nil, fmt.Errorf("histburst: %w HBD%d (this build reads HBD9 only)", ErrUnsupportedFormat, magic[3])
 		}
 		if len(magic) == 4 && string(magic[:3]) == "HBS" {
-			return nil, nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads a single-event summary as an HBD8 detector file over one id)", magic[3])
+			return nil, nil, fmt.Errorf("histburst: unsupported single-event summary format HBS%d (this build reads a single-event summary as an HBD9 detector file over one id)", magic[3])
 		}
 		return nil, nil, fmt.Errorf("histburst: bad magic (not a detector file)")
 	}

@@ -3,6 +3,7 @@ package histburst
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -29,30 +30,18 @@ func saveHBD1(t testing.TB, d *Detector) []byte {
 	return encodeHeader(d, []byte{'H', 'B', 'D', 1}, blob.Bytes())
 }
 
-// saveHBD6 encodes a detector as the previous generation did, its header
-// carrying the event-index flag, under a valid checksum: bytes that Load must
-// refuse by version.
-func saveHBD6(t testing.TB, d *Detector) []byte {
+// saveOld encodes a detector under the magic of an earlier generation, gen
+// from 6 on, with the header that generation wrote (encodeHeader) and this
+// one's summary, under a valid checksum: bytes that Load must refuse by
+// version.
+func saveOld(t testing.TB, d *Detector, gen byte) []byte {
 	t.Helper()
 	d.Finish()
 	var summary binenc.Writer
 	if err := d.tree.Encode(&summary); err != nil {
 		t.Fatal(err)
 	}
-	return sealed(encodeHeader(d, []byte{'H', 'B', 'D', 6}, summary.Bytes()))
-}
-
-// saveHBD7 encodes a detector under the previous generation's magic, its
-// header being this one's, under a valid checksum: bytes that Load must
-// refuse by version.
-func saveHBD7(t testing.TB, d *Detector) []byte {
-	t.Helper()
-	d.Finish()
-	var summary binenc.Writer
-	if err := d.tree.Encode(&summary); err != nil {
-		t.Fatal(err)
-	}
-	return sealed(encodeHeader(d, []byte{'H', 'B', 'D', 7}, summary.Bytes()))
+	return sealed(encodeHeader(d, []byte{'H', 'B', 'D', gen}, summary.Bytes()))
 }
 
 // encodeHeader writes d's configuration and counters as Save does, under the
@@ -234,15 +223,15 @@ func TestLoadRejectsLegacyHBD1(t *testing.T) {
 		t.Fatalf("v1 file refused without naming its version: %v", err)
 	}
 	// The previous generations, whole and checksummed, are refused by name
-	// by the verifier and the decoder alike. An HBD7 file is this one's
-	// header under the older version byte, ahead of cell blocks whose lines
-	// it cannot read.
-	hbd7 := saveHBD7(t, det)
-	for name, old := range map[string][]byte{"HBD6": saveHBD6(t, det), "HBD7": hbd7} {
+	// by the verifier and the decoder alike. An HBD7 or HBD8 file is this
+	// one's header under the older version byte, ahead of cell blocks whose
+	// records it cannot read.
+	for _, gen := range []byte{6, 7, 8} {
+		name, old := fmt.Sprintf("HBD%d", gen), saveOld(t, det, gen)
 		_, ierr := Inspect(old)
 		_, derr := Decode(old)
 		for _, err := range []error{ierr, derr} {
-			if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format "+name+" (this build reads HBD8 only)") {
+			if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format "+name+" (this build reads HBD9 only)") {
 				t.Fatalf("%s file: %v, want a refusal naming %s", name, err, name)
 			}
 		}
