@@ -81,29 +81,32 @@ experiments:
 # fields across every byte width against the values appended, and the store
 # head's packed timestamp sequences against a sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
-# FUZZTIME=10s).
+# FUZZTIME=10s). Each target also bounds the engine's minimisation of a new
+# interesting input to FUZZMINTIME: at the engine's default of 60 s, one
+# multi-KB input can take a whole pass, which then counts no execs.
 FUZZTIME ?= 20s
+FUZZMINTIME ?= 2s
 fuzz:
-	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/stream/
-	$(GO) test -fuzz FuzzElementRun -fuzztime $(FUZZTIME) ./internal/stream/
-	$(GO) test -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzDetectorLoad -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzInspect -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzLoadSingle -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzSummarySearch -fuzztime $(FUZZTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzNarrowLine -fuzztime $(FUZZTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzPackedColumn -fuzztime $(FUZZTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzHeadSeq -fuzztime $(FUZZTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -fuzz FuzzAlertFrame -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -fuzz FuzzSubscriptionDecode -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/stream/
+	$(GO) test -fuzz FuzzElementRun -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/stream/
+	$(GO) test -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
+	$(GO) test -fuzz FuzzDetectorLoad -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
+	$(GO) test -fuzz FuzzInspect -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
+	$(GO) test -fuzz FuzzLoadSingle -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
+	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
+	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzSummarySearch -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzNarrowLine -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzPackedColumn -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
+	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
+	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
+	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
+	$(GO) test -fuzz FuzzHeadSeq -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
+	$(GO) test -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzAlertFrame -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
+	$(GO) test -fuzz FuzzSubscriptionDecode -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
 
 clean:
 	$(GO) clean ./...

@@ -419,8 +419,8 @@ func open(dir string, cfg Config) (*Store, error) {
 		}
 		s.wal = w
 		// Rotate immediately: the fresh log restates the replayed suffix as
-		// one baseline record and the old files are deleted, so recovery
-		// work is bounded by the head regardless of crash history.
+		// a baseline and the old files are deleted, so recovery work is
+		// bounded by the head regardless of crash history.
 		if err := s.rotateWAL(); err != nil {
 			return nil, err
 		}
@@ -696,7 +696,7 @@ func (s *Store) sealFrozen() error {
 	}
 }
 
-// rotateWAL rewrites the log as one baseline record of the store's current
+// rotateWAL rewrites the log as a baseline of the store's current
 // unsealed elements. The caller holds ingestMu (Open, before the store is
 // shared, need not), so ingest is quiesced while the baseline is captured
 // and written.

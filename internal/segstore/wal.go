@@ -2,12 +2,16 @@ package segstore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -34,8 +38,8 @@ import (
 // Records wholly below the watermark are skipped, a record straddling it is
 // applied from the watermark on, and a record starting past the expected
 // position is a gap: replay stops there, a clean truncation. Because seal
-// rotation rewrites the log as one baseline record holding every unsealed
-// element, overlapping old and new log files replay to the same state.
+// rotation rewrites the log as a baseline restating every unsealed element,
+// overlapping old and new log files replay to the same state.
 //
 // Torn tails are tolerated by construction: frames are length-prefixed and
 // CRC32-C-checked, and the first bad frame ends the parse. Commits are
@@ -97,12 +101,27 @@ const (
 	// maxWALRecordBytes bounds one frame's payload; a length prefix beyond
 	// it is certainly corrupt (or a torn length field), so the parse stops.
 	maxWALRecordBytes = 1 << 28
-	// maxWALRecordElems bounds one record's element count for the decoder.
-	maxWALRecordElems = 1 << 26
+	// maxHBW1RecordElems bounds one HBW1 record's element count for the
+	// decoder, as HBW1 writers bounded it.
+	maxHBW1RecordElems = 1 << 26
+	// walOrderBits is the width of each code order in an HBW2 record.
+	walOrderBits = 6
 )
 
-// walMagic identifies WAL file format v1 ("HBW1"), written raw at offset 0.
-var walMagic = []byte{'H', 'B', 'W', '1'}
+// maxWALRecordElems bounds one HBW2 record's element count. An element
+// takes at most 132 bits at the orders the writer picks (66 for its id and
+// 66 for its gap, the cost of order 63), so a record of this many stays
+// under maxWALRecordBytes; the writer splits a longer run into several
+// records. It is a variable so tests can drive the split with a small bound.
+var maxWALRecordElems = 1 << 23
+
+// walMagic identifies the WAL file format the store writes, HBW2: records
+// whose elements are bit-coded. hbw1Magic marks the generation before it,
+// whose records hold element runs; Open still replays it (see parseWALFile).
+var (
+	walMagic  = []byte{'H', 'B', 'W', '2'}
+	hbw1Magic = []byte{'H', 'B', 'W', '1'}
+)
 
 func walFileName(seq uint64) string {
 	return fmt.Sprintf("%s%016d%s", walFilePrefix, seq, walFileSuffix)
@@ -115,30 +134,158 @@ type walRecord struct {
 	elems  stream.Stream
 }
 
-// encodeWALRecord frames one record: payload = startN, element count, then
-// the elements as an element run (stream.AppendRun). Records hold an
-// accepted set, so times never decrease within one.
+// An HBW2 record payload is a byte header — uvarint startN, uvarint count
+// and, when count > 0, the first element's time as a zigzag varint — and
+// then a bit stream, most significant bit first: the id code's order k_id
+// and the gap code's order k_dt in 6 bits each, then per element its time
+// gap from the previous element (none for the first) and its event id, and
+// zero bits up to the byte boundary. Ids and gaps are Exp-Golomb coded at
+// their orders, which the writer picks per record at the least exact cost.
+// Records hold admitted sets, so times never decrease and a gap is
+// unsigned; the code covers all of uint64, so any id and any gap between
+// two int64 times round-trips.
+
+// encodeWALRecord frames elems, whose times must not decrease, as HBW2
+// records from global position startN: one record, or several of at most
+// maxWALRecordElems elements each.
 func encodeWALRecord(startN int64, elems stream.Stream) []byte {
-	var payload binenc.Writer
-	payload.Uvarint(uint64(startN))
-	payload.Uvarint(uint64(len(elems)))
-	stream.AppendRun(&payload, elems)
-	body := payload.Bytes()
-	var frame binenc.Writer
-	frame.Uint32(uint32(len(body)))
-	frame.Uint32(crc32.Checksum(body, crcTable))
-	return append(frame.Bytes(), body...)
+	var frames []byte
+	for {
+		n := min(len(elems), maxWALRecordElems)
+		frames = appendWALRecord(frames, startN, elems[:n])
+		startN += int64(n)
+		if elems = elems[n:]; len(elems) == 0 {
+			return frames
+		}
+	}
 }
 
-// decodeWALRecord parses one frame payload (already CRC-verified). Corrupt
-// input of any shape yields an error, never a panic, and cannot trigger
-// allocations beyond a small multiple of the input size.
+// walFrames is how many records encodeWALRecord writes for n elements.
+func walFrames(n int) int64 {
+	return int64(max(1, (n+maxWALRecordElems-1)/maxWALRecordElems))
+}
+
+// appendWALRecord appends one framed HBW2 record to dst.
+func appendWALRecord(dst []byte, startN int64, elems stream.Stream) []byte {
+	var kID, kDT uint
+	size := walFrameHeader + 2*binary.MaxVarintLen64
+	if len(elems) > 0 {
+		var ids, gaps egCost
+		prev := elems[0].Time
+		for _, el := range elems {
+			if el.Time < prev {
+				panic(fmt.Sprintf("segstore: wal record times decrease (%d after %d)", el.Time, prev))
+			}
+			ids.add(el.Event)
+			gaps.add(uint64(el.Time - prev))
+			prev = el.Time
+		}
+		gaps.n-- // the first element has no gap; its zero was tallied
+		gaps.lens[0]--
+		var idBits, gapBits int
+		kID, idBits = ids.best()
+		kDT, gapBits = gaps.best()
+		size += binary.MaxVarintLen64 + (2*walOrderBits+idBits+gapBits+7)/8
+	}
+	dst = slices.Grow(dst, size)
+	at := len(dst)
+	dst = append(dst, make([]byte, walFrameHeader)...)
+	dst = binary.AppendUvarint(dst, uint64(startN))
+	dst = binary.AppendUvarint(dst, uint64(len(elems)))
+	if len(elems) > 0 {
+		dst = binary.AppendVarint(dst, elems[0].Time)
+		w := bitWriter{buf: dst}
+		w.write(uint64(kID), walOrderBits)
+		w.write(uint64(kDT), walOrderBits)
+		w.expGolomb(elems[0].Event, kID)
+		for i := 1; i < len(elems); i++ {
+			gap, id := uint64(elems[i].Time-elems[i-1].Time), elems[i].Event
+			// Most elements' two codes fit one write together.
+			g, gw := shortEG(gap, kDT)
+			e, ew := shortEG(id, kID)
+			if gw <= 32 && ew <= 32-gw {
+				w.write(g<<ew|e, gw+ew)
+				continue
+			}
+			w.expGolomb(gap, kDT)
+			w.expGolomb(id, kID)
+		}
+		dst = w.flush()
+	}
+	body := dst[at+walFrameHeader:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.Checksum(body, crcTable))
+	return dst
+}
+
+// decodeWALRecord parses one HBW2 frame payload (already CRC-verified).
+// Corrupt input of any shape yields an error, never a panic: it refuses
+// overlong varints, a count the bits left cannot hold at the record's own
+// minimum element size (checked before anything is allocated), a code
+// longer than 64 bits, a gap that carries time past MaxInt64, and nonzero
+// padding or trailing bytes.
 //
 //histburst:decoder
 func decodeWALRecord(payload []byte) (walRecord, error) {
 	dec := binenc.NewReader(payload)
 	startN := dec.Uvarint()
-	elems := make(stream.Stream, dec.SliceLen(maxWALRecordElems, stream.MinElemBytes))
+	count := dec.Len(uint64(maxWALRecordElems))
+	t := int64(0)
+	if count > 0 {
+		t = dec.Varint()
+	}
+	if err := dec.Err(); err != nil {
+		return walRecord{}, fmt.Errorf("segstore: wal record: %w", err)
+	}
+	if dec.Overlong() {
+		return walRecord{}, fmt.Errorf("segstore: wal record: overlong varint in the header")
+	}
+	if int64(startN) < 0 {
+		return walRecord{}, fmt.Errorf("segstore: wal record: implausible start position %d", startN)
+	}
+	rec := walRecord{startN: int64(startN)}
+	if count == 0 {
+		if dec.Remaining() != 0 {
+			return walRecord{}, fmt.Errorf("segstore: wal record: %d trailing bytes", dec.Remaining())
+		}
+		return rec, nil
+	}
+	r := bitReader{buf: payload[len(payload)-dec.Remaining():]}
+	kID, kDT := uint(r.read(walOrderBits)), uint(r.read(walOrderBits))
+	if need := walMinBits(count, kID, kDT); r.err != nil || need > r.left() {
+		return walRecord{}, fmt.Errorf("segstore: wal record: %d elements at orders %d/%d need %d bits, %d left", count, kID, kDT, need, r.left())
+	}
+	rec.elems = make(stream.Stream, count) //histburst:allow decodersafety -- count is bounded by the bits left just above
+	rec.elems[0] = stream.Element{Event: r.expGolomb(kID), Time: t}
+	for i := 1; i < count; i++ {
+		gap := r.expGolomb(kDT)
+		if gap > uint64(math.MaxInt64)-uint64(t) {
+			return walRecord{}, fmt.Errorf("segstore: wal record: element %d's gap %d carries time past MaxInt64", i, gap)
+		}
+		t += int64(gap)
+		rec.elems[i] = stream.Element{Event: r.expGolomb(kID), Time: t}
+	}
+	if err := r.close(); err != nil {
+		return walRecord{}, fmt.Errorf("segstore: wal record: %w", err)
+	}
+	return rec, nil
+}
+
+// walMinBits is the fewest bits count elements take at orders kID and kDT:
+// 1 + kID for the first element's id, 2 + kID + kDT for each later one.
+func walMinBits(count int, kID, kDT uint) uint64 {
+	return uint64(count-1)*uint64(2+kID+kDT) + uint64(1+kID)
+}
+
+// decodeHBW1Record parses one HBW1 frame payload: startN, count, then the
+// elements as an element run (stream.ReadRun). Open reads HBW1 logs and
+// rotates them into HBW2; nothing writes HBW1.
+//
+//histburst:decoder
+func decodeHBW1Record(payload []byte) (walRecord, error) {
+	dec := binenc.NewReader(payload)
+	startN := dec.Uvarint()
+	elems := make(stream.Stream, dec.SliceLen(maxHBW1RecordElems, stream.MinElemBytes))
 	stream.ReadRun(dec, elems)
 	if err := dec.Close(); err != nil {
 		return walRecord{}, fmt.Errorf("segstore: wal record: %w", err)
@@ -149,13 +296,245 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 	return walRecord{startN: int64(startN), elems: elems}, nil
 }
 
+// egCost tallies a set of values so the exact Exp-Golomb cost of the set at
+// every order is known without a pass per order. At order k a value v takes
+// 2m + 1 + k bits, where m is the bit length of (v >> k) + 1 less one: that
+// is L − k − 1 for a value of bit length L > k, one more where the top L − k
+// bits of v are all ones and the + 1 carries, and 0 for L ≤ k. The counts
+// are int32 (a record holds at most maxWALRecordElems values) to keep the
+// commit path's stack frame small.
+type egCost struct {
+	n    int32
+	lens [65]int32 // values by bit length L
+	// carries counts values by the lowest order L − j at which they carry,
+	// j being how many of their top bits are ones; they carry up to L − 1.
+	carries [65]int32
+}
+
+func (c *egCost) add(v uint64) {
+	l := bits.Len64(v)
+	c.n++
+	c.lens[l]++
+	if l > 0 {
+		c.carries[l-bits.LeadingZeros64(^(v<<(64-l)))]++
+	}
+}
+
+// best returns the order in [0, 63] at which the tallied values take the
+// fewest bits (the lowest such order on a tie), and those bits.
+func (c *egCost) best() (k uint, cost int) {
+	// Past the longest value's bit length an order only adds a bit a value.
+	top := len(c.lens) - 1
+	for top > 0 && c.lens[top] == 0 {
+		top--
+	}
+	// From the top order down: above counts the values with L > j, tail
+	// sums their L, and carry counts those that carry at j — values with
+	// L > j, less those whose carry starts above j.
+	above, tail, late := 0, 0, 0
+	cost = -1
+	for j := min(top, 63); j >= 0; j-- {
+		above += int(c.lens[j+1])
+		tail += (j + 1) * int(c.lens[j+1])
+		late += int(c.carries[j+1])
+		carry := above - late
+		if b := int(c.n)*(1+j) + 2*(tail-(j+1)*above+carry); cost < 0 || b <= cost {
+			k, cost = uint(j), b
+		}
+	}
+	return k, cost
+}
+
+// bitWriter appends bits to a byte slice, most significant first.
+type bitWriter struct {
+	buf []byte
+	acc uint64 // the n pending bits, in its low end
+	n   uint   // fewer than 32 between calls
+}
+
+// write appends the low n bits of v; n ≤ 32.
+func (w *bitWriter) write(v uint64, n uint) {
+	w.acc = w.acc<<n | v&(1<<n-1)
+	w.n += n
+	if w.n >= 32 {
+		w.n -= 32
+		w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(w.acc>>w.n))
+	}
+}
+
+// writeLong appends the low n bits of v; n ≤ 64.
+func (w *bitWriter) writeLong(v uint64, n uint) {
+	if n > 32 {
+		w.write(v>>32, n-32)
+		n = 32
+	}
+	w.write(v, n)
+}
+
+// expGolomb appends v in the Exp-Golomb code of order k: with x = (v >> k)
+// + 1 of m + 1 bits, m zero bits, then x, then the low k bits of v.
+func (w *bitWriter) expGolomb(v uint64, k uint) {
+	if code, width := shortEG(v, k); width <= 32 {
+		w.write(code, width)
+		return
+	}
+	x := v>>k + 1
+	if x == 0 { // k = 0 and v = 2⁶⁴ − 1: x is 2⁶⁴, a one and 64 zeros
+		w.writeLong(0, 64)
+		w.write(1, 1)
+		w.writeLong(0, 64)
+		return
+	}
+	m := uint(bits.Len64(x)) - 1
+	w.writeLong(0, m)
+	w.writeLong(x, m+1)
+	w.writeLong(v, k)
+}
+
+// shortEG returns v's Exp-Golomb code of order k as the low width bits of
+// code — x and the low k bits together read v + 2ᵏ — where width ≤ 32; a
+// longer code has a width past 32 and its code is not meaningful.
+func shortEG(v uint64, k uint) (code uint64, width uint) {
+	return v + 1<<k, 2*uint(bits.Len64(v>>k+1)) - 1 + k
+}
+
+// flush pads the last byte with zero bits and returns the buffer.
+func (w *bitWriter) flush() []byte {
+	for ; w.n >= 8; w.n -= 8 {
+		w.buf = append(w.buf, byte(w.acc>>(w.n-8)))
+	}
+	if w.n > 0 {
+		w.buf = append(w.buf, byte(w.acc<<(8-w.n)))
+	}
+	w.acc, w.n = 0, 0
+	return w.buf
+}
+
+// bitReader reads what bitWriter wrote. Its error is the first failure's;
+// what is read after it is meaningless, and close reports it.
+type bitReader struct {
+	buf []byte
+	off int    // the next byte to load
+	acc uint64 // the n loaded bits, the next one highest, zeros below
+	n   uint
+	err error
+}
+
+func (r *bitReader) refill() {
+	for r.n <= 56 && r.off < len(r.buf) {
+		r.acc |= uint64(r.buf[r.off]) << (56 - r.n)
+		r.off++
+		r.n += 8
+	}
+}
+
+// left is how many bits are unread.
+func (r *bitReader) left() uint64 {
+	return uint64(r.n) + 8*uint64(len(r.buf)-r.off)
+}
+
+// read returns the next n bits; n ≤ 64.
+func (r *bitReader) read(n uint) uint64 {
+	if n > 56 {
+		hi := r.read(n - 32)
+		return hi<<32 | r.read(32)
+	}
+	if r.n < n {
+		r.refill()
+		if r.n < n {
+			r.fail("truncated bit stream")
+			return 0
+		}
+	}
+	v := r.acc >> (64 - n) // 0 for n = 0: Go's shifts by 64 clear
+	r.acc <<= n
+	r.n -= n
+	return v
+}
+
+// expGolomb reads one value in the Exp-Golomb code of order k, refusing a
+// code whose value would not fit in 64 bits.
+func (r *bitReader) expGolomb(k uint) uint64 {
+	if r.n < 57 {
+		r.refill()
+	}
+	// The common case: the whole code, 2z + 1 + k bits, is loaded. Its last
+	// z + 1 + k bits are x and v's low k bits, which read as v + 2ᵏ.
+	if z := uint(bits.LeadingZeros64(r.acc)); 2*z+1+k <= r.n {
+		v := r.acc << z >> (63 - z - k)
+		r.acc <<= 2*z + 1 + k
+		r.n -= 2*z + 1 + k
+		return v - 1<<k
+	}
+	m := uint(0)
+	for {
+		if r.n == 0 {
+			r.refill()
+			if r.n == 0 {
+				r.fail("truncated bit stream")
+				return 0
+			}
+		}
+		z := min(uint(bits.LeadingZeros64(r.acc)), r.n)
+		m += z
+		r.acc <<= z
+		r.n -= z
+		if m > 64-k {
+			r.fail("code longer than 64 bits")
+			return 0
+		}
+		if r.n > 0 {
+			break
+		}
+	}
+	r.acc <<= 1 // x's leading one
+	r.n--
+	low := r.read(m)
+	if m == 64-k && low != 0 {
+		r.fail("code longer than 64 bits")
+		return 0
+	}
+	q := uint64(1)<<m - 1 + low // x − 1; at m = 64 the shift is 0 and low is 0
+	return q<<k | r.read(k)
+}
+
+// close refuses what is left after the last element: a nonzero padding bit,
+// or a whole byte.
+func (r *bitReader) close() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.left() >= 8 {
+		return fmt.Errorf("%w: %d trailing bits", binenc.ErrCorrupt, r.left())
+	}
+	if r.acc != 0 {
+		return fmt.Errorf("%w: nonzero padding bits", binenc.ErrCorrupt)
+	}
+	return nil
+}
+
+func (r *bitReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s", binenc.ErrCorrupt, what)
+	}
+}
+
 // parseWALFile parses one log file's bytes into its record sequence,
 // applying the torn-tail rule: the parse ends at the first frame that is
-// truncated, oversized, CRC-mismatched, or undecodable, and every record
-// before it stands. clean reports whether the file ended exactly at a frame
-// boundary with a valid magic (false means trailing bytes were dropped).
+// truncated, oversized, CRC-mismatched, undecodable, or whose times
+// decrease, and every record before it stands. clean reports whether the
+// file ended exactly at a frame boundary with a valid magic (false means
+// trailing bytes were dropped). An HBW1 file is parsed the same way with its
+// own record decoder: it may hold acked elements no other file holds, so it
+// is replayed, and Open's rotation then replaces it with an HBW2 log.
 func parseWALFile(data []byte) (recs []walRecord, clean bool) {
-	if len(data) < len(walMagic) || !bytes.Equal(data[:len(walMagic)], walMagic) {
+	var decode func([]byte) (walRecord, error)
+	switch {
+	case bytes.HasPrefix(data, walMagic):
+		decode = decodeWALRecord
+	case bytes.HasPrefix(data, hbw1Magic):
+		decode = decodeHBW1Record
+	default:
 		// A file torn inside the 4-byte magic (crash during rotation) holds
 		// no records by definition; anything else with a bad magic is not a
 		// log we can trust any frame of.
@@ -178,8 +557,10 @@ func parseWALFile(data []byte) (recs []walRecord, clean bool) {
 		if crc32.Checksum(body, crcTable) != sum {
 			return recs, false
 		}
-		rec, err := decodeWALRecord(body)
-		if err != nil {
+		// Records hold admitted sets; an HBW1 run out of time order came
+		// from no writer.
+		rec, err := decode(body)
+		if err != nil || !slices.IsSortedFunc(rec.elems, func(a, b stream.Element) int { return cmp.Compare(a.Time, b.Time) }) {
 			return recs, false
 		}
 		recs = append(recs, rec)
@@ -357,7 +738,7 @@ func (w *wal) appendLocked(elems stream.Stream) error {
 		w.unsyncedBytes += int64(len(frame))
 	}
 	w.goodOff += int64(len(frame))
-	w.records++
+	w.records += walFrames(len(elems))
 	w.nextN += int64(len(elems))
 	return nil
 }
@@ -407,9 +788,9 @@ func (w *wal) syncLocked() error {
 	return nil
 }
 
-// rotateLocked starts log file seq+1 holding one baseline record of every
-// unsealed element (at positions from durableN), fsyncs it, and deletes the
-// older files — the log stays O(head). On failure the current file stays
+// rotateLocked starts log file seq+1 holding a baseline of every unsealed
+// element (at positions from durableN, in records of at most
+// maxWALRecordElems), fsyncs it, and deletes the older files — the log stays O(head). On failure the current file stays
 // live and valid; rotation is retried at the next seal.
 //
 //histburst:locked mu
@@ -427,8 +808,10 @@ func (w *wal) rotateLocked(durableN int64, pending stream.Stream) error {
 	buf := append([]byte(nil), walMagic...)
 	records := int64(0)
 	if len(pending) > 0 {
+		// Split at the record bound: one record of more would be refused at
+		// the next open, after this rotation deleted the older logs.
 		buf = append(buf, encodeWALRecord(durableN, pending)...)
-		records = 1
+		records = walFrames(len(pending))
 	}
 	if _, err := f.Write(buf); err == nil {
 		err = f.Sync()

@@ -1,7 +1,9 @@
 package segstore
 
 import (
+	"bytes"
 	"encoding/hex"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"histburst"
+	"histburst/internal/binenc"
 	"histburst/internal/faultio"
 	"histburst/internal/stream"
 )
@@ -335,15 +338,42 @@ func TestParseWALSyncPolicy(t *testing.T) {
 	}
 }
 
+// encodeHBW1Record frames one record as HBW1 wrote it: startN, count, then
+// the elements as an element run. Nothing in the store writes HBW1 any more;
+// the tests forge the logs an older build left behind with it.
+func encodeHBW1Record(startN int64, elems stream.Stream) []byte {
+	var payload binenc.Writer
+	payload.Uvarint(uint64(startN))
+	payload.Uvarint(uint64(len(elems)))
+	stream.AppendRun(&payload, elems)
+	body := payload.Bytes()
+	var frame binenc.Writer
+	frame.Uint32(uint32(len(body)))
+	frame.Uint32(crc32.Checksum(body, crcTable))
+	return append(frame.Bytes(), body...)
+}
+
+// walSeedFiles are one HBW2 and one HBW1 log of the same two records.
+func walSeedFiles() (hbw2, hbw1 []byte) {
+	a := stream.Stream{{Event: 1, Time: 5}, {Event: 2, Time: 9}, {Event: 300, Time: 9}}
+	b := stream.Stream{{Event: 3, Time: 12}}
+	hbw2 = append(slices.Clone(walMagic), encodeWALRecord(0, a)...)
+	hbw2 = append(hbw2, encodeWALRecord(3, b)...)
+	hbw1 = append(slices.Clone(hbw1Magic), encodeHBW1Record(0, a)...)
+	hbw1 = append(hbw1, encodeHBW1Record(3, b)...)
+	return hbw2, hbw1
+}
+
 func FuzzWALReplay(f *testing.F) {
-	// Seeds: an empty log, a healthy two-record log, and a torn one.
+	// Seeds: an empty log, healthy two-record logs of both generations, and
+	// torn ones.
 	f.Add([]byte{})
-	f.Add(append([]byte(nil), walMagic...))
-	healthy := append([]byte(nil), walMagic...)
-	healthy = append(healthy, encodeWALRecord(0, stream.Stream{{Event: 1, Time: 5}, {Event: 2, Time: 9}})...)
-	healthy = append(healthy, encodeWALRecord(2, stream.Stream{{Event: 3, Time: 12}})...)
-	f.Add(healthy)
-	f.Add(healthy[:len(healthy)-3])
+	f.Add(slices.Clone(walMagic))
+	hbw2, hbw1 := walSeedFiles()
+	for _, data := range [][]byte{hbw2, hbw1} {
+		f.Add(data)
+		f.Add(data[:len(data)-3])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The parser must never panic, and whatever it accepts must obey
 		// the record invariants the replay path relies on.
@@ -358,9 +388,9 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("negative record position %d", rec.startN)
 			}
 		}
-		// Round trip: re-encoding the accepted records must parse back
-		// identically when framed after a magic.
-		out := append([]byte(nil), walMagic...)
+		// Round trip: the accepted records, of either generation, re-encoded
+		// as HBW2 must parse back to the same positions and elements.
+		out := slices.Clone(walMagic)
 		for _, rec := range recs {
 			out = append(out, encodeWALRecord(rec.startN, rec.elems)...)
 		}
@@ -368,13 +398,24 @@ func FuzzWALReplay(f *testing.F) {
 		if !clean2 || len(recs2) != len(recs) {
 			t.Fatalf("re-encoded log parsed to %d records (clean=%v), want %d", len(recs2), clean2, len(recs))
 		}
+		for i, rec := range recs {
+			if recs2[i].startN != rec.startN || !slices.Equal(recs2[i].elems, rec.elems) {
+				t.Fatalf("record %d re-encoded as %d %v, want %d %v", i, recs2[i].startN, recs2[i].elems, rec.startN, rec.elems)
+			}
+		}
 	})
 }
 
 func FuzzWALRecordDecode(f *testing.F) {
-	f.Add(encodeWALRecord(7, stream.Stream{{Event: 1, Time: 5}})[walFrameHeader:])
+	hbw2, hbw1 := walSeedFiles()
+	f.Add(hbw2[len(walMagic)+walFrameHeader:])
+	f.Add(hbw1[len(hbw1Magic)+walFrameHeader:])
+	f.Add(encodeWALRecord(7, stream.Stream{{Event: math.MaxUint64, Time: math.MinInt64}, {Event: 0, Time: math.MaxInt64}})[walFrameHeader:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
+		if rec, err := decodeHBW1Record(payload); err == nil && rec.startN < 0 {
+			t.Fatalf("negative position decoded from HBW1: %d", rec.startN)
+		}
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
 			return
@@ -382,14 +423,62 @@ func FuzzWALRecordDecode(f *testing.F) {
 		if rec.startN < 0 {
 			t.Fatalf("negative position decoded: %d", rec.startN)
 		}
+		for i := 1; i < len(rec.elems); i++ {
+			if rec.elems[i].Time < rec.elems[i-1].Time {
+				t.Fatalf("time decreases at element %d: %d after %d", i, rec.elems[i].Time, rec.elems[i-1].Time)
+			}
+		}
+		if len(rec.elems) > 0 {
+			kID, kDT, bitsLeft := walRecordOrders(t, payload)
+			if need := walMinBits(len(rec.elems), kID, kDT); need > bitsLeft {
+				t.Fatalf("%d elements at orders %d/%d need %d bits, the payload holds %d", len(rec.elems), kID, kDT, need, bitsLeft)
+			}
+		}
 	})
 }
 
-// TestWALRecordGolden pins the record bytes to the ones the log has always
-// written — unsorted with negative deltas, duplicate timestamps,
-// Unix-second and Unix-millisecond origins, and a span wider than 2⁶³ — and
-// each decodes back.
+// walRecordOrders reads an HBW2 payload's header on its own: the code
+// orders, and the bits left after them.
+func walRecordOrders(t *testing.T, payload []byte) (kID, kDT uint, bitsLeft uint64) {
+	t.Helper()
+	dec := binenc.NewReader(payload)
+	dec.Uvarint()
+	dec.Uvarint()
+	dec.Varint()
+	if dec.Err() != nil || dec.Remaining() < 2 {
+		t.Fatalf("decoded payload has a short header: %x", payload)
+	}
+	orders := payload[len(payload)-dec.Remaining():]
+	kID = uint(orders[0] >> 2)
+	kDT = uint(orders[0]&3)<<4 | uint(orders[1]>>4)
+	return kID, kDT, 8*uint64(len(orders)) - 2*walOrderBits
+}
+
+// TestWALRecordGolden pins the HBW2 record bytes — duplicate timestamps,
+// Unix-second and Unix-millisecond origins, ids up to 2⁶⁴ − 1 and a span
+// wider than 2⁶³ — and each decodes back. The HBW1 rows are the bytes that
+// generation wrote, unsorted runs with negative deltas among them; they are
+// decoded only, as Open reads them.
 func TestWALRecordGolden(t *testing.T) {
+	for _, tc := range []struct {
+		s   stream.Stream
+		hex string
+	}{
+		{goldenRun(3, -10, 1, 40, 1<<40, 100, 2, 250), "14000000b08372a0d2090413086fcafc00000000020000000008d6c0"},
+		{goldenRun(5, 7, 5, 7, 9, 7, 5, 8), "09000000386271a0d209040e0407bcb4e0"},
+		{goldenRun(1, 1_700_000_000, 2, 1_700_000_003, 1, 1_700_086_400), "0f00000043638d66d2090380c49fd50c042fa00015181c"},
+		{goldenRun(0, 1_700_000_000_000, 300, 1_700_000_000_250, 70_000, 1_700_086_400_000), "17000000cd8d4c2ad2090380a0abfef9621c880fd35800005265c0600447c0"},
+		{goldenRun(1, math.MinInt64+1, 2, math.MaxInt64), "18000000b4c72651d20902fdffffffffffffffff0103f4bfffffffffffffff30"},
+		{goldenRun(-1, 0, 0, 0, -1, 1), "1f0000006b52dd1fd2090300fc05ffffffffffffffff000000000000000097fffffffffffffff0"},
+	} {
+		frame := encodeWALRecord(1234, tc.s)
+		if got := hex.EncodeToString(frame); got != tc.hex {
+			t.Errorf("encodeWALRecord(%v) = %s, want %s", tc.s, got, tc.hex)
+		}
+		if rec, err := decodeWALRecord(frame[walFrameHeader:]); err != nil || rec.startN != 1234 || !slices.Equal(rec.elems, tc.s) {
+			t.Errorf("decodeWALRecord = %+v (%v), want %v at 1234", rec, err, tc.s)
+		}
+	}
 	for _, tc := range []struct {
 		s   stream.Stream
 		hex string
@@ -401,12 +490,15 @@ func TestWALRecordGolden(t *testing.T) {
 			"15000000be112547d209030080a0abfef962ac02f403f0a2048cecb252"},
 		{goldenRun(1, math.MinInt64+1, 2, math.MaxInt64), "100000003e32e6edd2090201fdffffffffffffffff010203"},
 	} {
-		frame := encodeWALRecord(1234, tc.s)
-		if got := hex.EncodeToString(frame); got != tc.hex {
-			t.Errorf("encodeWALRecord(%v) = %s, want %s", tc.s, got, tc.hex)
+		frame, err := hex.DecodeString(tc.hex)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if rec, err := decodeWALRecord(frame[walFrameHeader:]); err != nil || rec.startN != 1234 || !slices.Equal(rec.elems, tc.s) {
-			t.Errorf("decodeWALRecord = %+v (%v), want %v at 1234", rec, err, tc.s)
+		if got := encodeHBW1Record(1234, tc.s); !slices.Equal(got, frame) {
+			t.Errorf("encodeHBW1Record(%v) = %x, want %s", tc.s, got, tc.hex)
+		}
+		if rec, err := decodeHBW1Record(frame[walFrameHeader:]); err != nil || rec.startN != 1234 || !slices.Equal(rec.elems, tc.s) {
+			t.Errorf("decodeHBW1Record = %+v (%v), want %v at 1234", rec, err, tc.s)
 		}
 	}
 }
@@ -418,4 +510,146 @@ func goldenRun(pairs ...int64) stream.Stream {
 		s = append(s, stream.Element{Event: uint64(pairs[i]), Time: pairs[i+1]})
 	}
 	return s
+}
+
+// TestWALSplitsRecordsAtTheBound: a rotation baseline, and a commit, longer
+// than the record bound are written as several records, each of which the
+// decoder takes. The path the baseline takes in a server that never seals:
+// a crash, then an Open that replays many small frames and rotates them
+// into one baseline, then a second crash.
+func TestWALSplitsRecordsAtTheBound(t *testing.T) {
+	defer func(n int) { maxWALRecordElems = n }(maxWALRecordElems)
+	maxWALRecordElems = 8
+
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig(-1))
+	last := appendN(t, s, 30, 4, 0, 1) // 30 one-element records
+	crashed := cloneDir(t, dir)
+	mustClose(t, s)
+
+	r := mustOpen(t, crashed, testConfig(-1)) // replays, rotates 30 elements
+	if got := r.Health().WAL.Records; got != 4 {
+		t.Fatalf("baseline of 30 elements holds %d records, want 4 of at most 8", got)
+	}
+	batch := make(stream.Stream, 20)
+	for i := range batch {
+		batch[i] = stream.Element{Event: uint64(i), Time: last + 1 + int64(i)}
+	}
+	if _, _, err := r.AppendBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Health().WAL.Records; got != 4+3 {
+		t.Fatalf("a 20-element commit left %d records, want 4 + 3", got)
+	}
+	again := cloneDir(t, crashed)
+	mustClose(t, r)
+
+	r2 := mustOpen(t, again, testConfig(-1))
+	defer mustClose(t, r2)
+	if got := r2.N(); got != 50 {
+		t.Fatalf("second recovery N=%d, want 50", got)
+	}
+	if got, want := r2.Frontier(), last+20; got != want {
+		t.Fatalf("second recovery frontier=%d, want %d", got, want)
+	}
+}
+
+// TestWALReadsHBW1Log: a directory an older build left with an HBW1 log
+// opens, replays to the same store as its HBW2 twin, and then holds only
+// the HBW2 log that twin holds.
+func TestWALReadsHBW1Log(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, testConfig(-1))
+	elems := rioHeadElems()[:3000]
+	for i := 0; i < len(elems); i += 100 {
+		if _, _, err := s.AppendBatch(elems[i : i+100]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hbw2 := cloneDir(t, dir)
+	hbw1 := cloneDir(t, dir)
+	mustClose(t, s)
+
+	names := walFileNames(t, hbw1)
+	if len(names) != 1 {
+		t.Fatalf("store holds wal files %v, want 1", names)
+	}
+	data, err := os.ReadFile(filepath.Join(hbw1, names[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, clean := parseWALFile(data)
+	if !clean || len(recs) != len(elems)/100 {
+		t.Fatalf("live log parsed to %d records (clean=%v), want %d", len(recs), clean, len(elems)/100)
+	}
+	old := slices.Clone(hbw1Magic)
+	for _, rec := range recs {
+		old = append(old, encodeHBW1Record(rec.startN, rec.elems)...)
+	}
+	if err := os.WriteFile(filepath.Join(hbw1, names[0]), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	a := mustOpen(t, hbw2, testConfig(-1))
+	defer mustClose(t, a)
+	b := mustOpen(t, hbw1, testConfig(-1))
+	defer mustClose(t, b)
+	if a.N() != int64(len(elems)) || b.N() != a.N() || b.Frontier() != a.Frontier() {
+		t.Fatalf("HBW1 store N=%d frontier %d, HBW2 store N=%d frontier %d, want N=%d", b.N(), b.Frontier(), a.N(), a.Frontier(), len(elems))
+	}
+	if got, want := collectInOrder(b.view.Load().head), collectInOrder(a.view.Load().head); !slices.Equal(got, want) {
+		t.Fatal("the HBW1 log replayed to a different head than its HBW2 twin")
+	}
+	for _, d := range []string{hbw1, hbw2} {
+		if names := walFileNames(t, d); len(names) != 1 {
+			t.Fatalf("%s holds wal files %v after open, want 1", d, names)
+		}
+	}
+	got, err := os.ReadFile(filepath.Join(hbw1, walFileNames(t, hbw1)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(hbw2, walFileNames(t, hbw2)[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(got, walMagic) || !bytes.Equal(got, want) {
+		t.Fatalf("the HBW1 directory's rotated log (%d bytes, magic %q) is not its twin's HBW2 baseline (%d bytes)", len(got), got[:min(4, len(got))], len(want))
+	}
+
+	// An HBW1 run whose times decrease came from no writer: the parse ends
+	// there, as at any other corrupt frame.
+	forged := append(slices.Clone(hbw1Magic), encodeHBW1Record(0, goldenRun(1, 5, 2, 9))...)
+	forged = append(forged, encodeHBW1Record(2, goldenRun(1, 12, 2, 11))...)
+	forged = append(forged, encodeHBW1Record(4, goldenRun(1, 12))...)
+	if recs, clean := parseWALFile(forged); len(recs) != 1 || clean {
+		t.Fatalf("an HBW1 log with a decreasing run parsed to %d records (clean=%v), want the 1 before it", len(recs), clean)
+	}
+}
+
+// TestWALBytesPerElement is the log's size on the benchmark's stream: the
+// 53 760 olympicrio elements http_mixed commits 64 at a time before its
+// first seal, and the same elements in wire_ingest's 4096-element bulk
+// commits. HBW1 took 2.528 and 2.302 B an element.
+func TestWALBytesPerElement(t *testing.T) {
+	elems := rioHeadElems()[:53_760]
+	for _, tc := range []struct {
+		batch int
+		max   float64
+	}{{64, 1.75}, {4096, 1.50}} {
+		cfg := testConfig(-1)
+		cfg.WALSync = WALSyncOff
+		s := mustOpen(t, t.TempDir(), cfg)
+		for i := 0; i < len(elems); i += tc.batch {
+			if _, _, err := s.AppendBatch(elems[i:min(i+tc.batch, len(elems))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perElem := float64(s.Health().WAL.Bytes) / float64(len(elems))
+		t.Logf("%d a commit: %d B, %.3f B an element", tc.batch, s.Health().WAL.Bytes, perElem)
+		if perElem > tc.max {
+			t.Errorf("%d a commit: the log takes %.3f B an element, want ≤ %.2f", tc.batch, perElem, tc.max)
+		}
+		mustClose(t, s)
+	}
 }

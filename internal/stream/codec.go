@@ -9,9 +9,9 @@ import (
 	"histburst/internal/binenc"
 )
 
-// An element run is how every histburst format stores a sequence of
-// elements — the HBST file below, the HBP1 APPEND frame and the WAL record:
-// per element, the event id as a uvarint, then the time as a varint delta
+// An element run is how the HBST file below and the HBP1 APPEND frame store
+// a sequence of elements (and how the retired HBW1 log record did): per
+// element, the event id as a uvarint, then the time as a varint delta
 // from the previous element's (from 0 for the first). Deltas are taken
 // modulo 2⁶⁴, so any Stream round-trips — unsorted, or spanning more than
 // 2⁶³. A run carries no count: each format writes its own and bounds it, and
