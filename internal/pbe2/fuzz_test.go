@@ -127,34 +127,43 @@ func FuzzSummarySearch(f *testing.F) {
 		}
 		check := func(what string, s *Summary, est func(int64) float64, est3 func(t0, t1, t2 int64) (float64, float64, float64)) {
 			ref := refOf(s)
-			lin := func(q int64) float64 {
-				if q >= s.headLow {
-					return est(q) // the open window or the exact count: not the columns' to answer
-				}
-				for i := len(ref.segs) - 1; i >= 0; i-- {
-					if seg := ref.segs[i]; seg.Start <= q {
-						v := seg.Y + seg.A*float64(uint64(min(q, seg.End)-seg.Start))
-						if v < 0 {
-							v = 0
-						}
-						return v
-					}
-				}
-				return 0
-			}
-			probes := refProbes(ref)
+			// Each arrival's instant and its neighbours, ascending without
+			// repeats as ts ascends, merged into refProbes.
+			near := make([]int64, 0, 3*len(ts))
 			for _, v := range ts {
 				for _, d := range [...]int64{-1, 0, 1} {
-					if q, ok := addTick(v, d); ok {
-						probes = append(probes, q)
+					if q, ok := addTick(v, d); ok && (len(near) == 0 || q > near[len(near)-1]) {
+						near = append(near, q)
 					}
 				}
 			}
-			slices.Sort(probes)
-			probes = slices.Compact(probes)
+			probes := slices.Compact(mergeSorted(refProbes(ref), near))
+			// The scan's answer at every probe, in one forward sweep:
+			// Segments() is in time order, so the segment a probe reads —
+			// the last to start at or before it — only moves forward as the
+			// probes ascend.
+			scan := make([]float64, len(probes))
+			next := 0
+			for k, q := range probes {
+				if q >= s.headLow {
+					scan[k] = est(q) // the open window or the exact count: not the columns' to answer
+					continue
+				}
+				for next < len(ref.segs) && ref.segs[next].Start <= q {
+					next++
+				}
+				if next > 0 {
+					seg := ref.segs[next-1]
+					v := seg.Y + seg.A*float64(uint64(min(q, seg.End)-seg.Start))
+					if v < 0 {
+						v = 0
+					}
+					scan[k] = v
+				}
+			}
 			cur := srcCursor{s: s, i: -1}
 			for k, q := range probes {
-				want := lin(q)
+				want := scan[k]
 				if got := est(q); !sameFloat(got, want) {
 					t.Fatalf("%s: Estimate(%d) = %v, the scan says %v", what, q, got, want)
 				}
@@ -164,11 +173,12 @@ func FuzzSummarySearch(f *testing.F) {
 					}
 				}
 				// The instant itself and two earlier probes, near and far.
-				p1, p0 := probes[k/2+k/4], probes[k/2]
+				i1, i0 := k/2+k/4, k/2
+				p1, p0 := probes[i1], probes[i0]
 				f0, f1, f2 := est3(p0, p1, q)
-				if !sameFloat(f0, lin(p0)) || !sameFloat(f1, lin(p1)) || !sameFloat(f2, want) {
+				if !sameFloat(f0, scan[i0]) || !sameFloat(f1, scan[i1]) || !sameFloat(f2, want) {
 					t.Fatalf("%s: Estimate3(%d, %d, %d) = %v %v %v, the scan says %v %v %v",
-						what, p0, p1, q, f0, f1, f2, lin(p0), lin(p1), want)
+						what, p0, p1, q, f0, f1, f2, scan[i0], scan[i1], want)
 				}
 			}
 		}
@@ -182,6 +192,19 @@ func FuzzSummarySearch(f *testing.F) {
 			t.Fatalf("columns hold %d bytes, Bytes = %d", held, s.Bytes())
 		}
 	})
+}
+
+// mergeSorted merges two ascending lists into one ascending list.
+func mergeSorted(a, b []int64) []int64 {
+	out := make([]int64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] <= b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // FuzzMergeOneSided cuts a fuzzer-chosen stream at an epoch-scale origin

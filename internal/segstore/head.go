@@ -21,30 +21,36 @@ import (
 //
 // Each event's sequence is a list of full chunks of headChunk timestamps,
 // packed, plus one open chunk being filled. Both kinds hold a chunk the same
-// way: its first timestamp, then the gaps after it at the narrowest byte
-// width that holds the largest so far. The open chunk's gaps live in a
-// buffer of the event's own that grows with it and is rewritten at a wider
-// width when a wider gap arrives; the append that fills it copies its gaps
-// into head-owned byte arenas and empties it for reuse. A head's per-event
-// gaps are small, so a chunk of either kind costs ~2 bytes a timestamp
-// where a raw one would cost 8. Packed chunks are always full, which lets
-// the count queries skip straight to the one boundary chunk by arithmetic.
+// way: its first timestamp, then the gaps after it bit-packed at the bit
+// width of the widest so far. The open chunk's gaps live in a buffer carved
+// from the head's arenas in one of a few size classes. It is rewritten at a
+// wider width when a wider gap arrives, and moves to a buffer of the next
+// class when it fills, handing the old one back for the next event that
+// grows into that class. The append that fills the chunk copies its gaps
+// into the arenas as a packed chunk and keeps the buffer for the chunk that
+// follows. A head's per-event gaps are small, so a chunk of either kind
+// costs ~1.5 bytes a timestamp where a raw one would cost 8. Packed chunks
+// are always full, which lets the count queries skip straight to the one
+// boundary chunk by arithmetic.
 type memHead struct {
 	mu sync.RWMutex
 
-	// frozen, started, minT, maxT, n, byEvent, arenas/arenaOff, seqArena,
-	// packed, gapBytes and openBytes are guarded by mu.
+	// frozen, started, minT, maxT, n, byEvent, arenas/arenaOff, openFree,
+	// seqArena, packed, gapBytes and openBytes are guarded by mu.
 	frozen  bool
 	started bool
 	minT    int64
 	maxT    int64
 	n       int64
-	byEvent map[uint64]*eventSeq
+	byEvent seqIndex
 
-	// arenas hold the packed chunks' gaps, carved off the last one at
-	// arenaOff.
+	// arenas hold the packed chunks' gaps and the open chunks' buffers,
+	// carved off the last one at arenaOff.
 	arenas   gapArenas
 	arenaOff int
+	// openFree holds the open buffers handed back, by size class, for the
+	// next open chunk that needs one of that class.
+	openFree [len(openClasses)][]openRef
 	// seqArena batches eventSeq headers the same way, one allocation per
 	// seqArenaSize first-seen events.
 	seqArena []eventSeq
@@ -64,27 +70,42 @@ type memHead struct {
 }
 
 const (
-	// headChunk is the per-event chunk size: small enough that an open
-	// chunk rewidens at most 8 times over at most headChunk−1 gaps, large
-	// enough that a packed chunk's 16 B of metadata is half a byte a
-	// timestamp.
-	headChunk = 32
-	// gapArenaSize is the number of gap bytes per arena allocation; at most
-	// one packed chunk's worth plus 8, 31·8 + 8 bytes, is left unused at its
-	// end.
+	// headChunk is the per-event chunk size: large enough that a packed
+	// chunk's 16 B of metadata is a quarter byte a timestamp, small enough
+	// that a count scans at most headChunk−1 gaps of one chunk.
+	headChunk = 64
+	// gapArenaSize is the number of bytes per arena allocation; at most one
+	// carve's worth plus 8 — the largest open buffer class, 512 bytes, plus
+	// 8 — is left unused at its end.
 	gapArenaSize = 8 << 10
 	// packedChunkBytes is the size of a packedChunk.
 	packedChunkBytes = 16
 	// seqArenaSize is the number of eventSeq headers per arena allocation.
 	seqArenaSize = 64
+	// wordGapBits is the widest gap one unaligned 8-byte load at a bit
+	// offset holds: the offset's up to 7 bits inside its first byte leave
+	// 57. Wider gaps take wideGap's second load.
+	wordGapBits = 57
 )
 
+// openClasses are the capacities open gap buffers are carved at, each twice
+// the one before. The last holds a full chunk's headChunk−1 gaps at 64 bits
+// and the 8 bytes a word store may spill past them.
+var openClasses = [...]int{16, 32, 64, 128, 256, gapBytes(headChunk-1, 64) + 8}
+
+// gapBytes is the number of bytes n gaps of w bits fill.
+func gapBytes(n, w int) int { return int((uint(n)*uint(w) + 7) >> 3) }
+
+// gapMask keeps the low w bits of a word, 1 ≤ w ≤ 64.
+func gapMask(w uint) uint64 { return ^uint64(0) >> (64 - w) }
+
 // A packedChunk is one full chunk of an event's sequence: its first
-// timestamp, and the headChunk−1 gaps between consecutive ones, w bytes
-// each, little-endian, at off in arena number arena of the head's
-// gapArenas. w is the byte width of the largest gap, at most 8; a run of one
-// timestamp packs to w = 0 and no gap bytes at all. Gaps are differences
-// modulo 2⁶⁴, so a chunk spanning more than MaxInt64 restores exactly.
+// timestamp, and the headChunk−1 gaps between consecutive ones, w bits
+// each, packed little-endian from bit 0 of byte off in arena number arena
+// of the head's gapArenas. w is the bit width of the largest gap, at most
+// 64; a run of one timestamp packs to w = 0 and no gap bytes at all. Gaps
+// are differences modulo 2⁶⁴, so a chunk spanning more than MaxInt64
+// restores exactly.
 type packedChunk struct {
 	base  int64
 	arena uint32
@@ -92,11 +113,12 @@ type packedChunk struct {
 	w     uint8
 }
 
-// gapArenas are a head's gap arenas, gapArenaSize bytes each. Bytes a packed
+// gapArenas are a head's arenas, gapArenaSize bytes each. Bytes a packed
 // chunk was carved from are never written again, so a copy of the list
 // taken under the head's lock reads every chunk packed before it without the
-// lock. pack leaves at least 8 bytes of arena after every chunk, where word
-// loads under the lock may overhang.
+// lock; open buffers, carved from the same arenas, are rewritten in place,
+// but only inside their own bytes. Every carve leaves at least 8 bytes of
+// its arena after it, where word loads under the lock may overhang.
 type gapArenas [][]byte
 
 // chunk returns c as the decoder reads it.
@@ -106,89 +128,142 @@ func (a gapArenas) chunk(c packedChunk) gapChunk {
 
 // A gapChunk is one chunk of an event's sequence, packed or open, as the
 // decoder reads it: n timestamps, 1 ≤ n ≤ headChunk, the first base and the
-// n−1 gaps after it w bytes each, little-endian, at the start of p. p may
-// run on past the gaps; under the head's lock, when w > 0, it runs at least
-// 8 bytes past the last gap's start.
+// n−1 gaps after it w bits each, gap i at bit i·w of p, little-endian. p
+// may run on past the gaps; under the head's lock, when w > 0, it runs at
+// least 8 bytes past the byte the last gap starts in.
 type gapChunk struct {
 	p    []byte
 	base int64
 	n, w int
 }
 
-// gapWidth is the byte width of gap g.
-func gapWidth(g uint64) int { return (bits.Len64(g) + 7) / 8 }
-
-// gapMask keeps the low w bytes of a word.
-func gapMask(w int) uint64 { return ^uint64(0) >> (64 - 8*uint(w)) }
-
 // countTo returns how many of c's timestamps are ≤ t, t ≥ c.base: the base,
-// then the gaps summed until they pass t, one masked word load each. The
-// loads may overhang the gaps, so the caller holds the head's lock.
+// then the gaps summed until they pass t — one unaligned word load, a shift
+// and a mask each. The loads may overhang the gaps, so the caller holds the
+// head's lock.
 //
 //histburst:noalloc
 func (c gapChunk) countTo(t int64) int {
 	if c.w == 0 { // no gap bytes to load: every timestamp is the base
 		return c.n
 	}
-	p, n, w := c.p, c.n, c.w
+	if c.w > wordGapBits {
+		return c.countToWide(t)
+	}
+	p, n, w := c.p, c.n, uint(c.w)
 	d, mask := uint64(t)-uint64(c.base), gapMask(w)
 	sum := uint64(0)
-	for i, off := 1, 0; i < n; i, off = i+1, off+w {
-		if sum += binary.LittleEndian.Uint64(p[off:off+8]) & mask; sum > d {
+	for i, bit := 1, uint(0); i < n; i, bit = i+1, bit+w {
+		if sum += binary.LittleEndian.Uint64(p[bit>>3:]) >> (bit & 7) & mask; sum > d {
 			return i
 		}
 	}
 	return n
 }
 
+// countToWide is countTo for gaps wider than one load at a bit offset
+// holds.
+func (c gapChunk) countToWide(t int64) int {
+	d, sum, w := uint64(t)-uint64(c.base), uint64(0), uint(c.w)
+	for i, bit := 1, uint(0); i < c.n; i, bit = i+1, bit+w {
+		if sum += wideGap(c.p, bit, w); sum > d {
+			return i
+		}
+	}
+	return c.n
+}
+
+// wideGap returns the w-bit gap at bit offset bit of p, wordGapBits < w ≤
+// 64: a word load and, when the gap runs into a ninth byte, that byte. A gap
+// this wide fills the first word's bytes, so neither load reads past it.
+func wideGap(p []byte, bit, w uint) uint64 {
+	b, s := bit>>3, bit&7
+	g := binary.LittleEndian.Uint64(p[b:]) >> s
+	if s+w > 64 {
+		g |= uint64(p[b+8]) << (64 - s)
+	}
+	return g & gapMask(w)
+}
+
 // unpack writes c's timestamps to dst[:c.n]. It reads no byte past the
 // gaps — inOrder unpacks packed chunks without the lock, beside an append
-// that may be packing the next one — so the last gaps, whose word would
-// overhang, are read byte by byte.
+// that may be writing the bytes after them — so the last gaps, whose word
+// would overhang, are read byte by byte.
 func (c gapChunk) unpack(dst []int64) {
 	dst = dst[:c.n]
-	w := c.w
-	p, mask := c.p[:(c.n-1)*w], gapMask(w)
 	t := c.base
 	dst[0] = t
-	i := 0
-	for ; i*w+8 <= len(p); i++ {
-		t += int64(binary.LittleEndian.Uint64(p[i*w:]) & mask)
-		dst[1+i] = t
-	}
-	for ; i < c.n-1; i++ {
-		g := uint64(0)
-		for j := w - 1; j >= 0; j-- {
-			g = g<<8 | uint64(p[i*w+j])
+	if c.w == 0 {
+		for i := 1; i < len(dst); i++ {
+			dst[i] = t
 		}
-		t += int64(g)
-		dst[1+i] = t
+		return
+	}
+	w := uint(c.w)
+	p, mask := c.p[:gapBytes(c.n-1, c.w)], gapMask(w)
+	i, bit := 1, uint(0)
+	if w > wordGapBits {
+		for ; i < len(dst); i, bit = i+1, bit+w {
+			t += int64(wideGap(p, bit, w))
+			dst[i] = t
+		}
+		return
+	}
+	for ; i < len(dst) && int(bit>>3)+8 <= len(p); i, bit = i+1, bit+w {
+		t += int64(binary.LittleEndian.Uint64(p[bit>>3:]) >> (bit & 7) & mask)
+		dst[i] = t
+	}
+	for ; i < len(dst); i, bit = i+1, bit+w {
+		g := uint64(0)
+		for j := len(p) - 1; j >= int(bit>>3); j-- {
+			g = g<<8 | uint64(p[j])
+		}
+		t += int64(g >> (bit & 7) & mask)
+		dst[i] = t
 	}
 }
 
-// eventSeq is one event's timestamp sequence inside the head: zero or more
+// eventSeq is event id's timestamp sequence inside the head: zero or more
 // full packed chunks plus the open chunk being filled, never full — its
-// first timestamp base, its last tail, and its gaps at width w in open,
-// which grows with the event and is kept for reuse when the chunk packs.
+// first timestamp base, its last tail, and its gaps at width w in the
+// buffer at open, of capacity openClasses[cls−1] (none while cls is 0).
 // Timestamps are appended in non-decreasing order, so every chunk is sorted
 // and chunk time ranges ascend.
 type eventSeq struct {
 	chunks []packedChunk
-	open   []byte
+	id     uint64
 	base   int64
 	tail   int64
 	n      int64
+	open   openRef
 	w      uint8
+	cls    uint8
+}
+
+// An openRef locates an open buffer: off bytes into arena number arena.
+type openRef struct {
+	arena uint32
+	off   uint16
 }
 
 // openLen is the number of timestamps in q's open chunk.
 func (q *eventSeq) openLen() int { return int(q.n) - len(q.chunks)*headChunk }
 
+// openBuf returns q's open buffer, nil when it has none.
+func (a gapArenas) openBuf(q *eventSeq) []byte {
+	if q.cls == 0 {
+		return nil
+	}
+	lo := int(q.open.off)
+	hi := lo + openClasses[q.cls-1]
+	return a[q.open.arena][lo:hi:hi]
+}
+
 // openChunk returns q's open chunk, which must be non-empty, as the decoder
-// reads it. Its p runs to the buffer's capacity, at least 8 bytes past the
-// last gap's start.
-func (q *eventSeq) openChunk() gapChunk {
-	return gapChunk{p: q.open[:cap(q.open)], base: q.base, n: q.openLen(), w: int(q.w)}
+// reads it. Its p is the whole buffer, at least 8 bytes past the byte the
+// last gap starts in.
+func (a gapArenas) openChunk(q *eventSeq) gapChunk {
+	return gapChunk{p: a.openBuf(q), base: q.base, n: q.openLen(), w: int(q.w)}
 }
 
 // countAtOrBefore returns how many timestamps are ≤ t. The open chunk
@@ -210,7 +285,7 @@ func (q *eventSeq) countAtOrBefore(a gapArenas, t int64) int64 {
 		if t >= q.tail {
 			return q.n
 		}
-		cnt, c = len(q.chunks)*headChunk, q.openChunk()
+		cnt, c = len(q.chunks)*headChunk, a.openChunk(q)
 	} else {
 		lo, hi := 0, len(q.chunks)
 		for lo < hi {
@@ -261,25 +336,58 @@ func (q *eventSeq) materialize(a gapArenas) stream.TimestampSeq {
 		a.chunk(c).unpack(out[i*headChunk:])
 	}
 	if q.openLen() > 0 {
-		q.openChunk().unpack(out[len(q.chunks)*headChunk:])
+		a.openChunk(q).unpack(out[len(q.chunks)*headChunk:])
 	}
 	return out
 }
 
-// putGap appends gap g to q's open gaps at width q.w, growing the buffer
-// first so the word store — spilling into the next gap's bytes, rewritten
-// by the next store — and every word load stay inside it. The buffer
-// doubles, but never past what a full chunk at the current width takes.
-func (q *eventSeq) putGap(g uint64) {
-	off, w := len(q.open), int(q.w)
-	if off+8 > cap(q.open) {
-		buf := make([]byte, off, min(max(off+8, 2*cap(q.open)), (headChunk-2)*w+8))
-		copy(buf, q.open)
-		q.open = buf
+// carve returns n bytes of the last arena, at off in arena number arena,
+// starting a fresh arena when the last one cannot fit them and the 8 bytes
+// after them that word loads may overhang.
+func (h *memHead) carve(n int) (arena, off int) {
+	if len(h.arenas) == 0 || h.arenaOff+n+8 > gapArenaSize {
+		h.arenas = append(h.arenas, make([]byte, gapArenaSize))
+		h.arenaOff = 0
 	}
-	binary.LittleEndian.PutUint64(q.open[off:off+8], g)
-	q.open = q.open[:off+w]
+	off = h.arenaOff
+	h.arenaOff += n
+	return len(h.arenas) - 1, off
 }
+
+// growOpen gives q an open buffer of at least need bytes, with the first
+// used bytes of the old one copied in: a buffer of the smallest class that
+// holds them, reused from those handed back or carved anew. The old buffer
+// is handed back.
+func (h *memHead) growOpen(q *eventSeq, need, used int) {
+	c := max(int(q.cls)-1, 0)
+	for openClasses[c] < need {
+		c++
+	}
+	var ref openRef
+	if free := h.openFree[c]; len(free) > 0 {
+		ref, h.openFree[c] = free[len(free)-1], free[:len(free)-1]
+	} else {
+		a, off := h.carve(openClasses[c])
+		ref = openRef{arena: uint32(a), off: uint16(off)}
+	}
+	old := h.arenas.openBuf(q)
+	h.releaseOpen(q)
+	q.open, q.cls = ref, uint8(c+1)
+	copy(h.arenas.openBuf(q), old[:used])
+}
+
+// releaseOpen hands q's open buffer, if it has one, back to its class.
+func (h *memHead) releaseOpen(q *eventSeq) {
+	if q.cls > 0 {
+		h.openFree[q.cls-1] = append(h.openFree[q.cls-1], q.open)
+		q.cls = 0
+	}
+}
+
+// openRoom is the buffer length a gap stored at bit offset bit needs: the
+// word putGap stores from the gap's first byte, and the ninth byte a wide
+// gap may reach.
+func openRoom(bit uint) int { return int(bit>>3) + 9 }
 
 // appendTS appends one timestamp to q: the base of a fresh open chunk, or a
 // gap after its tail — rewriting the open gaps at a wider width first when
@@ -289,47 +397,90 @@ func (h *memHead) appendTS(q *eventSeq, t int64) {
 	k := q.openLen()
 	q.n++
 	if k == 0 {
-		q.base, q.tail, q.w, q.open = t, t, 0, q.open[:0]
+		q.base, q.tail, q.w = t, t, 0
 		h.openBytes += 8
 		return
 	}
 	g := uint64(t) - uint64(q.tail)
 	q.tail = t
-	if w := gapWidth(g); w > int(q.w) {
-		var gaps [headChunk - 1]uint64 // all zero at width 0
-		if old := q.openChunk(); old.w > 0 {
-			for i := range k - 1 {
-				gaps[i] = binary.LittleEndian.Uint64(old.p[i*old.w:]) & gapMask(old.w)
-			}
-		}
-		h.openBytes += (k - 1) * (w - int(q.w))
-		q.w, q.open = uint8(w), q.open[:0]
-		for _, g := range gaps[:k-1] {
-			q.putGap(g)
-		}
+	w := uint(q.w)
+	if gw := uint(bits.Len64(g)); gw > w {
+		h.rewiden(q, k-1, gw)
+		w = gw
 	}
-	if q.w > 0 {
-		q.putGap(g)
-		h.openBytes += int(q.w)
+	if w > 0 {
+		bit := uint(k-1) * w
+		if need := openRoom(bit); q.cls == 0 || need > openClasses[q.cls-1] {
+			h.growOpen(q, need, gapBytes(k-1, int(w)))
+		}
+		putGap(h.arenas.openBuf(q), bit, w, g)
+		h.openBytes += int((bit+w+7)>>3 - (bit+7)>>3)
 	}
 	if k+1 == headChunk {
 		h.pack(q)
 	}
 }
 
-// pack copies q's full open chunk into a packed chunk and empties it for
-// reuse: the gaps are already at the width the packed chunk takes.
+// putGap stores the w-bit gap g at bit offset bit of p and leaves every
+// other bit of p as it was. p must run at least 9 bytes past the byte the
+// gap starts in.
+func putGap(p []byte, bit, w uint, g uint64) {
+	b, s, mask := bit>>3, bit&7, gapMask(w)
+	v := binary.LittleEndian.Uint64(p[b:])
+	binary.LittleEndian.PutUint64(p[b:], v&^(mask<<s)|g<<s)
+	if s+w > 64 {
+		p[b+8] = p[b+8]&^byte(mask>>(64-s)) | byte(g>>(64-s))
+	}
+}
+
+// rewiden rewrites q's first gaps open gaps at width w, wider than q.w:
+// decoded first, then written back in one sequential pass.
+func (h *memHead) rewiden(q *eventSeq, gaps int, w uint) {
+	old := uint(q.w)
+	q.w = uint8(w)
+	if gaps == 0 {
+		return
+	}
+	h.openBytes += gapBytes(gaps, int(w)) - gapBytes(gaps, int(old))
+	var buf [headChunk - 1]uint64 // all zero at width 0
+	g := buf[:gaps]
+	if old > 0 {
+		p, mask := h.arenas.openBuf(q), gapMask(old)
+		for i := range gaps {
+			bit := uint(i) * old
+			if old > wordGapBits {
+				g[i] = wideGap(p, bit, old)
+			} else {
+				g[i] = binary.LittleEndian.Uint64(p[bit>>3:]) >> (bit & 7) & mask
+			}
+		}
+	}
+	if need := openRoom(uint(gaps) * w); q.cls == 0 || need > openClasses[q.cls-1] { // and room for the gap to come
+		h.growOpen(q, need, 0)
+	}
+	// Whole words out of an accumulator holding the n bits not yet stored.
+	p, acc, n := h.arenas.openBuf(q), uint64(0), uint(0)
+	for _, x := range g {
+		acc |= x << n
+		if n += w; n >= 64 {
+			binary.LittleEndian.PutUint64(p, acc)
+			p, n = p[8:], n-64
+			acc = x >> (w - n) // the bits that did not fit; 0 when none
+		}
+	}
+	for i := 0; n > 8*uint(i); i++ {
+		p[i] = byte(acc >> (8 * i))
+	}
+}
+
+// pack copies q's full open chunk into a packed chunk, at the width its gaps
+// already take, and empties it; the buffer stays for the next chunk.
 func (h *memHead) pack(q *eventSeq) {
 	w := int(q.w)
-	size := (headChunk - 1) * w
-	if len(h.arenas) == 0 || h.arenaOff+size+8 > gapArenaSize {
-		h.arenas = append(h.arenas, make([]byte, gapArenaSize))
-		h.arenaOff = 0
-	}
-	copy(h.arenas[len(h.arenas)-1][h.arenaOff:], q.open[:size])
-	q.chunks = append(q.chunks, packedChunk{base: q.base, arena: uint32(len(h.arenas) - 1), off: uint16(h.arenaOff), w: uint8(w)})
-	q.open = q.open[:0]
-	h.arenaOff += size
+	size := gapBytes(headChunk-1, w)
+	a, off := h.carve(size)
+	copy(h.arenas[a][off:off+size], h.arenas.openBuf(q))
+	q.chunks = append(q.chunks, packedChunk{base: q.base, arena: uint32(a), off: uint16(off), w: uint8(w)})
 	h.packed++
 	h.gapBytes += size
 	h.openBytes -= 8 + size
@@ -343,14 +494,14 @@ func (h *memHead) popLast(q *eventSeq) {
 	var ts [headChunk]int64
 	k := q.openLen()
 	if k > 0 {
-		q.openChunk().unpack(ts[:])
-		h.openBytes -= 8 + (k-1)*int(q.w)
+		h.arenas.openChunk(q).unpack(ts[:])
+		h.openBytes -= 8 + gapBytes(k-1, int(q.w))
 	} else {
 		c := q.chunks[len(q.chunks)-1]
 		h.arenas.chunk(c).unpack(ts[:])
 		q.chunks = q.chunks[:len(q.chunks)-1]
 		h.packed--
-		h.gapBytes -= (headChunk - 1) * int(c.w)
+		h.gapBytes -= gapBytes(headChunk-1, int(c.w))
 		k = headChunk
 	}
 	q.n -= int64(k)
@@ -362,7 +513,7 @@ func (h *memHead) popLast(q *eventSeq) {
 // seqFor returns e's sequence, creating it from the header arena on first
 // sight.
 func (h *memHead) seqFor(e uint64) *eventSeq {
-	if q, ok := h.byEvent[e]; ok {
+	if q := h.byEvent.get(e); q != nil {
 		return q
 	}
 	if len(h.seqArena) == 0 {
@@ -370,12 +521,65 @@ func (h *memHead) seqFor(e uint64) *eventSeq {
 	}
 	q := &h.seqArena[0]
 	h.seqArena = h.seqArena[1:]
-	h.byEvent[e] = q
+	q.id = e
+	h.byEvent.add(q)
 	return q
 }
 
+// A seqIndex finds an event's sequence by its id: open addressing over a
+// power-of-two table of sequences, probed linearly from the id's Fibonacci
+// hash, and each sequence holds its id. A lookup costs a multiply, a shift
+// and a load of each sequence it passes, the last of which the caller reads
+// next anyway; the table doubles before it is three quarters full, so a
+// lookup passes fewer than three on average.
+type seqIndex struct {
+	slots []*eventSeq
+	shift uint // 64 − log₂ len(slots)
+	n     int
+}
+
+// fibMul is 2⁶⁴ over the golden ratio: its product's high bits spread
+// consecutive ids across the table.
+const fibMul = 0x9e3779b97f4a7c15
+
+// get returns e's sequence, or nil.
+//
+//histburst:noalloc
+func (x *seqIndex) get(e uint64) *eventSeq {
+	if x.n == 0 {
+		return nil
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := e * fibMul >> x.shift; ; i = (i + 1) & mask {
+		if q := x.slots[i]; q == nil || q.id == e {
+			return q
+		}
+	}
+}
+
+// add puts q in x; no sequence with q's id may be in x yet.
+func (x *seqIndex) add(q *eventSeq) {
+	if 4*(x.n+1) > 3*len(x.slots) {
+		old := x.slots
+		size := max(2*len(old), 16)
+		x.slots, x.shift, x.n = make([]*eventSeq, size), uint(64-bits.TrailingZeros(uint(size))), 0
+		for _, o := range old {
+			if o != nil {
+				x.add(o)
+			}
+		}
+	}
+	mask := uint64(len(x.slots) - 1)
+	i := q.id * fibMul >> x.shift
+	for x.slots[i] != nil {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = q
+	x.n++
+}
+
 func newMemHead(floor int64) *memHead {
-	return &memHead{floor: floor, byEvent: make(map[uint64]*eventSeq)}
+	return &memHead{floor: floor}
 }
 
 // appendBatch ingests a batch of elements under a single lock acquisition,
@@ -434,10 +638,13 @@ func (h *memHead) freeze(keepTail bool) (tail stream.Stream) {
 	}
 	if keepTail && h.n > 0 && h.minT < h.maxT {
 		maxT := h.minT
-		for e, q := range h.byEvent {
+		for _, q := range h.byEvent.slots {
+			if q == nil {
+				continue
+			}
 			for q.n > 0 && q.last(h.arenas) == h.maxT {
 				h.popLast(q)
-				tail = append(tail, stream.Element{Event: e, Time: h.maxT})
+				tail = append(tail, stream.Element{Event: q.id, Time: h.maxT})
 			}
 			if q.n > 0 {
 				maxT = max(maxT, q.last(h.arenas))
@@ -515,7 +722,10 @@ func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 	h.mu.RLock()
 	arenas := h.arenas
 	open, packed := 0, 0
-	for _, q := range h.byEvent {
+	for _, q := range h.byEvent.slots {
+		if q == nil {
+			continue
+		}
 		open += q.openLen()
 		if len(q.chunks) > 0 {
 			packed++
@@ -523,19 +733,22 @@ func (h *memHead) inOrder(fn func(e uint64, t int64)) {
 	}
 	opens := make([]int64, open)
 	bufs := make([][headChunk]int64, packed)
-	ids := make([]uint64, 0, len(h.byEvent))
-	cursors := make([]seqCursor, 0, len(h.byEvent))
-	for e, q := range h.byEvent {
+	ids := make([]uint64, 0, h.byEvent.n)
+	cursors := make([]seqCursor, 0, h.byEvent.n)
+	for _, q := range h.byEvent.slots {
+		if q == nil {
+			continue
+		}
 		c := seqCursor{chunks: q.chunks}
 		if len(q.chunks) > 0 {
 			c.buf, bufs = &bufs[0], bufs[1:]
 		}
 		if k := q.openLen(); k > 0 {
 			c.open, opens = opens[:k], opens[k:]
-			q.openChunk().unpack(c.open)
+			arenas.openChunk(q).unpack(c.open)
 		}
 		if c.refill(arenas) {
-			ids = append(ids, e)
+			ids = append(ids, q.id)
 			cursors = append(cursors, c)
 		}
 	}
@@ -612,7 +825,7 @@ func (h *memHead) snapshot() (n, minT, maxT int64, started bool) {
 func (h *memHead) countAtOrBefore(e uint64, t int64) float64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return float64(h.byEvent[e].countAtOrBefore(h.arenas, t))
+	return float64(h.byEvent.get(e).countAtOrBefore(h.arenas, t))
 }
 
 // burstiness returns the head's exact contribution to b_e(t) over span sp:
@@ -624,7 +837,7 @@ func (h *memHead) burstiness(e uint64, t int64, sp pbe.Span) float64 {
 	t0, t1, t2 := sp.Instants(t)
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	ts, a := h.byEvent[e], h.arenas
+	ts, a := h.byEvent.get(e), h.arenas
 	return float64(ts.countAtOrBefore(a, t2) - 2*ts.countAtOrBefore(a, t1) + ts.countAtOrBefore(a, t0))
 }
 
@@ -632,7 +845,7 @@ func (h *memHead) burstiness(e uint64, t int64, sp pbe.Span) float64 {
 func (h *memHead) arrivals(e uint64) stream.TimestampSeq {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	return h.byEvent[e].materialize(h.arenas)
+	return h.byEvent.get(e).materialize(h.arenas)
 }
 
 // eventsInWindow returns the ids with at least one arrival in [lo, hi] —
@@ -644,9 +857,9 @@ func (h *memHead) eventsInWindow(lo, hi int64) []uint64 {
 		return nil
 	}
 	var out []uint64
-	for e, ts := range h.byEvent {
-		if ts.countIn(h.arenas, lo, hi) > 0 {
-			out = append(out, e)
+	for _, q := range h.byEvent.slots {
+		if q != nil && q.countIn(h.arenas, lo, hi) > 0 {
+			out = append(out, q.id)
 		}
 	}
 	return out
@@ -654,10 +867,10 @@ func (h *memHead) eventsInWindow(lo, hi int64) []uint64 {
 
 // bytes is what the head stores for its elements, the only copy of them:
 // per packed chunk its 16 B of metadata (its first timestamp among them)
-// and 31 gaps at its width, plus per open chunk of n timestamps its 8 B
-// first one and n−1 gaps at its width. Per-event headers and map entries,
-// the open buffers' spare capacity and the arenas' uncarved tails are left
-// out.
+// and its 63 gaps at its bit width, rounded up to whole bytes, plus per open
+// chunk of n timestamps its 8 B first one and its n−1 gaps the same way.
+// Per-event headers, the index, the open buffers' spare capacity and the
+// arenas' uncarved tails are left out.
 func (h *memHead) bytes() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()

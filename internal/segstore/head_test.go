@@ -82,17 +82,19 @@ func TestHeadInOrderIsTimeThenID(t *testing.T) {
 
 // headSeqOrigins are the time origins FuzzHeadSeq draws from: small,
 // Unix-second, Unix-millisecond, near MaxInt64 (where gaps saturate into
-// runs at MaxInt64) and MinInt64 (where width-8 gaps add up to spans past
+// runs at MaxInt64) and MinInt64 (where 64-bit gaps add up to spans past
 // MaxInt64).
 var headSeqOrigins = [...]int64{0, 1_700_000_000, 1_700_000_000_000, math.MaxInt64 - 1<<40, math.MinInt64}
 
 // headSeqElems turns fuzz input into a sorted stream over events 0–2. Each
 // byte pair appends one to four elements of one event, spaced by a gap
-// whose byte width is drawn from 0 to 8, so chunks pack at every width and
-// width 0 — runs of equal timestamps — is common. Then a final run of event
-// 0 at one later instant, align elements past the one that would close
-// event 0's open chunk: 0 ends the run exactly on a packed-chunk boundary,
-// a positive align carries it across one, a negative one stops it short.
+// whose bit width is drawn from 0 to 64 — 0, runs of equal timestamps, eight
+// times as often as any other — so chunks pack at every width. A pair (w+7,
+// e), 1 ≤ w ≤ 64, e ≤ 2, appends one element of event e a gap of exactly
+// 2^(w−1) after the last. Then a final run of event 0 at one later instant,
+// align elements past the one that would close event 0's open chunk: 0 ends
+// the run exactly on a packed-chunk boundary, a positive align carries it
+// across one, a negative one stops it short.
 func headSeqElems(origin int64, data []byte, align int8) stream.Stream {
 	var out stream.Stream
 	tm := origin
@@ -104,11 +106,11 @@ func headSeqElems(origin int64, data []byte, align int8) stream.Stream {
 		}
 	}
 	for i := 0; i+1 < len(data) && len(out) < 2000; i += 2 {
-		width, reps := int(data[i]%9), 1+int(data[i]/9%4)
-		e, mag := uint64(data[i+1]%3), uint64(data[i+1])
+		width, reps := uint(max(int(data[i]%72)-7, 0)), 1+int(data[i]/72)
+		e, mag := uint64(data[i+1]%3), uint64(data[i+1]/3)
 		var g uint64
-		if width > 0 {
-			g = (mag%127 + 1) << (8 * (width - 1)) // width bytes wide
+		if width > 0 { // the top bit set, the bits below it drawn from mag
+			g = 1<<(width-1) | mag*0x9e3779b97f4a7c15>>(65-width)
 		}
 		for range reps {
 			step(g)
@@ -149,11 +151,12 @@ func checkHeadSeq(t *testing.T, h *memHead, want map[uint64][]int64) {
 			for i := 1; i < len(chunk); i++ {
 				maxGap = max(maxGap, uint64(chunk[i])-uint64(chunk[i-1]))
 			}
-			w := (bits.Len64(maxGap) + 7) / 8
+			// Every gap at the bit width of the widest.
+			bitsIn := (len(chunk) - 1) * bits.Len64(maxGap)
 			if len(chunk) == headChunk { // packed: 16 B of metadata
-				wantBytes += packedChunkBytes + (headChunk-1)*w
+				wantBytes += packedChunkBytes + (bitsIn+7)/8
 			} else { // open: its first timestamp, then its gaps
-				wantBytes += 8 + (len(chunk)-1)*w
+				wantBytes += 8 + (bitsIn+7)/8
 			}
 		}
 	}
@@ -202,7 +205,7 @@ func checkHeadSeq(t *testing.T, h *memHead, want map[uint64][]int64) {
 			if lo > math.MinInt64 {
 				in -= countTo(ts, lo-1)
 			}
-			if got := h.byEvent[e].countIn(h.arenas, lo, hi); got != in {
+			if got := h.byEvent.get(e).countIn(h.arenas, lo, hi); got != in {
 				t.Fatalf("event %d: %d in [%d, %d], want %d", e, got, lo, hi, in)
 			}
 			if in > 0 {
@@ -232,31 +235,38 @@ func FuzzHeadSeq(f *testing.F) {
 			f.Add(uint8(o), data, align)
 		}
 	}
-	f.Add(uint8(0), []byte{}, int8(0))                       // the final run alone: one w = 0 chunk
-	f.Add(uint8(3), bytes.Repeat([]byte{8, 1}, 90), int8(7)) // width-8 gaps saturating at MaxInt64
-	// Ten elements of event e: a base, then gaps of width 0, 1, …, 8, each
-	// wider than every gap before it, so the open chunk rewidens at every
-	// step past the first.
-	widening := func(e byte) []byte {
+	f.Add(uint8(0), []byte{}, int8(0))                        // the final run alone: one w = 0 chunk
+	f.Add(uint8(3), bytes.Repeat([]byte{71, 1}, 90), int8(7)) // 64-bit gaps saturating at MaxInt64
+	// A base of event e, then one gap of each bit width from lo to hi,
+	// each wider than every gap before it, so the open chunk rewidens at
+	// every step, one bit at a time. From MinInt64 no gap saturates: the
+	// gaps are powers of two, and 2 to 64 bits sum to less than 2⁶⁴.
+	widening := func(e, lo, hi byte) []byte {
 		data := []byte{0, e}
-		for w := byte(0); w <= 8; w++ {
-			data = append(data, w, e)
+		for w := lo; w <= hi; w++ {
+			data = append(data, w+7, e)
 		}
 		return data
 	}
 	for o := range headSeqOrigins {
-		// Event 1's open chunk widens through 0 → 8 and stays open.
-		f.Add(uint8(o), widening(1), int8(-20))
-		// The tail split ends inside event 0's open chunk, widened to 8
-		// before the final run.
-		f.Add(uint8(o), widening(0), int8(-10))
+		// Event 1's open chunk widens through 0 → 61 and stays open.
+		f.Add(uint8(o), widening(1, 0, 61), int8(-20))
+		// Event 1's open chunk widens through 3 → 64, the gaps one word
+		// load cannot hold among them, and stays open: from MinInt64 it
+		// spans more than MaxInt64.
+		f.Add(uint8(o), widening(1, 3, 64), int8(-20))
+		// The tail split ends inside event 0's open chunk, widened to 40
+		// bits before the final run.
+		f.Add(uint8(o), widening(0, 0, 40), int8(-10))
 		// The final run's step alone widens event 0's open chunk, from 0
 		// to 1; popping the run narrows it back.
 		f.Add(uint8(o), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, int8(-10))
 		// The final run packs event 0's widened chunk and spills 5 into a
 		// new open one: the split pops those, then unpacks the packed chunk
-		// and pops on inside it.
-		f.Add(uint8(o), widening(0), int8(5))
+		// and pops on inside it — at 40 bits, and at 64 bits across more
+		// than MaxInt64 from MinInt64.
+		f.Add(uint8(o), widening(0, 2, 40), int8(5))
+		f.Add(uint8(o), widening(0, 8, 64), int8(5))
 	}
 	f.Fuzz(func(t *testing.T, origin uint8, data []byte, align int8) {
 		elems := headSeqElems(headSeqOrigins[int(origin)%len(headSeqOrigins)], data, align)
@@ -511,8 +521,8 @@ func TestPackedHeadSealAndBaselineBytes(t *testing.T) {
 	h.mu.RLock()
 	packed := h.packed
 	h.mu.RUnlock()
-	if durable < 2000 || packed < 6*4 {
-		t.Fatalf("fixture sealed %d elements and left %d packed chunks in the head, want ≥ 2000 and ≥ 24", durable, packed)
+	if durable < 2000 || packed < 6*2 {
+		t.Fatalf("fixture sealed %d elements and left %d packed chunks in the head, want ≥ 2000 and ≥ 12", durable, packed)
 	}
 
 	if err := s.rotateWAL(); err != nil {
@@ -553,16 +563,16 @@ func heapHeld(build func() any) (held uint64, v any) {
 
 // TestHeadHeapTracksBytes holds memHead.bytes() to what a head really keeps
 // alive. bytes() counts what is stored for the elements: per packed chunk
-// its 16 B of metadata and 31 gaps at its width, plus per open chunk its
-// first timestamp and its gaps at its width. Past that, a head may hold at
-// most a fixed cost per event — its sequence header, map entry, the spare
-// capacity of its open buffer and its share of the chunk list's slack and
-// the arenas' uncarved tails — and at most perElem bytes an element all
+// its 16 B of metadata and 63 gaps at its bit width, plus per open chunk its
+// first timestamp and its gaps at its bit width. Past that, a head may hold
+// at most a fixed cost per event — its sequence header, index slots, the
+// spare capacity of its open buffer and its share of the chunk list's slack
+// and the arenas' uncarved tails — and at most perElem bytes an element all
 // told. Two heads: a skewed synthetic one, and the one the benchmark's
-// http_mixed workload accumulates, which also bounds bytes() itself. Both
-// measure 1.96 B an element counted; held, the synthetic head 4.6 B an
-// element and 152 B an event past the count, the olympicrio one 4.2 B and
-// 140 B, so the bounds below leave ~20–30 % of margin. Not parallel: it
+// http_mixed workload accumulates, which also bounds bytes() itself. They
+// measure 1.40 and 1.48 B an element counted; held, the synthetic head 3.8
+// B an element and 142 B an event past the count, the olympicrio one 4.0 B
+// and 156 B, so the bounds below leave ~20–40 % of margin. Not parallel: it
 // reads process-wide heap statistics.
 func TestHeadHeapTracksBytes(t *testing.T) {
 	const perEvent = 200 // bytes an event may hold beyond what bytes() counts
@@ -582,7 +592,7 @@ func TestHeadHeapTracksBytes(t *testing.T) {
 		maxBytes float64 // bytes() an element may count (0: unchecked)
 	}{
 		{"zipf", synthetic, 5.5, 0},
-		{"olympicrio", rioHeadElems(), 5.0, 2.1},
+		{"olympicrio", rioHeadElems(), 5.0, 1.55},
 	} {
 		held, v := heapHeld(func() any {
 			h := newMemHead(0)
@@ -593,7 +603,7 @@ func TestHeadHeapTracksBytes(t *testing.T) {
 		})
 		h := v.(*memHead)
 		n := float64(len(tc.elems))
-		counted, events := h.bytes(), len(h.byEvent)
+		counted, events := h.bytes(), h.byEvent.n
 		t.Logf("%s: bytes() = %d (%.2f B/elem), heap = %d (%.1f B/elem, %.2f×), %d events, %d packed chunks",
 			tc.name, counted, float64(counted)/n, held, float64(held)/n, float64(held)/float64(counted), events, h.packed)
 		if int(held) > counted+perEvent*events {

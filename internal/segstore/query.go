@@ -524,12 +524,15 @@ func (sn *Snapshot) Envelope(t int64) ErrorEnvelope {
 	return env
 }
 
-// HeadStats describes the in-memory portion of a snapshot.
+// HeadStats describes the in-memory portion of a snapshot. Bytes is its
+// share of Snapshot.Bytes: what the live head and the frozen ones store for
+// their elements.
 type HeadStats struct {
 	Elements int64 `json:"elements"`
 	MinT     int64 `json:"minT"`
 	MaxT     int64 `json:"maxT"`
 	Frozen   int   `json:"frozen"` // heads frozen but not yet sealed
+	Bytes    int   `json:"bytes"`
 }
 
 // Head returns the snapshot's in-memory stats.
@@ -537,6 +540,7 @@ func (sn *Snapshot) Head() HeadStats {
 	hs := HeadStats{Frozen: len(sn.v.frozen)}
 	set := false // a head holding t = 0 sets MinT to 0, so a zero MinT cannot mean unset
 	for _, h := range sn.heads() {
+		hs.Bytes += h.bytes()
 		n, minT, maxT, started := h.snapshot()
 		if !started {
 			continue

@@ -149,8 +149,8 @@ func TestMemHeadAppendBatchMatchesAppend(t *testing.T) {
 		t.Fatalf("head counters differ: (%d,%d,%d) vs (%d,%d,%d)", an, aMin, aMax, bn, bMin, bMax)
 	}
 	for e := uint64(0); e < kfold; e++ {
-		sa := ha.byEvent[e].materialize(ha.arenas)
-		sb := hb.byEvent[e].materialize(hb.arenas)
+		sa := ha.byEvent.get(e).materialize(ha.arenas)
+		sb := hb.byEvent.get(e).materialize(hb.arenas)
 		if len(sa) != len(sb) {
 			t.Fatalf("event %d: %d timestamps per-element, %d batch", e, len(sa), len(sb))
 		}

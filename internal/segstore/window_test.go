@@ -114,10 +114,55 @@ func TestHeadStatsSpanEveryHead(t *testing.T) {
 			}
 		}
 	}
-	want := HeadStats{Elements: 3, MinT: 0, MaxT: 9, Frozen: 1}
+	// Three one-timestamp open chunks, 8 B each: one frozen, two live.
+	want := HeadStats{Elements: 3, MinT: 0, MaxT: 9, Frozen: 1, Bytes: 24}
 	if got := s.Snapshot().Head(); got != want {
 		t.Errorf("Head() = %+v, want %+v", got, want)
 	}
+}
+
+// TestSnapshotBytesSplit: Bytes() is the sealed segments' bytes plus the
+// head's, with nothing counted twice or left out — at rest, with a frozen
+// head awaiting its seal, and after a compaction.
+func TestSnapshotBytesSplit(t *testing.T) {
+	cfg := testConfig(300)
+	cfg.CompactFanout = 2
+	s := openStepped(t, "", cfg)
+	defer mustClose(t, s)
+	elems := tieStream(2400, 16, 1_700_000_000, 12)
+	appendAll := func(part stream.Stream) {
+		t.Helper()
+		if _, rej, err := s.AppendBatch(part); err != nil || rej > 0 {
+			t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+		}
+	}
+	check := func(state string, ok func(*Snapshot) bool) {
+		t.Helper()
+		sn := s.Snapshot()
+		if !ok(sn) {
+			t.Fatalf("%s: fixture is not in that state: %d segments, head %+v", state, len(sn.Segments()), sn.Head())
+		}
+		sum := sn.Head().Bytes
+		for _, g := range sn.Segments() {
+			sum += g.Bytes
+		}
+		if got := sn.Bytes(); got != sum || sn.Head().Bytes == 0 {
+			t.Fatalf("%s: Bytes() = %d, segments and head sum to %d (head %d)", state, got, sum, sn.Head().Bytes)
+		}
+	}
+
+	appendAll(elems[:1000])
+	settle(t, s)
+	check("at rest", func(sn *Snapshot) bool { return len(sn.Segments()) > 0 && sn.Head().Frozen == 0 })
+
+	appendAll(elems[1000:1700])
+	check("frozen head awaiting its seal", func(sn *Snapshot) bool { return sn.Head().Frozen > 0 })
+
+	settle(t, s)
+	appendAll(elems[1700:])
+	check("after a compaction", func(sn *Snapshot) bool {
+		return slices.ContainsFunc(sn.Segments(), func(g SegmentInfo) bool { return g.Compacted })
+	})
 }
 
 // TestWindowSkipMatchesNaive pins the two-ended segment skip of the point
@@ -232,23 +277,28 @@ func packedHeadStore(t *testing.T) *Store {
 	h := s.view.Load().head
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	if c := len(h.byEvent[3].chunks); c < 4 {
+	if c := len(h.byEvent.get(3).chunks); c < 4 {
 		t.Fatalf("fixture head holds %d packed chunks of event 3, want at least 4", c)
 	}
 	return s
 }
 
-// openWidthsStore builds a live head in which event w, for w = 0…8, holds
-// one open chunk of 20 timestamps whose gaps are all w bytes wide; it
-// returns the store and each event's first timestamp and gap.
-func openWidthsStore(t *testing.T) (s *Store, first, gap [9]int64) {
+// openWidths are the gap bit widths openWidthsStore's chunks hold: none,
+// narrow ones up to the widest one word load at a bit offset holds, and one
+// wider.
+var openWidths = [...]uint{0, 1, 7, 8, 9, 15, 22, 29, 36, 43, 50, 57, 58}
+
+// openWidthsStore builds a live head in which event i holds one open chunk
+// of 20 timestamps whose gaps are all openWidths[i] bits wide; it returns
+// the store and each event's first timestamp and gap.
+func openWidthsStore(t *testing.T) (s *Store, first, gap [len(openWidths)]int64) {
 	t.Helper()
 	s = mustOpen(t, "", testConfig(-1))
 	var batch stream.Stream
 	tm := int64(0)
-	for w := range 9 {
-		if w > 0 {
-			gap[w] = 3 << (8 * (w - 1)) // w bytes wide
+	for w, bits := range openWidths {
+		if bits > 0 {
+			gap[w] = 1<<(bits-1) | 1 // bits wide
 		}
 		first[w] = tm
 		for i := range 20 {
@@ -264,9 +314,9 @@ func openWidthsStore(t *testing.T) (s *Store, first, gap [9]int64) {
 	h := s.view.Load().head
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	for w := range 9 {
-		if q := h.byEvent[uint64(w)]; len(q.chunks) != 0 || q.openLen() != 20 || int(q.w) != w {
-			t.Fatalf("event %d: %d packed chunks and %d open timestamps at width %d, want 0, 20 and %d", w, len(q.chunks), q.openLen(), q.w, w)
+	for w, bits := range openWidths {
+		if q := h.byEvent.get(uint64(w)); len(q.chunks) != 0 || q.openLen() != 20 || uint(q.w) != bits {
+			t.Fatalf("event %d: %d packed chunks and %d open timestamps at width %d, want 0, 20 and %d", w, len(q.chunks), q.openLen(), q.w, bits)
 		}
 	}
 	return s, first, gap
@@ -275,7 +325,8 @@ func openWidthsStore(t *testing.T) (s *Store, first, gap [9]int64) {
 // TestSegstorePointZeroAllocs: the cross-segment POINT path performs no
 // per-query allocation, window search included — over sealed segments,
 // over a head whose exact counts read packed chunks at all three instants,
-// and over open chunks at every gap width.
+// and over open chunks at every kind of gap width: none, one word load,
+// and two.
 func TestSegstorePointZeroAllocs(t *testing.T) {
 	sealed := windowLayout(t, "sealed")
 	defer mustClose(t, sealed)
@@ -298,7 +349,7 @@ func TestSegstorePointZeroAllocs(t *testing.T) {
 	open, first, gap := openWidthsStore(t)
 	defer mustClose(t, open)
 	var qs []query
-	for w := range 9 {
+	for w := range openWidths {
 		// τ spans three gaps, so t−2τ, t−τ and t fall inside the chunk.
 		tau := max(3*gap[w], 1)
 		qs = append(qs, query{uint64(w), first[w] + 13*gap[w] + gap[w]/2, []int64{tau}})
@@ -307,7 +358,7 @@ func TestSegstorePointZeroAllocs(t *testing.T) {
 		name string
 		s    *Store
 		qs   []query
-	}{"open chunks at widths 0–8", open, qs})
+	}{"open chunks at bit widths 0–58", open, qs})
 	for _, tc := range cases {
 		sn := tc.s.Snapshot()
 		for _, q := range tc.qs {
