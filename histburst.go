@@ -35,6 +35,7 @@ import (
 	"histburst/internal/cmpbe"
 	"histburst/internal/dyadic"
 	"histburst/internal/pbe"
+	"histburst/internal/pbe2"
 	"histburst/internal/stream"
 )
 
@@ -380,6 +381,25 @@ func prefixed[T any](out T, err error) (T, error) {
 func (d *Detector) Bytes() int {
 	d.settle()
 	return d.tree.Bytes()
+}
+
+// LevelBytes is one kept level's share of Bytes(), a line a field of its
+// PBE-2 cells' segment columns (see pbe2.Split).
+type LevelBytes struct {
+	Height int
+	pbe2.Split
+}
+
+// BytesByLevel returns Bytes() split by kept level, leaf first, and by
+// field, computed on demand: the lines of every level sum to Bytes().
+func (d *Detector) BytesByLevel() []LevelBytes {
+	d.settle()
+	heights := d.tree.Heights()
+	out := make([]LevelBytes, len(heights))
+	for i, h := range heights {
+		out[i] = LevelBytes{Height: h, Split: d.tree.Level(i).(*cmpbe.Sketch).Split()}
+	}
+	return out
 }
 
 func roundPow2(k uint64) uint64 {

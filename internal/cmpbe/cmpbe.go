@@ -431,6 +431,15 @@ func (s *Sketch) Bytes() int {
 	return total
 }
 
+// Split returns Bytes() split by field of the cells' segment columns.
+func (s *Sketch) Split() pbe2.Split {
+	var p pbe2.Split
+	for i := range s.cells {
+		p = p.Add(s.cells[i].Split())
+	}
+	return p
+}
+
 // cellBytes sums the cells' footprints.
 func cellBytes(cells []pbe2.Builder) int {
 	total := 0

@@ -460,3 +460,30 @@ func (s *Summary) NumSegments() int { return s.n }
 func (s *Summary) Bytes() int {
 	return colSize(s.n, s.sw, s.lw, s.yw) + 16*s.escaped()
 }
+
+// Split is where Bytes() go, a line a field of the segment columns: the
+// start offsets, lengths, values at Start and slopes of the segments held,
+// the escaped lines' float64 pairs, and the read slack, the bytes past the
+// last row that its loads read. The lines sum to Bytes().
+type Split struct {
+	Starts, Lengths, Values, Slopes, Escaped, Slack int
+}
+
+// Total returns the sum of the lines.
+func (p Split) Total() int {
+	return p.Starts + p.Lengths + p.Values + p.Slopes + p.Escaped + p.Slack
+}
+
+// Add returns p and q summed line by line.
+func (p Split) Add(q Split) Split {
+	return Split{p.Starts + q.Starts, p.Lengths + q.Lengths, p.Values + q.Values,
+		p.Slopes + q.Slopes, p.Escaped + q.Escaped, p.Slack + q.Slack}
+}
+
+// Split returns the summary's Bytes() split by field.
+func (s *Summary) Split() Split {
+	n := s.n
+	p := Split{Starts: n * int(s.sw), Lengths: n * int(s.lw), Values: n * int(s.yw), Slopes: n * 4, Escaped: 16 * s.escaped()}
+	p.Slack = colSize(n, s.sw, s.lw, s.yw) - p.Starts - p.Lengths - p.Values - p.Slopes
+	return p
+}

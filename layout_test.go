@@ -130,26 +130,8 @@ func savedLen(t testing.TB, det *Detector) int {
 // to ×2.09, ×1.62 and ×1.10, and the bytes added to 137 033, 9 009 and 776
 // (from 156 315, 10 637 and 1 011).
 func TestSegmentationTax(t *testing.T) {
-	elems := benchmarkStream(t)
-	const sealEvents = 50_000
-	one, err := New(1024, WithPBE2(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parts []*Detector
-	for lo := 0; lo < len(elems); lo += sealEvents {
-		part, err := New(1024, WithPBE2(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, el := range elems[lo:min(lo+sealEvents, len(elems))] {
-			part.Append(el.Event, el.Time)
-			one.Append(el.Event, el.Time)
-		}
-		part.Finish()
-		parts = append(parts, part)
-	}
-	one.Finish()
+	one, parts := taxLayout(t)
+	elems := one.N()
 
 	file, dir := savedLen(t, one), 0
 	var whole, cut levelBytes
@@ -159,7 +141,7 @@ func TestSegmentationTax(t *testing.T) {
 	}
 	whole.add(t, one)
 	t.Logf("%d elements: one file %d B (%.3f B/elem), %d segment files %d B (%.3f B/elem), ×%.3f",
-		len(elems), file, float64(file)/float64(len(elems)), len(parts), dir, float64(dir)/float64(len(elems)), float64(dir)/float64(file))
+		elems, file, float64(file)/float64(elems), len(parts), dir, float64(dir)/float64(elems), float64(dir)/float64(file))
 	t.Logf("%-14s %8s %8s %9s %9s %9s", "", "cells", "segments", "header B", "columns B", "records B")
 	for i, h := range one.tree.Heights() {
 		t.Logf("one   height %d %8d %8d %9d %9d %9d", h, whole.cells[i], whole.segments[i], whole.header[i], whole.columns[i], whole.records[i])
@@ -184,6 +166,77 @@ func TestSegmentationTax(t *testing.T) {
 				h, len(parts), cut.bytes(i), more, limit)
 		}
 	}
+}
+
+// taxLayout builds the benchmark's stream as one detector and as the
+// segments of its base store: twelve of 50 000 elements, as SealEvents cuts
+// it, and the remainder.
+func taxLayout(t testing.TB) (one *Detector, parts []*Detector) {
+	t.Helper()
+	elems := benchmarkStream(t)
+	const sealEvents = 50_000
+	one, err := New(1024, WithPBE2(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(elems); lo += sealEvents {
+		part, err := New(1024, WithPBE2(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, el := range elems[lo:min(lo+sealEvents, len(elems))] {
+			part.Append(el.Event, el.Time)
+			one.Append(el.Event, el.Time)
+		}
+		part.Finish()
+		parts = append(parts, part)
+	}
+	one.Finish()
+	return one, parts
+}
+
+// TestBytesByLevelSums holds the split of Bytes() by level and field to the
+// total, on the three files TestSaveBytesUnchanged pins and on the benchmark
+// stream as one detector and as its base store's thirteen segments, and logs
+// the lines of the last two summed over their detectors.
+func TestBytesByLevelSums(t *testing.T) {
+	check := func(name string, dets ...*Detector) {
+		t.Helper()
+		var sum []LevelBytes
+		for _, det := range dets {
+			levels, total := det.BytesByLevel(), 0
+			for i, l := range levels {
+				p := l.Split
+				if p.Starts < 0 || p.Lengths < 0 || p.Values < 0 || p.Slopes < 0 || p.Escaped < 0 || p.Slack < 0 {
+					t.Errorf("%s: height %d has a negative line: %+v", name, l.Height, p)
+				}
+				total += p.Total()
+				if len(sum) < len(levels) {
+					sum = append(sum, l)
+				} else {
+					sum[i].Split = sum[i].Add(p)
+				}
+			}
+			if want := det.Bytes(); total != want {
+				t.Errorf("%s: the lines sum to %d, Bytes() is %d", name, total, want)
+			}
+		}
+		for _, l := range sum {
+			t.Logf("%s height %d: starts %d, lengths %d, values %d, slopes %d, escaped %d, slack %d",
+				name, l.Height, l.Starts, l.Lengths, l.Values, l.Slopes, l.Escaped, l.Slack)
+		}
+	}
+	check("olympicrio K=1024", rioDetector(t, 5, 60_000, 1024, WithPBE2(8)))
+	check("K=16384 with Count-Min levels", rioDetector(t, 6, 30_000, 1<<14, WithPBE2(4)))
+	parts, _, _ := buildDecayParts(t, 4, decayOpts()...)
+	ds, err := DownsampleDetectors(parts, 16, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("downsampled merge of four parts", ds)
+	one, cut := taxLayout(t)
+	check("benchmark stream, one detector", one)
+	check("benchmark stream, 13 segments", cut...)
 }
 
 // levelBytes breaks the levels of detectors over K = 1024 (collision-free
