@@ -76,37 +76,57 @@ experiments:
 # detector's append path, the PBE-2 kernel's one-sided contract (at small,
 # Unix-second and Unix-millisecond time origins, through a merge of cut
 # parts, and for every stored line, narrow or escaped, through a merge whose
-# lift passes int32), its searches against a linear scan with segment starts
-# on either side of 2³² ticks from a cell's first, its packed columns with
-# fields across every byte width against the values appended, and the store
-# head's packed timestamp sequences against a sorted-slice twin.
+# lift passes int32), its slope pick and slope widths, its searches against
+# a linear scan with segment starts on either side of 2³² ticks from a
+# cell's first, its packed columns with fields across every byte width
+# against the values appended, and the store head's packed timestamp
+# sequences against a sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s). Each target also bounds the engine's minimisation of a new
 # interesting input to FUZZMINTIME: at the engine's default of 60 s, one
 # multi-KB input can take a whole pass, which then counts no execs.
+# Each target's engine output is kept in FUZZLOG/<target>.log and printed
+# when the target ends. A target whose status lines read 0 execs/sec for
+# more than a third of them (the closing line, which the engine prints at
+# exit, not counted) gets a loud FUZZ STALL line: a warning, not a failure,
+# so that a slow host does not fail the smoke. A target that finds a
+# failure fails the run.
 FUZZTIME ?= 20s
 FUZZMINTIME ?= 2s
+FUZZLOG ?= fuzzlog
+FUZZ_TARGETS = \
+	./internal/stream/:FuzzRead \
+	./internal/stream/:FuzzElementRun \
+	.:FuzzLoad \
+	.:FuzzDetectorLoad \
+	.:FuzzInspect \
+	.:FuzzLoadSingle \
+	.:FuzzDetectorAppend \
+	./internal/pbe2/:FuzzPBE2OneSided \
+	./internal/pbe2/:FuzzPBE2CellBlock \
+	./internal/pbe2/:FuzzSummarySearch \
+	./internal/pbe2/:FuzzMergeOneSided \
+	./internal/pbe2/:FuzzNarrowLine \
+	./internal/pbe2/:FuzzSlopeWidth \
+	./internal/pbe2/:FuzzPackedColumn \
+	./internal/segstore/:FuzzManifestLoad \
+	./internal/segstore/:FuzzWALReplay \
+	./internal/segstore/:FuzzWALRecordDecode \
+	./internal/segstore/:FuzzHeadSeq \
+	./internal/wire/:FuzzWireFrame \
+	./internal/wire/:FuzzAlertFrame \
+	./internal/wire/:FuzzSubscriptionDecode
 fuzz:
-	$(GO) test -fuzz FuzzRead -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/stream/
-	$(GO) test -fuzz FuzzElementRun -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/stream/
-	$(GO) test -fuzz FuzzLoad$$ -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
-	$(GO) test -fuzz FuzzDetectorLoad -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
-	$(GO) test -fuzz FuzzInspect -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
-	$(GO) test -fuzz FuzzLoadSingle -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
-	$(GO) test -fuzz FuzzDetectorAppend -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) .
-	$(GO) test -fuzz FuzzPBE2OneSided -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzPBE2CellBlock -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzSummarySearch -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzMergeOneSided -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzNarrowLine -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzPackedColumn -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/pbe2/
-	$(GO) test -fuzz FuzzManifestLoad -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzWALRecordDecode -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzHeadSeq -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/segstore/
-	$(GO) test -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
-	$(GO) test -fuzz FuzzAlertFrame -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
-	$(GO) test -fuzz FuzzSubscriptionDecode -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) ./internal/wire/
+	@mkdir -p $(FUZZLOG)
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; log=$(FUZZLOG)/$$name.log; \
+		echo "$(GO) test -fuzz '^$$name\$$' -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) $$pkg"; \
+		$(GO) test -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINTIME) $$pkg > $$log 2>&1; \
+		rc=$$?; cat $$log; \
+		grep '/sec)' $$log | sed '$$d' | awk -v name=$$name -v lf=$$log \
+			'/ \(0\/sec\)/ { z++ } END { if (3*z > NR) printf "FUZZ STALL %s: %d of %d status lines read 0/sec (%s)\n", name, z, NR, lf }'; \
+		[ $$rc -eq 0 ] || exit $$rc; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -40,6 +40,11 @@ func (w *Writer) Uint32(v uint32) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
 }
 
+// UintN appends the low n bytes of v, little-endian, 0 ≤ n ≤ 8.
+func (w *Writer) UintN(v uint64, n int) {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)[:len(w.buf)+n]
+}
+
 // Int64 appends a fixed 8-byte signed value.
 func (w *Writer) Int64(v int64) { w.Uint64(uint64(v)) }
 
@@ -147,6 +152,27 @@ func (r *Reader) Uint32() uint32 {
 	}
 	v := binary.LittleEndian.Uint32(r.buf[r.off:])
 	r.off += 4
+	return v
+}
+
+// UintN reads an n-byte little-endian value, 0 ≤ n ≤ 8.
+func (r *Reader) UintN(n int) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	if n > len(r.buf)-r.off {
+		r.fail("uint")
+		return 0
+	}
+	var v uint64
+	if len(r.buf)-r.off >= 8 {
+		v = binary.LittleEndian.Uint64(r.buf[r.off:]) & (1<<(8*uint(n)) - 1)
+	} else {
+		for i := n - 1; i >= 0; i-- {
+			v = v<<8 | uint64(r.buf[r.off+i])
+		}
+	}
+	r.off += n
 	return v
 }
 

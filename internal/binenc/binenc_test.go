@@ -153,6 +153,38 @@ func TestUint32RoundTrip(t *testing.T) {
 	}
 }
 
+func TestUintNRoundTrip(t *testing.T) {
+	var w Writer
+	vals := []struct {
+		v uint64
+		n int
+	}{{0, 0}, {0x7fc0, 2}, {0xabcdef, 3}, {0xdeadbeef, 4}, {math.MaxUint64, 8}}
+	for _, c := range vals {
+		w.UintN(c.v, c.n)
+		w.Byte(0x5a) // a neighbour the field must not reach into
+	}
+	if want := 0 + 2 + 3 + 4 + 8 + len(vals); len(w.Bytes()) != want {
+		t.Fatalf("%d bytes written, want %d", len(w.Bytes()), want)
+	}
+	r := NewReader(w.Bytes())
+	for _, c := range vals {
+		if got := r.UintN(c.n); got != c.v {
+			t.Errorf("UintN(%d) = %x, want %x", c.n, got, c.v)
+		}
+		if b := r.Byte(); b != 0x5a {
+			t.Fatalf("after a %d-byte field: byte %x, want 5a", c.n, b)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	short := NewReader([]byte{1, 2})
+	short.UintN(3)
+	if !errors.Is(short.Err(), ErrCorrupt) {
+		t.Fatalf("short UintN err = %v", short.Err())
+	}
+}
+
 func TestRemaining(t *testing.T) {
 	var w Writer
 	w.Uint32(1)

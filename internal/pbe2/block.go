@@ -13,7 +13,7 @@ import (
 // how far that is from where its predecessor ended (see internal/binenc for
 // the scalar forms; p counts the present cells, in cell order):
 //
-//	magic     uint32 "P2B\x04"
+//	magic     uint32 "P2B\x05"
 //	gamma     float64
 //	outOfOrd  uvarint   Σ over the cells
 //	present   ⌈cells/8⌉ bytes, bit i%8 of byte i/8 set when cell i holds arrivals
@@ -24,33 +24,41 @@ import (
 //	outOfOrd  uvarint × p   only when the block's sum is not zero
 //	float     ⌈p/8⌉ bytes, bit j%8 of byte j/8 set when the j-th present cell
 //	          holds float64 values
+//	width     ⌈p/4⌉ bytes, bits 2(j%4) and 2(j%4)+1 of byte j/4 the j-th
+//	          present cell's slope width code: 0, 1, 2, 3 for aw = 0, 2, 3, 4
 //	segments  per present cell, per segment:
 //	          first  varint  Start − the level's maxT
 //	          later  uvarint Start − the previous segment's End
 //	          uvarint End − Start
-//	          uint32  the float32 slope, or escSlope for a segment escaped whole
+//	          aw bytes  the top aw bytes of the float32 slope, or of escSlope
+//	                    for a segment escaped whole, as the cell's columns
+//	                    hold them (column.go)
 //	          then, as the cell holds the segment:
 //	            escaped     float64 slope, float64 value at Start
 //	            grid cell   varint, the value at Start in units of 2⁻⁸ count
 //	            float cell  float64 value at Start
 //
-// Nothing a decoder can work out is stored but the float bits, which must
-// agree with where the records take their cells. A cell is present exactly
-// when it has counted an arrival; every cell is a sealed summary, so a
-// present one holds at least one segment; an absent cell is the empty
+// Nothing a decoder can work out is stored but the float bits and the slope
+// widths, which must agree with where the records take their cells: a
+// cell's width is the least its slopes need (slopeWidth). A cell is present
+// exactly when it has counted an arrival; every cell is a sealed summary, so
+// a present one holds at least one segment; an absent cell is the empty
 // summary New returns. Each record is in the form its cell holds the segment
 // in, which lineForm picked as the segments were appended: DecodeBlock
 // replays it and refuses a record in any other. Every varint is in its
 // shortest form, and a float cell holds a zero as +0, so a block has one
 // encoding and DecodeBlock accepts no other.
 
-const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 4<<24
+const blockMagic = 'P' | '2'<<8 | 'B'<<16 | 5<<24
 
 const maxSegments = 1 << 32
 
 // minSegmentBytes is the least a stored segment occupies: two one-byte
-// varints, a slope and a one-byte value.
-const minSegmentBytes = 7
+// varints, a slope of no bytes and a one-byte value.
+const minSegmentBytes = 3
+
+// widthCodes are the slope widths a cell block's 2-bit codes stand for.
+var widthCodes = [4]uint8{0, 2, 3, 4}
 
 // finite reports whether both coefficients are numbers.
 func finite(a, y float64) bool {
@@ -60,14 +68,24 @@ func finite(a, y float64) bool {
 // putBits writes a bit for each of n cells, bit i%8 of byte i/8 set when
 // set(i) holds.
 func putBits(w *binenc.Writer, n int, set func(i int) bool) {
-	var mask byte
-	for i := range n {
+	putCodes(w, n, 1, func(i int) byte {
 		if set(i) {
-			mask |= 1 << (i % 8)
+			return 1
 		}
-		if i%8 == 7 || i == n-1 {
-			w.Byte(mask)
-			mask = 0
+		return 0
+	})
+}
+
+// putCodes writes a code of k bits, k dividing 8, for each of n cells: the
+// i-th at bit k·i%8 of byte k·i/8.
+func putCodes(w *binenc.Writer, n, k int, code func(i int) byte) {
+	var b byte
+	per := 8 / k
+	for i := range n {
+		b |= code(i) << (k * (i % per))
+		if i%per == per-1 || i == n-1 {
+			w.Byte(b)
+			b = 0
 		}
 	}
 }
@@ -121,6 +139,7 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 		}
 	}
 	putBits(w, len(present), func(i int) bool { return present[i].float })
+	putCodes(w, len(present), 2, func(i int) byte { return max(present[i].aw(), 1) - 1 })
 
 	for _, b := range present {
 		prevEnd := maxT
@@ -132,7 +151,7 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 				w.Uvarint(uint64(seg.Start - prevEnd))
 			}
 			w.Uvarint(uint64(seg.End - seg.Start))
-			w.Uint32(slope)
+			w.UintN(uint64(slope)>>(b.aSh&63), int(b.aw()))
 			switch {
 			case slope == escSlope:
 				w.Float64(seg.A)
@@ -287,17 +306,28 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	if pad := present % 8; pad != 0 && mask>>pad != 0 {
 		return corrupt("float bits set past the %d present cells", present)
 	}
+	// The slope widths, read with the records below on a copy of the reader.
+	widths := *r
+	for range (present + 3) / 4 {
+		r.Byte()
+	}
 
 	// First pass: read and check the records into segs, in order, and plan
 	// each cell's columns: a record must be in the form the plan replays for
 	// it, and a cell must hold float64 values exactly when its plan ends so.
 	segs := make([]Segment, 0, total)
 	colBytes, lines, wides := 0, 0, 0
+	present = 0
 	for i := range cells {
 		b := &cells[i]
 		if b.count == 0 {
 			continue
 		}
+		if present%4 == 0 {
+			mask = widths.Byte()
+		}
+		aw := widthCodes[mask>>(2*(present%4))&3]
+		present++
 		var p plan
 		prevEnd := maxT
 		for j := range b.n {
@@ -325,7 +355,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			}
 			seg := Segment{Start: start, End: end}
 			var k int64
-			slope := r.Uint32()
+			slope := uint32(r.UintN(int(aw)) << slopeShift(aw))
 			switch {
 			case slope == escSlope:
 				seg.A, seg.Y = r.Float64(), r.Float64()
@@ -357,6 +387,9 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if p.float != b.float {
 			return corrupt("cell %d holds float64 values, and its segments' forms keep to the grid", i)
 		}
+		if need := slopeWidth(p.slopes); need != aw {
+			return corrupt("cell %d stores its slopes in %d bytes, and they need %d", i, aw, need)
+		}
 		tail := b.lastT
 		b.lastT = prevEnd + tail
 		if b.lastT < prevEnd || b.lastT > maxT {
@@ -367,10 +400,12 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if p.esc > 0 {
 			wides++
 		}
-		b.room = p.esc // until the second pass lays the columns out
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("pbe2: cell block: %w", err)
+	}
+	if pad := present % 4; pad != 0 && mask>>(2*pad) != 0 {
+		return corrupt("slope width bits set past the %d present cells", present)
 	}
 	if r.Overlong() {
 		return corrupt("a varint is not in its shortest form")
@@ -378,8 +413,8 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 
 	// Second pass: the segments into the shared arrays. A segment takes at
 	// most 28 bytes of columns — an 8-byte start, length and value and a
-	// slope, the bytes past a cell's last row included — so the plan never
-	// passes what the segment counts allow.
+	// 4-byte slope, the bytes past a cell's last row included — so the plan
+	// never passes what the segment counts allow.
 	cols := make([]byte, min(colBytes, 28*total))
 	escLines, wideCells := make([]wideSeg, min(lines, total)), make([]wide, wides)
 	for i := range cells {
@@ -387,7 +422,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.count == 0 {
 			continue
 		}
-		size := colSize(b.n, b.sw, b.lw, b.yw)
+		size := colSize(b.n, b.sw, b.lw, b.yw, b.aw())
 		cell := segs[:b.n]
 		segs = segs[b.n:]
 		b.lay(cols[:size:size])

@@ -253,6 +253,8 @@ type rawCell struct {
 	lines                         map[int][]byte // segment → its slope's and value's bytes as stored, in place of a and y
 	escape                        map[int]bool   // segments written escaped whatever their lines
 	flipFloat                     bool           // the float bit the reverse of the cell's forms
+	aw                            int            // with ownAW, the slope width declared and written
+	ownAW                         bool           // declare aw, not the least width the cell's slopes need
 }
 
 // rawSegment is a segment as the block stores it; gap is ignored for a
@@ -290,7 +292,7 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 			w.Uvarint(c.outOfOrder)
 		}
 	}
-	forms, floats := make([][]int, len(cells)), make([]bool, len(cells))
+	forms, floats, widths := make([][]int, len(cells)), make([]bool, len(cells)), make([]int, len(cells))
 	for ci, c := range cells {
 		segs := make([]Segment, len(c.segs))
 		var start int64 // relative to the cell's first start
@@ -302,8 +304,13 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 		}
 		forms[ci], floats[ci] = refForms(segs)
 		floats[ci] = floats[ci] != c.flipFloat
+		widths[ci] = refSlopeWidth(segs, forms[ci])
+		if c.ownAW {
+			widths[ci] = c.aw
+		}
 	}
 	writeBits(&w, floats)
+	writeWidths(&w, widths)
 	for ci, c := range cells {
 		for i, s := range c.segs {
 			if i == 0 {
@@ -317,26 +324,38 @@ func rawBlock(outOfOrder uint64, bitmap []byte, cells []rawCell) []byte {
 					w.Byte(b)
 				}
 			} else {
-				writeLine(&w, s.a, s.y, forms[ci][i] == escapedValue || c.escape[i], floats[ci])
+				writeLine(&w, s.a, s.y, widths[ci], forms[ci][i] == escapedValue || c.escape[i], floats[ci])
 			}
 		}
 	}
 	return w.Bytes()
 }
 
+// writeWidths writes a 2-bit slope width code a present cell, the i-th at
+// bits 2(i%4) and 2(i%4)+1 of byte i/4.
+func writeWidths(w *binenc.Writer, widths []int) {
+	for lo := 0; lo < len(widths); lo += 4 {
+		var b byte
+		for i, aw := range widths[lo:min(lo+4, len(widths))] {
+			b |= map[int]byte{0: 0, 2: 1, 3: 2, 4: 3}[aw] << (2 * i)
+		}
+		w.Byte(b)
+	}
+}
+
 // floatLine is a record's slope and value in a float cell: the float32
-// slope, then y as a float64.
-func floatLine(a, y float64) []byte {
+// slope's top aw bytes, then y as a float64.
+func floatLine(aw int, a, y float64) []byte {
 	var w binenc.Writer
-	writeLine(&w, a, y, false, true)
+	writeLine(&w, a, y, aw, false, true)
 	return w.Bytes()
 }
 
-// gridLine is a record's slope and value in a grid cell: the float32 slope
-// bits, then k, any int64, as a varint.
-func gridLine(slope uint32, k int64) []byte {
+// gridLine is a record's slope and value in a grid cell: the top aw bytes
+// of the float32 slope bits, then k, any int64, as a varint.
+func gridLine(aw int, slope uint32, k int64) []byte {
 	var w binenc.Writer
-	w.Uint32(slope)
+	w.UintN(uint64(slope)>>(32-8*aw), aw)
 	w.Varint(k)
 	return w.Bytes()
 }
@@ -421,16 +440,20 @@ func TestDecodeBlockRejects(t *testing.T) {
 		{"a line its cell escapes", "segment 0 is a line its cell escapes",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) {
 				c.segs[0].y, c.segs[1].y = 1+1.0/3, 1<<56
-				c.lines = map[int][]byte{0: floatLine(0.5, 1+1.0/3)}
+				c.lines = map[int][]byte{0: floatLine(2, 0.5, 1+1.0/3)}
 			}))},
 		{"a float bit on a cell whose forms keep to the grid", "cell 0 holds float64 values, and its segments' forms keep to the grid",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.flipFloat = true }))},
 		{"a grid value its cell takes to float64", "segment 1 holds a grid value its cell takes to float64",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(0, math.MaxInt64)} }))},
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(2, 0, math.MaxInt64)} }))},
 		{"a grid value no float64 holds", "segment 1 holds 9007199254740993 units of 2⁻⁸ count, which no float64 holds",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(0, 1<<53+1)} }))},
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(2, 0, 1<<53+1)} }))},
 		{"−0 in a float cell", "segment 0 holds −0, where a cell holds +0",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].y, c.segs[1].y = math.Copysign(0, -1), 1<<56 }))},
+		{"a slope width wider than the cell's slopes need", "cell 0 stores its slopes in 3 bytes, and they need 2",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.aw, c.ownAW = 3, true }))},
+		{"slopes of 4 bytes in a cell whose slopes need none", "cell 0 stores its slopes in 4 bytes, and they need 0",
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[0].a, c.aw, c.ownAW = 0, 4, true }))},
 	})
 
 	// A float bit past the present cells: the sound one-cell block's float
@@ -442,6 +465,20 @@ func TestDecodeBlockRejects(t *testing.T) {
 	}
 	pastP[floatAt] = 0b10
 	expectRejected(t, maxT, "", []rejectCase{{"float bits set past the present cells", "float bits set past the 1 present cells", pastP}})
+
+	// Slope bits past the width: a width code for a second present cell, in
+	// the byte behind the float byte, or a slope record's bytes past the
+	// cell's width, which read as the record's value and the next record.
+	pastW := rawBlock(0, []byte{1}, []rawCell{good})
+	if pastW[floatAt+1] != 1 {
+		t.Fatalf("fixture: width byte %#x, want the code of 2-byte slopes", pastW[floatAt+1])
+	}
+	pastW[floatAt+1] |= 0b0100
+	expectRejected(t, maxT, "", []rejectCase{{"width bits set past the present cells", "slope width bits set past the 1 present cells", pastW}})
+	wideSlope := rawBlock(0, []byte{1}, with(func(c *rawCell) {
+		c.lines = map[int][]byte{1: append(gridLine(4, 0, 6*256)[:4:4], gridLine(2, 0, 6*256)[2:]...)}
+	}))
+	expectRejected(t, maxT, "", []rejectCase{{"a 4-byte slope in a cell of 2-byte slopes", "trailing", wideSlope}})
 
 	// Each count is held to the bytes that remain when it is read; so must
 	// their sum be. Two cells each claiming as many segments as the bytes
@@ -518,9 +555,9 @@ func TestUnmarshalRejectsUnsearchable(t *testing.T) {
 		{"infinite intercept", "segment 1 has non-finite coefficients",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = math.Inf(-1) }))},
 		{"NaN slope in a grid cell", "segment 0 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{0: gridLine(0x7fc00001, 256)} }))},
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.aw, c.ownAW, c.lines = 4, true, map[int][]byte{0: gridLine(4, 0x7fc00001, 256)} }))},
 		{"infinite slope in a grid cell", "segment 1 has non-finite coefficients",
-			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(0xff800000, 6*256)} }))},
+			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.lines = map[int][]byte{1: gridLine(2, 0xff800000, 6*256)} }))},
 		{"a NaN value", "segment 1 has non-finite coefficients",
 			rawBlock(0, []byte{1}, with(func(c *rawCell) { c.segs[1].y = math.NaN() }))},
 	})
@@ -591,6 +628,44 @@ func TestBlockRecordForms(t *testing.T) {
 		if again := encodeBlock(t, cells, 100); !bytes.Equal(again, tc.data) {
 			t.Errorf("%s: re-encodes to %x, was %x", tc.name, again, tc.data)
 		}
+	}
+}
+
+// widthCells are four sound cells whose slopes need 0, 2, 3 and 4 bytes,
+// and a fifth whose one escaped segment is held among 2-byte slopes:
+// goodCell under the slopes of packedSlopes, and with its first line off
+// the float32s.
+func widthCells() []rawCell {
+	var cells []rawCell
+	for _, a := range [...]float64{0, 0.5, 0.5 + 1.0/(1<<16), 0.5 + 1.0/(1<<24), 1.0 / 3} {
+		cells = append(cells, with(func(c *rawCell) { c.segs[0].a = a })[0])
+	}
+	return cells
+}
+
+// TestBlockSlopeWidths: a block of widthCells decodes to cells of slopes at
+// 0, 2, 3 and 4 bytes and an escaped segment among 2-byte slopes, and
+// re-encodes to the same bytes.
+func TestBlockSlopeWidths(t *testing.T) {
+	data := rawBlock(0, []byte{0x1f}, widthCells())
+	cells := make([]Builder, 5)
+	r := binenc.NewReader(data)
+	if err := DecodeBlock(r, cells, 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []uint8{0, 2, 3, 4, 2} {
+		if got := cells[i].aw(); got != want {
+			t.Errorf("cell %d holds its slopes in %d bytes, want %d", i, got, want)
+		}
+	}
+	if cells[4].escaped() != 1 {
+		t.Errorf("cell 4 escaped %d segments, want 1", cells[4].escaped())
+	}
+	if again := encodeBlock(t, cells, 100); !bytes.Equal(again, data) {
+		t.Errorf("re-encodes to %x, was %x", again, data)
 	}
 }
 

@@ -12,20 +12,24 @@ import (
 // widest value the cell holds in it:
 //
 //	start   room·sw bytes    Start − firstStart: the search key
-//	rows    from rowAt, room rows of lw + yw + 4 bytes:
+//	rows    from rowAt, room rows of lw + yw + aw bytes:
 //	  length  lw bytes       End − Start
 //	  y       yw bytes       the value at Start: in a grid cell its multiple
 //	                         of 2⁻⁸ count less yBase, the least of them; in a
 //	                         cell of float64 values its bits; for an escaped
 //	                         segment its index in the wide form
-//	  slope   4 bytes        a float32; escSlope, a NaN, for an escaped
-//	                         segment
+//	  slope   aw bytes       the top aw bytes of a float32, whose other bytes
+//	                         are zero: aw is 0, 2, 3 or 4 (slopeWidth);
+//	                         escSlope, a NaN, for an escaped segment
 //
 // A field is little-endian, 0 to 8 bytes, and read by one 8-byte load from
-// its first byte, masked; colSize leaves the few bytes past the last row
-// that its length and y loads read. Whole bytes keep a read to a load and a
-// mask: bit widths would save some 2 bits a field, and put a shift and
-// about half as much again into each probe of a search. A row keeps what a
+// its first byte, masked — but a y field by the length's load, shifted down
+// past the length, when the two fit in its 8 bytes (yAt), and a slope by
+// one 4-byte load, shifted up so that the bytes past it fall off. colSize
+// leaves the few bytes past the last row that its loads read. Whole bytes
+// keep a read to a load and a mask: bit widths would save some 2 bits a
+// field, and put a shift and about half as much again into each probe of a
+// search. A row keeps what a
 // query reads of a segment once it has found it in one cache line, or two.
 // A Builder's columns have room for more segments than they hold, and are
 // rewritten (relayout) when an append outgrows their room or a width; a
@@ -34,8 +38,36 @@ import (
 // of cols.
 
 // escSlope is an escaped segment's slope field: a NaN, which no stored line
-// has.
+// has. Its low two bytes are zero, so a cell of 2-byte slopes holds it.
 const escSlope = 0x7fc00000
+
+// slopeWidth returns the bytes a slope field needs to hold a float32's bits
+// a: its bytes up to the last that is not zero, and 2 for a lone top byte.
+//
+//histburst:noalloc
+func slopeWidth(a uint32) uint8 {
+	w := 4 - uint8(bits.TrailingZeros32(a)>>3)
+	if w == 1 {
+		return 2
+	}
+	return w
+}
+
+// yAt returns where in a row of lw-byte lengths and yw-byte values the
+// 8-byte load of the value starts: at the row's start, the length's own
+// load, when the two fields fit in it, else at the value.
+func yAt(lw, yw uint8) uint8 {
+	if lw+yw <= 8 {
+		return 0
+	}
+	return lw
+}
+
+// slopeShift is how far a slope field of aw bytes sits below its float32's
+// top.
+//
+//histburst:noalloc
+func slopeShift(aw uint8) uint { return uint(32-8*aw) & 63 }
 
 // width returns the bytes a field needs to hold v.
 //
@@ -52,22 +84,26 @@ var masks = [16]uint64{0, 1<<8 - 1, 1<<16 - 1, 1<<24 - 1, 1<<32 - 1, 1<<40 - 1, 
 func mask(w uint8) uint64 { return masks[w&15] }
 
 // colSize returns the bytes the columns take with room for room segments at
-// widths sw, lw and yw: the starts and the rows, and past the last row what
-// its 8-byte loads of the length and y read.
-func colSize(room int, sw, lw, yw uint8) int {
+// widths sw, lw, yw and aw: the starts and the rows, and past the last row
+// what its 8-byte loads of the length and y and its 4-byte load of the slope
+// read.
+func colSize(room int, sw, lw, yw, aw uint8) int {
 	if room == 0 {
 		return 0
 	}
-	last := room*int(sw) + (room-1)*(int(lw)+int(yw)+4)
-	return last + int(lw) + max(int(yw)+4, 8)
+	last := room*int(sw) + (room-1)*(int(lw)+int(yw)+int(aw))
+	return last + max(int(yAt(lw, yw))+8, int(lw)+int(yw)+4)
 }
+
+// word returns the 8 bytes at o of b.
+//
+//histburst:noalloc
+func word(b []byte, o int) uint64 { return binary.LittleEndian.Uint64(b[o : o+8 : o+8]) }
 
 // field returns the w-byte field at o of b.
 //
 //histburst:noalloc
-func field(b []byte, o int, w uint8) uint64 {
-	return binary.LittleEndian.Uint64(b[o:o+8:o+8]) & mask(w)
-}
+func field(b []byte, o int, w uint8) uint64 { return word(b, o) & mask(w) }
 
 // setField ORs v into the field at o of b, which is zero: v has no byte
 // past the field's width, so the 8-byte store leaves the fields after it as
@@ -91,7 +127,7 @@ func (s *Summary) start(i int) int64 { return s.firstStart + int64(s.startOff(i)
 // row returns where the i-th segment's row starts.
 //
 //histburst:noalloc
-func (s *Summary) row(i int) int { return s.rowAt + i*(int(s.lw)+int(s.yw)+4) }
+func (s *Summary) row(i int) int { return s.rowAt + i*int(s.stride) }
 
 // segLen returns End − Start of the i-th closed segment.
 //
@@ -101,14 +137,16 @@ func (s *Summary) segLen(i int) int64 { return int64(field(s.cols, s.row(i), s.l
 // yField returns the i-th segment's y field.
 //
 //histburst:noalloc
-func (s *Summary) yField(i int) uint64 { return field(s.cols, s.row(i)+int(s.lw), s.yw) }
+func (s *Summary) yField(i int) uint64 {
+	return word(s.cols, s.row(i)+int(s.yAt)) >> (s.ySh & 63) & mask(s.yw)
+}
 
-// slopeBits returns the i-th segment's slope field.
+// slopeBits returns the i-th segment's slope as float32 bits.
 //
 //histburst:noalloc
 func (s *Summary) slopeBits(i int) uint32 {
 	at := s.row(i) + int(s.lw) + int(s.yw)
-	return binary.LittleEndian.Uint32(s.cols[at : at+4])
+	return uint32(uint64(binary.LittleEndian.Uint32(s.cols[at:at+4:at+4])) << (s.aSh & 63))
 }
 
 // seg assembles the i-th closed segment from the columns. It and segAt are
@@ -124,11 +162,11 @@ func (s *Summary) seg(i int) Segment { return s.segAt(i, s.start(i)) }
 //
 //histburst:noalloc
 func (s *Summary) segAt(i int, start int64) Segment {
-	lw, yw := int(s.lw), int(s.yw)
-	o := s.rowAt + i*(lw+yw+4)
+	o := s.rowAt + i*int(s.stride)
 	end := start + int64(field(s.cols, o, s.lw))
-	y := field(s.cols, o+lw, s.yw)
-	a := binary.LittleEndian.Uint32(s.cols[o+lw+yw : o+lw+yw+4])
+	y := word(s.cols, o+int(s.yAt)) >> (s.ySh & 63) & mask(s.yw)
+	at := o + int(s.lw) + int(s.yw)
+	a := uint32(uint64(binary.LittleEndian.Uint32(s.cols[at:at+4:at+4])) << (s.aSh & 63))
 	if a == escSlope {
 		e := &s.wide.segs[y]
 		return Segment{A: e.a, Y: e.y, Start: start, End: end}
@@ -158,31 +196,42 @@ func (s *Summary) gridField(y float64) uint64 {
 	return uint64(k - s.yBase)
 }
 
-// put writes the i-th segment's fields into zero fields.
+// put writes the i-th segment's fields into zero fields: the slope's top aw
+// bytes, and its other bytes, which are zero, not at all.
 func (s *Summary) put(i int, off, length uint64, slope uint32, y uint64) {
 	o := s.row(i)
 	setField(s.cols, i*int(s.sw), off)
 	setField(s.cols, o, length)
-	setField(s.cols, o+int(s.lw), y)
-	binary.LittleEndian.PutUint32(s.cols[o+int(s.lw)+int(s.yw):], slope)
+	setField(s.cols, o+int(s.yAt), y<<(s.ySh&63))
+	p := s.cols[o+int(s.lw)+int(s.yw):][:4]
+	binary.LittleEndian.PutUint32(p, binary.LittleEndian.Uint32(p)|uint32(uint64(slope)>>(s.aSh&63)))
 }
 
 // setLayout sets the room and the widths the columns are laid out for, and
-// where the rows start.
-func (s *Summary) setLayout(room int, sw, lw, yw uint8) {
+// what the readers work out from them: where the rows start, how long one
+// is, and where in it the load of a y field starts and how far into the
+// load the field does.
+func (s *Summary) setLayout(room int, sw, lw, yw, aw uint8) {
 	s.room, s.sw, s.lw, s.yw, s.rowAt = room, sw, lw, yw, room*int(sw)
+	s.stride, s.aSh, s.yAt = lw+yw+aw, uint8(slopeShift(aw)), yAt(lw, yw)
+	s.ySh = (lw - s.yAt) << 3
 }
 
+// aw returns the width of the cell's slope fields.
+//
+//histburst:noalloc
+func (s *Summary) aw() uint8 { return s.stride - s.lw - s.yw }
+
 // relayout rewrites the columns with room for room segments at widths sw,
-// lw and yw, the grid values less yBase or, when float, as float64 values:
-// every segment held moves over, its y field recoded.
-func (s *Summary) relayout(room int, sw, lw, yw uint8, yBase int64, float bool) {
+// lw, yw and aw, the grid values less yBase or, when float, as float64
+// values: every segment held moves over, its y field recoded.
+func (s *Summary) relayout(room int, sw, lw, yw, aw uint8, yBase int64, float bool) {
 	old := *s
 	s.cols = nil
 	if room > 0 {
-		s.cols = make([]byte, colSize(room, sw, lw, yw))
+		s.cols = make([]byte, colSize(room, sw, lw, yw, aw))
 	}
-	s.setLayout(room, sw, lw, yw)
+	s.setLayout(room, sw, lw, yw, aw)
 	s.yBase, s.float = yBase, float
 	for i := range s.n {
 		a, y := old.slopeBits(i), old.yField(i)
@@ -211,7 +260,7 @@ func (s *Summary) maxGridField() uint64 {
 // clip rewrites the columns without room to spare: a sealed cell's form.
 func (s *Summary) clip() {
 	if s.room != s.n {
-		s.relayout(s.n, s.sw, s.lw, s.yw, s.yBase, s.float)
+		s.relayout(s.n, s.sw, s.lw, s.yw, s.aw(), s.yBase, s.float)
 	}
 	if w := s.wide; w != nil {
 		w.segs = clipped(w.segs)
@@ -255,9 +304,9 @@ func (s *Summary) appendSegment(seg Segment) {
 		}
 		y = uint64(k - base)
 	}
-	yw = max(yw, width(y))
-	if room != s.room || sw != s.sw || lw != s.lw || yw != s.yw || base != s.yBase || float != s.float {
-		s.relayout(room, sw, lw, yw, base, float)
+	yw, aw := max(yw, width(y)), max(s.aw(), slopeWidth(slope))
+	if room != s.room || sw != s.sw || lw != s.lw || yw != s.yw || aw != s.aw() || base != s.yBase || float != s.float {
+		s.relayout(room, sw, lw, yw, aw, base, float)
 	}
 	s.put(i, off, length, slope, y)
 	s.n++
@@ -271,6 +320,7 @@ func (s *Summary) appendSegment(seg Segment) {
 type plan struct {
 	n, esc          int
 	float, grid     bool
+	slopes          uint32 // the bits of every slope stored, ORed
 	minK, maxK      int64
 	first           int64
 	lastOff, maxLen uint64
@@ -285,10 +335,11 @@ func (p *plan) add(seg Segment) int {
 	}
 	p.lastOff = uint64(seg.Start) - uint64(p.first)
 	p.maxLen = max(p.maxLen, uint64(seg.End-seg.Start))
-	form := lineForm(seg.A, seg.Y, p.float, p.esc, p.n)
+	form, slope := lineForm(seg.A, seg.Y, p.float, p.esc, p.n), math.Float32bits(float32(seg.A))
 	switch form {
 	case escapedValue:
 		p.esc++
+		slope = escSlope
 	case floatValue:
 		p.float = true
 	default:
@@ -298,37 +349,38 @@ func (p *plan) add(seg Segment) int {
 		}
 		p.minK, p.maxK = min(p.minK, k), max(p.maxK, k)
 	}
+	p.slopes |= slope
 	p.n++
 	return form
 }
 
 // widths returns the field widths and the base of the cell p planned.
-func (p *plan) widths() (sw, lw, yw uint8, base int64) {
-	sw, lw = width(p.lastOff), width(p.maxLen)
+func (p *plan) widths() (sw, lw, yw, aw uint8, base int64) {
+	sw, lw, aw = width(p.lastOff), width(p.maxLen), slopeWidth(p.slopes)
 	switch {
 	case p.float:
-		return sw, lw, 8, 0
+		return sw, lw, 8, aw, 0
 	case p.grid:
 		yw, base = width(uint64(p.maxK-p.minK)), p.minK
 	}
 	if p.esc > 0 {
 		yw = max(yw, width(uint64(p.esc-1)))
 	}
-	return sw, lw, yw, base
+	return sw, lw, yw, aw, base
 }
 
-// planned sets the widths, base and form of values of a cell whose
-// segments p planned, and returns the bytes its columns take.
+// planned lays a cell whose segments p planned out for them — widths, base
+// and form of values — and returns the bytes its columns take.
 func (s *Summary) planned(p *plan) int {
-	s.sw, s.lw, s.yw, s.yBase = p.widths()
-	s.float = p.float
-	return colSize(p.n, s.sw, s.lw, s.yw)
+	sw, lw, yw, aw, base := p.widths()
+	s.setLayout(p.n, sw, lw, yw, aw)
+	s.yBase, s.float = base, p.float
+	return colSize(p.n, sw, lw, yw, aw)
 }
 
-// lay hands a planned cell of n segments its columns, cols, exactly colSize
-// for them, to be filled: it holds no segment until fill appends them.
+// lay hands a planned cell its columns, cols, exactly colSize for them, to
+// be filled: it holds no segment until fill appends them.
 func (s *Summary) lay(cols []byte) {
-	s.setLayout(s.n, s.sw, s.lw, s.yw)
 	s.n, s.cols = 0, cols
 }
 

@@ -30,6 +30,8 @@ var packedBoundaries = func() []uint64 {
 // what int64 time and the block's records hold), and its line (a value at Start on the 2⁻⁸ grid,
 // a boundary count of it above or below zero — below the base once the
 // cell has one — or a value off the grid, or a slope no float32 holds).
+// The start's byte picks the slope as well, by its top two bits: one whose
+// float32 takes 2 bytes, none, 3 or 4 (packedSlopes).
 func packedCase(t *testing.T, data []byte) (*Summary, []Segment) {
 	t.Helper()
 	c := &Builder{summary: Summary{gamma: 1, headLow: math.MaxInt64}}
@@ -45,7 +47,7 @@ func packedCase(t *testing.T, data []byte) (*Summary, []Segment) {
 			off = end + math.MaxInt64 // the most a record's gap holds
 		}
 		length := min(pick(data[i+1]), math.MaxUint64-off, math.MaxInt64)
-		seg := Segment{A: 0.5, Start: math.MinInt64 + int64(off), End: math.MinInt64 + int64(off+length)}
+		seg := Segment{A: packedSlopes[data[i]>>6], Start: math.MinInt64 + int64(off), End: math.MinInt64 + int64(off+length)}
 		// A count of 2⁻⁸ either side of 2ʲ, j the line byte's high six bits:
 		// past 2⁶³, no int64 holds it and the cell takes float64 values.
 		k := float64(packedBoundaries[3*int(data[i+2]>>2)+int(data[i])%3])
@@ -80,6 +82,21 @@ func packedCase(t *testing.T, data []byte) (*Summary, []Segment) {
 	return &c.summary, ref
 }
 
+// packedSlopes are slopes whose float32 bits need 2, 0, 3 and 4 bytes: 0.5,
+// zero, and 0.5 plus the float32's 2⁻¹⁶ and 2⁻²⁴ relative steps.
+var packedSlopes = [4]float64{0.5, 0, 0.5 + 1.0/(1<<16), 0.5 + 1.0/(1<<24)}
+
+// packedSeeds are FuzzPackedColumn's seeds.
+var packedSeeds = [][]byte{
+	{0, 1, 0, 17, 33, 64, 25, 66, 129, 49, 130, 4, 73, 194, 197, 97, 7, 130, 193, 193, 255},
+	{0, 0, 4, 1, 1, 8, 2, 2, 12, 3, 3, 16, 4, 4, 20, 5, 5, 128, 191, 192, 253},
+	{0, 190, 3, 190, 191, 2, 191, 192, 1, 192, 193, 0, 193, 194, 250, 193, 194, 252},
+	{64, 1, 0, 65, 2, 4, 66, 3, 8},    // slopes of no bytes
+	{0, 1, 0, 1, 1, 3, 2, 2, 4},       // an escaped segment among 2-byte slopes
+	{128, 1, 0, 129, 2, 4, 130, 3, 8}, // 3-byte slopes
+	{192, 1, 0, 193, 2, 4},            // 4-byte slopes
+}
+
 // sameSegment compares segments bit for bit.
 func sameSegment(a, b Segment) bool {
 	return a.Start == b.Start && a.End == b.End && sameFloat(a.A, b.A) && sameFloat(a.Y, b.Y)
@@ -91,9 +108,9 @@ func sameSegment(a, b Segment) bool {
 // every segment as written, Bytes() is what its columns hold and what the
 // layout says (refBytes), and the cell round-trips through the cell block to the same cell and the same bytes.
 func FuzzPackedColumn(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 17, 33, 64, 25, 66, 129, 49, 130, 4, 73, 194, 197, 97, 7, 130, 193, 193, 255})
-	f.Add([]byte{0, 0, 4, 1, 1, 8, 2, 2, 12, 3, 3, 16, 4, 4, 20, 5, 5, 128, 191, 192, 253})
-	f.Add([]byte{0, 190, 3, 190, 191, 2, 191, 192, 1, 192, 193, 0, 193, 194, 250, 193, 194, 252})
+	for _, seed := range packedSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, ref := packedCase(t, data)
 		if s == nil {
@@ -122,23 +139,27 @@ func FuzzPackedColumn(f *testing.F) {
 }
 
 // TestPackedBoundaries: FuzzPackedColumn's seeds take every field across
-// byte widths up to 8, below the base, and to float64 values and escapes.
+// byte widths up to 8, below the base, and to float64 values and escapes,
+// and hold slopes at every width, an escaped segment among 2-byte slopes
+// included.
 func TestPackedBoundaries(t *testing.T) {
 	var sw, lw, yw uint8
-	var float, escaped, rebased bool
-	for _, data := range [][]byte{
-		{0, 1, 0, 17, 33, 64, 25, 66, 129, 49, 130, 4, 73, 194, 197, 97, 7, 130, 193, 193, 255},
-		{0, 0, 4, 1, 1, 8, 2, 2, 12, 3, 3, 16, 4, 4, 20, 5, 5, 128, 191, 192, 253},
-		{0, 190, 3, 190, 191, 2, 191, 192, 1, 192, 193, 0, 193, 194, 250, 193, 194, 252},
-	} {
+	var float, escaped, rebased, escapedIn2 bool
+	slopeWidths := map[uint8]bool{}
+	for _, data := range packedSeeds {
 		s, ref := packedCase(t, data)
 		sw, lw, yw = max(sw, s.sw), max(lw, s.lw), max(yw, s.yw)
 		float, escaped = float || s.float, escaped || s.escaped() > 0
 		rebased = rebased || !s.float && s.yBase < int64(ref[0].Y*yUnit)
+		slopeWidths[s.aw()] = true
+		escapedIn2 = escapedIn2 || s.aw() == 2 && s.escaped() > 0
 	}
 	if sw != 8 || lw != 8 || yw != 8 || !float || !escaped || !rebased {
 		t.Fatalf("seeds reach widths %d/%d/%d bytes, float64 values %v, escapes %v, a base below the first value %v; want 8/8/8 and all three",
 			sw, lw, yw, float, escaped, rebased)
+	}
+	if !reflect.DeepEqual(slopeWidths, map[uint8]bool{0: true, 2: true, 3: true, 4: true}) || !escapedIn2 {
+		t.Fatalf("seeds hold slopes at widths %v, an escaped segment among 2-byte slopes %v; want 0, 2, 3 and 4, and one", slopeWidths, escapedIn2)
 	}
 }
 

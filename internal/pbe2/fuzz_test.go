@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/geometry"
 	"histburst/internal/stream"
 )
 
@@ -301,6 +302,7 @@ func FuzzPBE2CellBlock(f *testing.F) {
 	for _, tc := range recordForms() {
 		f.Add(uint16(2), int64(100), tc.data)
 	}
+	f.Add(uint16(5), int64(100), rawBlock(0, []byte{0x1f}, widthCells()))
 	f.Add(uint16(1), int64(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, n uint16, maxT int64, data []byte) {
@@ -313,17 +315,17 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := DecodeBlock(r, arena, maxT)
 		runtime.ReadMemStats(&after)
-		// A segment of at least 7 stored takes 32 bytes in the list the
-		// decoder reads the records into (×4.6) and at most 28 of columns —
+		// A segment of at least 3 stored bytes takes 32 in the list the
+		// decoder reads the records into (×10.7) and at most 28 of columns —
 		// three 8-byte fields and a slope, though a field wider than its
 		// varint needs more stored bytes than that; a grid record of one-
-		// byte varints takes some 9, so a block of nothing but such
-		// records allocates ×5.9, which the constant covers up to some
-		// 75 KB; an escaped segment 16 more for its 16 stored, and a
-		// 24-byte wide struct for a cell with one; the constant covers the
-		// error and whatever the fuzzing worker's own goroutines allocate
-		// meanwhile — the counter is the process's.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(data)+1<<16); got > limit {
+		// byte varints and no slope bytes takes some 5 of them, so a block
+		// of nothing but such records allocates ×12.3; an escaped segment
+		// 16 more for its 16 stored, and a 24-byte wide struct for a cell
+		// with one; the constant covers the error and whatever the fuzzing
+		// worker's own goroutines allocate meanwhile — the counter is the
+		// process's.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(13*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes into %d cells allocated %d, want at most %d", len(data), n, got, limit)
 		}
 		if err != nil {
@@ -368,6 +370,18 @@ func FuzzNarrowLine(f *testing.F) {
 		}
 		narrowLineCase(t, sel, gsel, heavy, gaps)
 	})
+}
+
+// TestSlopeWidthSeeds: FuzzSlopeWidth's seeds shorten slopes at every
+// origin.
+func TestSlopeWidthSeeds(t *testing.T) {
+	for sel := range fuzzOrigins {
+		for _, gaps := range [][]byte{sliverGaps, {0x9f, 0x9f, 0x9f, 1, 1, 1, 1, 0x81, 0x81, 0x81}} {
+			if lines, short := slopeWidthCase(t, byte(sel), 2, gaps); short == 0 {
+				t.Errorf("origin %d: none of %d lines shortened", fuzzOrigins[sel], lines)
+			}
+		}
+	}
 }
 
 // TestNarrowLineEscapes: FuzzNarrowLine's seeds reach both ways off the
@@ -488,5 +502,123 @@ func checkStoredLines(t *testing.T, what string, s *Summary) int {
 	if held := s.escaped(); held != escaped {
 		t.Fatalf("%s: %d segments escaped, the wide form holds %d", what, escaped, held)
 	}
+	if aw := refSlopeWidth(segs, forms); int(s.aw()) != aw {
+		t.Fatalf("%s: slopes held in %d bytes, want the %d they need", what, s.aw(), aw)
+	}
 	return off
+}
+
+// FuzzSlopeWidth holds the slope pick (region.shortSlope) and the slope
+// column to their contracts, over fuzzer-chosen gaps at each time origin
+// under a fuzzer-chosen γ: a closed window's line lies inside the window's
+// feasible region by gridMargin whenever a line of the grid did, and
+// whenever its slope was shortened, in which case it moved by at most 2⁻⁸
+// count over the window; the builder stores exactly the lines the windows
+// closed on; and a cell holds its slopes at the least width they need.
+func FuzzSlopeWidth(f *testing.F) {
+	for sel := range fuzzOrigins {
+		f.Add(byte(sel), byte(0), sliverGaps)
+		f.Add(byte(sel), byte(7), []byte{1, 1, 0, 0, 3, 0x85, 2, 0, 0, 0, 9, 0xff, 1, 1, 1, 2, 0x90, 4})
+		f.Add(byte(sel), byte(2), []byte{0x9f, 0x9f, 0x9f, 1, 1, 1, 1, 0x81, 0x81, 0x81})
+	}
+	f.Fuzz(func(t *testing.T, sel, gsel byte, gaps []byte) {
+		if len(gaps) == 0 || len(gaps) > 256 {
+			return
+		}
+		slopeWidthCase(t, sel, gsel, gaps)
+	})
+}
+
+// slopeWidthCase is FuzzSlopeWidth's body. It feeds a bare region the
+// constraints Builder.Append feeds, snapshotting the open window's region
+// before each constraint so that a window that closes is checked against
+// the region it closed on, and returns how many lines it checked and how
+// many of them were shortened.
+func slopeWidthCase(t *testing.T, sel, gsel byte, gaps []byte) (lines, shortened int) {
+	t.Helper()
+	origin := fuzzOrigins[int(sel)%len(fuzzOrigins)]
+	gamma := float64(1 + gsel%16)
+	ts := make(stream.TimestampSeq, len(gaps))
+	cur := origin + 1
+	for i, g := range gaps {
+		gap := int64(g & 0x1f)
+		if g&0x80 != 0 {
+			gap <<= 6
+		}
+		cur += gap
+		ts[i] = cur
+	}
+	r := new(region)
+	var closed []Segment
+	check := func(seg Segment, before region) {
+		if !before.open {
+			return
+		}
+		lines++
+		// The line the window closed on before its slope was shortened.
+		a, y := before.line()
+		ga, _, grid := before.gridLine(a, y)
+		switch fa := float64(float32(a)); {
+		case grid:
+			a = ga
+		case before.poly.InsideBy(geometry.Vec2{X: fa, Y: y - before.v0}, gridMargin):
+			a = fa
+		}
+		short := seg.A != a
+		if short {
+			shortened++
+			if slopeWidth(math.Float32bits(float32(seg.A))) >= slopeWidth(math.Float32bits(float32(a))) {
+				t.Fatalf("window at %d: slope %v shortened to %v, no fewer bytes", before.winStart, a, seg.A)
+			}
+			if moved := math.Abs(seg.A-a) * float64(seg.End-seg.Start); moved > 1.0/yUnit {
+				t.Fatalf("window at %d: slope %v shortened to %v moves the line by %v over its window, more than 2⁻⁸ count", before.winStart, a, seg.A, moved)
+			}
+		}
+		if (grid || short) && !before.poly.InsideBy(geometry.Vec2{X: seg.A, Y: seg.Y - before.v0}, gridMargin) {
+			t.Fatalf("window at %d: line %+v leaves its region's margin (a grid line fit: %v, slope shortened: %v)", before.winStart, seg, grid, short)
+		}
+	}
+	feed := func(t, f int64) {
+		before := *r
+		before.poly = geometry.NewPolygon(r.poly.Vertices())
+		if seg, ok := r.feed(rpoint{t: t, hi: float64(f), slack: gamma}); ok {
+			check(seg, before)
+			closed = append(closed, seg)
+		}
+	}
+	count, last := int64(0), int64(0)
+	for _, v := range ts {
+		switch {
+		case count == 0:
+			feed(v-1, 0)
+		case v == last:
+		default:
+			feed(last, count)
+			if v > last+1 {
+				feed(v-1, count)
+			}
+		}
+		count, last = count+1, v
+	}
+	feed(last, count)
+	before := *r
+	before.poly = geometry.NewPolygon(r.poly.Vertices())
+	if seg, ok := r.close(); ok {
+		check(seg, before)
+		closed = append(closed, seg)
+	}
+
+	b, err := New(gamma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range ts {
+		b.Append(v)
+	}
+	s := b.Seal()
+	if got := s.Segments(); !slices.Equal(got, closed) {
+		t.Fatalf("the builder holds %+v, the windows closed on %+v", got, closed)
+	}
+	checkStoredLines(t, "built", s)
+	return lines, shortened
 }

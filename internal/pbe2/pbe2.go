@@ -121,17 +121,20 @@ type Summary struct {
 	// Closed segments: n of them, packed with room for room (see
 	// column.go) — the start offsets from firstStart, the search key, then
 	// from byte rowAt a row a segment of its length, its value at Start and
-	// its float32 slope — each field at sw, lw and yw bytes, the width its
-	// widest value takes, the grid values less yBase, or float64 values when
-	// float. The rare escaped line goes to the wide form, nil until one
-	// occurs (see wide). firstStart/lastStart are the ends of the starts, so
-	// full-range searches resolve boundary cases without touching the
-	// columns.
+	// its float32 slope's top bytes — each field at sw, lw, yw and aw bytes,
+	// the width its widest value takes, the grid values less yBase, or
+	// float64 values when float. The rare escaped line goes to the wide
+	// form, nil until one occurs (see wide). firstStart/lastStart are the
+	// ends of the starts, so full-range searches resolve boundary cases
+	// without touching the columns.
 	cols       []byte
 	n, room    int
 	rowAt      int
 	yBase      int64
 	sw, lw, yw uint8
+	stride     uint8 // lw + yw + aw, the slope's width (see aw)
+	aSh        uint8 // 32 − 8·aw, the bits a slope field sits below its float32's top
+	yAt, ySh   uint8 // where a y field's load starts in its row, and the field's bits into it (see yAt)
 	float      bool
 	wide       *wide
 	firstStart int64
@@ -458,7 +461,7 @@ func (s *Summary) NumSegments() int { return s.n }
 // while a window is open, the columns' room to spare, its feasible region
 // and clip arena, which Finish releases.
 func (s *Summary) Bytes() int {
-	return colSize(s.n, s.sw, s.lw, s.yw) + 16*s.escaped()
+	return colSize(s.n, s.sw, s.lw, s.yw, s.aw()) + 16*s.escaped()
 }
 
 // Split is where Bytes() go, a line a field of the segment columns: the
@@ -483,7 +486,7 @@ func (p Split) Add(q Split) Split {
 // Split returns the summary's Bytes() split by field.
 func (s *Summary) Split() Split {
 	n := s.n
-	p := Split{Starts: n * int(s.sw), Lengths: n * int(s.lw), Values: n * int(s.yw), Slopes: n * 4, Escaped: 16 * s.escaped()}
-	p.Slack = colSize(n, s.sw, s.lw, s.yw) - p.Starts - p.Lengths - p.Values - p.Slopes
+	p := Split{Starts: n * int(s.sw), Lengths: n * int(s.lw), Values: n * int(s.yw), Slopes: n * int(s.aw()), Escaped: 16 * s.escaped()}
+	p.Slack = colSize(n, s.sw, s.lw, s.yw, s.aw()) - p.Starts - p.Lengths - p.Values - p.Slopes
 	return p
 }

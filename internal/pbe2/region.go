@@ -166,9 +166,10 @@ func (r *region) feed(p rpoint) (seg Segment, emitted bool) {
 // close ends the open window and returns its segment, if there is one: a
 // line of the narrow grid strictly inside the region (gridLine), else the
 // region's centroid line with its slope rounded to float32 when that stays
-// as far inside, else the centroid line itself; or a single-instant segment
-// at the middle of a lone constraint's range, on the grid when that stays in
-// the range.
+// as far inside, else the centroid line itself — in each case with the
+// shortest slope that keeps it inside at its value (shortSlope); or a
+// single-instant segment at the middle of a lone constraint's range, on the
+// grid when that stays in the range.
 //
 //histburst:noalloc
 func (r *region) close() (seg Segment, emitted bool) {
@@ -180,7 +181,7 @@ func (r *region) close() (seg Segment, emitted bool) {
 		} else if fa := float64(float32(a)); r.poly.InsideBy(geometry.Vec2{X: fa, Y: y - r.v0}, gridMargin) {
 			a = fa
 		}
-		seg = Segment{A: a, Y: y, Start: r.winStart, End: r.winEnd}
+		seg = Segment{A: r.shortSlope(a, y), Y: y, Start: r.winStart, End: r.winEnd}
 	case r.pending:
 		lo, y := r.v0-r.slack0, r.v0-r.slack0/2
 		if gy := math.Round(y*yUnit) / yUnit; gy >= lo && gy <= r.v0 {
@@ -232,6 +233,45 @@ func (r *region) gridLine(a, y float64) (ga, gy float64, ok bool) {
 		}
 	}
 	return 0, 0, false
+}
+
+// shortSlope returns, for the line of value y at winStart and slope a
+// strictly inside the open region, a slope that keeps it so and whose
+// float32 its cell can store in fewer bytes (slopeWidth): of a rounded to
+// the top two bytes of a float32, then the middle of the region's chord at
+// y rounded so, and the same two at the top three bytes, the first that
+// stays gridMargin inside and moves the line by at most a grid unit, 2⁻⁸
+// count, anywhere on the window; failing those, a. The bound keeps the
+// window's answers where a's line puts them: a slope the region holds but
+// further off moves borderline BURSTY-EVENT answers.
+//
+//histburst:noalloc
+func (r *region) shortSlope(a, y float64) float64 {
+	y -= r.v0
+	lo, hi, _ := r.poly.ChordX(y)
+	span := float64(uint64(r.winEnd - r.winStart))
+	for _, w := range [2]uint8{2, 3} {
+		for _, c := range [2]float64{a, lo + (hi-lo)/2} {
+			if sa, ok := topBytes(c, w); ok && math.Abs(sa-a)*span <= 1.0/yUnit && r.poly.InsideBy(geometry.Vec2{X: sa, Y: y}, gridMargin) {
+				return sa
+			}
+		}
+	}
+	return a
+}
+
+// topBytes returns a as a float32 rounded to the nearest whose bits past
+// the top w bytes are zero; ok is false when that is not a finite number.
+//
+//histburst:noalloc
+func topBytes(a float64, w uint8) (float64, bool) {
+	drop := 32 - 8*uint(w)
+	b := math.Float32bits(float32(a))
+	b = (b + 1<<(drop-1)) &^ (1<<drop - 1)
+	if b&0x7f800000 == 0x7f800000 {
+		return 0, false
+	}
+	return float64(math.Float32frombits(b)), true
 }
 
 // around returns a and the float32 values on either side of it.

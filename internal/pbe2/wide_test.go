@@ -115,7 +115,9 @@ func refBlock(s *Summary, maxT int64) []byte {
 		w.Uvarint(uint64(s.outOfOrder))
 	}
 	forms, float := refForms(segs)
+	aw := refSlopeWidth(segs, forms)
 	writeBits(&w, []bool{float})
+	writeWidths(&w, []int{aw})
 	prevEnd := maxT
 	for i, seg := range segs {
 		if i == 0 {
@@ -124,10 +126,38 @@ func refBlock(s *Summary, maxT int64) []byte {
 			w.Uvarint(uint64(seg.Start - prevEnd))
 		}
 		w.Uvarint(uint64(seg.End - seg.Start))
-		writeLine(&w, seg.A, seg.Y, forms[i] == escapedValue, float)
+		writeLine(&w, seg.A, seg.Y, aw, forms[i] == escapedValue, float)
 		prevEnd = seg.End
 	}
 	return w.Bytes()
+}
+
+// refSlope is the float32 bits a cell stores a segment's slope as: the
+// escape marker for a segment escaped whole.
+func refSlope(a float64, escaped bool) uint32 {
+	if escaped {
+		return 0x7fc00000
+	}
+	return math.Float32bits(float32(a))
+}
+
+// refSlopeWidth is the bytes a cell of segs, held in forms, stores each
+// slope in: the top bytes of its float32 up to the lowest one that is not
+// zero over all of them, and 2 where that is the top byte alone.
+func refSlopeWidth(segs []Segment, forms []int) int {
+	aw := 0
+	for i, s := range segs {
+		b := refSlope(s.A, forms[i] == escapedValue)
+		w := 4
+		for ; w > 0 && b&0xff == 0; w-- {
+			b >>= 8
+		}
+		aw = max(aw, w)
+	}
+	if aw == 1 {
+		return 2
+	}
+	return aw
 }
 
 // writeBits writes a bit a cell, bit i%8 of byte i/8 for the i-th.
@@ -143,21 +173,23 @@ func writeBits(w *binenc.Writer, bits []bool) {
 	}
 }
 
-// writeLine writes the slope and value of a segment record: the escape
-// marker, a NaN, and both as float64 for a segment escaped whole; otherwise
-// the float32 slope, then the value as a float64 in a cell of float64
-// values, or as a zigzag varint of 2⁻⁸ counts in a grid cell.
-func writeLine(w *binenc.Writer, a, y float64, escaped, float bool) {
+// writeLine writes the slope and value of a segment record: the top aw
+// bytes of the escape marker, a NaN, and both as float64 for a segment
+// escaped whole; otherwise the top aw bytes of the float32 slope, then the
+// value as a float64 in a cell of float64 values, or as a zigzag varint of
+// 2⁻⁸ counts in a grid cell.
+func writeLine(w *binenc.Writer, a, y float64, aw int, escaped, float bool) {
+	b := refSlope(a, escaped)
+	for k := 4 - aw; k < 4; k++ {
+		w.Byte(byte(b >> (8 * k)))
+	}
 	switch {
 	case escaped:
-		w.Uint32(0x7fc00000)
 		w.Float64(a)
 		w.Float64(y)
 	case float:
-		w.Uint32(math.Float32bits(float32(a)))
 		w.Float64(y)
 	default:
-		w.Uint32(math.Float32bits(float32(a)))
 		w.Varint(int64(y * 256))
 	}
 }
@@ -247,10 +279,9 @@ func refWidth(v uint64) int {
 }
 
 // refBytes is what Bytes reads for a cell of segs: the start offsets, the
-// lengths and the values at Start, each at the width in bytes its widest
-// needs, and a 4-byte slope, a segment; at least 8 bytes from the last
-// length's and the last value's first bytes; 16 bytes more for each
-// escaped segment.
+// lengths, the values at Start and the slopes, each at the width in bytes
+// its widest needs, a segment; past the last row what its loads read; 16
+// bytes more for each escaped segment.
 func refBytes(segs []Segment) int {
 	if len(segs) == 0 {
 		return 0
@@ -282,8 +313,15 @@ func refBytes(segs []Segment) int {
 			yw = max(yw, refWidth(uint64(escaped-1)))
 		}
 	}
-	n := len(segs)
-	return n*sw + (n-1)*(lw+yw+4) + lw + max(yw+4, 8) + 16*escaped
+	n, aw := len(segs), refSlopeWidth(segs, forms)
+	// The last row's loads: 8 bytes from its start, which hold its y when
+	// its length and y fit in them, else 8 more from its y's start, and the
+	// slope's 4 from the slope's.
+	reach := max(8, lw+yw+4)
+	if lw+yw > 8 {
+		reach = max(reach, lw+8)
+	}
+	return n*sw + (n-1)*(lw+yw+aw) + reach + 16*escaped
 }
 
 // parentBytes is what a cell of segs counted when every field took 32

@@ -355,8 +355,9 @@ func (sn *Snapshot) MinTime() int64 {
 // Bytes returns the approximate footprint held in memory now: per sealed
 // segment the decoded summary once something has touched it and the
 // verified file bytes until then, plus what each head stores for its
-// elements: 16 bytes and 31 fixed-width gaps per packed 32-timestamp chunk,
-// 8 bytes and its fixed-width gaps per open chunk (see memHead.bytes).
+// elements: per packed 64-timestamp chunk 16 bytes and its 63 gaps at the
+// chunk's bit width, per open chunk 8 bytes and its gaps the same way, each
+// chunk's gaps rounded up to whole bytes (see memHead.bytes).
 func (sn *Snapshot) Bytes() int {
 	total := 0
 	for _, g := range sn.v.segs {

@@ -223,15 +223,15 @@ func TestLoadRejectsLegacyHBD1(t *testing.T) {
 		t.Fatalf("v1 file refused without naming its version: %v", err)
 	}
 	// The previous generations, whole and checksummed, are refused by name
-	// by the verifier and the decoder alike. An HBD7 or HBD8 file is this
-	// one's header under the older version byte, ahead of cell blocks whose
-	// records it cannot read.
-	for _, gen := range []byte{6, 7, 8} {
+	// by the verifier and the decoder alike. An HBD7, HBD8 or HBD9 file is
+	// this one's header under the older version byte, ahead of cell blocks
+	// whose records it cannot read.
+	for _, gen := range []byte{6, 7, 8, 9} {
 		name, old := fmt.Sprintf("HBD%d", gen), saveOld(t, det, gen)
 		_, ierr := Inspect(old)
 		_, derr := Decode(old)
 		for _, err := range []error{ierr, derr} {
-			if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format "+name+" (this build reads HBD9 only)") {
+			if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), "unsupported detector format "+name+" (this build reads HBD10 only)") {
 				t.Fatalf("%s file: %v, want a refusal naming %s", name, err, name)
 			}
 		}

@@ -19,7 +19,7 @@ import (
 // It is the detector over one id, the way Section IV builds CM-PBE from
 // Section III's estimator: one collision-free level of one PBE-2 cell. It
 // ingests and answers through that cell alone, and saves as that detector's
-// HBD9 file, so Load reads a saved Single.
+// HBD10 file, so Load reads a saved Single.
 type Single struct {
 	p    *pbe2.Builder
 	minT int64 // the first arrival, which the detector file records
@@ -112,7 +112,7 @@ func (s *Single) MergeAppend(other *Single) error {
 	return nil
 }
 
-// Save writes the summary's complete state (flushing it first): the HBD9
+// Save writes the summary's complete state (flushing it first): the HBD10
 // file of the detector over one id that holds it — New(1)'s index, one
 // collision-free level of one cell, with New(1)'s configuration under the
 // summary's γ and the counters New(1) keeps of the same arrivals.

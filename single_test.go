@@ -212,7 +212,7 @@ func TestLoadSingleRefusesHBS2(t *testing.T) {
 	for name, old := range map[string][]byte{"HBS2": saveHBS2(t, s), "HBS3": saveHBS3(t, s)} {
 		kept := bytes.Clone(old)
 		_, err := LoadSingle(bytes.NewReader(old))
-		want := "unsupported single-event summary format " + name + " (this build reads a single-event summary as an HBD9 detector file over one id)"
+		want := "unsupported single-event summary format " + name + " (this build reads a single-event summary as an HBD10 detector file over one id)"
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s file: %v, want a refusal naming %s", name, err, name)
 		}
