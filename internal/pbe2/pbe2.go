@@ -450,11 +450,11 @@ func (s *Summary) OutOfOrder() int64 { return s.outOfOrder }
 func (s *Summary) NumSegments() int { return s.n }
 
 // Bytes returns the summary footprint: what the segment columns hold once
-// sealed. A segment takes its start offset, length and value at Start at
-// the width in bytes the cell's widest of each needs, and a float32 slope:
-// in a cell of float64 values the value takes 8 bytes. The last row carries
-// the few bytes its 8-byte loads read past it, and an escaped segment 16
-// more for its float64 line. Counted: segment payload only. Not counted:
+// sealed. A segment takes its start offset, length, value at Start and
+// slope at the width in bytes the cell's widest of each needs — a slope the
+// top 0, 2, 3 or 4 bytes of its float32 — and in a cell of float64 values
+// the value takes 8 bytes. The last row carries the few bytes its loads
+// read past it, and an escaped segment 16 more for its float64 line. Counted: segment payload only. Not counted:
 // the Builder struct itself (widths and base included), the wide form's
 // header and the allocator's per-array rounding, a fixed cost per cell that
 // a sketch of K cells pays K times whatever the history's length — and,
