@@ -322,7 +322,6 @@ var summaryReaders = []struct {
 		return []any{tr.Level(0).(*cmpbe.Sketch).N(), tr.Bytes(), out, st}
 	}},
 	{"Bytes", func(t *testing.T, d *Detector) any { return d.Bytes() }},
-	{"BytesByLevel", func(t *testing.T, d *Detector) any { return d.BytesByLevel() }},
 	{"Save", func(t *testing.T, d *Detector) any { return saveBytes(t, d) }},
 	{"SaveFile", func(t *testing.T, d *Detector) any {
 		path := filepath.Join(t.TempDir(), "d.hbsk")
@@ -408,7 +407,7 @@ func TestFlushBeforeReadConcurrentQueries(t *testing.T) {
 				switch r.method {
 				case "Burstiness", "BurstyTimes", "BurstyEvents", "TopBursty",
 					"BurstinessOver", "BurstyTimesOver", "BurstyEventsOver", "TopBurstyOver",
-					"CumulativeFrequency", "Bytes", "BytesByLevel",
+					"CumulativeFrequency", "Bytes",
 					"Save", "Clone": // the compactor clones sealed segments that are serving reads
 					fmt.Fprintln(&sb, r.method, r.call(t, det))
 				}

@@ -383,21 +383,21 @@ func (d *Detector) Bytes() int {
 	return d.tree.Bytes()
 }
 
-// LevelBytes is one kept level's share of Bytes(), a line a field of its
+// levelSplit is one kept level's share of Bytes(), a line a field of its
 // PBE-2 cells' segment columns (see pbe2.Split).
-type LevelBytes struct {
+type levelSplit struct {
 	Height int
 	pbe2.Split
 }
 
-// BytesByLevel returns Bytes() split by kept level, leaf first, and by
+// bytesByLevel returns Bytes() split by kept level, leaf first, and by
 // field, computed on demand: the lines of every level sum to Bytes().
-func (d *Detector) BytesByLevel() []LevelBytes {
+func (d *Detector) bytesByLevel() []levelSplit {
 	d.settle()
 	heights := d.tree.Heights()
-	out := make([]LevelBytes, len(heights))
+	out := make([]levelSplit, len(heights))
 	for i, h := range heights {
-		out[i] = LevelBytes{Height: h, Split: d.tree.Level(i).(*cmpbe.Sketch).Split()}
+		out[i] = levelSplit{Height: h, Split: d.tree.Level(i).(*cmpbe.Sketch).Split()}
 	}
 	return out
 }

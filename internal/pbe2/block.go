@@ -57,6 +57,13 @@ const maxSegments = 1 << 32
 // varints, a slope of no bytes and a one-byte value.
 const minSegmentBytes = 3
 
+// listRecordBytes is the least a level's records must take on average, in
+// bytes, for DecodeBlock to keep its segments in a list between its passes,
+// 32 bytes a segment: it keeps the list within 4 times the input, and
+// encoded cells' records take some 10 bytes. A variable only so that a test
+// can drive both passes over the same block.
+var listRecordBytes = 8
+
 // widthCodes are the slope widths a cell block's 2-bit codes stand for.
 var widthCodes = [4]uint8{0, 2, 3, 4}
 
@@ -176,13 +183,14 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 // its count, its segments ascend without overlap on finite coefficients, its
 // records take the forms a plan replays, and it ends no later than maxT.
 //
-// It reads the records once, checking them into a list of the level's
-// segments and planning each cell's columns (plan); then, with every shared
-// array allocated at its exact size — the columns of all cells in one, the
-// escaped lines in another, their wide structs in a third — it fills them
-// from the list. Each cell holds a full-slice range of them, so an append
-// after loading copies the cell's segments out instead of writing over its
-// neighbour's.
+// It reads the records once, checking them and planning each cell's
+// columns (plan); then, with every shared array allocated at its exact size
+// — the columns of all cells in one, the escaped lines in another, their
+// wide structs in a third — it fills them from a list of the segments the
+// first pass kept, or, where the list would take more than 4 times the
+// input left, from the records read again. Each cell holds a full-slice
+// range of them, so an append after loading copies the cell's segments out
+// instead of writing over its neighbour's.
 //
 //histburst:decoder
 func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
@@ -312,10 +320,17 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		r.Byte()
 	}
 
-	// First pass: read and check the records into segs, in order, and plan
-	// each cell's columns: a record must be in the form the plan replays for
-	// it, and a cell must hold float64 values exactly when its plan ends so.
-	segs := make([]Segment, 0, total)
+	// First pass: read and check the records, and plan each cell's columns:
+	// a record must be in the form the plan replays for it, and a cell must
+	// hold float64 values exactly when its plan ends so. The segments go
+	// into a list while that stays within 4 times the bytes left
+	// (listRecordBytes); otherwise the second pass reads the records again,
+	// from a copy of the reader taken here.
+	records, listed := *r, total <= ahead.Remaining()/listRecordBytes
+	var segs []Segment
+	if listed {
+		segs = make([]Segment, 0, total)
+	}
 	colBytes, lines, wides := 0, 0, 0
 	present = 0
 	for i := range cells {
@@ -381,7 +396,9 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			case !b.float && form == narrowValue && int64(seg.Y*yUnit) != k:
 				return corrupt("cell %d: segment %d holds %d units of 2⁻⁸ count, which no float64 holds", i, j, k)
 			}
-			segs = append(segs, seg)
+			if listed {
+				segs = append(segs, seg)
+			}
 			prevEnd = end
 		}
 		if p.float != b.float {
@@ -411,10 +428,11 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		return corrupt("a varint is not in its shortest form")
 	}
 
-	// Second pass: the segments into the shared arrays. A segment takes at
-	// most 28 bytes of columns — an 8-byte start, length and value and a
-	// 4-byte slope, the bytes past a cell's last row included — so the plan
-	// never passes what the segment counts allow.
+	// Second pass: the segments, listed or read again, into the shared
+	// arrays. A segment takes at most 28 bytes of columns — an 8-byte
+	// start, length and value and a 4-byte slope, the bytes past a cell's
+	// last row included — so the plan never passes what the segment counts
+	// allow.
 	cols := make([]byte, min(colBytes, 28*total))
 	escLines, wideCells := make([]wideSeg, min(lines, total)), make([]wide, wides)
 	for i := range cells {
@@ -422,9 +440,8 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		if b.count == 0 {
 			continue
 		}
-		size := colSize(b.n, b.sw, b.lw, b.yw, b.aw())
-		cell := segs[:b.n]
-		segs = segs[b.n:]
+		n, aw := b.n, b.aw()
+		size := colSize(n, b.sw, b.lw, b.yw, aw)
 		b.lay(cols[:size:size])
 		cols = cols[size:]
 		// The next wide struct stands by for the cell's escaped lines, the
@@ -436,8 +453,18 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			b.wide.segs = escLines[:0:len(escLines)]
 		}
 		var p plan
-		for _, seg := range cell {
-			b.fill(seg, p.add(seg))
+		if listed {
+			for _, seg := range segs[:n] {
+				b.fill(seg, p.add(seg))
+			}
+			segs = segs[n:]
+		} else {
+			prevEnd := maxT
+			for j := range n {
+				seg := reread(&records, j, prevEnd, aw, b.float)
+				b.fill(seg, p.add(seg))
+				prevEnd = seg.End
+			}
 		}
 		if k := b.escaped(); k > 0 {
 			b.wide.segs = b.wide.segs[:k:k]
@@ -449,4 +476,31 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		b.rest() // sets headLow; the columns are exact already
 	}
 	return nil
+}
+
+// reread reads again the j-th segment record of a cell whose slopes take aw
+// bytes and whose values are float64 when float, which DecodeBlock's first
+// pass has checked: prevEnd is its predecessor's End, or the level's maxT
+// for the first.
+func reread(r *binenc.Reader, j int, prevEnd int64, aw uint8, float bool) Segment {
+	start := prevEnd
+	if j == 0 {
+		first := r.Varint()
+		start += first
+	} else {
+		gap := r.Uvarint()
+		start += int64(gap)
+	}
+	length := r.Uvarint()
+	seg := Segment{Start: start, End: start + int64(length)}
+	slope := uint32(r.UintN(int(aw)) << slopeShift(aw))
+	switch {
+	case slope == escSlope:
+		seg.A, seg.Y = r.Float64(), r.Float64()
+	case float:
+		seg.A, seg.Y = float64(math.Float32frombits(slope)), r.Float64()
+	default:
+		seg.A, seg.Y = float64(math.Float32frombits(slope)), float64(r.Varint())/yUnit
+	}
+	return seg
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -672,3 +673,71 @@ func TestBlockSlopeWidths(t *testing.T) {
 // negative is -n as the two's-complement uvarint a forged gap or length
 // carries.
 func negative(n int64) uint64 { return uint64(-n) }
+
+// TestBlockOfLeastRecordsAllocates: a block of 3-byte records, which a
+// list of 32 bytes a segment would take to 11 times its size, decodes
+// within FuzzPBE2CellBlock's bound on what a decode allocates.
+func TestBlockOfLeastRecordsAllocates(t *testing.T) {
+	data := rawBlock(0, []byte{1}, []rawCell{leastRecords(20_000)})
+	cells := make([]Builder, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := DecodeBlock(binenc.NewReader(data), cells, 0)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(data)+1<<16); got > limit {
+		t.Fatalf("decoding %d bytes allocated %d, want at most %d", len(data), got, limit)
+	}
+}
+
+// leastRecords is a cell of n records of the least size, 3 bytes: a one-
+// byte gap and length, no slope bytes and a one-byte value at Start, its
+// last segment ending just before a level's maxT of 0.
+func leastRecords(n int) rawCell {
+	c := rawCell{count: uint64(2 * n), tail: 1, first: -int64(2 * n), segs: make([]rawSegment, n)}
+	for i := range c.segs {
+		c.segs[i] = rawSegment{gap: 1, length: 1}
+	}
+	return c
+}
+
+// TestBlockRereadMatchesList: DecodeBlock fills a level's cells alike from
+// its list of segments and from the records read again, on blocks of every
+// record form and slope width, of the least records and of built cells.
+func TestBlockRereadMatchesList(t *testing.T) {
+	type block struct {
+		name  string
+		cells int
+		maxT  int64
+		data  []byte
+	}
+	built, builtT := blockCells(t, 8)
+	steer, steerT := blockCells(t, 32)
+	blocks := []block{
+		{"built", len(built), builtT, encodeBlock(t, built, builtT)},
+		{"under 4γ", len(steer), steerT, encodeBlock(t, steer, steerT)},
+		{"slope widths", 5, 100, rawBlock(0, []byte{0x1f}, widthCells())},
+		{"least records", 1, 0, rawBlock(0, []byte{1}, []rawCell{leastRecords(300)})},
+	}
+	for _, tc := range recordForms() {
+		blocks = append(blocks, block{tc.name, 2, 100, tc.data})
+	}
+	defer func(b int) { listRecordBytes = b }(listRecordBytes)
+	for _, tc := range blocks {
+		var got [2][]Builder
+		var errs [2]error
+		for i, least := range []int{1, math.MaxInt} {
+			listRecordBytes = least
+			got[i] = make([]Builder, tc.cells)
+			errs[i] = DecodeBlock(binenc.NewReader(tc.data), got[i], tc.maxT)
+		}
+		if (errs[0] == nil) != (errs[1] == nil) {
+			t.Fatalf("%s: listed %v, read again %v", tc.name, errs[0], errs[1])
+		}
+		if errs[0] == nil && !reflect.DeepEqual(got[0], got[1]) {
+			t.Errorf("%s: listed\n%+v\nread again\n%+v", tc.name, got[0], got[1])
+		}
+	}
+}

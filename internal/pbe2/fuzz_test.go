@@ -303,6 +303,7 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		f.Add(uint16(2), int64(100), tc.data)
 	}
 	f.Add(uint16(5), int64(100), rawBlock(0, []byte{0x1f}, widthCells()))
+	f.Add(uint16(1), int64(0), rawBlock(0, []byte{1}, []rawCell{leastRecords(50)}))
 	f.Add(uint16(1), int64(0), []byte{})
 
 	f.Fuzz(func(t *testing.T, n uint16, maxT int64, data []byte) {
@@ -315,17 +316,22 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		err := DecodeBlock(r, arena, maxT)
 		runtime.ReadMemStats(&after)
-		// A segment of at least 3 stored bytes takes 32 in the list the
-		// decoder reads the records into (×10.7) and at most 28 of columns —
-		// three 8-byte fields and a slope, though a field wider than its
-		// varint needs more stored bytes than that; a grid record of one-
-		// byte varints and no slope bytes takes some 5 of them, so a block
-		// of nothing but such records allocates ×12.3; an escaped segment
-		// 16 more for its 16 stored, and a 24-byte wide struct for a cell
-		// with one; the constant covers the error and whatever the fuzzing
-		// worker's own goroutines allocate meanwhile — the counter is the
-		// process's.
-		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(13*len(data)+1<<16); got > limit {
+		// The decoder allocates the columns, at most 28 bytes a segment —
+		// three 8-byte fields and a slope — and, while the records take 8
+		// bytes or more on average, a list of 32 bytes a segment, under 4
+		// times the input (listRecordBytes). A segment's fields take about
+		// the bytes its record stores, so a block of 3-byte records
+		// (leastRecords), read twice and listed never, allocates about as
+		// much as it is long. A cell can still widen every field of its
+		// one-byte records with one wide record, 24 bytes of columns each
+		// (×8), and 8-byte records so widened take 28 beside their 32 in
+		// the list (×7.5): the constant covers either up to some 22 KB of
+		// them, as it covered a 7-byte record's 60 before slopes took fewer
+		// bytes. An escaped segment takes 16 more for its 16 stored,
+		// and a cell with one a 24-byte wide struct; the constant covers the
+		// error and whatever the fuzzing worker's own goroutines allocate
+		// meanwhile — the counter is the process's.
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(5*len(data)+1<<16); got > limit {
 			t.Fatalf("decoding %d bytes into %d cells allocated %d, want at most %d", len(data), n, got, limit)
 		}
 		if err != nil {

@@ -208,9 +208,9 @@ func taxLayout(t testing.TB) (one *Detector, parts []*Detector) {
 func TestBytesByLevelSums(t *testing.T) {
 	check := func(name string, dets ...*Detector) {
 		t.Helper()
-		var sum []LevelBytes
+		var sum []levelSplit
 		for _, det := range dets {
-			levels, total := det.BytesByLevel(), 0
+			levels, total := det.bytesByLevel(), 0
 			for i, l := range levels {
 				p := l.Split
 				if p.Starts < 0 || p.Lengths < 0 || p.Values < 0 || p.Slopes < 0 || p.Escaped < 0 || p.Slack < 0 {
