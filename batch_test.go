@@ -213,6 +213,7 @@ var eagerCounters = map[string]func(d *Detector) any{
 	"MinTime":    func(d *Detector) any { return d.MinTime() },
 	"MaxTime":    func(d *Detector) any { return d.MaxTime() },
 	"OutOfOrder": func(d *Detector) any { return d.OutOfOrder() },
+	"Envelope":   func(d *Detector) any { return d.Envelope(d.MaxTime()) },
 }
 
 // summaryReaders drives every exported method that reads, hands out or
@@ -283,26 +284,17 @@ var summaryReaders = []struct {
 	{"BurstyTimesOver", func(t *testing.T, d *Detector) any {
 		var out [][]TimeRange
 		for _, e := range []uint64{3, 40, 7} {
-			r, err := d.BurstyTimesOver(e, 20, pbe.MustSpan(8))
-			if err != nil {
-				t.Fatal(err)
-			}
+			r := d.BurstyTimesOver(e, timesTheta(20), pbe.MustSpan(8))
 			out = append(out, r)
 		}
 		return out
 	}},
 	{"BurstyEventsOver", func(t *testing.T, d *Detector) any {
-		out, err := d.BurstyEventsOver(d.MaxTime(), 20, pbe.MustSpan(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := d.BurstyEventsOver(d.MaxTime(), eventsTheta(20), pbe.MustSpan(8))
 		return out
 	}},
 	{"TopBurstyOver", func(t *testing.T, d *Detector) any {
-		out, err := d.TopBurstyOver(d.MaxTime(), 5, pbe.MustSpan(8))
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := d.TopBurstyOver(d.MaxTime(), 5, pbe.MustSpan(8))
 		return out
 	}},
 	{"CumulativeFrequency", func(t *testing.T, d *Detector) any {
@@ -315,10 +307,7 @@ var summaryReaders = []struct {
 	{"EventIndex", func(t *testing.T, d *Detector) any {
 		var st dyadic.QueryStats
 		tr := d.EventIndex()
-		out, err := tr.TopBursty(d.MaxTime(), 5, pbe.MustSpan(8), &st)
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := tr.TopBursty(d.MaxTime(), 5, pbe.MustSpan(8), &st)
 		return []any{tr.Level(0).(*cmpbe.Sketch).N(), tr.Bytes(), out, st}
 	}},
 	{"Bytes", func(t *testing.T, d *Detector) any { return d.Bytes() }},

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"histburst/internal/segstore"
+	"histburst/internal/pbe"
 	"histburst/internal/subscribe"
 )
 
@@ -32,7 +32,7 @@ func TestAlertLineRendering(t *testing.T) {
 		}
 	}
 	a.Gap = 4
-	a.Envelope = &segstore.ErrorEnvelope{Degraded: true, MissingElements: 9, Bound: 2.5}
+	a.Envelope = &pbe.ErrorEnvelope{Degraded: true, MissingElements: 9, Bound: 2.5}
 	line = alertLine(a)
 	if !strings.Contains(line, "+4 dropped") || !strings.Contains(line, "degraded") {
 		t.Fatalf("gap/envelope not rendered: %q", line)

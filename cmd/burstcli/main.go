@@ -38,6 +38,7 @@ import (
 
 	"histburst"
 	"histburst/internal/metrics"
+	"histburst/internal/pbe"
 	"histburst/internal/segstore"
 	"histburst/internal/stream"
 	"histburst/internal/wire"
@@ -186,8 +187,8 @@ func run(args []string, out io.Writer) (err error) {
 // directory lends them wire's Answer* functions.
 type backend interface {
 	Point(qs []wire.PointQuery) ([]wire.PointResult, error)
-	Times(e uint64, theta float64, tau int64) ([]histburst.TimeRange, *segstore.ErrorEnvelope, error)
-	Events(t int64, theta float64, tau int64) ([]wire.EventHit, *segstore.ErrorEnvelope, error)
+	Times(e uint64, theta float64, tau int64) ([]histburst.TimeRange, *pbe.ErrorEnvelope, error)
+	Events(t int64, theta float64, tau int64) ([]wire.EventHit, *pbe.ErrorEnvelope, error)
 	printStats(out io.Writer) error
 	Close() error
 }
@@ -199,11 +200,11 @@ func (a answerer) Point(qs []wire.PointQuery) ([]wire.PointResult, error) {
 	return wire.AnswerPoint(a.q, qs)
 }
 
-func (a answerer) Times(e uint64, theta float64, tau int64) ([]histburst.TimeRange, *segstore.ErrorEnvelope, error) {
+func (a answerer) Times(e uint64, theta float64, tau int64) ([]histburst.TimeRange, *pbe.ErrorEnvelope, error) {
 	return wire.AnswerTimes(a.q, e, theta, tau)
 }
 
-func (a answerer) Events(t int64, theta float64, tau int64) ([]wire.EventHit, *segstore.ErrorEnvelope, error) {
+func (a answerer) Events(t int64, theta float64, tau int64) ([]wire.EventHit, *pbe.ErrorEnvelope, error) {
 	return wire.AnswerEvents(a.q, t, theta, tau)
 }
 
@@ -316,7 +317,7 @@ func (r remote) printStats(out io.Writer) error {
 }
 
 // printNote prints a degraded-history warning on its own line.
-func printNote(out io.Writer, env *segstore.ErrorEnvelope) {
+func printNote(out io.Writer, env *pbe.ErrorEnvelope) {
 	if note := envelopeNote(env); note != "" {
 		fmt.Fprintln(out, note)
 	}
@@ -324,7 +325,7 @@ func printNote(out io.Writer, env *segstore.ErrorEnvelope) {
 
 // envelopeNote renders a degraded-history warning, empty when the history
 // is whole.
-func envelopeNote(env *segstore.ErrorEnvelope) string {
+func envelopeNote(env *pbe.ErrorEnvelope) string {
 	if env == nil {
 		return ""
 	}

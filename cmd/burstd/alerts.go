@@ -10,10 +10,9 @@ import (
 	"sync"
 	"time"
 
-	"histburst/internal/segstore"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 	"histburst/internal/subscribe"
-	"histburst/internal/wire"
 )
 
 // The standing-query (alerting) subsystem: POST /v1/subscriptions arms a
@@ -43,8 +42,11 @@ func (s *server) initAlerts(maxSubs, queueCap int) {
 		// The sketch folds event ids modulo K; folding subscriptions the
 		// same way keeps "watch event e" aligned with what the store counts.
 		Fold: func(e uint64) uint64 { return e % s.store.K() },
-		Envelope: func(t int64) *segstore.ErrorEnvelope {
-			return wire.DegradedEnvelope(s.store.Snapshot(), t)
+		Envelope: func(t int64) *pbe.ErrorEnvelope {
+			if env := s.store.Snapshot().Envelope(t); env.Degraded {
+				return &env
+			}
+			return nil
 		},
 	})
 	hub := s.alerts.hub
@@ -105,8 +107,7 @@ func (s *server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 			wh.Run()
 		}()
 	}
-	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, reg)
+	writeStatus(w, http.StatusCreated, reg)
 }
 
 // handleSubscriptionsList serves the armed subscriptions in id order.

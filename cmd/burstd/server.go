@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"histburst"
+	"histburst/internal/pbe"
 	"histburst/internal/segstore"
 	"histburst/internal/stream"
 	"histburst/internal/wire"
@@ -320,17 +322,11 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !s.ready.Load():
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(s.healthBody("not ready")) //histburst:allow errdrop -- probe response; nothing to recover
+		writeStatus(w, http.StatusServiceUnavailable, s.healthBody("not ready"))
 	case s.readOnly.Load():
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(s.healthBody("read-only")) //histburst:allow errdrop -- probe response; nothing to recover
+		writeStatus(w, http.StatusServiceUnavailable, s.healthBody("read-only"))
 	case s.store.Err() != nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(s.healthBody("store error")) //histburst:allow errdrop -- probe response; nothing to recover
+		writeStatus(w, http.StatusServiceUnavailable, s.healthBody("store error"))
 	default:
 		writeJSON(w, s.healthBody("ready"))
 	}
@@ -349,8 +345,8 @@ type appendElement struct {
 	Time  int64  `json:"time"`
 }
 
-// maxAppendBody bounds an ingest request body; ~8 MB is far beyond any
-// sane batch and keeps a hostile client from ballooning the heap.
+// maxAppendBody bounds an ingest request body: the heap guard in front of
+// the JSON decoder, ~8 MB, beyond any batch within wire.MaxAppendElems.
 const maxAppendBody = 8 << 20
 
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
@@ -360,8 +356,8 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	if len(req.Elements) == 0 {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
+	if err := wire.CheckAppendLen(uint64(len(req.Elements))); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	elems := make(stream.Stream, len(req.Elements))
@@ -375,8 +371,10 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	res := s.ingest(elems)
 	switch {
 	case res.Refused != 0:
+		// Like the NACK, the body carries the store's envelope at its frontier.
+		sn := s.store.Snapshot()
 		w.Header().Set("Retry-After", retryAfterSeconds(res.RetryAfter))
-		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("%s", res.Message))
+		writeStatus(w, http.StatusServiceUnavailable, map[string]any{"error": res.Message, "envelope": sn.Envelope(sn.MaxTime())})
 	case res.Err != nil:
 		httpError(w, http.StatusInternalServerError, res.Err)
 	default:
@@ -528,7 +526,7 @@ func (s *server) handleBurstiness(w http.ResponseWriter, r *http.Request) {
 	e, err1 := param(r, "e", parseUint)
 	t, err2 := param(r, "t", parseInt)
 	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
-	if err := firstErr(err1, err2, err3); err != nil {
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -544,7 +542,7 @@ func (s *server) handleTimes(w http.ResponseWriter, r *http.Request) {
 	e, err1 := param(r, "e", parseUint)
 	theta, err2 := param(r, "theta", parseFloat)
 	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
-	if err := firstErr(err1, err2, err3); err != nil {
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -556,7 +554,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	t, err1 := param(r, "t", parseInt)
 	theta, err2 := param(r, "theta", parseFloat)
 	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
-	if err := firstErr(err1, err2, err3); err != nil {
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -568,7 +566,7 @@ func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
 	t, err1 := param(r, "t", parseInt)
 	k, err2 := param(r, "k", parseInt, wire.DefaultK)
 	tau, err3 := param(r, "tau", parseInt, wire.DefaultTau)
-	if err := firstErr(err1, err2, err3); err != nil {
+	if err := cmp.Or(err1, err2, err3); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -638,22 +636,24 @@ func (s *server) handleSegments(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any) { writeStatus(w, http.StatusOK, v) }
+
+// writeStatus writes v as the JSON body of a code response.
+func writeStatus(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		log.Printf("burstd: encode response: %v", err)
 	}
 }
 
 func httpError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) //histburst:allow errdrop -- already reporting an error; a failed write has no further recovery
+	writeStatus(w, code, map[string]string{"error": err.Error()})
 }
 
 // reply encodes a query's answer with the envelope it carries (non-nil
 // only on a degraded history), or the answer's error as a 400.
-func reply(w http.ResponseWriter, resp map[string]any, env *segstore.ErrorEnvelope, err error) {
+func reply(w http.ResponseWriter, resp map[string]any, env *pbe.ErrorEnvelope, err error) {
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -662,15 +662,6 @@ func reply(w http.ResponseWriter, resp map[string]any, env *segstore.ErrorEnvelo
 		resp["envelope"] = env
 	}
 	writeJSON(w, resp)
-}
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // param parses query parameter name; an absent one is an error unless a

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"histburst/internal/binenc"
 	"histburst/internal/segstore"
 	"histburst/internal/stream"
 	"histburst/internal/wire"
@@ -383,8 +389,9 @@ func TestWireDegradedEnvelopeMatchesHTTP(t *testing.T) {
 // fault that outlives the retries, an internal error, accepted — the HTTP
 // status and Retry-After header pin the NACK code and hint: the header is
 // the verdict's hint rounded up to whole seconds, a refusal's message is the
-// same on both and its NACK carries the store's envelope, an internal error
-// has no hint, and an accepted batch neither.
+// same on both and its NACK and its 503 body carry the store's envelope,
+// field for field, an internal error has no hint, and an accepted batch
+// neither.
 func TestWireReadOnlyNackMatchesHTTP(t *testing.T) {
 	failWith := func(err error) func(*server) {
 		return func(s *server) {
@@ -457,6 +464,148 @@ func TestWireReadOnlyNackMatchesHTTP(t *testing.T) {
 			if ne.Envelope == nil {
 				t.Fatal("wire NACK carries no envelope")
 			}
+			raw, err := json.Marshal(ne.Envelope)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wenv map[string]any
+			if err := json.Unmarshal(raw, &wenv); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(httpOut["envelope"], wenv) {
+				t.Fatalf("envelope: wire %v, http %v", wenv, httpOut["envelope"])
+			}
 		})
+	}
+}
+
+// TestWireHTTPAppendBound: both transports take a batch of
+// wire.MaxAppendElems elements and refuse one more with one message — HTTP
+// as a 400, HBP1 as an ERR frame on a connection that stays up. No
+// wire.Client sends such a frame (it chunks), so the HBP1 half speaks the
+// protocol by hand.
+func TestWireHTTPAppendBound(t *testing.T) {
+	srv, err := newServer(serverOpts{K: 64, Gamma: 2, Seed: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	wl, err := listenWire(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(wl.Close)
+	conn := dialRaw(t, wl.Addr().String())
+	next := int64(0) // each batch lies past the last, so none is rejected
+	batch := func(n int) stream.Stream {
+		elems := make(stream.Stream, n)
+		for i := range elems {
+			elems[i] = stream.Element{Event: uint64(i % 7), Time: next + int64(i)/64}
+		}
+		next += int64(n)
+		return elems
+	}
+	refusal := fmt.Sprintf("batch of %d elements exceeds the %d-element limit", wire.MaxAppendElems+1, wire.MaxAppendElems)
+	for _, tc := range []struct {
+		n      int
+		status int
+		msg    string
+	}{
+		{wire.MaxAppendElems, http.StatusOK, ""},
+		{wire.MaxAppendElems + 1, http.StatusBadRequest, refusal},
+	} {
+		parts := make([]string, 0, tc.n)
+		for _, el := range batch(tc.n) {
+			parts = append(parts, fmt.Sprintf(`{"event":%d,"time":%d}`, el.Event, el.Time))
+		}
+		resp, err := http.Post(ts.URL+"/v1/append", "application/json",
+			strings.NewReader(`{"elements":[`+strings.Join(parts, ",")+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var httpOut map[string]any
+		if err := jsonDecode(resp, &httpOut); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status || (tc.msg != "" && httpOut["error"] != tc.msg) {
+			t.Fatalf("HTTP append of %d: %d %v, want %d %q", tc.n, resp.StatusCode, httpOut, tc.status, tc.msg)
+		}
+		if tc.msg == "" && httpOut["appended"] != float64(tc.n) {
+			t.Fatalf("HTTP append of %d: %v", tc.n, httpOut)
+		}
+		if kind, msg := conn.append(t, batch(tc.n)); (tc.msg == "") != (kind == 0x11) || msg != tc.msg {
+			t.Fatalf("HBP1 append of %d: frame 0x%02x %q, want %q", tc.n, kind, msg, tc.msg)
+		}
+	}
+	if kind, msg := conn.append(t, batch(1)); kind != 0x11 {
+		t.Fatalf("HBP1 connection after the refusal: frame 0x%02x %q, want an ack", kind, msg)
+	}
+}
+
+// rawConn speaks HBP1 by hand: the handshake, then APPEND frames of any
+// size, each answered by its ack (0x11) or ERR (0x19) frame.
+type rawConn struct {
+	c  net.Conn
+	br *bufio.Reader
+	id uint64
+}
+
+func dialRaw(t *testing.T, addr string) *rawConn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	hs := binary.LittleEndian.AppendUint32([]byte(wire.Magic), wire.Version)
+	if _, err := c.Write(hs); err != nil {
+		t.Fatal(err)
+	}
+	rc := &rawConn{c: c, br: bufio.NewReader(c)}
+	rc.frame(t) // HELLO
+	return rc
+}
+
+// frame reads one frame's payload: a u32 length, a u32 CRC-32C, the bytes.
+func (rc *rawConn) frame(t *testing.T) []byte {
+	t.Helper()
+	var hdr [8]byte
+	if _, err := io.ReadFull(rc.br, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, binary.LittleEndian.Uint32(hdr[:4]))
+	if _, err := io.ReadFull(rc.br, p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// append sends elems as one APPEND frame (0x01) and returns the type of the
+// frame answering it and, for an ERR, its message. CREDIT frames (request id
+// 0) are skipped.
+func (rc *rawConn) append(t *testing.T, elems stream.Stream) (byte, string) {
+	t.Helper()
+	rc.id++
+	var w binenc.Writer
+	w.Byte(0x01)
+	w.Uvarint(rc.id)
+	w.Uvarint(uint64(len(elems)))
+	stream.AppendRun(&w, elems)
+	hdr := binary.LittleEndian.AppendUint32(nil, uint32(len(w.Bytes())))
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(w.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := rc.c.Write(append(hdr, w.Bytes()...)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		r := binenc.NewReader(rc.frame(t))
+		kind, id := r.Byte(), r.Uvarint()
+		if id != rc.id {
+			continue
+		}
+		if kind == 0x19 {
+			return kind, string(r.BytesBlob())
+		}
+		return kind, ""
 	}
 }

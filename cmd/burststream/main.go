@@ -71,6 +71,11 @@ func process(r io.Reader, w io.Writer, k uint64, tau, report int64, top int, gam
 	if _, _, err := wire.AnswerTop(det, 0, int64(top), tau); err != nil {
 		return fmt.Errorf("-top/-tau: %w", err)
 	}
+	if fwd != nil {
+		if err := wire.CheckAppendLen(uint64(fwd.size)); err != nil {
+			return fmt.Errorf("-forward-batch: %w", err)
+		}
+	}
 	mapper := textmap.NewHashtagMapper(k)
 
 	var (

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"histburst"
+	"histburst/internal/wire"
 )
 
 // synthInput renders a message stream with a #fire burst at t in
@@ -105,5 +106,15 @@ func TestProcessValidation(t *testing.T) {
 	var out strings.Builder
 	if err := process(strings.NewReader(""), &out, 8, 10, 0, 3, 2, "", nil); err != nil {
 		t.Fatal(err)
+	}
+	// -forward-batch meets the append bound both transports apply before any
+	// input is read: the bound itself is fine, one more is refused.
+	unused := "http://127.0.0.1:1/v1/append"
+	if err := process(strings.NewReader(""), &strings.Builder{}, 8, 10, 0, 3, 2, "", newForwarder(unused, wire.MaxAppendElems, nil)); err != nil {
+		t.Errorf("-forward-batch %d: %v", wire.MaxAppendElems, err)
+	}
+	want := fmt.Sprintf("-forward-batch: batch of %d elements exceeds the %d-element limit", wire.MaxAppendElems+1, wire.MaxAppendElems)
+	if err := process(strings.NewReader(""), &strings.Builder{}, 8, 10, 0, 3, 2, "", newForwarder(unused, wire.MaxAppendElems+1, nil)); err == nil || err.Error() != want {
+		t.Errorf("-forward-batch %d: %v, want %q", wire.MaxAppendElems+1, err, want)
 	}
 }

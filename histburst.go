@@ -28,6 +28,7 @@
 package histburst
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
@@ -317,19 +318,17 @@ func (d *Detector) BurstinessOver(e uint64, t int64, sp pbe.Span) float64 {
 // Cost is linear in the summary size, not the stream size.
 func (d *Detector) BurstyTimes(e uint64, theta float64, tau int64) ([]TimeRange, error) {
 	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	th, terr := pbe.NewTimesTheta(theta)
+	if err = cmp.Or(err, terr); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	return d.BurstyTimesOver(e, theta, sp)
+	return d.BurstyTimesOver(e, th, sp), nil
 }
 
-// BurstyTimesOver is BurstyTimes over a span already built.
-func (d *Detector) BurstyTimesOver(e uint64, theta float64, sp pbe.Span) ([]TimeRange, error) {
-	if err := pbe.CheckTimesTheta(theta); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
+// BurstyTimesOver is BurstyTimes over a span and θ already built.
+func (d *Detector) BurstyTimesOver(e uint64, th pbe.TimesTheta, sp pbe.Span) []TimeRange {
 	d.settle()
-	return d.base.BurstyTimes(e%d.K(), theta, sp), nil
+	return d.base.BurstyTimes(e%d.K(), th.Float(), sp)
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): all event ids
@@ -338,18 +337,19 @@ func (d *Detector) BurstyTimesOver(e uint64, theta float64, sp pbe.Span) ([]Time
 // on the caller's goroutine.
 func (d *Detector) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
 	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	th, terr := pbe.NewEventsTheta(theta)
+	if err = cmp.Or(err, terr); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	d.settle()
-	return prefixed(d.tree.BurstyEventIDs(t, theta, sp, nil))
+	return d.tree.BurstyEventIDs(t, th, sp, nil), nil
 }
 
-// BurstyEventsOver is BurstyEvents over a span already built, each id with
-// the burstiness the search found there: Burstiness's answer at (e, t, τ).
-func (d *Detector) BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]EventBurstiness, error) {
+// BurstyEventsOver is BurstyEvents over a span and θ already built, each id
+// with the burstiness the search found there: Burstiness's answer at (e, t, τ).
+func (d *Detector) BurstyEventsOver(t int64, th pbe.EventsTheta, sp pbe.Span) []EventBurstiness {
 	d.settle()
-	return prefixed(d.tree.BurstyEvents(t, theta, sp, nil))
+	return d.tree.BurstyEvents(t, th, sp, nil)
 }
 
 // TopBursty returns up to k events with the largest estimated burstiness at
@@ -357,24 +357,22 @@ func (d *Detector) BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]Even
 // typically far fewer point queries than ranking all K events.
 func (d *Detector) TopBursty(t int64, k int, tau int64) ([]EventBurstiness, error) {
 	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	if err = cmp.Or(err, pbe.CheckTopK(int64(k))); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	return d.TopBurstyOver(t, k, sp)
+	return d.TopBurstyOver(t, k, sp), nil
 }
 
-// TopBurstyOver is TopBursty over a span already built.
-func (d *Detector) TopBurstyOver(t int64, k int, sp pbe.Span) ([]EventBurstiness, error) {
+// TopBurstyOver is TopBursty over a span already built, for a k > 0.
+func (d *Detector) TopBurstyOver(t int64, k int, sp pbe.Span) []EventBurstiness {
 	d.settle()
-	return prefixed(d.tree.TopBursty(t, k, sp, nil))
+	return d.tree.TopBursty(t, k, sp, nil)
 }
 
-// prefixed names the package in a search's refusal.
-func prefixed[T any](out T, err error) (T, error) {
-	if err != nil {
-		return out, fmt.Errorf("histburst: %w", err)
-	}
-	return out, nil
+// Envelope reports the detector's error envelope at instant t: its γ, never
+// degraded — a detector holds its whole history.
+func (d *Detector) Envelope(t int64) pbe.ErrorEnvelope {
+	return pbe.ErrorEnvelope{Gamma: d.cfg.gamma, Components: 1, Bound: d.cfg.gamma, Resolution: 1}
 }
 
 // Bytes returns the detector's summary footprint in bytes.

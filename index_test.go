@@ -26,6 +26,24 @@ type forgedLevel struct {
 // forgeIndexFile writes det's header over an index assembled from the given
 // levels, under a valid checksum: a file only the decoder's shape checks can
 // refuse.
+// eventsTheta is a BURSTY EVENT threshold the test knows is positive.
+func eventsTheta(theta float64) pbe.EventsTheta {
+	th, err := pbe.NewEventsTheta(theta)
+	if err != nil {
+		panic(err)
+	}
+	return th
+}
+
+// timesTheta is a BURSTY TIME threshold the test knows is a number.
+func timesTheta(theta float64) pbe.TimesTheta {
+	th, err := pbe.NewTimesTheta(theta)
+	if err != nil {
+		panic(err)
+	}
+	return th
+}
+
 func forgeIndexFile(t testing.TB, det *Detector, levels []forgedLevel) []byte {
 	t.Helper()
 	var w binenc.Writer
@@ -241,10 +259,7 @@ func TestSparseSupersetOfBinary(t *testing.T) {
 	binaryFound, keptFound := 0, 0
 	for i := 0; i < queries; i++ {
 		ts := 2*tau + (frontier-2*tau)*int64(i)/queries
-		want, err := every.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := every.BurstyEventIDs(ts, eventsTheta(theta), pbe.MustSpan(tau), nil)
 		got, err := det.BurstyEvents(ts, theta, tau)
 		if err != nil {
 			t.Fatal(err)
@@ -274,11 +289,9 @@ func TestBurstyEventsAllocs(t *testing.T) {
 	det := rioDetector(t, 1, 200_000, 1024, WithPBE2(8))
 	const tau = 86_400
 	ts := det.MaxTime() / 2
-	theta := 40.0
-	found, err := det.tree.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const theta = 40
+	th := eventsTheta(theta)
+	found := det.tree.BurstyEvents(ts, th, pbe.MustSpan(tau), nil)
 	if len(found) == 0 {
 		t.Fatal("fixture: nothing bursty at the probed instant; the walk would stop at the root")
 	}
@@ -288,9 +301,7 @@ func TestBurstyEventsAllocs(t *testing.T) {
 	}
 	var stats dyadic.QueryStats
 	if got := testing.AllocsPerRun(50, func() {
-		if _, err := det.tree.BurstyEvents(ts, theta, pbe.MustSpan(tau), &stats); err != nil {
-			t.Fatal(err)
-		}
+		det.tree.BurstyEvents(ts, th, pbe.MustSpan(tau), &stats)
 	}); int(got) > growths {
 		t.Errorf("BurstyEvents allocates %.0f times for %d results, want at most the %d growths of the result", got, len(found), growths)
 	}
@@ -298,9 +309,7 @@ func TestBurstyEventsAllocs(t *testing.T) {
 		t.Fatalf("fixture: the walk did no work: %+v", stats)
 	}
 	if got := testing.AllocsPerRun(50, func() {
-		if _, err := det.tree.TopBursty(ts, 5, pbe.MustSpan(tau), &stats); err != nil {
-			t.Fatal(err)
-		}
+		det.tree.TopBursty(ts, 5, pbe.MustSpan(tau), &stats)
 	}); got != 1 {
 		t.Errorf("TopBursty allocates %.0f times, want 1 (the result)", got)
 	}

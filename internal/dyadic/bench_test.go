@@ -55,8 +55,6 @@ func BenchmarkBurstyEvents(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.BurstyEvents(1049, 100, pbe.MustSpan(50), nil); err != nil {
-			b.Fatal(err)
-		}
+		tr.BurstyEvents(1049, eventsTheta(100), pbe.MustSpan(50), nil)
 	}
 }

@@ -394,37 +394,34 @@ func IndexOf[S Scorer](sh Shape, levels []S) Index {
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ): every event whose
-// estimated burstiness at time ts over span sp is at least theta, ascending
-// by id, each with the leaf score the walk compared against theta — the
-// point query's answer there. theta follows pbe.CheckEventsTheta; its
-// refusal is unprefixed, for the query's entry point to name itself.
+// estimated burstiness at time ts over span sp is at least θ, ascending by
+// id, each with the leaf score the walk compared against θ — the point
+// query's answer there.
 //
 // Stats, if non-nil, receives the number of point queries issued — the
 // quantity Figure 12's discussion bounds by O(log K) in the typical case.
 //
 //histburst:fastpath burstyEventsBinary
-func (x Index) BurstyEvents(ts int64, theta float64, sp pbe.Span, stats *QueryStats) ([]EventScore, error) {
+func (x Index) BurstyEvents(ts int64, th pbe.EventsTheta, sp pbe.Span, stats *QueryStats) []EventScore {
 	var hits []EventScore
-	return hits, x.walk(search{x: x, ts: ts, theta: theta, sp: sp, hits: &hits}, stats)
+	x.walk(search{x: x, ts: ts, theta: th.Float(), sp: sp, hits: &hits}, stats)
+	return hits
 }
 
 // BurstyEventIDs is BurstyEvents without the scores: the ids alone, for the
 // callers that need nothing else.
-func (x Index) BurstyEventIDs(ts int64, theta float64, sp pbe.Span, stats *QueryStats) ([]uint64, error) {
+func (x Index) BurstyEventIDs(ts int64, th pbe.EventsTheta, sp pbe.Span, stats *QueryStats) []uint64 {
 	var ids []uint64
-	return ids, x.walk(search{x: x, ts: ts, theta: theta, sp: sp, ids: &ids}, stats)
+	x.walk(search{x: x, ts: ts, theta: th.Float(), sp: sp, ids: &ids}, stats)
+	return ids
 }
 
-// walk runs Algorithm 3 for s once theta passes pbe.CheckEventsTheta.
-func (x Index) walk(s search, stats *QueryStats) error {
-	if err := pbe.CheckEventsTheta(s.theta); err != nil {
-		return err
-	}
+// walk runs Algorithm 3 for s.
+func (x Index) walk(s search, stats *QueryStats) {
 	if stats == nil {
 		stats = &QueryStats{}
 	}
 	s.visit(len(x.scorers), 0, 0, stats)
-	return nil
 }
 
 // QueryStats counts the work done by one BurstyEvents or TopBursty call.

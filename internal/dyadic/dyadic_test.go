@@ -1,7 +1,6 @@
 package dyadic
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -105,10 +104,7 @@ func TestExactTreePerfectPrecision(t *testing.T) {
 		ts := int64(r.Intn(2000))
 		tau := int64(1 + r.Intn(100))
 		theta := float64(1 + r.Intn(10))
-		got, err := tr.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := tr.BurstyEventIDs(ts, eventsTheta(theta), pbe.MustSpan(tau), nil)
 		want := oracle.BurstyEvents(ts, int64(theta), tau)
 		wantSet := make(map[uint64]bool, len(want))
 		for _, e := range want {
@@ -170,10 +166,7 @@ func TestPruningCancellationMiss(t *testing.T) {
 		t.Fatalf("setup broken: oracle b_0 = %d", b)
 	}
 	var stats QueryStats
-	got, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tr.BurstyEvents(ts, eventsTheta(theta), pbe.MustSpan(tau), &stats)
 	if len(got) != 0 {
 		t.Fatalf("expected the cancellation miss documented by the paper's design, got %v", got)
 	}
@@ -193,9 +186,7 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	var stats QueryStats
 	// Query inside the burst window with a threshold only the injected
 	// bursts pass.
-	if _, err := tr.BurstyEvents(2049, 100, pbe.MustSpan(50), &stats); err != nil {
-		t.Fatal(err)
-	}
+	tr.BurstyEvents(2049, eventsTheta(100), pbe.MustSpan(50), &stats)
 	// A naive scan costs k point queries; the pruned search should do far
 	// fewer (O(log k) scale).
 	if stats.PointQueries > 200 {
@@ -206,20 +197,13 @@ func TestPruningActuallyPrunes(t *testing.T) {
 	}
 }
 
-// TestThetaValidation: a threshold that is not positive is refused before
-// the walk starts. NaN is among them: no bound compares below it, so it
-// would prune nothing and score every node of the tree.
-func TestThetaValidation(t *testing.T) {
-	tr, _ := New(8, exactFactory)
-	for _, theta := range []float64{0, -3, math.NaN()} {
-		var stats QueryStats
-		if _, err := tr.BurstyEvents(10, theta, pbe.MustSpan(5), &stats); err == nil {
-			t.Errorf("theta=%v accepted", theta)
-		}
-		if stats != (QueryStats{}) {
-			t.Errorf("theta=%v: refused query did work: %+v", theta, stats)
-		}
+// eventsTheta is a threshold the test knows is positive.
+func eventsTheta(theta float64) pbe.EventsTheta {
+	th, err := pbe.NewEventsTheta(theta)
+	if err != nil {
+		panic(err)
 	}
+	return th
 }
 
 func TestOutOfRangeIDFolded(t *testing.T) {
@@ -252,10 +236,7 @@ func TestSketchTreeFindsPlantedBursts(t *testing.T) {
 	ts := int64(1549)
 	tau := int64(50)
 	theta := 100.0
-	got, err := tr.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tr.BurstyEventIDs(ts, eventsTheta(theta), pbe.MustSpan(tau), nil)
 	want := oracle.BurstyEvents(ts, int64(theta), tau)
 	// The sketch answer must contain every truly bursty event (recall) and
 	// not blow up with false positives.
@@ -302,10 +283,7 @@ func TestLargeTreeSketchLevels(t *testing.T) {
 	}
 	tr.Finish()
 	var stats QueryStats
-	got, err := tr.BurstyEventIDs(1049, 150, pbe.MustSpan(50), &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tr.BurstyEventIDs(1049, eventsTheta(150), pbe.MustSpan(50), &stats)
 	for _, e := range burstIDs {
 		if !slices.Contains(got, e) {
 			t.Fatalf("missed planted burst %d; got %v", e, got)

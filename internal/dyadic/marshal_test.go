@@ -46,14 +46,8 @@ func TestTreeMarshalRoundTrip(t *testing.T) {
 	}
 	// Identical query results.
 	for _, theta := range []float64{50, 200} {
-		a, err := tr.BurstyEventIDs(1049, theta, pbe.MustSpan(50), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := got.BurstyEventIDs(1049, theta, pbe.MustSpan(50), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := tr.BurstyEventIDs(1049, eventsTheta(theta), pbe.MustSpan(50), nil)
+		b := got.BurstyEventIDs(1049, eventsTheta(theta), pbe.MustSpan(50), nil)
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
 		if !reflect.DeepEqual(a, b) {

@@ -68,14 +68,8 @@ func TestMergeTreesMatchesMergeAppend(t *testing.T) {
 			}
 		}
 	}
-	fastIDs, err := fast.BurstyEventIDs(1040, 20, pbe.MustSpan(25), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naiveIDs, err := naive.BurstyEventIDs(1040, 20, pbe.MustSpan(25), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fastIDs := fast.BurstyEventIDs(1040, eventsTheta(20), pbe.MustSpan(25), nil)
+	naiveIDs := naive.BurstyEventIDs(1040, eventsTheta(20), pbe.MustSpan(25), nil)
 	if len(fastIDs) != len(naiveIDs) {
 		t.Fatalf("bursty events %v vs %v", fastIDs, naiveIDs)
 	}

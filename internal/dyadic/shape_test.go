@@ -146,10 +146,7 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 			theta := float64(1 + r.Intn(40))
 			want := tr.burstyEventsBinary(ts, theta, tau)
 			found += len(want)
-			hits, err := tr.BurstyEvents(ts, theta, pbe.MustSpan(tau), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hits := tr.BurstyEvents(ts, eventsTheta(theta), pbe.MustSpan(tau), nil)
 			got := make([]uint64, len(hits))
 			for i, h := range hits {
 				got[i] = h.Event
@@ -160,17 +157,14 @@ func TestEveryLevelIsAlgorithm3(t *testing.T) {
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEvents %v, Algorithm 3 %v", c.name, ts, tau, theta, got, want)
 			}
-			if ids, err := tr.BurstyEventIDs(ts, theta, pbe.MustSpan(tau), nil); err != nil || !slices.Equal(ids, got) {
-				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEventIDs %v (%v), BurstyEvents %v", c.name, ts, tau, theta, ids, err, got)
+			if ids := tr.BurstyEventIDs(ts, eventsTheta(theta), pbe.MustSpan(tau), nil); !slices.Equal(ids, got) {
+				t.Fatalf("%s: ts=%d τ=%d θ=%v: BurstyEventIDs %v, BurstyEvents %v", c.name, ts, tau, theta, ids, got)
 			}
 			if c.k == 1 {
 				continue // the binary search scored a root that is also a leaf as 0
 			}
 			k := 1 + r.Intn(5)
-			top, err := tr.TopBursty(ts, k, pbe.MustSpan(tau), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			top := tr.TopBursty(ts, k, pbe.MustSpan(tau), nil)
 			if wantTop := tr.topBurstyBinary(ts, k, tau); !slices.Equal(top, wantTop) {
 				t.Fatalf("%s: ts=%d τ=%d k=%d: TopBursty %v, binary best-first %v", c.name, ts, tau, k, top, wantTop)
 			}

@@ -1,7 +1,6 @@
 package dyadic
 
 import (
-	"fmt"
 	"math"
 
 	"histburst/internal/pbe"
@@ -15,9 +14,8 @@ type EventScore struct {
 
 // TopBursty returns up to k events with the largest estimated burstiness at
 // time ts over span sp, by descending burstiness and then ascending id — at
-// the k-th place too — found by best-first search over the index. A k that
-// is not positive is refused unprefixed, for the query's entry point to name
-// itself.
+// the k-th place too — found by best-first search over the index. k > 0:
+// every entry of the query checks it (pbe.CheckTopK).
 //
 // A node is ranked as its aggregate burstiness magnitude |b̃| at its lowest
 // leaf id; the search expands the first node in rank order and stops once
@@ -28,10 +26,7 @@ type EventScore struct {
 // also misses.
 //
 //histburst:fastpath topBurstyBinary
-func (x Index) TopBursty(ts int64, k int, sp pbe.Span, stats *QueryStats) ([]EventScore, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("k must be positive, got %d", k)
-	}
+func (x Index) TopBursty(ts int64, k int, sp pbe.Span, stats *QueryStats) []EventScore {
 	if stats == nil {
 		stats = &QueryStats{}
 	}
@@ -56,7 +51,7 @@ func (x Index) TopBursty(ts int64, k int, sp pbe.Span, stats *QueryStats) ([]Eve
 		}
 		pq = x.pushChildren(pq, n.i, n.Event>>x.heights[n.i], ts, sp, stats)
 	}
-	return results, nil
+	return results
 }
 
 // pushChildren scores the children of node (i, agg) — the top kept level's

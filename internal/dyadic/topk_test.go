@@ -25,10 +25,7 @@ func TestTopBurstyExactLevels(t *testing.T) {
 
 	ts, tau := int64(1549), int64(50)
 	var stats QueryStats
-	got, err := tr.TopBursty(ts, 2, pbe.MustSpan(tau), &stats)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tr.TopBursty(ts, 2, pbe.MustSpan(tau), &stats)
 	if len(got) != 2 {
 		t.Fatalf("got %d results", len(got))
 	}
@@ -65,10 +62,7 @@ func TestTopBurstyMatchesBruteForceRanking(t *testing.T) {
 	}
 	tr.Finish()
 	ts, tau := int64(1030), int64(40)
-	got, err := tr.TopBursty(ts, 5, pbe.MustSpan(tau), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tr.TopBursty(ts, 5, pbe.MustSpan(tau), nil)
 	// Brute-force ranking.
 	type es struct {
 		e uint64
@@ -87,15 +81,11 @@ func TestTopBurstyMatchesBruteForceRanking(t *testing.T) {
 	}
 }
 
+// TestTopBurstyValidation: an empty tree answers with zero scores. k is not
+// checked here: every entry of a top-k query checks it (pbe.CheckTopK).
 func TestTopBurstyValidation(t *testing.T) {
 	tr, _ := New(8, exactFactory)
-	if _, err := tr.TopBursty(10, 0, pbe.MustSpan(5), nil); err == nil {
-		t.Error("k=0 accepted")
-	}
-	got, err := tr.TopBursty(10, 3, pbe.MustSpan(5), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := tr.TopBursty(10, 3, pbe.MustSpan(5), nil)
 	// Empty tree: every leaf scores zero; results exist but are all zero.
 	for _, s := range got {
 		if s.Burstiness != 0 {
@@ -128,10 +118,7 @@ func TestTopBurstyTiesRankByID(t *testing.T) {
 		tr.Finish()
 		want := []EventScore{{50, 8}, {2, 5}, {9, 5}, {17, 5}, {33, 5}, {40, 5}, {0, 0}, {1, 0}}
 		for k := 1; k <= len(want); k++ {
-			got, err := tr.TopBursty(100, k, pbe.MustSpan(10), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := tr.TopBursty(100, k, pbe.MustSpan(10), nil)
 			if !slices.Equal(got, want[:k]) {
 				t.Errorf("%s: TopBursty(k=%d) = %v, want %v", name, k, got, want[:k])
 			}

@@ -122,12 +122,13 @@ func askEvents(tree *dyadic.Tree, queries []eventQuery) (metrics.PrecisionRecall
 	var stats dyadic.QueryStats
 	var spent time.Duration
 	for _, q := range queries {
-		t0 := time.Now()
-		got, err := tree.BurstyEventIDs(q.t, q.theta, pbe.MustSpan(workload.Day), &stats)
-		spent += time.Since(t0)
+		th, err := pbe.NewEventsTheta(q.theta)
 		if err != nil {
 			return agg, stats, spent, err
 		}
+		t0 := time.Now()
+		got := tree.BurstyEventIDs(q.t, th, pbe.MustSpan(workload.Day), &stats)
+		spent += time.Since(t0)
 		agg.Add(metrics.Compare(got, q.want))
 	}
 	return agg, stats, spent, nil

@@ -55,6 +55,10 @@ func fig13(cfg Config) (Table, error) {
 	}
 	weeks := horizon/(7*workload.Day) + 1
 	sp := pbe.MustSpan(tau)
+	th, err := pbe.NewEventsTheta(theta)
+	if err != nil {
+		return Table{}, err
+	}
 	for wk := int64(0); wk < weeks; wk++ {
 		demCount, repCount := 0, 0
 		demMass, repMass := 0.0, 0.0
@@ -64,11 +68,7 @@ func fig13(cfg Config) (Table, error) {
 			if qt > horizon {
 				break
 			}
-			hits, err := tree.BurstyEvents(qt, theta, sp, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			for _, h := range hits {
+			for _, h := range tree.BurstyEvents(qt, th, sp, nil) {
 				if workload.USPoliticsCategory(h.Event) == "Democrat" {
 					demCount++
 					demMass += h.Burstiness

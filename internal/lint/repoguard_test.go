@@ -678,9 +678,16 @@ func TestKernelsTakeASpan(t *testing.T) {
 // TestOneQueryEntry: a query's span is built once, where it enters. No
 // function that takes a pbe.Span builds another with pbe.NewSpan; every
 // method of wire.Querier that takes arguments takes a pbe.Span and none a
-// raw τ; each wire.Answer* names pbe.NewSpan once, and only AnswerPoint asks
-// for a point query, so a BURSTY-EVENTS hit keeps the score its walk found.
-// The answer values are declared once too: outside internal/pbe,
+// raw τ, but Envelope, which takes an instant; each wire.Answer* names
+// pbe.NewSpan once, and only AnswerPoint asks for a point query, so a
+// BURSTY-EVENTS hit keeps the score its walk found. θ is checked once too:
+// its two rules — BURSTY EVENT's θ > 0 and BURSTY TIME's not-NaN — are
+// tested only in their constructors, pbe.NewEventsTheta and
+// pbe.NewTimesTheta, and nothing names the retired pbe.CheckEventsTheta or
+// pbe.CheckTimesTheta. The envelope is a Querier method: outside
+// internal/segstore no product file asserts to *segstore.Snapshot or names
+// segstore.ErrorEnvelope (it is pbe.ErrorEnvelope). The answer values are
+// declared once too: outside internal/pbe,
 // internal/dyadic and the internal/exact oracle, no non-test file declares a
 // {Start, End int64} or an {Event uint64; Burstiness float64} struct but
 // wire.EventHit, the tagged codec form, and kleinberg.Interval, the
@@ -703,12 +710,63 @@ func TestOneQueryEntry(t *testing.T) {
 	answerValues := map[string]bool{"End int64; Start int64": true, "Burstiness float64; Event uint64": true}
 	valueHomes := map[string]bool{"internal/pbe": true, "internal/dyadic": true, "internal/exact": true}
 	otherValues := map[string]bool{"internal/wire EventHit": true, "internal/kleinberg Interval": true}
+	// isTheta reports whether e names a threshold: theta, θ's field Theta, or
+	// a selector ending in either.
+	isTheta := func(e ast.Expr) bool {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return strings.EqualFold(e.Name, "theta")
+		case *ast.SelectorExpr:
+			return strings.EqualFold(e.Sel.Name, "theta")
+		}
+		return false
+	}
+	isZero := func(e ast.Expr) bool {
+		lit, ok := e.(*ast.BasicLit)
+		return ok && (lit.Value == "0" || lit.Value == "0.0")
+	}
+	thetaRules := map[string]bool{"NewEventsTheta": true, "NewTimesTheta": true}
 	querier := false
+	ruleHomes := map[string]bool{}
 	eachProductFile(t, func(rel string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(rel))
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				if n.Type != nil && types.ExprString(n.Type) == "*segstore.Snapshot" {
+					t.Errorf("%s asserts to *segstore.Snapshot; ask the Querier", rel)
+				}
+			case *ast.SelectorExpr:
+				switch s := types.ExprString(n); s {
+				case "segstore.ErrorEnvelope":
+					t.Errorf("%s names segstore.ErrorEnvelope; it is pbe.ErrorEnvelope", rel)
+				case "pbe.CheckEventsTheta", "pbe.CheckTimesTheta":
+					t.Errorf("%s names the retired %s; take a checked θ", rel, s)
+				}
 			case *ast.FuncDecl:
+				// A θ rule is a comparison of θ with 0 or a NaN test of θ.
+				ast.Inspect(n, func(m ast.Node) bool {
+					rule := ""
+					switch m := m.(type) {
+					case *ast.BinaryExpr:
+						if (isTheta(m.X) && isZero(m.Y)) || (isZero(m.X) && isTheta(m.Y)) {
+							rule = types.ExprString(m)
+						}
+					case *ast.CallExpr:
+						if types.ExprString(m.Fun) == "math.IsNaN" && len(m.Args) == 1 && isTheta(m.Args[0]) {
+							rule = types.ExprString(m)
+						}
+					}
+					if rule == "" {
+						return true
+					}
+					if dir == "internal/pbe" && n.Recv == nil && thetaRules[n.Name.Name] {
+						ruleHomes[n.Name.Name] = true
+					} else {
+						t.Errorf("%s: %s tests θ (%s); check θ once, into pbe.EventsTheta or pbe.TimesTheta", rel, n.Name.Name, rule)
+					}
+					return true
+				})
 				newSpans, points := 0, 0
 				ast.Inspect(n, func(m ast.Node) bool {
 					if sel, ok := m.(*ast.SelectorExpr); ok {
@@ -740,7 +798,7 @@ func TestOneQueryEntry(t *testing.T) {
 						if !ok || len(m.Names) == 0 {
 							continue
 						}
-						if len(ft.Params.List) > 0 && !takesSpan(ft) {
+						if len(ft.Params.List) > 0 && !takesSpan(ft) && m.Names[0].Name != "Envelope" {
 							t.Errorf("%s: Querier.%s takes no pbe.Span", rel, m.Names[0].Name)
 						}
 						for _, p := range ft.Params.List {
@@ -762,6 +820,11 @@ func TestOneQueryEntry(t *testing.T) {
 	})
 	if !querier {
 		t.Error("internal/wire declares no Querier; update this guard with its new name")
+	}
+	for name := range thetaRules {
+		if !ruleHomes[name] {
+			t.Errorf("internal/pbe: %s tests no θ; update this guard with the rule's new home", name)
+		}
 	}
 }
 

@@ -120,24 +120,43 @@ func (s Span) Instants(t int64) (t0, t1, t2 int64) {
 	return t0, t1, t
 }
 
-// The threshold θ has one rule per query class, the two side by side here.
+// EventsTheta is a BURSTY EVENT threshold, searched or standing, θ > 0: the
+// walk's pruning bound compares squares, and a NaN θ compares below nothing,
+// so it would prune nothing (and a standing query would fire once on any
+// traffic and never again). Only NewEventsTheta builds one, so no search
+// re-checks θ, and a TimesTheta cannot reach one.
+type EventsTheta struct{ theta float64 }
 
-// CheckEventsTheta refuses a BURSTY EVENT threshold, searched or standing,
-// that is not positive: the walk's pruning bound compares squares, and a NaN
-// θ compares below nothing, so it would prune nothing (and a standing query
-// would fire once on any traffic and never again).
-func CheckEventsTheta(theta float64) error {
+// NewEventsTheta returns θ, refusing one that is not positive.
+func NewEventsTheta(theta float64) (EventsTheta, error) {
 	if !(theta > 0) {
-		return fmt.Errorf("threshold must be positive, got %v", theta)
+		return EventsTheta{}, fmt.Errorf("threshold must be positive, got %v", theta)
 	}
-	return nil
+	return EventsTheta{theta}, nil
 }
 
-// CheckTimesTheta refuses a NaN BURSTY TIME threshold; θ ≤ 0 is a legitimate
-// threshold for a scan.
-func CheckTimesTheta(theta float64) error {
+// Float returns θ.
+func (th EventsTheta) Float() float64 { return th.theta }
+
+// TimesTheta is a BURSTY TIME threshold, any θ but NaN: θ ≤ 0 is a
+// legitimate threshold for a scan. Only NewTimesTheta builds one.
+type TimesTheta struct{ theta float64 }
+
+// NewTimesTheta returns θ, refusing NaN.
+func NewTimesTheta(theta float64) (TimesTheta, error) {
 	if math.IsNaN(theta) {
-		return errors.New("threshold must be a number, got NaN")
+		return TimesTheta{}, errors.New("threshold must be a number, got NaN")
+	}
+	return TimesTheta{theta}, nil
+}
+
+// Float returns θ.
+func (th TimesTheta) Float() float64 { return th.theta }
+
+// CheckTopK refuses a top-k result size k ≤ 0; the searches take k unchecked.
+func CheckTopK(k int64) error {
+	if k <= 0 {
+		return fmt.Errorf("k must be positive, got %d", k)
 	}
 	return nil
 }
@@ -157,6 +176,39 @@ type TimeRange struct {
 
 // Contains reports whether t lies in the range.
 func (r TimeRange) Contains(t int64) bool { return t >= r.Start && t < r.End }
+
+// ErrorEnvelope bounds the error of estimates at one instant. Bound is the
+// additive PBE-2 guarantee summed over contributing sketch components: each
+// sealed segment contributes its own (possibly decayed) γ, and only while
+// the instant falls inside its span — a segment's cells report exact counts
+// at and past its MaxT, so a segment entirely behind t adds zero error, and
+// one entirely ahead contributes nothing at all. The head is exact. When
+// segments are quarantined, their elements are absent from every estimate
+// entirely — an unbounded-in-γ hole — so the envelope reports them
+// separately instead of folding them into Bound, in the spirit of Hokusai's
+// declining-fidelity reporting.
+type ErrorEnvelope struct {
+	// Gamma is the store's configured full-fidelity error cap.
+	Gamma float64 `json:"gamma"`
+	// Components is how many sealed sketch segments span the instant —
+	// the segments whose γ caps actually bind at t.
+	Components int `json:"components"`
+	// Bound is the summed effective γ of the spanning segments: the
+	// additive error cap on any cumulative frequency (and each burstiness
+	// term) at res-aligned instants, over the data the store still holds.
+	Bound float64 `json:"bound"`
+	// Resolution is the coarsest time-resolution grid among the spanning
+	// segments (1 = per-instant). Estimates between grid-aligned instants
+	// may additionally lag by the true count change within the grid cell.
+	Resolution int64 `json:"resolution,omitempty"`
+	// MissingElements is how many elements quarantined segments held in
+	// spans at or before t — history the estimates cannot include.
+	MissingElements int64 `json:"missingElements,omitempty"`
+	// Missing lists the quarantined spans overlapping [0, t].
+	Missing []TimeRange `json:"missing,omitempty"`
+	// Degraded is true when any history at or before t is missing.
+	Degraded bool `json:"degraded"`
+}
 
 // BurstyTimes answers the BURSTY TIME QUERY q(e, θ, τ) over a summary
 // (Section V): burst is the summary's point query at span sp, bps the sorted

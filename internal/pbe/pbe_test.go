@@ -234,8 +234,9 @@ func TestZeroSpan(t *testing.T) {
 	}
 }
 
-// TestThetaRules pins the two threshold rules: BURSTY EVENT needs θ > 0,
-// BURSTY TIME refuses only NaN.
+// TestThetaRules pins the two threshold rules, one a checked type: BURSTY
+// EVENT needs θ > 0, BURSTY TIME refuses only NaN, and an accepted θ is kept
+// as given.
 func TestThetaRules(t *testing.T) {
 	for _, tc := range []struct {
 		theta         float64
@@ -248,12 +249,18 @@ func TestThetaRules(t *testing.T) {
 		{math.Inf(-1), "threshold must be positive, got -Inf", ""},
 		{math.NaN(), "threshold must be positive, got NaN", "threshold must be a number, got NaN"},
 	} {
+		ev, evErr := NewEventsTheta(tc.theta)
+		tm, tmErr := NewTimesTheta(tc.theta)
 		for _, c := range []struct {
+			kept float64
 			err  error
 			want string
-		}{{CheckEventsTheta(tc.theta), tc.events}, {CheckTimesTheta(tc.theta), tc.times}} {
+		}{{ev.Float(), evErr, tc.events}, {tm.Float(), tmErr, tc.times}} {
 			if got := fmt.Sprint(c.err); (c.want == "" && c.err != nil) || (c.want != "" && got != c.want) {
 				t.Errorf("θ=%v: %v, want %q", tc.theta, c.err, c.want)
+			}
+			if c.err == nil && c.kept != tc.theta {
+				t.Errorf("θ=%v kept as %v", tc.theta, c.kept)
 			}
 		}
 	}

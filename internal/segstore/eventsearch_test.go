@@ -202,14 +202,12 @@ func (m mergedLayout) check(t *testing.T, tm, tau int64, thetas []float64, ks []
 	found := 0
 	for _, theta := range thetas {
 		var got, want dyadic.QueryStats
-		ids, err := x.BurstyEventIDs(tm, theta, pbe.MustSpan(tau), &got)
+		th, err := pbe.NewEventsTheta(theta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantIDs, err := mx.BurstyEventIDs(tm, theta, pbe.MustSpan(tau), &want)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ids := x.BurstyEventIDs(tm, th, pbe.MustSpan(tau), &got)
+		wantIDs := mx.BurstyEventIDs(tm, th, pbe.MustSpan(tau), &want)
 		if !slices.Equal(ids, wantIDs) || got != want {
 			t.Fatalf("t=%d τ=%d θ=%v: store %v %+v, merged detector %v %+v", tm, tau, theta, ids, got, wantIDs, want)
 		}
@@ -220,14 +218,8 @@ func (m mergedLayout) check(t *testing.T, tm, tau int64, thetas []float64, ks []
 	}
 	for _, k := range ks {
 		var got, want dyadic.QueryStats
-		top, err := x.TopBursty(tm, k, pbe.MustSpan(tau), &got)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTop, err := mx.TopBursty(tm, k, pbe.MustSpan(tau), &want)
-		if err != nil {
-			t.Fatal(err)
-		}
+		top := x.TopBursty(tm, k, pbe.MustSpan(tau), &got)
+		wantTop := mx.TopBursty(tm, k, pbe.MustSpan(tau), &want)
 		if !sameRanking(top, wantTop) || got != want {
 			t.Fatalf("t=%d τ=%d k=%d: store %v %+v, merged detector %v %+v", tm, tau, k, top, got, wantTop, want)
 		}

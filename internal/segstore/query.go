@@ -192,36 +192,35 @@ func (sn *Snapshot) breakpoints(e uint64) []int64 {
 // every candidate gets exactly the answer Burstiness gives there.
 func (sn *Snapshot) BurstyTimes(e uint64, theta float64, tau int64) ([]histburst.TimeRange, error) {
 	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	th, terr := pbe.NewTimesTheta(theta)
+	if err = cmp.Or(err, terr); err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	return sn.BurstyTimesOver(e, theta, sp)
+	return sn.BurstyTimesOver(e, th, sp), nil
 }
 
-// BurstyTimesOver is BurstyTimes over a span already built.
-func (sn *Snapshot) BurstyTimesOver(e uint64, theta float64, sp pbe.Span) ([]histburst.TimeRange, error) {
-	if err := pbe.CheckTimesTheta(theta); err != nil {
-		return nil, fmt.Errorf("segstore: %w", err)
-	}
+// BurstyTimesOver is BurstyTimes over a span and θ already built.
+func (sn *Snapshot) BurstyTimesOver(e uint64, th pbe.TimesTheta, sp pbe.Span) []histburst.TimeRange {
 	e %= sn.kfold
 	burst := func(t int64) float64 { return sn.burstiness(e, t, sp) }
-	return pbe.BurstyTimes(sn.breakpoints(e), burst, theta, sp, sn.MaxTime()), nil
+	return pbe.BurstyTimes(sn.breakpoints(e), burst, th.Float(), sp, sn.MaxTime())
 }
 
 // BurstyEvents answers the BURSTY EVENT QUERY q(t, θ, τ) across segments:
 // Algorithm 3 over the summed index, ascending.
 func (sn *Snapshot) BurstyEvents(t int64, theta float64, tau int64) ([]uint64, error) {
 	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	th, terr := pbe.NewEventsTheta(theta)
+	if err = cmp.Or(err, terr); err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	return prefixed(dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEventIDs(t, theta, sp, nil))
+	return dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEventIDs(t, th, sp, nil), nil
 }
 
-// BurstyEventsOver is BurstyEvents over a span already built, each id with
-// the burstiness the search found there: Burstiness's answer at (e, t, τ).
-func (sn *Snapshot) BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]histburst.EventBurstiness, error) {
-	return prefixed(dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, theta, sp, nil))
+// BurstyEventsOver is BurstyEvents over a span and θ already built, each id
+// with the burstiness the search found there: Burstiness's answer at (e, t, τ).
+func (sn *Snapshot) BurstyEventsOver(t int64, th pbe.EventsTheta, sp pbe.Span) []histburst.EventBurstiness {
+	return dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).BurstyEvents(t, th, sp, nil)
 }
 
 // TopBursty returns up to k events with the largest cross-segment
@@ -229,23 +228,15 @@ func (sn *Snapshot) BurstyEventsOver(t int64, theta float64, sp pbe.Span) ([]his
 // by descending burstiness and then ascending id.
 func (sn *Snapshot) TopBursty(t int64, k int, tau int64) ([]histburst.EventBurstiness, error) {
 	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	if err = cmp.Or(err, pbe.CheckTopK(int64(k))); err != nil {
 		return nil, fmt.Errorf("segstore: %w", err)
 	}
-	return sn.TopBurstyOver(t, k, sp)
+	return sn.TopBurstyOver(t, k, sp), nil
 }
 
-// TopBurstyOver is TopBursty over a span already built.
-func (sn *Snapshot) TopBurstyOver(t int64, k int, sp pbe.Span) ([]histburst.EventBurstiness, error) {
-	return prefixed(dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, sp, nil))
-}
-
-// prefixed names the package in a search's refusal.
-func prefixed[T any](out T, err error) (T, error) {
-	if err != nil {
-		return out, fmt.Errorf("segstore: %w", err)
-	}
-	return out, nil
+// TopBurstyOver is TopBursty over a span already built, for a k > 0.
+func (sn *Snapshot) TopBurstyOver(t int64, k int, sp pbe.Span) []histburst.EventBurstiness {
+	return dyadic.IndexOf(sn.shape, sn.summedLevels(t, sp)).TopBursty(t, k, sp, nil)
 }
 
 // summedLevels returns the snapshot's event index levels at t over span sp,
@@ -466,46 +457,13 @@ func (sn *Snapshot) Quarantined() []SegmentInfo {
 	return out
 }
 
-// ErrorEnvelope bounds the error of estimates at one instant. Bound is the
-// additive PBE-2 guarantee summed over contributing sketch components: each
-// sealed segment contributes its own (possibly decayed) γ, and only while
-// the instant falls inside its span — a segment's cells report exact counts
-// at and past its MaxT, so a segment entirely behind t adds zero error, and
-// one entirely ahead contributes nothing at all. The head is exact. When
-// segments are quarantined, their elements are absent from every estimate
-// entirely — an unbounded-in-γ hole — so the envelope reports them
-// separately instead of folding them into Bound, in the spirit of Hokusai's
-// declining-fidelity reporting.
-type ErrorEnvelope struct {
-	// Gamma is the store's configured full-fidelity error cap.
-	Gamma float64 `json:"gamma"`
-	// Components is how many sealed sketch segments span the instant —
-	// the segments whose γ caps actually bind at t.
-	Components int `json:"components"`
-	// Bound is the summed effective γ of the spanning segments: the
-	// additive error cap on any cumulative frequency (and each burstiness
-	// term) at res-aligned instants, over the data the store still holds.
-	Bound float64 `json:"bound"`
-	// Resolution is the coarsest time-resolution grid among the spanning
-	// segments (1 = per-instant). Estimates between grid-aligned instants
-	// may additionally lag by the true count change within the grid cell.
-	Resolution int64 `json:"resolution,omitempty"`
-	// MissingElements is how many elements quarantined segments held in
-	// spans at or before t — history the estimates cannot include.
-	MissingElements int64 `json:"missingElements,omitempty"`
-	// Missing lists the quarantined spans overlapping [0, t].
-	Missing []histburst.TimeRange `json:"missing,omitempty"`
-	// Degraded is true when any history at or before t is missing.
-	Degraded bool `json:"degraded"`
-}
-
 // Envelope reports the snapshot's error envelope for queries at instant t:
 // the γ (and time resolution) actually in force there, not the store-wide
 // worst case. Deep history decayed to coarser tiers widens the envelope
 // only for instants inside those tiers' spans; recent instants keep the
 // full-fidelity envelope however much history has decayed behind them.
-func (sn *Snapshot) Envelope(t int64) ErrorEnvelope {
-	env := ErrorEnvelope{Gamma: sn.gamma, Resolution: 1}
+func (sn *Snapshot) Envelope(t int64) pbe.ErrorEnvelope {
+	env := pbe.ErrorEnvelope{Gamma: sn.gamma, Resolution: 1}
 	for _, g := range sn.v.segs {
 		if g.meta.MinT <= t && t <= g.meta.MaxT {
 			env.Components++

@@ -20,6 +20,10 @@
 // window additionally suppresses re-fires while the burstiness oscillates
 // around the threshold; the edge re-arms once the window has passed.
 //
+// Register checks θ and τ by the search's rules (pbe.NewEventsTheta,
+// pbe.NewSpan). The package never sees the store: Config.Envelope supplies
+// the degraded-history envelope, a pbe.ErrorEnvelope, an alert carries.
+//
 // Fan-out never backpressures ingest: every delivery channel (SSE, webhook,
 // wire ALERT frames) attaches a bounded Queue whose Push drops the oldest
 // alert on overflow and folds the loss into the next delivered alert's Gap
@@ -33,7 +37,6 @@ import (
 	"sync"
 
 	"histburst/internal/pbe"
-	"histburst/internal/segstore"
 	"histburst/internal/stream"
 )
 
@@ -82,15 +85,15 @@ type Subscription struct {
 // Envelope is attached when the history is degraded, mirroring the query
 // API's γ/quarantine envelope.
 type Alert struct {
-	Seq        uint64                  `json:"seq"`
-	Sub        uint64                  `json:"sub"`
-	Event      uint64                  `json:"event"`
-	Time       int64                   `json:"t"`
-	Burstiness float64                 `json:"burstiness"`
-	Theta      float64                 `json:"theta"`
-	Tau        int64                   `json:"tau"`
-	Gap        uint64                  `json:"gap,omitempty"`
-	Envelope   *segstore.ErrorEnvelope `json:"envelope,omitempty"`
+	Seq        uint64             `json:"seq"`
+	Sub        uint64             `json:"sub"`
+	Event      uint64             `json:"event"`
+	Time       int64              `json:"t"`
+	Burstiness float64            `json:"burstiness"`
+	Theta      float64            `json:"theta"`
+	Tau        int64              `json:"tau"`
+	Gap        uint64             `json:"gap,omitempty"`
+	Envelope   *pbe.ErrorEnvelope `json:"envelope,omitempty"`
 }
 
 // Config shapes a Hub. The zero value is usable.
@@ -105,7 +108,7 @@ type Config struct {
 	Fold func(event uint64) uint64
 	// Envelope supplies the degraded-history envelope attached to alerts
 	// fired at time t, or nil when the history below t is whole.
-	Envelope func(t int64) *segstore.ErrorEnvelope
+	Envelope func(t int64) *pbe.ErrorEnvelope
 }
 
 // window is the 32-bucket burstiness ring for one (subscription, event)
@@ -280,7 +283,7 @@ func (h *Hub) Register(sub Subscription) (Subscription, error) {
 	if len(sub.Events) > MaxEventsPerSub {
 		return Subscription{}, fmt.Errorf("subscribe: %d events exceeds the %d-event limit", len(sub.Events), MaxEventsPerSub)
 	}
-	if err := pbe.CheckEventsTheta(sub.Theta); err != nil {
+	if _, err := pbe.NewEventsTheta(sub.Theta); err != nil {
 		return Subscription{}, fmt.Errorf("subscribe: %w", err)
 	}
 	if _, err := pbe.NewSpan(sub.Tau); err != nil {

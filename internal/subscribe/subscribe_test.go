@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"histburst/internal/segstore"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -159,8 +159,8 @@ func TestUnregisterDisarms(t *testing.T) {
 }
 
 func TestAlertCarriesDegradedEnvelope(t *testing.T) {
-	env := &segstore.ErrorEnvelope{Gamma: 8, Degraded: true, MissingElements: 42}
-	h := NewHub(Config{Envelope: func(t int64) *segstore.ErrorEnvelope { return env }})
+	env := &pbe.ErrorEnvelope{Gamma: 8, Degraded: true, MissingElements: 42}
+	h := NewHub(Config{Envelope: func(t int64) *pbe.ErrorEnvelope { return env }})
 	if _, err := h.Register(Subscription{Events: []uint64{1}, Theta: 2, Tau: 16}); err != nil {
 		t.Fatal(err)
 	}

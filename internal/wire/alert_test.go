@@ -7,7 +7,7 @@ import (
 
 	"histburst"
 	"histburst/internal/binenc"
-	"histburst/internal/segstore"
+	"histburst/internal/pbe"
 	"histburst/internal/subscribe"
 )
 
@@ -121,7 +121,7 @@ func TestAlertFrameRoundTrip(t *testing.T) {
 	in := subscribe.Alert{
 		Seq: 9, Sub: 4, Event: 77, Time: 12345,
 		Burstiness: 8.5, Theta: 4.25, Tau: 3600, Gap: 3,
-		Envelope: &segstore.ErrorEnvelope{
+		Envelope: &pbe.ErrorEnvelope{
 			Gamma: 2, Components: 3, Bound: 6, MissingElements: 42,
 			Missing:  []histburst.TimeRange{{Start: 10, End: 20}},
 			Degraded: true,
@@ -157,7 +157,7 @@ func FuzzAlertFrame(f *testing.F) {
 	f.Add(encodeAlert(subscribe.Alert{Seq: 1, Event: 7, Time: 100, Burstiness: 5, Theta: 4, Tau: 60}))
 	f.Add(encodeAlert(subscribe.Alert{
 		Seq: 2, Sub: 3, Event: 9, Time: -50, Burstiness: 1, Theta: 1, Tau: 1, Gap: 7,
-		Envelope: &segstore.ErrorEnvelope{Gamma: 2, Degraded: true, Missing: []histburst.TimeRange{{Start: 1, End: 2}}},
+		Envelope: &pbe.ErrorEnvelope{Gamma: 2, Degraded: true, Missing: []histburst.TimeRange{{Start: 1, End: 2}}},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := newTestReader(data)
@@ -205,8 +205,8 @@ func FuzzSubscriptionDecode(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if len(sub.Events) > maxSubEvents {
-				t.Fatalf("decoder admitted %d events past the %d ceiling", len(sub.Events), maxSubEvents)
+			if len(sub.Events) > subscribe.MaxEventsPerSub {
+				t.Fatalf("decoder admitted %d events past the %d ceiling", len(sub.Events), subscribe.MaxEventsPerSub)
 			}
 		case frameUnsubscribe:
 			decodeUnsubscribeReq(r)

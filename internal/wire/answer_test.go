@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"histburst"
+	"histburst/internal/pbe"
 	"histburst/internal/segstore"
 	"histburst/internal/stream"
 )
@@ -139,7 +140,7 @@ func TestDetectorAndStoreAnswerAlike(t *testing.T) {
 	}
 
 	sources := []Querier{det, sn}
-	agree := func(what string, answer func(Querier) (any, *segstore.ErrorEnvelope, error)) {
+	agree := func(what string, answer func(Querier) (any, *pbe.ErrorEnvelope, error)) {
 		t.Helper()
 		var first any
 		for i, q := range sources {
@@ -160,7 +161,7 @@ func TestDetectorAndStoreAnswerAlike(t *testing.T) {
 			qs = append(qs, PointQuery{Event: e, T: tm, Tau: 40}, PointQuery{Event: e, T: tm, Tau: DefaultTau})
 		}
 	}
-	agree("point", func(q Querier) (any, *segstore.ErrorEnvelope, error) {
+	agree("point", func(q Querier) (any, *pbe.ErrorEnvelope, error) {
 		res, err := AnswerPoint(q, qs)
 		for _, r := range res {
 			if r.Envelope != nil {
@@ -172,12 +173,12 @@ func TestDetectorAndStoreAnswerAlike(t *testing.T) {
 	hits := 0
 	for _, theta := range []float64{20, 100, 300} {
 		for _, e := range []uint64{0, 3, 9, 17} {
-			agree(fmt.Sprintf("times e=%d θ=%v", e, theta), func(q Querier) (any, *segstore.ErrorEnvelope, error) {
+			agree(fmt.Sprintf("times e=%d θ=%v", e, theta), func(q Querier) (any, *pbe.ErrorEnvelope, error) {
 				return AnswerTimes(q, e, theta, 40)
 			})
 		}
 		for tm := det.MinTime(); tm <= det.MaxTime(); tm += 101 {
-			agree(fmt.Sprintf("events t=%d θ=%v", tm, theta), func(q Querier) (any, *segstore.ErrorEnvelope, error) {
+			agree(fmt.Sprintf("events t=%d θ=%v", tm, theta), func(q Querier) (any, *pbe.ErrorEnvelope, error) {
 				h, env, err := AnswerEvents(q, tm, theta, 40)
 				if q == sources[0] {
 					hits += len(h)
@@ -191,7 +192,7 @@ func TestDetectorAndStoreAnswerAlike(t *testing.T) {
 	}
 	// Both rank equal scores by ascending id, so ties need no reordering.
 	for tm := det.MinTime(); tm <= det.MaxTime(); tm += 211 {
-		agree(fmt.Sprintf("top t=%d", tm), func(q Querier) (any, *segstore.ErrorEnvelope, error) {
+		agree(fmt.Sprintf("top t=%d", tm), func(q Querier) (any, *pbe.ErrorEnvelope, error) {
 			return AnswerTop(q, tm, 5, 40)
 		})
 	}

@@ -12,7 +12,7 @@ import (
 
 	"histburst"
 	"histburst/internal/binenc"
-	"histburst/internal/segstore"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 	"histburst/internal/subscribe"
 )
@@ -290,7 +290,7 @@ func (c *Client) Point(qs []PointQuery) ([]PointResult, error) {
 }
 
 // Times runs a BURSTY-TIMES query. Tau 0 selects the server default span.
-func (c *Client) Times(e uint64, theta float64, tau int64) ([]histburst.TimeRange, *segstore.ErrorEnvelope, error) {
+func (c *Client) Times(e uint64, theta float64, tau int64) ([]histburst.TimeRange, *pbe.ErrorEnvelope, error) {
 	r, err := c.call(func(id uint64) []byte { return encodeTimesReq(id, e, theta, tau) }, frameTimesResp)
 	if err != nil {
 		return nil, nil, err
@@ -299,7 +299,7 @@ func (c *Client) Times(e uint64, theta float64, tau int64) ([]histburst.TimeRang
 }
 
 // Events runs a BURSTY-EVENTS query, returning scored hits.
-func (c *Client) Events(t int64, theta float64, tau int64) ([]EventHit, *segstore.ErrorEnvelope, error) {
+func (c *Client) Events(t int64, theta float64, tau int64) ([]EventHit, *pbe.ErrorEnvelope, error) {
 	r, err := c.call(func(id uint64) []byte { return encodeEventsReq(id, t, theta, tau) }, frameEventsResp)
 	if err != nil {
 		return nil, nil, err
@@ -308,7 +308,7 @@ func (c *Client) Events(t int64, theta float64, tau int64) ([]EventHit, *segstor
 }
 
 // Top returns the k burstiest events at t. K 0 selects the server default.
-func (c *Client) Top(t int64, k int64, tau int64) ([]EventHit, *segstore.ErrorEnvelope, error) {
+func (c *Client) Top(t int64, k int64, tau int64) ([]EventHit, *pbe.ErrorEnvelope, error) {
 	r, err := c.call(func(id uint64) []byte { return encodeTopReq(id, t, k, tau) }, frameTopResp)
 	if err != nil {
 		return nil, nil, err

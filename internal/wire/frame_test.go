@@ -85,8 +85,9 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 // FuzzWireFrame throws arbitrary bytes at the frame reader and, when a
-// frame decodes, at every payload decoder: none may panic, and a frame that
-// round-trips must re-encode identically.
+// frame decodes, at every payload decoder: none may panic, decodeAppend
+// takes no batch past MaxAppendElems, and a frame that round-trips must
+// re-encode identically.
 func FuzzWireFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00})
@@ -96,6 +97,9 @@ func FuzzWireFrame(f *testing.F) {
 	writeFrame(&seed, encodeHello(Hello{Version: 1, Window: 64, K: 8, Gamma: 2, MaxBatch: 100}))
 	writeFrame(&seed, encodeNack(3, NackReadOnly, 0, "refused", nil))
 	f.Add(seed.Bytes())
+	var over bytes.Buffer // one element over the append bound
+	writeFrame(&over, encodeAppend(4, make(stream.Stream, MaxAppendElems+1)))
+	f.Add(over.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -122,7 +126,9 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			switch kind {
 			case frameAppend:
-				decodeAppend(body())
+				if elems, err := decodeAppend(body()); len(elems) > MaxAppendElems {
+					t.Fatalf("decodeAppend took %d elements past the %d bound (%v)", len(elems), MaxAppendElems, err)
+				}
 			case framePoint:
 				decodePointReq(body())
 			case frameTimes:

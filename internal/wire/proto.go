@@ -1,12 +1,13 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"histburst"
 	"histburst/internal/binenc"
-	"histburst/internal/segstore"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 	"histburst/internal/subscribe"
 )
@@ -47,20 +48,29 @@ const (
 	// MaxBatchQueries bounds one POINT batch's query count, on the wire and
 	// in burstd's /v1/query/batch (AnswerPoint enforces it).
 	MaxBatchQueries = 10_000
-	// maxAppendElems bounds one APPEND frame's element count (each element
-	// occupies at least 2 payload bytes, so the 8 MB frame cap is reached
-	// first in practice).
-	maxAppendElems = 1 << 22
+	// MaxAppendElems bounds one append batch's element count on both
+	// transports (CheckAppendLen). No in-tree client sends more: wire.Client
+	// streams DefaultChunk-element frames, burststream its -forward-batch.
+	MaxAppendElems = 1 << 16
 	// maxResponseItems bounds decoded response collections (ranges, hits).
 	maxResponseItems = 1 << 22
 	// maxEnvelopeRanges bounds an envelope's missing-span list.
 	maxEnvelopeRanges = 1 << 16
 	// maxMessageBytes bounds NACK/ERR message strings.
 	maxMessageBytes = 1 << 12
-	// maxSubEvents bounds one SUBSCRIBE frame's event list, mirroring
-	// subscribe.MaxEventsPerSub.
-	maxSubEvents = subscribe.MaxEventsPerSub
 )
+
+// CheckAppendLen refuses an append batch of n elements: none, or more than
+// MaxAppendElems.
+func CheckAppendLen(n uint64) error {
+	switch {
+	case n == 0:
+		return errors.New("empty batch")
+	case n > MaxAppendElems:
+		return fmt.Errorf("batch of %d elements exceeds the %d-element limit", n, MaxAppendElems)
+	}
+	return nil
+}
 
 // NackCode classifies a refused request.
 type NackCode byte
@@ -115,8 +125,8 @@ type PointQuery struct {
 // PointResult is one point query's answer. Envelope is non-nil exactly when
 // the history below T is degraded (see AnswerPoint).
 type PointResult struct {
-	Burstiness float64                 `json:"burstiness"`
-	Envelope   *segstore.ErrorEnvelope `json:"envelope,omitempty"`
+	Burstiness float64            `json:"burstiness"`
+	Envelope   *pbe.ErrorEnvelope `json:"envelope,omitempty"`
 }
 
 // EventHit is one (event, burstiness) pair of a BURSTY-EVENTS or top-k
@@ -163,7 +173,7 @@ type NackError struct {
 	Message    string
 	// Envelope is the store's γ error envelope at its frontier — what a
 	// blocked writer is told about the history it cannot yet extend.
-	Envelope *segstore.ErrorEnvelope
+	Envelope *pbe.ErrorEnvelope
 }
 
 func (e *NackError) Error() string {
@@ -227,9 +237,16 @@ func encodeAppend(id uint64, elems stream.Stream) []byte {
 	return w.Bytes()
 }
 
+// decodeAppend refuses a count CheckAppendLen refuses as a *RequestError:
+// the frame around it is whole, so the stream goes on.
+//
 //histburst:decoder
 func decodeAppend(r *binenc.Reader) (stream.Stream, error) {
-	elems := make(stream.Stream, r.SliceLen(maxAppendElems, stream.MinElemBytes))
+	ahead := *r
+	if err := CheckAppendLen(ahead.Uvarint()); err != nil {
+		return nil, &RequestError{Message: err.Error()}
+	}
+	elems := make(stream.Stream, r.SliceLen(MaxAppendElems, stream.MinElemBytes))
 	stream.ReadRun(r, elems)
 	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("wire: append: %w", err)
@@ -263,7 +280,7 @@ func decodePointReq(r *binenc.Reader) ([]PointQuery, error) {
 	return qs, nil
 }
 
-func encodeEnvelope(w *binenc.Writer, env *segstore.ErrorEnvelope) {
+func encodeEnvelope(w *binenc.Writer, env *pbe.ErrorEnvelope) {
 	if env == nil {
 		w.Bool(false)
 		return
@@ -283,11 +300,11 @@ func encodeEnvelope(w *binenc.Writer, env *segstore.ErrorEnvelope) {
 }
 
 //histburst:decoder
-func decodeEnvelope(r *binenc.Reader) (*segstore.ErrorEnvelope, error) {
+func decodeEnvelope(r *binenc.Reader) (*pbe.ErrorEnvelope, error) {
 	if !r.Bool() {
 		return nil, r.Err()
 	}
-	env := &segstore.ErrorEnvelope{}
+	env := &pbe.ErrorEnvelope{}
 	env.Gamma = r.Float64()
 	env.Components = int(r.Len(1 << 30))
 	env.Bound = r.Float64()
@@ -355,7 +372,7 @@ func decodeTimesReq(r *binenc.Reader) (e uint64, theta float64, tau int64, err e
 	return e, theta, tau, nil
 }
 
-func encodeTimesResp(id uint64, ranges []histburst.TimeRange, env *segstore.ErrorEnvelope) []byte {
+func encodeTimesResp(id uint64, ranges []histburst.TimeRange, env *pbe.ErrorEnvelope) []byte {
 	var w binenc.Writer
 	beginPayload(&w, frameTimesResp, id)
 	w.Uvarint(uint64(len(ranges)))
@@ -368,7 +385,7 @@ func encodeTimesResp(id uint64, ranges []histburst.TimeRange, env *segstore.Erro
 }
 
 //histburst:decoder
-func decodeTimesResp(r *binenc.Reader) ([]histburst.TimeRange, *segstore.ErrorEnvelope, error) {
+func decodeTimesResp(r *binenc.Reader) ([]histburst.TimeRange, *pbe.ErrorEnvelope, error) {
 	n := r.SliceLen(maxResponseItems, 2)
 	ranges := make([]histburst.TimeRange, 0, n)
 	for i := 0; i < n; i++ {
@@ -426,7 +443,7 @@ func decodeTopReq(r *binenc.Reader) (t, k, tau int64, err error) {
 
 // encodeHits serializes an EventHit list response (BURSTY-EVENTS and top-k
 // share the shape).
-func encodeHits(kind byte, id uint64, hits []EventHit, env *segstore.ErrorEnvelope) []byte {
+func encodeHits(kind byte, id uint64, hits []EventHit, env *pbe.ErrorEnvelope) []byte {
 	var w binenc.Writer
 	beginPayload(&w, kind, id)
 	w.Uvarint(uint64(len(hits)))
@@ -439,7 +456,7 @@ func encodeHits(kind byte, id uint64, hits []EventHit, env *segstore.ErrorEnvelo
 }
 
 //histburst:decoder
-func decodeHits(r *binenc.Reader) ([]EventHit, *segstore.ErrorEnvelope, error) {
+func decodeHits(r *binenc.Reader) ([]EventHit, *pbe.ErrorEnvelope, error) {
 	// Each hit occupies at least an event byte and a float64.
 	n := r.SliceLen(maxResponseItems, 9)
 	hits := make([]EventHit, 0, n)
@@ -520,7 +537,7 @@ func decodeStatsResp(r *binenc.Reader) (Stats, error) {
 	return st, nil
 }
 
-func encodeNack(id uint64, code NackCode, retryAfter time.Duration, msg string, env *segstore.ErrorEnvelope) []byte {
+func encodeNack(id uint64, code NackCode, retryAfter time.Duration, msg string, env *pbe.ErrorEnvelope) []byte {
 	var w binenc.Writer
 	beginPayload(&w, frameNack, id)
 	w.Byte(byte(code))
@@ -588,7 +605,7 @@ func encodeSubscribeReq(id uint64, sub subscribe.Subscription) []byte {
 //histburst:decoder
 func decodeSubscribeReq(r *binenc.Reader) (subscribe.Subscription, error) {
 	var sub subscribe.Subscription
-	n := r.SliceLen(maxSubEvents, 1)
+	n := r.SliceLen(subscribe.MaxEventsPerSub, 1)
 	sub.Events = make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		sub.Events = append(sub.Events, r.Uvarint())

@@ -391,13 +391,16 @@ func (h *connHandler) handle(payload []byte) error {
 
 func (h *connHandler) handleAppend(id uint64, r *binenc.Reader) error {
 	elems, err := decodeAppend(r)
+	var refused *RequestError
+	if errors.As(err, &refused) {
+		// Empty, or over a bound no in-tree client exceeds: the frame was
+		// whole, so the stream goes on, and its count claims no credits.
+		return h.send(encodeErr(id, refused.Message))
+	}
 	if err != nil {
 		// The element count is unknown, so the consumed credits cannot be
 		// returned; the stream is unrecoverable.
 		return err
-	}
-	if len(elems) == 0 {
-		return h.send(encodeErr(id, "empty batch"))
 	}
 	res := h.s.Backend.Ingest(elems)
 	// Credits are returned whatever the outcome: a refused or failed batch

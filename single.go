@@ -1,6 +1,7 @@
 package histburst
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 
@@ -80,15 +81,13 @@ func (s *Single) Burstiness(t, tau int64) (float64, error) {
 // BurstyTimes answers the BURSTY TIME QUERY over [0, horizon]: the point
 // query swept over the summary's shifted breakpoints.
 func (s *Single) BurstyTimes(theta float64, tau, horizon int64) ([]TimeRange, error) {
-	if err := pbe.CheckTimesTheta(theta); err != nil {
-		return nil, fmt.Errorf("histburst: %w", err)
-	}
-	sp, err := pbe.NewSpan(tau)
-	if err != nil {
+	th, err := pbe.NewTimesTheta(theta)
+	sp, serr := pbe.NewSpan(tau)
+	if err = cmp.Or(err, serr); err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
 	burst := func(t int64) float64 { return pbe.Burstiness(s.p, t, sp) }
-	return pbe.BurstyTimes(s.p.Breakpoints(), burst, theta, sp, horizon), nil
+	return pbe.BurstyTimes(s.p.Breakpoints(), burst, th.Float(), sp, horizon), nil
 }
 
 // Bytes returns the summary footprint.

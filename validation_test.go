@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"histburst"
-	"histburst/internal/pbe"
 	"histburst/internal/segstore"
 )
 
@@ -71,17 +70,6 @@ func TestQueryValidation(t *testing.T) {
 			{"TopBursty(k=0)", errOf(q.q.TopBursty(10, 0, 5)), "k must be positive, got 0"},
 		})
 	}
-	sp, sn := pbe.MustSpan(5), store.Snapshot()
-	check("Detector", "histburst: ", []refusal{
-		{"BurstyTimesOver(θ=NaN)", errOf(det.BurstyTimesOver(1, nan, sp)), "threshold must be a number, got NaN"},
-		{"BurstyEventsOver(θ=0)", errOf(det.BurstyEventsOver(10, 0, sp)), "threshold must be positive, got 0"},
-		{"TopBurstyOver(k=0)", errOf(det.TopBurstyOver(10, 0, sp)), "k must be positive, got 0"},
-	})
-	check("Snapshot", "segstore: ", []refusal{
-		{"BurstyTimesOver(θ=NaN)", errOf(sn.BurstyTimesOver(1, nan, sp)), "threshold must be a number, got NaN"},
-		{"BurstyEventsOver(θ=0)", errOf(sn.BurstyEventsOver(10, 0, sp)), "threshold must be positive, got 0"},
-		{"TopBurstyOver(k=0)", errOf(sn.TopBurstyOver(10, 0, sp)), "k must be positive, got 0"},
-	})
 	check("Single", "histburst: ", []refusal{
 		{"Burstiness(τ=0)", errOf(single.Burstiness(10, 0)), "burst span must be positive, got 0"},
 		{"BurstyTimes(τ=-1)", errOf(single.BurstyTimes(5, -1, 100)), "burst span must be positive, got -1"},
