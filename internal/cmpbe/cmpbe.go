@@ -47,6 +47,7 @@ type Sketch struct {
 	d, w  int
 	seed  int64
 	cells []pbe2.Builder // the d·w cells contiguously, row-major: one indexed load per probe
+	cols  []byte         // the array a finished level's cells lie end to end in (pbe2.Lay)
 	hf    hash.Family
 	n     int64 // total elements ingested
 	maxT  int64
@@ -113,6 +114,7 @@ func NewDirectOf(sum *pbe2.Summary) (*Sketch, error) {
 		return nil, err
 	}
 	s.n, s.maxT = sum.Count(), max(s.maxT, sum.Frontier())
+	s.cols = pbe2.Lay(s.cells)
 	return s, nil
 }
 
@@ -226,16 +228,22 @@ func batchMaxTime(elems []stream.Element, cur int64) int64 {
 	return cur
 }
 
-// Finish flushes every cell. Idempotent.
+// Finish flushes every cell and lays the level's columns end to end in one
+// array (pbe2.Lay). Idempotent: a finished sketch, whose cells lie in it
+// still, is left unwritten, for readers may be running.
 func (s *Sketch) Finish() {
-	for i := range s.cells {
-		s.cells[i].Finish()
+	if s.Laid() {
+		return
 	}
-	if s.batchEnd != nil { // leave a finished summary unwritten: readers may be running
-		s.batchEnd, s.batchCell, s.batchTimes = nil, nil, nil
-	}
+	s.cols = pbe2.Lay(s.cells)
+	s.batchEnd, s.batchCell, s.batchTimes = nil, nil, nil
 	s.bytesMemo.Store(0) // flushing moves buffered points into summaries
 }
+
+// Laid reports whether the sketch's cells lie end to end in its one array,
+// as Finish, a merge, a downsample and decoding leave them, and no append
+// has moved one out since.
+func (s *Sketch) Laid() bool { return pbe2.Laid(s.cells, s.cols) }
 
 // N returns the total number of elements ingested.
 func (s *Sketch) N() int64 { return s.n }
@@ -419,35 +427,23 @@ func (s *Sketch) breakpoints(e uint64) []int64 {
 }
 
 // Bytes returns the total footprint of all cells, memoized until the next
-// mutation (Append, AppendBatch, Finish). Concurrent readers may race to
-// fill the memo; they compute the same value, and the atomic keeps the race
-// benign.
+// mutation (Append, AppendBatch, Finish): once laid, the array their
+// columns lie in — their segments' fields, and past the last cell's rows the
+// few bytes its loads read — and 16 bytes an escaped line; before, the sum
+// of the cells' own pbe2.Summary.Bytes (pbe2.LevelSplit). Concurrent
+// readers may race to fill the memo; they compute the same value, and the
+// atomic keeps the race benign.
 func (s *Sketch) Bytes() int {
 	if v := s.bytesMemo.Load(); v > 0 {
 		return int(v - 1)
 	}
-	total := cellBytes(s.cells)
+	total := s.Split().Total()
 	s.bytesMemo.Store(int64(total) + 1)
 	return total
 }
 
 // Split returns Bytes() split by field of the cells' segment columns.
-func (s *Sketch) Split() pbe2.Split {
-	var p pbe2.Split
-	for i := range s.cells {
-		p = p.Add(s.cells[i].Split())
-	}
-	return p
-}
-
-// cellBytes sums the cells' footprints.
-func cellBytes(cells []pbe2.Builder) int {
-	total := 0
-	for i := range cells {
-		total += cells[i].Bytes()
-	}
-	return total
-}
+func (s *Sketch) Split() pbe2.Split { return pbe2.LevelSplit(s.cells, s.cols) }
 
 // Median returns the median of vals (average of the two middle values for
 // even lengths, 0 for none), reordering vals, by insertion sort —

@@ -27,7 +27,8 @@ import (
 // depends on it — so only its error cap and time resolution change.
 //
 // Sources must be finished and are never mutated. All d·w result cells live
-// in one array, mirroring MergeSketches.
+// in one array, their columns laid end to end in another, mirroring
+// MergeSketches.
 func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sketch, error) {
 	if len(parts) == 0 || parts[0] == nil {
 		return nil, fmt.Errorf("cmpbe: downsample of zero sketches")
@@ -81,5 +82,5 @@ func DownsampleSketches(parts []*Sketch, gamma float64, res int64, w int) (*Sket
 			}
 		}
 	}
-	return &Sketch{d: first.d, w: w, seed: first.seed, cells: cells, hf: hf, n: n, maxT: maxT}, nil
+	return &Sketch{d: first.d, w: w, seed: first.seed, cells: cells, cols: pbe2.Lay(cells), hf: hf, n: n, maxT: maxT}, nil
 }

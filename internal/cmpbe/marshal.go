@@ -94,30 +94,32 @@ func decodeSketch(r *binenc.Reader, collisionFree bool, gamma float64) (*Sketch,
 			return nil, err
 		}
 	}
-	cells, err := decodeCells(r, int(d*w), int(w), n, maxT, gamma)
+	cells, cols, err := decodeCells(r, int(d*w), int(w), n, maxT, gamma)
 	if err != nil {
 		return nil, err
 	}
-	return &Sketch{d: int(d), w: int(w), seed: seed, cells: cells, hf: hf, n: n, maxT: maxT}, nil
+	return &Sketch{d: int(d), w: int(w), seed: seed, cells: cells, cols: cols, hf: hf, n: n, maxT: maxT}, nil
 }
 
 // decodeCells reads the count cells of a level that ingested n elements up
-// to maxT. The level must be under gamma — cells under another would refuse
-// to merge with the ones its configuration goes on to build — and account
-// for its elements: every element lands in exactly one cell of each row, so
-// each row's counts sum to n.
+// to maxT, and the array their columns lie in. The level must be under
+// gamma — cells under another would refuse to merge with the ones its
+// configuration goes on to build — and account for its elements: every
+// element lands in exactly one cell of each row, so each row's counts sum
+// to n.
 //
 //histburst:decoder
-func decodeCells(r *binenc.Reader, count, row int, n, maxT int64, gamma float64) ([]pbe2.Builder, error) {
+func decodeCells(r *binenc.Reader, count, row int, n, maxT int64, gamma float64) ([]pbe2.Builder, []byte, error) {
 	cells, err := pbe2.NewCells(count, gamma)
 	if err != nil {
-		return nil, fmt.Errorf("cmpbe: %w", err)
+		return nil, nil, fmt.Errorf("cmpbe: %w", err)
 	}
-	if err := pbe2.DecodeBlock(r, cells, maxT); err != nil {
-		return nil, fmt.Errorf("cmpbe: %w", err)
+	cols, err := pbe2.DecodeBlock(r, cells, maxT)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cmpbe: %w", err)
 	}
 	if got := cells[0].Gamma(); got != gamma {
-		return nil, fmt.Errorf("cmpbe: cells under gamma %v in a level under gamma %v", got, gamma)
+		return nil, nil, fmt.Errorf("cmpbe: cells under gamma %v in a level under gamma %v", got, gamma)
 	}
 	for at := 0; at < count; at += row {
 		var sum int64
@@ -125,8 +127,8 @@ func decodeCells(r *binenc.Reader, count, row int, n, maxT int64, gamma float64)
 			sum += cells[i].Count()
 		}
 		if sum != n {
-			return nil, fmt.Errorf("cmpbe: cells %d–%d count %d arrivals, the level %d", at, at+row-1, sum, n)
+			return nil, nil, fmt.Errorf("cmpbe: cells %d–%d count %d arrivals, the level %d", at, at+row-1, sum, n)
 		}
 	}
-	return cells, nil
+	return cells, cols, nil
 }

@@ -26,8 +26,8 @@ func sameHashing(a, b *Sketch) error {
 // of the result is pbe2.MergeFinishedInto of every part's cell c — valid
 // because those cells summarize time-disjoint partitions of one substream —
 // assembled straight from the sources' packed segment arrays, and all d·w
-// result cells live in one array. Sources must be finished; they are only
-// read.
+// result cells live in one array, their columns laid end to end in another
+// (pbe2.Lay). Sources must be finished; they are only read.
 func MergeSketches(parts []*Sketch) (*Sketch, error) {
 	if len(parts) == 0 || parts[0] == nil {
 		return nil, fmt.Errorf("cmpbe: merge of zero sketches")
@@ -56,5 +56,5 @@ func MergeSketches(parts []*Sketch) (*Sketch, error) {
 			return nil, fmt.Errorf("cmpbe: cell (%d,%d): %w", c/first.w, c%first.w, err)
 		}
 	}
-	return &Sketch{d: first.d, w: first.w, seed: first.seed, cells: out, hf: first.hf, n: n, maxT: maxT}, nil
+	return &Sketch{d: first.d, w: first.w, seed: first.seed, cells: out, cols: pbe2.Lay(out), hf: first.hf, n: n, maxT: maxT}, nil
 }

@@ -185,15 +185,16 @@ func EncodeBlock(w *binenc.Writer, cells []*Summary, maxT int64) error {
 //
 // It reads the records once, checking them and planning each cell's
 // columns (plan); then, with every shared array allocated at its exact size
-// — the columns of all cells in one, the escaped lines in another, their
-// wide structs in a third — it fills them from a list of the segments the
-// first pass kept, or, where the list would take more than 4 times the
-// input left, from the records read again. Each cell holds a full-slice
-// range of them, so an append after loading copies the cell's segments out
-// instead of writing over its neighbour's.
+// — the columns of all cells in one, laid end to end as Lay lays a built
+// level's (layLevel), the escaped lines in another, their wide structs in a
+// third — it fills them from a list of the segments the first pass kept, or,
+// where the list would take more than 4 times the input left, from the
+// records read again. Each cell holds a full-slice range of them, so an
+// append after loading copies the cell's segments out instead of writing
+// over its neighbour's. It returns the columns' array.
 //
 //histburst:decoder
-func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
+func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) ([]byte, error) {
 	corrupt := func(format string, args ...any) error {
 		if err := r.Err(); err != nil {
 			return fmt.Errorf("pbe2: cell block: %w", err)
@@ -201,12 +202,12 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		return fmt.Errorf("pbe2: cell block: "+format, args...)
 	}
 	if r.Uint32() != blockMagic {
-		return corrupt("bad magic")
+		return nil, corrupt("bad magic")
 	}
 	gamma := r.Float64()
 	outOfOrder := r.Uvarint()
 	if err := CheckGamma(gamma); err != nil {
-		return corrupt("%v", err)
+		return nil, corrupt("%v", err)
 	}
 	var mask byte
 	for i := range cells {
@@ -217,7 +218,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		cells[i].count = int64(mask >> (i % 8) & 1) // presence; the count is read below
 	}
 	if pad := len(cells) % 8; pad != 0 && mask>>pad != 0 {
-		return corrupt("presence bits set past the last cell")
+		return nil, corrupt("presence bits set past the last cell")
 	}
 
 	// The segment count column, read twice: once ahead on a copy of the
@@ -232,10 +233,10 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 	}
 	if err := ahead.Err(); err != nil {
-		return fmt.Errorf("pbe2: cell block: %w", err)
+		return nil, fmt.Errorf("pbe2: cell block: %w", err)
 	}
 	if total > ahead.Remaining()/minSegmentBytes {
-		return corrupt("%d segments exceed %d remaining bytes", total, ahead.Remaining())
+		return nil, corrupt("%d segments exceed %d remaining bytes", total, ahead.Remaining())
 	}
 	for i := range cells {
 		b := &cells[i]
@@ -244,7 +245,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 		n := r.SliceLen(maxSegments, minSegmentBytes)
 		if n == 0 {
-			return corrupt("cell %d has arrivals and no segments", i)
+			return nil, corrupt("cell %d has arrivals and no segments", i)
 		}
 		b.n = n // until the second pass fills the columns
 	}
@@ -255,7 +256,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 		count := r.Uvarint()
 		if count == 0 || count > math.MaxInt64 {
-			return corrupt("cell %d is present with count %d", i, count)
+			return nil, corrupt("cell %d is present with count %d", i, count)
 		}
 		b.count = int64(count)
 	}
@@ -266,7 +267,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 		open := r.Uvarint()
 		if open > uint64(b.count) {
-			return corrupt("cell %d has %d arrivals in its open corner and %d in all", i, open, b.count)
+			return nil, corrupt("cell %d has %d arrivals in its open corner and %d in all", i, open, b.count)
 		}
 		b.prevF = b.count - int64(open)
 	}
@@ -277,7 +278,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		}
 		tail := r.Uvarint()
 		if tail > math.MaxInt64 {
-			return corrupt("cell %d ends %d ticks past its last segment", i, tail)
+			return nil, corrupt("cell %d ends %d ticks past its last segment", i, tail)
 		}
 		b.lastT = int64(tail) // until the last segment's End is known
 	}
@@ -290,13 +291,13 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			}
 			v := r.Uvarint()
 			if v > left || v > math.MaxInt64 {
-				return corrupt("cells count more than the block's %d out-of-order arrivals", outOfOrder)
+				return nil, corrupt("cells count more than the block's %d out-of-order arrivals", outOfOrder)
 			}
 			left -= v
 			b.outOfOrder = int64(v)
 		}
 		if left != 0 {
-			return corrupt("cells count %d out-of-order arrivals fewer than the block's %d", left, outOfOrder)
+			return nil, corrupt("cells count %d out-of-order arrivals fewer than the block's %d", left, outOfOrder)
 		}
 	}
 	present := 0
@@ -312,7 +313,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 		present++
 	}
 	if pad := present % 8; pad != 0 && mask>>pad != 0 {
-		return corrupt("float bits set past the %d present cells", present)
+		return nil, corrupt("float bits set past the %d present cells", present)
 	}
 	// The slope widths, read with the records below on a copy of the reader.
 	widths := *r
@@ -331,7 +332,7 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	if listed {
 		segs = make([]Segment, 0, total)
 	}
-	colBytes, lines, wides := 0, 0, 0
+	lines, wides := 0, 0
 	present = 0
 	for i := range cells {
 		b := &cells[i]
@@ -355,18 +356,18 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 				start = prevEnd + int64(gap)
 				switch {
 				case gap > math.MaxInt64:
-					return corrupt("cell %d: segment %d starts before its predecessor ends", i, j)
+					return nil, corrupt("cell %d: segment %d starts before its predecessor ends", i, j)
 				case start < prevEnd:
-					return corrupt("cell %d: segment %d starts past the end of time", i, j)
+					return nil, corrupt("cell %d: segment %d starts past the end of time", i, j)
 				}
 			}
 			length := r.Uvarint()
 			end := start + int64(length)
 			switch {
 			case length > math.MaxInt64:
-				return corrupt("cell %d: segment %d has a negative length", i, j)
+				return nil, corrupt("cell %d: segment %d has a negative length", i, j)
 			case end < start:
-				return corrupt("cell %d: segment %d ends past the end of time", i, j)
+				return nil, corrupt("cell %d: segment %d ends past the end of time", i, j)
 			}
 			seg := Segment{Start: start, End: end}
 			var k int64
@@ -377,24 +378,24 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			case b.float:
 				seg.A, seg.Y = float64(math.Float32frombits(slope)), r.Float64()
 				if math.Float64bits(seg.Y) == 1<<63 {
-					return corrupt("cell %d: segment %d holds −0, where a cell holds +0", i, j)
+					return nil, corrupt("cell %d: segment %d holds −0, where a cell holds +0", i, j)
 				}
 			default:
 				k = r.Varint()
 				seg.A, seg.Y = float64(math.Float32frombits(slope)), float64(k)/yUnit
 			}
 			if !finite(seg.A, seg.Y) {
-				return corrupt("cell %d: segment %d has non-finite coefficients", i, j)
+				return nil, corrupt("cell %d: segment %d has non-finite coefficients", i, j)
 			}
 			switch form := p.add(seg); {
 			case slope == escSlope && form != escapedValue:
-				return corrupt("cell %d: segment %d is escaped, and its cell keeps its line", i, j)
+				return nil, corrupt("cell %d: segment %d is escaped, and its cell keeps its line", i, j)
 			case slope != escSlope && form == escapedValue:
-				return corrupt("cell %d: segment %d is a line its cell escapes", i, j)
+				return nil, corrupt("cell %d: segment %d is a line its cell escapes", i, j)
 			case !b.float && form == floatValue:
-				return corrupt("cell %d: segment %d holds a grid value its cell takes to float64", i, j)
+				return nil, corrupt("cell %d: segment %d holds a grid value its cell takes to float64", i, j)
 			case !b.float && form == narrowValue && int64(seg.Y*yUnit) != k:
-				return corrupt("cell %d: segment %d holds %d units of 2⁻⁸ count, which no float64 holds", i, j, k)
+				return nil, corrupt("cell %d: segment %d holds %d units of 2⁻⁸ count, which no float64 holds", i, j, k)
 			}
 			if listed {
 				segs = append(segs, seg)
@@ -402,30 +403,30 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			prevEnd = end
 		}
 		if p.float != b.float {
-			return corrupt("cell %d holds float64 values, and its segments' forms keep to the grid", i)
+			return nil, corrupt("cell %d holds float64 values, and its segments' forms keep to the grid", i)
 		}
 		if need := slopeWidth(p.slopes); need != aw {
-			return corrupt("cell %d stores its slopes in %d bytes, and they need %d", i, aw, need)
+			return nil, corrupt("cell %d stores its slopes in %d bytes, and they need %d", i, aw, need)
 		}
 		tail := b.lastT
 		b.lastT = prevEnd + tail
 		if b.lastT < prevEnd || b.lastT > maxT {
-			return corrupt("cell %d ends at %d+%d, past the level's last timestamp %d", i, prevEnd, tail, maxT)
+			return nil, corrupt("cell %d ends at %d+%d, past the level's last timestamp %d", i, prevEnd, tail, maxT)
 		}
-		colBytes += b.planned(&p)
+		b.planned(&p)
 		lines += p.esc
 		if p.esc > 0 {
 			wides++
 		}
 	}
 	if err := r.Err(); err != nil {
-		return fmt.Errorf("pbe2: cell block: %w", err)
+		return nil, fmt.Errorf("pbe2: cell block: %w", err)
 	}
 	if pad := present % 4; pad != 0 && mask>>(2*pad) != 0 {
-		return corrupt("slope width bits set past the %d present cells", present)
+		return nil, corrupt("slope width bits set past the %d present cells", present)
 	}
 	if r.Overlong() {
-		return corrupt("a varint is not in its shortest form")
+		return nil, corrupt("a varint is not in its shortest form")
 	}
 
 	// Second pass: the segments, listed or read again, into the shared
@@ -433,17 +434,11 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 	// start, length and value and a 4-byte slope, the bytes past a cell's
 	// last row included — so the plan never passes what the segment counts
 	// allow.
-	cols := make([]byte, min(colBytes, 28*total))
+	cols := make([]byte, min(levelSize(cells), 28*total))
 	escLines, wideCells := make([]wideSeg, min(lines, total)), make([]wide, wides)
-	for i := range cells {
-		b := &cells[i]
-		if b.count == 0 {
-			continue
-		}
+	layLevel(cells, cols, func(b *Builder, to []byte) {
 		n, aw := b.n, b.aw()
-		size := colSize(n, b.sw, b.lw, b.yw, aw)
-		b.lay(cols[:size:size])
-		cols = cols[size:]
+		b.lay(to)
 		// The next wide struct stands by for the cell's escaped lines, the
 		// rest of their array behind it; a cell that escapes none gives it
 		// back.
@@ -473,9 +468,9 @@ func DecodeBlock(r *binenc.Reader, cells []Builder, maxT int64) error {
 			*b.wide, b.wide = wide{}, nil
 		}
 		b.boundStarts()
-		b.rest() // sets headLow; the columns are exact already
-	}
-	return nil
+		b.rest() // sets headLow
+	})
+	return cols, nil
 }
 
 // reread reads again the j-th segment record of a cell whose slopes take aw

@@ -13,7 +13,8 @@ import (
 
 // blockCells gathers every kind of cell a level can hold under one gamma:
 // built, empty, with out-of-order arrivals, with segments too long for a
-// 32-bit slot, merged, and downsampled (whose own gamma is the block's).
+// 32-bit slot, merged, and downsampled (whose own gamma is the block's),
+// laid as one level, as a decoded block lays them.
 func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	t.Helper()
 	add := func(b *Builder) {
@@ -57,6 +58,7 @@ func blockCells(t testing.TB, gamma float64) (cells []Builder, maxT int64) {
 	if got := countLong(&cells[12]); got <= 0 {
 		t.Fatal("fixture: no segment too long for a 32-bit slot")
 	}
+	Lay(cells)
 	return cells, maxT
 }
 
@@ -86,7 +88,7 @@ func oneCell(t testing.TB, cells []Builder) (back *Builder, data []byte) {
 	data = encodeBlock(t, cells[:1], cells[0].Frontier())
 	got := make([]Builder, 1)
 	r := binenc.NewReader(data)
-	if err := DecodeBlock(r, got, cells[0].Frontier()); err != nil {
+	if _, err := DecodeBlock(r, got, cells[0].Frontier()); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -154,7 +156,7 @@ func TestBlockRoundTrip(t *testing.T) {
 	data := encodeBlock(t, cells, maxT)
 	r := binenc.NewReader(append(data[:len(data):len(data)], "next"...))
 	got := make([]Builder, len(cells))
-	if err := DecodeBlock(r, got, maxT); err != nil {
+	if _, err := DecodeBlock(r, got, maxT); err != nil {
 		t.Fatal(err)
 	}
 	if r.Remaining() != 4 {
@@ -200,12 +202,13 @@ func TestBlockAppendAfterDecode(t *testing.T) {
 			cells = append(cells, *buildPBE2(t, ts, gamma))
 			maxT = max(maxT, ts[len(ts)-1])
 		}
+		Lay(cells)
 		return cells, maxT
 	}
 	twins, _ := build()
 	cells, maxT := build()
 	got := make([]Builder, len(cells))
-	if err := DecodeBlock(binenc.NewReader(encodeBlock(t, cells, maxT)), got, maxT); err != nil {
+	if _, err := DecodeBlock(binenc.NewReader(encodeBlock(t, cells, maxT)), got, maxT); err != nil {
 		t.Fatal(err)
 	}
 	before := got[2].Segments()
@@ -375,7 +378,7 @@ func expectRejected(t *testing.T, maxT int64, prefix string, cases []rejectCase)
 	for _, tc := range cases {
 		cells := make([]Builder, 2)
 		r := binenc.NewReader(tc.data)
-		err := DecodeBlock(r, cells, maxT)
+		_, err := DecodeBlock(r, cells, maxT)
 		if err == nil {
 			err = r.Close()
 		}
@@ -489,7 +492,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 	per := (len(two) - head - 2) / minSegmentBytes // what one count may claim
 	forged := append(append([]byte(nil), two[:head]...), byte(per), byte(per))
 	forged = append(forged, two[head+2:]...)
-	if err := DecodeBlock(binenc.NewReader(forged), make([]Builder, 2), maxT); err == nil || !strings.Contains(err.Error(), "segments exceed") {
+	if _, err := DecodeBlock(binenc.NewReader(forged), make([]Builder, 2), maxT); err == nil || !strings.Contains(err.Error(), "segments exceed") {
 		t.Errorf("two cells claiming %d segments each in %d bytes: %v", per, len(two), err)
 	}
 
@@ -497,7 +500,7 @@ func TestDecodeBlockRejects(t *testing.T) {
 	// refuse it: 0x80 0x00 decodes as 0, and is not what the encoder writes.
 	sound := rawBlock(0, []byte{1}, []rawCell{good})
 	cells := make([]Builder, 2)
-	if err := DecodeBlock(binenc.NewReader(sound), cells, maxT); err != nil {
+	if _, err := DecodeBlock(binenc.NewReader(sound), cells, maxT); err != nil {
 		t.Fatalf("sound block refused: %v", err)
 	}
 	if s := cells[0].Segments(); len(s) != 2 || s[0] != (Segment{0.5, 1, 40, 50}) || s[1] != (Segment{0, 6, 53, 58}) ||
@@ -506,11 +509,11 @@ func TestDecodeBlockRejects(t *testing.T) {
 	}
 	at := 4 + 8 // the out-of-order sum, a zero
 	overlong := append(append(append([]byte(nil), sound[:at]...), 0x80, 0x00), sound[at+1:]...)
-	if err := DecodeBlock(binenc.NewReader(overlong), cells, maxT); err == nil || !strings.Contains(err.Error(), "shortest form") {
+	if _, err := DecodeBlock(binenc.NewReader(overlong), cells, maxT); err == nil || !strings.Contains(err.Error(), "shortest form") {
 		t.Errorf("overlong varint: %v", err)
 	}
 	for cut := 0; cut < len(sound); cut++ {
-		if err := DecodeBlock(binenc.NewReader(sound[:cut]), cells, maxT); err == nil {
+		if _, err := DecodeBlock(binenc.NewReader(sound[:cut]), cells, maxT); err == nil {
 			t.Fatalf("cut=%d accepted", cut)
 		}
 	}
@@ -531,7 +534,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	built := encodeBlock(t, []Builder{*src}, src.Frontier())
 	cells := make([]Builder, 1)
 	for cut := 0; cut < len(built); cut += 5 {
-		if err := DecodeBlock(binenc.NewReader(built[:cut]), cells, src.Frontier()); err == nil {
+		if _, err := DecodeBlock(binenc.NewReader(built[:cut]), cells, src.Frontier()); err == nil {
 			t.Fatalf("cut=%d of %d accepted", cut, len(built))
 		}
 	}
@@ -568,7 +571,7 @@ func TestUnmarshalRejectsUnsearchable(t *testing.T) {
 	// first is a single instant, and starts may be negative.
 	edges := rawCell{count: 50, tail: 30, first: -120, segs: []rawSegment{{0, 0, 0, 1}, {0, 24, 0.5, 3}, {0, 5, 0, 7}, {21, 0, 0, 8}}}
 	cells := make([]Builder, 2)
-	if err := DecodeBlock(binenc.NewReader(rawBlock(0, []byte{1}, []rawCell{edges})), cells, maxT); err != nil {
+	if _, err := DecodeBlock(binenc.NewReader(rawBlock(0, []byte{1}, []rawCell{edges})), cells, maxT); err != nil {
 		t.Fatalf("builder-shaped cell refused: %v", err)
 	}
 	want := []Segment{{0, 1, -20, -20}, {0.5, 3, -20, 4}, {0, 7, 4, 9}, {0, 8, 30, 30}}
@@ -610,7 +613,7 @@ func TestBlockRecordForms(t *testing.T) {
 	for _, tc := range recordForms() {
 		cells := make([]Builder, 2)
 		r := binenc.NewReader(tc.data)
-		err := DecodeBlock(r, cells, 100)
+		_, err := DecodeBlock(r, cells, 100)
 		if err == nil {
 			err = r.Close()
 		}
@@ -651,7 +654,7 @@ func TestBlockSlopeWidths(t *testing.T) {
 	data := rawBlock(0, []byte{0x1f}, widthCells())
 	cells := make([]Builder, 5)
 	r := binenc.NewReader(data)
-	if err := DecodeBlock(r, cells, 100); err != nil {
+	if _, err := DecodeBlock(r, cells, 100); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -682,7 +685,7 @@ func TestBlockOfLeastRecordsAllocates(t *testing.T) {
 	cells := make([]Builder, 1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := DecodeBlock(binenc.NewReader(data), cells, 0)
+	_, err := DecodeBlock(binenc.NewReader(data), cells, 0)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -731,7 +734,7 @@ func TestBlockRereadMatchesList(t *testing.T) {
 		for i, least := range []int{1, math.MaxInt} {
 			listRecordBytes = least
 			got[i] = make([]Builder, tc.cells)
-			errs[i] = DecodeBlock(binenc.NewReader(tc.data), got[i], tc.maxT)
+			_, errs[i] = DecodeBlock(binenc.NewReader(tc.data), got[i], tc.maxT)
 		}
 		if (errs[0] == nil) != (errs[1] == nil) {
 			t.Fatalf("%s: listed %v, read again %v", tc.name, errs[0], errs[1])

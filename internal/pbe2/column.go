@@ -34,8 +34,13 @@ import (
 // A Builder's columns have room for more segments than they hold, and are
 // rewritten (relayout) when an append outgrows their room or a width; a
 // sealed cell's room is its segment count and its columns are exactly
-// colSize long. The functions in this file are the only readers and writers
-// of cols.
+// colSize long.
+//
+// A sealed level's cells lie end to end in one array (layLevel): each
+// cell's columns start where its predecessor's rows end, so the bytes its
+// loads read past its last row are its successor's first ones, which the
+// loads mask off, and only the level's last cell has slack of its own. The
+// functions in this file are the only readers and writers of cols.
 
 // escSlope is an escaped segment's slope field: a NaN, which no stored line
 // has. Its low two bytes are zero, so a cell of 2-byte slopes holds it.
@@ -86,13 +91,106 @@ func mask(w uint8) uint64 { return masks[w&15] }
 // colSize returns the bytes the columns take with room for room segments at
 // widths sw, lw, yw and aw: the starts and the rows, and past the last row
 // what its 8-byte loads of the length and y and its 4-byte load of the slope
-// read.
+// read. That slack, at most 8 bytes, is a standalone cell's own; in a laid
+// level it is its successor's first bytes (layLevel).
 func colSize(room int, sw, lw, yw, aw uint8) int {
 	if room == 0 {
 		return 0
 	}
 	last := room*int(sw) + (room-1)*(int(lw)+int(yw)+int(aw))
 	return last + max(int(yAt(lw, yw))+8, int(lw)+int(yw)+4)
+}
+
+// payload returns the bytes a sealed cell's segments take in its columns,
+// the starts and the rows, without the slack: where a laid level's next cell
+// starts.
+//
+//histburst:noalloc
+func (s *Summary) payload() int { return s.n * (int(s.sw) + int(s.stride)) }
+
+// levelSize returns the bytes a level's cells take laid end to end: as far
+// as the furthest of their loads reaches.
+func levelSize(cells []Builder) int {
+	off, size := 0, 0
+	for i := range cells {
+		s := &cells[i]
+		size = max(size, off+colSize(s.n, s.sw, s.lw, s.yw, s.aw()))
+		off += s.payload()
+	}
+	return size
+}
+
+// layLevel lays a level's cells, each laid out for its n segments, in cols,
+// levelSize long: it hands each cell that holds segments, in order, its
+// columns, exactly colSize long, starting where its predecessor's rows end,
+// to put, which moves or writes the cell's segments into them. A cell holds
+// its columns as a full-slice range, so an append after laying, which finds
+// no room, copies the cell's segments out (appendSegment) instead of writing
+// over its successor's. Lay and DecodeBlock both lay through it, so a level
+// built and the same level decoded hold the same bytes.
+func layLevel(cells []Builder, cols []byte, put func(b *Builder, cols []byte)) {
+	off := 0
+	for i := range cells {
+		b := &cells[i]
+		if b.n == 0 {
+			b.cols = nil
+			continue
+		}
+		size := colSize(b.n, b.sw, b.lw, b.yw, b.aw())
+		put(b, cols[off:off+size:off+size])
+		off += b.payload()
+	}
+}
+
+// Lay seals a level's cells — a sketch's d·w — and lays their closed
+// segments end to end in one array, which it returns: each cell's columns
+// are moved out of the room-ful ones it was built in, without a copy of
+// their own in between. The array is the cells' until an append, which
+// moves the cell it reaches out of it; Laid tells whether they still lie in
+// it.
+func Lay(cells []Builder) []byte {
+	for i := range cells {
+		b := &cells[i]
+		if b.win != nil {
+			b.finishWindow()
+		}
+		if w := b.wide; w != nil {
+			w.segs = clipped(w.segs)
+		}
+	}
+	cols := make([]byte, levelSize(cells))
+	layLevel(cells, cols, func(b *Builder, to []byte) {
+		from, rowAt, k := b.cols, b.rowAt, b.n*int(b.sw)
+		b.setLayout(b.n, b.sw, b.lw, b.yw, b.aw())
+		copy(to, from[:k])
+		copy(to[k:], from[rowAt:rowAt+b.n*int(b.stride)])
+		b.cols = to
+	})
+	return cols
+}
+
+// Laid reports whether cells lie in cols as layLevel lays them: every cell
+// sealed, and every one that holds segments with exactly its columns, room
+// for its segments and no more, where its predecessor's rows end, cols
+// ending where the furthest of their loads reaches.
+func Laid(cells []Builder, cols []byte) bool {
+	off, size := 0, 0
+	for i := range cells {
+		b := &cells[i]
+		if b.win != nil {
+			return false
+		}
+		if b.n == 0 {
+			continue
+		}
+		n := colSize(b.n, b.sw, b.lw, b.yw, b.aw())
+		if b.room != b.n || len(b.cols) != n || cap(b.cols) != n || off+n > len(cols) || &b.cols[0] != &cols[off] {
+			return false
+		}
+		size = max(size, off+n)
+		off += b.payload()
+	}
+	return cols != nil && size == len(cols)
 }
 
 // word returns the 8 bytes at o of b.
@@ -369,13 +467,12 @@ func (p *plan) widths() (sw, lw, yw, aw uint8, base int64) {
 	return sw, lw, yw, aw, base
 }
 
-// planned lays a cell whose segments p planned out for them — widths, base
-// and form of values — and returns the bytes its columns take.
-func (s *Summary) planned(p *plan) int {
+// planned lays a cell whose segments p planned out for them: widths, base
+// and form of values.
+func (s *Summary) planned(p *plan) {
 	sw, lw, yw, aw, base := p.widths()
 	s.setLayout(p.n, sw, lw, yw, aw)
 	s.yBase, s.float = base, p.float
-	return colSize(p.n, sw, lw, yw, aw)
 }
 
 // lay hands a planned cell its columns, cols, exactly colSize for them, to

@@ -79,6 +79,7 @@ func packedCase(t *testing.T, data []byte) (*Summary, []Segment) {
 	last := ref[len(ref)-1]
 	c.count, c.lastT, c.prevF = int64(len(ref)), last.End, int64(len(ref))
 	c.rest()
+	c.clip()
 	return &c.summary, ref
 }
 
@@ -126,7 +127,7 @@ func FuzzPackedColumn(f *testing.F) {
 		}
 		blob := encodeBlock(t, []Builder{{summary: *s}}, s.lastT)
 		back := make([]Builder, 1)
-		if err := DecodeBlock(binenc.NewReader(blob), back, s.lastT); err != nil {
+		if _, err := DecodeBlock(binenc.NewReader(blob), back, s.lastT); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if !reflect.DeepEqual(back[0].summary, *s) {

@@ -158,7 +158,8 @@ func partBounds(part []*Summary) (pin, lastT, count int64, gammaSum float64, out
 // DownsampleInto builds into out one summary with error cap gamma and time
 // resolution res covering the concatenation of parts: parts[k] is the group
 // of source summaries whose true counts sum to part k's staircase, and parts
-// are in strictly increasing time order. Sources are only read.
+// are in strictly increasing time order. Sources are only read. out's
+// columns keep their room to spare until Lay lays its level.
 //
 // The kernel streams: member breakpoints merge on the fly (no materialized
 // candidate list), sources are evaluated through amortized-O(1) cursors,
@@ -264,11 +265,13 @@ func DownsampleInto(out *Builder, parts [][]*Summary, gamma float64, res int64) 
 	return nil
 }
 
-// Downsample is DownsampleInto returning a fresh builder.
+// Downsample is DownsampleInto returning a fresh builder, its columns
+// clipped.
 func Downsample(parts [][]*Summary, gamma float64, res int64) (*Builder, error) {
 	out := new(Builder)
 	if err := DownsampleInto(out, parts, gamma, res); err != nil {
 		return nil, err
 	}
+	out.clip()
 	return out, nil
 }

@@ -455,5 +455,6 @@ func downsampleNaive(parts [][]*Summary, gamma float64, res int64) (*Builder, er
 		out.prevF = total
 	}
 	out.rest()
+	out.clip()
 	return out, nil
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 
 	"histburst/internal/binenc"
@@ -314,7 +313,7 @@ func FuzzPBE2CellBlock(f *testing.F) {
 		r := binenc.NewReader(data)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := DecodeBlock(r, arena, maxT)
+		_, err := DecodeBlock(r, arena, maxT)
 		runtime.ReadMemStats(&after)
 		// The decoder allocates the columns, at most 28 bytes a segment —
 		// three 8-byte fields and a slope — and, while the records take 8
@@ -451,30 +450,35 @@ func narrowLineCase(t *testing.T, sel, gsel, heavy byte, gaps []byte) (built, me
 	return built, merged
 }
 
-// heavyParts caches heavyPart's summaries, each built from millions of
-// arrivals.
-var heavyParts sync.Map
-
-// heavyPart returns the summary of n arrivals at one instant.
-func heavyPart(t *testing.T, at, n int64, gamma float64) *Summary {
-	type key struct {
-		at, n int64
-		gamma float64
-	}
-	k := key{at, n, gamma}
-	if s, ok := heavyParts.Load(k); ok {
-		return s.(*Summary)
-	}
+// heavyPart returns the summary of n arrivals at one instant. Every
+// arrival after the first only counts (Append's same-instant case), so they
+// are counted at once: n Appends a fuzz input took most of FuzzNarrowLine's
+// time (TestHeavyPartIsAppends holds the two alike).
+func heavyPart(t testing.TB, at, n int64, gamma float64) *Summary {
 	b, err := New(gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range n {
-		b.Append(at)
+	b.Append(at)
+	b.count += n - 1
+	return b.Seal()
+}
+
+// TestHeavyPartIsAppends: heavyPart's summary is the one n Appends at its
+// instant build, at each fuzz origin.
+func TestHeavyPartIsAppends(t *testing.T) {
+	for _, at := range fuzzOrigins {
+		b, err := New(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range 5000 {
+			b.Append(at)
+		}
+		if got, want := heavyPart(t, at, 5000, 3), b.Seal(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("at %d: heavyPart built\n%+v\nthe Appends\n%+v", at, got, want)
+		}
 	}
-	s := b.Seal()
-	heavyParts.Store(k, s)
-	return s
 }
 
 // checkStoredLines holds each stored segment to the form refForms

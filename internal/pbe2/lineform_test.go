@@ -17,6 +17,7 @@ func cellOf(gamma float64, segs []Segment, count, lastT int64) *Summary {
 	}
 	c.count, c.lastT, c.prevF = count, lastT, count
 	c.rest()
+	c.clip()
 	return &c.summary
 }
 

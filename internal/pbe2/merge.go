@@ -15,13 +15,15 @@ func MergeFinished(parts []*Summary) (*Builder, error) {
 	if err := MergeFinishedInto(out, parts); err != nil {
 		return nil, err
 	}
+	out.clip()
 	return out, nil
 }
 
 // MergeFinishedInto is MergeFinished writing into a caller-provided Builder,
 // so batch mergers (one per sketch cell) can lay the result structs out in a
-// single arena allocation instead of one heap object each. out is written
-// only when the merge succeeds.
+// single arena allocation instead of one heap object each, and their columns
+// in another: out's columns keep their room to spare until Lay lays its
+// level. out is written only when the merge succeeds.
 func MergeFinishedInto(out *Builder, parts []*Summary) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("pbe2: merge of zero summaries")

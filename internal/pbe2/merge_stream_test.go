@@ -42,6 +42,7 @@ func mergeAppend(b, o *Builder) error {
 	b.prevF = b.count
 	b.outOfOrder += o.outOfOrder
 	b.rest()
+	b.clip()
 	return nil
 }
 

@@ -275,6 +275,14 @@ func (b *Builder) Finish() {
 	if b.win == nil {
 		return
 	}
+	b.finishWindow()
+	b.clip()
+}
+
+// finishWindow seals the open corner, closes the final segment and puts the
+// builder at rest, its columns as they are: Finish clips them, Lay lays
+// them with the rest of their level.
+func (b *Builder) finishWindow() {
 	b.feed(b.lastT, b.count)
 	b.closeWindow()
 	b.rest()
@@ -288,16 +296,15 @@ func (b *Builder) Seal() *Summary {
 	return &b.summary
 }
 
-// rest puts a builder in its sealed form: the open-window engine (clip arena
-// included) back in its pool, head dispatch recomputed, columns exactly as
-// long as the segments they hold.
+// rest puts a builder in its sealed form, its columns as they are: the
+// open-window engine (clip arena included) back in its pool, head dispatch
+// recomputed.
 func (b *Builder) rest() {
 	if b.win != nil {
 		b.win.recycle()
 		b.win = nil
 	}
 	b.updateHeadLow()
-	b.clip()
 }
 
 // clipped returns s in a backing array of exactly len(s) elements.
@@ -454,12 +461,14 @@ func (s *Summary) NumSegments() int { return s.n }
 // slope at the width in bytes the cell's widest of each needs — a slope the
 // top 0, 2, 3 or 4 bytes of its float32 — and in a cell of float64 values
 // the value takes 8 bytes. The last row carries the few bytes its loads
-// read past it, and an escaped segment 16 more for its float64 line. Counted: segment payload only. Not counted:
-// the Builder struct itself (widths and base included), the wide form's
-// header and the allocator's per-array rounding, a fixed cost per cell that
-// a sketch of K cells pays K times whatever the history's length — and,
-// while a window is open, the columns' room to spare, its feasible region
-// and clip arena, which Finish releases.
+// read past it, and an escaped segment 16 more for its float64 line. That is
+// a standalone summary's count; a laid level's cells share those few bytes
+// with their successors (LevelSplit). Counted: segment payload only. Not
+// counted: the Builder struct itself (widths and base included), the wide
+// form's header and the allocator's per-array rounding, a fixed cost per
+// cell that a sketch of K cells pays K times whatever the history's length
+// — and, while a window is open, the columns' room to spare, its feasible
+// region and clip arena, which Finish releases.
 func (s *Summary) Bytes() int {
 	return colSize(s.n, s.sw, s.lw, s.yw, s.aw()) + 16*s.escaped()
 }
@@ -467,7 +476,8 @@ func (s *Summary) Bytes() int {
 // Split is where Bytes() go, a line a field of the segment columns: the
 // start offsets, lengths, values at Start and slopes of the segments held,
 // the escaped lines' float64 pairs, and the read slack, the bytes past the
-// last row that its loads read. The lines sum to Bytes().
+// last row that its loads read — in a laid level, past the last cell's. The
+// lines sum to Bytes().
 type Split struct {
 	Starts, Lengths, Values, Slopes, Escaped, Slack int
 }
@@ -487,6 +497,24 @@ func (p Split) Add(q Split) Split {
 func (s *Summary) Split() Split {
 	n := s.n
 	p := Split{Starts: n * int(s.sw), Lengths: n * int(s.lw), Values: n * int(s.yw), Slopes: n * int(s.aw()), Escaped: 16 * s.escaped()}
-	p.Slack = colSize(n, s.sw, s.lw, s.yw, s.aw()) - p.Starts - p.Lengths - p.Values - p.Slopes
+	p.Slack = colSize(n, s.sw, s.lw, s.yw, s.aw()) - p.fields()
+	return p
+}
+
+// fields returns the lines of the segments' own fields.
+func (p Split) fields() int { return p.Starts + p.Lengths + p.Values + p.Slopes }
+
+// LevelSplit returns the footprint of a level's cells split by field and
+// summed: when they lie in cols as Lay lays them, the array their columns
+// take — the slack only the bytes the last cell's loads read past the
+// fields — and their escaped lines; otherwise each cell's own Split.
+func LevelSplit(cells []Builder, cols []byte) Split {
+	var p Split
+	for i := range cells {
+		p = p.Add(cells[i].Split())
+	}
+	if Laid(cells, cols) {
+		p.Slack = len(cols) - p.fields()
+	}
 	return p
 }

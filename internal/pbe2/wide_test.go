@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
+	"histburst/internal/pbe"
 	"histburst/internal/stream"
 )
 
@@ -61,33 +62,47 @@ func addTick(t, d int64) (int64, bool) {
 // refProbes is every instant at which a summary's answer may change, with
 // its neighbours: each segment's ends, middle and the instants a start or an
 // offset key truncated to 32 bits would land on, the frontier, and the ends
-// of time. Ascending, without repeats.
+// of time. Ascending, without repeats. The segments' own probes are made in
+// time order, a few places at most from their own, and put in place by
+// insertion; only the truncated starts that differ from the true ones, and
+// the dozen others, are sorted; the three runs are merged.
 func refProbes(r refSummary) []int64 {
-	out := []int64{math.MinInt64, math.MaxInt64}
-	add := func(base int64, ds ...int64) {
+	add := func(out []int64, base int64, ds ...int64) []int64 {
 		for _, d := range ds {
 			if v, ok := addTick(base, d); ok {
 				out = append(out, v)
 			}
 		}
+		return out
 	}
+	own := make([]int64, 0, 7*len(r.segs))
 	for _, s := range r.segs {
-		add(s.Start, -1, 0, 1)
-		add(s.End, -1, 0, 1)
-		add(s.Start, int64(uint64(s.End-s.Start)/2))
+		own = add(own, s.Start, -1, 0, 1, int64(uint64(s.End-s.Start)/2))
+		own = add(own, s.End, -1, 0, 1)
 	}
-	if len(r.segs) > 0 {
-		first := r.segs[0].Start
-		add(first, 1<<31-1, 1<<31, 1<<32-1, 1<<32, 1<<32+1, 1<<33)
-		for _, s := range r.segs {
-			// The start this one would read as with its offset cut to 32 bits.
-			off := uint64(s.Start) - uint64(first)
-			add(first, int64(uint32(off)), int64(uint32(off))+1)
+	for i := 1; i < len(own); i++ {
+		for j := i; j > 0 && own[j] < own[j-1]; j-- {
+			own[j], own[j-1] = own[j-1], own[j]
 		}
 	}
-	add(r.lastT, -1, 0, 1)
-	slices.Sort(out)
-	return slices.Compact(out)
+	var cut []int64
+	rest := []int64{math.MinInt64, math.MaxInt64}
+	if len(r.segs) > 0 {
+		first := r.segs[0].Start
+		rest = add(rest, first, 1<<31-1, 1<<31, 1<<32-1, 1<<32, 1<<32+1, 1<<33)
+		for _, s := range r.segs {
+			// The start this one would read as with its offset cut to 32
+			// bits, where that is not its own.
+			if off := uint64(s.Start) - uint64(first); off > math.MaxUint32 {
+				cut = add(cut, first, int64(uint32(off)), int64(uint32(off))+1)
+			}
+		}
+	}
+	rest = add(rest, r.lastT, -1, 0, 1)
+	slices.Sort(cut)
+	slices.Sort(rest)
+	var bufs [2][]int64
+	return pbe.MergeSorted([][]int64{own, cut, rest}, &bufs)
 }
 
 // sameFloat compares answers bit for bit.
@@ -286,9 +301,18 @@ func refBytes(segs []Segment) int {
 	if len(segs) == 0 {
 		return 0
 	}
+	sw, row, reach, escaped := refShape(segs)
+	n := len(segs)
+	return n*sw + (n-1)*row + reach + 16*escaped
+}
+
+// refShape is what refBytes works out of a nonempty cell of segs: the width
+// of its start offsets and of its rows, how far from its last row's start
+// that row's loads read, and how many segments it escapes.
+func refShape(segs []Segment) (sw, row, reach, escaped int) {
 	forms, float := refForms(segs)
 	var maxLen uint64
-	minK, maxK, grid, escaped := int64(0), int64(0), false, 0
+	minK, maxK, grid := int64(0), int64(0), false
 	for i, s := range segs {
 		maxLen = max(maxLen, uint64(s.End-s.Start))
 		switch forms[i] {
@@ -302,7 +326,7 @@ func refBytes(segs []Segment) int {
 			minK, maxK = min(minK, k), max(maxK, k)
 		}
 	}
-	sw := refWidth(uint64(segs[len(segs)-1].Start) - uint64(segs[0].Start))
+	sw = refWidth(uint64(segs[len(segs)-1].Start) - uint64(segs[0].Start))
 	lw, yw := refWidth(maxLen), 8
 	if !float {
 		yw = 0
@@ -313,15 +337,33 @@ func refBytes(segs []Segment) int {
 			yw = max(yw, refWidth(uint64(escaped-1)))
 		}
 	}
-	n, aw := len(segs), refSlopeWidth(segs, forms)
 	// The last row's loads: 8 bytes from its start, which hold its y when
 	// its length and y fit in them, else 8 more from its y's start, and the
 	// slope's 4 from the slope's.
-	reach := max(8, lw+yw+4)
+	reach = max(8, lw+yw+4)
 	if lw+yw > 8 {
 		reach = max(reach, lw+8)
 	}
-	return n*sw + (n-1)*(lw+yw+aw) + reach + 16*escaped
+	return sw, lw + yw + refSlopeWidth(segs, forms), reach, escaped
+}
+
+// refLevelBytes is what a laid level of cells holding segss, in order,
+// counts: each cell's starts and rows from where its predecessor's rows
+// end, the array as long as the furthest a last row's loads read, and 16
+// bytes an escaped segment.
+func refLevelBytes(segss [][]Segment) int {
+	off, size, lines := 0, 0, 0
+	for _, segs := range segss {
+		if len(segs) == 0 {
+			continue
+		}
+		sw, row, reach, escaped := refShape(segs)
+		n := len(segs)
+		size = max(size, off+n*sw+(n-1)*row+reach)
+		off += n * (sw + row)
+		lines += 16 * escaped
+	}
+	return size + lines
 }
 
 // parentBytes is what a cell of segs counted when every field took 32
@@ -370,7 +412,7 @@ func checkAgainstRef(t *testing.T, what string, s *Summary, wide bool) {
 	}
 	back := make([]Builder, 1)
 	r := binenc.NewReader(data)
-	if err := DecodeBlock(r, back, s.lastT); err != nil {
+	if _, err := DecodeBlock(r, back, s.lastT); err != nil {
 		t.Fatalf("%s: decode: %v", what, err)
 	}
 	if got, want := back[0].Segments(), s.Segments(); !reflect.DeepEqual(got, want) {
@@ -555,8 +597,8 @@ func TestWideStartsByDownsample(t *testing.T) {
 	const gamma = 8.0
 	_, a, b := halves(t, gamma)
 	parts := [][]*Summary{{a.Seal()}, {b.Seal()}}
-	out := new(Builder)
-	if err := DownsampleInto(out, parts, 2*gamma, 1000); err != nil {
+	out, err := Downsample(parts, 2*gamma, 1000)
+	if err != nil {
 		t.Fatal(err)
 	}
 	naive, err := downsampleNaive(parts, 2*gamma, 1000)
@@ -564,7 +606,7 @@ func TestWideStartsByDownsample(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(out.Segments(), naive.Segments()) {
-		t.Fatal("DownsampleInto and its naive twin disagree")
+		t.Fatal("Downsample and its naive twin disagree")
 	}
 	checkAgainstRef(t, "downsampled", out.Seal(), true)
 }
@@ -601,10 +643,11 @@ func TestWideCellInABlock(t *testing.T) {
 	nano, _ := longRunStream(1.7e18, 4)
 	narrow := spreadStream(1.7e18+1<<40, 1<<20, 4)
 	cells := []Builder{*buildPBE2(t, narrow, gamma), *buildPBE2(t, nano, gamma), *buildPBE2(t, narrow, gamma)}
+	Lay(cells) // as the decoder lays them
 	maxT := narrow[len(narrow)-1]
 	data := encodeBlock(t, cells, maxT)
 	got := make([]Builder, len(cells))
-	if err := DecodeBlock(binenc.NewReader(data), got, maxT); err != nil {
+	if _, err := DecodeBlock(binenc.NewReader(data), got, maxT); err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
