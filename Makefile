@@ -79,7 +79,8 @@ experiments:
 # lift passes int32), its slope pick and slope widths, its searches against
 # a linear scan with segment starts on either side of 2³² ticks from a
 # cell's first, its packed columns with fields across every byte width
-# against the values appended, such cells laid end to end as one level, and
+# against the values appended, such cells laid end to end as one level, its
+# feasible-region engine against the general-polygon twin bit for bit, and
 # the store head's packed timestamp sequences against a sorted-slice twin.
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s). Each target also bounds the engine's minimisation of a new
@@ -110,6 +111,7 @@ FUZZ_TARGETS = \
 	./internal/pbe2/:FuzzSlopeWidth \
 	./internal/pbe2/:FuzzPackedColumn \
 	./internal/pbe2/:FuzzPackedLevel \
+	./internal/pbe2/:FuzzFeedMatchesNaive \
 	./internal/segstore/:FuzzManifestLoad \
 	./internal/segstore/:FuzzWALReplay \
 	./internal/segstore/:FuzzWALRecordDecode \

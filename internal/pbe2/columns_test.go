@@ -25,7 +25,7 @@ func TestBuilderSize(t *testing.T) {
 // that follows it opens on the burst's own corner and spans the whole flat
 // run up to the next one, the handful of arrivals before it included: they
 // rise by less than γ. (It does so for γ of a few dozen: the region of a
-// 2³²-tick window is γ/2³² wide in slope, and under geometry.Eps the builder
+// 2³²-tick window is γ/2³² wide in slope, and under the region's eps the builder
 // falls back to a point segment and a held gap.)
 func longRunStream(origin int64, bursts int) (ts stream.TimestampSeq, runs [][2]int64) {
 	cur := origin

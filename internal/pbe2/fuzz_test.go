@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"histburst/internal/binenc"
-	"histburst/internal/geometry"
 	"histburst/internal/stream"
 )
 
@@ -571,7 +570,7 @@ func slopeWidthCase(t *testing.T, sel, gsel byte, gaps []byte) (lines, shortened
 		switch fa := float64(float32(a)); {
 		case grid:
 			a = ga
-		case before.poly.InsideBy(geometry.Vec2{X: fa, Y: y - before.v0}, gridMargin):
+		case before.insideBy(fa, y-before.v0, gridMargin):
 			a = fa
 		}
 		short := seg.A != a
@@ -584,13 +583,13 @@ func slopeWidthCase(t *testing.T, sel, gsel byte, gaps []byte) (lines, shortened
 				t.Fatalf("window at %d: slope %v shortened to %v moves the line by %v over its window, more than 2⁻⁸ count", before.winStart, a, seg.A, moved)
 			}
 		}
-		if (grid || short) && !before.poly.InsideBy(geometry.Vec2{X: seg.A, Y: seg.Y - before.v0}, gridMargin) {
+		if (grid || short) && !before.insideBy(seg.A, seg.Y-before.v0, gridMargin) {
 			t.Fatalf("window at %d: line %+v leaves its region's margin (a grid line fit: %v, slope shortened: %v)", before.winStart, seg, grid, short)
 		}
 	}
 	feed := func(t, f int64) {
 		before := *r
-		before.poly = geometry.NewPolygon(r.poly.Vertices())
+		before.vs = slices.Clone(r.vs)
 		if seg, ok := r.feed(rpoint{t: t, hi: float64(f), slack: gamma}); ok {
 			check(seg, before)
 			closed = append(closed, seg)
@@ -612,7 +611,7 @@ func slopeWidthCase(t *testing.T, sel, gsel byte, gaps []byte) (lines, shortened
 	}
 	feed(last, count)
 	before := *r
-	before.poly = geometry.NewPolygon(r.poly.Vertices())
+	before.vs = slices.Clone(r.vs)
 	if seg, ok := r.close(); ok {
 		check(seg, before)
 		closed = append(closed, seg)

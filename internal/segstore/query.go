@@ -348,7 +348,10 @@ func (sn *Snapshot) MinTime() int64 {
 // verified file bytes until then, plus what each head stores for its
 // elements: per packed 64-timestamp chunk 16 bytes and its 63 gaps at the
 // chunk's bit width, per open chunk 8 bytes and its gaps the same way, each
-// chunk's gaps rounded up to whole bytes (see memHead.bytes).
+// chunk's gaps rounded up to whole bytes (see memHead.bytes). It leaves out
+// a decoded segment's per-cell structs (histburst.Detector.Bytes: the
+// benchmark's thirteen base segments hold 12.9× what they count) and the
+// heads' arenas and event index (HeadStats.Bytes).
 func (sn *Snapshot) Bytes() int {
 	total := 0
 	for _, g := range sn.v.segs {
@@ -485,7 +488,9 @@ func (sn *Snapshot) Envelope(t int64) pbe.ErrorEnvelope {
 
 // HeadStats describes the in-memory portion of a snapshot. Bytes is its
 // share of Snapshot.Bytes: what the live head and the frozen ones store for
-// their elements.
+// their elements. It leaves out the arenas' spare room and the event index,
+// so a head holds 4.0 B an element of heap against the 1.48 it counts on
+// the benchmark's olympicrio stream (TestHeadHeapTracksBytes).
 type HeadStats struct {
 	Elements int64 `json:"elements"`
 	MinT     int64 `json:"minT"`

@@ -477,6 +477,55 @@ func TestBytesTracksHeap(t *testing.T) {
 	runtime.KeepAlive(file) // or the input dies mid-measurement and is subtracted
 }
 
+// TestStoreHeapTracksBytes measures what the benchmark's base store keeps
+// alive beside what it counts: taxLayout's thirteen segments, each saved and
+// then decoded as the store decodes a segment file on its first touch.
+// Bytes() leaves the per-cell struct out by definition (Detector.Bytes), and
+// a segment of 50 000 elements keeps 1 092 cells whose lines are few, so the
+// heap runs about thirteen times the count here: 2 370 360 B held against
+// 184 074 counted (12.88×), 154 B a cell beyond the count over 14 196
+// cells, the same in every run to within 50 B. The bound is that heap and
+// 5 % of margin, the baseline a sealed level with no struct per cell must
+// beat. Not parallel: it reads process-wide heap statistics.
+func TestStoreHeapTracksBytes(t *testing.T) {
+	const heapBound = 2_370_360 * 105 / 100
+	_, parts := taxLayout(t)
+	files := make([][]byte, len(parts))
+	for i, part := range parts {
+		var buf bytes.Buffer
+		if err := part.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = buf.Bytes()
+	}
+	parts = nil
+	held, v := heapHeld(func() any {
+		dets := make([]*Detector, len(files))
+		for i, file := range files {
+			det, err := Decode(file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dets[i] = det
+		}
+		return dets
+	})
+	counted, cells := 0, 0
+	for _, det := range v.([]*Detector) {
+		counted += det.Bytes()
+		for i := 0; i < det.tree.Levels(); i++ {
+			_, ids := det.tree.Level(i).(*cmpbe.Sketch).Dims()
+			cells += ids
+		}
+	}
+	t.Logf("%d segments: Bytes() = %d, heap = %d (%.2f×), %d B beyond the count per cell over %d cells",
+		len(files), counted, held, float64(held)/float64(counted), (int(held)-counted)/cells, cells)
+	if held > heapBound {
+		t.Errorf("the decoded segments hold %d heap bytes against Bytes() = %d, more than the %d bound", held, counted, heapBound)
+	}
+	runtime.KeepAlive(files) // or the inputs die mid-measurement and are subtracted
+}
+
 // TestDecodeAllocs: decoding allocates per level, not per cell — one array of
 // cells and three of segment columns each, whatever the cell count (3 874
 // allocations for the K = 1024 file when every cell was decoded on its own).
