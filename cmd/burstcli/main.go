@@ -102,10 +102,19 @@ func run(args []string, out io.Writer) (err error) {
 			sources++
 		}
 	}
+	if sources != 1 {
+		return fmt.Errorf("pass one of -in (dataset), -sketch (saved sketch), -dir (store directory) or -addr (burstd)")
+	}
+	// A query's τ is checked once, before a source is opened: HBP1 reads a
+	// τ of 0 as its default span, so -addr would answer for a span nobody
+	// asked for.
+	if !*stats && (*point || *times || *evts) {
+		if _, err := pbe.NewSpan(*tau); err != nil {
+			return err
+		}
+	}
 	var b backend
 	switch {
-	case sources != 1:
-		return fmt.Errorf("pass one of -in (dataset), -sketch (saved sketch), -dir (store directory) or -addr (burstd)")
 	case *in != "":
 		b, err = buildDetector(*in, *gamma, *seed)
 	case *sketch != "":

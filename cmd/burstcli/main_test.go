@@ -97,6 +97,11 @@ func TestRunSaveAndLoadSketch(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	in := writeDataset(t)
+	dir := filepath.Join(t.TempDir(), "arch")
+	if _, err := runOut("seal", "-dir", dir, "-in", in, "-k", "2"); err != nil {
+		t.Fatal(err)
+	}
+	addr := serveDir(t, dir)
 	for _, args := range [][]string{
 		{"-point"},                              // no source
 		{"-in", "/no/such/file", "-point"},      // missing dataset file
@@ -104,6 +109,8 @@ func TestRunValidation(t *testing.T) {
 		{"-in", in},                             // no query mode
 		{"-in", in, "-point", "-tau", "-5"},     // negative τ
 		{"-in", in, "-point", "-tau", "0"},      // zero τ
+		{"-addr", addr, "-point", "-tau", "0"},  // zero τ, which HBP1 reads as its default
+		{"-addr", addr, "-point", "-tau", "-5"}, // negative τ over HBP1
 		{"-in", in, "-events", "-theta", "0"},   // zero θ
 		{"-dir", t.TempDir(), "-save", "x"},     // -save of a store directory
 		{"-dir", t.TempDir(), "-stats"},         // no store there

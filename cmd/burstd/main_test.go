@@ -38,62 +38,6 @@ func getJSON(t *testing.T, url string, out any) int {
 	return resp.StatusCode
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	ts := testServer(t)
-	var stats map[string]any
-	if code := getJSON(t, ts.URL+"/v1/stats", &stats); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	if stats["elements"].(float64) <= 0 {
-		t.Fatalf("stats = %v", stats)
-	}
-}
-
-func TestBurstinessEndpoint(t *testing.T) {
-	ts := testServer(t)
-	var out map[string]any
-	if code := getJSON(t, ts.URL+"/v1/burstiness?e=0&t=1728000&tau=86400", &out); code != 200 {
-		t.Fatalf("status %d: %v", code, out)
-	}
-	if _, ok := out["burstiness"]; !ok {
-		t.Fatalf("no burstiness field: %v", out)
-	}
-	// Missing parameter → 400 with error JSON.
-	if code := getJSON(t, ts.URL+"/v1/burstiness?e=0", &out); code != 400 {
-		t.Fatalf("missing t: status %d", code)
-	}
-	// Bad tau → 400.
-	if code := getJSON(t, ts.URL+"/v1/burstiness?e=0&t=5&tau=0", &out); code != 400 {
-		t.Fatalf("tau=0: status %d", code)
-	}
-}
-
-func TestTimesAndEventsEndpoints(t *testing.T) {
-	ts := testServer(t)
-	var out map[string]any
-	if code := getJSON(t, ts.URL+"/v1/times?e=0&theta=100", &out); code != 200 {
-		t.Fatalf("times status %d: %v", code, out)
-	}
-	if code := getJSON(t, ts.URL+"/v1/events?t=1728000&theta=100", &out); code != 200 {
-		t.Fatalf("events status %d: %v", code, out)
-	}
-	if _, ok := out["events"]; !ok {
-		t.Fatalf("no events field: %v", out)
-	}
-	if code := getJSON(t, ts.URL+"/v1/events?t=1728000&theta=0", &out); code != 400 {
-		t.Fatalf("theta=0: status %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/v1/top?t=1728000&k=3", &out); code != 200 {
-		t.Fatalf("top status %d: %v", code, out)
-	}
-	if evs, ok := out["events"].([]any); !ok || len(evs) != 3 {
-		t.Fatalf("top events = %v", out["events"])
-	}
-	if code := getJSON(t, ts.URL+"/v1/top?t=5&k=0", &out); code != 400 {
-		t.Fatalf("k=0: status %d", code)
-	}
-}
-
 func TestUIPage(t *testing.T) {
 	ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/")

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"histburst/internal/stream"
 	"histburst/internal/subscribe"
@@ -28,6 +29,24 @@ func liveServer(t *testing.T, snapDir string) (*server, *httptest.Server) {
 	return srv, ts
 }
 
+// bothTransports starts HTTP and HBP1 listeners over one server.
+func bothTransports(t *testing.T, srv *server) (*httptest.Server, *wire.Client) {
+	t.Helper()
+	ts := httptest.NewServer(srv.handler())
+	t.Cleanup(ts.Close)
+	wl, err := listenWire(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(wl.Close)
+	wc, err := wire.Dial(wl.Addr().String(), 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wc.Close() })
+	return ts, wc
+}
+
 func postAppend(t *testing.T, url string, elements string) (int, map[string]any) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/append", "application/json",
@@ -41,38 +60,6 @@ func postAppend(t *testing.T, url string, elements string) (int, map[string]any)
 		t.Fatalf("decode append response: %v", err)
 	}
 	return resp.StatusCode, out
-}
-
-func TestAppendEndpoint(t *testing.T) {
-	_, ts := liveServer(t, "")
-	code, out := postAppend(t, ts.URL, `{"event":3,"time":100},{"event":3,"time":200}`)
-	if code != 200 || out["appended"].(float64) != 2 || out["elements"].(float64) != 2 {
-		t.Fatalf("append: code=%d out=%v", code, out)
-	}
-	// The appended data is immediately queryable — and exactly, since it is
-	// still head-resident: b(200) = F(200) − 2F(150) + F(100) = 2 − 2 + 1.
-	resp, err := http.Get(ts.URL + "/v1/burstiness?e=3&t=200&tau=50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var q map[string]any
-	json.NewDecoder(resp.Body).Decode(&q) //nolint:errcheck
-	resp.Body.Close()
-	if q["burstiness"].(float64) <= 0 {
-		t.Fatalf("appended burst invisible: %v", q)
-	}
-	// Malformed and empty bodies are 400s.
-	if code, _ := postAppend(t, ts.URL, ``); code != 400 {
-		t.Fatalf("empty batch: code=%d", code)
-	}
-	resp2, err := http.Post(ts.URL+"/v1/append", "application/json", bytes.NewBufferString("not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != 400 {
-		t.Fatalf("garbage body: code=%d", resp2.StatusCode)
-	}
 }
 
 // TestConcurrentAppendAndQuery hammers ingest and every query endpoint at

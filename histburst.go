@@ -30,7 +30,6 @@ package histburst
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"runtime"
 
 	"histburst/internal/cmpbe"
@@ -171,7 +170,7 @@ func (d *Detector) setTree(t *dyadic.Tree) {
 }
 
 // K returns the detector's (rounded) event-id space size.
-func (d *Detector) K() uint64 { return roundPow2(d.k) }
+func (d *Detector) K() uint64 { return d.tree.K() }
 
 // SketchParams is the exported, replica-complete description of a
 // detector's configuration: two detectors built from equal SketchParams are
@@ -403,14 +402,4 @@ func (d *Detector) bytesByLevel() []levelSplit {
 		out[i] = levelSplit{Height: h, Split: d.tree.Level(i).(*cmpbe.Sketch).Split()}
 	}
 	return out
-}
-
-func roundPow2(k uint64) uint64 {
-	// Branch-free and safe for any input: the old doubling loop never
-	// terminated for k > 2⁶³ (reachable only from corrupt files, which
-	// Load now rejects, but an infinite loop is the wrong failure mode).
-	if k&(k-1) == 0 {
-		return k
-	}
-	return 1 << (64 - bits.LeadingZeros64(k))
 }

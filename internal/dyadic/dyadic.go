@@ -215,7 +215,7 @@ func New(k uint64, f LevelFactory) (*Tree, error) {
 	if f == nil {
 		return nil, fmt.Errorf("dyadic: level factory must not be nil")
 	}
-	k = roundPow2(k)
+	k = RoundPow2(k)
 	sh := Shape{lgK: bits.TrailingZeros64(k)}
 	var levels []Level
 	for h := 0; h <= sh.lgK; h++ {
@@ -521,7 +521,10 @@ func (t *Tree) Bytes() int {
 	return total
 }
 
-func roundPow2(k uint64) uint64 {
+// RoundPow2 rounds an id-space size up to the power of two a tree spans.
+// It is branch-free and safe for any input: a doubling loop would never
+// terminate for k > 2⁶³, which only a corrupt file can claim.
+func RoundPow2(k uint64) uint64 {
 	if k&(k-1) == 0 {
 		return k
 	}

@@ -311,8 +311,8 @@ func TestBytesSumsLevels(t *testing.T) {
 func TestRoundPow2(t *testing.T) {
 	cases := map[uint64]uint64{1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 864: 1024, 1689: 2048, 1 << 20: 1 << 20}
 	for in, want := range cases {
-		if got := roundPow2(in); got != want {
-			t.Errorf("roundPow2(%d) = %d, want %d", in, got, want)
+		if got := RoundPow2(in); got != want {
+			t.Errorf("RoundPow2(%d) = %d, want %d", in, got, want)
 		}
 	}
 }

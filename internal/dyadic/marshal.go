@@ -75,7 +75,7 @@ func DecodeTree(r *binenc.Reader, gamma float64) (*Tree, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if k == 0 || k != roundPow2(k) {
+	if k == 0 || k != RoundPow2(k) {
 		return nil, fmt.Errorf("dyadic: implausible id space %d", k)
 	}
 	lgK := bits.TrailingZeros64(k)

@@ -35,11 +35,11 @@ type Querier interface {
 	Envelope(t int64) pbe.ErrorEnvelope
 }
 
-// degraded is the degraded-history rule every answer follows: a source
+// Degraded is the degraded-history rule every answer follows: a source
 // missing history at or before t reports its envelope there; a whole
 // history, nil. Only a degraded envelope is copied to the heap: a healthy
 // snapshot's answers allocate nothing here.
-func degraded(q Querier, t int64) *pbe.ErrorEnvelope {
+func Degraded(q Querier, t int64) *pbe.ErrorEnvelope {
 	if env := q.Envelope(t); env.Degraded {
 		out := env
 		return &out
@@ -62,7 +62,7 @@ func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i, err)
 		}
-		out[i] = PointResult{Burstiness: q.BurstinessOver(pq.Event, pq.T, sp), Envelope: degraded(q, pq.T)}
+		out[i] = PointResult{Burstiness: q.BurstinessOver(pq.Event, pq.T, sp), Envelope: Degraded(q, pq.T)}
 	}
 	return out, nil
 }
@@ -76,7 +76,7 @@ func AnswerTimes(q Querier, e uint64, theta float64, tau int64) ([]histburst.Tim
 	if err = cmp.Or(err, serr); err != nil {
 		return nil, nil, err
 	}
-	return q.BurstyTimesOver(e, th, sp), degraded(q, q.MaxTime()), nil
+	return q.BurstyTimesOver(e, th, sp), Degraded(q, q.MaxTime()), nil
 }
 
 // AnswerEvents answers the BURSTY EVENT query q(t, θ, τ): the ids found by
@@ -88,7 +88,7 @@ func AnswerEvents(q Querier, t int64, theta float64, tau int64) ([]EventHit, *pb
 	if err = cmp.Or(err, serr); err != nil {
 		return nil, nil, err
 	}
-	return eventHits(q.BurstyEventsOver(t, th, sp)), degraded(q, t), nil
+	return eventHits(q.BurstyEventsOver(t, th, sp)), Degraded(q, t), nil
 }
 
 // AnswerTop returns the k burstiest events at t, descending.
@@ -97,7 +97,7 @@ func AnswerTop(q Querier, t, k, tau int64) ([]EventHit, *pbe.ErrorEnvelope, erro
 	if err = cmp.Or(pbe.CheckTopK(k), err); err != nil {
 		return nil, nil, err
 	}
-	return eventHits(q.TopBurstyOver(t, int(k), sp)), degraded(q, t), nil
+	return eventHits(q.TopBurstyOver(t, int(k), sp)), Degraded(q, t), nil
 }
 
 // eventHits is a search's answer in its codec form.

@@ -234,7 +234,7 @@ func Decode(data []byte) (*Detector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("histburst: %w", err)
 	}
-	if tree.K() != roundPow2(det.k) {
+	if tree.K() != dyadic.RoundPow2(det.k) {
 		return nil, fmt.Errorf("histburst: corrupt detector file: id space %d does not match index over %d", det.k, tree.K())
 	}
 	det.setTree(tree)
