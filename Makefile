@@ -81,7 +81,9 @@ experiments:
 # cell's first, its packed columns with fields across every byte width
 # against the values appended, such cells laid end to end as one level, its
 # feasible-region engine against the general-polygon twin bit for bit, and
-# the store head's packed timestamp sequences against a sorted-slice twin.
+# the store head's packed timestamp sequences against a sorted-slice twin,
+# and the store's whole contract over seeded schedules of appends, steps,
+# crashes and queries against an exact oracle (FuzzStoreSchedule).
 # FUZZTIME is overridable so CI can run a quicker smoke (make fuzz
 # FUZZTIME=10s). Each target also bounds the engine's minimisation of a new
 # interesting input to FUZZMINTIME: at the engine's default of 60 s, one
@@ -116,6 +118,7 @@ FUZZ_TARGETS = \
 	./internal/segstore/:FuzzWALReplay \
 	./internal/segstore/:FuzzWALRecordDecode \
 	./internal/segstore/:FuzzHeadSeq \
+	./internal/segstore/:FuzzStoreSchedule \
 	./internal/wire/:FuzzWireFrame \
 	./internal/wire/:FuzzAlertFrame \
 	./internal/wire/:FuzzSubscriptionDecode

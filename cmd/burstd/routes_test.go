@@ -99,16 +99,17 @@ func TestQueryBatchLarge(t *testing.T) {
 	group{serve: queryServer, rows: []row{batchRow(largeBatch()...)}}.run(t)
 }
 
+// Over the bound, HBP1 answers an ERR frame with HTTP's message on a
+// connection that stays up: the next frame on it is answered.
 func TestQueryBatchValidation(t *testing.T) {
-	// Over the bound a POINT frame does not decode, so that row has no HBP1
-	// twin.
 	overBound := batchRow(make([]wire.PointQuery, wire.MaxBatchQueries+1)...)
-	overBound.status, overBound.hbp1 = 400, nil
+	overBound.status, overBound.says = 400, fmt.Sprintf("batch of %d exceeds the %d-query limit", wire.MaxBatchQueries+1, wire.MaxBatchQueries)
 	group{serve: queryServer, rows: []row{
 		{http: "POST /v1/query/batch", body: `{"queries":[]}`, status: 400, twin: points()},
 		{http: "POST /v1/query/batch", body: `not json`, status: 400},
 		{http: "POST /v1/query/batch", body: `{"queries":[{"event":1,"t":5,"tau":-3}]}`, status: 400, twin: points(pq(1, 5, -3))},
 		overBound,
+		batchRow(pq(3, mid, 100)),
 	}}.run(t)
 }
 

@@ -136,7 +136,7 @@ func TestMergeRunMatchesNaive(t *testing.T) {
 	elems := genStream(800, 32, 1500, 83)
 	cfg := testConfig(64)
 	cfg.CompactFanout = -1 // keep the sealed run intact for us to merge
-	_, s := buildPair(t, elems, cfg, true)
+	s := checkpointed(t, elems, cfg, true)
 	defer mustClose(t, s)
 
 	run := s.view.Load().segs

@@ -53,7 +53,7 @@ func (sn *Snapshot) burstinessNaive(e uint64, t int64, sp pbe.Span) float64 {
 func TestBurstinessFastpathMatchesNaive(t *testing.T) {
 	elems := genStream(4000, 64, 2000, 11)
 	cfg := testConfig(512)
-	_, s := buildPair(t, elems, cfg, false) // live head stays behind the sealed segments
+	s := checkpointed(t, elems, cfg, false) // live head stays behind the sealed segments
 	defer mustClose(t, s)
 	sn := s.Snapshot()
 	if len(sn.Segments()) < 2 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -50,6 +51,48 @@ func appendN(t *testing.T, s *Store, n int, span uint64, t0, dt int64) int64 {
 		tm += dt
 	}
 	return tm - dt
+}
+
+// genStream produces a deterministic bursty stream: background arrivals over
+// [0, horizon) plus dense bursts for a few hot events.
+func genStream(n int, span uint64, horizon int64, seed int64) stream.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	var elems stream.Stream
+	for i := 0; i < n; i++ {
+		elems = append(elems, stream.Element{
+			Event: rng.Uint64() % span,
+			Time:  rng.Int63n(horizon),
+		})
+	}
+	// Hot events: bursts concentrated in short windows.
+	for _, b := range []struct {
+		e      uint64
+		at, w  int64
+		copies int
+	}{
+		{e: 1, at: horizon / 4, w: 20, copies: 40},
+		{e: 2, at: horizon / 2, w: 10, copies: 60},
+		{e: 3, at: 3 * horizon / 4, w: 30, copies: 50},
+	} {
+		for i := 0; i < b.copies; i++ {
+			elems = append(elems, stream.Element{Event: b.e, Time: b.at + rng.Int63n(b.w)})
+		}
+	}
+	elems.Sort()
+	return elems
+}
+
+// checkpointed ingests elems into a volatile store and checkpoints it.
+func checkpointed(t *testing.T, elems stream.Stream, cfg Config, all bool) *Store {
+	t.Helper()
+	s := mustOpen(t, "", cfg)
+	if _, rej, err := s.AppendBatch(elems); err != nil || rej > 0 {
+		t.Fatalf("AppendBatch: %d rejected, %v", rej, err)
+	}
+	if err := s.Checkpoint(all); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestVolatileHeadOnlyQueries(t *testing.T) {
@@ -114,37 +157,6 @@ func TestSealThresholdProducesSegments(t *testing.T) {
 	mustClose(t, s)
 }
 
-func TestDuplicateTimestampsStraddlingSeal(t *testing.T) {
-	// A burst of equal timestamps right at the seal threshold: the freeze
-	// must keep the boundary consistent and no element may be lost or
-	// double-counted across the head/segment split.
-	s := mustOpen(t, "", testConfig(4))
-	defer mustClose(t, s)
-
-	ts := []int64{1, 2, 3, 7, 7, 7, 7, 7, 9, 10}
-	for i, tm := range ts {
-		if err := s.Append(2, tm); err != nil {
-			t.Fatalf("append #%d (t=%d): %v", i, tm, err)
-		}
-	}
-	if err := s.Checkpoint(false); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.N(); got != int64(len(ts)) {
-		t.Fatalf("N = %d, want %d", got, len(ts))
-	}
-	// Sealing never splits a timestamp and segment estimates are exact at or
-	// past their own MaxT, so the count at the frontier is exact regardless
-	// of where the seal landed.
-	if got := s.Snapshot().CumulativeFrequency(2, 7); got != 8 {
-		t.Fatalf("F(2,7) = %v, want 8", got)
-	}
-	// Interior instants of a sealed segment are sketch estimates: within γ.
-	if got := s.Snapshot().CumulativeFrequency(2, 6); got < 3-2 || got > 3+2 {
-		t.Fatalf("F(2,6) = %v, want 3 ± γ=2", got)
-	}
-}
-
 func TestCheckpointEmptyHeadIsNoOp(t *testing.T) {
 	s := mustOpen(t, t.TempDir(), testConfig(0))
 	defer mustClose(t, s)
@@ -157,44 +169,6 @@ func TestCheckpointEmptyHeadIsNoOp(t *testing.T) {
 	}
 	if len(s.Segments()) != 0 {
 		t.Fatal("empty checkpoint sealed a segment")
-	}
-}
-
-func TestOutOfOrderAppendRejected(t *testing.T) {
-	s := mustOpen(t, "", testConfig(0))
-	defer mustClose(t, s)
-	if err := s.Append(1, 100); err != nil {
-		t.Fatal(err)
-	}
-	err := s.Append(1, 99)
-	if !errors.Is(err, stream.ErrOutOfOrder) {
-		t.Fatalf("err = %v, want ErrOutOfOrder", err)
-	}
-	if got := s.Rejected(); got != 1 {
-		t.Fatalf("Rejected = %d, want 1", got)
-	}
-	// Equal timestamps are in order.
-	if err := s.Append(1, 100); err != nil {
-		t.Fatalf("equal-timestamp append rejected: %v", err)
-	}
-	if got := s.N(); got != 2 {
-		t.Fatalf("N = %d, want 2", got)
-	}
-}
-
-func TestOutOfOrderBehindSealedFrontier(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testConfig(0))
-	appendN(t, s, 10, 2, 50, 1) // frontier 59
-	mustClose(t, s)
-
-	s = mustOpen(t, dir, testConfig(0))
-	defer mustClose(t, s)
-	if err := s.Append(1, 40); !errors.Is(err, stream.ErrOutOfOrder) {
-		t.Fatalf("append behind recovered frontier: err = %v, want ErrOutOfOrder", err)
-	}
-	if err := s.Append(1, 59); err != nil {
-		t.Fatalf("append at recovered frontier: %v", err)
 	}
 }
 
@@ -364,118 +338,6 @@ func TestOrphanSweepAtOpen(t *testing.T) {
 	}
 	if _, err := os.Stat(foreign); err != nil {
 		t.Errorf("foreign file swept: %v", err)
-	}
-}
-
-func TestCompactionMergesRuns(t *testing.T) {
-	cfg := testConfig(8)
-	cfg.CompactFanout = 2
-	dir := t.TempDir()
-	s := openStepped(t, dir, cfg)
-	appendN(t, s, 128, 4, 0, 1) // 16 level-0 seals, repeatedly pairable
-	if err := s.Checkpoint(false); err != nil {
-		t.Fatal(err)
-	}
-	// Fully compacted, 128 elements at SealEvents=8 / fanout=2 settle into
-	// at most one segment per size class: 64+32+16+15 (the last seal is the
-	// checkpoint tail), i.e. ≤ 4 segments down from 16 level-0 seals.
-	settle(t, s)
-	segs := s.Segments()
-	if err := s.Err(); err != nil {
-		t.Fatalf("background error: %v", err)
-	}
-	if len(segs) > 4 {
-		t.Fatalf("compaction left %d segments, want <= 4: %+v", len(segs), segs)
-	}
-	compacted := false
-	total := int64(0)
-	for _, g := range segs {
-		compacted = compacted || g.Compacted
-		total += g.Elements
-	}
-	if !compacted {
-		t.Fatal("no segment is marked compacted")
-	}
-	if s.N() != 128 || total > 128 {
-		t.Fatalf("element accounting off: N=%d, sealed=%d", s.N(), total)
-	}
-	// Queries over the compacted store still answer.
-	if got := s.Snapshot().CumulativeFrequency(1, 127); got < 1 {
-		t.Fatalf("F after compaction = %v", got)
-	}
-	mustClose(t, s)
-
-	// Only live files remain on disk: manifest + one file per live segment.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segFiles := 0
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == segFileSuffix {
-			segFiles++
-		}
-	}
-	if live := len(mustReopenSegments(t, dir)); segFiles != live {
-		t.Fatalf("%d segment files on disk for %d live segments", segFiles, live)
-	}
-}
-
-func mustReopenSegments(t *testing.T, dir string) []SegmentInfo {
-	t.Helper()
-	s := mustOpen(t, dir, Config{})
-	defer mustClose(t, s)
-	return s.Segments()
-}
-
-func TestEqualBoundarySegmentsStayUnmerged(t *testing.T) {
-	// A full checkpoint mid-stream followed by appends at the same timestamp
-	// creates two segments sharing a boundary instant. The merge kernel
-	// refuses them (a summary cell that counted the shared instant on both
-	// sides); the compaction step must attempt the run, remember and log
-	// the refusal, and move on — no wedge, no error — and queries must keep
-	// answering exactly.
-	cfg := testConfig(0)
-	cfg.CompactFanout = 2
-	var logged []string
-	cfg.Logf = func(format string, args ...any) { logged = append(logged, fmt.Sprintf(format, args...)) }
-	s := openStepped(t, "", cfg)
-	defer mustClose(t, s)
-
-	for i := 0; i < 6; i++ {
-		if err := s.Append(1, int64(10+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(true); err != nil { // boundary at t=15
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := s.Append(1, 15); err != nil { // straddle the boundary
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(true); err != nil {
-		t.Fatal(err)
-	}
-	key := runKey(s.view.Load().segs)
-	settle(t, s)
-	want := "compaction of run " + key + " skipped"
-	if !s.noMerge[key] || !slices.ContainsFunc(logged, func(l string) bool { return strings.HasPrefix(l, "segstore: "+want) }) {
-		t.Fatalf("no attempt to merge run %s on record (no-merge set %v, log %q)", key, s.noMerge, logged)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("unmergeable run wedged the store: %v", err)
-	}
-	if got := len(s.Segments()); got != 2 {
-		t.Fatalf("segments = %d, want 2 (unmerged pair)", got)
-	}
-	if got := s.Snapshot().CumulativeFrequency(1, 15); got != 12 {
-		t.Fatalf("F(1,15) = %v, want 12", got)
-	}
-	// t=14 is interior to the first segment: a sketch estimate, within γ.
-	if got := s.Snapshot().CumulativeFrequency(1, 14); got < 5-2 || got > 5+2 {
-		t.Fatalf("F(1,14) = %v, want 5 ± γ=2", got)
 	}
 }
 
@@ -737,7 +599,7 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 func TestStoreDirectoryHoldsOneFormat(t *testing.T) {
 	dir := t.TempDir()
 	s := openStepped(t, dir, decayConfig(8))
-	ingestWeeks(t, []*Store{s}, 400, 4, 3600) // ~16 days: seals, compactions, decay
+	appendN(t, s, 400, 4, 0, 3600) // ~16 days: seals, compactions, decay
 	if err := s.Checkpoint(true); err != nil {
 		t.Fatal(err)
 	}

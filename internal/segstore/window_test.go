@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"histburst/internal/pbe"
@@ -426,47 +425,4 @@ func firstDiff(a, b []int64) int {
 		}
 	}
 	return min(len(a), len(b))
-}
-
-// TestBurstyTimesAgreesWithPoint pins the store's BURSTY TIME to its POINT
-// over several segments with Count-Min leaves (K > d·w) and an unsealed
-// tail: at every instant the query evaluates, and at each range's first and
-// last instant, t lies in a reported range exactly when the point query at
-// t reaches θ.
-func TestBurstyTimesAgreesWithPoint(t *testing.T) {
-	const tau, theta = 20, 12
-	s := mustOpen(t, "", Config{K: 512, Gamma: 2, Seed: 7, D: 5, W: 32, SealEvents: 6000, CompactFanout: -1})
-	defer mustClose(t, s)
-	if _, _, err := s.AppendBatch(genStream(40_000, 512, 10_000, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Checkpoint(false); err != nil {
-		t.Fatal(err)
-	}
-	sn := s.Snapshot()
-	if n := len(sn.Segments()); n < 4 {
-		t.Fatalf("store sealed %d segments, want several", n)
-	}
-	found := 0
-	for e := uint64(0); e < 24; e++ {
-		ranges, err := sn.BurstyTimes(e, theta, tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found += len(ranges)
-		probes := pbe.ShiftedBreakpoints(sn.breakpoints(e), pbe.MustSpan(tau), sn.MaxTime())
-		for _, r := range ranges {
-			probes = append(probes, r.Start, r.End-1)
-		}
-		for _, q := range probes {
-			i := sort.Search(len(ranges), func(i int) bool { return ranges[i].End > q })
-			in := i < len(ranges) && ranges[i].Contains(q)
-			if b := sn.burstiness(e, q, pbe.MustSpan(tau)); in != (b >= theta) {
-				t.Fatalf("event %d: t=%d in a range is %v, but POINT = %v against θ = %v", e, q, in, b, float64(theta))
-			}
-		}
-	}
-	if found == 0 {
-		t.Fatal("no event was ever bursty; the check saw only negatives")
-	}
 }

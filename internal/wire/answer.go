@@ -47,6 +47,11 @@ func Degraded(q Querier, t int64) *pbe.ErrorEnvelope {
 	return nil
 }
 
+// overBatch refuses a POINT batch of n queries, over MaxBatchQueries.
+func overBatch(n uint64) error {
+	return fmt.Errorf("batch of %d exceeds the %d-query limit", n, MaxBatchQueries)
+}
+
 // AnswerPoint answers a batch of POINT queries q(e, t, τ) in request order.
 // A batch is all-or-nothing: one invalid query refuses all of it.
 func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
@@ -54,7 +59,7 @@ func AnswerPoint(q Querier, qs []PointQuery) ([]PointResult, error) {
 		return nil, errors.New("empty batch")
 	}
 	if len(qs) > MaxBatchQueries {
-		return nil, fmt.Errorf("batch of %d exceeds the %d-query limit", len(qs), MaxBatchQueries)
+		return nil, overBatch(uint64(len(qs)))
 	}
 	out := make([]PointResult, len(qs))
 	for i, pq := range qs {

@@ -266,8 +266,15 @@ func encodePointReq(id uint64, qs []PointQuery) []byte {
 	return w.Bytes()
 }
 
+// decodePointReq refuses a count over MaxBatchQueries as a *RequestError,
+// as decodeAppend does: the frame around it is whole, so the stream goes on.
+//
 //histburst:decoder
 func decodePointReq(r *binenc.Reader) ([]PointQuery, error) {
+	ahead := *r
+	if n := ahead.Uvarint(); n > MaxBatchQueries {
+		return nil, &RequestError{Message: overBatch(n).Error()}
+	}
 	// Each query occupies at least an event, a t, and a tau byte.
 	n := r.SliceLen(MaxBatchQueries, 3)
 	qs := make([]PointQuery, 0, n)

@@ -549,6 +549,10 @@ func orDefault(v, def int64) int64 {
 
 func (h *connHandler) handlePoint(id uint64, r *binenc.Reader) error {
 	qs, err := decodePointReq(r)
+	var refused *RequestError
+	if errors.As(err, &refused) {
+		return h.send(encodeErr(id, refused.Message))
+	}
 	if err != nil {
 		return err
 	}
