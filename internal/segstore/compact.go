@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -115,15 +116,16 @@ func parallel(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// swapRun publishes merged in place of run: ID assignment, segment file and
-// manifest writes, view republish, then tombstone deletion.
+// swapRun commits merged in place of run: ID assignment, segment file
+// write, commit, then tombstone deletion.
 func (s *Store) swapRun(run []*Segment, merged *Segment) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	lo := s.findRunLocked(run)
+	cur := s.view.Load()
+	lo := findRun(cur.segs, run)
 	if lo < 0 {
 		// The composition changed under us (cannot happen with a single
 		// compactor, but stay defensive); drop the work.
@@ -144,13 +146,12 @@ func (s *Store) swapRun(run []*Segment, merged *Segment) error {
 			return err
 		}
 	}
-	s.segs = append(s.segs[:lo:lo], append([]*Segment{merged}, s.segs[lo+len(run):]...)...)
-	s.gen++
-	if err := s.writeManifestLocked(); err != nil {
+	next := *cur
+	next.segs = slices.Concat(cur.segs[:lo], []*Segment{merged}, cur.segs[lo+len(run):])
+	if err := s.commitLocked(next); err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	s.publishLocked(nil)
 	s.mu.Unlock()
 
 	// Old generation files are tombstones now: the manifest no longer
@@ -209,15 +210,13 @@ func runKey(run []*Segment) string {
 	return b.String()
 }
 
-// findRunLocked locates run (by ID) as a contiguous slice of s.segs,
-// returning its start index or -1.
-//
-//histburst:locked mu
-func (s *Store) findRunLocked(run []*Segment) int {
-	for lo := 0; lo+len(run) <= len(s.segs); lo++ {
+// findRun locates run (by ID) as a contiguous slice of segs, returning its
+// start index or -1.
+func findRun(segs, run []*Segment) int {
+	for lo := 0; lo+len(run) <= len(segs); lo++ {
 		match := true
 		for i := range run {
-			if s.segs[lo+i].meta.ID != run[i].meta.ID {
+			if segs[lo+i].meta.ID != run[i].meta.ID {
 				match = false
 				break
 			}

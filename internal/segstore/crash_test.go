@@ -67,6 +67,7 @@ func buildCrashFixture(t *testing.T) (dir string, oldN int64, newSegName string,
 }
 
 // cloneDir copies the fixture into a fresh directory for one crash step.
+// Subdirectories (quarantine/, evidence the store never reads) are left out.
 func cloneDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()
@@ -75,6 +76,9 @@ func cloneDir(t *testing.T, src string) string {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
+		if e.IsDir() {
+			continue
+		}
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)

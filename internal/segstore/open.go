@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"histburst"
 	"histburst/internal/atomicfile"
+	"histburst/internal/stream"
 )
 
 // Open's recovery path: load and check the manifest, verify every segment
@@ -88,8 +90,7 @@ func open(dir string, cfg Config) (*Store, error) {
 			return nil, err
 		}
 		params = man.Params
-		s.gen = man.Generation //histburst:allow lockguard -- Open constructs the store before it is shared
-		s.nextID = man.NextID
+		s.nextID = man.NextID //histburst:allow lockguard -- Open constructs the store before it is shared
 	}
 	if params.K == 0 {
 		return nil, fmt.Errorf("segstore: config K is required for a new store")
@@ -114,10 +115,12 @@ func open(dir string, cfg Config) (*Store, error) {
 		}
 	}
 
-	frontier := int64(0)
+	// The manifest's composition, less the segments that fail verification.
+	v := storeView{head: newMemHead(0)}
+	var damaged []SegmentMeta
 	if man != nil {
-		s.quarantined = man.Quarantined //histburst:allow lockguard -- Open constructs the store before it is shared
-		newDamage := false
+		v.gen = man.Generation
+		frontier := int64(0)
 		for _, meta := range man.Segments {
 			data, err := s.verifySegment(meta)
 			if errors.Is(err, histburst.ErrUnsupportedFormat) {
@@ -133,49 +136,46 @@ func open(dir string, cfg Config) (*Store, error) {
 				// frontier still advances past the damaged span: the store
 				// must never re-accept times a sealed segment covered.
 				s.logf("segstore: quarantining segment %d (%s): %v", meta.ID, meta.File, err)
-				s.quarantined = append(s.quarantined, meta)
-				newDamage = true
+				damaged = append(damaged, meta)
 			} else {
-				s.segs = append(s.segs, &Segment{meta: meta, fileBytes: len(data), owner: s, raw: data})
+				v.segs = append(v.segs, &Segment{meta: meta, fileBytes: len(data), owner: s, raw: data})
 			}
-			if meta.MaxT > frontier {
-				frontier = meta.MaxT
-			}
+			frontier = max(frontier, meta.MaxT)
 		}
-		for _, meta := range s.quarantined {
-			if meta.MaxT > frontier {
-				frontier = meta.MaxT
-			}
+		for _, meta := range man.Quarantined {
+			frontier = max(frontier, meta.MaxT)
 		}
-		if newDamage {
-			s.gen++                                         //histburst:allow lockguard -- single-goroutine construction; no other goroutine exists yet
-			if err := s.writeManifestLocked(); err != nil { //histburst:allow lockguard -- single-goroutine construction; no other goroutine exists yet
-				return nil, err
-			}
+		v.quarantined = slices.Concat(man.Quarantined, damaged)
+		v.head = newMemHead(frontier)
+	}
+
+	// The logs are read before anything is written: one of another format
+	// generation refuses the open with the directory untouched.
+	var replay stream.Stream
+	if dir != "" && !cfg.DisableWAL {
+		if s.wal, replay, err = openWAL(dir, cfg.WALSync, cfg.WALSyncEvery, v.durable()); err != nil {
+			return nil, err
 		}
+	}
+
+	s.view.Store(&v)
+	if len(damaged) > 0 {
+		if err := s.commitLocked(v); err != nil { //histburst:allow lockguard -- single-goroutine construction; no other goroutine exists yet
+			return nil, err
+		}
+	}
+	if man != nil {
 		// Manifest-first quarantine protocol: finish any file move a crash
 		// (or the quarantine just above) left undone, then sweep debris.
 		if err := s.finishQuarantineMoves(); err != nil {
 			return nil, err
 		}
-		if err := s.sweepOrphans(man); err != nil {
+		if err := s.sweepOrphans(); err != nil {
 			return nil, err
 		}
 	}
-	s.publishLocked(newMemHead(frontier)) //histburst:allow lockguard -- single-goroutine construction; no other goroutine exists yet
 
-	if dir != "" && !cfg.DisableWAL {
-		durable := int64(0)
-		for _, g := range s.segs {
-			durable += g.meta.Elements
-		}
-		for _, q := range s.quarantined {
-			durable += q.Elements
-		}
-		w, replay, err := openWAL(dir, cfg.WALSync, cfg.WALSyncEvery, durable)
-		if err != nil {
-			return nil, err
-		}
+	if s.wal != nil {
 		if len(replay) > 0 {
 			accepted, rej := admitBatch(replay, s.Frontier())
 			if err := s.apply(accepted); err != nil {
@@ -189,7 +189,6 @@ func open(dir string, cfg Config) (*Store, error) {
 			}
 			s.logf("segstore: wal replay recovered %d unsealed elements", len(replay))
 		}
-		s.wal = w
 		// Rotate immediately: the fresh log restates the replayed suffix as
 		// a baseline and the old files are deleted, so recovery work is
 		// bounded by the head regardless of crash history.
@@ -256,14 +255,15 @@ func (s *Store) verifySegment(meta SegmentMeta) ([]byte, error) {
 // deletions that crashed after) their manifest write. Only files this
 // package creates are touched; anything else in the directory is left
 // alone.
-func (s *Store) sweepOrphans(man *Manifest) error {
-	live := make(map[string]bool, len(man.Segments)+len(s.quarantined))
-	for _, g := range man.Segments {
-		live[g.File] = true
+func (s *Store) sweepOrphans() error {
+	v := s.view.Load()
+	live := make(map[string]bool, len(v.segs)+len(v.quarantined))
+	for _, g := range v.segs {
+		live[g.meta.File] = true
 	}
 	// Quarantined files belong in quarantine/, but if a move failed they
 	// may still sit in the root — they are evidence, never debris.
-	for _, g := range s.quarantined {
+	for _, g := range v.quarantined {
 		live[g.File] = true
 	}
 	entries, err := os.ReadDir(s.dir)
@@ -296,7 +296,7 @@ const (
 // the file moves, so a crash (or a fresh quarantine at open) can leave the
 // move undone.
 func (s *Store) finishQuarantineMoves() error {
-	for _, meta := range s.quarantined {
+	for _, meta := range s.view.Load().quarantined {
 		if meta.File == "" {
 			continue
 		}

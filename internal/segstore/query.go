@@ -22,10 +22,13 @@ import (
 // over the summed rows, and the head's exact counts added after it (an exact
 // term would only be distorted by passing through the median). For a
 // single-segment store this collapses to exactly the monolithic detector's
-// estimate, for any d; across segments it matches the merged detector except
-// inside inter-segment gaps, where each summand holds its own tail value
-// instead of the merged segment's line — a difference bounded by the same γ
-// guarantee (both readings are valid PBE-2 curves for the same staircase).
+// estimate, for any d. Across segments it is not the detector merged from
+// them: a merged cell's line runs across that cell's silence between
+// segments, where the summed cells each hold their count, and the merge
+// refits lines inside the segments too, so answers can differ there as well.
+// Both readings are PBE-2 curves for the same staircase, each within the
+// same γ of the exact count; FuzzStoreSchedule's (b)–(d) check the store
+// against the exact oracle, not against a merged detector.
 // BURSTY EVENT and TOP walk the event index summed the same way, level by
 // level (summedLevels), so a burst that straddles a seal is scored whole.
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"histburst/internal/atomicfile"
@@ -69,40 +70,27 @@ func (s *Store) scrubOnce() error {
 }
 
 // quarantine removes one damaged segment from service: manifest first
-// (remove from the live list, record under Quarantined, bump the
-// generation, publish), then the file move into quarantine/. A crash
-// between the two is finished by finishQuarantineMoves at the next open.
-// If the segment has already left the live set (compacted away between
-// the scrub read and now), the "damage" was a stale read — nothing to do.
+// (commit a view without it, recorded under Quarantined), then the file
+// move into quarantine/. A crash between the two is finished by
+// finishQuarantineMoves at the next open. If the segment has already left
+// the live set (compacted away between the scrub read and now), the
+// "damage" was a stale read — nothing to do.
 func (s *Store) quarantine(meta SegmentMeta, cause error) error {
 	s.mu.Lock()
-	idx := -1
-	for i, g := range s.segs {
-		if g.meta.ID == meta.ID {
-			idx = i
-			break
-		}
-	}
+	cur := s.view.Load()
+	idx := slices.IndexFunc(cur.segs, func(g *Segment) bool { return g.meta.ID == meta.ID })
 	if idx < 0 || s.closed {
 		s.mu.Unlock()
 		return nil
 	}
-	seg := s.segs[idx]
 	s.logf("segstore: quarantining segment %d (%s): %v", meta.ID, meta.File, cause)
-	s.segs = append(s.segs[:idx:idx], s.segs[idx+1:]...)
-	s.quarantined = append(s.quarantined, meta)
-	s.gen++
-	if err := s.writeManifestLocked(); err != nil {
-		// The manifest still names the segment live; put the composition
-		// back so memory and disk agree, and report the pass as failed.
-		rest := append([]*Segment{seg}, s.segs[idx:]...)
-		s.segs = append(s.segs[:idx:idx], rest...)
-		s.quarantined = s.quarantined[:len(s.quarantined)-1]
-		s.gen--
+	next := *cur
+	next.segs = slices.Concat(cur.segs[:idx], cur.segs[idx+1:])
+	next.quarantined = append(slices.Clip(cur.quarantined), meta)
+	if err := s.commitLocked(next); err != nil {
 		s.mu.Unlock()
 		return fmt.Errorf("quarantine segment %d: %w", meta.ID, err)
 	}
-	s.publishLocked(nil)
 	s.mu.Unlock()
 
 	src := filepath.Join(s.dir, meta.File)

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -157,14 +158,31 @@ func resolveDecayTiers(tiers []DecayTier, params histburst.SketchParams) ([]Deca
 	return out, nil
 }
 
-// storeView is one immutable generation of the store's composition.
-// Replaced wholesale under Store.mu; read via Store.view without locks.
+// storeView is one immutable generation of the store's composition, and
+// the store's only copy of it. Replaced wholesale under Store.mu — by
+// commitLocked when the manifest must name the change, by a plain publish
+// when only the heads moved — and read via Store.view without locks. A next
+// view is built copy-on-write: never append into a slice a published view
+// holds.
 type storeView struct {
 	gen         uint64
 	segs        []*Segment    // ascending time order; elements immutable
 	quarantined []SegmentMeta // segments removed from service (damage), metadata only
 	frozen      []*memHead    // freeze order; awaiting the sealer
 	head        *memHead
+}
+
+// durable returns the write-ahead log's durable watermark for v: every
+// element a segment of v holds or held, quarantined ones included.
+func (v *storeView) durable() int64 {
+	n := int64(0)
+	for _, g := range v.segs {
+		n += g.meta.Elements
+	}
+	for _, q := range v.quarantined {
+		n += q.Elements
+	}
+	return n
 }
 
 // Store is a segmented timeline store. All methods are safe for concurrent
@@ -193,20 +211,16 @@ type Store struct {
 	//histburst:lockorder Store.sealMu Store.mu
 	sealMu sync.Mutex
 
-	// mu serializes composition changes: freezing the head, publishing
-	// seals and compaction swaps, manifest writes, and ID issue.
+	// mu serializes composition changes: freezing the head, committing
+	// seals, compaction swaps and quarantines, and ID issue.
 	mu sync.Mutex
 
-	// gen, nextID, segs, quarantined, frozen, closed, bgErr and scrubErr
-	// are guarded by mu.
-	gen         uint64
-	nextID      uint64
-	segs        []*Segment
-	quarantined []SegmentMeta
-	frozen      []*memHead
-	closed      bool
-	bgErr       error // first background seal/compaction failure, sticky
-	scrubErr    error // last scrub pass failure (nil after a clean pass)
+	// nextID, closed, bgErr and scrubErr are guarded by mu. An ID taken by
+	// a commit that failed is skipped, never reused.
+	nextID   uint64
+	closed   bool
+	bgErr    error // first background seal/compaction failure, sticky
+	scrubErr error // last scrub pass failure (nil after a clean pass)
 
 	//histburst:atomic
 	view atomic.Pointer[storeView]
@@ -275,35 +289,52 @@ func (s *Store) freezeHead(v *storeView, keepTail bool) error {
 	if cur.head != v.head {
 		return nil // lost the race; the caller retries on the fresh view
 	}
-	h := cur.head
-	tail := h.freeze(keepTail)
-	n, _, _, _ := h.snapshot()
-	next := newMemHead(h.frontier())
-	next.appendBatch(tail, s.kfold, 0) // one timestamp, at or past the floor: all land
-	if n > 0 {
-		h.sealID = s.nextID
-		s.nextID++
-		s.frozen = append(s.frozen, h)
-		nudge(s.sealNudge)
-	}
-	s.publishLocked(next)
+	tail := cur.head.freeze(keepTail)
+	next := s.retireHeadLocked(cur)
+	next.head.appendBatch(tail, s.kfold, 0) // one timestamp, at or past the floor: all land
+	s.view.Store(&next)
 	return nil
 }
 
-// publishLocked swaps in a fresh view built from the current composition.
+// retireHeadLocked returns cur with its head, which the caller has frozen,
+// queued for the sealer when it holds elements, and a fresh head behind it.
+// Only the heads move, so the next view is published without a manifest
+// write.
 //
 //histburst:locked mu
-func (s *Store) publishLocked(head *memHead) {
-	if head == nil {
-		head = s.view.Load().head
+func (s *Store) retireHeadLocked(cur *storeView) storeView {
+	next := *cur
+	h := cur.head
+	if n, _, _, _ := h.snapshot(); n > 0 {
+		h.sealID = s.nextID
+		s.nextID++
+		next.frozen = append(slices.Clip(cur.frozen), h)
+		nudge(s.sealNudge)
 	}
-	s.view.Store(&storeView{
-		gen:         s.gen,
-		segs:        append([]*Segment(nil), s.segs...),
-		quarantined: append([]SegmentMeta(nil), s.quarantined...),
-		frozen:      append([]*memHead(nil), s.frozen...),
-		head:        head,
-	})
+	next.head = newMemHead(h.frontier())
+	return next
+}
+
+// commitLocked makes next the store's composition: it takes the next
+// generation, writes next's manifest (persistent stores only), and
+// publishes next. If the manifest write fails, nothing in memory changes:
+// the files a caller wrote for next are orphans for the open-time sweep.
+//
+//histburst:locked mu
+func (s *Store) commitLocked(next storeView) error {
+	next.gen = s.view.Load().gen + 1
+	if s.dir != "" {
+		m := &Manifest{Generation: next.gen, NextID: s.nextID, Params: s.params, Quarantined: next.quarantined}
+		m.Segments = make([]SegmentMeta, len(next.segs))
+		for i, g := range next.segs {
+			m.Segments[i] = g.meta
+		}
+		if err := WriteManifest(filepath.Join(s.dir, ManifestName), m); err != nil {
+			return err
+		}
+	}
+	s.view.Store(&next)
+	return nil
 }
 
 // sealLoop takes seal steps after every freeze until the queue is empty,
@@ -317,17 +348,17 @@ func (s *Store) sealLoop() {
 }
 
 // sealOnce is one seal step: it builds every frozen head concurrently, one
-// goroutine per head, and publishes the longest successful prefix as one
-// generation bump in freeze order, so segs stays time-sorted without any
+// goroutine per head, and commits the longest successful prefix as one
+// generation in freeze order, so segs stays time-sorted without any
 // sorting and the manifest is written once per batch. A failure is recorded
-// as bgErr; the heads behind it stay frozen and queryable. Steps serialize
-// on sealMu, so any goroutine may take one.
+// as bgErr; the heads behind it, or the whole batch if the commit fails,
+// stay frozen and queryable. Steps serialize on sealMu, so any goroutine may
+// take one, and only a step removes frozen heads: the batch stays the
+// view's frozen prefix until this step commits.
 func (s *Store) sealOnce() (progressed bool, err error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
-	s.mu.Lock()
-	batch := append([]*memHead(nil), s.frozen...)
-	s.mu.Unlock()
+	batch := s.view.Load().frozen
 	if len(batch) == 0 {
 		return false, nil
 	}
@@ -345,13 +376,13 @@ func (s *Store) sealOnce() (progressed bool, err error) {
 
 	s.mu.Lock()
 	if ok > 0 {
-		s.segs = append(s.segs, built[:ok]...)
-		s.frozen = s.frozen[ok:]
-		s.gen++
-		if merr := s.writeManifestLocked(); merr != nil && err == nil {
-			err = merr
+		cur := s.view.Load()
+		next := *cur
+		next.segs = slices.Concat(cur.segs, built[:ok])
+		next.frozen = cur.frozen[ok:]
+		if cerr := s.commitLocked(next); cerr != nil {
+			ok, err = 0, cerr
 		}
-		s.publishLocked(nil)
 	}
 	if err != nil {
 		err = fmt.Errorf("segstore: seal: %w", err)
@@ -400,27 +431,22 @@ func (s *Store) rotateWAL() error {
 	if s.wal == nil {
 		return nil
 	}
+	// mu keeps a checkpoint's freeze from splitting the live head's tail
+	// off while it is read. Each head merges into time order on its own, in
+	// freeze order, so the baseline still splits at head boundaries — where
+	// the durable watermark moves as each frozen head seals.
 	s.mu.Lock()
-	durable := int64(0)
-	for _, g := range s.segs {
-		durable += g.meta.Elements
-	}
-	for _, q := range s.quarantined {
-		durable += q.Elements
-	}
-	// Each head merges into time order on its own, in freeze order, so the
-	// baseline still splits at head boundaries — where the durable watermark
-	// moves as each frozen head seals.
+	v := s.view.Load()
 	var pending stream.Stream
 	collect := func(e uint64, t int64) { pending = append(pending, stream.Element{Event: e, Time: t}) }
-	for _, h := range s.frozen {
+	for _, h := range v.frozen {
 		h.inOrder(collect)
 	}
-	s.view.Load().head.inOrder(collect)
+	v.head.inOrder(collect)
 	s.mu.Unlock()
 	s.wal.mu.Lock()
 	defer s.wal.mu.Unlock()
-	return s.wal.rotateLocked(durable, pending)
+	return s.wal.rotateLocked(v.durable(), pending)
 }
 
 // buildSegment summarizes a frozen head into an immutable sketch segment
@@ -445,23 +471,6 @@ func (s *Store) buildSegment(h *memHead) (*Segment, error) {
 		}
 	}
 	return residentSegment(meta, det), nil
-}
-
-// writeManifestLocked persists the current segment directory. Volatile
-// stores skip it.
-//
-//histburst:locked mu
-func (s *Store) writeManifestLocked() error {
-	if s.dir == "" {
-		return nil
-	}
-	m := &Manifest{Generation: s.gen, NextID: s.nextID, Params: s.params}
-	m.Segments = make([]SegmentMeta, len(s.segs))
-	for i, g := range s.segs {
-		m.Segments[i] = g.meta
-	}
-	m.Quarantined = append([]SegmentMeta(nil), s.quarantined...)
-	return WriteManifest(filepath.Join(s.dir, ManifestName), m)
 }
 
 // Checkpoint freezes the head and seals every frozen head on the caller's
@@ -512,9 +521,9 @@ func (s *Store) bootstrapInstall(det *histburst.Detector) error {
 	if s.closed {
 		return ErrClosed
 	}
-	v := s.view.Load()
-	n, _, _, _ := v.head.snapshot()
-	if len(s.segs) > 0 || len(s.frozen) > 0 || n > 0 {
+	cur := s.view.Load()
+	n, _, _, _ := cur.head.snapshot()
+	if len(cur.segs) > 0 || len(cur.frozen) > 0 || n > 0 {
 		return fmt.Errorf("segstore: store is not empty")
 	}
 	if det.N() == 0 {
@@ -534,13 +543,10 @@ func (s *Store) bootstrapInstall(det *histburst.Detector) error {
 		}
 	}
 	s.nextID++
-	s.segs = append(s.segs, residentSegment(meta, det))
-	s.gen++
-	if err := s.writeManifestLocked(); err != nil {
-		return err
-	}
-	s.publishLocked(newMemHead(meta.MaxT))
-	return nil
+	next := *cur
+	next.segs = []*Segment{residentSegment(meta, det)}
+	next.head = newMemHead(meta.MaxT)
+	return s.commitLocked(next)
 }
 
 // Close seals everything (full checkpoint), stops the background workers,
@@ -553,17 +559,16 @@ func (s *Store) Close() error {
 		return err
 	}
 	s.closed = true
-	// Freeze the live head so late Appends bounce into freezeHead, which
-	// reports ErrClosed, instead of landing in a dead head. An append that
-	// raced in between the final checkpoint and here still gets sealed,
-	// below, once the workers have stopped.
-	h := s.view.Load().head
-	h.freeze(false)
-	if n, _, _, _ := h.snapshot(); n > 0 {
-		h.sealID = s.nextID
-		s.nextID++
-		s.frozen = append(s.frozen, h)
-	}
+	// Queue the live head for the sealer behind an empty, frozen head, so
+	// late Appends bounce into freezeHead, which reports ErrClosed, instead
+	// of landing in a dead head. An append that raced in between the final
+	// checkpoint and here still gets sealed, below, once the workers have
+	// stopped.
+	cur := s.view.Load()
+	cur.head.freeze(false)
+	next := s.retireHeadLocked(cur)
+	next.head.freeze(false)
+	s.view.Store(&next)
 	s.mu.Unlock()
 	close(s.stop)
 	s.wg.Wait()
@@ -615,11 +620,11 @@ func (s *Store) Health() StoreHealth {
 	if s.scrubErr != nil {
 		h.ScrubErr = s.scrubErr.Error()
 	}
-	h.Quarantined = len(s.quarantined)
-	for _, q := range s.quarantined {
+	s.mu.Unlock()
+	for _, q := range s.view.Load().quarantined {
+		h.Quarantined++
 		h.QuarantinedElements += q.Elements
 	}
-	s.mu.Unlock()
 	h.ScrubPasses = s.scrubPasses.Load()
 	if s.wal != nil {
 		h.WAL = s.wal.stats()

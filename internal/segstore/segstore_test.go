@@ -567,6 +567,24 @@ func TestOpenRefusesOldGeneration(t *testing.T) {
 			}
 		}
 	}
+	// A log of the previous generation: refused before the damaged file is
+	// quarantined or the log is rotated away with its acked elements.
+	logs, err := filepath.Glob(filepath.Join(dir, walFilePrefix+"*"+walFileSuffix))
+	if err != nil || len(logs) != 1 {
+		t.Fatalf("fixture: wal files %v (%v), want 1", logs, err)
+	}
+	log, err := os.ReadFile(logs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logs[0], append(slices.Clone(hbw1Magic), log[len(walMagic):]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refused("an HBW1 log", "unsupported write-ahead log format HBW1 (this build reads HBW2 only)", histburst.ErrUnsupportedFormat)
+	if err := os.WriteFile(logs[0], log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	for _, old := range []byte{4, 5, 6, 7, 8, 9} {
 		for _, path := range segs[1:] {
 			reseal(path, func(body []byte) {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"histburst"
 	"histburst/internal/atomicfile"
 	"histburst/internal/binenc"
 	"histburst/internal/stream"
@@ -101,9 +102,6 @@ const (
 	// maxWALRecordBytes bounds one frame's payload; a length prefix beyond
 	// it is certainly corrupt (or a torn length field), so the parse stops.
 	maxWALRecordBytes = 1 << 28
-	// maxHBW1RecordElems bounds one HBW1 record's element count for the
-	// decoder, as HBW1 writers bounded it.
-	maxHBW1RecordElems = 1 << 26
 	// walOrderBits is the width of each code order in an HBW2 record.
 	walOrderBits = 6
 )
@@ -115,13 +113,26 @@ const (
 // records. It is a variable so tests can drive the split with a small bound.
 var maxWALRecordElems = 1 << 23
 
-// walMagic identifies the WAL file format the store writes, HBW2: records
-// whose elements are bit-coded. hbw1Magic marks the generation before it,
-// whose records hold element runs; Open still replays it (see parseWALFile).
+// walMagic identifies the WAL file format the store reads and writes,
+// HBW2: records whose elements are bit-coded. hbw1Magic marks the
+// generation before it, whose records held element runs; Open refuses a
+// directory holding one (see openWAL).
 var (
 	walMagic  = []byte{'H', 'B', 'W', '2'}
 	hbw1Magic = []byte{'H', 'B', 'W', '1'}
 )
+
+// errUnsupportedWAL refuses a log of another format generation. It matches
+// histburst.ErrUnsupportedFormat: like a detector file of another
+// generation, such a log is whole and may hold acked elements no segment
+// holds, so Open must neither read it as debris nor rotate it away.
+type errUnsupportedWAL string
+
+func (e errUnsupportedWAL) Error() string {
+	return fmt.Sprintf("unsupported write-ahead log format %s (this build reads HBW2 only)", string(e))
+}
+
+func (errUnsupportedWAL) Is(target error) bool { return target == histburst.ErrUnsupportedFormat }
 
 func walFileName(seq uint64) string {
 	return fmt.Sprintf("%s%016d%s", walFilePrefix, seq, walFileSuffix)
@@ -275,25 +286,6 @@ func decodeWALRecord(payload []byte) (walRecord, error) {
 // 1 + kID for the first element's id, 2 + kID + kDT for each later one.
 func walMinBits(count int, kID, kDT uint) uint64 {
 	return uint64(count-1)*uint64(2+kID+kDT) + uint64(1+kID)
-}
-
-// decodeHBW1Record parses one HBW1 frame payload: startN, count, then the
-// elements as an element run (stream.ReadRun). Open reads HBW1 logs and
-// rotates them into HBW2; nothing writes HBW1.
-//
-//histburst:decoder
-func decodeHBW1Record(payload []byte) (walRecord, error) {
-	dec := binenc.NewReader(payload)
-	startN := dec.Uvarint()
-	elems := make(stream.Stream, dec.SliceLen(maxHBW1RecordElems, stream.MinElemBytes))
-	stream.ReadRun(dec, elems)
-	if err := dec.Close(); err != nil {
-		return walRecord{}, fmt.Errorf("segstore: wal record: %w", err)
-	}
-	if int64(startN) < 0 {
-		return walRecord{}, fmt.Errorf("segstore: wal record: implausible start position %d", startN)
-	}
-	return walRecord{startN: int64(startN), elems: elems}, nil
 }
 
 // egCost tallies a set of values so the exact Exp-Golomb cost of the set at
@@ -524,17 +516,9 @@ func (r *bitReader) fail(what string) {
 // truncated, oversized, CRC-mismatched, undecodable, or whose times
 // decrease, and every record before it stands. clean reports whether the
 // file ended exactly at a frame boundary with a valid magic (false means
-// trailing bytes were dropped). An HBW1 file is parsed the same way with its
-// own record decoder: it may hold acked elements no other file holds, so it
-// is replayed, and Open's rotation then replaces it with an HBW2 log.
+// trailing bytes were dropped).
 func parseWALFile(data []byte) (recs []walRecord, clean bool) {
-	var decode func([]byte) (walRecord, error)
-	switch {
-	case bytes.HasPrefix(data, walMagic):
-		decode = decodeWALRecord
-	case bytes.HasPrefix(data, hbw1Magic):
-		decode = decodeHBW1Record
-	default:
+	if !bytes.HasPrefix(data, walMagic) {
 		// A file torn inside the 4-byte magic (crash during rotation) holds
 		// no records by definition; anything else with a bad magic is not a
 		// log we can trust any frame of.
@@ -557,9 +541,9 @@ func parseWALFile(data []byte) (recs []walRecord, clean bool) {
 		if crc32.Checksum(body, crcTable) != sum {
 			return recs, false
 		}
-		// Records hold admitted sets; an HBW1 run out of time order came
-		// from no writer.
-		rec, err := decode(body)
+		// Records hold admitted sets; one out of time order came from no
+		// writer.
+		rec, err := decodeWALRecord(body)
 		if err != nil || !slices.IsSortedFunc(rec.elems, func(a, b stream.Element) int { return cmp.Compare(a.Time, b.Time) }) {
 			return recs, false
 		}
@@ -604,9 +588,10 @@ type wal struct {
 
 // openWAL scans dir for log files and returns the wal handle plus the
 // replay suffix: every logged position ≥ durableN, in position order, each
-// as the newest record covering it wrote it. The returned wal has no live
-// file yet — the store applies the replay and then rotates, which starts a
-// fresh log and deletes the old files.
+// as the newest record covering it wrote it. An HBW1 log refuses the whole
+// scan. The returned wal has no live file yet — the store applies the
+// replay and then rotates, which starts a fresh log and deletes the old
+// files.
 func openWAL(dir string, policy WALSyncPolicy, every time.Duration, durableN int64) (*wal, stream.Stream, error) {
 	if every <= 0 {
 		every = DefaultWALSyncEvery
@@ -634,6 +619,9 @@ scan:
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, nil, fmt.Errorf("segstore: wal: %w", err)
+		}
+		if bytes.HasPrefix(data, hbw1Magic) {
+			return nil, nil, fmt.Errorf("segstore: %s: %w", name, errUnsupportedWAL(hbw1Magic))
 		}
 		recs, _ := parseWALFile(data)
 		for _, rec := range recs {

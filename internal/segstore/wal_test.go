@@ -1,9 +1,7 @@
 package segstore
 
 import (
-	"bytes"
 	"encoding/hex"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -338,38 +336,20 @@ func TestParseWALSyncPolicy(t *testing.T) {
 	}
 }
 
-// encodeHBW1Record frames one record as HBW1 wrote it: startN, count, then
-// the elements as an element run. Nothing in the store writes HBW1 any more;
-// the tests forge the logs an older build left behind with it.
-func encodeHBW1Record(startN int64, elems stream.Stream) []byte {
-	var payload binenc.Writer
-	payload.Uvarint(uint64(startN))
-	payload.Uvarint(uint64(len(elems)))
-	stream.AppendRun(&payload, elems)
-	body := payload.Bytes()
-	var frame binenc.Writer
-	frame.Uint32(uint32(len(body)))
-	frame.Uint32(crc32.Checksum(body, crcTable))
-	return append(frame.Bytes(), body...)
-}
-
-// walSeedFiles are one HBW2 and one HBW1 log of the same two records.
-func walSeedFiles() (hbw2, hbw1 []byte) {
-	a := stream.Stream{{Event: 1, Time: 5}, {Event: 2, Time: 9}, {Event: 300, Time: 9}}
-	b := stream.Stream{{Event: 3, Time: 12}}
-	hbw2 = append(slices.Clone(walMagic), encodeWALRecord(0, a)...)
-	hbw2 = append(hbw2, encodeWALRecord(3, b)...)
-	hbw1 = append(slices.Clone(hbw1Magic), encodeHBW1Record(0, a)...)
-	hbw1 = append(hbw1, encodeHBW1Record(3, b)...)
-	return hbw2, hbw1
+// walSeedLog is an HBW2 log of two records.
+func walSeedLog() []byte {
+	hbw2 := append(slices.Clone(walMagic), encodeWALRecord(0, stream.Stream{{Event: 1, Time: 5}, {Event: 2, Time: 9}, {Event: 300, Time: 9}})...)
+	return append(hbw2, encodeWALRecord(3, stream.Stream{{Event: 3, Time: 12}})...)
 }
 
 func FuzzWALReplay(f *testing.F) {
-	// Seeds: an empty log, healthy two-record logs of both generations, and
-	// torn ones.
+	// Seeds: an empty log, a healthy two-record log, the same frames behind
+	// the previous generation's magic (no records: Open refuses such a log
+	// before it parses it), and torn ones.
 	f.Add([]byte{})
 	f.Add(slices.Clone(walMagic))
-	hbw2, hbw1 := walSeedFiles()
+	hbw2 := walSeedLog()
+	hbw1 := append(slices.Clone(hbw1Magic), hbw2[len(walMagic):]...)
 	for _, data := range [][]byte{hbw2, hbw1} {
 		f.Add(data)
 		f.Add(data[:len(data)-3])
@@ -388,8 +368,7 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("negative record position %d", rec.startN)
 			}
 		}
-		// Round trip: the accepted records, of either generation, re-encoded
-		// as HBW2 must parse back to the same positions and elements.
+		// Round trip: the accepted records, re-encoded, must parse back to the same positions and elements.
 		out := slices.Clone(walMagic)
 		for _, rec := range recs {
 			out = append(out, encodeWALRecord(rec.startN, rec.elems)...)
@@ -407,15 +386,10 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 func FuzzWALRecordDecode(f *testing.F) {
-	hbw2, hbw1 := walSeedFiles()
-	f.Add(hbw2[len(walMagic)+walFrameHeader:])
-	f.Add(hbw1[len(hbw1Magic)+walFrameHeader:])
+	f.Add(walSeedLog()[len(walMagic)+walFrameHeader:])
 	f.Add(encodeWALRecord(7, stream.Stream{{Event: math.MaxUint64, Time: math.MinInt64}, {Event: 0, Time: math.MaxInt64}})[walFrameHeader:])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		if rec, err := decodeHBW1Record(payload); err == nil && rec.startN < 0 {
-			t.Fatalf("negative position decoded from HBW1: %d", rec.startN)
-		}
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
 			return
@@ -456,9 +430,7 @@ func walRecordOrders(t *testing.T, payload []byte) (kID, kDT uint, bitsLeft uint
 
 // TestWALRecordGolden pins the HBW2 record bytes — duplicate timestamps,
 // Unix-second and Unix-millisecond origins, ids up to 2⁶⁴ − 1 and a span
-// wider than 2⁶³ — and each decodes back. The HBW1 rows are the bytes that
-// generation wrote, unsorted runs with negative deltas among them; they are
-// decoded only, as Open reads them.
+// wider than 2⁶³ — and each decodes back.
 func TestWALRecordGolden(t *testing.T) {
 	for _, tc := range []struct {
 		s   stream.Stream
@@ -477,28 +449,6 @@ func TestWALRecordGolden(t *testing.T) {
 		}
 		if rec, err := decodeWALRecord(frame[walFrameHeader:]); err != nil || rec.startN != 1234 || !slices.Equal(rec.elems, tc.s) {
 			t.Errorf("decodeWALRecord = %+v (%v), want %v at 1234", rec, err, tc.s)
-		}
-	}
-	for _, tc := range []struct {
-		s   stream.Stream
-		hex string
-	}{
-		{goldenRun(3, 100, 1, 40, 1<<40, 250, 2, -10), "13000000a8f3349bd2090403c8010177808080808020a403028704"},
-		{goldenRun(5, 7, 5, 7, 9, 7, 5, 8), "0b000000b1c7c382d20904050e050009000502"},
-		{goldenRun(1, 1_700_000_000, 2, 1_700_000_003, 1, 1_700_086_400), "0f0000009c0d62d2d209030180c49fd50c020601fac50a"},
-		{goldenRun(0, 1_700_000_000_000, 300, 1_700_000_000_250, 70_000, 1_700_086_400_000),
-			"15000000be112547d209030080a0abfef962ac02f403f0a2048cecb252"},
-		{goldenRun(1, math.MinInt64+1, 2, math.MaxInt64), "100000003e32e6edd2090201fdffffffffffffffff010203"},
-	} {
-		frame, err := hex.DecodeString(tc.hex)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeHBW1Record(1234, tc.s); !slices.Equal(got, frame) {
-			t.Errorf("encodeHBW1Record(%v) = %x, want %s", tc.s, got, tc.hex)
-		}
-		if rec, err := decodeHBW1Record(frame[walFrameHeader:]); err != nil || rec.startN != 1234 || !slices.Equal(rec.elems, tc.s) {
-			t.Errorf("decodeHBW1Record = %+v (%v), want %v at 1234", rec, err, tc.s)
 		}
 	}
 }
@@ -551,79 +501,6 @@ func TestWALSplitsRecordsAtTheBound(t *testing.T) {
 	}
 	if got, want := r2.Frontier(), last+20; got != want {
 		t.Fatalf("second recovery frontier=%d, want %d", got, want)
-	}
-}
-
-// TestWALReadsHBW1Log: a directory an older build left with an HBW1 log
-// opens, replays to the same store as its HBW2 twin, and then holds only
-// the HBW2 log that twin holds.
-func TestWALReadsHBW1Log(t *testing.T) {
-	dir := t.TempDir()
-	s := mustOpen(t, dir, testConfig(-1))
-	elems := rioHeadElems()[:3000]
-	for i := 0; i < len(elems); i += 100 {
-		if _, _, err := s.AppendBatch(elems[i : i+100]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hbw2 := cloneDir(t, dir)
-	hbw1 := cloneDir(t, dir)
-	mustClose(t, s)
-
-	names := walFileNames(t, hbw1)
-	if len(names) != 1 {
-		t.Fatalf("store holds wal files %v, want 1", names)
-	}
-	data, err := os.ReadFile(filepath.Join(hbw1, names[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, clean := parseWALFile(data)
-	if !clean || len(recs) != len(elems)/100 {
-		t.Fatalf("live log parsed to %d records (clean=%v), want %d", len(recs), clean, len(elems)/100)
-	}
-	old := slices.Clone(hbw1Magic)
-	for _, rec := range recs {
-		old = append(old, encodeHBW1Record(rec.startN, rec.elems)...)
-	}
-	if err := os.WriteFile(filepath.Join(hbw1, names[0]), old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	a := mustOpen(t, hbw2, testConfig(-1))
-	defer mustClose(t, a)
-	b := mustOpen(t, hbw1, testConfig(-1))
-	defer mustClose(t, b)
-	if a.N() != int64(len(elems)) || b.N() != a.N() || b.Frontier() != a.Frontier() {
-		t.Fatalf("HBW1 store N=%d frontier %d, HBW2 store N=%d frontier %d, want N=%d", b.N(), b.Frontier(), a.N(), a.Frontier(), len(elems))
-	}
-	if got, want := collectInOrder(b.view.Load().head), collectInOrder(a.view.Load().head); !slices.Equal(got, want) {
-		t.Fatal("the HBW1 log replayed to a different head than its HBW2 twin")
-	}
-	for _, d := range []string{hbw1, hbw2} {
-		if names := walFileNames(t, d); len(names) != 1 {
-			t.Fatalf("%s holds wal files %v after open, want 1", d, names)
-		}
-	}
-	got, err := os.ReadFile(filepath.Join(hbw1, walFileNames(t, hbw1)[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join(hbw2, walFileNames(t, hbw2)[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(got, walMagic) || !bytes.Equal(got, want) {
-		t.Fatalf("the HBW1 directory's rotated log (%d bytes, magic %q) is not its twin's HBW2 baseline (%d bytes)", len(got), got[:min(4, len(got))], len(want))
-	}
-
-	// An HBW1 run whose times decrease came from no writer: the parse ends
-	// there, as at any other corrupt frame.
-	forged := append(slices.Clone(hbw1Magic), encodeHBW1Record(0, goldenRun(1, 5, 2, 9))...)
-	forged = append(forged, encodeHBW1Record(2, goldenRun(1, 12, 2, 11))...)
-	forged = append(forged, encodeHBW1Record(4, goldenRun(1, 12))...)
-	if recs, clean := parseWALFile(forged); len(recs) != 1 || clean {
-		t.Fatalf("an HBW1 log with a decreasing run parsed to %d records (clean=%v), want the 1 before it", len(recs), clean)
 	}
 }
 
