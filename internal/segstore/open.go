@@ -116,11 +116,11 @@ func open(dir string, cfg Config) (*Store, error) {
 	}
 
 	// The manifest's composition, less the segments that fail verification.
-	v := storeView{head: newMemHead(0)}
+	var v storeView
 	var damaged []SegmentMeta
+	frontier := int64(0)
 	if man != nil {
 		v.gen = man.Generation
-		frontier := int64(0)
 		for _, meta := range man.Segments {
 			data, err := s.verifySegment(meta)
 			if errors.Is(err, histburst.ErrUnsupportedFormat) {
@@ -146,8 +146,8 @@ func open(dir string, cfg Config) (*Store, error) {
 			frontier = max(frontier, meta.MaxT)
 		}
 		v.quarantined = slices.Concat(man.Quarantined, damaged)
-		v.head = newMemHead(frontier)
 	}
+	v.head = newMemHead(frontier)
 
 	// The logs are read before anything is written: one of another format
 	// generation refuses the open with the directory untouched.

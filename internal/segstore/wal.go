@@ -122,17 +122,17 @@ var (
 	hbw1Magic = []byte{'H', 'B', 'W', '1'}
 )
 
-// errUnsupportedWAL refuses a log of another format generation. It matches
+// unsupportedWALError refuses a log of another format generation. It matches
 // histburst.ErrUnsupportedFormat: like a detector file of another
 // generation, such a log is whole and may hold acked elements no segment
 // holds, so Open must neither read it as debris nor rotate it away.
-type errUnsupportedWAL string
+type unsupportedWALError string
 
-func (e errUnsupportedWAL) Error() string {
+func (e unsupportedWALError) Error() string {
 	return fmt.Sprintf("unsupported write-ahead log format %s (this build reads HBW2 only)", string(e))
 }
 
-func (errUnsupportedWAL) Is(target error) bool { return target == histburst.ErrUnsupportedFormat }
+func (unsupportedWALError) Is(target error) bool { return target == histburst.ErrUnsupportedFormat }
 
 func walFileName(seq uint64) string {
 	return fmt.Sprintf("%s%016d%s", walFilePrefix, seq, walFileSuffix)
@@ -621,7 +621,7 @@ scan:
 			return nil, nil, fmt.Errorf("segstore: wal: %w", err)
 		}
 		if bytes.HasPrefix(data, hbw1Magic) {
-			return nil, nil, fmt.Errorf("segstore: %s: %w", name, errUnsupportedWAL(hbw1Magic))
+			return nil, nil, fmt.Errorf("segstore: %s: %w", name, unsupportedWALError(hbw1Magic))
 		}
 		recs, _ := parseWALFile(data)
 		for _, rec := range recs {

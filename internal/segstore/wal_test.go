@@ -338,8 +338,9 @@ func TestParseWALSyncPolicy(t *testing.T) {
 
 // walSeedLog is an HBW2 log of two records.
 func walSeedLog() []byte {
-	hbw2 := append(slices.Clone(walMagic), encodeWALRecord(0, stream.Stream{{Event: 1, Time: 5}, {Event: 2, Time: 9}, {Event: 300, Time: 9}})...)
-	return append(hbw2, encodeWALRecord(3, stream.Stream{{Event: 3, Time: 12}})...)
+	a := stream.Stream{{Event: 1, Time: 5}, {Event: 2, Time: 9}, {Event: 300, Time: 9}}
+	b := stream.Stream{{Event: 3, Time: 12}}
+	return slices.Concat(walMagic, encodeWALRecord(0, a), encodeWALRecord(3, b))
 }
 
 func FuzzWALReplay(f *testing.F) {
@@ -368,7 +369,8 @@ func FuzzWALReplay(f *testing.F) {
 				t.Fatalf("negative record position %d", rec.startN)
 			}
 		}
-		// Round trip: the accepted records, re-encoded, must parse back to the same positions and elements.
+		// Round trip: the accepted records, re-encoded, must parse back to
+		// the same positions and elements.
 		out := slices.Clone(walMagic)
 		for _, rec := range recs {
 			out = append(out, encodeWALRecord(rec.startN, rec.elems)...)
