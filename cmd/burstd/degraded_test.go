@@ -23,6 +23,36 @@ func getBody(t *testing.T, url string) (int, map[string]any) {
 	return getJSON(t, url, &out), out
 }
 
+// TestFailedCheckpointRetried: a periodic checkpoint that failed to commit
+// is retried by the next one, appends or none, and once it commits /readyz
+// is 200 again.
+func TestFailedCheckpointRetried(t *testing.T) {
+	srv, ts := liveServer(t, t.TempDir())
+	if code, _ := postAppend(t, ts.URL, `{"event":5,"time":100},{"event":5,"time":150}`); code != 200 {
+		t.Fatalf("append failed: %d", code)
+	}
+	// A non-empty directory where the manifest goes fails its rename.
+	manifest := filepath.Join(srv.store.Dir(), segstore.ManifestName)
+	if err := os.MkdirAll(filepath.Join(manifest, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.checkpoint(false); err == nil {
+		t.Fatal("checkpoint committed with no manifest to write")
+	}
+	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after a failed checkpoint: %d, want 503", code)
+	}
+	if err := os.RemoveAll(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if name, err := srv.checkpoint(false); err != nil || name == "" {
+		t.Fatalf("the retried checkpoint wrote %q err=%v", name, err)
+	}
+	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusOK {
+		t.Fatalf("/readyz after the retried checkpoint: %d, want 200", code)
+	}
+}
+
 func TestDiskFaultFlipsReadOnlyAndRecovers(t *testing.T) {
 	srv, ts := liveServer(t, t.TempDir())
 	srv.probeEvery = 10 * time.Millisecond

@@ -316,9 +316,10 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe. 503 while starting or draining (as
 // before) and also while the store cannot accept writes — read-only after
-// a disk fault, or wedged on a sticky background error — so load balancers
-// stop routing ingest here. The body always carries the full health detail
-// (quarantine count, WAL lag) either way.
+// a disk fault, or while its last seal or compaction step failed (until a
+// step of that kind succeeds) — so load balancers stop routing ingest here.
+// The body always carries the full health detail (quarantine count, WAL
+// lag) either way.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case !s.ready.Load():
@@ -499,14 +500,17 @@ func (s *server) enterReadOnly(cause error) {
 // into the manifest-referenced segment directory. Periodic calls (force
 // false) skip when nothing was appended since the last one and leave the
 // frontier timestamp's elements in memory so sealed boundaries stay
-// compactable; force seals the entire head (shutdown). The returned name
-// describes what became durable ("" for a skipped no-op).
+// compactable; force seals the entire head (shutdown). A failed one leaves
+// the heads frozen, so the next periodic call retries it even with no
+// appends since — that retry is what clears the store error /readyz reports.
+// The returned name describes what became durable ("" for a skipped no-op).
 func (s *server) checkpoint(force bool) (string, error) {
 	if !s.dirty.Swap(false) && !force {
 		return "", nil
 	}
 	before := s.store.Generation()
 	if err := s.store.Checkpoint(force); err != nil {
+		s.dirty.Store(true)
 		return "", err
 	}
 	after := s.store.Generation()

@@ -11,78 +11,89 @@ import (
 	"histburst"
 )
 
-// TestFailedCommitChangesNothing holds every step that commits a next view —
-// seal, compaction swap, decay swap, quarantine and Bootstrap — to the one
+// commitStep is one kind of step that commits a next view, and a store it
+// commits on.
+type commitStep struct {
+	name  string
+	cfg   Config
+	setup func(t *testing.T, s *Store)
+	step  func(s *Store) error
+	fails string // the failed step's error names it
+}
+
+// commitSteps holds every step that commits a next view: seal, compaction
+// swap, decay swap, quarantine and Bootstrap. Both halves of the commit
+// contract range over it — a failed commit changes nothing
+// (TestFailedCommitChangesNothing), and a crash anywhere in a commit's
+// writes recovers to one side of it (TestCrashDuringEveryCommit) — so a new
+// kind of commit inherits both proofs by adding a row.
+var commitSteps = []commitStep{
+	{"seal", fanoutConfig(8, -1),
+		func(t *testing.T, s *Store) { appendN(t, s, 16, 4, 0, 1) }, // one frozen head, one live
+		func(s *Store) error { _, err := s.sealOnce(); return err }, "seal: "},
+	{"compaction swap", fanoutConfig(8, 2), sealedSetup(16, 1),
+		func(s *Store) error { _, err := s.compactOnce(); return err }, "compaction: "},
+	{"decay swap", func() Config {
+		cfg := fanoutConfig(8, 2)
+		cfg.DecayTiers = []DecayTier{{Age: 5000, Gamma: 8, W: 8, Res: 100}}
+		return cfg
+	}(), sealedSetup(24, 1000), // the first two of three segments are due
+		func(s *Store) error { _, err := s.compactOnce(); return err }, "decay: "},
+	{"quarantine", fanoutConfig(8, -1),
+		func(t *testing.T, s *Store) {
+			sealedSetup(16, 1)(t, s)
+			path := filepath.Join(s.dir, s.Segments()[0].File)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[len(data)/2] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		(*Store).scrubOnce, "quarantine segment "},
+	{"Bootstrap", testConfig(8), func(*testing.T, *Store) {},
+		func(s *Store) error {
+			det, err := histburst.New(64, histburst.WithSeed(7), histburst.WithPBE2(2), histburst.WithSketchDims(3, 32))
+			if err != nil {
+				return err
+			}
+			for i := 0; i < 30; i++ {
+				det.Append(uint64(i%5), int64(10+i))
+			}
+			return s.Bootstrap(det)
+		}, ManifestName},
+}
+
+func fanoutConfig(sealEvents int64, fanout int) Config {
+	cfg := testConfig(sealEvents)
+	cfg.CompactFanout = fanout
+	return cfg
+}
+
+// sealedSetup appends n elements dt apart and seals them all.
+func sealedSetup(n int, dt int64) func(t *testing.T, s *Store) {
+	return func(t *testing.T, s *Store) {
+		appendN(t, s, n, 4, 0, dt)
+		if err := s.Checkpoint(true); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFailedCommitChangesNothing holds every commitSteps row to the one
 // failure rule: while the manifest cannot be written, the step fails and
 // nothing in memory changes, so a freeze after it still publishes exactly
 // what the manifest on disk names. Once the manifest can be written again,
-// the step commits a manifest naming the published segments, and a reopen
-// answers bit-identically.
+// the step commits a manifest naming the published segments, the failure
+// is off the record, and a reopen answers bit-identically.
 func TestFailedCommitChangesNothing(t *testing.T) {
-	withFanout := func(sealEvents int64, fanout int) Config {
-		cfg := testConfig(sealEvents)
-		cfg.CompactFanout = fanout
-		return cfg
-	}
-	sealed := func(n int, dt int64) func(t *testing.T, s *Store) {
-		return func(t *testing.T, s *Store) {
-			appendN(t, s, n, 4, 0, dt)
-			if err := s.Checkpoint(true); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	decay := withFanout(8, 2)
-	decay.DecayTiers = []DecayTier{{Age: 5000, Gamma: 8, W: 8, Res: 100}}
-	det, err := histburst.New(64, histburst.WithSeed(7), histburst.WithPBE2(2), histburst.WithSketchDims(3, 32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		det.Append(uint64(i%5), int64(10+i))
-	}
-
-	for _, tc := range []struct {
-		name  string
-		cfg   Config
-		setup func(t *testing.T, s *Store)
-		step  func(s *Store) error
-		fails string // the failed step's error names it
-	}{
-		{"seal", withFanout(8, -1),
-			func(t *testing.T, s *Store) { appendN(t, s, 16, 4, 0, 1) }, // one frozen head, one live
-			func(s *Store) error { _, err := s.sealOnce(); return err }, "seal: "},
-		{"compaction swap", withFanout(8, 2), sealed(16, 1),
-			func(s *Store) error { _, err := s.compactOnce(); return err }, "compaction: "},
-		{"decay swap", decay, sealed(24, 1000), // the first two of three segments are due
-			func(s *Store) error { _, err := s.compactOnce(); return err }, "decay: "},
-		{"quarantine", withFanout(8, -1),
-			func(t *testing.T, s *Store) {
-				sealed(16, 1)(t, s)
-				path := filepath.Join(s.dir, s.Segments()[0].File)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data[len(data)/2] ^= 0x01
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			},
-			(*Store).scrubOnce, "quarantine segment "},
-		{"Bootstrap", testConfig(8), func(*testing.T, *Store) {},
-			func(s *Store) error { return s.Bootstrap(det) }, ManifestName},
-	} {
+	for _, tc := range commitSteps {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			s := openStepped(t, dir, tc.cfg)
-			defer func() {
-				// A failed seal or compaction step stays on record, and
-				// Close reports it.
-				if err := s.Close(); err != nil && err != s.Err() {
-					t.Errorf("Close: %v", err)
-				}
-			}()
+			defer mustClose(t, s)
 			tc.setup(t, s)
 			manifest := filepath.Join(dir, ManifestName)
 			onDisk, err := os.ReadFile(manifest)
@@ -96,14 +107,7 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 				}
 			}
 
-			// A non-empty directory where the manifest goes: its rename
-			// fails with EISDIR, whatever the caller's privileges.
-			if err := os.Remove(manifest); err != nil && !errors.Is(err, os.ErrNotExist) {
-				t.Fatal(err)
-			}
-			if err := os.MkdirAll(filepath.Join(manifest, "occupied"), 0o755); err != nil {
-				t.Fatal(err)
-			}
+			blockManifest(t, dir)
 			before := observe(t, s)
 			if err := tc.step(s); err == nil || !strings.Contains(err.Error(), tc.fails) {
 				t.Fatalf("the step returned %v without writing its manifest, want an error naming %q", err, tc.fails)
@@ -130,6 +134,9 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 			if err := tc.step(s); err != nil {
 				t.Fatalf("the step failed once its manifest could be written: %v", err)
 			}
+			if err := s.Err(); err != nil {
+				t.Fatalf("the store still reports the failure a retried step recovered from: %v", err)
+			}
 			if man, err = LoadManifest(manifest); err != nil {
 				t.Fatal(err)
 			}
@@ -147,6 +154,53 @@ func TestFailedCommitChangesNothing(t *testing.T) {
 				t.Fatalf("the reopened store answers %v, the store %v", got, want)
 			}
 		})
+	}
+}
+
+// TestFailedCommitRetriedByCheckpoint: on a store with its workers, seals
+// whose commits failed — the sealer's, nudged by each freeze, or a
+// Checkpoint's own — are retried once the manifest can be written again:
+// the next Checkpoint commits every frozen head, and neither it, Err nor
+// Close still reports the failure.
+func TestFailedCommitRetriedByCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, fanoutConfig(8, -1))
+	defer mustClose(t, s)
+	blockManifest(t, dir)
+	appendN(t, s, 16, 4, 0, 1)
+	if err := s.Checkpoint(false); err == nil || s.Err() == nil {
+		t.Fatalf("Checkpoint returned %v and Err %v with no manifest to write", err, s.Err())
+	}
+	if err := os.RemoveAll(filepath.Join(dir, ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(false); err != nil {
+		t.Fatalf("Checkpoint after the disk recovered: %v", err)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err after a committed Checkpoint: %v", err)
+	}
+	man, err := LoadManifest(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn := s.Snapshot()
+	if sn.Head().Frozen != 0 || len(man.Segments) == 0 || !reflect.DeepEqual(manifestIDs(man.Segments), segmentIDs(sn.Segments())) {
+		t.Fatalf("after Checkpoint %d heads are frozen and the store publishes %v; the manifest names %v",
+			sn.Head().Frozen, segmentIDs(sn.Segments()), manifestIDs(man.Segments))
+	}
+}
+
+// blockManifest puts a non-empty directory where dir's manifest goes: its
+// rename fails with EISDIR, whatever the caller's privileges.
+func blockManifest(t *testing.T, dir string) {
+	t.Helper()
+	manifest := filepath.Join(dir, ManifestName)
+	if err := os.Remove(manifest); err != nil && !errors.Is(err, os.ErrNotExist) {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(manifest, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -33,10 +33,11 @@ import (
 // and queryable, merely unmerged.
 
 // compactLoop takes compaction steps after every nudge until one makes no
-// progress, and stops at its first failure.
+// progress or fails; the next nudge retries a failed one.
 func (s *Store) compactLoop() {
 	defer s.wg.Done()
-	for wait(s.stop, s.compactNudge) && s.drain(s.compactOnce) == nil {
+	for wait(s.stop, s.compactNudge) {
+		s.drain(s.compactOnce)
 	}
 }
 
@@ -46,7 +47,7 @@ func (s *Store) compactLoop() {
 // keeps full fidelity until that one ages too — so which tier history ended
 // up in depended on whether a restart had interrupted the merges (four
 // SIGKILLs at "ready" left bench's http_mixed at 4.0 or 4.9 B/elem).
-// A failure is recorded as bgErr.
+// The step's outcome is recorded as compactErr.
 func (s *Store) compactOnce() (progressed bool, err error) {
 	decayed, err := s.rebuildOnce("decay", s.decayJobs())
 	merged := false
@@ -55,12 +56,10 @@ func (s *Store) compactOnce() (progressed bool, err error) {
 	}
 	if err != nil {
 		err = fmt.Errorf("segstore: %w", err)
-		s.mu.Lock()
-		if s.bgErr == nil {
-			s.bgErr = err
-		}
-		s.mu.Unlock()
 	}
+	s.mu.Lock()
+	s.compactErr = err
+	s.mu.Unlock()
 	return decayed || merged, err
 }
 
@@ -117,7 +116,8 @@ func parallel(n int, fn func(i int)) {
 }
 
 // swapRun commits merged in place of run: ID assignment, segment file
-// write, commit, then tombstone deletion.
+// write, commit, then tombstone deletion. A failed commit skips its ID, so
+// each failed attempt leaves one orphan file for the open-time sweep.
 func (s *Store) swapRun(run []*Segment, merged *Segment) error {
 	s.mu.Lock()
 	if s.closed {

@@ -1,195 +1,238 @@
 package segstore
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"histburst/internal/faultio"
 )
 
-// The crash suite reproduces, byte by byte, every on-disk state a process
-// crash can leave during the store's two write sequences — a segment file
-// write followed by the manifest rewrite that references it — and checks
-// that Open always recovers a consistent generation: the old one (crash
-// before the manifest rename) with the new file swept as an orphan, or the
-// new one (crash after).
+// TestCrashDuringEveryCommit crashes every commitSteps row at every state
+// its writes can leave on disk and requires Open to recover one side of the
+// commit. The step's files are the difference between the directory before
+// and after it, replayed in the protocol's write order — each operation
+// stopped at every state (a long file's sampled inside) while the earlier
+// ones stay complete:
+//
+//  1. new segment files (temp write, then rename);
+//  2. the manifest (temp write, then rename);
+//  3. tombstone deletions and moves into quarantine/;
+//  4. the new log file (written in place, so any prefix);
+//  5. deletion of the older logs.
+//
+// Every state must reopen to the segments, quarantined segments, N and
+// probe answers of the store reopened from before or after the step, to the
+// bit (the generation may differ: Open quarantines damage itself), leave
+// only the manifest, live segment files, logs and quarantine/ in the root,
+// and close cleanly. The order is written once here, so this proves
+// recovery from what that order can leave, not that the code keeps to it.
+func TestCrashDuringEveryCommit(t *testing.T) {
+	for _, tc := range commitSteps {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			s := openStepped(t, dir, tc.cfg)
+			defer mustClose(t, s)
+			tc.setup(t, s)
+			before := cloneDir(t, dir)
+			gen := s.Generation()
+			if err := tc.step(s); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Generation(); got != gen+1 {
+				t.Fatalf("the step took generation %d to %d, want one commit", gen, got)
+			}
+			sides := []recovered{recoverDir(t, cloneDir(t, before), tc.cfg), recoverDir(t, cloneDir(t, dir), tc.cfg)}
 
-// buildCrashFixture creates a store directory holding generation "old" (one
-// sealed segment), and returns the bytes of the segment file and manifest
-// that the next seal would have written ("new": two segments).
-func buildCrashFixture(t *testing.T) (dir string, oldN int64, newSegName string, newSegData, newManData []byte, newN int64) {
-	t.Helper()
-	dir = t.TempDir()
-	s := mustOpen(t, dir, testConfig(0))
-	appendN(t, s, 10, 3, 0, 1)
-	if err := s.Checkpoint(true); err != nil {
-		t.Fatal(err)
+			ops, swept := commitWrites(t, before, dir), 0
+			defer func() { t.Logf("%d crash states over %d file operations", swept, len(ops)) }()
+			for i, op := range ops {
+				for k := 0; k < op.states; k++ {
+					if k > 48 && k < op.states-48 && k%97 != 0 {
+						continue // long files: every state near both ends, a sample inside
+					}
+					d := cloneDir(t, before)
+					for _, done := range ops[:i] {
+						done.apply(t, d, done.states-1)
+					}
+					op.apply(t, d, k)
+					swept++
+					if got := recoverDir(t, d, tc.cfg); !reflect.DeepEqual(got, sides[0]) && !reflect.DeepEqual(got, sides[1]) {
+						t.Fatalf("a crash in %s at state %d of %d recovered %+v;\nbefore the step: %+v\nafter it:        %+v",
+							op.what, k, op.states, got, sides[0], sides[1])
+					}
+				}
+			}
+		})
 	}
-	oldN = s.N()
-	oldMan, err := LoadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Drive the real store through the second seal to harvest authentic
-	// "new" bytes, then restore the directory to the old generation.
-	appendN(t, s, 10, 3, 100, 1)
-	if err := s.Checkpoint(true); err != nil {
-		t.Fatal(err)
-	}
-	newN = s.N()
-	mustClose(t, s)
-
-	newMan, err := LoadManifest(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(newMan.Segments) != 2 {
-		t.Fatalf("fixture expected 2 segments, got %d", len(newMan.Segments))
-	}
-	newSegName = newMan.Segments[1].File
-	newSegData, err = os.ReadFile(filepath.Join(dir, newSegName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	newManData = newMan.Encode()
-
-	// Rewind the directory to the old generation: old manifest, first
-	// segment only.
-	if err := os.Remove(filepath.Join(dir, newSegName)); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteManifest(filepath.Join(dir, ManifestName), oldMan); err != nil {
-		t.Fatal(err)
-	}
-	return dir, oldN, newSegName, newSegData, newManData, newN
 }
 
-// cloneDir copies the fixture into a fresh directory for one crash step.
-// Subdirectories (quarantine/, evidence the store never reads) are left out.
-func cloneDir(t *testing.T, src string) string {
+// recovered is what a store reopened after a crash must agree on with one
+// side of the commit.
+type recovered struct {
+	segs, quar []uint64
+	n          int64
+	probes     []float64
+}
+
+// recoverDir opens the store in dir, requires Open to have left no crash
+// debris in its root, and closes it.
+func recoverDir(t *testing.T, dir string, cfg Config) recovered {
 	t.Helper()
-	dst := t.TempDir()
-	entries, err := os.ReadDir(src)
+	s := openStepped(t, dir, cfg)
+	c := observe(t, s)
+	keep := map[string]bool{ManifestName: true, quarantineDir: true}
+	for _, g := range c.segs {
+		keep[g.File] = true
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
+		if name := e.Name(); !keep[name] && !(strings.HasPrefix(name, walFilePrefix) && strings.HasSuffix(name, walFileSuffix)) {
+			t.Fatalf("recovery left %s in the store root", name)
+		}
+	}
+	mustClose(t, s)
+	return recovered{segmentIDs(c.segs), segmentIDs(c.quar), c.n, c.probes}
+}
+
+// A crashOp is one file operation of a commit: apply(dir, k) leaves the
+// operation stopped at state k of states, the last being the finished one.
+type crashOp struct {
+	what   string
+	states int
+	apply  func(t *testing.T, dir string, k int)
+}
+
+// commitWrites returns the operations that take the store root from before
+// to after, in the protocol's write order.
+func commitWrites(t *testing.T, before, after string) []crashOp {
+	t.Helper()
+	old, cur := rootFiles(t, before), rootFiles(t, after)
+	changed := func(in, notIn map[string][]byte, prefix string) []string {
+		var names []string
+		for name := range in {
+			if _, ok := notIn[name]; !ok && strings.HasPrefix(name, prefix) {
+				names = append(names, name)
+			}
+		}
+		slices.Sort(names)
+		return names
+	}
+	for name, data := range cur {
+		if prev, ok := old[name]; ok && name != ManifestName && !bytes.Equal(prev, data) {
+			t.Fatalf("the step rewrote %s in place, which no crash state models", name)
+		}
+		if !strings.HasPrefix(name, segFilePrefix) && !strings.HasPrefix(name, walFilePrefix) && name != ManifestName {
+			t.Fatalf("the step wrote %s, which no crash state models", name)
+		}
+	}
+
+	var ops []crashOp
+	atomic := func(name string) {
+		data := cur[name]
+		ops = append(ops, crashOp{name, faultio.CrashSteps(data), func(t *testing.T, d string, k int) {
+			if _, err := faultio.CrashAtomicWrite(d, name, data, k); err != nil {
+				t.Fatal(err)
+			}
+		}})
+	}
+	// removals moves or deletes the first k of names, as after holds them.
+	removals := func(what string, names []string) {
+		if len(names) == 0 {
+			return
+		}
+		ops = append(ops, crashOp{what, len(names) + 1, func(t *testing.T, d string, k int) {
+			for _, name := range names[:k] {
+				src, err := filepath.Join(d, name), error(nil)
+				if _, moved := os.Stat(filepath.Join(after, quarantineDir, name)); moved != nil {
+					err = os.Remove(src)
+				} else if err = os.MkdirAll(filepath.Join(d, quarantineDir), 0o755); err == nil {
+					err = os.Rename(src, filepath.Join(d, quarantineDir, name))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}})
+	}
+	for _, name := range changed(cur, old, segFilePrefix) {
+		atomic(name)
+	}
+	if !bytes.Equal(old[ManifestName], cur[ManifestName]) {
+		atomic(ManifestName)
+	}
+	removals("segment removals", changed(old, cur, segFilePrefix))
+	for _, name := range changed(cur, old, walFilePrefix) {
+		data := cur[name]
+		ops = append(ops, crashOp{name, faultio.CrashPrefixSteps(data), func(t *testing.T, d string, k int) {
+			if _, err := faultio.CrashAppendWrite(d, name, data, k); err != nil {
+				t.Fatal(err)
+			}
+		}})
+	}
+	removals("log deletions", changed(old, cur, walFilePrefix))
+	if len(ops) == 0 {
+		t.Fatal("the step wrote nothing")
+	}
+	return ops
+}
+
+// rootFiles reads every file in dir's root.
+func rootFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+	}
+	return files
+}
+
+// cloneDir copies dir's root files into a fresh directory. Subdirectories
+// (quarantine/, evidence the store never reads) are left out.
+func cloneDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	for name, data := range rootFiles(t, src) {
+		if err := os.WriteFile(filepath.Join(dst, name), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dst
 }
 
-// checkRecovered opens dir and asserts the store landed on one of the two
-// legal generations.
-func checkRecovered(t *testing.T, dir string, step int, oldN, newN int64) {
+// oneSealDir returns a store directory holding one sealed segment of n
+// elements.
+func oneSealDir(t *testing.T) (dir string, n int64) {
 	t.Helper()
-	s, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatalf("step %d: recovery failed: %v", step, err)
-	}
-	n := s.N()
-	segs := len(s.Segments())
-	if err := s.Close(); err != nil {
-		t.Fatalf("step %d: close after recovery: %v", step, err)
-	}
-	switch {
-	case n == oldN && segs == 1: // old generation intact
-	case n == newN && segs == 2: // new generation complete
-	default:
-		t.Fatalf("step %d: recovered to N=%d with %d segments; want (%d,1) or (%d,2)",
-			step, n, segs, oldN, newN)
-	}
-}
-
-func TestCrashDuringSegmentWriteRecoversOldGeneration(t *testing.T) {
-	dir, oldN, newSegName, newSegData, _, _ := buildCrashFixture(t)
-	// A crash at any prefix of the segment file write: the manifest still
-	// names only the old segment, so recovery must land on the old
-	// generation and sweep the debris. Sampling every offset of a multi-KB
-	// sketch file is cheap enough to do exhaustively.
-	for step := 0; step < faultio.CrashSteps(newSegData); step++ {
-		d := cloneDir(t, dir)
-		left, err := faultio.CrashAtomicWrite(d, newSegName, newSegData, step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(d, Config{})
-		if err != nil {
-			t.Fatalf("step %d: recovery failed: %v", step, err)
-		}
-		if got := s.N(); got != oldN {
-			t.Fatalf("step %d: N = %d, want old generation %d", step, got, oldN)
-		}
-		if got := len(s.Segments()); got != 1 {
-			t.Fatalf("step %d: %d segments, want 1", step, got)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// The unreferenced debris (temp or fully-written orphan) is gone.
-		if _, err := os.Stat(left); !os.IsNotExist(err) {
-			t.Fatalf("step %d: crash debris %s survived recovery", step, filepath.Base(left))
-		}
-	}
-}
-
-func TestCrashDuringManifestWriteRecoversEitherGeneration(t *testing.T) {
-	dir, oldN, newSegName, newSegData, newManData, newN := buildCrashFixture(t)
-	// The segment file write completed (it precedes the manifest write in
-	// the seal/compaction protocol); the crash hits the manifest rewrite at
-	// every byte offset. Before the rename the old manifest is intact →
-	// old generation; after it → new generation.
-	for step := 0; step < faultio.CrashSteps(newManData); step++ {
-		d := cloneDir(t, dir)
-		if err := os.WriteFile(filepath.Join(d, newSegName), newSegData, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := faultio.CrashAtomicWrite(d, ManifestName, newManData, step); err != nil {
-			t.Fatal(err)
-		}
-		checkRecovered(t, d, step, oldN, newN)
-	}
-}
-
-func TestCrashLeavesTruncatedManifestTempIgnored(t *testing.T) {
-	// A torn manifest temp file next to a healthy manifest must be ignored
-	// and swept, never loaded.
-	dir, oldN, _, _, newManData, _ := buildCrashFixture(t)
-	tmp := filepath.Join(dir, ManifestName+".tmp-12345")
-	if err := os.WriteFile(tmp, newManData[:len(newManData)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.N(); got != oldN {
-		t.Fatalf("N = %d, want %d", got, oldN)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatal("manifest temp debris survived recovery")
-	}
+	dir = t.TempDir()
+	s := mustOpen(t, dir, testConfig(0))
+	appendN(t, s, 10, 3, 0, 1)
+	mustClose(t, s) // Close seals the whole head
+	return dir, 10
 }
 
 func TestCorruptManifestFailsLoudly(t *testing.T) {
 	// Unlike crash debris, damage to the manifest itself (bit rot, partial
 	// overwrite in place) is not recoverable silently — Open must refuse
 	// rather than serve a history it cannot trust.
-	dir, _, _, _, _, _ := buildCrashFixture(t)
+	dir, _ := oneSealDir(t)
 	path := filepath.Join(dir, ManifestName)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -210,7 +253,7 @@ func TestCorruptSegmentFileQuarantinedAtOpen(t *testing.T) {
 	// opens anyway: the damaged segment is quarantined (manifest rewritten,
 	// file moved to quarantine/), the survivors keep serving, and the error
 	// envelope reports the missing span.
-	dir, oldN, _, _, _, _ := buildCrashFixture(t)
+	dir, oldN := oneSealDir(t)
 	man, err := LoadManifest(filepath.Join(dir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
@@ -270,123 +313,4 @@ func TestCorruptSegmentFileQuarantinedAtOpen(t *testing.T) {
 		t.Fatalf("reopen lost the quarantine record: %+v", h)
 	}
 	mustClose(t, s2)
-}
-
-// buildCompactionCrashFixture creates a store directory holding two sealed
-// same-class segments ("old" generation) plus the bytes the compaction
-// swap would write: the merged segment file and the manifest naming it.
-func buildCompactionCrashFixture(t *testing.T) (dir string, n int64, mergedName string, mergedData, manData []byte) {
-	t.Helper()
-	cfg := testConfig(8)
-	cfg.CompactFanout = 2
-	work := t.TempDir()
-	s := openStepped(t, work, cfg)
-	defer mustClose(t, s)
-	appendN(t, s, 16, 4, 0, 1) // two level-0 seals of 8
-	if err := s.Checkpoint(true); err != nil {
-		t.Fatal(err)
-	}
-	n = s.N()
-	if got := len(s.Segments()); got != 2 {
-		t.Fatalf("fixture expected 2 segments, got %d", got)
-	}
-	// The sealed generation is the fixture; a real compaction step after
-	// it harvests authentic merged bytes.
-	dir = cloneDir(t, work)
-	settle(t, s)
-	man, err := LoadManifest(filepath.Join(work, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(man.Segments) != 1 || !man.Segments[0].Compacted {
-		t.Fatalf("compaction fixture left %+v", man.Segments)
-	}
-	mergedName = man.Segments[0].File
-	mergedData, err = os.ReadFile(filepath.Join(work, mergedName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, n, mergedName, mergedData, man.Encode()
-}
-
-// checkCompactionRecovered opens dir and asserts recovery landed on a legal
-// generation: the two pre-compaction segments or the one merged segment —
-// with every element still accounted for either way.
-func checkCompactionRecovered(t *testing.T, dir string, step int, n int64) {
-	t.Helper()
-	s, err := Open(dir, Config{})
-	if err != nil {
-		t.Fatalf("step %d: recovery failed: %v", step, err)
-	}
-	gotN := s.N()
-	segs := s.Segments()
-	if err := s.Close(); err != nil {
-		t.Fatalf("step %d: close after recovery: %v", step, err)
-	}
-	if gotN != n {
-		t.Fatalf("step %d: recovered N=%d, want %d", step, gotN, n)
-	}
-	switch len(segs) {
-	case 2: // old generation intact
-	case 1: // merged generation complete
-		if !segs[0].Compacted {
-			t.Fatalf("step %d: single recovered segment is not the merged one: %+v", step, segs[0])
-		}
-	default:
-		t.Fatalf("step %d: recovered %d segments, want 1 or 2", step, len(segs))
-	}
-}
-
-func TestCrashDuringCompactionSegmentWriteRecoversOldGeneration(t *testing.T) {
-	dir, n, mergedName, mergedData, _ := buildCompactionCrashFixture(t)
-	// A crash at any prefix of the merged segment file write: the manifest
-	// still names the two inputs, so recovery serves them and sweeps the
-	// debris. Sample boundaries densely and the interior sparsely — the
-	// interesting transitions are at the ends, and every step is a full
-	// store open.
-	steps := faultio.CrashSteps(mergedData)
-	for step := 0; step < steps; step++ {
-		if step > 64 && step < steps-64 && step%97 != 0 {
-			continue
-		}
-		d := cloneDir(t, dir)
-		left, err := faultio.CrashAtomicWrite(d, mergedName, mergedData, step)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(d, Config{})
-		if err != nil {
-			t.Fatalf("step %d: recovery failed: %v", step, err)
-		}
-		if got := s.N(); got != n {
-			t.Fatalf("step %d: N = %d, want %d", step, got, n)
-		}
-		if got := len(s.Segments()); got != 2 {
-			t.Fatalf("step %d: %d segments, want the 2 inputs", step, got)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(left); !os.IsNotExist(err) {
-			t.Fatalf("step %d: crash debris %s survived recovery", step, filepath.Base(left))
-		}
-	}
-}
-
-func TestCrashDuringCompactionManifestWriteRecoversEitherGeneration(t *testing.T) {
-	dir, n, mergedName, mergedData, manData := buildCompactionCrashFixture(t)
-	// The merged file write completed; the crash hits the manifest rewrite
-	// at every byte offset. Before the rename the two inputs are live (the
-	// merged file is an orphan, swept); after it the merged segment serves
-	// and the inputs become tombstones.
-	for step := 0; step < faultio.CrashSteps(manData); step++ {
-		d := cloneDir(t, dir)
-		if err := os.WriteFile(filepath.Join(d, mergedName), mergedData, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := faultio.CrashAtomicWrite(d, ManifestName, manData, step); err != nil {
-			t.Fatal(err)
-		}
-		checkCompactionRecovered(t, d, step, n)
-	}
 }

@@ -1,13 +1,10 @@
 package segstore
 
 import (
-	"os"
-	"path/filepath"
 	"slices"
 	"testing"
 
 	"histburst"
-	"histburst/internal/faultio"
 )
 
 // The decay suite drives multi-week event-time histories through the full
@@ -144,140 +141,6 @@ func TestResolveDecayTiers(t *testing.T) {
 	cfg.DecayTiers = []DecayTier{{Age: 100, Gamma: 8}}
 	if _, err := Open("", cfg); err == nil {
 		t.Fatal("Open accepted decay tiers with compaction disabled")
-	}
-}
-
-// buildDecayCrashFixture creates a store directory of three sealed segments
-// old enough (relative to the frontier) that decay compacts and decays the
-// first two, and harvests the final generation's bytes: every new segment
-// file plus the manifest naming them.
-func buildDecayCrashFixture(t *testing.T) (dir string, n int64, newFiles map[string][]byte, manData []byte) {
-	t.Helper()
-	cfg := testConfig(8)
-	cfg.CompactFanout = 2
-	cfg.DecayTiers = []DecayTier{{Age: 5000, Gamma: 8, W: 8, Res: 100}}
-	work := t.TempDir()
-	s := openStepped(t, work, cfg)
-	defer mustClose(t, s)
-	appendN(t, s, 24, 4, 0, 1000) // three seals spanning [0, 23000]
-	if err := s.Checkpoint(true); err != nil {
-		t.Fatal(err)
-	}
-	n = s.N()
-	old := s.Segments()
-	if len(old) != 3 {
-		t.Fatalf("fixture expected 3 segments, got %d", len(old))
-	}
-	// The sealed generation is the fixture; real decay and compaction steps
-	// after it harvest authentic bytes.
-	dir = cloneDir(t, work)
-	settle(t, s)
-	man, err := LoadManifest(filepath.Join(work, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldNames := make(map[string]bool)
-	for _, g := range old {
-		oldNames[g.File] = true
-	}
-	newFiles = make(map[string][]byte)
-	sawDecayed := false
-	for _, g := range man.Segments {
-		if g.Tier > 0 {
-			sawDecayed = true
-		}
-		if oldNames[g.File] {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(work, g.File))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newFiles[g.File] = data
-	}
-	if !sawDecayed || len(newFiles) == 0 {
-		t.Fatalf("decay fixture left %+v", man.Segments)
-	}
-	return dir, n, newFiles, man.Encode()
-}
-
-func TestCrashDuringDecayManifestWriteRecoversEitherGeneration(t *testing.T) {
-	dir, n, newFiles, manData := buildDecayCrashFixture(t)
-	// The decayed segment files are in place (their writes precede the
-	// manifest rewrite); the crash hits the manifest write at every
-	// byte offset. Before the rename the three full-fidelity inputs serve;
-	// after it the decayed generation does — with every element accounted
-	// for either way.
-	for step := 0; step < faultio.CrashSteps(manData); step++ {
-		d := cloneDir(t, dir)
-		for name, data := range newFiles {
-			if err := os.WriteFile(filepath.Join(d, name), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := faultio.CrashAtomicWrite(d, ManifestName, manData, step); err != nil {
-			t.Fatal(err)
-		}
-		s, err := Open(d, Config{})
-		if err != nil {
-			t.Fatalf("step %d: recovery failed: %v", step, err)
-		}
-		gotN := s.N()
-		segs := s.Segments()
-		if err := s.Close(); err != nil {
-			t.Fatalf("step %d: close after recovery: %v", step, err)
-		}
-		if gotN != n {
-			t.Fatalf("step %d: recovered N=%d, want %d", step, gotN, n)
-		}
-		decayedSegs := 0
-		for _, g := range segs {
-			if g.Tier > 0 {
-				decayedSegs++
-			}
-		}
-		switch {
-		case len(segs) == 3 && decayedSegs == 0: // old generation intact
-		case decayedSegs > 0: // decayed generation complete
-		default:
-			t.Fatalf("step %d: recovered %d segments (%d decayed); want the 3 inputs or a decayed set", step, len(segs), decayedSegs)
-		}
-	}
-}
-
-func TestCrashDuringDecaySegmentWriteRecoversOldGeneration(t *testing.T) {
-	dir, n, newFiles, _ := buildDecayCrashFixture(t)
-	// A crash at any prefix of a decayed segment file write: the manifest
-	// still names the full-fidelity inputs, so recovery serves them and
-	// sweeps the debris. Sample boundaries densely, the interior sparsely.
-	for name, data := range newFiles {
-		steps := faultio.CrashSteps(data)
-		for step := 0; step < steps; step++ {
-			if step > 48 && step < steps-48 && step%131 != 0 {
-				continue
-			}
-			d := cloneDir(t, dir)
-			left, err := faultio.CrashAtomicWrite(d, name, data, step)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := Open(d, Config{})
-			if err != nil {
-				t.Fatalf("step %d: recovery failed: %v", step, err)
-			}
-			if got := s.N(); got != n {
-				t.Fatalf("step %d: N = %d, want %d", step, got, n)
-			}
-			if got := len(s.Segments()); got != 3 {
-				t.Fatalf("step %d: %d segments, want the 3 inputs", step, got)
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(left); !os.IsNotExist(err) {
-				t.Fatalf("step %d: crash debris %s survived recovery", step, filepath.Base(left))
-			}
-		}
 	}
 }
 

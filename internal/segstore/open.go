@@ -164,9 +164,11 @@ func open(dir string, cfg Config) (*Store, error) {
 			return nil, err
 		}
 	}
-	if man != nil {
+	if dir != "" {
 		// Manifest-first quarantine protocol: finish any file move a crash
 		// (or the quarantine just above) left undone, then sweep debris.
+		// With no manifest nothing is live: a crash in a fresh store's
+		// first seal or Bootstrap left only debris.
 		if err := s.finishQuarantineMoves(); err != nil {
 			return nil, err
 		}

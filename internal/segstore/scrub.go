@@ -3,12 +3,8 @@ package segstore
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"slices"
 	"time"
-
-	"histburst/internal/atomicfile"
 )
 
 // The scrubber is the store's background integrity check. Open verifies
@@ -71,8 +67,8 @@ func (s *Store) scrubOnce() error {
 
 // quarantine removes one damaged segment from service: manifest first
 // (commit a view without it, recorded under Quarantined), then the file
-// move into quarantine/. A crash between the two is finished by
-// finishQuarantineMoves at the next open. If the segment has already left
+// move into quarantine/ — finishQuarantineMoves, which the next open runs
+// again for a move a crash left undone. If the segment has already left
 // the live set (compacted away between the scrub read and now), the
 // "damage" was a stale read — nothing to do.
 func (s *Store) quarantine(meta SegmentMeta, cause error) error {
@@ -92,17 +88,8 @@ func (s *Store) quarantine(meta SegmentMeta, cause error) error {
 		return fmt.Errorf("quarantine segment %d: %w", meta.ID, err)
 	}
 	s.mu.Unlock()
-
-	src := filepath.Join(s.dir, meta.File)
-	if _, err := os.Stat(src); err != nil {
-		return nil // the damage took the file with it; nothing to move
-	}
-	if err := os.MkdirAll(filepath.Join(s.dir, quarantineDir), 0o755); err != nil {
+	if err := s.finishQuarantineMoves(); err != nil {
 		return fmt.Errorf("quarantine segment %d: %w", meta.ID, err)
 	}
-	if err := os.Rename(src, filepath.Join(s.dir, quarantineDir, meta.File)); err != nil {
-		return fmt.Errorf("quarantine segment %d: %w", meta.ID, err)
-	}
-	atomicfile.SyncDir(s.dir)
 	return nil
 }

@@ -215,12 +215,14 @@ type Store struct {
 	// seals, compaction swaps and quarantines, and ID issue.
 	mu sync.Mutex
 
-	// nextID, closed, bgErr and scrubErr are guarded by mu. An ID taken by
-	// a commit that failed is skipped, never reused.
-	nextID   uint64
-	closed   bool
-	bgErr    error // first background seal/compaction failure, sticky
-	scrubErr error // last scrub pass failure (nil after a clean pass)
+	// nextID, closed and the step errors are guarded by mu. An ID taken by
+	// a commit that failed is skipped, never reused. Each step error is the
+	// last step of its kind's failure, nil after one that succeeds.
+	nextID     uint64
+	closed     bool
+	sealErr    error
+	compactErr error
+	scrubErr   error
 
 	//histburst:atomic
 	view atomic.Pointer[storeView]
@@ -337,24 +339,26 @@ func (s *Store) commitLocked(next storeView) error {
 	return nil
 }
 
-// sealLoop takes seal steps after every freeze until the queue is empty,
-// and stops at its first failure: the store is wedged for durability until
-// the error is observed. With the WAL on, the wedge is softer than it
-// sounds: every unsealed element is still in the log, so a restart recovers.
+// sealLoop takes seal steps after every freeze until the queue is empty or
+// a step fails. A failed step changes nothing but sealErr, so the next
+// freeze's nudge (or a Checkpoint) retries it; until then the heads stay
+// frozen and queryable, and with the WAL on every element is in the log.
 func (s *Store) sealLoop() {
 	defer s.wg.Done()
-	for wait(s.stop, s.sealNudge) && s.drain(s.sealOnce) == nil {
+	for wait(s.stop, s.sealNudge) {
+		s.drain(s.sealOnce)
 	}
 }
 
 // sealOnce is one seal step: it builds every frozen head concurrently, one
 // goroutine per head, and commits the longest successful prefix as one
 // generation in freeze order, so segs stays time-sorted without any
-// sorting and the manifest is written once per batch. A failure is recorded
-// as bgErr; the heads behind it, or the whole batch if the commit fails,
-// stay frozen and queryable. Steps serialize on sealMu, so any goroutine may
-// take one, and only a step removes frozen heads: the batch stays the
-// view's frozen prefix until this step commits.
+// sorting and the manifest is written once per batch. The step's outcome is
+// recorded as sealErr; the heads behind a failure, or the whole batch if the
+// commit fails, stay frozen and queryable, and a retry rewrites their files
+// under the IDs they were frozen with. Steps serialize on sealMu, so any
+// goroutine may take one, and only a step removes frozen heads: the batch
+// stays the view's frozen prefix until this step commits.
 func (s *Store) sealOnce() (progressed bool, err error) {
 	s.sealMu.Lock()
 	defer s.sealMu.Unlock()
@@ -386,10 +390,8 @@ func (s *Store) sealOnce() (progressed bool, err error) {
 	}
 	if err != nil {
 		err = fmt.Errorf("segstore: seal: %w", err)
-		if s.bgErr == nil {
-			s.bgErr = err
-		}
 	}
+	s.sealErr = err
 	s.mu.Unlock()
 	if err != nil {
 		return ok > 0, err
@@ -409,12 +411,9 @@ func (s *Store) sealOnce() (progressed bool, err error) {
 }
 
 // sealFrozen takes seal steps on the caller's goroutine until the frozen
-// queue is empty or a background failure is on record.
+// queue is empty or a step fails.
 func (s *Store) sealFrozen() error {
 	for {
-		if err := s.Err(); err != nil {
-			return err
-		}
 		if progressed, err := s.sealOnce(); err != nil || !progressed {
 			return err
 		}
@@ -595,7 +594,8 @@ func (s *Store) SyncWAL() error {
 
 // StoreHealth is the store's self-diagnosis for serving-layer probes.
 type StoreHealth struct {
-	// Err is the sticky background seal/compaction failure, if any.
+	// Err is the last seal and compaction steps' failures, if any (each
+	// cleared by the next step of its kind that succeeds).
 	Err string `json:"err,omitempty"`
 	// ScrubErr is the last scrub pass's failure, if any (cleared by the
 	// next clean pass).
@@ -613,10 +613,10 @@ type StoreHealth struct {
 // Health reports the store's durability and integrity state.
 func (s *Store) Health() StoreHealth {
 	var h StoreHealth
-	s.mu.Lock()
-	if s.bgErr != nil {
-		h.Err = s.bgErr.Error()
+	if err := s.Err(); err != nil {
+		h.Err = err.Error()
 	}
+	s.mu.Lock()
 	if s.scrubErr != nil {
 		h.ScrubErr = s.scrubErr.Error()
 	}
@@ -651,16 +651,16 @@ func wait[T any](stop <-chan struct{}, ch <-chan T) bool {
 }
 
 // drain takes steps until one makes no progress or fails, or the store
-// stops.
-func (s *Store) drain(step func() (bool, error)) error {
+// stops. A step records its own failure.
+func (s *Store) drain(step func() (bool, error)) {
 	for {
 		select {
 		case <-s.stop:
-			return nil
+			return
 		default:
 		}
 		if progressed, err := step(); err != nil || !progressed {
-			return err
+			return
 		}
 	}
 }
@@ -674,11 +674,12 @@ func (s *Store) K() uint64 { return s.kfold }
 // Params returns the store's resolved sketch parameters.
 func (s *Store) Params() histburst.SketchParams { return s.params }
 
-// Err returns the first background seal/compaction failure, if any.
+// Err returns the last seal and compaction steps' failures, if any: each is
+// cleared by the next step of its kind that succeeds.
 func (s *Store) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.bgErr
+	return errors.Join(s.sealErr, s.compactErr)
 }
 
 // Dir returns the store directory ("" for volatile stores).
