@@ -25,7 +25,7 @@ type commitStep struct {
 // swap, decay swap, quarantine and Bootstrap. Both halves of the commit
 // contract range over it — a failed commit changes nothing
 // (TestFailedCommitChangesNothing), and a crash anywhere in a commit's
-// writes recovers to one side of it (TestCrashDuringEveryCommit) — so a new
+// writes recovers to one side of it (the crash sweep, crash_test.go) — so a new
 // kind of commit inherits both proofs by adding a row.
 var commitSteps = []commitStep{
 	{"seal", fanoutConfig(8, -1),

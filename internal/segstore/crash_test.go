@@ -12,12 +12,12 @@ import (
 	"histburst/internal/faultio"
 )
 
-// TestCrashDuringEveryCommit crashes every commitSteps row at every state
-// its writes can leave on disk and requires Open to recover one side of the
-// commit. The step's files are the difference between the directory before
-// and after it, replayed in the protocol's write order — each operation
-// stopped at every state (a long file's sampled inside) while the earlier
-// ones stay complete:
+// The crash sweep crashes every commitSteps row at every state its writes
+// can leave on disk and requires Open to recover one side of the commit.
+// The step's files are the difference between the directory before and
+// after it, replayed in the protocol's write order — each operation stopped
+// at every state (a long file's sampled inside) while the earlier ones stay
+// complete:
 //
 //  1. new segment files (temp write, then rename);
 //  2. the manifest (temp write, then rename);
@@ -31,45 +31,114 @@ import (
 // only the manifest, live segment files, logs and quarantine/ in the root,
 // and close cleanly. The order is written once here, so this proves
 // recovery from what that order can leave, not that the code keeps to it.
+//
+// Each test in crashSlices crashes its row's operations of the kinds it
+// lists; TestCrashDuringEveryCommit crashes every operation no slice
+// claims, so each state is swept once.
+var crashSlices = []struct {
+	test, row string
+	kinds     []opKind
+}{
+	{"TestCrashDuringSegmentWriteRecoversOldGeneration", "seal", []opKind{opSegment}},
+	{"TestCrashDuringManifestWriteRecoversEitherGeneration", "seal", []opKind{opManifest}},
+	// Every partial manifest temp beside a healthy manifest is swept.
+	{"TestCrashLeavesTruncatedManifestTempIgnored", "quarantine", []opKind{opManifest}},
+	{"TestCrashDuringCompactionSegmentWriteRecoversOldGeneration", "compaction swap", []opKind{opSegment}},
+	{"TestCrashDuringCompactionManifestWriteRecoversEitherGeneration", "compaction swap", []opKind{opManifest, opRemoval}},
+	{"TestCrashDuringDecaySegmentWriteRecoversOldGeneration", "decay swap", []opKind{opSegment}},
+	{"TestCrashDuringDecayManifestWriteRecoversEitherGeneration", "decay swap", []opKind{opManifest, opRemoval}},
+}
+
+func TestCrashDuringSegmentWriteRecoversOldGeneration(t *testing.T)               { sweepSlice(t) }
+func TestCrashDuringManifestWriteRecoversEitherGeneration(t *testing.T)           { sweepSlice(t) }
+func TestCrashLeavesTruncatedManifestTempIgnored(t *testing.T)                    { sweepSlice(t) }
+func TestCrashDuringCompactionSegmentWriteRecoversOldGeneration(t *testing.T)     { sweepSlice(t) }
+func TestCrashDuringCompactionManifestWriteRecoversEitherGeneration(t *testing.T) { sweepSlice(t) }
+func TestCrashDuringDecaySegmentWriteRecoversOldGeneration(t *testing.T)          { sweepSlice(t) }
+func TestCrashDuringDecayManifestWriteRecoversEitherGeneration(t *testing.T)      { sweepSlice(t) }
+
+// TestCrashDuringEveryCommit sweeps, in each commitSteps row, the
+// operations no crashSlices test claims: the rows no slice names whole, the
+// post-seal log rotation in the others.
 func TestCrashDuringEveryCommit(t *testing.T) {
 	for _, tc := range commitSteps {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
-			s := openStepped(t, dir, tc.cfg)
-			defer mustClose(t, s)
-			tc.setup(t, s)
-			before := cloneDir(t, dir)
-			gen := s.Generation()
-			if err := tc.step(s); err != nil {
-				t.Fatal(err)
-			}
-			if got := s.Generation(); got != gen+1 {
-				t.Fatalf("the step took generation %d to %d, want one commit", gen, got)
-			}
-			sides := []recovered{recoverDir(t, cloneDir(t, before), tc.cfg), recoverDir(t, cloneDir(t, dir), tc.cfg)}
-
-			ops, swept := commitWrites(t, before, dir), 0
-			defer func() { t.Logf("%d crash states over %d file operations", swept, len(ops)) }()
-			for i, op := range ops {
-				for k := 0; k < op.states; k++ {
-					if k > 48 && k < op.states-48 && k%97 != 0 {
-						continue // long files: every state near both ends, a sample inside
-					}
-					d := cloneDir(t, before)
-					for _, done := range ops[:i] {
-						done.apply(t, d, done.states-1)
-					}
-					op.apply(t, d, k)
-					swept++
-					if got := recoverDir(t, d, tc.cfg); !reflect.DeepEqual(got, sides[0]) && !reflect.DeepEqual(got, sides[1]) {
-						t.Fatalf("a crash in %s at state %d of %d recovered %+v;\nbefore the step: %+v\nafter it:        %+v",
-							op.what, k, op.states, got, sides[0], sides[1])
+			claimed := map[opKind]bool{}
+			for _, sl := range crashSlices {
+				if sl.row == tc.name {
+					for _, k := range sl.kinds {
+						claimed[k] = true
 					}
 				}
 			}
+			sweepCommit(t, tc, func(k opKind) bool { return !claimed[k] })
 		})
 	}
+}
+
+// sweepSlice runs the crashSlices entry named by the test.
+func sweepSlice(t *testing.T) {
+	t.Parallel()
+	for _, sl := range crashSlices {
+		if sl.test != t.Name() {
+			continue
+		}
+		for _, tc := range commitSteps {
+			if tc.name == sl.row {
+				if sweepCommit(t, tc, func(k opKind) bool { return slices.Contains(sl.kinds, k) }) == 0 {
+					t.Fatalf("row %q wrote no operation of kinds %v", sl.row, sl.kinds)
+				}
+				return
+			}
+		}
+		t.Fatalf("no commitSteps row %q", sl.row)
+	}
+	t.Fatalf("no crashSlices entry for %s", t.Name())
+}
+
+// sweepCommit takes tc's step and crashes each of its operations whose kind
+// crash selects at every state, as the sweep's contract above says. It
+// returns how many states it crashed.
+func sweepCommit(t *testing.T, tc commitStep, crash func(opKind) bool) (swept int) {
+	t.Helper()
+	dir := t.TempDir()
+	s := openStepped(t, dir, tc.cfg)
+	defer mustClose(t, s)
+	tc.setup(t, s)
+	before := cloneDir(t, dir)
+	gen := s.Generation()
+	if err := tc.step(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Generation(); got != gen+1 {
+		t.Fatalf("the step took generation %d to %d, want one commit", gen, got)
+	}
+	sides := []recovered{recoverDir(t, cloneDir(t, before), tc.cfg), recoverDir(t, cloneDir(t, dir), tc.cfg)}
+
+	ops := commitWrites(t, before, dir)
+	defer func() { t.Logf("%d crash states over %d file operations", swept, len(ops)) }()
+	for i, op := range ops {
+		if !crash(op.kind) {
+			continue
+		}
+		for k := 0; k < op.states; k++ {
+			if k > 48 && k < op.states-48 && k%97 != 0 {
+				continue // long files: every state near both ends, a sample inside
+			}
+			d := cloneDir(t, before)
+			for _, done := range ops[:i] {
+				done.apply(t, d, done.states-1)
+			}
+			op.apply(t, d, k)
+			swept++
+			if got := recoverDir(t, d, tc.cfg); !reflect.DeepEqual(got, sides[0]) && !reflect.DeepEqual(got, sides[1]) {
+				t.Fatalf("a crash in %s at state %d of %d recovered %+v;\nbefore the step: %+v\nafter it:        %+v",
+					op.what, k, op.states, got, sides[0], sides[1])
+			}
+		}
+	}
+	return swept
 }
 
 // recovered is what a store reopened after a crash must agree on with one
@@ -107,9 +176,21 @@ func recoverDir(t *testing.T, dir string, cfg Config) recovered {
 // operation stopped at state k of states, the last being the finished one.
 type crashOp struct {
 	what   string
+	kind   opKind
 	states int
 	apply  func(t *testing.T, dir string, k int)
 }
+
+// opKind names a crashOp's place in the protocol's write order.
+type opKind int
+
+const (
+	opSegment     opKind = iota // a new segment file
+	opManifest                  // the manifest
+	opRemoval                   // segment deletions and moves into quarantine/
+	opLog                       // the new log file
+	opLogDeletion               // deletions of the older logs
+)
 
 // commitWrites returns the operations that take the store root from before
 // to after, in the protocol's write order.
@@ -136,20 +217,20 @@ func commitWrites(t *testing.T, before, after string) []crashOp {
 	}
 
 	var ops []crashOp
-	atomic := func(name string) {
+	atomic := func(name string, kind opKind) {
 		data := cur[name]
-		ops = append(ops, crashOp{name, faultio.CrashSteps(data), func(t *testing.T, d string, k int) {
+		ops = append(ops, crashOp{name, kind, faultio.CrashSteps(data), func(t *testing.T, d string, k int) {
 			if _, err := faultio.CrashAtomicWrite(d, name, data, k); err != nil {
 				t.Fatal(err)
 			}
 		}})
 	}
 	// removals moves or deletes the first k of names, as after holds them.
-	removals := func(what string, names []string) {
+	removals := func(what string, kind opKind, names []string) {
 		if len(names) == 0 {
 			return
 		}
-		ops = append(ops, crashOp{what, len(names) + 1, func(t *testing.T, d string, k int) {
+		ops = append(ops, crashOp{what, kind, len(names) + 1, func(t *testing.T, d string, k int) {
 			for _, name := range names[:k] {
 				src, err := filepath.Join(d, name), error(nil)
 				if _, moved := os.Stat(filepath.Join(after, quarantineDir, name)); moved != nil {
@@ -164,21 +245,21 @@ func commitWrites(t *testing.T, before, after string) []crashOp {
 		}})
 	}
 	for _, name := range changed(cur, old, segFilePrefix) {
-		atomic(name)
+		atomic(name, opSegment)
 	}
 	if !bytes.Equal(old[ManifestName], cur[ManifestName]) {
-		atomic(ManifestName)
+		atomic(ManifestName, opManifest)
 	}
-	removals("segment removals", changed(old, cur, segFilePrefix))
+	removals("segment removals", opRemoval, changed(old, cur, segFilePrefix))
 	for _, name := range changed(cur, old, walFilePrefix) {
 		data := cur[name]
-		ops = append(ops, crashOp{name, faultio.CrashPrefixSteps(data), func(t *testing.T, d string, k int) {
+		ops = append(ops, crashOp{name, opLog, faultio.CrashPrefixSteps(data), func(t *testing.T, d string, k int) {
 			if _, err := faultio.CrashAppendWrite(d, name, data, k); err != nil {
 				t.Fatal(err)
 			}
 		}})
 	}
-	removals("log deletions", changed(old, cur, walFilePrefix))
+	removals("log deletions", opLogDeletion, changed(old, cur, walFilePrefix))
 	if len(ops) == 0 {
 		t.Fatal("the step wrote nothing")
 	}
